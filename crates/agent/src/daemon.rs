@@ -1,8 +1,10 @@
 //! The live agent daemon: an [`AgentCore`] served over a transport.
 //!
-//! One accept loop; each connection gets its own handler thread running a
-//! simple request/reply protocol (every incoming message is answered).
-//! Works identically over TCP and the in-process channel transport.
+//! Built on the [`netsolve_net::Daemon`] skeleton: its accept loop gives
+//! each connection (up to [`AgentDaemon::MAX_CONNECTIONS`]) a handler
+//! thread running a simple request/reply protocol (every incoming message
+//! is answered), and the rounds below are its periodic workers. Works
+//! identically over TCP and the in-process channel transport.
 //!
 //! The daemon also runs a heartbeat prober: every probe interval it dials
 //! each registered server with a `Ping` and feeds the outcome into the
@@ -18,38 +20,51 @@
 //! answers again.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use netsolve_core::clock::{Clock, RealClock};
-use netsolve_core::config::HeartbeatPolicy;
+use netsolve_core::config::{AgentConfig, GossipPolicy, HeartbeatPolicy};
 use netsolve_core::error::Result;
 use netsolve_core::ids::ServerId;
-use netsolve_net::{Connection, Transport};
+use netsolve_net::{call_once, Connection, Daemon, StopSignal, Transport};
+use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
 
 use crate::core::AgentCore;
 
 /// Handle to a running agent daemon.
 pub struct AgentDaemon {
+    shared: Arc<Shared>,
+    daemon: Daemon,
+}
+
+/// What the accept loop's handlers and the periodic workers share.
+struct Shared {
     core: Arc<Mutex<AgentCore>>,
-    address: String,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    heartbeat_thread: Option<std::thread::JoinHandle<()>>,
-    gossip_thread: Option<std::thread::JoinHandle<()>>,
-    telemetry_thread: Option<std::thread::JoinHandle<()>>,
-    peers: Arc<Mutex<Vec<String>>>,
+    metrics: Arc<netsolve_obs::MetricsRegistry>,
+    tracer: Arc<netsolve_obs::Tracer>,
+    clock: Arc<dyn Clock>,
     transport: Arc<dyn Transport>,
+    address: String,
+    peers: Mutex<Vec<String>>,
+    /// Peers the gossip loop has marked down; skipped by query widening.
+    peer_down: Mutex<HashSet<String>>,
+    stop: Arc<StopSignal>,
 }
 
 /// How long a federated agent waits for each peer's answer.
-const PEER_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+const PEER_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl AgentDaemon {
+    /// Hard cap on concurrently served connections; one arriving past it
+    /// is answered with a retryable Busy error (`agent.busy_rejected`).
+    /// Kept below the common 1024-descriptor process limit.
+    pub const MAX_CONNECTIONS: u32 = 512;
+
     /// Start an agent listening at `hint` on the given transport, serving
-    /// the given core. Time is wall-clock.
+    /// the given core. Time is wall-clock. The agent starts with no
+    /// federation peers; see [`AgentDaemon::set_peers`].
     pub fn start(
         transport: Arc<dyn Transport>,
         hint: &str,
@@ -58,250 +73,152 @@ impl AgentDaemon {
         Self::start_with_clock(transport, hint, core, Arc::new(RealClock::new()))
     }
 
-    /// Start a *federated* agent: when a local server query finds nothing,
-    /// the daemon forwards it to the peer agents at `peers` and merges
-    /// their candidate lists (best predicted time first). Peers answer
-    /// from local state only, so federation depth is one hop and loops are
-    /// impossible even when peers list each other.
-    pub fn start_federated(
-        transport: Arc<dyn Transport>,
-        hint: &str,
-        core: AgentCore,
-        peers: Vec<String>,
-    ) -> Result<AgentDaemon> {
-        Self::start_inner(
-            transport,
-            hint,
-            core,
-            Arc::new(RealClock::new()),
-            peers,
-            HeartbeatPolicy::default(),
-        )
-    }
-
-    /// Start with an explicit clock (tests use a virtual one).
-    pub fn start_with_clock(
-        transport: Arc<dyn Transport>,
-        hint: &str,
-        core: AgentCore,
-        clock: Arc<dyn Clock>,
-    ) -> Result<AgentDaemon> {
-        Self::start_inner(transport, hint, core, clock, Vec::new(), HeartbeatPolicy::default())
-    }
-
-    /// Start with an explicit clock and heartbeat policy. The clock must
-    /// be shared with anyone who later queries the core's fault state,
-    /// since down-cooldowns compare [`SimTime`]s from this clock.
+    /// Start with an explicit clock (tests use a virtual one). The clock
+    /// must be shared with anyone who later queries the core's fault
+    /// state, since down-cooldowns compare [`SimTime`]s from this clock.
     ///
     /// [`SimTime`]: netsolve_core::clock::SimTime
-    pub fn start_with_heartbeat(
-        transport: Arc<dyn Transport>,
-        hint: &str,
-        core: AgentCore,
-        clock: Arc<dyn Clock>,
-        heartbeat: HeartbeatPolicy,
-    ) -> Result<AgentDaemon> {
-        Self::start_inner(transport, hint, core, clock, Vec::new(), heartbeat)
-    }
-
-    fn start_inner(
+    pub fn start_with_clock(
         transport: Arc<dyn Transport>,
         hint: &str,
         mut core: AgentCore,
         clock: Arc<dyn Clock>,
-        peers: Vec<String>,
-        heartbeat: HeartbeatPolicy,
     ) -> Result<AgentDaemon> {
         let listener = transport.listen(hint)?;
         let address = listener.address();
         core.set_self_address(&address);
-        let core = Arc::new(Mutex::new(core));
-        let stop = Arc::new(AtomicBool::new(false));
-        let peers = Arc::new(Mutex::new(peers));
-        let peer_down: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
+        let (metrics, tracer) = (core.metrics(), core.tracer());
+        let AgentConfig { heartbeat, gossip, telemetry, .. } = *core.config();
+        let mut daemon = Daemon::new(Arc::clone(&transport));
+        let shared = Arc::new(Shared {
+            core: Arc::new(Mutex::new(core)),
+            metrics: Arc::clone(&metrics),
+            tracer,
+            clock,
+            transport,
+            address,
+            peers: Mutex::new(Vec::new()),
+            peer_down: Mutex::new(HashSet::new()),
+            stop: daemon.stop_signal(),
+        });
 
-        let heartbeat_thread = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let clock = Arc::clone(&clock);
-            std::thread::Builder::new()
-                .name("agent-heartbeat".into())
-                .spawn(move || run_heartbeat(transport, core, clock, stop, heartbeat))
-                .expect("spawn agent heartbeat thread")
-        };
-
-        // The gossip loop runs even when the peer list starts empty:
-        // peers can arrive later via `set_peers` (live demos bind
-        // ephemeral ports first, then wire the mesh).
-        let gossip_thread = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let clock = Arc::clone(&clock);
-            let peers = Arc::clone(&peers);
-            let peer_down = Arc::clone(&peer_down);
-            let self_address = address.clone();
-            std::thread::Builder::new()
-                .name("agent-gossip".into())
-                .spawn(move || {
-                    run_gossip(transport, core, clock, stop, self_address, peers, peer_down)
-                })
-                .expect("spawn agent gossip thread")
-        };
-
+        {
+            let shared = Arc::clone(&shared);
+            let mut misses = HashMap::new();
+            daemon.every(
+                "agent-heartbeat",
+                Duration::from_secs_f64(heartbeat.probe_interval_secs.max(0.001)),
+                move || shared.heartbeat_round(&heartbeat, &mut misses),
+            )?;
+        }
+        // The gossip loop runs even while the peer list is empty: peers
+        // arrive later via `set_peers` (live demos bind ephemeral ports
+        // first, then wire the mesh).
+        {
+            let shared = Arc::clone(&shared);
+            let mut misses = HashMap::new();
+            daemon.every(
+                "agent-gossip",
+                Duration::from_secs_f64(gossip.interval_secs.max(0.001)),
+                move || shared.gossip_round(&gossip, &mut misses),
+            )?;
+        }
         // Telemetry sampler: ticks this agent's own windowed series,
         // scrapes locally-registered servers for their digests, and
         // expires dead peers' series — the state gossip replicates.
-        let telemetry_thread = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let clock = Arc::clone(&clock);
-            let self_address = address.clone();
-            std::thread::Builder::new()
-                .name("agent-telemetry".into())
-                .spawn(move || run_telemetry(transport, core, clock, stop, self_address))
-                .expect("spawn agent telemetry thread")
-        };
-
-        let accept_core = Arc::clone(&core);
-        let accept_stop = Arc::clone(&stop);
-        let accept_transport = Arc::clone(&transport);
-        let accept_peers = Arc::clone(&peers);
-        let accept_thread = std::thread::Builder::new()
-            .name("agent-accept".into())
-            .spawn(move || {
-                loop {
-                    match listener.accept() {
-                        Ok(conn) => {
-                            if accept_stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let core = Arc::clone(&accept_core);
-                            let clock = Arc::clone(&clock);
-                            let transport = Arc::clone(&accept_transport);
-                            let peers = Arc::clone(&accept_peers);
-                            let peer_down = Arc::clone(&peer_down);
-                            let stop = Arc::clone(&accept_stop);
-                            std::thread::Builder::new()
-                                .name("agent-conn".into())
-                                .spawn(move || {
-                                    serve_connection(
-                                        conn, core, clock, transport, peers, peer_down, stop,
-                                    )
-                                })
-                                .expect("spawn agent connection thread");
-                        }
-                        Err(_) => {
-                            if accept_stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // transient accept failure; keep serving
-                        }
-                    }
-                }
-            })
-            .expect("spawn agent accept thread");
-
-        Ok(AgentDaemon {
-            core,
-            address,
-            stop,
-            accept_thread: Some(accept_thread),
-            heartbeat_thread: Some(heartbeat_thread),
-            gossip_thread: Some(gossip_thread),
-            telemetry_thread: Some(telemetry_thread),
-            peers,
-            transport,
-        })
+        if telemetry.digests {
+            let shared = Arc::clone(&shared);
+            let series = netsolve_obs::WindowedSeries::new(netsolve_obs::SeriesConfig {
+                tick_secs: telemetry.tick_secs,
+                slots: telemetry.window_slots,
+            });
+            // Seed the series baseline now so events that land before the
+            // first tick show up in the first delta slot instead of
+            // vanishing into it.
+            series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
+            daemon.every(
+                "agent-telemetry",
+                Duration::from_secs_f64(telemetry.tick_secs.clamp(0.005, 60.0)),
+                move || shared.telemetry_round(&series),
+            )?;
+        }
+        {
+            let shared = Arc::clone(&shared);
+            daemon.serve(
+                listener,
+                Self::MAX_CONNECTIONS,
+                &metrics,
+                "agent",
+                move |conn| shared.serve_connection(conn),
+            )?;
+        }
+        Ok(AgentDaemon { shared, daemon })
     }
 
     /// Address clients and servers should dial.
     pub fn address(&self) -> &str {
-        &self.address
+        &self.shared.address
     }
 
     /// Shared handle to the core (experiments inspect and tweak state).
     pub fn core(&self) -> Arc<Mutex<AgentCore>> {
-        Arc::clone(&self.core)
+        Arc::clone(&self.shared.core)
     }
 
-    /// Replace the peer agent list. Live TCP deployments bind ephemeral
-    /// ports first and only then know each other's addresses; the gossip
-    /// loop and the query-widening path both read the list per use, so
-    /// the new mesh takes effect on the next round/request.
+    /// Replace the peer agent list, making this agent *federated*: it
+    /// gossips its registrations to the peers, and a client query that
+    /// finds nothing locally is forwarded to them and their candidate
+    /// lists merged (best predicted time first). Peers answer from local
+    /// state only, so federation depth is one hop and loops are impossible
+    /// even when peers list each other. The gossip loop and the
+    /// query-widening path both read the list per use, so a new mesh takes
+    /// effect on the next round/request — live TCP deployments bind
+    /// ephemeral ports first and only then know each other's addresses.
     pub fn set_peers(&self, peers: Vec<String>) {
-        *self.peers.lock() = peers;
+        *self.shared.peers.lock() = peers;
     }
 
-    /// Stop accepting connections and join the accept thread. Existing
-    /// per-connection threads drop their connection at the next request
-    /// boundary without replying — a stopped agent goes silent the way a
-    /// crashed one does, so pinned clients fail over instead of talking
-    /// to a zombie.
+    /// Stop accepting connections and join the daemon's threads (also
+    /// done on drop). Existing per-connection threads drop their
+    /// connection at the next request boundary without replying — a
+    /// stopped agent goes silent the way a crashed one does, so pinned
+    /// clients fail over instead of talking to a zombie.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.transport.unblock(&self.address);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.heartbeat_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.gossip_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.telemetry_thread.take() {
-            let _ = t.join();
-        }
+        self.daemon.stop();
     }
 }
 
-/// Heartbeat prober: every `probe_interval_secs`, dial each registered
-/// server with a `Ping`. A `Pong` within the probe timeout clears the
-/// server's fault record; `miss_threshold` consecutive misses force-mark
-/// it down. Miss counts deliberately survive the down-mark, so the
-/// half-open probe after the cooldown sends a server straight back down
-/// on a single further miss (and fully recovers it on a single success).
-fn run_heartbeat(
-    transport: Arc<dyn Transport>,
-    core: Arc<Mutex<AgentCore>>,
-    clock: Arc<dyn Clock>,
-    stop: Arc<AtomicBool>,
-    policy: HeartbeatPolicy,
-) {
-    let interval = Duration::from_secs_f64(policy.probe_interval_secs.max(0.001));
-    let probe_timeout = Duration::from_secs_f64(policy.probe_timeout_secs.max(0.001));
-    // Sleep in short ticks so stop() never waits long for this thread.
-    let tick = (interval / 10).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    let mut misses: HashMap<ServerId, u32> = HashMap::new();
-    let (metrics, tracer) = {
-        let core = core.lock();
-        (core.metrics(), core.tracer())
-    };
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < interval {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let step = tick.min(interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
-        let targets = core.lock().probe_targets(clock.now());
+impl Shared {
+    fn call_once(&self, address: &str, msg: &Message, timeout: Duration) -> Result<Message> {
+        call_once(self.transport.as_ref(), address, msg, timeout)
+    }
+
+    /// Heartbeat round: dial each registered server with a `Ping`. A
+    /// `Pong` within the probe timeout clears the server's fault record;
+    /// `miss_threshold` consecutive misses force-mark it down. Miss counts
+    /// deliberately survive the down-mark, so the half-open probe after
+    /// the cooldown sends a server straight back down on a single further
+    /// miss (and fully recovers it on a single success).
+    fn heartbeat_round(
+        &self,
+        policy: &HeartbeatPolicy,
+        misses: &mut HashMap<ServerId, u32>,
+    ) {
+        let probe_timeout = Duration::from_secs_f64(policy.probe_timeout_secs.max(0.001));
+        let (metrics, tracer) = (&self.metrics, &self.tracer);
+        let targets = self.core.lock().probe_targets(self.clock.now());
         for (server, address) in targets {
-            if stop.load(Ordering::Acquire) {
+            if self.stop.is_stopped() {
                 return;
             }
             // Probe outside the core lock: a black-holed dial may block
             // for the full probe timeout. Heartbeats are traceless — no
             // request context exists (stitching skips trace 0).
             let probe_timer = tracer.start();
-            let alive = probe_once(&transport, &address, probe_timeout);
+            let alive = matches!(
+                self.call_once(&address, &Message::Ping, probe_timeout),
+                Ok(Message::Pong)
+            );
             tracer.record(
                 netsolve_obs::SpanContext::NONE,
                 probe_timer,
@@ -309,7 +226,7 @@ fn run_heartbeat(
                 "heartbeat",
                 format!("server={} alive={alive}", server.raw()),
             );
-            let mut core = core.lock();
+            let mut core = self.core.lock();
             if alive {
                 misses.remove(&server);
                 core.probe_succeeded(server);
@@ -318,270 +235,121 @@ fn run_heartbeat(
                 let count = misses.entry(server).or_insert(0);
                 *count = count.saturating_add(1);
                 if *count >= policy.miss_threshold {
-                    core.probe_exhausted(server, clock.now());
+                    core.probe_exhausted(server, self.clock.now());
                 }
             }
         }
     }
-}
 
-/// One liveness probe: dial, Ping, expect Pong within the timeout.
-fn probe_once(transport: &Arc<dyn Transport>, address: &str, timeout: Duration) -> bool {
-    let Ok(mut conn) = transport.connect(address) else {
-        return false;
-    };
-    matches!(
-        netsolve_net::call(conn.as_mut(), &netsolve_proto::Message::Ping, timeout),
-        Ok(netsolve_proto::Message::Pong)
-    )
-}
-
-impl Drop for AgentDaemon {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn serve_connection(
-    mut conn: Box<dyn Connection>,
-    core: Arc<Mutex<AgentCore>>,
-    clock: Arc<dyn Clock>,
-    transport: Arc<dyn Transport>,
-    peers: Arc<Mutex<Vec<String>>>,
-    peer_down: Arc<Mutex<HashSet<String>>>,
-    stop: Arc<AtomicBool>,
-) {
-    loop {
-        let msg = match conn.recv() {
-            Ok(m) => m,
-            Err(_) => return, // peer hung up or stream corrupted
-        };
-        // A stopped daemon answers nothing: dropping the connection
-        // without a reply is what a crashed agent looks like on the
-        // wire, and it is what pushes a pinned client into failover.
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let mut reply = {
-            let mut core = core.lock();
-            let now = clock.now();
-            core.handle_message(&msg, now)
-        };
-        // Federation: client requests that found nothing locally are
-        // widened to the peer agents (outside the core lock — peers may be
-        // slow). Forwarded variants are answered locally only, so
-        // federation is one hop deep and loop-free. Peers the gossip loop
-        // has marked down are skipped; the widening path must not pay
-        // connect timeouts to a known-dead agent on the client's clock.
-        let live_peers: Vec<String> = {
-            let peers = peers.lock();
-            if peers.is_empty() {
-                Vec::new()
-            } else {
-                let down = peer_down.lock();
-                peers.iter().filter(|p| !down.contains(*p)).cloned().collect()
-            }
-        };
-        if !live_peers.is_empty() && matches!(reply, netsolve_proto::Message::Error { .. }) {
-            match &msg {
-                netsolve_proto::Message::ServerQuery(q) => {
-                    if let Some(candidates) = query_peers(&transport, &live_peers, q) {
-                        reply = netsolve_proto::Message::ServerList { candidates };
-                    }
-                }
-                netsolve_proto::Message::DescribeProblem { problem } => {
-                    if let Some(pdl) = describe_via_peers(&transport, &live_peers, problem) {
-                        reply = netsolve_proto::Message::ProblemDescription { pdl };
-                    }
-                }
-                _ => {}
-            }
-        }
-        if conn.send(&reply).is_err() {
-            return;
-        }
-    }
-}
-
-/// Outcome of one gossip push to one peer.
-enum GossipOutcome {
-    /// Peer merged the digest (it is alive and speaks v4).
-    Acked { merged: u32, refreshed: u32, conflicts: u32 },
-    /// Peer answered but does not know `GossipSync` (a v3 agent replied
-    /// with its generic `Error`). It is alive; it just cannot gossip.
-    Unsupported,
-    /// Dial or round-trip failed: the peer looks dead.
-    Unreachable,
-}
-
-/// Gossip loop: every gossip interval, push the full local registration
-/// view to each peer and treat the answer as a liveness signal. Expiry of
-/// stale gossip-learned entries also runs here, so a dead peer's servers
-/// age out even when no further gossip arrives to trigger merge-side
-/// expiry.
-fn run_gossip(
-    transport: Arc<dyn Transport>,
-    core: Arc<Mutex<AgentCore>>,
-    clock: Arc<dyn Clock>,
-    stop: Arc<AtomicBool>,
-    self_address: String,
-    peers: Arc<Mutex<Vec<String>>>,
-    peer_down: Arc<Mutex<HashSet<String>>>,
-) {
-    let (metrics, tracer, policy) = {
-        let core = core.lock();
-        (core.metrics(), core.tracer(), core.gossip_policy())
-    };
-    let interval = Duration::from_secs_f64(policy.interval_secs.max(0.001));
-    let round_timeout = Duration::from_secs_f64(policy.round_timeout_secs.max(0.001));
-    // Sleep in short ticks so stop() never waits long for this thread.
-    let tick = (interval / 10).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    let mut misses: HashMap<String, u32> = HashMap::new();
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < interval {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let step = tick.min(interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
-        let round_peers: Vec<String> = peers.lock().clone();
+    /// Gossip round: push the full local registration view to each peer
+    /// and treat the answer as a liveness signal. Expiry of stale
+    /// gossip-learned entries also runs here, so a dead peer's servers age
+    /// out even when no further gossip arrives to trigger merge-side
+    /// expiry.
+    fn gossip_round(
+        &self,
+        policy: &GossipPolicy,
+        misses: &mut HashMap<String, u32>,
+    ) {
+        let round_peers: Vec<String> = self.peers.lock().clone();
         if round_peers.is_empty() {
-            continue;
+            return;
         }
-        metrics.counter("agent.gossip_rounds").inc();
-        let now = clock.now();
-        let (digest, stats_digests) = {
-            let mut core = core.lock();
+        let round_timeout = Duration::from_secs_f64(policy.round_timeout_secs.max(0.001));
+        let now = self.clock.now();
+        let (metrics, tracer) = (&self.metrics, &self.tracer);
+        let sync = {
+            let mut core = self.core.lock();
             core.expire_gossip(now);
-            let stats = if core.telemetry_policy().digests {
+            let digests = if core.config().telemetry.digests {
                 core.expire_digests(now);
                 core.digest_snapshot(now)
             } else {
                 Vec::new()
             };
-            (core.gossip_digest(now), stats)
+            Message::GossipSync {
+                from_agent: self.address.clone(),
+                entries: core.gossip_digest(now),
+                digests,
+            }
         };
-        let sync = netsolve_proto::Message::GossipSync {
-            from_agent: self_address.clone(),
-            entries: digest,
-            digests: stats_digests,
-        };
+        metrics.counter("agent.gossip_rounds").inc();
         for peer in &round_peers {
-            if stop.load(Ordering::Acquire) {
+            if self.stop.is_stopped() {
                 return;
             }
             // Push outside the core lock — a black-holed peer may cost the
             // full round timeout. Gossip is traceless (no request context).
             let push_timer = tracer.start();
-            let outcome = gossip_once(&transport, peer, &sync, round_timeout);
-            let alive = match outcome {
-                GossipOutcome::Acked { merged, refreshed, conflicts } => {
-                    metrics.counter("agent.gossip_sends").inc();
-                    tracer.record(
-                        netsolve_obs::SpanContext::NONE,
-                        push_timer,
-                        "agent",
-                        "gossip_push",
-                        format!("peer={peer} merged={merged} refreshed={refreshed} conflicts={conflicts}"),
-                    );
-                    true
-                }
-                GossipOutcome::Unsupported => {
-                    metrics.counter("agent.gossip_peer_unsupported").inc();
-                    tracer.record(
-                        netsolve_obs::SpanContext::NONE,
-                        push_timer,
-                        "agent",
-                        "gossip_push",
-                        format!("peer={peer} unsupported"),
-                    );
-                    true
-                }
-                GossipOutcome::Unreachable => {
-                    metrics.counter("agent.gossip_send_failures").inc();
-                    tracer.record(
-                        netsolve_obs::SpanContext::NONE,
-                        push_timer,
-                        "agent",
-                        "gossip_push",
-                        format!("peer={peer} unreachable"),
-                    );
-                    false
-                }
+            let (counter, detail, alive) = match self.call_once(peer, &sync, round_timeout) {
+                Ok(Message::GossipAck {
+                    merged,
+                    refreshed,
+                    conflicts,
+                }) => (
+                    "agent.gossip_sends",
+                    format!(
+                        "peer={peer} merged={merged} refreshed={refreshed} conflicts={conflicts}"
+                    ),
+                    true,
+                ),
+                // A pre-gossip (v3) agent answers the unknown tag with its
+                // generic `Error`: it is alive, it just cannot gossip.
+                Ok(Message::Error { .. }) => (
+                    "agent.gossip_peer_unsupported",
+                    format!("peer={peer} unsupported"),
+                    true,
+                ),
+                _ => (
+                    "agent.gossip_send_failures",
+                    format!("peer={peer} unreachable"),
+                    false,
+                ),
             };
+            metrics.counter(counter).inc();
+            tracer.record(
+                netsolve_obs::SpanContext::NONE,
+                push_timer,
+                "agent",
+                "gossip_push",
+                detail,
+            );
             if alive {
                 misses.remove(peer);
-                if peer_down.lock().remove(peer) {
+                if self.peer_down.lock().remove(peer) {
                     metrics.counter("agent.peer_recoveries").inc();
                 }
             } else {
                 let count = misses.entry(peer.clone()).or_insert(0);
                 *count = count.saturating_add(1);
                 if *count >= policy.peer_miss_threshold
-                    && peer_down.lock().insert(peer.clone())
+                    && self.peer_down.lock().insert(peer.clone())
                 {
                     metrics.counter("agent.peer_down_marks").inc();
                 }
             }
         }
-        let down_now = peer_down.lock().len();
+        let down_now = self.peer_down.lock().len();
         metrics
             .gauge("agent.peers_up")
             .set(round_peers.len().saturating_sub(down_now) as i64);
     }
-}
 
-/// Telemetry sampler loop: each tick, (1) snapshot the agent's metrics
-/// registry into its windowed series and fold the series into the
-/// digest store as this agent's own entry, (2) scrape every live
-/// locally-registered server with `FleetStatsQuery` and store its
-/// digest, (3) TTL-expire digests of daemons nobody has refreshed.
-/// Gossip then carries the whole store to peers, so one scrape of any
-/// agent returns the fleet's recent history.
-fn run_telemetry(
-    transport: Arc<dyn Transport>,
-    core: Arc<Mutex<AgentCore>>,
-    clock: Arc<dyn Clock>,
-    stop: Arc<AtomicBool>,
-    self_address: String,
-) {
-    let (metrics, policy) = {
-        let core = core.lock();
-        (core.metrics(), core.telemetry_policy())
-    };
-    if !policy.digests {
-        return;
-    }
-    let series = netsolve_obs::WindowedSeries::new(netsolve_obs::SeriesConfig {
-        tick_secs: policy.tick_secs,
-        slots: policy.window_slots,
-    });
-    let window_secs = policy.tick_secs * policy.window_slots as f64;
-    let interval = Duration::from_secs_f64(policy.tick_secs.clamp(0.005, 60.0));
-    // Sleep in short ticks so stop() never waits long for this thread.
-    let tick = (interval / 10).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    // Seed the series baseline at startup so events that land before the
-    // first tick show up in the first delta slot instead of vanishing
-    // into it.
-    series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
-    loop {
-        let mut waited = Duration::ZERO;
-        while waited < interval {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let step = tick.min(interval - waited);
-            std::thread::sleep(step);
-            waited += step;
-        }
+    /// Telemetry tick: (1) snapshot the agent's metrics registry into its
+    /// windowed series and fold the series into the digest store as this
+    /// agent's own entry, (2) scrape every live locally-registered server
+    /// with `FleetStatsQuery` and store its digest, (3) TTL-expire digests
+    /// of daemons nobody has refreshed. Gossip then carries the whole
+    /// store to peers, so one scrape of any agent returns the fleet's
+    /// recent history.
+    fn telemetry_round(&self, series: &netsolve_obs::WindowedSeries) {
+        let metrics = &self.metrics;
         series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
-        let own = series.digest(&self_address, "agent", window_secs);
+        let cfg = series.config();
+        let own = series.digest(&self.address, "agent", cfg.tick_secs * cfg.slots as f64);
         let targets = {
-            let now = clock.now();
-            let mut core = core.lock();
+            let now = self.clock.now();
+            let mut core = self.core.lock();
             core.store_digest(own, now);
             core.expire_digests(now);
             core.local_server_addresses(now)
@@ -589,105 +357,109 @@ fn run_telemetry(
         // Scrape outside the core lock — a wedged server may cost the
         // full call timeout, and queries must keep flowing meanwhile.
         for address in targets {
-            if stop.load(Ordering::Acquire) {
+            if self.stop.is_stopped() {
                 return;
             }
-            let Ok(mut conn) = transport.connect(&address) else {
-                continue;
-            };
-            match netsolve_net::call(
-                conn.as_mut(),
-                &netsolve_proto::Message::FleetStatsQuery,
-                Duration::from_secs(2),
-            ) {
-                Ok(netsolve_proto::Message::FleetStatsReply { digests }) => {
-                    let now = clock.now();
-                    let mut core = core.lock();
+            match self.call_once(&address, &Message::FleetStatsQuery, Duration::from_secs(2)) {
+                Ok(Message::FleetStatsReply { digests }) => {
+                    let now = self.clock.now();
+                    let mut core = self.core.lock();
                     for digest in digests {
                         core.store_digest(digest, now);
                     }
                 }
                 // A pre-v6 server answers Error (unsupported); count it
                 // the way gossip counts unsupported peers and move on.
-                Ok(netsolve_proto::Message::Error { .. }) => {
+                Ok(Message::Error { .. }) => {
                     metrics.counter("agent.digest_scrape_unsupported").inc();
                 }
-                _ => {
-                    metrics.counter("agent.digest_scrape_failures").inc();
+                _ => metrics.counter("agent.digest_scrape_failures").inc(),
+            }
+        }
+    }
+
+    fn serve_connection(&self, mut conn: Box<dyn Connection>) {
+        loop {
+            let msg = match conn.recv() {
+                Ok(m) => m,
+                Err(_) => return, // peer hung up or stream corrupted
+            };
+            // A stopped daemon answers nothing: dropping the connection
+            // without a reply is what a crashed agent looks like on the
+            // wire, and it is what pushes a pinned client into failover.
+            if self.stop.is_stopped() {
+                return;
+            }
+            let mut reply = self.core.lock().handle_message(&msg, self.clock.now());
+            // Federation: client requests that found nothing locally are
+            // widened to the peer agents (outside the core lock — peers
+            // may be slow). Forwarded variants are answered locally only,
+            // so federation is one hop deep and loop-free. Peers the
+            // gossip loop has marked down are skipped; the widening path
+            // must not pay connect timeouts to a known-dead agent on the
+            // client's clock.
+            if matches!(reply, Message::Error { .. }) {
+                let live_peers: Vec<String> = {
+                    let peers = self.peers.lock();
+                    let down = self.peer_down.lock();
+                    peers
+                        .iter()
+                        .filter(|p| !down.contains(*p))
+                        .cloned()
+                        .collect()
+                };
+                match &msg {
+                    Message::ServerQuery(q) => {
+                        if let Some(candidates) = self.query_peers(&live_peers, q) {
+                            reply = Message::ServerList { candidates };
+                        }
+                    }
+                    Message::DescribeProblem { problem } => {
+                        if let Some(pdl) = self.describe_via_peers(&live_peers, problem) {
+                            reply = Message::ProblemDescription { pdl };
+                        }
+                    }
+                    _ => {}
                 }
             }
+            if conn.send(&reply).is_err() {
+                return;
+            }
         }
     }
-}
 
-/// One gossip push: dial, send the digest, classify the reply.
-fn gossip_once(
-    transport: &Arc<dyn Transport>,
-    peer: &str,
-    sync: &netsolve_proto::Message,
-    timeout: Duration,
-) -> GossipOutcome {
-    let Ok(mut conn) = transport.connect(peer) else {
-        return GossipOutcome::Unreachable;
-    };
-    match netsolve_net::call(conn.as_mut(), sync, timeout) {
-        Ok(netsolve_proto::Message::GossipAck { merged, refreshed, conflicts }) => {
-            GossipOutcome::Acked { merged, refreshed, conflicts }
-        }
-        Ok(netsolve_proto::Message::Error { .. }) => GossipOutcome::Unsupported,
-        _ => GossipOutcome::Unreachable,
-    }
-}
-
-/// Ask every peer agent for candidates; merge and rank by predicted time.
-/// Returns `None` when no peer had anything either.
-fn query_peers(
-    transport: &Arc<dyn Transport>,
-    peers: &[String],
-    q: &netsolve_proto::QueryShape,
-) -> Option<Vec<netsolve_proto::Candidate>> {
-    let mut merged: Vec<netsolve_proto::Candidate> = Vec::new();
-    for peer in peers {
-        let Ok(mut conn) = transport.connect(peer) else {
-            continue;
-        };
-        let ask = netsolve_proto::Message::ServerQueryForwarded(q.clone());
-        match netsolve_net::call(conn.as_mut(), &ask, PEER_TIMEOUT) {
-            Ok(netsolve_proto::Message::ServerList { candidates }) => {
+    /// Ask every peer agent for candidates; merge and rank by predicted
+    /// time. Returns `None` when no peer had anything either.
+    fn query_peers(&self, peers: &[String], q: &QueryShape) -> Option<Vec<Candidate>> {
+        let ask = Message::ServerQueryForwarded(q.clone());
+        let mut merged: Vec<Candidate> = Vec::new();
+        for peer in peers {
+            if let Ok(Message::ServerList { candidates }) = self.call_once(peer, &ask, PEER_TIMEOUT)
+            {
                 merged.extend(candidates);
             }
-            _ => continue,
         }
+        if merged.is_empty() {
+            return None;
+        }
+        merged.sort_by(|a, b| a.predicted_secs.total_cmp(&b.predicted_secs));
+        merged.dedup_by_key(|c| c.server_id);
+        merged.truncate(5);
+        Some(merged)
     }
-    if merged.is_empty() {
-        return None;
-    }
-    merged.sort_by(|a, b| a.predicted_secs.total_cmp(&b.predicted_secs));
-    merged.dedup_by_key(|c| c.server_id);
-    merged.truncate(5);
-    Some(merged)
-}
 
-/// Ask peers to describe a problem unknown locally.
-fn describe_via_peers(
-    transport: &Arc<dyn Transport>,
-    peers: &[String],
-    problem: &str,
-) -> Option<String> {
-    for peer in peers {
-        let Ok(mut conn) = transport.connect(peer) else {
-            continue;
-        };
-        let ask = netsolve_proto::Message::DescribeProblemForwarded {
+    /// Ask peers to describe a problem unknown locally.
+    fn describe_via_peers(&self, peers: &[String], problem: &str) -> Option<String> {
+        let ask = Message::DescribeProblemForwarded {
             problem: problem.to_string(),
         };
-        if let Ok(netsolve_proto::Message::ProblemDescription { pdl }) =
-            netsolve_net::call(conn.as_mut(), &ask, PEER_TIMEOUT)
-        {
-            return Some(pdl);
-        }
+        peers
+            .iter()
+            .find_map(|peer| match self.call_once(peer, &ask, PEER_TIMEOUT) {
+                Ok(Message::ProblemDescription { pdl }) => Some(pdl),
+                _ => None,
+            })
     }
-    None
 }
 
 #[cfg(test)]
@@ -794,13 +566,9 @@ mod tests {
             AgentCore::with_defaults(),
         )
         .unwrap();
-        let mut agent_a = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-a",
-            AgentCore::with_defaults(),
-            vec!["agent-b".into()],
-        )
-        .unwrap();
+        let mut agent_a =
+            AgentDaemon::start(Arc::clone(&transport), "agent-a", AgentCore::with_defaults()).unwrap();
+        agent_a.set_peers(vec!["agent-b".into()]);
         // Register a server with B only.
         let mut conn = net.connect("agent-b").unwrap();
         let reply = call(
@@ -850,20 +618,12 @@ mod tests {
     fn mutual_federation_does_not_loop_on_unknown_problem() {
         let net = ChannelNetwork::new();
         let transport: Arc<dyn Transport> = Arc::new(net.clone());
-        let mut agent_a = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-a",
-            AgentCore::with_defaults(),
-            vec!["agent-b".into()],
-        )
-        .unwrap();
-        let mut agent_b = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-b",
-            AgentCore::with_defaults(),
-            vec!["agent-a".into()],
-        )
-        .unwrap();
+        let mut agent_a =
+            AgentDaemon::start(Arc::clone(&transport), "agent-a", AgentCore::with_defaults()).unwrap();
+        agent_a.set_peers(vec!["agent-b".into()]);
+        let mut agent_b =
+            AgentDaemon::start(Arc::clone(&transport), "agent-b", AgentCore::with_defaults()).unwrap();
+        agent_b.set_peers(vec!["agent-a".into()]);
         let mut conn = net.connect("agent-a").unwrap();
         // Nothing anywhere: must come back as an error promptly, not hang.
         let reply = call(
@@ -917,23 +677,18 @@ mod tests {
         // within the test; fast probing so the whole cycle is quick.
         let config = AgentConfig {
             fault: FaultPolicy { failures_to_mark_down: 2, down_cooldown_secs: 0.2 },
+            heartbeat: HeartbeatPolicy {
+                probe_interval_secs: 0.03,
+                miss_threshold: 2,
+                probe_timeout_secs: 0.5,
+            },
             ..AgentConfig::default()
         };
         let core = AgentCore::new(config, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
-        let heartbeat = HeartbeatPolicy {
-            probe_interval_secs: 0.03,
-            miss_threshold: 2,
-            probe_timeout_secs: 0.5,
-        };
         let clock: Arc<dyn Clock> = Arc::new(RealClock::new());
-        let mut daemon = AgentDaemon::start_with_heartbeat(
-            Arc::clone(&transport),
-            "agent",
-            core,
-            Arc::clone(&clock),
-            heartbeat,
-        )
-        .unwrap();
+        let mut daemon =
+            AgentDaemon::start_with_clock(Arc::clone(&transport), "agent", core, Arc::clone(&clock))
+                .unwrap();
 
         let mut conn = net.connect("agent").unwrap();
         let reply = call(
@@ -1043,13 +798,9 @@ mod tests {
             fast_gossip_core(60.0),
         )
         .unwrap();
-        let mut agent_b = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-b",
-            fast_gossip_core(60.0),
-            vec!["agent-a".into()],
-        )
-        .unwrap();
+        let mut agent_b =
+            AgentDaemon::start(Arc::clone(&transport), "agent-b", fast_gossip_core(60.0)).unwrap();
+        agent_b.set_peers(vec!["agent-a".into()]);
 
         let mut conn = net.connect("agent-b").unwrap();
         let reply = call(
@@ -1087,20 +838,12 @@ mod tests {
         let transport: Arc<dyn Transport> = Arc::new(net.clone());
         // Mutual federation; B owns the only server. Short TTL so B's
         // entries age out of A quickly once B stops vouching for them.
-        let mut agent_a = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-a",
-            fast_gossip_core(0.3),
-            vec!["agent-b".into()],
-        )
-        .unwrap();
-        let mut agent_b = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-b",
-            fast_gossip_core(0.3),
-            vec!["agent-a".into()],
-        )
-        .unwrap();
+        let mut agent_a =
+            AgentDaemon::start(Arc::clone(&transport), "agent-a", fast_gossip_core(0.3)).unwrap();
+        agent_a.set_peers(vec!["agent-b".into()]);
+        let mut agent_b =
+            AgentDaemon::start(Arc::clone(&transport), "agent-b", fast_gossip_core(0.3)).unwrap();
+        agent_b.set_peers(vec!["agent-a".into()]);
 
         let mut conn = net.connect("agent-b").unwrap();
         let reply = call(
@@ -1132,13 +875,9 @@ mod tests {
         // Restart B under the same name (the stop freed the listener) and
         // re-register the server with it: A re-admits the peer on its
         // next answered round and the replica comes back.
-        let mut agent_b = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-b",
-            fast_gossip_core(0.3),
-            vec!["agent-a".into()],
-        )
-        .unwrap();
+        let mut agent_b =
+            AgentDaemon::start(Arc::clone(&transport), "agent-b", fast_gossip_core(0.3)).unwrap();
+        agent_b.set_peers(vec!["agent-a".into()]);
         let mut conn = net.connect("agent-b").unwrap();
         let reply = call(
             conn.as_mut(),
@@ -1183,13 +922,9 @@ mod tests {
             }
         });
 
-        let mut agent = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-new",
-            fast_gossip_core(60.0),
-            vec!["agent-old".into()],
-        )
-        .unwrap();
+        let mut agent =
+            AgentDaemon::start(Arc::clone(&transport), "agent-new", fast_gossip_core(60.0)).unwrap();
+        agent.set_peers(vec!["agent-old".into()]);
         let metrics = agent.core().lock().metrics();
         wait_for("unsupported-peer tally", &|| {
             metrics.snapshot("agent").counter("agent.gossip_peer_unsupported") >= 2

@@ -30,7 +30,7 @@ pub use core::AgentCore;
 pub use daemon::AgentDaemon;
 pub use fault::FaultTracker;
 pub use registry::{standard_descriptor, RegisteredServer, ServerRegistry};
-pub use workload::{should_report, WorkloadManager};
+pub use workload::WorkloadManager;
 
 #[cfg(test)]
 mod proptests {

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsolve_core::{DataObject, Matrix, Rng64};
-use netsolve_proto::{frame_bytes, parse_frame, Message};
+use netsolve_proto::{encode_frame_into, parse_frame, Message};
 use netsolve_xdr as xdr;
 
 fn bench_vector_roundtrip(c: &mut Criterion) {
@@ -54,15 +54,13 @@ fn bench_frame_path(c: &mut Criterion) {
         trace_id: 0,
         parent_span: 0,
     };
-    let framed = frame_bytes(&msg).expect("bench payload under frame cap");
+    let mut framed = Vec::new();
+    encode_frame_into(&msg, &mut framed).expect("bench payload under frame cap");
     group.throughput(Throughput::Bytes(framed.len() as u64));
     group.bench_function("frame_encode_128x128_pair", |b| {
-        b.iter(|| frame_bytes(std::hint::black_box(&msg)).unwrap())
-    });
-    group.bench_function("frame_encode_single_pass_128x128_pair", |b| {
         let mut scratch = Vec::new();
         b.iter(|| {
-            netsolve_proto::encode_frame_into(std::hint::black_box(&msg), &mut scratch).unwrap();
+            encode_frame_into(std::hint::black_box(&msg), &mut scratch).unwrap();
             std::hint::black_box(scratch.len())
         })
     });

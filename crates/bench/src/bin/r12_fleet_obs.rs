@@ -161,20 +161,12 @@ fn measure_convergence(
     let core = |_: &str| {
         AgentCore::new(fed_config(), Policy::MinimumCompletionTime, NetworkView::lan_defaults())
     };
-    let mut agent_a = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-a",
-        core("agent-a"),
-        vec!["agent-b".into()],
-    )
-    .expect("start agent-a");
-    let mut agent_b = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-b",
-        core("agent-b"),
-        vec!["agent-a".into()],
-    )
-    .expect("start agent-b");
+    let mut agent_a =
+        AgentDaemon::start(Arc::clone(&transport), "agent-a", core("agent-a")).expect("start agent-a");
+    agent_a.set_peers(vec!["agent-b".into()]);
+    let mut agent_b =
+        AgentDaemon::start(Arc::clone(&transport), "agent-b", core("agent-b")).expect("start agent-b");
+    agent_b.set_peers(vec!["agent-a".into()]);
     let mut sconfig = ServerConfig::quick("host-a", "srv-a", 500.0);
     sconfig.telemetry = telemetry_policy(true);
     let mut server_a = ServerDaemon::start(

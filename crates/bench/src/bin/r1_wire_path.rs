@@ -1,24 +1,10 @@
-//! R1-wire — Wire-path experiment: single-pass framing vs the legacy
-//! multi-pass route, and the three decode routes against each other.
+//! R1-wire — Wire-path experiment: throughput of the frame writer and of
+//! both decode routes, 1 KiB to 64 MiB, all in the same run.
 //!
-//! Measures encode+frame throughput of both writer paths plus decode
-//! throughput of all three reader routes across payloads from 1 KiB to
-//! 64 MiB, all in the same run so the speedup columns compare like with
-//! like:
-//!
-//! * **legacy** — `frame_bytes`: encode the payload into its own vector,
-//!   copy it into a freshly allocated frame vector, then a separate CRC
-//!   scan (three passes, two allocations per frame);
 //! * **single-pass** — `encode_frame_into` with a reused scratch buffer:
 //!   header reserved up front, payload marshaled directly into place with
 //!   the CRC folded in during encode (one pass, zero steady-state
-//!   allocations).
-//!
-//! Decode routes:
-//!
-//! * **owned** — `read_message`: pull the frame off a reader into a fresh
-//!   payload vector, then decode from it (one allocation + copy per
-//!   frame);
+//!   allocations);
 //! * **borrowed** — `parse_frame`: validate the header in place, CRC-scan
 //!   the payload slice, decode borrowed views straight out of it (zero
 //!   payload allocations — arrays do a single bulk BE conversion);
@@ -26,11 +12,12 @@
 //!   bounded chunks, never holding the whole payload (the route large
 //!   operands take on a live connection).
 //!
-//! Expected shape: the writer gap and the owned→borrowed decode gap both
-//! widen with payload size — large frames pay the extra passes and fresh
-//! page-faulting allocations in full, while the zero-copy routes stay in
-//! warm (or borrowed) memory. The streamed route trades some throughput
-//! for bounded memory.
+//! Before timing, every size asserts that the two writers (single-pass
+//! and `write_message_streamed`) produce the reference encoder's bytes,
+//! that both decode routes return the original message, and that the
+//! streamed route's buffering stays below the frame size. The columns
+//! that priced the deleted legacy writer and owned reader against these
+//! routes are in the PR 3 and PR 8 artifacts (git history).
 //!
 //! Run: `cargo run --release -p netsolve-bench --bin r1_wire_path`
 //! (writes `results/BENCH_r1_wire.json`); pass `--quick` for a tiny
@@ -42,27 +29,15 @@ use netsolve_bench::Table;
 use netsolve_core::units::{fmt_bytes, fmt_rate};
 use netsolve_core::DataObject;
 use netsolve_proto::{
-    encode_frame_into, frame_bytes, parse_frame, read_message, FrameReader, Message,
-    DEFAULT_STREAM_CHUNK,
+    encode_frame_into, frame_bytes_versioned, parse_frame, write_message_streamed, FrameReader,
+    Message, DEFAULT_STREAM_CHUNK, VERSION,
 };
 
 struct Row {
     payload_bytes: u64,
-    legacy_bps: f64,
     single_pass_bps: f64,
-    decode_owned_bps: f64,
     decode_bps: f64,
     decode_streamed_bps: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.single_pass_bps / self.legacy_bps
-    }
-
-    fn decode_speedup(&self) -> f64 {
-        self.decode_bps / self.decode_owned_bps
-    }
 }
 
 /// Per-iteration seconds of `f`, averaged after one warmup call.
@@ -89,28 +64,31 @@ fn measure(payload_bytes: usize, repeats: usize) -> Row {
         parent_span: 0,
     };
 
-    let framed = frame_bytes(&msg).expect("bench payload under frame cap");
+    let framed = frame_bytes_versioned(&msg, VERSION).expect("bench payload under frame cap");
     let frame_len = framed.len() as f64;
-
-    let legacy_secs = time_per_iter(repeats, || {
-        std::hint::black_box(frame_bytes(std::hint::black_box(&msg)).unwrap());
-    });
 
     let mut scratch = Vec::new();
     let single_secs = time_per_iter(repeats, || {
         encode_frame_into(std::hint::black_box(&msg), &mut scratch).unwrap();
         std::hint::black_box(scratch.len());
     });
-    assert_eq!(scratch, framed, "writer paths must agree byte-for-byte");
+    assert_eq!(
+        scratch, framed,
+        "single-pass writer disagrees with the reference encoder"
+    );
+    let mut streamed_wire = Vec::with_capacity(framed.len());
+    write_message_streamed(&mut streamed_wire, &msg, DEFAULT_STREAM_CHUNK).unwrap();
+    assert_eq!(
+        streamed_wire, framed,
+        "streamed writer disagrees with the reference encoder"
+    );
 
-    // Decode routes. All three must agree with the original message —
+    // Decode routes. Both must agree with the original message —
     // checked once outside the timed loops.
     let (borrowed_msg, _) = parse_frame(&framed).unwrap();
-    let owned_msg = read_message(&mut framed.as_slice()).unwrap();
     let mut reader = FrameReader::new(0, DEFAULT_STREAM_CHUNK);
     let streamed_msg = reader.read_from(&mut framed.as_slice()).unwrap();
     assert_eq!(borrowed_msg, msg, "borrowed decode route disagrees");
-    assert_eq!(owned_msg, msg, "owned decode route disagrees");
     assert_eq!(streamed_msg, msg, "streamed decode route disagrees");
     // Bounded-memory invariant (meaningful once the frame dwarfs the
     // chunk): the streamed route must never hold the whole payload.
@@ -122,25 +100,21 @@ fn measure(payload_bytes: usize, repeats: usize) -> Row {
         );
     }
 
-    let owned_secs = time_per_iter(repeats, || {
-        std::hint::black_box(read_message(&mut std::hint::black_box(framed.as_slice())).unwrap());
-    });
-
     let decode_secs = time_per_iter(repeats, || {
         std::hint::black_box(parse_frame(std::hint::black_box(&framed)).unwrap());
     });
 
     let streamed_secs = time_per_iter(repeats, || {
         std::hint::black_box(
-            reader.read_from(&mut std::hint::black_box(framed.as_slice())).unwrap(),
+            reader
+                .read_from(&mut std::hint::black_box(framed.as_slice()))
+                .unwrap(),
         );
     });
 
     Row {
         payload_bytes: payload_bytes as u64,
-        legacy_bps: frame_len / legacy_secs,
         single_pass_bps: frame_len / single_secs,
-        decode_owned_bps: frame_len / owned_secs,
         decode_bps: frame_len / decode_secs,
         decode_streamed_bps: frame_len / streamed_secs,
     }
@@ -150,35 +124,29 @@ fn write_json(rows: &[Row], path: &str) {
     let mut out = String::from("{\n");
     out.push_str("  \"experiment\": \"r1_wire_path\",\n");
     out.push_str(
-        "  \"description\": \"encode+frame+decode throughput, legacy multi-pass vs \
-         single-pass zero-copy writer, bytes/sec over whole frames\",\n",
+        "  \"description\": \"single-pass frame writer and borrowed/streamed decode \
+         throughput, bytes/sec over whole frames\",\n",
     );
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"payload_bytes\": {}, \"legacy_bytes_per_sec\": {:.0}, \
-             \"single_pass_bytes_per_sec\": {:.0}, \"decode_owned_bytes_per_sec\": {:.0}, \
-             \"decode_bytes_per_sec\": {:.0}, \"decode_streamed_bytes_per_sec\": {:.0}, \
-             \"speedup\": {:.3}, \"decode_speedup\": {:.3}}}{}\n",
+            "    {{\"payload_bytes\": {}, \"single_pass_bytes_per_sec\": {:.0}, \
+             \"decode_bytes_per_sec\": {:.0}, \"decode_streamed_bytes_per_sec\": {:.0}}}{}\n",
             r.payload_bytes,
-            r.legacy_bps,
             r.single_pass_bps,
-            r.decode_owned_bps,
             r.decode_bps,
             r.decode_streamed_bps,
-            r.speedup(),
-            r.decode_speedup(),
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
     out.push_str("  ],\n");
-    let at_16mib = rows.iter().find(|r| r.payload_bytes == 16 * 1024 * 1024);
-    let enc_speedup = at_16mib.map(Row::speedup).unwrap_or(f64::NAN);
-    let dec_speedup = at_16mib.map(Row::decode_speedup).unwrap_or(f64::NAN);
-    let dec_bps = at_16mib.map(|r| r.decode_bps).unwrap_or(f64::NAN);
-    out.push_str(&format!("  \"speedup_at_16mib\": {enc_speedup:.3},\n"));
-    out.push_str(&format!("  \"decode_bytes_per_sec_at_16mib\": {dec_bps:.0},\n"));
-    out.push_str(&format!("  \"decode_speedup_at_16mib\": {dec_speedup:.3}\n"));
+    let dec_bps = rows
+        .iter()
+        .find(|r| r.payload_bytes == 16 * 1024 * 1024)
+        .map_or(f64::NAN, |r| r.decode_bps);
+    out.push_str(&format!(
+        "  \"decode_bytes_per_sec_at_16mib\": {dec_bps:.0}\n"
+    ));
     out.push_str("}\n");
     std::fs::write(path, out).expect("write BENCH_r1_wire.json");
 }
@@ -204,37 +172,25 @@ fn main() {
 
     let mut table = Table::new(
         "R1-wire: frame writer + decode-route throughput",
-        &[
-            "payload",
-            "legacy",
-            "single-pass",
-            "speedup",
-            "dec-owned",
-            "dec-borrowed",
-            "dec-stream",
-            "dec-speedup",
-        ],
+        &["payload", "single-pass", "dec-borrowed", "dec-stream"],
     );
     let mut rows = Vec::new();
     for &(payload, repeats) in sweep {
         let row = measure(payload, repeats);
         table.row(vec![
             fmt_bytes(row.payload_bytes),
-            fmt_rate(row.legacy_bps),
             fmt_rate(row.single_pass_bps),
-            format!("{:.2}x", row.speedup()),
-            fmt_rate(row.decode_owned_bps),
             fmt_rate(row.decode_bps),
             fmt_rate(row.decode_streamed_bps),
-            format!("{:.2}x", row.decode_speedup()),
         ]);
         rows.push(row);
     }
     table.print();
-    // measure() asserted, per size, that all three decode routes return
-    // the original message and that the streamed route's buffering stays
-    // under the frame size; reaching this line means they all held.
-    println!("\ndecode routes agree (owned/borrowed/streamed), streamed buffering bounded");
+    // measure() asserted, per size, that both writers match the reference
+    // encoder, that both decode routes return the original message and
+    // that the streamed route's buffering stays under the frame size;
+    // reaching this line means they all held.
+    println!("\nwriters match the reference encoder, decode routes agree (borrowed/streamed), streamed buffering bounded");
 
     if quick {
         println!("--quick: smoke sizes only, JSON artifact not written");
@@ -244,7 +200,4 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_r1_wire.json");
     write_json(&rows, path);
     println!("\nwrote {path}");
-    println!("shape check: the single-pass writer and the borrowed decode route both");
-    println!("eliminate a copy + separate CRC scan + fresh per-frame allocations, so");
-    println!("both gaps should widen with payload size and exceed 1.5x by 16 MiB.");
 }

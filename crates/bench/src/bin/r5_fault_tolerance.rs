@@ -262,8 +262,10 @@ fn agent_failure_live() {
                     Policy::MinimumCompletionTime,
                     NetworkView::lan_defaults(),
                 );
-                AgentDaemon::start_federated(Arc::clone(&clean), name, core, peers)
-                    .expect("agent starts")
+                let agent =
+                    AgentDaemon::start(Arc::clone(&clean), name, core).expect("agent starts");
+                agent.set_peers(peers);
+                agent
             })
             .collect();
         let mut servers: Vec<ServerDaemon> = (0..4)

@@ -14,7 +14,7 @@ use std::time::Instant;
 use netsolve_bench::Table;
 use netsolve_core::units::{fmt_bytes, fmt_rate};
 use netsolve_core::{CsrMatrix, DataObject, Matrix, Rng64};
-use netsolve_proto::{frame_bytes, parse_frame, Message};
+use netsolve_proto::{encode_frame_into, parse_frame, Message};
 use netsolve_xdr as xdr;
 
 fn time_marshal(obj: &DataObject, repeats: usize) -> (u64, f64, f64, f64) {
@@ -43,7 +43,8 @@ fn time_marshal(obj: &DataObject, repeats: usize) -> (u64, f64, f64, f64) {
         trace_id: 0,
         parent_span: 0,
     };
-    let framed = frame_bytes(&msg).expect("bench payload under frame cap");
+    let mut framed = Vec::new();
+    encode_frame_into(&msg, &mut framed).expect("bench payload under frame cap");
     let start = Instant::now();
     for _ in 0..repeats {
         std::hint::black_box(parse_frame(&framed).expect("frame ok"));

@@ -1062,20 +1062,10 @@ mod tests {
                 netsolve_net::NetworkView::lan_defaults(),
             )
         };
-        let agent1 = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-1",
-            core(&config),
-            vec!["agent-2".into()],
-        )
-        .unwrap();
-        let agent2 = AgentDaemon::start_federated(
-            Arc::clone(&transport),
-            "agent-2",
-            core(&config),
-            vec!["agent-1".into()],
-        )
-        .unwrap();
+        let agent1 = AgentDaemon::start(Arc::clone(&transport), "agent-1", core(&config)).unwrap();
+        agent1.set_peers(vec!["agent-2".into()]);
+        let agent2 = AgentDaemon::start(Arc::clone(&transport), "agent-2", core(&config)).unwrap();
+        agent2.set_peers(vec!["agent-1".into()]);
         let server = ServerDaemon::start(
             Arc::clone(&transport),
             "agent-1",
@@ -1090,6 +1080,61 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         (net, agent1, agent2, server)
+    }
+
+    /// An agent at its connection cap sheds newcomers with a retryable
+    /// Busy instead of growing threads without bound, and a client whose
+    /// roster lists a second agent still gets its answer: the shed agent
+    /// ranks last and the call goes to the one that has room.
+    #[test]
+    fn agent_at_its_connection_cap_sheds_busy_and_the_client_fails_over() {
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let start = |name| {
+            AgentDaemon::start(Arc::clone(&transport), name, AgentCore::with_defaults()).unwrap()
+        };
+        let (mut full, mut roomy) = (start("agent-full"), start("agent-roomy"));
+        let mut server = ServerDaemon::start(
+            Arc::clone(&transport),
+            "agent-roomy",
+            ServerCore::with_standard_catalogue(),
+            ServerConfig::quick("hostA", "srv0", 200.0),
+        )
+        .unwrap();
+
+        // Occupy every slot of agent-full; the Pong proves each is served.
+        let timeout = Duration::from_secs(5);
+        let held: Vec<_> = (0..AgentDaemon::MAX_CONNECTIONS)
+            .map(|_| {
+                let mut conn = net.connect("agent-full").unwrap();
+                let reply = netsolve_net::call(conn.as_mut(), &Message::Ping, timeout).unwrap();
+                assert_eq!(reply, Message::Pong);
+                conn
+            })
+            .collect();
+        let mut rejected = net.connect("agent-full").unwrap();
+        match rejected.recv_timeout(timeout).unwrap() {
+            Message::Error { code, detail } => {
+                let e = NetSolveError::from_code(code, detail);
+                assert!(matches!(e, NetSolveError::Resource(_)) && e.is_retryable(), "got {e}");
+            }
+            other => panic!("expected Busy from the full agent, got {other:?}"),
+        }
+
+        let client = NetSolveClient::new_multi(
+            Arc::new(net.clone()),
+            &["agent-full".into(), "agent-roomy".into()],
+        );
+        let out = client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
+        assert_eq!(out[0].as_double().unwrap(), 11.0);
+        assert_eq!(client.current_agent(), "agent-roomy");
+        let shed = full.core().lock().metrics().snapshot("agent").counter("agent.busy_rejected");
+        assert!(shed >= 2, "the probe and the client's dial must both be shed, saw {shed}");
+
+        drop(held);
+        server.stop();
+        full.stop();
+        roomy.stop();
     }
 
     #[test]

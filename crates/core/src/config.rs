@@ -21,6 +21,16 @@ pub struct WorkloadPolicy {
     pub stale_workload: f64,
 }
 
+impl WorkloadPolicy {
+    /// Server-side reporting decision — the threshold half of the lazy
+    /// policy (the periodic half is the report interval): given the last
+    /// *sent* value and the freshly measured one, should the server bother
+    /// the agent?
+    pub fn should_report(&self, last_sent: Option<f64>, measured: f64) -> bool {
+        last_sent.is_none_or(|prev| (measured - prev).abs() >= self.report_threshold)
+    }
+}
+
 impl Default for WorkloadPolicy {
     fn default() -> Self {
         // NetSolve's documented defaults were on the order of minutes; we
@@ -220,6 +230,8 @@ pub struct AgentConfig {
     pub workload: WorkloadPolicy,
     /// Fault tracking policy.
     pub fault: FaultPolicy,
+    /// Liveness probing policy.
+    pub heartbeat: HeartbeatPolicy,
     /// Federation gossip policy.
     pub gossip: GossipPolicy,
     /// How many ranked servers to return per query (NetSolve returned a
@@ -238,6 +250,7 @@ impl Default for AgentConfig {
         AgentConfig {
             workload: WorkloadPolicy::default(),
             fault: FaultPolicy::default(),
+            heartbeat: HeartbeatPolicy::default(),
             gossip: GossipPolicy::default(),
             candidates_returned: CandidateCount::default(),
             pending_tracking: true,
@@ -294,6 +307,15 @@ mod tests {
         let a = AgentConfig::default();
         assert!(a.candidates_returned.0 >= 1);
         assert!(a.pending_tracking, "pending tracking on by default");
+    }
+
+    #[test]
+    fn threshold_reporting() {
+        let p = WorkloadPolicy { report_threshold: 10.0, ..WorkloadPolicy::default() };
+        assert!(p.should_report(None, 0.0), "first report always sent");
+        assert!(!p.should_report(Some(50.0), 55.0), "small change suppressed");
+        assert!(p.should_report(Some(50.0), 60.0), "threshold change sent");
+        assert!(p.should_report(Some(50.0), 35.0), "drops also reported");
     }
 
     #[test]

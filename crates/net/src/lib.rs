@@ -13,12 +13,15 @@
 //!   feeding the `T_net` term of the completion-time predictor;
 //! * [`chaos`] — a seeded fault-injecting decorator over any transport
 //!   (refused dials, resets, CRC-detectable corruption, black holes,
-//!   latency) for end-to-end robustness testing.
+//!   latency) for end-to-end robustness testing;
+//! * [`daemon`] — the accept/shed/worker/stop skeleton both long-running
+//!   daemons (agent, computational server) are built on.
 
 #![warn(missing_docs)]
 
 pub mod channel;
 pub mod chaos;
+pub mod daemon;
 pub mod link;
 pub mod metrics;
 pub mod tcp;
@@ -26,10 +29,11 @@ pub mod transport;
 
 pub use channel::ChannelNetwork;
 pub use chaos::{ChaosPolicy, ChaosStats, ChaosTransport};
+pub use daemon::{Daemon, StopSignal};
 pub use link::LinkModel;
 pub use metrics::NetworkView;
 pub use tcp::TcpTransport;
-pub use transport::{call, Connection, Listener, Transport};
+pub use transport::{call, call_once, Connection, Listener, Transport};
 
 #[cfg(test)]
 mod proptests {

@@ -64,3 +64,14 @@ pub fn call(conn: &mut dyn Connection, msg: &Message, timeout: Duration) -> Resu
     conn.send(msg)?;
     conn.recv_timeout(timeout)
 }
+
+/// One-shot exchange: dial `address`, send `msg`, wait up to `timeout` for
+/// the reply, hang up.
+pub fn call_once(
+    transport: &dyn Transport,
+    address: &str,
+    msg: &Message,
+    timeout: Duration,
+) -> Result<Message> {
+    call(transport.connect(address)?.as_mut(), msg, timeout)
+}

@@ -17,7 +17,7 @@
 //! rejected before any bytes hit the wire, never silently truncated
 //! through the `u32` length field.
 //!
-//! Three writer paths exist:
+//! One writer pair builds frames:
 //!
 //! * [`encode_frame_into`] / [`write_message_into`] — the hot path: the
 //!   message is marshaled **directly into the frame buffer** (header
@@ -29,22 +29,24 @@
 //!   operands: a counting pass computes the exact payload length (O(1)
 //!   per bulk array), the header goes out first, then the payload is
 //!   marshaled through a chunk buffer straight onto the wire with the
-//!   CRC folded in per chunk — the frame never exists in memory;
-//! * [`frame_bytes`] — the legacy three-pass route (encode to a payload
-//!   vector, copy into a frame vector, scan again for the CRC), kept as
-//!   the baseline the `r1_wire_path` benchmark measures the hot path
-//!   against and for callers that want a self-contained buffer.
+//!   CRC folded in per chunk — the frame never exists in memory.
 //!
-//! Reading mirrors this: [`parse_frame`] decodes **borrowed** straight
-//! from an in-memory frame (no payload allocation or copy at all), and
-//! [`FrameReader`] gives each connection a bounded-memory reader that
-//! keeps small frames on a reused whole-frame buffer but switches large
-//! ones onto a chunked [`netsolve_xdr::StreamDecoder`] — decode begins
-//! before the operand has fully arrived and per-connection buffering
-//! stays far below the payload size. On either route the CRC still
-//! covers every payload byte; a mismatch is reported as
-//! [`NetSolveError::Corrupt`] even when a decode error surfaced first,
-//! so flipped bits on the chunked route are never misclassified.
+//! [`frame_bytes_versioned`] is not a third route but the *reference
+//! encoder*: the plain three-step construction (payload, header, CRC)
+//! that route-equivalence tests compare the writers against and that
+//! compatibility tests use to speak as an older-version peer.
+//!
+//! One reader takes them apart: [`FrameReader`] gives each connection a
+//! bounded-memory reader that keeps small frames on a reused whole-frame
+//! buffer (decoded **borrowed**, no payload copy) but switches large ones
+//! onto a chunked [`netsolve_xdr::StreamDecoder`] — decode begins before
+//! the operand has fully arrived and per-connection buffering stays far
+//! below the payload size. [`parse_frame`] is the same borrowed decode
+//! for transports that hand over whole frames in memory. Both share one
+//! header check and one CRC verdict: the CRC covers every payload byte,
+//! and a mismatch is reported as [`NetSolveError::Corrupt`] even when a
+//! decode error surfaced first, so flipped bits on the chunked route are
+//! never misclassified.
 //!
 //! Reading is version-tolerant: any frame whose version is in
 //! `1..=VERSION` is accepted and its payload decoded under the sender's
@@ -52,7 +54,6 @@
 //! interoperating; downgraded decodes are counted and surfaced as the
 //! `proto.version_downgrade` counter in daemon stats.
 
-use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,30 +106,19 @@ pub const DEFAULT_STREAM_THRESHOLD: usize = 1024 * 1024;
 /// Process-wide count of frames accepted at a version below [`VERSION`].
 static VERSION_DOWNGRADES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide count of [`write_message`] calls that could not use the
-/// shared thread-local scratch and fell back to a throwaway buffer.
-static WRITE_SCRATCH_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread frame scratch backing [`write_message`], so callers
-    /// without a per-connection buffer still amortize the allocation.
-    static WRITE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
 /// How many frames this process has accepted from older-version peers
-/// (decoded under the sender's version). Daemons mirror this into their
-/// metrics registry as `proto.version_downgrade` when answering
-/// `StatsQuery`.
+/// (decoded under the sender's version).
 pub fn version_downgrades() -> u64 {
     VERSION_DOWNGRADES.load(Ordering::Relaxed)
 }
 
-/// How many [`write_message`] sends in this process hit the throwaway
-/// allocation path instead of the thread-local scratch (only possible if
-/// a writer reentrantly sends while a send is in progress). Daemons
-/// mirror this as `proto.write_scratch_fallback`.
-pub fn write_scratch_fallbacks() -> u64 {
-    WRITE_SCRATCH_FALLBACKS.load(Ordering::Relaxed)
+/// Mirror [`version_downgrades`] into `metrics` as the
+/// `proto.version_downgrade` counter. Daemons call this before answering
+/// `StatsQuery`/`TraceQuery`; the catch-up is monotone — the counter may
+/// lag between queries, never run backwards.
+pub fn mirror_version_downgrades(metrics: &netsolve_obs::MetricsRegistry) {
+    let counter = metrics.counter("proto.version_downgrade");
+    counter.add(version_downgrades().saturating_sub(counter.get()));
 }
 
 fn oversize(len: usize) -> NetSolveError {
@@ -137,15 +127,11 @@ fn oversize(len: usize) -> NetSolveError {
     ))
 }
 
-/// Serialize a message into one self-contained frame buffer (legacy
-/// multi-pass route; see the module docs). Fails — before any bytes could
-/// reach a wire — if the payload exceeds [`MAX_FRAME_PAYLOAD`].
-pub fn frame_bytes(msg: &Message) -> Result<Vec<u8>> {
-    frame_bytes_versioned(msg, VERSION)
-}
-
-/// [`frame_bytes`] at an explicit protocol version — compatibility tests
-/// use this to speak as an older peer.
+/// The reference encoder: one self-contained frame at an explicit protocol
+/// version, built the obvious way (encode the payload, then header, then
+/// CRC). Not a send path — route-equivalence tests compare the writers
+/// against it, and compatibility tests use it to speak as an older peer.
+/// Fails if the payload exceeds [`MAX_FRAME_PAYLOAD`].
 pub fn frame_bytes_versioned(msg: &Message, version: u32) -> Result<Vec<u8>> {
     let payload = msg.encode_versioned(version);
     if payload.len() > MAX_FRAME_PAYLOAD {
@@ -203,22 +189,6 @@ pub fn write_message_into(
     Ok(())
 }
 
-/// Write one framed message without a caller-provided buffer. The frame
-/// is built in a thread-local scratch that persists across calls, so
-/// even buffer-less callers stop paying a fresh allocation per send;
-/// the (reentrancy-only) throwaway fallback is counted in
-/// [`write_scratch_fallbacks`].
-pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<()> {
-    WRITE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => write_message_into(w, msg, &mut scratch),
-        Err(_) => {
-            WRITE_SCRATCH_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-            let mut buf = Vec::new();
-            write_message_into(w, msg, &mut buf)
-        }
-    })
-}
-
 /// Write one framed message through a bounded chunk buffer — the frame
 /// never exists contiguously in memory, so a 64 MiB operand costs `chunk`
 /// bytes of sender memory instead of 64 MiB. A counting pass (O(1) per
@@ -260,7 +230,7 @@ pub fn write_message_streamed(
 
 /// Validate a frame header: magic, version window (counting downgrades),
 /// and the payload-length cap. Returns the sender's version and payload
-/// length. Shared by every read route so the three cannot drift.
+/// length. Shared by every read route so they cannot drift.
 fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(u32, usize)> {
     let magic = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
     if magic != MAGIC {
@@ -296,36 +266,24 @@ fn read_header(r: &mut impl Read) -> Result<(u32, usize)> {
     validate_header(&header)
 }
 
-/// Read one framed message, validating magic, version, length cap and CRC.
-///
-/// Versions `MIN_VERSION..=VERSION` are accepted; the payload is decoded
-/// under the sender's version so additive fields degrade gracefully
-/// instead of hard-rejecting older peers.
-pub fn read_message(r: &mut impl Read) -> Result<Message> {
-    let (version, len) = read_header(r)?;
-    // The header's length field is untrusted: allocate at most
-    // STREAM_INIT_ALLOC up front and let the buffer grow only as payload
-    // bytes actually arrive, so a forged 12-byte header cannot commit
-    // hundreds of megabytes per connection.
-    let mut payload = Vec::with_capacity(len.min(STREAM_INIT_ALLOC));
-    let got_len = r.by_ref().take(len as u64).read_to_end(&mut payload)?;
-    if got_len < len {
-        return Err(NetSolveError::Transport(
-            "peer closed connection mid-frame".into(),
-        ));
-    }
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let expect = u32::from_be_bytes(crc_bytes);
-    let got = crc32(&payload);
-    if got != expect {
-        // Corrupt, not Protocol: a damaged frame is a transient link
-        // fault and the request is safe to retry elsewhere.
+/// The CRC verdict, rendered in one place for every read route. Corrupt,
+/// not Protocol: a damaged frame is a transient link fault and the request
+/// is safe to retry elsewhere.
+fn check_crc(computed: u32, expected: [u8; 4]) -> Result<()> {
+    let expected = u32::from_be_bytes(expected);
+    if computed != expected {
         return Err(NetSolveError::Corrupt(format!(
-            "frame checksum mismatch: computed {got:#010x}, expected {expect:#010x}"
+            "frame checksum mismatch: computed {computed:#010x}, expected {expected:#010x}"
         )));
     }
-    Message::decode_versioned(&payload, version)
+    Ok(())
+}
+
+/// Read the CRC trailer off the wire and render the verdict.
+fn read_crc(r: &mut impl Read, computed: u32) -> Result<()> {
+    let mut expected = [0u8; 4];
+    r.read_exact(&mut expected)?;
+    check_crc(computed, expected)
 }
 
 /// Parse one frame **borrowed** from an in-memory buffer, returning the
@@ -347,15 +305,7 @@ pub fn parse_frame(buf: &[u8]) -> Result<(Message, usize)> {
         ));
     }
     let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-    let expect = u32::from_be_bytes(
-        buf[HEADER_LEN + len..total].try_into().expect("4 bytes"),
-    );
-    let got = crc32(payload);
-    if got != expect {
-        return Err(NetSolveError::Corrupt(format!(
-            "frame checksum mismatch: computed {got:#010x}, expected {expect:#010x}"
-        )));
-    }
+    check_crc(crc32(payload), buf[HEADER_LEN + len..total].try_into().expect("4 bytes"))?;
     let msg = Message::decode_versioned(payload, version)?;
     Ok((msg, total))
 }
@@ -430,15 +380,7 @@ impl FrameReader {
                 "peer closed connection mid-frame".into(),
             ));
         }
-        let mut crc_bytes = [0u8; 4];
-        r.read_exact(&mut crc_bytes)?;
-        let expect = u32::from_be_bytes(crc_bytes);
-        let got = crc32(&self.buf);
-        if got != expect {
-            return Err(NetSolveError::Corrupt(format!(
-                "frame checksum mismatch: computed {got:#010x}, expected {expect:#010x}"
-            )));
-        }
+        read_crc(r, crc32(&self.buf))?;
         Message::decode_versioned(&self.buf, version)
     }
 
@@ -475,17 +417,10 @@ fn read_streamed(r: &mut impl Read, version: u32, len: usize, chunk: usize) -> R
         (outcome, sd.crc(), drained)
     };
     drained?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let expect = u32::from_be_bytes(crc_bytes);
-    if got != expect {
-        // The CRC verdict outranks any decode error: garbled bytes that
-        // happened to also break decoding are corruption, not a protocol
-        // violation — same classification as the whole-frame routes.
-        return Err(NetSolveError::Corrupt(format!(
-            "frame checksum mismatch: computed {got:#010x}, expected {expect:#010x}"
-        )));
-    }
+    // The CRC verdict outranks any decode error: garbled bytes that
+    // happened to also break decoding are corruption, not a protocol
+    // violation — same classification as the whole-frame routes.
+    read_crc(r, got)?;
     outcome
 }
 
@@ -493,9 +428,10 @@ fn read_streamed(r: &mut impl Read, version: u32, len: usize, chunk: usize) -> R
 mod tests {
     use super::*;
 
-    /// Test shorthand: frame a message that is known to fit the cap.
+    /// Test shorthand: the reference encoding at the current version of
+    /// a message that is known to fit the cap.
     fn frame_ok(msg: &Message) -> Vec<u8> {
-        frame_bytes(msg).unwrap()
+        frame_bytes_versioned(msg, VERSION).unwrap()
     }
 
     #[test]
@@ -505,17 +441,18 @@ mod tests {
             Message::WorkloadReport { server_id: 3, workload: 55.0 },
             Message::Error { code: 7, detail: "x".into() },
         ];
-        let mut buf = Vec::new();
+        let (mut buf, mut scratch) = (Vec::new(), Vec::new());
         for m in &msgs {
-            write_message(&mut buf, m).unwrap();
+            write_message_into(&mut buf, m, &mut scratch).unwrap();
         }
         let mut cursor = std::io::Cursor::new(buf);
+        let mut reader = FrameReader::default();
         for m in &msgs {
-            let got = read_message(&mut cursor).unwrap();
+            let got = reader.read_from(&mut cursor).unwrap();
             assert_eq!(&got, m);
         }
         // Stream exhausted → transport error, not a hang or panic.
-        assert!(read_message(&mut cursor).is_err());
+        assert!(matches!(reader.read_from(&mut cursor), Err(NetSolveError::Transport(_))));
     }
 
     #[test]
@@ -707,11 +644,10 @@ mod tests {
     }
 
     /// The single-pass writer must be byte-for-byte identical to the
-    /// legacy multi-pass route for every message shape — same header,
-    /// same payload, same CRC. This is the invariant that lets the two
-    /// paths coexist (and be benchmarked against each other).
+    /// reference encoder for every message shape — same header, same
+    /// payload, same CRC.
     #[test]
-    fn single_pass_writer_matches_legacy_frame_bytes() {
+    fn single_pass_writer_matches_reference_encoder() {
         let subjects = vec![
             Message::Ping,
             Message::Pong,
@@ -735,13 +671,13 @@ mod tests {
         ];
         let mut scratch = Vec::new();
         for msg in &subjects {
-            let legacy = frame_ok(msg);
+            let reference = frame_ok(msg);
             encode_frame_into(msg, &mut scratch).unwrap();
-            assert_eq!(scratch, legacy, "frame mismatch for {msg:?}");
+            assert_eq!(scratch, reference, "frame mismatch for {msg:?}");
 
             let mut wire = Vec::new();
             write_message_into(&mut wire, msg, &mut scratch).unwrap();
-            assert_eq!(wire, legacy, "writer output mismatch for {msg:?}");
+            assert_eq!(wire, reference, "writer output mismatch for {msg:?}");
         }
     }
 
@@ -782,7 +718,7 @@ mod tests {
             pdl: "y".repeat(MAX_FRAME_PAYLOAD + 1),
         };
         assert!(matches!(
-            frame_bytes(&msg),
+            frame_bytes_versioned(&msg, VERSION),
             Err(NetSolveError::Protocol(m)) if m.contains("cap")
         ));
         let mut scratch = Vec::new();
@@ -799,9 +735,10 @@ mod tests {
 
     /// Regression (lying header): a forged 12-byte header announcing a
     /// near-cap payload must not commit the announced allocation before
-    /// payload bytes actually arrive. Previously `read_message` did
-    /// `vec![0u8; len]` straight from the untrusted length — 512 MiB of
-    /// zeroed memory per connection for 12 bytes of attacker traffic.
+    /// payload bytes actually arrive, on either read route. Previously the
+    /// reader did `vec![0u8; len]` straight from the untrusted length —
+    /// 512 MiB of zeroed memory per connection for 12 bytes of attacker
+    /// traffic.
     #[test]
     fn lying_length_header_cannot_commit_memory_upfront() {
         // Header claims 256 MiB; only 40 bytes of payload follow.
@@ -812,33 +749,26 @@ mod tests {
         wire.extend_from_slice(&(claimed as u32).to_be_bytes());
         wire.extend_from_slice(&[0xAB; 40]);
 
-        struct CountingReader<'a> {
-            inner: std::io::Cursor<&'a [u8]>,
+        // A threshold at the cap forces the whole-frame buffered route; the
+        // default threshold sends a frame this large down the chunked one.
+        for mut fr in [
+            FrameReader::new(MAX_FRAME_PAYLOAD, DEFAULT_STREAM_CHUNK),
+            FrameReader::default(),
+        ] {
+            let mut cur = std::io::Cursor::new(&wire[..]);
+            let err = fr.read_from(&mut cur).unwrap_err();
+            assert!(
+                matches!(err, NetSolveError::Transport(_)),
+                "truncated lying frame must be a transport error, got {err:?}"
+            );
+            // The retained buffer must stay near the bytes that actually
+            // arrived, nowhere near the claimed 256 MiB.
+            assert!(
+                fr.buffered_capacity() <= 2 * STREAM_INIT_ALLOC,
+                "lying header grew the reader buffer to {} bytes",
+                fr.buffered_capacity()
+            );
         }
-        impl Read for CountingReader<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.inner.read(buf)
-            }
-        }
-
-        let mut r = CountingReader { inner: std::io::Cursor::new(&wire) };
-        let err = read_message(&mut r).unwrap_err();
-        assert!(
-            matches!(err, NetSolveError::Transport(_)),
-            "truncated lying frame must be a transport error, got {err:?}"
-        );
-
-        // The same header through the per-connection reader: its retained
-        // buffer must stay near the bytes that actually arrived, nowhere
-        // near the claimed 256 MiB.
-        let mut fr = FrameReader::default();
-        let mut cur = std::io::Cursor::new(&wire[..]);
-        assert!(fr.read_from(&mut cur).is_err());
-        assert!(
-            fr.buffered_capacity() <= 2 * STREAM_INIT_ALLOC,
-            "lying header grew the reader buffer to {} bytes",
-            fr.buffered_capacity()
-        );
     }
 
     /// The streamed writer must produce byte-identical frames to the
@@ -970,26 +900,6 @@ mod tests {
                 fr.read_from(&mut cur).is_err(),
                 "truncated streamed frame (cut={cut}) parsed as valid"
             );
-        }
-    }
-
-    /// `write_message` reuses a thread-local scratch: the fallback
-    /// counter stays untouched by plain sequential sends.
-    #[test]
-    fn write_message_uses_thread_local_scratch() {
-        let before = write_scratch_fallbacks();
-        let mut wire = Vec::new();
-        for _ in 0..10 {
-            write_message(&mut wire, &Message::Ping).unwrap();
-        }
-        assert_eq!(
-            write_scratch_fallbacks(),
-            before,
-            "sequential sends must never hit the throwaway fallback"
-        );
-        let mut cur = std::io::Cursor::new(wire);
-        for _ in 0..10 {
-            assert_eq!(read_message(&mut cur).unwrap(), Message::Ping);
         }
     }
 

@@ -15,10 +15,9 @@ pub mod frame;
 pub mod message;
 
 pub use frame::{
-    encode_frame_into, frame_bytes, frame_bytes_versioned, parse_frame, read_message,
-    version_downgrades, write_message, write_message_into, write_message_streamed,
-    write_scratch_fallbacks, FrameReader, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD,
-    MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
+    encode_frame_into, frame_bytes_versioned, mirror_version_downgrades, parse_frame,
+    version_downgrades, write_message_into, write_message_streamed, FrameReader,
+    DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
 };
 pub use message::{Candidate, GossipEntry, Message, QueryShape, ServerDescriptor, ServerInfo};
 
@@ -275,28 +274,28 @@ mod proptests {
 
         #[test]
         fn frame_roundtrip(msg in arb_message()) {
-            let bytes = frame_bytes(&msg).unwrap();
+            let bytes = frame_bytes_versioned(&msg, VERSION).unwrap();
             let (back, used) = parse_frame(&bytes).unwrap();
             prop_assert_eq!(back, msg);
             prop_assert_eq!(used, bytes.len());
         }
 
         #[test]
-        fn single_pass_frame_matches_legacy(msg in arb_message()) {
+        fn single_pass_frame_matches_reference(msg in arb_message()) {
             // The zero-copy writer must agree byte-for-byte with the
-            // legacy route on arbitrary messages, not just fixtures.
-            let legacy = frame_bytes(&msg).unwrap();
+            // reference encoder on arbitrary messages, not just fixtures.
+            let reference = frame_bytes_versioned(&msg, VERSION).unwrap();
             let mut single = Vec::new();
             encode_frame_into(&msg, &mut single).unwrap();
-            prop_assert_eq!(single, legacy);
+            prop_assert_eq!(single, reference);
         }
 
         #[test]
         fn all_decode_routes_agree(msg in arb_message()) {
             // The borrowed route (aligned and deliberately misaligned) and
-            // the chunked streaming route must all decode bit-identically
-            // to the message that was encoded.
-            let bytes = frame_bytes(&msg).unwrap();
+            // the reader's buffered and chunked streaming routes must all
+            // decode bit-identically to the message that was encoded.
+            let bytes = frame_bytes_versioned(&msg, VERSION).unwrap();
             let (borrowed, used) = parse_frame(&bytes).unwrap();
             prop_assert_eq!(used, bytes.len());
             prop_assert_eq!(&borrowed, &msg);
@@ -308,6 +307,12 @@ mod proptests {
             shifted.extend_from_slice(&bytes);
             let (unaligned, _) = parse_frame(&shifted[1..]).unwrap();
             prop_assert_eq!(&unaligned, &msg);
+
+            // Buffered route: a threshold at the cap never streams.
+            let mut rdr = FrameReader::new(MAX_FRAME_PAYLOAD, 97);
+            let buffered = rdr.read_from(&mut &bytes[..]).unwrap();
+            prop_assert_eq!(rdr.streamed_frames(), 0);
+            prop_assert_eq!(&buffered, &msg);
 
             // Streaming route, threshold 0 so every frame streams, with a
             // chunk size that never lands on an 8-byte element boundary.
@@ -324,7 +329,7 @@ mod proptests {
             // Any single-bit corruption must either fail to parse or decode
             // to the identical message (flips in ignored padding cannot
             // occur because the codec validates padding).
-            let bytes = frame_bytes(&msg).unwrap();
+            let bytes = frame_bytes_versioned(&msg, VERSION).unwrap();
             let mut bad = bytes.clone();
             let idx = byte.index(bad.len());
             bad[idx] ^= 1 << bit;

@@ -313,10 +313,9 @@ impl SolveCache {
                     return Probe::Hit { outputs, compute_secs };
                 }
                 Err(_) => {
-                    // Entry failed its serve CRC or decode: it is gone
-                    // (dropped by serve_checked); fall through to a miss
-                    // so the request re-solves.
-                    self.shared.drop_corrupt(key);
+                    // Entry failed its serve CRC or decode: drop it and
+                    // fall through to a miss so the request re-solves.
+                    self.shared.drop_corrupt(key, &bytes);
                 }
             }
         }
@@ -400,19 +399,21 @@ impl Shared {
     fn serve_checked(&self, bytes: &[u8], crc: u32) -> Result<Vec<DataObject>> {
         self.m.serve_crcs.inc();
         if crc32(bytes) != crc {
-            self.m.corrupt_dropped.inc();
             return Err(NetSolveError::Corrupt("cached reply failed serve-time CRC".into()));
         }
-        from_bytes(bytes).map_err(|e| {
-            self.m.corrupt_dropped.inc();
-            NetSolveError::Corrupt(format!("cached reply failed decode: {e}"))
-        })
+        from_bytes(bytes)
+            .map_err(|e| NetSolveError::Corrupt(format!("cached reply failed decode: {e}")))
     }
 
-    /// Remove an entry that failed its serve check.
-    fn drop_corrupt(&self, key: u128) {
+    /// Remove the entry whose stored `bytes` failed their serve check.
+    /// Concurrent probers may all fail the same entry: only the one that
+    /// still finds those bytes stored removes and counts it, and a healthy
+    /// re-solve published in between is left alone.
+    fn drop_corrupt(&self, key: u128, bytes: &Arc<Vec<u8>>) {
         let mut store = self.store.lock();
-        if let Some(entry) = store.entries.remove(&key) {
+        if store.entries.get(&key).is_some_and(|e| Arc::ptr_eq(&e.bytes, bytes)) {
+            let entry = store.entries.remove(&key).expect("checked above");
+            self.m.corrupt_dropped.inc();
             store.total_bytes -= entry.cost();
             self.m.bytes_gauge.set(store.total_bytes as i64);
             self.m.entries_gauge.set(store.entries.len() as i64);

@@ -1,7 +1,9 @@
 //! The live computational-server daemon: registers with an agent, serves
-//! client requests, and reports workload on NetSolve's lazy policy.
+//! client requests, and reports workload on NetSolve's lazy policy. Its
+//! accept loop, periodic workers and stop/join are the
+//! [`netsolve_net::Daemon`] skeleton's.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,7 +12,7 @@ use netsolve_core::admission::{
 };
 use netsolve_core::config::{TelemetryPolicy, WorkloadPolicy};
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_net::{call, Connection, Transport};
+use netsolve_net::{call, call_once, Connection, Daemon, Transport};
 use netsolve_proto::{Message, ServerDescriptor};
 use parking_lot::Mutex;
 // The parking_lot shim's MutexGuard *is* `std::sync::MutexGuard`, so std's
@@ -178,11 +180,9 @@ pub struct ServerDaemon {
     address: String,
     server_id: u64,
     active: Arc<AtomicU32>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    transport: Arc<dyn Transport>,
     requests_served: Arc<AtomicU64>,
     telemetry: Arc<ServerTelemetry>,
+    daemon: Daemon,
 }
 
 impl ServerDaemon {
@@ -212,9 +212,9 @@ impl ServerDaemon {
                 .collect::<Vec<_>>()
                 .join("\n"),
         };
-        let mut agent_conn = transport.connect(agent_address)?;
-        let reply = call(
-            agent_conn.as_mut(),
+        let reply = call_once(
+            transport.as_ref(),
+            agent_address,
             &Message::RegisterServer(descriptor),
             Duration::from_secs(10),
         )?;
@@ -250,8 +250,8 @@ impl ServerDaemon {
             .map(|policy| Arc::new(AdmissionGate::new(Arc::clone(policy), config.capacity)));
 
         let core = Arc::new(core);
+        let metrics = core.metrics();
         let active = Arc::new(AtomicU32::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
         let requests_served = Arc::new(AtomicU64::new(0));
         let telemetry = Arc::new(ServerTelemetry {
             address: address.clone(),
@@ -261,198 +261,85 @@ impl ServerDaemon {
             }),
             enabled: config.telemetry.digests,
         });
-        let mut threads = Vec::new();
+        let mut daemon = Daemon::new(Arc::clone(&transport));
 
-        // Accept loop.
         {
-            let core = Arc::clone(&core);
             let active = Arc::clone(&active);
-            let stop = Arc::clone(&stop);
             let served = Arc::clone(&requests_served);
-            let telemetry_for_accept = Arc::clone(&telemetry);
-            let metrics = core.metrics();
-            let tracer = core.tracer();
-            let max_conns = config.max_connections.max(1);
-            let live_conns = Arc::new(AtomicU32::new(0));
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("server-accept-{server_id}"))
-                    .spawn(move || loop {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match listener.accept() {
-                            Ok(mut conn) => {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                metrics.counter("server.accepts").inc();
-                                // Traceless: no request context exists yet
-                                // at accept time (stitching skips trace 0).
-                                tracer.point(
-                                    netsolve_obs::SpanContext::NONE,
-                                    "server",
-                                    "accept",
-                                    String::new(),
-                                );
-                                // Admission control. The protocol is strictly
-                                // client-sends-then-recvs, so an unsolicited
-                                // Busy error is the first frame a rejected
-                                // client's recv sees.
-                                let in_flight = live_conns.fetch_add(1, Ordering::AcqRel);
-                                if in_flight >= max_conns {
-                                    live_conns.fetch_sub(1, Ordering::AcqRel);
-                                    metrics.counter("server.busy_rejected").inc();
-                                    let _ = conn.send(&Message::from_error(
-                                        &NetSolveError::Resource(format!(
-                                            "server busy: {max_conns} connection(s) already open"
-                                        )),
-                                    ));
-                                    continue;
-                                }
-                                let core = Arc::clone(&core);
-                                let active = Arc::clone(&active);
-                                let served = Arc::clone(&served);
-                                let conns = Arc::clone(&live_conns);
-                                let gate = gate.clone();
-                                let telemetry = Arc::clone(&telemetry_for_accept);
-                                // Park the connection where a failed spawn
-                                // can still reach it to answer Busy.
-                                let slot = Arc::new(Mutex::new(Some(conn)));
-                                let thread_slot = Arc::clone(&slot);
-                                let spawned = std::thread::Builder::new()
-                                    .name("server-conn".into())
-                                    .spawn(move || {
-                                        if let Some(conn) = thread_slot.lock().take() {
-                                            serve_connection(
-                                                conn, core, active, served, gate, telemetry,
-                                            );
-                                        }
-                                        conns.fetch_sub(1, Ordering::AcqRel);
-                                    });
-                                if spawned.is_err() {
-                                    // Out of threads: degrade by shedding
-                                    // this connection, never by panicking
-                                    // the accept loop.
-                                    live_conns.fetch_sub(1, Ordering::AcqRel);
-                                    metrics.counter("server.spawn_failures").inc();
-                                    if let Some(mut conn) = slot.lock().take() {
-                                        let _ = conn.send(&Message::from_error(
-                                            &NetSolveError::Resource(
-                                                "server busy: cannot spawn connection thread"
-                                                    .into(),
-                                            ),
-                                        ));
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn server accept thread"),
-            );
+            let telemetry = Arc::clone(&telemetry);
+            daemon.serve(
+                listener,
+                config.max_connections,
+                &metrics,
+                "server",
+                move |conn| {
+                    serve_connection(conn, &core, &active, &served, gate.as_deref(), &telemetry)
+                },
+            )?;
         }
 
-        // Workload reporter: periodic, threshold-suppressed.
+        // Workload reporter: threshold-suppressed. It measures at a tenth
+        // of the report interval, so once a report is due a threshold
+        // crossing goes out promptly.
         {
-            let stop = Arc::clone(&stop);
             let active = Arc::clone(&active);
             let policy = config.workload;
             let capacity = config.capacity.max(1);
-            let transport_for_reports = Arc::clone(&transport);
             let agent_address = agent_address.to_string();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("server-workload-{server_id}"))
-                    .spawn(move || {
-                        let mut last_sent: Option<f64> = None;
-                        let mut conn: Option<Box<dyn Connection>> = None;
-                        // Report promptly in tests: poll at a fraction of the
-                        // configured interval, send on schedule/threshold.
-                        let tick = Duration::from_secs_f64(
-                            (policy.report_interval_secs / 10.0).clamp(0.005, 1.0),
-                        );
-                        let mut since_report = Duration::ZERO;
-                        loop {
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(tick);
-                            since_report += tick;
-                            let workload =
-                                active.load(Ordering::Acquire) as f64 * 100.0 / capacity as f64;
-                            let due = since_report.as_secs_f64() >= policy.report_interval_secs;
-                            let worth_it =
-                                should_send(last_sent, workload, &policy);
-                            if due && worth_it {
-                                if conn.is_none() {
-                                    conn = transport_for_reports.connect(&agent_address).ok();
-                                }
-                                if let Some(c) = conn.as_mut() {
-                                    let msg = Message::WorkloadReport { server_id, workload };
-                                    if c.send(&msg).is_ok()
-                                        && c.recv_timeout(Duration::from_secs(5)).is_ok()
-                                    {
-                                        last_sent = Some(workload);
-                                    } else {
-                                        conn = None; // reconnect next time
-                                    }
-                                }
-                                since_report = Duration::ZERO;
-                            }
-                        }
-                    })
-                    .expect("spawn workload reporter"),
-            );
+            let tick =
+                Duration::from_secs_f64((policy.report_interval_secs / 10.0).clamp(0.005, 1.0));
+            let mut last_sent: Option<f64> = None;
+            let mut conn: Option<Box<dyn Connection>> = None;
+            let mut since_report = Duration::ZERO;
+            daemon.every("server-workload", tick, move || {
+                since_report += tick;
+                let workload = active.load(Ordering::Acquire) as f64 * 100.0 / capacity as f64;
+                let due = since_report.as_secs_f64() >= policy.report_interval_secs;
+                if !(due && policy.should_report(last_sent, workload)) {
+                    return;
+                }
+                if conn.is_none() {
+                    conn = transport.connect(&agent_address).ok();
+                }
+                if let Some(c) = conn.as_mut() {
+                    let msg = Message::WorkloadReport {
+                        server_id,
+                        workload,
+                    };
+                    if call(c.as_mut(), &msg, Duration::from_secs(5)).is_ok() {
+                        last_sent = Some(workload);
+                    } else {
+                        conn = None; // reconnect next time
+                    }
+                }
+                since_report = Duration::ZERO;
+            })?;
         }
 
         // Telemetry sampler: one registry snapshot per tick into the
         // windowed series. Off the request path entirely — connection
         // threads only read the series when asked via `FleetStatsQuery`.
+        // The baseline is seeded now so events that land before the first
+        // tick show up in the first delta slot instead of vanishing into it.
         {
-            let stop = Arc::clone(&stop);
             let telemetry = Arc::clone(&telemetry);
-            let metrics = core.metrics();
-            let tick =
-                Duration::from_secs_f64(config.telemetry.tick_secs.clamp(0.005, 60.0));
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("server-sampler-{server_id}"))
-                    .spawn(move || {
-                        // Seed the series baseline at startup so events
-                        // that land before the first tick show up in the
-                        // first delta slot instead of vanishing into it.
-                        telemetry
-                            .series
-                            .record(metrics.snapshot("server"), netsolve_obs::unix_now_secs());
-                        loop {
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(tick);
-                            telemetry.series.record(
-                                metrics.snapshot("server"),
-                                netsolve_obs::unix_now_secs(),
-                            );
-                        }
-                    })
-                    .expect("spawn telemetry sampler"),
-            );
+            let sample = move || {
+                telemetry
+                    .series
+                    .record(metrics.snapshot("server"), netsolve_obs::unix_now_secs())
+            };
+            sample();
+            let tick = Duration::from_secs_f64(config.telemetry.tick_secs.clamp(0.005, 60.0));
+            daemon.every("server-sampler", tick, sample)?;
         }
 
         Ok(ServerDaemon {
             address,
             server_id,
             active,
-            stop,
-            threads,
-            transport,
             requests_served,
             telemetry,
+            daemon,
         })
     }
 
@@ -486,30 +373,9 @@ impl ServerDaemon {
         self.telemetry.digest()
     }
 
-    /// Stop all daemon threads.
+    /// Stop all daemon threads (also done on drop).
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.transport.unblock(&self.address); // wake the accept loop
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ServerDaemon {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Threshold decision, re-exported logic from the agent's workload module
-/// semantics (kept local so the server crate does not depend on the agent).
-fn should_send(last_sent: Option<f64>, measured: f64, policy: &WorkloadPolicy) -> bool {
-    match last_sent {
-        None => true,
-        Some(prev) => (measured - prev).abs() >= policy.report_threshold,
+        self.daemon.stop();
     }
 }
 
@@ -573,14 +439,17 @@ fn gate_admit(
 
 fn serve_connection(
     mut conn: Box<dyn Connection>,
-    core: Arc<ServerCore>,
-    active: Arc<AtomicU32>,
-    served: Arc<AtomicU64>,
-    gate: Option<Arc<AdmissionGate>>,
-    telemetry: Arc<ServerTelemetry>,
+    core: &ServerCore,
+    active: &AtomicU32,
+    served: &AtomicU64,
+    gate: Option<&AdmissionGate>,
+    telemetry: &ServerTelemetry,
 ) {
     let metrics = core.metrics();
     let tracer = core.tracer();
+    // Traceless: no request context exists yet at accept time (stitching
+    // skips trace 0).
+    tracer.point(netsolve_obs::SpanContext::NONE, "server", "accept", String::new());
     loop {
         let msg = match conn.recv() {
             Ok(m) => m,
@@ -621,7 +490,7 @@ fn serve_connection(
         // Admission gate: shed (with a retryable Busy + retry hint) or
         // wait for a solve slot *before* the request counts as active.
         let mut slot_held = false;
-        let shed_reply = match (&gate, request_ctx) {
+        let shed_reply = match (gate, request_ctx) {
             (Some(g), Some(ctx)) => {
                 let r = gate_admit(g, &metrics, &tracer, ctx, &msg, received_at);
                 slot_held = r.is_none();
@@ -638,7 +507,7 @@ fn serve_connection(
                 }
                 let reply = core.handle_message_at(&msg, received_at);
                 if slot_held {
-                    gate.as_ref().expect("slot implies gate").release();
+                    gate.expect("slot implies gate").release();
                 }
                 if is_request {
                     active.fetch_sub(1, Ordering::AcqRel);
@@ -991,13 +860,5 @@ mod tests {
         );
         server.stop();
         drop(agent);
-    }
-
-    #[test]
-    fn should_send_threshold_logic() {
-        let p = WorkloadPolicy { report_threshold: 10.0, ..WorkloadPolicy::default() };
-        assert!(should_send(None, 0.0, &p));
-        assert!(!should_send(Some(50.0), 51.0, &p));
-        assert!(should_send(Some(50.0), 65.0, &p));
     }
 }

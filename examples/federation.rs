@@ -27,14 +27,7 @@ fn main() -> netsolve::core::Result<()> {
         AgentCore::new(cfg.clone(), Policy::MinimumCompletionTime, NetworkView::lan_defaults())
     };
     let mut agents: Vec<AgentDaemon> = (0..3)
-        .map(|_| {
-            AgentDaemon::start_federated(
-                Arc::clone(&transport),
-                "127.0.0.1:0",
-                make_core(&config),
-                Vec::new(),
-            )
-        })
+        .map(|_| AgentDaemon::start(Arc::clone(&transport), "127.0.0.1:0", make_core(&config)))
         .collect::<netsolve::core::Result<_>>()?;
     let addrs: Vec<String> = agents.iter().map(|a| a.address().to_string()).collect();
     // Ports are OS-assigned, so the peer lists are wired after binding.

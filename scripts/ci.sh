@@ -15,6 +15,13 @@ echo "=== tests ==="
 cargo test -q
 cargo test --workspace -q
 
+echo "=== benchmark harness (the public API and dependency sets it is locked to) ==="
+# benchmark/ is its own workspace on path deps with a committed lock file:
+# deleting or re-signing a public item it uses, or changing any crate's
+# [dependencies], fails here instead of in the benchmark driver.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "=== regression tests (retry cap, request ids, accept-loop cap, stats) ==="
 cargo test --test observability -q
 cargo test --test chaos_soak -q
@@ -223,9 +230,10 @@ echo "=== wire-path bench smoke (writer routes + decode routes) ==="
 cargo build --release -p netsolve-bench --bin r1_wire_path
 R1_SMOKE=$(./target/release/r1_wire_path --quick)
 echo "${R1_SMOKE}"
-# The bench asserts, per payload size, that the owned, borrowed and
-# streamed decode routes return the original message and that streamed
-# buffering stays bounded; this line only prints if every assert held.
+# The bench asserts, per payload size, that both writers match the
+# reference encoder, that the borrowed and streamed decode routes return
+# the original message and that streamed buffering stays bounded; this
+# line only prints if every assert held.
 echo "${R1_SMOKE}" | grep -q "decode routes agree" || {
     echo "wire smoke: decode-route agreement line missing"; exit 1; }
 

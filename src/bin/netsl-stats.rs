@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use netsolve::net::{call, TcpTransport, Transport};
+use netsolve::net::{call_once, TcpTransport, Transport};
 use netsolve::obs::metrics::bucket_bound_secs;
 use netsolve::obs::{unix_now_secs, SeriesConfig, StatsSnapshot, WindowedSeries};
 use netsolve::proto::Message;
@@ -143,9 +143,7 @@ fn scrape(
     transport: &Arc<dyn Transport>,
     address: &str,
 ) -> netsolve::core::Result<Option<StatsSnapshot>> {
-    let mut conn = transport.connect(address)?;
-    let reply = call(conn.as_mut(), &Message::StatsQuery, Duration::from_secs(5))?;
-    match reply {
+    match call_once(transport.as_ref(), address, &Message::StatsQuery, Duration::from_secs(5))? {
         Message::StatsReply(snapshot) => Ok(Some(snapshot)),
         Message::Error { .. } => Ok(None),
         other => Err(netsolve::core::NetSolveError::Protocol(format!(

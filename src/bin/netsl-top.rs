@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use netsolve::net::{call, TcpTransport, Transport};
+use netsolve::net::{call_once, TcpTransport, Transport};
 use netsolve::obs::StatsDigest;
 use netsolve::proto::Message;
 
@@ -79,9 +79,7 @@ fn scrape(
     transport: &Arc<dyn Transport>,
     address: &str,
 ) -> netsolve::core::Result<Vec<StatsDigest>> {
-    let mut conn = transport.connect(address)?;
-    let reply = call(conn.as_mut(), &Message::FleetStatsQuery, Duration::from_secs(5))?;
-    match reply {
+    match call_once(transport.as_ref(), address, &Message::FleetStatsQuery, Duration::from_secs(5))? {
         Message::FleetStatsReply { digests } => Ok(digests),
         Message::Error { code, detail } => Err(netsolve::core::NetSolveError::Protocol(format!(
             "fleet stats unsupported by this agent ({code:?}: {detail})"

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use netsolve::net::{call, TcpTransport, Transport};
+use netsolve::net::{call_once, TcpTransport, Transport};
 use netsolve::obs::{render, stitch, SpanRecord};
 use netsolve::proto::Message;
 
@@ -116,13 +116,8 @@ fn pull(
     address: &str,
     trace_id: u128,
 ) -> netsolve::core::Result<Option<(String, Vec<SpanRecord>)>> {
-    let mut conn = transport.connect(address)?;
-    let reply = call(
-        conn.as_mut(),
-        &Message::TraceQuery { trace_id },
-        Duration::from_secs(5),
-    )?;
-    match reply {
+    let ask = Message::TraceQuery { trace_id };
+    match call_once(transport.as_ref(), address, &ask, Duration::from_secs(5))? {
         Message::TraceReply { component, spans } => Ok(Some((component, spans))),
         Message::Error { .. } => Ok(None),
         other => Err(netsolve::core::NetSolveError::Protocol(format!(

@@ -61,17 +61,14 @@ fn main() {
 
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let core = AgentCore::new(config, policy, NetworkView::lan_defaults());
-    let daemon = match if peers.is_empty() {
-        AgentDaemon::start(transport, &listen, core)
-    } else {
-        AgentDaemon::start_federated(transport, &listen, core, peers.clone())
-    } {
+    let daemon = match AgentDaemon::start(transport, &listen, core) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("ns-agent: failed to start: {e}");
             std::process::exit(1);
         }
     };
+    daemon.set_peers(peers.clone());
     println!("ns-agent listening on tcp://{}", daemon.address());
     println!("policy: {}", policy.name());
     if !peers.is_empty() {

@@ -285,7 +285,9 @@ fn run_agent_crash_soak(seed: u64) {
             Policy::MinimumCompletionTime,
             NetworkView::lan_defaults(),
         );
-        AgentDaemon::start_federated(Arc::clone(&clean), name, core, peers).unwrap()
+        let agent = AgentDaemon::start(Arc::clone(&clean), name, core).unwrap();
+        agent.set_peers(peers);
+        agent
     };
     // Slot per agent so the killer thread can stop one and restart it.
     let agents: Arc<Mutex<Vec<Option<AgentDaemon>>>> =
@@ -386,8 +388,8 @@ fn run_agent_crash_soak(seed: u64) {
                 Policy::MinimumCompletionTime,
                 NetworkView::lan_defaults(),
             );
-            let restarted =
-                AgentDaemon::start_federated(Arc::clone(&clean), &victim, core, peers).unwrap();
+            let restarted = AgentDaemon::start(Arc::clone(&clean), &victim, core).unwrap();
+            restarted.set_peers(peers);
             agents.lock().unwrap()[slot] = Some(restarted);
             chaos.revive(&victim);
             victim

@@ -262,13 +262,9 @@ fn federated_agents_share_servers() {
     let transport: Arc<dyn Transport> = Arc::new(net.clone());
     let mut agent_b =
         AgentDaemon::start(Arc::clone(&transport), "agent-b", AgentCore::with_defaults()).unwrap();
-    let mut agent_a = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-a",
-        AgentCore::with_defaults(),
-        vec!["agent-b".into()],
-    )
-    .unwrap();
+    let mut agent_a =
+        AgentDaemon::start(Arc::clone(&transport), "agent-a", AgentCore::with_defaults()).unwrap();
+    agent_a.set_peers(vec!["agent-b".into()]);
     let mut server = ServerDaemon::start(
         Arc::clone(&transport),
         "agent-b",

@@ -69,20 +69,12 @@ fn origins(digests: &[StatsDigest]) -> Vec<String> {
 fn one_scrape_of_any_agent_covers_the_whole_fleet() {
     let net = ChannelNetwork::new();
     let transport: Arc<dyn Transport> = Arc::new(net.clone());
-    let mut agent_a = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-a",
-        fast_core(60.0),
-        vec!["agent-b".into()],
-    )
-    .unwrap();
-    let mut agent_b = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-b",
-        fast_core(60.0),
-        vec!["agent-a".into()],
-    )
-    .unwrap();
+    let mut agent_a =
+        AgentDaemon::start(Arc::clone(&transport), "agent-a", fast_core(60.0)).unwrap();
+    agent_a.set_peers(vec!["agent-b".into()]);
+    let mut agent_b =
+        AgentDaemon::start(Arc::clone(&transport), "agent-b", fast_core(60.0)).unwrap();
+    agent_b.set_peers(vec!["agent-a".into()]);
     let mut server_a = ServerDaemon::start(
         Arc::clone(&transport),
         "agent-a",
@@ -155,20 +147,12 @@ fn dead_peers_series_ttl_expire_from_survivors() {
     let net = ChannelNetwork::new();
     let transport: Arc<dyn Transport> = Arc::new(net.clone());
     let ttl = 0.6;
-    let mut agent_a = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-a",
-        fast_core(ttl),
-        vec!["agent-b".into()],
-    )
-    .unwrap();
-    let mut agent_b = AgentDaemon::start_federated(
-        Arc::clone(&transport),
-        "agent-b",
-        fast_core(ttl),
-        vec!["agent-a".into()],
-    )
-    .unwrap();
+    let mut agent_a =
+        AgentDaemon::start(Arc::clone(&transport), "agent-a", fast_core(ttl)).unwrap();
+    agent_a.set_peers(vec!["agent-b".into()]);
+    let mut agent_b =
+        AgentDaemon::start(Arc::clone(&transport), "agent-b", fast_core(ttl)).unwrap();
+    agent_b.set_peers(vec!["agent-a".into()]);
     let mut server_b = ServerDaemon::start(
         Arc::clone(&transport),
         "agent-b",

@@ -5,12 +5,13 @@
 //! revert the encoding change.
 
 use netsolve::core::DataObject;
-use netsolve::proto::{frame_bytes, Message, QueryShape};
+use netsolve::proto::{encode_frame_into, Message, QueryShape};
 use netsolve::xdr::{crc32, Encoder};
 
 #[test]
 fn ping_frame_is_pinned() {
-    let bytes = frame_bytes(&Message::Ping).unwrap();
+    let mut bytes = Vec::new();
+    encode_frame_into(&Message::Ping, &mut bytes).unwrap();
     // magic "NSRV", version 6 (fleet telemetry: histogram exemplars,
     // gossip digest leg, FleetStatsQuery/Reply), length 4, payload =
     // tag 13, crc
