@@ -1,11 +1,12 @@
 //! Criterion benchmarks for the numerical substrate. Doubles as the
 //! calibration run for the simulator's Mflop/s model (see EXPERIMENTS.md)
-//! and as the GEMM ablation DESIGN.md calls out (naive vs cache-blocked vs
-//! threaded).
+//! and as the GEMM ablation DESIGN.md calls out (naive vs register-tiled vs
+//! threaded, plus the in-place `gemm_update` kernel at the LU trailing-update
+//! shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsolve_core::{CsrMatrix, Matrix, Rng64};
-use netsolve_solvers::{blas, fft, iterative, lu, qr};
+use netsolve_solvers::{blas, cholesky, fft, iterative, lu, qr};
 
 fn bench_gemm_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_ablation");
@@ -25,6 +26,20 @@ fn bench_gemm_ablation(c: &mut Criterion) {
             bch.iter(|| blas::dgemm_threaded(a, b, 0).unwrap())
         });
     }
+    // The kernel where LU spends its flops, at the shape LU calls it with:
+    // a 480x480 trailing block of a 512-order matrix updated in place by a
+    // 32-column panel (leading dimension 512 throughout).
+    let (ld, m, k) = (512usize, 480usize, 32usize);
+    let a = Matrix::random(ld, k, &mut rng);
+    let b = Matrix::random(k, m, &mut rng);
+    let mut c_buf = Matrix::random(ld, m, &mut rng);
+    group.throughput(Throughput::Elements((2 * m * m * k) as u64));
+    group.bench_function("gemm_update/480x480x32", |bch| {
+        bch.iter(|| {
+            let c = std::hint::black_box(c_buf.as_mut_slice());
+            blas::gemm_update(c, ld, a.as_slice(), ld, b.as_slice(), k, m, m, k, -1.0)
+        })
+    });
     group.finish();
 }
 
@@ -32,25 +47,36 @@ fn bench_dense_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense_solvers");
     group.sample_size(10);
     let mut rng = Rng64::new(2);
-    let n = 192;
-    let a = Matrix::random_diag_dominant(n, &mut rng);
-    let spd = Matrix::random_spd(n, &mut rng);
-    let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-    // dgesv does ~(2/3)n^3 flops — criterion's element throughput lets us
-    // read effective Mflop/s for simulator calibration.
-    group.throughput(Throughput::Elements((2 * n * n * n / 3) as u64));
-    group.bench_function("dgesv_192", |bch| {
-        bch.iter(|| lu::dgesv(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap())
-    });
-    group.bench_function("dgels_192", |bch| {
-        bch.iter(|| qr::dgels(std::hint::black_box(&a), std::hint::black_box(&b)).unwrap())
-    });
-    group.bench_function("dposv_192", |bch| {
-        bch.iter(|| {
-            netsolve_solvers::cholesky::dposv(std::hint::black_box(&spd), std::hint::black_box(&b))
-                .unwrap()
-        })
-    });
+    // dgesv does ~(2/3)n^3 flops and dposv half that — criterion's element
+    // throughput lets us read effective Mflop/s for simulator calibration.
+    // 192 and 512 are the orders the whole-call benchmark solves.
+    for &n in &[192usize, 512, 1024] {
+        let a = Matrix::random_diag_dominant(n, &mut rng);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
+        group.throughput(Throughput::Elements((2 * n * n * n / 3) as u64));
+        group.bench_with_input(BenchmarkId::new("dgesv", n), &(&a, &b), |bch, (a, b)| {
+            bch.iter(|| lu::dgesv(std::hint::black_box(a), std::hint::black_box(b)).unwrap())
+        });
+        if n == 192 {
+            group.bench_with_input(BenchmarkId::new("dgels", n), &(&a, &b), |bch, (a, b)| {
+                bch.iter(|| qr::dgels(std::hint::black_box(a), std::hint::black_box(b)).unwrap())
+            });
+        }
+        // (`random_spd` is a naive O(n^3) build: too slow to set up at 1024.)
+        if n <= 512 {
+            let spd = Matrix::random_spd(n, &mut rng);
+            group.throughput(Throughput::Elements((n * n * n / 3) as u64));
+            group.bench_with_input(
+                BenchmarkId::new("dposv", n),
+                &(&spd, &b),
+                |bch, (spd, b)| {
+                    bch.iter(|| {
+                        cholesky::dposv(std::hint::black_box(spd), std::hint::black_box(b)).unwrap()
+                    })
+                },
+            );
+        }
+    }
     group.finish();
 }
 

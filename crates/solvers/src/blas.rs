@@ -1,11 +1,11 @@
 //! BLAS-lite: the vector and matrix kernels everything else builds on.
 //!
 //! Level 1 (vector-vector), level 2 (matrix-vector) and level 3
-//! (matrix-matrix) routines in the LAPACK naming tradition. GEMM comes in
-//! three flavours — naive triple loop, cache-blocked, and multithreaded
-//! blocked — benchmarked against each other in `solver_bench` (the ablation
-//! DESIGN.md calls out), with the blocked-threaded version used by the
-//! `dgemm` problem executor.
+//! (matrix-matrix) routines in the LAPACK naming tradition. All level-3
+//! work runs on one register-tiled in-place kernel, [`gemm_update`]: the
+//! single-threaded and column-panel-threaded `dgemm` flavours and the LU and
+//! Cholesky trailing updates. `dgemm_naive` is the triple loop the tests use
+//! as the oracle and `solver_bench` as the ablation baseline.
 
 use crossbeam::thread;
 use netsolve_core::error::{NetSolveError, Result};
@@ -159,112 +159,160 @@ pub fn dgemm_naive(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(c)
 }
 
-/// Block size for the cache-blocked GEMM. 64 keeps three f64 panels of
-/// 64x64 (96 KiB) comfortably inside L2.
+/// Register tile of the GEMM micro-kernel: `MR` rows by `NR` columns of `C`
+/// live in accumulators for a whole k-block. 4x4 is eight two-lane
+/// accumulators, which with the operands fills the sixteen baseline x86-64
+/// vector registers without spilling.
+const MR: usize = 4;
+/// See [`MR`].
+const NR: usize = 4;
+
+/// Depth of one k-block: the accumulators are added into `C` once per
+/// `GEMM_BLOCK` rank-one terms, so the `m x GEMM_BLOCK` block of `A` every
+/// column tile re-reads stays cache-resident however large `k` is (at
+/// 512^3, no k-blocking is 1.9x slower; 32..256 measure the same).
 const GEMM_BLOCK: usize = 64;
 
-/// Cache-blocked GEMM.
-pub fn dgemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    check_gemm(a, b)?;
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    gemm_into(a, b, c.as_mut_slice(), m, k, n, 0, n);
-    Ok(c)
-}
+/// Panel width of the blocked LU and Cholesky factorisations: `NB` columns
+/// are factored unblocked, then the rest of the matrix is updated through
+/// [`gemm_update`] with `k = NB`. 16..64 measure within noise of each other
+/// at n = 192..1024 (DESIGN.md); 32 keeps the U12 scratch at `32 n` doubles.
+pub(crate) const NB: usize = 32;
 
-/// Compute columns `[j_lo, j_hi)` of `C = A B` into the column-major buffer
-/// `c` (length `m * n`).
+/// In-place strided GEMM update `C += sign * A B` on column-major slices:
+/// `C` is `m x n` with leading dimension `ldc`, `A` is `m x k` (`lda`), `B`
+/// is `k x n` (`ldb`). The one GEMM inner loop of the crate: `dgemm_*`, the
+/// LU and Cholesky trailing updates all run on it.
+///
+/// Every element of `C` receives its k-blocks in order, each summed in
+/// order, whatever tile it falls in — so results do not depend on how a
+/// caller splits `C` into panels.
 #[allow(clippy::too_many_arguments)]
-fn gemm_into(
-    a: &Matrix,
-    b: &Matrix,
+pub fn gemm_update(
     c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
     m: usize,
+    n: usize,
     k: usize,
-    _n: usize,
-    j_lo: usize,
-    j_hi: usize,
+    sign: f64,
 ) {
-    for jb in (j_lo..j_hi).step_by(GEMM_BLOCK) {
-        let j_end = (jb + GEMM_BLOCK).min(j_hi);
-        for lb in (0..k).step_by(GEMM_BLOCK) {
-            let l_end = (lb + GEMM_BLOCK).min(k);
-            for ib in (0..m).step_by(GEMM_BLOCK) {
-                let i_end = (ib + GEMM_BLOCK).min(m);
-                for j in jb..j_end {
-                    let ccol = &mut c[j * m..(j + 1) * m];
-                    for l in lb..l_end {
-                        let blj = b[(l, j)];
-                        if blj == 0.0 {
-                            continue;
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert!(
+        ldc >= m && lda >= m && ldb >= k,
+        "gemm_update: leading dimension too small"
+    );
+    assert!(
+        c.len() >= (n - 1) * ldc + m
+            && a.len() >= (k - 1) * lda + m
+            && b.len() >= (n - 1) * ldb + k,
+        "gemm_update: operand slice too short"
+    );
+    for l0 in (0..k).step_by(GEMM_BLOCK) {
+        let kc = GEMM_BLOCK.min(k - l0);
+        for j in (0..n).step_by(NR) {
+            let nr = NR.min(n - j);
+            let bt = &b[j * ldb + l0..];
+            for i in (0..m).step_by(MR) {
+                let mr = MR.min(m - i);
+                let at = &a[l0 * lda + i..];
+                let ct = &mut c[j * ldc + i..];
+                if mr == MR && nr == NR {
+                    tile_full(ct, ldc, at, lda, bt, ldb, kc, sign);
+                    continue;
+                }
+                // Ragged right or bottom edge: scalar, in the micro-kernel's
+                // summation order.
+                for jj in 0..nr {
+                    for ii in 0..mr {
+                        let mut acc = 0.0;
+                        for l in 0..kc {
+                            acc += at[l * lda + ii] * bt[jj * ldb + l];
                         }
-                        let acol = a.col(l);
-                        for i in ib..i_end {
-                            ccol[i] += acol[i] * blj;
-                        }
+                        ct[jj * ldc + ii] += sign * acc;
                     }
                 }
             }
         }
     }
+}
+
+/// The micro-kernel: one full `MR x NR` tile over `kc` rank-one terms.
+/// Slices start at the tile's origin in each operand.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_full(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    kc: usize,
+    sign: f64,
+) {
+    let bcols: [&[f64]; NR] = std::array::from_fn(|j| &b[j * ldb..j * ldb + kc]);
+    let mut acc = [[0.0f64; MR]; NR];
+    for l in 0..kc {
+        let av: &[f64; MR] = a[l * lda..l * lda + MR].try_into().expect("MR-long slice");
+        for (accj, bj) in acc.iter_mut().zip(&bcols) {
+            let blj = bj[l];
+            for (x, &ai) in accj.iter_mut().zip(av) {
+                *x += ai * blj;
+            }
+        }
+    }
+    for (j, accj) in acc.iter().enumerate() {
+        for (x, &v) in c[j * ldc..j * ldc + MR].iter_mut().zip(accj) {
+            *x += sign * v;
+        }
+    }
+}
+
+/// Cache-blocked, register-tiled GEMM on one thread.
+pub fn dgemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
+    dgemm_threaded(a, b, 1)
 }
 
 /// Multithreaded blocked GEMM: column panels of `C` are distributed over
 /// `threads` workers with crossbeam's scoped threads (no `'static` bound,
-/// no unsafe). `threads == 0` means "number of logical CPUs".
+/// no unsafe), each running [`gemm_update`] on its own panel. `threads == 0`
+/// means "number of logical CPUs".
 pub fn dgemm_threaded(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
     check_gemm(a, b)?;
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
     } else {
         threads
     };
-    let threads = threads.min(n.max(1));
-    if threads <= 1 || n < GEMM_BLOCK {
-        return dgemm_blocked(a, b);
-    }
     let mut c = Matrix::zeros(m, n);
-    {
-        let data = c.as_mut_slice();
-        // Split C into contiguous column panels, one chunk per worker.
-        let cols_per = n.div_ceil(threads);
-        let chunks: Vec<&mut [f64]> = data.chunks_mut(cols_per * m).collect();
-        thread::scope(|s| {
-            for (t, chunk) in chunks.into_iter().enumerate() {
-                let j_lo = t * cols_per;
-                let j_hi = (j_lo + chunk.len() / m).min(n);
-                // Each worker owns its disjoint column panel of C.
-                s.spawn(move |_| gemm_panel(a, b, chunk, m, k, j_lo, j_hi));
-            }
-        })
-        .expect("gemm worker panicked");
+    let av = a.as_slice();
+    let panel = |cp: &mut [f64], bp: &[f64]| {
+        let cols = bp.len() / k.max(1);
+        gemm_update(cp, m, av, m, bp, k, m, cols, k, 1.0)
+    };
+    if threads <= 1 || n < GEMM_BLOCK || m * k == 0 {
+        panel(c.as_mut_slice(), b.as_slice());
+        return Ok(c);
     }
-    Ok(c)
-}
-
-/// Blocked GEMM for columns `[j_lo, j_hi)` of C, writing into a panel-local
-/// column-major buffer.
-fn gemm_panel(a: &Matrix, b: &Matrix, panel: &mut [f64], m: usize, k: usize, j_lo: usize, j_hi: usize) {
-    for jb in (j_lo..j_hi).step_by(GEMM_BLOCK) {
-        let j_end = (jb + GEMM_BLOCK).min(j_hi);
-        for lb in (0..k).step_by(GEMM_BLOCK) {
-            let l_end = (lb + GEMM_BLOCK).min(k);
-            for j in jb..j_end {
-                let ccol = &mut panel[(j - j_lo) * m..(j - j_lo + 1) * m];
-                for l in lb..l_end {
-                    let blj = b[(l, j)];
-                    if blj == 0.0 {
-                        continue;
-                    }
-                    let acol = a.col(l);
-                    for i in 0..m {
-                        ccol[i] += acol[i] * blj;
-                    }
-                }
-            }
+    // Split C (and with it B) into contiguous column panels, one per worker.
+    let cols_per = n.div_ceil(threads);
+    thread::scope(|s| {
+        let cpanels = c.as_mut_slice().chunks_mut(cols_per * m);
+        for (cp, bp) in cpanels.zip(b.as_slice().chunks(cols_per * k)) {
+            s.spawn(move |_| panel(cp, bp));
         }
-    }
+    })
+    .expect("gemm worker panicked");
+    Ok(c)
 }
 
 /// Default GEMM used by the `dgemm` problem executor: threaded for large
@@ -361,6 +409,83 @@ mod tests {
             let threaded = dgemm_threaded(&a, &b, 4).unwrap();
             assert!(naive.approx_eq(&blocked, 1e-11), "blocked differs at {m}x{k}x{n}");
             assert!(naive.approx_eq(&threaded, 1e-11), "threaded differs at {m}x{k}x{n}");
+        }
+    }
+
+    /// `C += sign * A B` against the naive oracle, with every operand
+    /// embedded in a taller buffer (leading dimensions above the shape) whose
+    /// padding rows must come back untouched.
+    fn check_gemm_update(m: usize, n: usize, k: usize, sign: f64, pad: usize, rng: &mut Rng64) {
+        let (a, b, c0) = (
+            Matrix::random(m, k, rng),
+            Matrix::random(k, n, rng),
+            Matrix::random(m, n, rng),
+        );
+        let embed = |x: &Matrix, ld: usize| {
+            let mut buf = vec![7.0; ld * x.cols()];
+            for c in 0..x.cols() {
+                buf[c * ld..c * ld + x.rows()].copy_from_slice(x.col(c));
+            }
+            buf
+        };
+        let (lda, ldb, ldc) = ((m + pad).max(1), (k + pad).max(1), (m + 2 * pad).max(1));
+        let mut c = embed(&c0, ldc);
+        gemm_update(
+            &mut c,
+            ldc,
+            &embed(&a, lda),
+            lda,
+            &embed(&b, ldb),
+            ldb,
+            m,
+            n,
+            k,
+            sign,
+        );
+        let ab = dgemm_naive(&a, &b).unwrap();
+        for (j, col) in c.chunks_exact(ldc).enumerate() {
+            for (i, &got) in col.iter().enumerate() {
+                let want = if i < m {
+                    c0[(i, j)] + sign * ab[(i, j)]
+                } else {
+                    7.0
+                };
+                assert!(
+                    (got - want).abs() <= 1e-12 * k as f64,
+                    "{m}x{n}x{k} pad {pad} at ({i},{j}): {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_update_ragged_shapes_match_naive() {
+        let mut rng = Rng64::new(11);
+        let edges = [0, 1, MR - 1, MR, MR + 1, 2 * NR + 3];
+        for &m in &edges {
+            for &n in &edges {
+                for k in [0, 1, 2, 5] {
+                    check_gemm_update(m, n, k, 1.0, 0, &mut rng);
+                    check_gemm_update(m, n, k, -1.0, 3, &mut rng);
+                }
+            }
+        }
+        // Past one k-block, ragged in every dimension.
+        check_gemm_update(2 * MR + 1, NR + 2, GEMM_BLOCK + 7, -1.0, 1, &mut rng);
+    }
+
+    #[test]
+    fn gemm_result_does_not_depend_on_the_panel_split() {
+        let mut rng = Rng64::new(12);
+        let a = Matrix::random(37, 2 * GEMM_BLOCK + 5, &mut rng);
+        let b = Matrix::random(2 * GEMM_BLOCK + 5, 131, &mut rng);
+        let one = dgemm_blocked(&a, &b).unwrap();
+        for threads in [2, 3, 7] {
+            assert_eq!(
+                dgemm_threaded(&a, &b, threads).unwrap(),
+                one,
+                "{threads} threads"
+            );
         }
     }
 

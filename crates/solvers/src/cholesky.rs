@@ -3,6 +3,8 @@
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::matrix::Matrix;
 
+use crate::blas::{gemm_update, NB};
+
 /// Lower-triangular Cholesky factor `L` with `A = L L^T`.
 #[derive(Debug, Clone)]
 pub struct CholeskyFactor {
@@ -35,26 +37,54 @@ pub fn cholesky_factor(a: &Matrix) -> Result<CholeskyFactor> {
             }
         }
     }
-    let mut l = Matrix::zeros(n, n);
-    for j in 0..n {
-        let mut diag = a[(j, j)];
-        for k in 0..j {
-            diag -= l[(j, k)] * l[(j, k)];
-        }
-        if diag <= 0.0 {
-            return Err(NetSolveError::Numerical(format!(
-                "matrix not positive definite (pivot {diag:.3e} at step {j})"
-            )));
-        }
-        let ljj = diag.sqrt();
-        l[(j, j)] = ljj;
-        for i in (j + 1)..n {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
+    // Blocked right-looking factorisation in place on a copy of `a`, of
+    // which only the lower triangle is read: per panel of `NB` columns,
+    // factor the tall panel column by column, then update the trailing
+    // lower triangle `A22 -= L21 L21^T` one block column at a time through
+    // `gemm_update`, against a transposed copy of `L21` (NB x n at most).
+    let mut l = a.clone();
+    let data = l.as_mut_slice();
+    let mut l21t = Vec::with_capacity(NB.min(n) * n);
+    for k0 in (0..n).step_by(NB) {
+        let k1 = (k0 + NB).min(n);
+        let kb = k1 - k0;
+        let (panel, right) = data[k0 * n..].split_at_mut(kb * n);
+        for j in 0..kb {
+            let (done, rest) = panel.split_at_mut(j * n);
+            let colj = &mut rest[k0 + j..n];
+            for colk in done.chunks_exact(n) {
+                let lk = &colk[k0 + j..];
+                for (s, v) in colj.iter_mut().zip(lk) {
+                    *s -= v * lk[0];
+                }
             }
-            l[(i, j)] = s / ljj;
+            let diag = colj[0];
+            // Written so that a NaN pivot fails the test too.
+            if !(diag > 0.0 && diag.is_finite()) {
+                return Err(NetSolveError::Numerical(format!(
+                    "matrix not positive definite (pivot {diag:.3e} at step {})",
+                    k0 + j
+                )));
+            }
+            let ljj = diag.sqrt();
+            colj[0] = ljj;
+            colj[1..].iter_mut().for_each(|v| *v /= ljj);
         }
+        l21t.clear();
+        for i in k1..n {
+            l21t.extend(panel.chunks_exact(n).map(|col| col[i]));
+        }
+        for j0 in (k1..n).step_by(NB) {
+            let (rows, cols) = (n - j0, NB.min(n - j0));
+            let c = &mut right[(j0 - k1) * n + j0..];
+            let (l21, l21t) = (&panel[j0..], &l21t[(j0 - k1) * kb..]);
+            gemm_update(c, n, l21, n, l21t, kb, rows, cols, kb, -1.0);
+        }
+    }
+    // The strict upper triangle still holds `a` (and block-diagonal update
+    // spill); the factor is lower-triangular.
+    for j in 1..n {
+        data[j * n..j * n + j].fill(0.0);
     }
     Ok(CholeskyFactor { l })
 }
@@ -79,23 +109,24 @@ impl CholeskyFactor {
                 b.len()
             )));
         }
-        // L y = b
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for (k, &yk) in y.iter().enumerate().take(i) {
-                s -= self.l[(i, k)] * yk;
-            }
-            y[i] = s / self.l[(i, i)];
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        // L^T x = y
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for (k, &xk) in x.iter().enumerate().skip(i + 1) {
-                s -= self.l[(k, i)] * xk;
+        let mut x = b.to_vec();
+        let cols = || self.l.as_slice().chunks_exact(n).enumerate();
+        // L y = b, sweeping columns of L.
+        for (k, col) in cols() {
+            let (yk, below) = x[k..].split_first_mut().expect("k < n");
+            *yk /= col[k];
+            for (yi, l) in below.iter_mut().zip(&col[k + 1..]) {
+                *yi -= l * *yk;
             }
-            x[i] = s / self.l[(i, i)];
+        }
+        // L^T x = y: row k of L^T is column k of L.
+        for (k, col) in cols().rev() {
+            let (xk, below) = x[k..].split_first_mut().expect("k < n");
+            let dot: f64 = below.iter().zip(&col[k + 1..]).map(|(xi, l)| xi * l).sum();
+            *xk = (*xk - dot) / col[k];
         }
         Ok(x)
     }
@@ -125,11 +156,40 @@ mod tests {
     #[test]
     fn factor_reconstructs_matrix() {
         let mut rng = Rng64::new(31);
-        let a = Matrix::random_spd(10, &mut rng);
-        let f = cholesky_factor(&a).unwrap();
-        let lt = f.l().transpose();
-        let recon = dgemm_naive(f.l(), &lt).unwrap();
-        assert!(recon.approx_eq(&a, 1e-9 * a.frobenius_norm()));
+        // On, beside and past the panel boundaries of the blocked routine.
+        for n in [1, 10, NB - 1, NB, NB + 1, 2 * NB + 3, 100] {
+            let a = Matrix::random_spd(n, &mut rng);
+            let f = cholesky_factor(&a).unwrap();
+            let lt = f.l().transpose();
+            let recon = dgemm_naive(f.l(), &lt).unwrap();
+            assert!(
+                recon.approx_eq(&a, 1e-13 * n as f64 * a.frobenius_norm()),
+                "n={n}"
+            );
+            for j in 1..n {
+                assert!(
+                    f.l().col(j)[..j].iter().all(|&v| v == 0.0),
+                    "n={n}: upper triangle not zero"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_entries_are_a_numerical_error() {
+        let n = NB + 4;
+        let base = Matrix::random_spd(n, &mut Rng64::new(37));
+        for (r, c) in [(0, 0), (n - 1, n - 1), (n - 1, 1)] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut a = base.clone();
+                a[(r, c)] = bad;
+                a[(c, r)] = bad;
+                match dposv(&a, &vec![1.0; n]) {
+                    Err(NetSolveError::Numerical(_)) => {}
+                    other => panic!("{bad} at ({r},{c}): expected Numerical error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

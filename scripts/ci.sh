@@ -22,10 +22,36 @@ echo "=== benchmark harness (the public API and dependency sets it is locked to)
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "=== benchmark run (solve_dgesv: every reply correct, none failed, backward error) ==="
+# Run the ruler, not just build it: one short traced run of the
+# compute-bound workload over the live TCP stack. Its last stdout line is
+# the result document.
+BENCH_LINE=$(bash benchmark/run.sh --workload solve_dgesv --seed 1 --seconds 2 --trace 1 | tail -1)
+echo "${BENCH_LINE}" | python3 -c '
+import json, sys
+doc = json.loads(sys.stdin.read())
+err = doc["metrics"]["solvers.backward_err_max"]["value"]
+print("correct", doc["correct"], "attempted", doc["attempted"], "failed", doc["failed"],
+      "backward_err_max", err, "gflops", doc["metrics"]["solvers.gflops"]["value"])
+sys.exit(0 if doc["correct"] is True and doc["failed"] == 0 and err <= 1e-10 else 1)
+' || { echo "benchmark run: wrong reply, failed call or backward error over 1e-10"; exit 1; }
+
 echo "=== regression tests (retry cap, request ids, accept-loop cap, stats) ==="
 cargo test --test observability -q
 cargo test --test chaos_soak -q
 cargo test --test tracing -q
+
+# A server started without --mflops rates itself before it registers
+# (one LU at n=256: milliseconds in release, longer in these debug
+# builds), so wait for the registration instead of sleeping a guess.
+wait_registered() { # AGENT_PORT SERVER_PORT
+    for _ in $(seq 1 100); do
+        ./target/debug/ns-client --agent 127.0.0.1:$1 servers 2>/dev/null \
+            | grep -q "127.0.0.1:$2" && return 0
+        sleep 0.1
+    done
+    echo "server on port $2 never registered with the agent on port $1"; exit 1
+}
 
 echo "=== netsl-trace smoke (live TCP trio, stitched timeline) ==="
 # Boot a real agent + server on loopback, run one traced call, then pull
@@ -39,7 +65,7 @@ trap 'kill ${AGENT_PID} ${SERVER_PID:-} 2>/dev/null || true; rm -f "${TRACE_DUMP
 sleep 0.3
 ./target/debug/ns-server --agent 127.0.0.1:${AGENT_PORT} --listen 127.0.0.1:${SERVER_PORT} &
 SERVER_PID=$!
-sleep 0.3
+wait_registered ${AGENT_PORT} ${SERVER_PORT}
 ./target/debug/ns-client --agent 127.0.0.1:${AGENT_PORT} \
     --trace-dump "${TRACE_DUMP}" demo dnrm2 256
 TIMELINE=$(./target/debug/netsl-trace --dump "${TRACE_DUMP}" \
@@ -65,7 +91,7 @@ sleep 0.3
 ./target/debug/ns-server --agent 127.0.0.1:${CACHE_AGENT_PORT} \
     --listen 127.0.0.1:${CACHE_SERVER_PORT} --cache-bytes 16777216 &
 CACHE_SERVER_PID=$!
-sleep 0.3
+wait_registered ${CACHE_AGENT_PORT} ${CACHE_SERVER_PORT}
 for run in 1 2; do
     ./target/debug/ns-client --agent 127.0.0.1:${CACHE_AGENT_PORT} demo dnrm2 256 || {
         echo "cache smoke: demo run ${run} failed"; exit 1; }

@@ -6,7 +6,11 @@
 //!           [--admission] [--max-queue N] [--pdl FILE]...
 //! ```
 //!
-//! Registers with the agent, then serves requests until killed.
+//! Registers with the agent, then serves requests until killed. The
+//! advertised speed `p` is `--mflops N` when given; otherwise it is
+//! measured at start-up the way the paper rates a host — the Mflop/s of one
+//! dense LU factorisation (n = 256, this server's own `lu_factor`) — and
+//! printed in the start-up line.
 //! `--synthetic` makes the server *emulate* a machine of the advertised
 //! speed (sleep `complexity(n)/mflops`) instead of computing — useful for
 //! standing up heterogeneous testbeds on one box. `--cache-bytes N`
@@ -22,7 +26,9 @@
 //! requests for them will fail at execution time).
 
 use std::sync::Arc;
+use std::time::Instant;
 
+use netsolve::core::{Matrix, Rng64};
 use netsolve::net::{TcpTransport, Transport};
 use netsolve::pdl::ProblemRegistry;
 use netsolve::server::{ExecutionMode, ServerConfig, ServerCore, ServerDaemon};
@@ -39,7 +45,7 @@ fn usage() -> ! {
 fn main() {
     let mut agent: Option<String> = None;
     let mut listen = "127.0.0.1:0".to_string();
-    let mut mflops = 100.0f64;
+    let mut mflops: Option<f64> = None;
     let mut host = hostname_or("rust-server");
     let mut synthetic = false;
     let mut cache_bytes = 0usize;
@@ -52,10 +58,11 @@ fn main() {
             "--agent" => agent = Some(args.next().unwrap_or_else(|| usage())),
             "--listen" => listen = args.next().unwrap_or_else(|| usage()),
             "--mflops" => {
-                mflops = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                mflops = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                )
             }
             "--host" => host = args.next().unwrap_or_else(|| usage()),
             "--synthetic" => synthetic = true,
@@ -84,6 +91,10 @@ fn main() {
         }
     }
     let Some(agent) = agent else { usage() };
+    let (mflops, rating) = match mflops {
+        Some(given) => (given, ""),
+        None => (linpack_mflops(), " measured"),
+    };
 
     let mut registry = ProblemRegistry::with_standard_catalogue();
     for file in &pdl_files {
@@ -123,7 +134,7 @@ fn main() {
         }
     };
     println!(
-        "ns-server '{host}' ({mflops} Mflop/s{}{}{}) listening on tcp://{} — registered as id {}",
+        "ns-server '{host}' ({mflops:.0} Mflop/s{rating}{}{}{}) listening on tcp://{} — registered as id {}",
         if synthetic { ", synthetic" } else { "" },
         if cache_bytes > 0 {
             format!(", cache {cache_bytes}B")
@@ -141,6 +152,18 @@ fn main() {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
+}
+
+/// The host's LINPACK-style rating in Mflop/s: `(2/3) n^3` flops over the
+/// time of one `lu_factor` at n = 256 on a general (pivoting) random matrix.
+fn linpack_mflops() -> f64 {
+    const N: usize = 256;
+    let a = Matrix::random(N, N, &mut Rng64::new(1));
+    let start = Instant::now();
+    let factors = netsolve::solvers::lu::lu_factor(std::hint::black_box(&a));
+    let secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(factors).expect("a random matrix is nonsingular");
+    2.0 * (N * N * N) as f64 / 3.0 / secs / 1e6
 }
 
 fn hostname_or(default: &str) -> String {

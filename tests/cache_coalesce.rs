@@ -251,3 +251,45 @@ fn nondeterministic_problems_bypass_the_cache() {
     server.stop();
     agent.stop();
 }
+
+/// A `NaN` or infinite matrix entry used to slip past the pivot test
+/// (`NaN < tol` is false) and come back as a *successful* all-`NaN`
+/// solution, which the server encoded, cached and served to the next
+/// caller. The factorisations now refuse a non-finite pivot: the client
+/// sees the typed error, twice, and the cache holds nothing.
+#[test]
+fn non_finite_input_is_a_typed_error_and_never_cached() {
+    let (mut agent, mut server, transport, agent_address, _tracer, server_metrics) =
+        boot(ExecutionMode::Real);
+    let client = NetSolveClient::new(Arc::clone(&transport), &agent_address);
+
+    let n = 40;
+    let mut calls = 0;
+    for problem in ["dgesv", "dposv"] {
+        for bad in [f64::NAN, f64::INFINITY] {
+            // Symmetric, so dposv's own symmetry check passes it on.
+            let mut a = Matrix::from_fn(n, n, |i, j| if i == j { 4.0 } else { 0.01 });
+            a[(n - 3, 2)] = bad;
+            a[(2, n - 3)] = bad;
+            let inputs: Vec<DataObject> = vec![a.into(), vec![1.0f64; n].into()];
+            for attempt in 0..2 {
+                let err = client.netsl(problem, &inputs).expect_err("non-finite system must fail");
+                assert!(
+                    matches!(err, NetSolveError::Numerical(_)),
+                    "{problem} with {bad}, attempt {attempt}: got {err}"
+                );
+                calls += 1;
+            }
+        }
+    }
+
+    let snap = server_metrics.snapshot("server");
+    assert_eq!(snap.counter("server.cache_misses"), calls, "every call was a fresh miss");
+    assert_eq!(snap.counter("server.cache_hits"), 0);
+    assert_eq!(snap.counter("server.cache_inserts"), 0, "a failed solve is never cached");
+    assert_eq!(snap.gauge("server.cache_entries"), 0);
+    assert_eq!(snap.counter("server.requests_ok"), 0);
+
+    server.stop();
+    agent.stop();
+}
