@@ -64,30 +64,10 @@ use crate::message::Message;
 
 /// Frame magic: `"NSRV"`.
 pub const MAGIC: u32 = 0x4E53_5256;
-/// Protocol version spoken by this implementation.
-///
-/// History: v1 — initial protocol; v2 — `RequestSubmit` carries a
-/// `deadline_ms` budget so servers can shed expired work, and the
-/// `StatsQuery`/`StatsReply` pair exists; v3 — `RequestSubmit` and
-/// `ServerQuery` carry a 128-bit `trace_id` plus parent span id for
-/// distributed tracing, and the `TraceQuery`/`TraceReply` pair exists;
-/// v4 — the `GossipSync`/`GossipAck` pair exists for agent federation
-/// (anti-entropy replication of server registrations between peer
-/// agents). v3 agents reject the unknown tag with their generic `Error`
-/// reply, which gossiping peers count as *unsupported* and tolerate;
-/// v5 — `RequestReply` carries a `cached` marker (the server satisfied
-/// the request from its solve cache), and `CompletionReport` /
-/// `FailureReport` carry the server's `server_address` so agents can
-/// credit reports by address instead of per-agent id numbering after a
-/// client fails over between agents. v4 decodes see the defaults
-/// (`cached = false`, empty address → fall back to the raw id);
-/// v6 — fleet telemetry: `StatsReply` histograms carry per-bucket trace
-/// exemplars, the `FleetStatsQuery`/`FleetStatsReply` pair exists
-/// (windowed per-daemon `StatsDigest` summaries), and `GossipSync`
-/// piggybacks a digest leg so agents replicate the fleet's recent
-/// stats history alongside registry entries. v5 decodes see the
-/// defaults (no exemplars, empty digest legs); v5 peers answer the new
-/// tags with their generic `Error` reply, counted *unsupported*.
+/// Protocol version spoken by this implementation. What each version
+/// added is the version-history table in `docs/PROTOCOL.md`; which field
+/// belongs to which version is the `@N` markers of the wire table in
+/// `message.rs`.
 pub const VERSION: u32 = 6;
 /// Oldest protocol version this implementation still decodes.
 pub const MIN_VERSION: u32 = 1;

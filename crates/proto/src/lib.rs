@@ -13,6 +13,7 @@
 
 pub mod frame;
 pub mod message;
+mod wire;
 
 pub use frame::{
     encode_frame_into, frame_bytes_versioned, mirror_version_downgrades, parse_frame,

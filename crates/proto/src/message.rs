@@ -15,6 +15,8 @@ use netsolve_core::error::{NetSolveError, Result};
 use netsolve_obs::{DigestQuantiles, HistogramSnapshot, SpanRecord, StatsDigest, StatsSnapshot};
 use netsolve_xdr::{Decoder, Encoder, XdrSource};
 
+use crate::wire::{wire_messages, wire_records};
+
 /// Description of one computational server, sent at registration and
 /// embedded in agent replies.
 #[derive(Debug, Clone, PartialEq)]
@@ -337,75 +339,61 @@ pub enum Message {
     },
 }
 
+// The wire table. One row per record and per message, fields in wire
+// order (not declaration order), `@N` = on the wire since protocol version
+// N. `wire.rs` turns the rows into the encoder, the decoder, `MIN_LEN`,
+// the tag and log name, and `Message::SCHEMA`; DESIGN §4m has the recipe
+// for adding a field. `docs/PROTOCOL.md` §4 is checked against these rows.
+wire_records! {
+    ServerDescriptor { server_id, host, address, mflops, problems, pdl_source }
+    Candidate { server_id, address, predicted_secs }
+    ServerInfo { server_id, host, address, mflops, workload, down, problems }
+    QueryShape { client_host, problem, n, bytes_in, bytes_out, trace_id @3, parent_span @3 }
+    GossipEntry { origin_agent, host, address, mflops, problems, pdl_source, workload, age_secs }
+    SpanRecord {
+        trace_id, span_id, parent_span, request_id, component, phase,
+        start_unix_nanos, end_unix_nanos, detail
+    }
+    HistogramSnapshot { name, count, sum_secs, buckets, exemplars @6, max_exemplar @6 }
+    StatsSnapshot { component, counters, gauges, histograms }
+    DigestQuantiles { name, count, p50_secs, p95_secs, p99_secs, p99_exemplar }
+    StatsDigest { origin, component, age_secs, window_secs, counters, gauges, quantiles }
+}
+
+wire_messages! {
+    1  RegisterServer(ServerDescriptor)
+    2  RegisterAck { accepted, detail }
+    3  WorkloadReport { server_id, workload }
+    4  ServerQuery(QueryShape)
+    5  ServerList { candidates }
+    6  ListProblems {}
+    7  ProblemCatalogue { names }
+    8  DescribeProblem { problem }
+    9  ProblemDescription { pdl }
+    10 FailureReport { server_id, problem, code, detail, server_address @5 }
+    11 RequestSubmit { request_id, deadline_ms @2, trace_id @3, parent_span @3, problem, inputs }
+    12 RequestReply { request_id, compute_secs, outputs, cached @5 }
+    13 Ping {}
+    14 Pong {}
+    15 Error { code, detail }
+    16 CompletionReport {
+        server_id, client_host, problem, total_secs, compute_secs, bytes, server_address @5
+    }
+    17 ServerQueryForwarded(QueryShape)
+    18 DescribeProblemForwarded { problem }
+    19 ListServers {}
+    20 ServerInfoList { servers }
+    21 StatsQuery {}
+    22 StatsReply(StatsSnapshot)
+    23 TraceQuery { trace_id }
+    24 TraceReply { component, spans }
+    25 GossipSync { from_agent, entries, digests @6 }
+    26 GossipAck { merged, refreshed, conflicts }
+    27 FleetStatsQuery {}
+    28 FleetStatsReply { digests }
+}
+
 impl Message {
-    /// Wire tag of this message variant.
-    pub fn tag(&self) -> u32 {
-        match self {
-            Message::RegisterServer(_) => 1,
-            Message::RegisterAck { .. } => 2,
-            Message::WorkloadReport { .. } => 3,
-            Message::ServerQuery(_) => 4,
-            Message::ServerList { .. } => 5,
-            Message::ListProblems => 6,
-            Message::ProblemCatalogue { .. } => 7,
-            Message::DescribeProblem { .. } => 8,
-            Message::ProblemDescription { .. } => 9,
-            Message::FailureReport { .. } => 10,
-            Message::RequestSubmit { .. } => 11,
-            Message::RequestReply { .. } => 12,
-            Message::CompletionReport { .. } => 16,
-            Message::ServerQueryForwarded(_) => 17,
-            Message::DescribeProblemForwarded { .. } => 18,
-            Message::ListServers => 19,
-            Message::ServerInfoList { .. } => 20,
-            Message::StatsQuery => 21,
-            Message::StatsReply(_) => 22,
-            Message::TraceQuery { .. } => 23,
-            Message::TraceReply { .. } => 24,
-            Message::GossipSync { .. } => 25,
-            Message::GossipAck { .. } => 26,
-            Message::FleetStatsQuery => 27,
-            Message::FleetStatsReply { .. } => 28,
-            Message::Ping => 13,
-            Message::Pong => 14,
-            Message::Error { .. } => 15,
-        }
-    }
-
-    /// Short name for logs.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Message::RegisterServer(_) => "RegisterServer",
-            Message::RegisterAck { .. } => "RegisterAck",
-            Message::WorkloadReport { .. } => "WorkloadReport",
-            Message::ServerQuery(_) => "ServerQuery",
-            Message::ServerQueryForwarded(_) => "ServerQueryForwarded",
-            Message::ServerList { .. } => "ServerList",
-            Message::ListProblems => "ListProblems",
-            Message::ListServers => "ListServers",
-            Message::ServerInfoList { .. } => "ServerInfoList",
-            Message::ProblemCatalogue { .. } => "ProblemCatalogue",
-            Message::DescribeProblem { .. } => "DescribeProblem",
-            Message::DescribeProblemForwarded { .. } => "DescribeProblemForwarded",
-            Message::ProblemDescription { .. } => "ProblemDescription",
-            Message::FailureReport { .. } => "FailureReport",
-            Message::RequestSubmit { .. } => "RequestSubmit",
-            Message::RequestReply { .. } => "RequestReply",
-            Message::CompletionReport { .. } => "CompletionReport",
-            Message::StatsQuery => "StatsQuery",
-            Message::StatsReply(_) => "StatsReply",
-            Message::TraceQuery { .. } => "TraceQuery",
-            Message::TraceReply { .. } => "TraceReply",
-            Message::GossipSync { .. } => "GossipSync",
-            Message::GossipAck { .. } => "GossipAck",
-            Message::FleetStatsQuery => "FleetStatsQuery",
-            Message::FleetStatsReply { .. } => "FleetStatsReply",
-            Message::Ping => "Ping",
-            Message::Pong => "Pong",
-            Message::Error { .. } => "Error",
-        }
-    }
-
     /// Build the `Error` message corresponding to a [`NetSolveError`].
     pub fn from_error(e: &NetSolveError) -> Message {
         Message::Error { code: e.code(), detail: e.detail().to_string() }
@@ -447,207 +435,6 @@ impl Message {
         c.count()
     }
 
-    fn encode_body(&self, e: &mut Encoder<'_>, version: u32) {
-        e.put_u32(self.tag());
-        match self {
-            Message::RegisterServer(d) => {
-                e.put_u64(d.server_id);
-                e.put_string(&d.host);
-                e.put_string(&d.address);
-                e.put_f64(d.mflops);
-                e.put_u32(d.problems.len() as u32);
-                for p in &d.problems {
-                    e.put_string(p);
-                }
-                e.put_string(&d.pdl_source);
-            }
-            Message::RegisterAck { accepted, detail } => {
-                e.put_bool(*accepted);
-                e.put_string(detail);
-            }
-            Message::WorkloadReport { server_id, workload } => {
-                e.put_u64(*server_id);
-                e.put_f64(*workload);
-            }
-            Message::ServerQuery(q) | Message::ServerQueryForwarded(q) => {
-                e.put_u64(q.client_host);
-                e.put_string(&q.problem);
-                e.put_u64(q.n);
-                e.put_u64(q.bytes_in);
-                e.put_u64(q.bytes_out);
-                if version >= 3 {
-                    e.put_u64((q.trace_id >> 64) as u64);
-                    e.put_u64(q.trace_id as u64);
-                    e.put_u64(q.parent_span);
-                }
-            }
-            Message::ServerList { candidates } => {
-                e.put_u32(candidates.len() as u32);
-                for c in candidates {
-                    e.put_u64(c.server_id);
-                    e.put_string(&c.address);
-                    e.put_f64(c.predicted_secs);
-                }
-            }
-            Message::ListProblems | Message::ListServers => {}
-            Message::ServerInfoList { servers } => {
-                e.put_u32(servers.len() as u32);
-                for srv in servers {
-                    e.put_u64(srv.server_id);
-                    e.put_string(&srv.host);
-                    e.put_string(&srv.address);
-                    e.put_f64(srv.mflops);
-                    e.put_f64(srv.workload);
-                    e.put_bool(srv.down);
-                    e.put_u32(srv.problems);
-                }
-            }
-            Message::ProblemCatalogue { names } => {
-                e.put_u32(names.len() as u32);
-                for n in names {
-                    e.put_string(n);
-                }
-            }
-            Message::DescribeProblem { problem }
-            | Message::DescribeProblemForwarded { problem } => e.put_string(problem),
-            Message::ProblemDescription { pdl } => e.put_string(pdl),
-            Message::FailureReport { server_id, server_address, problem, code, detail } => {
-                e.put_u64(*server_id);
-                e.put_string(problem);
-                e.put_u32(*code);
-                e.put_string(detail);
-                if version >= 5 {
-                    e.put_string(server_address);
-                }
-            }
-            Message::RequestSubmit { request_id, deadline_ms, trace_id, parent_span, problem, inputs } => {
-                e.put_u64(*request_id);
-                if version >= 2 {
-                    e.put_u64(*deadline_ms);
-                }
-                if version >= 3 {
-                    e.put_u64((*trace_id >> 64) as u64);
-                    e.put_u64(*trace_id as u64);
-                    e.put_u64(*parent_span);
-                }
-                e.put_string(problem);
-                netsolve_xdr::encode_objects(e, inputs);
-            }
-            Message::RequestReply { request_id, outputs, compute_secs, cached } => {
-                e.put_u64(*request_id);
-                e.put_f64(*compute_secs);
-                netsolve_xdr::encode_objects(e, outputs);
-                if version >= 5 {
-                    e.put_bool(*cached);
-                }
-            }
-            Message::CompletionReport {
-                server_id,
-                server_address,
-                client_host,
-                problem,
-                total_secs,
-                compute_secs,
-                bytes,
-            } => {
-                e.put_u64(*server_id);
-                e.put_u64(*client_host);
-                e.put_string(problem);
-                e.put_f64(*total_secs);
-                e.put_f64(*compute_secs);
-                e.put_u64(*bytes);
-                if version >= 5 {
-                    e.put_string(server_address);
-                }
-            }
-            Message::StatsQuery => {}
-            Message::StatsReply(snap) => {
-                e.put_string(&snap.component);
-                e.put_u32(snap.counters.len() as u32);
-                for (name, value) in &snap.counters {
-                    e.put_string(name);
-                    e.put_u64(*value);
-                }
-                e.put_u32(snap.gauges.len() as u32);
-                for (name, value) in &snap.gauges {
-                    e.put_string(name);
-                    e.put_u64(*value as u64); // two's complement on the wire
-                }
-                e.put_u32(snap.histograms.len() as u32);
-                for h in &snap.histograms {
-                    e.put_string(&h.name);
-                    e.put_u64(h.count);
-                    e.put_f64(h.sum_secs);
-                    e.put_u32(h.buckets.len() as u32);
-                    for b in &h.buckets {
-                        e.put_u64(*b);
-                    }
-                    if version >= 6 {
-                        e.put_u32(h.exemplars.len() as u32);
-                        for x in &h.exemplars {
-                            Self::put_u128(e, *x);
-                        }
-                        Self::put_u128(e, h.max_exemplar);
-                    }
-                }
-            }
-            Message::TraceQuery { trace_id } => {
-                e.put_u64((*trace_id >> 64) as u64);
-                e.put_u64(*trace_id as u64);
-            }
-            Message::TraceReply { component, spans } => {
-                e.put_string(component);
-                e.put_u32(spans.len() as u32);
-                for s in spans {
-                    e.put_u64((s.trace_id >> 64) as u64);
-                    e.put_u64(s.trace_id as u64);
-                    e.put_u64(s.span_id);
-                    e.put_u64(s.parent_span);
-                    e.put_u64(s.request_id);
-                    e.put_string(&s.component);
-                    e.put_string(&s.phase);
-                    e.put_u64(s.start_unix_nanos);
-                    e.put_u64(s.end_unix_nanos);
-                    e.put_string(&s.detail);
-                }
-            }
-            Message::GossipSync { from_agent, entries, digests } => {
-                e.put_string(from_agent);
-                e.put_u32(entries.len() as u32);
-                for g in entries {
-                    e.put_string(&g.origin_agent);
-                    e.put_string(&g.host);
-                    e.put_string(&g.address);
-                    e.put_f64(g.mflops);
-                    e.put_u32(g.problems.len() as u32);
-                    for p in &g.problems {
-                        e.put_string(p);
-                    }
-                    e.put_string(&g.pdl_source);
-                    e.put_f64(g.workload);
-                    e.put_f64(g.age_secs);
-                }
-                if version >= 6 {
-                    Self::encode_digests(e, digests);
-                }
-            }
-            Message::GossipAck { merged, refreshed, conflicts } => {
-                e.put_u32(*merged);
-                e.put_u32(*refreshed);
-                e.put_u32(*conflicts);
-            }
-            Message::FleetStatsQuery => {}
-            Message::FleetStatsReply { digests } => {
-                Self::encode_digests(e, digests);
-            }
-            Message::Ping | Message::Pong => {}
-            Message::Error { code, detail } => {
-                e.put_u32(*code);
-                e.put_string(detail);
-            }
-        }
-    }
-
     /// Decode from payload bytes, requiring full consumption, at the
     /// current protocol version.
     pub fn decode(bytes: &[u8]) -> Result<Message> {
@@ -663,375 +450,6 @@ impl Message {
         let msg = Self::decode_body(&mut d, version)?;
         d.finish()?;
         Ok(msg)
-    }
-
-    /// Decode one message body from any [`XdrSource`] — the borrowed
-    /// in-memory decoder and the chunked stream decoder share this exact
-    /// field logic, so the two routes cannot drift apart.
-    pub(crate) fn decode_body<S: XdrSource>(d: &mut S, version: u32) -> Result<Message> {
-        let tag = d.get_u32()?;
-        Ok(match tag {
-            1 => {
-                let server_id = d.get_u64()?;
-                let host = d.get_string()?;
-                let address = d.get_string()?;
-                let mflops = d.get_f64()?;
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 4 + 1 {
-                    return Err(NetSolveError::Protocol("problem count too large".into()));
-                }
-                let mut problems = Vec::with_capacity(count);
-                for _ in 0..count {
-                    problems.push(d.get_string()?);
-                }
-                let pdl_source = d.get_string()?;
-                Message::RegisterServer(ServerDescriptor {
-                    server_id,
-                    host,
-                    address,
-                    mflops,
-                    problems,
-                    pdl_source,
-                })
-            }
-            2 => Message::RegisterAck { accepted: d.get_bool()?, detail: d.get_string()? },
-            3 => Message::WorkloadReport { server_id: d.get_u64()?, workload: d.get_f64()? },
-            4 => Message::ServerQuery(Self::decode_query_shape(d, version)?),
-            17 => Message::ServerQueryForwarded(Self::decode_query_shape(d, version)?),
-            5 => {
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 20 + 1 {
-                    return Err(NetSolveError::Protocol("candidate count too large".into()));
-                }
-                let mut candidates = Vec::with_capacity(count);
-                for _ in 0..count {
-                    candidates.push(Candidate {
-                        server_id: d.get_u64()?,
-                        address: d.get_string()?,
-                        predicted_secs: d.get_f64()?,
-                    });
-                }
-                Message::ServerList { candidates }
-            }
-            6 => Message::ListProblems,
-            19 => Message::ListServers,
-            20 => {
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 32 + 1 {
-                    return Err(NetSolveError::Protocol("server count too large".into()));
-                }
-                let mut servers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    servers.push(ServerInfo {
-                        server_id: d.get_u64()?,
-                        host: d.get_string()?,
-                        address: d.get_string()?,
-                        mflops: d.get_f64()?,
-                        workload: d.get_f64()?,
-                        down: d.get_bool()?,
-                        problems: d.get_u32()?,
-                    });
-                }
-                Message::ServerInfoList { servers }
-            }
-            7 => {
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 4 + 1 {
-                    return Err(NetSolveError::Protocol("name count too large".into()));
-                }
-                let mut names = Vec::with_capacity(count);
-                for _ in 0..count {
-                    names.push(d.get_string()?);
-                }
-                Message::ProblemCatalogue { names }
-            }
-            8 => Message::DescribeProblem { problem: d.get_string()? },
-            18 => Message::DescribeProblemForwarded { problem: d.get_string()? },
-            9 => Message::ProblemDescription { pdl: d.get_string()? },
-            10 => Message::FailureReport {
-                server_id: d.get_u64()?,
-                problem: d.get_string()?,
-                code: d.get_u32()?,
-                detail: d.get_string()?,
-                server_address: if version >= 5 { d.get_string()? } else { String::new() },
-            },
-            11 => Message::RequestSubmit {
-                request_id: d.get_u64()?,
-                deadline_ms: if version >= 2 { d.get_u64()? } else { 0 },
-                trace_id: if version >= 3 { Self::get_u128(d)? } else { 0 },
-                parent_span: if version >= 3 { d.get_u64()? } else { 0 },
-                problem: d.get_string()?,
-                inputs: netsolve_xdr::decode_objects(d)?,
-            },
-            12 => Message::RequestReply {
-                request_id: d.get_u64()?,
-                compute_secs: d.get_f64()?,
-                outputs: netsolve_xdr::decode_objects(d)?,
-                cached: if version >= 5 { d.get_bool()? } else { false },
-            },
-            13 => Message::Ping,
-            14 => Message::Pong,
-            16 => Message::CompletionReport {
-                server_id: d.get_u64()?,
-                client_host: d.get_u64()?,
-                problem: d.get_string()?,
-                total_secs: d.get_f64()?,
-                compute_secs: d.get_f64()?,
-                bytes: d.get_u64()?,
-                server_address: if version >= 5 { d.get_string()? } else { String::new() },
-            },
-            21 => Message::StatsQuery,
-            22 => {
-                let component = d.get_string()?;
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 12 + 1 {
-                    return Err(NetSolveError::Protocol("counter count too large".into()));
-                }
-                let mut counters = Vec::with_capacity(count);
-                for _ in 0..count {
-                    counters.push((d.get_string()?, d.get_u64()?));
-                }
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 12 + 1 {
-                    return Err(NetSolveError::Protocol("gauge count too large".into()));
-                }
-                let mut gauges = Vec::with_capacity(count);
-                for _ in 0..count {
-                    gauges.push((d.get_string()?, d.get_u64()? as i64));
-                }
-                let count = d.get_u32()? as usize;
-                if count > d.remaining() / 24 + 1 {
-                    return Err(NetSolveError::Protocol("histogram count too large".into()));
-                }
-                let mut histograms = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let name = d.get_string()?;
-                    let sample_count = d.get_u64()?;
-                    let sum_secs = d.get_f64()?;
-                    let buckets_len = d.get_u32()? as usize;
-                    if buckets_len > d.remaining() / 8 + 1 {
-                        return Err(NetSolveError::Protocol("bucket count too large".into()));
-                    }
-                    let mut buckets = Vec::with_capacity(buckets_len);
-                    for _ in 0..buckets_len {
-                        buckets.push(d.get_u64()?);
-                    }
-                    let (exemplars, max_exemplar) = if version >= 6 {
-                        let xlen = d.get_u32()? as usize;
-                        if xlen > d.remaining() / 16 + 1 {
-                            return Err(NetSolveError::Protocol(
-                                "exemplar count too large".into(),
-                            ));
-                        }
-                        let mut exemplars = Vec::with_capacity(xlen);
-                        for _ in 0..xlen {
-                            exemplars.push(Self::get_u128(d)?);
-                        }
-                        (exemplars, Self::get_u128(d)?)
-                    } else {
-                        (Vec::new(), 0)
-                    };
-                    histograms.push(HistogramSnapshot {
-                        name,
-                        count: sample_count,
-                        sum_secs,
-                        buckets,
-                        exemplars,
-                        max_exemplar,
-                    });
-                }
-                Message::StatsReply(StatsSnapshot { component, counters, gauges, histograms })
-            }
-            23 => Message::TraceQuery { trace_id: Self::get_u128(d)? },
-            24 => {
-                let component = d.get_string()?;
-                let count = d.get_u32()? as usize;
-                // Minimum wire size of one span record: seven u64 words,
-                // three (possibly empty) strings.
-                if count > d.remaining() / 68 + 1 {
-                    return Err(NetSolveError::Protocol("span count too large".into()));
-                }
-                let mut spans = Vec::with_capacity(count);
-                for _ in 0..count {
-                    spans.push(SpanRecord {
-                        trace_id: Self::get_u128(d)?,
-                        span_id: d.get_u64()?,
-                        parent_span: d.get_u64()?,
-                        request_id: d.get_u64()?,
-                        component: d.get_string()?,
-                        phase: d.get_string()?,
-                        start_unix_nanos: d.get_u64()?,
-                        end_unix_nanos: d.get_u64()?,
-                        detail: d.get_string()?,
-                    });
-                }
-                Message::TraceReply { component, spans }
-            }
-            25 => {
-                let from_agent = d.get_string()?;
-                let count = d.get_u32()? as usize;
-                // Minimum wire size of one entry: five 8-byte words plus
-                // four (possibly empty) strings.
-                if count > d.remaining() / 56 + 1 {
-                    return Err(NetSolveError::Protocol("gossip entry count too large".into()));
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let origin_agent = d.get_string()?;
-                    let host = d.get_string()?;
-                    let address = d.get_string()?;
-                    let mflops = d.get_f64()?;
-                    let pcount = d.get_u32()? as usize;
-                    if pcount > d.remaining() / 4 + 1 {
-                        return Err(NetSolveError::Protocol(
-                            "gossip problem count too large".into(),
-                        ));
-                    }
-                    let mut problems = Vec::with_capacity(pcount);
-                    for _ in 0..pcount {
-                        problems.push(d.get_string()?);
-                    }
-                    entries.push(GossipEntry {
-                        origin_agent,
-                        host,
-                        address,
-                        mflops,
-                        problems,
-                        pdl_source: d.get_string()?,
-                        workload: d.get_f64()?,
-                        age_secs: d.get_f64()?,
-                    });
-                }
-                let digests =
-                    if version >= 6 { Self::decode_digests(d)? } else { Vec::new() };
-                Message::GossipSync { from_agent, entries, digests }
-            }
-            26 => Message::GossipAck {
-                merged: d.get_u32()?,
-                refreshed: d.get_u32()?,
-                conflicts: d.get_u32()?,
-            },
-            27 => Message::FleetStatsQuery,
-            28 => Message::FleetStatsReply { digests: Self::decode_digests(d)? },
-            15 => Message::Error { code: d.get_u32()?, detail: d.get_string()? },
-            other => {
-                return Err(NetSolveError::Protocol(format!("unknown message tag {other}")))
-            }
-        })
-    }
-
-    /// Two big-endian u64 words, high first, as one 128-bit id.
-    fn get_u128<S: XdrSource>(d: &mut S) -> Result<u128> {
-        let hi = d.get_u64()?;
-        let lo = d.get_u64()?;
-        Ok(((hi as u128) << 64) | lo as u128)
-    }
-
-    /// The 128-bit id counterpart of [`Self::get_u128`].
-    fn put_u128(e: &mut Encoder<'_>, x: u128) {
-        e.put_u64((x >> 64) as u64);
-        e.put_u64(x as u64);
-    }
-
-    /// The digest leg shared by `GossipSync` (v6 piggyback) and
-    /// `FleetStatsReply`.
-    fn encode_digests(e: &mut Encoder<'_>, digests: &[StatsDigest]) {
-        e.put_u32(digests.len() as u32);
-        for dg in digests {
-            e.put_string(&dg.origin);
-            e.put_string(&dg.component);
-            e.put_f64(dg.age_secs);
-            e.put_f64(dg.window_secs);
-            e.put_u32(dg.counters.len() as u32);
-            for (name, rate) in &dg.counters {
-                e.put_string(name);
-                e.put_f64(*rate);
-            }
-            e.put_u32(dg.gauges.len() as u32);
-            for (name, value) in &dg.gauges {
-                e.put_string(name);
-                e.put_u64(*value as u64); // two's complement on the wire
-            }
-            e.put_u32(dg.quantiles.len() as u32);
-            for q in &dg.quantiles {
-                e.put_string(&q.name);
-                e.put_u64(q.count);
-                e.put_f64(q.p50_secs);
-                e.put_f64(q.p95_secs);
-                e.put_f64(q.p99_secs);
-                Self::put_u128(e, q.p99_exemplar);
-            }
-        }
-    }
-
-    fn decode_digests<S: XdrSource>(d: &mut S) -> Result<Vec<StatsDigest>> {
-        let count = d.get_u32()? as usize;
-        // Minimum wire size of one digest: two 8-byte floats, three
-        // 4-byte counts, two (possibly empty) strings.
-        if count > d.remaining() / 36 + 1 {
-            return Err(NetSolveError::Protocol("digest count too large".into()));
-        }
-        let mut digests = Vec::with_capacity(count);
-        for _ in 0..count {
-            let origin = d.get_string()?;
-            let component = d.get_string()?;
-            let age_secs = d.get_f64()?;
-            let window_secs = d.get_f64()?;
-            let ccount = d.get_u32()? as usize;
-            if ccount > d.remaining() / 12 + 1 {
-                return Err(NetSolveError::Protocol("digest counter count too large".into()));
-            }
-            let mut counters = Vec::with_capacity(ccount);
-            for _ in 0..ccount {
-                counters.push((d.get_string()?, d.get_f64()?));
-            }
-            let gcount = d.get_u32()? as usize;
-            if gcount > d.remaining() / 12 + 1 {
-                return Err(NetSolveError::Protocol("digest gauge count too large".into()));
-            }
-            let mut gauges = Vec::with_capacity(gcount);
-            for _ in 0..gcount {
-                gauges.push((d.get_string()?, d.get_u64()? as i64));
-            }
-            let qcount = d.get_u32()? as usize;
-            // One quantile row: name + count + three f64 + u128 ≥ 52 bytes.
-            if qcount > d.remaining() / 52 + 1 {
-                return Err(NetSolveError::Protocol("digest quantile count too large".into()));
-            }
-            let mut quantiles = Vec::with_capacity(qcount);
-            for _ in 0..qcount {
-                quantiles.push(DigestQuantiles {
-                    name: d.get_string()?,
-                    count: d.get_u64()?,
-                    p50_secs: d.get_f64()?,
-                    p95_secs: d.get_f64()?,
-                    p99_secs: d.get_f64()?,
-                    p99_exemplar: Self::get_u128(d)?,
-                });
-            }
-            digests.push(StatsDigest {
-                origin,
-                component,
-                age_secs,
-                window_secs,
-                counters,
-                gauges,
-                quantiles,
-            });
-        }
-        Ok(digests)
-    }
-
-    fn decode_query_shape<S: XdrSource>(d: &mut S, version: u32) -> Result<QueryShape> {
-        Ok(QueryShape {
-            client_host: d.get_u64()?,
-            problem: d.get_string()?,
-            n: d.get_u64()?,
-            bytes_in: d.get_u64()?,
-            bytes_out: d.get_u64()?,
-            trace_id: if version >= 3 { Self::get_u128(d)? } else { 0 },
-            parent_span: if version >= 3 { d.get_u64()? } else { 0 },
-        })
     }
 }
 
@@ -1214,26 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn every_variant_roundtrips() {
-        for msg in samples() {
-            let bytes = msg.encode();
-            let back = Message::decode(&bytes)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", msg.name()));
-            assert_eq!(back, msg, "{} roundtrip", msg.name());
-        }
-    }
-
-    #[test]
-    fn tags_are_unique() {
-        let mut tags: Vec<u32> = samples().iter().map(|m| m.tag()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        // RegisterAck, RequestReply, StatsReply, TraceQuery, TraceReply,
-        // GossipSync and FleetStatsReply each appear twice in samples
-        assert_eq!(tags.len(), samples().len() - 7);
-    }
-
-    #[test]
     fn v2_payloads_decode_with_zeroed_trace_context() {
         let submit = Message::RequestSubmit {
             request_id: 7,
@@ -1398,16 +796,125 @@ mod tests {
         assert!(Message::decode(&bytes).is_err());
     }
 
+    /// CRC-32 of the concatenated `samples()` payloads at wire v1..=v6,
+    /// generated at the last commit with a hand-written codec (PR 14).
+    /// A mismatch means the bytes on the wire changed: bump `VERSION`
+    /// or revert, never edit a pin to fit.
+    const WIRE_PINS: [u32; 6] =
+        [0x09a5_c737, 0x9ba5_f162, 0x6920_c169, 0x6920_c169, 0x524b_4ebe, 0x4683_0e19];
+
     #[test]
-    fn truncation_rejected() {
-        for msg in samples() {
-            let bytes = msg.encode();
-            if bytes.len() > 4 {
-                assert!(
-                    Message::decode(&bytes[..bytes.len() - 3]).is_err(),
-                    "{} accepted truncated payload",
-                    msg.name()
-                );
+    fn wire_bytes_are_pinned_at_every_version() {
+        for (version, pin) in (1..).zip(WIRE_PINS) {
+            let per_sample: Vec<Vec<u8>> =
+                samples().iter().map(|m| m.encode_versioned(version)).collect();
+            let got = netsolve_xdr::crc32(&per_sample.concat());
+            if got != pin {
+                for (m, bytes) in samples().iter().zip(&per_sample) {
+                    eprintln!("v{version} {:>2} {:<24} {:#010x}", m.tag(), m.name(), netsolve_xdr::crc32(bytes));
+                }
+                panic!("wire v{version} bytes drifted: crc {got:#010x}, pinned {pin:#010x}");
+            }
+        }
+    }
+
+    /// Every sample at every version: both routes decode it, the decode
+    /// re-encodes to the same bytes (and at the current version equals the
+    /// sample), and every proper prefix is an error — never a panic, never
+    /// a shorter message — on both routes.
+    #[test]
+    fn every_version_reencodes_and_every_prefix_is_rejected() {
+        fn stream_decode(bytes: &[u8], version: u32) -> Result<Message> {
+            let mut r = bytes;
+            let mut sd = netsolve_xdr::StreamDecoder::new(&mut r, bytes.len(), 64);
+            let msg = Message::decode_body(&mut sd, version)?;
+            match sd.remaining() {
+                0 => Ok(msg),
+                n => Err(NetSolveError::Protocol(format!("{n} trailing bytes"))),
+            }
+        }
+        for version in 1..=crate::frame::VERSION {
+            for msg in samples() {
+                let bytes = msg.encode_versioned(version);
+                let back = Message::decode_versioned(&bytes, version)
+                    .unwrap_or_else(|e| panic!("{} v{version} failed: {e}", msg.name()));
+                assert_eq!(back.encode_versioned(version), bytes, "{} v{version}", msg.name());
+                if version == crate::frame::VERSION {
+                    assert_eq!(back, msg, "{} roundtrip", msg.name());
+                }
+                assert_eq!(stream_decode(&bytes, version).unwrap(), back, "{} v{version}", msg.name());
+                for cut in 0..bytes.len() {
+                    assert!(
+                        Message::decode_versioned(&bytes[..cut], version).is_err(),
+                        "{} v{version} accepted a {cut}-byte prefix",
+                        msg.name()
+                    );
+                    assert!(
+                        stream_decode(&bytes[..cut], version).is_err(),
+                        "{} v{version} streamed a {cut}-byte prefix",
+                        msg.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The count bound divides by each item's shortest encoding, so a list
+    /// of shortest items is the input that trips a divisor set too high
+    /// (the hand-written `GossipEntry` guard said 56 for a 44-byte
+    /// minimum and refused five empty entries).
+    #[test]
+    fn lists_of_shortest_items_pass_the_count_bound() {
+        let n = 50;
+        let entry = GossipEntry {
+            origin_agent: String::new(),
+            host: String::new(),
+            address: String::new(),
+            mflops: 0.0,
+            problems: vec![],
+            pdl_source: String::new(),
+            workload: 0.0,
+            age_secs: 0.0,
+        };
+        let info = ServerInfo {
+            server_id: 0,
+            host: String::new(),
+            address: String::new(),
+            mflops: 0.0,
+            workload: 0.0,
+            down: false,
+            problems: 0,
+        };
+        let candidate = Candidate { server_id: 0, address: String::new(), predicted_secs: 0.0 };
+        let quantiles = StatsDigest {
+            quantiles: vec![DigestQuantiles::default(); n],
+            counters: vec![(String::new(), 0.0); n],
+            ..StatsDigest::default()
+        };
+        let msgs = [
+            Message::GossipSync {
+                from_agent: String::new(),
+                entries: vec![entry; n],
+                digests: vec![StatsDigest::default(); n],
+            },
+            Message::ServerInfoList { servers: vec![info; n] },
+            Message::ServerList { candidates: vec![candidate; n] },
+            Message::ProblemCatalogue { names: vec![String::new(); n] },
+            Message::TraceReply { component: String::new(), spans: vec![SpanRecord::default(); n] },
+            Message::FleetStatsReply { digests: vec![quantiles] },
+            Message::StatsReply(StatsSnapshot {
+                component: String::new(),
+                counters: vec![(String::new(), 0); n],
+                gauges: vec![(String::new(), 0); n],
+                histograms: vec![HistogramSnapshot::default(); n],
+            }),
+        ];
+        for version in 1..=crate::frame::VERSION {
+            for msg in &msgs {
+                let bytes = msg.encode_versioned(version);
+                let back = Message::decode_versioned(&bytes, version)
+                    .unwrap_or_else(|e| panic!("{} v{version}: {e}", msg.name()));
+                assert_eq!(back.encode_versioned(version), bytes, "{} v{version}", msg.name());
             }
         }
     }

@@ -745,6 +745,34 @@ pub trait XdrSource {
     }
 }
 
+/// Decode a counted list — a `u32` count, then that many items — the one
+/// place a count read off the wire turns into an allocation.
+/// `min_item_bytes` is the fewest bytes one item can occupy: a count the
+/// remaining payload cannot hold is rejected before any item is read.
+/// [`XdrSource::remaining`] on a streaming source includes bytes the frame
+/// header merely *claims*, so that test alone would let a lying header
+/// reserve `count` elements; the vector therefore starts at no more than
+/// [`STREAM_INIT_ALLOC`] bytes and grows only as items actually decode.
+pub fn decode_list<S: XdrSource, T>(
+    d: &mut S,
+    min_item_bytes: usize,
+    what: &str,
+    mut item: impl FnMut(&mut S) -> Result<T>,
+) -> Result<Vec<T>> {
+    let count = d.get_u32()? as usize;
+    if count > d.remaining() / min_item_bytes.max(1) + 1 {
+        return Err(NetSolveError::Protocol(format!(
+            "{what} count {count} too large for {} remaining bytes",
+            d.remaining()
+        )));
+    }
+    let mut out = Vec::with_capacity(count.min(STREAM_INIT_ALLOC / std::mem::size_of::<T>().max(1)));
+    for _ in 0..count {
+        out.push(item(d)?);
+    }
+    Ok(out)
+}
+
 impl XdrSource for Decoder<'_> {
     fn get_u32(&mut self) -> Result<u32> {
         Decoder::get_u32(self)

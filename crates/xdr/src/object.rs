@@ -9,7 +9,7 @@ use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::matrix::Matrix;
 use netsolve_core::sparse::CsrMatrix;
 
-use crate::codec::{Encoder, XdrSource};
+use crate::codec::{decode_list, Encoder, XdrSource};
 
 /// Encode one data object.
 pub fn encode_object(e: &mut Encoder<'_>, obj: &DataObject) {
@@ -82,21 +82,10 @@ pub fn encode_objects(e: &mut Encoder<'_>, objs: &[DataObject]) {
     }
 }
 
-/// Decode a list of objects.
+/// Decode a list of objects. Each object needs at least its 4-byte tag
+/// on the wire, which is the bound [`decode_list`] holds the count to.
 pub fn decode_objects<S: XdrSource>(d: &mut S) -> Result<Vec<DataObject>> {
-    let count = d.get_u32()? as usize;
-    // Each object needs at least its 4-byte tag on the wire, so `count`
-    // cannot honestly exceed the remaining bytes / 4: cheap DoS guard.
-    if count > d.remaining() / 4 + 1 {
-        return Err(NetSolveError::Protocol(format!(
-            "object count {count} impossible for remaining payload"
-        )));
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(decode_object(d)?);
-    }
-    Ok(out)
+    decode_list(d, 4, "object", decode_object)
 }
 
 /// Convenience: marshal a whole object list to bytes.

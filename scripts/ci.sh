@@ -11,6 +11,9 @@ cargo build --release --workspace
 echo "=== build (all bins, incl. netsl-stats and netsl-trace) ==="
 cargo build --bins
 
+echo "=== non-test lines per crate (what a refactor PR quotes; not a gate) ==="
+scripts/loc.sh
+
 echo "=== tests ==="
 cargo test -q
 cargo test --workspace -q

@@ -1,0 +1,101 @@
+//! Regression: a list count read off the wire must not become an
+//! allocation before the items behind it arrive. On the chunked route
+//! `remaining()` counts bytes the frame header merely claims, so a
+//! 32-byte frame under a lying 512 MiB length used to pass the count guard
+//! and reserve 11.8 GB (`Vec<DataObject>`) or 3.2 GB (`Vec<String>`) —
+//! one unauthenticated frame killing a daemon. This binary has its own
+//! `#[global_allocator]`, which is why it is not part of another test file.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use netsolve::proto::frame::MAGIC;
+use netsolve::proto::{FrameReader, MAX_FRAME_PAYLOAD};
+use netsolve::xdr::{crc32, Encoder};
+
+/// Largest single request the allocator has seen since the last reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+struct Recording;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a relaxed atomic max, which allocates nothing.
+unsafe impl GlobalAlloc for Recording {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Recording = Recording;
+
+/// A payload that ends right after a list count sized to pass the
+/// `count <= remaining / 4 + 1` guard under a 512 MiB header.
+fn payload_ending_in_huge_count(head: impl FnOnce(&mut Encoder<'_>)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    head(&mut e);
+    e.put_u32((MAX_FRAME_PAYLOAD / 4 - 16) as u32);
+    e.into_bytes()
+}
+
+fn frame(version: u32, claimed_len: usize, payload: &[u8], with_crc: bool) -> Vec<u8> {
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&MAGIC.to_be_bytes());
+    wire.extend_from_slice(&version.to_be_bytes());
+    wire.extend_from_slice(&(claimed_len as u32).to_be_bytes());
+    wire.extend_from_slice(payload);
+    if with_crc {
+        wire.extend_from_slice(&crc32(payload).to_be_bytes());
+    }
+    wire
+}
+
+#[test]
+fn a_wire_count_never_sizes_an_allocation() {
+    // v1 RequestSubmit: request_id, problem (empty), then the operand count.
+    let submit = payload_ending_in_huge_count(|e| {
+        e.put_u32(11);
+        e.put_u64(7);
+        e.put_string("");
+    });
+    // ProblemCatalogue: just the name count.
+    let catalogue = payload_ending_in_huge_count(|e| e.put_u32(7));
+    assert_eq!((submit.len() + 12, catalogue.len() + 12), (32, 20));
+
+    for (name, version, payload) in [
+        ("RequestSubmit", 1, &submit),
+        ("ProblemCatalogue", 6, &catalogue),
+    ] {
+        let cases = [
+            // Lying header: the chunked route, payload cut off after the count.
+            (
+                "lying 512 MiB header",
+                frame(version, MAX_FRAME_PAYLOAD, payload, false),
+            ),
+            // Honest header and CRC: the buffered route sees the real length.
+            (
+                "honest header",
+                frame(version, payload.len(), payload, true),
+            ),
+        ];
+        for (case, wire) in cases {
+            LARGEST.store(0, Ordering::Relaxed);
+            let outcome = FrameReader::default().read_from(&mut &wire[..]);
+            let largest = LARGEST.load(Ordering::Relaxed);
+            assert!(outcome.is_err(), "{name}, {case}: decoded {outcome:?}");
+            assert!(
+                largest <= 1024 * 1024,
+                "{name}, {case}: a {}-byte frame made the decoder request {largest} bytes at once",
+                wire.len()
+            );
+        }
+    }
+}

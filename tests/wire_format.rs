@@ -87,36 +87,81 @@ fn data_object_tags_are_pinned() {
     }
 }
 
+/// Every tag and its name, whole: compared against the wire table's
+/// `Message::SCHEMA`, so a renumbered, renamed, added or dropped message
+/// fails here.
+const TAGS: [(u32, &str); 28] = [
+    (1, "RegisterServer"),
+    (2, "RegisterAck"),
+    (3, "WorkloadReport"),
+    (4, "ServerQuery"),
+    (5, "ServerList"),
+    (6, "ListProblems"),
+    (7, "ProblemCatalogue"),
+    (8, "DescribeProblem"),
+    (9, "ProblemDescription"),
+    (10, "FailureReport"),
+    (11, "RequestSubmit"),
+    (12, "RequestReply"),
+    (13, "Ping"),
+    (14, "Pong"),
+    (15, "Error"),
+    (16, "CompletionReport"),
+    (17, "ServerQueryForwarded"),
+    (18, "DescribeProblemForwarded"),
+    (19, "ListServers"),
+    (20, "ServerInfoList"),
+    (21, "StatsQuery"),
+    (22, "StatsReply"),
+    (23, "TraceQuery"),
+    (24, "TraceReply"),
+    (25, "GossipSync"),
+    (26, "GossipAck"),
+    (27, "FleetStatsQuery"),
+    (28, "FleetStatsReply"),
+];
+
 #[test]
 fn message_tags_are_pinned() {
-    use netsolve::proto::ServerDescriptor;
-    let cases: Vec<(Message, u32)> = vec![
-        (
-            Message::RegisterServer(ServerDescriptor {
-                server_id: 0,
-                host: String::new(),
-                address: String::new(),
-                mflops: 1.0,
-                problems: vec![],
-                pdl_source: String::new(),
-            }),
-            1,
-        ),
-        (Message::RegisterAck { accepted: true, detail: String::new() }, 2),
-        (Message::WorkloadReport { server_id: 0, workload: 0.0 }, 3),
-        (Message::ListProblems, 6),
-        (Message::Ping, 13),
-        (Message::Pong, 14),
-        (Message::Error { code: 0, detail: String::new() }, 15),
-        (Message::ListServers, 19),
-        (Message::FleetStatsQuery, 27),
-        (Message::FleetStatsReply { digests: vec![] }, 28),
-    ];
-    for (msg, tag) in cases {
-        assert_eq!(msg.tag(), tag, "{} tag drifted", msg.name());
-        let payload = msg.encode();
-        let got = u32::from_be_bytes(payload[0..4].try_into().unwrap());
-        assert_eq!(got, tag);
+    let schema: Vec<(u32, &str)> = Message::SCHEMA.iter().map(|&(tag, name, _)| (tag, name)).collect();
+    assert_eq!(schema, TAGS);
+    assert!(TAGS.iter().map(|&(tag, _)| tag).eq(1..=28), "tags are unique");
+    for (tag, name) in TAGS {
+        // A sample of each tag without writing 28 constructors: at v1 the
+        // shortest body of every message is all zero bytes (empty strings
+        // and lists, `false`, 0).
+        let sample = (0..32)
+            .find_map(|words| {
+                let mut payload = tag.to_be_bytes().to_vec();
+                payload.resize(4 + 4 * words, 0);
+                Message::decode_versioned(&payload, 1).ok()
+            })
+            .unwrap_or_else(|| panic!("tag {tag} ({name}) has no all-zero v1 body"));
+        assert_eq!((sample.tag(), sample.name()), (tag, name));
+        assert_eq!(sample.encode()[0..4], tag.to_be_bytes());
+    }
+}
+
+/// `docs/PROTOCOL.md` §4 against the wire table: the row for every tag
+/// names every field of that message, marked `(vN)` when the field joined
+/// the wire at version N > 1.
+#[test]
+fn protocol_doc_names_every_field_of_every_message() {
+    let doc = include_str!("../docs/PROTOCOL.md");
+    for &(tag, name, fields) in Message::SCHEMA {
+        let head = format!("| {tag} | {name} |");
+        let row = doc
+            .lines()
+            .find(|line| line.starts_with(&head))
+            .unwrap_or_else(|| panic!("PROTOCOL.md has no row `{head}`"));
+        for &(field, since) in fields {
+            let cell = if since > 1 { format!(" {field} (v{since})") } else { format!(" {field}") };
+            let named = row.match_indices(&cell).any(|(at, _)| {
+                // `problem` must not be satisfied by `problems`.
+                !row[at + cell.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
+            });
+            assert!(named, "PROTOCOL.md row for tag {tag} ({name}) lacks `{}`", cell.trim());
+        }
     }
 }
 
