@@ -106,20 +106,9 @@ impl AgentCore {
         self.policy
     }
 
-    /// Change the scheduling policy (used by experiment sweeps).
-    pub fn set_policy(&mut self, policy: Policy) {
-        self.policy = policy;
-    }
-
     /// Immutable access to the server registry.
     pub fn registry(&self) -> &ServerRegistry {
         &self.registry
-    }
-
-    /// Mutable access to the network view (the simulator seeds topology
-    /// through this).
-    pub fn network_mut(&mut self) -> &mut NetworkView {
-        &mut self.network
     }
 
     /// Register a server (message-level entry point uses this too).

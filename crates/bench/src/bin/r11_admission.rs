@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netsolve_agent::{AgentCore, AgentDaemon, Policy};
-use netsolve_bench::Table;
+use netsolve_bench::{json_object, write_report, Table};
 use netsolve_client::NetSolveClient;
 use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
 use netsolve_core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
@@ -170,60 +170,6 @@ fn sim_scenario(requests: usize, rate: f64, max_queue: usize) -> Scenario {
     sc
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    requests: usize,
-    rate: f64,
-    baseline_p99: f64,
-    guarded_p99: f64,
-    live: &LiveRun,
-    sim_shed_rate: f64,
-    sim_p99: f64,
-    rel_diff: f64,
-    scale_clients: usize,
-    scale_requests: usize,
-    scale_wall_secs: f64,
-    path: &str,
-) {
-    let improvement = baseline_p99 / guarded_p99.max(1e-9);
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"r11_admission\",\n");
-    out.push_str(
-        "  \"description\": \"One capacity-1 synthetic server under 4x Poisson overload, \
-         single-attempt ddot clients. The SAME AdmissionPolicy code gates the live solve-slot \
-         queue and the simulator's per-server queue; shed rates on both sides are read from the \
-         policy's own counters. Baseline = identical gate with an effectively infinite queue \
-         bound (same FCFS discipline, zero sheds).\",\n",
-    );
-    out.push_str(&format!(
-        "  \"live\": {{\"requests\": {requests}, \"arrival_rate_per_sec\": {rate}, \
-         \"service_ms\": {:.1}, \"max_queue\": {MAX_QUEUE}, \
-         \"baseline_p99_secs\": {baseline_p99:.6}, \"admission_p99_secs\": {guarded_p99:.6}, \
-         \"p99_improvement\": {improvement:.2}, \"admitted_ok\": {}, \"shed_replies\": {}, \
-         \"decisions\": {}, \"sheds\": {}, \"shed_rate\": {:.6}}},\n",
-        2.0 * N as f64 / (MFLOPS * 1e6) * 1e3,
-        live.ok_latencies.len(),
-        live.shed_replies,
-        live.decisions,
-        live.sheds,
-        live.shed_rate,
-    ));
-    out.push_str(&format!(
-        "  \"sim\": {{\"shed_rate\": {sim_shed_rate:.6}, \"admitted_p99_secs\": {sim_p99:.6}}},\n"
-    ));
-    out.push_str(&format!("  \"shed_rate_rel_diff\": {rel_diff:.4},\n"));
-    out.push_str(&format!("  \"sim_live_agreement_within_15pct\": {},\n", rel_diff <= 0.15));
-    out.push_str(&format!("  \"admitted_p99_at_least_2x_better\": {},\n", improvement >= 2.0));
-    out.push_str(&format!(
-        "  \"scale\": {{\"clients\": {scale_clients}, \"requests\": {scale_requests}, \
-         \"closed_loop_think_secs\": 1.0, \"wall_secs\": {scale_wall_secs:.2}, \
-         \"under_60s\": {}}}\n",
-        scale_wall_secs < 60.0
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write BENCH_r11_admission.json");
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (requests, rate) = if quick { (60, 100.0) } else { (300, 200.0) };
@@ -306,20 +252,52 @@ fn main() {
         return;
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_r11_admission.json");
-    write_json(
-        requests,
-        rate,
-        baseline_p99,
-        guarded_p99,
-        &guarded,
-        sim_stats.shed_rate(),
-        sim_p99,
-        rel_diff,
-        scale_clients,
-        scale_requests,
-        scale_wall,
-        path,
+    let improvement = baseline_p99 / guarded_p99.max(1e-9);
+    write_report(
+        "r11_admission",
+        "One capacity-1 synthetic server under 4x Poisson overload, single-attempt ddot clients. \
+         The SAME AdmissionPolicy code gates the live solve-slot queue and the simulator's \
+         per-server queue; shed rates on both sides are read from the policy's own counters. \
+         Baseline = identical gate with an effectively infinite queue bound (same FCFS \
+         discipline, zero sheds).",
+        &[
+            (
+                "live",
+                json_object(&[
+                    ("requests", requests.to_string()),
+                    ("arrival_rate_per_sec", rate.to_string()),
+                    ("service_ms", format!("{:.1}", 2.0 * N as f64 / (MFLOPS * 1e6) * 1e3)),
+                    ("max_queue", MAX_QUEUE.to_string()),
+                    ("baseline_p99_secs", format!("{baseline_p99:.6}")),
+                    ("admission_p99_secs", format!("{guarded_p99:.6}")),
+                    ("p99_improvement", format!("{improvement:.2}")),
+                    ("admitted_ok", guarded.ok_latencies.len().to_string()),
+                    ("shed_replies", guarded.shed_replies.to_string()),
+                    ("decisions", guarded.decisions.to_string()),
+                    ("sheds", guarded.sheds.to_string()),
+                    ("shed_rate", format!("{:.6}", guarded.shed_rate)),
+                ]),
+            ),
+            (
+                "sim",
+                json_object(&[
+                    ("shed_rate", format!("{:.6}", sim_stats.shed_rate())),
+                    ("admitted_p99_secs", format!("{sim_p99:.6}")),
+                ]),
+            ),
+            ("shed_rate_rel_diff", format!("{rel_diff:.4}")),
+            ("sim_live_agreement_within_15pct", (rel_diff <= 0.15).to_string()),
+            ("admitted_p99_at_least_2x_better", (improvement >= 2.0).to_string()),
+            (
+                "scale",
+                json_object(&[
+                    ("clients", scale_clients.to_string()),
+                    ("requests", scale_requests.to_string()),
+                    ("closed_loop_think_secs", "1.0".into()),
+                    ("wall_secs", format!("{scale_wall:.2}")),
+                    ("under_60s", (scale_wall < 60.0).to_string()),
+                ]),
+            ),
+        ],
     );
-    println!("wrote {path}");
 }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netsolve_agent::{AgentCore, AgentDaemon, Policy};
-use netsolve_bench::Table;
+use netsolve_bench::{write_report, Table};
 use netsolve_client::NetSolveClient;
 use netsolve_core::config::{AgentConfig, GossipPolicy, TelemetryPolicy};
 use netsolve_core::DataObject;
@@ -210,41 +210,6 @@ fn measure_convergence(
     (max_age, max_age / gossip_interval_secs)
 }
 
-fn write_json(
-    off_secs: f64,
-    on_secs: f64,
-    overhead_percent: f64,
-    gossip_interval_secs: f64,
-    max_age_secs: f64,
-    intervals: f64,
-    path: &str,
-) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"r12_fleet_obs\",\n");
-    out.push_str(
-        "  \"description\": \"Client-observed netsl(ddot) seconds through a live \
-         agent+server trio with fleet telemetry enabled (50 ms sampler tick, digests \
-         on) vs disabled; plus worst observed remote-digest age at a federated peer, \
-         in gossip intervals\",\n",
-    );
-    out.push_str(&format!(
-        "  \"telemetry_off_secs_per_call\": {off_secs:.9},\n  \
-         \"telemetry_on_secs_per_call\": {on_secs:.9},\n  \
-         \"overhead_percent\": {overhead_percent:.3},\n  \
-         \"within_5_percent\": {},\n",
-        overhead_percent < 5.0
-    ));
-    out.push_str(&format!(
-        "  \"gossip_interval_secs\": {gossip_interval_secs:.3},\n  \
-         \"max_remote_digest_age_secs\": {max_age_secs:.4},\n  \
-         \"convergence_gossip_intervals\": {intervals:.3},\n  \
-         \"converged_within_2_intervals\": {}\n",
-        intervals <= 2.0
-    ));
-    out.push_str("}\n");
-    std::fs::write(path, out).expect("write BENCH_r12_fleet_obs.json");
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (repeats, rounds, samples) = if quick { (300, 3, 10) } else { (1_500, 6, 40) };
@@ -277,7 +242,20 @@ fn main() {
         return;
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_r12_fleet_obs.json");
-    write_json(off_secs, on_secs, overhead, gossip_interval, max_age, intervals, path);
-    println!("wrote {path}");
+    write_report(
+        "r12_fleet_obs",
+        "Client-observed netsl(ddot) seconds through a live agent+server trio with fleet \
+         telemetry enabled (50 ms sampler tick, digests on) vs disabled; plus worst observed \
+         remote-digest age at a federated peer, in gossip intervals",
+        &[
+            ("telemetry_off_secs_per_call", format!("{off_secs:.9}")),
+            ("telemetry_on_secs_per_call", format!("{on_secs:.9}")),
+            ("overhead_percent", format!("{overhead:.3}")),
+            ("within_5_percent", (overhead < 5.0).to_string()),
+            ("gossip_interval_secs", format!("{gossip_interval:.3}")),
+            ("max_remote_digest_age_secs", format!("{max_age:.4}")),
+            ("convergence_gossip_intervals", format!("{intervals:.3}")),
+            ("converged_within_2_intervals", (intervals <= 2.0).to_string()),
+        ],
+    );
 }

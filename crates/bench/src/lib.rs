@@ -3,8 +3,9 @@
 //! The experiment harness regenerating every reconstructed table and
 //! figure of the NetSolve evaluation (R1–R8 in DESIGN.md). Each
 //! experiment is a binary under `src/bin/`; criterion micro-benchmarks
-//! live under `benches/`. This library holds the shared table/series
-//! printing utilities so every experiment reports in the same format.
+//! live under `benches/`. This library holds the shared table printer
+//! and `results/` report writer so every experiment reports in the same
+//! format.
 
 #![warn(missing_docs)]
 
@@ -57,18 +58,29 @@ impl Table {
             println!("{}", line.join("  "));
         }
     }
+}
 
-    /// Render as CSV (for plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
+/// Write `results/BENCH_<experiment>.json`: `experiment`, `description`
+/// (plain text, no quotes or backslashes), then `fields` in order. Values
+/// are already-rendered JSON — numbers and booleans via `format!`, nested
+/// objects via [`json_object`] — so each experiment keeps its own
+/// precision.
+pub fn write_report(experiment: &str, description: &str, fields: &[(&str, String)]) {
+    let path = format!("{}/../../results/BENCH_{experiment}.json", env!("CARGO_MANIFEST_DIR"));
+    let mut lines = vec![
+        format!("  \"experiment\": \"{experiment}\""),
+        format!("  \"description\": \"{description}\""),
+    ];
+    lines.extend(fields.iter().map(|(key, value)| format!("  \"{key}\": {value}")));
+    std::fs::write(&path, format!("{{\n{}\n}}\n", lines.join(",\n")))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// An inline JSON object from already-rendered values.
+pub fn json_object(fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields.iter().map(|(key, value)| format!("\"{key}\": {value}")).collect();
+    format!("{{{}}}", body.join(", "))
 }
 
 /// Format seconds compactly for table cells.
@@ -100,13 +112,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_prints_and_csvs() {
+    fn table_prints() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         t.row(vec!["30".into(), "4".into()]);
         t.print(); // must not panic
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n1,2\n30,4\n");
     }
 
     #[test]
@@ -114,6 +124,13 @@ mod tests {
     fn row_arity_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn json_objects_nest_inline() {
+        let inner = json_object(&[("n", "3".into()), ("ok", "true".into())]);
+        assert_eq!(inner, "{\"n\": 3, \"ok\": true}");
+        assert_eq!(json_object(&[("inner", inner)]), "{\"inner\": {\"n\": 3, \"ok\": true}}");
     }
 
     #[test]

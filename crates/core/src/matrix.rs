@@ -139,11 +139,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into column-major storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow column `c` as a contiguous slice.
     pub fn col(&self, c: usize) -> &[f64] {
         assert!(c < self.cols, "column {c} out of range");

@@ -65,12 +65,6 @@ impl ChannelNetwork {
         }
     }
 
-    /// Replace the link model for subsequent traffic (existing connections
-    /// see the new parameters immediately — the model is sampled per send).
-    pub fn set_link(&self, link: LinkModel) {
-        *self.link.lock() = link;
-    }
-
     /// Current link model.
     pub fn link(&self) -> LinkModel {
         *self.link.lock()

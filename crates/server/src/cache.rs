@@ -91,12 +91,6 @@ pub fn solve_key(problem: &str, inputs: &[DataObject]) -> u128 {
 /// `server.cache_bypass_nondet`.
 const NONDETERMINISTIC_PROBLEMS: &[&str] = &["quad_mc"];
 
-/// Whether `problem`'s outputs are a pure function of its inputs (and
-/// its replies therefore safe to cache and coalesce).
-pub fn is_deterministic(problem: &str) -> bool {
-    !NONDETERMINISTIC_PROBLEMS.contains(&problem)
-}
-
 /// One cached reply: the marshaled outputs, the original solve's compute
 /// seconds, and the CRC-32 stamped over the bytes at insert time.
 struct Entry {
@@ -177,18 +171,15 @@ impl LeaderToken {
     /// nothing is cached, so the next identical request re-runs.
     pub fn complete_err(mut self, err: &NetSolveError) {
         self.published = true;
-        self.cache.publish_err(self.key, err.code(), err.detail().to_string());
+        self.cache.finish(self.key, Err((err.code(), err.detail().to_string())));
     }
 }
 
 impl Drop for LeaderToken {
     fn drop(&mut self) {
         if !self.published {
-            self.cache.publish_err(
-                self.key,
-                NetSolveError::Internal(String::new()).code(),
-                "coalesced solve abandoned by its leader".into(),
-            );
+            let code = NetSolveError::Internal(String::new()).code();
+            self.cache.finish(self.key, Err((code, "coalesced solve abandoned by its leader".into())));
         }
     }
 }
@@ -283,22 +274,17 @@ impl SolveCache {
         }
     }
 
-    /// The byte budget this cache evicts under.
-    pub fn byte_budget(&self) -> usize {
-        self.shared.byte_budget
-    }
-
     /// Whether `problem` must bypass the cache because its outputs are
     /// non-deterministic. A `true` return counts one bypass under
     /// `server.cache_bypass_nondet`; the caller must then skip both the
     /// lookup *and* the coalescing path — joining a non-deterministic
     /// solve would alias what are semantically independent draws.
     pub fn bypass_nondet(&self, problem: &str) -> bool {
-        if is_deterministic(problem) {
-            return false;
+        let nondet = NONDETERMINISTIC_PROBLEMS.contains(&problem);
+        if nondet {
+            self.shared.m.bypass_nondet.inc();
         }
-        self.shared.m.bypass_nondet.inc();
-        true
+        nondet
     }
 
     /// Look up `key`: serve a verified hit, join an in-flight identical
@@ -331,39 +317,20 @@ impl SolveCache {
         Probe::Leader(LeaderToken { cache: Arc::clone(&self.shared), key, published: false })
     }
 
-    /// Test hook: flip one byte inside some cached entry's stored reply
-    /// *without* touching its insert CRC, emulating in-memory corruption.
-    /// Returns how many entries were corrupted (0 or 1).
+    /// Test hook: flip one byte in the stored reply of up to `limit`
+    /// cached entries *without* touching their insert CRCs, emulating
+    /// in-memory corruption (`usize::MAX`: a whole-store sweep for the
+    /// chaos soak). Returns how many entries were corrupted.
     #[doc(hidden)]
-    pub fn corrupt_one_entry_for_test(&self) -> usize {
-        let mut store = self.shared.store.lock();
-        for entry in store.entries.values_mut() {
-            if !entry.bytes.is_empty() {
-                let mut bytes = (*entry.bytes).clone();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-                entry.bytes = Arc::new(bytes);
-                return 1;
-            }
-        }
-        0
-    }
-
-    /// Test hook: flip one byte in EVERY cached entry's stored reply,
-    /// keeping their insert CRCs — a whole-store corruption sweep for the
-    /// chaos soak. Returns how many entries were corrupted.
-    #[doc(hidden)]
-    pub fn corrupt_all_entries_for_test(&self) -> usize {
+    pub fn corrupt_entries_for_test(&self, limit: usize) -> usize {
         let mut store = self.shared.store.lock();
         let mut corrupted = 0;
-        for entry in store.entries.values_mut() {
-            if !entry.bytes.is_empty() {
-                let mut bytes = (*entry.bytes).clone();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-                entry.bytes = Arc::new(bytes);
-                corrupted += 1;
-            }
+        for entry in store.entries.values_mut().filter(|e| !e.bytes.is_empty()).take(limit) {
+            let mut bytes = (*entry.bytes).clone();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            entry.bytes = Arc::new(bytes);
+            corrupted += 1;
         }
         corrupted
     }
@@ -371,11 +338,6 @@ impl SolveCache {
     /// Current entry count (tests and stats).
     pub fn entries(&self) -> usize {
         self.shared.store.lock().entries.len()
-    }
-
-    /// Current payload bytes held (tests and stats).
-    pub fn bytes(&self) -> usize {
-        self.shared.store.lock().total_bytes
     }
 }
 
@@ -450,10 +412,6 @@ impl Shared {
         // Publish *after* the cache insert so there is no window where a
         // new arrival finds neither the entry nor the in-flight slot.
         self.finish(key, Ok((bytes, compute_secs, crc)));
-    }
-
-    fn publish_err(&self, key: u128, code: u32, detail: String) {
-        self.finish(key, Err((code, detail)));
     }
 
     fn finish(
@@ -611,7 +569,7 @@ mod tests {
             Probe::Leader(t) => t.complete_ok(&[vec_obj(8, 7.0)], 0.1),
             _ => panic!(),
         }
-        assert_eq!(cache.corrupt_one_entry_for_test(), 1);
+        assert_eq!(cache.corrupt_entries_for_test(1), 1);
         // The probe must NOT hit: serve-CRC catches the flip, the entry
         // is dropped, and the caller becomes the leader re-solving.
         match cache.probe(key) {

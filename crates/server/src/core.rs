@@ -1,18 +1,26 @@
-//! The server brain: validate a request against the problem catalogue,
-//! run the solver, time it, and shape the reply.
+//! The server brain: the whole life of a request, stated once.
+//!
+//! [`ServerCore::serve`] is the request path — admit → dequeue → cache
+//! lookup → execute → publish — as one straight-line function whose
+//! stages are the methods below it, in call order. DESIGN.md §4n
+//! tabulates, per stage, how a request can end there and the counter and
+//! span it leaves.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use netsolve_core::admission::AdmissionPolicy;
+use netsolve_core::admission::{
+    format_busy_detail, AdmissionDecision, AdmissionPolicy, ShedReason,
+};
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
+use netsolve_obs::{MetricsRegistry, SpanContext, SpanTimer, Tracer};
 use netsolve_pdl::ProblemRegistry;
 use netsolve_proto::Message;
 use netsolve_solvers::execute;
 
-use crate::cache::{solve_key, Probe, SolveCache};
+use crate::cache::{solve_key, LeaderToken, Probe, SolveCache};
+use crate::gate::{budget_left_ms, AdmissionGate};
 
 /// How the server satisfies requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,19 +45,88 @@ pub struct ServerCore {
     tracer: Arc<Tracer>,
     /// Optional content-addressed solve cache (+ in-flight coalescing).
     cache: Option<SolveCache>,
-    /// Optional admission policy, shared with the daemon's accept-time
-    /// gate. The core runs its dispatch-time checks and feeds observed
-    /// service times back into the policy's per-problem histograms.
-    admission: Option<Arc<AdmissionPolicy>>,
+    /// Optional admission policy and the solve slots it guards.
+    gate: Option<AdmissionGate>,
 }
 
-/// A computed reply plus how long the computation took.
+/// An answered request: the outputs and what they cost to compute.
 #[derive(Debug)]
-pub struct Execution {
+pub struct Solved {
     /// Output objects in catalogue order.
     pub outputs: Vec<DataObject>,
-    /// Wall-clock compute seconds.
+    /// Wall-clock compute seconds of the solve that produced them.
     pub compute_secs: f64,
+    /// Whether they came from the cache (a hit, or a coalesced join)
+    /// rather than from this request's own solve.
+    pub cached: bool,
+}
+
+/// One `RequestSubmit`, borrowed from its message.
+struct Request<'a> {
+    ctx: SpanContext,
+    deadline_ms: u64,
+    problem: &'a str,
+    inputs: &'a [DataObject],
+    received_at: Instant,
+}
+
+/// The three points at which a request's deadline budget can be found
+/// spent. Each keeps its own counter, span phase and message, so an
+/// operator can tell "arrived dead" from "died waiting for a slot" from
+/// "died between slot and dispatch".
+#[derive(Debug, Clone, Copy)]
+enum Expired {
+    AtAdmission,
+    WhileQueued,
+    BeforeExecution,
+}
+
+impl Expired {
+    /// This point's counter, span phase and message tail.
+    fn names(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Expired::AtAdmission => {
+                ("server.admission_shed", "admission_shed", "expired at admission")
+            }
+            Expired::WhileQueued => {
+                ("server.queue_deadline_shed", "queue_deadline_shed", "expired while queued")
+            }
+            Expired::BeforeExecution => {
+                ("server.deadline_shed", "deadline_shed", "expired before execution")
+            }
+        }
+    }
+}
+
+/// A request the server has taken on. Until dropped — on every way out of
+/// [`ServerCore::serve`], error paths included — it holds a solve slot
+/// (when a gate is installed) and counts in `server.active_requests`.
+struct Admitted<'a> {
+    core: &'a ServerCore,
+    received_at: Instant,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        if let Some(gate) = &self.core.gate {
+            gate.release();
+        }
+        self.core.metrics.gauge("server.active_requests").dec();
+        self.core
+            .metrics
+            .histogram("server.request_handle_secs")
+            .record_secs(self.received_at.elapsed().as_secs_f64());
+    }
+}
+
+/// What the cache lookup decided.
+enum Lookup {
+    /// Answered without the solver: a verified hit, or the shared outcome
+    /// of an identical solve that was already in flight.
+    Served(Result<Solved>),
+    /// Run the solver. `leader` is the obligation to publish the outcome to
+    /// the cache and to joined waiters (`None`: no cache, or bypassed).
+    Miss { leader: Option<LeaderToken>, solve_timer: SpanTimer },
 }
 
 impl ServerCore {
@@ -61,7 +138,7 @@ impl ServerCore {
             metrics: Arc::new(MetricsRegistry::new()),
             tracer: Arc::new(Tracer::new()),
             cache: None,
-            admission: None,
+            gate: None,
         }
     }
 
@@ -86,19 +163,26 @@ impl ServerCore {
         self.cache.as_ref()
     }
 
-    /// Install an admission policy. The daemon shares the same `Arc` for
-    /// its accept-time queue gate; the core runs the policy's
-    /// deadline checks at dispatch time and feeds observed service
-    /// seconds into its per-problem histograms after every solve —
-    /// the exact object `netsolve-sim` runs on virtual time.
+    /// Install admission control — the only way to. Requests then pass
+    /// `policy` *before* reserving a solve slot (one slot, until a daemon
+    /// sizes the gate from its `ServerConfig::capacity`): queue-depth shed
+    /// with hysteresis, deadline-aware early reject, and a distinct shed
+    /// for budgets that expire while queued. Observed service seconds feed
+    /// the policy's per-problem histograms after every solve. The caller
+    /// keeps its `Arc` to read the decision counters — it is the exact
+    /// object `netsolve-sim` runs on virtual time.
     pub fn with_admission(mut self, policy: Arc<AdmissionPolicy>) -> Self {
-        self.admission = Some(policy);
+        self.gate = Some(AdmissionGate::new(policy));
         self
     }
 
-    /// The admission policy, if installed via [`ServerCore::with_admission`].
-    pub fn admission(&self) -> Option<&Arc<AdmissionPolicy>> {
-        self.admission.as_ref()
+    /// Size the solve-slot gate (a no-op without admission): how many
+    /// requests solve concurrently is the daemon's deployment config.
+    pub(crate) fn with_solve_slots(mut self, slots: u32) -> Self {
+        if let Some(gate) = &mut self.gate {
+            gate.slots = slots.max(1);
+        }
+        self
     }
 
     /// Server offering the full standard catalogue with real execution.
@@ -109,11 +193,6 @@ impl ServerCore {
     /// The catalogue this server advertises.
     pub fn problems(&self) -> &ProblemRegistry {
         &self.problems
-    }
-
-    /// The execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
     }
 
     /// The registry holding this server's `server.*` instruments. The
@@ -129,222 +208,57 @@ impl ServerCore {
         Arc::clone(&self.tracer)
     }
 
-    /// Validate and execute one request.
-    pub fn run(&self, problem: &str, inputs: &[DataObject]) -> Result<Execution> {
-        let spec = self.problems.require(problem)?;
-        spec.check_inputs(inputs)?;
-        let start = Instant::now();
-        let outputs = match self.mode {
-            ExecutionMode::Real => {
-                let outputs = execute(problem, inputs)?;
-                spec.check_outputs(&outputs).map_err(|e| {
-                    NetSolveError::Internal(format!(
-                        "executor output mismatch for '{problem}': {e}"
-                    ))
-                })?;
-                outputs
-            }
-            ExecutionMode::Synthetic { mflops } => {
-                let n = spec.dominant_dim(inputs);
-                let secs = spec.complexity.seconds_at(n, mflops);
-                // Cap synthetic sleeps so a mis-sized experiment cannot
-                // wedge a test run for hours.
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs.min(30.0)));
-                synthetic_outputs(spec, n)
-            }
-        };
-        Ok(Execution { outputs, compute_secs: start.elapsed().as_secs_f64() })
-    }
-
     /// Protocol-level dispatch: answer one client message.
     pub fn handle_message(&self, msg: &Message) -> Message {
-        self.handle_message_at(msg, Instant::now())
+        self.handle_message_at(msg, Instant::now()).0
     }
 
     /// Like [`ServerCore::handle_message`], but measuring deadline budgets
     /// from `received_at` — the instant the daemon pulled the message off
     /// the wire — so time spent queued behind other work counts against
-    /// the request's deadline.
-    pub fn handle_message_at(&self, msg: &Message, received_at: Instant) -> Message {
+    /// the request's deadline. A `RequestSubmit` also hands back its span
+    /// context, so the daemon can attribute the reply's `encode` span
+    /// without looking inside the request.
+    pub fn handle_message_at(
+        &self,
+        msg: &Message,
+        received_at: Instant,
+    ) -> (Message, Option<SpanContext>) {
+        let Message::RequestSubmit {
+            request_id,
+            deadline_ms,
+            problem,
+            inputs,
+            trace_id,
+            parent_span,
+        } = msg
+        else {
+            return (self.answer_query(msg), None);
+        };
+        // Adopt the wire-propagated trace context: the parent span is the
+        // client's per-attempt span, so retries stitch as distinct subtrees
+        // of one trace.
+        let ctx = SpanContext {
+            trace_id: *trace_id,
+            parent_span: *parent_span,
+            request_id: *request_id,
+        };
+        let req = Request { ctx, deadline_ms: *deadline_ms, problem, inputs, received_at };
+        let reply = match self.serve(&req) {
+            Ok(Solved { outputs, compute_secs, cached }) => Message::RequestReply {
+                request_id: *request_id,
+                outputs,
+                compute_secs,
+                cached,
+            },
+            Err(e) => Message::from_error(&e),
+        };
+        (reply, Some(ctx))
+    }
+
+    /// Everything a server answers that is not a solve.
+    fn answer_query(&self, msg: &Message) -> Message {
         match msg {
-            Message::RequestSubmit {
-                request_id,
-                deadline_ms,
-                problem,
-                inputs,
-                trace_id,
-                parent_span,
-            } => {
-                // Adopt the wire-propagated trace context: the parent span
-                // is the client's per-attempt span, so retries stitch as
-                // distinct subtrees of one trace.
-                let ctx = SpanContext {
-                    trace_id: *trace_id,
-                    parent_span: *parent_span,
-                    request_id: *request_id,
-                };
-                self.metrics.counter("server.requests").inc();
-                // One clock read serves as queue-span end, solve-span
-                // start and the queue histogram sample — keeping the
-                // traced path at two reads per request total.
-                let dispatched = Instant::now();
-                let queued = dispatched.saturating_duration_since(received_at);
-                let queue_timer = self.tracer.start_at(received_at);
-                self.metrics
-                    .histogram("server.queue_secs")
-                    .record_secs_traced(queued.as_secs_f64(), *trace_id);
-                self.tracer.record_at(ctx, queue_timer, dispatched, "server", "queue", String::new());
-                // Shed expired work: if the client's remaining budget was
-                // already consumed before execution starts, nobody is
-                // waiting for this result.
-                // Execution-time backstop, distinct from the daemon's
-                // admission gate: the gate sheds *before* a solve slot is
-                // reserved (counted under `server.queue_deadline_shed` /
-                // `server.admission_shed`); this catches budgets that
-                // expire between slot reservation and dispatch.
-                if *deadline_ms > 0 {
-                    let budget = std::time::Duration::from_millis(*deadline_ms);
-                    if queued >= budget {
-                        self.metrics.counter("server.deadline_shed").inc();
-                        self.tracer.point(
-                            ctx,
-                            "server",
-                            "deadline_shed",
-                            format!("budget={deadline_ms}ms"),
-                        );
-                        return Message::from_error(&NetSolveError::Timeout(format!(
-                            "request {request_id} deadline ({deadline_ms} ms) expired before execution"
-                        )));
-                    }
-                }
-                // Non-deterministic problems (e.g. `quad_mc` drawing
-                // fresh entropy) bypass the cache entirely: a cached or
-                // coalesced reply would alias independent Monte Carlo
-                // draws onto one sample.
-                let cache = match &self.cache {
-                    Some(c) if c.bypass_nondet(problem) => {
-                        self.tracer.point(ctx, "server", "cache_bypass_nondet", String::new());
-                        None
-                    }
-                    other => other.as_ref(),
-                };
-                // Cache + coalesce: hash the canonical encoding and
-                // either serve a verified hit, join an identical solve
-                // already in flight, or lead the solve and publish it.
-                // Exactly one `solve` span exists per unique in-flight
-                // problem — hits and joiners never reach the solver.
-                let leader = match cache {
-                    None => None,
-                    Some(cache) => {
-                        let lookup_timer = self.tracer.start_at(dispatched);
-                        let key = solve_key(problem, inputs);
-                        let probe = cache.probe(key);
-                        let outcome = match &probe {
-                            Probe::Hit { .. } => "hit",
-                            Probe::Leader(_) => "miss",
-                            Probe::Join(_) => "coalesced",
-                        };
-                        self.tracer.record(
-                            ctx,
-                            lookup_timer,
-                            "server",
-                            "cache_lookup",
-                            outcome.to_string(),
-                        );
-                        match probe {
-                            Probe::Hit { outputs, compute_secs } => {
-                                self.tracer.point(ctx, "server", "cache_hit", String::new());
-                                self.metrics.counter("server.requests_ok").inc();
-                                return Message::RequestReply {
-                                    request_id: *request_id,
-                                    outputs,
-                                    compute_secs,
-                                    cached: true,
-                                };
-                            }
-                            Probe::Join(waiter) => {
-                                let wait_timer = self.tracer.start();
-                                let joined = waiter.wait();
-                                let detail = match &joined {
-                                    Ok(_) => String::new(),
-                                    Err(e) => format!("err={e}"),
-                                };
-                                self.tracer.record(
-                                    ctx,
-                                    wait_timer,
-                                    "server",
-                                    "coalesce_wait",
-                                    detail,
-                                );
-                                return match joined {
-                                    Ok((outputs, compute_secs)) => {
-                                        self.metrics.counter("server.requests_ok").inc();
-                                        Message::RequestReply {
-                                            request_id: *request_id,
-                                            outputs,
-                                            compute_secs,
-                                            cached: true,
-                                        }
-                                    }
-                                    Err(e) => {
-                                        self.metrics.counter("server.requests_failed").inc();
-                                        Message::from_error(&e)
-                                    }
-                                };
-                            }
-                            Probe::Leader(token) => Some(token),
-                        }
-                    }
-                };
-                // Without a cache the dispatch clock read still doubles
-                // as the solve-span start (the uncached path keeps its
-                // two-reads-per-request budget — see the r9 experiment);
-                // with one, the lookup sits in between.
-                let solve_timer = if cache.is_some() {
-                    self.tracer.start()
-                } else {
-                    self.tracer.start_at(dispatched)
-                };
-                let run = self.run(problem, inputs);
-                let solve_detail = match &run {
-                    // Success is the hot path: no allocation per event.
-                    // The problem name already rides on the client's
-                    // attempt span, so an empty detail loses nothing.
-                    Ok(_) => String::new(),
-                    Err(e) => format!("problem={problem} err={e}"),
-                };
-                self.tracer.record(ctx, solve_timer, "server", "solve", solve_detail);
-                match run {
-                    Ok(exec) => {
-                        if let Some(token) = leader {
-                            token.complete_ok(&exec.outputs, exec.compute_secs);
-                        }
-                        // Feed the admission policy's per-problem service
-                        // histogram — the basis of its deadline-aware
-                        // early rejects and retry hints.
-                        if let Some(policy) = &self.admission {
-                            policy.observe_service(problem, exec.compute_secs);
-                        }
-                        self.metrics.counter("server.requests_ok").inc();
-                        self.metrics
-                            .histogram("server.compute_secs")
-                            .record_secs_traced(exec.compute_secs, *trace_id);
-                        Message::RequestReply {
-                            request_id: *request_id,
-                            outputs: exec.outputs,
-                            compute_secs: exec.compute_secs,
-                            cached: false,
-                        }
-                    }
-                    Err(e) => {
-                        if let Some(token) = leader {
-                            token.complete_err(&e);
-                        }
-                        self.metrics.counter("server.requests_failed").inc();
-                        Message::from_error(&e)
-                    }
-                }
-            }
             Message::TraceQuery { trace_id } => {
                 // A trace pull from an old peer still surfaces in the counter.
                 netsolve_proto::mirror_version_downgrades(&self.metrics);
@@ -371,6 +285,220 @@ impl ServerCore {
             ))),
         }
     }
+
+    /// The request path. A request refused by `admit` or `dequeue` leaves
+    /// through `?` with the refusing stage's own counter and span; one that
+    /// gets past them is counted ok or failed, exactly once, here.
+    fn serve(&self, req: &Request<'_>) -> Result<Solved> {
+        let _admitted = self.admit(req)?;
+        let dispatched = self.dequeue(req)?;
+        let outcome = match self.lookup(req, dispatched) {
+            Lookup::Served(outcome) => outcome,
+            Lookup::Miss { leader, solve_timer } => {
+                let run = self.execute(req, solve_timer);
+                self.publish(req, leader, run)
+            }
+        };
+        let counter = if outcome.is_ok() { "server.requests_ok" } else { "server.requests_failed" };
+        self.metrics.counter(counter).inc();
+        outcome
+    }
+
+    /// Stage 1 — take the request on, or shed it *before* it reserves a
+    /// solve slot or counts as active: the policy decides on queue depth
+    /// and remaining budget, then the request waits its turn for a slot.
+    fn admit(&self, req: &Request<'_>) -> Result<Admitted<'_>> {
+        if let Some(gate) = &self.gate {
+            let depth = gate.depth();
+            let left = budget_left_ms(req.deadline_ms, req.received_at.elapsed());
+            if let AdmissionDecision::Shed { reason, retry_after_ms } =
+                gate.policy.admit(req.problem, depth, left)
+            {
+                let detail =
+                    format!("reason={} depth={depth} hint={retry_after_ms}ms", reason.name());
+                return Err(match reason {
+                    // Budget already gone: a retry hint is meaningless, the
+                    // client's deadline path owns what happens next.
+                    ShedReason::DeadlineExpired => {
+                        self.deadline_shed(req, Expired::AtAdmission, detail)
+                    }
+                    // Retryable Busy carrying the backoff hint.
+                    ShedReason::QueueFull | ShedReason::DeadlineUnmeetable => {
+                        self.metrics.counter("server.admission_shed").inc();
+                        self.tracer.point(req.ctx, "server", "admission_shed", detail);
+                        NetSolveError::Resource(format_busy_detail(reason, depth, retry_after_ms))
+                    }
+                });
+            }
+            if !gate.acquire(req.received_at, req.deadline_ms) {
+                let detail = format!("budget={}ms", req.deadline_ms);
+                return Err(self.deadline_shed(req, Expired::WhileQueued, detail));
+            }
+        }
+        self.metrics.gauge("server.active_requests").inc();
+        Ok(Admitted { core: self, received_at: req.received_at })
+    }
+
+    /// Stage 2 — the request leaves the queue. One clock read serves as
+    /// queue-span end, solve-span start and the queue histogram sample,
+    /// keeping the traced path at two reads per request. Then the
+    /// backstop for budgets that expired between slot and dispatch:
+    /// nobody is waiting for that result any more.
+    fn dequeue(&self, req: &Request<'_>) -> Result<Instant> {
+        self.metrics.counter("server.requests").inc();
+        let dispatched = Instant::now();
+        let queued = dispatched.saturating_duration_since(req.received_at);
+        let queue_timer = self.tracer.start_at(req.received_at);
+        self.metrics
+            .histogram("server.queue_secs")
+            .record_secs_traced(queued.as_secs_f64(), req.ctx.trace_id);
+        self.tracer.record_at(req.ctx, queue_timer, dispatched, "server", "queue", String::new());
+        if budget_left_ms(req.deadline_ms, queued) == Some(0) {
+            let detail = format!("budget={}ms", req.deadline_ms);
+            return Err(self.deadline_shed(req, Expired::BeforeExecution, detail));
+        }
+        Ok(dispatched)
+    }
+
+    /// The one way a spent deadline budget ends a request: `point`'s
+    /// counter, `point`'s zero-length span, `point`'s Timeout message.
+    fn deadline_shed(&self, req: &Request<'_>, point: Expired, detail: String) -> NetSolveError {
+        let (counter, phase, tail) = point.names();
+        self.metrics.counter(counter).inc();
+        self.tracer.point(req.ctx, "server", phase, detail);
+        NetSolveError::Timeout(format!(
+            "request {} deadline ({} ms) {tail}",
+            req.ctx.request_id, req.deadline_ms
+        ))
+    }
+
+    /// Stage 3 — hash the canonical encoding and either serve a verified
+    /// hit, join an identical solve already in flight, or lead the solve.
+    /// Exactly one `solve` span exists per unique in-flight problem: hits
+    /// and joiners never reach the solver.
+    fn lookup(&self, req: &Request<'_>, dispatched: Instant) -> Lookup {
+        let cache = match &self.cache {
+            // Non-deterministic problems (e.g. `quad_mc` drawing fresh
+            // entropy) bypass the cache entirely: a cached or coalesced
+            // reply would alias independent Monte Carlo draws onto one
+            // sample.
+            Some(c) if c.bypass_nondet(req.problem) => {
+                self.tracer.point(req.ctx, "server", "cache_bypass_nondet", String::new());
+                None
+            }
+            other => other.as_ref(),
+        };
+        let Some(cache) = cache else {
+            // Without a cache the dispatch clock read doubles as the
+            // solve-span start — the uncached path's two-reads budget,
+            // which the ledger's `obs.harness_overhead_pct` row prices.
+            return Lookup::Miss { leader: None, solve_timer: self.tracer.start_at(dispatched) };
+        };
+        let lookup_timer = self.tracer.start_at(dispatched);
+        let probe = cache.probe(solve_key(req.problem, req.inputs));
+        let outcome = match &probe {
+            Probe::Hit { .. } => "hit",
+            Probe::Leader(_) => "miss",
+            Probe::Join(_) => "coalesced",
+        };
+        self.tracer.record(req.ctx, lookup_timer, "server", "cache_lookup", outcome.to_string());
+        match probe {
+            Probe::Hit { outputs, compute_secs } => {
+                self.tracer.point(req.ctx, "server", "cache_hit", String::new());
+                Lookup::Served(Ok(Solved { outputs, compute_secs, cached: true }))
+            }
+            Probe::Join(waiter) => {
+                let wait_timer = self.tracer.start();
+                let joined = waiter.wait();
+                let detail = match &joined {
+                    Ok(_) => String::new(),
+                    Err(e) => format!("err={e}"),
+                };
+                self.tracer.record(req.ctx, wait_timer, "server", "coalesce_wait", detail);
+                Lookup::Served(joined.map(|(outputs, compute_secs)| Solved {
+                    outputs,
+                    compute_secs,
+                    cached: true,
+                }))
+            }
+            Probe::Leader(token) => {
+                Lookup::Miss { leader: Some(token), solve_timer: self.tracer.start() }
+            }
+        }
+    }
+
+    /// Stage 4 — run the solver under the `solve` span.
+    fn execute(&self, req: &Request<'_>, solve_timer: SpanTimer) -> Result<Solved> {
+        let run = self.run(req.problem, req.inputs);
+        let detail = match &run {
+            // Success is the hot path: no allocation per event. The
+            // problem name already rides on the client's attempt span, so
+            // an empty detail loses nothing.
+            Ok(_) => String::new(),
+            Err(e) => format!("problem={} err={e}", req.problem),
+        };
+        self.tracer.record(req.ctx, solve_timer, "server", "solve", detail);
+        run
+    }
+
+    /// Validate and execute one request.
+    pub fn run(&self, problem: &str, inputs: &[DataObject]) -> Result<Solved> {
+        let spec = self.problems.require(problem)?;
+        spec.check_inputs(inputs)?;
+        let start = Instant::now();
+        let outputs = match self.mode {
+            ExecutionMode::Real => {
+                let outputs = execute(problem, inputs)?;
+                spec.check_outputs(&outputs).map_err(|e| {
+                    NetSolveError::Internal(format!(
+                        "executor output mismatch for '{problem}': {e}"
+                    ))
+                })?;
+                outputs
+            }
+            ExecutionMode::Synthetic { mflops } => {
+                let n = spec.dominant_dim(inputs);
+                let secs = spec.complexity.seconds_at(n, mflops);
+                // Cap synthetic sleeps so a mis-sized experiment cannot
+                // wedge a test run for hours.
+                std::thread::sleep(std::time::Duration::from_secs_f64(secs.min(30.0)));
+                synthetic_outputs(spec, n)
+            }
+        };
+        Ok(Solved { outputs, compute_secs: start.elapsed().as_secs_f64(), cached: false })
+    }
+
+    /// Stage 5 — make the outcome known: to the cache and any joined
+    /// waiters (errors propagate, they are never cached), to the admission
+    /// policy's per-problem service histogram — the basis of its
+    /// deadline-aware early rejects and retry hints — and to
+    /// `server.compute_secs`.
+    fn publish(
+        &self,
+        req: &Request<'_>,
+        leader: Option<LeaderToken>,
+        run: Result<Solved>,
+    ) -> Result<Solved> {
+        match &run {
+            Ok(solved) => {
+                if let Some(token) = leader {
+                    token.complete_ok(&solved.outputs, solved.compute_secs);
+                }
+                if let Some(gate) = &self.gate {
+                    gate.policy.observe_service(req.problem, solved.compute_secs);
+                }
+                self.metrics
+                    .histogram("server.compute_secs")
+                    .record_secs_traced(solved.compute_secs, req.ctx.trace_id);
+            }
+            Err(e) => {
+                if let Some(token) = leader {
+                    token.complete_err(e);
+                }
+            }
+        }
+        run
+    }
 }
 
 /// Zero-filled outputs of the declared kinds/sizes for synthetic execution.
@@ -394,7 +522,7 @@ fn synthetic_outputs(spec: &netsolve_core::ProblemSpec, n: u64) -> Vec<DataObjec
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use netsolve_core::matrix::{vec_max_abs_diff, Matrix};
     use netsolve_core::rng::Rng64;
@@ -477,14 +605,7 @@ mod tests {
     #[test]
     fn message_dispatch() {
         let core = ServerCore::with_standard_catalogue();
-        let reply = core.handle_message(&Message::RequestSubmit {
-            request_id: 77,
-            deadline_ms: 0,
-            problem: "ddot".into(),
-            inputs: vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()],
-            trace_id: 0,
-            parent_span: 0,
-        });
+        let reply = core.handle_message(&submit(77, 0, "ddot", vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]));
         match reply {
             Message::RequestReply { request_id, outputs, .. } => {
                 assert_eq!(request_id, 77);
@@ -515,14 +636,7 @@ mod tests {
     #[test]
     fn failed_request_reports_error_code() {
         let core = ServerCore::with_standard_catalogue();
-        let reply = core.handle_message(&Message::RequestSubmit {
-            request_id: 1,
-            deadline_ms: 0,
-            problem: "nope".into(),
-            inputs: vec![],
-            trace_id: 0,
-            parent_span: 0,
-        });
+        let reply = core.handle_message(&submit(1, 0, "nope", vec![]));
         match reply {
             Message::Error { code, .. } => {
                 assert_eq!(code, NetSolveError::ProblemNotFound(String::new()).code());
@@ -534,17 +648,10 @@ mod tests {
     #[test]
     fn expired_deadline_sheds_request() {
         let core = ServerCore::with_standard_catalogue();
-        let msg = Message::RequestSubmit {
-            request_id: 9,
-            deadline_ms: 10,
-            problem: "ddot".into(),
-            inputs: vec![vec![1.0].into(), vec![1.0].into()],
-            trace_id: 0,
-            parent_span: 0,
-        };
+        let msg = submit(9, 10, "ddot", vec![vec![1.0].into(), vec![1.0].into()]);
         // Received 50 ms ago with a 10 ms budget: shed with Timeout.
         let received = Instant::now() - std::time::Duration::from_millis(50);
-        match core.handle_message_at(&msg, received) {
+        match core.handle_message_at(&msg, received).0 {
             Message::Error { code, detail } => {
                 assert_eq!(code, NetSolveError::Timeout(String::new()).code());
                 assert!(detail.contains("deadline"), "detail: {detail}");
@@ -552,22 +659,200 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Fresh budget: executes normally.
-        match core.handle_message_at(&msg, Instant::now()) {
+        match core.handle_message_at(&msg, Instant::now()).0 {
             Message::RequestReply { request_id, .. } => assert_eq!(request_id, 9),
             other => panic!("unexpected {other:?}"),
         }
         // No deadline: never shed.
-        let no_deadline = Message::RequestSubmit {
-            request_id: 10,
-            deadline_ms: 0,
-            problem: "ddot".into(),
-            inputs: vec![vec![1.0].into(), vec![1.0].into()],
-            trace_id: 0,
-            parent_span: 0,
-        };
+        let no_deadline = submit(10, 0, "ddot", vec![vec![1.0].into(), vec![1.0].into()]);
         assert!(matches!(
-            core.handle_message_at(&no_deadline, received),
+            core.handle_message_at(&no_deadline, received).0,
             Message::RequestReply { .. }
         ));
+    }
+
+    pub(crate) fn submit(request_id: u64, deadline_ms: u64, problem: &str, inputs: Vec<DataObject>) -> Message {
+        Message::RequestSubmit {
+            request_id,
+            deadline_ms,
+            problem: problem.into(),
+            inputs,
+            trace_id: 0xbeef,
+            parent_span: 1,
+        }
+    }
+
+    fn server_phases(core: &ServerCore) -> Vec<&'static str> {
+        core.tracer.spans().iter().filter(|s| s.component == "server").map(|s| s.phase).collect()
+    }
+
+    /// The three places a spent deadline budget can end a request share
+    /// one test and one shaper; each keeps its own counter, span phase and
+    /// message.
+    #[test]
+    fn each_deadline_point_keeps_its_own_counter_span_and_message() {
+        use std::time::Duration;
+        assert_eq!(budget_left_ms(0, Duration::from_secs(3600)), None, "no deadline never expires");
+        assert_eq!(budget_left_ms(10, Duration::from_micros(9_900)), Some(1));
+        assert_eq!(budget_left_ms(10, Duration::from_millis(10)), Some(0));
+        assert_eq!(budget_left_ms(10, Duration::from_millis(50)), Some(0));
+
+        let table = [
+            (Expired::AtAdmission, "server.admission_shed", "admission_shed", "at admission"),
+            (
+                Expired::WhileQueued,
+                "server.queue_deadline_shed",
+                "queue_deadline_shed",
+                "while queued",
+            ),
+            (Expired::BeforeExecution, "server.deadline_shed", "deadline_shed", "before execution"),
+        ];
+        for (point, counter, phase, tail) in table {
+            let core = ServerCore::with_standard_catalogue();
+            let req = Request {
+                ctx: SpanContext { trace_id: 9, parent_span: 1, request_id: 7 },
+                deadline_ms: 10,
+                problem: "ddot",
+                inputs: &[],
+                received_at: Instant::now(),
+            };
+            match core.deadline_shed(&req, point, "budget=10ms".into()) {
+                NetSolveError::Timeout(detail) => assert_eq!(
+                    detail,
+                    format!("request 7 deadline (10 ms) expired {tail}"),
+                    "{point:?}"
+                ),
+                other => panic!("{point:?}: expected Timeout, got {other:?}"),
+            }
+            let snap = core.metrics.snapshot("server");
+            for (_, name, ..) in table {
+                assert_eq!(snap.counter(name), u64::from(name == counter), "{point:?}: {name}");
+            }
+            assert_eq!(server_phases(&core), [phase], "{point:?}");
+        }
+    }
+
+    /// A capacity-2 synthetic core (~0.3 s for the slow `dgesv`, ~0 for
+    /// everything else) with a cache and a depth-3 admission bound.
+    pub(crate) fn batch_core() -> ServerCore {
+        use netsolve_core::admission::AdmissionConfig;
+        ServerCore::new(
+            ProblemRegistry::with_standard_catalogue(),
+            ExecutionMode::Synthetic { mflops: 20.0 },
+        )
+        .with_cache(1 << 20)
+        .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(3))))
+        .with_solve_slots(2)
+    }
+
+    /// One request down every way out of the request path a gated,
+    /// cached core has — miss, hit, non-deterministic bypass, solver
+    /// error, budget spent on arrival, coalesced join, budget spent
+    /// waiting for a slot, queue-full shed — checking each reply.
+    pub(crate) fn run_mixed_batch(core: &ServerCore) {
+        let ask = |msg: &Message| core.handle_message_at(msg, Instant::now()).0;
+        let ddot = || vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
+        let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
+            let give_up = Instant::now() + std::time::Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < give_up, "never saw {what}");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        let count = |name: &str| core.metrics.counter(name).get();
+        let gate = core.gate.as_ref().expect("batch core is gated");
+
+        for (id, cached) in [(1, false), (2, true)] {
+            match ask(&submit(id, 0, "ddot", ddot())) {
+                Message::RequestReply { request_id, cached: c, .. } => {
+                    assert_eq!((request_id, c), (id, cached));
+                }
+                other => panic!("ddot {id}: {other:?}"),
+            }
+        }
+        let mc = vec!["sin".into(), 0.0.into(), 1.0.into(), DataObject::Int(100), DataObject::Int(0)];
+        assert!(matches!(
+            ask(&submit(3, 0, "quad_mc", mc)),
+            Message::RequestReply { cached: false, .. }
+        ));
+        match ask(&submit(4, 0, "no_such_problem", vec![])) {
+            Message::Error { code, .. } => {
+                assert_eq!(code, NetSolveError::ProblemNotFound(String::new()).code())
+            }
+            other => panic!("solver error: {other:?}"),
+        }
+        // Budget spent on arrival: with a gate installed the policy sheds
+        // it at admission, before it can count as a request.
+        let stale = Instant::now() - std::time::Duration::from_millis(50);
+        match core.handle_message_at(&submit(5, 10, "ddot", ddot()), stale).0 {
+            Message::Error { code, detail } => {
+                assert_eq!(code, NetSolveError::Timeout(String::new()).code());
+                assert!(detail.contains("expired at admission"), "{detail}");
+            }
+            other => panic!("expired budget: {other:?}"),
+        }
+
+        // Fill both slots with one slow solve and its coalesced twin,
+        // park a short-budget request behind them, and overflow the bound.
+        let slow = || -> Vec<DataObject> {
+            vec![netsolve_core::Matrix::identity(208).into(), vec![1.0; 208].into()]
+        };
+        let misses = count("server.cache_misses");
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| ask(&submit(6, 0, "dgesv", slow())));
+            wait_until("the leader's miss", &|| count("server.cache_misses") > misses);
+            let joiner = scope.spawn(|| ask(&submit(7, 0, "dgesv", slow())));
+            wait_until("the join", &|| count("server.cache_coalesced") == 1);
+            let parked = scope.spawn(|| ask(&submit(8, 30, "ddot", vec![vec![5.0].into(), vec![6.0].into()])));
+            wait_until("a full queue", &|| gate.depth() == 3);
+            match ask(&submit(9, 0, "ddot", ddot())) {
+                Message::Error { code, detail } => {
+                    assert_eq!(code, NetSolveError::Resource(String::new()).code(), "{detail}");
+                    assert!(
+                        netsolve_core::admission::parse_retry_after_ms(&detail).is_some(),
+                        "busy reply must carry a retry hint: {detail}"
+                    );
+                }
+                other => panic!("queue-full shed: {other:?}"),
+            }
+            match parked.join().unwrap() {
+                Message::Error { code, detail } => {
+                    assert_eq!(code, NetSolveError::Timeout(String::new()).code());
+                    assert!(detail.contains("expired while queued"), "{detail}");
+                }
+                other => panic!("parked request: {other:?}"),
+            }
+            assert!(matches!(
+                leader.join().unwrap(),
+                Message::RequestReply { request_id: 6, cached: false, .. }
+            ));
+            assert!(matches!(
+                joiner.join().unwrap(),
+                Message::RequestReply { request_id: 7, cached: true, .. }
+            ));
+        });
+    }
+
+    #[test]
+    fn mixed_batch_accounts_for_every_request_and_frees_every_slot() {
+        let core = batch_core();
+        run_mixed_batch(&core);
+        let snap = core.metrics.snapshot("server");
+        let c = |name: &str| snap.counter(name);
+        // Six requests got past admission: four ok + the slow pair, less
+        // the one the solver refused.
+        assert_eq!(c("server.requests"), 6);
+        assert_eq!(
+            c("server.requests"),
+            c("server.requests_ok") + c("server.requests_failed") + c("server.deadline_shed")
+        );
+        assert_eq!((c("server.requests_ok"), c("server.requests_failed")), (5, 1));
+        // The three refused ones never counted as requests.
+        assert_eq!((c("server.admission_shed"), c("server.queue_deadline_shed")), (2, 1));
+        assert_eq!(snap.histogram("server.request_handle_secs").map(|h| h.count), Some(6));
+        assert_eq!(c("server.cache_bypass_nondet"), 1);
+        // Error path included: no slot and no active count leaked.
+        assert_eq!(core.gate.as_ref().unwrap().depth(), 0);
+        assert_eq!(snap.gauge("server.active_requests"), 0);
     }
 }

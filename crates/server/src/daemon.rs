@@ -3,22 +3,14 @@
 //! accept loop, periodic workers and stop/join are the
 //! [`netsolve_net::Daemon`] skeleton's.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use netsolve_core::admission::{
-    format_busy_detail, AdmissionConfig, AdmissionDecision, AdmissionPolicy, ShedReason,
-};
 use netsolve_core::config::{TelemetryPolicy, WorkloadPolicy};
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_net::{call, call_once, Connection, Daemon, Transport};
+use netsolve_obs::MetricsRegistry;
 use netsolve_proto::{Message, ServerDescriptor};
-use parking_lot::Mutex;
-// The parking_lot shim's MutexGuard *is* `std::sync::MutexGuard`, so std's
-// Condvar pairs with it directly (same pattern as the solve cache).
-use std::sync::Condvar;
-use std::time::Instant;
 
 use crate::core::ServerCore;
 
@@ -33,20 +25,15 @@ pub struct ServerConfig {
     pub mflops: f64,
     /// Workload reporting policy.
     pub workload: WorkloadPolicy,
-    /// Concurrent requests considered "100% workload".
+    /// Concurrent requests considered "100% workload" — and, with
+    /// admission control installed on the core, the number of solve slots
+    /// behind its gate.
     pub capacity: u32,
     /// Hard cap on concurrent connection-service threads. Connections
     /// arriving past the cap are answered with a retryable Busy error and
     /// dropped, so a connection flood degrades into shed load instead of
     /// unbounded thread growth.
     pub max_connections: u32,
-    /// Admission control. When set, requests pass an [`AdmissionPolicy`]
-    /// gate *before* reserving one of `capacity` solve slots: queue-depth
-    /// shed with hysteresis, deadline-aware early reject, and a distinct
-    /// shed for budgets that expire while queued. `None` (the default)
-    /// keeps the pre-admission behavior: every accepted connection solves
-    /// immediately on its own thread.
-    pub admission: Option<AdmissionConfig>,
     /// Telemetry sampling: how often the daemon snapshots its metrics
     /// into the windowed series that answers `FleetStatsQuery`.
     pub telemetry: TelemetryPolicy,
@@ -64,93 +51,8 @@ impl ServerConfig {
             workload: WorkloadPolicy::default(),
             capacity: 1,
             max_connections: 64,
-            admission: None,
             telemetry: TelemetryPolicy { tick_secs: 0.25, ..TelemetryPolicy::default() },
         }
-    }
-}
-
-/// Bounded solve-slot gate guarding the cores behind the thread-per-
-/// connection accept loop. `capacity` slots solve concurrently; everyone
-/// else waits here — which is what makes queue-depth admission (and
-/// "budget expired while queued") physically real on the live server.
-struct AdmissionGate {
-    policy: Arc<AdmissionPolicy>,
-    slots: u32,
-    in_service: Mutex<u32>,
-    cond: Condvar,
-    waiting: AtomicU32,
-}
-
-enum SlotOutcome {
-    /// A solve slot is held; the caller must `release()` when done.
-    Acquired,
-    /// The request's deadline budget ran out while it waited; no slot
-    /// was ever reserved.
-    ExpiredInQueue,
-}
-
-impl AdmissionGate {
-    fn new(policy: Arc<AdmissionPolicy>, slots: u32) -> Self {
-        AdmissionGate {
-            policy,
-            slots: slots.max(1),
-            in_service: Mutex::new(0),
-            cond: Condvar::new(),
-            waiting: AtomicU32::new(0),
-        }
-    }
-
-    /// The solve queue a new arrival would join: requests waiting for a
-    /// slot plus requests currently solving.
-    fn depth(&self) -> usize {
-        let in_service = *self.in_service.lock();
-        self.waiting.load(Ordering::Acquire) as usize + in_service as usize
-    }
-
-    /// Wait for a solve slot, giving up (without ever reserving one) if
-    /// the deadline budget expires first. `deadline_ms == 0` waits
-    /// indefinitely.
-    fn acquire(&self, received_at: Instant, deadline_ms: u64) -> SlotOutcome {
-        let budget = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-        self.waiting.fetch_add(1, Ordering::AcqRel);
-        let mut in_service = self.in_service.lock();
-        loop {
-            // Budget check *before* reserving: an expired request must
-            // never consume a slot.
-            if let Some(b) = budget {
-                if received_at.elapsed() >= b {
-                    self.waiting.fetch_sub(1, Ordering::AcqRel);
-                    return SlotOutcome::ExpiredInQueue;
-                }
-            }
-            if *in_service < self.slots {
-                *in_service += 1;
-                self.waiting.fetch_sub(1, Ordering::AcqRel);
-                return SlotOutcome::Acquired;
-            }
-            in_service = match budget {
-                Some(b) => {
-                    let remaining = b.saturating_sub(received_at.elapsed());
-                    self.cond
-                        .wait_timeout(in_service, remaining)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .0
-                }
-                None => self
-                    .cond
-                    .wait(in_service)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
-            };
-        }
-    }
-
-    fn release(&self) {
-        {
-            let mut in_service = self.in_service.lock();
-            *in_service = in_service.saturating_sub(1);
-        }
-        self.cond.notify_one();
     }
 }
 
@@ -179,9 +81,7 @@ impl ServerTelemetry {
 pub struct ServerDaemon {
     address: String,
     server_id: u64,
-    active: Arc<AtomicU32>,
-    requests_served: Arc<AtomicU64>,
-    telemetry: Arc<ServerTelemetry>,
+    metrics: Arc<MetricsRegistry>,
     daemon: Daemon,
 }
 
@@ -235,24 +135,8 @@ impl ServerDaemon {
             }
         };
 
-        // Admission: install the policy into the core (unless the caller
-        // pre-wired one via `ServerCore::with_admission` — benches and
-        // tests do, to share the policy object with a simulation), then
-        // build the solve-slot gate around it.
-        let mut core = core;
-        if core.admission().is_none() {
-            if let Some(cfg) = &config.admission {
-                core = core.with_admission(Arc::new(AdmissionPolicy::new(cfg.clone())));
-            }
-        }
-        let gate = core
-            .admission()
-            .map(|policy| Arc::new(AdmissionGate::new(Arc::clone(policy), config.capacity)));
-
-        let core = Arc::new(core);
+        let core = Arc::new(core.with_solve_slots(config.capacity));
         let metrics = core.metrics();
-        let active = Arc::new(AtomicU32::new(0));
-        let requests_served = Arc::new(AtomicU64::new(0));
         let telemetry = Arc::new(ServerTelemetry {
             address: address.clone(),
             series: netsolve_obs::WindowedSeries::new(netsolve_obs::SeriesConfig {
@@ -264,25 +148,17 @@ impl ServerDaemon {
         let mut daemon = Daemon::new(Arc::clone(&transport));
 
         {
-            let active = Arc::clone(&active);
-            let served = Arc::clone(&requests_served);
             let telemetry = Arc::clone(&telemetry);
-            daemon.serve(
-                listener,
-                config.max_connections,
-                &metrics,
-                "server",
-                move |conn| {
-                    serve_connection(conn, &core, &active, &served, gate.as_deref(), &telemetry)
-                },
-            )?;
+            daemon.serve(listener, config.max_connections, &metrics, "server", move |conn| {
+                serve_connection(conn, &core, &telemetry)
+            })?;
         }
 
         // Workload reporter: threshold-suppressed. It measures at a tenth
         // of the report interval, so once a report is due a threshold
         // crossing goes out promptly.
         {
-            let active = Arc::clone(&active);
+            let active = metrics.gauge("server.active_requests");
             let policy = config.workload;
             let capacity = config.capacity.max(1);
             let agent_address = agent_address.to_string();
@@ -293,7 +169,7 @@ impl ServerDaemon {
             let mut since_report = Duration::ZERO;
             daemon.every("server-workload", tick, move || {
                 since_report += tick;
-                let workload = active.load(Ordering::Acquire) as f64 * 100.0 / capacity as f64;
+                let workload = active.get() as f64 * 100.0 / capacity as f64;
                 let due = since_report.as_secs_f64() >= policy.report_interval_secs;
                 if !(due && policy.should_report(last_sent, workload)) {
                     return;
@@ -322,7 +198,7 @@ impl ServerDaemon {
         // The baseline is seeded now so events that land before the first
         // tick show up in the first delta slot instead of vanishing into it.
         {
-            let telemetry = Arc::clone(&telemetry);
+            let (telemetry, metrics) = (Arc::clone(&telemetry), Arc::clone(&metrics));
             let sample = move || {
                 telemetry
                     .series
@@ -336,9 +212,7 @@ impl ServerDaemon {
         Ok(ServerDaemon {
             address,
             server_id,
-            active,
-            requests_served,
-            telemetry,
+            metrics,
             daemon,
         })
     }
@@ -353,24 +227,9 @@ impl ServerDaemon {
         self.server_id
     }
 
-    /// Requests currently executing.
-    pub fn active_requests(&self) -> u32 {
-        self.active.load(Ordering::Acquire)
-    }
-
     /// Requests completed over the daemon's lifetime.
     pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Acquire)
-    }
-
-    /// The daemon's windowed time series (fed by its sampler thread).
-    pub fn series(&self) -> &netsolve_obs::WindowedSeries {
-        &self.telemetry.series
-    }
-
-    /// The daemon's current stats digest over its full retained window.
-    pub fn stats_digest(&self) -> netsolve_obs::StatsDigest {
-        self.telemetry.digest()
+        self.metrics.histogram("server.request_handle_secs").count()
     }
 
     /// Stop all daemon threads (also done on drop).
@@ -379,70 +238,9 @@ impl ServerDaemon {
     }
 }
 
-/// Run one request through the admission gate. Returns the shed reply to
-/// send, or `None` when the request was admitted and now holds a solve
-/// slot (which the caller must release).
-fn gate_admit(
-    gate: &AdmissionGate,
-    metrics: &netsolve_obs::MetricsRegistry,
-    tracer: &netsolve_obs::Tracer,
-    ctx: netsolve_obs::SpanContext,
-    msg: &Message,
-    received_at: Instant,
-) -> Option<Message> {
-    let (request_id, problem, deadline_ms) = match msg {
-        Message::RequestSubmit { request_id, problem, deadline_ms, .. } => {
-            (*request_id, problem.as_str(), *deadline_ms)
-        }
-        _ => return None, // only solves are gated; queries always answer
-    };
-    let depth = gate.depth();
-    let remaining =
-        (deadline_ms > 0).then(|| deadline_ms.saturating_sub(received_at.elapsed().as_millis() as u64));
-    match gate.policy.admit(problem, depth, remaining) {
-        AdmissionDecision::Admit => match gate.acquire(received_at, deadline_ms) {
-            SlotOutcome::Acquired => None,
-            SlotOutcome::ExpiredInQueue => {
-                // Counted distinctly from the core's execution-time
-                // `server.deadline_shed`: this budget died *waiting*,
-                // before any solve slot was reserved.
-                metrics.counter("server.queue_deadline_shed").inc();
-                tracer.point(ctx, "server", "queue_deadline_shed", format!("budget={deadline_ms}ms"));
-                Some(Message::from_error(&NetSolveError::Timeout(format!(
-                    "request {request_id} deadline ({deadline_ms} ms) expired while queued"
-                ))))
-            }
-        },
-        AdmissionDecision::Shed { reason, retry_after_ms } => {
-            metrics.counter("server.admission_shed").inc();
-            tracer.point(
-                ctx,
-                "server",
-                "admission_shed",
-                format!("reason={} depth={depth} hint={retry_after_ms}ms", reason.name()),
-            );
-            let err = match reason {
-                // Budget already gone: a retry hint is meaningless, the
-                // client's deadline path owns what happens next.
-                ShedReason::DeadlineExpired => NetSolveError::Timeout(format!(
-                    "request {request_id} deadline ({deadline_ms} ms) expired at admission"
-                )),
-                // Retryable Busy carrying the backoff hint.
-                ShedReason::QueueFull | ShedReason::DeadlineUnmeetable => {
-                    NetSolveError::Resource(format_busy_detail(reason, depth, retry_after_ms))
-                }
-            };
-            Some(Message::from_error(&err))
-        }
-    }
-}
-
 fn serve_connection(
     mut conn: Box<dyn Connection>,
     core: &ServerCore,
-    active: &AtomicU32,
-    served: &AtomicU64,
-    gate: Option<&AdmissionGate>,
     telemetry: &ServerTelemetry,
 ) {
     let metrics = core.metrics();
@@ -455,72 +253,28 @@ fn serve_connection(
             Ok(m) => m,
             Err(_) => return,
         };
+        // Decode happened inside `conn.recv()` (the transport owns the
+        // frame parse), so the queue span the core records starts here, at
+        // wire arrival.
         let received_at = Instant::now();
         // Fleet telemetry is daemon state (the windowed series lives
         // beside the sampler thread, not in the core), so the daemon
         // answers `FleetStatsQuery` itself. A server knows only its own
-        // digest; agents aggregate the fleet.
-        if matches!(msg, Message::FleetStatsQuery) {
-            let reply = if telemetry.enabled {
-                Message::FleetStatsReply { digests: vec![telemetry.digest()] }
-            } else {
-                Message::from_error(&NetSolveError::Protocol(
-                    "fleet stats disabled on this server".into(),
-                ))
-            };
-            if conn.send(&reply).is_err() {
-                return;
+        // digest; agents aggregate the fleet. Everything else is the
+        // core's, which hands back a span context exactly for requests.
+        // (`msg` is matched by reference: a request's operands are freed
+        // after its reply is on the wire, not in front of it.)
+        let (reply, request_ctx) = match &msg {
+            Message::FleetStatsQuery if telemetry.enabled => {
+                (Message::FleetStatsReply { digests: vec![telemetry.digest()] }, None)
             }
-            continue;
-        }
-        // Trace context rides in the request; decode happened inside
-        // `conn.recv()` (the transport owns the frame parse), so the queue
-        // span the core records starts here, at wire arrival.
-        let request_ctx = match &msg {
-            Message::RequestSubmit { request_id, trace_id, parent_span, .. } => {
-                Some(netsolve_obs::SpanContext {
-                    trace_id: *trace_id,
-                    parent_span: *parent_span,
-                    request_id: *request_id,
-                })
+            Message::FleetStatsQuery => {
+                let off = NetSolveError::Protocol("fleet stats disabled on this server".into());
+                (Message::from_error(&off), None)
             }
-            _ => None,
+            msg => core.handle_message_at(msg, received_at),
         };
-        let is_request = request_ctx.is_some();
-        // Admission gate: shed (with a retryable Busy + retry hint) or
-        // wait for a solve slot *before* the request counts as active.
-        let mut slot_held = false;
-        let shed_reply = match (gate, request_ctx) {
-            (Some(g), Some(ctx)) => {
-                let r = gate_admit(g, &metrics, &tracer, ctx, &msg, received_at);
-                slot_held = r.is_none();
-                r
-            }
-            _ => None,
-        };
-        let reply = match shed_reply {
-            Some(reply) => reply,
-            None => {
-                if is_request {
-                    active.fetch_add(1, Ordering::AcqRel);
-                    metrics.gauge("server.active_requests").inc();
-                }
-                let reply = core.handle_message_at(&msg, received_at);
-                if slot_held {
-                    gate.expect("slot implies gate").release();
-                }
-                if is_request {
-                    active.fetch_sub(1, Ordering::AcqRel);
-                    metrics.gauge("server.active_requests").dec();
-                    served.fetch_add(1, Ordering::AcqRel);
-                    metrics
-                        .histogram("server.request_handle_secs")
-                        .record_secs(received_at.elapsed().as_secs_f64());
-                }
-                reply
-            }
-        };
-        let send_start = std::time::Instant::now();
+        let send_start = Instant::now();
         let encode_timer = tracer.start();
         if conn.send(&reply).is_err() {
             return;
@@ -538,6 +292,7 @@ fn serve_connection(
 mod tests {
     use super::*;
     use netsolve_agent::{AgentCore, AgentDaemon};
+    use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
     use netsolve_core::matrix::Matrix;
     use netsolve_net::ChannelNetwork;
     use netsolve_proto::QueryShape;
@@ -698,14 +453,14 @@ mod tests {
         let agent =
             AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults())
                 .unwrap();
-        let mut config = ServerConfig::quick("host1", "srv1", 150.0);
-        config.admission = Some(AdmissionConfig::with_max_queue(2));
+        let config = ServerConfig::quick("host1", "srv1", 150.0);
         // ~64 ms synthetic solves (dgesv n=124 at 10 Mflop/s) so the
         // burst below genuinely overlaps in the solve queue.
         let core = ServerCore::new(
             ProblemRegistry::with_standard_catalogue(),
             ExecutionMode::Synthetic { mflops: 20.0 },
-        );
+        )
+        .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(2))));
         let mut server =
             ServerDaemon::start(Arc::clone(&transport), "agent", core, config).unwrap();
         let address = server.address().to_string();
@@ -774,14 +529,14 @@ mod tests {
         let agent =
             AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults())
                 .unwrap();
-        let mut config = ServerConfig::quick("host1", "srv1", 150.0);
+        let config = ServerConfig::quick("host1", "srv1", 150.0);
         // Queue bound far above the test's two requests: only the
         // deadline path can shed here.
-        config.admission = Some(AdmissionConfig::with_max_queue(64));
         let core = ServerCore::new(
             ProblemRegistry::with_standard_catalogue(),
             ExecutionMode::Synthetic { mflops: 20.0 },
-        );
+        )
+        .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(64))));
         let metrics = core.metrics();
         let mut server =
             ServerDaemon::start(Arc::clone(&transport), "agent", core, config).unwrap();
@@ -861,4 +616,107 @@ mod tests {
         server.stop();
         drop(agent);
     }
+
+    /// `docs/OBSERVABILITY.md` is the catalogue dashboards and the
+    /// benchmark's attribution rely on: every `server.*` instrument and
+    /// `server` span phase the code emits must be listed there, and
+    /// nothing listed there may have stopped being emitted.
+    #[test]
+    fn observability_doc_lists_exactly_the_names_the_server_emits() {
+        use crate::core::tests::{batch_core, run_mixed_batch, submit};
+        use std::collections::BTreeSet;
+
+        // Every way out of a gated, cached core ...
+        let gated = batch_core();
+        run_mixed_batch(&gated);
+        // ... the dispatch backstop, which only a gate-less core reaches
+        // (a gate sheds a spent budget at admission) ...
+        let plain = ServerCore::with_standard_catalogue();
+        let expired = submit(1, 10, "ddot", vec![vec![1.0].into(), vec![1.0].into()]);
+        let reply = plain.handle_message_at(&expired, Instant::now() - Duration::from_millis(50)).0;
+        assert!(matches!(reply, Message::Error { .. }));
+        // ... and one connection through a daemon, for the accept loop's
+        // instruments and the `accept` / `encode` spans.
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let mut agent =
+            AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults())
+                .unwrap();
+        let served = ServerCore::with_standard_catalogue();
+        let sources = [
+            (gated.metrics(), gated.tracer()),
+            (plain.metrics(), plain.tracer()),
+            (served.metrics(), served.tracer()),
+        ];
+        let mut server = ServerDaemon::start(
+            Arc::clone(&transport),
+            "agent",
+            served,
+            ServerConfig::quick("host1", "srv1", 150.0),
+        )
+        .unwrap();
+        let mut conn = net.connect(server.address()).unwrap();
+        let fresh = submit(2, 0, "ddot", vec![vec![1.0].into(), vec![1.0].into()]);
+        let reply = call(conn.as_mut(), &fresh, Duration::from_secs(5)).unwrap();
+        assert!(matches!(reply, Message::RequestReply { .. }));
+        // The `encode` span and `server.reply_marshal_secs` are recorded
+        // after the send; a connection is served in order, so a second
+        // round trip on it proves they are in.
+        let pong = call(conn.as_mut(), &Message::Ping, Duration::from_secs(5)).unwrap();
+        assert_eq!(pong, Message::Pong);
+        drop(conn);
+        server.stop();
+        agent.stop();
+
+        let mut emitted_metrics = BTreeSet::new();
+        let mut emitted_phases = BTreeSet::new();
+        for (metrics, tracer) in &sources {
+            let snap = metrics.snapshot("server");
+            let names = snap
+                .counters
+                .iter()
+                .map(|(n, _)| n)
+                .chain(snap.gauges.iter().map(|(n, _)| n))
+                .chain(snap.histograms.iter().map(|h| &h.name));
+            emitted_metrics.extend(names.filter(|n| n.starts_with("server.")).cloned());
+            emitted_phases.extend(
+                tracer.spans().iter().filter(|s| s.component == "server").map(|s| s.phase),
+            );
+        }
+
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        // Backticked tokens are the odd segments of a split on '`'.
+        let ticked = |text: &'static str| text.split('`').skip(1).step_by(2);
+        let doc_metrics: BTreeSet<String> = ticked(doc)
+            .filter(|t| {
+                t.strip_prefix("server.")
+                    .is_some_and(|rest| rest.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'))
+            })
+            .map(str::to_string)
+            .collect();
+        let span_names = doc.split("## Span names").nth(1).expect("doc has a span section");
+        let server_set = span_names
+            .split("`server` ×")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .expect("span section lists the server's phases in braces");
+        let doc_phases: BTreeSet<&str> = ticked(server_set).collect();
+
+        assert_eq!(emitted_metrics, doc_metrics, "server.* instruments: emitted vs documented");
+        assert_eq!(emitted_phases, doc_phases, "server span phases: emitted vs documented");
+        // What the benchmark's attribution reads must survive any rename.
+        for phase in ["queue", "solve", "encode"] {
+            assert!(emitted_phases.contains(phase), "attribution reads server/{phase}");
+        }
+        for metric in [
+            "server.cache_hits",
+            "server.cache_misses",
+            "server.cache_evictions",
+            "server.admission_shed",
+            "server.busy_rejected",
+        ] {
+            assert!(emitted_metrics.contains(metric), "the ledger reads {metric}");
+        }
+    }
 }
+

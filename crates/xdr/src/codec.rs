@@ -24,13 +24,11 @@
 //! a multi-megabyte operand never needs a contiguous frame buffer on the
 //! send side.
 //!
-//! The decoder mirrors this with a borrowed route: [`Decoder::get_f64_slice`]
-//! and [`Decoder::get_u64_slice`] return views straight into the frame
-//! buffer (zero-copy reinterpretation when the host is big-endian and the
-//! bytes are 8-aligned, otherwise a single bulk `chunks_exact` conversion
-//! into caller-owned storage), and [`StreamDecoder`] pulls a frame's
-//! payload from an `io::Read` through a bounded chunk buffer so decode
-//! can begin before the whole operand has arrived.
+//! The decoder mirrors this: [`Decoder`] borrows the frame buffer and
+//! converts each array in a single bulk `chunks_exact` pass — the one
+//! wire→solver copy — and [`StreamDecoder`] pulls a frame's payload from
+//! an `io::Read` through a bounded chunk buffer so decode can begin
+//! before the whole operand has arrived.
 
 use std::io::{Read, Write};
 
@@ -546,164 +544,36 @@ impl<'a> Decoder<'a> {
             .map_err(|e| NetSolveError::Protocol(format!("invalid UTF-8 string: {e}")))
     }
 
-    /// Read a variable-length double array as a borrowed big-endian view
-    /// straight into the frame buffer — zero bytes copied. Convert (or
-    /// reinterpret, on aligned big-endian hosts) via [`F64View`].
-    pub fn get_f64_slice(&mut self) -> Result<F64View<'a>> {
-        let len = self.get_u32()? as usize;
-        if len.saturating_mul(8) > self.max_item {
-            return Err(NetSolveError::Protocol(format!(
-                "f64 array of {len} elements exceeds limit"
-            )));
-        }
-        Ok(F64View { raw: self.take(len * 8)? })
-    }
-
-    /// Read a variable-length u64 array as a borrowed big-endian view.
-    pub fn get_u64_slice(&mut self) -> Result<U64View<'a>> {
-        let len = self.get_u32()? as usize;
-        if len.saturating_mul(8) > self.max_item {
-            return Err(NetSolveError::Protocol(format!(
-                "u64 array of {len} elements exceeds limit"
-            )));
-        }
-        Ok(U64View { raw: self.take(len * 8)? })
-    }
-
-    /// Read a variable-length double array into an owned vector — one
-    /// bulk conversion pass over the borrowed view, no per-element
+    /// A length-prefixed array of 8-byte big-endian words, each mapped
+    /// through `from_be`: one bulk `chunks_exact` pass into an exactly
+    /// sized vector — the single wire→solver copy, with no per-element
     /// bounds checks.
+    fn get_be64_array<T>(&mut self, what: &str, from_be: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
+        let len = self.get_u32()? as usize;
+        if len.saturating_mul(8) > self.max_item {
+            return Err(NetSolveError::Protocol(format!(
+                "{what} array of {len} elements exceeds limit"
+            )));
+        }
+        let raw = self.take(len * 8)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| {
+                let mut a = [0u8; 8];
+                a.copy_from_slice(c);
+                from_be(a)
+            })
+            .collect())
+    }
+
+    /// Read a variable-length double array into an owned vector.
     pub fn get_f64_array(&mut self) -> Result<Vec<f64>> {
-        Ok(self.get_f64_slice()?.to_vec())
+        self.get_be64_array("f64", |a| f64::from_bits(u64::from_be_bytes(a)))
     }
 
     /// Read a variable-length u64 array into an owned vector.
     pub fn get_u64_array(&mut self) -> Result<Vec<u64>> {
-        Ok(self.get_u64_slice()?.to_vec())
-    }
-}
-
-/// Borrowed view of an XDR double array: the raw big-endian bytes still
-/// inside the frame buffer. [`F64View::as_aligned`] reinterprets them in
-/// place when that is sound (big-endian host, 8-byte alignment — the
-/// alignment-fallback rule); otherwise [`F64View::copy_into`] /
-/// [`F64View::to_vec`] perform one bulk `chunks_exact` conversion, which
-/// is the single wire→solver copy on little-endian hosts.
-#[derive(Debug, Clone, Copy)]
-pub struct F64View<'a> {
-    raw: &'a [u8],
-}
-
-impl<'a> F64View<'a> {
-    /// Number of elements in the array.
-    pub fn len(&self) -> usize {
-        self.raw.len() / 8
-    }
-
-    /// True if the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// The raw big-endian bytes backing the view.
-    pub fn as_be_bytes(&self) -> &'a [u8] {
-        self.raw
-    }
-
-    /// Zero-copy reinterpretation of the wire bytes as `&[f64]`. Only
-    /// possible when the host is big-endian (wire order == host order)
-    /// AND the bytes happen to be 8-aligned inside the frame buffer;
-    /// returns `None` otherwise and the caller must fall back to
-    /// [`F64View::copy_into`].
-    pub fn as_aligned(&self) -> Option<&'a [f64]> {
-        #[cfg(target_endian = "big")]
-        {
-            if self.raw.as_ptr().align_offset(std::mem::align_of::<f64>()) == 0 {
-                // SAFETY: alignment just checked, the byte length is an
-                // exact multiple of 8 by construction, and every bit
-                // pattern is a valid f64.
-                return Some(unsafe {
-                    std::slice::from_raw_parts(self.raw.as_ptr() as *const f64, self.len())
-                });
-            }
-        }
-        None
-    }
-
-    /// Bulk-convert into caller-owned scratch (cleared first). This is
-    /// the single copy on little-endian hosts: one `chunks_exact` pass,
-    /// no per-element capacity checks.
-    pub fn copy_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(self.raw.chunks_exact(8).map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            f64::from_bits(u64::from_be_bytes(a))
-        }));
-    }
-
-    /// Bulk-convert into a fresh vector.
-    pub fn to_vec(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.copy_into(&mut out);
-        out
-    }
-}
-
-/// Borrowed view of an XDR u64 array; see [`F64View`].
-#[derive(Debug, Clone, Copy)]
-pub struct U64View<'a> {
-    raw: &'a [u8],
-}
-
-impl<'a> U64View<'a> {
-    /// Number of elements in the array.
-    pub fn len(&self) -> usize {
-        self.raw.len() / 8
-    }
-
-    /// True if the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// The raw big-endian bytes backing the view.
-    pub fn as_be_bytes(&self) -> &'a [u8] {
-        self.raw
-    }
-
-    /// Zero-copy reinterpretation; see [`F64View::as_aligned`].
-    pub fn as_aligned(&self) -> Option<&'a [u64]> {
-        #[cfg(target_endian = "big")]
-        {
-            if self.raw.as_ptr().align_offset(std::mem::align_of::<u64>()) == 0 {
-                // SAFETY: alignment just checked, length is a multiple
-                // of 8, every bit pattern is a valid u64.
-                return Some(unsafe {
-                    std::slice::from_raw_parts(self.raw.as_ptr() as *const u64, self.len())
-                });
-            }
-        }
-        None
-    }
-
-    /// Bulk-convert into caller-owned scratch (cleared first).
-    pub fn copy_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(self.raw.chunks_exact(8).map(|c| {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(c);
-            u64::from_be_bytes(a)
-        }));
-    }
-
-    /// Bulk-convert into a fresh vector.
-    pub fn to_vec(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.copy_into(&mut out);
-        out
+        self.get_be64_array("u64", u64::from_be_bytes)
     }
 }
 
@@ -954,11 +824,6 @@ impl<'r, R: Read> StreamDecoder<'r, R> {
     /// decode) is comparable to the frame trailer.
     pub fn crc(&self) -> u32 {
         self.crc.finish()
-    }
-
-    /// Peak bytes the chunk buffer may hold (the memory bound).
-    pub fn chunk_capacity(&self) -> usize {
-        self.cap
     }
 }
 
@@ -1362,7 +1227,7 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_views_convert_and_respect_alignment_rule() {
+    fn arrays_decode_from_an_unaligned_buffer() {
         let xs: Vec<f64> = (0..513).map(|i| (i as f64).exp2().recip()).collect();
         let us: Vec<u64> = (0..257).map(|i| i * 0x0101_0101).collect();
         let mut e = Encoder::new();
@@ -1370,27 +1235,14 @@ mod tests {
         e.put_u64_array(&us);
         let bytes = e.into_bytes();
 
-        // Shift the buffer to an intentionally unaligned offset: the
-        // view must still convert correctly (alignment fallback).
+        // Shift the buffer to an intentionally unaligned offset: the bulk
+        // conversion copies byte-wise, so alignment must not matter.
         let mut shifted = vec![0u8; 1];
         shifted.extend_from_slice(&bytes);
         let mut d = Decoder::new(&shifted[1..]);
-        let fview = d.get_f64_slice().unwrap();
-        let uview = d.get_u64_slice().unwrap();
+        assert_eq!(d.get_f64_array().unwrap(), xs);
+        assert_eq!(d.get_u64_array().unwrap(), us);
         d.finish().unwrap();
-        assert_eq!(fview.len(), xs.len());
-        assert_eq!(fview.to_vec(), xs);
-        assert_eq!(uview.to_vec(), us);
-        if cfg!(target_endian = "little") {
-            // Zero-copy reinterpretation is never sound on LE hosts.
-            assert!(fview.as_aligned().is_none());
-            assert!(uview.as_aligned().is_none());
-        }
-
-        // copy_into reuses caller scratch without leaking stale data.
-        let mut scratch = vec![99.0; 4];
-        fview.copy_into(&mut scratch);
-        assert_eq!(scratch, xs);
     }
 
     #[test]

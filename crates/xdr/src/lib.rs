@@ -23,8 +23,8 @@ pub mod object;
 
 pub use checksum::{crc32, Crc32};
 pub use codec::{
-    decode_list, Decoder, Encoder, F64View, StreamDecoder, U64View, XdrSource,
-    DEFAULT_MAX_ITEM_BYTES, STREAM_INIT_ALLOC,
+    decode_list, Decoder, Encoder, StreamDecoder, XdrSource, DEFAULT_MAX_ITEM_BYTES,
+    STREAM_INIT_ALLOC,
 };
 pub use object::{decode_object, decode_objects, encode_object, encode_objects, from_bytes, to_bytes};
 

@@ -44,10 +44,34 @@ cargo test --test observability -q
 cargo test --test chaos_soak -q
 cargo test --test tracing -q
 
-# A server started without --mflops rates itself before it registers
-# (one LU at n=256: milliseconds in release, longer in these debug
-# builds), so wait for the registration instead of sleeping a guess.
-wait_registered() { # AGENT_PORT SERVER_PORT
+# One way to boot a live trio. Every daemon a smoke starts lands in PIDS;
+# stop_daemons ends a smoke, and the one EXIT trap runs it too, so a failed
+# check leaves nothing behind. A boot returns only once the daemon answers,
+# so no smoke sleeps a guess.
+PIDS=()
+TRACE_DUMP=$(mktemp)
+stop_daemons() {
+    [ ${#PIDS[@]} -eq 0 ] || { kill -9 "${PIDS[@]}"; wait "${PIDS[@]}"; } 2>/dev/null || true
+    PIDS=()
+}
+trap 'stop_daemons; rm -f "${TRACE_DUMP}"' EXIT
+
+boot_agent() { # PORT [ns-agent flags…] — ready once it answers a registry query
+    ./target/debug/ns-agent --listen 127.0.0.1:$1 "${@:2}" &
+    PIDS+=($!)
+    for _ in $(seq 1 100); do
+        ./target/debug/ns-client --agent 127.0.0.1:$1 servers >/dev/null 2>&1 && return 0
+        sleep 0.1
+    done
+    echo "agent on port $1 never answered"; exit 1
+}
+
+# A server started without --mflops rates itself before it registers (one
+# LU at n=256: milliseconds in release, longer in these debug builds), so
+# ready means registered, not merely listening.
+boot_server() { # AGENT_PORT PORT [ns-server flags…] — ready once the agent lists it
+    ./target/debug/ns-server --agent 127.0.0.1:$1 --listen 127.0.0.1:$2 "${@:3}" &
+    PIDS+=($!)
     for _ in $(seq 1 100); do
         ./target/debug/ns-client --agent 127.0.0.1:$1 servers 2>/dev/null \
             | grep -q "127.0.0.1:$2" && return 0
@@ -61,14 +85,8 @@ echo "=== netsl-trace smoke (live TCP trio, stitched timeline) ==="
 # and stitch the request timeline exactly as an operator would.
 AGENT_PORT=19751
 SERVER_PORT=19752
-TRACE_DUMP=$(mktemp)
-./target/debug/ns-agent --listen 127.0.0.1:${AGENT_PORT} &
-AGENT_PID=$!
-trap 'kill ${AGENT_PID} ${SERVER_PID:-} 2>/dev/null || true; rm -f "${TRACE_DUMP}"' EXIT
-sleep 0.3
-./target/debug/ns-server --agent 127.0.0.1:${AGENT_PORT} --listen 127.0.0.1:${SERVER_PORT} &
-SERVER_PID=$!
-wait_registered ${AGENT_PORT} ${SERVER_PORT}
+boot_agent ${AGENT_PORT}
+boot_server ${AGENT_PORT} ${SERVER_PORT}
 ./target/debug/ns-client --agent 127.0.0.1:${AGENT_PORT} \
     --trace-dump "${TRACE_DUMP}" demo dnrm2 256
 TIMELINE=$(./target/debug/netsl-trace --dump "${TRACE_DUMP}" \
@@ -78,7 +96,7 @@ echo "${TIMELINE}" | grep -q "server/solve" || {
     echo "netsl-trace smoke: no server/solve span in stitched timeline"; exit 1; }
 echo "${TIMELINE}" | grep -q "critical path:" || {
     echo "netsl-trace smoke: no critical-path breakdown"; exit 1; }
-kill ${AGENT_PID} ${SERVER_PID} 2>/dev/null || true
+stop_daemons
 
 echo "=== solve-cache smoke (live TCP trio, repeated solve must hit) ==="
 # Boot a trio with the content-addressed cache on, run the SAME demo
@@ -86,15 +104,8 @@ echo "=== solve-cache smoke (live TCP trio, repeated solve must hit) ==="
 # check netsl-stats shows the repeat as a cache hit.
 CACHE_AGENT_PORT=19771
 CACHE_SERVER_PORT=19772
-./target/debug/ns-agent --listen 127.0.0.1:${CACHE_AGENT_PORT} &
-CACHE_AGENT_PID=$!
-trap 'kill ${AGENT_PID} ${SERVER_PID:-} ${CACHE_AGENT_PID} ${CACHE_SERVER_PID:-} 2>/dev/null || true; \
-      rm -f "${TRACE_DUMP}"' EXIT
-sleep 0.3
-./target/debug/ns-server --agent 127.0.0.1:${CACHE_AGENT_PORT} \
-    --listen 127.0.0.1:${CACHE_SERVER_PORT} --cache-bytes 16777216 &
-CACHE_SERVER_PID=$!
-wait_registered ${CACHE_AGENT_PORT} ${CACHE_SERVER_PORT}
+boot_agent ${CACHE_AGENT_PORT}
+boot_server ${CACHE_AGENT_PORT} ${CACHE_SERVER_PORT} --cache-bytes 16777216
 for run in 1 2; do
     ./target/debug/ns-client --agent 127.0.0.1:${CACHE_AGENT_PORT} demo dnrm2 256 || {
         echo "cache smoke: demo run ${run} failed"; exit 1; }
@@ -107,7 +118,7 @@ echo "${CACHE_STATS}" | grep -E "server.cache_hits +[1-9]" -q || {
     echo "cache smoke: repeated demo never hit the cache"; exit 1; }
 echo "${CACHE_STATS}" | grep -E "server.cache_corrupt_dropped +0" -q || {
     echo "cache smoke: corrupt entries dropped on a clean run"; exit 1; }
-kill ${CACHE_AGENT_PID} ${CACHE_SERVER_PID} 2>/dev/null || true
+stop_daemons
 echo "cache smoke passed: repeated solve served from cache"
 
 echo "=== federation smoke (three agents, SIGKILL one, batch still completes) ==="
@@ -117,22 +128,12 @@ echo "=== federation smoke (three agents, SIGKILL one, batch still completes) ==
 # the dead agent FIRST) must complete with zero failed solves.
 FA1=19761; FA2=19762; FA3=19763
 FS1=19764; FS2=19765
-./target/debug/ns-agent --listen 127.0.0.1:${FA1} --gossip-interval 0.2 \
-    --peer 127.0.0.1:${FA2} --peer 127.0.0.1:${FA3} &
-FED_A1=$!
-./target/debug/ns-agent --listen 127.0.0.1:${FA2} --gossip-interval 0.2 \
-    --peer 127.0.0.1:${FA1} --peer 127.0.0.1:${FA3} &
-FED_A2=$!
-./target/debug/ns-agent --listen 127.0.0.1:${FA3} --gossip-interval 0.2 \
-    --peer 127.0.0.1:${FA1} --peer 127.0.0.1:${FA2} &
-FED_A3=$!
-trap 'kill -9 ${FED_A1} ${FED_A2} ${FED_A3} ${FED_S1:-} ${FED_S2:-} 2>/dev/null || true; \
-      rm -f "${TRACE_DUMP}"' EXIT
-sleep 0.3
-./target/debug/ns-server --agent 127.0.0.1:${FA1} --listen 127.0.0.1:${FS1} --mflops 250 &
-FED_S1=$!
-./target/debug/ns-server --agent 127.0.0.1:${FA2} --listen 127.0.0.1:${FS2} --mflops 150 &
-FED_S2=$!
+boot_agent ${FA1} --gossip-interval 0.2 --peer 127.0.0.1:${FA2} --peer 127.0.0.1:${FA3}
+FED_A1=${PIDS[-1]}
+boot_agent ${FA2} --gossip-interval 0.2 --peer 127.0.0.1:${FA1} --peer 127.0.0.1:${FA3}
+boot_agent ${FA3} --gossip-interval 0.2 --peer 127.0.0.1:${FA1} --peer 127.0.0.1:${FA2}
+boot_server ${FA1} ${FS1} --mflops 250
+boot_server ${FA2} ${FS2} --mflops 150
 # Poll for gossip convergence (a fixed sleep flakes on loaded machines):
 # agent 3 must learn server 1 purely from gossip before we proceed.
 FED_CONVERGED=0
@@ -157,7 +158,7 @@ echo "${FED_STATS}" | grep -q "federation" || {
     echo "federation smoke: no federation section in netsl-stats output"; exit 1; }
 echo "${FED_STATS}" | grep -q "agent.gossip_rounds" || {
     echo "federation smoke: no gossip_rounds counter in netsl-stats output"; exit 1; }
-kill -9 ${FED_A2} ${FED_A3} ${FED_S1} ${FED_S2} 2>/dev/null || true
+stop_daemons
 echo "federation smoke passed: batch completed with zero failed solves"
 
 echo "=== admission overload smoke (queue-bound shed with retry hints) ==="
@@ -167,16 +168,8 @@ echo "=== admission overload smoke (queue-bound shed with retry hints) ==="
 # server itself healthy — a calm follow-up request still solves.
 ADM_AGENT_PORT=19781
 ADM_SERVER_PORT=19782
-./target/debug/ns-agent --listen 127.0.0.1:${ADM_AGENT_PORT} &
-ADM_AGENT_PID=$!
-trap 'kill -9 ${FED_A1} ${FED_A2} ${FED_A3} ${FED_S1:-} ${FED_S2:-} \
-      ${ADM_AGENT_PID} ${ADM_SERVER_PID:-} 2>/dev/null || true; \
-      rm -f "${TRACE_DUMP}"' EXIT
-sleep 0.3
-./target/debug/ns-server --agent 127.0.0.1:${ADM_AGENT_PORT} \
-    --listen 127.0.0.1:${ADM_SERVER_PORT} --synthetic --mflops 0.0025 --max-queue 2 &
-ADM_SERVER_PID=$!
-sleep 0.3
+boot_agent ${ADM_AGENT_PORT}
+boot_server ${ADM_AGENT_PORT} ${ADM_SERVER_PORT} --synthetic --mflops 0.0025 --max-queue 2
 ADM_PIDS=()
 for i in $(seq 1 8); do
     ./target/debug/ns-client --agent 127.0.0.1:${ADM_AGENT_PORT} demo dnrm2 256 \
@@ -194,7 +187,7 @@ echo "${ADM_STATS}" | grep -E "server.admission_shed +[1-9]" -q || {
     echo "admission smoke: overload burst never shed"; exit 1; }
 ./target/debug/ns-client --agent 127.0.0.1:${ADM_AGENT_PORT} demo dnrm2 256 || {
     echo "admission smoke: server wedged after overload"; exit 1; }
-kill ${ADM_AGENT_PID} ${ADM_SERVER_PID} 2>/dev/null || true
+stop_daemons
 echo "admission smoke passed: ${ADM_OK}/8 burst clients served, the rest shed"
 
 echo "=== fleet-view smoke (netsl-top over a live trio, exemplar chase) ==="
@@ -205,20 +198,9 @@ echo "=== fleet-view smoke (netsl-top over a live trio, exemplar chase) ==="
 TOP_AGENT_PORT=19791
 TOP_SERVER1_PORT=19792
 TOP_SERVER2_PORT=19793
-./target/debug/ns-agent --listen 127.0.0.1:${TOP_AGENT_PORT} &
-TOP_AGENT_PID=$!
-trap 'kill -9 ${FED_A1} ${FED_A2} ${FED_A3} ${FED_S1:-} ${FED_S2:-} \
-      ${ADM_AGENT_PID} ${ADM_SERVER_PID:-} \
-      ${TOP_AGENT_PID} ${TOP_SERVER1_PID:-} ${TOP_SERVER2_PID:-} 2>/dev/null || true; \
-      rm -f "${TRACE_DUMP}"' EXIT
-sleep 0.3
-./target/debug/ns-server --agent 127.0.0.1:${TOP_AGENT_PORT} \
-    --listen 127.0.0.1:${TOP_SERVER1_PORT} --mflops 250 &
-TOP_SERVER1_PID=$!
-./target/debug/ns-server --agent 127.0.0.1:${TOP_AGENT_PORT} \
-    --listen 127.0.0.1:${TOP_SERVER2_PORT} --mflops 150 &
-TOP_SERVER2_PID=$!
-sleep 0.3
+boot_agent ${TOP_AGENT_PORT}
+boot_server ${TOP_AGENT_PORT} ${TOP_SERVER1_PORT} --mflops 250
+boot_server ${TOP_AGENT_PORT} ${TOP_SERVER2_PORT} --mflops 150
 for i in $(seq 1 6); do
     ./target/debug/ns-client --agent 127.0.0.1:${TOP_AGENT_PORT} demo dnrm2 256 \
         >/dev/null || { echo "fleet smoke: burst solve ${i} failed"; exit 1; }
@@ -252,27 +234,8 @@ TOP_TIMELINE=$(./target/debug/netsl-trace --trace "${TOP_EXEMPLAR}" \
 echo "${TOP_TIMELINE}" | grep -q "server/solve" || {
     echo "fleet smoke: p99 exemplar ${TOP_EXEMPLAR} did not stitch to a solve span"
     exit 1; }
-kill ${TOP_AGENT_PID} ${TOP_SERVER1_PID} ${TOP_SERVER2_PID} 2>/dev/null || true
+stop_daemons
 echo "fleet smoke passed: one scrape covered both servers, exemplar stitched"
-
-echo "=== wire-path bench smoke (writer routes + decode routes) ==="
-cargo build --release -p netsolve-bench --bin r1_wire_path
-R1_SMOKE=$(./target/release/r1_wire_path --quick)
-echo "${R1_SMOKE}"
-# The bench asserts, per payload size, that both writers match the
-# reference encoder, that the borrowed and streamed decode routes return
-# the original message and that streamed buffering stays bounded; this
-# line only prints if every assert held.
-echo "${R1_SMOKE}" | grep -q "decode routes agree" || {
-    echo "wire smoke: decode-route agreement line missing"; exit 1; }
-
-echo "=== trace-overhead bench smoke (tracing on vs off) ==="
-cargo build --release -p netsolve-bench --bin r9_trace_overhead
-./target/release/r9_trace_overhead --quick
-
-echo "=== solve-cache bench smoke (cache on vs off) ==="
-cargo build --release -p netsolve-bench --bin r10_cache
-./target/release/r10_cache --quick
 
 echo "=== admission bench smoke (sim vs live shed agreement, calendar scale) ==="
 cargo build --release -p netsolve-bench --bin r11_admission

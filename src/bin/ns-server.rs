@@ -28,6 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use netsolve::core::admission::{AdmissionConfig, AdmissionPolicy};
 use netsolve::core::{Matrix, Rng64};
 use netsolve::net::{TcpTransport, Transport};
 use netsolve::pdl::ProblemRegistry;
@@ -49,7 +50,7 @@ fn main() {
     let mut host = hostname_or("rust-server");
     let mut synthetic = false;
     let mut cache_bytes = 0usize;
-    let mut admission: Option<netsolve::core::AdmissionConfig> = None;
+    let mut admission: Option<AdmissionConfig> = None;
     let mut pdl_files: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -73,14 +74,14 @@ fn main() {
                     .unwrap_or_else(|| usage())
             }
             "--admission" => {
-                admission.get_or_insert_with(netsolve::core::AdmissionConfig::default);
+                admission.get_or_insert_with(AdmissionConfig::default);
             }
             "--max-queue" => {
                 let depth = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
-                admission = Some(netsolve::core::AdmissionConfig::with_max_queue(depth));
+                admission = Some(AdmissionConfig::with_max_queue(depth));
             }
             "--pdl" => pdl_files.push(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
@@ -123,9 +124,11 @@ fn main() {
     if cache_bytes > 0 {
         core = core.with_cache(cache_bytes);
     }
+    if let Some(cfg) = &admission {
+        core = core.with_admission(Arc::new(AdmissionPolicy::new(cfg.clone())));
+    }
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
-    let mut config = ServerConfig::quick(&host, &listen, mflops);
-    config.admission = admission.clone();
+    let config = ServerConfig::quick(&host, &listen, mflops);
     let daemon = match ServerDaemon::start(transport, &agent, core, config) {
         Ok(d) => d,
         Err(e) => {

@@ -613,7 +613,7 @@ fn run_cached_soak(seed: u64) {
     // Corrupt EVERY cached entry in memory, then hammer again. Each swept
     // entry must be dropped by the serve-time CRC on its next probe — not
     // one corrupted byte may reach a client.
-    let corrupted = cache.corrupt_all_entries_for_test();
+    let corrupted = cache.corrupt_entries_for_test(usize::MAX);
     assert_eq!(corrupted, PROBLEMS, "seed {seed}: sweep missed entries");
     run_phase(2);
 
