@@ -429,7 +429,10 @@ impl Shared {
     }
 
     /// Ask every peer agent for candidates; merge and rank by predicted
-    /// time. Returns `None` when no peer had anything either.
+    /// time. Returns `None` when no peer had anything either. Server ids
+    /// are per-agent counters — two peers' "server 1" are different
+    /// machines, and one machine known to two peers carries two ids — so
+    /// the address is what tells candidates apart.
     fn query_peers(&self, peers: &[String], q: &QueryShape) -> Option<Vec<Candidate>> {
         let ask = Message::ServerQueryForwarded(q.clone());
         let mut merged: Vec<Candidate> = Vec::new();
@@ -443,8 +446,9 @@ impl Shared {
             return None;
         }
         merged.sort_by(|a, b| a.predicted_secs.total_cmp(&b.predicted_secs));
-        merged.dedup_by_key(|c| c.server_id);
-        merged.truncate(5);
+        let mut seen = HashSet::new();
+        merged.retain(|c| seen.insert(c.address.clone()));
+        merged.truncate(self.core.lock().config().candidates_returned.0);
         Some(merged)
     }
 
@@ -465,8 +469,10 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::Policy;
     use crate::registry::standard_descriptor;
-    use netsolve_net::{call, ChannelNetwork};
+    use netsolve_core::config::CandidateCount;
+    use netsolve_net::{call, ChannelNetwork, NetworkView};
     use netsolve_proto::{Message, QueryShape};
     use std::time::Duration;
 
@@ -612,6 +618,76 @@ mod tests {
         }
         agent_a.stop();
         agent_b.stop();
+    }
+
+    /// Regression: every agent numbers its servers from 1, so the merge of
+    /// two peers' lists must tell candidates apart by address. Keyed on the
+    /// id, B's and C's "server 1" collapsed into one candidate (no failover
+    /// target left), a server both peers know under different ids was
+    /// listed twice, and the cut-off ignored `candidates_returned`.
+    #[test]
+    fn federated_candidates_merge_by_address_up_to_the_configured_count() {
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let start = |address: &str, core: AgentCore| {
+            AgentDaemon::start(Arc::clone(&transport), address, core).unwrap()
+        };
+        let mut agent_b = start("agent-b", AgentCore::with_defaults());
+        let mut agent_c = start("agent-c", AgentCore::with_defaults());
+        // Each peer's own fast server is its id 1; both also know `shared`.
+        for (agent, own) in [("agent-b", "srvb"), ("agent-c", "srvc")] {
+            let mut conn = net.connect(agent).unwrap();
+            for (address, mflops) in [(own, 200.0), ("shared", 100.0)] {
+                let register =
+                    Message::RegisterServer(standard_descriptor(address, address, mflops));
+                let reply = call(conn.as_mut(), &register, timeout()).unwrap();
+                assert!(matches!(reply, Message::RegisterAck { accepted: true, .. }));
+            }
+        }
+        let two = AgentConfig {
+            candidates_returned: CandidateCount(2),
+            ..AgentConfig::default()
+        };
+        let two = AgentCore::new(
+            two,
+            Policy::MinimumCompletionTime,
+            NetworkView::lan_defaults(),
+        );
+        let mut agents = [
+            start("agent-a", AgentCore::with_defaults()),
+            start("agent-a2", two),
+        ];
+        // Each query leaves a pending assignment behind at the peers, so
+        // the second ranking's order is not the first's: count distinct
+        // addresses (three exist in all), don't name them.
+        for (agent, want) in agents.iter_mut().zip([3, 2]) {
+            agent.set_peers(vec!["agent-b".into(), "agent-c".into()]);
+            let query = Message::ServerQuery(QueryShape {
+                client_host: 0,
+                problem: "dgesv".into(),
+                n: 50,
+                bytes_in: 20_400,
+                bytes_out: 408,
+                trace_id: 0,
+                parent_span: 0,
+            });
+            let mut conn = net.connect(agent.address()).unwrap();
+            match call(conn.as_mut(), &query, timeout()).unwrap() {
+                Message::ServerList { candidates } => {
+                    let got: HashSet<&str> =
+                        candidates.iter().map(|c| c.address.as_str()).collect();
+                    assert_eq!(
+                        (got.len(), candidates.len()),
+                        (want, want),
+                        "{candidates:?}"
+                    );
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        for agent in agents.iter_mut().chain([&mut agent_b, &mut agent_c]) {
+            agent.stop();
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use netsolve_core::config::RetryPolicy;
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
-use netsolve_core::rng::Rng64;
+use netsolve_core::rng::{splitmix64, Rng64};
 use netsolve_net::{call, Connection, Transport};
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape};
@@ -91,14 +91,6 @@ fn request_id_seed() -> u64 {
     let instance = INSTANCES.fetch_add(1, Ordering::Relaxed);
     let lane = (instance as u32) ^ (entropy as u32);
     (u64::from(lane) << 32) | 1
-}
-
-/// SplitMix64 finalizer — the standard 64-bit avalanche mix.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl NetSolveClient {
@@ -501,7 +493,9 @@ impl NetSolveClient {
         // Servers whose failure is tied to the host rather than the path
         // (ExecutionFailed) drop out of the rotation; transient failures
         // (unreachable, timeout, corruption) keep the candidate in play.
-        let mut spent: Vec<u64> = Vec::new();
+        // Keyed by address: a server id is only unique within the agent
+        // that issued it, and a federated list mixes several agents' ids.
+        let mut spent: Vec<&str> = Vec::new();
         // A shedding server's Busy reply carries a `retry_after_ms` hint
         // sized from its queue state; it floors the next backoff wait so
         // a hinted client never hammers a server that just told it when
@@ -511,7 +505,7 @@ impl NetSolveClient {
         for retry in 0..max_attempts {
             let live: Vec<&Candidate> = candidates
                 .iter()
-                .filter(|c| !spent.contains(&c.server_id))
+                .filter(|c| !spent.contains(&c.address.as_str()))
                 .collect();
             if live.is_empty() {
                 break;
@@ -624,7 +618,7 @@ impl NetSolveClient {
                     );
                     self.report_failure(candidate, problem, &e, ctx);
                     if matches!(e, NetSolveError::ExecutionFailed(_)) {
-                        spent.push(candidate.server_id);
+                        spent.push(&candidate.address);
                     }
                     last_err = e;
                 }
@@ -1080,6 +1074,60 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         (net, agent1, agent2, server)
+    }
+
+    /// Regression: a candidate list widened through two peer agents carries
+    /// each peer's own "server 1". Dropping a host-failed server from the
+    /// rotation by id also dropped the healthy one, and the call failed
+    /// with a good server never tried.
+    #[test]
+    fn a_failed_server_leaves_the_rotation_by_address_not_by_id() {
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let start_agent = |address: &str| {
+            AgentDaemon::start(Arc::clone(&transport), address, AgentCore::with_defaults()).unwrap()
+        };
+        let (mut agent_a, mut agent_b, mut agent_c) = (
+            start_agent("agent-a"),
+            start_agent("agent-b"),
+            start_agent("agent-c"),
+        );
+        agent_a.set_peers(vec!["agent-b".into(), "agent-c".into()]);
+        // agent-b's server 1 ranks first and fails every solve on its host.
+        let listener = net.listen("broken").unwrap();
+        let mut conn = net.connect("agent-b").unwrap();
+        let register =
+            Message::RegisterServer(netsolve_agent::standard_descriptor("hb", "broken", 900.0));
+        netsolve_net::call(conn.as_mut(), &register, Duration::from_secs(5)).unwrap();
+        let broken = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            conn.recv().unwrap();
+            let failed = NetSolveError::ExecutionFailed("disk full".into());
+            conn.send(&Message::from_error(&failed)).unwrap();
+        });
+        // agent-c's server 1 is healthy.
+        let mut healthy = ServerDaemon::start(
+            Arc::clone(&transport),
+            "agent-c",
+            ServerCore::with_standard_catalogue(),
+            ServerConfig::quick("hc", "healthy", 100.0),
+        )
+        .unwrap();
+
+        let client = NetSolveClient::new(Arc::new(net.clone()), "agent-a");
+        let (outputs, report) = client
+            .netsl_timed("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()])
+            .unwrap();
+        assert_eq!(outputs[0].as_double().unwrap(), 11.0);
+        assert_eq!(
+            report.attempts, 2,
+            "the broken server is tried first, then the healthy one"
+        );
+        broken.join().unwrap();
+        healthy.stop();
+        for agent in [&mut agent_a, &mut agent_b, &mut agent_c] {
+            agent.stop();
+        }
     }
 
     /// An agent at its connection cap sheds newcomers with a retryable

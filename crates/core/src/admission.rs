@@ -39,29 +39,22 @@ use std::sync::Arc;
 use netsolve_obs::{Counter, Histogram};
 use parking_lot::Mutex;
 
-/// Tuning knobs for one server's [`AdmissionPolicy`].
+/// Service-time quantile used for wait estimation (0.9 = plan for
+/// slow-ish solves; lower would admit more aggressively).
+const SERVICE_QUANTILE: f64 = 0.9;
+/// Observations of a problem required before its histogram is trusted
+/// for deadline estimates.
+const MIN_OBSERVATIONS: u64 = 8;
+/// Service-seconds guess used for retry hints before any observations
+/// accrue.
+const FALLBACK_SERVICE_SECS: f64 = 0.05;
+/// Ceiling on the `retry_after_ms` hint handed to shed clients.
+const MAX_RETRY_HINT_MS: u64 = 5_000;
+
+/// The one knob of a server's [`AdmissionPolicy`]: its queue bound.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// Shed once the solve queue (waiting + in service) reaches this
-    /// depth.
-    pub max_queue_depth: usize,
-    /// Hysteresis low watermark: once shedding, keep shedding until the
-    /// queue drains to this depth.
-    pub resume_queue_depth: usize,
-    /// Reject requests whose remaining deadline budget cannot cover the
-    /// estimated queue wait plus service time.
-    pub deadline_early_reject: bool,
-    /// Service-time quantile used for wait estimation (0.9 = plan for
-    /// slow-ish solves; lower admits more aggressively).
-    pub service_quantile: f64,
-    /// Observations of a problem required before its histogram is
-    /// trusted for deadline estimates.
-    pub min_observations: u64,
-    /// Service-seconds guess used for retry hints before any
-    /// observations accrue.
-    pub fallback_service_secs: f64,
-    /// Ceiling on the `retry_after_ms` hint handed to shed clients.
-    pub max_retry_hint_ms: u64,
+    max_queue_depth: usize,
 }
 
 impl Default for AdmissionConfig {
@@ -71,19 +64,24 @@ impl Default for AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// A config shedding at `depth` with the resume watermark at 3/4 of
-    /// it (minimum gap of one so the latch always has room to release).
+    /// A config shedding at `depth` (at least 1).
     pub fn with_max_queue(depth: usize) -> Self {
-        let depth = depth.max(1);
         AdmissionConfig {
-            max_queue_depth: depth,
-            resume_queue_depth: (depth * 3 / 4).min(depth - 1),
-            deadline_early_reject: true,
-            service_quantile: 0.9,
-            min_observations: 8,
-            fallback_service_secs: 0.05,
-            max_retry_hint_ms: 5_000,
+            max_queue_depth: depth.max(1),
         }
+    }
+
+    /// Shed once the solve queue (waiting + in service) reaches this
+    /// depth.
+    pub fn max_queue_depth(&self) -> usize {
+        self.max_queue_depth
+    }
+
+    /// Hysteresis low watermark: once shedding, keep shedding until the
+    /// queue drains to this depth — 3/4 of the bound, with a gap of at
+    /// least one so the latch always has room to release.
+    pub fn resume_queue_depth(&self) -> usize {
+        (self.max_queue_depth * 3 / 4).min(self.max_queue_depth - 1)
     }
 }
 
@@ -126,6 +124,10 @@ pub enum AdmissionDecision {
     },
 }
 
+fn hint_ms(secs: f64) -> u64 {
+    ((secs * 1e3).ceil() as u64).clamp(1, MAX_RETRY_HINT_MS)
+}
+
 /// The admission decision engine. See the module docs for the design.
 ///
 /// Thread-safe and cheap: one atomic for the hysteresis latch, a short
@@ -156,11 +158,6 @@ impl AdmissionPolicy {
         }
     }
 
-    /// The config this policy runs.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// Record an observed service time for `problem` (seconds). Both the
     /// simulator (virtual service draws) and the live server (measured
     /// solve seconds) feed this after every completed solve.
@@ -172,8 +169,8 @@ impl AdmissionPolicy {
         hist.record_secs(secs);
     }
 
-    /// The service-time estimate (the configured quantile) for `problem`,
-    /// or `None` until `min_observations` samples accrued. Log-bucket
+    /// The service-time estimate ([`SERVICE_QUANTILE`]) for `problem`, or
+    /// `None` until [`MIN_OBSERVATIONS`] samples accrued. Log-bucket
     /// quantiles are within 2x of the true sample — good enough for
     /// shed/admit decisions, and identical in sim and live by
     /// construction.
@@ -182,10 +179,10 @@ impl AdmissionPolicy {
             let map = self.service.lock();
             Arc::clone(map.get(problem)?)
         };
-        if hist.count() < self.config.min_observations {
+        if hist.count() < MIN_OBSERVATIONS {
             return None;
         }
-        Some(hist.snapshot(problem).quantile_secs(self.config.service_quantile))
+        Some(hist.snapshot(problem).quantile_secs(SERVICE_QUANTILE))
     }
 
     /// Decide one request. `queue_depth` is the solve queue (waiting +
@@ -209,18 +206,18 @@ impl AdmissionPolicy {
         }
         let est = self
             .service_estimate_secs(problem)
-            .unwrap_or(self.config.fallback_service_secs)
+            .unwrap_or(FALLBACK_SERVICE_SECS)
             .max(1e-6);
         // 2. Queue-depth shed with hysteresis.
         let latched = self.shedding.load(Ordering::Acquire);
         let shed_on_depth = if latched {
-            if queue_depth <= self.config.resume_queue_depth {
+            if queue_depth <= self.config.resume_queue_depth() {
                 self.shedding.store(false, Ordering::Release);
                 false
             } else {
                 true
             }
-        } else if queue_depth >= self.config.max_queue_depth {
+        } else if queue_depth >= self.config.max_queue_depth() {
             self.shedding.store(true, Ordering::Release);
             true
         } else {
@@ -230,34 +227,30 @@ impl AdmissionPolicy {
             self.shed_queue_full.inc();
             // Hint: roughly how long until the queue drains back to the
             // resume watermark at one service time per slot.
-            let excess = queue_depth.saturating_sub(self.config.resume_queue_depth).max(1);
+            let excess = queue_depth
+                .saturating_sub(self.config.resume_queue_depth())
+                .max(1);
             return AdmissionDecision::Shed {
                 reason: ShedReason::QueueFull,
-                retry_after_ms: self.hint_ms(excess as f64 * est),
+                retry_after_ms: hint_ms(excess as f64 * est),
             };
         }
         // 3. Deadline-aware early reject: estimated wait + service vs
         // the remaining budget. Only with real observations — guessing
         // here would shed healthy traffic on cold start.
-        if self.config.deadline_early_reject {
-            if let Some(budget_ms) = remaining_budget_ms {
-                if self.service_estimate_secs(problem).is_some() {
-                    let expected_ms = (queue_depth as f64 + 1.0) * est * 1e3;
-                    if expected_ms > budget_ms as f64 {
-                        self.shed_deadline_unmeetable.inc();
-                        return AdmissionDecision::Shed {
-                            reason: ShedReason::DeadlineUnmeetable,
-                            retry_after_ms: self.hint_ms(expected_ms / 1e3),
-                        };
-                    }
+        if let Some(budget_ms) = remaining_budget_ms {
+            if self.service_estimate_secs(problem).is_some() {
+                let expected_ms = (queue_depth as f64 + 1.0) * est * 1e3;
+                if expected_ms > budget_ms as f64 {
+                    self.shed_deadline_unmeetable.inc();
+                    return AdmissionDecision::Shed {
+                        reason: ShedReason::DeadlineUnmeetable,
+                        retry_after_ms: hint_ms(expected_ms / 1e3),
+                    };
                 }
             }
         }
         AdmissionDecision::Admit
-    }
-
-    fn hint_ms(&self, secs: f64) -> u64 {
-        ((secs * 1e3).ceil() as u64).clamp(1, self.config.max_retry_hint_ms)
     }
 
     /// Whether the hysteresis latch is currently shedding.
@@ -376,12 +369,11 @@ mod tests {
 
     #[test]
     fn deadline_early_reject_uses_observed_service_times() {
-        let mut cfg = AdmissionConfig::with_max_queue(64);
-        cfg.min_observations = 4;
-        let p = AdmissionPolicy::new(cfg);
-        // No history yet: a tight deadline is still admitted (no guessing).
-        assert_eq!(p.admit("dgesv", 10, Some(5)), AdmissionDecision::Admit);
-        for _ in 0..8 {
+        let p = AdmissionPolicy::new(AdmissionConfig::with_max_queue(64));
+        // Too little history: a tight deadline is still admitted (no
+        // guessing), up to the last observation short of the bar.
+        for _ in 0..MIN_OBSERVATIONS {
+            assert_eq!(p.admit("dgesv", 10, Some(5)), AdmissionDecision::Admit);
             p.observe_service("dgesv", 0.100); // ~100 ms solves
         }
         // 10 queued × ~100 ms each >> 5 ms budget: early reject.
@@ -401,10 +393,10 @@ mod tests {
 
     #[test]
     fn retry_hint_scales_with_excess_depth() {
-        let mut cfg = AdmissionConfig::with_max_queue(4);
-        cfg.min_observations = 1;
-        let p = AdmissionPolicy::new(cfg);
-        p.observe_service("x", 0.050);
+        let p = AdmissionPolicy::new(AdmissionConfig::with_max_queue(4));
+        for _ in 0..MIN_OBSERVATIONS {
+            p.observe_service("x", 0.050);
+        }
         let shallow = match p.admit("x", 4, None) {
             AdmissionDecision::Shed { retry_after_ms, .. } => retry_after_ms,
             _ => panic!(),
@@ -414,7 +406,7 @@ mod tests {
             _ => panic!(),
         };
         assert!(deep > shallow, "deep {deep} vs shallow {shallow}");
-        assert!(deep <= p.config().max_retry_hint_ms);
+        assert!(deep <= MAX_RETRY_HINT_MS);
     }
 
     #[test]

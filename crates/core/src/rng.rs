@@ -7,6 +7,19 @@
 //! algorithm, which may change across versions) plus the distribution
 //! samplers the simulator needs.
 
+/// Weyl increment of SplitMix64 (the golden ratio in 64 bits).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step as a pure function: advance `x` by the Weyl
+/// increment, then the 64-bit avalanche finalizer. [`Rng64`] is this walked
+/// along a counter; hashing and id-whitening code calls it directly.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64: tiny, fast, and excellent for seeding/streaming use.
 ///
 /// Passes BigCrush when used as a 64-bit generator; we use it both directly
@@ -19,7 +32,9 @@ pub struct Rng64 {
 impl Rng64 {
     /// Create a generator from a seed. Equal seeds give equal streams.
     pub fn new(seed: u64) -> Self {
-        Rng64 { state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15) }
+        Rng64 {
+            state: seed.wrapping_add(GAMMA),
+        }
     }
 
     /// Derive an independent child stream; children with different `stream`
@@ -31,11 +46,9 @@ impl Rng64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        out
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -531,7 +531,7 @@ mod tests {
     /// Mid-stream corruption of multi-megabyte operand frames: a byte
     /// flip anywhere in a large payload must surface as `Corrupt`, never
     /// as a silently wrong operand — the invariant the CRC exists for,
-    /// checked here across the borrowed decode route's bulk-view path.
+    /// checked here on whole frames decoded from memory.
     #[test]
     fn corruption_of_large_operands_is_always_detected() {
         let net = ChannelNetwork::new();

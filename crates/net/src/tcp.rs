@@ -121,8 +121,8 @@ struct TcpConnection {
     /// the streaming threshold bypass it entirely (chunked sends), so it
     /// never grows past the threshold either.
     scratch: Vec<u8>,
-    /// Per-connection bounded-memory reader: small frames decode borrowed
-    /// from a reused buffer, large ones stream through chunks.
+    /// Per-connection bounded-memory reader: every frame decodes through
+    /// one reused window, however large the operand.
     frames: FrameReader,
 }
 

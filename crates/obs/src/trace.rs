@@ -42,7 +42,9 @@ const PINNED_TRACE_CAP: usize = 64;
 
 /// `splitmix64` mixing step — the same generator the client uses for
 /// request-id lanes; good enough to make per-tracer span-id streams
-/// and trace ids collision-free in practice.
+/// and trace ids collision-free in practice. A copy of
+/// `netsolve_core::rng::splitmix64`: `core` depends on `obs`, not the
+/// other way round, and no dependency table may change.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

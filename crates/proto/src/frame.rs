@@ -36,17 +36,17 @@
 //! that route-equivalence tests compare the writers against and that
 //! compatibility tests use to speak as an older-version peer.
 //!
-//! One reader takes them apart: [`FrameReader`] gives each connection a
-//! bounded-memory reader that keeps small frames on a reused whole-frame
-//! buffer (decoded **borrowed**, no payload copy) but switches large ones
-//! onto a chunked [`netsolve_xdr::StreamDecoder`] — decode begins before
-//! the operand has fully arrived and per-connection buffering stays far
-//! below the payload size. [`parse_frame`] is the same borrowed decode
-//! for transports that hand over whole frames in memory. Both share one
-//! header check and one CRC verdict: the CRC covers every payload byte,
-//! and a mismatch is reported as [`NetSolveError::Corrupt`] even when a
-//! decode error surfaced first, so flipped bits on the chunked route are
-//! never misclassified.
+//! One sequence takes them apart, whether the bytes come off a socket
+//! ([`FrameReader`], one per connection) or sit in memory ([`parse_frame`],
+//! for transports that hand over whole frames): header words, then the
+//! payload decoded through a [`netsolve_xdr::Decoder`] window — the slice
+//! itself in memory, a reused chunk buffer of at most
+//! [`DEFAULT_STREAM_CHUNK`] off a socket, so decode begins before a large
+//! operand has fully arrived and a frame larger than the window never
+//! exists whole — then whatever decode left unread is drained, and the
+//! CRC trailer is judged. The CRC covers every payload byte, and a
+//! mismatch is reported as [`NetSolveError::Corrupt`] even when a decode
+//! error surfaced first, so flipped bits are never misclassified.
 //!
 //! Reading is version-tolerant: any frame whose version is in
 //! `1..=VERSION` is accepted and its payload decoded under the sender's
@@ -58,7 +58,7 @@ use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_xdr::{crc32, Encoder, StreamDecoder, XdrSource, STREAM_INIT_ALLOC};
+use netsolve_xdr::{crc32, Decoder, Encoder};
 
 use crate::message::Message;
 
@@ -76,11 +76,12 @@ pub const MIN_VERSION: u32 = 1;
 pub const MAX_FRAME_PAYLOAD: usize = 512 * 1024 * 1024;
 /// Bytes of frame header before the payload (magic, version, length).
 pub const HEADER_LEN: usize = 12;
-/// Default chunk size for the streaming read/write routes (64 KiB): the
-/// per-connection memory bound while a large frame is in flight.
+/// Chunk size of the read window and of the streaming writer (64 KiB):
+/// the per-connection memory bound while a large frame is in flight.
 pub const DEFAULT_STREAM_CHUNK: usize = 64 * 1024;
-/// Frames with payloads at or below this stay on the whole-frame borrowed
-/// decode route (fastest); larger ones stream through bounded chunks.
+/// Send-side route choice: a message that encodes to more than this goes
+/// out through [`write_message_streamed`], anything smaller through the
+/// single-pass scratch-buffer writer.
 pub const DEFAULT_STREAM_THRESHOLD: usize = 1024 * 1024;
 
 /// Process-wide count of frames accepted at a version below [`VERSION`].
@@ -208,17 +209,15 @@ pub fn write_message_streamed(
     Ok(HEADER_LEN as u64 + written + 4)
 }
 
-/// Validate a frame header: magic, version window (counting downgrades),
-/// and the payload-length cap. Returns the sender's version and payload
-/// length. Shared by every read route so they cannot drift.
-fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(u32, usize)> {
-    let magic = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
+/// Validate a frame header's three words: magic, version window (counting
+/// downgrades), and the payload-length cap. Returns the sender's version
+/// and the payload length.
+fn validate_header(magic: u32, version: u32, len: u32) -> Result<(u32, usize)> {
     if magic != MAGIC {
         return Err(NetSolveError::Protocol(format!(
             "bad frame magic {magic:#010x}"
         )));
     }
-    let version = u32::from_be_bytes(header[4..8].try_into().expect("4 bytes"));
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(NetSolveError::Protocol(format!(
             "unsupported protocol version {version} (supported {MIN_VERSION}..={VERSION})"
@@ -227,181 +226,85 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(u32, usize)> {
     if version < VERSION {
         VERSION_DOWNGRADES.fetch_add(1, Ordering::Relaxed);
     }
-    let len = u32::from_be_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(oversize(len));
+    if len as usize > MAX_FRAME_PAYLOAD {
+        return Err(oversize(len as usize));
     }
-    Ok((version, len))
+    Ok((version, len as usize))
 }
 
-fn read_header(r: &mut impl Read) -> Result<(u32, usize)> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            NetSolveError::Transport("peer closed connection".into())
-        } else {
-            NetSolveError::from(e)
-        }
-    })?;
-    validate_header(&header)
-}
-
-/// The CRC verdict, rendered in one place for every read route. Corrupt,
-/// not Protocol: a damaged frame is a transient link fault and the request
-/// is safe to retry elsewhere.
-fn check_crc(computed: u32, expected: [u8; 4]) -> Result<()> {
-    let expected = u32::from_be_bytes(expected);
+/// The read path, stated once: a frame is three extents of one decoder,
+/// the trailer announced behind the payload so a reader source fetches
+/// both with one read when they fit its window. Returns the message and
+/// the frame's length on the wire.
+fn read_frame(d: &mut Decoder<'_>) -> Result<(Message, usize)> {
+    d.limit(HEADER_LEN, 0);
+    let (version, len) = validate_header(d.get_u32()?, d.get_u32()?, d.get_u32()?)?;
+    d.limit(len, 4);
+    let outcome = Message::decode_body(d, version).and_then(|msg| d.finish().map(|()| msg));
+    // Whatever decode did, pull the rest of the payload so the stream
+    // stays framed and the CRC covers every byte.
+    d.drain()?;
+    let computed = d.crc();
+    d.limit(4, 0);
+    let expected = d.get_u32()?;
+    // The CRC verdict outranks any decode error: garbled bytes that also
+    // broke decoding are corruption, not a protocol violation. Corrupt,
+    // not Protocol: a damaged frame is a transient link fault and the
+    // request is safe to retry elsewhere.
     if computed != expected {
         return Err(NetSolveError::Corrupt(format!(
             "frame checksum mismatch: computed {computed:#010x}, expected {expected:#010x}"
         )));
     }
-    Ok(())
+    Ok((outcome?, HEADER_LEN + len + 4))
 }
 
-/// Read the CRC trailer off the wire and render the verdict.
-fn read_crc(r: &mut impl Read, computed: u32) -> Result<()> {
-    let mut expected = [0u8; 4];
-    r.read_exact(&mut expected)?;
-    check_crc(computed, expected)
-}
-
-/// Parse one frame **borrowed** from an in-memory buffer, returning the
-/// message and how many bytes were consumed. The payload is never copied
-/// into an intermediate buffer: the header is validated in place, the
-/// CRC scans the slice, and the message decodes straight from it — this
-/// is the receive-side mirror of the single-pass writer, and the route
-/// the in-process transport (which hands over whole frames) rides.
+/// Parse one frame from an in-memory buffer, returning the message and how
+/// many bytes were consumed. The decoder's window is `buf` itself, so the
+/// payload is never copied into an intermediate buffer; a buffer that ends
+/// before the frame does is a transport fault, as on a socket. This is the
+/// route the in-process transport (which hands over whole frames) rides.
 pub fn parse_frame(buf: &[u8]) -> Result<(Message, usize)> {
-    if buf.len() < HEADER_LEN {
-        return Err(NetSolveError::Transport("peer closed connection".into()));
-    }
-    let header: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("12 bytes");
-    let (version, len) = validate_header(header)?;
-    let total = HEADER_LEN + len + 4;
-    if buf.len() < total {
-        return Err(NetSolveError::Transport(
-            "peer closed connection mid-frame".into(),
-        ));
-    }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-    check_crc(crc32(payload), buf[HEADER_LEN + len..total].try_into().expect("4 bytes"))?;
-    let msg = Message::decode_versioned(payload, version)?;
-    Ok((msg, total))
+    read_frame(&mut Decoder::new(buf))
 }
 
-/// Per-connection frame reader with bounded memory. Small frames (payload
-/// ≤ `stream_threshold`) land in a reused whole-frame buffer and decode
-/// borrowed — the steady-state hot path, allocation-free once warm. Large
-/// frames switch to the chunked streaming route: the payload flows
-/// through a `chunk`-byte [`StreamDecoder`] window, decode begins before
-/// the operand has fully arrived, and per-connection buffering stays at
-/// the chunk size (plus the decoded message itself) instead of the
-/// payload size.
-///
-/// On the streaming route a decode error drains the rest of the frame so
-/// the connection stays framed, and the CRC verdict is still rendered
-/// over every payload byte: checksum mismatch reports
-/// [`NetSolveError::Corrupt`] *in preference to* whatever decode error
-/// the garbled bytes produced, exactly like the whole-frame routes.
+/// Per-connection frame reader with bounded memory: every frame, small or
+/// large, is decoded through one reused window of at most
+/// [`DEFAULT_STREAM_CHUNK`] bytes that grows only to what has actually
+/// been asked of it — a connection that only ever sees 100-byte replies
+/// never holds more than that. Per-connection buffering is the window
+/// (plus the decoded message itself), never the payload size.
 #[derive(Debug)]
 pub struct FrameReader {
-    /// Reused whole-frame buffer for the small-frame borrowed route.
-    buf: Vec<u8>,
-    /// Payloads larger than this stream through chunks.
-    stream_threshold: usize,
-    /// Chunk-buffer size for the streaming route.
+    window: Vec<u8>,
     chunk: usize,
-    /// Frames this reader decoded via the streaming route.
-    streamed: u64,
 }
 
 impl Default for FrameReader {
     fn default() -> Self {
-        Self::new(DEFAULT_STREAM_THRESHOLD, DEFAULT_STREAM_CHUNK)
+        Self::with_window(DEFAULT_STREAM_CHUNK)
     }
 }
 
 impl FrameReader {
-    /// Reader that streams payloads above `stream_threshold` through a
-    /// `chunk`-byte window. `stream_threshold = 0` streams everything;
-    /// `stream_threshold = MAX_FRAME_PAYLOAD` always buffers whole frames.
-    pub fn new(stream_threshold: usize, chunk: usize) -> Self {
+    /// Reader with a window other than the default: tests shrink it so
+    /// that items straddle refills.
+    pub(crate) fn with_window(chunk: usize) -> Self {
         FrameReader {
-            buf: Vec::new(),
-            stream_threshold,
-            chunk: chunk.max(64),
-            streamed: 0,
+            window: Vec::new(),
+            chunk,
         }
     }
 
     /// Read one framed message from `r`.
     pub fn read_from(&mut self, r: &mut impl Read) -> Result<Message> {
-        let (version, len) = read_header(r)?;
-        if len <= self.stream_threshold {
-            self.read_buffered(r, version, len)
-        } else {
-            self.streamed += 1;
-            read_streamed(r, version, len, self.chunk)
-        }
+        read_frame(&mut Decoder::reading(r, &mut self.window, self.chunk)).map(|(msg, _)| msg)
     }
 
-    /// Small-frame route: payload into the reused buffer (grown only as
-    /// bytes arrive — the untrusted length commits no memory), then CRC
-    /// and a borrowed decode straight from the buffer.
-    fn read_buffered(&mut self, r: &mut impl Read, version: u32, len: usize) -> Result<Message> {
-        self.buf.clear();
-        if self.buf.capacity() < len.min(STREAM_INIT_ALLOC) {
-            self.buf.reserve(len.min(STREAM_INIT_ALLOC));
-        }
-        let got_len = r.by_ref().take(len as u64).read_to_end(&mut self.buf)?;
-        if got_len < len {
-            return Err(NetSolveError::Transport(
-                "peer closed connection mid-frame".into(),
-            ));
-        }
-        read_crc(r, crc32(&self.buf))?;
-        Message::decode_versioned(&self.buf, version)
-    }
-
-    /// Frames this reader has decoded via the chunked streaming route.
-    pub fn streamed_frames(&self) -> u64 {
-        self.streamed
-    }
-
-    /// Upper bound on this reader's own buffering: the retained small-
-    /// frame buffer or the streaming chunk window, whichever is larger.
+    /// This reader's own buffering: the window's allocation.
     pub fn buffered_capacity(&self) -> usize {
-        self.buf.capacity().max(self.chunk)
+        self.window.capacity()
     }
-}
-
-/// Streaming route body: decode directly off the wire through a bounded
-/// chunk window, then render the CRC verdict over the whole payload.
-fn read_streamed(r: &mut impl Read, version: u32, len: usize, chunk: usize) -> Result<Message> {
-    let (outcome, got, drained) = {
-        let mut sd = StreamDecoder::new(r, len, chunk);
-        let outcome = Message::decode_body(&mut sd, version).and_then(|msg| {
-            if sd.remaining() == 0 {
-                Ok(msg)
-            } else {
-                Err(NetSolveError::Protocol(format!(
-                    "{} trailing bytes after decode",
-                    sd.remaining()
-                )))
-            }
-        });
-        // Whatever decode did, pull the rest of the payload so the
-        // stream stays framed and the CRC covers every byte.
-        let drained = sd.drain();
-        (outcome, sd.crc(), drained)
-    };
-    drained?;
-    // The CRC verdict outranks any decode error: garbled bytes that
-    // happened to also break decoding are corruption, not a protocol
-    // violation — same classification as the whole-frame routes.
-    read_crc(r, got)?;
-    outcome
 }
 
 #[cfg(test)]
@@ -435,55 +338,175 @@ mod tests {
         assert!(matches!(reader.read_from(&mut cursor), Err(NetSolveError::Transport(_))));
     }
 
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = frame_ok(&Message::Ping);
-        bytes[0] = b'X';
-        assert!(matches!(
-            parse_frame(&bytes),
-            Err(NetSolveError::Protocol(m)) if m.contains("magic")
-        ));
+    /// A frame around an arbitrary payload, header and CRC honest.
+    fn frame_around(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for word in [MAGIC, VERSION, payload.len() as u32] {
+            wire.extend_from_slice(&word.to_be_bytes());
+        }
+        wire.extend_from_slice(payload);
+        wire.extend_from_slice(&crc32(payload).to_be_bytes());
+        wire
     }
 
-    #[test]
-    fn bad_version_rejected() {
-        let mut bytes = frame_ok(&Message::Ping);
-        bytes[7] = 99;
-        assert!(matches!(
-            parse_frame(&bytes),
-            Err(NetSolveError::Protocol(m)) if m.contains("version")
-        ));
+    /// Both sources of the one read path over the same bytes: the slice
+    /// (`parse_frame`) and a reader through a `window`-byte chunk buffer.
+    fn read_both(wire: &[u8], window: usize) -> [Result<Message>; 2] {
+        [
+            parse_frame(wire).map(|(msg, _)| msg),
+            FrameReader::with_window(window).read_from(&mut &wire[..]),
+        ]
     }
 
+    /// What each kind of bad frame is reported as — the classes (and the
+    /// words operators grep logs for) that the two decoders and three read
+    /// routes this path replaced agreed on, asserted per source.
     #[test]
-    fn corrupt_payload_caught_by_crc() {
-        let msg = Message::ProblemCatalogue { names: vec!["dgesv".into()] };
-        let mut bytes = frame_ok(&msg);
-        let payload_start = 12;
-        bytes[payload_start + 5] ^= 0x40;
-        assert!(matches!(
-            parse_frame(&bytes),
-            Err(NetSolveError::Corrupt(m)) if m.contains("checksum")
-        ));
+    fn error_classes_are_the_same_from_both_sources() {
+        use NetSolveError::{Corrupt, Protocol, Transport};
+        let catalogue = Message::ProblemCatalogue {
+            names: vec!["dgesv".into()],
+        };
+        let edit = |msg: &Message, at: usize, bytes: &[u8]| {
+            let mut wire = frame_ok(msg);
+            wire[at..at + bytes.len()].copy_from_slice(bytes);
+            wire
+        };
+        let mut flipped = frame_ok(&catalogue);
+        flipped[HEADER_LEN + 5] ^= 0x40;
+        let mut trailing = Message::Ping.encode();
+        trailing.extend_from_slice(&[0; 4]);
+        // ProblemDescription whose string claims 300 MiB.
+        let mut oversize_item = Encoder::new();
+        oversize_item.put_u32(9);
+        oversize_item.put_u32(300 * 1024 * 1024);
+        let full = frame_ok(&catalogue);
+
+        type Class = fn(&NetSolveError) -> bool;
+        let cases: [(&str, Vec<u8>, Class, &str); 9] = [
+            (
+                "bad magic",
+                edit(&Message::Ping, 0, b"X"),
+                |e| matches!(e, Protocol(_)),
+                "magic",
+            ),
+            (
+                "bad version",
+                edit(&Message::Ping, 7, &[99]),
+                |e| matches!(e, Protocol(_)),
+                "version",
+            ),
+            (
+                "oversize length",
+                edit(&Message::Ping, 8, &u32::MAX.to_be_bytes()),
+                |e| matches!(e, Protocol(_)),
+                "cap",
+            ),
+            ("no header", vec![], |e| matches!(e, Transport(_)), "closed"),
+            (
+                "short header",
+                full[..6].to_vec(),
+                |e| matches!(e, Transport(_)),
+                "closed",
+            ),
+            (
+                "mid-frame close",
+                full[..full.len() - 5].to_vec(),
+                |e| matches!(e, Transport(_)),
+                "closed",
+            ),
+            (
+                "CRC mismatch",
+                flipped,
+                |e| matches!(e, Corrupt(_)),
+                "checksum",
+            ),
+            (
+                "trailing bytes",
+                frame_around(&trailing),
+                |e| matches!(e, Protocol(_)),
+                "trailing",
+            ),
+            (
+                "oversize item",
+                frame_around(oversize_item.as_bytes()),
+                |e| matches!(e, Protocol(_)),
+                "exceeds limit",
+            ),
+        ];
+        for (name, wire, class, word) in cases {
+            for (source, outcome) in ["slice", "reader"].iter().zip(read_both(&wire, 64)) {
+                let err = outcome.expect_err(name);
+                assert!(
+                    class(&err) && err.to_string().contains(word),
+                    "{name} from a {source}: {err:?}"
+                );
+            }
+        }
     }
 
+    /// The CRC trailer inside, exactly after and beyond the window: for
+    /// each payload length a clean frame decodes (and leaves the stream
+    /// framed for the next one), every single-byte payload flip is
+    /// `Corrupt` — also when it breaks decoding first — and a cut anywhere
+    /// is a transport fault.
     #[test]
-    fn oversized_length_rejected_before_allocation() {
-        let mut bytes = frame_ok(&Message::Ping);
-        bytes[8..12].copy_from_slice(&(u32::MAX).to_be_bytes());
-        assert!(matches!(
-            parse_frame(&bytes),
-            Err(NetSolveError::Protocol(m)) if m.contains("cap")
-        ));
-    }
+    fn frames_around_the_window_edge_decode_corrupt_and_cut_alike() {
+        const WINDOW: usize = 64;
+        for len in [0, 4, WINDOW - 4, WINDOW, WINDOW + 4, 2 * WINDOW + 12] {
+            // A payload of exactly `len` bytes; 0 is no message at all.
+            let msg = match len {
+                0 => None,
+                4 => Some(Message::Ping),
+                _ => Some(Message::Error {
+                    code: 7,
+                    detail: "e".repeat(len - 12),
+                }),
+            };
+            let payload = msg.as_ref().map_or(vec![], Message::encode);
+            assert_eq!(payload.len(), len);
+            let mut wire = frame_around(&payload);
+            let frame_len = wire.len();
+            wire.extend_from_slice(&frame_ok(&Message::Pong));
 
-    #[test]
-    fn truncated_frame_is_transport_error() {
-        let bytes = frame_ok(&Message::ProblemCatalogue {
-            names: vec!["a".into(), "b".into()],
-        });
-        for cut in [1, 6, 13, bytes.len() - 1] {
-            assert!(parse_frame(&bytes[..cut]).is_err(), "cut={cut}");
+            let (got, used) = match parse_frame(&wire) {
+                Ok((got, used)) => (Some(got), used),
+                Err(NetSolveError::Protocol(_)) if msg.is_none() => (None, frame_len),
+                Err(e) => panic!("payload {len} from a slice: {e}"),
+            };
+            assert_eq!((got, used), (msg.clone(), frame_len));
+            let mut reader = FrameReader::with_window(WINDOW);
+            let mut stream = &wire[..];
+            match reader.read_from(&mut stream) {
+                Ok(got) => assert_eq!(Some(got), msg),
+                Err(NetSolveError::Protocol(_)) if msg.is_none() => {}
+                Err(e) => panic!("payload {len} from a reader: {e}"),
+            }
+            assert_eq!(
+                reader.read_from(&mut stream).unwrap(),
+                Message::Pong,
+                "payload {len}"
+            );
+            assert!(reader.buffered_capacity() <= WINDOW);
+
+            for at in HEADER_LEN..HEADER_LEN + len {
+                let mut bad = wire[..frame_len].to_vec();
+                bad[at] ^= 0x10;
+                for outcome in read_both(&bad, WINDOW) {
+                    assert!(
+                        matches!(outcome, Err(NetSolveError::Corrupt(_))),
+                        "payload {len}, flip at {at}: {outcome:?}"
+                    );
+                }
+            }
+            for cut in 0..frame_len {
+                for outcome in read_both(&wire[..cut], WINDOW) {
+                    assert!(
+                        matches!(outcome, Err(NetSolveError::Transport(_))),
+                        "payload {len}, cut at {cut}: {outcome:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -715,10 +738,9 @@ mod tests {
 
     /// Regression (lying header): a forged 12-byte header announcing a
     /// near-cap payload must not commit the announced allocation before
-    /// payload bytes actually arrive, on either read route. Previously the
-    /// reader did `vec![0u8; len]` straight from the untrusted length —
-    /// 512 MiB of zeroed memory per connection for 12 bytes of attacker
-    /// traffic.
+    /// payload bytes actually arrive. Previously the reader did
+    /// `vec![0u8; len]` straight from the untrusted length — 512 MiB of
+    /// zeroed memory per connection for 12 bytes of attacker traffic.
     #[test]
     fn lying_length_header_cannot_commit_memory_upfront() {
         // Header claims 256 MiB; only 40 bytes of payload follow.
@@ -729,26 +751,19 @@ mod tests {
         wire.extend_from_slice(&(claimed as u32).to_be_bytes());
         wire.extend_from_slice(&[0xAB; 40]);
 
-        // A threshold at the cap forces the whole-frame buffered route; the
-        // default threshold sends a frame this large down the chunked one.
-        for mut fr in [
-            FrameReader::new(MAX_FRAME_PAYLOAD, DEFAULT_STREAM_CHUNK),
-            FrameReader::default(),
-        ] {
-            let mut cur = std::io::Cursor::new(&wire[..]);
-            let err = fr.read_from(&mut cur).unwrap_err();
-            assert!(
-                matches!(err, NetSolveError::Transport(_)),
-                "truncated lying frame must be a transport error, got {err:?}"
-            );
-            // The retained buffer must stay near the bytes that actually
-            // arrived, nowhere near the claimed 256 MiB.
-            assert!(
-                fr.buffered_capacity() <= 2 * STREAM_INIT_ALLOC,
-                "lying header grew the reader buffer to {} bytes",
-                fr.buffered_capacity()
-            );
-        }
+        let mut fr = FrameReader::default();
+        let err = fr.read_from(&mut &wire[..]).unwrap_err();
+        assert!(
+            matches!(err, NetSolveError::Transport(_)),
+            "truncated lying frame must be a transport error, got {err:?}"
+        );
+        // The window is all the reader holds, nowhere near the claimed
+        // 256 MiB.
+        assert!(
+            fr.buffered_capacity() <= DEFAULT_STREAM_CHUNK,
+            "lying header grew the reader buffer to {} bytes",
+            fr.buffered_capacity()
+        );
     }
 
     /// The streamed writer must produce byte-identical frames to the
@@ -782,9 +797,10 @@ mod tests {
         }
     }
 
-    /// A multi-megabyte operand round-trips through the chunked streaming
-    /// read route with bounded buffering, and the reader's route counter
-    /// proves the streaming path (not the whole-frame path) handled it.
+    /// A multi-megabyte operand round-trips with bounded buffering: the
+    /// reader never holds more than its window, so the frame never exists
+    /// whole in memory — and a 100-byte frame on a fresh reader holds no
+    /// more than the frame.
     #[test]
     fn large_frame_streams_with_bounded_buffering() {
         let elems = 4 * 1024 * 1024 / 8; // 4 MiB operand
@@ -799,30 +815,32 @@ mod tests {
         let mut wire = Vec::new();
         write_message_streamed(&mut wire, &msg, DEFAULT_STREAM_CHUNK).unwrap();
 
+        let ping = frame_ok(&Message::Ping);
         let mut fr = FrameReader::default();
-        let mut cur = std::io::Cursor::new(&wire[..]);
-        let got = fr.read_from(&mut cur).unwrap();
-        assert_eq!(got, msg);
-        assert_eq!(fr.streamed_frames(), 1, "large frame must take the streaming route");
-        let payload = wire.len() - HEADER_LEN - 4;
+        assert_eq!(fr.read_from(&mut &ping[..]).unwrap(), Message::Ping);
         assert!(
-            fr.buffered_capacity() < payload,
-            "reader buffered {} bytes for a {} byte payload",
-            fr.buffered_capacity(),
-            payload
+            fr.buffered_capacity() <= ping.len(),
+            "{} for a ping",
+            fr.buffered_capacity()
         );
 
-        // A small frame on the same reader takes the buffered route.
-        let ping = frame_ok(&Message::Ping);
-        let mut cur = std::io::Cursor::new(&ping[..]);
-        assert_eq!(fr.read_from(&mut cur).unwrap(), Message::Ping);
-        assert_eq!(fr.streamed_frames(), 1);
+        assert_eq!(fr.read_from(&mut &wire[..]).unwrap(), msg);
+        assert!(
+            fr.buffered_capacity() <= DEFAULT_STREAM_CHUNK,
+            "reader buffered {} bytes for a {} byte frame",
+            fr.buffered_capacity(),
+            wire.len()
+        );
+
+        // A small frame after the large one reuses the same window.
+        assert_eq!(fr.read_from(&mut &ping[..]).unwrap(), Message::Ping);
+        assert!(fr.buffered_capacity() <= DEFAULT_STREAM_CHUNK);
     }
 
-    /// Corruption anywhere in a streamed frame's payload must surface as
-    /// `Corrupt` — even when the garbled bytes also break field decoding,
-    /// the CRC verdict outranks the decode error (the chaos-transport
-    /// guarantee, preserved on the chunked route).
+    /// Corruption anywhere in a many-window frame's payload must surface
+    /// as `Corrupt` — even when the garbled bytes also break field
+    /// decoding, the CRC verdict outranks the decode error (the
+    /// chaos-transport guarantee).
     #[test]
     fn streamed_route_reports_corruption_over_decode_errors() {
         use netsolve_core::rng::Rng64;
@@ -843,8 +861,7 @@ mod tests {
             let mut wire = clean.clone();
             let idx = HEADER_LEN + rng.below(payload_len);
             wire[idx] ^= 1u8 << rng.below(8);
-            // Stream threshold 0: force every frame onto the chunked route.
-            let mut fr = FrameReader::new(0, 4096);
+            let mut fr = FrameReader::with_window(4096);
             let mut cur = std::io::Cursor::new(&wire[..]);
             match fr.read_from(&mut cur) {
                 Err(NetSolveError::Corrupt(_)) => {}
@@ -856,8 +873,8 @@ mod tests {
         }
     }
 
-    /// A streamed frame truncated mid-chunk errors cleanly as a transport
-    /// fault (peer died), never a hang, panic, or silent partial decode.
+    /// A frame truncated mid-window errors cleanly as a transport fault
+    /// (peer died), never a hang, panic, or silent partial decode.
     #[test]
     fn streamed_route_handles_truncated_chunks() {
         use netsolve_core::rng::Rng64;
@@ -874,11 +891,11 @@ mod tests {
         let mut rng = Rng64::new(0x7121_CA7E);
         for _ in 0..40 {
             let cut = HEADER_LEN + rng.below(clean.len() - HEADER_LEN);
-            let mut fr = FrameReader::new(0, 4096);
+            let mut fr = FrameReader::with_window(4096);
             let mut cur = std::io::Cursor::new(&clean[..cut]);
             assert!(
-                fr.read_from(&mut cur).is_err(),
-                "truncated streamed frame (cut={cut}) parsed as valid"
+                matches!(fr.read_from(&mut cur), Err(NetSolveError::Transport(_))),
+                "truncated frame (cut={cut}) was not a transport fault"
             );
         }
     }

@@ -292,35 +292,33 @@ mod proptests {
         }
 
         #[test]
-        fn all_decode_routes_agree(msg in arb_message()) {
-            // The borrowed route (aligned and deliberately misaligned) and
-            // the reader's buffered and chunked streaming routes must all
-            // decode bit-identically to the message that was encoded.
-            let bytes = frame_bytes_versioned(&msg, VERSION).unwrap();
-            let (borrowed, used) = parse_frame(&bytes).unwrap();
-            prop_assert_eq!(used, bytes.len());
-            prop_assert_eq!(&borrowed, &msg);
+        fn all_sources_agree_at_every_version(msg in arb_message()) {
+            // What a vN peer sent decodes to the same message from a slice,
+            // from a slice at an odd address (every f64/u64 array inside
+            // misaligned), and from a reader through windows that split
+            // items (97 never lands on an element boundary) or hold the
+            // whole frame — and at the current version to the message
+            // that was encoded.
+            for version in MIN_VERSION..=VERSION {
+                let bytes = frame_bytes_versioned(&msg, version).unwrap();
+                let (from_slice, used) = parse_frame(&bytes).unwrap();
+                prop_assert_eq!(used, bytes.len());
+                if version == VERSION {
+                    prop_assert_eq!(&from_slice, &msg);
+                }
 
-            // Shift by one byte so every f64/u64 view inside the payload
-            // lands on an odd address and the alignment fallback runs.
-            let mut shifted = Vec::with_capacity(bytes.len() + 1);
-            shifted.push(0u8);
-            shifted.extend_from_slice(&bytes);
-            let (unaligned, _) = parse_frame(&shifted[1..]).unwrap();
-            prop_assert_eq!(&unaligned, &msg);
+                let mut shifted = Vec::with_capacity(bytes.len() + 1);
+                shifted.push(0u8);
+                shifted.extend_from_slice(&bytes);
+                prop_assert_eq!(&parse_frame(&shifted[1..]).unwrap().0, &from_slice);
 
-            // Buffered route: a threshold at the cap never streams.
-            let mut rdr = FrameReader::new(MAX_FRAME_PAYLOAD, 97);
-            let buffered = rdr.read_from(&mut &bytes[..]).unwrap();
-            prop_assert_eq!(rdr.streamed_frames(), 0);
-            prop_assert_eq!(&buffered, &msg);
-
-            // Streaming route, threshold 0 so every frame streams, with a
-            // chunk size that never lands on an 8-byte element boundary.
-            let mut rdr = FrameReader::new(0, 97);
-            let streamed = rdr.read_from(&mut &bytes[..]).unwrap();
-            prop_assert_eq!(rdr.streamed_frames(), 1);
-            prop_assert_eq!(&streamed, &msg);
+                for window in [64, 97, 4096, DEFAULT_STREAM_CHUNK] {
+                    let mut rdr = FrameReader::with_window(window);
+                    let from_reader = rdr.read_from(&mut &bytes[..]).unwrap();
+                    prop_assert_eq!(&from_reader, &from_slice, "v{} window {}", version, window);
+                    prop_assert!(rdr.buffered_capacity() <= window);
+                }
+            }
         }
 
         #[test]

@@ -13,7 +13,7 @@
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_obs::{DigestQuantiles, HistogramSnapshot, SpanRecord, StatsDigest, StatsSnapshot};
-use netsolve_xdr::{Decoder, Encoder, XdrSource};
+use netsolve_xdr::{Decoder, Encoder};
 
 use crate::wire::{wire_messages, wire_records};
 
@@ -818,20 +818,19 @@ mod tests {
         }
     }
 
-    /// Every sample at every version: both routes decode it, the decode
+    /// Every sample at every version: both sources decode it, the decode
     /// re-encodes to the same bytes (and at the current version equals the
     /// sample), and every proper prefix is an error — never a panic, never
-    /// a shorter message — on both routes.
+    /// a shorter message — from both sources.
     #[test]
     fn every_version_reencodes_and_every_prefix_is_rejected() {
         fn stream_decode(bytes: &[u8], version: u32) -> Result<Message> {
-            let mut r = bytes;
-            let mut sd = netsolve_xdr::StreamDecoder::new(&mut r, bytes.len(), 64);
-            let msg = Message::decode_body(&mut sd, version)?;
-            match sd.remaining() {
-                0 => Ok(msg),
-                n => Err(NetSolveError::Protocol(format!("{n} trailing bytes"))),
-            }
+            let (mut r, mut window) = (bytes, Vec::new());
+            let mut d = Decoder::reading(&mut r, &mut window, 64);
+            d.limit(bytes.len(), 0);
+            let msg = Message::decode_body(&mut d, version)?;
+            d.finish()?;
+            Ok(msg)
         }
         for version in 1..=crate::frame::VERSION {
             for msg in samples() {

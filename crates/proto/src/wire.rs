@@ -15,7 +15,7 @@
 
 use netsolve_core::data::DataObject;
 use netsolve_core::error::Result;
-use netsolve_xdr::{decode_list, decode_objects, encode_objects, Encoder, XdrSource};
+use netsolve_xdr::{decode_list, decode_objects, encode_objects, Decoder, Encoder};
 
 /// `(field name, protocol version it first appears in)`.
 pub(crate) type Field = (&'static str, u32);
@@ -30,7 +30,7 @@ pub(crate) trait Wire: Sized {
     /// Append the encoding at `version`.
     fn put(&self, e: &mut Encoder<'_>, version: u32);
     /// Decode a value a `version` peer encoded.
-    fn get<S: XdrSource>(d: &mut S, version: u32) -> Result<Self>;
+    fn get(d: &mut Decoder<'_>, version: u32) -> Result<Self>;
 }
 
 /// `MIN_LEN` of the field a projection returns, so a record's row can
@@ -46,7 +46,7 @@ macro_rules! wire_primitive {
             fn put(&self, e: &mut Encoder<'_>, _version: u32) {
                 e.$put(*self);
             }
-            fn get<S: XdrSource>(d: &mut S, _version: u32) -> Result<Self> {
+            fn get(d: &mut Decoder<'_>, _version: u32) -> Result<Self> {
                 d.$get()
             }
         }
@@ -66,7 +66,7 @@ impl Wire for String {
     fn put(&self, e: &mut Encoder<'_>, _version: u32) {
         e.put_string(self);
     }
-    fn get<S: XdrSource>(d: &mut S, _version: u32) -> Result<Self> {
+    fn get(d: &mut Decoder<'_>, _version: u32) -> Result<Self> {
         d.get_string()
     }
 }
@@ -78,7 +78,7 @@ impl Wire for u128 {
         e.put_u64((*self >> 64) as u64);
         e.put_u64(*self as u64);
     }
-    fn get<S: XdrSource>(d: &mut S, _version: u32) -> Result<Self> {
+    fn get(d: &mut Decoder<'_>, _version: u32) -> Result<Self> {
         let hi = d.get_u64()?;
         let lo = d.get_u64()?;
         Ok(((hi as u128) << 64) | lo as u128)
@@ -92,7 +92,7 @@ impl<T: Wire> Wire for (String, T) {
         self.0.put(e, version);
         self.1.put(e, version);
     }
-    fn get<S: XdrSource>(d: &mut S, version: u32) -> Result<Self> {
+    fn get(d: &mut Decoder<'_>, version: u32) -> Result<Self> {
         Ok((String::get(d, version)?, T::get(d, version)?))
     }
 }
@@ -107,7 +107,7 @@ impl<T: Wire> Wire for Vec<T> {
             item.put(e, version);
         }
     }
-    fn get<S: XdrSource>(d: &mut S, version: u32) -> Result<Self> {
+    fn get(d: &mut Decoder<'_>, version: u32) -> Result<Self> {
         decode_list(d, T::MIN_LEN, std::any::type_name::<T>(), |d| {
             T::get(d, version)
         })
@@ -120,7 +120,7 @@ impl Wire for Vec<DataObject> {
     fn put(&self, e: &mut Encoder<'_>, _version: u32) {
         encode_objects(e, self);
     }
-    fn get<S: XdrSource>(d: &mut S, _version: u32) -> Result<Self> {
+    fn get(d: &mut Decoder<'_>, _version: u32) -> Result<Self> {
         decode_objects(d)
     }
 }
@@ -165,7 +165,7 @@ pub(crate) use wire_field;
 
 /// The record table: `Name { field, field @since, … }` per struct, fields
 /// in wire order. Expands to that struct's [`Wire`] impl. (Both tables
-/// expand in `message.rs` and lean on its imports: `Encoder`, `XdrSource`,
+/// expand in `message.rs` and lean on its imports: `Encoder`, `Decoder`,
 /// `Result`, `NetSolveError`.)
 macro_rules! wire_records {
     ($($record:ident { $($field:ident $(@ $since:literal)?),* })*) => {$(
@@ -178,7 +178,7 @@ macro_rules! wire_records {
                 let $record { $($field),* } = self;
                 $($crate::wire::wire_field!(put e version $field $(@ $since)?);)*
             }
-            fn get<S: XdrSource>(d: &mut S, version: u32) -> Result<Self> {
+            fn get(d: &mut Decoder<'_>, version: u32) -> Result<Self> {
                 $(let $field = $crate::wire::wire_field!(get d version $(@ $since)?);)*
                 Ok($record { $($field),* })
             }
@@ -232,10 +232,8 @@ macro_rules! wire_messages {
                 )*}
             }
 
-            /// Decode one message body from any [`XdrSource`] — the borrowed
-            /// in-memory decoder and the chunked stream decoder share this
-            /// exact field logic, so the two routes cannot drift apart.
-            pub(crate) fn decode_body<S: XdrSource>(d: &mut S, version: u32) -> Result<Message> {
+            /// Decode one message body: the tag, then that row's fields.
+            pub(crate) fn decode_body(d: &mut Decoder<'_>, version: u32) -> Result<Message> {
                 Ok(match d.get_u32()? {
                     $($tag => {
                         $($(let $field = $crate::wire::wire_field!(get d version $(@ $since)?);)*)?

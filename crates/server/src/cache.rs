@@ -6,7 +6,7 @@
 //! mnemonic followed by the XDR-marshaled input objects, exactly the
 //! bytes the wire would carry — so the key discriminates on solver and
 //! operand shape (kind tags and dimensions are part of the encoding),
-//! never on payload bytes alone. Hashing reuses the tracer's splitmix64
+//! never on payload bytes alone. Hashing walks `netsolve_core`'s splitmix64
 //! mixing step over 8-byte words, run as two independently-seeded lanes
 //! for a 128-bit key.
 //!
@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
+use netsolve_core::rng::splitmix64;
 use netsolve_obs::{Counter, Gauge, MetricsRegistry};
 use netsolve_xdr::{crc32, from_bytes, to_bytes, Encoder};
 use parking_lot::Mutex;
@@ -42,15 +43,6 @@ use std::sync::Condvar;
 /// Fixed bookkeeping cost charged per entry on top of its payload bytes
 /// (key, CRC, sequence number, map/queue slots).
 const ENTRY_OVERHEAD: usize = 64;
-
-/// `splitmix64` mixing step — the same whitening the tracer and the
-/// client's request-id lanes use.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// 128-bit content hash: two splitmix64 lanes with distinct seeds walked
 /// over the bytes in 8-byte words, with the length folded in last so a
@@ -459,6 +451,22 @@ mod tests {
         assert_ne!(solve_key("dnrm2", &inputs), solve_key("vsort", &inputs));
         // And the key is stable for identical requests.
         assert_eq!(solve_key("dnrm2", &inputs), solve_key("dnrm2", &inputs.clone()));
+    }
+
+    /// The key as computed before `splitmix64` moved to `netsolve_core`.
+    /// Keys only ever meet keys of the same running fleet, so a new value
+    /// here breaks nothing — but it should be a decision, not a side
+    /// effect of editing a shared mixing function.
+    #[test]
+    fn solve_key_is_pinned() {
+        let inputs = [
+            DataObject::Vector(vec![1.0, -2.5, 3.25]),
+            DataObject::Int(7),
+        ];
+        assert_eq!(
+            solve_key("dgesv", &inputs),
+            0x97f8_5404_2018_2104_e1dd_6fde_bc07_0ec1
+        );
     }
 
     #[test]

@@ -1196,8 +1196,7 @@ mod tests {
     #[test]
     fn warm_history_early_rejects_unmeetable_deadlines() {
         use netsolve_core::admission::AdmissionConfig;
-        let mut cfg = AdmissionConfig::with_max_queue(1_000);
-        cfg.min_observations = 4;
+        let cfg = AdmissionConfig::with_max_queue(1_000);
         // Service ~0.36 s; a 0.5 s budget is unmeetable whenever anyone
         // is already queued, but only once the histogram has samples.
         let mut sc = base(vec![SimServer::new(50.0)], 120);

@@ -8,6 +8,7 @@
 
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
+use netsolve_core::rng::splitmix64;
 
 use crate::blas;
 use crate::cholesky::dposv;
@@ -35,7 +36,7 @@ pub fn supported_problems() -> &'static [&'static str] {
 
 /// A fresh, never-repeating 64-bit seed for non-reproducible Monte Carlo
 /// runs (`quad_mc` seed 0): wall-clock nanos XORed with a process-wide
-/// draw counter, whitened through splitmix64's finalizer. The counter
+/// draw counter, whitened through [`splitmix64`]. The counter
 /// guarantees distinct seeds even for back-to-back draws within one
 /// clock tick.
 fn fresh_entropy() -> u64 {
@@ -45,10 +46,7 @@ fn fresh_entropy() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0x5eed_5eed_5eed_5eed);
-    let mut x = nanos ^ DRAWS.fetch_add(1, Ordering::Relaxed).rotate_left(32);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (x ^ (x >> 31)).max(1)
+    splitmix64(nanos ^ DRAWS.fetch_add(1, Ordering::Relaxed).rotate_left(32)).max(1)
 }
 
 fn arg_count(args: &[DataObject], want: usize, problem: &str) -> Result<()> {

@@ -7,8 +7,8 @@
 //! * every item padded to a 4-byte boundary;
 //! * variable-length data (strings, arrays, opaques) prefixed with a `u32`
 //!   count;
-//! * strict, bounds-checked decoding with configurable size limits so a
-//!   malicious or corrupt peer cannot force huge allocations.
+//! * strict, bounds-checked decoding with fixed size limits so a malicious
+//!   or corrupt peer cannot force huge allocations.
 //!
 //! The encoder is built for the wire hot path: it can own its buffer
 //! ([`Encoder::new`] / [`Encoder::from_vec`]) or borrow a caller-provided
@@ -24,11 +24,11 @@
 //! a multi-megabyte operand never needs a contiguous frame buffer on the
 //! send side.
 //!
-//! The decoder mirrors this: [`Decoder`] borrows the frame buffer and
-//! converts each array in a single bulk `chunks_exact` pass — the one
-//! wire→solver copy — and [`StreamDecoder`] pulls a frame's payload from
-//! an `io::Read` through a bounded chunk buffer so decode can begin
-//! before the whole operand has arrived.
+//! The decoder mirrors this: one [`Decoder`] reads through a window it can
+//! refill — the input slice itself when the bytes are already in memory, a
+//! bounded chunk buffer when they come off an `io::Read`, so decode can
+//! begin before the whole operand has arrived — and converts each array in
+//! bulk `chunks_exact` passes, the one wire→solver copy.
 
 use std::io::{Read, Write};
 
@@ -421,59 +421,228 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// Bounds-checked XDR decoder over a byte slice.
-#[derive(Debug)]
+/// Where a [`Decoder`]'s bytes come from: the window is what is in hand.
+enum Window<'a> {
+    /// The whole input is in memory: the window is the slice itself — no
+    /// copy — and there is nothing to refill it from.
+    Slice(&'a [u8]),
+    /// A chunk buffer the caller owns and reuses: `buf[..end]` is in hand,
+    /// refilled from `r` at most `cap` bytes at a time. `buf` is zeroed
+    /// only where it grows, and grows only to what a refill asks for.
+    Chunk {
+        buf: &'a mut Vec<u8>,
+        end: usize,
+        r: &'a mut dyn Read,
+        cap: usize,
+    },
+}
+
+impl Window<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Window::Slice(data) => data,
+            Window::Chunk { buf, end, .. } => &buf[..*end],
+        }
+    }
+}
+
+/// The XDR decoder: bounds-checked reads of one *extent* — a declared
+/// number of bytes — through a window it can refill. Over a slice
+/// ([`Decoder::new`]) the window is the slice and the extent its length;
+/// over an `io::Read` ([`Decoder::reading`]) the window is a bounded chunk
+/// buffer, so decoding begins before a large operand has fully arrived and
+/// memory stays at the chunk size plus what the decoded values need.
+///
+/// Every length read off the wire is checked against
+/// [`DEFAULT_MAX_ITEM_BYTES`] and against [`Decoder::remaining`] before
+/// anything is allocated, and an allocation starts no larger than
+/// [`STREAM_INIT_ALLOC`] unless the bytes behind it are already in hand:
+/// it grows only as they arrive.
 pub struct Decoder<'a> {
-    data: &'a [u8],
+    win: Window<'a>,
+    /// Consumed prefix of the window.
     pos: usize,
-    max_item: usize,
+    /// Prefix of the window already folded into `crc`.
+    folded: usize,
+    /// Bytes of the extent not yet consumed.
+    left: usize,
+    /// Bytes known to follow the extent on the source: a refill may pull
+    /// them along instead of leaving them for a read of their own.
+    ahead: usize,
+    crc: Crc32,
+}
+
+/// Make room for `more` items in a vector that will end up holding
+/// `total`: doubling, but never past `total`, so no allocation exceeds the
+/// item being decoded.
+fn grow_towards<T>(out: &mut Vec<T>, more: usize, total: usize) {
+    if out.capacity() - out.len() < more {
+        let target = (2 * out.len()).max(out.len() + more).min(total);
+        out.reserve_exact(target.saturating_sub(out.len()));
+    }
 }
 
 impl<'a> Decoder<'a> {
-    /// Decoder with the default item-size limit.
+    /// Decoder over bytes in memory; the extent is all of them.
     pub fn new(data: &'a [u8]) -> Self {
-        Decoder { data, pos: 0, max_item: DEFAULT_MAX_ITEM_BYTES }
+        Decoder {
+            win: Window::Slice(data),
+            pos: 0,
+            folded: 0,
+            left: data.len(),
+            ahead: 0,
+            crc: Crc32::new(),
+        }
     }
 
-    /// Decoder with a custom per-item byte limit.
-    pub fn with_limit(data: &'a [u8], max_item: usize) -> Self {
-        Decoder { data, pos: 0, max_item }
+    /// Decoder pulling from `r` through `window`, at most `chunk` bytes
+    /// (floored to 64) at a time. The extent starts empty: declare each
+    /// one with [`Decoder::limit`]; nothing past what it declares is read
+    /// off `r`.
+    pub fn reading(r: &'a mut dyn Read, window: &'a mut Vec<u8>, chunk: usize) -> Self {
+        let win = Window::Chunk {
+            buf: window,
+            end: 0,
+            r,
+            cap: chunk.max(64),
+        };
+        Decoder {
+            win,
+            pos: 0,
+            folded: 0,
+            left: 0,
+            ahead: 0,
+            crc: Crc32::new(),
+        }
     }
 
-    /// Bytes not yet consumed.
+    /// Start a new extent of `n` bytes at the current position, and the
+    /// CRC over it. A frame is three: header, payload, trailer. `ahead`
+    /// says how many bytes are known to follow the extent on the source
+    /// (a frame's trailer behind its payload): a refill may pull them into
+    /// the window along with the extent's last bytes, saving them a read of
+    /// their own; they are not decodable until an extent covers them. What
+    /// was left of the previous extent stays unread: [`Decoder::drain`] it
+    /// first to stay in step with the source.
+    pub fn limit(&mut self, n: usize, ahead: usize) {
+        self.left = n;
+        self.ahead = ahead;
+        self.folded = self.pos;
+        self.crc = Crc32::new();
+    }
+
+    /// Bytes of the extent not yet consumed. Over a reader these are bytes
+    /// a length field *declared*, not bytes that exist: a bound on what can
+    /// still be decoded, never a size to allocate.
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.left
     }
 
-    /// Error unless every byte has been consumed — catches trailing garbage
-    /// and messages that were truncated on encode.
-    pub fn finish(self) -> Result<()> {
-        if self.remaining() == 0 {
+    /// Error unless the whole extent has been consumed — catches trailing
+    /// garbage and messages that were truncated on encode.
+    pub fn finish(&self) -> Result<()> {
+        if self.left == 0 {
             Ok(())
         } else {
             Err(NetSolveError::Protocol(format!(
                 "{} trailing bytes after decode",
-                self.remaining()
+                self.left
             )))
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
+    /// Consume whatever is left of the extent, e.g. after a decode error,
+    /// so the stream stays framed and the CRC covers every byte.
+    pub fn drain(&mut self) -> Result<()> {
+        self.consume(self.left, |_| {})
+    }
+
+    /// CRC-32 of the bytes consumed since the extent began; comparable to
+    /// a frame's trailer once the payload extent is fully consumed.
+    pub fn crc(&mut self) -> u32 {
+        self.fold();
+        self.crc.finish()
+    }
+
+    /// Fold what was consumed since the last fold into the CRC: in runs as
+    /// long as the window allows, and only if someone asks ([`Decoder::crc`])
+    /// or the bytes are about to be overwritten (`refill`).
+    fn fold(&mut self) {
+        self.crc.write(&self.win.bytes()[self.folded..self.pos]);
+        self.folded = self.pos;
+    }
+
+    /// Replace the fully consumed window with the next bytes of the
+    /// extent. A source that ends first — a peer hanging up, a slice
+    /// shorter than a frame header said — is a transport fault, not a
+    /// malformed message.
+    fn refill(&mut self) -> Result<()> {
+        self.fold();
+        let left = self.left;
+        let closed = || {
+            NetSolveError::Transport(format!(
+                "peer closed connection: {left} more bytes expected"
+            ))
+        };
+        let Window::Chunk { buf, end, r, cap } = &mut self.win else {
+            return Err(closed());
+        };
+        (self.pos, self.folded, *end) = (0, 0, 0);
+        let want = left.saturating_add(self.ahead).min(*cap);
+        if buf.len() < want {
+            buf.reserve_exact(want - buf.len());
+            buf.resize(want, 0);
+        }
+        *end = loop {
+            match r.read(&mut buf[..want]) {
+                Ok(0) => return Err(closed()),
+                Ok(n) => break n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetSolveError::from(e)),
+            }
+        };
+        Ok(())
+    }
+
+    /// Consume `n` bytes of the extent, handing each run the window holds
+    /// to `f`. Every read funnels through here, so this is the one bounds
+    /// check and the one place the window is refilled.
+    fn consume(&mut self, mut n: usize, mut f: impl FnMut(&[u8])) -> Result<()> {
+        if n > self.left {
             return Err(NetSolveError::Protocol(format!(
                 "truncated message: wanted {n} bytes, {} remain",
-                self.remaining()
+                self.left
             )));
         }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        while n > 0 {
+            if self.pos == self.win.bytes().len() {
+                self.refill()?;
+            }
+            let run = &self.win.bytes()[self.pos..];
+            let run = &run[..run.len().min(n)];
+            f(run);
+            let took = run.len();
+            self.pos += took;
+            self.left -= took;
+            n -= took;
+        }
+        Ok(())
+    }
+
+    /// A fixed-size item, stitched together if it straddles a refill.
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut item = [0u8; N];
+        let mut at = 0;
+        self.consume(N, |run| {
+            item[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        })?;
+        Ok(item)
     }
 
     /// Read a u32.
     pub fn get_u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_be_bytes(self.fixed()?))
     }
 
     /// Read an i32.
@@ -483,10 +652,7 @@ impl<'a> Decoder<'a> {
 
     /// Read a u64.
     pub fn get_u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_be_bytes(arr))
+        Ok(u64::from_be_bytes(self.fixed()?))
     }
 
     /// Read an i64.
@@ -511,123 +677,107 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Read a variable-length opaque as a borrowed slice of the frame
-    /// buffer — no allocation. Padding is validated and consumed.
-    pub fn get_opaque_slice(&mut self) -> Result<&'a [u8]> {
+    /// The length word of a variable-length item of `len * width` bytes,
+    /// refused before anything is allocated if it is over the item limit
+    /// or more than the extent still holds. Returns `len` and the element
+    /// capacity to start with: everything when the bytes are in hand, else
+    /// no more than [`STREAM_INIT_ALLOC`].
+    fn item_len(&mut self, width: usize, what: &str) -> Result<(usize, usize)> {
         let len = self.get_u32()? as usize;
-        if len > self.max_item {
+        let bytes = len.saturating_mul(width);
+        if bytes > DEFAULT_MAX_ITEM_BYTES {
             return Err(NetSolveError::Protocol(format!(
-                "opaque of {len} bytes exceeds limit {}",
-                self.max_item
+                "{what} of {bytes} bytes exceeds limit {DEFAULT_MAX_ITEM_BYTES}"
             )));
         }
-        let bytes = self.take(len)?;
-        let pad = self.take(pad_len(len))?;
-        if pad.iter().any(|&b| b != 0) {
+        if bytes > self.left {
+            return Err(NetSolveError::Protocol(format!(
+                "truncated message: {what} of {bytes} bytes, {} remain",
+                self.left
+            )));
+        }
+        let in_hand = self.win.bytes().len() - self.pos;
+        Ok((len, len.min(in_hand.max(STREAM_INIT_ALLOC) / width)))
+    }
+
+    /// Read a variable-length opaque: count, bytes, zero padding to 4.
+    pub fn get_opaque(&mut self) -> Result<Vec<u8>> {
+        let (len, start) = self.item_len(1, "opaque")?;
+        let mut out = Vec::with_capacity(start);
+        self.consume(len, |run| {
+            grow_towards(&mut out, run.len(), len);
+            out.extend_from_slice(run);
+        })?;
+        let mut zero = true;
+        self.consume(pad_len(len), |run| zero &= run.iter().all(|&b| b == 0))?;
+        if !zero {
             return Err(NetSolveError::Protocol("nonzero padding".into()));
         }
-        Ok(bytes)
+        Ok(out)
     }
 
-    /// Read a variable-length opaque into an owned vector (one copy, off
-    /// the borrowed slice).
-    pub fn get_opaque(&mut self) -> Result<Vec<u8>> {
-        Ok(self.get_opaque_slice()?.to_vec())
-    }
-
-    /// Read an XDR string. UTF-8 is validated on the borrowed slice
-    /// first, so exactly one copy is made — and none on invalid input.
+    /// Read an XDR string: an opaque whose bytes must be UTF-8 (validated
+    /// in place — the vector becomes the string without another copy).
     pub fn get_string(&mut self) -> Result<String> {
-        let bytes = self.get_opaque_slice()?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
+        String::from_utf8(self.get_opaque()?)
             .map_err(|e| NetSolveError::Protocol(format!("invalid UTF-8 string: {e}")))
     }
 
     /// A length-prefixed array of 8-byte big-endian words, each mapped
-    /// through `from_be`: one bulk `chunks_exact` pass into an exactly
-    /// sized vector — the single wire→solver copy, with no per-element
-    /// bounds checks.
+    /// through `from_be`: one bulk `chunks_exact` pass per run of the
+    /// window — the single wire→solver copy. Over a slice that is one run
+    /// into an exactly sized vector; over a reader a run need not end on an
+    /// element boundary, so a straddling element is stitched through
+    /// `carry`.
     fn get_be64_array<T>(&mut self, what: &str, from_be: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
-        let len = self.get_u32()? as usize;
-        if len.saturating_mul(8) > self.max_item {
-            return Err(NetSolveError::Protocol(format!(
-                "{what} array of {len} elements exceeds limit"
-            )));
-        }
-        let raw = self.take(len * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                from_be(a)
-            })
-            .collect())
+        let (len, start) = self.item_len(8, what)?;
+        let mut out = Vec::with_capacity(start);
+        let mut carry = [0u8; 8];
+        let mut carried = 0;
+        self.consume(len * 8, |mut run| {
+            grow_towards(&mut out, (carried + run.len()) / 8, len);
+            if carried > 0 {
+                let need = (8 - carried).min(run.len());
+                carry[carried..carried + need].copy_from_slice(&run[..need]);
+                carried += need;
+                run = &run[need..];
+                if carried < 8 {
+                    return;
+                }
+                out.push(from_be(carry));
+            }
+            let whole = run.chunks_exact(8);
+            carried = whole.remainder().len();
+            carry[..carried].copy_from_slice(whole.remainder());
+            out.extend(whole.map(|c| from_be(c.try_into().expect("chunks of 8"))));
+        })?;
+        Ok(out)
     }
 
     /// Read a variable-length double array into an owned vector.
     pub fn get_f64_array(&mut self) -> Result<Vec<f64>> {
-        self.get_be64_array("f64", |a| f64::from_bits(u64::from_be_bytes(a)))
+        self.get_be64_array("f64 array", |a| f64::from_bits(u64::from_be_bytes(a)))
     }
 
     /// Read a variable-length u64 array into an owned vector.
     pub fn get_u64_array(&mut self) -> Result<Vec<u64>> {
-        self.get_be64_array("u64", u64::from_be_bytes)
-    }
-}
-
-/// The read half of the codec as a trait, so message decoding can run
-/// over either the borrowed in-memory [`Decoder`] or the chunked
-/// [`StreamDecoder`] without duplicating the per-message field logic.
-pub trait XdrSource {
-    /// Read a u32.
-    fn get_u32(&mut self) -> Result<u32>;
-    /// Read a u64.
-    fn get_u64(&mut self) -> Result<u64>;
-    /// Read a bool word.
-    fn get_bool(&mut self) -> Result<bool>;
-    /// Read a variable-length opaque into an owned vector.
-    fn get_opaque(&mut self) -> Result<Vec<u8>>;
-    /// Read an XDR string, validating UTF-8 before the single copy.
-    fn get_string(&mut self) -> Result<String>;
-    /// Read a variable-length double array (bulk conversion).
-    fn get_f64_array(&mut self) -> Result<Vec<f64>>;
-    /// Read a variable-length u64 array (bulk conversion).
-    fn get_u64_array(&mut self) -> Result<Vec<u64>>;
-    /// Bytes not yet consumed (for a streaming source: buffered bytes
-    /// plus bytes of the declared payload not yet pulled off the wire).
-    fn remaining(&self) -> usize;
-
-    /// Read an i32.
-    fn get_i32(&mut self) -> Result<i32> {
-        Ok(self.get_u32()? as i32)
-    }
-
-    /// Read an i64.
-    fn get_i64(&mut self) -> Result<i64> {
-        Ok(self.get_u64()? as i64)
-    }
-
-    /// Read a double.
-    fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
+        self.get_be64_array("u64 array", u64::from_be_bytes)
     }
 }
 
 /// Decode a counted list — a `u32` count, then that many items — the one
 /// place a count read off the wire turns into an allocation.
 /// `min_item_bytes` is the fewest bytes one item can occupy: a count the
-/// remaining payload cannot hold is rejected before any item is read.
-/// [`XdrSource::remaining`] on a streaming source includes bytes the frame
-/// header merely *claims*, so that test alone would let a lying header
-/// reserve `count` elements; the vector therefore starts at no more than
+/// rest of the extent cannot hold is rejected before any item is read.
+/// [`Decoder::remaining`] over a reader counts bytes a frame header merely
+/// *declared*, so that test alone would let a lying header reserve `count`
+/// elements; the vector therefore starts at no more than
 /// [`STREAM_INIT_ALLOC`] bytes and grows only as items actually decode.
-pub fn decode_list<S: XdrSource, T>(
-    d: &mut S,
+pub fn decode_list<T>(
+    d: &mut Decoder<'_>,
     min_item_bytes: usize,
     what: &str,
-    mut item: impl FnMut(&mut S) -> Result<T>,
+    mut item: impl FnMut(&mut Decoder<'_>) -> Result<T>,
 ) -> Result<Vec<T>> {
     let count = d.get_u32()? as usize;
     if count > d.remaining() / min_item_bytes.max(1) + 1 {
@@ -641,301 +791,6 @@ pub fn decode_list<S: XdrSource, T>(
         out.push(item(d)?);
     }
     Ok(out)
-}
-
-impl XdrSource for Decoder<'_> {
-    fn get_u32(&mut self) -> Result<u32> {
-        Decoder::get_u32(self)
-    }
-    fn get_u64(&mut self) -> Result<u64> {
-        Decoder::get_u64(self)
-    }
-    fn get_bool(&mut self) -> Result<bool> {
-        Decoder::get_bool(self)
-    }
-    fn get_opaque(&mut self) -> Result<Vec<u8>> {
-        Decoder::get_opaque(self)
-    }
-    fn get_string(&mut self) -> Result<String> {
-        Decoder::get_string(self)
-    }
-    fn get_f64_array(&mut self) -> Result<Vec<f64>> {
-        Decoder::get_f64_array(self)
-    }
-    fn get_u64_array(&mut self) -> Result<Vec<u64>> {
-        Decoder::get_u64_array(self)
-    }
-    fn remaining(&self) -> usize {
-        Decoder::remaining(self)
-    }
-}
-
-/// Chunked XDR decoder over an `io::Read`: pulls a frame payload of a
-/// declared length through a bounded buffer, so decode begins before the
-/// whole operand has arrived and per-connection memory stays at the
-/// chunk size plus whatever the decoded message itself needs. Every byte
-/// pulled off the reader is folded into a CRC-32 accumulator; the frame
-/// layer compares it against the trailer after [`StreamDecoder::drain`].
-///
-/// Variable-length items allocate at most [`STREAM_INIT_ALLOC`] up
-/// front and grow only as their bytes actually arrive — a lying length
-/// header cannot commit megabytes before the wire backs it up.
-#[derive(Debug)]
-pub struct StreamDecoder<'r, R: Read> {
-    r: &'r mut R,
-    /// Chunk buffer; bytes `pos..` are buffered-but-unconsumed.
-    buf: Vec<u8>,
-    pos: usize,
-    /// Payload bytes not yet pulled from the reader.
-    unread: usize,
-    /// Chunk-buffer capacity (the per-connection memory bound).
-    cap: usize,
-    crc: Crc32,
-    max_item: usize,
-}
-
-impl<'r, R: Read> StreamDecoder<'r, R> {
-    /// Decoder over `payload_len` bytes of `r`, buffering at most
-    /// `chunk` bytes at a time (floored to 64).
-    pub fn new(r: &'r mut R, payload_len: usize, chunk: usize) -> Self {
-        let cap = chunk.max(64);
-        StreamDecoder {
-            r,
-            buf: Vec::with_capacity(cap.min(payload_len)),
-            pos: 0,
-            unread: payload_len,
-            cap,
-            crc: Crc32::new(),
-            max_item: DEFAULT_MAX_ITEM_BYTES,
-        }
-    }
-
-    /// Override the per-item byte limit.
-    pub fn with_limit(mut self, max_item: usize) -> Self {
-        self.max_item = max_item;
-        self
-    }
-
-    fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pull more payload bytes off the reader into the chunk buffer,
-    /// folding them into the CRC. Errors if the payload is exhausted or
-    /// the peer closes mid-frame.
-    fn fill_some(&mut self) -> Result<()> {
-        if self.unread == 0 {
-            return Err(NetSolveError::Protocol(
-                "truncated message: payload exhausted mid-item".into(),
-            ));
-        }
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        let want = self.cap.saturating_sub(self.buf.len()).min(self.unread);
-        debug_assert!(want > 0, "chunk buffer full yet caller wants more");
-        let start = self.buf.len();
-        self.buf.resize(start + want, 0);
-        let n = match self.r.read(&mut self.buf[start..]) {
-            Ok(n) => n,
-            Err(e) => {
-                self.buf.truncate(start);
-                return Err(NetSolveError::from(e));
-            }
-        };
-        self.buf.truncate(start + n);
-        if n == 0 {
-            return Err(NetSolveError::Transport(
-                "peer closed connection mid-frame".into(),
-            ));
-        }
-        self.crc.write(&self.buf[start..]);
-        self.unread -= n;
-        Ok(())
-    }
-
-    /// Buffered access to the next `n` bytes (fixed-size items only:
-    /// `n` must be well under the chunk capacity).
-    fn take_small(&mut self, n: usize) -> Result<&[u8]> {
-        debug_assert!(n <= self.cap);
-        while self.buffered() < n {
-            self.fill_some()?;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Consume `n` payload bytes, handing each buffered run to `f`.
-    fn consume_chunks(&mut self, n: usize, mut f: impl FnMut(&[u8])) -> Result<()> {
-        let mut left = n;
-        while left > 0 {
-            if self.buffered() == 0 {
-                self.fill_some()?;
-            }
-            let take = self.buffered().min(left);
-            f(&self.buf[self.pos..self.pos + take]);
-            self.pos += take;
-            left -= take;
-        }
-        Ok(())
-    }
-
-    fn check_item(&self, bytes: usize, what: &str) -> Result<()> {
-        if bytes > self.max_item {
-            return Err(NetSolveError::Protocol(format!(
-                "{what} of {bytes} bytes exceeds limit {}",
-                self.max_item
-            )));
-        }
-        // A length that exceeds what the frame still holds can be
-        // rejected before any allocation at all.
-        if bytes > self.remaining() {
-            return Err(NetSolveError::Protocol(format!(
-                "truncated message: {what} of {bytes} bytes, {} remain",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-
-    fn read_padding(&mut self, body_len: usize) -> Result<()> {
-        let pad = pad_len(body_len);
-        if pad > 0 {
-            let p = self.take_small(pad)?;
-            if p.iter().any(|&b| b != 0) {
-                return Err(NetSolveError::Protocol("nonzero padding".into()));
-            }
-        }
-        Ok(())
-    }
-
-    /// Consume (and CRC) any payload bytes not yet read, e.g. after a
-    /// decode error, so the connection stays framed and the CRC verdict
-    /// still covers the whole payload.
-    pub fn drain(&mut self) -> Result<()> {
-        let left = self.remaining();
-        self.consume_chunks(left, |_| {})
-    }
-
-    /// CRC-32 over every payload byte pulled so far. Only the full-
-    /// payload value (after [`StreamDecoder::drain`] or a complete
-    /// decode) is comparable to the frame trailer.
-    pub fn crc(&self) -> u32 {
-        self.crc.finish()
-    }
-}
-
-impl<R: Read> XdrSource for StreamDecoder<'_, R> {
-    fn get_u32(&mut self) -> Result<u32> {
-        let b = self.take_small(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn get_u64(&mut self) -> Result<u64> {
-        let b = self.take_small(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_be_bytes(arr))
-    }
-
-    fn get_bool(&mut self) -> Result<bool> {
-        match self.get_u32()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(NetSolveError::Protocol(format!(
-                "invalid bool word {other}"
-            ))),
-        }
-    }
-
-    fn get_opaque(&mut self) -> Result<Vec<u8>> {
-        let len = self.get_u32()? as usize;
-        self.check_item(len, "opaque")?;
-        let mut out = Vec::with_capacity(len.min(STREAM_INIT_ALLOC));
-        self.consume_chunks(len, |run| out.extend_from_slice(run))?;
-        self.read_padding(len)?;
-        Ok(out)
-    }
-
-    fn get_string(&mut self) -> Result<String> {
-        let bytes = self.get_opaque()?;
-        // The bytes arrived chunked, so validation can't precede the
-        // copy here; from_utf8 consumes the vector without another one.
-        String::from_utf8(bytes)
-            .map_err(|e| NetSolveError::Protocol(format!("invalid UTF-8 string: {e}")))
-    }
-
-    fn get_f64_array(&mut self) -> Result<Vec<f64>> {
-        let len = self.get_u32()? as usize;
-        let bytes = len.saturating_mul(8);
-        self.check_item(bytes, "f64 array")?;
-        let mut out = Vec::with_capacity(len.min(STREAM_INIT_ALLOC / 8));
-        let mut carry = [0u8; 8];
-        let mut carried = 0usize;
-        self.consume_chunks(bytes, |mut run| {
-            // Chunk boundaries need not land on element boundaries:
-            // stitch a straddling element through the carry buffer.
-            if carried > 0 {
-                let need = (8 - carried).min(run.len());
-                carry[carried..carried + need].copy_from_slice(&run[..need]);
-                carried += need;
-                run = &run[need..];
-                if carried == 8 {
-                    out.push(f64::from_bits(u64::from_be_bytes(carry)));
-                    carried = 0;
-                }
-            }
-            let whole = run.len() / 8 * 8;
-            out.extend(run[..whole].chunks_exact(8).map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                f64::from_bits(u64::from_be_bytes(a))
-            }));
-            let rest = &run[whole..];
-            carry[..rest.len()].copy_from_slice(rest);
-            carried = rest.len();
-        })?;
-        debug_assert_eq!(carried, 0, "payload length is a multiple of 8");
-        Ok(out)
-    }
-
-    fn get_u64_array(&mut self) -> Result<Vec<u64>> {
-        let len = self.get_u32()? as usize;
-        let bytes = len.saturating_mul(8);
-        self.check_item(bytes, "u64 array")?;
-        let mut out = Vec::with_capacity(len.min(STREAM_INIT_ALLOC / 8));
-        let mut carry = [0u8; 8];
-        let mut carried = 0usize;
-        self.consume_chunks(bytes, |mut run| {
-            if carried > 0 {
-                let need = (8 - carried).min(run.len());
-                carry[carried..carried + need].copy_from_slice(&run[..need]);
-                carried += need;
-                run = &run[need..];
-                if carried == 8 {
-                    out.push(u64::from_be_bytes(carry));
-                    carried = 0;
-                }
-            }
-            let whole = run.len() / 8 * 8;
-            out.extend(run[..whole].chunks_exact(8).map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                u64::from_be_bytes(a)
-            }));
-            let rest = &run[whole..];
-            carry[..rest.len()].copy_from_slice(rest);
-            carried = rest.len();
-        })?;
-        debug_assert_eq!(carried, 0, "payload length is a multiple of 8");
-        Ok(out)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buffered() + self.unread
-    }
 }
 
 #[cfg(test)]
@@ -1139,8 +994,14 @@ mod tests {
         let mut d = Decoder::new(&bytes);
         assert!(d.get_f64_array().is_err());
 
-        let mut d = Decoder::with_limit(&bytes, 16);
-        assert!(d.get_opaque().is_err());
+        // Past the item limit, even with the extent claiming to hold it.
+        let mut d = Decoder::new(&bytes);
+        d.limit(usize::MAX, 0);
+        let err = d.get_opaque().unwrap_err();
+        assert!(
+            matches!(&err, NetSolveError::Protocol(m) if m.contains("exceeds limit")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1245,17 +1106,30 @@ mod tests {
         d.finish().unwrap();
     }
 
+    /// A decoder pulling `declared` bytes from `r` through a `chunk` window.
+    fn reading<'a>(
+        r: &'a mut &[u8],
+        window: &'a mut Vec<u8>,
+        declared: usize,
+        chunk: usize,
+    ) -> Decoder<'a> {
+        let mut d = Decoder::reading(r, window, chunk);
+        d.limit(declared, 0);
+        d
+    }
+
     #[test]
-    fn stream_decoder_matches_borrowed_route() {
+    fn reader_source_matches_slice_source() {
         let mut e = Encoder::new();
         put_everything(&mut e);
         let payload = e.into_bytes();
 
-        // Drive through a 97-byte chunk buffer: chunk boundaries land
-        // mid-element, exercising the carry stitching.
-        let mut cur = std::io::Cursor::new(payload.clone());
-        let mut s = StreamDecoder::new(&mut cur, payload.len(), 97);
-        assert_eq!(XdrSource::get_u32(&mut s).unwrap(), 0xCAFE_F00D);
+        // A 97-byte window: refills land mid-element, so fixed-size items
+        // and array elements are stitched across them.
+        let (mut r, mut window) = (&payload[..], Vec::new());
+        let mut s = reading(&mut r, &mut window, payload.len(), 97);
+        let mut d = Decoder::new(&payload);
+        assert_eq!(s.get_u32().unwrap(), 0xCAFE_F00D);
         assert_eq!(s.get_i32().unwrap(), -1);
         assert_eq!(s.get_u64().unwrap(), u64::MAX - 7);
         assert_eq!(s.get_i64().unwrap(), i64::MIN + 3);
@@ -1263,53 +1137,91 @@ mod tests {
         assert!(s.get_bool().unwrap());
         assert_eq!(s.get_string().unwrap(), "streaming sinks");
         assert_eq!(s.get_opaque().unwrap(), b"odd-length-opaque!!");
-
-        let mut d = Decoder::new(&payload);
-        let _ = d.get_u32().unwrap();
-        let _ = d.get_i32().unwrap();
-        let _ = d.get_u64().unwrap();
-        let _ = d.get_i64().unwrap();
-        let _ = d.get_f64().unwrap();
-        let _ = d.get_bool().unwrap();
-        let _ = d.get_string().unwrap();
-        let _ = d.get_opaque().unwrap();
+        for _ in 0..2 {
+            d.get_u32().unwrap();
+        }
+        for _ in 0..3 {
+            d.get_u64().unwrap();
+        }
+        d.get_bool().unwrap();
+        d.get_string().unwrap();
+        d.get_opaque().unwrap();
+        assert_eq!(s.remaining(), d.remaining());
         assert_eq!(s.get_f64_array().unwrap(), d.get_f64_array().unwrap());
         assert_eq!(s.get_u64_array().unwrap(), d.get_u64_array().unwrap());
-        assert_eq!(s.remaining(), 0);
-        s.drain().unwrap();
-        assert_eq!(s.crc(), crc32(&payload), "stream CRC must cover every byte");
+        s.finish().unwrap();
+        d.finish().unwrap();
+        assert_eq!(s.crc(), crc32(&payload), "reader CRC must cover every byte");
+        assert_eq!(d.crc(), crc32(&payload), "slice CRC must cover every byte");
+        assert!(
+            window.capacity() <= 97,
+            "window grew to {}",
+            window.capacity()
+        );
     }
 
     #[test]
-    fn stream_decoder_caps_upfront_allocation_on_lying_length() {
+    fn crc_restarts_with_each_extent_and_covers_drained_bytes() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let (mut r, mut window) = (&bytes[..], Vec::new());
+        let mut sources = [Decoder::new(&bytes), Decoder::reading(&mut r, &mut window, 64)];
+        for d in &mut sources {
+            d.limit(12, 0);
+            d.get_u64().unwrap();
+            d.drain().unwrap();
+            assert_eq!(d.crc(), crc32(&bytes[..12]));
+            // 200 bytes with 4 known to follow: the last refill may pull
+            // the 4 along, but they belong to no extent yet.
+            d.limit(200, 4);
+            d.get_u32().unwrap();
+            assert_eq!(d.crc(), crc32(&bytes[12..16]), "a partial CRC folds what was consumed");
+            d.drain().unwrap();
+            assert_eq!(d.crc(), crc32(&bytes[12..212]));
+            assert_eq!(d.remaining(), 0);
+            assert!(d.get_u32().is_err(), "nothing is decoded past the extent");
+            d.limit(4, 0);
+            assert_eq!(d.get_u32().unwrap(), u32::from_be_bytes([212, 213, 214, 215]));
+            assert_eq!(d.crc(), crc32(&bytes[212..216]));
+        }
+        assert_eq!(r.len(), bytes.len() - 216, "nothing past the declared bytes is read");
+    }
+
+    #[test]
+    fn lying_lengths_are_refused_before_allocation() {
         // An opaque claiming 200 MiB with only 16 bytes behind it must be
         // rejected before any large allocation: the declared item exceeds
-        // what the frame can still hold.
+        // what the extent can still hold. Same for arrays.
         let mut e = Encoder::new();
         e.put_u32(200 * 1024 * 1024);
         e.put_u64(0);
         e.put_u64(0);
         let payload = e.into_bytes();
-        let mut cur = std::io::Cursor::new(payload.clone());
-        let mut s = StreamDecoder::new(&mut cur, payload.len(), 64);
-        assert!(s.get_opaque().is_err());
-
-        // Same for arrays.
-        let mut cur = std::io::Cursor::new(payload.clone());
-        let mut s = StreamDecoder::new(&mut cur, payload.len(), 64);
-        assert!(s.get_f64_array().is_err());
+        let (mut r, mut window) = (&payload[..], Vec::new());
+        assert!(reading(&mut r, &mut window, payload.len(), 64)
+            .get_opaque()
+            .is_err());
+        let mut r = &payload[..];
+        assert!(reading(&mut r, &mut window, payload.len(), 64)
+            .get_f64_array()
+            .is_err());
     }
 
     #[test]
-    fn stream_decoder_detects_early_close() {
+    fn a_source_that_ends_early_is_a_transport_fault() {
         let mut e = Encoder::new();
         e.put_f64_array(&[1.0, 2.0, 3.0, 4.0]);
         let payload = e.into_bytes();
-        // Declare the true length but hand the reader a truncated body:
-        // the decoder must report the closed connection, not hang or panic.
-        let mut cur = std::io::Cursor::new(payload[..payload.len() - 8].to_vec());
-        let mut s = StreamDecoder::new(&mut cur, payload.len(), 64);
-        assert!(s.get_f64_array().is_err());
+        // Declare the true length but hand over a truncated body: the
+        // decoder must report the closed connection, not hang or panic,
+        // whether the bytes come off a reader or sit in a short slice.
+        let short = &payload[..payload.len() - 8];
+        let (mut r, mut window) = (short, Vec::new());
+        let mut from_slice = Decoder::new(short);
+        from_slice.limit(payload.len(), 0);
+        for mut d in [reading(&mut r, &mut window, payload.len(), 64), from_slice] {
+            let err = d.get_f64_array().unwrap_err();
+            assert!(matches!(err, NetSolveError::Transport(_)), "{err}");
+        }
     }
 
     #[test]

@@ -22,10 +22,7 @@ pub mod codec;
 pub mod object;
 
 pub use checksum::{crc32, Crc32};
-pub use codec::{
-    decode_list, Decoder, Encoder, StreamDecoder, XdrSource, DEFAULT_MAX_ITEM_BYTES,
-    STREAM_INIT_ALLOC,
-};
+pub use codec::{decode_list, Decoder, Encoder, DEFAULT_MAX_ITEM_BYTES, STREAM_INIT_ALLOC};
 pub use object::{decode_object, decode_objects, encode_object, encode_objects, from_bytes, to_bytes};
 
 #[cfg(test)]

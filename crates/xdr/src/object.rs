@@ -9,7 +9,7 @@ use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::matrix::Matrix;
 use netsolve_core::sparse::CsrMatrix;
 
-use crate::codec::{decode_list, Encoder, XdrSource};
+use crate::codec::{decode_list, Decoder, Encoder};
 
 /// Encode one data object.
 pub fn encode_object(e: &mut Encoder<'_>, obj: &DataObject) {
@@ -37,10 +37,8 @@ pub fn encode_object(e: &mut Encoder<'_>, obj: &DataObject) {
     }
 }
 
-/// Decode one data object. Generic over the source so the same logic
-/// serves both the borrowed in-memory route and the chunked streaming
-/// route.
-pub fn decode_object<S: XdrSource>(d: &mut S) -> Result<DataObject> {
+/// Decode one data object.
+pub fn decode_object(d: &mut Decoder<'_>) -> Result<DataObject> {
     let tag = d.get_u32()?;
     let kind = ObjectKind::from_tag(
         u8::try_from(tag)
@@ -84,7 +82,7 @@ pub fn encode_objects(e: &mut Encoder<'_>, objs: &[DataObject]) {
 
 /// Decode a list of objects. Each object needs at least its 4-byte tag
 /// on the wire, which is the bound [`decode_list`] holds the count to.
-pub fn decode_objects<S: XdrSource>(d: &mut S) -> Result<Vec<DataObject>> {
+pub fn decode_objects(d: &mut Decoder<'_>) -> Result<Vec<DataObject>> {
     decode_list(d, 4, "object", decode_object)
 }
 
@@ -99,7 +97,7 @@ pub fn to_bytes(objs: &[DataObject]) -> Vec<u8> {
 
 /// Convenience: unmarshal a whole object list, requiring full consumption.
 pub fn from_bytes(bytes: &[u8]) -> Result<Vec<DataObject>> {
-    let mut d = crate::codec::Decoder::new(bytes);
+    let mut d = Decoder::new(bytes);
     let objs = decode_objects(&mut d)?;
     d.finish()?;
     Ok(objs)

@@ -145,7 +145,7 @@ fn main() {
             String::new()
         },
         match &admission {
-            Some(cfg) => format!(", admission max-queue {}", cfg.max_queue_depth),
+            Some(cfg) => format!(", admission max-queue {}", cfg.max_queue_depth()),
             None => String::new(),
         },
         daemon.address(),

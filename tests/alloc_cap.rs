@@ -1,16 +1,21 @@
-//! Regression: a list count read off the wire must not become an
-//! allocation before the items behind it arrive. On the chunked route
-//! `remaining()` counts bytes the frame header merely claims, so a
-//! 32-byte frame under a lying 512 MiB length used to pass the count guard
-//! and reserve 11.8 GB (`Vec<DataObject>`) or 3.2 GB (`Vec<String>`) —
-//! one unauthenticated frame killing a daemon. This binary has its own
-//! `#[global_allocator]`, which is why it is not part of another test file.
+//! What reading a frame may ask of the allocator. Regression: a list count
+//! read off the wire must not become an allocation before the items behind
+//! it arrive. Over a reader `remaining()` counts bytes the frame header
+//! merely declares, so a 32-byte frame under a lying 512 MiB length used to
+//! pass the count guard and reserve 11.8 GB (`Vec<DataObject>`) or 3.2 GB
+//! (`Vec<String>`) — one unauthenticated frame killing a daemon. And the
+//! honest side of the same bound: a small frame costs a small window, a
+//! large operand costs itself plus the window, never the frame twice. This
+//! binary has its own `#[global_allocator]`, which is why it is not part of
+//! another test file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netsolve::proto::frame::MAGIC;
-use netsolve::proto::{FrameReader, MAX_FRAME_PAYLOAD};
+use netsolve::proto::{
+    frame_bytes_versioned, FrameReader, Message, DEFAULT_STREAM_CHUNK, MAX_FRAME_PAYLOAD, VERSION,
+};
 use netsolve::xdr::{crc32, Encoder};
 
 /// Largest single request the allocator has seen since the last reset.
@@ -70,32 +75,61 @@ fn a_wire_count_never_sizes_an_allocation() {
     let catalogue = payload_ending_in_huge_count(|e| e.put_u32(7));
     assert_eq!((submit.len() + 12, catalogue.len() + 12), (32, 20));
 
+    let mut cases = Vec::new();
     for (name, version, payload) in [
         ("RequestSubmit", 1, &submit),
         ("ProblemCatalogue", 6, &catalogue),
     ] {
-        let cases = [
-            // Lying header: the chunked route, payload cut off after the count.
-            (
-                "lying 512 MiB header",
-                frame(version, MAX_FRAME_PAYLOAD, payload, false),
-            ),
-            // Honest header and CRC: the buffered route sees the real length.
-            (
-                "honest header",
-                frame(version, payload.len(), payload, true),
-            ),
-        ];
-        for (case, wire) in cases {
-            LARGEST.store(0, Ordering::Relaxed);
-            let outcome = FrameReader::default().read_from(&mut &wire[..]);
-            let largest = LARGEST.load(Ordering::Relaxed);
-            assert!(outcome.is_err(), "{name}, {case}: decoded {outcome:?}");
-            assert!(
-                largest <= 1024 * 1024,
-                "{name}, {case}: a {}-byte frame made the decoder request {largest} bytes at once",
-                wire.len()
-            );
-        }
+        // Lying header: the payload is cut off right after the count.
+        let lying = frame(version, MAX_FRAME_PAYLOAD, payload, false);
+        cases.push((
+            format!("{name}, lying 512 MiB header"),
+            lying,
+            false,
+            1024 * 1024,
+        ));
+        // Honest header and CRC: the count is all that lies.
+        let honest = frame(version, payload.len(), payload, true);
+        cases.push((format!("{name}, honest header"), honest, false, 1024 * 1024));
+    }
+    // An honest 100-byte frame on a fresh reader: what a freshly dialled
+    // connection pays for a small reply.
+    let small = Message::Error {
+        code: 3,
+        detail: "e".repeat(72),
+    };
+    let small = frame_bytes_versioned(&small, VERSION).unwrap();
+    assert_eq!(small.len(), 100);
+    cases.push(("honest 100-byte frame".into(), small, true, 4096));
+    // An honest operand 36 windows long, its element count no power of two
+    // (doubling would overshoot): the operand and the window, nothing larger.
+    let operand = vec![1.25f64; 300_000];
+    let bound = operand.len() * 8 + DEFAULT_STREAM_CHUNK;
+    let large = Message::RequestSubmit {
+        request_id: 1,
+        deadline_ms: 0,
+        trace_id: 0,
+        parent_span: 0,
+        problem: "ddot".into(),
+        inputs: vec![operand.into()],
+    };
+    let large = frame_bytes_versioned(&large, VERSION).unwrap();
+    cases.push(("honest 2.3 MiB RequestSubmit".into(), large, true, bound));
+
+    for (case, wire, decodes, bound) in cases {
+        LARGEST.store(0, Ordering::Relaxed);
+        let outcome = FrameReader::default().read_from(&mut &wire[..]);
+        let largest = LARGEST.load(Ordering::Relaxed);
+        assert_eq!(
+            outcome.is_ok(),
+            decodes,
+            "{case}: {:?}",
+            outcome.map(|m| m.name())
+        );
+        assert!(
+            largest <= bound,
+            "{case}: a {}-byte frame made the decoder request {largest} bytes at once",
+            wire.len()
+        );
     }
 }
