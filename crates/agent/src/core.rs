@@ -1,5 +1,5 @@
-//! The agent brain: registry + workload manager + fault tracker + network
-//! view + load balancer, behind one message-level interface.
+//! The agent brain: the server table + network view + load balancer,
+//! behind one message-level interface.
 //!
 //! [`AgentCore`] is transport-free (time comes in as a parameter), so the
 //! live daemon wraps it in a mutex and the simulator drives it directly
@@ -18,39 +18,30 @@ use netsolve_obs::{MetricsRegistry, SpanContext, StatsDigest, Tracer};
 use netsolve_proto::{Candidate, GossipEntry, Message, QueryShape};
 
 use crate::balance::{rank, BalancerState, Policy, Ranked, ServerSnapshot};
-use crate::fault::FaultTracker;
 use crate::registry::{MergeOutcome, ServerRegistry};
-use crate::workload::WorkloadManager;
 
-/// How long an unconfirmed assignment keeps counting against a server.
-/// Clients normally clear assignments promptly with `CompletionReport` /
-/// `FailureReport`; the TTL only bounds the damage of a client that
-/// vanished mid-request.
-const PENDING_TTL_SECS: f64 = 300.0;
+/// The instant something gossiped as `age_secs` old at `now` was fresh at
+/// its origin — the scheme that lets copies arriving over different paths
+/// compare without clock synchronisation.
+fn fresh_at(now: SimTime, age_secs: f64) -> SimTime {
+    SimTime::from_secs((now.as_secs() - age_secs.max(0.0)).max(0.0))
+}
 
 /// The complete state of one NetSolve agent.
 pub struct AgentCore {
     config: AgentConfig,
     policy: Policy,
     registry: ServerRegistry,
-    workloads: WorkloadManager,
-    faults: FaultTracker,
     network: NetworkView,
     balancer: BalancerState,
-    /// Assignment times of requests the agent has routed but not yet seen
-    /// complete or fail — NetSolve's defence against the herd effect:
-    /// between two workload reports, the agent itself is the only one who
-    /// knows it just sent a server three jobs.
-    pending: HashMap<ServerId, Vec<SimTime>>,
     /// This agent's own listen address, the identity stamped on gossip
     /// entries it originates (and used to drop echoes of its own entries
     /// arriving back through a peer cycle). Set by the daemon once the
     /// listener is bound; unset in simulator/unit use.
     self_address: Option<String>,
     /// Fleet stats digests keyed by origin daemon address, each with the
-    /// origin-relative freshness instant it was computed at (the same
-    /// `now - age` scheme registry gossip uses, so copies arriving over
-    /// different paths compare without clock synchronisation).
+    /// origin-relative freshness instant it was computed at ([`fresh_at`],
+    /// as registry gossip uses).
     digests: HashMap<String, (StatsDigest, SimTime)>,
     metrics: Arc<MetricsRegistry>,
     tracer: Arc<Tracer>,
@@ -61,14 +52,11 @@ impl AgentCore {
     /// network assumptions.
     pub fn new(config: AgentConfig, policy: Policy, network: NetworkView) -> Self {
         AgentCore {
-            workloads: WorkloadManager::new(config.workload),
-            faults: FaultTracker::new(config.fault),
             config,
             policy,
             registry: ServerRegistry::new(),
             network,
             balancer: BalancerState::default(),
-            pending: HashMap::new(),
             self_address: None,
             digests: HashMap::new(),
             metrics: Arc::new(MetricsRegistry::new()),
@@ -101,17 +89,13 @@ impl AgentCore {
         Self::new(AgentConfig::default(), Policy::MinimumCompletionTime, NetworkView::lan_defaults())
     }
 
-    /// The scheduling policy in force.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// Immutable access to the server registry.
+    /// Immutable access to the server table.
     pub fn registry(&self) -> &ServerRegistry {
         &self.registry
     }
 
-    /// Register a server (message-level entry point uses this too).
+    /// Register a server (message-level entry point uses this too). A
+    /// server restarting on its address replaces its old row.
     pub fn register_server(
         &mut self,
         desc: &netsolve_proto::ServerDescriptor,
@@ -119,8 +103,8 @@ impl AgentCore {
     ) -> Result<ServerId> {
         let id = self.registry.register_at(desc, now)?;
         self.metrics.counter("agent.registrations").inc();
-        // A fresh server is assumed idle until its first report.
-        self.workloads.record(id, 0.0, now);
+        // A replaced row's pending assignments went with it.
+        self.refresh_pending_gauge();
         Ok(id)
     }
 
@@ -128,11 +112,6 @@ impl AgentCore {
     /// gossip entries carry. The daemon calls this right after binding.
     pub fn set_self_address(&mut self, address: &str) {
         self.self_address = Some(address.to_string());
-    }
-
-    /// This agent's listen address, if the daemon registered one.
-    pub fn self_address(&self) -> Option<&str> {
-        self.self_address.as_deref()
     }
 
     /// The full registration view this agent pushes to a peer in one
@@ -149,7 +128,7 @@ impl AgentCore {
             .into_iter()
             .filter_map(|s| {
                 let local = s.origin.is_none();
-                if local && self.faults.is_down(s.server_id, now) {
+                if local && s.is_down(&self.config.fault, now) {
                     return None;
                 }
                 let mut problems: Vec<String> = s.problems.iter().cloned().collect();
@@ -170,7 +149,7 @@ impl AgentCore {
                     mflops: s.mflops,
                     problems,
                     pdl_source,
-                    workload: self.workloads.effective(s.server_id, now),
+                    workload: s.reported_workload(&self.config.workload, now),
                     age_secs: if local { 0.0 } else { now.since(s.refreshed).max(0.0) },
                 })
             })
@@ -192,18 +171,12 @@ impl AgentCore {
             if self.self_address.as_deref() == Some(entry.origin_agent.as_str()) {
                 continue;
             }
-            let fresh_at =
-                SimTime::from_secs((now.as_secs() - entry.age_secs.max(0.0)).max(0.0));
-            match self.registry.merge_remote(entry, fresh_at) {
-                Ok(MergeOutcome::Merged(id)) => {
+            match self.registry.merge_remote(entry, fresh_at(now, entry.age_secs)) {
+                Ok(MergeOutcome::Merged(_)) => {
                     merged += 1;
                     self.metrics.counter("agent.gossip_merges").inc();
-                    self.workloads.record(id, entry.workload, fresh_at);
                 }
-                Ok(MergeOutcome::Refreshed(id)) => {
-                    refreshed += 1;
-                    self.workloads.record(id, entry.workload, fresh_at);
-                }
+                Ok(MergeOutcome::Refreshed(_)) => refreshed += 1,
                 Ok(MergeOutcome::Stale) => {}
                 Err(_) => {
                     conflicts += 1;
@@ -215,22 +188,18 @@ impl AgentCore {
     }
 
     /// Expire gossip-learned registrations that have not been
-    /// re-confirmed within the configured TTL, dropping their workload,
-    /// fault and pending state with them. Returns how many were dropped.
+    /// re-confirmed within the configured TTL — workload, fault and
+    /// pending state go with the row. Returns how many were dropped.
     pub fn expire_gossip(&mut self, now: SimTime) -> usize {
         let expired = self
             .registry
-            .expire_remote(now, self.config.gossip.entry_ttl_secs);
-        for id in &expired {
-            self.workloads.forget(*id);
-            self.faults.forget(*id);
-            self.pending.remove(id);
-            self.metrics.counter("agent.gossip_expired").inc();
-        }
-        if !expired.is_empty() {
+            .expire_remote(now, self.config.gossip.entry_ttl_secs)
+            .len();
+        if expired > 0 {
+            self.metrics.counter("agent.gossip_expired").add(expired as u64);
             self.refresh_pending_gauge();
         }
-        expired.len()
+        expired
     }
 
     /// The configuration in force (the daemon's heartbeat, gossip and
@@ -245,8 +214,7 @@ impl AgentCore {
     /// comparisons work across hops without clock synchronisation.
     /// Returns whether the digest was kept.
     pub fn store_digest(&mut self, digest: StatsDigest, now: SimTime) -> bool {
-        let fresh_at =
-            SimTime::from_secs((now.as_secs() - digest.age_secs.max(0.0)).max(0.0));
+        let fresh_at = fresh_at(now, digest.age_secs);
         match self.digests.get(&digest.origin) {
             Some((_, held)) if fresh_at.as_secs() <= held.as_secs() => false,
             _ => {
@@ -313,16 +281,16 @@ impl AgentCore {
         self.registry
             .all_servers()
             .into_iter()
-            .filter(|s| s.origin.is_none() && !self.faults.is_down(s.server_id, now))
+            .filter(|s| s.origin.is_none() && !s.is_down(&self.config.fault, now))
             .map(|s| s.address.clone())
             .collect()
     }
 
     /// Store a workload report.
     pub fn workload_report(&mut self, server: ServerId, workload: f64, now: SimTime) {
-        if self.registry.get(server).is_some() {
+        if let Some(entry) = self.registry.get_mut(server) {
             self.metrics.counter("agent.workload_reports").inc();
-            self.workloads.record(server, workload, now);
+            entry.record_workload(workload, now);
         }
     }
 
@@ -347,63 +315,51 @@ impl AgentCore {
 
     /// Record a client failure report. Returns whether the server was
     /// marked down by this report. Also clears one pending assignment —
-    /// the failed request is no longer heading for that server.
+    /// the failed request is no longer heading for that server. A report
+    /// about a server the table does not hold changes nothing.
     pub fn failure_report(&mut self, server: ServerId, now: SimTime) -> bool {
         self.metrics.counter("agent.failure_reports").inc();
-        self.clear_one_pending(server);
-        let marked_down = self.faults.record_failure(server, now);
+        let Some(entry) = self.registry.get_mut(server) else {
+            return false;
+        };
+        entry.clear_one_pending();
+        let marked_down = entry.record_failure(&self.config.fault, now);
         if marked_down {
             self.metrics.counter("agent.fault_down_marks").inc();
         }
+        self.refresh_pending_gauge();
         marked_down
     }
 
     /// Record a client success (clears fault state and one pending
-    /// assignment).
+    /// assignment) — on a server the table holds.
     pub fn success_report(&mut self, server: ServerId) {
         self.metrics.counter("agent.success_reports").inc();
-        self.clear_one_pending(server);
-        self.faults.record_success(server);
-    }
-
-    fn clear_one_pending(&mut self, server: ServerId) {
-        if let Some(entries) = self.pending.get_mut(&server) {
-            // Oldest first: completions generally arrive in dispatch order.
-            if !entries.is_empty() {
-                entries.remove(0);
-            }
-            if entries.is_empty() {
-                self.pending.remove(&server);
-            }
+        if let Some(entry) = self.registry.get_mut(server) {
+            entry.clear_one_pending();
+            entry.record_success();
+            self.refresh_pending_gauge();
         }
-        self.refresh_pending_gauge();
     }
 
     fn refresh_pending_gauge(&self) {
-        let depth: usize = self.pending.values().map(Vec::len).sum();
+        let depth = self.registry.pending_total();
         self.metrics.gauge("agent.pending_assignments").set(depth as i64);
     }
 
     /// Count unexpired pending assignments for a server.
     pub fn pending_load(&self, server: ServerId, now: SimTime) -> usize {
-        self.pending
-            .get(&server)
-            .map(|e| {
-                e.iter()
-                    .filter(|t| now.since(**t) < PENDING_TTL_SECS)
-                    .count()
-            })
-            .unwrap_or(0)
+        self.registry.get(server).map_or(0, |s| s.pending_load(now))
     }
 
     fn note_assignment(&mut self, server: ServerId, now: SimTime) {
         if !self.config.pending_tracking {
             return;
         }
-        let entries = self.pending.entry(server).or_default();
-        entries.retain(|t| now.since(*t) < PENDING_TTL_SECS);
-        entries.push(now);
-        self.refresh_pending_gauge();
+        if let Some(entry) = self.registry.get_mut(server) {
+            entry.note_assignment(now);
+            self.refresh_pending_gauge();
+        }
     }
 
     /// Record an observed network measurement between two hosts.
@@ -417,9 +373,9 @@ impl AgentCore {
         self.network.observe(from, to, latency_secs, bandwidth_bps);
     }
 
-    /// Whether a server is currently excluded by the fault tracker.
+    /// Whether a server is currently excluded by its fault record.
     pub fn is_down(&self, server: ServerId, now: SimTime) -> bool {
-        self.faults.is_down(server, now)
+        self.registry.get(server).is_some_and(|s| s.is_down(&self.config.fault, now))
     }
 
     /// Registered servers the heartbeat prober should dial at `now`:
@@ -428,13 +384,11 @@ impl AgentCore {
     /// Returns `(server, address)` pairs so the prober can work without
     /// holding the core lock across network I/O.
     pub fn probe_targets(&self, now: SimTime) -> Vec<(ServerId, String)> {
+        let fault = &self.config.fault;
         self.registry
             .all_servers()
             .into_iter()
-            .filter(|s| {
-                !self.faults.is_down(s.server_id, now)
-                    || self.faults.should_probe(s.server_id, now)
-            })
+            .filter(|s| !s.is_down(fault, now) || s.should_probe(fault, now))
             .map(|s| (s.server_id, s.address.clone()))
             .collect()
     }
@@ -445,15 +399,21 @@ impl AgentCore {
     /// assignments — probes are not client requests.
     pub fn probe_succeeded(&mut self, server: ServerId) {
         self.metrics.counter("agent.probe_successes").inc();
-        self.faults.record_success(server);
+        if let Some(entry) = self.registry.get_mut(server) {
+            entry.probe_hit();
+        }
     }
 
-    /// Mark a server down because it missed the heartbeat miss threshold.
-    /// Bypasses the client-report failure threshold: the prober has
-    /// already accumulated the configured number of consecutive misses.
-    pub fn probe_exhausted(&mut self, server: ServerId, now: SimTime) {
-        self.metrics.counter("agent.heartbeat_down_marks").inc();
-        self.faults.force_down(server, now);
+    /// Record a missed liveness probe. Once the server has missed the
+    /// heartbeat policy's threshold of consecutive probes it is marked
+    /// down, bypassing the client-report failure threshold.
+    pub fn probe_missed(&mut self, server: ServerId, now: SimTime) {
+        self.metrics.counter("agent.heartbeat_misses").inc();
+        if let Some(entry) = self.registry.get_mut(server) {
+            if entry.probe_miss(&self.config.heartbeat, now) {
+                self.metrics.counter("agent.heartbeat_down_marks").inc();
+            }
+        }
     }
 
     /// Snapshot the eligible servers for a problem at `now` (advertise it,
@@ -461,17 +421,13 @@ impl AgentCore {
     pub fn snapshots_for(&self, problem: &str, now: SimTime) -> Vec<ServerSnapshot> {
         self.registry
             .servers_for(problem)
-            .into_iter()
-            .filter(|s| !self.faults.is_down(s.server_id, now))
+            .filter(|s| !s.is_down(&self.config.fault, now))
             .map(|s| ServerSnapshot {
                 server_id: s.server_id,
                 host: s.host,
                 address: s.address.clone(),
                 mflops: s.mflops,
-                // Reported workload, aged by TTL, plus 100% per request the
-                // agent itself routed there since the last report.
-                workload: self.workloads.effective(s.server_id, now)
-                    + 100.0 * self.pending_load(s.server_id, now) as f64,
+                workload: s.effective_workload(&self.config.workload, now),
             })
             .collect()
     }
@@ -582,9 +538,8 @@ impl AgentCore {
                         host: s.host_name.clone(),
                         address: s.address.clone(),
                         mflops: s.mflops,
-                        workload: self.workloads.effective(s.server_id, now)
-                            + 100.0 * self.pending_load(s.server_id, now) as f64,
-                        down: self.faults.is_down(s.server_id, now),
+                        workload: s.effective_workload(&self.config.workload, now),
+                        down: s.is_down(&self.config.fault, now),
                         problems: s.problems.len() as u32,
                     })
                     .collect(),
@@ -935,6 +890,110 @@ mod tests {
         }
         let after = agent.query(&query(200), now).unwrap()[0].predicted_secs;
         assert!((after - before).abs() < before * 0.05, "{before} vs {after}");
+
+        // Regression: reports naming servers the agent never issued used
+        // to mint fault state per id — unbounded growth from outside
+        // input. They must leave nothing behind: same rows, no pending,
+        // no down mark, and the next ranking exactly as before.
+        agent.success_report(ServerId(1));
+        agent.success_report(ServerId(1));
+        let before = agent.query(&query(200), now).unwrap();
+        agent.success_report(ServerId(1));
+        for ghost in 0..10_000u64 {
+            let (server_id, server_address) = (1_000 + ghost, format!("ghost:{ghost}"));
+            let failure = Message::FailureReport {
+                server_id,
+                server_address: server_address.clone(),
+                problem: "dgesv".into(),
+                code: 3,
+                detail: "refused".into(),
+            };
+            // Two failures are the down threshold — for a server that exists.
+            agent.handle_message(&failure, now);
+            agent.handle_message(&failure, now);
+            assert!(!agent.is_down(ServerId(server_id), now));
+            agent.handle_message(
+                &Message::CompletionReport {
+                    server_id,
+                    server_address,
+                    client_host: 0,
+                    problem: "dgesv".into(),
+                    total_secs: 1.0,
+                    compute_secs: 0.5,
+                    bytes: 1_000,
+                },
+                now,
+            );
+            agent.probe_succeeded(ServerId(server_id));
+            agent.probe_missed(ServerId(server_id), now);
+            agent.probe_missed(ServerId(server_id), now);
+            assert!(!agent.is_down(ServerId(server_id), now));
+        }
+        assert_eq!(agent.registry().server_count(), 1);
+        assert_eq!(agent.registry().pending_total(), 0);
+        assert_eq!(agent.metrics().gauge("agent.pending_assignments").get(), 0);
+        assert_eq!(agent.metrics().counter("agent.failure_reports").get(), 20_000);
+        assert_eq!(agent.metrics().counter("agent.heartbeat_down_marks").get(), 0);
+        assert_eq!(agent.query(&query(200), now).unwrap(), before);
+    }
+
+    /// Regression: `register_at` used to mint a fresh id unconditionally,
+    /// so a server restarting on its fixed port became two rows — two of
+    /// the client's failover slots on one machine, two heartbeat dials,
+    /// reports credited to whichever duplicate a scan found first.
+    #[test]
+    fn a_restarted_server_replaces_its_row() {
+        let mut agent = AgentCore::with_defaults();
+        let now = SimTime::ZERO;
+        let desc = standard_descriptor("h", "10.0.0.1:9001", 100.0);
+        let id = agent.register_server(&desc, now).unwrap();
+        // Dynamic state the restart must reset.
+        agent.query(&query(100), now).unwrap();
+        agent.failure_report(id, now);
+        agent.query(&query(100), now).unwrap();
+        assert_eq!(agent.metrics().gauge("agent.pending_assignments").get(), 1);
+
+        assert_eq!(agent.register_server(&desc, now), Ok(id));
+        assert_eq!(agent.pending_load(id, now), 0);
+        assert_eq!(agent.metrics().gauge("agent.pending_assignments").get(), 0);
+        let slow = agent.query(&query(400), now).unwrap();
+        agent.success_report(id);
+
+        let faster = standard_descriptor("h", "10.0.0.1:9001", 400.0);
+        let reply = agent.handle_message(&Message::RegisterServer(faster), now);
+        assert_eq!(
+            reply,
+            Message::RegisterAck { accepted: true, detail: id.raw().to_string() },
+            "the ack carries the existing row's id"
+        );
+        assert_eq!(agent.registry().server_count(), 1);
+        assert_eq!(agent.probe_targets(now), vec![(id, "10.0.0.1:9001".to_string())]);
+        let fast = agent.query(&query(400), now).unwrap();
+        assert_eq!((slow.len(), fast.len()), (1, 1));
+        assert!(
+            fast[0].predicted_secs < slow[0].predicted_secs,
+            "ranked with the new rating: {fast:?} vs {slow:?}"
+        );
+
+        // One failure before the restart, one after: the count restarted.
+        let report = Message::FailureReport {
+            server_id: 77,
+            server_address: "10.0.0.1:9001".into(),
+            problem: "dgesv".into(),
+            code: 3,
+            detail: "connection refused".into(),
+        };
+        agent.handle_message(&report, now);
+        assert!(!agent.is_down(id, now));
+        agent.handle_message(&report, now);
+        assert!(agent.is_down(id, now), "a report by address lands on the one row");
+
+        // A failed re-registration commits nothing: the row stays as it was.
+        let mut bad = standard_descriptor("h", "10.0.0.1:9001", -1.0);
+        bad.problems.clear();
+        assert!(agent.register_server(&bad, now).is_err());
+        assert_eq!(agent.registry().get(id).unwrap().mflops, 400.0);
+        assert!(agent.is_down(id, now));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! The daemon also runs a heartbeat prober: every probe interval it dials
 //! each registered server with a `Ping` and feeds the outcome into the
-//! core's fault tracker, so dead servers drop out of rankings even when no
+//! core's server table, so dead servers drop out of rankings even when no
 //! client ever reports them, and recovered servers are re-admitted.
 //!
 //! Federated daemons additionally run a gossip loop: every gossip interval
@@ -19,14 +19,13 @@
 //! the one-hop query widening path) and re-probed every round until it
 //! answers again.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
 use netsolve_core::clock::{Clock, RealClock};
-use netsolve_core::config::{AgentConfig, GossipPolicy, HeartbeatPolicy};
+use netsolve_core::config::AgentConfig;
 use netsolve_core::error::Result;
-use netsolve_core::ids::ServerId;
 use netsolve_net::{call_once, Connection, Daemon, StopSignal, Transport};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
@@ -44,13 +43,22 @@ struct Shared {
     core: Arc<Mutex<AgentCore>>,
     metrics: Arc<netsolve_obs::MetricsRegistry>,
     tracer: Arc<netsolve_obs::Tracer>,
+    /// The core's configuration, copied at start so the workers read
+    /// their policies without the core lock.
+    config: AgentConfig,
     clock: Arc<dyn Clock>,
     transport: Arc<dyn Transport>,
     address: String,
-    peers: Mutex<Vec<String>>,
-    /// Peers the gossip loop has marked down; skipped by query widening.
-    peer_down: Mutex<HashSet<String>>,
+    peers: Mutex<Vec<Peer>>,
     stop: Arc<StopSignal>,
+}
+
+/// One federation peer: its address and how many gossip rounds in a row
+/// it has left unanswered. A peer *is* down while that count is at or
+/// past the gossip policy's `peer_miss_threshold`.
+struct Peer {
+    address: String,
+    misses: u32,
 }
 
 /// How long a federated agent waits for each peer's answer.
@@ -88,27 +96,27 @@ impl AgentDaemon {
         let address = listener.address();
         core.set_self_address(&address);
         let (metrics, tracer) = (core.metrics(), core.tracer());
-        let AgentConfig { heartbeat, gossip, telemetry, .. } = *core.config();
+        let config = core.config().clone();
+        let AgentConfig { heartbeat, gossip, telemetry, .. } = config;
         let mut daemon = Daemon::new(Arc::clone(&transport));
         let shared = Arc::new(Shared {
             core: Arc::new(Mutex::new(core)),
             metrics: Arc::clone(&metrics),
             tracer,
+            config,
             clock,
             transport,
             address,
             peers: Mutex::new(Vec::new()),
-            peer_down: Mutex::new(HashSet::new()),
             stop: daemon.stop_signal(),
         });
 
         {
             let shared = Arc::clone(&shared);
-            let mut misses = HashMap::new();
             daemon.every(
                 "agent-heartbeat",
                 Duration::from_secs_f64(heartbeat.probe_interval_secs.max(0.001)),
-                move || shared.heartbeat_round(&heartbeat, &mut misses),
+                move || shared.heartbeat_round(),
             )?;
         }
         // The gossip loop runs even while the peer list is empty: peers
@@ -116,11 +124,10 @@ impl AgentDaemon {
         // first, then wire the mesh).
         {
             let shared = Arc::clone(&shared);
-            let mut misses = HashMap::new();
             daemon.every(
                 "agent-gossip",
                 Duration::from_secs_f64(gossip.interval_secs.max(0.001)),
-                move || shared.gossip_round(&gossip, &mut misses),
+                move || shared.gossip_round(),
             )?;
         }
         // Telemetry sampler: ticks this agent's own windowed series,
@@ -174,8 +181,11 @@ impl AgentDaemon {
     /// query-widening path both read the list per use, so a new mesh takes
     /// effect on the next round/request — live TCP deployments bind
     /// ephemeral ports first and only then know each other's addresses.
+    /// Every listed peer starts out up: miss counts belong to the roster
+    /// they were counted in.
     pub fn set_peers(&self, peers: Vec<String>) {
-        *self.shared.peers.lock() = peers;
+        *self.shared.peers.lock() =
+            peers.into_iter().map(|address| Peer { address, misses: 0 }).collect();
     }
 
     /// Stop accepting connections and join the daemon's threads (also
@@ -195,17 +205,12 @@ impl Shared {
 
     /// Heartbeat round: dial each registered server with a `Ping`. A
     /// `Pong` within the probe timeout clears the server's fault record;
-    /// `miss_threshold` consecutive misses force-mark it down. Miss counts
-    /// deliberately survive the down-mark, so the half-open probe after
-    /// the cooldown sends a server straight back down on a single further
-    /// miss (and fully recovers it on a single success).
-    fn heartbeat_round(
-        &self,
-        policy: &HeartbeatPolicy,
-        misses: &mut HashMap<ServerId, u32>,
-    ) {
-        let probe_timeout = Duration::from_secs_f64(policy.probe_timeout_secs.max(0.001));
-        let (metrics, tracer) = (&self.metrics, &self.tracer);
+    /// the table counts the misses and force-marks it down at the
+    /// policy's `miss_threshold`.
+    fn heartbeat_round(&self) {
+        let probe_timeout =
+            Duration::from_secs_f64(self.config.heartbeat.probe_timeout_secs.max(0.001));
+        let tracer = &self.tracer;
         let targets = self.core.lock().probe_targets(self.clock.now());
         for (server, address) in targets {
             if self.stop.is_stopped() {
@@ -228,17 +233,22 @@ impl Shared {
             );
             let mut core = self.core.lock();
             if alive {
-                misses.remove(&server);
                 core.probe_succeeded(server);
             } else {
-                metrics.counter("agent.heartbeat_misses").inc();
-                let count = misses.entry(server).or_insert(0);
-                *count = count.saturating_add(1);
-                if *count >= policy.miss_threshold {
-                    core.probe_exhausted(server, self.clock.now());
-                }
+                core.probe_missed(server, self.clock.now());
             }
         }
+    }
+
+    /// Whether a peer with this many missed rounds is down.
+    fn peer_is_down(&self, peer: &Peer) -> bool {
+        peer.misses >= self.config.gossip.peer_miss_threshold
+    }
+
+    /// Addresses of the peers the gossip loop has not marked down.
+    fn live_peers(&self) -> Vec<String> {
+        let peers = self.peers.lock();
+        peers.iter().filter(|p| !self.peer_is_down(p)).map(|p| p.address.clone()).collect()
     }
 
     /// Gossip round: push the full local registration view to each peer
@@ -246,22 +256,21 @@ impl Shared {
     /// gossip-learned entries also runs here, so a dead peer's servers age
     /// out even when no further gossip arrives to trigger merge-side
     /// expiry.
-    fn gossip_round(
-        &self,
-        policy: &GossipPolicy,
-        misses: &mut HashMap<String, u32>,
-    ) {
-        let round_peers: Vec<String> = self.peers.lock().clone();
+    fn gossip_round(&self) {
+        // Down peers are still dialled: the round is their recovery probe.
+        let round_peers: Vec<String> =
+            self.peers.lock().iter().map(|p| p.address.clone()).collect();
         if round_peers.is_empty() {
             return;
         }
-        let round_timeout = Duration::from_secs_f64(policy.round_timeout_secs.max(0.001));
+        let round_timeout =
+            Duration::from_secs_f64(self.config.gossip.round_timeout_secs.max(0.001));
         let now = self.clock.now();
         let (metrics, tracer) = (&self.metrics, &self.tracer);
         let sync = {
             let mut core = self.core.lock();
             core.expire_gossip(now);
-            let digests = if core.config().telemetry.digests {
+            let digests = if self.config.telemetry.digests {
                 core.expire_digests(now);
                 core.digest_snapshot(now)
             } else {
@@ -314,25 +323,20 @@ impl Shared {
                 "gossip_push",
                 detail,
             );
-            if alive {
-                misses.remove(peer);
-                if self.peer_down.lock().remove(peer) {
-                    metrics.counter("agent.peer_recoveries").inc();
-                }
-            } else {
-                let count = misses.entry(peer.clone()).or_insert(0);
-                *count = count.saturating_add(1);
-                if *count >= policy.peer_miss_threshold
-                    && self.peer_down.lock().insert(peer.clone())
-                {
-                    metrics.counter("agent.peer_down_marks").inc();
-                }
+            // `set_peers` may have dropped the peer while it was dialled.
+            let mut peers = self.peers.lock();
+            let Some(entry) = peers.iter_mut().find(|p| p.address == *peer) else {
+                continue;
+            };
+            let was_down = self.peer_is_down(entry);
+            entry.misses = if alive { 0 } else { entry.misses.saturating_add(1) };
+            match (was_down, self.peer_is_down(entry)) {
+                (true, false) => metrics.counter("agent.peer_recoveries").inc(),
+                (false, true) => metrics.counter("agent.peer_down_marks").inc(),
+                _ => {}
             }
         }
-        let down_now = self.peer_down.lock().len();
-        metrics
-            .gauge("agent.peers_up")
-            .set(round_peers.len().saturating_sub(down_now) as i64);
+        metrics.gauge("agent.peers_up").set(self.live_peers().len() as i64);
     }
 
     /// Telemetry tick: (1) snapshot the agent's metrics registry into its
@@ -399,15 +403,7 @@ impl Shared {
             // must not pay connect timeouts to a known-dead agent on the
             // client's clock.
             if matches!(reply, Message::Error { .. }) {
-                let live_peers: Vec<String> = {
-                    let peers = self.peers.lock();
-                    let down = self.peer_down.lock();
-                    peers
-                        .iter()
-                        .filter(|p| !down.contains(*p))
-                        .cloned()
-                        .collect()
-                };
+                let live_peers = self.live_peers();
                 match &msg {
                     Message::ServerQuery(q) => {
                         if let Some(candidates) = self.query_peers(&live_peers, q) {
@@ -448,7 +444,7 @@ impl Shared {
         merged.sort_by(|a, b| a.predicted_secs.total_cmp(&b.predicted_secs));
         let mut seen = HashSet::new();
         merged.retain(|c| seen.insert(c.address.clone()));
-        merged.truncate(self.core.lock().config().candidates_returned.0);
+        merged.truncate(self.config.candidates_returned.0);
         Some(merged)
     }
 
@@ -843,22 +839,21 @@ mod tests {
         }
     }
 
+    fn query_dgesv_msg() -> Message {
+        Message::ServerQuery(QueryShape {
+            client_host: 0,
+            problem: "dgesv".into(),
+            n: 50,
+            bytes_in: 20_400,
+            bytes_out: 408,
+            trace_id: 0,
+            parent_span: 0,
+        })
+    }
+
     fn query_dgesv(net: &ChannelNetwork, agent: &str) -> Message {
         let mut conn = net.connect(agent).unwrap();
-        call(
-            conn.as_mut(),
-            &Message::ServerQuery(QueryShape {
-                client_host: 0,
-                problem: "dgesv".into(),
-                n: 50,
-                bytes_in: 20_400,
-                bytes_out: 408,
-                trace_id: 0,
-                parent_span: 0,
-            }),
-            timeout(),
-        )
-        .unwrap()
+        call(conn.as_mut(), &query_dgesv_msg(), timeout()).unwrap()
     }
 
     #[test]
@@ -1008,6 +1003,226 @@ mod tests {
         let snap = metrics.snapshot("agent");
         assert_eq!(snap.counter("agent.peer_down_marks"), 0, "old peer is alive, not down");
         agent.stop();
+    }
+
+    /// A listener that answers every message with `reply(message)` — a
+    /// stand-in for a server or an old agent.
+    fn stub(net: &ChannelNetwork, name: &str, reply: fn(Message) -> Message) {
+        let listener = net.listen(name).unwrap();
+        std::thread::spawn(move || {
+            while let Ok(mut conn) = listener.accept() {
+                std::thread::spawn(move || {
+                    while let Ok(msg) = conn.recv() {
+                        if conn.send(&reply(msg)).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    fn unsupported() -> Message {
+        Message::Error { code: 1, detail: "unknown message".into() }
+    }
+
+    /// `docs/OBSERVABILITY.md` is the catalogue dashboards rely on: every
+    /// `agent.*` instrument and `agent` span phase the code emits must be
+    /// listed there, and nothing listed there may have stopped being
+    /// emitted. Drives a federated pair (plus a lone agent whose slow
+    /// default heartbeat never marks a dead server down, so its telemetry
+    /// scrapes keep failing) through registration, query, reports, a
+    /// missed heartbeat, gossip both ways, and a dead and recovered peer.
+    #[test]
+    fn observability_doc_lists_exactly_the_names_the_agent_emits() {
+        use crate::balance::Policy;
+        use netsolve_core::config::{HeartbeatPolicy, TelemetryPolicy};
+        use netsolve_net::NetworkView;
+        use std::collections::BTreeSet;
+
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let config = |heartbeat: HeartbeatPolicy| AgentConfig {
+            heartbeat,
+            telemetry: TelemetryPolicy { tick_secs: 0.02, ..TelemetryPolicy::default() },
+            ..fast_gossip_config(0.3)
+        };
+        let start = |name: &str, heartbeat: HeartbeatPolicy| {
+            let core = AgentCore::new(
+                config(heartbeat),
+                Policy::MinimumCompletionTime,
+                NetworkView::lan_defaults(),
+            );
+            let daemon = AgentDaemon::start(Arc::clone(&transport), name, core).unwrap();
+            let (metrics, tracer) = {
+                let core = daemon.core();
+                let core = core.lock();
+                (core.metrics(), core.tracer())
+            };
+            (daemon, metrics, tracer)
+        };
+        let send = |agent: &str, msg: Message| {
+            let mut conn = net.connect(agent).unwrap();
+            call(conn.as_mut(), &msg, timeout()).unwrap()
+        };
+        let register = |agent: &str, address: &str| {
+            let msg = Message::RegisterServer(standard_descriptor(address, address, 150.0));
+            assert!(matches!(send(agent, msg), Message::RegisterAck { accepted: true, .. }));
+        };
+        let count = |metrics: &Arc<netsolve_obs::MetricsRegistry>, name: &str| {
+            metrics.snapshot("agent").counter(name)
+        };
+
+        // A probe-answering server that predates fleet stats, and an agent
+        // that predates gossip.
+        let old_server: fn(Message) -> Message = |msg| match msg {
+            Message::Ping => Message::Pong,
+            _ => unsupported(),
+        };
+        stub(&net, "srv-a", old_server);
+        stub(&net, "srv-old", old_server);
+        stub(&net, "agent-old", |_| unsupported());
+
+        let fast = HeartbeatPolicy {
+            probe_interval_secs: 0.03,
+            miss_threshold: 2,
+            probe_timeout_secs: 0.5,
+        };
+        let (mut agent_a, a, a_tracer) = start("agent-a", fast);
+        let (mut agent_b, b, b_tracer) = start("agent-b", HeartbeatPolicy::default());
+        let (mut agent_c, c, c_tracer) = start("agent-c", HeartbeatPolicy::default());
+        agent_a.set_peers(vec!["agent-b".into(), "agent-old".into()]);
+        agent_b.set_peers(vec!["agent-a".into()]);
+
+        // The lone agent: one server that cannot answer a digest scrape,
+        // one that is not there at all.
+        register("agent-c", "srv-old");
+        register("agent-c", "srv-gone");
+        wait_for("both kinds of failed scrape", &|| {
+            count(&c, "agent.digest_scrape_unsupported") >= 1
+                && count(&c, "agent.digest_scrape_failures") >= 1
+        });
+
+        // The pair: a server each; gossip and digests flow both ways, the
+        // old peer is tolerated, the live server answers its probes.
+        register("agent-a", "srv-a");
+        register("agent-b", "srv-b");
+        wait_for("gossip, digests and probes at agent-a", &|| {
+            [
+                "agent.gossip_sends",
+                "agent.gossip_peer_unsupported",
+                "agent.gossip_syncs_received",
+                "agent.gossip_merges",
+                "agent.digest_merges",
+                "agent.probe_successes",
+            ]
+            .iter()
+            .all(|name| count(&a, name) >= 1)
+        });
+        let mut conflicting = crate::core::AgentCore::with_defaults();
+        conflicting.set_self_address("agent-x");
+        let mut evil = standard_descriptor("hx", "srv-x", 10.0);
+        evil.problems = vec!["dgesv".into()];
+        evil.pdl_source = "@PROBLEM dgesv\n@DESCRIPTION \"fake\"\n@INPUT a : matrix\n\
+            @INPUT b : vector\n@OUTPUT x : vector\n@COMPLEXITY 99 1\n@END\n"
+            .into();
+        conflicting.register_server(&evil, netsolve_core::clock::SimTime::ZERO).unwrap();
+        let sync = Message::GossipSync {
+            from_agent: "agent-x".into(),
+            entries: conflicting.gossip_digest(netsolve_core::clock::SimTime::ZERO),
+            digests: vec![],
+        };
+        assert!(matches!(send("agent-a", sync), Message::GossipAck { conflicts: 1, .. }));
+
+        // Client traffic at agent-b, whose slow heartbeat cannot clear a
+        // failure count between the two reports that mark srv-b down.
+        assert!(matches!(send("agent-b", query_dgesv_msg()), Message::ServerList { .. }));
+        send("agent-b", Message::WorkloadReport { server_id: 1, workload: 10.0 });
+        send(
+            "agent-b",
+            Message::CompletionReport {
+                server_id: 99,
+                server_address: "srv-b".into(),
+                client_host: 0,
+                problem: "dgesv".into(),
+                total_secs: 0.02,
+                compute_secs: 0.01,
+                bytes: 1_000,
+            },
+        );
+        for _ in 0..2 {
+            send(
+                "agent-b",
+                Message::FailureReport {
+                    server_id: 1,
+                    server_address: String::new(),
+                    problem: "dgesv".into(),
+                    code: 3,
+                    detail: "refused".into(),
+                },
+            );
+        }
+        assert_eq!(count(&b, "agent.fault_down_marks"), 1);
+
+        // A missed heartbeat, then a dead peer whose entries and digest
+        // expire, then its recovery.
+        net.set_down("srv-a");
+        wait_for("heartbeat down-mark", &|| count(&a, "agent.heartbeat_down_marks") >= 1);
+        agent_b.stop();
+        wait_for("dead peer at agent-a", &|| {
+            [
+                "agent.gossip_send_failures",
+                "agent.peer_down_marks",
+                "agent.gossip_expired",
+                "agent.digest_expired",
+            ]
+            .iter()
+            .all(|name| count(&a, name) >= 1)
+        });
+        let (mut agent_b2, b2, b2_tracer) = start("agent-b", HeartbeatPolicy::default());
+        wait_for("peer recovery", &|| count(&a, "agent.peer_recoveries") >= 1);
+        for agent in [&mut agent_a, &mut agent_b2, &mut agent_c] {
+            agent.stop();
+        }
+
+        let mut emitted_metrics = BTreeSet::new();
+        let mut emitted_phases = BTreeSet::new();
+        for (metrics, tracer) in [(a, a_tracer), (b, b_tracer), (b2, b2_tracer), (c, c_tracer)] {
+            let snap = metrics.snapshot("agent");
+            let names = snap
+                .counters
+                .iter()
+                .map(|(n, _)| n)
+                .chain(snap.gauges.iter().map(|(n, _)| n))
+                .chain(snap.histograms.iter().map(|h| &h.name));
+            emitted_metrics.extend(names.filter(|n| n.starts_with("agent.")).cloned());
+            emitted_phases.extend(
+                tracer.spans().iter().filter(|s| s.component == "agent").map(|s| s.phase),
+            );
+        }
+
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        // Backticked tokens are the odd segments of a split on '`'.
+        let ticked = |text: &'static str| text.split('`').skip(1).step_by(2);
+        let doc_metrics: BTreeSet<String> = ticked(doc)
+            .filter(|t| {
+                t.strip_prefix("agent.")
+                    .is_some_and(|rest| rest.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'))
+            })
+            .map(str::to_string)
+            .collect();
+        let span_names = doc.split("## Span names").nth(1).expect("doc has a span section");
+        let agent_set = span_names
+            .split("`agent` ×")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .expect("span section lists the agent's phases in braces");
+        let doc_phases: BTreeSet<&str> = ticked(agent_set).collect();
+
+        assert_eq!(emitted_metrics, doc_metrics, "agent.* instruments: emitted vs documented");
+        assert_eq!(emitted_phases, doc_phases, "agent span phases: emitted vs documented");
+        // What the benchmark's attribution reads must survive any rename.
+        assert!(emitted_phases.contains("score"), "attribution reads agent/score");
     }
 
     #[test]

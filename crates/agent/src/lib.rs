@@ -8,12 +8,12 @@
 //!   `T = T_net + complexity(n)/p'` minimum-completion-time predictor and
 //!   the baseline policies (round-robin, random, load-only, fastest-CPU,
 //!   nearest-network) it is compared against;
-//! * [`workload`] — NetSolve's lazy workload-information policy
-//!   (threshold reporting, time-to-live aging);
-//! * [`fault`] — per-server failure tracking with down/cooldown semantics;
-//! * [`registry`] — the server and problem index built from PDL
+//! * [`registry`] — the server table: one entry per server holding its
+//!   registration, last workload report (time-to-live aging), fault
+//!   record (down/cooldown), probe misses and pending assignments, behind
+//!   an id and an address index, plus the problem index built from PDL
 //!   registrations;
-//! * [`core`] — all of the above behind one message-level interface;
+//! * [`core`] — both of the above behind one message-level interface;
 //! * [`daemon`] — the live agent served over any transport.
 
 #![warn(missing_docs)]
@@ -21,16 +21,12 @@
 pub mod balance;
 pub mod core;
 pub mod daemon;
-pub mod fault;
 pub mod registry;
-pub mod workload;
 
 pub use balance::{predict, rank, BalancerState, Policy, Ranked, ServerSnapshot};
 pub use core::AgentCore;
 pub use daemon::AgentDaemon;
-pub use fault::FaultTracker;
-pub use registry::{standard_descriptor, RegisteredServer, ServerRegistry};
-pub use workload::WorkloadManager;
+pub use registry::{standard_descriptor, ServerEntry, ServerRegistry};
 
 #[cfg(test)]
 mod proptests {

@@ -14,9 +14,10 @@
 //!   compute time `c/p · (1+q)` equals queue wait plus service for
 //!   equal-sized jobs — exactly the approximation NetSolve's formula makes.
 //! * Workload reports follow the configured interval/threshold policy and
-//!   age out at the agent per its TTL (the actual `WorkloadManager` code).
+//!   age out at the agent per its TTL (the agent's actual server-table
+//!   code).
 //! * Failed attempts cost `failure_detect_secs` and push the client down
-//!   the candidate list, feeding the agent's real fault tracker.
+//!   the candidate list, feeding the same table's fault records.
 
 use std::collections::VecDeque;
 

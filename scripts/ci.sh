@@ -74,17 +74,22 @@ boot_agent() { # PORT [ns-agent flags…] — ready once it answers a registry q
     echo "agent on port $1 never answered"; exit 1
 }
 
+listed() { # AGENT_PORT REGEX — poll until a row of the agent's roster matches
+    for _ in $(seq 1 100); do
+        ./target/debug/ns-client --agent 127.0.0.1:$1 servers 2>/dev/null \
+            | grep -Eq "$2" && return 0
+        sleep 0.1
+    done
+    return 1
+}
+
 # A server started without --mflops rates itself before it registers (one
 # LU at n=256: milliseconds in release, longer in these debug builds), so
 # ready means registered, not merely listening.
 boot_server() { # AGENT_PORT PORT [ns-server flags…] — ready once the agent lists it
     ./target/debug/ns-server --agent 127.0.0.1:$1 --listen 127.0.0.1:$2 "${@:3}" &
     PIDS+=($!)
-    for _ in $(seq 1 100); do
-        ./target/debug/ns-client --agent 127.0.0.1:$1 servers 2>/dev/null \
-            | grep -q "127.0.0.1:$2" && return 0
-        sleep 0.1
-    done
+    listed $1 "127\.0\.0\.1:$2" && return 0
     echo "server on port $2 never registered with the agent on port $1"; exit 1
 }
 
@@ -95,6 +100,7 @@ AGENT_PORT=19751
 SERVER_PORT=19752
 boot_agent ${AGENT_PORT}
 boot_server ${AGENT_PORT} ${SERVER_PORT}
+SERVER_PID=${PIDS[-1]}
 ./target/debug/ns-client --agent 127.0.0.1:${AGENT_PORT} \
     --trace-dump "${TRACE_DUMP}" demo dnrm2 256
 TIMELINE=$(./target/debug/netsl-trace --dump "${TRACE_DUMP}" \
@@ -104,6 +110,22 @@ echo "${TIMELINE}" | grep -q "server/solve" || {
     echo "netsl-trace smoke: no server/solve span in stitched timeline"; exit 1; }
 echo "${TIMELINE}" | grep -q "critical path:" || {
     echo "netsl-trace smoke: no critical-path breakdown"; exit 1; }
+
+echo "=== restart smoke (same trio: SIGKILL the server, restart it on its port) ==="
+# The agent must replace the dead server's row, not add a second one. The
+# old row still lists the address until the re-registration lands, so
+# ready means the roster shows the replacement's rating.
+kill -9 ${SERVER_PID}
+wait ${SERVER_PID} 2>/dev/null || true
+boot_server ${AGENT_PORT} ${SERVER_PORT} --mflops 321
+listed ${AGENT_PORT} "127\.0\.0\.1:${SERVER_PORT} +321\.0 Mflop/s" || {
+    echo "restart smoke: the agent never listed the restarted server's rating"; exit 1; }
+ROSTER=$(./target/debug/ns-client --agent 127.0.0.1:${AGENT_PORT} servers)
+echo "${ROSTER}"
+[ "$(echo "${ROSTER}" | grep -c "127\.0\.0\.1:${SERVER_PORT}")" -eq 1 ] || {
+    echo "restart smoke: the restarted server has more than one row"; exit 1; }
+./target/debug/ns-client --agent 127.0.0.1:${AGENT_PORT} demo dnrm2 256 || {
+    echo "restart smoke: solve failed after the restart"; exit 1; }
 stop_daemons
 
 echo "=== solve-cache smoke (live TCP trio, repeated solve must hit) ==="

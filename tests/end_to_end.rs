@@ -286,6 +286,51 @@ fn federated_agents_share_servers() {
     agent_b.stop();
 }
 
+/// Regression: a server restarted on its fixed address used to become a
+/// second row at the agent (a new id per `RegisterServer`). The restart
+/// must replace the row — the roster shows the address once, with the new
+/// registration's rating — and calls keep landing on it.
+#[test]
+fn restarted_server_keeps_one_row_at_the_agent() {
+    use netsolve::agent::{AgentCore, AgentDaemon};
+    use netsolve::client::NetSolveClient;
+    use netsolve::net::{ChannelNetwork, Transport};
+    use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
+
+    let net = ChannelNetwork::new();
+    let transport: Arc<dyn Transport> = Arc::new(net.clone());
+    let mut agent =
+        AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults()).unwrap();
+    let start_server = |mflops: f64| {
+        ServerDaemon::start(
+            Arc::clone(&transport),
+            "agent",
+            ServerCore::with_standard_catalogue(),
+            ServerConfig::quick("hostA", "srv-a", mflops),
+        )
+        .unwrap()
+    };
+    let client = NetSolveClient::new(Arc::new(net.clone()), "agent");
+    let ddot = [vec![1.0, 2.0, 3.0].into(), vec![4.0, 5.0, 6.0].into()];
+
+    let mut first = start_server(200.0);
+    assert_eq!(client.netsl("ddot", &ddot).unwrap()[0].as_double().unwrap(), 32.0);
+    first.stop();
+    let mut second = start_server(321.0);
+
+    let roster = client.list_servers().unwrap();
+    let rows: Vec<_> = roster.iter().filter(|s| s.address == "srv-a").collect();
+    assert_eq!(rows.len(), 1, "one row per address: {roster:?}");
+    assert_eq!(rows[0].mflops, 321.0, "the restart's registration is the row");
+    assert!(!rows[0].down);
+    let (out, report) = client.netsl_timed("ddot", &ddot).unwrap();
+    assert_eq!(out[0].as_double().unwrap(), 32.0);
+    assert_eq!((report.server_address.as_str(), report.attempts), ("srv-a", 1));
+
+    second.stop();
+    agent.stop();
+}
+
 /// The operator roster reflects live state (registration, workload,
 /// fault marking).
 #[test]
