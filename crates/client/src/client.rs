@@ -1,17 +1,22 @@
 //! The NetSolve client library: `netsl`-style calls routed through an
 //! agent, with automatic failover down the ranked candidate list.
+//!
+//! A call is one straight line, [`NetSolveClient::netsl_timed`]: describe
+//! → rank → per try (pace → attempt) → report, each stage a method reading
+//! the one per-call [`Call`] value (DESIGN.md §4p).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use netsolve_core::admission::parse_retry_after_ms;
 use netsolve_core::config::RetryPolicy;
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
-use netsolve_net::{call, Connection, Transport};
+use netsolve_net::{call, call_once, Connection, Transport};
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
@@ -55,7 +60,6 @@ pub struct NetSolveClient {
     agents: Mutex<AgentRoster>,
     client_host: u64,
     retry: RetryPolicy,
-    agent_conn: Mutex<Option<Box<dyn Connection>>>,
     specs: Mutex<HashMap<String, ProblemSpec>>,
     next_request: AtomicU64,
     jitter: Mutex<Rng64>,
@@ -63,12 +67,85 @@ pub struct NetSolveClient {
     tracer: Arc<Tracer>,
 }
 
-/// The client's view of its agents: the address list in preference order
-/// (after the lazy rank pass) and which entry is currently preferred.
+/// The client's view of its agents — the address list in preference order
+/// (after the lazy rank pass) and which entry is currently preferred —
+/// and the connection kept open to that entry. One lock holds both: an
+/// agent request owns the roster for as long as it owns the connection.
 struct AgentRoster {
     addresses: Vec<String>,
     ranked: bool,
     current: usize,
+    conn: Option<Box<dyn Connection>>,
+}
+
+/// The end-to-end budget of one call (`RetryPolicy::deadline_secs`),
+/// started when `netsl_timed` is entered: the instant it runs out, or
+/// `None` for no limit. Every timeout and pause inside the call — agent
+/// legs included — is clamped to what is left of it.
+#[derive(Clone, Copy)]
+struct Budget(Option<Instant>);
+
+impl Budget {
+    fn start(limit_secs: f64) -> Budget {
+        Budget((limit_secs > 0.0).then(|| Instant::now() + Duration::from_secs_f64(limit_secs)))
+    }
+
+    fn remaining(&self) -> Option<Duration> {
+        self.0.map(|end| end.saturating_duration_since(Instant::now()))
+    }
+
+    fn spent(&self) -> bool {
+        self.remaining().is_some_and(|left| left.is_zero())
+    }
+
+    /// `wait`, or what is left of the budget when that is less.
+    fn clamp(&self, wait: Duration) -> Duration {
+        self.remaining().map_or(wait, |left| wait.min(left))
+    }
+
+    /// The `deadline_ms` a `RequestSubmit` carries so the server can shed
+    /// work whose client has already given up (0 = no deadline).
+    fn wire_ms(&self) -> u64 {
+        self.remaining().map_or(0, |left| (left.as_millis() as u64).max(1))
+    }
+}
+
+/// What a piece of client work runs under: the trace context its spans
+/// are recorded in and the budget its waits are clamped to.
+#[derive(Clone, Copy)]
+struct Scope {
+    ctx: SpanContext,
+    budget: Budget,
+}
+
+impl Scope {
+    /// Traceless and unlimited: requests made outside a `netsl` call.
+    const NONE: Scope = Scope { ctx: SpanContext::NONE, budget: Budget(None) };
+}
+
+/// One `netsl` call: what is fixed for its whole life, built once in
+/// `netsl_timed` and read by every stage after it. `scope.ctx` carries
+/// the request id and parents the stages' spans under the root `call`.
+struct Call<'a> {
+    problem: &'a str,
+    inputs: &'a [DataObject],
+    spec: ProblemSpec,
+    shape: RequestShape,
+    scope: Scope,
+}
+
+/// The one reply classifier, for both rings: evaluates to `Ok` of the
+/// wanted variant's fields, to the typed error a peer's `Error` encodes,
+/// or to `Protocol` for any other tag — so a caller names only the
+/// variant it asked for.
+macro_rules! expect_reply {
+    ($reply:expr, $wanted:pat => $fields:expr) => {
+        match $reply {
+            $wanted => Ok($fields),
+            Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
+            other => Err(NetSolveError::Protocol(format!("unexpected reply {}", other.name()))),
+        }
+    };
 }
 
 /// Seed for a client's request-id counter: a unique 32-bit lane in the
@@ -93,6 +170,11 @@ fn request_id_seed() -> u64 {
     (u64::from(lane) << 32) | 1
 }
 
+/// Success detail of a span that has nothing to add.
+fn no_detail<T>(_: &T) -> String {
+    String::new()
+}
+
 impl NetSolveClient {
     /// Connect a client to the agent at `agent_address`.
     pub fn new(transport: Arc<dyn Transport>, agent_address: &str) -> Self {
@@ -110,10 +192,10 @@ impl NetSolveClient {
                 addresses: agents.to_vec(),
                 ranked: false,
                 current: 0,
+                conn: None,
             }),
             client_host: 0,
             retry: RetryPolicy::default(),
-            agent_conn: Mutex::new(None),
             specs: Mutex::new(HashMap::new()),
             next_request: AtomicU64::new(request_id_seed()),
             jitter: Mutex::new(Rng64::new(0x6A17_7E12)),
@@ -160,7 +242,7 @@ impl NetSolveClient {
         Arc::clone(&self.tracer)
     }
 
-    fn agent_timeout(&self) -> Duration {
+    fn attempt_timeout(&self) -> Duration {
         Duration::from_secs_f64(self.retry.attempt_timeout_secs)
     }
 
@@ -171,10 +253,62 @@ impl NetSolveClient {
         roster.addresses[roster.current].clone()
     }
 
+    /// Run `work` inside a fresh `client` × `phase` span recorded under
+    /// `scope`; `work` gets the scope its own children nest under. The
+    /// span's detail is what `detail` says about the result, or `err=…`.
+    fn span<T>(
+        &self,
+        scope: Scope,
+        phase: &'static str,
+        work: impl FnOnce(Scope) -> Result<T>,
+        detail: impl FnOnce(&T) -> String,
+    ) -> Result<T> {
+        let timer = self.tracer.start();
+        let result = work(Scope { ctx: scope.ctx.child_of(timer.span_id()), ..scope });
+        let detail = match &result {
+            Ok(value) => detail(value),
+            Err(e) => format!("err={e}"),
+        };
+        self.tracer.record(scope.ctx, timer, "client", phase, detail);
+        result
+    }
+
+    /// The pause before try number `retry` (≥ 1) of either ring: the
+    /// backoff schedule's delay on a fresh jitter draw, floored by a
+    /// shedding server's `retry_after_ms` hint so a hinted client never
+    /// hammers a server that just said when capacity frees up, and
+    /// clamped to what the budget has left.
+    fn pace(&self, scope: Scope, retry: u32, floor_ms: u64) {
+        let jitter = self.jitter.lock().next_f64();
+        let wait = self.retry.backoff.delay_secs(retry - 1, jitter).max(floor_ms as f64 / 1e3);
+        if wait <= 0.0 {
+            return;
+        }
+        let pause = scope.budget.clamp(Duration::from_secs_f64(wait));
+        self.metrics
+            .histogram("client.backoff_wait_secs")
+            .record_secs_traced(pause.as_secs_f64(), scope.ctx.trace_id);
+        let sleep = |_| {
+            std::thread::sleep(pause);
+            Ok(())
+        };
+        let _ = self.span(scope, "backoff", sleep, no_detail);
+    }
+
+    /// The one way a call stops on a spent budget, in either ring.
+    fn exhausted(&self, scope: Scope, progress: String) -> NetSolveError {
+        self.metrics.counter("client.deadline_exhausted").inc();
+        self.tracer.point(scope.ctx, "client", "deadline_exhausted", progress.clone());
+        NetSolveError::Timeout(format!(
+            "deadline of {:.3}s exhausted {progress}",
+            self.retry.deadline_secs
+        ))
+    }
+
     /// Rank the agent list once, by `Ping` round-trip time with
     /// unreachable agents last, so the first request already prefers the
     /// closest live agent. Single-agent rosters skip the probe.
-    fn ensure_ranked(&self, roster: &mut AgentRoster) {
+    fn ensure_ranked(&self, roster: &mut AgentRoster, budget: Budget) {
         if roster.ranked {
             return;
         }
@@ -182,217 +316,131 @@ impl NetSolveClient {
         if roster.addresses.len() <= 1 {
             return;
         }
-        let probe_timeout = self.agent_timeout().min(Duration::from_secs(2));
-        let mut scored: Vec<(f64, String)> = roster
-            .addresses
-            .iter()
+        let mut scored: Vec<(f64, String)> = std::mem::take(&mut roster.addresses)
+            .into_iter()
             .map(|address| {
+                let timeout = budget.clamp(self.attempt_timeout().min(Duration::from_secs(2)));
                 let start = Instant::now();
-                let rtt = match self.transport.connect(address) {
-                    Ok(mut conn) => {
-                        match call(conn.as_mut(), &Message::Ping, probe_timeout) {
-                            Ok(Message::Pong) => start.elapsed().as_secs_f64(),
-                            _ => f64::INFINITY,
-                        }
-                    }
-                    Err(_) => f64::INFINITY,
+                let probe = call_once(self.transport.as_ref(), &address, &Message::Ping, timeout);
+                let rtt = match probe {
+                    Ok(Message::Pong) => start.elapsed().as_secs_f64(),
+                    _ => f64::INFINITY,
                 };
-                (rtt, address.clone())
+                (rtt, address)
             })
             .collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let order: Vec<String> = scored.iter().map(|(_, a)| a.clone()).collect();
-        self.tracer.point(
-            SpanContext::NONE,
-            "client",
-            "agent_rank",
-            format!("order={}", order.join(",")),
-        );
-        roster.addresses = order;
+        roster.addresses = scored.into_iter().map(|(_, address)| address).collect();
         roster.current = 0;
+        let order = format!("order={}", roster.addresses.join(","));
+        self.tracer.point(SpanContext::NONE, "client", "agent_rank", order);
     }
 
-    /// Send a message to the (preferred) agent and await the reply,
-    /// transparently reconnecting once if the cached connection died.
-    fn agent_call(&self, msg: &Message) -> Result<Message> {
-        self.agent_call_ctx(msg, SpanContext::NONE)
-    }
-
-    /// [`NetSolveClient::agent_call`] with a trace context, so agent
-    /// failovers that happen under a live request show up in its stitched
-    /// timeline. After two transport-level failures against one agent the
-    /// call moves to the next agent in ranked order (with the same
-    /// backoff schedule the server-failover path uses) until the roster
-    /// is exhausted; the agent that answers becomes the preferred one.
-    fn agent_call_ctx(&self, msg: &Message, ctx: SpanContext) -> Result<Message> {
-        let mut guard = self.agent_conn.lock();
-        let (order, start_idx) = {
-            let mut roster = self.agents.lock();
-            self.ensure_ranked(&mut roster);
-            (roster.addresses.clone(), roster.current)
-        };
-        let mut last_err: Option<NetSolveError> = None;
-        for hop in 0..order.len() {
-            let idx = (start_idx + hop) % order.len();
-            let address = &order[idx];
+    /// The agent ring: send `msg` to the preferred agent and return its
+    /// reply. The kept connection is redialled once if it died; after two
+    /// transport-level failures against one agent the request moves to
+    /// the next in ranked order — counted, traced under `scope` so a hop
+    /// made for a live call shows in its stitched timeline, and paced like
+    /// a server failover — until the roster is exhausted or the budget is
+    /// spent. The agent that answers becomes the preferred one.
+    fn agent_call(&self, msg: &Message, scope: Scope) -> Result<Message> {
+        let mut roster = self.agents.lock();
+        self.ensure_ranked(&mut roster, scope.budget);
+        let (agents, first) = (roster.addresses.len(), roster.current);
+        let mut last_err = NetSolveError::ServerUnreachable("no agent tried yet".into());
+        for hop in 0..agents {
+            let idx = (first + hop) % agents;
             if hop > 0 {
-                // Moving on means abandoning the cached connection; the
-                // hop is counted, traced, and backoff-paced exactly like
-                // a server failover attempt.
-                *guard = None;
+                // Moving on means abandoning the kept connection.
+                roster.conn = None;
                 self.metrics.counter("client.agent_failovers").inc();
-                let err_detail = last_err
-                    .as_ref()
-                    .map(|e| e.to_string())
-                    .unwrap_or_default();
-                self.tracer.point(
-                    ctx,
-                    "client",
-                    "agent_failover",
-                    format!("to={address} after err={err_detail}"),
-                );
-                let jitter = self.jitter.lock().next_f64();
-                let wait = self.retry.backoff.delay_secs(hop as u32 - 1, jitter);
-                if wait > 0.0 {
-                    std::thread::sleep(Duration::from_secs_f64(wait));
-                }
+                let hop_detail = format!("to={} after err={last_err}", roster.addresses[idx]);
+                self.tracer.point(scope.ctx, "client", "agent_failover", hop_detail);
+                self.pace(scope, hop as u32, 0);
             }
-            for attempt in 0..2 {
-                if guard.is_none() {
-                    match self.transport.connect(address) {
-                        Ok(c) => *guard = Some(c),
+            for _try in 0..2 {
+                if scope.budget.spent() {
+                    let progress = format!("at agent {}: {last_err}", roster.addresses[idx]);
+                    return Err(self.exhausted(scope, progress));
+                }
+                if roster.conn.is_none() {
+                    match self.transport.connect(&roster.addresses[idx]) {
+                        Ok(conn) => roster.conn = Some(conn),
                         Err(e) => {
-                            last_err = Some(e);
+                            last_err = e;
                             break;
                         }
                     }
                 }
-                let conn = guard.as_mut().expect("connection present");
-                match call(conn.as_mut(), msg, self.agent_timeout()) {
+                let conn = roster.conn.as_mut().expect("dialled just above");
+                match call(conn.as_mut(), msg, scope.budget.clamp(self.attempt_timeout())) {
                     Ok(reply) => {
-                        self.agents.lock().current = idx;
+                        roster.current = idx;
                         return Ok(reply);
                     }
                     Err(e) => {
-                        *guard = None;
-                        last_err = Some(e);
-                        if attempt == 1 {
-                            break;
-                        }
+                        roster.conn = None;
+                        last_err = e;
                     }
                 }
             }
         }
-        Err(last_err.expect("roster is never empty"))
+        Err(last_err)
     }
 
     /// Names of every problem the domain offers.
     pub fn list_problems(&self) -> Result<Vec<String>> {
-        match self.agent_call(&Message::ListProblems)? {
-            Message::ProblemCatalogue { names } => Ok(names),
-            Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
-            other => Err(unexpected(&other)),
-        }
+        let reply = self.agent_call(&Message::ListProblems, Scope::NONE)?;
+        expect_reply!(reply, Message::ProblemCatalogue { names } => names)
     }
 
     /// The agent's live server roster (operator tooling).
     pub fn list_servers(&self) -> Result<Vec<netsolve_proto::ServerInfo>> {
-        match self.agent_call(&Message::ListServers)? {
-            Message::ServerInfoList { servers } => Ok(servers),
-            Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
-            other => Err(unexpected(&other)),
-        }
+        let reply = self.agent_call(&Message::ListServers, Scope::NONE)?;
+        expect_reply!(reply, Message::ServerInfoList { servers } => servers)
     }
 
     /// Fetch (and cache) a problem's specification from the agent.
     pub fn describe(&self, problem: &str) -> Result<ProblemSpec> {
+        self.describe_under(problem, Scope::NONE)
+    }
+
+    fn describe_under(&self, problem: &str, scope: Scope) -> Result<ProblemSpec> {
         if let Some(spec) = self.specs.lock().get(problem) {
             return Ok(spec.clone());
         }
-        let reply = self.agent_call(&Message::DescribeProblem { problem: problem.to_string() })?;
-        match reply {
-            Message::ProblemDescription { pdl } => {
-                let spec = netsolve_pdl::parse_one(&pdl)?;
-                self.specs.lock().insert(problem.to_string(), spec.clone());
-                Ok(spec)
-            }
-            Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
-            other => Err(unexpected(&other)),
-        }
+        let query = Message::DescribeProblem { problem: problem.to_string() };
+        let pdl = expect_reply!(
+            self.agent_call(&query, scope)?,
+            Message::ProblemDescription { pdl } => pdl
+        )?;
+        let spec = netsolve_pdl::parse_one(&pdl)?;
+        self.specs.lock().insert(problem.to_string(), spec.clone());
+        Ok(spec)
     }
 
     /// Ask the agent for the ranked candidate list for a call.
     pub fn query_servers(&self, spec: &ProblemSpec, inputs: &[DataObject]) -> Result<Vec<Candidate>> {
-        self.query_servers_with(spec, inputs, SpanContext::NONE)
+        self.candidates(&RequestShape::from_call(spec, inputs), Scope::NONE)
     }
 
-    /// [`NetSolveClient::query_servers`] with a trace context: the trace
-    /// id and the client-side span the agent's `score` span nests under
-    /// ride along in the query.
-    fn query_servers_with(
-        &self,
-        spec: &ProblemSpec,
-        inputs: &[DataObject],
-        ctx: SpanContext,
-    ) -> Result<Vec<Candidate>> {
-        let shape = RequestShape::from_call(spec, inputs);
-        let reply = self.agent_call_ctx(&Message::ServerQuery(QueryShape {
+    /// The `ServerQuery` exchange. Under a call, `scope.ctx` is the rank
+    /// span: its trace id and span id ride in the query, and the agent's
+    /// `score` span nests under it.
+    fn candidates(&self, shape: &RequestShape, scope: Scope) -> Result<Vec<Candidate>> {
+        let query = Message::ServerQuery(QueryShape {
             client_host: self.client_host,
             problem: shape.problem.clone(),
             n: shape.n,
             bytes_in: shape.bytes_in,
             bytes_out: shape.bytes_out,
-            trace_id: ctx.trace_id,
-            parent_span: ctx.parent_span,
-        }), ctx)?;
-        match reply {
-            Message::ServerList { candidates } => Ok(candidates),
-            Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Run `f` inside a fresh span: record it under `ctx` with the given
-    /// phase name, attaching the error as detail when `f` fails.
-    fn traced<T>(
-        &self,
-        ctx: SpanContext,
-        phase: &'static str,
-        f: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        let timer = self.tracer.start();
-        let result = f();
-        let detail = match &result {
-            Ok(_) => String::new(),
-            Err(e) => format!("err={e}"),
-        };
-        self.tracer.record(ctx, timer, "client", phase, detail);
-        result
-    }
-
-    /// Report a failed server back to the agent (best effort). Carries
-    /// the request's trace context so an agent failover triggered by the
-    /// report RPC itself still stitches into the request's timeline.
-    fn report_failure(
-        &self,
-        candidate: &Candidate,
-        problem: &str,
-        err: &NetSolveError,
-        ctx: SpanContext,
-    ) {
-        if !self.retry.report_failures {
-            return;
-        }
-        let _ = self.agent_call_ctx(&Message::FailureReport {
-            server_id: candidate.server_id,
-            // The address is what the agent actually resolves: ids are
-            // per-agent, so after a failover the id alone would credit
-            // the wrong server's fault state on the new agent.
-            server_address: candidate.address.clone(),
-            problem: problem.to_string(),
-            code: err.code(),
-            detail: err.detail().to_string(),
-        }, ctx);
+            trace_id: scope.ctx.trace_id,
+            parent_span: scope.ctx.parent_span,
+        });
+        expect_reply!(
+            self.agent_call(&query, scope)?,
+            Message::ServerList { candidates } => candidates
+        )
     }
 
     /// Blocking call: solve `problem` on the best available server.
@@ -402,18 +450,104 @@ impl NetSolveClient {
     }
 
     /// Blocking call returning the measured [`CallReport`] alongside the
-    /// outputs.
+    /// outputs. This is the whole call path, in order (DESIGN.md §4p):
+    /// describe the problem and check the arguments, mint the request and
+    /// trace ids, rank, then per try pace → budget check → attempt →
+    /// classify → report.
     pub fn netsl_timed(
         &self,
         problem: &str,
         inputs: &[DataObject],
     ) -> Result<(Vec<DataObject>, CallReport)> {
-        // Account every call here, including ones that die before the
-        // retry loop (bad arguments, agent unreachable), so
+        // Account every call here, including ones that die before any
+        // server traffic (bad arguments, agent unreachable), so
         // calls == calls_ok + calls_failed always closes.
         self.metrics.counter("client.calls").inc();
         let started = Instant::now();
-        let result = self.netsl_inner(problem, inputs);
+        let budget = Budget::start(self.retry.deadline_secs);
+        let result = self
+            .describe_under(problem, Scope { ctx: SpanContext::NONE, budget })
+            .and_then(|spec| spec.check_inputs(inputs).map(|()| spec))
+            .and_then(|spec| {
+                // Mint the request identity and the trace before ranking,
+                // so the rank span (and the agent's score span it nests)
+                // join the trace.
+                let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
+                if !self.tracer.register_request(request_id) {
+                    self.metrics.counter("client.request_id_collisions").inc();
+                }
+                let trace_id = self.tracer.mint_trace_id();
+                let ctx = SpanContext { trace_id, parent_span: 0, request_id };
+                let root = Scope { ctx, budget };
+                let tries = |scope| {
+                    let shape = RequestShape::from_call(&spec, inputs);
+                    let call = Call { problem, inputs, spec, shape, scope };
+                    let candidates = self.rank(&call)?;
+                    // A server whose failure is tied to its host rather
+                    // than the path (ExecutionFailed) leaves the rotation;
+                    // transient failures (unreachable, timeout, corruption)
+                    // keep the candidate in play. Keyed by address: a
+                    // server id is only unique within the agent that
+                    // issued it, and a federated list mixes several
+                    // agents' ids.
+                    let mut spent: Vec<&str> = Vec::new();
+                    let mut busy_hint_ms = 0;
+                    let mut last_err = NetSolveError::NoServerAvailable(problem.to_string());
+                    for retry in 0..self.retry.max_attempts.max(1) {
+                        let live: Vec<&Candidate> = candidates
+                            .iter()
+                            .filter(|c| !spent.contains(&c.address.as_str()))
+                            .collect();
+                        if live.is_empty() {
+                            break;
+                        }
+                        // Cycle the ranked list rather than zipping it
+                        // against the attempt budget: with fewer candidates
+                        // than attempts the rotation wraps, so a
+                        // single-server domain still gets its full retry
+                        // budget instead of silently capping at one try.
+                        let candidate = live[retry % live.len()];
+                        if retry > 0 {
+                            self.pace(scope, retry as u32, std::mem::take(&mut busy_hint_ms));
+                        }
+                        if budget.spent() {
+                            let progress = format!("after {retry} attempt(s): {last_err}");
+                            return Err(self.exhausted(scope, progress));
+                        }
+                        match self.attempt(&call, candidate, retry as u32 + 1) {
+                            Ok((outputs, done)) => {
+                                let detail =
+                                    format!("server={} attempts={}", done.server_id, done.attempts);
+                                self.tracer.point(scope.ctx, "client", "call_ok", detail);
+                                self.report(&call, candidate, Ok(&done));
+                                return Ok((outputs, done));
+                            }
+                            Err(e) if e.is_retryable() => {
+                                if let Some(hint) = parse_retry_after_ms(e.detail()) {
+                                    self.metrics.counter("client.busy_hints").inc();
+                                    busy_hint_ms = hint;
+                                }
+                                self.metrics.counter("client.attempt_failures").inc();
+                                let detail = format!(
+                                    "server={} address={} err={e}",
+                                    candidate.server_id, candidate.address
+                                );
+                                self.tracer.point(scope.ctx, "client", "attempt_failed", detail);
+                                self.report(&call, candidate, Err(&e));
+                                if matches!(e, NetSolveError::ExecutionFailed(_)) {
+                                    spent.push(&candidate.address);
+                                }
+                                last_err = e;
+                            }
+                            // The request itself is bad; retrying
+                            // elsewhere is futile.
+                            Err(e) => return Err(self.call_failed(&call, "non-retryable", e)),
+                        }
+                    }
+                    Err(self.call_failed(&call, "retry budget exhausted", last_err))
+                };
+                self.span(root, "call", tries, |_| format!("problem={problem} ok"))
+            });
         match &result {
             Ok((_, report)) => {
                 self.metrics.counter("client.calls_ok").inc();
@@ -421,280 +555,138 @@ impl NetSolveClient {
                     .histogram("client.call_secs")
                     .record_secs_traced(started.elapsed().as_secs_f64(), report.trace_id);
             }
-            Err(_) => {
-                self.metrics.counter("client.calls_failed").inc();
-            }
+            Err(_) => self.metrics.counter("client.calls_failed").inc(),
         }
         result
     }
 
-    fn netsl_inner(
-        &self,
-        problem: &str,
-        inputs: &[DataObject],
-    ) -> Result<(Vec<DataObject>, CallReport)> {
-        let spec = self.describe(problem)?;
-        spec.check_inputs(inputs)?;
-        // Mint the request identity and the trace before ranking, so the
-        // rank span (and the agent's score span it nests) join the trace.
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        if !self.tracer.register_request(request_id) {
-            self.metrics.counter("client.request_id_collisions").inc();
-        }
-        let trace_id = self.tracer.mint_trace_id();
-        let root_ctx = SpanContext { trace_id, parent_span: 0, request_id };
-        let root_timer = self.tracer.start();
-        let ctx = root_ctx.child_of(root_timer.span_id());
-        let result = self.netsl_attempts(problem, inputs, &spec, request_id, ctx);
-        let detail = match &result {
-            Ok(_) => format!("problem={problem} ok"),
-            Err(e) => format!("problem={problem} err={e}"),
-        };
-        self.tracer.record(root_ctx, root_timer, "client", "call", detail);
-        result
+    /// How a call that reached the server ring ends in failure.
+    fn call_failed(&self, call: &Call<'_>, why: &str, e: NetSolveError) -> NetSolveError {
+        self.tracer.point(call.scope.ctx, "client", "call_failed", format!("{why}: {e}"));
+        e
     }
 
-    /// The ranked-failover retry loop: everything between trace mint and
-    /// the root `call` span closing. `ctx` is the per-call trace context
-    /// whose parent is the root span.
-    fn netsl_attempts(
-        &self,
-        problem: &str,
-        inputs: &[DataObject],
-        spec: &ProblemSpec,
-        request_id: u64,
-        ctx: SpanContext,
-    ) -> Result<(Vec<DataObject>, CallReport)> {
-        let spec = spec.clone();
-        let shape = RequestShape::from_call(&spec, inputs);
-        let rank_timer = self.tracer.start();
-        let ranked = self.query_servers_with(
-            &spec,
-            inputs,
-            SpanContext { trace_id: ctx.trace_id, parent_span: rank_timer.span_id(), request_id },
-        );
-        let rank_detail = match &ranked {
-            Ok(c) => format!("candidates={}", c.len()),
-            Err(e) => format!("err={e}"),
+    /// Stage: ask the agent for the ranked candidates, inside the `rank`
+    /// span the agent's `score` span nests under. An empty list ends the
+    /// call here.
+    fn rank(&self, call: &Call<'_>) -> Result<Vec<Candidate>> {
+        let query = |scope| {
+            let candidates = self.candidates(&call.shape, scope)?;
+            if candidates.is_empty() {
+                return Err(NetSolveError::NoServerAvailable(call.problem.to_string()));
+            }
+            Ok(candidates)
         };
-        self.tracer.record(ctx, rank_timer, "client", "rank", rank_detail);
-        let candidates = ranked?;
-        if candidates.is_empty() {
-            return Err(NetSolveError::NoServerAvailable(problem.to_string()));
-        }
-        let call_start = Instant::now();
-        // The per-call deadline spans every attempt and backoff wait; its
-        // remaining budget rides along in each RequestSubmit so servers
-        // can shed work whose client has already given up.
-        let deadline = (self.retry.deadline_secs > 0.0)
-            .then(|| call_start + Duration::from_secs_f64(self.retry.deadline_secs));
-
-        let mut last_err = NetSolveError::NoServerAvailable(problem.to_string());
-        // Servers whose failure is tied to the host rather than the path
-        // (ExecutionFailed) drop out of the rotation; transient failures
-        // (unreachable, timeout, corruption) keep the candidate in play.
-        // Keyed by address: a server id is only unique within the agent
-        // that issued it, and a federated list mixes several agents' ids.
-        let mut spent: Vec<&str> = Vec::new();
-        // A shedding server's Busy reply carries a `retry_after_ms` hint
-        // sized from its queue state; it floors the next backoff wait so
-        // a hinted client never hammers a server that just told it when
-        // capacity frees up.
-        let mut busy_hint_ms: Option<u64> = None;
-        let max_attempts = self.retry.max_attempts.max(1);
-        for retry in 0..max_attempts {
-            let live: Vec<&Candidate> = candidates
-                .iter()
-                .filter(|c| !spent.contains(&c.address.as_str()))
-                .collect();
-            if live.is_empty() {
-                break;
-            }
-            // Cycle the ranked list rather than zipping it against the
-            // attempt budget: with fewer candidates than attempts the
-            // rotation wraps, so a single-server domain still gets its
-            // full retry budget instead of silently capping at one try.
-            let candidate = live[retry % live.len()];
-            if retry > 0 {
-                let jitter = self.jitter.lock().next_f64();
-                let mut wait = self.retry.backoff.delay_secs(retry as u32 - 1, jitter);
-                if let Some(hint) = busy_hint_ms.take() {
-                    wait = wait.max(hint as f64 / 1e3);
-                }
-                if wait > 0.0 {
-                    let mut pause = Duration::from_secs_f64(wait);
-                    if let Some(d) = deadline {
-                        pause = pause.min(d.saturating_duration_since(Instant::now()));
-                    }
-                    self.metrics
-                        .histogram("client.backoff_wait_secs")
-                        .record_secs_traced(pause.as_secs_f64(), ctx.trace_id);
-                    let backoff_timer = self.tracer.start();
-                    std::thread::sleep(pause);
-                    self.tracer.record(ctx, backoff_timer, "client", "backoff", String::new());
-                }
-            }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    self.metrics.counter("client.deadline_exhausted").inc();
-                    self.tracer.point(
-                        ctx,
-                        "client",
-                        "deadline_exhausted",
-                        format!("after {retry} attempt(s): {last_err}"),
-                    );
-                    return Err(NetSolveError::Timeout(format!(
-                        "deadline of {:.3}s exhausted after {retry} attempt(s): {last_err}",
-                        self.retry.deadline_secs
-                    )));
-                }
-            }
-            let attempts = retry as u32 + 1;
-            self.metrics.counter("client.attempts").inc();
-            // Each attempt is its own span; its id rides in the
-            // RequestSubmit as the server-side spans' parent, so retries
-            // stay distinct children of one trace.
-            let attempt_timer = self.tracer.start();
-            let attempt_ctx = ctx.child_of(attempt_timer.span_id());
-            let start = Instant::now();
-            let outcome = self.try_one(candidate, problem, inputs, &spec, deadline, attempt_ctx);
-            let attempt_detail = match &outcome {
-                Ok(_) => format!("server={} address={}", candidate.server_id, candidate.address),
-                Err(e) => format!(
-                    "server={} address={} err={e}",
-                    candidate.server_id, candidate.address
-                ),
-            };
-            self.tracer.record(ctx, attempt_timer, "client", "attempt", attempt_detail);
-            match outcome {
-                Ok((outputs, compute_secs)) => {
-                    let total_secs = start.elapsed().as_secs_f64();
-                    self.tracer.point(
-                        ctx,
-                        "client",
-                        "call_ok",
-                        format!("server={} attempts={attempts}", candidate.server_id),
-                    );
-                    // Best-effort completion report: clears the agent's
-                    // pending-assignment and fault state for this server.
-                    // Carries the trace context so a failover provoked by
-                    // the report leg still lands in this request's trace.
-                    let _ = self.agent_call_ctx(&Message::CompletionReport {
-                        server_id: candidate.server_id,
-                        server_address: candidate.address.clone(),
-                        client_host: self.client_host,
-                        problem: problem.to_string(),
-                        total_secs,
-                        compute_secs,
-                        bytes: shape.total_bytes(),
-                    }, ctx);
-                    return Ok((
-                        outputs,
-                        CallReport {
-                            request_id,
-                            trace_id: ctx.trace_id,
-                            server_id: candidate.server_id,
-                            server_address: candidate.address.clone(),
-                            predicted_secs: candidate.predicted_secs,
-                            total_secs,
-                            compute_secs,
-                            attempts,
-                        },
-                    ));
-                }
-                Err(e) if e.is_retryable() => {
-                    if let Some(hint) =
-                        netsolve_core::admission::parse_retry_after_ms(e.detail())
-                    {
-                        self.metrics.counter("client.busy_hints").inc();
-                        busy_hint_ms = Some(hint);
-                    }
-                    self.metrics.counter("client.attempt_failures").inc();
-                    self.tracer.point(
-                        ctx,
-                        "client",
-                        "attempt_failed",
-                        format!("server={} err={e}", candidate.server_id),
-                    );
-                    self.report_failure(candidate, problem, &e, ctx);
-                    if matches!(e, NetSolveError::ExecutionFailed(_)) {
-                        spent.push(&candidate.address);
-                    }
-                    last_err = e;
-                }
-                Err(e) => {
-                    // The request itself is bad; retrying elsewhere is futile.
-                    self.tracer.point(ctx, "client", "call_failed", format!("non-retryable: {e}"));
-                    return Err(e);
-                }
-            }
-        }
-        self.tracer.point(
-            ctx,
-            "client",
-            "call_failed",
-            format!("retry budget exhausted: {last_err}"),
-        );
-        Err(last_err)
+        self.span(call.scope, "rank", query, |c| format!("candidates={}", c.len()))
     }
 
-    fn try_one(
+    /// Stage: one try against one server — connect, marshal, wait, check
+    /// the reply. Each try is its own span, whose id rides in the
+    /// `RequestSubmit` as the parent of the server-side spans, so retries
+    /// stay distinct children of one trace.
+    fn attempt(
         &self,
+        call: &Call<'_>,
         candidate: &Candidate,
-        problem: &str,
-        inputs: &[DataObject],
-        spec: &ProblemSpec,
-        deadline: Option<Instant>,
-        ctx: SpanContext,
-    ) -> Result<(Vec<DataObject>, f64)> {
-        // The span context carries the protocol request id too.
-        let request_id = ctx.request_id;
-        let mut attempt_timeout = Duration::from_secs_f64(self.retry.attempt_timeout_secs);
-        let mut deadline_ms = 0u64;
-        if let Some(d) = deadline {
-            let remaining = d.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(NetSolveError::Timeout("request deadline exhausted".into()));
+        attempts: u32,
+    ) -> Result<(Vec<DataObject>, CallReport)> {
+        self.metrics.counter("client.attempts").inc();
+        let start = Instant::now();
+        let exchange = |scope: Scope| {
+            let ctx = scope.ctx;
+            let dial = |_| self.transport.connect(&candidate.address);
+            let mut conn = self.span(scope, "connect", dial, no_detail)?;
+            let msg = Message::RequestSubmit {
+                request_id: ctx.request_id,
+                deadline_ms: scope.budget.wire_ms(),
+                problem: call.problem.to_string(),
+                inputs: call.inputs.to_vec(),
+                trace_id: ctx.trace_id,
+                parent_span: ctx.parent_span,
+            };
+            self.span(scope, "marshal", |_| conn.send(&msg), no_detail)?;
+            let timeout = scope.budget.clamp(self.attempt_timeout());
+            let reply = self.span(scope, "wait", |_| conn.recv_timeout(timeout), no_detail)?;
+            let (echoed, outputs, compute_secs, cached) = expect_reply!(
+                reply,
+                Message::RequestReply { request_id, outputs, compute_secs, cached } =>
+                    (request_id, outputs, compute_secs, cached)
+            )?;
+            if echoed != ctx.request_id {
+                return Err(NetSolveError::Protocol(format!(
+                    "reply for request {echoed}, expected {}",
+                    ctx.request_id
+                )));
             }
-            attempt_timeout = attempt_timeout.min(remaining);
-            deadline_ms = (remaining.as_millis() as u64).max(1);
-        }
-        let mut conn =
-            self.traced(ctx, "connect", || self.transport.connect(&candidate.address))?;
-        // `ctx.parent_span` is this attempt's span id; the server adopts
-        // it as the parent of its own queue/solve spans.
-        let msg = Message::RequestSubmit {
-            request_id,
-            deadline_ms,
-            problem: problem.to_string(),
-            inputs: inputs.to_vec(),
-            trace_id: ctx.trace_id,
-            parent_span: ctx.parent_span,
+            if cached {
+                self.metrics.counter("client.cached_replies").inc();
+                self.tracer.point(ctx, "client", "cached_reply", String::new());
+            }
+            call.spec.check_outputs(&outputs)?;
+            let report = CallReport {
+                request_id: ctx.request_id,
+                trace_id: ctx.trace_id,
+                server_id: candidate.server_id,
+                server_address: candidate.address.clone(),
+                predicted_secs: candidate.predicted_secs,
+                total_secs: start.elapsed().as_secs_f64(),
+                compute_secs,
+                attempts,
+            };
+            Ok((outputs, report))
         };
-        self.traced(ctx, "marshal", || conn.send(&msg))?;
-        let reply = self.traced(ctx, "wait", || conn.recv_timeout(attempt_timeout))?;
-        match reply {
-            Message::RequestReply { request_id: echoed, outputs, compute_secs, cached } => {
-                if echoed != request_id {
-                    return Err(NetSolveError::Protocol(format!(
-                        "reply for request {echoed}, expected {request_id}"
-                    )));
-                }
-                if cached {
-                    self.metrics.counter("client.cached_replies").inc();
-                    self.tracer.point(ctx, "client", "cached_reply", String::new());
-                }
-                spec.check_outputs(&outputs)?;
-                Ok((outputs, compute_secs))
-            }
-            Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
-            other => Err(unexpected(&other)),
-        }
+        let served_by =
+            |_: &_| format!("server={} address={}", candidate.server_id, candidate.address);
+        self.span(call.scope, "attempt", exchange, served_by)
     }
-}
 
-fn unexpected(msg: &Message) -> NetSolveError {
-    NetSolveError::Protocol(format!("unexpected reply {}", msg.name()))
+    /// Stage: tell the agent how the try went, best effort and inside the
+    /// `report` span. A completion clears the agent's pending-assignment
+    /// and fault state for the server; a failure feeds its fault record. A
+    /// report that cannot be sent within the budget is skipped — it must
+    /// never turn a received answer into an error.
+    fn report(
+        &self,
+        call: &Call<'_>,
+        candidate: &Candidate,
+        outcome: std::result::Result<&CallReport, &NetSolveError>,
+    ) {
+        let (which, msg) = match outcome {
+            Ok(done) => (
+                "completion",
+                Message::CompletionReport {
+                    server_id: candidate.server_id,
+                    server_address: candidate.address.clone(),
+                    client_host: self.client_host,
+                    problem: call.problem.to_string(),
+                    total_secs: done.total_secs,
+                    compute_secs: done.compute_secs,
+                    bytes: call.shape.total_bytes(),
+                },
+            ),
+            Err(_) if !self.retry.report_failures => return,
+            Err(e) => (
+                "failure",
+                Message::FailureReport {
+                    server_id: candidate.server_id,
+                    // The address is what the agent actually resolves: ids
+                    // are per-agent, so after a failover the id alone would
+                    // credit the wrong server's fault state on the new agent.
+                    server_address: candidate.address.clone(),
+                    problem: call.problem.to_string(),
+                    code: e.code(),
+                    detail: e.detail().to_string(),
+                },
+            ),
+        };
+        if call.scope.budget.spent() {
+            return;
+        }
+        // Under the call's scope, so an agent failover provoked by the
+        // report leg itself still lands in this request's trace.
+        let send = |scope| self.agent_call(&msg, scope);
+        let _ = self.span(call.scope, "report", send, |_| which.to_string());
+    }
 }
 
 #[cfg(test)]
@@ -1219,6 +1211,16 @@ mod tests {
             spans.iter().any(|s| s.phase == "agent_failover"),
             "agent_failover point missing from trace"
         );
+        // ... and it is paced like a server failover: the wait is in the
+        // histogram and a `backoff` span sits in the same trace.
+        assert!(
+            client.metrics().histogram("client.backoff_wait_secs").count() >= 1,
+            "agent-failover wait missing from client.backoff_wait_secs"
+        );
+        assert!(
+            spans.iter().any(|s| s.phase == "backoff"),
+            "backoff span missing from the failover's trace"
+        );
 
         // And the client sticks with the survivor: the next call costs no
         // further failover.
@@ -1267,5 +1269,403 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, NetSolveError::Numerical(_)));
         domain.shutdown();
+    }
+
+    /// A scripted peer: every frame on every connection is answered with
+    /// `script(frame)`; `None` reads on without replying (a mute peer).
+    fn stub(
+        net: &ChannelNetwork,
+        address: &str,
+        script: impl Fn(Message) -> Option<Message> + Send + Sync + 'static,
+    ) {
+        let listener = net.listen(address).unwrap();
+        let script = Arc::new(script);
+        std::thread::spawn(move || {
+            while let Ok(mut conn) = listener.accept() {
+                let script = Arc::clone(&script);
+                std::thread::spawn(move || {
+                    while let Ok(msg) = conn.recv() {
+                        if script(msg).is_some_and(|reply| conn.send(&reply).is_err()) {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// A stub agent that knows `ddot` and ranks `servers` in the order given.
+    fn stub_agent(net: &ChannelNetwork, address: &str, servers: &[&str]) {
+        let registry = netsolve_pdl::ProblemRegistry::with_standard_catalogue();
+        let pdl = netsolve_pdl::render(registry.get("ddot").unwrap());
+        let candidates: Vec<Candidate> = servers
+            .iter()
+            .zip(1..)
+            .map(|(address, server_id)| Candidate {
+                server_id,
+                address: address.to_string(),
+                predicted_secs: 0.01,
+            })
+            .collect();
+        stub(net, address, move |msg| {
+            Some(match msg {
+                Message::DescribeProblem { problem } if problem == "ddot" => {
+                    Message::ProblemDescription { pdl: pdl.clone() }
+                }
+                Message::DescribeProblem { problem } => {
+                    Message::from_error(&NetSolveError::ProblemNotFound(problem))
+                }
+                Message::ServerQuery(_) => Message::ServerList { candidates: candidates.clone() },
+                _ => Message::Pong,
+            })
+        });
+    }
+
+    /// A stub server that answers every `RequestSubmit` with `reply(request_id)`.
+    fn stub_server(net: &ChannelNetwork, address: &str, reply: fn(u64) -> Message) {
+        stub(net, address, move |msg| match msg {
+            Message::RequestSubmit { request_id, .. } => Some(reply(request_id)),
+            _ => None,
+        });
+    }
+
+    fn answer(request_id: u64, cached: bool) -> Message {
+        Message::RequestReply {
+            request_id,
+            outputs: vec![DataObject::Double(11.0)],
+            compute_secs: 0.001,
+            cached,
+        }
+    }
+
+    fn policy(
+        max_attempts: usize,
+        backoff: netsolve_core::config::Backoff,
+        deadline_secs: f64,
+    ) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            attempt_timeout_secs: 1.0,
+            backoff,
+            deadline_secs,
+            report_failures: true,
+        }
+    }
+
+    /// Regression: the deadline clock used to start after `describe` and
+    /// `rank`, and agent legs waited the full attempt timeout — an agent
+    /// that accepts and never answers held this call for 2.0 s.
+    #[test]
+    fn deadline_bounds_a_call_whose_only_agent_never_answers() {
+        use netsolve_core::config::Backoff;
+        let net = ChannelNetwork::new();
+        stub(&net, "agent", |_| None);
+        let client = NetSolveClient::new(Arc::new(net.clone()), "agent")
+            .with_retry(policy(3, Backoff::None, 0.2));
+        let start = Instant::now();
+        let err = client.netsl("ddot", &[vec![1.0].into(), vec![1.0].into()]).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(matches!(err, NetSolveError::Timeout(_)), "got {err}");
+        assert!(err.to_string().contains("deadline of 0.200s exhausted"), "got {err}");
+        assert!(
+            elapsed < Duration::from_millis(600),
+            "deadline did not bound the agent leg: {elapsed:?}"
+        );
+        let snap = client.metrics().snapshot("client");
+        assert_eq!(snap.counter("client.deadline_exhausted"), 1);
+        assert_eq!(snap.counter("client.calls_failed"), 1);
+    }
+
+    /// The budget clamps the agent legs without breaking agent failover: a
+    /// preferred agent gone mute costs its two (clamped) tries, then the
+    /// next agent answers and the call completes inside the deadline.
+    #[test]
+    fn a_mute_preferred_agent_is_failed_over_inside_the_deadline() {
+        use netsolve_core::config::Backoff;
+        let net = ChannelNetwork::new();
+        stub(&net, "agent-mute", |msg| matches!(msg, Message::Ping).then_some(Message::Pong));
+        let client = NetSolveClient::new_multi(
+            Arc::new(net.clone()),
+            &["agent-mute".into(), "agent-live".into()],
+        )
+        .with_retry(RetryPolicy { attempt_timeout_secs: 0.1, ..policy(3, Backoff::None, 2.0) });
+        // Rank while only the mute agent listens (it answers the probe),
+        // so it is deterministically the preferred one.
+        assert!(client.list_problems().is_err());
+        assert_eq!(client.current_agent(), "agent-mute");
+        stub_agent(&net, "agent-live", &["srv"]);
+        stub_server(&net, "srv", |id| answer(id, false));
+
+        let start = Instant::now();
+        let out = client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(out[0].as_double().unwrap(), 11.0);
+        assert!(
+            elapsed >= Duration::from_millis(200),
+            "two 0.1 s tries on the mute agent: {elapsed:?}"
+        );
+        assert!(elapsed < Duration::from_secs(2), "finished outside the budget: {elapsed:?}");
+        assert_eq!(client.current_agent(), "agent-live");
+        let snap = client.metrics().snapshot("client");
+        assert_eq!(
+            snap.counter("client.agent_failovers"),
+            2,
+            "one per request that met the mute agent"
+        );
+        assert_eq!(snap.counter("client.deadline_exhausted"), 0);
+    }
+
+    /// What one call left behind.
+    struct Seen {
+        result: Result<(Vec<DataObject>, CallReport)>,
+        elapsed: Duration,
+        stats: netsolve_obs::StatsSnapshot,
+        /// `client` span and point names, in recording order.
+        phases: Vec<&'static str>,
+    }
+
+    impl Seen {
+        fn count(&self, phase: &str) -> usize {
+            self.phases.iter().filter(|p| **p == phase).count()
+        }
+    }
+
+    /// Drive one call down every row of DESIGN.md §4p's table — each way a
+    /// call can end — against scripted peers, a fresh client per row.
+    fn drive_every_row() -> Vec<(&'static str, Seen)> {
+        use netsolve_core::admission::{format_busy_detail, ShedReason};
+        use netsolve_core::config::Backoff;
+
+        let net = ChannelNetwork::new();
+        stub_server(&net, "ok", |id| answer(id, false));
+        stub_server(&net, "cache", |id| answer(id, true));
+        stub_server(&net, "liar", |id| answer(id ^ 1, false));
+        stub_server(&net, "busy", |_| {
+            let detail = format_busy_detail(ShedReason::QueueFull, 3, 60);
+            Message::from_error(&NetSolveError::Resource(detail))
+        });
+        stub_server(&net, "broken", |_| {
+            Message::from_error(&NetSolveError::ExecutionFailed("disk full".into()))
+        });
+        stub_server(&net, "singular", |_| {
+            Message::from_error(&NetSolveError::Numerical("singular matrix".into()))
+        });
+
+        let good = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
+        let bad = [DataObject::Int(3)];
+        let plain = policy(3, Backoff::None, 0.0);
+        let paced = policy(3, Backoff::Fixed { delay_secs: 0.01 }, 0.0);
+        let mut rows = Vec::new();
+        let mut row = |name: &'static str,
+                       agents: &[&str],
+                       servers: &[&str],
+                       retry: RetryPolicy,
+                       problem: &str,
+                       inputs: &[DataObject],
+                       prepare: &dyn Fn(&NetSolveClient)| {
+            let agents: Vec<String> = agents.iter().map(|a| format!("{a}:{name}")).collect();
+            for agent in agents.iter().filter(|a| !a.starts_with("ghost")) {
+                stub_agent(&net, agent, servers);
+            }
+            let client =
+                NetSolveClient::new_multi(Arc::new(net.clone()), &agents).with_retry(retry);
+            prepare(&client);
+            let start = Instant::now();
+            let result = client.netsl_timed(problem, inputs);
+            let seen = Seen {
+                result,
+                elapsed: start.elapsed(),
+                stats: client.metrics().snapshot("client"),
+                phases: client.tracer().spans().iter().map(|s| s.phase).collect(),
+            };
+            rows.push((name, seen));
+        };
+        let nothing = |_: &NetSolveClient| {};
+
+        row("unknown problem", &["agent"], &["ok"], plain, "no_such_problem", &good, &nothing);
+        row("bad arguments", &["agent"], &["ok"], plain, "ddot", &bad, &nothing);
+        row("agent unreachable", &["ghost"], &[], plain, "ddot", &good, &nothing);
+        row("no candidates", &["agent"], &[], plain, "ddot", &good, &nothing);
+        row("first try", &["agent"], &["ok"], plain, "ddot", &good, &nothing);
+        row("failover", &["agent"], &["nowhere", "ok"], paced, "ddot", &good, &nothing);
+        row("busy hint", &["agent"], &["busy", "ok"], plain, "ddot", &good, &nothing);
+        row("host failure", &["agent"], &["broken"], plain, "ddot", &good, &nothing);
+        row("wrong request id", &["agent"], &["liar", "ok"], plain, "ddot", &good, &nothing);
+        row("non-retryable", &["agent"], &["singular", "ok"], plain, "ddot", &good, &nothing);
+        row("attempts exhausted", &["agent"], &["nowhere"], plain, "ddot", &good, &nothing);
+        let tight = policy(100, Backoff::Fixed { delay_secs: 0.05 }, 0.12);
+        row("deadline exhausted", &["agent"], &["nowhere"], tight, "ddot", &good, &nothing);
+        row("cached reply", &["agent"], &["cache"], plain, "ddot", &good, &nothing);
+        row("request id collision", &["agent"], &["ok"], plain, "ddot", &good, &|client| {
+            // Someone sharing the tracer already used the id this call mints.
+            client.tracer().register_request(client.next_request.load(Ordering::Relaxed));
+        });
+        row("agent failover", &["agent-a", "agent-b"], &["ok"], paced, "ddot", &good, &|client| {
+            // Warm call ranks and pins an agent; that agent then dies.
+            client.netsl("ddot", &good).unwrap();
+            net.set_down(&client.current_agent());
+        });
+        rows
+    }
+
+    /// One call down every row of DESIGN.md §4p: how it ends, and the
+    /// counter and span the table names for that row.
+    #[test]
+    fn one_call_down_every_row_of_the_call_path() {
+        use NetSolveError::*;
+        let rows = drive_every_row();
+        for (name, seen) in &rows {
+            let count = |metric: &str| seen.stats.counter(metric);
+            assert_eq!(
+                count("client.calls"),
+                count("client.calls_ok") + count("client.calls_failed"),
+                "{name}: calls == calls_ok + calls_failed"
+            );
+            assert_eq!(seen.result.is_ok(), count("client.calls_failed") == 0, "{name}");
+            assert_eq!(count("client.attempts") as usize, seen.count("attempt"), "{name}");
+        }
+        let row = |name: &str| {
+            let found = rows.iter().find(|(row, _)| *row == name);
+            &found.unwrap_or_else(|| panic!("no row named {name}")).1
+        };
+        let attempts_of =
+            |seen: &Seen| seen.result.as_ref().map(|(_, report)| report.attempts).ok();
+        let waits = |seen: &Seen| {
+            seen.stats.histogram("client.backoff_wait_secs").map_or(0, |h| h.count)
+        };
+
+        // Ends before the ids are minted: counted, but no span and no try.
+        let seen = row("unknown problem");
+        assert!(matches!(seen.result, Err(ProblemNotFound(_))));
+        assert!(seen.phases.is_empty());
+        let seen = row("bad arguments");
+        assert!(matches!(seen.result, Err(BadArguments(_))));
+        assert!(seen.phases.is_empty(), "no server traffic: {:?}", seen.phases);
+        let seen = row("agent unreachable");
+        assert!(matches!(seen.result, Err(ServerUnreachable(_))));
+        assert!(seen.phases.is_empty());
+
+        // Ends in `rank`.
+        let seen = row("no candidates");
+        assert!(matches!(seen.result, Err(NoServerAvailable(_))));
+        assert_eq!(seen.phases, ["rank", "call"]);
+
+        // Answered: the parent's spans plus one `report`.
+        let seen = row("first try");
+        assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!(
+            seen.phases,
+            ["rank", "connect", "marshal", "wait", "attempt", "call_ok", "report", "call"]
+        );
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
+        assert_eq!(seen.stats.histogram("client.call_secs").map(|h| h.count), Some(1));
+
+        let seen = row("failover");
+        assert_eq!(attempts_of(seen), Some(2));
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 1);
+        assert_eq!(seen.count("attempt_failed"), 1);
+        assert_eq!(seen.count("report"), 2, "one failure report, one completion report");
+        assert_eq!((seen.count("backoff"), waits(seen)), (1, 1));
+
+        let seen = row("busy hint");
+        assert_eq!(attempts_of(seen), Some(2));
+        assert_eq!(seen.stats.counter("client.busy_hints"), 1);
+        assert_eq!((seen.count("backoff"), waits(seen)), (1, 1));
+        assert!(
+            seen.elapsed >= Duration::from_millis(55),
+            "the 60 ms hint floors the wait: {:?}",
+            seen.elapsed
+        );
+
+        // Retryable, but the candidate is spent by address: one try, not three.
+        let seen = row("host failure");
+        assert!(matches!(seen.result, Err(ExecutionFailed(_))));
+        assert_eq!(seen.stats.counter("client.attempts"), 1);
+        assert_eq!((seen.count("attempt_failed"), seen.count("call_failed")), (1, 1));
+
+        // Fatal: no second try, no failure report.
+        for (name, is_expected) in [
+            ("wrong request id", (|e| matches!(e, Protocol(_))) as fn(&NetSolveError) -> bool),
+            ("non-retryable", |e| matches!(e, Numerical(_))),
+        ] {
+            let seen = row(name);
+            assert!(seen.result.as_ref().is_err_and(is_expected), "{name}");
+            assert_eq!(seen.stats.counter("client.attempts"), 1, "{name}");
+            assert_eq!(seen.stats.counter("client.attempt_failures"), 0, "{name}");
+            assert_eq!((seen.count("call_failed"), seen.count("report")), (1, 0), "{name}");
+        }
+
+        let seen = row("attempts exhausted");
+        assert!(matches!(seen.result, Err(ServerUnreachable(_))));
+        assert_eq!(seen.stats.counter("client.attempts"), 3);
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 3);
+        assert_eq!((seen.count("call_failed"), seen.count("report")), (1, 3));
+
+        let seen = row("deadline exhausted");
+        assert!(matches!(seen.result, Err(Timeout(_))));
+        assert_eq!(seen.stats.counter("client.deadline_exhausted"), 1);
+        assert_eq!((seen.count("deadline_exhausted"), seen.count("call_failed")), (1, 0));
+        assert!(seen.elapsed < Duration::from_secs(1), "{:?}", seen.elapsed);
+
+        let seen = row("cached reply");
+        assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!(seen.stats.counter("client.cached_replies"), 1);
+        assert_eq!(seen.count("cached_reply"), 1);
+
+        let seen = row("request id collision");
+        assert!(seen.result.is_ok());
+        assert_eq!(seen.stats.counter("client.request_id_collisions"), 1);
+
+        let seen = row("agent failover");
+        assert!(seen.result.is_ok());
+        assert_eq!(seen.stats.counter("client.agent_failovers"), 1);
+        assert_eq!((seen.count("agent_rank"), seen.count("agent_failover")), (1, 1));
+        assert_eq!((seen.count("backoff"), waits(seen)), (1, 1));
+    }
+
+    /// `docs/OBSERVABILITY.md` is the catalogue dashboards rely on: every
+    /// `client.*` instrument and `client` span phase the code emits must
+    /// be listed there, and nothing listed there may have stopped being
+    /// emitted.
+    #[test]
+    fn observability_doc_lists_exactly_the_names_the_client_emits() {
+        use std::collections::BTreeSet;
+        let mut emitted_metrics = BTreeSet::new();
+        let mut emitted_phases = BTreeSet::new();
+        for (_, seen) in drive_every_row() {
+            let names = seen
+                .stats
+                .counters
+                .iter()
+                .map(|(n, _)| n)
+                .chain(seen.stats.histograms.iter().map(|h| &h.name));
+            emitted_metrics.extend(names.filter(|n| n.starts_with("client.")).cloned());
+            emitted_phases.extend(seen.phases);
+        }
+
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        // Backticked tokens are the odd segments of a split on '`'.
+        let ticked = |text: &'static str| text.split('`').skip(1).step_by(2);
+        let doc_metrics: BTreeSet<String> = ticked(doc)
+            .filter(|t| {
+                t.strip_prefix("client.")
+                    .is_some_and(|rest| rest.bytes().all(|b| b.is_ascii_lowercase() || b == b'_'))
+            })
+            .map(str::to_string)
+            .collect();
+        let span_names = doc.split("## Span names").nth(1).expect("doc has a span section");
+        let client_set = span_names
+            .split("`client` ×")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .expect("span section lists the client's phases in braces");
+        let doc_phases: BTreeSet<&str> = ticked(client_set).collect();
+
+        assert_eq!(emitted_metrics, doc_metrics, "client.* instruments: emitted vs documented");
+        assert_eq!(emitted_phases, doc_phases, "client span phases: emitted vs documented");
+        // What the benchmark's attribution reads must survive any rename.
+        for phase in ["call", "rank", "connect", "marshal", "wait"] {
+            assert!(emitted_phases.contains(phase), "attribution reads client/{phase}");
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! work with remote computation exactly as the original C API encouraged.
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, TryRecvError};
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 
@@ -17,33 +17,17 @@ use crate::client::{CallReport, NetSolveClient};
 /// Outcome of a finished non-blocking call.
 pub type CallOutcome = Result<(Vec<DataObject>, CallReport)>;
 
-/// Handle to an in-flight non-blocking request.
+/// Handle to an in-flight non-blocking request: the worker thread running
+/// the call, or why no worker could be started.
 pub struct RequestHandle {
-    rx: Receiver<CallOutcome>,
-    outcome: Option<CallOutcome>,
-    joined: Option<std::thread::JoinHandle<()>>,
+    worker: Result<JoinHandle<CallOutcome>>,
 }
 
 impl RequestHandle {
     /// Non-blocking readiness check (`netslpr`): `true` once the result is
     /// available locally.
     pub fn probe(&mut self) -> bool {
-        if self.outcome.is_some() {
-            return true;
-        }
-        match self.rx.try_recv() {
-            Ok(outcome) => {
-                self.outcome = Some(outcome);
-                true
-            }
-            Err(TryRecvError::Empty) => false,
-            Err(TryRecvError::Disconnected) => {
-                self.outcome = Some(Err(NetSolveError::Internal(
-                    "request worker vanished".into(),
-                )));
-                true
-            }
-        }
+        self.worker.as_ref().map_or(true, |worker| worker.is_finished())
     }
 
     /// Block until the result arrives and return it (`netslwt`).
@@ -53,18 +37,10 @@ impl RequestHandle {
 
     /// Block until the result arrives, returning the measurement report
     /// alongside the outputs.
-    pub fn wait_timed(mut self) -> CallOutcome {
-        let outcome = match self.outcome.take() {
-            Some(o) => o,
-            None => self
-                .rx
-                .recv()
-                .unwrap_or_else(|_| Err(NetSolveError::Internal("request worker vanished".into()))),
-        };
-        if let Some(handle) = self.joined.take() {
-            let _ = handle.join();
-        }
-        outcome
+    pub fn wait_timed(self) -> CallOutcome {
+        self.worker?
+            .join()
+            .unwrap_or_else(|_| Err(NetSolveError::Internal("request worker vanished".into())))
     }
 }
 
@@ -75,24 +51,15 @@ impl NetSolveClient {
     /// If the OS refuses to spawn the worker (thread exhaustion, resource
     /// limits), the handle is returned already resolved to an `Internal`
     /// error instead of panicking the caller — probe/wait report the
-    /// failure through the normal outcome channel.
+    /// failure like any finished request.
     pub fn netsl_nb(self: &Arc<Self>, problem: &str, inputs: Vec<DataObject>) -> RequestHandle {
-        let (tx, rx) = bounded(1);
         let client = Arc::clone(self);
         let problem = problem.to_string();
-        match std::thread::Builder::new().name("netsl-nb".into()).spawn(move || {
-            let outcome = client.netsl_timed(&problem, &inputs);
-            let _ = tx.send(outcome);
-        }) {
-            Ok(handle) => RequestHandle { rx, outcome: None, joined: Some(handle) },
-            Err(e) => RequestHandle {
-                rx,
-                outcome: Some(Err(NetSolveError::Internal(format!(
-                    "spawn request worker: {e}"
-                )))),
-                joined: None,
-            },
-        }
+        let worker = std::thread::Builder::new()
+            .name("netsl-nb".into())
+            .spawn(move || client.netsl_timed(&problem, &inputs))
+            .map_err(|e| NetSolveError::Internal(format!("spawn request worker: {e}")));
+        RequestHandle { worker }
     }
 
     /// Task farming: submit every input set concurrently and wait for all
@@ -221,11 +188,8 @@ mod tests {
     /// like any finished request — never panic.
     #[test]
     fn degraded_handle_reports_spawn_failure_via_outcome() {
-        let (_tx, rx) = bounded(1);
         let mut handle = RequestHandle {
-            rx,
-            outcome: Some(Err(NetSolveError::Internal("spawn request worker: test".into()))),
-            joined: None,
+            worker: Err(NetSolveError::Internal("spawn request worker: test".into())),
         };
         assert!(handle.probe(), "pre-resolved handle must probe ready");
         match handle.wait() {

@@ -15,7 +15,8 @@ echo "=== non-test lines per crate (what a refactor PR quotes; not a gate) ==="
 scripts/loc.sh
 
 echo "=== tests ==="
-cargo test -q
+# The root package is a workspace member, so this runs every root
+# integration test (observability, chaos_soak, tracing, …) exactly once.
 cargo test --workspace -q
 
 echo "=== benchmark harness (the public API and dependency sets it is locked to) ==="
@@ -46,11 +47,6 @@ sys.exit(0 if ok else 1)
 bench_run solve_dgesv solvers.backward_err_max 1e-10 # 2 MiB request, compute-bound
 bench_run tiny_call                                  # ~100-byte frames: one read window
 bench_run bulk_reply                                 # 2 MiB reply: a client-side read 32 windows long
-
-echo "=== regression tests (retry cap, request ids, accept-loop cap, stats) ==="
-cargo test --test observability -q
-cargo test --test chaos_soak -q
-cargo test --test tracing -q
 
 # One way to boot a live trio. Every daemon a smoke starts lands in PIDS;
 # stop_daemons ends a smoke, and the one EXIT trap runs it too, so a failed
