@@ -26,7 +26,7 @@ use std::time::Duration;
 use netsolve_core::clock::{Clock, RealClock};
 use netsolve_core::config::AgentConfig;
 use netsolve_core::error::Result;
-use netsolve_net::{call_once, Connection, Daemon, StopSignal, Transport};
+use netsolve_net::{call_once, Daemon, StopSignal, Transport, KEEP_ALIVE};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
 
@@ -154,9 +154,10 @@ impl AgentDaemon {
             daemon.serve(
                 listener,
                 Self::MAX_CONNECTIONS,
+                KEEP_ALIVE,
                 &metrics,
                 "agent",
-                move |conn| shared.serve_connection(conn),
+                move |msg| (shared.answer(msg), || {}),
             )?;
         }
         Ok(AgentDaemon { shared, daemon })
@@ -190,9 +191,9 @@ impl AgentDaemon {
 
     /// Stop accepting connections and join the daemon's threads (also
     /// done on drop). Existing per-connection threads drop their
-    /// connection at the next request boundary without replying — a
-    /// stopped agent goes silent the way a crashed one does, so pinned
-    /// clients fail over instead of talking to a zombie.
+    /// connection at the next request boundary without replying
+    /// ([`Daemon::serve`]) — a stopped agent goes silent the way a crashed
+    /// one does, so pinned clients fail over instead of talking to a zombie.
     pub fn stop(&mut self) {
         self.daemon.stop();
     }
@@ -382,46 +383,34 @@ impl Shared {
         }
     }
 
-    fn serve_connection(&self, mut conn: Box<dyn Connection>) {
-        loop {
-            let msg = match conn.recv() {
-                Ok(m) => m,
-                Err(_) => return, // peer hung up or stream corrupted
-            };
-            // A stopped daemon answers nothing: dropping the connection
-            // without a reply is what a crashed agent looks like on the
-            // wire, and it is what pushes a pinned client into failover.
-            if self.stop.is_stopped() {
-                return;
-            }
-            let mut reply = self.core.lock().handle_message(&msg, self.clock.now());
-            // Federation: client requests that found nothing locally are
-            // widened to the peer agents (outside the core lock — peers
-            // may be slow). Forwarded variants are answered locally only,
-            // so federation is one hop deep and loop-free. Peers the
-            // gossip loop has marked down are skipped; the widening path
-            // must not pay connect timeouts to a known-dead agent on the
-            // client's clock.
-            if matches!(reply, Message::Error { .. }) {
-                let live_peers = self.live_peers();
-                match &msg {
-                    Message::ServerQuery(q) => {
-                        if let Some(candidates) = self.query_peers(&live_peers, q) {
-                            reply = Message::ServerList { candidates };
-                        }
+    /// The reply to one message: the core's, widened through the peers
+    /// when the core had nothing.
+    fn answer(&self, msg: &Message) -> Message {
+        let mut reply = self.core.lock().handle_message(msg, self.clock.now());
+        // Federation: client requests that found nothing locally are
+        // widened to the peer agents (outside the core lock — peers
+        // may be slow). Forwarded variants are answered locally only,
+        // so federation is one hop deep and loop-free. Peers the
+        // gossip loop has marked down are skipped; the widening path
+        // must not pay connect timeouts to a known-dead agent on the
+        // client's clock.
+        if matches!(reply, Message::Error { .. }) {
+            let live_peers = self.live_peers();
+            match msg {
+                Message::ServerQuery(q) => {
+                    if let Some(candidates) = self.query_peers(&live_peers, q) {
+                        reply = Message::ServerList { candidates };
                     }
-                    Message::DescribeProblem { problem } => {
-                        if let Some(pdl) = self.describe_via_peers(&live_peers, problem) {
-                            reply = Message::ProblemDescription { pdl };
-                        }
-                    }
-                    _ => {}
                 }
-            }
-            if conn.send(&reply).is_err() {
-                return;
+                Message::DescribeProblem { problem } => {
+                    if let Some(pdl) = self.describe_via_peers(&live_peers, problem) {
+                        reply = Message::ProblemDescription { pdl };
+                    }
+                }
+                _ => {}
             }
         }
+        reply
     }
 
     /// Ask every peer agent for candidates; merge and rank by predicted

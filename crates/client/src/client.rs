@@ -3,7 +3,9 @@
 //!
 //! A call is one straight line, [`NetSolveClient::netsl_timed`]: describe
 //! → rank → per try (pace → attempt) → report, each stage a method reading
-//! the one per-call [`Call`] value (DESIGN.md §4p).
+//! the one per-call [`Call`] value (DESIGN.md §4p). The client keeps its
+//! connections between calls — one to the preferred agent, a few idle
+//! ones to the servers it has used — so a steady caller dials nothing.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +18,7 @@ use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
-use netsolve_net::{call, call_once, Connection, Transport};
+use netsolve_net::{call_once, Connection, Transport, KEEP_ALIVE};
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
@@ -58,6 +60,8 @@ pub struct CallReport {
 pub struct NetSolveClient {
     transport: Arc<dyn Transport>,
     agents: Mutex<AgentRoster>,
+    /// Idle server connections by address, least recently used first.
+    idle: Mutex<Vec<(String, Box<dyn Connection>)>>,
     client_host: u64,
     retry: RetryPolicy,
     specs: Mutex<HashMap<String, ProblemSpec>>,
@@ -75,7 +79,60 @@ struct AgentRoster {
     addresses: Vec<String>,
     ranked: bool,
     current: usize,
-    conn: Option<Box<dyn Connection>>,
+    link: Option<AgentLink>,
+}
+
+/// The kept agent connection and how many replies it still owes: a report
+/// is sent without waiting for its ack, so the ack is read ahead of the
+/// next reply. The two live and die together — a new connection owes
+/// nothing.
+struct AgentLink {
+    conn: Box<dyn Connection>,
+    owed_acks: u32,
+    used_at: Instant,
+}
+
+impl AgentLink {
+    fn new(conn: Box<dyn Connection>) -> AgentLink {
+        AgentLink { conn, owed_acks: 0, used_at: Instant::now() }
+    }
+
+    /// Whether the agent may be about to close the connection for silence
+    /// ([`KEEP_ALIVE`]). A report's loss would go unnoticed — nothing
+    /// waits for its ack — so after a solve longer than this the report
+    /// goes out on a fresh dial instead.
+    fn stale(&self) -> bool {
+        self.used_at.elapsed() >= KEEP_ALIVE / 2
+    }
+
+    /// Send `msg`. With `await_reply`, read the acks owed for earlier
+    /// reports and then its reply; without, count one more ack owed. The
+    /// agent answers one connection in order, so a report is applied
+    /// before any request sent after it.
+    fn exchange(
+        &mut self,
+        msg: &Message,
+        await_reply: bool,
+        timeout: Duration,
+    ) -> Result<Option<Message>> {
+        self.conn.send(msg)?;
+        self.used_at = Instant::now();
+        if !await_reply {
+            self.owed_acks += 1;
+            return Ok(None);
+        }
+        for _ in 0..std::mem::take(&mut self.owed_acks) {
+            self.conn.recv_timeout(timeout)?;
+        }
+        self.conn.recv_timeout(timeout).map(Some)
+    }
+}
+
+/// Whether `e`, met on a kept connection before any reply arrived, means
+/// the peer had closed it (idle expiry, restart): a send that failed, an
+/// end of stream or a reset. A timeout is not — the server may be slow.
+fn hung_up(e: &NetSolveError) -> bool {
+    matches!(e, NetSolveError::Transport(_) | NetSolveError::ServerUnreachable(_))
 }
 
 /// The end-to-end budget of one call (`RetryPolicy::deadline_secs`),
@@ -192,8 +249,9 @@ impl NetSolveClient {
                 addresses: agents.to_vec(),
                 ranked: false,
                 current: 0,
-                conn: None,
+                link: None,
             }),
+            idle: Mutex::new(Vec::new()),
             client_host: 0,
             retry: RetryPolicy::default(),
             specs: Mutex::new(HashMap::new()),
@@ -251,6 +309,43 @@ impl NetSolveClient {
     pub fn current_agent(&self) -> String {
         let roster = self.agents.lock();
         roster.addresses[roster.current].clone()
+    }
+
+    /// Most idle server connections a client keeps, over all addresses …
+    pub const MAX_IDLE: usize = 16;
+    /// … and to any one address: what a farm's burst leaves warm, and the
+    /// most of one server's connection slots a resting client holds.
+    pub const MAX_IDLE_PER_ADDRESS: usize = 4;
+
+    /// Server connections this client is keeping for its next calls.
+    pub fn idle_connections(&self) -> usize {
+        self.idle.lock().len()
+    }
+
+    /// The most recently used idle connection to `address`, if one is kept.
+    fn take_idle(&self, address: &str) -> Option<Box<dyn Connection>> {
+        let mut idle = self.idle.lock();
+        let at = idle.iter().rposition(|(kept, _)| kept == address)?;
+        Some(idle.remove(at).1)
+    }
+
+    /// Keep `conn` for the next request to `address`. Past either bound
+    /// the least recently used connection — of that address, or of all —
+    /// is closed instead, after the lock is released.
+    fn keep_idle(&self, address: &str, conn: Box<dyn Connection>) {
+        let evicted = {
+            let mut idle = self.idle.lock();
+            idle.push((address.to_string(), conn));
+            let to_address = idle.iter().filter(|(kept, _)| kept == address).count();
+            if to_address > Self::MAX_IDLE_PER_ADDRESS {
+                idle.iter().position(|(kept, _)| kept == address).map(|at| idle.remove(at))
+            } else if idle.len() > Self::MAX_IDLE {
+                Some(idle.remove(0))
+            } else {
+                None
+            }
+        };
+        drop(evicted);
     }
 
     /// Run `work` inside a fresh `client` × `phase` span recorded under
@@ -336,23 +431,32 @@ impl NetSolveClient {
         self.tracer.point(SpanContext::NONE, "client", "agent_rank", order);
     }
 
-    /// The agent ring: send `msg` to the preferred agent and return its
-    /// reply. The kept connection is redialled once if it died; after two
+    /// The agent ring: send `msg` to the preferred agent and, with
+    /// `await_reply`, return its reply (without, `None` once it is sent).
+    /// The kept connection is redialled once if it died; after two
     /// transport-level failures against one agent the request moves to
     /// the next in ranked order — counted, traced under `scope` so a hop
     /// made for a live call shows in its stitched timeline, and paced like
     /// a server failover — until the roster is exhausted or the budget is
     /// spent. The agent that answers becomes the preferred one.
-    fn agent_call(&self, msg: &Message, scope: Scope) -> Result<Message> {
+    fn agent_exchange(
+        &self,
+        msg: &Message,
+        await_reply: bool,
+        scope: Scope,
+    ) -> Result<Option<Message>> {
         let mut roster = self.agents.lock();
         self.ensure_ranked(&mut roster, scope.budget);
+        if roster.link.as_ref().is_some_and(AgentLink::stale) {
+            roster.link = None;
+        }
         let (agents, first) = (roster.addresses.len(), roster.current);
         let mut last_err = NetSolveError::ServerUnreachable("no agent tried yet".into());
         for hop in 0..agents {
             let idx = (first + hop) % agents;
             if hop > 0 {
                 // Moving on means abandoning the kept connection.
-                roster.conn = None;
+                roster.link = None;
                 self.metrics.counter("client.agent_failovers").inc();
                 let hop_detail = format!("to={} after err={last_err}", roster.addresses[idx]);
                 self.tracer.point(scope.ctx, "client", "agent_failover", hop_detail);
@@ -363,29 +467,36 @@ impl NetSolveClient {
                     let progress = format!("at agent {}: {last_err}", roster.addresses[idx]);
                     return Err(self.exhausted(scope, progress));
                 }
-                if roster.conn.is_none() {
+                if roster.link.is_none() {
                     match self.transport.connect(&roster.addresses[idx]) {
-                        Ok(conn) => roster.conn = Some(conn),
+                        Ok(conn) => roster.link = Some(AgentLink::new(conn)),
                         Err(e) => {
                             last_err = e;
                             break;
                         }
                     }
                 }
-                let conn = roster.conn.as_mut().expect("dialled just above");
-                match call(conn.as_mut(), msg, scope.budget.clamp(self.attempt_timeout())) {
+                let link = roster.link.as_mut().expect("dialled just above");
+                let timeout = scope.budget.clamp(self.attempt_timeout());
+                match link.exchange(msg, await_reply, timeout) {
                     Ok(reply) => {
                         roster.current = idx;
                         return Ok(reply);
                     }
                     Err(e) => {
-                        roster.conn = None;
+                        roster.link = None;
                         last_err = e;
                     }
                 }
             }
         }
         Err(last_err)
+    }
+
+    /// An agent request and its reply.
+    fn agent_call(&self, msg: &Message, scope: Scope) -> Result<Message> {
+        let reply = self.agent_exchange(msg, true, scope)?;
+        Ok(reply.expect("an awaited exchange returns the reply"))
     }
 
     /// Names of every problem the domain offers.
@@ -580,6 +691,28 @@ impl NetSolveClient {
         self.span(call.scope, "rank", query, |c| format!("candidates={}", c.len()))
     }
 
+    /// A connection to `address` inside the `connect` span: the kept one
+    /// used last when there is any and `fresh` does not rule it out, else
+    /// a new dial. The flag says which it was.
+    fn connection(
+        &self,
+        scope: Scope,
+        address: &str,
+        fresh: bool,
+    ) -> Result<(Box<dyn Connection>, bool)> {
+        let get = |_| {
+            let kept = if fresh { None } else { self.take_idle(address) };
+            if let Some(conn) = kept {
+                self.metrics.counter("client.conn_reused").inc();
+                return Ok((conn, true));
+            }
+            self.metrics.counter("client.dials").inc();
+            Ok((self.transport.connect(address)?, false))
+        };
+        let which = |got: &(_, bool)| if got.1 { "reused" } else { "dialled" }.to_string();
+        self.span(scope, "connect", get, which)
+    }
+
     /// Stage: one try against one server — connect, marshal, wait, check
     /// the reply. Each try is its own span, whose id rides in the
     /// `RequestSubmit` as the parent of the server-side spans, so retries
@@ -594,8 +727,6 @@ impl NetSolveClient {
         let start = Instant::now();
         let exchange = |scope: Scope| {
             let ctx = scope.ctx;
-            let dial = |_| self.transport.connect(&candidate.address);
-            let mut conn = self.span(scope, "connect", dial, no_detail)?;
             let msg = Message::RequestSubmit {
                 request_id: ctx.request_id,
                 deadline_ms: scope.budget.wire_ms(),
@@ -604,9 +735,26 @@ impl NetSolveClient {
                 trace_id: ctx.trace_id,
                 parent_span: ctx.parent_span,
             };
-            self.span(scope, "marshal", |_| conn.send(&msg), no_detail)?;
             let timeout = scope.budget.clamp(self.attempt_timeout());
-            let reply = self.span(scope, "wait", |_| conn.recv_timeout(timeout), no_detail)?;
+            let mut fresh = false;
+            let (conn, reply) = loop {
+                let (mut conn, reused) = self.connection(scope, &candidate.address, fresh)?;
+                let reply = self
+                    .span(scope, "marshal", |_| conn.send(&msg), no_detail)
+                    .and_then(|()| {
+                        self.span(scope, "wait", |_| conn.recv_timeout(timeout), no_detail)
+                    });
+                match reply {
+                    Ok(reply) => break (conn, reply),
+                    // A kept connection the server had closed says nothing
+                    // about the server: this try goes on over a fresh dial.
+                    Err(e) if reused && hung_up(&e) => {
+                        self.metrics.counter("client.conn_redials").inc();
+                        fresh = true;
+                    }
+                    Err(e) => return Err(e),
+                }
+            };
             let (echoed, outputs, compute_secs, cached) = expect_reply!(
                 reply,
                 Message::RequestReply { request_id, outputs, compute_secs, cached } =>
@@ -618,6 +766,10 @@ impl NetSolveClient {
                     ctx.request_id
                 )));
             }
+            // Only here is the connection known to owe nothing: every
+            // other way out of this try drops it, so a reply that comes
+            // late can never be read as a later request's.
+            self.keep_idle(&candidate.address, conn);
             if cached {
                 self.metrics.counter("client.cached_replies").inc();
                 self.tracer.point(ctx, "client", "cached_reply", String::new());
@@ -641,10 +793,12 @@ impl NetSolveClient {
     }
 
     /// Stage: tell the agent how the try went, best effort and inside the
-    /// `report` span. A completion clears the agent's pending-assignment
-    /// and fault state for the server; a failure feeds its fault record. A
-    /// report that cannot be sent within the budget is skipped — it must
-    /// never turn a received answer into an error.
+    /// `report` span, which covers the send only: the agent's ack is read
+    /// ahead of the next agent reply ([`AgentLink`]). A completion clears
+    /// the agent's pending-assignment and fault state for the server; a
+    /// failure feeds its fault record. A report that cannot be sent within
+    /// the budget is skipped — it must never turn a received answer into
+    /// an error.
     fn report(
         &self,
         call: &Call<'_>,
@@ -684,7 +838,7 @@ impl NetSolveClient {
         }
         // Under the call's scope, so an agent failover provoked by the
         // report leg itself still lands in this request's trace.
-        let send = |scope| self.agent_call(&msg, scope);
+        let send = |scope| self.agent_exchange(&msg, false, scope);
         let _ = self.span(call.scope, "report", send, |_| which.to_string());
     }
 }
@@ -1273,15 +1427,19 @@ mod tests {
 
     /// A scripted peer: every frame on every connection is answered with
     /// `script(frame)`; `None` reads on without replying (a mute peer).
+    /// Returns the count of connections it has accepted.
     fn stub(
         net: &ChannelNetwork,
         address: &str,
         script: impl Fn(Message) -> Option<Message> + Send + Sync + 'static,
-    ) {
+    ) -> Arc<AtomicU64> {
         let listener = net.listen(address).unwrap();
         let script = Arc::new(script);
+        let accepts = Arc::new(AtomicU64::new(0));
+        let accepted = Arc::clone(&accepts);
         std::thread::spawn(move || {
             while let Ok(mut conn) = listener.accept() {
+                accepted.fetch_add(1, Ordering::Relaxed);
                 let script = Arc::clone(&script);
                 std::thread::spawn(move || {
                     while let Ok(msg) = conn.recv() {
@@ -1292,10 +1450,12 @@ mod tests {
                 });
             }
         });
+        accepts
     }
 
-    /// A stub agent that knows `ddot` and ranks `servers` in the order given.
-    fn stub_agent(net: &ChannelNetwork, address: &str, servers: &[&str]) {
+    /// A stub agent that knows `ddot` and ranks `servers` in the order
+    /// given; returns its accept count.
+    fn stub_agent(net: &ChannelNetwork, address: &str, servers: &[&str]) -> Arc<AtomicU64> {
         let registry = netsolve_pdl::ProblemRegistry::with_standard_catalogue();
         let pdl = netsolve_pdl::render(registry.get("ddot").unwrap());
         let candidates: Vec<Candidate> = servers
@@ -1318,15 +1478,20 @@ mod tests {
                 Message::ServerQuery(_) => Message::ServerList { candidates: candidates.clone() },
                 _ => Message::Pong,
             })
-        });
+        })
     }
 
-    /// A stub server that answers every `RequestSubmit` with `reply(request_id)`.
-    fn stub_server(net: &ChannelNetwork, address: &str, reply: fn(u64) -> Message) {
+    /// A stub server that answers every `RequestSubmit` with
+    /// `reply(request_id)`; returns its accept count.
+    fn stub_server(
+        net: &ChannelNetwork,
+        address: &str,
+        reply: impl Fn(u64) -> Message + Send + Sync + 'static,
+    ) -> Arc<AtomicU64> {
         stub(net, address, move |msg| match msg {
             Message::RequestSubmit { request_id, .. } => Some(reply(request_id)),
             _ => None,
-        });
+        })
     }
 
     fn answer(request_id: u64, cached: bool) -> Message {
@@ -1415,6 +1580,35 @@ mod tests {
         assert_eq!(snap.counter("client.deadline_exhausted"), 0);
     }
 
+    /// The report is not waited for: its ack is still owed when the call
+    /// returns, is read ahead of the next agent reply, and an agent
+    /// connection left unused for half the keep-alive time — a long solve
+    /// — is not trusted to carry the next message.
+    #[test]
+    fn the_reports_ack_is_read_ahead_of_the_next_agent_reply() {
+        let net = ChannelNetwork::new();
+        let agent_accepts = stub_agent(&net, "agent", &["srv"]);
+        stub_server(&net, "srv", |id| answer(id, false));
+        let client = NetSolveClient::new(Arc::new(net.clone()), "agent");
+        let owed = |client: &NetSolveClient| {
+            client.agents.lock().link.as_ref().map(|link| link.owed_acks)
+        };
+        let good = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
+
+        client.netsl("ddot", &good).unwrap();
+        assert_eq!(owed(&client), Some(1), "the completion report's ack");
+        // Were the ack not drained first, `rank` would read a `Pong`.
+        client.netsl("ddot", &good).unwrap();
+        assert_eq!(owed(&client), Some(1));
+        assert!(client.list_problems().is_err(), "the stub answers Pong: a Protocol error");
+        assert_eq!(owed(&client), Some(0), "drained ahead of that reply");
+        assert_eq!(agent_accepts.load(Ordering::Relaxed), 1);
+
+        client.agents.lock().link.as_mut().unwrap().used_at -= KEEP_ALIVE / 2;
+        client.netsl("ddot", &good).unwrap();
+        assert_eq!(agent_accepts.load(Ordering::Relaxed), 2, "a stale connection is redialled");
+    }
+
     /// What one call left behind.
     struct Seen {
         result: Result<(Vec<DataObject>, CallReport)>,
@@ -1422,6 +1616,11 @@ mod tests {
         stats: netsolve_obs::StatsSnapshot,
         /// `client` span and point names, in recording order.
         phases: Vec<&'static str>,
+        /// Server connections the client kept when the call was over.
+        idle: usize,
+        /// Connections the row's server stubs have accepted (rows that
+        /// read this have their stubs to themselves).
+        accepts: u64,
     }
 
     impl Seen {
@@ -1437,18 +1636,45 @@ mod tests {
         use netsolve_core::config::Backoff;
 
         let net = ChannelNetwork::new();
-        stub_server(&net, "ok", |id| answer(id, false));
-        stub_server(&net, "cache", |id| answer(id, true));
-        stub_server(&net, "liar", |id| answer(id ^ 1, false));
-        stub_server(&net, "busy", |_| {
+        let mut accepts = HashMap::new();
+        let mut serve = |address: &'static str, reply: fn(u64) -> Message| {
+            accepts.insert(address, stub_server(&net, address, reply));
+        };
+        serve("ok", |id| answer(id, false));
+        serve("kept", |id| answer(id, false));
+        serve("cache", |id| answer(id, true));
+        serve("liar", |id| answer(id ^ 1, false));
+        serve("busy", |_| {
             let detail = format_busy_detail(ShedReason::QueueFull, 3, 60);
             Message::from_error(&NetSolveError::Resource(detail))
         });
-        stub_server(&net, "broken", |_| {
+        serve("broken", |_| {
             Message::from_error(&NetSolveError::ExecutionFailed("disk full".into()))
         });
-        stub_server(&net, "singular", |_| {
+        serve("singular", |_| {
             Message::from_error(&NetSolveError::Numerical("singular matrix".into()))
+        });
+        // Answers its first request later than the row's attempt timeout,
+        // on whichever connection that came in, and the rest at once.
+        let first = std::sync::atomic::AtomicBool::new(true);
+        let slow = stub_server(&net, "slow", move |id| {
+            if first.swap(false, Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(150));
+            }
+            answer(id, false)
+        });
+        accepts.insert("slow", slow);
+        // Answers one request per connection, then hangs up.
+        let closer = Arc::new(AtomicU64::new(0));
+        accepts.insert("closer", Arc::clone(&closer));
+        let listener = net.listen("closer").unwrap();
+        std::thread::spawn(move || {
+            while let Ok(mut conn) = listener.accept() {
+                closer.fetch_add(1, Ordering::Relaxed);
+                if let Ok(Message::RequestSubmit { request_id, .. }) = conn.recv() {
+                    let _ = conn.send(&answer(request_id, false));
+                }
+            }
         });
 
         let good = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
@@ -1477,10 +1703,19 @@ mod tests {
                 elapsed: start.elapsed(),
                 stats: client.metrics().snapshot("client"),
                 phases: client.tracer().spans().iter().map(|s| s.phase).collect(),
+                idle: client.idle_connections(),
+                accepts: servers
+                    .iter()
+                    .filter_map(|address| accepts.get(address))
+                    .map(|count| count.load(Ordering::Relaxed))
+                    .sum(),
             };
             rows.push((name, seen));
         };
         let nothing = |_: &NetSolveClient| {};
+        let warm = |client: &NetSolveClient| {
+            client.netsl("ddot", &good).unwrap();
+        };
 
         row("unknown problem", &["agent"], &["ok"], plain, "no_such_problem", &good, &nothing);
         row("bad arguments", &["agent"], &["ok"], plain, "ddot", &bad, &nothing);
@@ -1496,6 +1731,12 @@ mod tests {
         let tight = policy(100, Backoff::Fixed { delay_secs: 0.05 }, 0.12);
         row("deadline exhausted", &["agent"], &["nowhere"], tight, "ddot", &good, &nothing);
         row("cached reply", &["agent"], &["cache"], plain, "ddot", &good, &nothing);
+        // The connection store (DESIGN.md §4p "connection lifecycle"):
+        // each row's call is the second on a client whose first kept one.
+        row("kept connection", &["agent"], &["kept"], plain, "ddot", &good, &warm);
+        row("kept connection closed", &["agent"], &["closer"], plain, "ddot", &good, &warm);
+        let hasty = RetryPolicy { attempt_timeout_secs: 0.05, ..plain };
+        row("late reply", &["agent"], &["slow"], hasty, "ddot", &good, &nothing);
         row("request id collision", &["agent"], &["ok"], plain, "ddot", &good, &|client| {
             // Someone sharing the tracer already used the id this call mints.
             client.tracer().register_request(client.next_request.load(Ordering::Relaxed));
@@ -1559,6 +1800,7 @@ mod tests {
         );
         assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
         assert_eq!(seen.stats.histogram("client.call_secs").map(|h| h.count), Some(1));
+        assert_eq!((seen.stats.counter("client.dials"), seen.idle), (1, 1), "dialled and kept");
 
         let seen = row("failover");
         assert_eq!(attempts_of(seen), Some(2));
@@ -1593,6 +1835,8 @@ mod tests {
             assert_eq!(seen.stats.counter("client.attempts"), 1, "{name}");
             assert_eq!(seen.stats.counter("client.attempt_failures"), 0, "{name}");
             assert_eq!((seen.count("call_failed"), seen.count("report")), (1, 0), "{name}");
+            // Neither a wrong echoed id nor an `Error` frame is kept.
+            assert_eq!(seen.idle, 0, "{name}");
         }
 
         let seen = row("attempts exhausted");
@@ -1611,6 +1855,32 @@ mod tests {
         assert_eq!(attempts_of(seen), Some(1));
         assert_eq!(seen.stats.counter("client.cached_replies"), 1);
         assert_eq!(seen.count("cached_reply"), 1);
+
+        // The second call rides the first one's connection: nothing new
+        // reaches the stub's listener.
+        let seen = row("kept connection");
+        assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!(seen.stats.counter("client.dials"), 1);
+        assert_eq!(seen.stats.counter("client.conn_reused"), 1);
+        assert_eq!((seen.accepts, seen.idle), (1, 1));
+
+        // The peer closed the kept connection: the same try dials again,
+        // and the server is not blamed.
+        let seen = row("kept connection closed");
+        assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!(seen.stats.counter("client.conn_redials"), 1);
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
+        assert_eq!((seen.stats.counter("client.dials"), seen.accepts), (2, 2));
+        assert_eq!(seen.count("attempt_failed"), 0);
+
+        // A try that timed out drops its connection, so the reply that
+        // comes 100 ms late is never read: the second try dials, and gets
+        // the reply to its own request.
+        let seen = row("late reply");
+        assert_eq!(attempts_of(seen), Some(2));
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 1);
+        assert_eq!(seen.stats.counter("client.conn_reused"), 0);
+        assert_eq!((seen.stats.counter("client.dials"), seen.accepts), (2, 2));
 
         let seen = row("request id collision");
         assert!(seen.result.is_ok());

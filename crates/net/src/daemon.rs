@@ -5,8 +5,10 @@
 //! [`Daemon::serve`] (connection cap, retryable-Busy shed, spawn-failure
 //! degrade), one stop-aware worker per [`Daemon::every`], and a single
 //! [`Daemon::stop`] that wakes them all and joins them. Connection threads
-//! are the exception: they end when their peer hangs up, because nothing
-//! can interrupt a blocked `recv` on a live connection.
+//! are the exception: nothing can interrupt a blocked `recv` on a live
+//! connection, so each ends when its peer hangs up or has sent nothing
+//! for the keep-alive time, and a stopped daemon's threads answer nothing
+//! in the meantime.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -17,7 +19,13 @@ use netsolve_core::error::{NetSolveError, Result};
 use netsolve_obs::MetricsRegistry;
 use netsolve_proto::Message;
 
-use crate::transport::{Connection, Listener, Transport};
+use crate::transport::{Listener, Transport};
+
+/// How long agent and server keep a connection nobody sends on. Clients
+/// keep their connections between calls, so this is what bounds how long
+/// an idle client holds one of a daemon's connection slots; a client that
+/// comes back later finds the connection closed and dials again.
+pub const KEEP_ALIVE: Duration = Duration::from_secs(30);
 
 /// The daemon-wide stop flag, waitable so sleeping workers wake at once.
 #[derive(Debug, Default)]
@@ -97,20 +105,30 @@ impl Daemon {
         Ok(())
     }
 
-    /// Accept connections on `listener` until stopped, running `handler`
-    /// on a thread of its own for each. At most `max_connections` are
-    /// served at once: one arriving past the cap — or one whose thread
-    /// cannot be spawned — is answered with a retryable Busy error and
-    /// dropped, so a flood degrades into shed load instead of unbounded
-    /// thread growth or a dead accept loop. Counted in `metrics` as
-    /// `{component}.accepts`, `.busy_rejected` and `.spawn_failures`.
-    pub fn serve(
+    /// Accept connections on `listener` until stopped and serve each on a
+    /// thread of its own: every message received is answered with what
+    /// `handler` makes of it, and the closure `handler` returns beside the
+    /// reply runs once the reply is on the wire. A connection ends when
+    /// its peer hangs up or sends nothing for `idle`, so an idle peer
+    /// cannot hold a slot forever. A stopped daemon answers nothing: it
+    /// drops a connection at its next message without a reply, which is
+    /// what a crashed daemon looks like on the wire — a peer that kept the
+    /// connection fails over or dials again instead of talking to a zombie.
+    ///
+    /// At most `max_connections` are served at once: one arriving past the
+    /// cap — or one whose thread cannot be spawned — is answered with a
+    /// retryable Busy error and dropped, so a flood degrades into shed load
+    /// instead of unbounded thread growth or a dead accept loop. Counted in
+    /// `metrics` as `{component}.accepts`, `.busy_rejected` and
+    /// `.spawn_failures`.
+    pub fn serve<A: FnOnce()>(
         &mut self,
         listener: Box<dyn Listener>,
         max_connections: u32,
+        idle: Duration,
         metrics: &MetricsRegistry,
         component: &str,
-        handler: impl Fn(Box<dyn Connection>) + Send + Sync + 'static,
+        handler: impl Fn(&Message) -> (Message, A) + Send + Sync + 'static,
     ) -> Result<()> {
         let stop = Arc::clone(&self.stop);
         let handler = Arc::new(handler);
@@ -150,7 +168,7 @@ impl Daemon {
             // to answer Busy.
             let slot = Arc::new(Mutex::new(Some(conn)));
             let thread_slot = Arc::clone(&slot);
-            let handler = Arc::clone(&handler);
+            let (handler, stop) = (Arc::clone(&handler), Arc::clone(&stop));
             let conns = Arc::clone(&live_conns);
             let spawned = std::thread::Builder::new()
                 .name(format!("{component}-conn"))
@@ -159,8 +177,17 @@ impl Daemon {
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .take();
-                    if let Some(conn) = conn {
-                        handler(conn);
+                    if let Some(mut conn) = conn {
+                        while let Ok(msg) = conn.recv_timeout(idle) {
+                            if stop.is_stopped() {
+                                break;
+                            }
+                            let (reply, sent) = handler(&msg);
+                            if conn.send(&reply).is_err() {
+                                break;
+                            }
+                            sent();
+                        }
                     }
                     conns.fetch_sub(1, Ordering::AcqRel);
                 });
@@ -217,7 +244,7 @@ impl Drop for Daemon {
 mod tests {
     use super::*;
     use crate::channel::ChannelNetwork;
-    use crate::transport::call;
+    use crate::transport::{call, Connection};
 
     const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -231,41 +258,37 @@ mod tests {
         }
     }
 
-    /// A daemon answering every `Ping` with `Pong` at `address`.
+    /// A daemon answering every message with `Pong` at `address`.
     fn ping_daemon(
         net: &ChannelNetwork,
         address: &str,
         cap: u32,
+        idle: Duration,
         metrics: &MetricsRegistry,
     ) -> Daemon {
         let mut daemon = Daemon::new(Arc::new(net.clone()));
         let listener = net.listen(address).unwrap();
         daemon
-            .serve(listener, cap, metrics, "test", |mut conn| {
-                while let Ok(Message::Ping) = conn.recv() {
-                    if conn.send(&Message::Pong).is_err() {
-                        return;
-                    }
-                }
-            })
+            .serve(listener, cap, idle, metrics, "test", |_| (Message::Pong, || {}))
             .unwrap();
         daemon
+    }
+
+    fn ping(conn: &mut dyn Connection) -> Result<Message> {
+        call(conn, &Message::Ping, TIMEOUT)
     }
 
     #[test]
     fn connections_past_the_cap_get_busy_and_service_resumes() {
         let net = ChannelNetwork::new();
         let metrics = MetricsRegistry::new();
-        let mut daemon = ping_daemon(&net, "capped", 2, &metrics);
+        let mut daemon = ping_daemon(&net, "capped", 2, KEEP_ALIVE, &metrics);
 
         // Fill both slots and prove their connection threads are live.
         let mut held: Vec<Box<dyn Connection>> = (0..2)
             .map(|_| {
                 let mut c = net.connect("capped").unwrap();
-                assert_eq!(
-                    call(c.as_mut(), &Message::Ping, TIMEOUT).unwrap(),
-                    Message::Pong
-                );
+                assert_eq!(ping(c.as_mut()).unwrap(), Message::Pong);
                 c
             })
             .collect();
@@ -281,16 +304,13 @@ mod tests {
             other => panic!("expected Busy error, got {other:?}"),
         }
         // The held connections are still served while the cap sheds.
-        assert_eq!(
-            call(held[0].as_mut(), &Message::Ping, TIMEOUT).unwrap(),
-            Message::Pong
-        );
+        assert_eq!(ping(held[0].as_mut()).unwrap(), Message::Pong);
 
         // One closes: the daemon serves newcomers again.
         held.pop();
         wait_for("a freed slot to serve a new connection", || {
             let mut c = net.connect("capped").unwrap();
-            matches!(call(c.as_mut(), &Message::Ping, TIMEOUT), Ok(Message::Pong))
+            matches!(ping(c.as_mut()), Ok(Message::Pong))
         });
 
         let snap = metrics.snapshot("test");
@@ -332,18 +352,10 @@ mod tests {
         let mut daemon = Daemon::new(Arc::new(net.clone()));
         let (in_handler, in_worker) = (Arc::clone(&alive), Arc::clone(&alive));
         daemon
-            .serve(
-                net.listen("d").unwrap(),
-                4,
-                &metrics,
-                "test",
-                move |mut conn| {
-                    let _held = &in_handler;
-                    while let Ok(Message::Ping) = conn.recv() {
-                        let _ = conn.send(&Message::Pong);
-                    }
-                },
-            )
+            .serve(net.listen("d").unwrap(), 4, KEEP_ALIVE, &metrics, "test", move |_| {
+                let _held = &in_handler;
+                (Message::Pong, || {})
+            })
             .unwrap();
         daemon
             .every("slow", Duration::from_secs(60), move || {
@@ -353,10 +365,7 @@ mod tests {
         // A connection that comes and goes: its thread must be gone too.
         {
             let mut c = net.connect("d").unwrap();
-            assert_eq!(
-                call(c.as_mut(), &Message::Ping, TIMEOUT).unwrap(),
-                Message::Pong
-            );
+            assert_eq!(ping(c.as_mut()).unwrap(), Message::Pong);
         }
         assert_eq!(Arc::strong_count(&alive), 3);
 
@@ -374,5 +383,51 @@ mod tests {
         // The accept thread took its listener with it.
         assert!(net.listen("d").is_ok(), "listener still bound after stop()");
         daemon.stop(); // idempotent
+    }
+
+    /// An idle connection gives its slot back after the keep-alive time:
+    /// with a cap of one, a newcomer is shed while the holder is active
+    /// and served once the holder has gone quiet. The holder then finds
+    /// its connection closed — the failure a client answers by dialling
+    /// again — and a fresh dial is served.
+    #[test]
+    fn an_idle_connection_frees_its_slot_after_the_keep_alive_time() {
+        let net = ChannelNetwork::new();
+        let metrics = MetricsRegistry::new();
+        let mut daemon = ping_daemon(&net, "idle", 1, Duration::from_millis(50), &metrics);
+
+        let mut holder = net.connect("idle").unwrap();
+        assert_eq!(ping(holder.as_mut()).unwrap(), Message::Pong);
+        let mut shed = net.connect("idle").unwrap();
+        assert!(matches!(shed.recv_timeout(TIMEOUT).unwrap(), Message::Error { .. }));
+
+        let fresh_dial_served = || {
+            let mut c = net.connect("idle").unwrap();
+            matches!(ping(c.as_mut()), Ok(Message::Pong))
+        };
+        // The holder never hangs up; only its silence frees the slot.
+        wait_for("the idle holder's slot to serve a newcomer", fresh_dial_served);
+        match ping(holder.as_mut()) {
+            Err(NetSolveError::Transport(_)) => {}
+            other => panic!("expected the kept connection to be closed, got {other:?}"),
+        }
+        wait_for("the holder's fresh dial to be served", fresh_dial_served);
+        daemon.stop();
+    }
+
+    /// A stopped daemon answers nothing on a connection it still holds:
+    /// the message is read and the connection dropped without a reply.
+    #[test]
+    fn a_stopped_daemon_goes_silent_on_its_kept_connections() {
+        let net = ChannelNetwork::new();
+        let metrics = MetricsRegistry::new();
+        let mut daemon = ping_daemon(&net, "zombie", 4, KEEP_ALIVE, &metrics);
+        let mut kept = net.connect("zombie").unwrap();
+        assert_eq!(ping(kept.as_mut()).unwrap(), Message::Pong);
+        daemon.stop();
+        match ping(kept.as_mut()) {
+            Err(NetSolveError::Transport(_)) => {}
+            other => panic!("a stopped daemon answered: {other:?}"),
+        }
     }
 }

@@ -29,7 +29,7 @@ pub mod transport;
 
 pub use channel::ChannelNetwork;
 pub use chaos::{ChaosPolicy, ChaosStats, ChaosTransport};
-pub use daemon::{Daemon, StopSignal};
+pub use daemon::{Daemon, StopSignal, KEEP_ALIVE};
 pub use link::LinkModel;
 pub use metrics::NetworkView;
 pub use tcp::TcpTransport;

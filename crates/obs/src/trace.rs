@@ -298,9 +298,18 @@ struct TraceInner {
     capacity: usize,
     slow_threshold: Duration,
     by_request: HashMap<u64, u128, IdHashBuilder>,
+    /// The last [`SEEN_REQUEST_WINDOW`] registered request ids, oldest
+    /// first in `seen_order`.
     seen_requests: HashSet<u64, IdHashBuilder>,
+    seen_order: VecDeque<u64>,
     collisions: u64,
 }
+
+/// How many recent request ids a tracer checks a new one against. Ids that
+/// collide come from clients minting at the same time, so a window finds
+/// them, and a client that runs for days holds a fixed amount of memory
+/// instead of every id it ever minted.
+const SEEN_REQUEST_WINDOW: usize = 4096;
 
 impl TraceInner {
     fn evict_trace(&mut self, id: u128) {
@@ -432,6 +441,7 @@ impl Tracer {
                 slow_threshold: DEFAULT_SLOW_THRESHOLD,
                 by_request: HashMap::default(),
                 seen_requests: HashSet::default(),
+                seen_order: VecDeque::new(),
                 collisions: 0,
             }),
         }
@@ -602,15 +612,19 @@ impl Tracer {
     }
 
     /// Register a freshly minted request id. Returns `false` (and counts
-    /// a collision) if any client sharing this tracer already used it.
+    /// a collision) if a client sharing this tracer used it recently.
     pub fn register_request(&self, request_id: u64) -> bool {
         let mut inner = self.inner.lock();
-        if inner.seen_requests.insert(request_id) {
-            true
-        } else {
+        if !inner.seen_requests.insert(request_id) {
             inner.collisions += 1;
-            false
+            return false;
         }
+        inner.seen_order.push_back(request_id);
+        if inner.seen_order.len() > SEEN_REQUEST_WINDOW {
+            let oldest = inner.seen_order.pop_front().expect("just checked non-empty");
+            inner.seen_requests.remove(&oldest);
+        }
+        true
     }
 
     /// How many request-id collisions [`Tracer::register_request`] saw.
@@ -768,6 +782,13 @@ mod tests {
         assert_eq!(t.collisions(), 0);
         assert!(!t.register_request(1));
         assert_eq!(t.collisions(), 1);
+        // Only a window of recent ids is held, however many are minted.
+        for id in 3..3 + 2 * SEEN_REQUEST_WINDOW as u64 {
+            assert!(t.register_request(id));
+        }
+        let inner = t.inner.lock();
+        assert_eq!(inner.seen_requests.len(), SEEN_REQUEST_WINDOW);
+        assert_eq!(inner.seen_order.len(), SEEN_REQUEST_WINDOW);
     }
 
     #[test]

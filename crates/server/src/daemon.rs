@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use netsolve_core::config::{TelemetryPolicy, WorkloadPolicy};
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_net::{call, call_once, Connection, Daemon, Transport};
+use netsolve_net::{call_once, Daemon, Transport, KEEP_ALIVE};
 use netsolve_obs::MetricsRegistry;
 use netsolve_proto::{Message, ServerDescriptor};
 
@@ -149,9 +149,8 @@ impl ServerDaemon {
 
         {
             let telemetry = Arc::clone(&telemetry);
-            daemon.serve(listener, config.max_connections, &metrics, "server", move |conn| {
-                serve_connection(conn, &core, &telemetry)
-            })?;
+            let serve = move |msg: &Message| answer(msg, &core, &telemetry);
+            daemon.serve(listener, config.max_connections, KEEP_ALIVE, &metrics, "server", serve)?;
         }
 
         // Workload reporter: threshold-suppressed. It measures at a tenth
@@ -165,7 +164,6 @@ impl ServerDaemon {
             let tick =
                 Duration::from_secs_f64((policy.report_interval_secs / 10.0).clamp(0.005, 1.0));
             let mut last_sent: Option<f64> = None;
-            let mut conn: Option<Box<dyn Connection>> = None;
             let mut since_report = Duration::ZERO;
             daemon.every("server-workload", tick, move || {
                 since_report += tick;
@@ -174,19 +172,13 @@ impl ServerDaemon {
                 if !(due && policy.should_report(last_sent, workload)) {
                     return;
                 }
-                if conn.is_none() {
-                    conn = transport.connect(&agent_address).ok();
-                }
-                if let Some(c) = conn.as_mut() {
-                    let msg = Message::WorkloadReport {
-                        server_id,
-                        workload,
-                    };
-                    if call(c.as_mut(), &msg, Duration::from_secs(5)).is_ok() {
-                        last_sent = Some(workload);
-                    } else {
-                        conn = None; // reconnect next time
-                    }
+                // One dial per report: reports are a report interval
+                // apart at the least, and the agent closes a connection
+                // that stays silent for its keep-alive time.
+                let msg = Message::WorkloadReport { server_id, workload };
+                let timeout = Duration::from_secs(5);
+                if call_once(transport.as_ref(), &agent_address, &msg, timeout).is_ok() {
+                    last_sent = Some(workload);
                 }
                 since_report = Duration::ZERO;
             })?;
@@ -238,54 +230,47 @@ impl ServerDaemon {
     }
 }
 
-fn serve_connection(
-    mut conn: Box<dyn Connection>,
+/// The reply to one message, and what to record once it is on the wire.
+fn answer(
+    msg: &Message,
     core: &ServerCore,
     telemetry: &ServerTelemetry,
-) {
-    let metrics = core.metrics();
-    let tracer = core.tracer();
-    // Traceless: no request context exists yet at accept time (stitching
-    // skips trace 0).
-    tracer.point(netsolve_obs::SpanContext::NONE, "server", "accept", String::new());
-    loop {
-        let msg = match conn.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        // Decode happened inside `conn.recv()` (the transport owns the
-        // frame parse), so the queue span the core records starts here, at
-        // wire arrival.
-        let received_at = Instant::now();
-        // Fleet telemetry is daemon state (the windowed series lives
-        // beside the sampler thread, not in the core), so the daemon
-        // answers `FleetStatsQuery` itself. A server knows only its own
-        // digest; agents aggregate the fleet. Everything else is the
-        // core's, which hands back a span context exactly for requests.
-        // (`msg` is matched by reference: a request's operands are freed
-        // after its reply is on the wire, not in front of it.)
-        let (reply, request_ctx) = match &msg {
-            Message::FleetStatsQuery if telemetry.enabled => {
-                (Message::FleetStatsReply { digests: vec![telemetry.digest()] }, None)
-            }
-            Message::FleetStatsQuery => {
-                let off = NetSolveError::Protocol("fleet stats disabled on this server".into());
-                (Message::from_error(&off), None)
-            }
-            msg => core.handle_message_at(msg, received_at),
-        };
-        let send_start = Instant::now();
-        let encode_timer = tracer.start();
-        if conn.send(&reply).is_err() {
-            return;
+) -> (Message, impl FnOnce()) {
+    // Decode happened inside the connection's `recv` (the transport owns
+    // the frame parse), so the queue span the core records starts here, at
+    // wire arrival.
+    let received_at = Instant::now();
+    // Fleet telemetry is daemon state (the windowed series lives beside
+    // the sampler thread, not in the core), so the daemon answers
+    // `FleetStatsQuery` itself. A server knows only its own digest; agents
+    // aggregate the fleet. Everything else is the core's, which hands back
+    // a span context exactly for requests. (`msg` is borrowed: a request's
+    // operands are freed after its reply is on the wire, not in front of
+    // it.)
+    let (reply, request_ctx) = match msg {
+        Message::FleetStatsQuery if telemetry.enabled => {
+            (Message::FleetStatsReply { digests: vec![telemetry.digest()] }, None)
         }
-        if let Some(ctx) = request_ctx {
-            tracer.record(ctx, encode_timer, "server", "encode", String::new());
+        Message::FleetStatsQuery => {
+            let off = NetSolveError::Protocol("fleet stats disabled on this server".into());
+            (Message::from_error(&off), None)
+        }
+        msg => core.handle_message_at(msg, received_at),
+    };
+    // The `encode` span and `server.reply_marshal_secs` cover the send.
+    let encode = request_ctx.map(|ctx| {
+        let tracer = core.tracer();
+        (ctx, tracer.start(), tracer, core.metrics(), Instant::now())
+    });
+    let sent = move || {
+        if let Some((ctx, timer, tracer, metrics, send_start)) = encode {
+            tracer.record(ctx, timer, "server", "encode", String::new());
             metrics
                 .histogram("server.reply_marshal_secs")
                 .record_secs(send_start.elapsed().as_secs_f64());
         }
-    }
+    };
+    (reply, sent)
 }
 
 #[cfg(test)]
@@ -294,7 +279,7 @@ mod tests {
     use netsolve_agent::{AgentCore, AgentDaemon};
     use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
     use netsolve_core::matrix::Matrix;
-    use netsolve_net::ChannelNetwork;
+    use netsolve_net::{call, ChannelNetwork};
     use netsolve_proto::QueryShape;
 
     fn bring_up() -> (ChannelNetwork, AgentDaemon, ServerDaemon) {

@@ -45,7 +45,7 @@ sys.exit(0 if ok else 1)
 ' "$@" || { echo "benchmark run $*: wrong reply, failed call or metric over its ceiling"; exit 1; }
 }
 bench_run solve_dgesv solvers.backward_err_max 1e-10 # 2 MiB request, compute-bound
-bench_run tiny_call                                  # ~100-byte frames: one read window
+bench_run tiny_call net.dials_per_call 0.1           # ~100-byte frames: one read window; a steady client dials nothing
 bench_run bulk_reply                                 # 2 MiB reply: a client-side read 32 windows long
 
 # One way to boot a live trio. Every daemon a smoke starts lands in PIDS;

@@ -289,7 +289,8 @@ fn federated_agents_share_servers() {
 /// Regression: a server restarted on its fixed address used to become a
 /// second row at the agent (a new id per `RegisterServer`). The restart
 /// must replace the row — the roster shows the address once, with the new
-/// registration's rating — and calls keep landing on it.
+/// registration's rating — and calls keep landing on it: on the restarted
+/// daemon, not on the stopped one whose connection the client still holds.
 #[test]
 fn restarted_server_keeps_one_row_at_the_agent() {
     use netsolve::agent::{AgentCore, AgentDaemon};
@@ -326,8 +327,63 @@ fn restarted_server_keeps_one_row_at_the_agent() {
     let (out, report) = client.netsl_timed("ddot", &ddot).unwrap();
     assert_eq!(out[0].as_double().unwrap(), 32.0);
     assert_eq!((report.server_address.as_str(), report.attempts), ("srv-a", 1));
+    // A stopped daemon answers nothing, kept connection or not.
+    assert_eq!((first.requests_served(), second.requests_served()), (1, 1));
 
     second.stop();
+    agent.stop();
+}
+
+/// A steady client dials a server once: 200 calls over loopback TCP reach
+/// the server's listener a single time, on the connection its first call
+/// opened, and every answer is right. A farm's burst opens what it needs
+/// and keeps no more than the per-address bound afterwards.
+#[test]
+fn a_steady_client_keeps_its_server_connection() {
+    use netsolve::agent::{AgentCore, AgentDaemon};
+    use netsolve::client::NetSolveClient;
+    use netsolve::core::config::{AgentConfig, TelemetryPolicy};
+    use netsolve::net::{NetworkView, TcpTransport, Transport};
+    use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
+
+    let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+    // No digest scrapes: the client is the only one dialling the server.
+    let quiet = AgentConfig {
+        telemetry: TelemetryPolicy { digests: false, ..TelemetryPolicy::default() },
+        ..AgentConfig::default()
+    };
+    let core = AgentCore::new(quiet, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
+    let mut agent = AgentDaemon::start(Arc::clone(&transport), "127.0.0.1:0", core).unwrap();
+    let core = ServerCore::with_standard_catalogue();
+    let server_metrics = core.metrics();
+    let mut server = ServerDaemon::start(
+        Arc::clone(&transport),
+        agent.address(),
+        core,
+        ServerConfig::quick("tcp-host", "127.0.0.1:0", 100.0),
+    )
+    .unwrap();
+    let client = Arc::new(NetSolveClient::new(Arc::clone(&transport), agent.address()));
+
+    for i in 0..200 {
+        let x = vec![i as f64, 1.0, 2.0];
+        let out = client.netsl("ddot", &[x.into(), vec![1.0, 1.0, 1.0].into()]).unwrap();
+        assert_eq!(out[0].as_double().unwrap(), i as f64 + 3.0);
+    }
+    assert_eq!(server_metrics.counter("server.accepts").get(), 1);
+    assert_eq!(server.requests_served(), 200);
+    let stats = client.metrics().snapshot("client");
+    assert_eq!((stats.counter("client.dials"), stats.counter("client.conn_reused")), (1, 199));
+    assert_eq!(client.idle_connections(), 1);
+
+    let sets = (0..8).map(|i| vec![vec![i as f64, 4.0].into(), vec![1.0, 1.0].into()]).collect();
+    for (i, out) in client.netsl_farm("ddot", sets).into_iter().enumerate() {
+        assert_eq!(out.unwrap()[0].as_double().unwrap(), i as f64 + 4.0);
+    }
+    let kept = client.idle_connections();
+    assert!((1..=NetSolveClient::MAX_IDLE_PER_ADDRESS).contains(&kept), "kept {kept}");
+
+    server.stop();
     agent.stop();
 }
 

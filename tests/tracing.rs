@@ -162,22 +162,26 @@ fn retried_attempts_are_distinct_spans_under_one_trace() {
             .with_metrics(&metrics)
             .with_tracer(Arc::clone(&tracer)),
     );
-    let client = NetSolveClient::new(chaos, "agent")
-        .with_retry(RetryPolicy {
-            max_attempts: 6,
-            attempt_timeout_secs: 5.0,
-            backoff: Backoff::Fixed { delay_secs: 0.002 },
-            deadline_secs: 0.0,
-            report_failures: true,
-        })
-        .with_observability(Arc::clone(&metrics), Arc::clone(&tracer));
+    // A client per call: one that stays dials each address once and then
+    // keeps the connection, and it is the dial that chaos refuses here.
+    let fresh_client = || {
+        NetSolveClient::new(Arc::clone(&chaos), "agent")
+            .with_retry(RetryPolicy {
+                max_attempts: 6,
+                attempt_timeout_secs: 5.0,
+                backoff: Backoff::Fixed { delay_secs: 0.002 },
+                deadline_secs: 0.0,
+                report_failures: true,
+            })
+            .with_observability(Arc::clone(&metrics), Arc::clone(&tracer))
+    };
 
     // The seeded chaos stream is deterministic; hunt for the first call
     // that needed a retry and still succeeded, then freeze its trace.
     let mut survivor = None;
     for _ in 0..60 {
         if let Ok((_, report)) =
-            client.netsl_timed("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()])
+            fresh_client().netsl_timed("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()])
         {
             if report.attempts >= 2 {
                 survivor = Some(report);
