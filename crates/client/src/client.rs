@@ -18,7 +18,7 @@ use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
-use netsolve_net::{call_once, Connection, Transport, KEEP_ALIVE};
+use netsolve_net::{call, call_once, Connection, Transport};
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
@@ -79,53 +79,7 @@ struct AgentRoster {
     addresses: Vec<String>,
     ranked: bool,
     current: usize,
-    link: Option<AgentLink>,
-}
-
-/// The kept agent connection and how many replies it still owes: a report
-/// is sent without waiting for its ack, so the ack is read ahead of the
-/// next reply. The two live and die together — a new connection owes
-/// nothing.
-struct AgentLink {
-    conn: Box<dyn Connection>,
-    owed_acks: u32,
-    used_at: Instant,
-}
-
-impl AgentLink {
-    fn new(conn: Box<dyn Connection>) -> AgentLink {
-        AgentLink { conn, owed_acks: 0, used_at: Instant::now() }
-    }
-
-    /// Whether the agent may be about to close the connection for silence
-    /// ([`KEEP_ALIVE`]). A report's loss would go unnoticed — nothing
-    /// waits for its ack — so after a solve longer than this the report
-    /// goes out on a fresh dial instead.
-    fn stale(&self) -> bool {
-        self.used_at.elapsed() >= KEEP_ALIVE / 2
-    }
-
-    /// Send `msg`. With `await_reply`, read the acks owed for earlier
-    /// reports and then its reply; without, count one more ack owed. The
-    /// agent answers one connection in order, so a report is applied
-    /// before any request sent after it.
-    fn exchange(
-        &mut self,
-        msg: &Message,
-        await_reply: bool,
-        timeout: Duration,
-    ) -> Result<Option<Message>> {
-        self.conn.send(msg)?;
-        self.used_at = Instant::now();
-        if !await_reply {
-            self.owed_acks += 1;
-            return Ok(None);
-        }
-        for _ in 0..std::mem::take(&mut self.owed_acks) {
-            self.conn.recv_timeout(timeout)?;
-        }
-        self.conn.recv_timeout(timeout).map(Some)
-    }
+    conn: Option<Box<dyn Connection>>,
 }
 
 /// Whether `e`, met on a kept connection before any reply arrived, means
@@ -249,7 +203,7 @@ impl NetSolveClient {
                 addresses: agents.to_vec(),
                 ranked: false,
                 current: 0,
-                link: None,
+                conn: None,
             }),
             idle: Mutex::new(Vec::new()),
             client_host: 0,
@@ -348,6 +302,19 @@ impl NetSolveClient {
         drop(evicted);
     }
 
+    /// Close every idle connection kept to `address`, after the lock is
+    /// released.
+    fn forget_idle(&self, address: &str) {
+        let closed: Vec<_> = {
+            let mut idle = self.idle.lock();
+            let (closed, kept) =
+                std::mem::take(&mut *idle).into_iter().partition(|(to, _)| to == address);
+            *idle = kept;
+            closed
+        };
+        drop(closed);
+    }
+
     /// Run `work` inside a fresh `client` × `phase` span recorded under
     /// `scope`; `work` gets the scope its own children nest under. The
     /// span's detail is what `detail` says about the result, or `err=…`.
@@ -431,32 +398,23 @@ impl NetSolveClient {
         self.tracer.point(SpanContext::NONE, "client", "agent_rank", order);
     }
 
-    /// The agent ring: send `msg` to the preferred agent and, with
-    /// `await_reply`, return its reply (without, `None` once it is sent).
-    /// The kept connection is redialled once if it died; after two
+    /// The agent ring: send `msg` to the preferred agent and return its
+    /// reply. The kept connection is redialled once if it died; after two
     /// transport-level failures against one agent the request moves to
     /// the next in ranked order — counted, traced under `scope` so a hop
     /// made for a live call shows in its stitched timeline, and paced like
     /// a server failover — until the roster is exhausted or the budget is
     /// spent. The agent that answers becomes the preferred one.
-    fn agent_exchange(
-        &self,
-        msg: &Message,
-        await_reply: bool,
-        scope: Scope,
-    ) -> Result<Option<Message>> {
+    fn agent_call(&self, msg: &Message, scope: Scope) -> Result<Message> {
         let mut roster = self.agents.lock();
         self.ensure_ranked(&mut roster, scope.budget);
-        if roster.link.as_ref().is_some_and(AgentLink::stale) {
-            roster.link = None;
-        }
         let (agents, first) = (roster.addresses.len(), roster.current);
         let mut last_err = NetSolveError::ServerUnreachable("no agent tried yet".into());
         for hop in 0..agents {
             let idx = (first + hop) % agents;
             if hop > 0 {
                 // Moving on means abandoning the kept connection.
-                roster.link = None;
+                roster.conn = None;
                 self.metrics.counter("client.agent_failovers").inc();
                 let hop_detail = format!("to={} after err={last_err}", roster.addresses[idx]);
                 self.tracer.point(scope.ctx, "client", "agent_failover", hop_detail);
@@ -467,36 +425,29 @@ impl NetSolveClient {
                     let progress = format!("at agent {}: {last_err}", roster.addresses[idx]);
                     return Err(self.exhausted(scope, progress));
                 }
-                if roster.link.is_none() {
+                if roster.conn.is_none() {
                     match self.transport.connect(&roster.addresses[idx]) {
-                        Ok(conn) => roster.link = Some(AgentLink::new(conn)),
+                        Ok(conn) => roster.conn = Some(conn),
                         Err(e) => {
                             last_err = e;
                             break;
                         }
                     }
                 }
-                let link = roster.link.as_mut().expect("dialled just above");
-                let timeout = scope.budget.clamp(self.attempt_timeout());
-                match link.exchange(msg, await_reply, timeout) {
+                let conn = roster.conn.as_mut().expect("dialled just above");
+                match call(conn.as_mut(), msg, scope.budget.clamp(self.attempt_timeout())) {
                     Ok(reply) => {
                         roster.current = idx;
                         return Ok(reply);
                     }
                     Err(e) => {
-                        roster.link = None;
+                        roster.conn = None;
                         last_err = e;
                     }
                 }
             }
         }
         Err(last_err)
-    }
-
-    /// An agent request and its reply.
-    fn agent_call(&self, msg: &Message, scope: Scope) -> Result<Message> {
-        let reply = self.agent_exchange(msg, true, scope)?;
-        Ok(reply.expect("an awaited exchange returns the reply"))
     }
 
     /// Names of every problem the domain offers.
@@ -727,17 +678,22 @@ impl NetSolveClient {
         let start = Instant::now();
         let exchange = |scope: Scope| {
             let ctx = scope.ctx;
-            let msg = Message::RequestSubmit {
-                request_id: ctx.request_id,
-                deadline_ms: scope.budget.wire_ms(),
-                problem: call.problem.to_string(),
-                inputs: call.inputs.to_vec(),
-                trace_id: ctx.trace_id,
-                parent_span: ctx.parent_span,
-            };
-            let timeout = scope.budget.clamp(self.attempt_timeout());
+            // What is left of this try and of the call: a kept connection
+            // may fail late (its server died mid-solve), and the redial
+            // gets the rest, not a second full timeout.
+            let left =
+                || scope.budget.clamp(self.attempt_timeout().saturating_sub(start.elapsed()));
             let mut fresh = false;
             let (conn, reply) = loop {
+                let timeout = left();
+                let msg = Message::RequestSubmit {
+                    request_id: ctx.request_id,
+                    deadline_ms: scope.budget.wire_ms(),
+                    problem: call.problem.to_string(),
+                    inputs: call.inputs.to_vec(),
+                    trace_id: ctx.trace_id,
+                    parent_span: ctx.parent_span,
+                };
                 let (mut conn, reused) = self.connection(scope, &candidate.address, fresh)?;
                 let reply = self
                     .span(scope, "marshal", |_| conn.send(&msg), no_detail)
@@ -747,9 +703,12 @@ impl NetSolveClient {
                 match reply {
                     Ok(reply) => break (conn, reply),
                     // A kept connection the server had closed says nothing
-                    // about the server: this try goes on over a fresh dial.
-                    Err(e) if reused && hung_up(&e) => {
+                    // about the server: this try goes on over a fresh dial,
+                    // and whatever else was kept to that address — closed
+                    // by the same restart or the same silence — goes too.
+                    Err(e) if reused && hung_up(&e) && !left().is_zero() => {
                         self.metrics.counter("client.conn_redials").inc();
+                        self.forget_idle(&candidate.address);
                         fresh = true;
                     }
                     Err(e) => return Err(e),
@@ -793,12 +752,10 @@ impl NetSolveClient {
     }
 
     /// Stage: tell the agent how the try went, best effort and inside the
-    /// `report` span, which covers the send only: the agent's ack is read
-    /// ahead of the next agent reply ([`AgentLink`]). A completion clears
-    /// the agent's pending-assignment and fault state for the server; a
-    /// failure feeds its fault record. A report that cannot be sent within
-    /// the budget is skipped — it must never turn a received answer into
-    /// an error.
+    /// `report` span. A completion clears the agent's pending-assignment
+    /// and fault state for the server; a failure feeds its fault record. A
+    /// report that cannot be sent within the budget is skipped — it must
+    /// never turn a received answer into an error.
     fn report(
         &self,
         call: &Call<'_>,
@@ -838,7 +795,7 @@ impl NetSolveClient {
         }
         // Under the call's scope, so an agent failover provoked by the
         // report leg itself still lands in this request's trace.
-        let send = |scope| self.agent_exchange(&msg, false, scope);
+        let send = |scope| self.agent_call(&msg, scope);
         let _ = self.span(call.scope, "report", send, |_| which.to_string());
     }
 }
@@ -1580,35 +1537,6 @@ mod tests {
         assert_eq!(snap.counter("client.deadline_exhausted"), 0);
     }
 
-    /// The report is not waited for: its ack is still owed when the call
-    /// returns, is read ahead of the next agent reply, and an agent
-    /// connection left unused for half the keep-alive time — a long solve
-    /// — is not trusted to carry the next message.
-    #[test]
-    fn the_reports_ack_is_read_ahead_of_the_next_agent_reply() {
-        let net = ChannelNetwork::new();
-        let agent_accepts = stub_agent(&net, "agent", &["srv"]);
-        stub_server(&net, "srv", |id| answer(id, false));
-        let client = NetSolveClient::new(Arc::new(net.clone()), "agent");
-        let owed = |client: &NetSolveClient| {
-            client.agents.lock().link.as_ref().map(|link| link.owed_acks)
-        };
-        let good = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
-
-        client.netsl("ddot", &good).unwrap();
-        assert_eq!(owed(&client), Some(1), "the completion report's ack");
-        // Were the ack not drained first, `rank` would read a `Pong`.
-        client.netsl("ddot", &good).unwrap();
-        assert_eq!(owed(&client), Some(1));
-        assert!(client.list_problems().is_err(), "the stub answers Pong: a Protocol error");
-        assert_eq!(owed(&client), Some(0), "drained ahead of that reply");
-        assert_eq!(agent_accepts.load(Ordering::Relaxed), 1);
-
-        client.agents.lock().link.as_mut().unwrap().used_at -= KEEP_ALIVE / 2;
-        client.netsl("ddot", &good).unwrap();
-        assert_eq!(agent_accepts.load(Ordering::Relaxed), 2, "a stale connection is redialled");
-    }
-
     /// What one call left behind.
     struct Seen {
         result: Result<(Vec<DataObject>, CallReport)>,
@@ -1664,18 +1592,32 @@ mod tests {
             answer(id, false)
         });
         accepts.insert("slow", slow);
-        // Answers one request per connection, then hangs up.
-        let closer = Arc::new(AtomicU64::new(0));
-        accepts.insert("closer", Arc::clone(&closer));
-        let listener = net.listen("closer").unwrap();
-        std::thread::spawn(move || {
-            while let Ok(mut conn) = listener.accept() {
-                closer.fetch_add(1, Ordering::Relaxed);
-                if let Ok(Message::RequestSubmit { request_id, .. }) = conn.recv() {
-                    let _ = conn.send(&answer(request_id, false));
+        // Answers one request per connection and hangs up — `closer` right
+        // after the reply, `swallower` once it has read a second request,
+        // which is lost the way a frame that fails its CRC is. `laggard`
+        // takes 300 ms over hanging up, and over every reply but its first.
+        for (address, swallows, lag_ms) in
+            [("closer", false, 0), ("swallower", true, 0), ("laggard", true, 300)]
+        {
+            let accepted = Arc::new(AtomicU64::new(0));
+            accepts.insert(address, Arc::clone(&accepted));
+            let listener = net.listen(address).unwrap();
+            std::thread::spawn(move || {
+                while let Ok(mut conn) = listener.accept() {
+                    let lag = Duration::from_millis(lag_ms);
+                    let first = accepted.fetch_add(1, Ordering::Relaxed) == 0;
+                    std::thread::spawn(move || {
+                        if let Ok(Message::RequestSubmit { request_id, .. }) = conn.recv() {
+                            std::thread::sleep(if first { Duration::ZERO } else { lag });
+                            let _ = conn.send(&answer(request_id, false));
+                        }
+                        if swallows && conn.recv().is_ok() {
+                            std::thread::sleep(lag);
+                        }
+                    });
                 }
-            }
-        });
+            });
+        }
 
         let good = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
         let bad = [DataObject::Int(3)];
@@ -1735,6 +1677,15 @@ mod tests {
         // each row's call is the second on a client whose first kept one.
         row("kept connection", &["agent"], &["kept"], plain, "ddot", &good, &warm);
         row("kept connection closed", &["agent"], &["closer"], plain, "ddot", &good, &warm);
+        row("request lost", &["agent"], &["swallower"], plain, "ddot", &good, &|client| {
+            // Two more kept connections beside the one the warm call uses.
+            for _ in 0..2 {
+                client.keep_idle("swallower", client.transport.connect("swallower").unwrap());
+            }
+            warm(client);
+        });
+        let once = RetryPolicy { attempt_timeout_secs: 0.4, ..policy(1, Backoff::None, 0.0) };
+        row("kept connection lost late", &["agent"], &["laggard"], once, "ddot", &good, &warm);
         let hasty = RetryPolicy { attempt_timeout_secs: 0.05, ..plain };
         row("late reply", &["agent"], &["slow"], hasty, "ddot", &good, &nothing);
         row("request id collision", &["agent"], &["ok"], plain, "ddot", &good, &|client| {
@@ -1872,6 +1823,26 @@ mod tests {
         assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
         assert_eq!((seen.stats.counter("client.dials"), seen.accepts), (2, 2));
         assert_eq!(seen.count("attempt_failed"), 0);
+
+        // The kept connection took the request and hung up without a
+        // reply: still one try and no failure report, and the other
+        // connections kept to that server go with it.
+        let seen = row("request lost");
+        assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!(seen.stats.counter("client.attempts"), 2, "the warm call's and this one's");
+        assert_eq!(seen.stats.counter("client.conn_redials"), 1);
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
+        assert_eq!((seen.count("attempt_failed"), seen.count("report")), (0, 2));
+        assert_eq!((seen.stats.counter("client.dials"), seen.accepts, seen.idle), (1, 3, 1));
+
+        // The kept connection hung up 300 ms into a 400 ms try: the redial
+        // waits for what is left of the try, not for a second 400 ms, so
+        // the reply that would have come at 600 ms is not waited for.
+        let seen = row("kept connection lost late");
+        assert!(matches!(seen.result, Err(Timeout(_))), "{:?}", seen.result);
+        assert_eq!(seen.stats.counter("client.conn_redials"), 1);
+        assert_eq!(seen.stats.counter("client.attempt_failures"), 1);
+        assert!(seen.elapsed < Duration::from_millis(550), "{:?}", seen.elapsed);
 
         // A try that timed out drops its connection, so the reply that
         // comes 100 ms late is never read: the second try dials, and gets

@@ -327,7 +327,7 @@ impl TraceInner {
     /// written to) until the span budget holds again.
     ///
     /// The traceless bucket (trace 0) gets no such protection — every
-    /// traceless span (heartbeats, accepts, chaos fault points) shares
+    /// traceless span (heartbeats, chaos fault points) shares
     /// it, so shielding it as the most-recently-written trace would let
     /// an idle daemon recording only heartbeats grow without bound.
     /// Instead it is trimmed as a ring: oldest spans dropped first,
@@ -588,7 +588,9 @@ impl Tracer {
             // flags freshness instead of a separate `contains_key`.
             let buf = inner.traces.entry(trace_id).or_insert_with(|| {
                 fresh = true;
-                TraceBuf { spans: Vec::with_capacity(8), pinned: false }
+                // Grown on demand: an agent's trace is one span and a
+                // server's three, and the ring holds a thousand of them.
+                TraceBuf { spans: Vec::new(), pinned: false }
             });
             buf.spans.push(span);
             was_pinned = buf.pinned;
