@@ -72,11 +72,13 @@ fn bench_frame_path(c: &mut Criterion) {
 
 fn bench_crc(c: &mut Criterion) {
     let mut group = c.benchmark_group("crc32");
-    let data = vec![0xA5u8; 1 << 20];
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("crc32_1MiB", |b| {
-        b.iter(|| netsolve_xdr::crc32(std::hint::black_box(&data)))
-    });
+    // A 2 MiB frame's scale and a small control frame's: the folding
+    // kernel's bulk rate, and what its set-up leaves of it at 128 bytes.
+    for (name, len) in [("crc32_1MiB", 1 << 20), ("crc32_128B", 128)] {
+        let data = vec![0xA5u8; len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| b.iter(|| netsolve_xdr::crc32(std::hint::black_box(&data))));
+    }
     group.finish();
 }
 

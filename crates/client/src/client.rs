@@ -405,7 +405,11 @@ impl NetSolveClient {
     /// made for a live call shows in its stitched timeline, and paced like
     /// a server failover — until the roster is exhausted or the budget is
     /// spent. The agent that answers becomes the preferred one.
-    fn agent_call(&self, msg: &Message, scope: Scope) -> Result<Message> {
+    ///
+    /// A spent budget ends the call, counted through [`Self::exhausted`],
+    /// only when the request is one of the call's own stages (`stage`);
+    /// the best-effort report leg just gives up with the last error.
+    fn agent_call(&self, msg: &Message, scope: Scope, stage: bool) -> Result<Message> {
         let mut roster = self.agents.lock();
         self.ensure_ranked(&mut roster, scope.budget);
         let (agents, first) = (roster.addresses.len(), roster.current);
@@ -422,6 +426,9 @@ impl NetSolveClient {
             }
             for _try in 0..2 {
                 if scope.budget.spent() {
+                    if !stage {
+                        return Err(last_err);
+                    }
                     let progress = format!("at agent {}: {last_err}", roster.addresses[idx]);
                     return Err(self.exhausted(scope, progress));
                 }
@@ -452,13 +459,13 @@ impl NetSolveClient {
 
     /// Names of every problem the domain offers.
     pub fn list_problems(&self) -> Result<Vec<String>> {
-        let reply = self.agent_call(&Message::ListProblems, Scope::NONE)?;
+        let reply = self.agent_call(&Message::ListProblems, Scope::NONE, true)?;
         expect_reply!(reply, Message::ProblemCatalogue { names } => names)
     }
 
     /// The agent's live server roster (operator tooling).
     pub fn list_servers(&self) -> Result<Vec<netsolve_proto::ServerInfo>> {
-        let reply = self.agent_call(&Message::ListServers, Scope::NONE)?;
+        let reply = self.agent_call(&Message::ListServers, Scope::NONE, true)?;
         expect_reply!(reply, Message::ServerInfoList { servers } => servers)
     }
 
@@ -473,7 +480,7 @@ impl NetSolveClient {
         }
         let query = Message::DescribeProblem { problem: problem.to_string() };
         let pdl = expect_reply!(
-            self.agent_call(&query, scope)?,
+            self.agent_call(&query, scope, true)?,
             Message::ProblemDescription { pdl } => pdl
         )?;
         let spec = netsolve_pdl::parse_one(&pdl)?;
@@ -500,7 +507,7 @@ impl NetSolveClient {
             parent_span: scope.ctx.parent_span,
         });
         expect_reply!(
-            self.agent_call(&query, scope)?,
+            self.agent_call(&query, scope, true)?,
             Message::ServerList { candidates } => candidates
         )
     }
@@ -795,7 +802,7 @@ impl NetSolveClient {
         }
         // Under the call's scope, so an agent failover provoked by the
         // report leg itself still lands in this request's trace.
-        let send = |scope| self.agent_call(&msg, scope);
+        let send = |scope| self.agent_call(&msg, scope, false);
         let _ = self.span(call.scope, "report", send, |_| which.to_string());
     }
 }
@@ -1411,8 +1418,10 @@ mod tests {
     }
 
     /// A stub agent that knows `ddot` and ranks `servers` in the order
-    /// given; returns its accept count.
+    /// given; returns its accept count. One whose address starts with
+    /// `stalling` never answers a completion report.
     fn stub_agent(net: &ChannelNetwork, address: &str, servers: &[&str]) -> Arc<AtomicU64> {
+        let stalls = address.starts_with("stalling");
         let registry = netsolve_pdl::ProblemRegistry::with_standard_catalogue();
         let pdl = netsolve_pdl::render(registry.get("ddot").unwrap());
         let candidates: Vec<Candidate> = servers
@@ -1433,6 +1442,7 @@ mod tests {
                     Message::from_error(&NetSolveError::ProblemNotFound(problem))
                 }
                 Message::ServerQuery(_) => Message::ServerList { candidates: candidates.clone() },
+                Message::CompletionReport { .. } if stalls => return None,
                 _ => Message::Pong,
             })
         })
@@ -1544,6 +1554,8 @@ mod tests {
         stats: netsolve_obs::StatsSnapshot,
         /// `client` span and point names, in recording order.
         phases: Vec<&'static str>,
+        /// Names of the spans that ended in an error (`err=…`).
+        failed: Vec<&'static str>,
         /// Server connections the client kept when the call was over.
         idle: usize,
         /// Connections the row's server stubs have accepted (rows that
@@ -1640,11 +1652,17 @@ mod tests {
             prepare(&client);
             let start = Instant::now();
             let result = client.netsl_timed(problem, inputs);
+            let spans = client.tracer().spans();
             let seen = Seen {
                 result,
                 elapsed: start.elapsed(),
                 stats: client.metrics().snapshot("client"),
-                phases: client.tracer().spans().iter().map(|s| s.phase).collect(),
+                phases: spans.iter().map(|s| s.phase).collect(),
+                failed: spans
+                    .iter()
+                    .filter(|s| s.detail.starts_with("err="))
+                    .map(|s| s.phase)
+                    .collect(),
                 idle: client.idle_connections(),
                 accepts: servers
                     .iter()
@@ -1672,6 +1690,8 @@ mod tests {
         row("attempts exhausted", &["agent"], &["nowhere"], plain, "ddot", &good, &nothing);
         let tight = policy(100, Backoff::Fixed { delay_secs: 0.05 }, 0.12);
         row("deadline exhausted", &["agent"], &["nowhere"], tight, "ddot", &good, &nothing);
+        let brief = policy(3, Backoff::None, 0.2);
+        row("report outlives the deadline", &["stalling"], &["ok"], brief, "ddot", &good, &nothing);
         row("cached reply", &["agent"], &["cache"], plain, "ddot", &good, &nothing);
         // The connection store (DESIGN.md §4p "connection lifecycle"):
         // each row's call is the second on a client whose first kept one.
@@ -1801,6 +1821,16 @@ mod tests {
         assert_eq!(seen.stats.counter("client.deadline_exhausted"), 1);
         assert_eq!((seen.count("deadline_exhausted"), seen.count("call_failed")), (1, 0));
         assert!(seen.elapsed < Duration::from_secs(1), "{:?}", seen.elapsed);
+
+        // The answer is in when the agent stalls on the report until the
+        // budget ends: the call is still answered, only the report span
+        // fails, and the deadline was not the call's to exhaust.
+        let seen = row("report outlives the deadline");
+        assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!(seen.stats.counter("client.deadline_exhausted"), 0);
+        assert_eq!(seen.count("deadline_exhausted"), 0);
+        assert_eq!(seen.failed, ["report"]);
+        assert!(seen.elapsed >= Duration::from_millis(200), "{:?}", seen.elapsed);
 
         let seen = row("cached reply");
         assert_eq!(attempts_of(seen), Some(1));

@@ -7,8 +7,8 @@
 //! bytes the wire would carry — so the key discriminates on solver and
 //! operand shape (kind tags and dimensions are part of the encoding),
 //! never on payload bytes alone. Hashing walks `netsolve_core`'s splitmix64
-//! mixing step over 8-byte words, run as two independently-seeded lanes
-//! for a 128-bit key.
+//! mixing step over 8-byte words, run as four interleaved pairs of
+//! independently-seeded lanes folded into a 128-bit key.
 //!
 //! Three outcomes per probe:
 //!
@@ -44,22 +44,33 @@ use std::sync::Condvar;
 /// (key, CRC, sequence number, map/queue slots).
 const ENTRY_OVERHEAD: usize = 64;
 
-/// 128-bit content hash: two splitmix64 lanes with distinct seeds walked
-/// over the bytes in 8-byte words, with the length folded in last so a
-/// zero-padded final word cannot alias a shorter input.
+/// 128-bit content hash: splitmix64 walked over the bytes in 8-byte
+/// words. Each 32-byte block feeds its four words to four lane pairs
+/// (`lo`, `hi`), each lane seeded apart, so the four multiply chains overlap
+/// instead of waiting on one another; the lanes are folded together at
+/// the end, and the length last, so a zero-padded final block cannot
+/// alias a shorter input.
 fn content_hash(bytes: &[u8]) -> u128 {
-    let mut lo = 0x243f_6a88_85a3_08d3u64;
-    let mut hi = 0x1319_8a2e_0370_7344u64;
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        let w = u64::from_le_bytes(word);
-        lo = splitmix64(lo ^ w);
-        hi = splitmix64(hi ^ w.rotate_left(32));
+    let mut lo: [u64; 4] = std::array::from_fn(|i| splitmix64(0x243f_6a88_85a3_08d3 ^ i as u64));
+    let mut hi: [u64; 4] = std::array::from_fn(|i| splitmix64(0x1319_8a2e_0370_7344 ^ i as u64));
+    let mut absorb = |block: &[u8; 32]| {
+        for (i, word) in block.as_chunks::<8>().0.iter().enumerate() {
+            let w = u64::from_le_bytes(*word);
+            lo[i] = splitmix64(lo[i] ^ w);
+            hi[i] = splitmix64(hi[i] ^ w.rotate_left(32));
+        }
+    };
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    blocks.iter().for_each(&mut absorb);
+    if !tail.is_empty() {
+        let mut last = [0u8; 32];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&last);
     }
+    let fold = |lanes: [u64; 4]| lanes[1..].iter().fold(lanes[0], |acc, &l| splitmix64(acc ^ l));
     let len = bytes.len() as u64;
-    lo = splitmix64(lo ^ len);
-    hi = splitmix64(hi ^ len.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let lo = splitmix64(fold(lo) ^ len);
+    let hi = splitmix64(fold(hi) ^ len.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     ((hi as u128) << 64) | lo as u128
 }
 
@@ -453,10 +464,10 @@ mod tests {
         assert_eq!(solve_key("dnrm2", &inputs), solve_key("dnrm2", &inputs.clone()));
     }
 
-    /// The key as computed before `splitmix64` moved to `netsolve_core`.
-    /// Keys only ever meet keys of the same running fleet, so a new value
-    /// here breaks nothing — but it should be a decision, not a side
-    /// effect of editing a shared mixing function.
+    /// The key since the hash went to four interleaved lane pairs — a
+    /// decision, taken for speed: keys never leave the process, so a new
+    /// value here breaks nothing, but it should never be the side effect
+    /// of editing a shared mixing function.
     #[test]
     fn solve_key_is_pinned() {
         let inputs = [
@@ -465,8 +476,24 @@ mod tests {
         ];
         assert_eq!(
             solve_key("dgesv", &inputs),
-            0x97f8_5404_2018_2104_e1dd_6fde_bc07_0ec1
+            0xfb18_41c2_dfda_c4d4_e8d2_32ac_f0ea_82ad
         );
+    }
+
+    /// Flipping any one byte of a 1 KiB operand changes the key, at every
+    /// offset: its 1,048-byte encoding is 32 full blocks, so every lane,
+    /// and a 24-byte tail block.
+    #[test]
+    fn every_byte_of_the_operand_reaches_the_key() {
+        let mut operand: Vec<f64> = (0..128).map(|i| i as f64 * 0.75 - 3.0).collect();
+        let key = |operand: &[f64]| solve_key("dgesv", &[DataObject::Vector(operand.to_vec())]);
+        let unflipped = key(&operand);
+        for at in 0..operand.len() * 8 {
+            let (word, shift) = (at / 8, at % 8 * 8);
+            operand[word] = f64::from_bits(operand[word].to_bits() ^ (0x10 << shift));
+            assert_ne!(key(&operand), unflipped, "flip at byte {at}");
+            operand[word] = f64::from_bits(operand[word].to_bits() ^ (0x10 << shift));
+        }
     }
 
     #[test]

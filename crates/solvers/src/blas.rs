@@ -281,7 +281,7 @@ pub fn dgemm_blocked(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 
 /// Multithreaded blocked GEMM: column panels of `C` are distributed over
 /// `threads` workers with crossbeam's scoped threads (no `'static` bound,
-/// no unsafe), each running [`gemm_update`] on its own panel. `threads == 0`
+/// safe code only), each running [`gemm_update`] on its own panel. `threads == 0`
 /// means "number of logical CPUs".
 pub fn dgemm_threaded(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> {
     check_gemm(a, b)?;

@@ -1,14 +1,29 @@
-//! CRC-32 (IEEE 802.3 polynomial), hand-rolled with const-evaluated
-//! lookup tables. Appended to every marshaled payload so corrupted frames
-//! are rejected at the protocol layer instead of producing garbage
-//! matrices.
+//! CRC-32 (IEEE 802.3 polynomial), hand-rolled. Appended to every
+//! marshaled payload so corrupted frames are rejected at the protocol
+//! layer instead of producing garbage matrices.
 //!
-//! The implementation uses the classic *slicing-by-8* technique: eight
-//! 256-entry tables let the hot loop fold 8 input bytes per iteration
-//! instead of one, which matters because the CRC pass sits directly on
-//! the wire hot path (it runs once per frame over the whole payload —
-//! incrementally during encode on the send side, as a verification scan
-//! on the receive side).
+//! The CRC pass sits directly on the wire hot path: it runs once per
+//! frame over the whole payload — incrementally during encode on the send
+//! side, as a verification scan on the receive side — and again over
+//! every solve-cache entry at insert and at serve. Two kernels compute
+//! the same value:
+//!
+//! * **Carry-less-multiply folding** (x86-64 with PCLMULQDQ and SSE4.1,
+//!   inputs of 64 bytes or more): four 128-bit accumulators
+//!   fold 64 input bytes per iteration, then fold into one, and a Barrett
+//!   reduction brings the 128-bit remainder down to the 32-bit CRC — the
+//!   scheme of Intel's "Fast CRC Computation for Generic Polynomials
+//!   Using PCLMULQDQ" for the bit-reflected polynomial, with its published
+//!   constants. The CPU is asked on every call (std caches the answer),
+//!   and the call into the kernel after that check is the workspace's
+//!   one block the compiler cannot prove sound (see [`update`]).
+//! * **Slicing-by-8** everywhere else — short inputs, the < 16-byte tail
+//!   the folding kernel leaves, and hosts without the instructions: eight
+//!   const-evaluated 256-entry tables fold 8 input bytes per iteration.
+
+/// Inputs shorter than this take the table path: the folding kernel
+/// needs four 16-byte lanes to start.
+const FOLD_MIN: usize = 64;
 
 /// Slicing-by-8 tables for the reflected polynomial 0xEDB88320,
 /// generated at compile time. `TABLES[0]` is the classic byte-at-a-time
@@ -55,6 +70,20 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// boundaries do not affect the result, so callers may split the input
 /// arbitrarily (the frame writer feeds it one encoded field at a time).
 pub fn update(state: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= FOLD_MIN
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `clmul::update` needs only PCLMULQDQ and SSE4.1, the two
+        // features this CPU was just found to have.
+        return unsafe { clmul::update(state, data) };
+    }
+    update_table(state, data)
+}
+
+/// The slicing-by-8 kernel: any length, any host.
+fn update_table(state: u32, data: &[u8]) -> u32 {
     let mut crc = state;
     let mut chunks = data.chunks_exact(8);
     for c in chunks.by_ref() {
@@ -75,6 +104,83 @@ pub fn update(state: u32, data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
+}
+
+/// The carry-less-multiply folding kernel. Every constant is a power of
+/// `x` modulo the polynomial, bit-reflected and shifted left by one, as
+/// published for the reflected IEEE polynomial (the Linux and Chromium
+/// kernels use the same values).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// x^(4·128+32) and x^(4·128−32) mod P: fold a lane 512 bits ahead.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128+32) and x^(128−32) mod P: fold a lane 128 bits ahead.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P: the 96 → 64-bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P itself and μ = ⌊x^64 / P⌋, for the Barrett reduction.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// [`super::update`] over `data` of at least `FOLD_MIN` bytes (a
+    /// shorter slice panics). Callable only once the CPU is known to have
+    /// PCLMULQDQ and SSE4.1.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(state: u32, data: &[u8]) -> u32 {
+        let (lanes, tail) = data.as_chunks::<16>();
+        let mut acc = [load(&lanes[0]), load(&lanes[1]), load(&lanes[2]), load(&lanes[3])];
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(state as i32));
+        let far = _mm_set_epi64x(K2, K1);
+        let mut blocks = lanes[4..].chunks_exact(4);
+        for block in blocks.by_ref() {
+            for (a, lane) in acc.iter_mut().zip(block) {
+                *a = fold(*a, load(lane), far);
+            }
+        }
+        let near = _mm_set_epi64x(K4, K3);
+        let mut x = acc[0];
+        for &a in &acc[1..] {
+            x = fold(x, a, near);
+        }
+        for lane in blocks.remainder() {
+            x = fold(x, load(lane), near);
+        }
+        super::update_table(reduce(x, near), tail)
+    }
+
+    /// One 16-byte lane, first byte in the low bits (the reflected order).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(lane: &[u8; 16]) -> __m128i {
+        let (halves, _) = lane.as_chunks::<8>();
+        _mm_set_epi64x(i64::from_le_bytes(halves[1]), i64::from_le_bytes(halves[0]))
+    }
+
+    /// Carry `a` forward by the distance `k` encodes and add `b`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(a: __m128i, b: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, k);
+        _mm_xor_si128(b, _mm_xor_si128(lo, hi))
+    }
+
+    /// 128-bit remainder → 64 → 32 bits: two folds, then Barrett.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn reduce(x: __m128i, near: __m128i) -> u32 {
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, near), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32
+    }
 }
 
 /// Streaming CRC-32 accumulator.
@@ -109,6 +215,12 @@ impl Default for Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Varied, non-periodic bytes.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32).map(|i| (i.wrapping_mul(167) ^ (i >> 5) ^ 0xA5) as u8).collect()
+    }
 
     #[test]
     fn known_vectors() {
@@ -116,6 +228,9 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        // Long enough for the folding kernel: 1 KiB of zeros and of 0xFF.
+        assert_eq!(crc32(&[0u8; 1024]), 0xEFB5_AF2E);
+        assert_eq!(crc32(&[0xFFu8; 1024]), 0xB83A_FFF4);
     }
 
     #[test]
@@ -140,9 +255,25 @@ mod tests {
             }
             crc ^ 0xFFFF_FFFF
         }
-        let data: Vec<u8> = (0..64u32).map(|i| (i.wrapping_mul(167) ^ 0xA5) as u8).collect();
+        let data = pattern(64);
         for len in 0..=data.len() {
-            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len={len}");
+            assert_eq!(update_table(!0, &data[..len]) ^ !0, reference(&data[..len]), "len={len}");
+        }
+    }
+
+    /// Whichever kernel `update` picks on this host agrees with the table
+    /// path on every length up to 1 KiB — each fold-by-4 count, each
+    /// fold-by-1 remainder and each tail — from 16 start offsets, so every
+    /// alignment of the 16-byte loads is covered.
+    #[test]
+    fn dispatched_path_matches_table_path() {
+        let data = pattern(1024 + 16);
+        for offset in 0..16 {
+            for len in 0..=1024 {
+                let slice = &data[offset..offset + len];
+                let state = 0x9E37_79B9 ^ len as u32;
+                assert_eq!(update(state, slice), update_table(state, slice), "{offset}+{len}");
+            }
         }
     }
 
@@ -152,5 +283,20 @@ mod tests {
         let before = crc32(&data);
         data[31] ^= 0x01;
         assert_ne!(before, crc32(&data));
+    }
+
+    proptest! {
+        /// Chunk boundaries never matter, on either side of the fast
+        /// path's threshold.
+        #[test]
+        fn split_updates_compose(
+            data in prop::collection::vec(any::<u8>(), 0..400),
+            cut in prop_oneof![0usize..400, FOLD_MIN - 8..FOLD_MIN + 8],
+            state in any::<u32>(),
+        ) {
+            let (a, b) = data.split_at(cut.min(data.len()));
+            prop_assert_eq!(update(update(state, a), b), update(state, &data));
+            prop_assert_eq!(update(state, &data), update_table(state, &data));
+        }
     }
 }

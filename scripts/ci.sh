@@ -47,6 +47,7 @@ sys.exit(0 if ok else 1)
 bench_run solve_dgesv solvers.backward_err_max 1e-10 # 2 MiB request, compute-bound
 bench_run tiny_call net.dials_per_call 0.1           # ~100-byte frames: one read window; a steady client dials nothing
 bench_run bulk_reply                                 # 2 MiB reply: a client-side read 32 windows long
+bench_run bulk_request proto.read_frame_us 1200      # 2 MiB request; 1.8-2.2 ms on CRC tables
 
 # One way to boot a live trio. Every daemon a smoke starts lands in PIDS;
 # stop_daemons ends a smoke, and the one EXIT trap runs it too, so a failed
