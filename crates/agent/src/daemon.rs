@@ -457,7 +457,7 @@ mod tests {
     use crate::balance::Policy;
     use crate::registry::standard_descriptor;
     use netsolve_core::config::CandidateCount;
-    use netsolve_net::{call, ChannelNetwork, NetworkView};
+    use netsolve_net::{call, ChannelNetwork, ChaosPolicy, ChaosTransport, NetworkView};
     use netsolve_proto::{Message, QueryShape};
     use std::time::Duration;
 
@@ -714,7 +714,8 @@ mod tests {
         use std::time::Instant;
 
         let net = ChannelNetwork::new();
-        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let chaos = Arc::new(ChaosTransport::new(Arc::new(net.clone()), ChaosPolicy::calm(), 0));
+        let transport: Arc<dyn Transport> = chaos.clone();
 
         // A bare Ping/Pong responder standing in for a server daemon.
         let listener = net.listen("srv1").unwrap();
@@ -778,14 +779,14 @@ mod tests {
 
         // Kill the server: within probe_interval x miss_threshold (plus
         // slack) the heartbeat must mark it down without any client report.
-        net.set_down("srv1");
+        chaos.kill("srv1");
         wait_for("heartbeat down-mark", &|| core_handle.lock().is_down(sid, clock.now()));
 
         // While down and cooling, the prober leaves it alone.
         assert!(core_handle.lock().probe_targets(clock.now()).is_empty());
 
         // Revive it: the half-open probe after the cooldown re-admits it.
-        net.set_up("srv1");
+        chaos.revive("srv1");
         wait_for("re-admission after recovery", &|| {
             let now = clock.now();
             let core = core_handle.lock();
@@ -1030,7 +1031,8 @@ mod tests {
         use std::collections::BTreeSet;
 
         let net = ChannelNetwork::new();
-        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let chaos = Arc::new(ChaosTransport::new(Arc::new(net.clone()), ChaosPolicy::calm(), 0));
+        let transport: Arc<dyn Transport> = chaos.clone();
         let config = |heartbeat: HeartbeatPolicy| AgentConfig {
             heartbeat,
             telemetry: TelemetryPolicy { tick_secs: 0.02, ..TelemetryPolicy::default() },
@@ -1155,7 +1157,7 @@ mod tests {
 
         // A missed heartbeat, then a dead peer whose entries and digest
         // expire, then its recovery.
-        net.set_down("srv-a");
+        chaos.kill("srv-a");
         wait_for("heartbeat down-mark", &|| count(&a, "agent.heartbeat_down_marks") >= 1);
         agent_b.stop();
         wait_for("dead peer at agent-a", &|| {

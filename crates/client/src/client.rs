@@ -813,18 +813,24 @@ mod tests {
     use netsolve_agent::{AgentCore, AgentDaemon};
     use netsolve_core::matrix::{vec_max_abs_diff, Matrix};
     use netsolve_core::rng::Rng64;
-    use netsolve_net::ChannelNetwork;
+    use netsolve_net::{ChannelNetwork, ChaosPolicy, ChaosTransport};
     use netsolve_server::{ServerConfig, ServerCore, ServerDaemon};
 
+    /// A fault-free chaos layer over a fresh channel network: everyone who
+    /// dials through it sees a `kill` of an address.
+    fn killable() -> Arc<ChaosTransport> {
+        Arc::new(ChaosTransport::new(Arc::new(ChannelNetwork::new()), ChaosPolicy::calm(), 0))
+    }
+
     struct Domain {
-        net: ChannelNetwork,
+        net: Arc<ChaosTransport>,
         agent: AgentDaemon,
         servers: Vec<ServerDaemon>,
     }
 
     fn bring_up(server_specs: &[(&str, f64)]) -> Domain {
-        let net = ChannelNetwork::new();
-        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let net = killable();
+        let transport: Arc<dyn Transport> = net.clone();
         let agent =
             AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults())
                 .unwrap();
@@ -846,7 +852,7 @@ mod tests {
 
     impl Domain {
         fn client(&self) -> NetSolveClient {
-            NetSolveClient::new(Arc::new(self.net.clone()), "agent")
+            NetSolveClient::new(self.net.clone(), "agent")
         }
         fn shutdown(mut self) {
             for s in &mut self.servers {
@@ -928,7 +934,7 @@ mod tests {
         let domain = bring_up(&[("fast", 1000.0), ("slow", 10.0)]);
         let client = domain.client();
         // The fast server ranks first; kill its address before the call.
-        domain.net.set_down("srv0");
+        domain.net.kill("srv0");
         let (outputs, report) = client
             .netsl_timed("ddot", &[vec![1.0, 1.0].into(), vec![2.0, 2.0].into()])
             .unwrap();
@@ -942,7 +948,7 @@ mod tests {
     fn repeated_failures_mark_server_down_at_agent() {
         let domain = bring_up(&[("fast", 1000.0), ("slow", 10.0)]);
         let client = domain.client();
-        domain.net.set_down("srv0");
+        domain.net.kill("srv0");
         // Two failing calls: agent's default fault policy marks srv0 down.
         for _ in 0..2 {
             let _ = client.netsl("ddot", &[vec![1.0].into(), vec![1.0].into()]);
@@ -960,7 +966,7 @@ mod tests {
     fn all_servers_down_returns_retryable_error() {
         let domain = bring_up(&[("a", 100.0)]);
         let client = domain.client();
-        domain.net.set_down("srv0");
+        domain.net.kill("srv0");
         let err = client
             .netsl("ddot", &[vec![1.0].into(), vec![1.0].into()])
             .unwrap_err();
@@ -982,7 +988,7 @@ mod tests {
         // 100 ms backoff the 150 ms deadline expires before the candidate
         // list runs dry.
         for i in 0..5 {
-            domain.net.set_down(&format!("srv{i}"));
+            domain.net.kill(&format!("srv{i}"));
         }
         let client = domain.client().with_retry(RetryPolicy {
             max_attempts: 5,
@@ -1008,7 +1014,7 @@ mod tests {
     fn backoff_waits_between_failover_attempts() {
         use netsolve_core::config::{Backoff, RetryPolicy};
         let domain = bring_up(&[("fast", 1000.0), ("slow", 10.0)]);
-        domain.net.set_down("srv0");
+        domain.net.kill("srv0");
         let client = domain.client().with_retry(RetryPolicy {
             max_attempts: 3,
             attempt_timeout_secs: 5.0,
@@ -1146,10 +1152,10 @@ mod tests {
 
     /// Two federated agents with fast gossip, one server registered with
     /// the first; returns once both agents can answer dgesv/ddot queries.
-    fn bring_up_federated() -> (ChannelNetwork, AgentDaemon, AgentDaemon, ServerDaemon) {
+    fn bring_up_federated() -> (Arc<ChaosTransport>, AgentDaemon, AgentDaemon, ServerDaemon) {
         use netsolve_core::config::{AgentConfig, GossipPolicy};
-        let net = ChannelNetwork::new();
-        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let net = killable();
+        let transport: Arc<dyn Transport> = net.clone();
         let config = AgentConfig {
             gossip: GossipPolicy {
                 interval_secs: 0.03,
@@ -1298,10 +1304,8 @@ mod tests {
     #[test]
     fn client_fails_over_to_surviving_agent() {
         let (net, mut agent1, mut agent2, mut server) = bring_up_federated();
-        let client = NetSolveClient::new_multi(
-            Arc::new(net.clone()),
-            &["agent-1".into(), "agent-2".into()],
-        );
+        let client =
+            NetSolveClient::new_multi(net.clone(), &["agent-1".into(), "agent-2".into()]);
         // Warm call: ranks the agents and pins the winner.
         let (out, _) = client
             .netsl_timed("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()])
@@ -1311,7 +1315,7 @@ mod tests {
 
         // Kill whichever agent the client is talking to. Both agents know
         // the server (gossip), so the next call must fail over and solve.
-        net.set_down(&first);
+        net.kill(&first);
         let (out, report) = client
             .netsl_timed("ddot", &[vec![1.0, 1.0].into(), vec![2.0, 2.0].into()])
             .unwrap();
@@ -1349,7 +1353,7 @@ mod tests {
         let snap = client.metrics().snapshot("client");
         assert_eq!(snap.counter("client.agent_failovers"), before);
 
-        net.set_up(&first);
+        net.revive(&first);
         server.stop();
         agent1.stop();
         agent2.stop();
@@ -1360,10 +1364,8 @@ mod tests {
         let domain = bring_up(&[("hostA", 100.0)]);
         // "agent-ghost" never listens: ranking must demote it so the
         // first call goes straight to the live agent, no failover burned.
-        let client = NetSolveClient::new_multi(
-            Arc::new(domain.net.clone()),
-            &["agent-ghost".into(), "agent".into()],
-        );
+        let client =
+            NetSolveClient::new_multi(domain.net.clone(), &["agent-ghost".into(), "agent".into()]);
         let out = client
             .netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()])
             .unwrap();
@@ -1576,6 +1578,8 @@ mod tests {
         use netsolve_core::config::Backoff;
 
         let net = ChannelNetwork::new();
+        // Clients dial through a calm chaos layer, so a row can kill a peer.
+        let chaos = Arc::new(ChaosTransport::new(Arc::new(net.clone()), ChaosPolicy::calm(), 0));
         let mut accepts = HashMap::new();
         let mut serve = |address: &'static str, reply: fn(u64) -> Message| {
             accepts.insert(address, stub_server(&net, address, reply));
@@ -1648,7 +1652,7 @@ mod tests {
                 stub_agent(&net, agent, servers);
             }
             let client =
-                NetSolveClient::new_multi(Arc::new(net.clone()), &agents).with_retry(retry);
+                NetSolveClient::new_multi(chaos.clone(), &agents).with_retry(retry);
             prepare(&client);
             let start = Instant::now();
             let result = client.netsl_timed(problem, inputs);
@@ -1715,7 +1719,7 @@ mod tests {
         row("agent failover", &["agent-a", "agent-b"], &["ok"], paced, "ddot", &good, &|client| {
             // Warm call ranks and pins an agent; that agent then dies.
             client.netsl("ddot", &good).unwrap();
-            net.set_down(&client.current_agent());
+            chaos.kill(&client.current_agent());
         });
         rows
     }

@@ -1,24 +1,42 @@
-//! Deterministic fault injection for any [`Transport`].
+//! The one layer that perturbs live traffic, over any [`Transport`].
 //!
-//! [`ChaosTransport`] wraps an inner transport and perturbs the *outbound*
-//! side — every connection obtained through [`Transport::connect`] — with
-//! seeded, reproducible faults:
+//! [`ChaosTransport`] wraps an inner transport — the fault-free
+//! [`crate::channel::ChannelNetwork`] or real TCP — and perturbs the
+//! *outbound* side, every connection obtained through
+//! [`Transport::connect`], with seeded, reproducible effects:
 //!
+//! * **a modelled link** — every exchange crosses [`ChaosPolicy::link`]
+//!   (latency + bytes/bandwidth + jitter, see below);
 //! * **connection refusal** — `connect` fails with `ServerUnreachable`;
-//! * **mid-stream resets** — a send or receive fails with `Transport`;
+//! * **mid-stream resets** — a send or receive fails with `Transport`
+//!   (this is also how a lossy link loses a message);
 //! * **byte corruption** — a received frame has one byte flipped in its
 //!   payload/CRC region before re-parsing, so the real CRC32 validation
 //!   path catches it and the caller sees a retryable `Corrupt` error;
 //! * **black-holed reads** — a receive consumes its timeout (bounded by
 //!   [`ChaosPolicy::black_hole_cap`]) and reports `Timeout`;
-//! * **added latency** — sends and receives sleep a uniform random delay.
+//! * **killed hosts** — [`ChaosTransport::kill`] refuses dials to an
+//!   address and resets live connections to it until
+//!   [`ChaosTransport::revive`].
 //!
-//! All decisions are drawn from a [`Rng64`] seeded at construction: the
-//! transport forks an independent stream per connection, so a fixed seed
-//! plus a fixed per-connection message sequence replays the same faults.
-//! Listeners are passed through untouched — daemons run clean while the
-//! chaos is applied on the dialing side, which is where the client's
+//! All draws come from a [`Rng64`] seeded at construction: the transport
+//! forks an independent stream per connection, so a fixed seed plus a
+//! fixed per-connection message sequence replays the same faults and the
+//! same jitter. Listeners are passed through untouched — daemons run clean
+//! while the chaos is applied on the dialling side, which is where every
+//! exchange in this system starts and where the client's
 //! retry/backoff/deadline machinery lives.
+//!
+//! **Link timing.** A frame of `b` bytes (header and CRC included) takes
+//! [`LinkModel::sample_transfer_secs`]`(b)` each way. Both legs of an
+//! exchange are charged on the dialling side: `send` hands the request to
+//! the inner transport at once, and the receive that takes the reply
+//! hands it over no earlier than `transfer(request) + transfer(reply)`
+//! after the inner transport produced it. The server therefore sees each
+//! request `transfer(request)` earlier than a real link would deliver it;
+//! the caller's round trip is the modelled one. That receive never
+//! returns later than its timeout: a reply the link makes late is a
+//! `Timeout`, as on a real link, and is lost to the caller.
 //!
 //! Every injected fault is counted; [`ChaosTransport::stats`] exposes a
 //! snapshot so tests can assert, e.g., that every injected corruption was
@@ -31,20 +49,27 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::rng::Rng64;
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
-use netsolve_proto::{encode_frame_into, parse_frame, Message};
+use netsolve_proto::frame::HEADER_LEN;
+use netsolve_proto::{encode_frame_into, parse_frame, Message, VERSION};
 use parking_lot::Mutex;
 
+use crate::link::LinkModel;
 use crate::transport::{Connection, Listener, Transport};
 
-/// Fault mix applied by a [`ChaosTransport`]. Probabilities are per
-/// opportunity: `refuse_prob` per dial, the others per send/receive.
+/// The link and fault mix applied by a [`ChaosTransport`]. Probabilities
+/// are per opportunity: `refuse_prob` per dial, the others per
+/// send/receive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosPolicy {
+    /// The link every exchange crosses (see the module docs for how its
+    /// time is charged). [`LinkModel::ideal`] adds no delay and draws
+    /// nothing from the fault stream.
+    pub link: LinkModel,
     /// Probability a `connect` is refused outright.
     pub refuse_prob: f64,
     /// Probability a send or receive dies with a connection reset.
@@ -55,10 +80,6 @@ pub struct ChaosPolicy {
     /// Probability a receive is black-holed: nothing arrives and the
     /// caller's timeout (capped by `black_hole_cap`) is consumed.
     pub black_hole_prob: f64,
-    /// Probability a send or receive is delayed by up to `max_delay`.
-    pub delay_prob: f64,
-    /// Upper bound of the uniform injected delay.
-    pub max_delay: Duration,
     /// Ceiling on how long a black-holed read actually blocks, keeping
     /// soak tests bounded even when callers pass long timeouts.
     pub black_hole_cap: Duration,
@@ -67,21 +88,27 @@ pub struct ChaosPolicy {
 impl Default for ChaosPolicy {
     fn default() -> Self {
         ChaosPolicy {
+            link: LinkModel::ideal(),
             refuse_prob: 0.0,
             reset_prob: 0.0,
             corrupt_prob: 0.0,
             black_hole_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay: Duration::from_millis(20),
             black_hole_cap: Duration::from_millis(250),
         }
     }
 }
 
 impl ChaosPolicy {
-    /// No faults at all — the wrapper becomes a transparent pass-through.
+    /// An ideal link and no faults — the wrapper becomes a transparent
+    /// pass-through.
     pub fn calm() -> Self {
         ChaosPolicy::default()
+    }
+
+    /// Set the link every exchange crosses.
+    pub fn with_link(mut self, link: LinkModel) -> Self {
+        self.link = link;
+        self
     }
 
     /// Set the connection-refusal probability.
@@ -105,13 +132,6 @@ impl ChaosPolicy {
     /// Set the black-holed-read probability.
     pub fn with_black_holes(mut self, p: f64) -> Self {
         self.black_hole_prob = p;
-        self
-    }
-
-    /// Set the injected-latency probability and bound.
-    pub fn with_delays(mut self, p: f64, max: Duration) -> Self {
-        self.delay_prob = p;
-        self.max_delay = max;
         self
     }
 }
@@ -185,7 +205,7 @@ pub struct ChaosStats {
     pub corruptions_detected: u64,
     /// Receives black-holed.
     pub black_holes: u64,
-    /// Operations delayed.
+    /// Receives the link slowed (a nonzero transfer time charged).
     pub delays: u64,
     /// Messages delivered untouched.
     pub delivered_clean: u64,
@@ -194,8 +214,8 @@ pub struct ChaosStats {
     pub kill_faults: u64,
 }
 
-/// A [`Transport`] decorator injecting seeded faults on outbound
-/// connections. See the module docs for the fault catalogue.
+/// A [`Transport`] decorator applying a modelled link and seeded faults
+/// to outbound connections. See the module docs for the catalogue.
 pub struct ChaosTransport {
     inner: Arc<dyn Transport>,
     policy: ChaosPolicy,
@@ -209,7 +229,8 @@ pub struct ChaosTransport {
 }
 
 impl ChaosTransport {
-    /// Wrap `inner`, drawing all fault decisions from `seed`.
+    /// Wrap `inner`, drawing every fault decision and jitter sample from
+    /// `seed`.
     pub fn new(inner: Arc<dyn Transport>, policy: ChaosPolicy, seed: u64) -> Self {
         ChaosTransport {
             inner,
@@ -323,6 +344,7 @@ impl Transport for ChaosTransport {
             scratch: Vec::new(),
             address: address.to_string(),
             dead: Arc::clone(&self.dead),
+            owed: Duration::ZERO,
         }))
     }
 
@@ -341,6 +363,9 @@ struct ChaosConnection {
     /// Who this connection dials, for mid-stream kill checks.
     address: String,
     dead: Arc<Mutex<HashSet<String>>>,
+    /// Link time of the requests sent since the last reply was taken,
+    /// charged to the receive that takes the next one.
+    owed: Duration,
 }
 
 impl ChaosConnection {
@@ -359,12 +384,55 @@ impl ChaosConnection {
         Ok(())
     }
 
-    fn maybe_delay(&mut self) {
-        if self.policy.delay_prob > 0.0 && self.rng.chance(self.policy.delay_prob) {
-            self.counters.delays.bump();
-            let frac = self.rng.next_f64();
-            std::thread::sleep(self.policy.max_delay.mul_f64(frac));
+    /// One leg of the link: `msg`'s whole frame through the link model.
+    fn transfer(&mut self, msg: &Message) -> Duration {
+        let crc_len = 4;
+        let frame = (HEADER_LEN + crc_len) as u64 + msg.encoded_len(VERSION);
+        Duration::from_secs_f64(self.policy.link.sample_transfer_secs(frame, &mut self.rng))
+    }
+
+    /// Hold `reply` until the link has carried both legs of its exchange,
+    /// counted from the moment the inner transport produced it. A reply
+    /// due after `deadline` is not handed over: the wait ends at the
+    /// deadline with a `Timeout`.
+    fn cross_link(&mut self, reply: &Message, deadline: Option<Instant>) -> Result<()> {
+        let delay = std::mem::take(&mut self.owed) + self.transfer(reply);
+        if delay.is_zero() {
+            return Ok(());
         }
+        self.counters.delays.bump();
+        let due = Instant::now() + delay;
+        let sleep_until = |t: Instant| std::thread::sleep(t.saturating_duration_since(Instant::now()));
+        if let Some(deadline) = deadline.filter(|deadline| due > *deadline) {
+            sleep_until(deadline);
+            return Err(NetSolveError::Timeout(format!(
+                "chaos: the link delivers {}'s reply after the timeout",
+                self.address
+            )));
+        }
+        sleep_until(due);
+        Ok(())
+    }
+
+    /// Take the next reply, through every receive-side fault; `timeout`
+    /// of `None` blocks as long as the inner transport does.
+    fn receive(&mut self, timeout: Option<Duration>) -> Result<Message> {
+        self.check_killed("recv")?;
+        if self.rng.chance(self.policy.black_hole_prob) {
+            self.counters.black_holes.bump();
+            self.counters.fault_point("black_hole", String::new());
+            let cap = self.policy.black_hole_cap;
+            std::thread::sleep(timeout.map_or(cap, |t| t.min(cap)));
+            return Err(NetSolveError::Timeout("chaos: read black-holed".into()));
+        }
+        self.maybe_reset("recv")?;
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let msg = match timeout {
+            Some(t) => self.inner.recv_timeout(t)?,
+            None => self.inner.recv()?,
+        };
+        self.cross_link(&msg, deadline)?;
+        self.deliver(msg)
     }
 
     fn maybe_reset(&mut self, during: &str) -> Result<()> {
@@ -390,10 +458,10 @@ impl ChaosConnection {
         }
         encode_frame_into(&msg, &mut self.scratch)
             .map_err(|e| NetSolveError::Internal(format!("chaos re-frame: {e}")))?;
-        // Header is 12 bytes (magic, version, length); everything after
-        // it — payload plus trailing CRC — is covered by the checksum
-        // comparison, so a flip here is deterministically detectable.
-        let idx = 12 + self.rng.below(self.scratch.len() - 12);
+        // Everything after the header (magic, version, length) — payload
+        // plus trailing CRC — is covered by the checksum comparison, so a
+        // flip here is deterministically detectable.
+        let idx = HEADER_LEN + self.rng.below(self.scratch.len() - HEADER_LEN);
         let bit = 1u8 << self.rng.below(8);
         self.scratch[idx] ^= bit;
         self.counters.corruptions_injected.bump();
@@ -413,37 +481,19 @@ impl ChaosConnection {
 impl Connection for ChaosConnection {
     fn send(&mut self, msg: &Message) -> Result<()> {
         self.check_killed("send")?;
-        self.maybe_delay();
         self.maybe_reset("send")?;
-        self.inner.send(msg)
+        self.inner.send(msg)?;
+        let leg = self.transfer(msg);
+        self.owed += leg;
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Message> {
-        self.check_killed("recv")?;
-        self.maybe_delay();
-        if self.rng.chance(self.policy.black_hole_prob) {
-            self.counters.black_holes.bump();
-            self.counters.fault_point("black_hole", String::new());
-            std::thread::sleep(self.policy.black_hole_cap);
-            return Err(NetSolveError::Timeout("chaos: read black-holed".into()));
-        }
-        self.maybe_reset("recv")?;
-        let msg = self.inner.recv()?;
-        self.deliver(msg)
+        self.receive(None)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Message> {
-        self.check_killed("recv")?;
-        self.maybe_delay();
-        if self.rng.chance(self.policy.black_hole_prob) {
-            self.counters.black_holes.bump();
-            self.counters.fault_point("black_hole", String::new());
-            std::thread::sleep(timeout.min(self.policy.black_hole_cap));
-            return Err(NetSolveError::Timeout("chaos: read black-holed".into()));
-        }
-        self.maybe_reset("recv")?;
-        let msg = self.inner.recv_timeout(timeout)?;
-        self.deliver(msg)
+        self.receive(Some(timeout))
     }
 
     fn peer(&self) -> String {
@@ -455,22 +505,40 @@ impl Connection for ChaosConnection {
 mod tests {
     use super::*;
     use crate::channel::ChannelNetwork;
+    use crate::tcp::TcpTransport;
     use crate::transport::call;
     use std::thread;
 
-    /// Echo daemon: replies `Pong` to every message until unblocked.
-    fn spawn_echo(net: &ChannelNetwork, name: &str) -> thread::JoinHandle<()> {
-        let listener = net.listen(name).unwrap();
+    /// Echo daemon on `transport`: answers `Ping` with `Pong` and sends
+    /// every other message straight back. Returns the address to dial.
+    fn spawn_echo(transport: &dyn Transport, hint: &str) -> String {
+        let listener = transport.listen(hint).unwrap();
+        let address = listener.address();
         thread::spawn(move || {
             while let Ok(mut conn) = listener.accept() {
                 thread::spawn(move || {
-                    while let Ok(_msg) = conn.recv_timeout(Duration::from_secs(5)) {
-                        if conn.send(&Message::Pong).is_err() {
+                    while let Ok(msg) = conn.recv_timeout(Duration::from_secs(5)) {
+                        let reply = if msg == Message::Ping { Message::Pong } else { msg };
+                        if conn.send(&reply).is_err() {
                             break;
                         }
                     }
                 });
             }
+        });
+        address
+    }
+
+    /// Each inner transport the link and loss cases run over — the
+    /// in-process pipe and loopback TCP — with an echo daemon listening.
+    fn echo_on_both() -> [(Arc<dyn Transport>, String); 2] {
+        [
+            (Arc::new(ChannelNetwork::new()) as Arc<dyn Transport>, "echo"),
+            (Arc::new(TcpTransport::new()) as Arc<dyn Transport>, "127.0.0.1:0"),
+        ]
+        .map(|(transport, hint)| {
+            let address = spawn_echo(transport.as_ref(), hint);
+            (transport, address)
         })
     }
 
@@ -478,20 +546,84 @@ mod tests {
         ChaosTransport::new(Arc::new(net.clone()), policy, seed)
     }
 
+    /// An ~80 KB request: 10,000 doubles.
+    fn bulky() -> Message {
+        Message::RequestSubmit {
+            request_id: 1,
+            deadline_ms: 0,
+            problem: "dnrm2".into(),
+            inputs: vec![vec![0.0f64; 10_000].into()],
+            trace_id: 0,
+            parent_span: 0,
+        }
+    }
+
+    /// How long one round trip of `msg` takes through `conn`.
+    fn timed_call(conn: &mut dyn Connection, msg: &Message) -> (Result<Message>, Duration) {
+        let start = Instant::now();
+        let reply = call(conn, msg, Duration::from_secs(5));
+        (reply, start.elapsed())
+    }
+
     #[test]
     fn calm_policy_is_transparent() {
-        let net = ChannelNetwork::new();
-        let _echo = spawn_echo(&net, "echo");
-        let chaos = chaotic(&net, ChaosPolicy::calm(), 1);
-        let mut conn = chaos.connect("echo").unwrap();
-        for _ in 0..20 {
-            let reply = call(conn.as_mut(), &Message::Ping, Duration::from_secs(2)).unwrap();
-            assert_eq!(reply, Message::Pong);
+        for (inner, address) in echo_on_both() {
+            let chaos = ChaosTransport::new(inner, ChaosPolicy::calm(), 1);
+            let mut conn = chaos.connect(&address).unwrap();
+            for _ in 0..20 {
+                let reply = call(conn.as_mut(), &Message::Ping, Duration::from_secs(2)).unwrap();
+                assert_eq!(reply, Message::Pong);
+            }
+            let stats = chaos.stats();
+            assert_eq!(stats.delivered_clean, 20, "{address}");
+            assert_eq!(stats.refused + stats.resets + stats.corruptions_injected + stats.delays, 0);
         }
-        let stats = chaos.stats();
-        assert_eq!(stats.delivered_clean, 20);
-        assert_eq!(stats.refused + stats.resets + stats.corruptions_injected, 0);
-        net.set_down("echo");
+    }
+
+    #[test]
+    fn link_latency_delays_the_round_trip() {
+        let link = LinkModel::ideal().with_latency(0.02);
+        for (inner, address) in echo_on_both() {
+            let chaos = ChaosTransport::new(inner, ChaosPolicy::calm().with_link(link), 7);
+            let mut conn = chaos.connect(&address).unwrap();
+            let (reply, rtt) = timed_call(conn.as_mut(), &Message::Ping);
+            assert_eq!(reply.unwrap(), Message::Pong);
+            assert!(rtt >= Duration::from_millis(40), "{address}: one 20 ms leg each way, {rtt:?}");
+            assert_eq!(chaos.stats().delays, 1);
+        }
+    }
+
+    #[test]
+    fn link_bandwidth_delays_scale_with_size() {
+        // 1 MB/s: ~80 KB takes ~80 ms each way, a Ping's ~16 bytes ~0.
+        let link = LinkModel::ideal().with_bandwidth(1e6);
+        for (inner, address) in echo_on_both() {
+            let chaos = ChaosTransport::new(inner, ChaosPolicy::calm().with_link(link), 8);
+            let mut conn = chaos.connect(&address).unwrap();
+            let (reply, small) = timed_call(conn.as_mut(), &Message::Ping);
+            assert_eq!(reply.unwrap(), Message::Pong);
+            let (reply, big) = timed_call(conn.as_mut(), &bulky());
+            assert_eq!(reply.unwrap(), bulky());
+            assert!(big >= Duration::from_millis(160), "{address}: {big:?}");
+            assert!(small * 2 < big, "{address}: small={small:?} big={big:?}");
+        }
+    }
+
+    /// A reply the link makes later than the caller's timeout is a
+    /// `Timeout` at the timeout, never an `Ok` after it.
+    #[test]
+    fn a_reply_the_link_makes_late_is_a_timeout() {
+        let link = LinkModel::ideal().with_latency(0.05);
+        for (inner, address) in echo_on_both() {
+            let chaos = ChaosTransport::new(inner, ChaosPolicy::calm().with_link(link), 10);
+            let mut conn = chaos.connect(&address).unwrap();
+            let start = Instant::now();
+            let err = call(conn.as_mut(), &Message::Ping, Duration::from_millis(70)).unwrap_err();
+            let waited = start.elapsed();
+            assert!(matches!(err, NetSolveError::Timeout(_)), "{address}: {err}");
+            assert!(waited >= Duration::from_millis(70), "{address}: {waited:?}");
+            assert!(waited < Duration::from_millis(100), "{address}: {waited:?}");
+        }
     }
 
     #[test]
@@ -513,7 +645,7 @@ mod tests {
     #[test]
     fn corruption_is_always_detected_and_retryable() {
         let net = ChannelNetwork::new();
-        let _echo = spawn_echo(&net, "echo");
+        spawn_echo(&net, "echo");
         let chaos = chaotic(&net, ChaosPolicy::calm().with_corruption(1.0), 3);
         let mut conn = chaos.connect("echo").unwrap();
         for _ in 0..30 {
@@ -525,7 +657,6 @@ mod tests {
         assert_eq!(stats.corruptions_injected, 30);
         assert_eq!(stats.corruptions_detected, 30);
         assert_eq!(stats.delivered_clean, 0);
-        net.set_down("echo");
     }
 
     /// Mid-stream corruption of multi-megabyte operand frames: a byte
@@ -535,18 +666,7 @@ mod tests {
     #[test]
     fn corruption_of_large_operands_is_always_detected() {
         let net = ChannelNetwork::new();
-        let listener = net.listen("bigecho").unwrap();
-        thread::spawn(move || {
-            while let Ok(mut conn) = listener.accept() {
-                thread::spawn(move || {
-                    while let Ok(msg) = conn.recv_timeout(Duration::from_secs(5)) {
-                        if conn.send(&msg).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
+        spawn_echo(&net, "bigecho");
         let chaos = chaotic(&net, ChaosPolicy::calm().with_corruption(1.0), 11);
         let mut conn = chaos.connect("bigecho").unwrap();
         let payload = Message::RequestSubmit {
@@ -565,44 +685,44 @@ mod tests {
         let stats = chaos.stats();
         assert_eq!(stats.corruptions_injected, 8);
         assert_eq!(stats.corruptions_detected, 8, "a flip escaped CRC validation");
-        net.set_down("bigecho");
     }
 
+    /// Loss on a link is a reset: over either transport it surfaces as a
+    /// retryable `Transport` error.
     #[test]
     fn resets_surface_as_transport_errors() {
-        let net = ChannelNetwork::new();
-        let _echo = spawn_echo(&net, "echo");
-        let chaos = chaotic(&net, ChaosPolicy::calm().with_resets(1.0), 4);
-        let mut conn = chaos.connect("echo").unwrap();
-        let err = conn.send(&Message::Ping).unwrap_err();
-        assert!(matches!(err, NetSolveError::Transport(m) if m.contains("reset")));
-        assert!(chaos.stats().resets >= 1);
-        net.set_down("echo");
+        for (inner, address) in echo_on_both() {
+            let chaos = ChaosTransport::new(inner, ChaosPolicy::calm().with_resets(1.0), 4);
+            let mut conn = chaos.connect(&address).unwrap();
+            let err = conn.send(&Message::Ping).unwrap_err();
+            assert!(matches!(err, NetSolveError::Transport(ref m) if m.contains("reset")), "{err}");
+            assert!(err.is_retryable());
+            assert_eq!(chaos.stats().resets, 1);
+        }
     }
 
     #[test]
     fn black_hole_consumes_timeout_but_stays_bounded() {
         let net = ChannelNetwork::new();
-        let _echo = spawn_echo(&net, "echo");
+        spawn_echo(&net, "echo");
         let mut policy = ChaosPolicy::calm().with_black_holes(1.0);
         policy.black_hole_cap = Duration::from_millis(50);
         let chaos = chaotic(&net, policy, 5);
         let mut conn = chaos.connect("echo").unwrap();
         conn.send(&Message::Ping).unwrap();
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let err = conn.recv_timeout(Duration::from_secs(30)).unwrap_err();
         let waited = start.elapsed();
         assert!(matches!(err, NetSolveError::Timeout(_)));
         assert!(waited >= Duration::from_millis(45), "waited {waited:?}");
         assert!(waited < Duration::from_secs(5), "cap not applied: {waited:?}");
         assert_eq!(chaos.stats().black_holes, 1);
-        net.set_down("echo");
     }
 
     #[test]
     fn kill_severs_dials_and_live_connections_until_revived() {
         let net = ChannelNetwork::new();
-        let _echo = spawn_echo(&net, "echo");
+        spawn_echo(&net, "echo");
         let chaos = chaotic(&net, ChaosPolicy::calm(), 7);
 
         // A healthy connection, established before the kill.
@@ -623,7 +743,7 @@ mod tests {
         assert!(matches!(err, NetSolveError::ServerUnreachable(_)), "{err}");
         assert!(err.is_retryable());
         // Other addresses are untouched by the kill.
-        let _other = spawn_echo(&net, "other");
+        spawn_echo(&net, "other");
         let mut conn2 = chaos.connect("other").unwrap();
         assert_eq!(
             call(conn2.as_mut(), &Message::Ping, Duration::from_secs(2)).unwrap(),
@@ -634,9 +754,11 @@ mod tests {
         let mut conn3 = chaos.connect("echo").unwrap();
         let reply = call(conn3.as_mut(), &Message::Ping, Duration::from_secs(2)).unwrap();
         assert_eq!(reply, Message::Pong);
+        // Only this transport's view of the address died, so the stream
+        // that outlived the kill carries traffic again.
+        let reply = call(conn.as_mut(), &Message::Ping, Duration::from_secs(2)).unwrap();
+        assert_eq!(reply, Message::Pong);
         assert_eq!(chaos.stats().kill_faults, 2);
-        net.set_down("echo");
-        net.set_down("other");
     }
 
     #[test]
@@ -649,7 +771,7 @@ mod tests {
             .with_resets(0.2);
         let run = |seed: u64| -> Vec<String> {
             let net = ChannelNetwork::new();
-            let _echo = spawn_echo(&net, "echo");
+            spawn_echo(&net, "echo");
             let chaos = chaotic(&net, policy, seed);
             let mut outcomes = Vec::new();
             for _ in 0..40 {
@@ -663,7 +785,6 @@ mod tests {
                     }
                 }
             }
-            net.set_down("echo");
             outcomes
         };
         let a = run(42);
@@ -676,3 +797,4 @@ mod tests {
         assert!(a.iter().any(|o| o != "ok"));
     }
 }
+

@@ -6,14 +6,17 @@
 //!   / [`transport::Transport`] trait surface every component is written
 //!   against;
 //! * [`tcp`] — real sockets for running a distributed domain;
-//! * [`channel`] — in-process transport whose deliveries obey a
-//!   [`link::LinkModel`] (latency, bandwidth, jitter, failure injection):
-//!   the reproducible substitute for the paper's 1996 testbed network;
+//! * [`channel`] — the in-process transport: instant, lossless and
+//!   fault-free, like loopback TCP, so a whole domain runs in one process;
+//! * [`chaos`] — the one seeded layer that perturbs live traffic, over
+//!   either transport: a modelled [`link::LinkModel`] (latency,
+//!   bandwidth, jitter — the paper's 1996 testbed network), refused
+//!   dials, resets (loss), CRC-detectable corruption, black holes and
+//!   killed hosts;
+//! * [`link`] — the analytic link model the chaos layer and the
+//!   simulator share;
 //! * [`metrics`] — the agent's per-host-pair latency/bandwidth estimates
 //!   feeding the `T_net` term of the completion-time predictor;
-//! * [`chaos`] — a seeded fault-injecting decorator over any transport
-//!   (refused dials, resets, CRC-detectable corruption, black holes,
-//!   latency) for end-to-end robustness testing;
 //! * [`daemon`] — the accept/shed/worker/stop skeleton both long-running
 //!   daemons (agent, computational server) are built on.
 

@@ -1,12 +1,12 @@
-//! The link model: analytic network behaviour for the in-process transport
-//! and the discrete-event simulator.
+//! The link model: analytic network behaviour for the chaos layer's live
+//! links and the discrete-event simulator.
 //!
 //! NetSolve's evaluation ran on 1996-era department networks (10 Mbit
 //! Ethernet to early ATM). We cannot requisition that testbed, so
 //! experiments that depend on network characteristics parameterize this
 //! model instead: a message of `b` bytes takes
-//! `latency + b / bandwidth + jitter` seconds, and sends fail with a
-//! configurable probability (fault-injection for the R5 experiment).
+//! `latency + b / bandwidth + jitter` seconds. Loss is not the link's
+//! business: [`crate::chaos::ChaosPolicy`] injects it as resets.
 
 use netsolve_core::rng::Rng64;
 
@@ -20,18 +20,15 @@ pub struct LinkModel {
     /// Standard deviation of Gaussian jitter added to each delivery
     /// (clamped at zero), in seconds.
     pub jitter_secs: f64,
-    /// Probability that any given send is lost (connection error).
-    pub failure_prob: f64,
 }
 
 impl LinkModel {
-    /// An ideal link: zero latency, infinite bandwidth, no failures.
+    /// An ideal link: zero latency, infinite bandwidth, no jitter.
     pub fn ideal() -> Self {
         LinkModel {
             latency_secs: 0.0,
             bandwidth_bps: f64::INFINITY,
             jitter_secs: 0.0,
-            failure_prob: 0.0,
         }
     }
 
@@ -41,7 +38,6 @@ impl LinkModel {
             latency_secs: 1e-3,
             bandwidth_bps: 1.25e6,
             jitter_secs: 0.0,
-            failure_prob: 0.0,
         }
     }
 
@@ -52,7 +48,6 @@ impl LinkModel {
             latency_secs: 5e-4,
             bandwidth_bps: 17e6,
             jitter_secs: 0.0,
-            failure_prob: 0.0,
         }
     }
 
@@ -62,7 +57,6 @@ impl LinkModel {
             latency_secs: 60e-3,
             bandwidth_bps: 1e5,
             jitter_secs: 5e-3,
-            failure_prob: 0.0,
         }
     }
 
@@ -78,12 +72,6 @@ impl LinkModel {
         self
     }
 
-    /// A copy with the given send-failure probability.
-    pub fn with_failure_prob(mut self, p: f64) -> Self {
-        self.failure_prob = p;
-        self
-    }
-
     /// Deterministic transfer time for `bytes` (no jitter).
     pub fn transfer_secs(&self, bytes: u64) -> f64 {
         if self.bandwidth_bps.is_infinite() {
@@ -93,7 +81,8 @@ impl LinkModel {
         }
     }
 
-    /// Sampled transfer time including jitter (never below zero).
+    /// Sampled transfer time including jitter (never below zero). Draws
+    /// from `rng` only when the link has jitter.
     pub fn sample_transfer_secs(&self, bytes: u64, rng: &mut Rng64) -> f64 {
         let base = self.transfer_secs(bytes);
         if self.jitter_secs > 0.0 {
@@ -101,11 +90,6 @@ impl LinkModel {
         } else {
             base
         }
-    }
-
-    /// Sample whether this send is lost.
-    pub fn sample_failure(&self, rng: &mut Rng64) -> bool {
-        self.failure_prob > 0.0 && rng.chance(self.failure_prob)
     }
 }
 
@@ -124,7 +108,7 @@ mod tests {
         let l = LinkModel::ideal();
         assert_eq!(l.transfer_secs(1_000_000_000), 0.0);
         let mut rng = Rng64::new(1);
-        assert!(!l.sample_failure(&mut rng));
+        assert_eq!(l.sample_transfer_secs(1_000_000_000, &mut rng), 0.0);
     }
 
     #[test]
@@ -144,13 +128,9 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let l = LinkModel::ideal()
-            .with_bandwidth(1e6)
-            .with_latency(0.5)
-            .with_failure_prob(0.25);
+        let l = LinkModel::ideal().with_bandwidth(1e6).with_latency(0.5);
         assert_eq!(l.bandwidth_bps, 1e6);
         assert_eq!(l.latency_secs, 0.5);
-        assert_eq!(l.failure_prob, 0.25);
         assert!((l.transfer_secs(1_000_000) - 1.5).abs() < 1e-12);
     }
 
@@ -163,15 +143,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(jittery.sample_transfer_secs(10, &mut rng) >= 0.0);
         }
-    }
-
-    #[test]
-    fn failure_rate_approximates_probability() {
-        let l = LinkModel::ideal().with_failure_prob(0.3);
-        let mut rng = Rng64::new(9);
-        let fails = (0..10_000).filter(|_| l.sample_failure(&mut rng)).count();
-        let rate = fails as f64 / 10_000.0;
-        assert!((rate - 0.3).abs() < 0.02, "rate={rate}");
     }
 
     #[test]

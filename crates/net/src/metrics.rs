@@ -11,6 +11,8 @@ use std::collections::HashMap;
 use netsolve_core::ids::HostId;
 use netsolve_core::stats::Ewma;
 
+use crate::link::LinkModel;
+
 /// EWMA weight for new network measurements.
 const MEASUREMENT_ALPHA: f64 = 0.3;
 
@@ -52,9 +54,10 @@ impl NetworkView {
         }
     }
 
-    /// 1996 department LAN defaults (10 Mbit/s, 1 ms).
+    /// Unknown pairs assumed to be [`LinkModel::lan_1996`] links.
     pub fn lan_defaults() -> Self {
-        NetworkView::new(1e-3, 1.25e6)
+        let lan = LinkModel::lan_1996();
+        NetworkView::new(lan.latency_secs, lan.bandwidth_bps)
     }
 
     /// Record a measurement for the `from → to` pair.

@@ -5,9 +5,12 @@
 //!
 //! * [`crate::tcp::TcpTransport`] — real sockets, for running an actual
 //!   distributed demo;
-//! * [`crate::channel::ChannelNetwork`] — in-process channels with a
-//!   configurable link model (latency, bandwidth, failure injection), the
-//!   reproducible substitute for the paper's multi-machine testbed.
+//! * [`crate::channel::ChannelNetwork`] — fault-free in-process channels,
+//!   so a whole domain runs in one process.
+//!
+//! [`crate::chaos::ChaosTransport`] decorates either with a modelled link
+//! and seeded faults, the reproducible substitute for the paper's
+//! multi-machine testbed.
 
 use std::time::Duration;
 
@@ -51,9 +54,9 @@ pub trait Transport: Send + Sync {
     /// Wake a blocked [`Listener::accept`] at `address` during shutdown.
     ///
     /// The default implementation simply dials the address and drops the
-    /// connection. Transports that can refuse dials while the listener is
-    /// still blocked (the channel transport's down-marking) must override
-    /// this so daemons can always shut down.
+    /// connection. A transport that can refuse dials while the listener is
+    /// still blocked (the chaos layer's `kill`) must override this so
+    /// daemons can always shut down.
     fn unblock(&self, address: &str) {
         let _ = self.connect(address);
     }

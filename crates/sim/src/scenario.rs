@@ -8,6 +8,7 @@
 use netsolve_core::admission::AdmissionConfig;
 use netsolve_core::config::{FaultPolicy, WorkloadPolicy};
 use netsolve_agent::Policy;
+use netsolve_net::LinkModel;
 
 /// One simulated computational server.
 #[derive(Debug, Clone)]
@@ -226,9 +227,10 @@ impl SimNetwork {
         SimNetwork { latency_secs, bandwidth_bps, overrides: Vec::new() }
     }
 
-    /// 1996 Ethernet defaults.
+    /// Every server behind a [`LinkModel::lan_1996`] link.
     pub fn lan_1996() -> Self {
-        Self::uniform(1e-3, 1.25e6)
+        let lan = LinkModel::lan_1996();
+        Self::uniform(lan.latency_secs, lan.bandwidth_bps)
     }
 
     /// Link characteristics for server index `i`.

@@ -27,7 +27,7 @@ fn main() -> netsolve::core::Result<()> {
     solve("  call 1")?;
 
     println!("\nkilling the fastest server (alpha)...");
-    domain.network().set_down("srv0");
+    domain.transport().kill("srv0");
     solve("  call 2")?; // fails over transparently
     solve("  call 3")?; // second failure marks alpha down at the agent
 
@@ -35,7 +35,7 @@ fn main() -> netsolve::core::Result<()> {
     solve("  call 4")?;
 
     println!("\nkilling beta too...");
-    domain.network().set_down("srv1");
+    domain.transport().kill("srv1");
     solve("  call 5")?;
     solve("  call 6")?;
 
@@ -43,7 +43,7 @@ fn main() -> netsolve::core::Result<()> {
     solve("  call 7")?;
 
     println!("\nreviving alpha...");
-    domain.network().set_up("srv0");
+    domain.transport().revive("srv0");
     // The agent keeps alpha excluded until the fault cooldown expires; in
     // a long-running domain it would probe back in automatically. We just
     // show the domain keeps working either way.

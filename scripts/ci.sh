@@ -19,6 +19,13 @@ echo "=== tests ==="
 # integration test (observability, chaos_soak, tracing, …) exactly once.
 cargo test --workspace -q
 
+echo "=== examples (cargo test builds them but runs none) ==="
+cargo run --release --example quickstart
+FAULT_DEMO=$(cargo run --release --example fault_tolerance)
+echo "${FAULT_DEMO}"
+echo "${FAULT_DEMO}" | grep -q "every call succeeded" || {
+    echo "fault_tolerance example: a call failed after a kill"; exit 1; }
+
 echo "=== benchmark harness (the public API and dependency sets it is locked to) ==="
 # benchmark/ is its own workspace on path deps with a committed lock file:
 # deleting or re-signing a public item it uses, or changing any crate's

@@ -15,7 +15,7 @@
 //! | [`pdl`] | `netsolve-pdl` | the problem description language + catalogue |
 //! | [`solvers`] | `netsolve-solvers` | the numerical substrate (LAPACK-style) |
 //! | [`proto`] | `netsolve-proto` | protocol messages and framing |
-//! | [`net`] | `netsolve-net` | TCP + link-model transports |
+//! | [`net`] | `netsolve-net` | TCP + in-process transports, the link-model / fault layer over both |
 //! | [`obs`] | `netsolve-obs` | metrics registry + request tracing |
 //! | [`agent`] | `netsolve-agent` | the resource broker (the paper's core) |
 //! | [`server`] | `netsolve-server` | the computational server |
@@ -57,21 +57,24 @@ pub use netsolve_xdr as xdr;
 
 pub mod testbed {
     //! Convenience harness: a complete in-process NetSolve domain (one
-    //! agent, N servers, shared channel network) for examples, tests and
-    //! the live experiments.
+    //! agent, N servers, a shared channel network under one chaos layer)
+    //! for examples, tests and the live experiments.
 
     use std::sync::Arc;
 
     use netsolve_agent::{AgentCore, AgentDaemon, Policy};
     use netsolve_client::NetSolveClient;
     use netsolve_core::error::Result;
-    use netsolve_net::{ChannelNetwork, LinkModel, NetworkView, Transport};
+    use netsolve_net::{ChannelNetwork, ChaosPolicy, ChaosTransport, NetworkView};
     use netsolve_server::{ExecutionMode, ServerConfig, ServerCore, ServerDaemon};
 
-    /// A running in-process domain: agent + servers on a shared
-    /// channel-transport network.
+    /// How many times a server tries to register before its start fails.
+    const REGISTRATION_TRIES: u32 = 4;
+
+    /// A running in-process domain: agent, servers and clients all dial
+    /// through one [`ChaosTransport`] over a shared channel network.
     pub struct InProcessDomain {
-        network: ChannelNetwork,
+        transport: Arc<ChaosTransport>,
         agent: Option<AgentDaemon>,
         servers: Vec<ServerDaemon>,
     }
@@ -80,49 +83,63 @@ pub mod testbed {
         /// Start an agent (MCT policy) and one real-execution server per
         /// `(host_name, mflops)` entry. Server `i` listens at `"srv{i}"`.
         pub fn start(servers: &[(&str, f64)]) -> Result<Self> {
-            Self::start_with(servers, LinkModel::ideal(), Policy::MinimumCompletionTime, ExecutionMode::Real)
+            Self::start_with(servers, ChaosPolicy::calm(), Policy::MinimumCompletionTime, ExecutionMode::Real)
         }
 
-        /// Start with full control over link model, scheduling policy and
-        /// execution mode.
+        /// Start with full control over the link and faults every dial in
+        /// the domain crosses, scheduling policy and execution mode.
         pub fn start_with(
             servers: &[(&str, f64)],
-            link: LinkModel,
+            chaos: ChaosPolicy,
             policy: Policy,
             mode: ExecutionMode,
         ) -> Result<Self> {
-            let network = ChannelNetwork::with_link(link, 0xD0_0D);
-            let transport: Arc<dyn Transport> = Arc::new(network.clone());
+            let transport =
+                Arc::new(ChaosTransport::new(Arc::new(ChannelNetwork::new()), chaos, 0xD0_0D));
             let core = AgentCore::new(Default::default(), policy, NetworkView::lan_defaults());
-            let agent = AgentDaemon::start(Arc::clone(&transport), "agent", core)?;
+            let agent = AgentDaemon::start(transport.clone(), "agent", core)?;
             let mut daemons = Vec::with_capacity(servers.len());
             for (i, (host, mflops)) in servers.iter().enumerate() {
-                let server_core = match mode {
-                    ExecutionMode::Real => ServerCore::with_standard_catalogue(),
-                    ExecutionMode::Synthetic { .. } => ServerCore::new(
-                        netsolve_pdl::ProblemRegistry::with_standard_catalogue(),
-                        ExecutionMode::Synthetic { mflops: *mflops },
-                    ),
+                let start = || {
+                    let server_core = match mode {
+                        ExecutionMode::Real => ServerCore::with_standard_catalogue(),
+                        ExecutionMode::Synthetic { .. } => ServerCore::new(
+                            netsolve_pdl::ProblemRegistry::with_standard_catalogue(),
+                            ExecutionMode::Synthetic { mflops: *mflops },
+                        ),
+                    };
+                    ServerDaemon::start(
+                        transport.clone(),
+                        "agent",
+                        server_core,
+                        ServerConfig::quick(host, &format!("srv{i}"), *mflops),
+                    )
                 };
-                daemons.push(ServerDaemon::start(
-                    Arc::clone(&transport),
-                    "agent",
-                    server_core,
-                    ServerConfig::quick(host, &format!("srv{i}"), *mflops),
-                )?);
+                // The registration crosses the chaos layer like any other
+                // exchange, so a lossy policy can lose it. A failed start
+                // frees its address, and the server registers again.
+                let mut tries = 1;
+                let daemon = loop {
+                    match start() {
+                        Err(e) if e.is_retryable() && tries < REGISTRATION_TRIES => tries += 1,
+                        started => break started?,
+                    }
+                };
+                daemons.push(daemon);
             }
-            Ok(InProcessDomain { network, agent: Some(agent), servers: daemons })
+            Ok(InProcessDomain { transport, agent: Some(agent), servers: daemons })
         }
 
         /// A new client bound to this domain's agent.
         pub fn client(&self) -> Arc<NetSolveClient> {
-            Arc::new(NetSolveClient::new(Arc::new(self.network.clone()), "agent"))
+            Arc::new(NetSolveClient::new(self.transport.clone(), "agent"))
         }
 
-        /// The underlying channel network (for link tweaks / failure
-        /// injection in experiments).
-        pub fn network(&self) -> &ChannelNetwork {
-            &self.network
+        /// The chaos layer every component dials through: a
+        /// [`ChaosTransport::kill`] here is seen by the agent, the servers
+        /// and every client alike.
+        pub fn transport(&self) -> &ChaosTransport {
+            &self.transport
         }
 
         /// Handle to the agent daemon.

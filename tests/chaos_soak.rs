@@ -16,12 +16,22 @@ use std::time::{Duration, Instant};
 use netsolve::agent::{AgentCore, AgentDaemon, Policy};
 use netsolve::client::NetSolveClient;
 use netsolve::core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
-use netsolve::net::{ChannelNetwork, ChaosPolicy, ChaosStats, ChaosTransport, NetworkView, Transport};
+use netsolve::net::{
+    ChannelNetwork, ChaosPolicy, ChaosStats, ChaosTransport, LinkModel, NetworkView, Transport,
+};
 use netsolve::obs::{MetricsRegistry, StatsSnapshot, Tracer};
 use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
 
 const CLIENTS: usize = 4;
 const REQUESTS_PER_CLIENT: usize = 25;
+
+/// The soaks' link: no latency, no bandwidth cap, 0.25 ms of Gaussian
+/// jitter per leg. A leg's delay is that jitter clamped at zero, 0.1 ms on
+/// average (σ/√(2π)), so an exchange adds about 0.2 ms: the same mean as
+/// a 10 % chance of a U(0, 2 ms) pause on each send and each receive.
+fn jittery_link() -> LinkModel {
+    LinkModel { jitter_secs: 2.5e-4, ..LinkModel::ideal() }
+}
 
 struct SoakOutcome {
     ok: u64,
@@ -69,10 +79,10 @@ fn run_soak(seed: u64) -> SoakOutcome {
     // on a kept connection is absorbed by a redial inside the try: the
     // per-frame corruption is what fails attempts at a steady rate.
     let policy = ChaosPolicy::calm()
+        .with_link(jittery_link())
         .with_refusals(0.12)
         .with_corruption(0.08)
-        .with_resets(0.02)
-        .with_delays(0.10, Duration::from_millis(2));
+        .with_resets(0.02);
     // One registry shared by the chaos layer and every client: injected
     // faults and client-observed attempts land side by side, so the
     // injected == detected invariant is assertable purely from metrics.
@@ -537,9 +547,9 @@ fn run_cached_soak(seed: u64) {
     .unwrap();
 
     let policy = ChaosPolicy::calm()
+        .with_link(jittery_link())
         .with_refusals(0.10)
-        .with_corruption(0.03)
-        .with_delays(0.10, Duration::from_millis(2));
+        .with_corruption(0.03);
     let metrics = Arc::new(MetricsRegistry::new());
     let tracer = Arc::new(Tracer::new());
     let chaos = Arc::new(

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use netsolve::core::{CsrMatrix, DataObject, Matrix, Rng64};
-use netsolve::net::LinkModel;
+use netsolve::net::ChaosPolicy;
 use netsolve::server::ExecutionMode;
 use netsolve::agent::Policy;
 use netsolve::testbed::InProcessDomain;
@@ -136,14 +136,13 @@ fn remote_equals_local_exactly() {
     assert_eq!(remote[0].as_vector().unwrap(), local.as_slice());
 }
 
-/// A lossy network (2% injected failures per send) plus client retries
+/// A lossy network (2% of sends and receives reset) plus client retries
 /// still completes a batch; failures are visible in attempt counts.
 #[test]
 fn lossy_network_is_survivable() {
-    let link = LinkModel::ideal().with_failure_prob(0.02);
     let mut domain = InProcessDomain::start_with(
         &[("a", 100.0), ("b", 100.0), ("c", 100.0)],
-        link,
+        ChaosPolicy::calm().with_resets(0.02),
         Policy::MinimumCompletionTime,
         ExecutionMode::Real,
     )
@@ -178,7 +177,7 @@ fn synthetic_mode_emulates_speed_ratio() {
     // so the advertised ratings are real. 50x speed difference.
     let mut domain = InProcessDomain::start_with(
         &[("supercomputer", 5000.0), ("workstation", 100.0)],
-        LinkModel::ideal(),
+        ChaosPolicy::calm(),
         Policy::MinimumCompletionTime,
         ExecutionMode::Synthetic { mflops: 0.0 }, // per-server value is used
     )
@@ -400,7 +399,7 @@ fn server_roster_reflects_domain_state() {
     assert!(servers.iter().all(|s| s.problems >= 21));
 
     // Kill hostA's address; after two failed calls the roster marks it down.
-    domain.network().set_down("srv0");
+    domain.transport().kill("srv0");
     for _ in 0..2 {
         let _ = client.netsl("ddot", &[vec![1.0].into(), vec![1.0].into()]);
     }

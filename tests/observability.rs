@@ -21,8 +21,8 @@ use netsolve::core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
 use netsolve::core::error::Result;
 use netsolve::core::NetSolveError;
 use netsolve::net::{
-    call, ChannelNetwork, ChaosPolicy, ChaosTransport, Connection, Listener, NetworkView,
-    TcpTransport, Transport,
+    call, ChannelNetwork, ChaosPolicy, ChaosTransport, Connection, LinkModel, Listener,
+    NetworkView, TcpTransport, Transport,
 };
 use netsolve::obs::{MetricsRegistry, StatsSnapshot, Tracer};
 use netsolve::proto::Message;
@@ -427,9 +427,11 @@ fn live_trio_exposes_counters_after_chaos_run() {
         );
     }
 
+    // 0.125 ms of jitter per leg: ~0.05 ms each way on average, about the
+    // mean of a 10 % chance of a U(0, 1 ms) pause per send and receive.
     let policy = ChaosPolicy::calm()
-        .with_refusals(0.25)
-        .with_delays(0.10, Duration::from_millis(1));
+        .with_link(LinkModel { jitter_secs: 1.25e-4, ..LinkModel::ideal() })
+        .with_refusals(0.25);
     let metrics = Arc::new(MetricsRegistry::new());
     let tracer = Arc::new(Tracer::new());
     let chaos: Arc<dyn Transport> =
