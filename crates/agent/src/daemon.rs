@@ -135,19 +135,14 @@ impl AgentDaemon {
         // expires dead peers' series — the state gossip replicates.
         if telemetry.digests {
             let shared = Arc::clone(&shared);
-            let series = netsolve_obs::WindowedSeries::new(netsolve_obs::SeriesConfig {
-                tick_secs: telemetry.tick_secs,
-                slots: telemetry.window_slots,
-            });
+            let series = netsolve_obs::WindowedSeries::default();
             // Seed the series baseline now so events that land before the
-            // first tick show up in the first delta slot instead of
+            // first tick show up in the first tick's change instead of
             // vanishing into it.
             series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
-            daemon.every(
-                "agent-telemetry",
-                Duration::from_secs_f64(telemetry.tick_secs.clamp(0.005, 60.0)),
-                move || shared.telemetry_round(&series),
-            )?;
+            daemon.every("agent-telemetry", telemetry.tick(), move || {
+                shared.telemetry_round(&series)
+            })?;
         }
         {
             let shared = Arc::clone(&shared);
@@ -350,8 +345,7 @@ impl Shared {
     fn telemetry_round(&self, series: &netsolve_obs::WindowedSeries) {
         let metrics = &self.metrics;
         series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
-        let cfg = series.config();
-        let own = series.digest(&self.address, "agent", cfg.tick_secs * cfg.slots as f64);
+        let own = series.digest(&self.address, "agent");
         let targets = {
             let now = self.clock.now();
             let mut core = self.core.lock();

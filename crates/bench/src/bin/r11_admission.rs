@@ -10,8 +10,8 @@
 //!   policy is at least 2x better than the no-shed baseline (an identical
 //!   gate whose queue bound is effectively infinite, so the discipline —
 //!   FCFS through one solve slot — is the same and only the shed differs);
-//! * **scale** — a 10^5-client closed-loop scenario (the next-event
-//!   calendar's reason to exist) completes in under 60 s of wall time.
+//! * **scale** — a 10^5-client closed-loop scenario completes in under
+//!   60 s of wall time.
 //!
 //! Both agents run with the fault tracker effectively disabled
 //! (`failures_to_mark_down = u32::MAX`): a shed burst would otherwise
@@ -186,14 +186,14 @@ fn main() {
     let mut g_lat = guarded.ok_latencies.clone();
     let (baseline_p99, guarded_p99) = (p99(&mut b_lat), p99(&mut g_lat));
 
-    // --- Sim: the same scenario through the event calendar. ---
+    // --- Sim: the same scenario through the simulator. ---
     let sim_report = run(&sim_scenario(requests, rate, MAX_QUEUE)).unwrap();
     let sim_stats = *sim_report.admission().expect("admission enabled");
     let sim_p99 = sim_report.turnaround_percentile(99.0);
     let rel_diff =
         (sim_stats.shed_rate() - guarded.shed_rate).abs() / guarded.shed_rate.max(1e-9);
 
-    // --- Scale: 10^5 closed-loop clients through the calendar queue. ---
+    // --- Scale: 10^5 closed-loop clients through the simulator. ---
     let (scale_clients, scale_requests) =
         if quick { (2_000, 4_000) } else { (100_000, 150_000) };
     let mut scale = Scenario::default_with(vec![SimServer::new(MFLOPS); 32], scale_requests);

@@ -51,7 +51,7 @@ struct Trio {
 }
 
 fn telemetry_policy(on: bool) -> TelemetryPolicy {
-    TelemetryPolicy { tick_secs: TICK_SECS, digests: on, ..TelemetryPolicy::default() }
+    TelemetryPolicy { tick_secs: TICK_SECS, digests: on }
 }
 
 fn start_trio(telemetry_on: bool) -> Trio {

@@ -1,6 +1,8 @@
 //! System-wide tunables, mirroring the knobs the original NetSolve exposed
 //! for workload management and fault tolerance.
 
+use std::time::Duration;
+
 /// How servers report workload and how long the agent trusts those reports.
 ///
 /// NetSolve servers broadcast their workload periodically, but only when the
@@ -200,8 +202,8 @@ impl Default for GossipPolicy {
 /// Daemon-side telemetry sampling knobs.
 ///
 /// Every daemon runs a sampler thread that snapshots its metrics
-/// registry each `tick_secs` into a windowed series of deltas
-/// (`window_slots` ticks deep), from which rates and rolling
+/// registry each `tick_secs` into a windowed series (the last
+/// `netsolve_obs::WINDOW_SLOTS` samples), from which rates and rolling
 /// percentiles are answered. Agents additionally fold the fleet's
 /// windowed digests into their gossip rounds when `digests` is on, so
 /// one scrape of any agent returns every peer's recent history.
@@ -209,17 +211,22 @@ impl Default for GossipPolicy {
 pub struct TelemetryPolicy {
     /// Seconds between registry samples.
     pub tick_secs: f64,
-    /// How many ticks of history the windowed series retains.
-    pub window_slots: usize,
     /// Whether stats digests ride along on gossip and answer
     /// `FleetStatsQuery`.
     pub digests: bool,
 }
 
 impl Default for TelemetryPolicy {
-    /// 1 s × 120 slots — two minutes of per-second history.
+    /// One sample a second: two minutes of per-second history.
     fn default() -> Self {
-        TelemetryPolicy { tick_secs: 1.0, window_slots: 120, digests: true }
+        TelemetryPolicy { tick_secs: 1.0, digests: true }
+    }
+}
+
+impl TelemetryPolicy {
+    /// The sampler's period: `tick_secs`, held to 5 ms – 60 s.
+    pub fn tick(&self) -> Duration {
+        Duration::from_secs_f64(self.tick_secs.clamp(0.005, 60.0))
     }
 }
 

@@ -13,6 +13,12 @@
 //! (the `StatsQuery` wire message, the `netsl-stats` bin, test
 //! assertions) and is plain data, so `netsolve-proto` can marshal it
 //! without this crate knowing anything about the wire format.
+//!
+//! Each daemon's sampler also feeds one snapshot per tick into a
+//! [`WindowedSeries`], a ring of the last [`WINDOW_SLOTS`] + 1 cumulative
+//! snapshots. Any change over the window is the newest sample minus an
+//! older one, and the whole window minus its oldest sample is the
+//! [`StatsDigest`] agents gossip and `netsl-top` shows.
 
 #![warn(missing_docs)]
 
@@ -24,8 +30,6 @@ pub mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, StatsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use series::{
-    unix_now_secs, DigestQuantiles, SeriesConfig, SeriesSlot, StatsDigest, WindowedSeries,
-};
+pub use series::{unix_now_secs, DigestQuantiles, StatsDigest, WindowedSeries, WINDOW_SLOTS};
 pub use stitch::{render, stitch, PhaseShare, Timeline, TimelineEntry};
 pub use trace::{Span, SpanContext, SpanRecord, SpanTimer, Tracer};

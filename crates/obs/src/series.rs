@@ -1,13 +1,17 @@
 //! Windowed time series over periodic [`StatsSnapshot`]s.
 //!
-//! A [`WindowedSeries`] is a fixed-size ring of per-tick *deltas*: a
-//! sampler thread in each daemon feeds it one cumulative snapshot per
-//! tick, and the series stores what changed since the previous tick —
-//! counter increments, latest gauge levels, and per-bucket histogram
-//! increments (with the cumulative exemplars carried along). From those
-//! slots it answers rate, derivative, and rolling-quantile queries over
-//! any trailing window, and it collapses into the compact
-//! [`StatsDigest`] that agents gossip fleet-wide.
+//! A [`WindowedSeries`] is a ring of the last [`WINDOW_SLOTS`] + 1
+//! *cumulative* registry snapshots: a sampler thread in each daemon feeds
+//! it one per tick. Counters and histogram buckets only grow, so whatever
+//! happened over any stretch of the window is the newest sample minus the
+//! sample at the start of that stretch — one subtraction, from which
+//! counter rates, rolling quantiles and the compact [`StatsDigest`] that
+//! agents gossip fleet-wide all follow. Gauges are levels, not totals, so
+//! a change carries the newest sample's.
+//!
+//! The window is the last `WINDOW_SLOTS` ticks by count, not by clock: a
+//! sampler that runs late lengthens the window's seconds instead of
+//! dropping its oldest samples.
 //!
 //! Everything lives behind one short mutex taken once per tick and once
 //! per query — the sampler path never touches request hot paths, which
@@ -19,230 +23,70 @@ use parking_lot::Mutex;
 
 use crate::metrics::{HistogramSnapshot, StatsSnapshot};
 
-/// How a daemon samples its registry into a series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesConfig {
-    /// Seconds between samples.
-    pub tick_secs: f64,
-    /// Ring length: how many ticks of history are retained.
-    pub slots: usize,
-}
+/// Ticks of history a [`WindowedSeries`] spans: two minutes at the
+/// daemons' default 1 s tick.
+pub const WINDOW_SLOTS: usize = 120;
 
-impl Default for SeriesConfig {
-    /// 1 s × 120 slots — two minutes of per-second history.
-    fn default() -> Self {
-        SeriesConfig { tick_secs: 1.0, slots: 120 }
-    }
-}
-
-/// One tick's worth of change.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSlot {
-    /// Wall-clock seconds (unix epoch) the sample was taken at.
-    pub at_unix_secs: f64,
-    /// Seconds actually elapsed since the previous sample (close to the
-    /// configured tick, but measured — sleeps are not exact).
-    pub elapsed_secs: f64,
-    /// Counter increments during the tick, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge levels at sample time, sorted by name.
-    pub gauges: Vec<(String, i64)>,
-    /// Per-bucket histogram increments during the tick (exemplars and
-    /// `max_exemplar` are the cumulative values at sample time — an
-    /// exemplar is a pointer, not an additive quantity).
-    pub histograms: Vec<HistogramSnapshot>,
-}
-
+/// A ring of the last [`WINDOW_SLOTS`] + 1 cumulative snapshots (see the
+/// module docs).
 #[derive(Debug, Default)]
-struct SeriesInner {
-    ring: VecDeque<SeriesSlot>,
-    last: Option<(StatsSnapshot, f64)>,
-}
-
-/// A bounded ring of per-tick snapshot deltas (see the module docs).
-#[derive(Debug)]
 pub struct WindowedSeries {
-    config: SeriesConfig,
-    inner: Mutex<SeriesInner>,
-}
-
-impl Default for WindowedSeries {
-    fn default() -> Self {
-        Self::new(SeriesConfig::default())
-    }
+    /// `(unix seconds, snapshot)`, oldest first.
+    ring: Mutex<VecDeque<(f64, StatsSnapshot)>>,
 }
 
 impl WindowedSeries {
-    /// An empty series with the given tick/ring geometry.
-    pub fn new(config: SeriesConfig) -> Self {
-        WindowedSeries {
-            config: SeriesConfig { tick_secs: config.tick_secs.max(1e-3), slots: config.slots.max(2) },
-            inner: Mutex::new(SeriesInner::default()),
-        }
-    }
-
-    /// The tick/ring geometry.
-    pub fn config(&self) -> SeriesConfig {
-        self.config
-    }
-
-    /// Feed one cumulative snapshot taken at `at_unix_secs`. The first
-    /// sample only seeds the baseline (no slot is produced — there is
-    /// nothing to delta against yet).
+    /// Feed one cumulative snapshot taken at `at_unix_secs`, evicting the
+    /// oldest once the window is full.
     pub fn record(&self, snapshot: StatsSnapshot, at_unix_secs: f64) {
-        let mut inner = self.inner.lock();
-        if let Some((prev, prev_at)) = &inner.last {
-            let elapsed = (at_unix_secs - prev_at).max(1e-9);
-            let slot = delta_slot(prev, &snapshot, at_unix_secs, elapsed);
-            inner.ring.push_back(slot);
-            while inner.ring.len() > self.config.slots {
-                inner.ring.pop_front();
-            }
+        let mut ring = self.ring.lock();
+        if ring.len() > WINDOW_SLOTS {
+            ring.pop_front();
         }
-        inner.last = Some((snapshot, at_unix_secs));
+        ring.push_back((at_unix_secs, snapshot));
     }
 
-    /// How many delta slots are currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
+    /// What happened over the last `ticks` ticks (at least one, at most
+    /// the window): the seconds they took and the newest sample minus the
+    /// sample `ticks` before it. `None` with fewer than two samples.
+    pub fn change(&self, ticks: usize) -> Option<(f64, StatsSnapshot)> {
+        let ring = self.ring.lock();
+        let newest = ring.len().checked_sub(1).filter(|&n| n > 0)?;
+        let (from_at, from) = &ring[newest - ticks.clamp(1, newest)];
+        let (to_at, to) = &ring[newest];
+        Some(((to_at - from_at).max(1e-9), difference(from, to)))
     }
 
-    /// Whether no delta slot has been produced yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The retained slots, oldest first.
-    pub fn slots(&self) -> Vec<SeriesSlot> {
-        self.inner.lock().ring.iter().cloned().collect()
-    }
-
-    /// Mean events/second of `counter` over the trailing `window_secs`
-    /// (clamped to the history actually retained). 0 when no slots.
-    pub fn rate(&self, counter: &str, window_secs: f64) -> f64 {
-        let inner = self.inner.lock();
-        let (mut events, mut secs) = (0u64, 0f64);
-        for slot in window(&inner.ring, window_secs) {
-            events += lookup_u64(&slot.counters, counter);
-            secs += slot.elapsed_secs;
-        }
-        if secs <= 0.0 {
-            0.0
-        } else {
-            events as f64 / secs
-        }
-    }
-
-    /// First derivative of `gauge` over the trailing window: (last −
-    /// first) / elapsed, in units per second. `None` without at least
-    /// two slots in the window.
-    pub fn gauge_derivative(&self, gauge: &str, window_secs: f64) -> Option<f64> {
-        let inner = self.inner.lock();
-        let slots: Vec<&SeriesSlot> = window(&inner.ring, window_secs).collect();
-        let (first, last) = (slots.first()?, slots.last()?);
-        let dt = last.at_unix_secs - first.at_unix_secs;
-        if slots.len() < 2 || dt <= 0.0 {
-            return None;
-        }
-        let dv = lookup_i64(&last.gauges, gauge) - lookup_i64(&first.gauges, gauge);
-        Some(dv as f64 / dt)
-    }
-
-    /// Latest sampled level of `gauge` (`None` before any slot).
-    pub fn gauge_last(&self, gauge: &str) -> Option<i64> {
-        let inner = self.inner.lock();
-        inner.ring.back().map(|s| lookup_i64(&s.gauges, gauge))
-    }
-
-    /// The histogram of samples recorded during the trailing window:
-    /// per-bucket increments summed across the window's slots, with the
-    /// most recent slot's exemplars carried along. Quantiles of the
-    /// result are *rolling* quantiles — `p99 over the last 30 s`, not
-    /// since process start. `None` when the window holds no slot that
-    /// saw the histogram.
-    pub fn windowed_histogram(&self, name: &str, window_secs: f64) -> Option<HistogramSnapshot> {
-        let inner = self.inner.lock();
-        let mut acc: Option<HistogramSnapshot> = None;
-        for slot in window(&inner.ring, window_secs) {
-            let Some(h) = slot.histograms.iter().find(|h| h.name == name) else {
-                continue;
-            };
-            match &mut acc {
-                None => acc = Some(h.clone()),
-                Some(acc) => {
-                    acc.count += h.count;
-                    acc.sum_secs += h.sum_secs;
-                    for (a, b) in acc.buckets.iter_mut().zip(&h.buckets) {
-                        *a += b;
-                    }
-                    // Later slots are fresher: their exemplars win.
-                    acc.exemplars = h.exemplars.clone();
-                    acc.max_exemplar = h.max_exemplar;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Collapse the trailing window into a compact [`StatsDigest`] for
-    /// gossip: counter rates, latest gauges, and p50/p95/p99 (+ p99
-    /// exemplar) per histogram.
-    pub fn digest(&self, origin: &str, component: &str, window_secs: f64) -> StatsDigest {
-        let inner = self.inner.lock();
-        let slots: Vec<&SeriesSlot> = window(&inner.ring, window_secs).collect();
-        // `+ 0.0` normalises the empty-window sum (IEEE -0.0) to +0.0 so
-        // an idle digest reports a plain zero window.
-        let covered: f64 = slots.iter().map(|s| s.elapsed_secs).sum::<f64>() + 0.0;
-        let mut counters: Vec<(String, f64)> = Vec::new();
-        let mut histograms: Vec<HistogramSnapshot> = Vec::new();
-        for slot in &slots {
-            for (name, v) in &slot.counters {
-                match counters.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, total)) => *total += *v as f64,
-                    None => counters.push((name.clone(), *v as f64)),
-                }
-            }
-            for h in &slot.histograms {
-                match histograms.iter_mut().find(|a| a.name == h.name) {
-                    Some(acc) => {
-                        acc.count += h.count;
-                        acc.sum_secs += h.sum_secs;
-                        for (a, b) in acc.buckets.iter_mut().zip(&h.buckets) {
-                            *a += b;
-                        }
-                        acc.exemplars = h.exemplars.clone();
-                        acc.max_exemplar = h.max_exemplar;
-                    }
-                    None => histograms.push(h.clone()),
-                }
-            }
-        }
-        if covered > 0.0 {
-            for (_, v) in &mut counters {
-                *v /= covered;
-            }
-        }
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let quantiles = histograms
-            .iter()
-            .filter(|h| h.count > 0)
-            .map(|h| DigestQuantiles {
-                name: h.name.clone(),
-                count: h.count,
-                p50_secs: h.quantile_secs(0.50),
-                p95_secs: h.quantile_secs(0.95),
-                p99_secs: h.quantile_secs(0.99),
-                p99_exemplar: h.exemplar_near(0.99),
-            })
-            .collect();
-        StatsDigest {
+    /// The whole window as a compact [`StatsDigest`] for gossip: counter
+    /// rates, latest gauges, and p50/p95/p99 (+ p99 exemplar) per
+    /// histogram that saw samples. Empty with fewer than two samples.
+    pub fn digest(&self, origin: &str, component: &str) -> StatsDigest {
+        let empty = StatsDigest {
             origin: origin.to_string(),
             component: component.to_string(),
-            age_secs: 0.0,
-            window_secs: covered,
-            counters,
-            gauges: slots.last().map(|s| s.gauges.clone()).unwrap_or_default(),
-            quantiles,
+            ..StatsDigest::default()
+        };
+        let Some((secs, change)) = self.change(WINDOW_SLOTS) else {
+            return empty;
+        };
+        StatsDigest {
+            window_secs: secs,
+            counters: change.counters.into_iter().map(|(n, v)| (n, v as f64 / secs)).collect(),
+            gauges: change.gauges,
+            quantiles: change
+                .histograms
+                .iter()
+                .filter(|h| h.count > 0)
+                .map(|h| DigestQuantiles {
+                    name: h.name.clone(),
+                    count: h.count,
+                    p50_secs: h.quantile_secs(0.50),
+                    p95_secs: h.quantile_secs(0.95),
+                    p99_secs: h.quantile_secs(0.99),
+                    p99_exemplar: h.exemplar_near(0.99),
+                })
+                .collect(),
+            ..empty
         }
     }
 }
@@ -256,51 +100,25 @@ pub fn unix_now_secs() -> f64 {
         .as_secs_f64()
 }
 
-/// Slots inside the trailing `window_secs`, oldest first.
-fn window(ring: &VecDeque<SeriesSlot>, window_secs: f64) -> impl Iterator<Item = &SeriesSlot> {
-    let newest = ring.back().map(|s| s.at_unix_secs).unwrap_or(0.0);
-    ring.iter().filter(move |s| newest - s.at_unix_secs <= window_secs.max(0.0))
-}
-
-fn lookup_u64(items: &[(String, u64)], name: &str) -> u64 {
-    items.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-}
-
-fn lookup_i64(items: &[(String, i64)], name: &str) -> i64 {
-    items.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-}
-
-/// Delta of two cumulative snapshots. Counters and histogram buckets
-/// subtract (saturating: a restarted instrument just reads as zero);
-/// gauges take the new level.
-fn delta_slot(
-    prev: &StatsSnapshot,
-    next: &StatsSnapshot,
-    at_unix_secs: f64,
-    elapsed_secs: f64,
-) -> SeriesSlot {
-    let counters = next
-        .counters
-        .iter()
-        .map(|(n, v)| (n.clone(), v.saturating_sub(prev.counter(n))))
-        .collect();
-    let histograms = next
+/// `to` minus `from`. Counters and histogram buckets subtract
+/// (saturating: a restarted instrument reads as zero); gauge levels and
+/// exemplars — pointers, not quantities — are `to`'s.
+fn difference(from: &StatsSnapshot, to: &StatsSnapshot) -> StatsSnapshot {
+    let histograms = to
         .histograms
         .iter()
         .map(|h| {
-            let base = prev.histogram(&h.name);
+            let base = from.histogram(&h.name);
             HistogramSnapshot {
                 name: h.name.clone(),
-                count: h.count.saturating_sub(base.map(|b| b.count).unwrap_or(0)),
-                sum_secs: (h.sum_secs - base.map(|b| b.sum_secs).unwrap_or(0.0)).max(0.0),
+                count: h.count.saturating_sub(base.map_or(0, |b| b.count)),
+                sum_secs: (h.sum_secs - base.map_or(0.0, |b| b.sum_secs)).max(0.0),
                 buckets: h
                     .buckets
                     .iter()
                     .enumerate()
                     .map(|(i, v)| {
-                        v.saturating_sub(
-                            base.and_then(|b| b.buckets.get(i)).copied().unwrap_or(0),
-                        )
+                        v.saturating_sub(base.and_then(|b| b.buckets.get(i)).map_or(0, |b| *b))
                     })
                     .collect(),
                 exemplars: h.exemplars.clone(),
@@ -308,11 +126,14 @@ fn delta_slot(
             }
         })
         .collect();
-    SeriesSlot {
-        at_unix_secs,
-        elapsed_secs,
-        counters,
-        gauges: next.gauges.clone(),
+    StatsSnapshot {
+        component: to.component.clone(),
+        counters: to
+            .counters
+            .iter()
+            .map(|(n, v)| (n.clone(), v.saturating_sub(from.counter(n))))
+            .collect(),
+        gauges: to.gauges.clone(),
         histograms,
     }
 }
@@ -338,7 +159,7 @@ pub struct StatsDigest {
     pub counters: Vec<(String, f64)>,
     /// Latest gauge levels, sorted by name.
     pub gauges: Vec<(String, i64)>,
-    /// Rolling quantiles per histogram.
+    /// Rolling quantiles per histogram, sorted by name.
     pub quantiles: Vec<DigestQuantiles>,
 }
 
@@ -362,12 +183,12 @@ pub struct DigestQuantiles {
 impl StatsDigest {
     /// Look up a counter rate by name (0 when absent).
     pub fn rate(&self, name: &str) -> f64 {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0.0)
+        self.counters.iter().find(|(n, _)| n == name).map_or(0.0, |(_, v)| *v)
     }
 
     /// Look up a gauge level by name (0 when absent).
     pub fn gauge(&self, name: &str) -> i64 {
-        lookup_i64(&self.gauges, name)
+        self.gauges.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
     }
 
     /// Look up a histogram's rolling quantiles by name.
@@ -386,72 +207,99 @@ mod tests {
     }
 
     #[test]
-    fn first_sample_seeds_later_samples_delta() {
+    fn first_sample_only_seeds_the_baseline() {
         let reg = MetricsRegistry::new();
-        let series = WindowedSeries::new(SeriesConfig { tick_secs: 1.0, slots: 8 });
+        let series = WindowedSeries::default();
+        assert!(series.change(1).is_none());
         reg.counter("x.events").add(100);
         tick(&reg, &series, 10.0);
-        assert!(series.is_empty(), "baseline produces no slot");
+        assert!(series.change(1).is_none(), "one sample has no change yet");
+        let empty = StatsDigest {
+            origin: "srv0".into(),
+            component: "server".into(),
+            ..StatsDigest::default()
+        };
+        assert_eq!(series.digest("srv0", "server"), empty);
         reg.counter("x.events").add(5);
-        tick(&reg, &series, 11.0);
-        assert_eq!(series.len(), 1);
-        let slot = &series.slots()[0];
-        assert_eq!(lookup_u64(&slot.counters, "x.events"), 5, "delta, not cumulative");
-        assert!((series.rate("x.events", 60.0) - 5.0).abs() < 1e-9);
+        tick(&reg, &series, 11.5);
+        let (secs, change) = series.change(1).unwrap();
+        assert_eq!(secs, 1.5);
+        assert_eq!(change.counter("x.events"), 5, "a difference, not the cumulative total");
     }
 
     #[test]
-    fn ring_is_bounded_and_rates_window() {
+    fn change_spans_the_last_ticks_and_the_window_is_bounded() {
         let reg = MetricsRegistry::new();
-        let series = WindowedSeries::new(SeriesConfig { tick_secs: 1.0, slots: 4 });
-        for i in 0..10 {
+        let series = WindowedSeries::default();
+        for i in 0..WINDOW_SLOTS as u64 + 10 {
             reg.counter("x.events").add(i);
             tick(&reg, &series, i as f64);
         }
-        assert_eq!(series.len(), 4, "ring bounded at 4 slots");
-        // Last 4 deltas are 6, 7, 8, 9 over 4 seconds.
-        assert!((series.rate("x.events", 100.0) - 7.5).abs() < 1e-9);
-        // A 1-second window sees only the newest delta (9 over 1 s) —
-        // window membership is by timestamp distance from the newest.
-        assert!((series.rate("x.events", 1.0) - 8.5).abs() < 1e-9);
+        let newest = WINDOW_SLOTS as u64 + 9;
+        let (secs, last) = series.change(1).unwrap();
+        assert_eq!((secs, last.counter("x.events")), (1.0, newest));
+        let (secs, four) = series.change(4).unwrap();
+        assert_eq!((secs, four.counter("x.events")), (4.0, (newest - 3..=newest).sum()));
+        // The window holds the last WINDOW_SLOTS ticks, however many are
+        // asked for.
+        let (secs, all) = series.change(usize::MAX).unwrap();
+        assert_eq!(secs, WINDOW_SLOTS as f64);
+        assert_eq!(all.counter("x.events"), (newest + 1 - WINDOW_SLOTS as u64..=newest).sum());
+        assert_eq!(series.change(0).unwrap().0, 1.0, "zero ticks reads as one");
     }
 
     #[test]
-    fn gauges_take_levels_and_derivatives() {
+    fn the_window_is_counted_in_samples_not_seconds() {
+        // A sampler that ran late: the gaps lengthen the window, they do
+        // not push samples out of it.
         let reg = MetricsRegistry::new();
-        let series = WindowedSeries::new(SeriesConfig { tick_secs: 1.0, slots: 8 });
-        reg.gauge("x.depth").set(2);
-        tick(&reg, &series, 0.0);
-        reg.gauge("x.depth").set(4);
-        tick(&reg, &series, 1.0);
-        reg.gauge("x.depth").set(8);
-        tick(&reg, &series, 2.0);
-        assert_eq!(series.gauge_last("x.depth"), Some(8));
-        let d = series.gauge_derivative("x.depth", 100.0).unwrap();
-        assert!((d - 4.0).abs() < 1e-9, "8-4 over 1s window pair: {d}");
+        let series = WindowedSeries::default();
+        let mut at = 0.0;
+        for i in 0..=WINDOW_SLOTS {
+            reg.counter("x.events").inc();
+            at += if i % 2 == 0 { 1.0 } else { 3.0 };
+            tick(&reg, &series, at);
+        }
+        let d = series.digest("srv0", "server");
+        assert_eq!(d.window_secs, 2.0 * WINDOW_SLOTS as f64);
+        assert_eq!(d.rate("x.events"), 0.5);
     }
 
     #[test]
-    fn windowed_histogram_sums_deltas_and_keeps_fresh_exemplars() {
+    fn gauges_take_the_newest_level() {
         let reg = MetricsRegistry::new();
-        let series = WindowedSeries::new(SeriesConfig { tick_secs: 1.0, slots: 8 });
+        let series = WindowedSeries::default();
+        for (at, level) in [(0.0, 2), (1.0, 4), (2.0, 8)] {
+            reg.gauge("x.depth").set(level);
+            tick(&reg, &series, at);
+        }
+        assert_eq!(series.change(2).unwrap().1.gauge("x.depth"), 8);
+        assert_eq!(series.digest("srv0", "server").gauge("x.depth"), 8);
+    }
+
+    #[test]
+    fn histograms_difference_buckets_and_keep_fresh_exemplars() {
+        let reg = MetricsRegistry::new();
+        let series = WindowedSeries::default();
         let h = reg.histogram("x.secs");
         h.record_secs_traced(1e-3, 0x1);
         tick(&reg, &series, 0.0);
         h.record_secs_traced(1e-3, 0x2);
         h.record_secs_traced(0.3, 0x3);
         tick(&reg, &series, 1.0);
-        let w = series.windowed_histogram("x.secs", 100.0).unwrap();
+        let (_, change) = series.change(WINDOW_SLOTS).unwrap();
+        let w = change.histogram("x.secs").unwrap();
         assert_eq!(w.count, 2, "only samples after the baseline");
         assert_eq!(w.buckets.iter().sum::<u64>(), 2);
-        assert_eq!(w.exemplar_near(0.99), 0x3);
         assert_eq!(w.buckets.len(), HISTOGRAM_BUCKETS);
+        assert_eq!(w.exemplar_near(0.99), 0x3);
+        assert_eq!(w.exemplar_near(0.01), 0x2, "the newest exemplar of a bucket wins");
     }
 
     #[test]
     fn digest_summarizes_rates_gauges_and_quantiles() {
         let reg = MetricsRegistry::new();
-        let series = WindowedSeries::new(SeriesConfig { tick_secs: 1.0, slots: 8 });
+        let series = WindowedSeries::default();
         tick(&reg, &series, 0.0);
         reg.counter("x.requests").add(30);
         reg.gauge("x.depth").set(5);
@@ -462,8 +310,9 @@ mod tests {
         for _ in 0..3 {
             h.record_secs_traced(2.0, 0xCD);
         }
+        reg.histogram("x.idle_secs");
         tick(&reg, &series, 3.0);
-        let d = series.digest("srv0", "server", 100.0);
+        let d = series.digest("srv0", "server");
         assert_eq!(d.origin, "srv0");
         assert_eq!(d.component, "server");
         assert!((d.rate("x.requests") - 10.0).abs() < 1e-9, "30 events / 3 s");
@@ -472,6 +321,7 @@ mod tests {
         assert_eq!(q.count, 100);
         assert!(q.p50_secs <= q.p95_secs && q.p95_secs <= q.p99_secs);
         assert_eq!(q.p99_exemplar, 0xCD, "p99 exemplar points at the slow trace");
+        assert!(d.quantiles("x.idle_secs").is_none(), "a histogram with no samples is left out");
         assert!((d.window_secs - 3.0).abs() < 1e-9);
     }
 }

@@ -12,8 +12,7 @@
 //! Retention is per-trace: a bounded span budget evicts whole traces
 //! oldest-first, except traces that contained a slow span (duration at
 //! or above the slow threshold), which are *pinned* and survive ring
-//! pressure up to a separate pinned cap. Lookup by request id is an
-//! index hit, not a ring scan.
+//! pressure up to a separate pinned cap.
 //!
 //! The tracer doubles as the request-id uniqueness monitor — a shared
 //! tracer registers every id a client mints and counts collisions,
@@ -32,8 +31,8 @@ use parking_lot::Mutex;
 const DEFAULT_CAPACITY: usize = 1024;
 
 /// Spans at or above this duration pin their whole trace against
-/// eviction (see [`Tracer::with_slow_threshold`]).
-const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(250);
+/// eviction.
+const SLOW_THRESHOLD: Duration = Duration::from_millis(250);
 
 /// At most this many slow traces stay pinned; beyond it the oldest
 /// pinned trace is evicted so a burst of slow requests cannot pin the
@@ -275,11 +274,6 @@ impl SpanTimer {
     pub fn span_id(&self) -> u64 {
         self.span_id
     }
-
-    /// When the span started.
-    pub fn started_at(&self) -> Instant {
-        self.start
-    }
 }
 
 struct TraceBuf {
@@ -296,8 +290,6 @@ struct TraceInner {
     pinned_order: VecDeque<u128>,
     total_spans: usize,
     capacity: usize,
-    slow_threshold: Duration,
-    by_request: HashMap<u64, u128, IdHashBuilder>,
     /// The last [`SEEN_REQUEST_WINDOW`] registered request ids, oldest
     /// first in `seen_order`.
     seen_requests: HashSet<u64, IdHashBuilder>,
@@ -315,11 +307,6 @@ impl TraceInner {
     fn evict_trace(&mut self, id: u128) {
         if let Some(buf) = self.traces.remove(&id) {
             self.total_spans -= buf.spans.len();
-            for span in &buf.spans {
-                if span.request_id != 0 && self.by_request.get(&span.request_id) == Some(&id) {
-                    self.by_request.remove(&span.request_id);
-                }
-            }
         }
     }
 
@@ -438,8 +425,6 @@ impl Tracer {
                 pinned_order: VecDeque::new(),
                 total_spans: 0,
                 capacity: capacity.max(1),
-                slow_threshold: DEFAULT_SLOW_THRESHOLD,
-                by_request: HashMap::default(),
                 seen_requests: HashSet::default(),
                 seen_order: VecDeque::new(),
                 collisions: 0,
@@ -447,25 +432,9 @@ impl Tracer {
         }
     }
 
-    /// Set the slow-request threshold: any span at or above it pins
-    /// its whole trace against ring eviction.
-    pub fn with_slow_threshold(self, threshold: Duration) -> Self {
-        self.inner.lock().slow_threshold = threshold;
-        self
-    }
-
-    /// Whether this tracer records spans at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Nanoseconds since the unix epoch by this tracer's clock
     /// (monotonic offsets from one wall-clock anchor, so timestamps
     /// never run backwards within a process).
-    pub fn now_unix_nanos(&self) -> u64 {
-        self.to_unix_nanos(Instant::now())
-    }
-
     fn to_unix_nanos(&self, at: Instant) -> u64 {
         self.epoch_unix_nanos
             .saturating_add(at.saturating_duration_since(self.epoch_instant).as_nanos() as u64)
@@ -557,7 +526,7 @@ impl Tracer {
         if !self.enabled {
             return;
         }
-        let now = self.now_unix_nanos();
+        let now = self.to_unix_nanos(Instant::now());
         self.store(Span {
             seq: 0,
             trace_id: ctx.trace_id,
@@ -574,13 +543,10 @@ impl Tracer {
 
     fn store(&self, mut span: Span) {
         let mut inner = self.inner.lock();
-        let slow = span.duration() >= inner.slow_threshold;
+        let slow = span.duration() >= SLOW_THRESHOLD;
         span.seq = inner.next_seq;
         inner.next_seq += 1;
         let trace_id = span.trace_id;
-        if span.request_id != 0 && trace_id != 0 {
-            inner.by_request.insert(span.request_id, trace_id);
-        }
         let mut fresh = false;
         let was_pinned;
         {
@@ -649,22 +615,6 @@ impl Tracer {
         all
     }
 
-    /// Retained spans of the trace serving `request_id`, in recording
-    /// order — an index lookup, not a ring scan.
-    pub fn spans_for_request(&self, request_id: u64) -> Vec<Span> {
-        let inner = self.inner.lock();
-        let Some(trace_id) = inner.by_request.get(&request_id) else {
-            return Vec::new();
-        };
-        let mut spans: Vec<Span> = inner
-            .traces
-            .get(trace_id)
-            .map(|b| b.spans.iter().filter(|s| s.request_id == request_id).cloned().collect())
-            .unwrap_or_default();
-        spans.sort_by_key(|s| s.seq);
-        spans
-    }
-
     /// Retained spans of one trace, in recording order.
     pub fn spans_for_trace(&self, trace_id: u128) -> Vec<Span> {
         let inner = self.inner.lock();
@@ -690,8 +640,12 @@ mod tests {
         SpanContext { trace_id: trace, parent_span: 0, request_id: request }
     }
 
+    fn spans_for_request(t: &Tracer, request_id: u64) -> Vec<Span> {
+        t.spans().into_iter().filter(|s| s.request_id == request_id).collect()
+    }
+
     #[test]
-    fn spans_keep_recording_order_and_index_by_request() {
+    fn spans_keep_recording_order_and_carry_their_request() {
         let t = Tracer::new();
         let a = t.start();
         t.record(ctx(10, 7), a, "client", "attempt", "srv0".into());
@@ -701,8 +655,8 @@ mod tests {
         let all = t.spans();
         assert_eq!(all.len(), 3);
         assert!(all.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(t.spans_for_request(7).len(), 2);
-        assert_eq!(t.spans_for_request(9)[0].phase, "call_ok");
+        assert_eq!(spans_for_request(&t, 7).len(), 2);
+        assert_eq!(spans_for_request(&t, 9)[0].phase, "call_ok");
         assert_eq!(t.spans_recorded(), 3);
         assert_ne!(all[0].span_id, all[1].span_id, "span ids are unique");
     }
@@ -717,8 +671,8 @@ mod tests {
         assert_eq!(kept.len(), 4);
         assert_eq!(kept[0].request_id, 6, "oldest traces evicted");
         assert_eq!(t.spans_recorded(), 10);
-        assert!(t.spans_for_request(2).is_empty(), "evicted trace leaves no index entry");
-        assert_eq!(t.spans_for_request(8).len(), 1);
+        assert!(spans_for_request(&t, 2).is_empty(), "evicted trace is gone");
+        assert_eq!(spans_for_request(&t, 8).len(), 1);
     }
 
     #[test]
@@ -746,29 +700,31 @@ mod tests {
         for _ in 0..10 {
             t.point(SpanContext::NONE, "agent", "heartbeat", String::new());
         }
-        assert_eq!(t.spans_for_request(7).len(), 1, "real trace survives heartbeat flood");
+        assert_eq!(spans_for_request(&t, 7).len(), 1, "real trace survives heartbeat flood");
         assert!(t.spans().len() <= 4, "budget holds across both buckets");
     }
 
     #[test]
     fn slow_trace_is_pinned_past_eviction() {
-        let t = Tracer::with_capacity(4).with_slow_threshold(Duration::from_millis(5));
-        let timer = t.start();
-        std::thread::sleep(Duration::from_millis(10));
-        t.record(ctx(1, 1), timer, "server", "solve", String::new());
+        let t = Tracer::with_capacity(4);
+        // A span stamped to end 300 ms after it started: slow without a
+        // sleep. (Its start cannot predate the tracer's epoch anchor.)
+        let start = Instant::now();
+        let timer = t.start_at(start);
+        let end = start + Duration::from_millis(300);
+        t.record_at(ctx(1, 1), timer, end, "server", "solve", String::new());
         for i in 0..20u64 {
             t.point(ctx(50 + i as u128, 100 + i), "client", "attempt", String::new());
         }
         let slow = t.spans_for_trace(1);
         assert_eq!(slow.len(), 1, "slow trace survives eviction pressure");
-        assert!(slow[0].duration() >= Duration::from_millis(5));
+        assert!(slow[0].duration() >= SLOW_THRESHOLD);
         assert!(t.spans().len() <= 5, "budget still bounds everything else");
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
-        assert!(!t.is_enabled());
         let timer = t.start();
         t.record(ctx(1, 1), timer, "client", "attempt", String::new());
         t.point(ctx(1, 1), "client", "call_ok", String::new());

@@ -62,19 +62,11 @@ impl ServerConfig {
 pub(crate) struct ServerTelemetry {
     /// This daemon's listen address — the digest `origin` key.
     pub address: String,
-    /// The ring of per-tick snapshot deltas.
+    /// The ring of cumulative registry snapshots.
     pub series: netsolve_obs::WindowedSeries,
     /// Whether `FleetStatsQuery` is answered (off = unsupported Error,
     /// matching a pre-v6 daemon, for compat tests and overhead ablation).
     pub enabled: bool,
-}
-
-impl ServerTelemetry {
-    /// This daemon's digest over its full retained window.
-    pub fn digest(&self) -> netsolve_obs::StatsDigest {
-        let cfg = self.series.config();
-        self.series.digest(&self.address, "server", cfg.tick_secs * cfg.slots as f64)
-    }
 }
 
 /// Handle to a running server daemon.
@@ -139,10 +131,7 @@ impl ServerDaemon {
         let metrics = core.metrics();
         let telemetry = Arc::new(ServerTelemetry {
             address: address.clone(),
-            series: netsolve_obs::WindowedSeries::new(netsolve_obs::SeriesConfig {
-                tick_secs: config.telemetry.tick_secs,
-                slots: config.telemetry.window_slots,
-            }),
+            series: netsolve_obs::WindowedSeries::default(),
             enabled: config.telemetry.digests,
         });
         let mut daemon = Daemon::new(Arc::clone(&transport));
@@ -188,7 +177,8 @@ impl ServerDaemon {
         // windowed series. Off the request path entirely — connection
         // threads only read the series when asked via `FleetStatsQuery`.
         // The baseline is seeded now so events that land before the first
-        // tick show up in the first delta slot instead of vanishing into it.
+        // tick show up in the first tick's change instead of vanishing into
+        // it.
         {
             let (telemetry, metrics) = (Arc::clone(&telemetry), Arc::clone(&metrics));
             let sample = move || {
@@ -197,8 +187,7 @@ impl ServerDaemon {
                     .record(metrics.snapshot("server"), netsolve_obs::unix_now_secs())
             };
             sample();
-            let tick = Duration::from_secs_f64(config.telemetry.tick_secs.clamp(0.005, 60.0));
-            daemon.every("server-sampler", tick, sample)?;
+            daemon.every("server-sampler", config.telemetry.tick(), sample)?;
         }
 
         Ok(ServerDaemon {
@@ -249,7 +238,8 @@ fn answer(
     // it.)
     let (reply, request_ctx) = match msg {
         Message::FleetStatsQuery if telemetry.enabled => {
-            (Message::FleetStatsReply { digests: vec![telemetry.digest()] }, None)
+            let digest = telemetry.series.digest(&telemetry.address, "server");
+            (Message::FleetStatsReply { digests: vec![digest] }, None)
         }
         Message::FleetStatsQuery => {
             let off = NetSolveError::Protocol("fleet stats disabled on this server".into());

@@ -1,188 +1,69 @@
-//! Indexed event calendar — the simulator's next-event optimization.
-//!
-//! A classic Brown-style calendar queue: events hash into `nbuckets`
-//! "days" of width `width` seconds, each day holding a small min-heap.
-//! `pop` scans the current day's bucket and only falls back to a direct
-//! min search after a fruitless full cycle, so with a well-sized calendar
-//! the hot path is O(1) amortized instead of the O(log n) of one big
-//! binary heap — the difference between a 10^5-client scenario finishing
-//! in seconds and in minutes.
+//! The simulator's pending-event queue: one binary heap.
 //!
 //! Ordering contract (load-bearing for determinism): events pop in
 //! exactly ascending `(time, seq)` order, where `seq` is the push order.
-//! Same-timestamp events therefore come back FIFO — identical to the
-//! `BinaryHeap<Reverse<(time, seq)>>` the engine used before, which the
-//! property tests in this module pin.
-//!
-//! Day numbers are computed once at push time (`floor(time / width)`)
-//! and compared as integers afterwards, so float boundary rounding can
-//! never make the scan skip a bucket it already placed an event in.
-//! Because `floor(t / w)` is monotone in `t`, draining day `d` entirely
-//! before day `d + 1` preserves global time order, and equal times always
-//! share a day (ties resolved by the per-bucket heap on `seq`).
+//! Same-timestamp events therefore come back FIFO, and a scenario's
+//! outcome depends on its seed alone.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-struct CalEntry<E> {
+struct Entry<E> {
     time: f64,
     seq: u64,
-    /// Virtual day `floor(time / width)` at push time.
-    day: u64,
     event: E,
 }
 
-impl<E> PartialEq for CalEntry<E> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<E> Eq for CalEntry<E> {}
-impl<E> PartialOrd for CalEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for CalEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
     }
 }
 
 /// A pending-event set popping in ascending `(time, push-order)` order.
 pub struct EventCalendar<E> {
-    buckets: Vec<BinaryHeap<Reverse<CalEntry<E>>>>,
-    /// Seconds per day.
-    width: f64,
-    /// The day the scan cursor is on. Invariant: every stored entry has
-    /// `entry.day >= cur_day` (pushes into the past rewind the cursor).
-    cur_day: u64,
-    len: usize,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
 
-const MIN_BUCKETS: usize = 2;
-
 impl<E> EventCalendar<E> {
-    /// An empty calendar (it self-tunes bucket count and width as events
-    /// accrue).
+    /// An empty queue.
     pub fn new() -> Self {
-        EventCalendar {
-            buckets: (0..MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            width: 1.0,
-            cur_day: 0,
-            len: 0,
-            next_seq: 0,
-        }
+        EventCalendar { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn day_of(&self, time: f64) -> u64 {
-        (time / self.width).floor() as u64
+        self.heap.is_empty()
     }
 
     /// Schedule `event` at `time` (seconds, finite, non-negative). Events
     /// at equal times pop in push order.
     pub fn push(&mut self, time: f64, event: E) {
         assert!(time.is_finite() && time >= 0.0, "event time {time} out of range");
-        let seq = self.next_seq;
+        self.heap.push(Reverse(Entry { time, seq: self.next_seq, event }));
         self.next_seq += 1;
-        let day = self.day_of(time);
-        // A push into the past (relative to the scan cursor) rewinds the
-        // cursor so the invariant `entry.day >= cur_day` keeps holding.
-        if day < self.cur_day {
-            self.cur_day = day;
-        }
-        let n = self.buckets.len();
-        self.buckets[(day % n as u64) as usize].push(Reverse(CalEntry {
-            time,
-            seq,
-            day,
-            event,
-        }));
-        self.len += 1;
-        if self.len > 2 * n {
-            self.resize(n * 2);
-        }
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len() as u64;
-        // Scan at most one full cycle of days starting at the cursor.
-        for _ in 0..n {
-            let bucket = (self.cur_day % n) as usize;
-            if let Some(Reverse(head)) = self.buckets[bucket].peek() {
-                if head.day <= self.cur_day {
-                    return Some(self.take(bucket));
-                }
-            }
-            self.cur_day += 1;
-        }
-        // Sparse region: a whole cycle of empty days. Jump straight to
-        // the globally earliest event (min of the bucket heads).
-        let bucket = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.peek().map(|Reverse(e)| (i, e)))
-            .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)))
-            .map(|(i, e)| {
-                self.cur_day = e.day;
-                i
-            })
-            .expect("len > 0 but no bucket head");
-        Some(self.take(bucket))
-    }
-
-    fn take(&mut self, bucket: usize) -> (f64, E) {
-        let Reverse(entry) = self.buckets[bucket].pop().expect("peeked head");
-        self.len -= 1;
-        let n = self.buckets.len();
-        if self.len < n / 2 && n > MIN_BUCKETS {
-            self.resize(n / 2);
-        }
-        (entry.time, entry.event)
-    }
-
-    /// Rebuild with `nbuckets` buckets and a width targeting ~one event
-    /// per day across the current span.
-    fn resize(&mut self, nbuckets: usize) {
-        let nbuckets = nbuckets.max(MIN_BUCKETS);
-        let entries: Vec<CalEntry<E>> = self
-            .buckets
-            .iter_mut()
-            .flat_map(|b| std::mem::take(b).into_iter().map(|Reverse(e)| e))
-            .collect();
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for e in &entries {
-            lo = lo.min(e.time);
-            hi = hi.max(e.time);
-        }
-        let width = if entries.len() > 1 && hi > lo {
-            (3.0 * (hi - lo) / entries.len() as f64).max(1e-9)
-        } else {
-            self.width
-        };
-        self.width = width;
-        self.buckets = (0..nbuckets).map(|_| BinaryHeap::new()).collect();
-        self.cur_day = if lo.is_finite() { self.day_of(lo) } else { 0 };
-        for mut e in entries {
-            e.day = self.day_of(e.time);
-            self.buckets[(e.day % nbuckets as u64) as usize].push(Reverse(e));
-        }
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 }
 
@@ -197,34 +78,13 @@ mod tests {
     use super::*;
     use netsolve_core::rng::Rng64;
 
-    /// Reference implementation: the binary heap the engine used before.
-    struct RefHeap {
-        heap: BinaryHeap<Reverse<(u64, u64, u64)>>, // (time bits as ordered u64, seq, id)
-    }
-
-    fn ordered_bits(t: f64) -> u64 {
-        // total_cmp order for non-negative finite floats == bit order.
-        t.to_bits()
-    }
-
-    impl RefHeap {
-        fn new() -> Self {
-            RefHeap { heap: BinaryHeap::new() }
-        }
-        fn push(&mut self, t: f64, seq: u64, id: u64) {
-            self.heap.push(Reverse((ordered_bits(t), seq, id)));
-        }
-        fn pop(&mut self) -> Option<u64> {
-            self.heap.pop().map(|Reverse((_, _, id))| id)
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
         let mut cal = EventCalendar::new();
         for (i, t) in [5.0, 1.0, 3.0, 0.5, 4.0, 2.0].iter().enumerate() {
             cal.push(*t, i);
         }
+        assert_eq!(cal.len(), 6);
         let mut times = Vec::new();
         while let Some((t, _)) = cal.pop() {
             times.push(t);
@@ -268,68 +128,40 @@ mod tests {
         }
     }
 
-    /// The calendar must pop the exact sequence the reference binary heap
-    /// pops — including FIFO order for same-timestamp events — across
-    /// random workloads with clustered times (forcing shared buckets),
-    /// sparse gaps (forcing the full-cycle fallback) and interleaved
-    /// pushes (forcing resizes in both directions).
+    /// Seeded interleaved pushes and pops — exact ties with the head,
+    /// dense clusters, typical gaps and sparse jumps — must pop in
+    /// ascending (time, push order): each event carries its push order,
+    /// so a pop is checked against the one before it.
     #[test]
-    fn matches_reference_heap_exactly() {
+    fn seeded_interleaving_pops_in_time_then_push_order() {
         for seed in 0..20u64 {
             let mut rng = Rng64::new(seed * 1_234_567 + 1);
             let mut cal = EventCalendar::new();
-            let mut reference = RefHeap::new();
-            let mut seq = 0u64;
-            let mut now = 0.0f64;
-            let push_both = |cal: &mut EventCalendar<u64>,
-                                 reference: &mut RefHeap,
-                                 t: f64,
-                                 seq: &mut u64| {
-                cal.push(t, *seq);
-                reference.push(t, *seq, *seq);
-                *seq += 1;
+            let (mut pushed, mut now) = (0u64, 0.0f64);
+            let mut last = (-1.0f64, 0u64);
+            let mut check = |popped: (f64, u64)| {
+                assert!(last < popped, "seed {seed}: {last:?} popped before {popped:?}");
+                last = popped;
             };
-            for _ in 0..200 {
-                let t = match (rng.uniform(0.0, 1.0) * 4.0) as u32 {
-                    0 => now,                                   // exact tie with head
-                    1 => now + rng.uniform(0.0, 0.01),          // dense cluster
-                    2 => now + rng.exponential(2.0),            // typical gap
-                    _ => now + rng.uniform(50.0, 500.0),        // sparse jump
-                };
-                push_both(&mut cal, &mut reference, t, &mut seq);
-            }
-            for step in 0..10_000 {
+            for _ in 0..10_000 {
                 if rng.chance(0.55) || cal.is_empty() {
-                    let t = now + if rng.chance(0.3) { 0.0 } else { rng.exponential(1.0) };
-                    push_both(&mut cal, &mut reference, t, &mut seq);
+                    let t = match (rng.uniform(0.0, 1.0) * 4.0) as u32 {
+                        0 => now,
+                        1 => now + rng.uniform(0.0, 0.01),
+                        2 => now + rng.exponential(2.0),
+                        _ => now + rng.uniform(50.0, 500.0),
+                    };
+                    cal.push(t, pushed);
+                    pushed += 1;
                 } else {
-                    let (t, got) = cal.pop().expect("non-empty");
-                    let want = reference.pop().expect("reference non-empty");
-                    assert_eq!(got, want, "seed {seed} step {step}: diverged at t={t}");
-                    now = t;
+                    let popped = cal.pop().expect("non-empty");
+                    check(popped);
+                    now = popped.0;
                 }
             }
-            loop {
-                match (cal.pop(), reference.pop()) {
-                    (Some((_, got)), Some(want)) => assert_eq!(got, want, "seed {seed} drain"),
-                    (None, None) => break,
-                    (a, b) => panic!("seed {seed}: length mismatch {a:?} vs {b:?}"),
-                }
+            while let Some(popped) = cal.pop() {
+                check(popped);
             }
         }
-    }
-
-    #[test]
-    fn survives_growth_and_shrink_cycles() {
-        let mut cal = EventCalendar::new();
-        for i in 0..1_000u64 {
-            cal.push(i as f64 * 0.001, i);
-        }
-        assert_eq!(cal.len(), 1_000);
-        for i in 0..1_000u64 {
-            let (_, e) = cal.pop().unwrap();
-            assert_eq!(e, i);
-        }
-        assert!(cal.pop().is_none());
     }
 }

@@ -16,8 +16,11 @@
 //! * Workload reports follow the configured interval/threshold policy and
 //!   age out at the agent per its TTL (the agent's actual server-table
 //!   code).
-//! * Failed attempts cost `failure_detect_secs` and push the client down
-//!   the candidate list, feeding the same table's fault records.
+//! * A failed attempt costs the client `failure_detect_secs` to notice;
+//!   a shed (Busy) is noticed at once, then the client waits out its
+//!   `retry_after_ms` hint. The next try is its own event at that later
+//!   instant, on the next candidate down the list; every failure feeds
+//!   the same table's fault records.
 
 use std::collections::VecDeque;
 
@@ -54,13 +57,14 @@ enum Event {
     WorkloadTick { server: usize },
     /// Permanent crash of `server`.
     Crash { server: usize },
+    /// A client tries `job` again after a failed attempt.
+    Retry { job: Box<QueuedJob> },
 }
 
 #[derive(Debug)]
 struct QueuedJob {
     idx: usize,
     arrival: SimTime,
-    enqueued: SimTime,
     predicted: f64,
     transfer_secs: f64,
     attempts: u32,
@@ -91,6 +95,9 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
     let catalogue = netsolve_pdl::standard_catalogue()?;
     if scenario.mix.entries.is_empty() {
         return Err(NetSolveError::BadArguments("empty request mix".into()));
+    }
+    if scenario.max_attempts == 0 {
+        return Err(NetSolveError::BadArguments("max_attempts must be at least 1".into()));
     }
     // Resolve each mix entry to its spec up front.
     let entry_specs: Vec<netsolve_core::ProblemSpec> = scenario
@@ -226,12 +233,10 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
         arrivals.push((SimTime::from_secs(at), entry_idx, size));
     }
 
-    // --- Event queue: the indexed calendar (next-event optimization). ---
-    // Pops in exactly the (time, push-order) sequence the old binary
-    // heap produced, at O(1) amortized per event.
+    // --- Event queue: pops in (time, push-order) sequence. ---
     let mut queue: EventCalendar<Event> = EventCalendar::new();
 
-    // Open-loop arrivals all enter the calendar up front. Closed-loop
+    // Open-loop arrivals all enter the queue up front. Closed-loop
     // load seeds one request per client; every later arrival chains from
     // a completion in the main loop.
     let initial_wave = match &scenario.arrivals {
@@ -270,7 +275,43 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
         })
     }
 
-    // Dispatch one job to its next candidate (or record failure).
+    // How a request that ends unanswered is recorded.
+    fn failure(job: &QueuedJob, at: SimTime) -> CompletedRequest {
+        CompletedRequest {
+            idx: job.idx,
+            problem: job.shape.problem.clone(),
+            n: job.shape.n,
+            arrival_secs: job.arrival.as_secs(),
+            finish_secs: at.as_secs(),
+            server: None,
+            predicted_secs: job.predicted,
+            attempts: job.attempts,
+            ok: false,
+        }
+    }
+
+    // After a failed try the client notices at `noticed`: it gives up
+    // there if its budget is spent, or tries again `wait` seconds later.
+    fn retry_or_fail(
+        job: QueuedJob,
+        noticed: SimTime,
+        wait: f64,
+        scenario: &Scenario,
+        failed: &mut Vec<CompletedRequest>,
+        pending: &mut usize,
+        queue: &mut EventCalendar<Event>,
+    ) {
+        if job.attempts as usize >= scenario.max_attempts {
+            failed.push(failure(&job, noticed));
+            *pending -= 1;
+        } else {
+            queue.push(noticed.plus(wait).as_secs(), Event::Retry { job: Box::new(job) });
+        }
+    }
+
+    // One try of `job` at `now` on its next candidate: it joins that
+    // server's queue (starting service on an idle server), or the try
+    // fails and the client retries or gives up later.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         mut job: QueuedJob,
@@ -280,79 +321,55 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
         servers: &mut [ServerState],
         policies: Option<&[AdmissionPolicy]>,
         rng: &mut Rng64,
-        completed_fail: &mut Vec<CompletedRequest>,
+        failed: &mut Vec<CompletedRequest>,
         pending: &mut usize,
-        start_service: &mut Vec<(usize, SimTime)>,
+        queue: &mut EventCalendar<Event>,
     ) {
-        loop {
-            if job.attempts as usize >= scenario.max_attempts || job.candidates.is_empty() {
-                completed_fail.push(CompletedRequest {
-                    idx: job.idx,
-                    problem: job.shape.problem.clone(),
-                    n: job.shape.n,
-                    arrival_secs: job.arrival.as_secs(),
-                    finish_secs: now.as_secs(),
-                    server: None,
-                    predicted_secs: job.predicted,
-                    attempts: job.attempts,
-                    ok: false,
-                });
-                *pending -= 1;
-                return;
-            }
-            // Retries cycle the ranked list — matching the live client's
-            // `live[retry % live.len()]` rotation, so `max_attempts`
-            // means the same total-tries budget in sim and live. (The
-            // sim used to abandon a job once the list was exhausted,
-            // one effective try short of the live client.)
-            let (sid, predicted) = job.candidates[job.next_candidate % job.candidates.len()];
-            job.next_candidate += 1;
-            job.attempts += 1;
-            let s_idx = servers.iter().position(|s| s.id == sid).expect("candidate exists");
-            let sstate = &mut servers[s_idx];
-            if sstate.crashed {
-                agent.failure_report(sid, now);
-                // The retry costs detection time; we model it by shifting
-                // the job's effective enqueue time forward.
-                job.enqueued = job.enqueued.plus(scenario.failure_detect_secs);
-                continue;
-            }
-            // Admission gate: the server's policy judges the queue this
-            // request would join, exactly as the live daemon's
-            // accept-time gate does. A shed consumes a client attempt
-            // (the live client counts Busy as a failed try, reports it,
-            // and waits out the retry hint before its next candidate).
-            if let Some(policies) = policies {
-                let depth = sstate.queue.len() + sstate.busy as usize;
-                let remaining = remaining_budget_ms(scenario, &job, now);
-                if let AdmissionDecision::Shed { retry_after_ms, .. } =
-                    policies[s_idx].admit(&job.shape.problem, depth, remaining)
-                {
-                    agent.failure_report(sid, now);
-                    job.enqueued = job.enqueued.plus(retry_after_ms as f64 / 1e3);
-                    continue;
-                }
-            }
-            if rng.chance(scenario.servers[s_idx].fail_prob) {
-                agent.failure_report(sid, now);
-                job.enqueued = job.enqueued.plus(scenario.failure_detect_secs);
-                continue;
-            }
-            // Success: enqueue on this server. (The agent hears about the
-            // completion — clearing its pending assignment and fault
-            // state — when service finishes, like a live CompletionReport.)
-            if job.attempts == 1 {
-                job.predicted = predicted;
-            }
-            sstate.queue.push_back(job);
-            if !sstate.busy {
-                start_service.push((s_idx, now));
-            }
+        // Retries cycle the ranked list — matching the live client's
+        // `live[retry % live.len()]` rotation, so `max_attempts` means
+        // the same total-tries budget in sim and live.
+        let (sid, predicted) = job.candidates[job.next_candidate % job.candidates.len()];
+        job.next_candidate += 1;
+        job.attempts += 1;
+        let s_idx = servers.iter().position(|s| s.id == sid).expect("candidate exists");
+        let sstate = &mut servers[s_idx];
+        let detect = scenario.failure_detect_secs;
+        // A failed try: (seconds until the client notices, seconds it then
+        // waits before the next). The admission gate judges the queue
+        // this request would join, exactly as the live daemon's
+        // accept-time gate does; a shed is a Busy reply, noticed at once,
+        // whose retry hint the client waits out.
+        let failed_try = if sstate.crashed {
+            Some((detect, 0.0))
+        } else if let Some(AdmissionDecision::Shed { retry_after_ms, .. }) = policies.map(|p| {
+            let depth = sstate.queue.len() + sstate.busy as usize;
+            p[s_idx].admit(&job.shape.problem, depth, remaining_budget_ms(scenario, &job, now))
+        }) {
+            Some((0.0, retry_after_ms as f64 / 1e3))
+        } else if rng.chance(scenario.servers[s_idx].fail_prob) {
+            Some((detect, 0.0))
+        } else {
+            None
+        };
+        if let Some((notice, wait)) = failed_try {
+            agent.failure_report(sid, now);
+            retry_or_fail(job, now.plus(notice), wait, scenario, failed, pending, queue);
             return;
+        }
+        // Success: enqueue on this server. (The agent hears about the
+        // completion — clearing its pending assignment and fault state —
+        // when service finishes, like a live CompletionReport.)
+        if job.attempts == 1 {
+            job.predicted = predicted;
+        }
+        sstate.queue.push_back(job);
+        if !sstate.busy {
+            begin_service(s_idx, now, scenario, servers, policies, rng, failed, pending, queue);
         }
     }
 
-    // Begin servicing the head of a server's queue; returns completion time.
+    // Begin servicing the head of a server's queue, scheduling its
+    // completion.
     #[allow(clippy::too_many_arguments)]
     fn begin_service(
         s_idx: usize,
@@ -363,10 +380,11 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
         rng: &mut Rng64,
         failed: &mut Vec<CompletedRequest>,
         pending: &mut usize,
-    ) -> Option<SimTime> {
+        queue: &mut EventCalendar<Event>,
+    ) {
         let sstate = &mut servers[s_idx];
         if sstate.busy || sstate.crashed {
-            return None;
+            return;
         }
         // Budgets that expired *while queued* are shed before any
         // service slot is consumed — the mirror of the live gate's
@@ -381,23 +399,13 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                     let depth = sstate.queue.len();
                     let _ = policies[s_idx].admit(&head.shape.problem, depth, Some(0));
                     let job = sstate.queue.pop_front().expect("non-empty head");
-                    failed.push(CompletedRequest {
-                        idx: job.idx,
-                        problem: job.shape.problem.clone(),
-                        n: job.shape.n,
-                        arrival_secs: job.arrival.as_secs(),
-                        finish_secs: now.as_secs(),
-                        server: None,
-                        predicted_secs: job.predicted,
-                        attempts: job.attempts,
-                        ok: false,
-                    });
+                    failed.push(failure(&job, now));
                     *pending -= 1;
                 }
             }
         }
         if sstate.queue.is_empty() {
-            return None;
+            return;
         }
         sstate.busy = true;
         sstate.service_started = now.as_secs();
@@ -418,7 +426,8 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
         } else {
             loaded
         };
-        Some(now.plus(service.max(0.0)))
+        let epoch = sstate.epoch;
+        queue.push(now.plus(service.max(0.0)).as_secs(), Event::ServiceDone { server: s_idx, epoch });
     }
 
     while let Some((at, event)) = queue.pop() {
@@ -481,7 +490,6 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                 let job = QueuedJob {
                     idx,
                     arrival: now,
-                    enqueued: now.plus(transfer),
                     predicted: candidates[0].1,
                     transfer_secs: transfer,
                     attempts: 0,
@@ -490,7 +498,6 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                     shape,
                     complexity: spec.complexity,
                 };
-                let mut starts = Vec::new();
                 dispatch(
                     job,
                     now,
@@ -501,24 +508,21 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                     &mut rng,
                     &mut failed,
                     &mut pending_jobs,
-                    &mut starts,
+                    &mut queue,
                 );
-                for (s_idx, at) in starts {
-                    if let Some(done) = begin_service(
-                        s_idx,
-                        at,
-                        scenario,
-                        &mut servers,
-                        policies.as_deref(),
-                        &mut rng,
-                        &mut failed,
-                        &mut pending_jobs,
-                    ) {
-                        let epoch = servers[s_idx].epoch;
-                        queue.push(done.as_secs(), Event::ServiceDone { server: s_idx, epoch });
-                    }
-                }
             }
+            Event::Retry { job } => dispatch(
+                *job,
+                now,
+                scenario,
+                &mut agent,
+                &mut servers,
+                policies.as_deref(),
+                &mut rng,
+                &mut failed,
+                &mut pending_jobs,
+                &mut queue,
+            ),
             Event::ServiceDone { server, epoch } => {
                 if servers[server].epoch != epoch || servers[server].crashed {
                     continue; // stale event from before a crash
@@ -549,7 +553,7 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                     ok: true,
                 });
                 pending_jobs -= 1;
-                if let Some(done) = begin_service(
+                begin_service(
                     server,
                     now,
                     scenario,
@@ -558,10 +562,8 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                     &mut rng,
                     &mut failed,
                     &mut pending_jobs,
-                ) {
-                    let epoch = servers[server].epoch;
-                    queue.push(done.as_secs(), Event::ServiceDone { server, epoch });
-                }
+                    &mut queue,
+                );
             }
             Event::WorkloadTick { server } => {
                 if pending_jobs > 0 {
@@ -592,39 +594,21 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                 servers[server].crashed = true;
                 servers[server].busy = false;
                 servers[server].epoch += 1; // invalidate in-flight ServiceDone
-                // Jobs stranded in its queue are re-dispatched.
+                // Jobs stranded in its queue failed their try: their
+                // clients notice after the detection time.
                 let stranded: Vec<QueuedJob> = servers[server].queue.drain(..).collect();
-                for mut job in stranded {
+                for job in stranded {
                     agent.failure_report(servers[server].id, now);
-                    job.enqueued = now.plus(scenario.failure_detect_secs);
-                    let mut starts = Vec::new();
-                    dispatch(
+                    let noticed = now.plus(scenario.failure_detect_secs);
+                    retry_or_fail(
                         job,
-                        now,
+                        noticed,
+                        0.0,
                         scenario,
-                        &mut agent,
-                        &mut servers,
-                        policies.as_deref(),
-                        &mut rng,
                         &mut failed,
                         &mut pending_jobs,
-                        &mut starts,
+                        &mut queue,
                     );
-                    for (s_idx, at) in starts {
-                        if let Some(done) = begin_service(
-                            s_idx,
-                            at,
-                            scenario,
-                            &mut servers,
-                            policies.as_deref(),
-                            &mut rng,
-                            &mut failed,
-                            &mut pending_jobs,
-                        ) {
-                            let epoch = servers[s_idx].epoch;
-                            queue.push(done.as_secs(), Event::ServiceDone { server: s_idx, epoch });
-                        }
-                    }
                 }
             }
         }
@@ -774,6 +758,32 @@ mod tests {
         let report = run(&base(servers, 100)).unwrap();
         assert_eq!(report.succeeded(), 100, "failover should rescue everything");
         assert!(report.mean_attempts() > 1.0, "some retries must have happened");
+    }
+
+    #[test]
+    fn a_failed_try_costs_the_detection_time() {
+        // The fast first choice always fails; the second candidate serves.
+        let turnaround = |detect: f64| {
+            let servers = vec![SimServer::new(1000.0).with_fail_prob(1.0), SimServer::new(100.0)];
+            let mut sc = base(servers, 1);
+            sc.failure_detect_secs = detect;
+            let report = run(&sc).unwrap();
+            let r = &report.requests()[0];
+            assert!(r.ok && r.attempts == 2, "{r:?}");
+            r.turnaround_secs()
+        };
+        let free = turnaround(0.0);
+        for detect in [1.0, 10.0] {
+            let grown = turnaround(detect) - free;
+            assert!((grown - detect).abs() < 1e-9, "detect {detect} s grew turnaround {grown} s");
+        }
+    }
+
+    #[test]
+    fn max_attempts_must_allow_a_try() {
+        let mut sc = base(vec![SimServer::new(100.0)], 1);
+        sc.max_attempts = 0;
+        assert!(run(&sc).is_err());
     }
 
     #[test]

@@ -262,7 +262,7 @@ pub struct Scenario {
     pub policy: Policy,
     /// Workload information policy (report interval/threshold, TTL).
     pub workload: WorkloadPolicy,
-    /// Client-side failover budget (max servers tried per request).
+    /// Client-side failover budget: total tries per request, at least 1.
     pub max_attempts: usize,
     /// Seconds a client burns detecting a failed attempt before retrying.
     pub failure_detect_secs: f64,

@@ -271,7 +271,38 @@ echo "${TOP_TIMELINE}" | grep -q "server/solve" || {
 stop_daemons
 echo "fleet smoke passed: one scrape covered both servers, exemplar stitched"
 
-echo "=== admission bench smoke (sim vs live shed agreement, calendar scale) ==="
+echo "=== netsl-stats --watch smoke (rates and rolling quantiles from a live server) ==="
+# Each watch interval is the newest scrape minus the one before it, and the
+# quantiles cover the whole window. With demo calls running in the
+# background, some interval must show a nonzero rate and the window a p50.
+# timeout ends the watch loop, so its exit status 124 is the expected one.
+WATCH_AGENT_PORT=19795
+WATCH_SERVER_PORT=19796
+boot_agent ${WATCH_AGENT_PORT}
+boot_server ${WATCH_AGENT_PORT} ${WATCH_SERVER_PORT} --mflops 250
+(
+    for i in $(seq 1 12); do
+        ./target/debug/ns-client --agent 127.0.0.1:${WATCH_AGENT_PORT} demo dnrm2 256 \
+            >/dev/null 2>&1 || true
+        sleep 0.2
+    done
+) &
+WATCH_LOAD=$!
+WATCH_STATUS=0
+WATCH_OUT=$(timeout 3 ./target/debug/netsl-stats --watch 0.5 127.0.0.1:${WATCH_SERVER_PORT}) \
+    || WATCH_STATUS=$?
+wait ${WATCH_LOAD}
+stop_daemons
+echo "${WATCH_OUT}"
+[ "${WATCH_STATUS}" -eq 124 ] || {
+    echo "watch smoke: netsl-stats --watch exited ${WATCH_STATUS} before the timeout"; exit 1; }
+echo "${WATCH_OUT}" | grep -Eq "[0-9]/s$" || {
+    echo "watch smoke: no counter rate line"; exit 1; }
+echo "${WATCH_OUT}" | grep -q " p50 " || {
+    echo "watch smoke: no windowed p50 line"; exit 1; }
+echo "watch smoke passed: rates per interval and quantiles over the window"
+
+echo "=== admission bench smoke (sim vs live shed agreement, closed-loop scale) ==="
 cargo build --release -p netsolve-bench --bin r11_admission
 ./target/release/r11_admission --quick
 

@@ -11,9 +11,10 @@
 //! still be scraped.
 //!
 //! With `--watch SECS` it rescrapes every `SECS` seconds and prints
-//! counter *rates* (events/sec over the last interval) plus windowed
-//! latency quantiles, by feeding each scrape into the same
-//! [`WindowedSeries`] ring the daemons use for their own fleet digests.
+//! counter *rates* (events/sec over the last interval) plus latency
+//! quantiles over the last [`WINDOW_SLOTS`] scrapes, by feeding each
+//! scrape into the same [`WindowedSeries`] ring the daemons use for their
+//! own fleet digests.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use std::time::Duration;
 
 use netsolve::net::{call_once, TcpTransport, Transport};
 use netsolve::obs::metrics::bucket_bound_secs;
-use netsolve::obs::{unix_now_secs, SeriesConfig, StatsSnapshot, WindowedSeries};
+use netsolve::obs::{unix_now_secs, StatsSnapshot, WindowedSeries, WINDOW_SLOTS};
 use netsolve::proto::Message;
 
 fn usage() -> ! {
@@ -76,23 +77,16 @@ fn main() {
 
 /// `--watch` loop: scrape every `interval` seconds forever, feeding each
 /// snapshot into a per-address [`WindowedSeries`] and printing the rates
-/// the freshest delta implies. Never returns; ^C is the exit.
+/// the freshest change implies. Never returns; ^C is the exit.
 fn watch(transport: &Arc<dyn Transport>, addresses: &[String], interval: f64) -> ! {
     let mut series: HashMap<String, WindowedSeries> = HashMap::new();
     loop {
         for address in addresses {
             match scrape(transport, address) {
                 Ok(Some(snapshot)) => {
-                    let s = series.entry(address.clone()).or_insert_with(|| {
-                        WindowedSeries::new(SeriesConfig { tick_secs: interval, slots: 300 })
-                    });
+                    let s = series.entry(address.clone()).or_default();
                     s.record(snapshot, unix_now_secs());
-                    if s.is_empty() {
-                        // First scrape only seeds the delta baseline.
-                        println!("{address}: baseline taken, rates next interval");
-                    } else {
-                        print_rates(address, s, interval);
-                    }
+                    print_rates(address, s, interval);
                 }
                 Ok(None) => println!("{address}: stats unsupported by this daemon"),
                 Err(e) => eprintln!("netsl-stats: {address}: {e}"),
@@ -103,16 +97,19 @@ fn watch(transport: &Arc<dyn Transport>, addresses: &[String], interval: f64) ->
     }
 }
 
-/// One interval's view of a daemon: counter rates over the freshest
-/// delta, gauge levels, and latency quantiles over the whole retained
-/// window (so the percentiles have enough mass to mean something even
-/// at short intervals).
+/// One interval's view of a daemon: counter rates over the last scrape
+/// interval, gauge levels, and latency quantiles over the whole window
+/// (so the percentiles have enough mass to mean something even at short
+/// intervals). The first scrape only seeds the baseline.
 fn print_rates(address: &str, series: &WindowedSeries, interval: f64) {
-    let slots = series.slots();
-    let Some(last) = slots.last() else { return };
+    let (Some((secs, last)), Some((_, window))) = (series.change(1), series.change(WINDOW_SLOTS))
+    else {
+        println!("{address}: baseline taken, rates next interval");
+        return;
+    };
     println!("{address} (last {interval:.1}s)");
     for (name, delta) in &last.counters {
-        let rate = *delta as f64 / last.elapsed_secs.max(1e-9);
+        let rate = *delta as f64 / secs;
         if rate != 0.0 {
             println!("  {name:<32} {rate:>10.2}/s");
         }
@@ -120,16 +117,10 @@ fn print_rates(address: &str, series: &WindowedSeries, interval: f64) {
     for (name, value) in &last.gauges {
         println!("  {name:<32} {value:>10}");
     }
-    let window = series.config().tick_secs * series.config().slots as f64;
-    for slot_hist in &last.histograms {
-        let name = &slot_hist.name;
-        let Some(h) = series.windowed_histogram(name, window) else { continue };
-        if h.count == 0 {
-            continue;
-        }
+    for h in window.histograms.iter().filter(|h| h.count > 0) {
         println!(
             "  {:<32} n={}  p50 {:.6}s  p95 {:.6}s  p99 {:.6}s",
-            name,
+            h.name,
             h.count,
             h.quantile_secs(0.50),
             h.quantile_secs(0.95),
