@@ -12,7 +12,9 @@ fn bench_gemm_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_ablation");
     group.sample_size(10);
     let mut rng = Rng64::new(1);
-    for &n in &[64usize, 192] {
+    // Both sides of `dgemm`'s threading rule (`blas::threads_pay`): where
+    // the threaded rows overtake the blocked ones is the crossover.
+    for &n in &[64usize, 192, 256, 512] {
         let a = Matrix::random(n, n, &mut rng);
         let b = Matrix::random(n, n, &mut rng);
         group.throughput(Throughput::Elements((2 * n * n * n) as u64));

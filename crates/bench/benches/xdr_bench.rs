@@ -82,11 +82,34 @@ fn bench_crc(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_byte_order(c: &mut Criterion) {
+    let mut group = c.benchmark_group("be64");
+    // A 1 MiB array each way through the in-memory routes: the one
+    // byte-order pass a bulk operand costs on each side of the wire.
+    let xs: Vec<f64> = (0..1 << 17).map(|i| i as f64 * 0.37).collect();
+    let mut bytes = Vec::new();
+    netsolve_xdr::Encoder::borrowing(&mut bytes).put_f64_array(&xs);
+    group.throughput(Throughput::Bytes(8 * xs.len() as u64));
+    group.bench_function("be64_encode_1MiB", |b| {
+        let mut scratch = Vec::with_capacity(bytes.len());
+        b.iter(|| {
+            scratch.clear();
+            netsolve_xdr::Encoder::borrowing(&mut scratch).put_f64_array(std::hint::black_box(&xs));
+            std::hint::black_box(scratch.len())
+        })
+    });
+    group.bench_function("be64_decode_1MiB", |b| {
+        b.iter(|| netsolve_xdr::Decoder::new(std::hint::black_box(&bytes)).get_f64_array().unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_vector_roundtrip,
     bench_matrix_roundtrip,
     bench_frame_path,
-    bench_crc
+    bench_crc,
+    bench_byte_order
 );
 criterion_main!(benches);

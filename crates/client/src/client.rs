@@ -20,7 +20,7 @@ use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
 use netsolve_net::{call, call_once, Connection, Transport};
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
-use netsolve_proto::{Candidate, Message, QueryShape};
+use netsolve_proto::{Candidate, Message, QueryShape, RequestView};
 use parking_lot::Mutex;
 
 /// Everything measured about one completed call, for experiments and
@@ -693,17 +693,18 @@ impl NetSolveClient {
             let mut fresh = false;
             let (conn, reply) = loop {
                 let timeout = left();
-                let msg = Message::RequestSubmit {
+                // Framed straight from the caller's operands: no copy.
+                let request = RequestView {
                     request_id: ctx.request_id,
                     deadline_ms: scope.budget.wire_ms(),
-                    problem: call.problem.to_string(),
-                    inputs: call.inputs.to_vec(),
                     trace_id: ctx.trace_id,
                     parent_span: ctx.parent_span,
+                    problem: call.problem,
+                    inputs: call.inputs,
                 };
                 let (mut conn, reused) = self.connection(scope, &candidate.address, fresh)?;
                 let reply = self
-                    .span(scope, "marshal", |_| conn.send(&msg), no_detail)
+                    .span(scope, "marshal", |_| conn.send_request(&request), no_detail)
                     .and_then(|()| {
                         self.span(scope, "wait", |_| conn.recv_timeout(timeout), no_detail)
                     });
@@ -890,6 +891,55 @@ mod tests {
         assert!(report.total_secs > 0.0);
         assert!(report.predicted_secs > 0.0);
         assert_eq!(report.server_address, "srv0");
+        domain.shutdown();
+    }
+
+    /// A transport whose connections refuse to `send` a `RequestSubmit`,
+    /// so a request can only leave through `send_request`, framed from the
+    /// caller's borrowed operands.
+    struct BorrowOnly(Arc<dyn Transport>);
+
+    struct BorrowOnlyConnection(Box<dyn Connection>);
+
+    impl Transport for BorrowOnly {
+        fn listen(&self, hint: &str) -> Result<Box<dyn netsolve_net::Listener>> {
+            self.0.listen(hint)
+        }
+        fn connect(&self, address: &str) -> Result<Box<dyn Connection>> {
+            Ok(Box::new(BorrowOnlyConnection(self.0.connect(address)?)))
+        }
+    }
+
+    impl Connection for BorrowOnlyConnection {
+        fn send(&mut self, msg: &Message) -> Result<()> {
+            assert!(
+                !matches!(msg, Message::RequestSubmit { .. }),
+                "the request's operands were copied into an owned message"
+            );
+            self.0.send(msg)
+        }
+        fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
+            self.0.send_request(req)
+        }
+        fn recv(&mut self) -> Result<Message> {
+            self.0.recv()
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Message> {
+            self.0.recv_timeout(timeout)
+        }
+        fn peer(&self) -> String {
+            self.0.peer()
+        }
+    }
+
+    #[test]
+    fn a_call_frames_its_request_from_the_callers_operands() {
+        let domain = bring_up(&[("hostA", 100.0)]);
+        let client = NetSolveClient::new(Arc::new(BorrowOnly(domain.net.clone())), "agent");
+        let out = client
+            .netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()])
+            .unwrap();
+        assert_eq!(out[0].as_double().unwrap(), 11.0);
         domain.shutdown();
     }
 

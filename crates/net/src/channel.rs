@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_proto::{encode_frame_into, parse_frame, Message};
+use netsolve_proto::{encode_frame_into, parse_frame, Body, Message, RequestView};
 use parking_lot::Mutex;
 
 use crate::transport::{Connection, Listener, Transport};
@@ -115,6 +115,13 @@ impl ChannelConnection {
     fn hung_up(&self) -> NetSolveError {
         NetSolveError::Transport(format!("{} hung up", self.peer))
     }
+
+    /// Frame `body` into the `Vec` the receiver will own.
+    fn write(&mut self, body: &dyn Body) -> Result<()> {
+        let mut bytes = Vec::new();
+        encode_frame_into(body, &mut bytes)?;
+        self.tx.send(bytes).map_err(|_| self.hung_up())
+    }
 }
 
 fn unframe(bytes: Vec<u8>) -> Result<Message> {
@@ -127,9 +134,11 @@ fn unframe(bytes: Vec<u8>) -> Result<Message> {
 
 impl Connection for ChannelConnection {
     fn send(&mut self, msg: &Message) -> Result<()> {
-        let mut bytes = Vec::new();
-        encode_frame_into(msg, &mut bytes)?;
-        self.tx.send(bytes).map_err(|_| self.hung_up())
+        self.write(msg)
+    }
+
+    fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
+        self.write(req)
     }
 
     fn recv(&mut self) -> Result<Message> {

@@ -55,7 +55,7 @@ use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::rng::Rng64;
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::frame::HEADER_LEN;
-use netsolve_proto::{encode_frame_into, parse_frame, Message, VERSION};
+use netsolve_proto::{encode_frame_into, parse_frame, Body, Message, RequestView, VERSION};
 use parking_lot::Mutex;
 
 use crate::link::LinkModel;
@@ -384,11 +384,26 @@ impl ChaosConnection {
         Ok(())
     }
 
-    /// One leg of the link: `msg`'s whole frame through the link model.
-    fn transfer(&mut self, msg: &Message) -> Duration {
+    /// One leg of the link: `body`'s whole frame through the link model.
+    fn transfer(&mut self, body: &dyn Body) -> Duration {
         let crc_len = 4;
-        let frame = (HEADER_LEN + crc_len) as u64 + msg.encoded_len(VERSION);
+        let frame = (HEADER_LEN + crc_len) as u64 + body.encoded_len(VERSION);
         Duration::from_secs_f64(self.policy.link.sample_transfer_secs(frame, &mut self.rng))
+    }
+
+    /// Send `body` through `send` on the inner connection, past the
+    /// send-side faults, and owe its leg of the link to the next receive.
+    fn outbound(
+        &mut self,
+        body: &dyn Body,
+        send: impl FnOnce(&mut dyn Connection) -> Result<()>,
+    ) -> Result<()> {
+        self.check_killed("send")?;
+        self.maybe_reset("send")?;
+        send(self.inner.as_mut())?;
+        let leg = self.transfer(body);
+        self.owed += leg;
+        Ok(())
     }
 
     /// Hold `reply` until the link has carried both legs of its exchange,
@@ -480,12 +495,11 @@ impl ChaosConnection {
 
 impl Connection for ChaosConnection {
     fn send(&mut self, msg: &Message) -> Result<()> {
-        self.check_killed("send")?;
-        self.maybe_reset("send")?;
-        self.inner.send(msg)?;
-        let leg = self.transfer(msg);
-        self.owed += leg;
-        Ok(())
+        self.outbound(msg, |inner| inner.send(msg))
+    }
+
+    fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
+        self.outbound(req, |inner| inner.send_request(req))
     }
 
     fn recv(&mut self) -> Result<Message> {

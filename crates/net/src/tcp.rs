@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 use netsolve_core::config::RetryPolicy;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_proto::{
-    write_message_into, write_message_streamed, FrameReader, Message, DEFAULT_STREAM_CHUNK,
-    DEFAULT_STREAM_THRESHOLD, VERSION,
+    write_message_into, write_message_streamed, Body, FrameReader, Message, RequestView,
+    DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, VERSION,
 };
 
 use crate::transport::{Connection, Listener, Transport};
@@ -192,20 +192,28 @@ impl TcpConnection {
         }
         self.reader.set_nonblocking(false).map_err(transport)
     }
+
+    /// Frame `body` onto the socket. A counting pass (O(1) per bulk array)
+    /// decides the route: large operands stream through bounded chunks so
+    /// the connection never materializes a multi-megabyte frame,
+    /// everything else takes the single-pass scratch-buffer writer.
+    fn write(&mut self, body: &dyn Body) -> Result<()> {
+        if body.encoded_len(VERSION) as usize > DEFAULT_STREAM_THRESHOLD {
+            write_message_streamed(&mut self.writer, body, DEFAULT_STREAM_CHUNK)?;
+            Ok(())
+        } else {
+            write_message_into(&mut self.writer, body, &mut self.scratch)
+        }
+    }
 }
 
 impl Connection for TcpConnection {
     fn send(&mut self, msg: &Message) -> Result<()> {
-        // A counting pass (O(1) per bulk array) decides the route: large
-        // operands stream through bounded chunks so the connection never
-        // materializes a multi-megabyte frame, everything else takes the
-        // single-pass scratch-buffer writer.
-        if msg.encoded_len(VERSION) as usize > DEFAULT_STREAM_THRESHOLD {
-            write_message_streamed(&mut self.writer, msg, DEFAULT_STREAM_CHUNK)?;
-            Ok(())
-        } else {
-            write_message_into(&mut self.writer, msg, &mut self.scratch)
-        }
+        self.write(msg)
+    }
+
+    fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
+        self.write(req)
     }
 
     fn recv(&mut self) -> Result<Message> {

@@ -15,12 +15,21 @@
 use std::time::Duration;
 
 use netsolve_core::error::Result;
-use netsolve_proto::Message;
+use netsolve_proto::{Message, RequestView};
 
 /// A bidirectional, message-oriented connection between two components.
 pub trait Connection: Send {
     /// Send one message (blocking until handed to the transport).
     fn send(&mut self, msg: &Message) -> Result<()>;
+
+    /// Send a `RequestSubmit` framed straight from the caller's borrowed
+    /// operands. The peer receives exactly what [`Connection::send`] of
+    /// `req.to_message()` would deliver; that is also what this default
+    /// does, copying every operand first. The crate's transports override
+    /// it to encode from the borrow.
+    fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
+        self.send(&req.to_message())
+    }
 
     /// Receive the next message, blocking indefinitely.
     fn recv(&mut self) -> Result<Message>;

@@ -17,7 +17,8 @@
 //! rejected before any bytes hit the wire, never silently truncated
 //! through the `u32` length field.
 //!
-//! One writer pair builds frames:
+//! One writer pair builds frames, from any [`Body`] — a [`Message`], or a
+//! borrowed view of one that encodes the same bytes:
 //!
 //! * [`encode_frame_into`] / [`write_message_into`] — the hot path: the
 //!   message is marshaled **directly into the frame buffer** (header
@@ -60,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_xdr::{crc32, Decoder, Encoder};
 
-use crate::message::Message;
+use crate::message::{Body, Message};
 
 /// Frame magic: `"NSRV"`.
 pub const MAGIC: u32 = 0x4E53_5256;
@@ -132,18 +133,28 @@ pub fn frame_bytes_versioned(msg: &Message, version: u32) -> Result<Vec<u8>> {
 /// place with the CRC folded in as bytes are produced, then the length
 /// field backfilled and the CRC appended. No intermediate payload buffer,
 /// no second scan. Reusing `buf` across calls (the per-connection scratch
-/// pattern) also amortizes the allocation to zero.
+/// pattern) also amortizes the allocation to zero. `body` is a
+/// [`Message`] or a borrowed view of one.
 ///
 /// Fails without side effects beyond `buf`'s contents if the payload
 /// exceeds [`MAX_FRAME_PAYLOAD`]; `buf` is left cleared in that case.
-pub fn encode_frame_into(msg: &Message, buf: &mut Vec<u8>) -> Result<()> {
+pub fn encode_frame_into<B: Body + ?Sized>(body: &B, buf: &mut Vec<u8>) -> Result<()> {
+    encode_frame_at(body, VERSION, buf)
+}
+
+/// [`encode_frame_into`] in the layout of protocol `version`.
+pub(crate) fn encode_frame_at<B: Body + ?Sized>(
+    body: &B,
+    version: u32,
+    buf: &mut Vec<u8>,
+) -> Result<()> {
     buf.clear();
     buf.extend_from_slice(&MAGIC.to_be_bytes());
-    buf.extend_from_slice(&VERSION.to_be_bytes());
+    buf.extend_from_slice(&version.to_be_bytes());
     buf.extend_from_slice(&[0u8; 4]); // length, backfilled below
     let crc = {
         let mut e = Encoder::borrowing(buf).with_crc();
-        msg.encode_into(&mut e);
+        body.encode_body(&mut e, version);
         e.crc().expect("crc tracking enabled")
     };
     let payload_len = buf.len() - HEADER_LEN;
@@ -159,40 +170,51 @@ pub fn encode_frame_into(msg: &Message, buf: &mut Vec<u8>) -> Result<()> {
 /// Write one framed message through a caller-owned scratch buffer
 /// (single-pass; see [`encode_frame_into`]). Connections keep one scratch
 /// per stream so steady-state sends allocate nothing.
-pub fn write_message_into(
+pub fn write_message_into<B: Body + ?Sized>(
     w: &mut impl Write,
-    msg: &Message,
+    body: &B,
     scratch: &mut Vec<u8>,
 ) -> Result<()> {
-    encode_frame_into(msg, scratch)?;
+    encode_frame_into(body, scratch)?;
     w.write_all(scratch)?;
     w.flush()?;
     Ok(())
 }
 
-/// Write one framed message through a bounded chunk buffer — the frame
-/// never exists contiguously in memory, so a 64 MiB operand costs `chunk`
-/// bytes of sender memory instead of 64 MiB. A counting pass (O(1) per
-/// bulk array) computes the length field the header must carry before
-/// the payload; the CRC is folded in chunk by chunk as bytes leave.
-/// Returns the total bytes written (header + payload + CRC).
-pub fn write_message_streamed(
+/// Write one framed message (or view of one) through a bounded chunk
+/// buffer — the frame never exists contiguously in memory, so a 64 MiB
+/// operand costs `chunk` bytes of sender memory instead of 64 MiB. A
+/// counting pass (O(1) per bulk array) computes the length field the
+/// header must carry before the payload; the CRC is folded in chunk by
+/// chunk as bytes leave. Returns the total bytes written (header +
+/// payload + CRC).
+pub fn write_message_streamed<B: Body + ?Sized>(
     w: &mut impl Write,
-    msg: &Message,
+    body: &B,
     chunk: usize,
 ) -> Result<u64> {
-    let payload_len = msg.encoded_len(VERSION);
+    write_streamed_at(w, body, VERSION, chunk)
+}
+
+/// [`write_message_streamed`] in the layout of protocol `version`.
+pub(crate) fn write_streamed_at<B: Body + ?Sized>(
+    w: &mut impl Write,
+    body: &B,
+    version: u32,
+    chunk: usize,
+) -> Result<u64> {
+    let payload_len = body.encoded_len(version);
     if payload_len as usize > MAX_FRAME_PAYLOAD {
         return Err(oversize(payload_len as usize));
     }
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC.to_be_bytes());
-    header[4..8].copy_from_slice(&VERSION.to_be_bytes());
+    header[4..8].copy_from_slice(&version.to_be_bytes());
     header[8..12].copy_from_slice(&(payload_len as u32).to_be_bytes());
     w.write_all(&header)?;
     let (crc, written) = {
         let mut e = Encoder::streaming(w, chunk).with_crc();
-        msg.encode_into(&mut e);
+        body.encode_body(&mut e, version);
         let crc = e.crc().expect("crc tracking enabled");
         (crc, e.finish_stream()?)
     };

@@ -20,12 +20,29 @@ pub use frame::{
     version_downgrades, write_message_into, write_message_streamed, FrameReader,
     DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
 };
-pub use message::{Candidate, GossipEntry, Message, QueryShape, ServerDescriptor, ServerInfo};
+pub use message::{
+    Body, Candidate, GossipEntry, Message, QueryShape, RequestView, ServerDescriptor, ServerInfo,
+};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    fn arb_request_submit() -> impl Strategy<Value = Message> {
+        (any::<u64>(), any::<u64>(), any::<u128>(), any::<u64>(), "[a-z]{1,10}", prop::collection::vec(
+            prop::collection::vec(-1e9..1e9f64, 0..32).prop_map(netsolve_core::DataObject::Vector),
+            0..4
+        ))
+            .prop_map(|(request_id, deadline_ms, trace_id, parent_span, problem, inputs)| Message::RequestSubmit {
+                request_id,
+                deadline_ms,
+                trace_id,
+                parent_span,
+                problem,
+                inputs,
+            })
+    }
 
     fn arb_message() -> impl Strategy<Value = Message> {
         prop_oneof![
@@ -90,18 +107,7 @@ mod proptests {
                         pdl_source: pdl,
                     })
                 }),
-            (any::<u64>(), any::<u64>(), any::<u128>(), any::<u64>(), "[a-z]{1,10}", prop::collection::vec(
-                prop::collection::vec(-1e9..1e9f64, 0..32).prop_map(netsolve_core::DataObject::Vector),
-                0..4
-            ))
-                .prop_map(|(request_id, deadline_ms, trace_id, parent_span, problem, inputs)| Message::RequestSubmit {
-                    request_id,
-                    deadline_ms,
-                    trace_id,
-                    parent_span,
-                    problem,
-                    inputs,
-                }),
+            arb_request_submit(),
             (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(merged, refreshed, conflicts)| {
                 Message::GossipAck { merged, refreshed, conflicts }
             }),
@@ -289,6 +295,35 @@ mod proptests {
             let mut single = Vec::new();
             encode_frame_into(&msg, &mut single).unwrap();
             prop_assert_eq!(single, reference);
+        }
+
+        #[test]
+        fn request_view_frames_match_the_owned_request(msg in arb_request_submit()) {
+            // The view and the owned message are one row: at every version,
+            // on both send routes, the view's frame is the reference
+            // encoder's frame of the owned message, byte for byte.
+            let Message::RequestSubmit { request_id, deadline_ms, trace_id, parent_span, problem, inputs } = &msg
+            else {
+                unreachable!("the strategy makes requests")
+            };
+            let view = RequestView {
+                request_id: *request_id,
+                deadline_ms: *deadline_ms,
+                trace_id: *trace_id,
+                parent_span: *parent_span,
+                problem,
+                inputs,
+            };
+            prop_assert_eq!(&view.to_message(), &msg);
+            for version in MIN_VERSION..=VERSION {
+                let reference = frame_bytes_versioned(&msg, version).unwrap();
+                let mut scratch = Vec::new();
+                frame::encode_frame_at(&view, version, &mut scratch).unwrap();
+                prop_assert_eq!(&scratch, &reference, "scratch route v{}", version);
+                let mut streamed = Vec::new();
+                frame::write_streamed_at(&mut streamed, &view, version, 64).unwrap();
+                prop_assert_eq!(&streamed, &reference, "streamed route v{}", version);
+            }
         }
 
         #[test]

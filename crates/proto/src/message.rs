@@ -371,7 +371,10 @@ wire_messages! {
     8  DescribeProblem { problem }
     9  ProblemDescription { pdl }
     10 FailureReport { server_id, problem, code, detail, server_address @5 }
-    11 RequestSubmit { request_id, deadline_ms @2, trace_id @3, parent_span @3, problem, inputs }
+    11 RequestSubmit => RequestView<'a> {
+        request_id: u64, deadline_ms @2: u64, trace_id @3: u128, parent_span @3: u64,
+        problem: &'a str, inputs: &'a [DataObject]
+    }
     12 RequestReply { request_id, compute_secs, outputs, cached @5 }
     13 Ping {}
     14 Pong {}
@@ -391,6 +394,28 @@ wire_messages! {
     26 GossipAck { merged, refreshed, conflicts }
     27 FleetStatsQuery {}
     28 FleetStatsReply { digests }
+}
+
+/// What a frame carries: a [`Message`], or a borrowed view of one
+/// ([`RequestView`]) that encodes to the same bytes. The frame writers take
+/// either, so a request can be framed straight from operands its sender
+/// does not own.
+pub trait Body {
+    /// Append the payload — the tag, then that row's fields — in the
+    /// layout of protocol `version`. The frame writers hand in an encoder
+    /// borrowing the frame buffer (header already reserved), or the
+    /// counting and streaming encoders of the streamed route.
+    fn encode_body(&self, e: &mut Encoder<'_>, version: u32);
+
+    /// Exact payload length at `version`, computed without materializing
+    /// a byte: the body runs through a counting encoder, where bulk array
+    /// puts cost O(1). This is how the streaming frame writer learns the
+    /// length field it must send before the payload.
+    fn encoded_len(&self, version: u32) -> u64 {
+        let mut c = Encoder::counting();
+        self.encode_body(&mut c, version);
+        c.count()
+    }
 }
 
 impl Message {
@@ -415,24 +440,9 @@ impl Message {
         e.into_bytes()
     }
 
-    /// Encode into an existing encoder at the current protocol version —
-    /// the single-pass frame writer hands in an encoder borrowing its
-    /// frame buffer (with the header already reserved) so the payload is
-    /// marshaled directly into the frame with no intermediate copy; the
-    /// streaming frame writer hands in counting and streaming encoders.
-    pub fn encode_into(&self, e: &mut Encoder<'_>) {
-        self.encode_body(e, crate::frame::VERSION);
-    }
-
-    /// Exact encoded payload length at the given protocol version,
-    /// computed without materializing a byte: the message runs through a
-    /// counting encoder, where bulk array puts cost O(1). This is how
-    /// the streaming frame writer learns the length field it must send
-    /// before the payload.
+    /// [`Body::encoded_len`], callable without importing the trait.
     pub fn encoded_len(&self, version: u32) -> u64 {
-        let mut c = Encoder::counting();
-        self.encode_body(&mut c, version);
-        c.count()
+        Body::encoded_len(self, version)
     }
 
     /// Decode from payload bytes, requiring full consumption, at the

@@ -12,6 +12,13 @@
 //! against. Rows destructure their type exhaustively, so a field missing
 //! from its row does not compile. Marshaling stays hand-rolled XDR: the
 //! macros only spell out the `put_*`/`get_*` calls a person would write.
+//!
+//! A message row may also name a *view* (`tag Name => View<'a> { field:
+//! type, … }`): the row then declares a `Copy` struct with the variant's
+//! fields in wire order, text and lists borrowed, whose encoder is the
+//! row's, and the owned variant encodes by lending its fields to it — so
+//! a sender can marshal straight from data it does not own, with no second
+//! statement of the layout.
 
 use netsolve_core::data::DataObject;
 use netsolve_core::error::Result;
@@ -89,8 +96,8 @@ impl Wire for u128 {
 impl<T: Wire> Wire for (String, T) {
     const MIN_LEN: usize = String::MIN_LEN + T::MIN_LEN;
     fn put(&self, e: &mut Encoder<'_>, version: u32) {
-        self.0.put(e, version);
-        self.1.put(e, version);
+        Wire::put(&self.0, e, version);
+        Wire::put(&self.1, e, version);
     }
     fn get(d: &mut Decoder<'_>, version: u32) -> Result<Self> {
         Ok((String::get(d, version)?, T::get(d, version)?))
@@ -104,7 +111,7 @@ impl<T: Wire> Wire for Vec<T> {
     fn put(&self, e: &mut Encoder<'_>, version: u32) {
         e.put_u32(self.len() as u32);
         for item in self {
-            item.put(e, version);
+            Wire::put(item, e, version);
         }
     }
     fn get(d: &mut Decoder<'_>, version: u32) -> Result<Self> {
@@ -125,17 +132,78 @@ impl Wire for Vec<DataObject> {
     }
 }
 
+/// The encode side alone: every [`Wire`] value, and the borrowed fields a
+/// view lends out (`&str`, `&[DataObject]`), which have no decoder.
+pub(crate) trait Put {
+    /// Append the encoding at `version`.
+    fn put(&self, e: &mut Encoder<'_>, version: u32);
+}
+
+impl<T: Wire> Put for T {
+    fn put(&self, e: &mut Encoder<'_>, version: u32) {
+        Wire::put(self, e, version);
+    }
+}
+
+impl Put for &str {
+    fn put(&self, e: &mut Encoder<'_>, _version: u32) {
+        e.put_string(self);
+    }
+}
+
+impl Put for &[DataObject] {
+    fn put(&self, e: &mut Encoder<'_>, _version: u32) {
+        encode_objects(e, self);
+    }
+}
+
+/// How an owned message field is lent to its view: scalars by value,
+/// text and operand lists as slices.
+pub(crate) trait Lend<'a> {
+    /// The field's type in the view.
+    type View;
+    /// The field as the view holds it.
+    fn lend(&'a self) -> Self::View;
+}
+
+macro_rules! lend_by_value {
+    ($($ty:ty),*) => {$(
+        impl Lend<'_> for $ty {
+            type View = $ty;
+            fn lend(&self) -> $ty {
+                *self
+            }
+        }
+    )*};
+}
+
+lend_by_value!(u64, u128);
+
+impl<'a> Lend<'a> for String {
+    type View = &'a str;
+    fn lend(&'a self) -> &'a str {
+        self
+    }
+}
+
+impl<'a> Lend<'a> for Vec<DataObject> {
+    type View = &'a [DataObject];
+    fn lend(&'a self) -> &'a [DataObject] {
+        self
+    }
+}
+
 /// One field of a row, in each of the four things a row expands to. An
 /// unversioned field is unconditional; `name @N` is on the wire only when
 /// `version >= N`, decodes to its default otherwise, and adds nothing to
 /// `MIN_LEN`.
 macro_rules! wire_field {
     (put $e:ident $version:ident $field:ident) => {
-        $crate::wire::Wire::put($field, $e, $version)
+        $crate::wire::Put::put($field, $e, $version)
     };
     (put $e:ident $version:ident $field:ident @ $since:literal) => {
         if $version >= $since {
-            $crate::wire::Wire::put($field, $e, $version)
+            $crate::wire::Put::put($field, $e, $version)
         }
     };
     (get $d:ident $version:ident) => {
@@ -189,12 +257,16 @@ pub(crate) use wire_records;
 
 /// The message table: `tag Name(Record)` for a variant that wraps a record,
 /// `tag Name { field, field @since, … }` for one with its own fields (`{}`
-/// when it has none). Expands to `Message`'s tag, log name, payload
-/// encoder, payload decoder and `SCHEMA`.
+/// when it has none), `tag Name => View<'a> { field: type, field @since:
+/// type, … }` for one that also has a borrowed view (the types are the
+/// view's). Expands to `Message`'s tag, log name, payload encoder (the
+/// [`Body`](crate::message::Body) impl), payload decoder and `SCHEMA`, and
+/// to each view's struct, encoder and `to_message`.
 macro_rules! wire_messages {
     ($($tag:literal $name:ident
         $(($record:ident))?
         $({ $($field:ident $(@ $since:literal)?),* })?
+        $(=> $view:ident<$lt:lifetime> { $($vfield:ident $(@ $vsince:literal)?: $vty:ty),* })?
     )*) => {
         impl Message {
             /// Wire tag of this message variant.
@@ -220,26 +292,19 @@ macro_rules! wire_messages {
                 stringify!($name),
                 $(<$record as $crate::wire::Wire>::FIELDS)?
                 $(&[$($crate::wire::wire_field!(schema $field $(@ $since)?)),*])?
+                $(&[$($crate::wire::wire_field!(schema $vfield $(@ $vsince)?)),*])?
             )),*];
-
-            fn encode_body(&self, e: &mut Encoder<'_>, version: u32) {
-                e.put_u32(self.tag());
-                match self {$(
-                    Message::$name $((record @ $record { .. }))? $({ $($field),* })? => {
-                        $(<$record as $crate::wire::Wire>::put(record, e, version);)?
-                        $($($crate::wire::wire_field!(put e version $field $(@ $since)?);)*)?
-                    }
-                )*}
-            }
 
             /// Decode one message body: the tag, then that row's fields.
             pub(crate) fn decode_body(d: &mut Decoder<'_>, version: u32) -> Result<Message> {
                 Ok(match d.get_u32()? {
                     $($tag => {
                         $($(let $field = $crate::wire::wire_field!(get d version $(@ $since)?);)*)?
+                        $($(let $vfield = $crate::wire::wire_field!(get d version $(@ $vsince)?);)*)?
                         Message::$name
                             $((<$record as $crate::wire::Wire>::get(d, version)?))?
                             $({ $($field),* })?
+                            $({ $($vfield),* })?
                     })*
                     other => {
                         return Err(NetSolveError::Protocol(format!("unknown message tag {other}")))
@@ -247,6 +312,64 @@ macro_rules! wire_messages {
                 })
             }
         }
+
+        impl Body for Message {
+            fn encode_body(&self, e: &mut Encoder<'_>, version: u32) {
+                e.put_u32(self.tag());
+                match self {$(
+                    Message::$name
+                        $((record @ $record { .. }))?
+                        $({ $($field),* })?
+                        $({ $($vfield),* })?
+                    => {
+                        $(<$record as $crate::wire::Wire>::put(record, e, version);)?
+                        $($($crate::wire::wire_field!(put e version $field $(@ $since)?);)*)?
+                        $(
+                            let view = $view { $($vfield: $crate::wire::Lend::lend($vfield)),* };
+                            $crate::wire::Put::put(&view, e, version);
+                        )?
+                    }
+                )*}
+            }
+        }
+
+        $($(
+            #[doc = concat!(
+                "[`Message::", stringify!($name), "`], borrowed: the same fields in the same ",
+                "wire order, text and lists lent as slices. It encodes to the same bytes ",
+                "(see [`Body`]), so a sender can frame data it does not own without copying it."
+            )]
+            #[derive(Debug, Clone, Copy)]
+            pub struct $view<$lt> {
+                $(
+                    #[doc = concat!("[`Message::", stringify!($name), "`]'s `", stringify!($vfield), "`.")]
+                    pub $vfield: $vty,
+                )*
+            }
+
+            impl $crate::wire::Put for $view<'_> {
+                fn put(&self, e: &mut Encoder<'_>, version: u32) {
+                    let $view { $($vfield),* } = self;
+                    $($crate::wire::wire_field!(put e version $vfield $(@ $vsince)?);)*
+                }
+            }
+
+            impl Body for $view<'_> {
+                fn encode_body(&self, e: &mut Encoder<'_>, version: u32) {
+                    e.put_u32($tag);
+                    $crate::wire::Put::put(self, e, version);
+                }
+            }
+
+            impl $view<'_> {
+                /// The owned message this view stands for: a copy of every
+                /// borrowed field.
+                pub fn to_message(&self) -> Message {
+                    let $view { $($vfield),* } = *self;
+                    Message::$name { $($vfield: $vfield.to_owned()),* }
+                }
+            }
+        )?)*
     };
 }
 pub(crate) use wire_messages;

@@ -13,10 +13,28 @@ use netsolve_core::matrix::Matrix;
 
 // ---------------------------------------------------------------- level 1
 
+/// Independent partial sums `ddot` keeps: enough that no add waits on the
+/// one before it, and a whole number of two-lane vector registers.
+const DOT_LANES: usize = 8;
+
 /// Dot product `x · y`. Errors on length mismatch.
+///
+/// Element `i` is summed into lane `i mod 8` and the lanes (plus the
+/// tail past the last whole group of eight) are added at the end: eight
+/// independent add chains instead of one. A reordering of the same sum,
+/// so the error bound is the usual (n+1)·ε·Σ|xᵢyᵢ|.
 pub fn ddot(x: &[f64], y: &[f64]) -> Result<f64> {
     check_len(x, y)?;
-    Ok(x.iter().zip(y).map(|(a, b)| a * b).sum())
+    let (xs, x_tail) = x.as_chunks::<DOT_LANES>();
+    let (ys, y_tail) = y.as_chunks::<DOT_LANES>();
+    let mut lanes = [0.0f64; DOT_LANES];
+    for (a, b) in xs.iter().zip(ys) {
+        for ((lane, &ai), &bi) in lanes.iter_mut().zip(a).zip(b) {
+            *lane += ai * bi;
+        }
+    }
+    let tail: f64 = x_tail.iter().zip(y_tail).map(|(a, b)| a * b).sum();
+    Ok(lanes.iter().sum::<f64>() + tail)
 }
 
 /// `y += alpha * x`. Errors on length mismatch.
@@ -315,10 +333,24 @@ pub fn dgemm_threaded(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> 
     Ok(c)
 }
 
+/// Multiply-adds (`m·k·n`) from which [`dgemm`] spreads a product over
+/// threads. `solver_bench`'s GEMM ablation on the 2-vCPU reference box:
+/// threaded 1.4x ahead of blocked at 256³ = 2^24 and 1.8x at 512³, level
+/// with it (1.0–1.2x, run to run) at 192³, and 2.6x behind at 64³, where
+/// the spawns cost more than the product.
+const THREADED_GEMM_MIN_WORK: usize = 1 << 24;
+
+/// Whether [`dgemm`] threads an `m×k` by `k×n` product: by its work, not
+/// by its longest side — 512×2 by 2×512 is 2^19 multiply-adds, too little
+/// to pay for two thread spawns however long its sides.
+fn threads_pay(m: usize, k: usize, n: usize) -> bool {
+    m.saturating_mul(k).saturating_mul(n) >= THREADED_GEMM_MIN_WORK
+}
+
 /// Default GEMM used by the `dgemm` problem executor: threaded for large
-/// matrices, blocked otherwise.
+/// products ([`THREADED_GEMM_MIN_WORK`]), blocked otherwise.
 pub fn dgemm(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.rows().max(b.cols()) >= 256 {
+    if threads_pay(a.rows(), a.cols(), b.cols()) {
         dgemm_threaded(a, b, 0)
     } else {
         dgemm_blocked(a, b)
@@ -348,6 +380,48 @@ mod tests {
         assert_eq!(dasum(&[1.0, -2.0, 3.0]), 6.0);
         assert_eq!(idamax(&[1.0, -5.0, 3.0]), Some(1));
         assert_eq!(idamax(&[]), None);
+    }
+
+    /// `ddot` against a compensated sum (products split exactly by
+    /// `mul_add`, sums by two-sum), at every length 0..=67 — each number of
+    /// whole lane groups with each tail length — and 128 Ki, the
+    /// `bulk_request` operand: within the (n+1)·ε·Σ|xᵢyᵢ| bound, which a
+    /// dropped or doubled element breaks by orders of magnitude.
+    #[test]
+    fn ddot_lanes_stay_within_the_summation_bound() {
+        fn compensated(x: &[f64], y: &[f64]) -> f64 {
+            let (mut sum, mut err) = (0.0f64, 0.0f64);
+            for (&a, &b) in x.iter().zip(y) {
+                let p = a * b;
+                let t = sum + p;
+                let z = t - sum;
+                err += (sum - (t - z)) + (p - z) + a.mul_add(b, -p);
+                sum = t;
+            }
+            sum + err
+        }
+        let mut rng = Rng64::new(21);
+        for n in (0..=67).chain([128 * 1024]) {
+            let x: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let y: Vec<f64> = (0..n).map(|_| rng.uniform(-1e3, 1e3)).collect();
+            let magnitude: f64 = x.iter().zip(&y).map(|(a, b)| (a * b).abs()).sum();
+            let bound = (n + 1) as f64 * f64::EPSILON * magnitude;
+            let (got, want) = (ddot(&x, &y).unwrap(), compensated(&x, &y));
+            assert!(
+                (got - want).abs() <= bound,
+                "n={n}: {got} vs {want}, bound {bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn dgemm_threads_by_work_not_by_dimension() {
+        assert!(!threads_pay(512, 2, 512), "bulk_reply's outer product");
+        assert!(!threads_pay(192, 192, 192));
+        assert!(threads_pay(256, 256, 256));
+        assert!(threads_pay(4096, 1, 4096));
+        assert!(!threads_pay(1 << 40, 0, 1 << 40));
+        assert!(threads_pay(usize::MAX, 2, 3), "work saturates, never wraps");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   scheme of Intel's "Fast CRC Computation for Generic Polynomials
 //!   Using PCLMULQDQ" for the bit-reflected polynomial, with its published
 //!   constants. The CPU is asked on every call (std caches the answer),
-//!   and the call into the kernel after that check is the workspace's
-//!   one block the compiler cannot prove sound (see [`update`]).
+//!   and the call into the kernel after that check is one of the
+//!   workspace's two places the compiler cannot prove sound (see
+//!   [`update`]; the other is the byte-order loops' dispatch, `be64`).
 //! * **Slicing-by-8** everywhere else — short inputs, the < 16-byte tail
 //!   the folding kernel leaves, and hosts without the instructions: eight
 //!   const-evaluated 256-entry tables fold 8 input bytes per iteration.

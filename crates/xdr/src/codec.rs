@@ -27,13 +27,16 @@
 //! The decoder mirrors this: one [`Decoder`] reads through a window it can
 //! refill — the input slice itself when the bytes are already in memory, a
 //! bounded chunk buffer when they come off an `io::Read`, so decode can
-//! begin before the whole operand has arrived — and converts each array in
-//! bulk `chunks_exact` passes, the one wire→solver copy.
+//! begin before the whole operand has arrived — and converts each array
+//! into pre-sized space, one pass of the byte-order loop per run of the
+//! window, the one wire→solver copy. Both directions share those loops
+//! (`be64`: SSSE3 `pshufb` where the CPU has it).
 
 use std::io::{Read, Write};
 
 use netsolve_core::error::{NetSolveError, Result};
 
+use crate::be64::{self, Word};
 use crate::checksum::Crc32;
 
 /// Default cap on any single variable-length item (256 MiB) — large enough
@@ -356,42 +359,21 @@ impl<'a> Encoder<'a> {
 
     /// Variable-length array of doubles: u32 count then each element.
     /// The elements are byte-swapped in bulk into pre-sized space — one
-    /// resize plus a tight swap loop, not a capacity check per element.
-    /// A counting sink advances by `8 * len` in O(1); a streaming sink
-    /// converts block-by-block through a stack buffer so memory stays
-    /// bounded no matter how large the array.
+    /// resize plus one pass of the byte-order loop, not a capacity check
+    /// per element. A counting sink advances by `8 * len` in O(1); a
+    /// streaming sink converts block-by-block through a stack buffer so
+    /// memory stays bounded no matter how large the array.
     pub fn put_f64_array(&mut self, xs: &[f64]) {
-        self.put_u32(xs.len() as u32);
-        if let Buf::Count(n) = &mut self.buf {
-            *n += 8 * xs.len() as u64;
-            return;
-        }
-        if matches!(self.buf, Buf::Stream(_)) {
-            let mut block = [0u8; BULK_BLOCK_BYTES];
-            for chunk in xs.chunks(BULK_BLOCK_BYTES / 8) {
-                let bytes = &mut block[..chunk.len() * 8];
-                for (dst, &x) in bytes.chunks_exact_mut(8).zip(chunk) {
-                    dst.copy_from_slice(&x.to_bits().to_be_bytes());
-                }
-                self.append(bytes);
-            }
-            return;
-        }
-        let start = {
-            let buf = self.mem_buf_mut();
-            let start = buf.len();
-            buf.resize(start + xs.len() * 8, 0);
-            for (dst, &x) in buf[start..].chunks_exact_mut(8).zip(xs) {
-                dst.copy_from_slice(&x.to_bits().to_be_bytes());
-            }
-            start
-        };
-        self.crc_over_written(start);
+        self.put_words(xs);
     }
 
-    /// Variable-length array of u64 (used for sparse-matrix index arrays).
-    /// Same bulk byte-swap discipline as [`Encoder::put_f64_array`].
+    /// Variable-length array of u64 (used for sparse-matrix index arrays),
+    /// laid out and converted as [`Encoder::put_f64_array`].
     pub fn put_u64_array(&mut self, xs: &[u64]) {
+        self.put_words(xs);
+    }
+
+    fn put_words<T: Word>(&mut self, xs: &[T]) {
         self.put_u32(xs.len() as u32);
         if let Buf::Count(n) = &mut self.buf {
             *n += 8 * xs.len() as u64;
@@ -401,9 +383,7 @@ impl<'a> Encoder<'a> {
             let mut block = [0u8; BULK_BLOCK_BYTES];
             for chunk in xs.chunks(BULK_BLOCK_BYTES / 8) {
                 let bytes = &mut block[..chunk.len() * 8];
-                for (dst, &x) in bytes.chunks_exact_mut(8).zip(chunk) {
-                    dst.copy_from_slice(&x.to_be_bytes());
-                }
+                be64::encode(bytes, chunk);
                 self.append(bytes);
             }
             return;
@@ -412,9 +392,7 @@ impl<'a> Encoder<'a> {
             let buf = self.mem_buf_mut();
             let start = buf.len();
             buf.resize(start + xs.len() * 8, 0);
-            for (dst, &x) in buf[start..].chunks_exact_mut(8).zip(xs) {
-                dst.copy_from_slice(&x.to_be_bytes());
-            }
+            be64::encode(&mut buf[start..], xs);
             start
         };
         self.crc_over_written(start);
@@ -723,13 +701,13 @@ impl<'a> Decoder<'a> {
             .map_err(|e| NetSolveError::Protocol(format!("invalid UTF-8 string: {e}")))
     }
 
-    /// A length-prefixed array of 8-byte big-endian words, each mapped
-    /// through `from_be`: one bulk `chunks_exact` pass per run of the
-    /// window — the single wire→solver copy. Over a slice that is one run
-    /// into an exactly sized vector; over a reader a run need not end on an
-    /// element boundary, so a straddling element is stitched through
-    /// `carry`.
-    fn get_be64_array<T>(&mut self, what: &str, from_be: impl Fn([u8; 8]) -> T) -> Result<Vec<T>> {
+    /// A length-prefixed array of 8-byte big-endian words: per run of the
+    /// window, the vector is resized over the run's whole elements and one
+    /// pass of the byte-order loop fills them — the single wire→solver
+    /// copy. Over a slice that is one run into an exactly sized vector;
+    /// over a reader a run need not end on an element boundary, so a
+    /// straddling element is stitched through `carry`.
+    fn get_words<T: Word>(&mut self, what: &str) -> Result<Vec<T>> {
         let (len, start) = self.item_len(8, what)?;
         let mut out = Vec::with_capacity(start);
         let mut carry = [0u8; 8];
@@ -744,24 +722,26 @@ impl<'a> Decoder<'a> {
                 if carried < 8 {
                     return;
                 }
-                out.push(from_be(carry));
+                out.push(T::from_word(u64::from_be_bytes(carry)));
             }
-            let whole = run.chunks_exact(8);
-            carried = whole.remainder().len();
-            carry[..carried].copy_from_slice(whole.remainder());
-            out.extend(whole.map(|c| from_be(c.try_into().expect("chunks of 8"))));
+            let (whole, rest) = run.split_at(run.len() - run.len() % 8);
+            let at = out.len();
+            out.resize(at + whole.len() / 8, T::default());
+            be64::decode(&mut out[at..], whole);
+            carried = rest.len();
+            carry[..carried].copy_from_slice(rest);
         })?;
         Ok(out)
     }
 
     /// Read a variable-length double array into an owned vector.
     pub fn get_f64_array(&mut self) -> Result<Vec<f64>> {
-        self.get_be64_array("f64 array", |a| f64::from_bits(u64::from_be_bytes(a)))
+        self.get_words("f64 array")
     }
 
     /// Read a variable-length u64 array into an owned vector.
     pub fn get_u64_array(&mut self) -> Result<Vec<u64>> {
-        self.get_be64_array("u64 array", u64::from_be_bytes)
+        self.get_words("u64 array")
     }
 }
 

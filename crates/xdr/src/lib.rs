@@ -17,6 +17,7 @@
 
 #![warn(missing_docs)]
 
+mod be64;
 pub mod checksum;
 pub mod codec;
 pub mod object;

@@ -5,16 +5,21 @@
 //! pass the count guard and reserve 11.8 GB (`Vec<DataObject>`) or 3.2 GB
 //! (`Vec<String>`) — one unauthenticated frame killing a daemon. And the
 //! honest side of the same bound: a small frame costs a small window, a
-//! large operand costs itself plus the window, never the frame twice. This
-//! binary has its own `#[global_allocator]`, which is why it is not part of
-//! another test file.
+//! large operand costs itself plus the window, never the frame twice — and
+//! on the send side, a request framed from borrowed operands costs the
+//! chunk buffer, not a copy of them. This binary has its own
+//! `#[global_allocator]`, which is why it is not part of another test file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+use netsolve::core::DataObject;
 use netsolve::proto::frame::MAGIC;
 use netsolve::proto::{
-    frame_bytes_versioned, FrameReader, Message, DEFAULT_STREAM_CHUNK, MAX_FRAME_PAYLOAD, VERSION,
+    frame_bytes_versioned, write_message_streamed, FrameReader, Message, RequestView,
+    DEFAULT_STREAM_CHUNK, MAX_FRAME_PAYLOAD, VERSION,
 };
 use netsolve::xdr::{crc32, Encoder};
 
@@ -42,6 +47,16 @@ unsafe impl GlobalAlloc for Recording {
 #[global_allocator]
 static ALLOCATOR: Recording = Recording;
 
+/// `LARGEST` is one process-wide record, and tests run side by side: each
+/// test holds this for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A payload that ends right after a list count sized to pass the
 /// `count <= remaining / 4 + 1` guard under a 512 MiB header.
 fn payload_ending_in_huge_count(head: impl FnOnce(&mut Encoder<'_>)) -> Vec<u8> {
@@ -65,6 +80,7 @@ fn frame(version: u32, claimed_len: usize, payload: &[u8], with_crc: bool) -> Ve
 
 #[test]
 fn a_wire_count_never_sizes_an_allocation() {
+    let _serial = serial();
     // v1 RequestSubmit: request_id, problem (empty), then the operand count.
     let submit = payload_ending_in_huge_count(|e| {
         e.put_u32(11);
@@ -132,4 +148,39 @@ fn a_wire_count_never_sizes_an_allocation() {
             wire.len()
         );
     }
+}
+
+/// The send side: a 2 MiB request streamed from borrowed operands asks for
+/// the chunk buffer and nothing larger. Building the owned message first,
+/// as a call did before it could lend its operands, copies each 1 MiB
+/// operand on every try.
+#[test]
+fn a_borrowed_request_streams_through_one_chunk() {
+    let _serial = serial();
+    let inputs: Vec<DataObject> = (0..2).map(|_| vec![0.5f64; 1 << 17].into()).collect();
+    let view = RequestView {
+        request_id: 1,
+        deadline_ms: 0,
+        trace_id: 0,
+        parent_span: 0,
+        problem: "ddot",
+        inputs: &inputs,
+    };
+    LARGEST.store(0, Ordering::Relaxed);
+    let written = write_message_streamed(&mut io::sink(), &view, DEFAULT_STREAM_CHUNK).unwrap();
+    let borrowed = LARGEST.load(Ordering::Relaxed);
+    assert!(written > 2 << 20, "{written}");
+    assert!(
+        borrowed <= DEFAULT_STREAM_CHUNK,
+        "streaming a borrowed request asked for {borrowed} bytes at once"
+    );
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let owned = view.to_message();
+    write_message_streamed(&mut io::sink(), &owned, DEFAULT_STREAM_CHUNK).unwrap();
+    let copied = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        copied >= 1 << 20,
+        "the owned route copies each operand: {copied}"
+    );
 }
