@@ -177,14 +177,6 @@ pub fn dgemm_naive(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(c)
 }
 
-/// Register tile of the GEMM micro-kernel: `MR` rows by `NR` columns of `C`
-/// live in accumulators for a whole k-block. 4x4 is eight two-lane
-/// accumulators, which with the operands fills the sixteen baseline x86-64
-/// vector registers without spilling.
-const MR: usize = 4;
-/// See [`MR`].
-const NR: usize = 4;
-
 /// Depth of one k-block: the accumulators are added into `C` once per
 /// `GEMM_BLOCK` rank-one terms, so the `m x GEMM_BLOCK` block of `A` every
 /// column tile re-reads stays cache-resident however large `k` is (at
@@ -204,7 +196,11 @@ pub(crate) const NB: usize = 32;
 ///
 /// Every element of `C` receives its k-blocks in order, each summed in
 /// order, whatever tile it falls in — so results do not depend on how a
-/// caller splits `C` into panels.
+/// caller splits `C` into panels, nor on which of the two instances of the
+/// loop nest runs: the portable one (4x4 tiles, built for baseline x86-64)
+/// or, on a CPU with AVX2, the same loop compiled for 256-bit lanes with
+/// 8x4 tiles. Neither fuses a multiply into an add, so both do the same
+/// IEEE operations per element in the same order and agree bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_update(
     c: &mut [f64],
@@ -231,6 +227,58 @@ pub fn gemm_update(
             && b.len() >= (n - 1) * ldb + k,
         "gemm_update: operand slice too short"
     );
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && !portable_pinned() {
+        // SAFETY: `gemm_avx2` needs only AVX2, which this CPU was just found
+        // to have.
+        return unsafe { gemm_avx2(c, ldc, a, lda, b, ldb, m, n, k, sign) };
+    }
+    gemm_tiles::<4, 4>(c, ldc, a, lda, b, ldb, m, n, k, sign)
+}
+
+/// Whether a test has pinned this thread's [`gemm_update`] calls to the
+/// portable instance: never, outside tests.
+#[cfg(all(target_arch = "x86_64", not(test)))]
+fn portable_pinned() -> bool {
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_avx2(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    sign: f64,
+) {
+    gemm_tiles::<8, 4>(c, ldc, a, lda, b, ldb, m, n, k, sign)
+}
+
+/// [`gemm_update`]'s loop nest over `MR x NR` register tiles, whose
+/// accumulators live in registers for a whole k-block: 4x4 is eight
+/// two-lane accumulators and 8x4 eight four-lane ones, which with the
+/// operands fill the sixteen vector registers without spilling.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn gemm_tiles<const MR: usize, const NR: usize>(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    sign: f64,
+) {
     for l0 in (0..k).step_by(GEMM_BLOCK) {
         let kc = GEMM_BLOCK.min(k - l0);
         for j in (0..n).step_by(NR) {
@@ -241,7 +289,7 @@ pub fn gemm_update(
                 let at = &a[l0 * lda + i..];
                 let ct = &mut c[j * ldc + i..];
                 if mr == MR && nr == NR {
-                    tile_full(ct, ldc, at, lda, bt, ldb, kc, sign);
+                    tile_full::<MR, NR>(ct, ldc, at, lda, bt, ldb, kc, sign);
                     continue;
                 }
                 // Ragged right or bottom edge: scalar, in the micro-kernel's
@@ -264,7 +312,7 @@ pub fn gemm_update(
 /// Slices start at the tile's origin in each operand.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn tile_full(
+fn tile_full<const MR: usize, const NR: usize>(
     c: &mut [f64],
     ldc: usize,
     a: &[f64],
@@ -334,10 +382,12 @@ pub fn dgemm_threaded(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> 
 }
 
 /// Multiply-adds (`m·k·n`) from which [`dgemm`] spreads a product over
-/// threads. `solver_bench`'s GEMM ablation on the 2-vCPU reference box:
-/// threaded 1.4x ahead of blocked at 256³ = 2^24 and 1.8x at 512³, level
-/// with it (1.0–1.2x, run to run) at 192³, and 2.6x behind at 64³, where
-/// the spawns cost more than the product.
+/// threads. Blocked against threaded on the AVX2 kernel at 64, 128, 192,
+/// 256 and 512³, twelve interleaved rounds on the 2-vCPU reference box:
+/// threaded ahead in 12 of 12 at 256³ = 2^24 (1.22x median) and at
+/// 512³ (1.34x), level at 192³ (1.03x) and 128³ (0.98x), and 2.9x behind
+/// at 64³, where the spawns cost more than the product. The crossover is
+/// where the portable kernel had it.
 const THREADED_GEMM_MIN_WORK: usize = 1 << 24;
 
 /// Whether [`dgemm`] threads an `m×k` by `k×n` product: by its work, not
@@ -355,6 +405,30 @@ pub fn dgemm(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     } else {
         dgemm_blocked(a, b)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while [`on_portable_kernel`] runs.
+    static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// In tests, [`gemm_update`] on this thread takes the portable instance
+/// while [`on_portable_kernel`] runs.
+#[cfg(all(target_arch = "x86_64", test))]
+fn portable_pinned() -> bool {
+    PORTABLE.get()
+}
+
+/// `f()` with every [`gemm_update`] on this thread on the portable instance:
+/// how the differential tests reach it through `lu`, `cholesky` and
+/// `execute`. Threads `f` spawns still dispatch.
+#[cfg(test)]
+pub(crate) fn on_portable_kernel<R>(f: impl FnOnce() -> R) -> R {
+    PORTABLE.set(true);
+    let out = f();
+    PORTABLE.set(false);
+    out
 }
 
 #[cfg(test)]
@@ -417,8 +491,10 @@ mod tests {
     #[test]
     fn dgemm_threads_by_work_not_by_dimension() {
         assert!(!threads_pay(512, 2, 512), "bulk_reply's outer product");
-        assert!(!threads_pay(192, 192, 192));
+        assert!(!threads_pay(64, 64, 64));
+        assert!(!threads_pay(192, 192, 192), "level on either kernel");
         assert!(threads_pay(256, 256, 256));
+        assert!(threads_pay(512, 512, 512));
         assert!(threads_pay(4096, 1, 4096));
         assert!(!threads_pay(1 << 40, 0, 1 << 40));
         assert!(threads_pay(usize::MAX, 2, 3), "work saturates, never wraps");
@@ -535,7 +611,8 @@ mod tests {
     #[test]
     fn gemm_update_ragged_shapes_match_naive() {
         let mut rng = Rng64::new(11);
-        let edges = [0, 1, MR - 1, MR, MR + 1, 2 * NR + 3];
+        // Each side of the 4-wide and 8-tall tile edges.
+        let edges = [0, 1, 3, 4, 5, 7, 8, 9, 11];
         for &m in &edges {
             for &n in &edges {
                 for k in [0, 1, 2, 5] {
@@ -545,7 +622,33 @@ mod tests {
             }
         }
         // Past one k-block, ragged in every dimension.
-        check_gemm_update(2 * MR + 1, NR + 2, GEMM_BLOCK + 7, -1.0, 1, &mut rng);
+        check_gemm_update(17, 6, GEMM_BLOCK + 7, -1.0, 1, &mut rng);
+    }
+
+    /// Whichever instance the dispatch picks on this host agrees with the
+    /// portable one bit for bit: every `m` and `n` in 0..=17 (each side of
+    /// the 4- and 8-wide tile edges), `k` on each side of one and two
+    /// k-blocks, leading dimensions past the shape, both signs.
+    #[test]
+    fn dispatched_kernel_matches_the_portable_kernel() {
+        let mut rng = Rng64::new(26);
+        let mut random =
+            |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [1, 2, 63, 64, 65, 129] {
+            let (lda, ldb, ldc) = (20, k + 2, 18);
+            let (a, b, c0) = (random(lda * k), random(ldb * 17), random(ldc * 17));
+            for m in 0..=17 {
+                for n in 0..=17 {
+                    for sign in [1.0, -1.0] {
+                        let (mut got, mut want) = (c0.clone(), c0.clone());
+                        gemm_update(&mut got, ldc, &a, lda, &b, ldb, m, n, k, sign);
+                        gemm_tiles::<4, 4>(&mut want, ldc, &a, lda, &b, ldb, m, n, k, sign);
+                        assert_eq!(bits(&got), bits(&want), "{m}x{n}x{k}, sign {sign}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

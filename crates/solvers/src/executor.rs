@@ -260,6 +260,38 @@ mod tests {
         assert!(vec_max_abs_diff(out[0].as_vector().unwrap(), &x_true) < 1e-9);
     }
 
+    /// `dgesv`, `dposv` and `dgemm` answer bit for bit the same on either
+    /// instance of the GEMM kernel, at orders on and off the tile and panel
+    /// edges and at `bulk_reply`'s 512×2 · 2×512 product (all unthreaded,
+    /// so every kernel call runs on this thread).
+    #[test]
+    fn dense_problems_agree_bit_for_bit_on_either_kernel() {
+        let mut rng = Rng64::new(96);
+        let mut cases: Vec<(&str, Vec<DataObject>)> = Vec::new();
+        for n in [1, 9, 31, 33, 67, 130] {
+            let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let (a, spd) = (Matrix::random(n, n, &mut rng), Matrix::random_spd(n, &mut rng));
+            cases.push(("dgesv", vec![a.clone().into(), b.clone().into()]));
+            cases.push(("dposv", vec![spd.clone().into(), b.into()]));
+            cases.push(("dgemm", vec![a.into(), spd.into()]));
+        }
+        let (tall, wide) = (Matrix::random(512, 2, &mut rng), Matrix::random(2, 512, &mut rng));
+        cases.push(("dgemm", vec![tall.into(), wide.into()]));
+        let bits = |out: &[DataObject]| -> Vec<u64> {
+            let values = match &out[0] {
+                DataObject::Vector(v) => v.as_slice(),
+                DataObject::Matrix(m) => m.as_slice(),
+                other => panic!("unexpected output {other:?}"),
+            };
+            values.iter().map(|v| v.to_bits()).collect()
+        };
+        for (i, (problem, args)) in cases.iter().enumerate() {
+            let dispatched = execute(problem, args).unwrap();
+            let portable = blas::on_portable_kernel(|| execute(problem, args)).unwrap();
+            assert_eq!(bits(&dispatched), bits(&portable), "case {i}, {problem}");
+        }
+    }
+
     #[test]
     fn cg_via_executor_returns_iters() {
         let a = CsrMatrix::laplacian_2d(6, 6);

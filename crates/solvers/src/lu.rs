@@ -243,7 +243,7 @@ pub fn dgesv(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use netsolve_core::matrix::vec_max_abs_diff;
     use netsolve_core::rng::Rng64;
@@ -293,13 +293,13 @@ mod tests {
     }
 
     /// Orders that sit on, beside and well past the panel boundaries.
-    const ORDERS: [usize; 7] = [1, 2, NB - 1, NB, NB + 1, 2 * NB + 3, 200];
+    pub(crate) const ORDERS: [usize; 7] = [1, 2, NB - 1, NB, NB + 1, 2 * NB + 3, 200];
 
-    fn inf_norm(v: &[f64]) -> f64 {
+    pub(crate) fn inf_norm(v: &[f64]) -> f64 {
         v.iter().fold(0.0, |acc, x| acc.max(x.abs()))
     }
 
-    fn mat_inf_norm(a: &Matrix) -> f64 {
+    pub(crate) fn mat_inf_norm(a: &Matrix) -> f64 {
         (0..a.rows())
             .map(|r| a.row(r).iter().map(|v| v.abs()).sum())
             .fold(0.0, f64::max)

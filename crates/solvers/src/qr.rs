@@ -149,8 +149,29 @@ pub fn dgels(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::blas;
+    use crate::lu::tests::{inf_norm, mat_inf_norm, ORDERS};
     use netsolve_core::matrix::vec_max_abs_diff;
     use netsolve_core::rng::Rng64;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(28))]
+
+        /// On square, full-rank random systems `dgels` is a linear solve and
+        /// meets LU's normwise backward-error bound, at LU's orders.
+        #[test]
+        fn square_backward_error_meets_lu_bound(seed in any::<u64>(), which in 0usize..ORDERS.len()) {
+            let n = ORDERS[which];
+            let mut rng = Rng64::new(seed);
+            let a = Matrix::random(n, n, &mut rng);
+            let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let x = dgels(&a, &b).unwrap();
+            let ax = a.matvec(&x).unwrap();
+            let resid: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
+            let eta = inf_norm(&resid) / (mat_inf_norm(&a) * inf_norm(&x) + inf_norm(&b));
+            prop_assert!(eta <= 4.0 * n as f64 * f64::EPSILON, "n={n}: backward error {eta:e}");
+        }
+    }
 
     #[test]
     fn square_system_exact() {

@@ -53,7 +53,9 @@ ok = (doc["correct"] is True and doc["failed"] == 0 and len(pairs) % 2 == 0
 sys.exit(0 if ok else 1)
 ' "$@" || { echo "benchmark run $*: wrong reply, failed call or metric over its ceiling"; exit 1; }
 }
-bench_run solve_dgesv solvers.backward_err_max 1e-10 # 2 MiB request, compute-bound
+# 2 MiB request, compute-bound: 9.6-10 ms of LU on the portable 4x4 kernel,
+# 5.9-6.8 ms on the AVX2 8x4 instance.
+bench_run solve_dgesv solvers.backward_err_max 1e-10 solvers.execute_us 8000
 bench_run tiny_call net.dials_per_call 0.1           # ~100-byte frames: one read window; a steady client dials nothing
 bench_run bulk_reply                                 # 2 MiB reply: a client-side read 32 windows long
 # 2 MiB request: 1.8-2.2 ms of frame read on the CRC tables; ~90 us of
