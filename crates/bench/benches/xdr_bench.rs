@@ -82,6 +82,24 @@ fn bench_crc(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_solve_key(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solve_key");
+    // `cached_mix`'s request and `solve_dgesv`'s: the key every cached
+    // request pays before its probe, per byte of its encoded operands.
+    let mut rng = Rng64::new(4);
+    for n in [192usize, 512] {
+        let inputs = [
+            DataObject::Matrix(Matrix::random(n, n, &mut rng)),
+            DataObject::Vector((0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()),
+        ];
+        group.throughput(Throughput::Bytes(xdr::to_bytes(&inputs).len() as u64));
+        group.bench_with_input(BenchmarkId::new("dgesv", n), &inputs, |b, inputs| {
+            b.iter(|| netsolve_server::solve_key("dgesv", std::hint::black_box(inputs)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_byte_order(c: &mut Criterion) {
     let mut group = c.benchmark_group("be64");
     // A 1 MiB array each way through the in-memory routes: the one
@@ -110,6 +128,7 @@ criterion_group!(
     bench_matrix_roundtrip,
     bench_frame_path,
     bench_crc,
+    bench_solve_key,
     bench_byte_order
 );
 criterion_main!(benches);

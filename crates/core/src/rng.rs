@@ -13,7 +13,7 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// One SplitMix64 step as a pure function: advance `x` by the Weyl
 /// increment, then the 64-bit avalanche finalizer. [`Rng64`] is this walked
 /// along a counter; hashing and id-whitening code calls it directly.
-pub fn splitmix64(x: u64) -> u64 {
+pub const fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

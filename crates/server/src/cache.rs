@@ -2,13 +2,14 @@
 //!
 //! Scientific workloads repeat: the same matrix and right-hand side
 //! arrive from thousands of clients. The cache keys each request by a
-//! 128-bit content hash of its *canonical encoding* — the problem
-//! mnemonic followed by the XDR-marshaled input objects, exactly the
-//! bytes the wire would carry — so the key discriminates on solver and
-//! operand shape (kind tags and dimensions are part of the encoding),
-//! never on payload bytes alone. Hashing walks `netsolve_core`'s splitmix64
-//! mixing step over 8-byte words, run as four interleaved pairs of
-//! independently-seeded lanes folded into a 128-bit key.
+//! 128-bit hash of its operands read *where they lie*, with no copy and
+//! no re-encode: a self-delimiting stream of 64-bit words — the problem
+//! mnemonic, the object count, each object's kind tag, dimensions and
+//! payload, every variable-length run after its length — so two requests
+//! share a key exactly when their canonical XDR encodings are equal, and
+//! the key discriminates on solver and operand shape, never on payload
+//! bytes alone. The stream runs through XXH3's long-input loop at memory
+//! speed (see [`solve_key`]).
 //!
 //! Three outcomes per probe:
 //!
@@ -34,7 +35,7 @@ use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::rng::splitmix64;
 use netsolve_obs::{Counter, Gauge, MetricsRegistry};
-use netsolve_xdr::{crc32, from_bytes, to_bytes, Encoder};
+use netsolve_xdr::{crc32, from_bytes, to_bytes};
 use parking_lot::Mutex;
 // The workspace's parking_lot shim exposes no Condvar, but its MutexGuard
 // *is* `std::sync::MutexGuard`, so std's Condvar pairs with it directly.
@@ -44,44 +45,133 @@ use std::sync::Condvar;
 /// (key, CRC, sequence number, map/queue slots).
 const ENTRY_OVERHEAD: usize = 64;
 
-/// 128-bit content hash: splitmix64 walked over the bytes in 8-byte
-/// words. Each 32-byte block feeds its four words to four lane pairs
-/// (`lo`, `hi`), each lane seeded apart, so the four multiply chains overlap
-/// instead of waiting on one another; the lanes are folded together at
-/// the end, and the length last, so a zero-padded final block cannot
-/// alias a shorter input.
-fn content_hash(bytes: &[u8]) -> u128 {
-    let mut lo: [u64; 4] = std::array::from_fn(|i| splitmix64(0x243f_6a88_85a3_08d3 ^ i as u64));
-    let mut hi: [u64; 4] = std::array::from_fn(|i| splitmix64(0x1319_8a2e_0370_7344 ^ i as u64));
-    let mut absorb = |block: &[u8; 32]| {
-        for (i, word) in block.as_chunks::<8>().0.iter().enumerate() {
-            let w = u64::from_le_bytes(*word);
-            lo[i] = splitmix64(lo[i] ^ w);
-            hi[i] = splitmix64(hi[i] ^ w.rotate_left(32));
-        }
-    };
-    let (blocks, tail) = bytes.as_chunks::<32>();
-    blocks.iter().for_each(&mut absorb);
-    if !tail.is_empty() {
-        let mut last = [0u8; 32];
-        last[..tail.len()].copy_from_slice(tail);
-        absorb(&last);
+/// `N` words derived from `seed` with splitmix64.
+const fn secret<const N: usize>(seed: u64) -> [u64; N] {
+    let mut s = [0; N];
+    let mut i = 0;
+    while i < N {
+        s[i] = splitmix64(seed ^ i as u64);
+        i += 1;
     }
-    let fold = |lanes: [u64; 4]| lanes[1..].iter().fold(lanes[0], |acc, &l| splitmix64(acc ^ l));
-    let len = bytes.len() as u64;
-    let lo = splitmix64(fold(lo) ^ len);
-    let hi = splitmix64(fold(hi) ^ len.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    ((hi as u128) << 64) | lo as u128
+    s
 }
 
-/// The cache key of one request: problem mnemonic + canonical input
-/// encoding. Public so tests can assert keying properties directly.
+/// Stripe `k` of a 16-stripe block keys its words with `STRIPE_SECRET[k..k + 8]`;
+/// the block scramble uses the last eight (XXH3's 192-byte secret layout).
+const STRIPE_SECRET: [u64; 24] = secret(0x1319_8a2e_0370_7344);
+const MERGE_LO: [u64; 8] = secret(0xa409_3822_299f_31d0);
+const MERGE_HI: [u64; 8] = secret(0x082e_fa98_ec4e_6c89);
+
+/// XXH3's long-input loop over a stream of 64-bit words: eight
+/// accumulators, each 64-byte stripe adding every word to its neighbour
+/// lane and the 32×32-bit product of its keyed halves to its own (the
+/// compiler turns the eight products into `pmuludq`s), a scramble every
+/// 16 stripes, and two merges to the key's halves with the word count
+/// folded in. Not collision-resistant against someone who knows the
+/// constants — the cooperative deployment the paper assumes.
+struct KeyHasher {
+    acc: [u64; 8],
+    pending: [u64; 8],
+    fill: usize,
+    stripes: u64,
+}
+
+impl KeyHasher {
+    fn word(&mut self, w: u64) {
+        self.pending[self.fill] = w;
+        self.fill = (self.fill + 1) % 8;
+        if self.fill == 0 {
+            self.stripe(self.pending);
+        }
+    }
+
+    /// `xs` as words, read in place: whole stripes skip `pending`.
+    fn words<T: Copy>(&mut self, xs: &[T], word: impl Fn(T) -> u64) {
+        let (head, rest) = xs.split_at(xs.len().min((8 - self.fill) % 8));
+        head.iter().for_each(|&x| self.word(word(x)));
+        let (stripes, tail) = rest.as_chunks::<8>();
+        stripes.iter().for_each(|s| self.stripe(s.map(&word)));
+        tail.iter().for_each(|&x| self.word(word(x)));
+    }
+
+    /// A length, then its words: the stream stays self-delimiting.
+    fn run<T: Copy>(&mut self, xs: &[T], word: impl Fn(T) -> u64) {
+        self.word(xs.len() as u64);
+        self.words(xs, word);
+    }
+
+    /// A length, then the bytes packed into words, the last zero-padded.
+    fn bytes(&mut self, b: &[u8]) {
+        self.word(b.len() as u64);
+        for chunk in b.chunks(8) {
+            let mut w = [0; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    fn stripe(&mut self, w: [u64; 8]) {
+        let at = (self.stripes % 16) as usize;
+        let s = &STRIPE_SECRET[at..at + 8];
+        for i in 0..8 {
+            let k = w[i] ^ s[i];
+            let product = (k & 0xffff_ffff) * (k >> 32);
+            self.acc[i] = self.acc[i].wrapping_add(w[i ^ 1]).wrapping_add(product);
+        }
+        self.stripes += 1;
+        if self.stripes.is_multiple_of(16) {
+            for (a, s) in self.acc.iter_mut().zip(&STRIPE_SECRET[16..]) {
+                *a = (*a ^ (*a >> 47) ^ s).wrapping_mul(0x9e37_79b1);
+            }
+        }
+    }
+
+    fn finish(mut self) -> u128 {
+        let words = self.stripes * 8 + self.fill as u64;
+        while self.fill > 0 {
+            self.word(0);
+        }
+        let merge = |s: &[u64; 8], init: u64| {
+            splitmix64((0..8).step_by(2).fold(init, |r, i| {
+                let p = (self.acc[i] ^ s[i]) as u128 * (self.acc[i + 1] ^ s[i + 1]) as u128;
+                r.wrapping_add(p as u64 ^ (p >> 64) as u64)
+            }))
+        };
+        ((merge(&MERGE_HI, !words) as u128) << 64) | merge(&MERGE_LO, words) as u128
+    }
+}
+
+/// The cache key of one request, hashed from the operands where they lie.
+/// The word stream: the problem's length and bytes, the object count,
+/// then per object its kind tag and payload, every variable-length run
+/// preceded by its length — so requests are equal exactly when their
+/// canonical encodings are (raw bits: −0.0 ≠ 0.0). Public so tests can
+/// assert keying properties directly.
 pub fn solve_key(problem: &str, inputs: &[DataObject]) -> u128 {
-    let hint: u64 = inputs.iter().map(|o| o.wire_bytes() + 16).sum();
-    let mut e = Encoder::with_capacity(hint as usize + problem.len() + 8);
-    e.put_string(problem);
-    netsolve_xdr::encode_objects(&mut e, inputs);
-    content_hash(&e.into_bytes())
+    let mut h = KeyHasher { acc: [0; 8], pending: [0; 8], fill: 0, stripes: 0 };
+    h.bytes(problem.as_bytes());
+    h.word(inputs.len() as u64);
+    for obj in inputs {
+        h.word(obj.kind().tag() as u64);
+        match obj {
+            DataObject::Int(v) => h.word(*v as u64),
+            DataObject::Double(v) => h.word(v.to_bits()),
+            DataObject::Vector(v) => h.run(v, f64::to_bits),
+            DataObject::Matrix(m) => {
+                h.words(&[m.rows(), m.cols()], |x| x as u64);
+                h.words(m.as_slice(), f64::to_bits);
+            }
+            DataObject::Sparse(s) => {
+                let (row_ptr, col_idx, values) = s.parts();
+                h.words(&[s.rows(), s.cols()], |x| x as u64);
+                h.run(row_ptr, |x| x as u64);
+                h.run(col_idx, |x| x as u64);
+                h.run(values, f64::to_bits);
+            }
+            DataObject::Text(t) => h.bytes(t.as_bytes()),
+        }
+    }
+    h.finish()
 }
 
 /// Problems whose outputs are *not* a pure function of their inputs.
@@ -118,6 +208,20 @@ struct Store {
     order: VecDeque<(u128, u64)>,
     total_bytes: usize,
     next_seq: u64,
+}
+
+impl Store {
+    /// Queue `key` as used at `next_seq`, which its entry already holds.
+    /// Stale slots are dropped once they outnumber the live ones, so a
+    /// store whose working set fits its budget — and so never evicts —
+    /// still keeps the queue O(entries), at amortised O(1) per use.
+    fn push_order(&mut self, key: u128) {
+        self.order.push_back((key, self.next_seq));
+        self.next_seq += 1;
+        if self.order.len() > 2 * self.entries.len() + 16 {
+            self.order.retain(|(k, seq)| self.entries.get(k).is_some_and(|e| e.seq == *seq));
+        }
+    }
 }
 
 /// The leader's published outcome: the shared encoded reply bytes with
@@ -353,8 +457,7 @@ impl Shared {
         let entry = store.entries.get_mut(&key)?;
         entry.seq = seq;
         let out = (Arc::clone(&entry.bytes), entry.compute_secs, entry.crc);
-        store.next_seq += 1;
-        store.order.push_back((key, seq));
+        store.push_order(key);
         Some(out)
     }
 
@@ -392,17 +495,12 @@ impl Shared {
         let cost = bytes.len() + ENTRY_OVERHEAD;
         if cost <= self.byte_budget {
             let mut store = self.store.lock();
-            let seq = store.next_seq;
-            store.next_seq += 1;
-            let prev = store.entries.insert(
-                key,
-                Entry { bytes: Arc::clone(&bytes), compute_secs, crc, seq },
-            );
-            if let Some(prev) = prev {
+            let entry = Entry { bytes: Arc::clone(&bytes), compute_secs, crc, seq: store.next_seq };
+            if let Some(prev) = store.entries.insert(key, entry) {
                 store.total_bytes -= prev.cost();
             }
             store.total_bytes += cost;
-            store.order.push_back((key, seq));
+            store.push_order(key);
             self.m.inserts.inc();
             self.evict_over_budget(&mut store);
             self.m.bytes_gauge.set(store.total_bytes as i64);
@@ -446,6 +544,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn cache(budget: usize) -> (SolveCache, Arc<MetricsRegistry>) {
         let metrics = Arc::new(MetricsRegistry::new());
@@ -464,10 +563,10 @@ mod tests {
         assert_eq!(solve_key("dnrm2", &inputs), solve_key("dnrm2", &inputs.clone()));
     }
 
-    /// The key since the hash went to four interleaved lane pairs — a
-    /// decision, taken for speed: keys never leave the process, so a new
-    /// value here breaks nothing, but it should never be the side effect
-    /// of editing a shared mixing function.
+    /// The key since it is hashed in place (XXH3's loop over the word
+    /// stream) — a decision, taken for speed: keys never leave the
+    /// process, so a new value here breaks nothing, but it should never be
+    /// the side effect of editing a shared mixing function.
     #[test]
     fn solve_key_is_pinned() {
         let inputs = [
@@ -476,13 +575,12 @@ mod tests {
         ];
         assert_eq!(
             solve_key("dgesv", &inputs),
-            0xfb18_41c2_dfda_c4d4_e8d2_32ac_f0ea_82ad
+            0x0e2e_173f_8077_f7c3_c0ad_14c7_088d_0f23
         );
     }
 
     /// Flipping any one byte of a 1 KiB operand changes the key, at every
-    /// offset: its 1,048-byte encoding is 32 full blocks, so every lane,
-    /// and a 24-byte tail block.
+    /// offset.
     #[test]
     fn every_byte_of_the_operand_reaches_the_key() {
         let mut operand: Vec<f64> = (0..128).map(|i| i as f64 * 0.75 - 3.0).collect();
@@ -506,6 +604,79 @@ mod tests {
             solve_key("p", &[DataObject::Matrix(m)]),
             solve_key("p", &[DataObject::Vector(v)])
         );
+    }
+
+    /// Each row is two requests whose canonical encodings differ only in
+    /// how a field is framed — kind, shape, a run boundary, an index — and
+    /// must not share a key.
+    #[test]
+    fn every_field_of_the_stream_discriminates() {
+        let data: Vec<f64> = (0..6).map(f64::from).collect();
+        let matrix = |r, c| {
+            DataObject::Matrix(netsolve_core::Matrix::from_col_major(r, c, data.clone()).unwrap())
+        };
+        let sparse = |cols: [usize; 2]| {
+            let triplets = [(0, cols[0], 1.0), (1, cols[1], 2.0)];
+            DataObject::Sparse(netsolve_core::CsrMatrix::from_triplets(2, 2, &triplets).unwrap())
+        };
+        let text = |t: &str| DataObject::Text(t.into());
+        let rows = [
+            (
+                "int vs double bits",
+                ("p", vec![DataObject::Int(7)]),
+                ("p", vec![DataObject::Double(f64::from_bits(7))]),
+            ),
+            ("2x3 vs 3x2", ("p", vec![matrix(2, 3)]), ("p", vec![matrix(3, 2)])),
+            (
+                "vector boundary",
+                ("p", vec![DataObject::Vector(vec![1.0, 2.0]), DataObject::Vector(vec![3.0])]),
+                ("p", vec![DataObject::Vector(vec![1.0]), DataObject::Vector(vec![2.0, 3.0])]),
+            ),
+            ("text boundary", ("p", vec![text("ab"), text("")]), ("p", vec![text("a"), text("b")])),
+            ("sparse col_idx", ("p", vec![sparse([0, 1])]), ("p", vec![sparse([1, 0])])),
+            ("problem vs text", ("ab", vec![]), ("a", vec![text("b")])),
+        ];
+        for (what, (p1, in1), (p2, in2)) in rows {
+            assert_ne!(solve_key(p1, &in1), solve_key(p2, &in2), "{what}");
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_changes_both_halves_of_the_key() {
+        let mut operand: Vec<f64> = (0..128).map(|i| i as f64 * 0.75 - 3.0).collect();
+        let key = |operand: &[f64]| solve_key("dgesv", &[DataObject::Vector(operand.to_vec())]);
+        let unflipped = key(&operand);
+        for bit in 0..operand.len() * 64 {
+            operand[bit / 64] = f64::from_bits(operand[bit / 64].to_bits() ^ (1 << (bit % 64)));
+            let flipped = key(&operand);
+            assert_ne!(flipped as u64, unflipped as u64, "low half, bit {bit}");
+            assert_ne!(flipped >> 64, unflipped >> 64, "high half, bit {bit}");
+            operand[bit / 64] = f64::from_bits(operand[bit / 64].to_bits() ^ (1 << (bit % 64)));
+        }
+    }
+
+    /// 2^16 variants of a `cached_mix`-sized operand, each one ulp up or
+    /// down at one element, give 2^16 distinct values in each half.
+    #[test]
+    fn one_ulp_variants_never_collide_in_either_half() {
+        fn cell(input: &mut [DataObject; 1], at: usize) -> &mut f64 {
+            let DataObject::Matrix(m) = &mut input[0] else { unreachable!() };
+            &mut m.as_mut_slice()[at]
+        }
+        let mut rng = netsolve_core::Rng64::new(7);
+        let mut input = [DataObject::Matrix(netsolve_core::Matrix::random(192, 192, &mut rng))];
+        let (mut lo, mut hi) = (HashSet::new(), HashSet::new());
+        for variant in 0..1usize << 16 {
+            let at = variant / 2;
+            let bits = cell(&mut input, at).to_bits();
+            let nudged = if variant % 2 == 0 { bits + 1 } else { bits - 1 };
+            *cell(&mut input, at) = f64::from_bits(nudged);
+            let key = solve_key("dgesv", &input);
+            lo.insert(key as u64);
+            hi.insert((key >> 64) as u64);
+            *cell(&mut input, at) = f64::from_bits(bits);
+        }
+        assert_eq!((lo.len(), hi.len()), (1 << 16, 1 << 16));
     }
 
     #[test]
@@ -594,6 +765,58 @@ mod tests {
         }
         assert!(matches!(cache.probe(keys[1]), Probe::Hit { .. }), "recently used survives");
         assert!(matches!(cache.probe(keys[2]), Probe::Leader(_)), "LRU victim evicted");
+    }
+
+    fn order_len(cache: &SolveCache) -> usize {
+        cache.shared.store.lock().order.len()
+    }
+
+    /// A working set that fits its budget never evicts, and eviction was
+    /// once the only thing that popped the recency queue: every hit grew it.
+    #[test]
+    fn recency_queue_stays_bounded_when_nothing_is_evicted() {
+        let (cache, _) = cache(4 << 20);
+        let key = solve_key("ddot", &[vec_obj(4, 1.0)]);
+        match cache.probe(key) {
+            Probe::Leader(t) => t.complete_ok(&[DataObject::Double(4.0)], 0.1),
+            _ => panic!(),
+        }
+        for _ in 0..100_000 {
+            assert!(matches!(cache.probe(key), Probe::Hit { .. }));
+        }
+        assert!(order_len(&cache) <= 2 * cache.entries() + 17, "{} slots", order_len(&cache));
+    }
+
+    /// Dropping stale slots must not reorder the live ones: under a long
+    /// mix of hits and inserts over a budget of four entries, the cache's
+    /// residents and eviction count track a plain list-based LRU model.
+    #[test]
+    fn lru_victims_match_a_model_under_mixed_hits_and_inserts() {
+        let (cache, metrics) = cache(4 * 204);
+        let keys: Vec<u128> = (0..10).map(|i| solve_key("p", &[vec_obj(1, i as f64)])).collect();
+        let mut model: Vec<u128> = Vec::new(); // least recent first
+        let mut evictions = 0;
+        let mut rng = netsolve_core::Rng64::new(11);
+        for step in 0..5_000 {
+            // Zipf-ish: the low keys mostly hit, the high ones churn.
+            let key = keys[(rng.next_f64().powi(3) * keys.len() as f64) as usize];
+            match cache.probe(key) {
+                Probe::Hit { .. } => model.retain(|&k| k != key),
+                Probe::Leader(t) => {
+                    t.complete_ok(&[vec_obj(16, 0.0)], 0.1);
+                    if model.len() == 4 {
+                        model.remove(0);
+                        evictions += 1;
+                    }
+                }
+                Probe::Join(_) => panic!("nothing is in flight"),
+            }
+            model.push(key);
+            let resident: HashSet<u128> = cache.shared.store.lock().entries.keys().copied().collect();
+            assert_eq!(resident, model.iter().copied().collect(), "step {step}");
+        }
+        assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), evictions);
+        assert!(order_len(&cache) <= 2 * cache.entries() + 17);
     }
 
     #[test]

@@ -372,7 +372,7 @@ impl ServerCore {
         ))
     }
 
-    /// Stage 3 — hash the canonical encoding and either serve a verified
+    /// Stage 3 — key the operands in place and either serve a verified
     /// hit, join an identical solve already in flight, or lead the solve.
     /// Exactly one `solve` span exists per unique in-flight problem: hits
     /// and joiners never reach the solver.

@@ -61,6 +61,9 @@ bench_run bulk_reply                                 # 2 MiB reply: a client-sid
 # 2 MiB request: 1.8-2.2 ms of frame read on the CRC tables; ~90 us of
 # ddot as one add chain, ~43 us in eight lanes.
 bench_run bulk_request proto.read_frame_us 1200 solvers.execute_us 60
+# 296 KB request, about half of them hits: 108-160 us of content key
+# hashing a re-encoded copy, ~28 us hashing the operands in place.
+bench_run cached_mix server.cache_key_us 60
 
 # One way to boot a live trio. Every daemon a smoke starts lands in PIDS;
 # stop_daemons ends a smoke, and the one EXIT trap runs it too, so a failed
