@@ -30,18 +30,25 @@ fn bench_gemm_ablation(c: &mut Criterion) {
     }
     // The kernel where LU spends its flops, at the shape LU calls it with:
     // a 480x480 trailing block of a 512-order matrix updated in place by a
-    // 32-column panel (leading dimension 512 throughout).
+    // 32-column panel (leading dimension 512 throughout). Its `/packed`
+    // twin reads `A` at the stride LU's packed `L21` has, 61 cache lines:
+    // at 512 the 32 columns of a k-block share one L1 set.
     let (ld, m, k) = (512usize, 480usize, 32usize);
-    let a = Matrix::random(ld, k, &mut rng);
     let b = Matrix::random(k, m, &mut rng);
     let mut c_buf = Matrix::random(ld, m, &mut rng);
     group.throughput(Throughput::Elements((2 * m * m * k) as u64));
-    group.bench_function("gemm_update/480x480x32", |bch| {
-        bch.iter(|| {
-            let c = std::hint::black_box(c_buf.as_mut_slice());
-            blas::gemm_update(c, ld, a.as_slice(), ld, b.as_slice(), k, m, m, k, -1.0)
-        })
-    });
+    for (name, lda) in [
+        ("gemm_update/480x480x32", ld),
+        ("gemm_update/480x480x32/packed", 488),
+    ] {
+        let a = Matrix::random(lda, k, &mut rng);
+        group.bench_function(name, |bch| {
+            bch.iter(|| {
+                let c = std::hint::black_box(c_buf.as_mut_slice());
+                blas::gemm_update(c, ld, a.as_slice(), lda, b.as_slice(), k, m, m, k, -1.0)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -76,6 +76,21 @@ pub fn dasum(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
+/// Largest absolute value, 0 on empty: eight lanes, like [`ddot`]. A max
+/// is exact in any order and `f64::max` passes over a `NaN` in every
+/// lane, so the value is the one-chain fold's.
+pub(crate) fn max_abs(x: &[f64]) -> f64 {
+    let (groups, tail) = x.as_chunks::<DOT_LANES>();
+    let mut lanes = [0.0f64; DOT_LANES];
+    for group in groups {
+        for (lane, v) in lanes.iter_mut().zip(group) {
+            *lane = lane.max(v.abs());
+        }
+    }
+    let tail = tail.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    lanes.iter().fold(tail, |acc, &v| acc.max(v))
+}
+
 /// Index of the element with the largest absolute value; `None` on empty.
 pub fn idamax(x: &[f64]) -> Option<usize> {
     x.iter()
@@ -188,6 +203,23 @@ const GEMM_BLOCK: usize = 64;
 /// [`gemm_update`] with `k = NB`. 16..64 measure within noise of each other
 /// at n = 192..1024 (DESIGN.md); 32 keeps the U12 scratch at `32 n` doubles.
 pub(crate) const NB: usize = 32;
+
+/// Copy the `m x k` column-major block `a` (leading dimension `lda`) into
+/// `buf`, grown if need be, and return the copy's leading dimension: an
+/// odd number of 64-byte lines. Columns a power of two apart (4 KiB at
+/// n = 512) all map to one L1 set, so the 32 columns of a k-block of `A`
+/// evict each other between the tiles that re-read them; at an odd stride
+/// they spread over every set. A copy changes no arithmetic.
+pub(crate) fn pack_columns(buf: &mut Vec<f64>, a: &[f64], lda: usize, m: usize, k: usize) -> usize {
+    let ld = (m.div_ceil(8) | 1) * 8;
+    if buf.len() < ld * k {
+        buf.resize(ld * k, 0.0);
+    }
+    for (dst, src) in buf.chunks_exact_mut(ld).zip(a.chunks(lda)).take(k) {
+        dst[..m].copy_from_slice(&src[..m]);
+    }
+    ld
+}
 
 /// In-place strided GEMM update `C += sign * A B` on column-major slices:
 /// `C` is `m x n` with leading dimension `ldc`, `A` is `m x k` (`lda`), `B`

@@ -3,7 +3,7 @@
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::matrix::Matrix;
 
-use crate::blas::{gemm_update, NB};
+use crate::blas::{gemm_update, max_abs, pack_columns, NB};
 
 /// Lower-triangular Cholesky factor `L` with `A = L L^T`.
 #[derive(Debug, Clone)]
@@ -23,11 +23,7 @@ pub fn cholesky_factor(a: &Matrix) -> Result<CholeskyFactor> {
     }
     let n = a.rows();
     // Symmetry check with a tolerance scaled to the matrix magnitude.
-    let scale = a
-        .as_slice()
-        .iter()
-        .fold(0.0f64, |acc, &v| acc.max(v.abs()))
-        .max(1.0);
+    let scale = max_abs(a.as_slice()).max(1.0);
     for i in 0..n {
         for j in (i + 1)..n {
             if (a[(i, j)] - a[(j, i)]).abs() > 1e-10 * scale {
@@ -41,10 +37,12 @@ pub fn cholesky_factor(a: &Matrix) -> Result<CholeskyFactor> {
     // which only the lower triangle is read: per panel of `NB` columns,
     // factor the tall panel column by column, then update the trailing
     // lower triangle `A22 -= L21 L21^T` one block column at a time through
-    // `gemm_update`, against a transposed copy of `L21` (NB x n at most).
+    // `gemm_update`, against a transposed copy of `L21` (NB x n at most)
+    // and reading `L21` itself from a packed copy.
     let mut l = a.clone();
     let data = l.as_mut_slice();
     let mut l21t = Vec::with_capacity(NB.min(n) * n);
+    let mut packed = Vec::new();
     for k0 in (0..n).step_by(NB) {
         let k1 = (k0 + NB).min(n);
         let kb = k1 - k0;
@@ -74,11 +72,12 @@ pub fn cholesky_factor(a: &Matrix) -> Result<CholeskyFactor> {
         for i in k1..n {
             l21t.extend(panel.chunks_exact(n).map(|col| col[i]));
         }
+        let ld = pack_columns(&mut packed, &panel[k1..], n, n - k1, kb);
         for j0 in (k1..n).step_by(NB) {
             let (rows, cols) = (n - j0, NB.min(n - j0));
             let c = &mut right[(j0 - k1) * n + j0..];
-            let (l21, l21t) = (&panel[j0..], &l21t[(j0 - k1) * kb..]);
-            gemm_update(c, n, l21, n, l21t, kb, rows, cols, kb, -1.0);
+            let (l21, l21t) = (&packed[j0 - k1..], &l21t[(j0 - k1) * kb..]);
+            gemm_update(c, n, l21, ld, l21t, kb, rows, cols, kb, -1.0);
         }
     }
     // The strict upper triangle still holds `a` (and block-diagonal update

@@ -50,7 +50,10 @@ fn check_tol(tol: f64) -> Result<()> {
 
 /// Conjugate gradient for symmetric positive-definite systems.
 ///
-/// Converges when `||r|| <= tol * ||b||`; errors if `maxit` is exhausted.
+/// Converges when `||b - A x|| <= tol * ||b||`; errors if `maxit` is
+/// exhausted. The recurred residual drifts from the true one below the
+/// attainable accuracy, so when it says converged one `spmv` confirms it,
+/// and a miss restarts from the true residual.
 pub fn cg(a: &CsrMatrix, b: &[f64], tol: f64, maxit: u32) -> Result<IterResult> {
     let n = check_system(a, b)?;
     check_tol(tol)?;
@@ -61,10 +64,22 @@ pub fn cg(a: &CsrMatrix, b: &[f64], tol: f64, maxit: u32) -> Result<IterResult> 
     let mut p = r.clone();
     let mut rs_old = ddot(&r, &r)?;
 
-    if rs_old.sqrt() <= tol * b_norm {
-        return Ok(IterResult { x, iters: 0, residual: rs_old.sqrt() });
-    }
-    for it in 1..=maxit {
+    for it in 0..=maxit {
+        if rs_old.sqrt() <= tol * b_norm {
+            let ax = a.spmv(&x)?;
+            let resid = residual_norm(b, &ax);
+            if resid <= tol * b_norm {
+                return Ok(IterResult { x, iters: it, residual: resid });
+            }
+            for ((ri, bi), axi) in r.iter_mut().zip(b).zip(&ax) {
+                *ri = bi - axi;
+            }
+            p.copy_from_slice(&r);
+            rs_old = ddot(&r, &r)?;
+        }
+        if it == maxit {
+            break;
+        }
         let ap = a.spmv(&p)?;
         let p_ap = ddot(&p, &ap)?;
         if p_ap <= 0.0 {
@@ -76,18 +91,16 @@ pub fn cg(a: &CsrMatrix, b: &[f64], tol: f64, maxit: u32) -> Result<IterResult> 
         daxpy(alpha, &p, &mut x)?;
         daxpy(-alpha, &ap, &mut r)?;
         let rs_new = ddot(&r, &r)?;
-        if rs_new.sqrt() <= tol * b_norm {
-            return Ok(IterResult { x, iters: it, residual: rs_new.sqrt() });
-        }
         let beta = rs_new / rs_old;
         for (pi, ri) in p.iter_mut().zip(&r) {
             *pi = ri + beta * *pi;
         }
         rs_old = rs_new;
     }
+    let ax = a.spmv(&x)?;
     Err(NetSolveError::Numerical(format!(
         "CG did not converge in {maxit} iterations (residual {:.3e})",
-        rs_old.sqrt()
+        residual_norm(b, &ax)
     )))
 }
 
@@ -188,6 +201,7 @@ mod tests {
     use super::*;
     use netsolve_core::matrix::vec_max_abs_diff;
     use netsolve_core::rng::Rng64;
+    use proptest::prelude::*;
 
     fn laplace_system(nx: usize, ny: usize) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
         let a = CsrMatrix::laplacian_2d(nx, ny);
@@ -300,5 +314,51 @@ mod tests {
         let xs = sor(&a, &b, 1.2, 1e-11, 20000).unwrap().x;
         assert!(vec_max_abs_diff(&xc, &xj) < 1e-6);
         assert!(vec_max_abs_diff(&xc, &xs) < 1e-6);
+    }
+
+    /// Below CG's attainable accuracy the recurred residual passes `tol`
+    /// while `b - A x` does not: the answer must not be labelled converged.
+    #[test]
+    fn cg_reports_the_true_residual_below_attainable_accuracy() {
+        for (side, tol) in [(48, 1e-15), (96, 1e-16)] {
+            let a = CsrMatrix::laplacian_2d(side, side);
+            let mut rng = Rng64::new(11);
+            let b: Vec<f64> = (0..side * side).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            match cg(&a, &b, tol, 2000) {
+                Ok(r) => {
+                    let true_resid = residual_norm(&b, &a.spmv(&r.x).unwrap());
+                    assert!(true_resid <= tol * dnrm2(&b), "{side}: {true_resid:e}");
+                    assert_eq!(r.residual, true_resid);
+                }
+                Err(NetSolveError::Numerical(m)) => assert!(m.contains("converge"), "{m}"),
+                Err(other) => panic!("{side}: {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Whatever each method returns as `residual` is `||b - A x||` of
+        /// the `x` it returns.
+        #[test]
+        fn returned_residual_is_the_true_residual(seed in any::<u64>(), side in 2usize..12, tight in any::<bool>()) {
+            let mut rng = Rng64::new(seed);
+            let tol = if tight { 1e-15 } else { 1e-9 };
+            let lap = CsrMatrix::laplacian_2d(side, side);
+            let dom = CsrMatrix::random_diag_dominant(side * side, 0.1, &mut rng);
+            let b: Vec<f64> = (0..side * side).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let runs = [
+                (&lap, cg(&lap, &b, tol, 1000)),
+                (&dom, jacobi(&dom, &b, tol, 5000)),
+                (&dom, sor(&dom, &b, 1.2, tol, 5000)),
+            ];
+            for (a, run) in runs {
+                if let Ok(r) = run {
+                    prop_assert_eq!(r.residual, residual_norm(&b, &a.spmv(&r.x).unwrap()));
+                    prop_assert!(r.residual <= tol * dnrm2(&b));
+                }
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::matrix::Matrix;
 
-use crate::blas::{gemm_update, NB};
+use crate::blas::{gemm_update, max_abs, pack_columns, NB};
 
 /// A computed factorization `P A = L U`, stored compactly: `L` (unit
 /// diagonal) in the strict lower triangle of `lu`, `U` in the upper.
@@ -23,12 +23,17 @@ pub struct LuFactors {
 /// the matrix magnitude.
 const SINGULARITY_RTOL: f64 = 1e-13;
 
+/// Panel width at or below which the panel recursion stops halving and
+/// runs the column loop.
+const PANEL_LEAF: usize = 8;
+
+/// Rows of `U12` a triangular solve eliminates by row axpys before it
+/// updates the rows below them through [`gemm_update`].
+const TRSM_BLOCK: usize = 8;
+
 /// Largest absolute entry, floored at 1: the scale pivots are judged against.
 fn pivot_scale(a: &Matrix) -> f64 {
-    a.as_slice()
-        .iter()
-        .fold(0.0f64, |acc, &v| acc.max(v.abs()))
-        .max(1.0)
+    max_abs(a.as_slice()).max(1.0)
 }
 
 /// A pivot must be finite (`NaN < tol` is false, so test it by name) and
@@ -48,15 +53,28 @@ fn check_pivot(best: f64, tol: f64, step: usize) -> Result<()> {
     Ok(())
 }
 
+/// What a factorisation carries besides the matrix and its pivots, reused
+/// by every panel and every level of the panel recursion.
+struct Work {
+    tol: f64,
+    perm_sign: f64,
+    /// The last `U12` solved, copied out of the columns the next update
+    /// writes to: `NB x n` at most.
+    u12: Vec<f64>,
+    /// One packed panel: `U12ᵀ` while it is solved, then `L21`.
+    packed: Vec<f64>,
+}
+
 /// Factor a square matrix. Errors on non-square, (numerically) singular or
 /// non-finite input.
 ///
 /// Blocked right-looking LU with partial pivoting, in place on the
 /// column-major storage (leading dimension `n`). Per panel of `NB` columns:
-/// factor the tall panel unblocked, apply its row swaps to the columns on
-/// either side, solve the unit-lower triangle for `U12`, and update the
+/// factor the tall panel recursively, apply its row swaps to the columns on
+/// its right, solve the unit-lower triangle for `U12`, and update the
 /// trailing block `A22 -= L21 U12` — where nearly all the flops are —
-/// through [`gemm_update`].
+/// through [`gemm_update`], reading `L21` from a packed copy. The columns
+/// of `L` take the later panels' swaps at the end, one column at a time.
 pub fn lu_factor(a: &Matrix) -> Result<LuFactors> {
     if !a.is_square() {
         return Err(NetSolveError::BadArguments(format!(
@@ -66,59 +84,88 @@ pub fn lu_factor(a: &Matrix) -> Result<LuFactors> {
         )));
     }
     let n = a.rows();
-    let tol = SINGULARITY_RTOL * pivot_scale(a);
     let mut lu = a.clone();
     let mut pivots = vec![0usize; n];
-    let mut perm_sign = 1.0;
-    // U12 copied out of the buffer the update writes to: NB x n at most.
-    let mut u12 = Vec::with_capacity(NB.min(n) * n);
-
+    let mut w = Work {
+        tol: SINGULARITY_RTOL * pivot_scale(a),
+        perm_sign: 1.0,
+        u12: Vec::with_capacity(NB.min(n) * n),
+        packed: Vec::new(),
+    };
     for k0 in (0..n).step_by(NB) {
         let k1 = (k0 + NB).min(n);
-        let (left, rest) = lu.as_mut_slice().split_at_mut(k0 * n);
-        let (panel, right) = rest.split_at_mut((k1 - k0) * n);
-        factor_panel(panel, n, k0, &mut pivots[k0..k1], tol, &mut perm_sign)?;
-        // The panel's row swaps, one column at a time (dlaswp order).
-        for col in left.chunks_exact_mut(n).chain(right.chunks_exact_mut(n)) {
-            for (k, &p) in (k0..k1).zip(&pivots[k0..k1]) {
-                col.swap(k, p);
-            }
-        }
-        // U12 = L11^-1 A12, column by column.
-        u12.clear();
-        for col in right.chunks_exact_mut(n) {
-            let u = &mut col[k0..k1];
-            for (j, lcol) in panel.chunks_exact(n).enumerate() {
-                let (ujs, below) = u[j..].split_first_mut().expect("j < panel width");
-                for (x, l) in below.iter_mut().zip(&lcol[k0 + j + 1..k1]) {
-                    *x -= l * *ujs;
-                }
-            }
-            u12.extend_from_slice(u);
-        }
-        // A22 -= L21 U12.
+        let (panel, right) = lu.as_mut_slice()[k0 * n..].split_at_mut((k1 - k0) * n);
+        factor_panel(panel, n, k0, &mut pivots[k0..k1], &mut w)?;
+        solve_u12(panel, n, k0, &pivots[k0..k1], right, &mut w);
         if k1 < n {
-            let (kb, rest, l21) = (k1 - k0, n - k1, &panel[k1..]);
-            gemm_update(&mut right[k1..], n, l21, n, &u12, kb, rest, rest, kb, -1.0);
+            let (kb, rest) = (k1 - k0, n - k1);
+            let ld = pack_columns(&mut w.packed, &panel[k1..], n, rest, kb);
+            let (a22, l21, u12) = (&mut right[k1..], &w.packed, &w.u12);
+            gemm_update(a22, n, l21, ld, u12, kb, rest, rest, kb, -1.0);
         }
+    }
+    // Each column took its own panel's swaps; those of every later panel
+    // come now, in one visit to the column instead of one per panel.
+    for (j, col) in lu.as_mut_slice().chunks_mut(n.max(1)).enumerate() {
+        let k1 = (j / NB + 1) * NB;
+        apply_swaps(col, n, k1, pivots.get(k1..).unwrap_or_default());
     }
     Ok(LuFactors {
         lu,
         pivots,
-        perm_sign,
+        perm_sign: w.perm_sign,
     })
 }
 
-/// Unblocked partial-pivot factorisation of the tall panel whose first
-/// diagonal entry is `(k0, k0)`: `panel` holds `pivots.len()` whole columns
-/// of leading dimension `n`. Row swaps are applied inside the panel only.
+/// The row swaps of steps `k0..`, applied to each column in turn (`dlaswp`
+/// order).
+fn apply_swaps(cols: &mut [f64], n: usize, k0: usize, pivots: &[usize]) {
+    for col in cols.chunks_exact_mut(n) {
+        for (k, &p) in (k0..).zip(pivots) {
+            col.swap(k, p);
+        }
+    }
+}
+
+/// Partial-pivot factorisation of the tall panel whose first diagonal
+/// entry is `(k0, k0)`: `panel` holds `pivots.len()` whole columns of
+/// leading dimension `n`. Row swaps are applied inside the panel only.
+///
+/// Recursive, as LAPACK's `dgetrf2`: factor the left half, swap and solve
+/// the right half's top rows, update the rest of it through
+/// [`gemm_update`], factor it, and swap the left half to match. Steps are
+/// still taken, and pivots checked, in order.
 fn factor_panel(
     panel: &mut [f64],
     n: usize,
     k0: usize,
     pivots: &mut [usize],
-    tol: f64,
-    perm_sign: &mut f64,
+    w: &mut Work,
+) -> Result<()> {
+    let width = pivots.len();
+    if width <= PANEL_LEAF {
+        return factor_leaf(panel, n, k0, pivots, w);
+    }
+    let half = width / 2;
+    let (left, right) = panel.split_at_mut(half * n);
+    let (head, tail) = pivots.split_at_mut(half);
+    factor_panel(left, n, k0, head, w)?;
+    solve_u12(left, n, k0, head, right, w);
+    let (k1, rows) = (k0 + half, n - k0 - half);
+    let (a22, l21, cols) = (&mut right[k1..], &left[k1..], width - half);
+    gemm_update(a22, n, l21, n, &w.u12, half, rows, cols, half, -1.0);
+    factor_panel(right, n, k1, tail, w)?;
+    apply_swaps(left, n, k1, tail);
+    Ok(())
+}
+
+/// [`factor_panel`]'s leaf: the unblocked column loop.
+fn factor_leaf(
+    panel: &mut [f64],
+    n: usize,
+    k0: usize,
+    pivots: &mut [usize],
+    w: &mut Work,
 ) -> Result<()> {
     for (j, pivot_row) in pivots.iter_mut().enumerate() {
         let k = k0 + j;
@@ -131,11 +178,11 @@ fn factor_panel(
                 p = r;
             }
         }
-        check_pivot(best, tol, k)?;
+        check_pivot(best, w.tol, k)?;
         *pivot_row = p;
         if p != k {
             panel.chunks_exact_mut(n).for_each(|col| col.swap(k, p));
-            *perm_sign = -*perm_sign;
+            w.perm_sign = -w.perm_sign;
         }
         // Multipliers, then the rank-one update of the panel's later columns.
         let (head, later) = panel.split_at_mut((j + 1) * n);
@@ -150,6 +197,64 @@ fn factor_panel(
         }
     }
     Ok(())
+}
+
+/// `U12 = L11⁻¹ A12` in place, for the columns `right` beside the factored
+/// columns `l`, whose unit-lower `L11` sits in rows `k0..k0 + kb` (`kb` =
+/// `pivots.len()`); `w.u12` receives a `kb x cols` copy of the result.
+///
+/// One pass swaps each column by `pivots` and gathers its rows `k0..k0 +
+/// kb` into `Xt = U12ᵀ` (row `r` of `U12` contiguous). Per diagonal block
+/// of `TRSM_BLOCK` rows: eliminate inside it by whole-row axpys, then
+/// `Xt[:, r1..] -= Xt[:, r0..r1] · L[r1.., r0..r1]ᵀ` through
+/// [`gemm_update`], the two sides disjoint column ranges of one buffer.
+fn solve_u12(l: &[f64], n: usize, k0: usize, pivots: &[usize], right: &mut [f64], w: &mut Work) {
+    let (kb, cols) = (pivots.len(), right.len() / n);
+    if cols == 0 {
+        return;
+    }
+    // L11 row-major (L11ᵀ column-major): the update's `B` operand.
+    let mut lt = [0.0f64; NB * NB];
+    for (j, lcol) in l.chunks_exact(n).enumerate() {
+        for (i, &v) in lcol[k0..k0 + kb].iter().enumerate().skip(j + 1) {
+            lt[i * kb + j] = v;
+        }
+    }
+    if w.packed.len() < kb * cols {
+        w.packed.resize(kb * cols, 0.0);
+    }
+    let xt = &mut w.packed[..kb * cols];
+    for (j, col) in right.chunks_exact_mut(n).enumerate() {
+        apply_swaps(col, n, k0, pivots);
+        for (r, &v) in col[k0..k0 + kb].iter().enumerate() {
+            xt[r * cols + j] = v;
+        }
+    }
+    for r0 in (0..kb).step_by(TRSM_BLOCK) {
+        let r1 = (r0 + TRSM_BLOCK).min(kb);
+        let (done, below) = xt.split_at_mut(r1 * cols);
+        for r in r0..r1 {
+            let (src, rest) = done[r * cols..].split_at_mut(cols);
+            for (i, dst) in (r + 1..).zip(rest.chunks_exact_mut(cols)) {
+                let lir = lt[i * kb + r];
+                for (d, s) in dst.iter_mut().zip(&*src) {
+                    *d -= lir * s;
+                }
+            }
+        }
+        if r1 < kb {
+            let (a, b) = (&done[r0 * cols..], &lt[r1 * kb + r0..]);
+            gemm_update(below, cols, a, cols, b, kb, cols, kb - r1, r1 - r0, -1.0);
+        }
+    }
+    w.u12.clear();
+    for (j, col) in right.chunks_exact_mut(n).enumerate() {
+        let u = &mut col[k0..k0 + kb];
+        for (r, x) in u.iter_mut().enumerate() {
+            *x = xt[r * cols + j];
+        }
+        w.u12.extend_from_slice(u);
+    }
 }
 
 impl LuFactors {
@@ -339,31 +444,47 @@ pub(crate) mod tests {
         }
     }
 
+    /// The `Numerical` error a factorisation failed with, and the step it
+    /// names.
+    fn failure(r: Result<LuFactors>) -> (String, usize) {
+        match r {
+            Err(NetSolveError::Numerical(msg)) => {
+                let step = msg.rsplit_once("at step ").expect("names a step").1;
+                let step = step.trim_end_matches(')').parse().expect("step number");
+                (msg, step)
+            }
+            other => panic!("expected Numerical error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rank_deficiency_inside_a_later_panel_is_singular() {
         let n = 2 * NB + 3;
         let mut rng = Rng64::new(5);
-        // Column NB+5 a combination of two first-panel columns, then an
-        // all-zero column in the last panel.
-        let mut dependent = Matrix::random(n, n, &mut rng);
-        let combo: Vec<f64> = dependent
-            .col(3)
-            .iter()
-            .zip(dependent.col(7))
-            .map(|(p, q)| p - 2.0 * q)
-            .collect();
-        dependent.col_mut(NB + 5).copy_from_slice(&combo);
+        let base = Matrix::random(n, n, &mut rng);
+        // Column NB+c of the second panel a combination of two first-panel
+        // columns, at each boundary of the panel recursion and its last
+        // column; then an all-zero column in the last panel.
+        let mut cases = Vec::new();
+        for c in [1, 2, 4, 5, 8, 16, 24, 31] {
+            let mut a = base.clone();
+            let combo: Vec<f64> = a
+                .col(3)
+                .iter()
+                .zip(a.col(7))
+                .map(|(p, q)| p - 2.0 * q)
+                .collect();
+            a.col_mut(NB + c).copy_from_slice(&combo);
+            cases.push((a, NB + c));
+        }
         let mut zero_col = Matrix::random(n, n, &mut rng);
         zero_col.col_mut(2 * NB + 1).fill(0.0);
-        for a in [dependent, zero_col] {
-            for factor in [lu_factor, lu_factor_unblocked] {
-                match factor(&a) {
-                    Err(NetSolveError::Numerical(msg)) => {
-                        assert!(msg.contains("singular"), "{msg}")
-                    }
-                    other => panic!("expected Numerical error, got {other:?}"),
-                }
-            }
+        cases.push((zero_col, 2 * NB + 1));
+        for (a, dependent) in cases {
+            let (msg, step) = failure(lu_factor(&a));
+            assert!(msg.contains("singular"), "{msg}");
+            assert_eq!(step, dependent, "{msg}");
+            assert_eq!(step, failure(lu_factor_unblocked(&a)).1, "{msg}");
         }
     }
 
@@ -371,9 +492,20 @@ pub(crate) mod tests {
     fn non_finite_entries_are_a_numerical_error() {
         let n = NB + 4;
         let base = Matrix::random_diag_dominant(n, &mut Rng64::new(9));
-        // On the diagonal, below it, above it, and where only the last
-        // elimination step reads it.
-        for (r, c) in [(0, 0), (n - 1, 1), (1, n - 2), (0, n - 1), (n - 1, n - 1)] {
+        // On the diagonal, below it, above it, where only the last
+        // elimination step reads it, and inside leaves of the panel
+        // recursion past the first.
+        let spots = [
+            (0, 0),
+            (n - 1, 1),
+            (1, n - 2),
+            (0, n - 1),
+            (n - 1, n - 1),
+            (12, 12),
+            (n - 1, 20),
+            (3, 27),
+        ];
+        for (r, c) in spots {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 let mut a = base.clone();
                 a[(r, c)] = bad;
@@ -381,6 +513,12 @@ pub(crate) mod tests {
                     Err(NetSolveError::Numerical(_)) => {}
                     other => panic!("{bad} at ({r},{c}): expected Numerical error, got {other:?}"),
                 }
+                let (msg, step) = failure(lu_factor(&a));
+                assert_eq!(
+                    step,
+                    failure(lu_factor_unblocked(&a)).1,
+                    "{bad} at ({r},{c}): {msg}"
+                );
             }
         }
     }

@@ -54,7 +54,9 @@ sys.exit(0 if ok else 1)
 ' "$@" || { echo "benchmark run $*: wrong reply, failed call or metric over its ceiling"; exit 1; }
 }
 # 2 MiB request, compute-bound: 9.6-10 ms of LU on the portable 4x4 kernel,
-# 5.9-6.8 ms on the AVX2 8x4 instance.
+# 5.9-6.6 ms on the AVX2 8x4 instance with a column-loop panel and U12
+# solve, 4.6-5.3 ms with the recursive panel and GEMM-form solve (slow
+# phases of a shared host read up to 10.2 and 7.6 ms respectively).
 bench_run solve_dgesv solvers.backward_err_max 1e-10 solvers.execute_us 8000
 bench_run tiny_call net.dials_per_call 0.1           # ~100-byte frames: one read window; a steady client dials nothing
 bench_run bulk_reply                                 # 2 MiB reply: a client-side read 32 windows long
