@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsolve_core::{DataObject, Matrix, Rng64};
-use netsolve_proto::{encode_frame_into, parse_frame, Message};
+use netsolve_proto::{encode_frame_into, parse_frame, FrameWriter, Message};
 use netsolve_xdr as xdr;
 
 fn bench_vector_roundtrip(c: &mut Criterion) {
@@ -56,14 +56,38 @@ fn bench_frame_path(c: &mut Criterion) {
     };
     let mut framed = Vec::new();
     encode_frame_into(&msg, &mut framed).expect("bench payload under frame cap");
+    // A connection's warm writer sending `cached_mix`'s request (dgesv
+    // n = 192, ~290 KiB: one write) and `bulk_request`'s (ddot of two
+    // 1 MiB vectors: written out in 64 KiB pieces).
+    let matrix = Matrix::random(192, 192, &mut rng);
+    let rhs: Vec<f64> = (0..192).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let vector = |rng: &mut Rng64| -> Vec<f64> {
+        (0..1 << 17).map(|_| rng.uniform(-1.0, 1.0)).collect()
+    };
+    let requests = [
+        ("dgesv", vec![matrix.into(), rhs.into()]),
+        ("ddot", vec![vector(&mut rng).into(), vector(&mut rng).into()]),
+    ];
+    for (problem, inputs) in requests {
+        let request = Message::RequestSubmit {
+            request_id: 1,
+            deadline_ms: 0,
+            problem: problem.into(),
+            inputs,
+            trace_id: 0,
+            parent_span: 0,
+        };
+        let mut writer = FrameWriter::default();
+        let len = writer.write_to(&mut std::io::sink(), &request).unwrap();
+        group.throughput(Throughput::Bytes(len));
+        group.bench_function(format!("frame_write_{problem}_{}KiB", len >> 10), |b| {
+            b.iter(|| {
+                let request = std::hint::black_box(&request);
+                writer.write_to(&mut std::io::sink(), request).unwrap()
+            })
+        });
+    }
     group.throughput(Throughput::Bytes(framed.len() as u64));
-    group.bench_function("frame_encode_128x128_pair", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            encode_frame_into(std::hint::black_box(&msg), &mut scratch).unwrap();
-            std::hint::black_box(scratch.len())
-        })
-    });
     group.bench_function("frame_decode_128x128_pair", |b| {
         b.iter(|| parse_frame(std::hint::black_box(&framed)).unwrap())
     });

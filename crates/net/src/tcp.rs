@@ -1,16 +1,13 @@
 //! Real TCP transport over `std::net`, for running an actual distributed
 //! NetSolve domain (agent, servers and clients in separate processes).
 
-use std::io::{BufWriter, ErrorKind};
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use netsolve_core::config::RetryPolicy;
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_proto::{
-    write_message_into, write_message_streamed, Body, FrameReader, Message, RequestView,
-    DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, VERSION,
-};
+use netsolve_proto::{FrameReader, FrameWriter, Message, RequestView};
 
 use crate::transport::{Connection, Listener, Transport};
 
@@ -119,17 +116,14 @@ impl Listener for TcpListenerWrapper {
 }
 
 struct TcpConnection {
-    reader: TcpStream,
-    writer: BufWriter<TcpStream>,
+    stream: TcpStream,
     peer: String,
-    /// Reused frame buffer: steady-state sends marshal into warm memory
-    /// and allocate nothing (see `write_message_into`). Messages above
-    /// the streaming threshold bypass it entirely (chunked sends), so it
-    /// never grows past the threshold either.
-    scratch: Vec<u8>,
-    /// Per-connection bounded-memory reader: every frame decodes through
-    /// one reused window, however large the operand.
-    frames: FrameReader,
+    /// The connection's two windows, one per direction: every frame,
+    /// small or large, is decoded through `reader`'s and sent through
+    /// `writer`'s, both reused across frames and bounded whatever the
+    /// operand size.
+    reader: FrameReader,
+    writer: FrameWriter,
     /// This end dialled: what it waits for with a timeout is the reply to
     /// a request it has just sent, so it polls for it before it sleeps.
     /// The accepting end waits for requests, which come when they come.
@@ -152,15 +146,11 @@ impl TcpConnection {
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "unknown".to_string());
-        let writer_stream = stream
-            .try_clone()
-            .map_err(|e| NetSolveError::Transport(e.to_string()))?;
         Ok(Box::new(TcpConnection {
-            reader: stream,
-            writer: BufWriter::new(writer_stream),
+            stream,
             peer,
-            scratch: Vec::new(),
-            frames: FrameReader::default(),
+            reader: FrameReader::default(),
+            writer: FrameWriter::default(),
             dialled,
         }))
     }
@@ -181,56 +171,45 @@ impl TcpConnection {
     /// idleness, and with it the lottery, out of the call.
     fn poll_for_reply(&self, limit: Duration) -> Result<()> {
         let transport = |e: std::io::Error| NetSolveError::Transport(e.to_string());
-        self.reader.set_nonblocking(true).map_err(transport)?;
+        self.stream.set_nonblocking(true).map_err(transport)?;
         let begun = Instant::now();
         // Data, end of stream or an error: all are the blocking read's to
         // report. Only "nothing yet" keeps the poll going.
-        while matches!(self.reader.peek(&mut [0]), Err(e) if e.kind() == ErrorKind::WouldBlock)
+        while matches!(self.stream.peek(&mut [0]), Err(e) if e.kind() == ErrorKind::WouldBlock)
             && begun.elapsed() < limit
         {
             std::thread::yield_now();
         }
-        self.reader.set_nonblocking(false).map_err(transport)
-    }
-
-    /// Frame `body` onto the socket. A counting pass (O(1) per bulk array)
-    /// decides the route: large operands stream through bounded chunks so
-    /// the connection never materializes a multi-megabyte frame,
-    /// everything else takes the single-pass scratch-buffer writer.
-    fn write(&mut self, body: &dyn Body) -> Result<()> {
-        if body.encoded_len(VERSION) as usize > DEFAULT_STREAM_THRESHOLD {
-            write_message_streamed(&mut self.writer, body, DEFAULT_STREAM_CHUNK)?;
-            Ok(())
-        } else {
-            write_message_into(&mut self.writer, body, &mut self.scratch)
-        }
+        self.stream.set_nonblocking(false).map_err(transport)
     }
 }
 
 impl Connection for TcpConnection {
     fn send(&mut self, msg: &Message) -> Result<()> {
-        self.write(msg)
+        self.writer.write_to(&mut self.stream, msg).map(drop)
     }
 
     fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
-        self.write(req)
+        self.writer.write_to(&mut self.stream, req).map(drop)
     }
 
     fn recv(&mut self) -> Result<Message> {
-        self.reader
+        self.stream
             .set_read_timeout(None)
             .map_err(|e| NetSolveError::Transport(e.to_string()))?;
-        self.frames.read_from(&mut self.reader)
+        self.reader.read_from(&mut self.stream)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Message> {
         if self.dialled {
             self.poll_for_reply(REPLY_POLL.min(timeout))?;
         }
-        self.reader
-            .set_read_timeout(Some(timeout))
+        // A zero read timeout means "block forever" to the socket, and std
+        // refuses it; the shortest one it takes (1 µs) is a zero wait.
+        self.stream
+            .set_read_timeout(Some(timeout.max(Duration::from_micros(1))))
             .map_err(|e| NetSolveError::Transport(e.to_string()))?;
-        self.frames.read_from(&mut self.reader).map_err(|e| match e {
+        self.reader.read_from(&mut self.stream).map_err(|e| match e {
             NetSolveError::Timeout(_) => {
                 NetSolveError::Timeout(format!("no reply from {} within {timeout:?}", self.peer))
             }
@@ -247,6 +226,9 @@ impl Connection for TcpConnection {
 mod tests {
     use super::*;
     use crate::transport::call;
+    use netsolve_core::DataObject;
+    use netsolve_proto::frame::HEADER_LEN;
+    use netsolve_proto::{DEFAULT_STREAM_THRESHOLD, VERSION};
 
     #[test]
     fn tcp_roundtrip_on_loopback() {
@@ -272,28 +254,59 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// A request whose frame is exactly `frame_len` bytes (a multiple of
+    /// four, as every XDR payload is): half of it a vector operand, the
+    /// rest a text operand.
+    fn request_of_frame_len(frame_len: usize) -> Message {
+        let build = |elems: usize, text: usize| Message::RequestSubmit {
+            request_id: frame_len as u64,
+            deadline_ms: 0,
+            problem: "dnrm2".into(),
+            inputs: vec![vec![1.25f64; elems].into(), DataObject::Text("t".repeat(text))],
+            trace_id: 0,
+            parent_span: 0,
+        };
+        let elems = frame_len / 16;
+        let framing = HEADER_LEN + build(elems, 0).encoded_len(VERSION) as usize + 4;
+        build(elems, frame_len - framing)
+    }
+
     #[test]
     fn tcp_large_payload_roundtrip() {
-        let transport = TcpTransport::new();
-        let listener = transport.listen("127.0.0.1:0").unwrap();
-        let address = listener.address();
-        let handle = std::thread::spawn(move || {
-            let mut conn = listener.accept().unwrap();
-            let msg = conn.recv().unwrap();
-            conn.send(&msg).unwrap(); // echo
-        });
-        let mut conn = transport.connect(&address).unwrap();
-        let payload = Message::RequestSubmit {
+        // An 800 KB operand, then frames one word inside, exactly at and
+        // one word past the send window (header, 1 MiB payload, CRC), and
+        // 2.5 MiB.
+        let mut payloads = vec![Message::RequestSubmit {
             request_id: 5,
             deadline_ms: 0,
             problem: "dnrm2".into(),
             inputs: vec![vec![1.25f64; 100_000].into()],
             trace_id: 0,
             parent_span: 0,
-        };
-        conn.send(&payload).unwrap();
-        let echoed = conn.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(echoed, payload);
+        }];
+        let window = HEADER_LEN + DEFAULT_STREAM_THRESHOLD + 4;
+        for frame_len in [window - 4, window, window + 4, 5 << 19] {
+            let msg = request_of_frame_len(frame_len);
+            assert_eq!(HEADER_LEN + msg.encoded_len(VERSION) as usize + 4, frame_len);
+            payloads.push(msg);
+        }
+        let rounds = payloads.len();
+        let transport = TcpTransport::new();
+        let listener = transport.listen("127.0.0.1:0").unwrap();
+        let address = listener.address();
+        let handle = std::thread::spawn(move || {
+            let mut conn = listener.accept().unwrap();
+            for _ in 0..rounds {
+                let msg = conn.recv().unwrap();
+                conn.send(&msg).unwrap(); // echo
+            }
+        });
+        let mut conn = transport.connect(&address).unwrap();
+        for payload in &payloads {
+            conn.send(payload).unwrap();
+            let echoed = conn.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(&echoed, payload);
+        }
         handle.join().unwrap();
     }
 

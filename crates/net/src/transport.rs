@@ -87,3 +87,39 @@ pub fn call_once(
 ) -> Result<Message> {
     call(transport.connect(address)?.as_mut(), msg, timeout)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ChannelNetwork, TcpTransport};
+    use netsolve_core::error::NetSolveError;
+
+    /// A zero wait is a poll: with no reply pending it is a `Timeout` — a
+    /// socket refuses a zero read timeout, which must not surface as a
+    /// transport fault — and the connection completes the next exchange.
+    #[test]
+    fn a_zero_wait_with_nothing_pending_is_a_timeout() {
+        let (tcp, channel) = (TcpTransport::new(), ChannelNetwork::new());
+        let transports: [(&dyn Transport, &str); 2] =
+            [(&tcp, "127.0.0.1:0"), (&channel, "zero-wait")];
+        for (transport, hint) in transports {
+            let listener = transport.listen(hint).unwrap();
+            let address = listener.address();
+            let peer = std::thread::spawn(move || {
+                let mut conn = listener.accept().unwrap();
+                while let Ok(Message::Ping) = conn.recv() {
+                    conn.send(&Message::Pong).unwrap();
+                }
+            });
+            let mut conn = transport.connect(&address).unwrap();
+            match conn.recv_timeout(Duration::ZERO) {
+                Err(NetSolveError::Timeout(_)) => {}
+                other => panic!("{hint}: expected a timeout, got {other:?}"),
+            }
+            let reply = call(conn.as_mut(), &Message::Ping, Duration::from_secs(5));
+            assert_eq!(reply.unwrap(), Message::Pong, "{hint}");
+            drop(conn);
+            peer.join().unwrap();
+        }
+    }
+}

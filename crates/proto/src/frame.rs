@@ -17,24 +17,23 @@
 //! rejected before any bytes hit the wire, never silently truncated
 //! through the `u32` length field.
 //!
-//! One writer pair builds frames, from any [`Body`] — a [`Message`], or a
-//! borrowed view of one that encodes the same bytes:
+//! One writer builds frames, from any [`Body`] — a [`Message`], or a
+//! borrowed view of one that encodes the same bytes — whether they go to
+//! a socket ([`FrameWriter`], one per connection) or stay in memory
+//! ([`encode_frame_into`], for transports that hand over whole frames): a
+//! counting pass (O(1) per bulk array) gives the length field, the header
+//! goes into a window first, the payload is marshaled **directly behind
+//! it** with the CRC folded in as bytes are produced, then the CRC
+//! trailer. A frame that fits the window leaves in one write; a larger one
+//! never exists whole in memory and leaves a read window
+//! ([`DEFAULT_STREAM_CHUNK`]) at a time, so the peer decodes while the
+//! rest is encoded. A frame costs one pass over the payload and no
+//! intermediate copy, and a connection's window stays warm between sends.
+//! In memory the window is unbounded and keeps the frame.
 //!
-//! * [`encode_frame_into`] / [`write_message_into`] — the hot path: the
-//!   message is marshaled **directly into the frame buffer** (header
-//!   reserved up front, length backfilled) with the CRC folded in
-//!   incrementally while encoding, so a frame costs exactly one pass over
-//!   the payload and zero intermediate copies, and a per-connection
-//!   scratch buffer amortizes the allocation away entirely;
-//! * [`write_message_streamed`] — the bounded-memory route for huge
-//!   operands: a counting pass computes the exact payload length (O(1)
-//!   per bulk array), the header goes out first, then the payload is
-//!   marshaled through a chunk buffer straight onto the wire with the
-//!   CRC folded in per chunk — the frame never exists in memory.
-//!
-//! [`frame_bytes_versioned`] is not a third route but the *reference
+//! [`frame_bytes_versioned`] is not a second route but the *reference
 //! encoder*: the plain three-step construction (payload, header, CRC)
-//! that route-equivalence tests compare the writers against and that
+//! that equivalence tests compare the writer against and that
 //! compatibility tests use to speak as an older-version peer.
 //!
 //! One sequence takes them apart, whether the bytes come off a socket
@@ -77,12 +76,15 @@ pub const MIN_VERSION: u32 = 1;
 pub const MAX_FRAME_PAYLOAD: usize = 512 * 1024 * 1024;
 /// Bytes of frame header before the payload (magic, version, length).
 pub const HEADER_LEN: usize = 12;
-/// Chunk size of the read window and of the streaming writer (64 KiB):
-/// the per-connection memory bound while a large frame is in flight.
+/// Size of a [`FrameReader`]'s window (64 KiB): the receive side's
+/// per-connection memory bound while a large frame is in flight, and the
+/// size of the pieces a frame larger than a [`FrameWriter`]'s window
+/// leaves in.
 pub const DEFAULT_STREAM_CHUNK: usize = 64 * 1024;
-/// Send-side route choice: a message that encodes to more than this goes
-/// out through [`write_message_streamed`], anything smaller through the
-/// single-pass scratch-buffer writer.
+/// The payload a [`FrameWriter`]'s window holds behind the header, with
+/// the CRC trailer after it (1 MiB): a frame up to this size leaves in one
+/// write, a larger one [`DEFAULT_STREAM_CHUNK`] at a time, and it is the
+/// send side's per-connection memory bound.
 pub const DEFAULT_STREAM_THRESHOLD: usize = 1024 * 1024;
 
 /// Process-wide count of frames accepted at a version below [`VERSION`].
@@ -128,107 +130,69 @@ pub fn frame_bytes_versioned(msg: &Message, version: u32) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Single-pass frame writer: clears `buf` and builds the complete frame
-/// in it — header reserved up front, payload marshaled directly into
-/// place with the CRC folded in as bytes are produced, then the length
-/// field backfilled and the CRC appended. No intermediate payload buffer,
-/// no second scan. Reusing `buf` across calls (the per-connection scratch
-/// pattern) also amortizes the allocation to zero. `body` is a
-/// [`Message`] or a borrowed view of one.
+/// The write path, stated once: `window` is cleared and the frame built
+/// in it — a counting pass gives the length field, the header goes in
+/// first, the payload is marshaled behind it with the CRC folded in as
+/// bytes are produced, then the CRC trailer. Given `out`, a frame of up to
+/// `cap` bytes is written to it in one piece at the end, a larger one each
+/// time the window holds [`DEFAULT_STREAM_CHUNK`] bytes (at most `cap`)
+/// and once more at the end; without, the window keeps the whole frame.
+/// Returns the frame's length on the wire.
 ///
-/// Fails without side effects beyond `buf`'s contents if the payload
-/// exceeds [`MAX_FRAME_PAYLOAD`]; `buf` is left cleared in that case.
-pub fn encode_frame_into<B: Body + ?Sized>(body: &B, buf: &mut Vec<u8>) -> Result<()> {
-    encode_frame_at(body, VERSION, buf)
-}
-
-/// [`encode_frame_into`] in the layout of protocol `version`.
-pub(crate) fn encode_frame_at<B: Body + ?Sized>(
+/// A payload over [`MAX_FRAME_PAYLOAD`] fails before a byte is written.
+pub(crate) fn write_frame<'a, B: Body + ?Sized>(
     body: &B,
     version: u32,
-    buf: &mut Vec<u8>,
-) -> Result<()> {
-    buf.clear();
-    buf.extend_from_slice(&MAGIC.to_be_bytes());
-    buf.extend_from_slice(&version.to_be_bytes());
-    buf.extend_from_slice(&[0u8; 4]); // length, backfilled below
-    let crc = {
-        let mut e = Encoder::borrowing(buf).with_crc();
-        body.encode_body(&mut e, version);
-        e.crc().expect("crc tracking enabled")
-    };
-    let payload_len = buf.len() - HEADER_LEN;
-    if payload_len > MAX_FRAME_PAYLOAD {
-        buf.clear();
-        return Err(oversize(payload_len));
+    window: &'a mut Vec<u8>,
+    cap: usize,
+    out: Option<&'a mut dyn Write>,
+) -> Result<u64> {
+    window.clear();
+    let payload_len = body.encoded_len(version);
+    if payload_len > MAX_FRAME_PAYLOAD as u64 {
+        return Err(oversize(payload_len as usize));
     }
-    buf[8..12].copy_from_slice(&(payload_len as u32).to_be_bytes());
-    buf.extend_from_slice(&crc.to_be_bytes());
-    Ok(())
+    for word in [MAGIC, version, payload_len as u32] {
+        window.extend_from_slice(&word.to_be_bytes());
+    }
+    // A frame past the window leaves in read-window pieces, so the peer
+    // decodes each while the next is encoded: 1 MiB pieces left it idle
+    // for as long as one took to encode (EXPERIMENTS "One frame writer").
+    let frame_len = HEADER_LEN + payload_len as usize + 4;
+    let cap = if frame_len <= cap { cap } else { cap.min(DEFAULT_STREAM_CHUNK) };
+    let mut e = Encoder::window(window, cap, out).with_crc();
+    body.encode_body(&mut e, version);
+    let written = (e.len() - HEADER_LEN) as u64;
+    if written != payload_len {
+        // The header already announced the counted length; the counting
+        // and window sinks share encode_body, so this can only mean memory
+        // corruption — fail loudly.
+        return Err(NetSolveError::Internal(format!(
+            "payload wrote {written} bytes, counted {payload_len}"
+        )));
+    }
+    let crc = e.crc().expect("crc tracking enabled");
+    e.put_u32(crc);
+    e.finish()
 }
 
-/// Write one framed message through a caller-owned scratch buffer
-/// (single-pass; see [`encode_frame_into`]). Connections keep one scratch
-/// per stream so steady-state sends allocate nothing.
-pub fn write_message_into<B: Body + ?Sized>(
-    w: &mut impl Write,
-    body: &B,
-    scratch: &mut Vec<u8>,
-) -> Result<()> {
-    encode_frame_into(body, scratch)?;
-    w.write_all(scratch)?;
-    w.flush()?;
-    Ok(())
+/// Build one frame in `buf` (cleared first): the write path with an
+/// unbounded window and no writer, for transports that hand over whole
+/// frames. `body` is a [`Message`] or a borrowed view of one. An oversize
+/// payload fails and leaves `buf` empty.
+pub fn encode_frame_into<B: Body + ?Sized>(body: &B, buf: &mut Vec<u8>) -> Result<()> {
+    write_frame(body, VERSION, buf, usize::MAX, None).map(drop)
 }
 
-/// Write one framed message (or view of one) through a bounded chunk
-/// buffer — the frame never exists contiguously in memory, so a 64 MiB
-/// operand costs `chunk` bytes of sender memory instead of 64 MiB. A
-/// counting pass (O(1) per bulk array) computes the length field the
-/// header must carry before the payload; the CRC is folded in chunk by
-/// chunk as bytes leave. Returns the total bytes written (header +
-/// payload + CRC).
+/// Write one frame through a fresh window of `chunk` bytes: what a
+/// [`FrameWriter`] does with its warm window, at the price of a new one
+/// per call. Returns the bytes written (header + payload + CRC).
 pub fn write_message_streamed<B: Body + ?Sized>(
     w: &mut impl Write,
     body: &B,
     chunk: usize,
 ) -> Result<u64> {
-    write_streamed_at(w, body, VERSION, chunk)
-}
-
-/// [`write_message_streamed`] in the layout of protocol `version`.
-pub(crate) fn write_streamed_at<B: Body + ?Sized>(
-    w: &mut impl Write,
-    body: &B,
-    version: u32,
-    chunk: usize,
-) -> Result<u64> {
-    let payload_len = body.encoded_len(version);
-    if payload_len as usize > MAX_FRAME_PAYLOAD {
-        return Err(oversize(payload_len as usize));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC.to_be_bytes());
-    header[4..8].copy_from_slice(&version.to_be_bytes());
-    header[8..12].copy_from_slice(&(payload_len as u32).to_be_bytes());
-    w.write_all(&header)?;
-    let (crc, written) = {
-        let mut e = Encoder::streaming(w, chunk).with_crc();
-        body.encode_body(&mut e, version);
-        let crc = e.crc().expect("crc tracking enabled");
-        (crc, e.finish_stream()?)
-    };
-    if written != payload_len {
-        // Would desync the stream against the announced length; the
-        // counting and streaming sinks share encode_body, so this can
-        // only mean memory corruption — fail loudly.
-        return Err(NetSolveError::Internal(format!(
-            "streamed payload wrote {written} bytes, counted {payload_len}"
-        )));
-    }
-    w.write_all(&crc.to_be_bytes())?;
-    w.flush()?;
-    Ok(HEADER_LEN as u64 + written + 4)
+    FrameWriter::with_window(chunk).write_to(w, body)
 }
 
 /// Validate a frame header's three words: magic, version window (counting
@@ -329,6 +293,49 @@ impl FrameReader {
     }
 }
 
+/// Per-connection frame writer, the twin of [`FrameReader`]: every frame
+/// goes out through one reused window of at most a header, a
+/// [`DEFAULT_STREAM_THRESHOLD`] payload and the CRC trailer, so a frame
+/// that fits leaves in one write and a larger one, which never exists
+/// whole, [`DEFAULT_STREAM_CHUNK`] at a time. The window grows only to
+/// what frames have needed and stays warm: a steady-state send allocates
+/// nothing.
+#[derive(Debug)]
+pub struct FrameWriter {
+    window: Vec<u8>,
+    cap: usize,
+}
+
+impl Default for FrameWriter {
+    fn default() -> Self {
+        Self::with_window(HEADER_LEN + DEFAULT_STREAM_THRESHOLD + 4)
+    }
+}
+
+impl FrameWriter {
+    /// Writer whose window holds `cap` bytes (floored to 64):
+    /// [`write_message_streamed`]'s chunk, or a test's small window.
+    pub(crate) fn with_window(cap: usize) -> Self {
+        FrameWriter {
+            window: Vec::new(),
+            cap,
+        }
+    }
+
+    /// Write one framed message (or view of one) to `w`. Returns the bytes
+    /// written (header + payload + CRC).
+    pub fn write_to<B: Body + ?Sized>(&mut self, w: &mut impl Write, body: &B) -> Result<u64> {
+        let n = write_frame(body, VERSION, &mut self.window, self.cap, Some(&mut *w))?;
+        w.flush()?;
+        Ok(n)
+    }
+
+    /// This writer's own buffering: the window's allocation.
+    pub fn buffered_capacity(&self) -> usize {
+        self.window.capacity()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,9 +353,9 @@ mod tests {
             Message::WorkloadReport { server_id: 3, workload: 55.0 },
             Message::Error { code: 7, detail: "x".into() },
         ];
-        let (mut buf, mut scratch) = (Vec::new(), Vec::new());
+        let (mut buf, mut writer) = (Vec::new(), FrameWriter::default());
         for m in &msgs {
-            write_message_into(&mut buf, m, &mut scratch).unwrap();
+            writer.write_to(&mut buf, m).unwrap();
         }
         let mut cursor = std::io::Cursor::new(buf);
         let mut reader = FrameReader::default();
@@ -668,9 +675,10 @@ mod tests {
         assert_eq!(used2, m2.len());
     }
 
-    /// The single-pass writer must be byte-for-byte identical to the
-    /// reference encoder for every message shape — same header, same
-    /// payload, same CRC.
+    /// The writer must be byte-for-byte identical to the reference
+    /// encoder for every message shape — same header (exact counted
+    /// length), same payload, same CRC — in memory and through windows
+    /// that write out many times mid-payload or hold the whole frame.
     #[test]
     fn single_pass_writer_matches_reference_encoder() {
         let subjects = vec![
@@ -686,6 +694,7 @@ mod tests {
                 problem: "dgesv".into(),
                 inputs: vec![
                     vec![1.0f64, -2.0, 3.5].into(),
+                    vec![0.25f64; 10_000].into(),
                     netsolve_core::DataObject::Text("rhs".into()),
                 ],
             },
@@ -694,22 +703,25 @@ mod tests {
             },
             Message::Error { code: 4, detail: "execution failed".into() },
         ];
-        let mut scratch = Vec::new();
+        let mut buf = Vec::new();
         for msg in &subjects {
             let reference = frame_ok(msg);
-            encode_frame_into(msg, &mut scratch).unwrap();
-            assert_eq!(scratch, reference, "frame mismatch for {msg:?}");
+            encode_frame_into(msg, &mut buf).unwrap();
+            assert_eq!(buf, reference, "frame mismatch for {}", msg.name());
 
-            let mut wire = Vec::new();
-            write_message_into(&mut wire, msg, &mut scratch).unwrap();
-            assert_eq!(wire, reference, "writer output mismatch for {msg:?}");
+            for mut writer in [FrameWriter::with_window(128), FrameWriter::default()] {
+                let mut wire = Vec::new();
+                let n = writer.write_to(&mut wire, msg).unwrap();
+                assert_eq!(n as usize, wire.len());
+                assert_eq!(wire, reference, "writer output mismatch for {}", msg.name());
+            }
         }
     }
 
-    /// A reused scratch buffer keeps its allocation across sends instead
-    /// of reallocating per frame.
+    /// A warm window keeps its allocation across sends instead of
+    /// reallocating per frame, and a smaller frame does not shrink it.
     #[test]
-    fn scratch_buffer_is_reused_across_sends() {
+    fn a_warm_window_is_reused_across_sends() {
         let big = Message::RequestSubmit {
             request_id: 1,
             deadline_ms: 0,
@@ -718,18 +730,48 @@ mod tests {
             problem: "dgemm".into(),
             inputs: vec![vec![0.5f64; 4096].into()],
         };
-        let mut scratch = Vec::new();
-        encode_frame_into(&big, &mut scratch).unwrap();
-        let cap = scratch.capacity();
-        let ptr = scratch.as_ptr();
-        for _ in 0..5 {
-            encode_frame_into(&big, &mut scratch).unwrap();
-            assert_eq!(scratch.capacity(), cap);
-            assert_eq!(scratch.as_ptr(), ptr);
+        let mut writer = FrameWriter::default();
+        writer.write_to(&mut std::io::sink(), &big).unwrap();
+        let (cap, ptr) = (writer.buffered_capacity(), writer.window.as_ptr());
+        for msg in [&big, &big, &Message::Ping, &big] {
+            writer.write_to(&mut std::io::sink(), msg).unwrap();
+            assert_eq!((writer.buffered_capacity(), writer.window.as_ptr()), (cap, ptr));
         }
-        // A smaller message also fits without shrinking the buffer.
-        encode_frame_into(&Message::Ping, &mut scratch).unwrap();
-        assert_eq!(scratch.capacity(), cap);
+    }
+
+    /// How a frame leaves: one write when it fits the window — exactly at
+    /// the window's size too — and read-window pieces when it does not.
+    #[test]
+    fn a_frame_fits_the_window_in_one_write_or_leaves_in_read_windows() {
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                self.0.push(bytes.len());
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let window = HEADER_LEN + DEFAULT_STREAM_THRESHOLD + 4;
+        let mut writer = FrameWriter::default();
+        for frame_len in [100, window, window + 4, 2 * window] {
+            // An Error's payload is 12 bytes plus its detail.
+            let msg = Message::Error {
+                code: 1,
+                detail: "e".repeat(frame_len - HEADER_LEN - 4 - 12),
+            };
+            let mut writes = Writes(Vec::new());
+            writer.write_to(&mut writes, &msg).unwrap();
+            let pieces = if frame_len <= window {
+                vec![frame_len]
+            } else {
+                let mut pieces = vec![DEFAULT_STREAM_CHUNK; frame_len / DEFAULT_STREAM_CHUNK];
+                pieces.push(frame_len % DEFAULT_STREAM_CHUNK);
+                pieces
+            };
+            assert_eq!(writes.0, pieces, "a {frame_len}-byte frame");
+        }
     }
 
     /// Regression: the payload cap is enforced on the send side, before
@@ -754,7 +796,7 @@ mod tests {
         // The failed frame must not leave a half-built header behind.
         assert!(scratch.is_empty());
         let mut wire = Vec::new();
-        assert!(write_message_into(&mut wire, &msg, &mut scratch).is_err());
+        assert!(FrameWriter::default().write_to(&mut wire, &msg).is_err());
         assert!(wire.is_empty(), "no bytes may reach the wire");
     }
 
@@ -786,37 +828,6 @@ mod tests {
             "lying header grew the reader buffer to {} bytes",
             fr.buffered_capacity()
         );
-    }
-
-    /// The streamed writer must produce byte-identical frames to the
-    /// single-pass writer for every message shape: same header (exact
-    /// counted length), same payload, same CRC.
-    #[test]
-    fn streamed_writer_matches_single_pass_bytes() {
-        let subjects = vec![
-            Message::Ping,
-            Message::WorkloadReport { server_id: 9, workload: 12.5 },
-            Message::RequestSubmit {
-                request_id: 77,
-                deadline_ms: 1_500,
-                trace_id: 0x9999_0000_0000_0001,
-                parent_span: 6,
-                problem: "dgesv".into(),
-                inputs: vec![
-                    vec![0.25f64; 10_000].into(),
-                    netsolve_core::DataObject::Text("rhs".into()),
-                ],
-            },
-            Message::Error { code: 4, detail: "execution failed".into() },
-        ];
-        for msg in &subjects {
-            let reference = frame_ok(msg);
-            let mut wire = Vec::new();
-            // A small chunk forces many flushes mid-payload.
-            let n = write_message_streamed(&mut wire, msg, 128).unwrap();
-            assert_eq!(n as usize, wire.len());
-            assert_eq!(wire, reference, "streamed frame mismatch for {}", msg.name());
-        }
     }
 
     /// A multi-megabyte operand round-trips with bounded buffering: the

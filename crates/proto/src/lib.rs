@@ -17,8 +17,8 @@ mod wire;
 
 pub use frame::{
     encode_frame_into, frame_bytes_versioned, mirror_version_downgrades, parse_frame,
-    version_downgrades, write_message_into, write_message_streamed, FrameReader,
-    DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
+    version_downgrades, write_message_streamed, FrameReader, FrameWriter, DEFAULT_STREAM_CHUNK,
+    DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
 };
 pub use message::{
     Body, Candidate, GossipEntry, Message, QueryShape, RequestView, ServerDescriptor, ServerInfo,
@@ -272,6 +272,25 @@ mod proptests {
         ]
     }
 
+    /// The one writer's frames of `body` at `version`: through windows that
+    /// write out mid-item (97 never lands on an element boundary), hold a
+    /// small frame or hold a connection's worth, and in memory (unbounded).
+    fn frames_through_every_window<B: Body + ?Sized>(
+        body: &B,
+        version: u32,
+    ) -> Vec<(String, Vec<u8>)> {
+        let mut frames = Vec::new();
+        for window in [64, 97, 4096, DEFAULT_STREAM_THRESHOLD] {
+            let mut wire = Vec::new();
+            frame::write_frame(body, version, &mut Vec::new(), window, Some(&mut wire)).unwrap();
+            frames.push((format!("v{version} window {window}"), wire));
+        }
+        let mut unbounded = Vec::new();
+        frame::write_frame(body, version, &mut unbounded, usize::MAX, None).unwrap();
+        frames.push((format!("v{version} unbounded"), unbounded));
+        frames
+    }
+
     proptest! {
         #[test]
         fn message_roundtrip(msg in arb_message()) {
@@ -290,17 +309,23 @@ mod proptests {
         #[test]
         fn single_pass_frame_matches_reference(msg in arb_message()) {
             // The zero-copy writer must agree byte-for-byte with the
-            // reference encoder on arbitrary messages, not just fixtures.
-            let reference = frame_bytes_versioned(&msg, VERSION).unwrap();
+            // reference encoder on arbitrary messages, not just fixtures,
+            // at every version and through every window.
+            for version in MIN_VERSION..=VERSION {
+                let reference = frame_bytes_versioned(&msg, version).unwrap();
+                for (route, frame) in frames_through_every_window(&msg, version) {
+                    prop_assert_eq!(&frame, &reference, "{}", route);
+                }
+            }
             let mut single = Vec::new();
             encode_frame_into(&msg, &mut single).unwrap();
-            prop_assert_eq!(single, reference);
+            prop_assert_eq!(single, frame_bytes_versioned(&msg, VERSION).unwrap());
         }
 
         #[test]
         fn request_view_frames_match_the_owned_request(msg in arb_request_submit()) {
             // The view and the owned message are one row: at every version,
-            // on both send routes, the view's frame is the reference
+            // through every window, the view's frame is the reference
             // encoder's frame of the owned message, byte for byte.
             let Message::RequestSubmit { request_id, deadline_ms, trace_id, parent_span, problem, inputs } = &msg
             else {
@@ -317,12 +342,9 @@ mod proptests {
             prop_assert_eq!(&view.to_message(), &msg);
             for version in MIN_VERSION..=VERSION {
                 let reference = frame_bytes_versioned(&msg, version).unwrap();
-                let mut scratch = Vec::new();
-                frame::encode_frame_at(&view, version, &mut scratch).unwrap();
-                prop_assert_eq!(&scratch, &reference, "scratch route v{}", version);
-                let mut streamed = Vec::new();
-                frame::write_streamed_at(&mut streamed, &view, version, 64).unwrap();
-                prop_assert_eq!(&streamed, &reference, "streamed route v{}", version);
+                for (route, frame) in frames_through_every_window(&view, version) {
+                    prop_assert_eq!(&frame, &reference, "{}", route);
+                }
             }
         }
 

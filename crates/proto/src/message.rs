@@ -397,20 +397,19 @@ wire_messages! {
 }
 
 /// What a frame carries: a [`Message`], or a borrowed view of one
-/// ([`RequestView`]) that encodes to the same bytes. The frame writers take
+/// ([`RequestView`]) that encodes to the same bytes. The frame writer takes
 /// either, so a request can be framed straight from operands its sender
 /// does not own.
 pub trait Body {
     /// Append the payload — the tag, then that row's fields — in the
-    /// layout of protocol `version`. The frame writers hand in an encoder
-    /// borrowing the frame buffer (header already reserved), or the
-    /// counting and streaming encoders of the streamed route.
+    /// layout of protocol `version`. The frame writer hands in a counting
+    /// encoder, then one over its window (header already in place).
     fn encode_body(&self, e: &mut Encoder<'_>, version: u32);
 
     /// Exact payload length at `version`, computed without materializing
     /// a byte: the body runs through a counting encoder, where bulk array
-    /// puts cost O(1). This is how the streaming frame writer learns the
-    /// length field it must send before the payload.
+    /// puts cost O(1). This is how the frame writer learns the length
+    /// field it must send before the payload.
     fn encoded_len(&self, version: u32) -> u64 {
         let mut c = Encoder::counting();
         self.encode_body(&mut c, version);

@@ -11,18 +11,18 @@
 //!   or corrupt peer cannot force huge allocations.
 //!
 //! The encoder is built for the wire hot path: it can own its buffer
-//! ([`Encoder::new`] / [`Encoder::from_vec`]) or borrow a caller-provided
-//! scratch buffer ([`Encoder::borrowing`]) so per-connection buffers are
-//! reused across messages, it byte-swaps `f64`/`u64` arrays in bulk into
+//! ([`Encoder::new`] / [`Encoder::from_vec`]) or write through a window
+//! onto a caller's buffer ([`Encoder::window`]) that is reused across
+//! messages and, given an `io::Write`, written out each time it fills —
+//! so a multi-megabyte operand never needs a contiguous frame buffer on
+//! the send side ([`Encoder::borrowing`] is the window without a writer,
+//! which keeps everything). It byte-swaps `f64`/`u64` arrays in bulk into
 //! pre-sized space instead of appending element by element, and it can
 //! fold a CRC-32 over everything it writes ([`Encoder::with_crc`]) so the
-//! framing layer never needs a second pass over the payload. Two further
-//! sinks serve the streaming frame route: [`Encoder::counting`] computes
-//! the exact encoded length in O(fields) without materializing a byte
-//! (bulk array puts just add `8 * len`), and [`Encoder::streaming`]
-//! writes through a bounded chunk buffer straight to an `io::Write`, so
-//! a multi-megabyte operand never needs a contiguous frame buffer on the
-//! send side.
+//! framing layer never needs a second pass over the payload. A counting
+//! sink ([`Encoder::counting`]) computes the exact encoded length in
+//! O(fields) without materializing a byte (bulk array puts just add
+//! `8 * len`): the frame writer's length field, known before the payload.
 //!
 //! The decoder mirrors this: one [`Decoder`] reads through a window it can
 //! refill — the input slice itself when the bytes are already in memory, a
@@ -58,56 +58,86 @@ fn pad_len(n: usize) -> usize {
     (4 - (n % 4)) % 4
 }
 
-/// Bounded buffer feeding an `io::Write` for the streaming encode route.
-/// Bytes accumulate in `buf` and are flushed whenever it reaches `cap`,
-/// so peak memory is `cap` regardless of payload size. Write errors are
-/// deferred into `err` (the put_* API is infallible) and surfaced by
-/// [`Encoder::finish_stream`].
-struct StreamSink<'a> {
-    w: &'a mut dyn Write,
-    buf: Vec<u8>,
+/// A window onto the bytes being produced: a caller-owned buffer that is
+/// written out to `out` each time it holds `cap` bytes, and whose
+/// allocation never grows past `cap`. Without a writer nothing is written
+/// out and `cap` is unbounded: the buffer keeps everything. Write errors
+/// are deferred into `err` (the put_* API is infallible) and surfaced by
+/// [`Encoder::finish`].
+struct WindowSink<'a> {
+    buf: &'a mut Vec<u8>,
     cap: usize,
-    written: u64,
+    out: Option<&'a mut dyn Write>,
+    /// Bytes that have left the window (written out, or dropped after a
+    /// write error).
+    flushed: u64,
     err: Option<std::io::Error>,
 }
 
-impl std::fmt::Debug for StreamSink<'_> {
+impl std::fmt::Debug for WindowSink<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamSink")
-            .field("buffered", &self.buf.len())
+        f.debug_struct("WindowSink")
+            .field("held", &self.buf.len())
             .field("cap", &self.cap)
-            .field("written", &self.written)
+            .field("flushed", &self.flushed)
             .field("err", &self.err)
             .finish()
     }
 }
 
-impl StreamSink<'_> {
-    fn flush_buf(&mut self) {
-        if self.err.is_some() || self.buf.is_empty() {
-            return;
+impl WindowSink<'_> {
+    /// Bytes that still fit before the window must be written out.
+    fn room(&self) -> usize {
+        self.cap - self.buf.len()
+    }
+
+    /// Make the allocation hold `n` more bytes: doubling, but never past
+    /// `cap`, so a warm window is exactly as large as it ever needed.
+    fn reserve(&mut self, n: usize) {
+        let need = self.buf.len() + n;
+        if self.buf.capacity() < need {
+            let target = (2 * self.buf.capacity()).max(need).min(self.cap);
+            self.buf.reserve_exact(target - self.buf.len());
         }
-        if let Err(e) = self.w.write_all(&self.buf) {
-            self.err = Some(e);
-        } else {
-            self.written += self.buf.len() as u64;
+    }
+
+    /// Append `bytes`, writing the window out each time it fills.
+    fn put(&mut self, mut bytes: &[u8]) {
+        while bytes.len() > self.room() {
+            let (now, rest) = bytes.split_at(self.room());
+            self.reserve(now.len());
+            self.buf.extend_from_slice(now);
+            self.write_out();
+            bytes = rest;
         }
+        self.reserve(bytes.len());
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Hand what the window holds to the writer (none: keep it).
+    fn write_out(&mut self) {
+        let Some(out) = self.out.as_mut() else { return };
+        if self.err.is_none() {
+            if let Err(e) = out.write_all(self.buf) {
+                self.err = Some(e);
+            }
+        }
+        self.flushed += self.buf.len() as u64;
         self.buf.clear();
     }
 }
 
-/// The encoder's output buffer: owned, borrowed from the caller so a
-/// long-lived scratch vector's capacity survives across messages, a pure
-/// byte counter (length precompute), or a bounded stream to a writer.
+/// The encoder's output: an owned buffer, a window onto a caller's buffer
+/// (kept whole, or written out to an `io::Write` as it fills), or a pure
+/// byte counter (length precompute).
 #[derive(Debug)]
 enum Buf<'a> {
     Owned(Vec<u8>),
-    Borrowed(&'a mut Vec<u8>),
+    Window(WindowSink<'a>),
     Count(u64),
-    Stream(StreamSink<'a>),
 }
 
-/// Append-only XDR encoder over an owned or borrowed byte buffer.
+/// Append-only XDR encoder over an owned buffer, a window or a counter.
 #[derive(Debug)]
 pub struct Encoder<'a> {
     buf: Buf<'a>,
@@ -136,8 +166,8 @@ impl Encoder<'static> {
     /// Encoder that materializes nothing: every put only advances a byte
     /// counter ([`Encoder::count`]). Bulk array puts cost O(1), so running
     /// a whole message through a counting encoder is O(fields) — this is
-    /// how the streaming frame writer learns the length field it must
-    /// send before the payload.
+    /// how the frame writer learns the length field it must send before
+    /// the payload.
     pub fn counting() -> Self {
         Encoder { buf: Buf::Count(0), crc: None }
     }
@@ -151,48 +181,43 @@ impl Default for Encoder<'static> {
 
 impl<'a> Encoder<'a> {
     /// Encoder that appends to a borrowed scratch buffer (contents already
-    /// present are kept — the frame writer relies on this to reserve its
-    /// header before the payload). Dropping the encoder leaves the encoded
-    /// bytes in place; the caller keeps the allocation.
+    /// present are kept). Dropping the encoder leaves the encoded bytes in
+    /// place; the caller keeps the allocation. This is
+    /// [`Encoder::window`] with no writer.
     pub fn borrowing(buf: &'a mut Vec<u8>) -> Encoder<'a> {
-        Encoder { buf: Buf::Borrowed(buf), crc: None }
+        Self::window(buf, usize::MAX, None)
     }
 
-    /// Encoder that streams through a bounded chunk buffer straight to
-    /// `w`: bytes accumulate until `chunk` is reached, then one gathered
-    /// write flushes them, so peak memory is `chunk` no matter how large
-    /// the payload. Write errors are held back (the put_* API stays
-    /// infallible) and reported by [`Encoder::finish_stream`].
-    pub fn streaming(w: &'a mut dyn Write, chunk: usize) -> Encoder<'a> {
-        let cap = chunk.max(64);
-        Encoder {
-            buf: Buf::Stream(StreamSink {
-                w,
-                buf: Vec::with_capacity(cap),
-                cap,
-                written: 0,
-                err: None,
-            }),
-            crc: None,
-        }
+    /// Encoder that appends to `buf` and, given a writer, writes it out
+    /// each time it holds `cap` bytes (floored to 64), so any payload
+    /// costs at most `cap` bytes of memory and a warm `buf` is reused
+    /// without allocating. Bytes already in `buf` are kept and leave with
+    /// the first write. Write errors are held back (the put_* API stays
+    /// infallible) and reported by [`Encoder::finish`], which writes out
+    /// the rest. Without a writer `cap` is ignored and `buf` keeps
+    /// everything.
+    pub fn window(
+        buf: &'a mut Vec<u8>,
+        cap: usize,
+        out: Option<&'a mut dyn Write>,
+    ) -> Encoder<'a> {
+        let cap = if out.is_some() { cap.max(64) } else { usize::MAX };
+        let window = WindowSink { buf, cap, out, flushed: 0, err: None };
+        Encoder { buf: Buf::Window(window), crc: None }
     }
 
-    /// Flush a streaming encoder's remaining buffered bytes and return
-    /// the total byte count written, or the first deferred write error.
-    /// Must only be called on an encoder built by [`Encoder::streaming`].
-    pub fn finish_stream(self) -> Result<u64> {
-        match self.buf {
-            Buf::Stream(mut s) => {
-                s.flush_buf();
-                match s.err {
-                    Some(e) => Err(NetSolveError::from(e)),
-                    None => Ok(s.written),
-                }
+    /// Write out what a window still holds and return the bytes produced
+    /// (as [`Encoder::len`]), or the first write error the window met.
+    /// Without a writer nothing is written: the bytes stay in the buffer.
+    pub fn finish(self) -> Result<u64> {
+        let produced = self.len() as u64;
+        if let Buf::Window(mut w) = self.buf {
+            w.write_out();
+            if let Some(e) = w.err {
+                return Err(NetSolveError::from(e));
             }
-            _ => Err(NetSolveError::Internal(
-                "finish_stream on a non-streaming encoder".into(),
-            )),
         }
+        Ok(produced)
     }
 
     /// Bytes counted by a [`Encoder::counting`] encoder.
@@ -220,56 +245,26 @@ impl<'a> Encoder<'a> {
     }
 
     /// Append raw bytes, updating the CRC accumulator if enabled. Every
-    /// fixed-size put funnels through here.
+    /// put funnels through here except a bulk array converted in place.
     fn append(&mut self, bytes: &[u8]) {
         if let Some(c) = self.crc.as_mut() {
             c.write(bytes);
         }
         match &mut self.buf {
             Buf::Owned(v) => v.extend_from_slice(bytes),
-            Buf::Borrowed(v) => v.extend_from_slice(bytes),
+            Buf::Window(w) => w.put(bytes),
             Buf::Count(n) => *n += bytes.len() as u64,
-            Buf::Stream(s) => {
-                if s.buf.len() + bytes.len() > s.cap {
-                    s.flush_buf();
-                }
-                if bytes.len() >= s.cap {
-                    // Oversized item: bypass the chunk buffer entirely.
-                    if s.err.is_none() {
-                        match s.w.write_all(bytes) {
-                            Ok(()) => s.written += bytes.len() as u64,
-                            Err(e) => s.err = Some(e),
-                        }
-                    }
-                } else {
-                    s.buf.extend_from_slice(bytes);
-                }
-            }
-        }
-    }
-
-    /// Fold bytes written directly into an in-memory buffer (bulk paths)
-    /// into the CRC accumulator. Only ever called on owned/borrowed sinks.
-    fn crc_over_written(&mut self, start: usize) {
-        let Encoder { buf, crc } = self;
-        if let Some(c) = crc.as_mut() {
-            match buf {
-                Buf::Owned(v) => c.write(&v[start..]),
-                Buf::Borrowed(v) => c.write(&v[start..]),
-                Buf::Count(_) | Buf::Stream(_) => unreachable!("bulk in-place path"),
-            }
         }
     }
 
     /// Bytes produced so far (including any bytes that were already
-    /// present when a borrowed buffer was attached; for a streaming
-    /// encoder, bytes flushed plus bytes still buffered).
+    /// present when a borrowed buffer was attached, and bytes a window
+    /// has already written out).
     pub fn len(&self) -> usize {
         match &self.buf {
             Buf::Owned(v) => v.len(),
-            Buf::Borrowed(v) => v.len(),
+            Buf::Window(w) => w.flushed as usize + w.buf.len(),
             Buf::Count(n) => *n as usize,
-            Buf::Stream(s) => s.written as usize + s.buf.len(),
         }
     }
 
@@ -278,29 +273,25 @@ impl<'a> Encoder<'a> {
         self.len() == 0
     }
 
-    /// Finish and take the encoded bytes. For a borrowing encoder this
-    /// moves the accumulated bytes out of the scratch buffer (leaving it
-    /// empty); prefer dropping the encoder instead when the caller wants
-    /// the bytes to stay in the scratch buffer. Panics on counting or
-    /// streaming encoders, which hold no byte buffer to take.
+    /// Finish and take the encoded bytes. For a window this moves what it
+    /// holds out of the caller's buffer (leaving it empty); prefer
+    /// dropping the encoder instead when the caller wants the bytes to
+    /// stay there. Panics on a counting encoder, which holds no bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         match self.buf {
             Buf::Owned(v) => v,
-            Buf::Borrowed(v) => std::mem::take(v),
-            Buf::Count(_) | Buf::Stream(_) => {
-                panic!("into_bytes on a counting/streaming encoder")
-            }
+            Buf::Window(w) => std::mem::take(w.buf),
+            Buf::Count(_) => panic!("into_bytes on a counting encoder"),
         }
     }
 
-    /// Borrow the encoded bytes. Panics on counting or streaming encoders.
+    /// Borrow the encoded bytes (a window: the bytes it holds). Panics on
+    /// a counting encoder.
     pub fn as_bytes(&self) -> &[u8] {
         match &self.buf {
             Buf::Owned(v) => v,
-            Buf::Borrowed(v) => v,
-            Buf::Count(_) | Buf::Stream(_) => {
-                panic!("as_bytes on a counting/streaming encoder")
-            }
+            Buf::Window(w) => w.buf,
+            Buf::Count(_) => panic!("as_bytes on a counting encoder"),
         }
     }
 
@@ -347,22 +338,13 @@ impl<'a> Encoder<'a> {
         self.put_opaque(s.as_bytes());
     }
 
-    /// The in-memory buffer behind an owned/borrowing encoder (bulk
-    /// in-place paths only; counting/streaming sinks never reach here).
-    fn mem_buf_mut(&mut self) -> &mut Vec<u8> {
-        match &mut self.buf {
-            Buf::Owned(v) => v,
-            Buf::Borrowed(v) => v,
-            Buf::Count(_) | Buf::Stream(_) => unreachable!("bulk in-place path"),
-        }
-    }
-
     /// Variable-length array of doubles: u32 count then each element.
-    /// The elements are byte-swapped in bulk into pre-sized space — one
+    /// Where the elements fit — an owned buffer, or what is left of a
+    /// window — they are byte-swapped in bulk into pre-sized space: one
     /// resize plus one pass of the byte-order loop, not a capacity check
-    /// per element. A counting sink advances by `8 * len` in O(1); a
-    /// streaming sink converts block-by-block through a stack buffer so
-    /// memory stays bounded no matter how large the array.
+    /// per element. A counting sink advances by `8 * len` in O(1); an
+    /// array larger than what is left of a window is converted block by
+    /// block through a stack buffer and written out as the window fills.
     pub fn put_f64_array(&mut self, xs: &[f64]) {
         self.put_words(xs);
     }
@@ -375,27 +357,33 @@ impl<'a> Encoder<'a> {
 
     fn put_words<T: Word>(&mut self, xs: &[T]) {
         self.put_u32(xs.len() as u32);
-        if let Buf::Count(n) = &mut self.buf {
-            *n += 8 * xs.len() as u64;
-            return;
-        }
-        if matches!(self.buf, Buf::Stream(_)) {
-            let mut block = [0u8; BULK_BLOCK_BYTES];
-            for chunk in xs.chunks(BULK_BLOCK_BYTES / 8) {
-                let bytes = &mut block[..chunk.len() * 8];
-                be64::encode(bytes, chunk);
-                self.append(bytes);
+        let n = 8 * xs.len();
+        let buf = match &mut self.buf {
+            Buf::Count(c) => {
+                *c += n as u64;
+                return;
             }
-            return;
-        }
-        let start = {
-            let buf = self.mem_buf_mut();
-            let start = buf.len();
-            buf.resize(start + xs.len() * 8, 0);
-            be64::encode(&mut buf[start..], xs);
-            start
+            Buf::Owned(v) => v,
+            Buf::Window(w) if n <= w.room() => {
+                w.reserve(n);
+                &mut *w.buf
+            }
+            Buf::Window(_) => {
+                let mut block = [0u8; BULK_BLOCK_BYTES];
+                for chunk in xs.chunks(BULK_BLOCK_BYTES / 8) {
+                    let bytes = &mut block[..chunk.len() * 8];
+                    be64::encode(bytes, chunk);
+                    self.append(bytes);
+                }
+                return;
+            }
         };
-        self.crc_over_written(start);
+        let start = buf.len();
+        buf.resize(start + n, 0);
+        be64::encode(&mut buf[start..], xs);
+        if let Some(c) = self.crc.as_mut() {
+            c.write(&buf[start..]);
+        }
     }
 }
 
@@ -1031,25 +1019,41 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sink_matches_owned_bytes_and_crc() {
+    fn window_sink_matches_owned_bytes_and_crc() {
         let mut owned = Encoder::new().with_crc();
         put_everything(&mut owned);
         let want_crc = owned.crc().unwrap();
-        let bytes = owned.into_bytes();
+        let mut want = b"head".to_vec();
+        want.extend_from_slice(&owned.into_bytes());
 
-        // A tiny chunk forces many flushes; the output must still be
-        // byte-identical and the CRC must match the one-shot value.
-        let mut sink = Vec::new();
-        let mut e = Encoder::streaming(&mut sink, 64).with_crc();
+        // Small windows write out many times, some arrays fit what is left
+        // of one and some do not; a warm window is reused. Bytes already in
+        // the window leave first, outside the CRC.
+        let mut window = Vec::new();
+        for cap in [64, 97, 4096, 1 << 20] {
+            for _warm in 0..2 {
+                let mut sink = Vec::new();
+                window.clear();
+                window.extend_from_slice(b"head");
+                let mut e = Encoder::window(&mut window, cap, Some(&mut sink)).with_crc();
+                put_everything(&mut e);
+                assert_eq!(e.crc().unwrap(), want_crc, "window {cap}");
+                assert_eq!(e.finish().unwrap(), want.len() as u64, "window {cap}");
+                assert_eq!(sink, want, "window {cap}");
+                assert!(window.is_empty() && window.capacity() <= cap, "window {cap}");
+            }
+        }
+        // No writer: the window keeps everything.
+        window.clear();
+        window.extend_from_slice(b"head");
+        let mut e = Encoder::window(&mut window, 64, None);
         put_everything(&mut e);
-        assert_eq!(e.crc().unwrap(), want_crc);
-        let written = e.finish_stream().unwrap();
-        assert_eq!(written, bytes.len() as u64);
-        assert_eq!(sink, bytes);
+        assert_eq!(e.finish().unwrap(), want.len() as u64);
+        assert_eq!(window, want);
     }
 
     #[test]
-    fn streaming_sink_defers_write_errors_to_finish() {
+    fn window_sink_defers_write_errors_to_finish() {
         struct Failing;
         impl std::io::Write for Failing {
             fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
@@ -1059,12 +1063,14 @@ mod tests {
                 Ok(())
             }
         }
-        let mut w = Failing;
-        let mut e = Encoder::streaming(&mut w, 64);
-        // Far more than one chunk: the failing flush must not panic the
-        // infallible put API.
+        let (mut w, mut window) = (Failing, Vec::new());
+        let mut e = Encoder::window(&mut window, 64, Some(&mut w));
+        // Far more than one window: the failing write must not panic the
+        // infallible put API, and the window stays bounded.
         e.put_f64_array(&vec![1.5; 10_000]);
-        assert!(e.finish_stream().is_err());
+        assert_eq!(e.len(), 4 + 80_000);
+        assert!(e.finish().is_err());
+        assert!(window.capacity() <= 64);
     }
 
     #[test]

@@ -33,7 +33,7 @@ echo "=== benchmark harness (the public API and dependency sets it is locked to)
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
-echo "=== benchmark runs (both sides of the send threshold: every reply correct, none failed) ==="
+echo "=== benchmark runs (frames inside and past the 1 MiB send window: every reply correct, none failed) ==="
 # Run the ruler, not just build it: one short traced run over the live TCP
 # stack per workload. The last stdout line is the result document; every
 # run must be all-correct with no failed call, and a workload may add

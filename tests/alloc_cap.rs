@@ -7,39 +7,52 @@
 //! honest side of the same bound: a small frame costs a small window, a
 //! large operand costs itself plus the window, never the frame twice — and
 //! on the send side, a request framed from borrowed operands costs the
-//! chunk buffer, not a copy of them. This binary has its own
+//! chunk buffer, not a copy of them, and a connection's warm writer sends
+//! without asking the allocator for anything. This binary has its own
 //! `#[global_allocator]`, which is why it is not part of another test file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use netsolve::core::DataObject;
-use netsolve::proto::frame::MAGIC;
+use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
-    frame_bytes_versioned, write_message_streamed, FrameReader, Message, RequestView,
-    DEFAULT_STREAM_CHUNK, MAX_FRAME_PAYLOAD, VERSION,
+    frame_bytes_versioned, write_message_streamed, FrameReader, FrameWriter, Message,
+    RequestView, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, VERSION,
 };
 use netsolve::xdr::{crc32, Encoder};
 
 /// Largest single request the allocator has seen since the last reset.
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Requests this thread has made of the allocator since the last reset.
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record(size: usize) {
+    LARGEST.fetch_max(size, Ordering::Relaxed);
+    let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+}
+
 struct Recording;
 
-// SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a relaxed atomic max, which allocates nothing.
+// SAFETY: every call is forwarded unchanged to `System`; the only additions
+// are a relaxed atomic max and a const-initialized thread-local count,
+// neither of which allocates.
 unsafe impl GlobalAlloc for Recording {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -183,4 +196,42 @@ fn a_borrowed_request_streams_through_one_chunk() {
         copied >= 1 << 20,
         "the owned route copies each operand: {copied}"
     );
+}
+
+/// The send side, warm: a connection's writer that has sent one 2 MiB
+/// borrowed request sends the next one, and a small reply, without asking
+/// the allocator for anything, and its window stays within its bound (a
+/// header, a `DEFAULT_STREAM_THRESHOLD` payload and the CRC): a frame past
+/// the bound leaves in read-window pieces and needs no more than one.
+#[test]
+fn a_warm_writer_sends_without_allocating() {
+    let _serial = serial();
+    let inputs: Vec<DataObject> = (0..2).map(|_| vec![0.5f64; 1 << 17].into()).collect();
+    let view = RequestView {
+        request_id: 1,
+        deadline_ms: 0,
+        trace_id: 0,
+        parent_span: 0,
+        problem: "ddot",
+        inputs: &inputs,
+    };
+    let reply = Message::RequestReply {
+        request_id: 1,
+        outputs: vec![DataObject::Double(0.5)],
+        compute_secs: 0.0,
+        cached: false,
+    };
+    let mut writer = FrameWriter::default();
+    writer.write_to(&mut io::sink(), &view).unwrap();
+
+    REQUESTS.with(|n| n.set(0));
+    let written = writer.write_to(&mut io::sink(), &view).unwrap();
+    writer.write_to(&mut io::sink(), &reply).unwrap();
+    let requests = REQUESTS.with(Cell::get);
+    assert!(written > 2 << 20, "{written}");
+    assert_eq!(requests, 0, "a warm writer asked the allocator {requests} times");
+    let bound = HEADER_LEN + DEFAULT_STREAM_THRESHOLD + 4;
+    let window = writer.buffered_capacity();
+    assert!(window <= bound, "window {window} over its bound {bound}");
+    assert!(window <= DEFAULT_STREAM_CHUNK, "window {window} for 2 MiB frames");
 }
