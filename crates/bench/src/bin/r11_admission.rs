@@ -19,8 +19,10 @@
 //! the fault tracker, not admission.
 //!
 //! Run: `cargo run --release -p netsolve-bench --bin r11_admission`
-//! (writes `results/BENCH_r11_admission.json`); pass `--quick` for a tiny
-//! smoke run that skips the JSON artifact.
+//! (writes `results/BENCH_r11_admission.json`, then asserts the three
+//! targets); pass `--quick` for a tiny smoke run that prints them, asserts
+//! none and skips the JSON artifact — its 60-request leg is too short for
+//! the agreement target.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,7 +30,7 @@ use std::time::{Duration, Instant};
 use netsolve_agent::{AgentCore, AgentDaemon, Policy};
 use netsolve_bench::{json_object, write_report, Table};
 use netsolve_client::NetSolveClient;
-use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
+use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionStats};
 use netsolve_core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
 use netsolve_core::{DataObject, NetSolveError, Rng64};
 use netsolve_net::{ChannelNetwork, NetworkView, Transport};
@@ -60,9 +62,7 @@ struct LiveRun {
     ok_latencies: Vec<f64>,
     shed_replies: usize,
     other_failures: usize,
-    decisions: u64,
-    sheds: u64,
-    shed_rate: f64,
+    stats: AdmissionStats,
 }
 
 /// One live overload run: `requests` Poisson arrivals at `rate`/s, each a
@@ -145,9 +145,7 @@ fn live_run(requests: usize, rate: f64, max_queue: usize, seed: u64) -> LiveRun 
         ok_latencies,
         shed_replies,
         other_failures,
-        decisions: policy.decisions(),
-        sheds: policy.sheds(),
-        shed_rate: policy.shed_rate(),
+        stats: policy.stats(),
     };
     server.stop();
     agent.stop();
@@ -176,10 +174,10 @@ fn main() {
 
     // --- Live: no-shed baseline vs depth-bound admission. ---
     let baseline = live_run(requests, rate, 1_000_000, 11);
-    assert_eq!(baseline.sheds, 0, "the infinite queue bound must never shed");
+    assert_eq!(baseline.stats.sheds(), 0, "the infinite queue bound must never shed");
     assert_eq!(baseline.ok_latencies.len(), requests, "baseline serves everything");
     let guarded = live_run(requests, rate, MAX_QUEUE, 11);
-    assert!(guarded.sheds > 0, "4x overload past a depth-{MAX_QUEUE} bound must shed");
+    assert!(guarded.stats.sheds() > 0, "4x overload past a depth-{MAX_QUEUE} bound must shed");
     assert_eq!(guarded.other_failures, 0, "only Busy sheds may fail requests");
 
     let mut b_lat = baseline.ok_latencies.clone();
@@ -190,8 +188,8 @@ fn main() {
     let sim_report = run(&sim_scenario(requests, rate, MAX_QUEUE)).unwrap();
     let sim_stats = *sim_report.admission().expect("admission enabled");
     let sim_p99 = sim_report.turnaround_percentile(99.0);
-    let rel_diff =
-        (sim_stats.shed_rate() - guarded.shed_rate).abs() / guarded.shed_rate.max(1e-9);
+    let live_rate = guarded.stats.shed_rate();
+    let rel_diff = (sim_stats.shed_rate() - live_rate).abs() / live_rate.max(1e-9);
 
     // --- Scale: 10^5 closed-loop clients through the simulator. ---
     let (scale_clients, scale_requests) =
@@ -216,13 +214,13 @@ fn main() {
         "live baseline (no shed)".into(),
         format!("{:.3} s", baseline_p99),
         format!("{}", baseline.ok_latencies.len()),
-        format!("{:.3}", baseline.shed_rate),
+        format!("{:.3}", baseline.stats.shed_rate()),
     ]);
     table.row(vec![
         format!("live admission (q={MAX_QUEUE})"),
         format!("{:.3} s", guarded_p99),
         format!("{}", guarded.ok_latencies.len()),
-        format!("{:.3}", guarded.shed_rate),
+        format!("{:.3}", live_rate),
     ]);
     table.row(vec![
         format!("sim admission (q={MAX_QUEUE})"),
@@ -236,10 +234,8 @@ fn main() {
         "\nshed-rate rel diff sim vs live: {:.1}% (target <= 15%)",
         rel_diff * 100.0
     );
-    println!(
-        "admitted p99 improvement over baseline: {:.1}x (target >= 2x)",
-        baseline_p99 / guarded_p99.max(1e-9)
-    );
+    let improvement = baseline_p99 / guarded_p99.max(1e-9);
+    println!("admitted p99 improvement over baseline: {improvement:.1}x (target >= 2x)");
     println!(
         "scale: {scale_clients} closed-loop clients, {scale_requests} requests in {scale_wall:.2} s \
          wall ({} succeeded, shed rate {:.3}; target < 60 s)",
@@ -252,7 +248,6 @@ fn main() {
         return;
     }
 
-    let improvement = baseline_p99 / guarded_p99.max(1e-9);
     write_report(
         "r11_admission",
         "One capacity-1 synthetic server under 4x Poisson overload, single-attempt ddot clients. \
@@ -273,9 +268,9 @@ fn main() {
                     ("p99_improvement", format!("{improvement:.2}")),
                     ("admitted_ok", guarded.ok_latencies.len().to_string()),
                     ("shed_replies", guarded.shed_replies.to_string()),
-                    ("decisions", guarded.decisions.to_string()),
-                    ("sheds", guarded.sheds.to_string()),
-                    ("shed_rate", format!("{:.6}", guarded.shed_rate)),
+                    ("decisions", guarded.stats.decisions.to_string()),
+                    ("sheds", guarded.stats.sheds().to_string()),
+                    ("shed_rate", format!("{live_rate:.6}")),
                 ]),
             ),
             (
@@ -300,4 +295,7 @@ fn main() {
             ),
         ],
     );
+    assert!(rel_diff <= 0.15, "sim/live shed-rate agreement {:.1}% > 15%", rel_diff * 100.0);
+    assert!(improvement >= 2.0, "admitted p99 improvement {improvement:.1}x < 2x");
+    assert!(scale_wall < 60.0, "scale leg took {scale_wall:.2} s >= 60 s");
 }

@@ -167,8 +167,8 @@ impl ServerCore {
     /// `policy` *before* reserving a solve slot (one slot, until a daemon
     /// sizes the gate from its `ServerConfig::capacity`): queue-depth shed
     /// with hysteresis, deadline-aware early reject, and a distinct shed
-    /// for budgets that expire while queued. Observed service seconds feed
-    /// the policy's per-problem histograms after every solve. The caller
+    /// for budgets that expire while queued. Every solve's seconds per
+    /// predicted flop feed the policy's learned per-problem rate. The caller
     /// keeps its `Arc` to read the decision counters — it is the exact
     /// object `netsolve-sim` runs on virtual time.
     pub fn with_admission(mut self, policy: Arc<AdmissionPolicy>) -> Self {
@@ -312,7 +312,7 @@ impl ServerCore {
             let depth = gate.depth();
             let left = budget_left_ms(req.deadline_ms, req.received_at.elapsed());
             if let AdmissionDecision::Shed { reason, retry_after_ms } =
-                gate.policy.admit(req.problem, depth, left)
+                gate.policy.admit(req.problem, self.predicted_flops(req), depth, left)
             {
                 let detail =
                     format!("reason={} depth={depth} hint={retry_after_ms}ms", reason.name());
@@ -370,6 +370,12 @@ impl ServerCore {
             "request {} deadline ({} ms) {tail}",
             req.ctx.request_id, req.deadline_ms
         ))
+    }
+
+    /// The complexity model's flops for `req`: 0 for a problem this server
+    /// does not offer (`run` refuses it).
+    fn predicted_flops(&self, req: &Request<'_>) -> f64 {
+        self.problems.get(req.problem).map_or(0.0, |spec| spec.predicted_flops(req.inputs))
     }
 
     /// Stage 3 — key the operands in place and either serve a verified
@@ -470,9 +476,8 @@ impl ServerCore {
 
     /// Stage 5 — make the outcome known: to the cache and any joined
     /// waiters (errors propagate, they are never cached), to the admission
-    /// policy's per-problem service histogram — the basis of its
-    /// deadline-aware early rejects and retry hints — and to
-    /// `server.compute_secs`.
+    /// policy's learned per-problem rate — the basis of its deadline-aware
+    /// early rejects and retry hints — and to `server.compute_secs`.
     fn publish(
         &self,
         req: &Request<'_>,
@@ -485,7 +490,11 @@ impl ServerCore {
                     token.complete_ok(&solved.outputs, solved.compute_secs);
                 }
                 if let Some(gate) = &self.gate {
-                    gate.policy.observe_service(req.problem, solved.compute_secs);
+                    gate.policy.observe_service(
+                        req.problem,
+                        self.predicted_flops(req),
+                        solved.compute_secs,
+                    );
                 }
                 self.metrics
                     .histogram("server.compute_secs")
@@ -831,6 +840,38 @@ pub(crate) mod tests {
                 Message::RequestReply { request_id: 7, cached: true, .. }
             ));
         });
+    }
+
+    /// Admission prices a request by its flops, not by its problem's name:
+    /// a core warmed on big solves admits a small one its history could
+    /// never finish in budget, and one warmed on small solves sheds a big
+    /// one it cannot finish.
+    #[test]
+    fn admission_prices_a_request_by_its_size_not_its_name() {
+        use netsolve_core::admission::AdmissionConfig;
+        let dgesv = |n: usize| -> Vec<DataObject> {
+            vec![Matrix::identity(n).into(), vec![1.0; n].into()]
+        };
+        // 400 Mflop/s: n = 400 takes ~107 ms, n = 20 ~13 µs.
+        for (warm, probe, admitted) in [(400, 20, true), (20, 400, false)] {
+            let core = ServerCore::new(
+                ProblemRegistry::with_standard_catalogue(),
+                ExecutionMode::Synthetic { mflops: 400.0 },
+            )
+            .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(64))));
+            for id in 0..8 {
+                let reply = core.handle_message(&submit(id, 0, "dgesv", dgesv(warm)));
+                assert!(matches!(reply, Message::RequestReply { .. }), "warm-up: {reply:?}");
+            }
+            match (admitted, core.handle_message(&submit(8, 50, "dgesv", dgesv(probe)))) {
+                (true, Message::RequestReply { .. }) => {}
+                (false, Message::Error { code, detail }) => {
+                    assert_eq!(code, NetSolveError::Resource(String::new()).code(), "{detail}");
+                    assert!(detail.contains("deadline_unmeetable"), "{detail}");
+                }
+                (_, other) => panic!("warmed on n = {warm}, n = {probe} in 50 ms: {}", other.name()),
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod scenario;
 
 pub use calendar::EventCalendar;
 pub use engine::{run, run_policies};
-pub use metrics::{AdmissionStats, CompletedRequest, SimReport};
+pub use metrics::{CompletedRequest, SimReport};
 pub use scenario::{Arrivals, RequestMix, Scenario, SimNetwork, SimServer};
 
 #[cfg(test)]

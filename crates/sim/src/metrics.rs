@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use netsolve_agent::Policy;
+use netsolve_core::admission::AdmissionStats;
 use netsolve_core::ids::ServerId;
 use netsolve_core::stats::Sample;
 
@@ -52,38 +53,6 @@ impl CompletedRequest {
     }
 }
 
-/// Aggregated admission-control outcomes for one run, summed over every
-/// server's [`AdmissionPolicy`](netsolve_core::admission::AdmissionPolicy)
-/// counters — the same counters the live server exposes, so sim and live
-/// shed rates are computed identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Total admit/shed decisions made.
-    pub decisions: u64,
-    /// Sheds due to queue depth (incl. hysteresis holds).
-    pub sheds_queue_full: u64,
-    /// Sheds of requests whose budget expired before service.
-    pub sheds_deadline_expired: u64,
-    /// Early rejects of deadlines the queue could not meet.
-    pub sheds_deadline_unmeetable: u64,
-}
-
-impl AdmissionStats {
-    /// Total sheds, all reasons.
-    pub fn sheds(&self) -> u64 {
-        self.sheds_queue_full + self.sheds_deadline_expired + self.sheds_deadline_unmeetable
-    }
-
-    /// Fraction of decisions that shed (0 when no decisions).
-    pub fn shed_rate(&self) -> f64 {
-        if self.decisions == 0 {
-            0.0
-        } else {
-            self.sheds() as f64 / self.decisions as f64
-        }
-    }
-}
-
 /// Everything a simulation run produced.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -105,7 +74,8 @@ impl SimReport {
         self
     }
 
-    /// Admission-control outcomes, when the scenario enabled admission.
+    /// Admission-control outcomes summed over every server's policy, when
+    /// the scenario enabled admission.
     pub fn admission(&self) -> Option<&AdmissionStats> {
         self.admission.as_ref()
     }

@@ -8,7 +8,8 @@
 //! large operand costs itself plus the window, never the frame twice — and
 //! on the send side, a request framed from borrowed operands costs the
 //! chunk buffer, not a copy of them, and a connection's warm writer sends
-//! without asking the allocator for anything. This binary has its own
+//! without asking the allocator for anything — nor does the admission
+//! policy every gated request passes. This binary has its own
 //! `#[global_allocator]`, which is why it is not part of another test file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,6 +18,7 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use netsolve::core::admission::{AdmissionConfig, AdmissionPolicy};
 use netsolve::core::DataObject;
 use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
@@ -234,4 +236,29 @@ fn a_warm_writer_sends_without_allocating() {
     let window = writer.buffered_capacity();
     assert!(window <= bound, "window {window} over its bound {bound}");
     assert!(window <= DEFAULT_STREAM_CHUNK, "window {window} for 2 MiB frames");
+}
+
+/// The admission gate, warm: once a problem has an observed solve, pricing
+/// a request of it with a deadline and learning from its solve ask the
+/// allocator for nothing.
+#[test]
+fn a_warm_admission_policy_decides_without_allocating() {
+    let _serial = serial();
+    let policy = AdmissionPolicy::new(AdmissionConfig::with_max_queue(64));
+    for depth in 0..3 {
+        policy.observe_service("dgesv", 1e6, 0.001);
+        let _ = policy.admit("dgesv", 1e6, depth, Some(1_000));
+    }
+
+    REQUESTS.with(|n| n.set(0));
+    for depth in 0..100 {
+        let _ = policy.admit("dgesv", 1e6, depth % 8, Some(1_000));
+    }
+    let admits = REQUESTS.with(Cell::get);
+    for _ in 0..100 {
+        policy.observe_service("dgesv", 1e6, 0.001);
+    }
+    let observes = REQUESTS.with(Cell::get) - admits;
+    assert_eq!((admits, observes), (0, 0), "allocator requests by 100 admits, 100 observes");
+    assert_eq!(policy.stats().decisions, 103);
 }
