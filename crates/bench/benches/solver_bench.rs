@@ -49,6 +49,20 @@ fn bench_gemm_ablation(c: &mut Criterion) {
             })
         });
     }
+    // The first trailing update of a 509-order LU: 477 rows and columns,
+    // ragged against every tile (477 = 24·19 + 21 = 8·59 + 5), so the
+    // AVX-512 instance's two 8x4 strips run beside its whole tiles.
+    let (ld, m, lda) = (509usize, 477usize, 488usize);
+    let a = Matrix::random(lda, k, &mut rng);
+    let b = Matrix::random(k, m, &mut rng);
+    let mut c_buf = Matrix::random(ld, m, &mut rng);
+    group.throughput(Throughput::Elements((2 * m * m * k) as u64));
+    group.bench_function("gemm_update/477x477x32", |bch| {
+        bch.iter(|| {
+            let c = std::hint::black_box(c_buf.as_mut_slice());
+            blas::gemm_update(c, ld, a.as_slice(), lda, b.as_slice(), k, m, m, k, -1.0)
+        })
+    });
     group.finish();
 }
 
@@ -58,8 +72,10 @@ fn bench_dense_solvers(c: &mut Criterion) {
     let mut rng = Rng64::new(2);
     // dgesv does ~(2/3)n^3 flops and dposv half that — criterion's element
     // throughput lets us read effective Mflop/s for simulator calibration.
-    // 192 and 512 are the orders the whole-call benchmark solves.
-    for &n in &[192usize, 512, 1024] {
+    // 192 and 512 are the orders the whole-call benchmark solves; 509 is
+    // ragged against every GEMM tile, so its trailing updates run the
+    // kernel's edge paths.
+    for &n in &[192usize, 509, 512, 1024] {
         let a = Matrix::random_diag_dominant(n, &mut rng);
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         group.throughput(Throughput::Elements((2 * n * n * n / 3) as u64));
@@ -72,7 +88,7 @@ fn bench_dense_solvers(c: &mut Criterion) {
             });
         }
         // (`random_spd` is a naive O(n^3) build: too slow to set up at 1024.)
-        if n <= 512 {
+        if n == 192 || n == 512 {
             let spd = Matrix::random_spd(n, &mut rng);
             group.throughput(Throughput::Elements((n * n * n / 3) as u64));
             group.bench_with_input(

@@ -92,11 +92,17 @@ pub(crate) fn max_abs(x: &[f64]) -> f64 {
 }
 
 /// Index of the element with the largest absolute value; `None` on empty.
+/// Reference BLAS's strict `>` scan, as the LU's pivot search: the first
+/// of tied maxima wins, and a `NaN` never compares greater, so it is passed
+/// over unless it is the first element, where the scan starts.
 pub fn idamax(x: &[f64]) -> Option<usize> {
-    x.iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| a.abs().partial_cmp(&b.abs()).expect("NaN in idamax"))
-        .map(|(i, _)| i)
+    let (mut best_i, mut best) = (0, x.first()?.abs());
+    for (i, v) in x.iter().enumerate().skip(1) {
+        if v.abs() > best {
+            (best_i, best) = (i, v.abs());
+        }
+    }
+    Some(best_i)
 }
 
 fn check_len(x: &[f64], y: &[f64]) -> Result<()> {
@@ -201,7 +207,8 @@ const GEMM_BLOCK: usize = 64;
 /// Panel width of the blocked LU and Cholesky factorisations: `NB` columns
 /// are factored unblocked, then the rest of the matrix is updated through
 /// [`gemm_update`] with `k = NB`. 16..64 measure within noise of each other
-/// at n = 192..1024 (DESIGN.md); 32 keeps the U12 scratch at `32 n` doubles.
+/// at n = 192..1024 (DESIGN.md), on the AVX-512 kernel too, where 32 led
+/// at n = 192 and `dposv` 512; 32 keeps the U12 scratch at `32 n` doubles.
 pub(crate) const NB: usize = 32;
 
 /// Copy the `m x k` column-major block `a` (leading dimension `lda`) into
@@ -227,12 +234,13 @@ pub(crate) fn pack_columns(buf: &mut Vec<f64>, a: &[f64], lda: usize, m: usize, 
 /// LU and Cholesky trailing updates all run on it.
 ///
 /// Every element of `C` receives its k-blocks in order, each summed in
-/// order, whatever tile it falls in — so results do not depend on how a
-/// caller splits `C` into panels, nor on which of the two instances of the
-/// loop nest runs: the portable one (4x4 tiles, built for baseline x86-64)
-/// or, on a CPU with AVX2, the same loop compiled for 256-bit lanes with
-/// 8x4 tiles. Neither fuses a multiply into an add, so both do the same
-/// IEEE operations per element in the same order and agree bit for bit.
+/// order from zero, whatever tile it falls in — so results do not depend on
+/// how a caller splits `C` into panels, nor on which of the three instances
+/// of the loop nest the CPU runs: on AVX-512F, 24x8 tiles in 512-bit lanes
+/// with the ragged strips on 8x4 tiles ([`gemm_avx512`]); else on AVX2, 8x4
+/// tiles in 256-bit lanes; else the portable 4x4 tiles built for baseline
+/// x86-64. None fuses a multiply into an add, so all do the same IEEE
+/// operations per element in the same order and agree bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_update(
     c: &mut [f64],
@@ -260,10 +268,17 @@ pub fn gemm_update(
         "gemm_update: operand slice too short"
     );
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") && !portable_pinned() {
-        // SAFETY: `gemm_avx2` needs only AVX2, which this CPU was just found
-        // to have.
-        return unsafe { gemm_avx2(c, ldc, a, lda, b, ldb, m, n, k, sign) };
+    if !portable_pinned() {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_avx512` needs only AVX-512F, which this CPU was
+            // just found to have.
+            return unsafe { gemm_avx512(c, ldc, a, lda, b, ldb, m, n, k, sign) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `gemm_avx2` needs only AVX2, which this CPU was just
+            // found to have.
+            return unsafe { gemm_avx2(c, ldc, a, lda, b, ldb, m, n, k, sign) };
+        }
     }
     gemm_tiles::<4, 4>(c, ldc, a, lda, b, ldb, m, n, k, sign)
 }
@@ -293,10 +308,42 @@ fn gemm_avx2(
     gemm_tiles::<8, 4>(c, ldc, a, lda, b, ldb, m, n, k, sign)
 }
 
+/// Whole 24x8 tiles cover `C[..m24, ..n8]`; the bottom `m % 24` rows (every
+/// column) and the right `n % 8` columns of the rows above them run 8x4
+/// tiles, so a ragged order stays vectorised instead of falling to the
+/// scalar edge loop. Each strip is a whole `gemm_tiles` over its own block
+/// of `C`, so every element still takes its k-blocks in order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_avx512(
+    c: &mut [f64],
+    ldc: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    sign: f64,
+) {
+    let (m24, n8) = (m - m % 24, n - n % 8);
+    gemm_tiles::<24, 8>(c, ldc, a, lda, b, ldb, m24, n8, k, sign);
+    if m24 < m {
+        gemm_tiles::<8, 4>(&mut c[m24..], ldc, &a[m24..], lda, b, ldb, m - m24, n, k, sign);
+    }
+    if n8 < n {
+        let (cr, br) = (&mut c[n8 * ldc..], &b[n8 * ldb..]);
+        gemm_tiles::<8, 4>(cr, ldc, a, lda, br, ldb, m24, n - n8, k, sign);
+    }
+}
+
 /// [`gemm_update`]'s loop nest over `MR x NR` register tiles, whose
 /// accumulators live in registers for a whole k-block: 4x4 is eight
 /// two-lane accumulators and 8x4 eight four-lane ones, which with the
-/// operands fill the sixteen vector registers without spilling.
+/// operands fill the sixteen `xmm`/`ymm` registers without spilling; 24x8
+/// is twenty-four eight-lane ones, of AVX-512's thirty-two `zmm`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn gemm_tiles<const MR: usize, const NR: usize>(
@@ -418,8 +465,10 @@ pub fn dgemm_threaded(a: &Matrix, b: &Matrix, threads: usize) -> Result<Matrix> 
 /// 256 and 512³, twelve interleaved rounds on the 2-vCPU reference box:
 /// threaded ahead in 12 of 12 at 256³ = 2^24 (1.22x median) and at
 /// 512³ (1.34x), level at 192³ (1.03x) and 128³ (0.98x), and 2.9x behind
-/// at 64³, where the spawns cost more than the product. The crossover is
-/// where the portable kernel had it.
+/// at 64³, where the spawns cost more than the product. On the AVX-512
+/// kernel, four runs of the same timer at 128..512³: threaded led 12 of 12
+/// from 192³ up only in the run with the second vCPU free, and trailed at
+/// every size to 384³ in the other three, so no smaller size earns it.
 const THREADED_GEMM_MIN_WORK: usize = 1 << 24;
 
 /// Whether [`dgemm`] threads an `m×k` by `k×n` product: by its work, not
@@ -486,6 +535,17 @@ mod tests {
         assert_eq!(dasum(&[1.0, -2.0, 3.0]), 6.0);
         assert_eq!(idamax(&[1.0, -5.0, 3.0]), Some(1));
         assert_eq!(idamax(&[]), None);
+    }
+
+    /// `idamax` is reference BLAS's scan: the first of tied maxima, and a
+    /// `NaN` passed over rather than a panic.
+    #[test]
+    fn idamax_takes_the_first_maximum_and_passes_over_nan() {
+        assert_eq!(idamax(&[5.0, -5.0]), Some(0));
+        assert_eq!(idamax(&[1.0, -7.0, 2.0, 7.0, -7.0]), Some(1));
+        assert_eq!(idamax(&[1.0, f64::NAN, 3.0]), Some(2));
+        assert_eq!(idamax(&[f64::NAN, 1.0]), Some(0));
+        assert_eq!(idamax(&[-0.0]), Some(0));
     }
 
     /// `ddot` against a compensated sum (products split exactly by
@@ -643,8 +703,8 @@ mod tests {
     #[test]
     fn gemm_update_ragged_shapes_match_naive() {
         let mut rng = Rng64::new(11);
-        // Each side of the 4-wide and 8-tall tile edges.
-        let edges = [0, 1, 3, 4, 5, 7, 8, 9, 11];
+        // Each side of the 4-wide, 8-wide and 24-tall tile edges.
+        let edges = [0, 1, 3, 4, 5, 7, 8, 9, 11, 23, 24, 25, 33];
         for &m in &edges {
             for &n in &edges {
                 for k in [0, 1, 2, 5] {
@@ -657,26 +717,52 @@ mod tests {
         check_gemm_update(17, 6, GEMM_BLOCK + 7, -1.0, 1, &mut rng);
     }
 
-    /// Whichever instance the dispatch picks on this host agrees with the
-    /// portable one bit for bit: every `m` and `n` in 0..=17 (each side of
-    /// the 4- and 8-wide tile edges), `k` on each side of one and two
-    /// k-blocks, leading dimensions past the shape, both signs.
+    /// One instance of the loop nest, called directly.
+    type Instance =
+        unsafe fn(&mut [f64], usize, &[f64], usize, &[f64], usize, usize, usize, usize, f64);
+
+    /// Each vector instance this CPU can run, whichever one dispatch picks.
+    fn vector_instances() -> Vec<(&'static str, Instance)> {
+        let mut out: Vec<(&'static str, Instance)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                out.push(("avx512", gemm_avx512));
+            }
+            if is_x86_feature_detected!("avx2") {
+                out.push(("avx2", gemm_avx2));
+            }
+        }
+        out
+    }
+
+    /// Every instance this CPU can run agrees with the portable one bit for
+    /// bit: every `m` and `n` in 0..=33 (whole 24x8 tiles with both 8x4
+    /// strips beside them, each side of every tile edge), `k` on each side
+    /// of one and two k-blocks, leading dimensions past the shape, both
+    /// signs.
     #[test]
-    fn dispatched_kernel_matches_the_portable_kernel() {
+    fn every_instance_matches_the_portable_kernel() {
+        let instances = vector_instances();
         let mut rng = Rng64::new(26);
         let mut random =
             |len: usize| -> Vec<f64> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for k in [1, 2, 63, 64, 65, 129] {
-            let (lda, ldb, ldc) = (20, k + 2, 18);
-            let (a, b, c0) = (random(lda * k), random(ldb * 17), random(ldc * 17));
-            for m in 0..=17 {
-                for n in 0..=17 {
+            let (lda, ldb, ldc) = (36, k + 2, 34);
+            let (a, b, c0) = (random(lda * k), random(ldb * 33), random(ldc * 33));
+            for m in 0..=33 {
+                for n in 0..=33 {
                     for sign in [1.0, -1.0] {
-                        let (mut got, mut want) = (c0.clone(), c0.clone());
-                        gemm_update(&mut got, ldc, &a, lda, &b, ldb, m, n, k, sign);
+                        let mut want = c0.clone();
                         gemm_tiles::<4, 4>(&mut want, ldc, &a, lda, &b, ldb, m, n, k, sign);
-                        assert_eq!(bits(&got), bits(&want), "{m}x{n}x{k}, sign {sign}");
+                        for (name, instance) in &instances {
+                            let mut got = c0.clone();
+                            // SAFETY: `vector_instances` lists only the
+                            // instances whose feature this CPU has.
+                            unsafe { instance(&mut got, ldc, &a, lda, &b, ldb, m, n, k, sign) };
+                            assert_eq!(bits(&got), bits(&want), "{name} {m}x{n}x{k}, sign {sign}");
+                        }
                     }
                 }
             }

@@ -268,7 +268,7 @@ mod tests {
     fn dense_problems_agree_bit_for_bit_on_either_kernel() {
         let mut rng = Rng64::new(96);
         let mut cases: Vec<(&str, Vec<DataObject>)> = Vec::new();
-        for n in [1, 9, 31, 33, 65, 67, 130, 257] {
+        for n in [1, 9, 31, 33, 47, 65, 67, 130, 161, 257] {
             let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let (a, spd) = (Matrix::random(n, n, &mut rng), Matrix::random_spd(n, &mut rng));
             cases.push(("dgesv", vec![a.clone().into(), b.clone().into()]));

@@ -56,7 +56,9 @@ sys.exit(0 if ok else 1)
 # 2 MiB request, compute-bound: 9.6-10 ms of LU on the portable 4x4 kernel,
 # 5.9-6.6 ms on the AVX2 8x4 instance with a column-loop panel and U12
 # solve, 4.6-5.3 ms with the recursive panel and GEMM-form solve (slow
-# phases of a shared host read up to 10.2 and 7.6 ms respectively).
+# phases of a shared host read up to 10.2 and 7.6 ms respectively). On an
+# AVX-512 host the 24x8 instance reads 4.4-5.5 ms here, and 5.4-6.2 ms in
+# a slow phase in which the AVX2 one reads 7.4-11.7 (ten runs a side).
 bench_run solve_dgesv solvers.backward_err_max 1e-10 solvers.execute_us 8000
 bench_run tiny_call net.dials_per_call 0.1           # ~100-byte frames: one read window; a steady client dials nothing
 bench_run bulk_reply                                 # 2 MiB reply: a client-side read 32 windows long

@@ -9,7 +9,8 @@
 //! on the send side, a request framed from borrowed operands costs the
 //! chunk buffer, not a copy of them, and a connection's warm writer sends
 //! without asking the allocator for anything — nor does the admission
-//! policy every gated request passes. This binary has its own
+//! policy every gated request passes, nor the GEMM kernel, and a dense solve
+//! asks for a pinned number of blocks. This binary has its own
 //! `#[global_allocator]`, which is why it is not part of another test file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,12 +20,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use netsolve::core::admission::{AdmissionConfig, AdmissionPolicy};
-use netsolve::core::DataObject;
+use netsolve::core::{DataObject, Matrix, Rng64};
 use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
     frame_bytes_versioned, write_message_streamed, FrameReader, FrameWriter, Message,
     RequestView, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, VERSION,
 };
+use netsolve::solvers::{blas, execute};
 use netsolve::xdr::{crc32, Encoder};
 
 /// Largest single request the allocator has seen since the last reset.
@@ -261,4 +263,43 @@ fn a_warm_admission_policy_decides_without_allocating() {
     let observes = REQUESTS.with(Cell::get) - admits;
     assert_eq!((admits, observes), (0, 0), "allocator requests by 100 admits, 100 observes");
     assert_eq!(policy.stats().decisions, 103);
+}
+
+/// The GEMM kernel at the LU's trailing-update shape (a 480x480 block of a
+/// 512-order matrix, a 32-deep panel read at the packed `L21` stride, 488)
+/// asks the allocator for nothing, on whichever instance this CPU runs: a
+/// kernel that packs or buffers per call fails here on every host.
+#[test]
+fn the_gemm_kernel_runs_without_allocating() {
+    let _serial = serial();
+    let (ldc, lda, m, k) = (512, 488, 480, 32);
+    let mut rng = Rng64::new(32);
+    let a = Matrix::random(lda, k, &mut rng);
+    let b = Matrix::random(k, m, &mut rng);
+    let mut c = Matrix::random(ldc, m, &mut rng);
+
+    REQUESTS.with(|n| n.set(0));
+    blas::gemm_update(c.as_mut_slice(), ldc, a.as_slice(), lda, b.as_slice(), k, m, m, k, -1.0);
+    let requests = REQUESTS.with(Cell::get);
+    assert_eq!(requests, 0, "gemm_update 480x480x32 asked the allocator {requests} times");
+}
+
+/// A warm `dgesv` at n = 512, `solve_dgesv`'s call, asks the allocator for
+/// exactly nine blocks: the factor's copy, its pivots and scratch, the
+/// answer and what the executor wraps around them. A solve that allocates
+/// per panel, per recursion node or per kernel call moves this count.
+#[test]
+fn a_dense_solve_makes_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let n = 512;
+    let mut rng = Rng64::new(33);
+    let a = Matrix::random_diag_dominant(n, &mut rng);
+    let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let args = [DataObject::from(a), DataObject::from(b)];
+    execute("dgesv", &args).unwrap();
+
+    REQUESTS.with(|n| n.set(0));
+    execute("dgesv", &args).unwrap();
+    let requests = REQUESTS.with(Cell::get);
+    assert_eq!(requests, 9, "a warm dgesv at n = 512 asked the allocator {requests} times");
 }
