@@ -21,9 +21,9 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use netsolve_core::clock::{Clock, RealClock};
+use netsolve_core::clock::{Clock, SimTime};
 use netsolve_core::config::AgentConfig;
 use netsolve_core::error::Result;
 use netsolve_net::{call_once, Daemon, StopSignal, Transport, KEEP_ALIVE};
@@ -46,7 +46,9 @@ struct Shared {
     /// The core's configuration, copied at start so the workers read
     /// their policies without the core lock.
     config: AgentConfig,
+    /// The transport's clock, and its reading when the daemon started.
     clock: Arc<dyn Clock>,
+    epoch: Instant,
     transport: Arc<dyn Transport>,
     address: String,
     peers: Mutex<Vec<Peer>>,
@@ -71,26 +73,14 @@ impl AgentDaemon {
     pub const MAX_CONNECTIONS: u32 = 512;
 
     /// Start an agent listening at `hint` on the given transport, serving
-    /// the given core. Time is wall-clock. The agent starts with no
-    /// federation peers; see [`AgentDaemon::set_peers`].
+    /// the given core. Time is the transport's clock, counted from now:
+    /// the core ages workloads and cools down servers in seconds since
+    /// the daemon started. The agent starts with no federation peers; see
+    /// [`AgentDaemon::set_peers`].
     pub fn start(
         transport: Arc<dyn Transport>,
         hint: &str,
-        core: AgentCore,
-    ) -> Result<AgentDaemon> {
-        Self::start_with_clock(transport, hint, core, Arc::new(RealClock::new()))
-    }
-
-    /// Start with an explicit clock (tests use a virtual one). The clock
-    /// must be shared with anyone who later queries the core's fault
-    /// state, since down-cooldowns compare [`SimTime`]s from this clock.
-    ///
-    /// [`SimTime`]: netsolve_core::clock::SimTime
-    pub fn start_with_clock(
-        transport: Arc<dyn Transport>,
-        hint: &str,
         mut core: AgentCore,
-        clock: Arc<dyn Clock>,
     ) -> Result<AgentDaemon> {
         let listener = transport.listen(hint)?;
         let address = listener.address();
@@ -99,11 +89,13 @@ impl AgentDaemon {
         let config = core.config().clone();
         let AgentConfig { heartbeat, gossip, telemetry, .. } = config;
         let mut daemon = Daemon::new(Arc::clone(&transport));
+        let clock = transport.clock();
         let shared = Arc::new(Shared {
             core: Arc::new(Mutex::new(core)),
             metrics: Arc::clone(&metrics),
             tracer,
             config,
+            epoch: clock.now(),
             clock,
             transport,
             address,
@@ -195,6 +187,12 @@ impl AgentDaemon {
 }
 
 impl Shared {
+    /// Seconds since the daemon started, on its transport's clock: the
+    /// time the core's table ages and cools down by.
+    fn now(&self) -> SimTime {
+        SimTime::from_secs(self.clock.since(self.epoch).as_secs_f64())
+    }
+
     fn call_once(&self, address: &str, msg: &Message, timeout: Duration) -> Result<Message> {
         call_once(self.transport.as_ref(), address, msg, timeout)
     }
@@ -207,7 +205,7 @@ impl Shared {
         let probe_timeout =
             Duration::from_secs_f64(self.config.heartbeat.probe_timeout_secs.max(0.001));
         let tracer = &self.tracer;
-        let targets = self.core.lock().probe_targets(self.clock.now());
+        let targets = self.core.lock().probe_targets(self.now());
         for (server, address) in targets {
             if self.stop.is_stopped() {
                 return;
@@ -231,7 +229,7 @@ impl Shared {
             if alive {
                 core.probe_succeeded(server);
             } else {
-                core.probe_missed(server, self.clock.now());
+                core.probe_missed(server, self.now());
             }
         }
     }
@@ -261,7 +259,7 @@ impl Shared {
         }
         let round_timeout =
             Duration::from_secs_f64(self.config.gossip.round_timeout_secs.max(0.001));
-        let now = self.clock.now();
+        let now = self.now();
         let (metrics, tracer) = (&self.metrics, &self.tracer);
         let sync = {
             let mut core = self.core.lock();
@@ -347,7 +345,7 @@ impl Shared {
         series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
         let own = series.digest(&self.address, "agent");
         let targets = {
-            let now = self.clock.now();
+            let now = self.now();
             let mut core = self.core.lock();
             core.store_digest(own, now);
             core.expire_digests(now);
@@ -361,7 +359,7 @@ impl Shared {
             }
             match self.call_once(&address, &Message::FleetStatsQuery, Duration::from_secs(2)) {
                 Ok(Message::FleetStatsReply { digests }) => {
-                    let now = self.clock.now();
+                    let now = self.now();
                     let mut core = self.core.lock();
                     for digest in digests {
                         core.store_digest(digest, now);
@@ -380,7 +378,7 @@ impl Shared {
     /// The reply to one message: the core's, widened through the peers
     /// when the core had nothing.
     fn answer(&self, msg: &Message) -> Message {
-        let mut reply = self.core.lock().handle_message(msg, self.clock.now());
+        let mut reply = self.core.lock().handle_message(msg, self.now());
         // Federation: client requests that found nothing locally are
         // widened to the peer agents (outside the core lock — peers
         // may be slow). Forwarded variants are answered locally only,
@@ -741,10 +739,9 @@ mod tests {
             ..AgentConfig::default()
         };
         let core = AgentCore::new(config, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
-        let clock: Arc<dyn Clock> = Arc::new(RealClock::new());
-        let mut daemon =
-            AgentDaemon::start_with_clock(Arc::clone(&transport), "agent", core, Arc::clone(&clock))
-                .unwrap();
+        let mut daemon = AgentDaemon::start(Arc::clone(&transport), "agent", core).unwrap();
+        // The daemon's own reading: fault state is kept in its seconds.
+        let clock = Arc::clone(&daemon.shared);
 
         let mut conn = net.connect("agent").unwrap();
         let reply = call(

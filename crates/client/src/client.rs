@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use netsolve_core::admission::parse_retry_after_ms;
+use netsolve_core::clock::Clock;
 use netsolve_core::config::RetryPolicy;
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
@@ -59,6 +60,8 @@ pub struct CallReport {
 /// mid-session agent crash costs at most one retried request.
 pub struct NetSolveClient {
     transport: Arc<dyn Transport>,
+    /// The transport's clock: every budget, pause and timer of a call.
+    clock: Arc<dyn Clock>,
     agents: Mutex<AgentRoster>,
     /// Idle server connections by address, least recently used first.
     idle: Mutex<Vec<(String, Box<dyn Connection>)>>,
@@ -90,19 +93,23 @@ fn hung_up(e: &NetSolveError) -> bool {
 }
 
 /// The end-to-end budget of one call (`RetryPolicy::deadline_secs`),
-/// started when `netsl_timed` is entered: the instant it runs out, or
-/// `None` for no limit. Every timeout and pause inside the call — agent
-/// legs included — is clamped to what is left of it.
+/// started when `netsl_timed` is entered: the instant it runs out on the
+/// client's clock, or `None` for no limit. Every timeout and pause inside
+/// the call — agent legs included — is clamped to what is left of it.
 #[derive(Clone, Copy)]
-struct Budget(Option<Instant>);
+struct Budget<'c> {
+    clock: &'c dyn Clock,
+    end: Option<Instant>,
+}
 
-impl Budget {
-    fn start(limit_secs: f64) -> Budget {
-        Budget((limit_secs > 0.0).then(|| Instant::now() + Duration::from_secs_f64(limit_secs)))
+impl<'c> Budget<'c> {
+    fn start(clock: &'c dyn Clock, started: Instant, limit_secs: f64) -> Self {
+        let end = (limit_secs > 0.0).then(|| started + Duration::from_secs_f64(limit_secs));
+        Budget { clock, end }
     }
 
     fn remaining(&self) -> Option<Duration> {
-        self.0.map(|end| end.saturating_duration_since(Instant::now()))
+        self.end.map(|end| end.saturating_duration_since(self.clock.now()))
     }
 
     fn spent(&self) -> bool {
@@ -124,14 +131,9 @@ impl Budget {
 /// What a piece of client work runs under: the trace context its spans
 /// are recorded in and the budget its waits are clamped to.
 #[derive(Clone, Copy)]
-struct Scope {
+struct Scope<'c> {
     ctx: SpanContext,
-    budget: Budget,
-}
-
-impl Scope {
-    /// Traceless and unlimited: requests made outside a `netsl` call.
-    const NONE: Scope = Scope { ctx: SpanContext::NONE, budget: Budget(None) };
+    budget: Budget<'c>,
 }
 
 /// One `netsl` call: what is fixed for its whole life, built once in
@@ -142,7 +144,7 @@ struct Call<'a> {
     inputs: &'a [DataObject],
     spec: ProblemSpec,
     shape: RequestShape,
-    scope: Scope,
+    scope: Scope<'a>,
 }
 
 /// The one reply classifier, for both rings: evaluates to `Ok` of the
@@ -198,6 +200,7 @@ impl NetSolveClient {
     pub fn new_multi(transport: Arc<dyn Transport>, agents: &[String]) -> Self {
         assert!(!agents.is_empty(), "a client needs at least one agent address");
         NetSolveClient {
+            clock: transport.clock(),
             transport,
             agents: Mutex::new(AgentRoster {
                 addresses: agents.to_vec(),
@@ -252,6 +255,11 @@ impl NetSolveClient {
     /// This client's tracer.
     pub fn tracer(&self) -> Arc<Tracer> {
         Arc::clone(&self.tracer)
+    }
+
+    /// Traceless and unlimited: requests made outside a `netsl` call.
+    fn unscoped(&self) -> Scope<'_> {
+        Scope { ctx: SpanContext::NONE, budget: Budget { clock: self.clock.as_ref(), end: None } }
     }
 
     fn attempt_timeout(&self) -> Duration {
@@ -318,11 +326,11 @@ impl NetSolveClient {
     /// Run `work` inside a fresh `client` × `phase` span recorded under
     /// `scope`; `work` gets the scope its own children nest under. The
     /// span's detail is what `detail` says about the result, or `err=…`.
-    fn span<T>(
+    fn span<'c, T>(
         &self,
-        scope: Scope,
+        scope: Scope<'c>,
         phase: &'static str,
-        work: impl FnOnce(Scope) -> Result<T>,
+        work: impl FnOnce(Scope<'c>) -> Result<T>,
         detail: impl FnOnce(&T) -> String,
     ) -> Result<T> {
         let timer = self.tracer.start();
@@ -340,7 +348,7 @@ impl NetSolveClient {
     /// shedding server's `retry_after_ms` hint so a hinted client never
     /// hammers a server that just said when capacity frees up, and
     /// clamped to what the budget has left.
-    fn pace(&self, scope: Scope, retry: u32, floor_ms: u64) {
+    fn pace(&self, scope: Scope<'_>, retry: u32, floor_ms: u64) {
         let jitter = self.jitter.lock().next_f64();
         let wait = self.retry.backoff.delay_secs(retry - 1, jitter).max(floor_ms as f64 / 1e3);
         if wait <= 0.0 {
@@ -351,14 +359,14 @@ impl NetSolveClient {
             .histogram("client.backoff_wait_secs")
             .record_secs_traced(pause.as_secs_f64(), scope.ctx.trace_id);
         let sleep = |_| {
-            std::thread::sleep(pause);
+            self.clock.sleep(pause);
             Ok(())
         };
         let _ = self.span(scope, "backoff", sleep, no_detail);
     }
 
     /// The one way a call stops on a spent budget, in either ring.
-    fn exhausted(&self, scope: Scope, progress: String) -> NetSolveError {
+    fn exhausted(&self, scope: Scope<'_>, progress: String) -> NetSolveError {
         self.metrics.counter("client.deadline_exhausted").inc();
         self.tracer.point(scope.ctx, "client", "deadline_exhausted", progress.clone());
         NetSolveError::Timeout(format!(
@@ -370,7 +378,7 @@ impl NetSolveClient {
     /// Rank the agent list once, by `Ping` round-trip time with
     /// unreachable agents last, so the first request already prefers the
     /// closest live agent. Single-agent rosters skip the probe.
-    fn ensure_ranked(&self, roster: &mut AgentRoster, budget: Budget) {
+    fn ensure_ranked(&self, roster: &mut AgentRoster, budget: Budget<'_>) {
         if roster.ranked {
             return;
         }
@@ -382,10 +390,10 @@ impl NetSolveClient {
             .into_iter()
             .map(|address| {
                 let timeout = budget.clamp(self.attempt_timeout().min(Duration::from_secs(2)));
-                let start = Instant::now();
+                let start = self.clock.now();
                 let probe = call_once(self.transport.as_ref(), &address, &Message::Ping, timeout);
                 let rtt = match probe {
-                    Ok(Message::Pong) => start.elapsed().as_secs_f64(),
+                    Ok(Message::Pong) => self.clock.since(start).as_secs_f64(),
                     _ => f64::INFINITY,
                 };
                 (rtt, address)
@@ -409,7 +417,7 @@ impl NetSolveClient {
     /// A spent budget ends the call, counted through [`Self::exhausted`],
     /// only when the request is one of the call's own stages (`stage`);
     /// the best-effort report leg just gives up with the last error.
-    fn agent_call(&self, msg: &Message, scope: Scope, stage: bool) -> Result<Message> {
+    fn agent_call(&self, msg: &Message, scope: Scope<'_>, stage: bool) -> Result<Message> {
         let mut roster = self.agents.lock();
         self.ensure_ranked(&mut roster, scope.budget);
         let (agents, first) = (roster.addresses.len(), roster.current);
@@ -459,22 +467,22 @@ impl NetSolveClient {
 
     /// Names of every problem the domain offers.
     pub fn list_problems(&self) -> Result<Vec<String>> {
-        let reply = self.agent_call(&Message::ListProblems, Scope::NONE, true)?;
+        let reply = self.agent_call(&Message::ListProblems, self.unscoped(), true)?;
         expect_reply!(reply, Message::ProblemCatalogue { names } => names)
     }
 
     /// The agent's live server roster (operator tooling).
     pub fn list_servers(&self) -> Result<Vec<netsolve_proto::ServerInfo>> {
-        let reply = self.agent_call(&Message::ListServers, Scope::NONE, true)?;
+        let reply = self.agent_call(&Message::ListServers, self.unscoped(), true)?;
         expect_reply!(reply, Message::ServerInfoList { servers } => servers)
     }
 
     /// Fetch (and cache) a problem's specification from the agent.
     pub fn describe(&self, problem: &str) -> Result<ProblemSpec> {
-        self.describe_under(problem, Scope::NONE)
+        self.describe_under(problem, self.unscoped())
     }
 
-    fn describe_under(&self, problem: &str, scope: Scope) -> Result<ProblemSpec> {
+    fn describe_under(&self, problem: &str, scope: Scope<'_>) -> Result<ProblemSpec> {
         if let Some(spec) = self.specs.lock().get(problem) {
             return Ok(spec.clone());
         }
@@ -490,13 +498,13 @@ impl NetSolveClient {
 
     /// Ask the agent for the ranked candidate list for a call.
     pub fn query_servers(&self, spec: &ProblemSpec, inputs: &[DataObject]) -> Result<Vec<Candidate>> {
-        self.candidates(&RequestShape::from_call(spec, inputs), Scope::NONE)
+        self.candidates(&RequestShape::from_call(spec, inputs), self.unscoped())
     }
 
     /// The `ServerQuery` exchange. Under a call, `scope.ctx` is the rank
     /// span: its trace id and span id ride in the query, and the agent's
     /// `score` span nests under it.
-    fn candidates(&self, shape: &RequestShape, scope: Scope) -> Result<Vec<Candidate>> {
+    fn candidates(&self, shape: &RequestShape, scope: Scope<'_>) -> Result<Vec<Candidate>> {
         let query = Message::ServerQuery(QueryShape {
             client_host: self.client_host,
             problem: shape.problem.clone(),
@@ -532,8 +540,8 @@ impl NetSolveClient {
         // server traffic (bad arguments, agent unreachable), so
         // calls == calls_ok + calls_failed always closes.
         self.metrics.counter("client.calls").inc();
-        let started = Instant::now();
-        let budget = Budget::start(self.retry.deadline_secs);
+        let started = self.clock.now();
+        let budget = Budget::start(self.clock.as_ref(), started, self.retry.deadline_secs);
         let result = self
             .describe_under(problem, Scope { ctx: SpanContext::NONE, budget })
             .and_then(|spec| spec.check_inputs(inputs).map(|()| spec))
@@ -622,7 +630,7 @@ impl NetSolveClient {
                 self.metrics.counter("client.calls_ok").inc();
                 self.metrics
                     .histogram("client.call_secs")
-                    .record_secs_traced(started.elapsed().as_secs_f64(), report.trace_id);
+                    .record_secs_traced(self.clock.since(started).as_secs_f64(), report.trace_id);
             }
             Err(_) => self.metrics.counter("client.calls_failed").inc(),
         }
@@ -654,7 +662,7 @@ impl NetSolveClient {
     /// a new dial. The flag says which it was.
     fn connection(
         &self,
-        scope: Scope,
+        scope: Scope<'_>,
         address: &str,
         fresh: bool,
     ) -> Result<(Box<dyn Connection>, bool)> {
@@ -682,14 +690,15 @@ impl NetSolveClient {
         attempts: u32,
     ) -> Result<(Vec<DataObject>, CallReport)> {
         self.metrics.counter("client.attempts").inc();
-        let start = Instant::now();
-        let exchange = |scope: Scope| {
+        let start = self.clock.now();
+        let exchange = |scope: Scope<'_>| {
             let ctx = scope.ctx;
             // What is left of this try and of the call: a kept connection
             // may fail late (its server died mid-solve), and the redial
             // gets the rest, not a second full timeout.
-            let left =
-                || scope.budget.clamp(self.attempt_timeout().saturating_sub(start.elapsed()));
+            let left = || {
+                scope.budget.clamp(self.attempt_timeout().saturating_sub(self.clock.since(start)))
+            };
             let mut fresh = false;
             let (conn, reply) = loop {
                 let timeout = left();
@@ -748,7 +757,7 @@ impl NetSolveClient {
                 server_id: candidate.server_id,
                 server_address: candidate.address.clone(),
                 predicted_secs: candidate.predicted_secs,
-                total_secs: start.elapsed().as_secs_f64(),
+                total_secs: self.clock.since(start).as_secs_f64(),
                 compute_secs,
                 attempts,
             };
@@ -830,7 +839,10 @@ mod tests {
     }
 
     fn bring_up(server_specs: &[(&str, f64)]) -> Domain {
-        let net = killable();
+        bring_up_on(killable(), server_specs)
+    }
+
+    fn bring_up_on(net: Arc<ChaosTransport>, server_specs: &[(&str, f64)]) -> Domain {
         let transport: Arc<dyn Transport> = net.clone();
         let agent =
             AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults())
@@ -1058,6 +1070,39 @@ mod tests {
             "deadline did not bound the call: {elapsed:?}"
         );
         domain.shutdown();
+    }
+
+    /// The clock seam, end to end: agent, servers and client all read the
+    /// virtual clock their transport carries. The first try meets a
+    /// refused dial, the client backs off on that clock, and the 10 s
+    /// budget runs out during the pause — clamped from the minute the
+    /// backoff asked for — without a second of wall time.
+    #[test]
+    fn a_virtual_clock_spends_the_budget_in_the_backoff_pause() {
+        use netsolve_core::clock::VirtualClock;
+        use netsolve_core::config::{Backoff, RetryPolicy};
+        let wall = Instant::now();
+        let clock = VirtualClock::new();
+        let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
+        let chaos = Arc::new(ChaosTransport::new(Arc::new(net), ChaosPolicy::calm(), 0));
+        let domain = bring_up_on(chaos, &[("fast", 1000.0), ("slow", 10.0)]);
+        domain.net.kill("srv0");
+        let client = domain.client().with_retry(RetryPolicy {
+            max_attempts: 3,
+            attempt_timeout_secs: 5.0,
+            backoff: Backoff::Fixed { delay_secs: 60.0 },
+            deadline_secs: 10.0,
+            report_failures: true,
+        });
+        let started = clock.now();
+        let err = client.netsl_timed("ddot", &[vec![2.0].into(), vec![3.0].into()]).unwrap_err();
+        let exhausted = "deadline of 10.000s exhausted after 1 attempt(s)";
+        assert!(matches!(&err, NetSolveError::Timeout(m) if m.contains(exhausted)), "{err}");
+        let pauses = client.metrics().histogram("client.backoff_wait_secs");
+        assert_eq!((pauses.count(), pauses.sum_secs()), (1, 10.0));
+        assert_eq!(clock.since(started), Duration::from_secs(10));
+        domain.shutdown();
+        assert!(wall.elapsed() < Duration::from_secs(1), "took {:?}", wall.elapsed());
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Time abstraction shared by the live system and the simulator.
+//! Time: the live path's one clock, and the simulator's virtual seconds.
 //!
-//! The live agent/server/client stack measures real wall-clock time; the
-//! discrete-event simulator advances a virtual clock. Both implement
-//! [`Clock`], so code like the workload manager's time-to-live logic is
-//! written once and tested deterministically.
+//! Every live component — client, server, agent and the chaos link — reads
+//! and spends time through the [`Clock`] its transport carries
+//! (`netsolve_net::Transport::clock`): [`RealClock`] in production, a
+//! [`VirtualClock`] where a test replays the live code without waiting.
+//! The discrete-event simulator counts [`SimTime`] seconds, which the
+//! agent's core shares.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -73,75 +75,76 @@ impl std::fmt::Display for SimTime {
     }
 }
 
-/// Source of "now", implemented by both wall-clock and virtual time.
+/// Where the live path reads and spends time.
 pub trait Clock: Send + Sync {
     /// Current time.
-    fn now(&self) -> SimTime;
-}
+    fn now(&self) -> Instant;
 
-/// Wall-clock time relative to the clock's creation.
-#[derive(Debug)]
-pub struct RealClock {
-    start: Instant,
-}
+    /// Return once the clock reads `t` or later.
+    fn sleep_until(&self, t: Instant);
 
-impl RealClock {
-    /// A clock whose epoch is the moment of creation.
-    pub fn new() -> Self {
-        RealClock { start: Instant::now() }
+    /// Time from `earlier` to now; zero if `earlier` is later.
+    fn since(&self, earlier: Instant) -> Duration {
+        self.now().saturating_duration_since(earlier)
+    }
+
+    /// Spend `pause` on this clock.
+    fn sleep(&self, pause: Duration) {
+        self.sleep_until(self.now() + pause)
     }
 }
 
-impl Default for RealClock {
+/// The system's monotonic clock: a sleep blocks the thread.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RealClock;
+
+impl Clock for RealClock {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn sleep_until(&self, t: Instant) {
+        std::thread::sleep(t.saturating_duration_since(Instant::now()))
+    }
+}
+
+/// A clock that moves only when told to, for deterministic tests: a sleep
+/// moves it forward to the wake time and returns at once.
+///
+/// Cloning shares the underlying time cell, so every component holding a
+/// clone observes the same virtual instant. Time never runs backwards.
+#[derive(Debug, Clone)]
+pub struct VirtualClock {
+    origin: Instant,
+    elapsed: Arc<Mutex<Duration>>,
+}
+
+impl VirtualClock {
+    /// A virtual clock reading the moment of its creation.
+    pub fn new() -> Self {
+        VirtualClock { origin: Instant::now(), elapsed: Arc::default() }
+    }
+
+    /// Move the clock forward by `by`.
+    pub fn advance(&self, by: Duration) {
+        *self.elapsed.lock() += by;
+    }
+}
+
+impl Default for VirtualClock {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Clock for RealClock {
-    fn now(&self) -> SimTime {
-        SimTime(self.start.elapsed().as_secs_f64())
-    }
-}
-
-/// A manually-advanced clock for simulation and deterministic tests.
-///
-/// Cloning shares the underlying time cell, so every component holding a
-/// clone observes the same virtual instant.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
-    now: Arc<Mutex<f64>>,
-}
-
-impl VirtualClock {
-    /// A virtual clock starting at t = 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Move the clock to an absolute time. Panics if this would move time
-    /// backwards — event-driven code relies on monotonicity.
-    pub fn set(&self, t: SimTime) {
-        let mut now = self.now.lock();
-        assert!(
-            t.0 >= *now,
-            "virtual clock moved backwards: {} -> {}",
-            *now,
-            t.0
-        );
-        *now = t.0;
-    }
-
-    /// Advance the clock by `secs` seconds.
-    pub fn advance(&self, secs: f64) {
-        assert!(secs >= 0.0, "cannot advance by negative time");
-        *self.now.lock() += secs;
-    }
-}
-
 impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        SimTime(*self.now.lock())
+    fn now(&self) -> Instant {
+        self.origin + *self.elapsed.lock()
+    }
+
+    fn sleep_until(&self, t: Instant) {
+        let mut elapsed = self.elapsed.lock();
+        *elapsed = (*elapsed).max(t.saturating_duration_since(self.origin));
     }
 }
 
@@ -162,37 +165,45 @@ mod tests {
 
     #[test]
     fn real_clock_monotonic() {
-        let c = RealClock::new();
+        let c = RealClock;
         let t1 = c.now();
         let t2 = c.now();
-        assert!(t2.as_secs() >= t1.as_secs());
+        assert!(t2 >= t1);
+        c.sleep_until(t1 + Duration::from_millis(1));
+        assert!(c.since(t1) >= Duration::from_millis(1));
     }
 
     #[test]
     fn virtual_clock_advances_and_shares() {
         let c = VirtualClock::new();
         let c2 = c.clone();
-        assert_eq!(c.now().as_secs(), 0.0);
-        c.advance(1.5);
-        assert!((c2.now().as_secs() - 1.5).abs() < 1e-12);
-        c2.set(SimTime::from_secs(3.0));
-        assert!((c.now().as_secs() - 3.0).abs() < 1e-12);
+        let t0 = c.now();
+        c.advance(Duration::from_millis(1500));
+        assert_eq!(c2.since(t0), Duration::from_millis(1500));
+        c2.sleep_until(t0 + Duration::from_secs(3));
+        assert_eq!(c.now(), t0 + Duration::from_secs(3));
     }
 
+    /// A virtual sleep costs no wall time and lands exactly on its wake
+    /// time; a wake time already passed leaves the clock where it is.
     #[test]
-    #[should_panic(expected = "backwards")]
-    fn virtual_clock_rejects_backwards() {
+    fn virtual_sleep_moves_time_instead_of_spending_it() {
         let c = VirtualClock::new();
-        c.advance(2.0);
-        c.set(SimTime::from_secs(1.0));
+        let (t0, wall) = (c.now(), Instant::now());
+        c.sleep(Duration::from_secs(3600));
+        assert_eq!(c.since(t0), Duration::from_secs(3600));
+        c.sleep_until(t0 + Duration::from_secs(1));
+        assert_eq!(c.since(t0), Duration::from_secs(3600), "time never runs backwards");
+        assert!(wall.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
     fn clock_trait_object_usable() {
-        let clocks: Vec<Box<dyn Clock>> =
-            vec![Box::new(RealClock::new()), Box::new(VirtualClock::new())];
+        let clocks: Vec<Box<dyn Clock>> = vec![Box::new(RealClock), Box::new(VirtualClock::new())];
         for c in &clocks {
-            let _ = c.now();
+            let t = c.now();
+            c.sleep(Duration::ZERO);
+            assert!(c.now() >= t);
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   the `a·n^b` [`problem::Complexity`] cost model the agent's predictor
 //!   uses;
 //! * [`error::NetSolveError`] — the status-code catalogue;
-//! * [`clock`] — real and virtual time behind one [`clock::Clock`] trait so
-//!   workload-aging logic is testable deterministically;
+//! * [`clock`] — the live path's one [`clock::Clock`], real or virtual, so
+//!   timeouts, pacing and link time replay deterministically;
 //! * [`rng::Rng64`] — seeded randomness for reproducible experiments;
 //! * [`stats`] — EWMA/percentile helpers for the agent and the
 //!   experiment harness.

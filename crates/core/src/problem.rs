@@ -200,6 +200,24 @@ impl ProblemSpec {
     }
 }
 
+/// Wire bytes predicted for declared objects at dominant dimension `n`,
+/// before the objects exist: matrices `n × n`, vectors `n`, sparse
+/// matrices CSR with about five entries a row, scalars and text a
+/// constant. The live client prices a call's outputs by it; the simulator
+/// prices both directions.
+pub fn estimated_wire_bytes(objects: &[ObjectSpec], n: u64) -> u64 {
+    objects
+        .iter()
+        .map(|o| match o.kind {
+            ObjectKind::IntScalar | ObjectKind::DoubleScalar => 8,
+            ObjectKind::Vector => 8 + 8 * n,
+            ObjectKind::Matrix => 16 + 8 * n * n,
+            ObjectKind::SparseMatrix => 16 + 8 * (n + 1) + 16 * 5 * n,
+            ObjectKind::Text => 64,
+        })
+        .sum()
+}
+
 /// The abstract *shape* of one request, which is all the agent needs for
 /// ranking: problem name, dominant dimension, and bytes each way.
 ///
@@ -223,24 +241,11 @@ impl RequestShape {
     /// do not exist yet at scheduling time (NetSolve did the same).
     pub fn from_call(spec: &ProblemSpec, args: &[DataObject]) -> Self {
         let n = spec.dominant_dim(args);
-        let bytes_in = crate::data::total_wire_bytes(args);
-        let bytes_out = spec
-            .outputs
-            .iter()
-            .map(|o| match o.kind {
-                ObjectKind::IntScalar | ObjectKind::DoubleScalar => 8,
-                ObjectKind::Vector => 8 + 8 * n,
-                ObjectKind::Matrix => 16 + 8 * n * n,
-                // CSR of a typical sparse result: assume ~5 entries/row.
-                ObjectKind::SparseMatrix => 16 + 8 * (n + 1) + 16 * 5 * n,
-                ObjectKind::Text => 64,
-            })
-            .sum();
         RequestShape {
             problem: spec.name.clone(),
             n,
-            bytes_in,
-            bytes_out,
+            bytes_in: crate::data::total_wire_bytes(args),
+            bytes_out: estimated_wire_bytes(&spec.outputs, n),
         }
     }
 

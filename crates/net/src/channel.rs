@@ -9,13 +9,15 @@
 //! [`crate::chaos::ChaosTransport`]'s job, over this transport or TCP alike.
 //!
 //! A [`ChannelNetwork`] is an isolated universe: listeners register by
-//! name and connections are made by name.
+//! name and connections are made by name, and every component on it reads
+//! one clock — a virtual one replays the whole domain without waiting.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use netsolve_core::clock::{Clock, RealClock};
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_proto::{encode_frame_into, parse_frame, Body, Message, RequestView};
 use parking_lot::Mutex;
@@ -28,15 +30,28 @@ struct ConnRequest {
 }
 
 /// An isolated in-process network. Cloning shares the universe.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ChannelNetwork {
     listeners: Arc<Mutex<HashMap<String, Sender<ConnRequest>>>>,
+    clock: Arc<dyn Clock>,
 }
 
 impl ChannelNetwork {
-    /// An empty network.
+    /// An empty network on the system clock.
     pub fn new() -> Self {
-        Self::default()
+        ChannelNetwork { listeners: Arc::default(), clock: Arc::new(RealClock) }
+    }
+
+    /// This network with every component on it reading `clock`.
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
+    }
+}
+
+impl Default for ChannelNetwork {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -71,6 +86,10 @@ impl Transport for ChannelNetwork {
             rx: s2c_rx,
             peer: address.to_string(),
         }))
+    }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        Arc::clone(&self.clock)
     }
 }
 

@@ -38,6 +38,11 @@
 //! returns later than its timeout: a reply the link makes late is a
 //! `Timeout`, as on a real link, and is lost to the caller.
 //!
+//! All link time and black-holed waits are spent on the inner transport's
+//! clock (DESIGN.md §4q), so over a virtual-clock
+//! [`crate::channel::ChannelNetwork`] an exchange moves the clock by
+//! exactly its sampled legs and takes no wall time.
+//!
 //! Every injected fault is counted; [`ChaosTransport::stats`] exposes a
 //! snapshot so tests can assert, e.g., that every injected corruption was
 //! detected by CRC validation. [`ChaosTransport::with_metrics`] mirrors
@@ -51,6 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use netsolve_core::clock::Clock;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::rng::Rng64;
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
@@ -218,6 +224,8 @@ pub struct ChaosStats {
 /// to outbound connections. See the module docs for the catalogue.
 pub struct ChaosTransport {
     inner: Arc<dyn Transport>,
+    /// The inner transport's clock, read once.
+    clock: Arc<dyn Clock>,
     policy: ChaosPolicy,
     rng: Mutex<Rng64>,
     counters: Arc<Counters>,
@@ -233,6 +241,7 @@ impl ChaosTransport {
     /// `seed`.
     pub fn new(inner: Arc<dyn Transport>, policy: ChaosPolicy, seed: u64) -> Self {
         ChaosTransport {
+            clock: inner.clock(),
             inner,
             policy,
             rng: Mutex::new(Rng64::new(seed)),
@@ -338,6 +347,7 @@ impl Transport for ChaosTransport {
         self.counters.connects.bump();
         Ok(Box::new(ChaosConnection {
             inner,
+            clock: Arc::clone(&self.clock),
             policy: self.policy,
             rng,
             counters: Arc::clone(&self.counters),
@@ -351,10 +361,15 @@ impl Transport for ChaosTransport {
     fn unblock(&self, address: &str) {
         self.inner.unblock(address);
     }
+
+    fn clock(&self) -> Arc<dyn Clock> {
+        Arc::clone(&self.clock)
+    }
 }
 
 struct ChaosConnection {
     inner: Box<dyn Connection>,
+    clock: Arc<dyn Clock>,
     policy: ChaosPolicy,
     rng: Rng64,
     counters: Arc<Counters>,
@@ -416,16 +431,15 @@ impl ChaosConnection {
             return Ok(());
         }
         self.counters.delays.bump();
-        let due = Instant::now() + delay;
-        let sleep_until = |t: Instant| std::thread::sleep(t.saturating_duration_since(Instant::now()));
+        let due = self.clock.now() + delay;
         if let Some(deadline) = deadline.filter(|deadline| due > *deadline) {
-            sleep_until(deadline);
+            self.clock.sleep_until(deadline);
             return Err(NetSolveError::Timeout(format!(
                 "chaos: the link delivers {}'s reply after the timeout",
                 self.address
             )));
         }
-        sleep_until(due);
+        self.clock.sleep_until(due);
         Ok(())
     }
 
@@ -437,11 +451,11 @@ impl ChaosConnection {
             self.counters.black_holes.bump();
             self.counters.fault_point("black_hole", String::new());
             let cap = self.policy.black_hole_cap;
-            std::thread::sleep(timeout.map_or(cap, |t| t.min(cap)));
+            self.clock.sleep(timeout.map_or(cap, |t| t.min(cap)));
             return Err(NetSolveError::Timeout("chaos: read black-holed".into()));
         }
         self.maybe_reset("recv")?;
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let deadline = timeout.map(|t| self.clock.now() + t);
         let msg = match timeout {
             Some(t) => self.inner.recv_timeout(t)?,
             None => self.inner.recv()?,
@@ -621,6 +635,45 @@ mod tests {
             assert!(big >= Duration::from_millis(160), "{address}: {big:?}");
             assert!(small * 2 < big, "{address}: small={small:?} big={big:?}");
         }
+    }
+
+    /// Over a virtual-clock network the link spends its time on that
+    /// clock: each exchange moves it by exactly the two legs the seeded
+    /// stream samples — replayed here draw for draw — and costs no wall
+    /// time, though the legs add up to seconds.
+    #[test]
+    fn a_virtual_clock_link_advances_by_exactly_the_sampled_legs() {
+        use netsolve_core::clock::VirtualClock;
+        let clock = VirtualClock::new();
+        let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
+        spawn_echo(&net, "echo");
+        let (link, seed) = (LinkModel::wan_1996(), 12);
+        let chaos = chaotic(&net, ChaosPolicy::calm().with_link(link), seed);
+        let mut conn = chaos.connect("echo").unwrap();
+        // The connection's stream as `connect` forks it, past its refusal draw.
+        let mut parent = Rng64::new(seed);
+        let stream = parent.next_u64();
+        let mut rng = parent.fork(stream);
+        rng.next_f64();
+        let wall = Instant::now();
+        for msg in [Message::Ping, bulky(), Message::Ping] {
+            let reply = if msg == Message::Ping { Message::Pong } else { msg.clone() };
+            // Draws in order: send reset, the request's leg, black hole,
+            // receive reset, the reply's leg, corruption.
+            let mut legs = Duration::ZERO;
+            for draw in [None, Some(&msg), None, None, Some(&reply), None] {
+                let Some(m) = draw else {
+                    rng.next_f64();
+                    continue;
+                };
+                let frame = (HEADER_LEN + 4) as u64 + m.encoded_len(VERSION);
+                legs += Duration::from_secs_f64(link.sample_transfer_secs(frame, &mut rng));
+            }
+            let before = clock.now();
+            assert_eq!(call(conn.as_mut(), &msg, Duration::from_secs(5)).unwrap(), reply);
+            assert_eq!(clock.since(before), legs, "{}", msg.name());
+        }
+        assert!(wall.elapsed() < Duration::from_millis(500), "took {:?}", wall.elapsed());
     }
 
     /// A reply the link makes later than the caller's timeout is a

@@ -12,8 +12,10 @@
 //! and seeded faults, the reproducible substitute for the paper's
 //! multi-machine testbed.
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use netsolve_core::clock::{Clock, RealClock};
 use netsolve_core::error::Result;
 use netsolve_proto::{Message, RequestView};
 
@@ -68,6 +70,14 @@ pub trait Transport: Send + Sync {
     /// daemons can always shut down.
     fn unblock(&self, address: &str) {
         let _ = self.connect(address);
+    }
+
+    /// The clock every component on this transport reads and spends time
+    /// through (DESIGN.md §4q): the system clock, unless the transport
+    /// carries another — [`crate::ChannelNetwork::with_clock`] does, and
+    /// the chaos layer forwards its inner transport's.
+    fn clock(&self) -> Arc<dyn Clock> {
+        Arc::new(RealClock)
     }
 }
 

@@ -7,11 +7,12 @@
 //! span it leaves.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use netsolve_core::admission::{
     format_busy_detail, AdmissionDecision, AdmissionPolicy, ShedReason,
 };
+use netsolve_core::clock::{Clock, RealClock};
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_obs::{MetricsRegistry, SpanContext, SpanTimer, Tracer};
@@ -47,6 +48,9 @@ pub struct ServerCore {
     cache: Option<SolveCache>,
     /// Optional admission policy and the solve slots it guards.
     gate: Option<AdmissionGate>,
+    /// Where receipt, dispatch, deadlines and the synthetic solve's sleep
+    /// are read and spent: the daemon's transport's clock.
+    clock: Arc<dyn Clock>,
 }
 
 /// An answered request: the outputs and what they cost to compute.
@@ -115,7 +119,7 @@ impl Drop for Admitted<'_> {
         self.core
             .metrics
             .histogram("server.request_handle_secs")
-            .record_secs(self.received_at.elapsed().as_secs_f64());
+            .record_secs(self.core.clock.since(self.received_at).as_secs_f64());
     }
 }
 
@@ -139,6 +143,7 @@ impl ServerCore {
             tracer: Arc::new(Tracer::new()),
             cache: None,
             gate: None,
+            clock: Arc::new(RealClock),
         }
     }
 
@@ -185,6 +190,18 @@ impl ServerCore {
         self
     }
 
+    /// Read and spend time on `clock`: a daemon hands its core the
+    /// transport's clock, and a standalone core keeps the system clock.
+    pub(crate) fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
+    }
+
+    /// The clock this core reads and spends time on.
+    pub(crate) fn clock(&self) -> &Arc<dyn Clock> {
+        &self.clock
+    }
+
     /// Server offering the full standard catalogue with real execution.
     pub fn with_standard_catalogue() -> Self {
         Self::new(ProblemRegistry::with_standard_catalogue(), ExecutionMode::Real)
@@ -210,7 +227,7 @@ impl ServerCore {
 
     /// Protocol-level dispatch: answer one client message.
     pub fn handle_message(&self, msg: &Message) -> Message {
-        self.handle_message_at(msg, Instant::now()).0
+        self.handle_message_at(msg, self.clock.now()).0
     }
 
     /// Like [`ServerCore::handle_message`], but measuring deadline budgets
@@ -219,7 +236,7 @@ impl ServerCore {
     /// the request's deadline. A `RequestSubmit` also hands back its span
     /// context, so the daemon can attribute the reply's `encode` span
     /// without looking inside the request.
-    pub fn handle_message_at(
+    pub(crate) fn handle_message_at(
         &self,
         msg: &Message,
         received_at: Instant,
@@ -310,7 +327,7 @@ impl ServerCore {
     fn admit(&self, req: &Request<'_>) -> Result<Admitted<'_>> {
         if let Some(gate) = &self.gate {
             let depth = gate.depth();
-            let left = budget_left_ms(req.deadline_ms, req.received_at.elapsed());
+            let left = budget_left_ms(req.deadline_ms, self.clock.since(req.received_at));
             if let AdmissionDecision::Shed { reason, retry_after_ms } =
                 gate.policy.admit(req.problem, self.predicted_flops(req), depth, left)
             {
@@ -330,7 +347,7 @@ impl ServerCore {
                     }
                 });
             }
-            if !gate.acquire(req.received_at, req.deadline_ms) {
+            if !gate.acquire(self.clock.as_ref(), req.received_at, req.deadline_ms) {
                 let detail = format!("budget={}ms", req.deadline_ms);
                 return Err(self.deadline_shed(req, Expired::WhileQueued, detail));
             }
@@ -346,7 +363,7 @@ impl ServerCore {
     /// nobody is waiting for that result any more.
     fn dequeue(&self, req: &Request<'_>) -> Result<Instant> {
         self.metrics.counter("server.requests").inc();
-        let dispatched = Instant::now();
+        let dispatched = self.clock.now();
         let queued = dispatched.saturating_duration_since(req.received_at);
         let queue_timer = self.tracer.start_at(req.received_at);
         self.metrics
@@ -451,7 +468,7 @@ impl ServerCore {
     pub fn run(&self, problem: &str, inputs: &[DataObject]) -> Result<Solved> {
         let spec = self.problems.require(problem)?;
         spec.check_inputs(inputs)?;
-        let start = Instant::now();
+        let start = self.clock.now();
         let outputs = match self.mode {
             ExecutionMode::Real => {
                 let outputs = execute(problem, inputs)?;
@@ -467,11 +484,11 @@ impl ServerCore {
                 let secs = spec.complexity.seconds_at(n, mflops);
                 // Cap synthetic sleeps so a mis-sized experiment cannot
                 // wedge a test run for hours.
-                std::thread::sleep(std::time::Duration::from_secs_f64(secs.min(30.0)));
+                self.clock.sleep(Duration::from_secs_f64(secs.min(30.0)));
                 synthetic_outputs(spec, n)
             }
         };
-        Ok(Solved { outputs, compute_secs: start.elapsed().as_secs_f64(), cached: false })
+        Ok(Solved { outputs, compute_secs: self.clock.since(start).as_secs_f64(), cached: false })
     }
 
     /// Stage 5 — make the outcome known: to the cache and any joined
@@ -678,6 +695,37 @@ pub(crate) mod tests {
             core.handle_message_at(&no_deadline, received).0,
             Message::RequestReply { .. }
         ));
+    }
+
+    /// Receipt and admission read the core's clock: a virtual clock moved
+    /// past a request's budget between the two sheds it at admission, and
+    /// no wall time passes.
+    #[test]
+    fn a_budget_spent_on_the_core_clock_sheds_at_admission() {
+        use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
+        use netsolve_core::clock::VirtualClock;
+        let wall = Instant::now();
+        let clock = VirtualClock::new();
+        let policy = AdmissionPolicy::new(AdmissionConfig::with_max_queue(4));
+        let core = ServerCore::with_standard_catalogue()
+            .with_admission(Arc::new(policy))
+            .with_clock(Arc::new(clock.clone()));
+        let ddot = || vec![vec![1.0].into(), vec![1.0].into()];
+        let received_at = clock.now();
+        clock.advance(Duration::from_millis(11));
+        match core.handle_message_at(&submit(1, 10, "ddot", ddot()), received_at).0 {
+            Message::Error { code, detail } => {
+                assert_eq!(code, NetSolveError::Timeout(String::new()).code());
+                assert!(detail.contains("expired at admission"), "{detail}");
+            }
+            other => panic!("budget spent on the clock: {other:?}"),
+        }
+        let count = |name: &str| core.metrics.counter(name).get();
+        assert_eq!((count("server.admission_shed"), count("server.requests")), (1, 0));
+        // The same budget, received now, is served.
+        let fresh = core.handle_message_at(&submit(2, 10, "ddot", ddot()), clock.now()).0;
+        assert!(matches!(fresh, Message::RequestReply { request_id: 2, .. }), "{fresh:?}");
+        assert!(wall.elapsed() < Duration::from_secs(1), "took {:?}", wall.elapsed());
     }
 
     pub(crate) fn submit(request_id: u64, deadline_ms: u64, problem: &str, inputs: Vec<DataObject>) -> Message {

@@ -4,7 +4,7 @@
 //! [`netsolve_net::Daemon`] skeleton's.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use netsolve_core::config::{TelemetryPolicy, WorkloadPolicy};
 use netsolve_core::error::{NetSolveError, Result};
@@ -127,7 +127,7 @@ impl ServerDaemon {
             }
         };
 
-        let core = Arc::new(core.with_solve_slots(config.capacity));
+        let core = Arc::new(core.with_solve_slots(config.capacity).with_clock(transport.clock()));
         let metrics = core.metrics();
         let telemetry = Arc::new(ServerTelemetry {
             address: address.clone(),
@@ -228,7 +228,7 @@ fn answer(
     // Decode happened inside the connection's `recv` (the transport owns
     // the frame parse), so the queue span the core records starts here, at
     // wire arrival.
-    let received_at = Instant::now();
+    let received_at = core.clock().now();
     // Fleet telemetry is daemon state (the windowed series lives beside
     // the sampler thread, not in the core), so the daemon answers
     // `FleetStatsQuery` itself. A server knows only its own digest; agents
@@ -249,15 +249,15 @@ fn answer(
     };
     // The `encode` span and `server.reply_marshal_secs` cover the send.
     let encode = request_ctx.map(|ctx| {
-        let tracer = core.tracer();
-        (ctx, tracer.start(), tracer, core.metrics(), Instant::now())
+        let (tracer, clock) = (core.tracer(), Arc::clone(core.clock()));
+        (ctx, tracer.start(), tracer, core.metrics(), clock.now(), clock)
     });
     let sent = move || {
-        if let Some((ctx, timer, tracer, metrics, send_start)) = encode {
+        if let Some((ctx, timer, tracer, metrics, send_start, clock)) = encode {
             tracer.record(ctx, timer, "server", "encode", String::new());
             metrics
                 .histogram("server.reply_marshal_secs")
-                .record_secs(send_start.elapsed().as_secs_f64());
+                .record_secs(clock.since(send_start).as_secs_f64());
         }
     };
     (reply, sent)
@@ -271,6 +271,7 @@ mod tests {
     use netsolve_core::matrix::Matrix;
     use netsolve_net::{call, ChannelNetwork};
     use netsolve_proto::QueryShape;
+    use std::time::Instant;
 
     fn bring_up() -> (ChannelNetwork, AgentDaemon, ServerDaemon) {
         let net = ChannelNetwork::new();

@@ -11,6 +11,7 @@ use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 use netsolve_core::admission::AdmissionPolicy;
+use netsolve_core::clock::Clock;
 use parking_lot::Mutex;
 
 /// Milliseconds left of a `deadline_ms` budget once a request has existed
@@ -50,15 +51,21 @@ impl AdmissionGate {
     /// Wait for a solve slot. `true`: one is held and the caller must
     /// [`release`](Self::release) it. `false`: the deadline budget ran out
     /// first and no slot was ever reserved. `deadline_ms == 0` waits
-    /// indefinitely.
+    /// indefinitely. The budget is read on `clock`; the wait for a slot
+    /// itself is the condvar's, on wall time (DESIGN.md §4q).
     #[must_use]
-    pub(crate) fn acquire(&self, received_at: Instant, deadline_ms: u64) -> bool {
+    pub(crate) fn acquire(
+        &self,
+        clock: &dyn Clock,
+        received_at: Instant,
+        deadline_ms: u64,
+    ) -> bool {
         let mut queue = self.queue.lock();
         queue.waiting += 1;
         let acquired = loop {
             // Budget check *before* reserving: an expired request must
             // never consume a slot.
-            let left = budget_left_ms(deadline_ms, received_at.elapsed());
+            let left = budget_left_ms(deadline_ms, clock.since(received_at));
             if left == Some(0) {
                 break false;
             }

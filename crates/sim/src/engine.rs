@@ -30,7 +30,7 @@ use netsolve_core::clock::SimTime;
 use netsolve_core::config::AgentConfig;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::ids::{HostId, ServerId};
-use netsolve_core::problem::RequestShape;
+use netsolve_core::problem::{estimated_wire_bytes, RequestShape};
 use netsolve_core::rng::Rng64;
 use netsolve_net::NetworkView;
 
@@ -437,23 +437,11 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                 let client_host = HostId(
                     1_000_000 + (idx % scenario.clients.max(1) % MAX_CLIENT_HOSTS) as u64,
                 );
-                // Byte estimate from the declared signature: matrices are
-                // n², vectors n, scalars constant (matching RequestShape's
-                // live-mode estimation).
-                let obj_bytes = |kind: netsolve_core::ObjectKind| -> u64 {
-                    match kind {
-                        netsolve_core::ObjectKind::Matrix => 16 + 8 * n * n,
-                        netsolve_core::ObjectKind::Vector => 8 + 8 * n,
-                        netsolve_core::ObjectKind::SparseMatrix => 16 + 8 * (n + 1) + 16 * 5 * n,
-                        netsolve_core::ObjectKind::Text => 64,
-                        _ => 8,
-                    }
-                };
                 let shape = RequestShape {
                     problem: spec.name.clone(),
                     n,
-                    bytes_in: spec.inputs.iter().map(|o| obj_bytes(o.kind)).sum(),
-                    bytes_out: spec.outputs.iter().map(|o| obj_bytes(o.kind)).sum(),
+                    bytes_in: estimated_wire_bytes(&spec.inputs, n),
+                    bytes_out: estimated_wire_bytes(&spec.outputs, n),
                 };
                 let ranked = match agent.rank_request(&shape, client_host, now) {
                     Ok(r) => r,

@@ -14,6 +14,19 @@ cargo build --bins
 echo "=== non-test lines per crate (what a refactor PR quotes; not a gate) ==="
 scripts/loc.sh
 
+echo "=== time only through the clock (DESIGN §4q) ==="
+# The client, server, agent and chaos link read and spend time through the
+# `core::clock::Clock` their transport carries, so a virtual clock replays
+# them. Non-test code is scripts/loc.sh's rule: a file up to its first
+# top-level `#[cfg(test)]`, comment lines skipped.
+wall=$(find crates/client/src crates/server/src crates/agent/src crates/net/src/chaos.rs \
+        -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /Instant::now|\.elapsed\(\)|thread::sleep/ { print FILENAME ":" FNR ": " $0 }')
+[ -z "${wall}" ] || { echo "${wall}"; echo "wall time read or spent past the clock"; exit 1; }
+
 echo "=== tests ==="
 # The root package is a workspace member, so this runs every root
 # integration test (observability, chaos_soak, tracing, …) exactly once.

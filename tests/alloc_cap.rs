@@ -10,22 +10,27 @@
 //! chunk buffer, not a copy of them, and a connection's warm writer sends
 //! without asking the allocator for anything — nor does the admission
 //! policy every gated request passes, nor the GEMM kernel, and a dense solve
-//! asks for a pinned number of blocks. This binary has its own
-//! `#[global_allocator]`, which is why it is not part of another test file.
+//! and a warm tiny call each ask for a pinned number of blocks. This binary
+//! has its own `#[global_allocator]`, which is why it is not part of another
+//! test file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use netsolve::agent::{AgentCore, AgentDaemon, Policy};
+use netsolve::client::NetSolveClient;
 use netsolve::core::admission::{AdmissionConfig, AdmissionPolicy};
 use netsolve::core::{DataObject, Matrix, Rng64};
+use netsolve::net::{ChannelNetwork, NetworkView};
 use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
     frame_bytes_versioned, write_message_streamed, FrameReader, FrameWriter, Message,
     RequestView, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, VERSION,
 };
+use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
 use netsolve::solvers::{blas, execute};
 use netsolve::xdr::{crc32, Encoder};
 
@@ -302,4 +307,46 @@ fn a_dense_solve_makes_a_pinned_number_of_allocations() {
     execute("dgesv", &args).unwrap();
     let requests = REQUESTS.with(Cell::get);
     assert_eq!(requests, 9, "a warm dgesv at n = 512 asked the allocator {requests} times");
+}
+
+/// A warm tiny call — `netsl("ddot")` on two 8-element vectors over the
+/// in-process transport, the `tiny_call` shape — asks the allocator for
+/// exactly 52 blocks on the calling thread: the frames, the trace and
+/// request identities, the agent's candidate list, the reply's outputs and
+/// the spans and reports around them. "Warm" is past the client tracer's
+/// request-id window, whose set and queue grow until then. The one other
+/// source is the std channel under each kept connection, which takes a
+/// block every 31 messages: the agent connection carries two per call and
+/// the server connection one, so any 31 calls add exactly three.
+#[test]
+fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let net = Arc::new(ChannelNetwork::new());
+    let policy = Policy::MinimumCompletionTime;
+    let core = AgentCore::new(Default::default(), policy, NetworkView::lan_defaults());
+    let mut agent = AgentDaemon::start(net.clone(), "agent", core).unwrap();
+    let config = ServerConfig::quick("tiny-host", "srv", 100.0);
+    let core = ServerCore::with_standard_catalogue();
+    let mut server = ServerDaemon::start(net.clone(), "agent", core, config).unwrap();
+    let client = NetSolveClient::new(net, "agent");
+    let inputs = [DataObject::from(vec![0.5f64; 8]), DataObject::from(vec![2.0f64; 8])];
+    for _ in 0..4200 {
+        client.netsl("ddot", &inputs).unwrap();
+    }
+
+    let counts: Vec<usize> = (0..31)
+        .map(|_| {
+            REQUESTS.with(|n| n.set(0));
+            let outputs = client.netsl("ddot", &inputs).unwrap();
+            let requests = REQUESTS.with(Cell::get);
+            drop(outputs);
+            requests
+        })
+        .collect();
+    let (least, total) = (counts.iter().min().copied(), counts.iter().sum::<usize>());
+    assert_eq!(least, Some(52), "a warm tiny call's allocator requests: {counts:?}");
+    assert_eq!(total, 31 * 52 + 3, "31 warm tiny calls: {counts:?}");
+    drop(client);
+    server.stop();
+    agent.stop();
 }
