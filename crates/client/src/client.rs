@@ -3,7 +3,7 @@
 //!
 //! A call is one straight line, [`NetSolveClient::netsl_timed`]: describe
 //! → rank → per try (pace → attempt) → report, each stage a method reading
-//! the one per-call [`Call`] value (DESIGN.md §4p). The client keeps its
+//! the one per-call `Call` value (DESIGN.md §4p). The client keeps its
 //! connections between calls — one to the preferred agent, a few idle
 //! ones to the servers it has used — so a steady caller dials nothing.
 

@@ -5,7 +5,7 @@
 //! log-scale histograms — hand-rolled, no external deps, matching the
 //! rest of the workspace) plus a [`Tracer`] recording typed
 //! distributed-tracing [`Span`]s keyed by a wire-propagated 128-bit
-//! `trace_id`, and the [`stitch`] module that merges span records
+//! `trace_id`, and the [`stitch`](mod@stitch) module that merges span records
 //! scraped from many processes into causal per-trace timelines.
 //!
 //! Daemons hold one registry each and bump instruments on the hot path

@@ -11,14 +11,17 @@
 //! bytes alone. The stream runs through XXH3's long-input loop at memory
 //! speed (see [`solve_key`]).
 //!
-//! Three outcomes per probe:
+//! The cache is one layer over the solver: `ServerCore`'s `solve` stage
+//! hands it each request, and a probe ends in one of four outcomes:
 //!
+//! * **declined** — the problem is non-deterministic (`quad_mc`): the
+//!   request solves uncached, and never coalesces.
 //! * **hit** — a cached reply exists; its stored bytes are CRC-checked
 //!   *at serve time* and decoded. A mismatch (memory corruption, bug)
 //!   drops the entry and falls through to a miss: a corrupted reply can
 //!   never leave the server.
 //! * **leader** — no entry, no in-flight solve: the caller runs the
-//!   solve and publishes the outcome through its [`LeaderToken`].
+//!   solve and hands the outcome to its `LeaderToken`.
 //! * **join** — an identical request is already solving: the caller
 //!   blocks on the in-flight slot and shares the one reply (or its
 //!   error) instead of queueing duplicate work.
@@ -37,6 +40,8 @@ use netsolve_core::rng::splitmix64;
 use netsolve_obs::{Counter, Gauge, MetricsRegistry};
 use netsolve_xdr::{crc32, from_bytes, to_bytes};
 use parking_lot::Mutex;
+
+use crate::core::Solved;
 // The workspace's parking_lot shim exposes no Condvar, but its MutexGuard
 // *is* `std::sync::MutexGuard`, so std's Condvar pairs with it directly.
 use std::sync::Condvar;
@@ -180,8 +185,8 @@ pub fn solve_key(problem: &str, inputs: &[DataObject]) -> u128 {
 /// bit-identical submissions must yield independent estimates — serving a
 /// cached reply (or coalescing concurrent submissions onto one solve)
 /// would silently collapse a Monte Carlo ensemble onto a single sample.
-/// These problems bypass the cache entirely; the bypass is counted under
-/// `server.cache_bypass_nondet`.
+/// The cache declines these problems outright; each decline is counted
+/// under `server.cache_bypass_nondet`.
 const NONDETERMINISTIC_PROBLEMS: &[&str] = &["quad_mc"];
 
 /// One cached reply: the marshaled outputs, the original solve's compute
@@ -241,16 +246,13 @@ struct Slot {
 }
 
 /// Outcome of [`SolveCache::probe`].
-pub enum Probe {
+pub(crate) enum Probe {
+    /// A non-deterministic problem: solve it uncached.
+    Declined,
     /// Cached reply, already CRC-verified and decoded.
-    Hit {
-        /// The decoded output objects.
-        outputs: Vec<DataObject>,
-        /// The original solve's compute seconds.
-        compute_secs: f64,
-    },
+    Hit(Solved),
     /// No reply and no in-flight solve: the caller must solve and
-    /// publish through the token.
+    /// complete the token with the outcome.
     Leader(LeaderToken),
     /// An identical solve is running; wait on it.
     Join(Waiter),
@@ -259,26 +261,24 @@ pub enum Probe {
 /// Obligation to publish a solve outcome. If dropped without publishing
 /// (a panic on the solve path), waiters receive an internal error rather
 /// than hanging.
-pub struct LeaderToken {
+pub(crate) struct LeaderToken {
     cache: Arc<Shared>,
     key: u128,
     published: bool,
 }
 
 impl LeaderToken {
-    /// Publish a successful solve: encode + CRC the outputs, insert into
-    /// the cache (unless the entry alone exceeds the byte budget), and
-    /// wake every joined waiter with the shared reply.
-    pub fn complete_ok(mut self, outputs: &[DataObject], compute_secs: f64) {
+    /// Publish the solve's outcome. A solved one is encoded, CRC-stamped
+    /// and inserted (unless the entry alone exceeds the byte budget), and
+    /// every joined waiter wakes to the shared reply; a failed one wakes
+    /// them to its error and caches nothing, so the next identical request
+    /// re-runs.
+    pub(crate) fn complete(mut self, outcome: &Result<Solved>) {
         self.published = true;
-        self.cache.publish_ok(self.key, outputs, compute_secs);
-    }
-
-    /// Publish a failed solve: every joined waiter receives the error;
-    /// nothing is cached, so the next identical request re-runs.
-    pub fn complete_err(mut self, err: &NetSolveError) {
-        self.published = true;
-        self.cache.finish(self.key, Err((err.code(), err.detail().to_string())));
+        match outcome {
+            Ok(solved) => self.cache.publish_ok(self.key, &solved.outputs, solved.compute_secs),
+            Err(e) => self.cache.finish(self.key, Err((e.code(), e.detail().to_string()))),
+        }
     }
 }
 
@@ -292,7 +292,7 @@ impl Drop for LeaderToken {
 }
 
 /// A handle onto an in-flight solve; blocks until the leader publishes.
-pub struct Waiter {
+pub(crate) struct Waiter {
     cache: Arc<Shared>,
     slot: Arc<Slot>,
 }
@@ -300,7 +300,7 @@ pub struct Waiter {
 impl Waiter {
     /// Block until the coalesced solve completes, then return the shared
     /// reply (serve-CRC-checked and decoded) or the propagated error.
-    pub fn wait(self) -> Result<(Vec<DataObject>, f64)> {
+    pub(crate) fn wait(self) -> Result<Solved> {
         let mut state = self.slot.state.lock();
         while matches!(*state, SlotState::Running) {
             state = self
@@ -311,9 +311,10 @@ impl Waiter {
         }
         match &*state {
             SlotState::Running => unreachable!("loop exits only when done"),
-            SlotState::Done(Ok((bytes, compute_secs, crc))) => {
-                self.cache.serve_checked(bytes, *crc).map(|outputs| (outputs, *compute_secs))
-            }
+            SlotState::Done(Ok((bytes, compute_secs, crc))) => self
+                .cache
+                .serve_checked(bytes, *crc)
+                .map(|outputs| Solved { outputs, compute_secs: *compute_secs, cached: true }),
             SlotState::Done(Err((code, detail))) => {
                 Err(NetSolveError::from_code(*code, detail.clone()))
             }
@@ -381,29 +382,24 @@ impl SolveCache {
         }
     }
 
-    /// Whether `problem` must bypass the cache because its outputs are
-    /// non-deterministic. A `true` return counts one bypass under
-    /// `server.cache_bypass_nondet`; the caller must then skip both the
-    /// lookup *and* the coalescing path — joining a non-deterministic
-    /// solve would alias what are semantically independent draws.
-    pub fn bypass_nondet(&self, problem: &str) -> bool {
-        let nondet = NONDETERMINISTIC_PROBLEMS.contains(&problem);
-        if nondet {
+    /// Probe for one request: decline a non-deterministic problem — its
+    /// lookup *and* its coalescing, since joining one would alias what are
+    /// independent draws — else key the operands where they lie and serve
+    /// a verified hit, join an in-flight identical solve, or become the
+    /// leader obliged to solve and publish.
+    pub(crate) fn probe(&self, problem: &str, inputs: &[DataObject]) -> Probe {
+        if NONDETERMINISTIC_PROBLEMS.contains(&problem) {
             self.shared.m.bypass_nondet.inc();
+            return Probe::Declined;
         }
-        nondet
-    }
-
-    /// Look up `key`: serve a verified hit, join an in-flight identical
-    /// solve, or become the leader obliged to solve and publish.
-    pub fn probe(&self, key: u128) -> Probe {
+        let key = solve_key(problem, inputs);
         // Hit path: verify + decode *outside* the store lock so a large
         // decode cannot stall unrelated requests.
         if let Some((bytes, compute_secs, crc)) = self.shared.lookup(key) {
             match self.shared.serve_checked(&bytes, crc) {
                 Ok(outputs) => {
                     self.shared.m.hits.inc();
-                    return Probe::Hit { outputs, compute_secs };
+                    return Probe::Hit(Solved { outputs, compute_secs, cached: true });
                 }
                 Err(_) => {
                     // Entry failed its serve CRC or decode: drop it and
@@ -555,6 +551,10 @@ mod tests {
         DataObject::Vector(vec![fill; n])
     }
 
+    fn solved(outputs: Vec<DataObject>, compute_secs: f64) -> Result<Solved> {
+        Ok(Solved { outputs, compute_secs, cached: false })
+    }
+
     #[test]
     fn distinct_problems_over_identical_bytes_get_distinct_keys() {
         let inputs = vec![vec_obj(64, 1.5)];
@@ -682,16 +682,16 @@ mod tests {
     #[test]
     fn hit_after_leader_publishes() {
         let (cache, _) = cache(1 << 20);
-        let key = solve_key("ddot", &[vec_obj(4, 1.0)]);
-        let token = match cache.probe(key) {
+        let inputs = [vec_obj(4, 1.0)];
+        let token = match cache.probe("ddot", &inputs) {
             Probe::Leader(t) => t,
             _ => panic!("first probe must lead"),
         };
-        token.complete_ok(&[DataObject::Double(42.0)], 0.25);
-        match cache.probe(key) {
-            Probe::Hit { outputs, compute_secs } => {
+        token.complete(&solved(vec![DataObject::Double(42.0)], 0.25));
+        match cache.probe("ddot", &inputs) {
+            Probe::Hit(Solved { outputs, compute_secs, cached }) => {
                 assert_eq!(outputs[0].as_double().unwrap(), 42.0);
-                assert_eq!(compute_secs, 0.25);
+                assert_eq!((compute_secs, cached), (0.25, true));
             }
             _ => panic!("second probe must hit"),
         }
@@ -700,39 +700,39 @@ mod tests {
     #[test]
     fn errors_propagate_to_waiters_and_are_not_cached() {
         let (cache, _) = cache(1 << 20);
-        let key = solve_key("dgesv", &[vec_obj(4, 0.0)]);
-        let token = match cache.probe(key) {
+        let inputs = [vec_obj(4, 0.0)];
+        let token = match cache.probe("dgesv", &inputs) {
             Probe::Leader(t) => t,
             _ => panic!(),
         };
-        let waiter = match cache.probe(key) {
+        let waiter = match cache.probe("dgesv", &inputs) {
             Probe::Join(w) => w,
             _ => panic!("second identical probe must join"),
         };
-        token.complete_err(&NetSolveError::Numerical("singular".into()));
+        token.complete(&Err(NetSolveError::Numerical("singular".into())));
         let err = waiter.wait().unwrap_err();
         assert!(matches!(err, NetSolveError::Numerical(_)), "{err}");
         // Not cached: the next probe leads again.
-        assert!(matches!(cache.probe(key), Probe::Leader(_)));
+        assert!(matches!(cache.probe("dgesv", &inputs), Probe::Leader(_)));
         assert_eq!(cache.entries(), 0);
     }
 
     #[test]
     fn dropped_leader_unblocks_waiters() {
         let (cache, _) = cache(1 << 20);
-        let key = solve_key("ddot", &[vec_obj(2, 2.0)]);
-        let token = match cache.probe(key) {
+        let inputs = [vec_obj(2, 2.0)];
+        let token = match cache.probe("ddot", &inputs) {
             Probe::Leader(t) => t,
             _ => panic!(),
         };
-        let waiter = match cache.probe(key) {
+        let waiter = match cache.probe("ddot", &inputs) {
             Probe::Join(w) => w,
             _ => panic!(),
         };
         drop(token); // leader panicked / abandoned the solve
         let err = waiter.wait().unwrap_err();
         assert!(err.detail().contains("abandoned"), "{err}");
-        assert!(matches!(cache.probe(key), Probe::Leader(_)));
+        assert!(matches!(cache.probe("ddot", &inputs), Probe::Leader(_)));
     }
 
     #[test]
@@ -740,31 +740,30 @@ mod tests {
         // Budget fits two ~160-byte entries (vector of 16 f64 + overhead),
         // not three.
         let (cache, metrics) = cache(450);
-        let keys: Vec<u128> =
-            (0..3).map(|i| solve_key("p", &[vec_obj(1, i as f64)])).collect();
-        for &key in &keys {
-            match cache.probe(key) {
-                Probe::Leader(t) => t.complete_ok(&[vec_obj(16, 0.0)], 0.1),
+        let keys: Vec<[DataObject; 1]> = (0..4).map(|i| [vec_obj(1, i as f64)]).collect();
+        let probe = |i: usize| cache.probe("p", &keys[i]);
+        for i in 0..3 {
+            match probe(i) {
+                Probe::Leader(t) => t.complete(&solved(vec![vec_obj(16, 0.0)], 0.1)),
                 _ => panic!(),
             }
         }
         assert_eq!(cache.entries(), 2, "third insert must evict");
         // Oldest (keys[0]) is gone; the newer two survive.
-        assert!(matches!(cache.probe(keys[0]), Probe::Leader(_)));
+        assert!(matches!(probe(0), Probe::Leader(_)));
         assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), 1);
         // Touching keys[1] then inserting another must evict keys[2].
-        match cache.probe(keys[0]) {
-            Probe::Leader(t) => t.complete_err(&NetSolveError::Internal("skip".into())),
+        match probe(0) {
+            Probe::Leader(t) => t.complete(&Err(NetSolveError::Internal("skip".into()))),
             _ => panic!(),
         }
-        assert!(matches!(cache.probe(keys[1]), Probe::Hit { .. }));
-        let key3 = solve_key("p", &[vec_obj(1, 9.0)]);
-        match cache.probe(key3) {
-            Probe::Leader(t) => t.complete_ok(&[vec_obj(16, 0.0)], 0.1),
+        assert!(matches!(probe(1), Probe::Hit(_)));
+        match probe(3) {
+            Probe::Leader(t) => t.complete(&solved(vec![vec_obj(16, 0.0)], 0.1)),
             _ => panic!(),
         }
-        assert!(matches!(cache.probe(keys[1]), Probe::Hit { .. }), "recently used survives");
-        assert!(matches!(cache.probe(keys[2]), Probe::Leader(_)), "LRU victim evicted");
+        assert!(matches!(probe(1), Probe::Hit(_)), "recently used survives");
+        assert!(matches!(probe(2), Probe::Leader(_)), "LRU victim evicted");
     }
 
     fn order_len(cache: &SolveCache) -> usize {
@@ -776,13 +775,13 @@ mod tests {
     #[test]
     fn recency_queue_stays_bounded_when_nothing_is_evicted() {
         let (cache, _) = cache(4 << 20);
-        let key = solve_key("ddot", &[vec_obj(4, 1.0)]);
-        match cache.probe(key) {
-            Probe::Leader(t) => t.complete_ok(&[DataObject::Double(4.0)], 0.1),
+        let inputs = [vec_obj(4, 1.0)];
+        match cache.probe("ddot", &inputs) {
+            Probe::Leader(t) => t.complete(&solved(vec![DataObject::Double(4.0)], 0.1)),
             _ => panic!(),
         }
         for _ in 0..100_000 {
-            assert!(matches!(cache.probe(key), Probe::Hit { .. }));
+            assert!(matches!(cache.probe("ddot", &inputs), Probe::Hit(_)));
         }
         assert!(order_len(&cache) <= 2 * cache.entries() + 17, "{} slots", order_len(&cache));
     }
@@ -793,23 +792,24 @@ mod tests {
     #[test]
     fn lru_victims_match_a_model_under_mixed_hits_and_inserts() {
         let (cache, metrics) = cache(4 * 204);
-        let keys: Vec<u128> = (0..10).map(|i| solve_key("p", &[vec_obj(1, i as f64)])).collect();
+        let inputs: Vec<[DataObject; 1]> = (0..10).map(|i| [vec_obj(1, i as f64)]).collect();
         let mut model: Vec<u128> = Vec::new(); // least recent first
         let mut evictions = 0;
         let mut rng = netsolve_core::Rng64::new(11);
         for step in 0..5_000 {
             // Zipf-ish: the low keys mostly hit, the high ones churn.
-            let key = keys[(rng.next_f64().powi(3) * keys.len() as f64) as usize];
-            match cache.probe(key) {
-                Probe::Hit { .. } => model.retain(|&k| k != key),
+            let input = &inputs[(rng.next_f64().powi(3) * inputs.len() as f64) as usize];
+            let key = solve_key("p", input);
+            match cache.probe("p", input) {
+                Probe::Hit(_) => model.retain(|&k| k != key),
                 Probe::Leader(t) => {
-                    t.complete_ok(&[vec_obj(16, 0.0)], 0.1);
+                    t.complete(&solved(vec![vec_obj(16, 0.0)], 0.1));
                     if model.len() == 4 {
                         model.remove(0);
                         evictions += 1;
                     }
                 }
-                Probe::Join(_) => panic!("nothing is in flight"),
+                Probe::Join(_) | Probe::Declined => panic!("nothing is in flight"),
             }
             model.push(key);
             let resident: HashSet<u128> = cache.shared.store.lock().entries.keys().copied().collect();
@@ -822,21 +822,21 @@ mod tests {
     #[test]
     fn corrupted_entry_is_never_served() {
         let (cache, metrics) = cache(1 << 20);
-        let key = solve_key("ddot", &[vec_obj(8, 1.0)]);
-        match cache.probe(key) {
-            Probe::Leader(t) => t.complete_ok(&[vec_obj(8, 7.0)], 0.1),
+        let inputs = [vec_obj(8, 1.0)];
+        match cache.probe("ddot", &inputs) {
+            Probe::Leader(t) => t.complete(&solved(vec![vec_obj(8, 7.0)], 0.1)),
             _ => panic!(),
         }
         assert_eq!(cache.corrupt_entries_for_test(1), 1);
         // The probe must NOT hit: serve-CRC catches the flip, the entry
         // is dropped, and the caller becomes the leader re-solving.
-        match cache.probe(key) {
-            Probe::Leader(t) => t.complete_ok(&[vec_obj(8, 7.0)], 0.1),
-            Probe::Hit { .. } => panic!("corrupted entry served"),
-            Probe::Join(_) => panic!("nothing should be in flight"),
+        match cache.probe("ddot", &inputs) {
+            Probe::Leader(t) => t.complete(&solved(vec![vec_obj(8, 7.0)], 0.1)),
+            Probe::Hit(_) => panic!("corrupted entry served"),
+            Probe::Join(_) | Probe::Declined => panic!("nothing should be in flight"),
         }
         // Healthy again after the re-solve.
-        assert!(matches!(cache.probe(key), Probe::Hit { .. }));
+        assert!(matches!(cache.probe("ddot", &inputs), Probe::Hit(_)));
         let snap = metrics.snapshot("s");
         assert_eq!(snap.counter("server.cache_corrupt_dropped"), 1);
         // Serve-CRC ran on the corrupted probe and the healthy one;
@@ -848,18 +848,18 @@ mod tests {
     #[test]
     fn oversized_results_coalesce_but_do_not_cache() {
         let (cache, metrics) = cache(128);
-        let key = solve_key("big", &[vec_obj(1, 0.0)]);
-        let token = match cache.probe(key) {
+        let inputs = [vec_obj(1, 0.0)];
+        let token = match cache.probe("big", &inputs) {
             Probe::Leader(t) => t,
             _ => panic!(),
         };
-        let waiter = match cache.probe(key) {
+        let waiter = match cache.probe("big", &inputs) {
             Probe::Join(w) => w,
             _ => panic!(),
         };
-        token.complete_ok(&[vec_obj(64, 1.0)], 0.5); // 512B > 128B budget
-        let (outputs, _) = waiter.wait().unwrap();
-        assert_eq!(outputs[0].as_vector().unwrap().len(), 64);
+        token.complete(&solved(vec![vec_obj(64, 1.0)], 0.5)); // 512B > 128B budget
+        let Solved { outputs, cached, .. } = waiter.wait().unwrap();
+        assert_eq!((outputs[0].as_vector().unwrap().len(), cached), (64, true));
         assert_eq!(cache.entries(), 0);
         assert_eq!(metrics.snapshot("s").counter("server.cache_uncacheable"), 1);
     }
@@ -868,7 +868,7 @@ mod tests {
     fn concurrent_identical_probes_produce_one_leader() {
         let (cache, metrics) = cache(1 << 20);
         let cache = Arc::new(cache);
-        let key = solve_key("ddot", &[vec_obj(32, 3.0)]);
+        let inputs = [vec_obj(32, 3.0)];
         let leaders = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8)
@@ -876,23 +876,24 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let leaders = Arc::clone(&leaders);
                 let barrier = Arc::clone(&barrier);
+                let inputs = inputs.clone();
                 std::thread::spawn(move || {
                     barrier.wait();
-                    match cache.probe(key) {
+                    let solved = match cache.probe("ddot", &inputs) {
                         Probe::Leader(t) => {
                             leaders.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             // Hold the solve open long enough for the
                             // others to join.
                             std::thread::sleep(std::time::Duration::from_millis(30));
-                            t.complete_ok(&[DataObject::Double(6.0)], 0.2);
-                            6.0
+                            let solved = solved(vec![DataObject::Double(6.0)], 0.2);
+                            t.complete(&solved);
+                            solved
                         }
-                        Probe::Join(w) => {
-                            let (outputs, _) = w.wait().unwrap();
-                            outputs[0].as_double().unwrap()
-                        }
-                        Probe::Hit { outputs, .. } => outputs[0].as_double().unwrap(),
-                    }
+                        Probe::Join(w) => w.wait(),
+                        Probe::Hit(hit) => Ok(hit),
+                        Probe::Declined => panic!("ddot is deterministic"),
+                    };
+                    solved.unwrap().outputs[0].as_double().unwrap()
                 })
             })
             .collect();

@@ -1,10 +1,10 @@
 //! The server brain: the whole life of a request, stated once.
 //!
-//! [`ServerCore::serve`] is the request path — admit → dequeue → cache
-//! lookup → execute → publish — as one straight-line function whose
-//! stages are the methods below it, in call order. DESIGN.md §4n
-//! tabulates, per stage, how a request can end there and the counter and
-//! span it leaves.
+//! `ServerCore::serve` is the request path — admit → dequeue → solve —
+//! as one straight-line function whose stages are the methods below it,
+//! in call order; the solve stage is the solver with the cache, when one
+//! is installed, as its one layer. DESIGN.md §4n tabulates, per stage,
+//! how a request can end there and the counter and span it leaves.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,7 +20,7 @@ use netsolve_pdl::ProblemRegistry;
 use netsolve_proto::Message;
 use netsolve_solvers::execute;
 
-use crate::cache::{solve_key, LeaderToken, Probe, SolveCache};
+use crate::cache::{Probe, SolveCache};
 use crate::gate::{budget_left_ms, AdmissionGate};
 
 /// How the server satisfies requests.
@@ -55,14 +55,14 @@ pub struct ServerCore {
 
 /// An answered request: the outputs and what they cost to compute.
 #[derive(Debug)]
-pub struct Solved {
+pub(crate) struct Solved {
     /// Output objects in catalogue order.
-    pub outputs: Vec<DataObject>,
+    pub(crate) outputs: Vec<DataObject>,
     /// Wall-clock compute seconds of the solve that produced them.
-    pub compute_secs: f64,
+    pub(crate) compute_secs: f64,
     /// Whether they came from the cache (a hit, or a coalesced join)
     /// rather than from this request's own solve.
-    pub cached: bool,
+    pub(crate) cached: bool,
 }
 
 /// One `RequestSubmit`, borrowed from its message.
@@ -121,16 +121,6 @@ impl Drop for Admitted<'_> {
             .histogram("server.request_handle_secs")
             .record_secs(self.core.clock.since(self.received_at).as_secs_f64());
     }
-}
-
-/// What the cache lookup decided.
-enum Lookup {
-    /// Answered without the solver: a verified hit, or the shared outcome
-    /// of an identical solve that was already in flight.
-    Served(Result<Solved>),
-    /// Run the solver. `leader` is the obligation to publish the outcome to
-    /// the cache and to joined waiters (`None`: no cache, or bypassed).
-    Miss { leader: Option<LeaderToken>, solve_timer: SpanTimer },
 }
 
 impl ServerCore {
@@ -309,13 +299,7 @@ impl ServerCore {
     fn serve(&self, req: &Request<'_>) -> Result<Solved> {
         let _admitted = self.admit(req)?;
         let dispatched = self.dequeue(req)?;
-        let outcome = match self.lookup(req, dispatched) {
-            Lookup::Served(outcome) => outcome,
-            Lookup::Miss { leader, solve_timer } => {
-                let run = self.execute(req, solve_timer);
-                self.publish(req, leader, run)
-            }
-        };
+        let outcome = self.solve(req, dispatched);
         let counter = if outcome.is_ok() { "server.requests_ok" } else { "server.requests_failed" };
         self.metrics.counter(counter).inc();
         outcome
@@ -395,42 +379,34 @@ impl ServerCore {
         self.problems.get(req.problem).map_or(0.0, |spec| spec.predicted_flops(req.inputs))
     }
 
-    /// Stage 3 — key the operands in place and either serve a verified
-    /// hit, join an identical solve already in flight, or lead the solve.
-    /// Exactly one `solve` span exists per unique in-flight problem: hits
-    /// and joiners never reach the solver.
-    fn lookup(&self, req: &Request<'_>, dispatched: Instant) -> Lookup {
-        let cache = match &self.cache {
-            // Non-deterministic problems (e.g. `quad_mc` drawing fresh
-            // entropy) bypass the cache entirely: a cached or coalesced
-            // reply would alias independent Monte Carlo draws onto one
-            // sample.
-            Some(c) if c.bypass_nondet(req.problem) => {
-                self.tracer.point(req.ctx, "server", "cache_bypass_nondet", String::new());
-                None
-            }
-            other => other.as_ref(),
-        };
-        let Some(cache) = cache else {
-            // Without a cache the dispatch clock read doubles as the
-            // solve-span start — the uncached path's two-reads budget,
-            // which the ledger's `obs.harness_overhead_pct` row prices.
-            return Lookup::Miss { leader: None, solve_timer: self.tracer.start_at(dispatched) };
+    /// Stage 3 — answer the request. Without a cache this is `execute`,
+    /// its span started at the dispatch clock read (the uncached path's
+    /// two-reads budget, which the ledger's `obs.harness_overhead_pct` row
+    /// prices). With one, the cache is the one layer over the solver: it
+    /// declines a non-deterministic problem, answers a verified hit or an
+    /// identical solve already in flight, or makes this request the
+    /// solve's leader. Exactly one `solve` span exists per unique
+    /// in-flight problem: hits and joiners never reach the solver.
+    fn solve(&self, req: &Request<'_>, dispatched: Instant) -> Result<Solved> {
+        let Some(cache) = &self.cache else {
+            return self.execute(req, self.tracer.start_at(dispatched));
         };
         let lookup_timer = self.tracer.start_at(dispatched);
-        let probe = cache.probe(solve_key(req.problem, req.inputs));
-        let outcome = match &probe {
-            Probe::Hit { .. } => "hit",
-            Probe::Leader(_) => "miss",
-            Probe::Join(_) => "coalesced",
+        let looked_up = |outcome: &str| {
+            self.tracer.record(req.ctx, lookup_timer, "server", "cache_lookup", outcome.to_string())
         };
-        self.tracer.record(req.ctx, lookup_timer, "server", "cache_lookup", outcome.to_string());
-        match probe {
-            Probe::Hit { outputs, compute_secs } => {
+        match cache.probe(req.problem, req.inputs) {
+            Probe::Declined => {
+                self.tracer.point(req.ctx, "server", "cache_bypass_nondet", String::new());
+                self.execute(req, self.tracer.start_at(dispatched))
+            }
+            Probe::Hit(solved) => {
+                looked_up("hit");
                 self.tracer.point(req.ctx, "server", "cache_hit", String::new());
-                Lookup::Served(Ok(Solved { outputs, compute_secs, cached: true }))
+                Ok(solved)
             }
             Probe::Join(waiter) => {
+                looked_up("coalesced");
                 let wait_timer = self.tracer.start();
                 let joined = waiter.wait();
                 let detail = match &joined {
@@ -438,19 +414,21 @@ impl ServerCore {
                     Err(e) => format!("err={e}"),
                 };
                 self.tracer.record(req.ctx, wait_timer, "server", "coalesce_wait", detail);
-                Lookup::Served(joined.map(|(outputs, compute_secs)| Solved {
-                    outputs,
-                    compute_secs,
-                    cached: true,
-                }))
+                joined
             }
             Probe::Leader(token) => {
-                Lookup::Miss { leader: Some(token), solve_timer: self.tracer.start() }
+                looked_up("miss");
+                let run = self.execute(req, self.tracer.start());
+                token.complete(&run);
+                run
             }
         }
     }
 
-    /// Stage 4 — run the solver under the `solve` span.
+    /// Run the solver under the `solve` span. A solve that ran feeds the
+    /// admission policy's learned per-problem rate — the basis of its
+    /// deadline-aware early rejects and retry hints — and
+    /// `server.compute_secs`.
     fn execute(&self, req: &Request<'_>, solve_timer: SpanTimer) -> Result<Solved> {
         let run = self.run(req.problem, req.inputs);
         let detail = match &run {
@@ -461,11 +439,23 @@ impl ServerCore {
             Err(e) => format!("problem={} err={e}", req.problem),
         };
         self.tracer.record(req.ctx, solve_timer, "server", "solve", detail);
+        if let Ok(solved) = &run {
+            if let Some(gate) = &self.gate {
+                gate.policy.observe_service(
+                    req.problem,
+                    self.predicted_flops(req),
+                    solved.compute_secs,
+                );
+            }
+            self.metrics
+                .histogram("server.compute_secs")
+                .record_secs_traced(solved.compute_secs, req.ctx.trace_id);
+        }
         run
     }
 
     /// Validate and execute one request.
-    pub fn run(&self, problem: &str, inputs: &[DataObject]) -> Result<Solved> {
+    fn run(&self, problem: &str, inputs: &[DataObject]) -> Result<Solved> {
         let spec = self.problems.require(problem)?;
         spec.check_inputs(inputs)?;
         let start = self.clock.now();
@@ -489,41 +479,6 @@ impl ServerCore {
             }
         };
         Ok(Solved { outputs, compute_secs: self.clock.since(start).as_secs_f64(), cached: false })
-    }
-
-    /// Stage 5 — make the outcome known: to the cache and any joined
-    /// waiters (errors propagate, they are never cached), to the admission
-    /// policy's learned per-problem rate — the basis of its deadline-aware
-    /// early rejects and retry hints — and to `server.compute_secs`.
-    fn publish(
-        &self,
-        req: &Request<'_>,
-        leader: Option<LeaderToken>,
-        run: Result<Solved>,
-    ) -> Result<Solved> {
-        match &run {
-            Ok(solved) => {
-                if let Some(token) = leader {
-                    token.complete_ok(&solved.outputs, solved.compute_secs);
-                }
-                if let Some(gate) = &self.gate {
-                    gate.policy.observe_service(
-                        req.problem,
-                        self.predicted_flops(req),
-                        solved.compute_secs,
-                    );
-                }
-                self.metrics
-                    .histogram("server.compute_secs")
-                    .record_secs_traced(solved.compute_secs, req.ctx.trace_id);
-            }
-            Err(e) => {
-                if let Some(token) = leader {
-                    token.complete_err(e);
-                }
-            }
-        }
-        run
     }
 }
 
@@ -639,6 +594,7 @@ pub(crate) mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(paths(&core), ["77: queue, solve"], "the uncached path");
 
         assert_eq!(core.handle_message(&Message::Ping), Message::Pong);
 
@@ -789,25 +745,71 @@ pub(crate) mod tests {
         }
     }
 
-    /// A capacity-2 synthetic core (~0.3 s for the slow `dgesv`, ~0 for
-    /// everything else) with a cache and a depth-3 admission bound.
-    pub(crate) fn batch_core() -> ServerCore {
+    /// A virtual clock whose sleeps wait while the test holds them: a
+    /// synthetic solve begun under a hold stays in flight until it is
+    /// lifted, and no budget runs out on wall time.
+    #[derive(Clone, Default)]
+    struct HeldClock {
+        time: netsolve_core::clock::VirtualClock,
+        held: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl HeldClock {
+        fn hold(&self, held: bool) {
+            *self.held.0.lock().unwrap() = held;
+            self.held.1.notify_all();
+        }
+    }
+
+    impl Clock for HeldClock {
+        fn now(&self) -> Instant {
+            self.time.now()
+        }
+
+        fn sleep_until(&self, t: Instant) {
+            let (held, lifted) = &*self.held;
+            drop(lifted.wait_while(held.lock().unwrap(), |held| *held).unwrap());
+            self.time.sleep_until(t);
+        }
+    }
+
+    /// Each request's `server` spans, in order, as `id: phase, phase, …`;
+    /// a `cache_lookup` carries its outcome and a refused solve reads
+    /// `solve err`.
+    fn paths(core: &ServerCore) -> Vec<String> {
+        let mut paths = std::collections::BTreeMap::<u64, Vec<String>>::new();
+        for span in core.tracer.spans().iter().filter(|s| s.component == "server") {
+            let step = match (span.phase, span.detail.as_str()) {
+                ("cache_lookup", outcome) => format!("cache_lookup {outcome}"),
+                ("solve", detail) if detail.contains(" err=") => "solve err".to_string(),
+                (phase, _) => phase.to_string(),
+            };
+            paths.entry(span.request_id).or_default().push(step);
+        }
+        paths.into_iter().map(|(id, steps)| format!("{id}: {}", steps.join(", "))).collect()
+    }
+
+    /// One request down every way out of the request path a gated, cached
+    /// core has — miss, hit, non-deterministic bypass, solver error, budget
+    /// spent on arrival, coalesced join, budget spent waiting for a slot,
+    /// queue-full shed — checking each reply and each request's spans. The
+    /// core is synthetic (~0.3 s for the slow `dgesv`, ~0 for everything
+    /// else) with a cache, a depth-3 admission bound and two solve slots,
+    /// on a held virtual clock: the slow solve stays in flight until the
+    /// test lets it finish, and budgets are spent only when the test moves
+    /// the clock, so no step races another request's budget.
+    pub(crate) fn run_mixed_batch() -> ServerCore {
         use netsolve_core::admission::AdmissionConfig;
-        ServerCore::new(
+        let clock = HeldClock::default();
+        let core = ServerCore::new(
             ProblemRegistry::with_standard_catalogue(),
             ExecutionMode::Synthetic { mflops: 20.0 },
         )
         .with_cache(1 << 20)
         .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(3))))
         .with_solve_slots(2)
-    }
-
-    /// One request down every way out of the request path a gated,
-    /// cached core has — miss, hit, non-deterministic bypass, solver
-    /// error, budget spent on arrival, coalesced join, budget spent
-    /// waiting for a slot, queue-full shed — checking each reply.
-    pub(crate) fn run_mixed_batch(core: &ServerCore) {
-        let ask = |msg: &Message| core.handle_message_at(msg, Instant::now()).0;
+        .with_clock(Arc::new(clock.clone()));
+        let ask = |msg: &Message| core.handle_message(msg);
         let ddot = || vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
         let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
             let give_up = Instant::now() + std::time::Duration::from_secs(10);
@@ -840,7 +842,7 @@ pub(crate) mod tests {
         }
         // Budget spent on arrival: with a gate installed the policy sheds
         // it at admission, before it can count as a request.
-        let stale = Instant::now() - std::time::Duration::from_millis(50);
+        let stale = clock.now() - std::time::Duration::from_millis(50);
         match core.handle_message_at(&submit(5, 10, "ddot", ddot()), stale).0 {
             Message::Error { code, detail } => {
                 assert_eq!(code, NetSolveError::Timeout(String::new()).code());
@@ -849,12 +851,13 @@ pub(crate) mod tests {
             other => panic!("expired budget: {other:?}"),
         }
 
-        // Fill both slots with one slow solve and its coalesced twin,
+        // Fill both slots with one held slow solve and its coalesced twin,
         // park a short-budget request behind them, and overflow the bound.
         let slow = || -> Vec<DataObject> {
             vec![netsolve_core::Matrix::identity(208).into(), vec![1.0; 208].into()]
         };
         let misses = count("server.cache_misses");
+        clock.hold(true);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| ask(&submit(6, 0, "dgesv", slow())));
             wait_until("the leader's miss", &|| count("server.cache_misses") > misses);
@@ -872,6 +875,8 @@ pub(crate) mod tests {
                 }
                 other => panic!("queue-full shed: {other:?}"),
             }
+            // Spend the parked request's budget, then let the solve finish.
+            clock.time.advance(std::time::Duration::from_millis(30));
             match parked.join().unwrap() {
                 Message::Error { code, detail } => {
                     assert_eq!(code, NetSolveError::Timeout(String::new()).code());
@@ -879,6 +884,7 @@ pub(crate) mod tests {
                 }
                 other => panic!("parked request: {other:?}"),
             }
+            clock.hold(false);
             assert!(matches!(
                 leader.join().unwrap(),
                 Message::RequestReply { request_id: 6, cached: false, .. }
@@ -888,6 +894,21 @@ pub(crate) mod tests {
                 Message::RequestReply { request_id: 7, cached: true, .. }
             ));
         });
+        assert_eq!(
+            paths(&core),
+            [
+                "1: queue, cache_lookup miss, solve",
+                "2: queue, cache_lookup hit, cache_hit",
+                "3: queue, cache_bypass_nondet, solve",
+                "4: queue, cache_lookup miss, solve err",
+                "5: admission_shed",
+                "6: queue, cache_lookup miss, solve",
+                "7: queue, cache_lookup coalesced, coalesce_wait",
+                "8: queue_deadline_shed",
+                "9: admission_shed",
+            ]
+        );
+        core
     }
 
     /// Admission prices a request by its flops, not by its problem's name:
@@ -924,8 +945,7 @@ pub(crate) mod tests {
 
     #[test]
     fn mixed_batch_accounts_for_every_request_and_frees_every_slot() {
-        let core = batch_core();
-        run_mixed_batch(&core);
+        let core = run_mixed_batch();
         let snap = core.metrics.snapshot("server");
         let c = |name: &str| snap.counter(name);
         // Six requests got past admission: four ok + the slow pair, less

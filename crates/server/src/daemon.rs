@@ -599,12 +599,11 @@ mod tests {
     /// nothing listed there may have stopped being emitted.
     #[test]
     fn observability_doc_lists_exactly_the_names_the_server_emits() {
-        use crate::core::tests::{batch_core, run_mixed_batch, submit};
+        use crate::core::tests::{run_mixed_batch, submit};
         use std::collections::BTreeSet;
 
         // Every way out of a gated, cached core ...
-        let gated = batch_core();
-        run_mixed_batch(&gated);
+        let gated = run_mixed_batch();
         // ... the dispatch backstop, which only a gate-less core reaches
         // (a gate sheds a spent budget at admission) ...
         let plain = ServerCore::with_standard_catalogue();

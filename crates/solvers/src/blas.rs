@@ -237,7 +237,7 @@ pub(crate) fn pack_columns(buf: &mut Vec<f64>, a: &[f64], lda: usize, m: usize, 
 /// order from zero, whatever tile it falls in — so results do not depend on
 /// how a caller splits `C` into panels, nor on which of the three instances
 /// of the loop nest the CPU runs: on AVX-512F, 24x8 tiles in 512-bit lanes
-/// with the ragged strips on 8x4 tiles ([`gemm_avx512`]); else on AVX2, 8x4
+/// with the ragged strips on 8x4 tiles (`gemm_avx512`); else on AVX2, 8x4
 /// tiles in 256-bit lanes; else the portable 4x4 tiles built for baseline
 /// x86-64. None fuses a multiply into an add, so all do the same IEEE
 /// operations per element in the same order and agree bit for bit.
@@ -479,7 +479,7 @@ fn threads_pay(m: usize, k: usize, n: usize) -> bool {
 }
 
 /// Default GEMM used by the `dgemm` problem executor: threaded for large
-/// products ([`THREADED_GEMM_MIN_WORK`]), blocked otherwise.
+/// products (`THREADED_GEMM_MIN_WORK`), blocked otherwise.
 pub fn dgemm(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     if threads_pay(a.rows(), a.cols(), b.cols()) {
         dgemm_threaded(a, b, 0)

@@ -339,5 +339,8 @@ cargo build --release -p netsolve-bench --bin r12_fleet_obs
 echo "=== clippy (deny warnings) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== rustdoc (deny warnings: no broken link, no public doc naming a private item) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo
 echo "CI gate passed."

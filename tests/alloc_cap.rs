@@ -350,3 +350,63 @@ fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
     server.stop();
     agent.stop();
 }
+
+/// The server side of a `cached_mix` call: `dgesv` at n = 192 through a
+/// cached core's `handle_message`, each request under its own trace id, as
+/// live clients send them. Warm — past the tracer's span window, whose
+/// trace map fills until then — a hit asks the allocator for exactly ten
+/// blocks on the calling thread: the decoded reply, the lookup span's
+/// detail, the trace's span buffer and the instruments around them. A miss
+/// also solves and stores the encoded reply: sixteen systems cycled through
+/// a cache that holds eight miss on every call, and each asks for at least
+/// 21 blocks; the cycle's total is pinned too, so a block that only some
+/// misses take still moves it.
+#[test]
+fn a_cached_solve_makes_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let n = 192;
+    let mut rng = Rng64::new(34);
+    let a = Matrix::random_diag_dominant(n, &mut rng);
+    let systems: Vec<Vec<DataObject>> = (0..16)
+        .map(|_| {
+            let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            vec![a.clone().into(), b.into()]
+        })
+        .collect();
+    // Room for eight encoded n = 192 replies and their entry overhead.
+    let core = ServerCore::with_standard_catalogue().with_cache(8 * (n * 8 + 128));
+    let mut trace_id = 0u128;
+    let mut call = |inputs: &Vec<DataObject>| {
+        trace_id += 1;
+        let request = Message::RequestSubmit {
+            request_id: trace_id as u64,
+            deadline_ms: 0,
+            problem: "dgesv".into(),
+            inputs: inputs.clone(),
+            trace_id,
+            parent_span: 1,
+        };
+        REQUESTS.with(|n| n.set(0));
+        let reply = core.handle_message(&request);
+        let requests = REQUESTS.with(Cell::get);
+        assert!(matches!(reply, Message::RequestReply { .. }), "{}", reply.name());
+        requests
+    };
+
+    for _ in 0..600 {
+        call(&systems[0]);
+    }
+    let hits: Vec<usize> = (0..31).map(|_| call(&systems[0])).collect();
+    assert!(hits.iter().all(|&h| h == 10), "a warm hit's allocator requests: {hits:?}");
+
+    for inputs in systems.iter().cycle().take(64) {
+        call(inputs);
+    }
+    let misses: Vec<usize> = systems.iter().map(&mut call).collect();
+    let (least, total) = (misses.iter().min().copied(), misses.iter().sum::<usize>());
+    assert_eq!(least, Some(21), "a warm miss's allocator requests: {misses:?}");
+    assert_eq!(total, 16 * 21, "16 warm misses: {misses:?}");
+    let snap = core.metrics().snapshot("server");
+    let count = |name: &str| snap.counter(name);
+    assert_eq!((count("server.cache_hits"), count("server.cache_misses")), (631, 80));
+}
