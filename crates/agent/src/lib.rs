@@ -29,41 +29,31 @@ pub use daemon::AgentDaemon;
 pub use registry::{standard_descriptor, ServerEntry, ServerRegistry};
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use netsolve_core::ids::{HostId, ServerId};
     use netsolve_core::problem::{Complexity, RequestShape};
+    use netsolve_core::rng::{cases, Rng64};
     use netsolve_net::NetworkView;
-    use proptest::prelude::*;
 
-    prop_compose! {
-        fn arb_snapshot(id: u64)(
-            mflops in 1.0..2000.0f64,
-            workload in 0.0..400.0f64,
-        ) -> ServerSnapshot {
-            ServerSnapshot {
+    fn arb_pool(rng: &mut Rng64) -> Vec<ServerSnapshot> {
+        (1..=rng.range(1..12) as u64)
+            .map(|id| ServerSnapshot {
                 server_id: ServerId(id),
                 host: HostId(1000 + id),
                 address: format!("srv{id}"),
-                mflops,
-                workload,
-            }
-        }
+                mflops: rng.uniform(1.0, 2000.0),
+                workload: rng.uniform(0.0, 400.0),
+            })
+            .collect()
     }
 
-    fn arb_pool() -> impl Strategy<Value = Vec<ServerSnapshot>> {
-        (1usize..12).prop_flat_map(|count| {
-            (0..count as u64)
-                .map(|i| arb_snapshot(i + 1))
-                .collect::<Vec<_>>()
-        })
-    }
-
-    proptest! {
-        /// MCT ranking is exactly ascending in predicted time, whatever the
-        /// server pool looks like.
-        #[test]
-        fn mct_ranking_is_sorted(pool in arb_pool(), n in 1u64..2000) {
+    /// MCT ranking is exactly ascending in predicted time, whatever the
+    /// server pool looks like.
+    #[test]
+    fn mct_ranking_is_sorted() {
+        cases("mct_ranking_is_sorted", 64, |rng| {
+            let (pool, n) = (arb_pool(rng), rng.range(1..2000) as u64);
             let net = NetworkView::lan_defaults();
             let shape = RequestShape {
                 problem: "dgesv".into(),
@@ -81,16 +71,19 @@ mod proptests {
                 HostId(1),
                 &mut st,
             );
-            prop_assert_eq!(ranked.len(), pool.len());
+            assert_eq!(ranked.len(), pool.len());
             for w in ranked.windows(2) {
-                prop_assert!(w[0].predicted_secs <= w[1].predicted_secs);
+                assert!(w[0].predicted_secs <= w[1].predicted_secs);
             }
-        }
+        });
+    }
 
-        /// Every policy returns a permutation of the eligible pool — no
-        /// server invented, none dropped.
-        #[test]
-        fn every_policy_is_a_permutation(pool in arb_pool(), n in 1u64..500) {
+    /// Every policy returns a permutation of the eligible pool — no
+    /// server invented, none dropped.
+    #[test]
+    fn every_policy_is_a_permutation() {
+        cases("every_policy_is_a_permutation", 64, |rng| {
+            let (pool, n) = (arb_pool(rng), rng.range(1..500) as u64);
             let net = NetworkView::lan_defaults();
             let shape = RequestShape {
                 problem: "x".into(),
@@ -109,19 +102,18 @@ mod proptests {
                 got.sort_unstable();
                 let mut want: Vec<u64> = pool.iter().map(|s| s.server_id.raw()).collect();
                 want.sort_unstable();
-                prop_assert_eq!(got, want, "policy {} not a permutation", policy.name());
+                assert_eq!(got, want, "policy {} not a permutation", policy.name());
             }
-        }
+        });
+    }
 
-        /// Predictions are finite and positive for sane inputs, and adding
-        /// workload never makes a server look faster.
-        #[test]
-        fn predictions_monotone_in_workload(
-            mflops in 1.0..2000.0f64,
-            w1 in 0.0..200.0f64,
-            extra in 1.0..200.0f64,
-            n in 1u64..1000,
-        ) {
+    /// Predictions are finite and positive for sane inputs, and adding
+    /// workload never makes a server look faster.
+    #[test]
+    fn predictions_monotone_in_workload() {
+        cases("predictions_monotone_in_workload", 64, |rng| {
+            let (mflops, w1) = (rng.uniform(1.0, 2000.0), rng.uniform(0.0, 200.0));
+            let (extra, n) = (rng.uniform(1.0, 200.0), rng.range(1..1000) as u64);
             let net = NetworkView::lan_defaults();
             let shape = RequestShape {
                 problem: "p".into(), n, bytes_in: n * 8, bytes_out: n * 8,
@@ -136,8 +128,8 @@ mod proptests {
             };
             let (t1, _, _) = predict(&mk(w1), &shape, c, &net, HostId(1));
             let (t2, _, _) = predict(&mk(w1 + extra), &shape, c, &net, HostId(1));
-            prop_assert!(t1.is_finite() && t1 > 0.0);
-            prop_assert!(t2 >= t1, "more workload must not predict faster");
-        }
+            assert!(t1.is_finite() && t1 > 0.0);
+            assert!(t2 >= t1, "more workload must not predict faster");
+        });
     }
 }

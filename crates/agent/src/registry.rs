@@ -439,8 +439,8 @@ pub fn standard_descriptor(host: &str, address: &str, mflops: f64) -> ServerDesc
 mod tests {
     use super::*;
     use crate::core::AgentCore;
+    use netsolve_core::rng::cases;
     use netsolve_proto::{Message, QueryShape};
-    use proptest::prelude::*;
 
     fn register(reg: &mut ServerRegistry, desc: &ServerDescriptor) -> Result<ServerId> {
         reg.register_at(desc, SimTime::ZERO)
@@ -886,24 +886,24 @@ mod tests {
         agent.metrics().gauge("agent.pending_assignments").get()
     }
 
-    proptest! {
-        /// Whatever registrations, gossip, reports, probes and queries
-        /// arrive in whatever order, the table stays one table: the two
-        /// indexes agree, an address has one row, ids only grow, nothing
-        /// is observable about an id the table does not hold, a ranking
-        /// never repeats an address or names a down server, and the
-        /// pending gauge is the sum of the rows' pending lists.
-        #[test]
-        fn the_table_stays_one_table(
-            steps in prop::collection::vec((0u8..12, 0usize..6, 0u64..10, 0.0..300.0f64), 1..80),
-        ) {
+    /// Whatever registrations, gossip, reports, probes and queries
+    /// arrive in whatever order, the table stays one table: the two
+    /// indexes agree, an address has one row, ids only grow, nothing
+    /// is observable about an id the table does not hold, a ranking
+    /// never repeats an address or names a down server, and the
+    /// pending gauge is the sum of the rows' pending lists.
+    #[test]
+    fn the_table_stays_one_table() {
+        cases("the_table_stays_one_table", 64, |rng| {
             let mut agent = AgentCore::with_defaults();
             let mut now = SimTime::ZERO;
             let mut highest_id = 0u64;
             let mut last_id_at: HashMap<String, u64> = HashMap::new();
-            for step in steps {
+            for _ in 0..rng.range(1..80) {
+                let (kind, slot, id) = (rng.below(12) as u8, rng.below(6), rng.below(10) as u64);
+                let step = (kind, slot, id, rng.uniform(0.0, 300.0));
                 apply(&mut agent, step, &mut now);
-                prop_assert_eq!(pending_gauge(&agent), agent.registry().pending_total() as i64);
+                assert_eq!(pending_gauge(&agent), agent.registry().pending_total() as i64);
                 let ranking = agent.query(
                     &QueryShape {
                         client_host: 0,
@@ -918,16 +918,16 @@ mod tests {
                 );
 
                 let reg = agent.registry();
-                prop_assert_eq!(reg.by_address.len(), reg.servers.len());
+                assert_eq!(reg.by_address.len(), reg.servers.len());
                 let ids: Vec<u64> = reg.all_servers().iter().map(|s| s.server_id.raw()).collect();
-                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "id order: {:?}", ids);
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "id order: {:?}", ids);
                 for (id, s) in &reg.servers {
-                    prop_assert_eq!(s.server_id, *id);
-                    prop_assert_eq!(reg.id_by_address(&s.address), Some(*id));
+                    assert_eq!(s.server_id, *id);
+                    assert_eq!(reg.id_by_address(&s.address), Some(*id));
                     // A row is either the one this address had last step,
                     // or one minted after every id ever seen.
                     if last_id_at.get(&s.address) != Some(&id.raw()) {
-                        prop_assert!(id.raw() > highest_id, "id {} reused", id.raw());
+                        assert!(id.raw() > highest_id, "id {} reused", id.raw());
                     }
                 }
                 highest_id = highest_id.max(ids.last().copied().unwrap_or(0));
@@ -935,21 +935,21 @@ mod tests {
                     reg.servers.values().map(|s| (s.address.clone(), s.server_id.raw())).collect();
 
                 for ghost in (0..12).map(ServerId).filter(|id| reg.get(*id).is_none()) {
-                    prop_assert!(!agent.is_down(ghost, now));
-                    prop_assert_eq!(agent.pending_load(ghost, now), 0);
+                    assert!(!agent.is_down(ghost, now));
+                    assert_eq!(agent.pending_load(ghost, now), 0);
                 }
                 let candidates = ranking.unwrap_or_default();
                 let addresses: HashSet<&str> =
                     candidates.iter().map(|c| c.address.as_str()).collect();
-                prop_assert_eq!(addresses.len(), candidates.len());
+                assert_eq!(addresses.len(), candidates.len());
                 for c in &candidates {
-                    prop_assert!(!agent.is_down(ServerId(c.server_id), now));
-                    prop_assert_eq!(reg.id_by_address(&c.address), Some(ServerId(c.server_id)));
+                    assert!(!agent.is_down(ServerId(c.server_id), now));
+                    assert_eq!(reg.id_by_address(&c.address), Some(ServerId(c.server_id)));
                 }
                 let pending: usize = reg.servers.values().map(|s| s.pending.len()).sum();
-                prop_assert_eq!(pending_gauge(&agent), pending as i64);
+                assert_eq!(pending_gauge(&agent), pending as i64);
             }
-        }
+        });
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`error::NetSolveError`] — the status-code catalogue;
 //! * [`clock`] — the live path's one [`clock::Clock`], real or virtual, so
 //!   timeouts, pacing and link time replay deterministically;
-//! * [`rng::Rng64`] — seeded randomness for reproducible experiments;
+//! * [`rng::Rng64`] — seeded randomness for reproducible experiments, and
+//!   [`rng::cases`], the seeded-case driver every randomised test runs on;
 //! * [`stats`] — EWMA/percentile helpers for the agent and the
 //!   experiment harness.
 

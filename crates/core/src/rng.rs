@@ -5,7 +5,9 @@
 //! reproducible run-to-run. We standardize on a small xorshift-based
 //! generator implemented here (no reliance on `rand`'s unspecified StdRng
 //! algorithm, which may change across versions) plus the distribution
-//! samplers the simulator needs.
+//! samplers the simulator needs. Randomised tests run on the same generator
+//! through [`cases`], which seeds each case from the test's name and prints
+//! a failing case's seed for [`replay`].
 
 /// Weyl increment of SplitMix64 (the golden ratio in 64 bits).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -69,6 +71,29 @@ impl Rng64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
+    /// Uniform integer in `r`. Panics if `r` is empty.
+    pub fn range(&mut self, r: std::ops::Range<usize>) -> usize {
+        r.start + self.below(r.end - r.start)
+    }
+
+    /// A string whose length is uniform in `len`, each char uniform over
+    /// `alphabet`, which lists chars and `a-z` ranges like a regex class.
+    pub fn string(&mut self, alphabet: &str, len: std::ops::RangeInclusive<usize>) -> String {
+        let mut pool = Vec::new();
+        let mut chars = alphabet.chars();
+        while let Some(c) = chars.next() {
+            let mut ahead = chars.clone();
+            if let (Some('-'), Some(hi)) = (ahead.next(), ahead.next()) {
+                pool.extend(c..=hi);
+                chars = ahead;
+            } else {
+                pool.push(c);
+            }
+        }
+        let n = self.range(*len.start()..len.end() + 1);
+        (0..n).map(|_| pool[self.below(pool.len())]).collect()
+    }
+
     /// Bernoulli trial with success probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -109,6 +134,52 @@ impl Rng64 {
             None
         } else {
             Some(&xs[self.below(xs.len())])
+        }
+    }
+}
+
+/// The seed of case `index` of the seeded-case test `name`: FNV-1a of the
+/// name, mixed with the index. A pure function, so every run of a test draws
+/// the same inputs.
+fn case_seed(name: &str, index: u32) -> u64 {
+    let base = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    splitmix64(base ^ splitmix64(u64::from(index)))
+}
+
+/// Run `n` seeded cases of the test `name`: case `i` gets its own
+/// [`Rng64`], seeded from a hash of `name` mixed with `i`. There is no
+/// shrinking and no rejection; a case that panics prints the one line that
+/// reruns it alone, `rng::replay(0x…, body)`, as the panic unwinds.
+pub fn cases(name: &str, n: u32, mut body: impl FnMut(&mut Rng64)) {
+    for index in 0..n {
+        let seed = case_seed(name, index);
+        let _replay = ReplayLine { name, index, seed };
+        body(&mut Rng64::new(seed));
+    }
+}
+
+/// Rerun the one case with this `seed`, as printed by a failing [`cases`].
+pub fn replay(seed: u64, mut body: impl FnMut(&mut Rng64)) {
+    body(&mut Rng64::new(seed))
+}
+
+/// Prints a case's replay line if the case unwinds past it.
+struct ReplayLine<'a> {
+    name: &'a str,
+    index: u32,
+    seed: u64,
+}
+
+impl Drop for ReplayLine<'_> {
+    fn drop(&mut self) {
+        // `eprintln!` puts the line in the test harness's capture beside the
+        // panic message. It panics only if stderr itself fails to write (std
+        // ignores a closed stderr), which would abort a test already failing.
+        if std::thread::panicking() {
+            let (name, index, seed) = (self.name, self.index, self.seed);
+            eprintln!("case {index} of `{name}` failed; replay: rng::replay({seed:#018x}, body)");
         }
     }
 }
@@ -199,6 +270,56 @@ mod tests {
         let mut c2 = parent.fork(2);
         let matches = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert_eq!(matches, 0);
+    }
+
+    fn draws(name: &str) -> Vec<u64> {
+        let mut drawn = Vec::new();
+        cases(name, 16, |rng| drawn.push(rng.next_u64()));
+        drawn
+    }
+
+    #[test]
+    fn a_case_seed_is_a_function_of_name_and_index() {
+        assert_eq!(draws("lu_solve"), draws("lu_solve"));
+        assert_eq!(draws("lu_solve")[3], Rng64::new(case_seed("lu_solve", 3)).next_u64());
+    }
+
+    #[test]
+    fn different_names_draw_different_streams() {
+        let (a, b) = (draws("lu_solve"), draws("lu_solvf"));
+        assert!(a.iter().all(|x| !b.contains(x)));
+    }
+
+    /// Runs itself as a child test process whose cases fail, then replays
+    /// the seed the child printed and checks it redraws the failing input.
+    #[test]
+    fn a_failing_case_prints_a_line_that_replays_it() {
+        let body = |rng: &mut Rng64| {
+            let x = rng.next_u64();
+            eprintln!("drew {x:#018x}");
+            assert!(!x.is_multiple_of(5), "deliberate failure");
+        };
+        if std::env::var_os("NETSOLVE_FAILING_CASE_CHILD").is_some() {
+            return cases("deliberately_failing", 64, body);
+        }
+        let test = "rng::tests::a_failing_case_prints_a_line_that_replays_it";
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", test, "--nocapture"])
+            .env("NETSOLVE_FAILING_CASE_CHILD", "1")
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let hex_after = |tag: &str| {
+            let mut found = stderr.lines().filter_map(|l| Some(l.split_once(tag)?.1));
+            let hex = found.next_back().expect(tag);
+            u64::from_str_radix(&hex[..16], 16).unwrap()
+        };
+        assert_eq!(stderr.matches("rng::replay(").count(), 1, "{stderr}");
+        let (drawn, seed) = (hex_after("drew 0x"), hex_after("rng::replay(0x"));
+        let mut redrawn = 0;
+        replay(seed, |rng| redrawn = rng.next_u64());
+        assert_eq!(redrawn, drawn);
     }
 
     #[test]

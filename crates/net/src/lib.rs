@@ -39,51 +39,54 @@ pub use tcp::TcpTransport;
 pub use transport::{call, call_once, Connection, Listener, Transport};
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use netsolve_core::ids::HostId;
-    use netsolve_core::rng::Rng64;
-    use proptest::prelude::*;
+    use netsolve_core::rng::{cases, Rng64};
 
-    proptest! {
-        /// Transfer time is non-negative, finite for finite inputs, and
-        /// monotone in byte count.
-        #[test]
-        fn link_transfer_monotone(lat in 0.0..1.0f64,
-                                  bw in 1.0..1e9f64,
-                                  a in 0u64..1_000_000,
-                                  extra in 0u64..1_000_000) {
+    /// Transfer time is non-negative, finite for finite inputs, and
+    /// monotone in byte count.
+    #[test]
+    fn link_transfer_monotone() {
+        cases("link_transfer_monotone", 64, |rng| {
+            let (lat, bw) = (rng.uniform(0.0, 1.0), rng.uniform(1.0, 1e9));
+            let (a, extra) = (rng.below(1_000_000) as u64, rng.below(1_000_000) as u64);
             let link = LinkModel::ideal().with_latency(lat).with_bandwidth(bw);
             let t1 = link.transfer_secs(a);
             let t2 = link.transfer_secs(a + extra);
-            prop_assert!(t1.is_finite() && t1 >= lat);
-            prop_assert!(t2 >= t1);
-        }
+            assert!(t1.is_finite() && t1 >= lat);
+            assert!(t2 >= t1);
+        });
+    }
 
-        /// Jittered samples are never negative and — when the jitter is
-        /// small relative to the base time, so zero-clamping cannot bias
-        /// the mean — average near the deterministic value.
-        #[test]
-        fn link_jitter_unbiased(seed in any::<u64>(), jitter in 0.0..0.001f64) {
+    /// Jittered samples are never negative and — when the jitter is
+    /// small relative to the base time, so zero-clamping cannot bias
+    /// the mean — average near the deterministic value.
+    #[test]
+    fn link_jitter_unbiased() {
+        cases("link_jitter_unbiased", 64, |rng| {
             let mut link = LinkModel::lan_1996();
-            link.jitter_secs = jitter;
-            let mut rng = Rng64::new(seed);
+            link.jitter_secs = rng.uniform(0.0, 0.001);
+            let mut rng = Rng64::new(rng.next_u64());
             let base = link.transfer_secs(10_000);
             let n = 2_000;
             let mean: f64 = (0..n)
                 .map(|_| link.sample_transfer_secs(10_000, &mut rng))
                 .sum::<f64>() / n as f64;
-            prop_assert!(mean >= 0.0);
+            assert!(mean >= 0.0);
             // 6-sigma band on the sample mean (base ≈ 9 ms >> 6σ ≈ 6 ms,
             // so the max(0) clamp is never hit and the estimator is
             // unbiased)
-            prop_assert!((mean - base).abs() < 6.0 * jitter / (n as f64).sqrt() + 1e-9);
-        }
+            assert!((mean - base).abs() < 6.0 * link.jitter_secs / (n as f64).sqrt() + 1e-9);
+        });
+    }
 
-        /// The network view's estimate always lies within the range of the
-        /// observations it has seen (EWMA is a convex combination).
-        #[test]
-        fn network_view_estimate_bounded(obs in prop::collection::vec(1e3..1e9f64, 1..20)) {
+    /// The network view's estimate always lies within the range of the
+    /// observations it has seen (EWMA is a convex combination).
+    #[test]
+    fn network_view_estimate_bounded() {
+        cases("network_view_estimate_bounded", 64, |rng| {
+            let obs: Vec<f64> = (0..rng.range(1..20)).map(|_| rng.uniform(1e3, 1e9)).collect();
             let mut v = NetworkView::new(1e-3, 1e6);
             let (a, b) = (HostId(1), HostId(2));
             for &bw in &obs {
@@ -92,18 +95,21 @@ mod proptests {
             let est = v.bandwidth_bps(a, b);
             let lo = obs.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = obs.iter().cloned().fold(0.0f64, f64::max);
-            prop_assert!(est >= lo - 1e-6 && est <= hi + 1e-6, "est {est} outside [{lo}, {hi}]");
-        }
+            assert!(est >= lo - 1e-6 && est <= hi + 1e-6, "est {est} outside [{lo}, {hi}]");
+        });
+    }
 
-        /// transfer_secs is consistent with its parts.
-        #[test]
-        fn network_view_transfer_decomposes(bytes in 0u64..10_000_000) {
+    /// transfer_secs is consistent with its parts.
+    #[test]
+    fn network_view_transfer_decomposes() {
+        cases("network_view_transfer_decomposes", 64, |rng| {
+            let bytes = rng.below(10_000_000) as u64;
             let mut v = NetworkView::new(0.002, 2e6);
             let (a, b) = (HostId(3), HostId(4));
             v.observe(a, b, 0.004, 4e6);
             let t = v.transfer_secs(a, b, bytes);
             let expect = v.latency_secs(a, b) + bytes as f64 / v.bandwidth_bps(a, b);
-            prop_assert!((t - expect).abs() < 1e-12);
-        }
+            assert!((t - expect).abs() < 1e-12);
+        });
     }
 }

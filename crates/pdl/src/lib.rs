@@ -30,86 +30,81 @@ pub use parser::{parse, parse_one, render};
 pub use registry::ProblemRegistry;
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use netsolve_core::data::ObjectKind;
     use netsolve_core::problem::{Complexity, ObjectSpec, ProblemSpec};
-    use proptest::prelude::*;
+    use netsolve_core::rng::{cases, Rng64};
 
-    fn arb_kind() -> impl Strategy<Value = ObjectKind> {
-        prop_oneof![
-            Just(ObjectKind::IntScalar),
-            Just(ObjectKind::DoubleScalar),
-            Just(ObjectKind::Vector),
-            Just(ObjectKind::Matrix),
-            Just(ObjectKind::SparseMatrix),
-            Just(ObjectKind::Text),
-        ]
+    const KINDS: [ObjectKind; 6] = [
+        ObjectKind::IntScalar,
+        ObjectKind::DoubleScalar,
+        ObjectKind::Vector,
+        ObjectKind::Matrix,
+        ObjectKind::SparseMatrix,
+        ObjectKind::Text,
+    ];
+
+    /// Specs named `{prefix}{0..1000}`, sorted and deduplicated by name
+    /// (duplicates would fail validation).
+    fn arb_objspecs(rng: &mut Rng64, prefix: &str, count: std::ops::Range<usize>) -> Vec<ObjectSpec> {
+        let mut specs: Vec<ObjectSpec> = (0..rng.range(count))
+            .map(|_| {
+                let name = format!("{prefix}{}", rng.below(1000));
+                let kind = *rng.choose(&KINDS).unwrap();
+                ObjectSpec::new(&name, kind, &rng.string(" !#-~", 0..=40)) // printable ASCII minus '"'
+            })
+            .collect();
+        specs.sort_by(|x, y| x.name.cmp(&y.name));
+        specs.dedup_by(|x, y| x.name == y.name);
+        specs
     }
 
-    prop_compose! {
-        fn arb_objspec(prefix: &'static str)(
-            idx in 0usize..1000,
-            kind in arb_kind(),
-            desc in "[ !#-~]{0,40}", // printable ASCII minus '"'
-        ) -> ObjectSpec {
-            ObjectSpec::new(&format!("{prefix}{idx}"), kind, &desc)
-        }
+    fn arb_spec(rng: &mut Rng64) -> ProblemSpec {
+        let name = rng.string("a-z", 1..=1) + &rng.string("a-z0-9_", 0..=15);
+        let description = rng.string(" !#-~", 1..=60);
+        let (inputs, outputs) = (arb_objspecs(rng, "in", 1..5), arb_objspecs(rng, "out", 0..4));
+        let complexity = Complexity::new(rng.uniform(0.001, 1000.0), rng.uniform(0.0, 4.0)).unwrap();
+        let major_input = rng.below(inputs.len());
+        ProblemSpec { name, description, inputs, outputs, complexity, major_input }
     }
 
-    prop_compose! {
-        fn arb_spec()(
-            name in "[a-z][a-z0-9_]{0,15}",
-            desc in "[ !#-~]{1,60}",
-            raw_inputs in prop::collection::vec(arb_objspec("in"), 1..5),
-            raw_outputs in prop::collection::vec(arb_objspec("out"), 0..4),
-            a in 0.001f64..1000.0,
-            b in 0.0f64..4.0,
-            major_seed in any::<prop::sample::Index>(),
-        ) -> ProblemSpec {
-            // Dedup argument names (duplicates would fail validation).
-            let mut inputs = raw_inputs;
-            inputs.sort_by(|x, y| x.name.cmp(&y.name));
-            inputs.dedup_by(|x, y| x.name == y.name);
-            let mut outputs = raw_outputs;
-            outputs.sort_by(|x, y| x.name.cmp(&y.name));
-            outputs.dedup_by(|x, y| x.name == y.name);
-            let major_input = major_seed.index(inputs.len());
-            ProblemSpec {
-                name,
-                description: desc,
-                inputs,
-                outputs,
-                complexity: Complexity::new(a, b).unwrap(),
-                major_input,
-            }
-        }
+    #[test]
+    fn render_parse_roundtrip() {
+        cases("render_parse_roundtrip", 64, |rng| {
+            let spec = arb_spec(rng);
+            assert!(spec.validate().is_ok(), "the generator made an invalid spec: {spec:?}");
+            let back = crate::parse_one(&crate::render(&spec)).unwrap();
+            assert_eq!(back, spec);
+        });
     }
 
-    proptest! {
-        #[test]
-        fn render_parse_roundtrip(spec in arb_spec()) {
-            prop_assume!(spec.validate().is_ok());
-            let rendered = crate::render(&spec);
-            let back = crate::parse_one(&rendered).unwrap();
-            prop_assert_eq!(back, spec);
-        }
+    #[test]
+    fn lexer_never_panics() {
+        cases("lexer_never_panics", 64, |rng| {
+            let _ = crate::lexer::lex(&rng.string(" -~£é÷ßλжᚠ‰→中日🙂", 0..=300));
+        });
+    }
 
-        #[test]
-        fn lexer_never_panics(src in "\\PC{0,300}") {
-            let _ = crate::lexer::lex(&src);
-        }
+    #[test]
+    fn parser_never_panics() {
+        cases("parser_never_panics", 64, |rng| {
+            let _ = crate::parse(&rng.string(" -~£é÷ßλжᚠ‰→中日🙂", 0..=300));
+        });
+    }
 
-        #[test]
-        fn parser_never_panics(src in "\\PC{0,300}") {
-            let _ = crate::parse(&src);
-        }
-
-        #[test]
-        fn parser_never_panics_on_directive_soup(
-            words in prop::collection::vec("(@[A-Z]{1,10}|[a-z]{1,8}|\"[a-z ]{0,10}\"|[0-9]{1,3}|:)", 0..40)
-        ) {
-            let src = words.join(" ");
-            let _ = crate::parse(&src);
-        }
+    #[test]
+    fn parser_never_panics_on_directive_soup() {
+        cases("parser_never_panics_on_directive_soup", 64, |rng| {
+            let words: Vec<String> = (0..rng.range(0..40))
+                .map(|_| match rng.below(5) {
+                    0 => format!("@{}", rng.string("A-Z", 1..=10)),
+                    1 => rng.string("a-z", 1..=8),
+                    2 => format!("\"{}\"", rng.string("a-z ", 0..=10)),
+                    3 => rng.string("0-9", 1..=3),
+                    _ => ":".to_owned(),
+                })
+                .collect();
+            let _ = crate::parse(&words.join(" "));
+        });
     }
 }

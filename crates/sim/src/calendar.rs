@@ -76,7 +76,7 @@ impl<E> Default for EventCalendar<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsolve_core::rng::Rng64;
+    use netsolve_core::rng::{cases, Rng64};
 
     #[test]
     fn pops_in_time_order() {
@@ -134,13 +134,12 @@ mod tests {
     /// so a pop is checked against the one before it.
     #[test]
     fn seeded_interleaving_pops_in_time_then_push_order() {
-        for seed in 0..20u64 {
-            let mut rng = Rng64::new(seed * 1_234_567 + 1);
+        cases("seeded_interleaving_pops_in_time_then_push_order", 20, |rng| {
             let mut cal = EventCalendar::new();
             let (mut pushed, mut now) = (0u64, 0.0f64);
             let mut last = (-1.0f64, 0u64);
             let mut check = |popped: (f64, u64)| {
-                assert!(last < popped, "seed {seed}: {last:?} popped before {popped:?}");
+                assert!(last < popped, "{last:?} popped before {popped:?}");
                 last = popped;
             };
             for _ in 0..10_000 {
@@ -162,6 +161,6 @@ mod tests {
             while let Some(popped) = cal.pop() {
                 check(popped);
             }
-        }
+        });
     }
 }

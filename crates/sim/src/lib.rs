@@ -38,72 +38,68 @@ pub use metrics::{CompletedRequest, SimReport};
 pub use scenario::{Arrivals, RequestMix, Scenario, SimNetwork, SimServer};
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use netsolve_agent::Policy;
-    use proptest::prelude::*;
+    use netsolve_core::rng::{cases, Rng64};
 
-    prop_compose! {
-        fn arb_scenario()(
-            seed in any::<u64>(),
-            n_servers in 1usize..6,
-            speeds in prop::collection::vec(10.0..500.0f64, 6),
-            requests in 1usize..60,
-            rate in 0.5..8.0f64,
-            policy_idx in 0usize..6,
-        ) -> Scenario {
-            let servers = (0..n_servers).map(|i| SimServer::new(speeds[i])).collect();
-            let mut sc = Scenario::default_with(servers, requests);
-            sc.seed = seed;
-            sc.arrivals = Arrivals::Poisson { rate };
-            sc.policy = Policy::all()[policy_idx];
-            sc
-        }
+    fn arb_scenario(rng: &mut Rng64) -> Scenario {
+        let servers = (0..rng.range(1..6)).map(|_| SimServer::new(rng.uniform(10.0, 500.0))).collect();
+        let mut sc = Scenario::default_with(servers, rng.range(1..60));
+        sc.seed = rng.next_u64();
+        sc.arrivals = Arrivals::Poisson { rate: rng.uniform(0.5, 8.0) };
+        sc.policy = *rng.choose(Policy::all()).unwrap();
+        sc
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// On a reliable pool every request completes, exactly once, under
-        /// every policy, for any seed.
-        #[test]
-        fn conservation_of_requests(sc in arb_scenario()) {
+    /// On a reliable pool every request completes, exactly once, under
+    /// every policy, for any seed.
+    #[test]
+    fn conservation_of_requests() {
+        cases("conservation_of_requests", 32, |rng| {
+            let sc = arb_scenario(rng);
             let report = run(&sc).unwrap();
-            prop_assert_eq!(report.total(), sc.requests);
-            prop_assert_eq!(report.succeeded(), sc.requests);
+            assert_eq!(report.total(), sc.requests);
+            assert_eq!(report.succeeded(), sc.requests);
             let served: usize = report.per_server_counts().iter().sum();
-            prop_assert_eq!(served, sc.requests);
+            assert_eq!(served, sc.requests);
             // finish times never precede arrivals
             for r in report.requests() {
-                prop_assert!(r.finish_secs >= r.arrival_secs);
+                assert!(r.finish_secs >= r.arrival_secs);
             }
-        }
+        });
+    }
 
-        /// Simulation is a pure function of the scenario.
-        #[test]
-        fn determinism(sc in arb_scenario()) {
+    /// Simulation is a pure function of the scenario.
+    #[test]
+    fn determinism() {
+        cases("determinism", 32, |rng| {
+            let sc = arb_scenario(rng);
             let a = run(&sc).unwrap();
             let b = run(&sc).unwrap();
-            prop_assert_eq!(a.makespan_secs(), b.makespan_secs());
-            prop_assert_eq!(a.per_server_counts(), b.per_server_counts());
-            prop_assert_eq!(a.mean_turnaround_secs(), b.mean_turnaround_secs());
-        }
+            assert_eq!(a.makespan_secs(), b.makespan_secs());
+            assert_eq!(a.per_server_counts(), b.per_server_counts());
+            assert_eq!(a.mean_turnaround_secs(), b.mean_turnaround_secs());
+        });
+    }
 
-        /// With failures and failover enabled, attempts are bounded by the
-        /// configured budget.
-        #[test]
-        fn attempts_bounded(seed in any::<u64>(), fail in 0.0..0.6f64) {
+    /// With failures and failover enabled, attempts are bounded by the
+    /// configured budget.
+    #[test]
+    fn attempts_bounded() {
+        cases("attempts_bounded", 32, |rng| {
+            let fail = rng.uniform(0.0, 0.6);
             let servers = vec![
                 SimServer::new(100.0).with_fail_prob(fail),
                 SimServer::new(100.0).with_fail_prob(fail),
                 SimServer::new(100.0),
             ];
             let mut sc = Scenario::default_with(servers, 40);
-            sc.seed = seed;
+            sc.seed = rng.next_u64();
             let report = run(&sc).unwrap();
             for r in report.requests() {
-                prop_assert!(r.attempts as usize <= sc.max_attempts);
+                assert!(r.attempts as usize <= sc.max_attempts);
             }
-        }
+        });
     }
 }

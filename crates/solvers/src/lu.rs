@@ -351,8 +351,7 @@ pub fn dgesv(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 pub(crate) mod tests {
     use super::*;
     use netsolve_core::matrix::vec_max_abs_diff;
-    use netsolve_core::rng::Rng64;
-    use proptest::prelude::*;
+    use netsolve_core::rng::{cases, Rng64};
 
     /// The unblocked, element-indexed elimination `lu_factor` used to be:
     /// kept as the reference the blocked routine is compared against.
@@ -410,38 +409,37 @@ pub(crate) mod tests {
             .fold(0.0, f64::max)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(28))]
-
-        /// Normwise backward error of `dgesv` on general random matrices
-        /// (not diagonally dominant, so pivot rows come from other panels).
-        #[test]
-        fn backward_error_across_block_boundaries(seed in any::<u64>(), which in 0usize..ORDERS.len()) {
-            let n = ORDERS[which];
-            let mut rng = Rng64::new(seed);
-            let a = Matrix::random(n, n, &mut rng);
+    /// Normwise backward error of `dgesv` on general random matrices
+    /// (not diagonally dominant, so pivot rows come from other panels).
+    #[test]
+    fn backward_error_across_block_boundaries() {
+        cases("backward_error_across_block_boundaries", 28, |rng| {
+            let n = *rng.choose(&ORDERS).unwrap();
+            let a = Matrix::random(n, n, rng);
             let b: Vec<f64> = (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect();
             let x = dgesv(&a, &b).unwrap();
             let ax = a.matvec(&x).unwrap();
             let resid: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
             let eta = inf_norm(&resid) / (mat_inf_norm(&a) * inf_norm(&x) + inf_norm(&b));
-            prop_assert!(eta <= 4.0 * n as f64 * f64::EPSILON, "n={n}: backward error {eta:e}");
-        }
+            assert!(eta <= 4.0 * n as f64 * f64::EPSILON, "n={n}: backward error {eta:e}");
+        });
+    }
 
-        /// Same pivots, same determinant and the same inverse as the
-        /// unblocked reference.
-        #[test]
-        fn agrees_with_unblocked_reference(seed in any::<u64>(), which in 0usize..ORDERS.len()) {
-            let n = ORDERS[which];
-            let a = Matrix::random(n, n, &mut Rng64::new(seed));
+    /// Same pivots, same determinant and the same inverse as the
+    /// unblocked reference.
+    #[test]
+    fn agrees_with_unblocked_reference() {
+        cases("agrees_with_unblocked_reference", 28, |rng| {
+            let n = *rng.choose(&ORDERS).unwrap();
+            let a = Matrix::random(n, n, rng);
             let (f, r) = (lu_factor(&a).unwrap(), lu_factor_unblocked(&a).unwrap());
-            prop_assert_eq!(&f.pivots, &r.pivots);
-            prop_assert_eq!(f.perm_sign, r.perm_sign);
-            prop_assert!(f.det() * r.det() > 0.0, "det sign: {} vs {}", f.det(), r.det());
-            prop_assert!((f.det() - r.det()).abs() <= 1e-9 * r.det().abs());
+            assert_eq!(f.pivots, r.pivots);
+            assert_eq!(f.perm_sign, r.perm_sign);
+            assert!(f.det() * r.det() > 0.0, "det sign: {} vs {}", f.det(), r.det());
+            assert!((f.det() - r.det()).abs() <= 1e-9 * r.det().abs());
             let (fi, ri) = (f.inverse().unwrap(), r.inverse().unwrap());
-            prop_assert!(fi.approx_eq(&ri, 1e-7 * inf_norm(ri.as_slice())), "n={n}: {:e}", fi.max_abs_diff(&ri));
-        }
+            assert!(fi.approx_eq(&ri, 1e-7 * inf_norm(ri.as_slice())), "n={n}: {:e}", fi.max_abs_diff(&ri));
+        });
     }
 
     /// The `Numerical` error a factorisation failed with, and the step it

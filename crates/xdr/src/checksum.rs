@@ -216,7 +216,6 @@ impl Default for Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// Varied, non-periodic bytes.
     fn pattern(len: usize) -> Vec<u8> {
@@ -286,18 +285,18 @@ mod tests {
         assert_ne!(before, crc32(&data));
     }
 
-    proptest! {
-        /// Chunk boundaries never matter, on either side of the fast
-        /// path's threshold.
-        #[test]
-        fn split_updates_compose(
-            data in prop::collection::vec(any::<u8>(), 0..400),
-            cut in prop_oneof![0usize..400, FOLD_MIN - 8..FOLD_MIN + 8],
-            state in any::<u32>(),
-        ) {
+    /// Chunk boundaries never matter, on either side of the fast
+    /// path's threshold.
+    #[test]
+    fn split_updates_compose() {
+        netsolve_core::rng::cases("split_updates_compose", 64, |rng| {
+            let data: Vec<u8> = (0..rng.range(0..400)).map(|_| rng.next_u64() as u8).collect();
+            let cuts = if rng.chance(0.5) { 0..400 } else { FOLD_MIN - 8..FOLD_MIN + 8 };
+            let cut = rng.range(cuts);
+            let state = rng.next_u64() as u32;
             let (a, b) = data.split_at(cut.min(data.len()));
-            prop_assert_eq!(update(update(state, a), b), update(state, &data));
-            prop_assert_eq!(update(state, &data), update_table(state, &data));
-        }
+            assert_eq!(update(update(state, a), b), update(state, &data));
+            assert_eq!(update(state, &data), update_table(state, &data));
+        });
     }
 }

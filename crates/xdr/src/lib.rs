@@ -27,101 +27,136 @@ pub use codec::{decode_list, Decoder, Encoder, DEFAULT_MAX_ITEM_BYTES, STREAM_IN
 pub use object::{decode_object, decode_objects, encode_object, encode_objects, from_bytes, to_bytes};
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use netsolve_core::data::DataObject;
     use netsolve_core::matrix::Matrix;
+    use netsolve_core::rng::{cases, Rng64};
     use netsolve_core::sparse::CsrMatrix;
-    use proptest::prelude::*;
 
-    fn arb_object() -> impl Strategy<Value = DataObject> {
-        prop_oneof![
-            any::<i64>().prop_map(DataObject::Int),
-            // Use bit-pattern doubles so NaN payloads are covered too.
-            any::<u64>().prop_map(|bits| DataObject::Double(f64::from_bits(bits))),
-            prop::collection::vec(any::<f64>().prop_filter("finite", |x| x.is_finite()), 0..64)
-                .prop_map(DataObject::Vector),
-            (1usize..8, 1usize..8).prop_flat_map(|(r, c)| {
-                prop::collection::vec(-1e6..1e6f64, r * c)
-                    .prop_map(move |data| {
-                        DataObject::Matrix(Matrix::from_col_major(r, c, data).unwrap())
-                    })
-            }),
-            (2usize..6, 2usize..6).prop_map(|(nx, ny)| {
-                DataObject::Sparse(CsrMatrix::laplacian_2d(nx, ny))
-            }),
-            "[ -~]{0,80}".prop_map(DataObject::Text),
-        ]
+    /// A double from the whole bit space, its rare classes drawn often: one
+    /// time in eight each a subnormal (or ±0), a NaN with any payload, ±inf.
+    fn any_f64(rng: &mut Rng64) -> f64 {
+        const EXP: u64 = 0x7FF0_0000_0000_0000;
+        let bits = rng.next_u64();
+        f64::from_bits(match rng.below(8) {
+            0 => bits & !EXP,
+            1 => bits | EXP | 1,
+            2 => (bits & (1 << 63)) | EXP,
+            _ => bits,
+        })
     }
 
-    proptest! {
-        #[test]
-        fn object_roundtrip(obj in arb_object()) {
-            let bytes = crate::to_bytes(std::slice::from_ref(&obj));
-            let back = crate::from_bytes(&bytes).unwrap();
-            prop_assert_eq!(back.len(), 1);
-            // Compare via bit patterns for doubles (NaN != NaN).
-            match (&back[0], &obj) {
-                (DataObject::Double(a), DataObject::Double(b)) => {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                (a, b) => prop_assert_eq!(a, b),
+    fn arb_object(rng: &mut Rng64) -> DataObject {
+        match rng.below(6) {
+            0 => DataObject::Int(rng.next_u64() as i64),
+            // Use bit-pattern doubles so NaN payloads are covered too.
+            1 => DataObject::Double(f64::from_bits(rng.next_u64())),
+            2 => DataObject::Vector((0..rng.range(0..64)).map(|_| any_f64(rng)).collect()),
+            3 => {
+                let (r, c) = (rng.range(1..8), rng.range(1..8));
+                let data = (0..r * c).map(|_| any_f64(rng)).collect();
+                DataObject::Matrix(Matrix::from_col_major(r, c, data).unwrap())
             }
+            4 => DataObject::Sparse(CsrMatrix::laplacian_2d(rng.range(2..6), rng.range(2..6))),
+            _ => DataObject::Text(rng.string(" -~", 0..=80)),
         }
+    }
 
-        #[test]
-        fn object_list_roundtrip(objs in prop::collection::vec(arb_object(), 0..8)) {
-            // NaN-tolerant list check: decode then re-encode must be
-            // byte-identical (canonical encoding).
+    fn arb_objects(rng: &mut Rng64, count: std::ops::Range<usize>) -> Vec<DataObject> {
+        (0..rng.range(count)).map(|_| arb_object(rng)).collect()
+    }
+
+    /// `a` is `b` with every double the same bits: NaN payloads included,
+    /// which `==` cannot compare.
+    fn same_bits(a: &DataObject, b: &DataObject) -> bool {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (a, b) {
+            (DataObject::Double(x), DataObject::Double(y)) => x.to_bits() == y.to_bits(),
+            (DataObject::Vector(x), DataObject::Vector(y)) => bits(x) == bits(y),
+            (DataObject::Matrix(x), DataObject::Matrix(y)) => {
+                (x.rows(), x.cols()) == (y.rows(), y.cols())
+                    && bits(x.as_slice()) == bits(y.as_slice())
+            }
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn object_roundtrip() {
+        cases("object_roundtrip", 64, |rng| {
+            let obj = arb_object(rng);
+            let back = crate::from_bytes(&crate::to_bytes(std::slice::from_ref(&obj))).unwrap();
+            assert_eq!(back.len(), 1);
+            assert!(same_bits(&back[0], &obj), "{:?} came back as {:?}", obj, back[0]);
+        });
+    }
+
+    #[test]
+    fn object_list_roundtrip() {
+        // Bit for bit, and decode then re-encode is byte-identical
+        // (canonical encoding).
+        cases("object_list_roundtrip", 64, |rng| {
+            let objs = arb_objects(rng, 0..8);
             let bytes = crate::to_bytes(&objs);
             let back = crate::from_bytes(&bytes).unwrap();
-            let bytes2 = crate::to_bytes(&back);
-            prop_assert_eq!(bytes, bytes2);
-        }
+            assert_eq!(back.len(), objs.len());
+            assert!(back.iter().zip(&objs).all(|(a, b)| same_bits(a, b)));
+            assert_eq!(bytes, crate::to_bytes(&back));
+        });
+    }
 
-        #[test]
-        fn random_bytes_never_panic(data in prop::collection::vec(any::<u8>(), 0..512)) {
-            // Decoding arbitrary garbage must fail cleanly, never panic or
-            // over-allocate.
+    #[test]
+    fn random_bytes_never_panic() {
+        // Decoding arbitrary garbage must fail cleanly, never panic or
+        // over-allocate.
+        cases("random_bytes_never_panic", 64, |rng| {
+            let data: Vec<u8> = (0..rng.range(0..512)).map(|_| rng.next_u64() as u8).collect();
             let _ = crate::from_bytes(&data);
-        }
+        });
+    }
 
-        #[test]
-        fn truncated_valid_payload_errors(objs in prop::collection::vec(arb_object(), 1..4),
-                                          cut in 1usize..32) {
-            let bytes = crate::to_bytes(&objs);
-            if cut < bytes.len() {
-                let truncated = &bytes[..bytes.len() - cut];
-                prop_assert!(crate::from_bytes(truncated).is_err());
-            }
-        }
+    #[test]
+    fn truncated_valid_payload_errors() {
+        cases("truncated_valid_payload_errors", 64, |rng| {
+            let bytes = crate::to_bytes(&arb_objects(rng, 1..4));
+            let cut = rng.range(1..bytes.len());
+            assert!(crate::from_bytes(&bytes[..bytes.len() - cut]).is_err());
+        });
+    }
 
-        #[test]
-        fn primitive_u64_roundtrip(v in any::<u64>()) {
+    #[test]
+    fn primitive_u64_roundtrip() {
+        cases("primitive_u64_roundtrip", 64, |rng| {
+            let v = rng.next_u64();
             let mut e = crate::Encoder::new();
             e.put_u64(v);
             let bytes = e.into_bytes();
             let mut d = crate::Decoder::new(&bytes);
-            prop_assert_eq!(d.get_u64().unwrap(), v);
-        }
+            assert_eq!(d.get_u64().unwrap(), v);
+        });
+    }
 
-        #[test]
-        fn string_roundtrip(s in "\\PC{0,200}") {
+    #[test]
+    fn string_roundtrip() {
+        cases("string_roundtrip", 64, |rng| {
+            let s = rng.string(" -~£é÷ßλжᚠ‰→中日🙂", 0..=200);
             let mut e = crate::Encoder::new();
             e.put_string(&s);
             let bytes = e.into_bytes();
             let mut d = crate::Decoder::new(&bytes);
-            prop_assert_eq!(d.get_string().unwrap(), s);
+            assert_eq!(d.get_string().unwrap(), s);
             d.finish().unwrap();
-        }
+        });
+    }
 
-        #[test]
-        fn crc_detects_flips(data in prop::collection::vec(any::<u8>(), 1..256),
-                             byte in any::<prop::sample::Index>(),
-                             bit in 0u8..8) {
+    #[test]
+    fn crc_detects_flips() {
+        cases("crc_detects_flips", 64, |rng| {
+            let data: Vec<u8> = (0..rng.range(1..256)).map(|_| rng.next_u64() as u8).collect();
             let mut mutated = data.clone();
-            let idx = byte.index(mutated.len());
-            mutated[idx] ^= 1 << bit;
-            prop_assert_ne!(crate::crc32(&data), crate::crc32(&mutated));
-        }
+            let idx = rng.below(mutated.len());
+            mutated[idx] ^= 1 << rng.below(8);
+            assert_ne!(crate::crc32(&data), crate::crc32(&mutated));
+        });
     }
 }

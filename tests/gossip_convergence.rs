@@ -13,9 +13,9 @@
 
 use netsolve::agent::{standard_descriptor, AgentCore, Policy};
 use netsolve::core::config::AgentConfig;
+use netsolve::core::rng::{cases, Rng64};
 use netsolve::core::SimTime;
 use netsolve::net::NetworkView;
-use proptest::prelude::*;
 
 /// Build an `n`-agent federation with no transport attached.
 fn make_cores(n: usize) -> Vec<AgentCore> {
@@ -107,38 +107,41 @@ fn mesh_edges(n: usize) -> Vec<(usize, usize)> {
     edges
 }
 
-proptest! {
-    /// Directed ring: whatever the placement, every agent holds the full
-    /// registry after at most `n - 1` rounds (the ring's diameter).
-    #[test]
-    fn ring_converges_within_diameter_rounds(
-        n in 2usize..7,
-        placements in proptest::collection::vec(0usize..64, 1..6),
-    ) {
-        let placements: Vec<usize> = placements.iter().map(|p| p % n).collect();
+/// `n` agents and one to five servers, each placed at a slot drawn from
+/// 0..64 modulo `n`.
+fn arb_federation(rng: &mut Rng64, n: std::ops::Range<usize>) -> (usize, Vec<usize>) {
+    let n = rng.range(n);
+    (n, (0..rng.range(1..6)).map(|_| rng.below(64) % n).collect())
+}
+
+/// Directed ring: whatever the placement, every agent holds the full
+/// registry after at most `n - 1` rounds (the ring's diameter).
+#[test]
+fn ring_converges_within_diameter_rounds() {
+    cases("ring_converges_within_diameter_rounds", 64, |rng| {
+        let (n, placements) = arb_federation(rng, 2..7);
         let mut cores = make_cores(n);
         place_servers(&mut cores, &placements, SimTime::from_secs(0.0));
         let rounds =
             rounds_to_converge(&mut cores, &ring_edges(n), placements.len(), n - 1);
-        prop_assert!(
+        assert!(
             rounds.is_some(),
             "ring of {} agents did not converge within {} rounds", n, n - 1
         );
-    }
+    });
+}
 
-    /// Full mesh: one round is always enough, and the converged view is
-    /// stable — further rounds change nothing.
-    #[test]
-    fn mesh_converges_in_one_round_and_stays_converged(
-        n in 2usize..6,
-        placements in proptest::collection::vec(0usize..64, 1..6),
-    ) {
-        let placements: Vec<usize> = placements.iter().map(|p| p % n).collect();
+/// Full mesh: one round is always enough, and the converged view is
+/// stable — further rounds change nothing.
+#[test]
+fn mesh_converges_in_one_round_and_stays_converged() {
+    cases("mesh_converges_in_one_round_and_stays_converged", 64, |rng| {
+        let (n, placements) = arb_federation(rng, 2..6);
         let mut cores = make_cores(n);
         place_servers(&mut cores, &placements, SimTime::from_secs(0.0));
         let edges = mesh_edges(n);
         let rounds = rounds_to_converge(&mut cores, &edges, placements.len(), 1);
-        prop_assert!(rounds.is_some(), "mesh of {} agents did not converge in one round", n);
+        assert!(rounds.is_some(), "mesh of {} agents did not converge in one round", n);
 
         // Stability: replaying rounds leaves every registry unchanged.
         let before: Vec<_> = cores.iter().map(known).collect();
@@ -147,8 +150,8 @@ proptest! {
             gossip_round(&mut cores, &edges, now);
         }
         let after: Vec<_> = cores.iter().map(known).collect();
-        prop_assert_eq!(before, after);
-    }
+        assert_eq!(before, after);
+    });
 }
 
 /// A dead agent's entries age out everywhere: after its peers stop
