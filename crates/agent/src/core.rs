@@ -298,9 +298,8 @@ impl AgentCore {
     /// address is authoritative: ids are per-agent, and after a client
     /// fails over from a dead agent its cached ids were minted by someone
     /// else, so crediting by raw id would corrupt a random server's fault
-    /// and network estimates. The raw id is only trusted when the peer
-    /// predates the address field (v4 frames decode it empty) or names an
-    /// address this agent has not learned yet.
+    /// and network estimates. The raw id is only trusted when the report
+    /// carries no address or names one this agent has not learned yet.
     fn resolve_report_server(&mut self, server_id: u64, server_address: &str) -> ServerId {
         if !server_address.is_empty() {
             if let Some(sid) = self.registry.id_by_address(server_address) {
@@ -607,10 +606,7 @@ impl AgentCore {
                 Message::GossipAck { merged, refreshed, conflicts }
             }
             Message::Ping => Message::Pong,
-            Message::StatsQuery => {
-                netsolve_proto::mirror_version_downgrades(&self.metrics);
-                Message::StatsReply(self.metrics.snapshot("agent"))
-            }
+            Message::StatsQuery => Message::StatsReply(self.metrics.snapshot("agent")),
             Message::FleetStatsQuery => {
                 if self.config.telemetry.digests {
                     Message::FleetStatsReply { digests: self.digest_snapshot(now) }
@@ -620,14 +616,10 @@ impl AgentCore {
                     ))
                 }
             }
-            Message::TraceQuery { trace_id } => {
-                // A trace pull from an old peer still surfaces in the counter.
-                netsolve_proto::mirror_version_downgrades(&self.metrics);
-                Message::TraceReply {
-                    component: "agent".to_string(),
-                    spans: self.tracer.snapshot_trace(*trace_id),
-                }
-            }
+            Message::TraceQuery { trace_id } => Message::TraceReply {
+                component: "agent".to_string(),
+                spans: self.tracer.snapshot_trace(*trace_id),
+            },
             other => Message::from_error(&NetSolveError::Protocol(format!(
                 "agent cannot handle {}",
                 other.name()

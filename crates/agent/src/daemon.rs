@@ -296,16 +296,9 @@ impl Shared {
                     ),
                     true,
                 ),
-                // A pre-gossip (v3) agent answers the unknown tag with its
-                // generic `Error`: it is alive, it just cannot gossip.
-                Ok(Message::Error { .. }) => (
-                    "agent.gossip_peer_unsupported",
-                    format!("peer={peer} unsupported"),
-                    true,
-                ),
                 _ => (
                     "agent.gossip_send_failures",
-                    format!("peer={peer} unreachable"),
+                    format!("peer={peer} failed"),
                     false,
                 ),
             };
@@ -365,8 +358,8 @@ impl Shared {
                         core.store_digest(digest, now);
                     }
                 }
-                // A pre-v6 server answers Error (unsupported); count it
-                // the way gossip counts unsupported peers and move on.
+                // A server whose telemetry digests are off answers Error;
+                // count it apart from a scrape that failed and move on.
                 Ok(Message::Error { .. }) => {
                     metrics.counter("agent.digest_scrape_unsupported").inc();
                 }
@@ -950,44 +943,8 @@ mod tests {
         agent_b.stop();
     }
 
-    #[test]
-    fn gossip_tolerates_a_pre_gossip_peer() {
-        // A "v3 agent" stand-in: answers every message with the generic
-        // Error reply, like a peer that predates GossipSync. The gossiping
-        // agent must count it unsupported and keep treating it as alive.
-        let net = ChannelNetwork::new();
-        let transport: Arc<dyn Transport> = Arc::new(net.clone());
-        let listener = net.listen("agent-old").unwrap();
-        std::thread::spawn(move || {
-            while let Ok(mut conn) = listener.accept() {
-                std::thread::spawn(move || {
-                    while conn.recv().is_ok() {
-                        let reply = Message::Error {
-                            code: 1,
-                            detail: "unknown message".into(),
-                        };
-                        if conn.send(&reply).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-
-        let mut agent =
-            AgentDaemon::start(Arc::clone(&transport), "agent-new", fast_gossip_core(60.0)).unwrap();
-        agent.set_peers(vec!["agent-old".into()]);
-        let metrics = agent.core().lock().metrics();
-        wait_for("unsupported-peer tally", &|| {
-            metrics.snapshot("agent").counter("agent.gossip_peer_unsupported") >= 2
-        });
-        let snap = metrics.snapshot("agent");
-        assert_eq!(snap.counter("agent.peer_down_marks"), 0, "old peer is alive, not down");
-        agent.stop();
-    }
-
     /// A listener that answers every message with `reply(message)` — a
-    /// stand-in for a server or an old agent.
+    /// stand-in for a server.
     fn stub(net: &ChannelNetwork, name: &str, reply: fn(Message) -> Message) {
         let listener = net.listen(name).unwrap();
         std::thread::spawn(move || {
@@ -1055,15 +1012,13 @@ mod tests {
             metrics.snapshot("agent").counter(name)
         };
 
-        // A probe-answering server that predates fleet stats, and an agent
-        // that predates gossip.
-        let old_server: fn(Message) -> Message = |msg| match msg {
+        // Probe-answering servers whose telemetry digests are off.
+        let digests_off: fn(Message) -> Message = |msg| match msg {
             Message::Ping => Message::Pong,
             _ => unsupported(),
         };
-        stub(&net, "srv-a", old_server);
-        stub(&net, "srv-old", old_server);
-        stub(&net, "agent-old", |_| unsupported());
+        stub(&net, "srv-a", digests_off);
+        stub(&net, "srv-quiet", digests_off);
 
         let fast = HeartbeatPolicy {
             probe_interval_secs: 0.03,
@@ -1073,12 +1028,12 @@ mod tests {
         let (mut agent_a, a, a_tracer) = start("agent-a", fast);
         let (mut agent_b, b, b_tracer) = start("agent-b", HeartbeatPolicy::default());
         let (mut agent_c, c, c_tracer) = start("agent-c", HeartbeatPolicy::default());
-        agent_a.set_peers(vec!["agent-b".into(), "agent-old".into()]);
+        agent_a.set_peers(vec!["agent-b".into()]);
         agent_b.set_peers(vec!["agent-a".into()]);
 
         // The lone agent: one server that cannot answer a digest scrape,
         // one that is not there at all.
-        register("agent-c", "srv-old");
+        register("agent-c", "srv-quiet");
         register("agent-c", "srv-gone");
         wait_for("both kinds of failed scrape", &|| {
             count(&c, "agent.digest_scrape_unsupported") >= 1
@@ -1086,13 +1041,12 @@ mod tests {
         });
 
         // The pair: a server each; gossip and digests flow both ways, the
-        // old peer is tolerated, the live server answers its probes.
+        // live server answers its probes.
         register("agent-a", "srv-a");
         register("agent-b", "srv-b");
         wait_for("gossip, digests and probes at agent-a", &|| {
             [
                 "agent.gossip_sends",
-                "agent.gossip_peer_unsupported",
                 "agent.gossip_syncs_received",
                 "agent.gossip_merges",
                 "agent.digest_merges",

@@ -65,7 +65,6 @@ pub struct NetSolveClient {
     agents: Mutex<AgentRoster>,
     /// Idle server connections by address, least recently used first.
     idle: Mutex<Vec<(String, Box<dyn Connection>)>>,
-    client_host: u64,
     retry: RetryPolicy,
     specs: Mutex<HashMap<String, ProblemSpec>>,
     next_request: AtomicU64,
@@ -209,7 +208,6 @@ impl NetSolveClient {
                 conn: None,
             }),
             idle: Mutex::new(Vec::new()),
-            client_host: 0,
             retry: RetryPolicy::default(),
             specs: Mutex::new(HashMap::new()),
             next_request: AtomicU64::new(request_id_seed()),
@@ -222,13 +220,6 @@ impl NetSolveClient {
     /// Reseed the backoff-jitter stream (reproducible experiments).
     pub fn with_jitter_seed(self, seed: u64) -> Self {
         *self.jitter.lock() = Rng64::new(seed);
-        self
-    }
-
-    /// Set the client's host identity (used by the agent for per-pair
-    /// network predictions).
-    pub fn with_client_host(mut self, host: u64) -> Self {
-        self.client_host = host;
         self
     }
 
@@ -506,7 +497,7 @@ impl NetSolveClient {
     /// `score` span nests under it.
     fn candidates(&self, shape: &RequestShape, scope: Scope<'_>) -> Result<Vec<Candidate>> {
         let query = Message::ServerQuery(QueryShape {
-            client_host: self.client_host,
+            client_host: 0,
             problem: shape.problem.clone(),
             n: shape.n,
             bytes_in: shape.bytes_in,
@@ -785,7 +776,7 @@ impl NetSolveClient {
                 Message::CompletionReport {
                     server_id: candidate.server_id,
                     server_address: candidate.address.clone(),
-                    client_host: self.client_host,
+                    client_host: 0,
                     problem: call.problem.to_string(),
                     total_secs: done.total_secs,
                     compute_secs: done.compute_secs,

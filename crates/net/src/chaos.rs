@@ -61,7 +61,7 @@ use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::rng::Rng64;
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::frame::HEADER_LEN;
-use netsolve_proto::{encode_frame_into, parse_frame, Body, Message, RequestView, VERSION};
+use netsolve_proto::{encode_frame_into, parse_frame, Body, Message, RequestView};
 use parking_lot::Mutex;
 
 use crate::link::LinkModel;
@@ -402,7 +402,7 @@ impl ChaosConnection {
     /// One leg of the link: `body`'s whole frame through the link model.
     fn transfer(&mut self, body: &dyn Body) -> Duration {
         let crc_len = 4;
-        let frame = (HEADER_LEN + crc_len) as u64 + body.encoded_len(VERSION);
+        let frame = (HEADER_LEN + crc_len) as u64 + body.encoded_len();
         Duration::from_secs_f64(self.policy.link.sample_transfer_secs(frame, &mut self.rng))
     }
 
@@ -666,7 +666,7 @@ mod tests {
                     rng.next_f64();
                     continue;
                 };
-                let frame = (HEADER_LEN + 4) as u64 + m.encoded_len(VERSION);
+                let frame = (HEADER_LEN + 4) as u64 + Body::encoded_len(m);
                 legs += Duration::from_secs_f64(link.sample_transfer_secs(frame, &mut rng));
             }
             let before = clock.now();

@@ -5,7 +5,6 @@ use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use netsolve_core::config::RetryPolicy;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_proto::{FrameReader, FrameWriter, Message, RequestView};
 
@@ -40,14 +39,6 @@ impl TcpTransport {
             connect_timeout: Some(DEFAULT_CONNECT_TIMEOUT),
             write_timeout: Some(DEFAULT_WRITE_TIMEOUT),
         }
-    }
-
-    /// TCP transport whose connect and write timeouts follow a client
-    /// retry policy: no single attempt should block longer than the
-    /// policy's per-attempt timeout.
-    pub fn from_retry_policy(retry: &RetryPolicy) -> Self {
-        let bound = Duration::from_secs_f64(retry.attempt_timeout_secs.max(0.001));
-        TcpTransport { connect_timeout: Some(bound), write_timeout: Some(bound) }
     }
 
     /// Override the timeouts explicitly; `None` means block indefinitely.
@@ -345,24 +336,6 @@ mod tests {
             "dial not bounded: took {:?}",
             started.elapsed()
         );
-    }
-
-    #[test]
-    fn retry_policy_derived_transport_works_on_loopback() {
-        let retry = netsolve_core::config::RetryPolicy::default();
-        let transport = TcpTransport::from_retry_policy(&retry);
-        let listener = transport.listen("127.0.0.1:0").unwrap();
-        let address = listener.address();
-        let handle = std::thread::spawn(move || {
-            let mut conn = listener.accept().unwrap();
-            if let Ok(Message::Ping) = conn.recv() {
-                conn.send(&Message::Pong).unwrap();
-            }
-        });
-        let mut conn = transport.connect(&address).unwrap();
-        let reply = call(conn.as_mut(), &Message::Ping, Duration::from_secs(5)).unwrap();
-        assert_eq!(reply, Message::Pong);
-        handle.join().unwrap();
     }
 
     #[test]

@@ -200,8 +200,7 @@ pub struct HistogramSnapshot {
     /// snapshots from other builds may legitimately differ in length).
     pub buckets: Vec<u64>,
     /// The most recent trace id recorded into each bucket (0 = none
-    /// yet). Same length as `buckets`, or empty when the snapshot came
-    /// from a pre-v6 peer that does not carry exemplars.
+    /// yet). Same length as `buckets` in a snapshot this build took.
     pub exemplars: Vec<u128>,
     /// Trace id of the slowest sample ever recorded (0 = none).
     pub max_exemplar: u128,

@@ -31,10 +31,9 @@
 //! intermediate copy, and a connection's window stays warm between sends.
 //! In memory the window is unbounded and keeps the frame.
 //!
-//! [`frame_bytes_versioned`] is not a second route but the *reference
-//! encoder*: the plain three-step construction (payload, header, CRC)
-//! that equivalence tests compare the writer against and that
-//! compatibility tests use to speak as an older-version peer.
+//! [`frame_bytes`] is not a second route but the *reference encoder*: the
+//! plain three-step construction (payload, header, CRC) that equivalence
+//! tests compare the writer against.
 //!
 //! One sequence takes them apart, whether the bytes come off a socket
 //! ([`FrameReader`], one per connection) or sit in memory ([`parse_frame`],
@@ -48,14 +47,13 @@
 //! mismatch is reported as [`NetSolveError::Corrupt`] even when a decode
 //! error surfaced first, so flipped bits are never misclassified.
 //!
-//! Reading is version-tolerant: any frame whose version is in
-//! `1..=VERSION` is accepted and its payload decoded under the sender's
-//! version (older versions are additive subsets), so old peers keep
-//! interoperating; downgraded decodes are counted and surfaced as the
-//! `proto.version_downgrade` counter in daemon stats.
+//! One version is spoken: every frame is written at [`VERSION`], and a
+//! frame whose version word is anything else is refused at its header,
+//! before a payload byte is read, so its payload is never decoded under a
+//! layout its sender did not use. A daemon ends such a connection as it
+//! does any unreadable frame.
 
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_xdr::{crc32, Decoder, Encoder};
@@ -64,13 +62,10 @@ use crate::message::{Body, Message};
 
 /// Frame magic: `"NSRV"`.
 pub const MAGIC: u32 = 0x4E53_5256;
-/// Protocol version spoken by this implementation. What each version
-/// added is the version-history table in `docs/PROTOCOL.md`; which field
-/// belongs to which version is the `@N` markers of the wire table in
-/// `message.rs`.
+/// The one protocol version this implementation writes and reads. What
+/// each version added is the version-history table in
+/// `docs/PROTOCOL.md`; a change to the wire table's layout bumps it.
 pub const VERSION: u32 = 6;
-/// Oldest protocol version this implementation still decodes.
-pub const MIN_VERSION: u32 = 1;
 /// Maximum payload size accepted (512 MiB), matching the largest
 /// experiment matrices with headroom. Enforced on both send and receive.
 pub const MAX_FRAME_PAYLOAD: usize = 512 * 1024 * 1024;
@@ -87,43 +82,24 @@ pub const DEFAULT_STREAM_CHUNK: usize = 64 * 1024;
 /// send side's per-connection memory bound.
 pub const DEFAULT_STREAM_THRESHOLD: usize = 1024 * 1024;
 
-/// Process-wide count of frames accepted at a version below [`VERSION`].
-static VERSION_DOWNGRADES: AtomicU64 = AtomicU64::new(0);
-
-/// How many frames this process has accepted from older-version peers
-/// (decoded under the sender's version).
-pub fn version_downgrades() -> u64 {
-    VERSION_DOWNGRADES.load(Ordering::Relaxed)
-}
-
-/// Mirror [`version_downgrades`] into `metrics` as the
-/// `proto.version_downgrade` counter. Daemons call this before answering
-/// `StatsQuery`/`TraceQuery`; the catch-up is monotone — the counter may
-/// lag between queries, never run backwards.
-pub fn mirror_version_downgrades(metrics: &netsolve_obs::MetricsRegistry) {
-    let counter = metrics.counter("proto.version_downgrade");
-    counter.add(version_downgrades().saturating_sub(counter.get()));
-}
-
 fn oversize(len: usize) -> NetSolveError {
     NetSolveError::Protocol(format!(
         "frame payload {len} exceeds cap {MAX_FRAME_PAYLOAD}"
     ))
 }
 
-/// The reference encoder: one self-contained frame at an explicit protocol
-/// version, built the obvious way (encode the payload, then header, then
-/// CRC). Not a send path — route-equivalence tests compare the writers
-/// against it, and compatibility tests use it to speak as an older peer.
-/// Fails if the payload exceeds [`MAX_FRAME_PAYLOAD`].
-pub fn frame_bytes_versioned(msg: &Message, version: u32) -> Result<Vec<u8>> {
-    let payload = msg.encode_versioned(version);
+/// The reference encoder: one self-contained frame, built the obvious way
+/// (encode the payload, then header, then CRC). Not a send path —
+/// route-equivalence tests compare the writers against it. Fails if the
+/// payload exceeds [`MAX_FRAME_PAYLOAD`].
+pub fn frame_bytes(msg: &Message) -> Result<Vec<u8>> {
+    let payload = msg.encode();
     if payload.len() > MAX_FRAME_PAYLOAD {
         return Err(oversize(payload.len()));
     }
     let mut out = Vec::with_capacity(payload.len() + 16);
     out.extend_from_slice(&MAGIC.to_be_bytes());
-    out.extend_from_slice(&version.to_be_bytes());
+    out.extend_from_slice(&VERSION.to_be_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&payload);
     out.extend_from_slice(&crc32(&payload).to_be_bytes());
@@ -142,17 +118,16 @@ pub fn frame_bytes_versioned(msg: &Message, version: u32) -> Result<Vec<u8>> {
 /// A payload over [`MAX_FRAME_PAYLOAD`] fails before a byte is written.
 pub(crate) fn write_frame<'a, B: Body + ?Sized>(
     body: &B,
-    version: u32,
     window: &'a mut Vec<u8>,
     cap: usize,
     out: Option<&'a mut dyn Write>,
 ) -> Result<u64> {
     window.clear();
-    let payload_len = body.encoded_len(version);
+    let payload_len = body.encoded_len();
     if payload_len > MAX_FRAME_PAYLOAD as u64 {
         return Err(oversize(payload_len as usize));
     }
-    for word in [MAGIC, version, payload_len as u32] {
+    for word in [MAGIC, VERSION, payload_len as u32] {
         window.extend_from_slice(&word.to_be_bytes());
     }
     // A frame past the window leaves in read-window pieces, so the peer
@@ -161,7 +136,7 @@ pub(crate) fn write_frame<'a, B: Body + ?Sized>(
     let frame_len = HEADER_LEN + payload_len as usize + 4;
     let cap = if frame_len <= cap { cap } else { cap.min(DEFAULT_STREAM_CHUNK) };
     let mut e = Encoder::window(window, cap, out).with_crc();
-    body.encode_body(&mut e, version);
+    body.encode_body(&mut e);
     let written = (e.len() - HEADER_LEN) as u64;
     if written != payload_len {
         // The header already announced the counted length; the counting
@@ -181,7 +156,7 @@ pub(crate) fn write_frame<'a, B: Body + ?Sized>(
 /// frames. `body` is a [`Message`] or a borrowed view of one. An oversize
 /// payload fails and leaves `buf` empty.
 pub fn encode_frame_into<B: Body + ?Sized>(body: &B, buf: &mut Vec<u8>) -> Result<()> {
-    write_frame(body, VERSION, buf, usize::MAX, None).map(drop)
+    write_frame(body, buf, usize::MAX, None).map(drop)
 }
 
 /// Write one frame through a fresh window of `chunk` bytes: what a
@@ -195,27 +170,23 @@ pub fn write_message_streamed<B: Body + ?Sized>(
     FrameWriter::with_window(chunk).write_to(w, body)
 }
 
-/// Validate a frame header's three words: magic, version window (counting
-/// downgrades), and the payload-length cap. Returns the sender's version
-/// and the payload length.
-fn validate_header(magic: u32, version: u32, len: u32) -> Result<(u32, usize)> {
+/// Validate a frame header's three words: magic, version (only
+/// [`VERSION`]), and the payload-length cap. Returns the payload length.
+fn validate_header(magic: u32, version: u32, len: u32) -> Result<usize> {
     if magic != MAGIC {
         return Err(NetSolveError::Protocol(format!(
             "bad frame magic {magic:#010x}"
         )));
     }
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(NetSolveError::Protocol(format!(
-            "unsupported protocol version {version} (supported {MIN_VERSION}..={VERSION})"
+            "unsupported protocol version {version} (this build speaks {VERSION})"
         )));
-    }
-    if version < VERSION {
-        VERSION_DOWNGRADES.fetch_add(1, Ordering::Relaxed);
     }
     if len as usize > MAX_FRAME_PAYLOAD {
         return Err(oversize(len as usize));
     }
-    Ok((version, len as usize))
+    Ok(len as usize)
 }
 
 /// The read path, stated once: a frame is three extents of one decoder,
@@ -224,9 +195,9 @@ fn validate_header(magic: u32, version: u32, len: u32) -> Result<(u32, usize)> {
 /// the frame's length on the wire.
 fn read_frame(d: &mut Decoder<'_>) -> Result<(Message, usize)> {
     d.limit(HEADER_LEN, 0);
-    let (version, len) = validate_header(d.get_u32()?, d.get_u32()?, d.get_u32()?)?;
+    let len = validate_header(d.get_u32()?, d.get_u32()?, d.get_u32()?)?;
     d.limit(len, 4);
-    let outcome = Message::decode_body(d, version).and_then(|msg| d.finish().map(|()| msg));
+    let outcome = Message::decode_body(d).and_then(|msg| d.finish().map(|()| msg));
     // Whatever decode did, pull the rest of the payload so the stream
     // stays framed and the CRC covers every byte.
     d.drain()?;
@@ -325,7 +296,7 @@ impl FrameWriter {
     /// Write one framed message (or view of one) to `w`. Returns the bytes
     /// written (header + payload + CRC).
     pub fn write_to<B: Body + ?Sized>(&mut self, w: &mut impl Write, body: &B) -> Result<u64> {
-        let n = write_frame(body, VERSION, &mut self.window, self.cap, Some(&mut *w))?;
+        let n = write_frame(body, &mut self.window, self.cap, Some(&mut *w))?;
         w.flush()?;
         Ok(n)
     }
@@ -340,10 +311,10 @@ impl FrameWriter {
 mod tests {
     use super::*;
 
-    /// Test shorthand: the reference encoding at the current version of
-    /// a message that is known to fit the cap.
+    /// Test shorthand: the reference encoding of a message that is known
+    /// to fit the cap.
     fn frame_ok(msg: &Message) -> Vec<u8> {
-        frame_bytes_versioned(msg, VERSION).unwrap()
+        frame_bytes(msg).unwrap()
     }
 
     #[test]
@@ -592,12 +563,10 @@ mod tests {
                     bytes[idx] ^= flip;
                     match parse_frame(&bytes) {
                         // A flip may only be invisible if the decoded
-                        // message is unchanged. Payload flips can't get
-                        // here (CRC, short of a collision); a version-byte
-                        // flip can land inside the tolerance window
-                        // (3 → 2 or 1) where the header is legitimately
-                        // accepted, but then the payload must still decode
-                        // to the identical message or fail.
+                        // message is unchanged, which no flip can reach:
+                        // a header flip is refused at the header, a
+                        // payload or trailer flip by the CRC (short of a
+                        // collision).
                         Ok((got, _)) if got == msg => {}
                         Ok((got, _)) => panic!(
                             "flipped bit {flip:#04x} at byte {idx} escaped \
@@ -785,7 +754,7 @@ mod tests {
             pdl: "y".repeat(MAX_FRAME_PAYLOAD + 1),
         };
         assert!(matches!(
-            frame_bytes_versioned(&msg, VERSION),
+            frame_bytes(&msg),
             Err(NetSolveError::Protocol(m)) if m.contains("cap")
         ));
         let mut scratch = Vec::new();
@@ -933,70 +902,11 @@ mod tests {
         }
     }
 
-    /// Version tolerance: a v1 peer's `RequestSubmit` (no `deadline_ms`
-    /// field) decodes cleanly with the deadline defaulted, and the
-    /// downgrade is counted.
-    #[test]
-    fn v1_frames_decode_with_defaulted_fields() {
-        let msg = Message::RequestSubmit {
-            request_id: 42,
-            deadline_ms: 9_999, // dropped by the v1 encoding
-            trace_id: 0xdead_beef, // likewise
-            parent_span: 17,
-            problem: "dgesv".into(),
-            inputs: vec![vec![1.0f64, 2.0].into()],
-        };
-        let v1 = frame_bytes_versioned(&msg, 1).unwrap();
-        let before = version_downgrades();
-        let (decoded, used) = parse_frame(&v1).unwrap();
-        assert_eq!(used, v1.len());
-        assert!(version_downgrades() > before, "downgrade not counted");
-        match decoded {
-            Message::RequestSubmit { request_id, deadline_ms, trace_id, parent_span, problem, inputs } => {
-                assert_eq!(request_id, 42);
-                assert_eq!(deadline_ms, 0, "v1 has no deadline; defaults to 0");
-                assert_eq!(trace_id, 0, "v1 has no trace context");
-                assert_eq!(parent_span, 0);
-                assert_eq!(problem, "dgesv");
-                assert_eq!(inputs, vec![vec![1.0f64, 2.0].into()]);
-            }
-            other => panic!("decoded wrong variant: {other:?}"),
-        }
-        // Version-independent messages round-trip exactly at v1.
-        let ping_v1 = frame_bytes_versioned(&Message::Ping, 1).unwrap();
-        assert_eq!(parse_frame(&ping_v1).unwrap().0, Message::Ping);
-    }
-
-    /// Version tolerance one step back: a v2 peer's `RequestSubmit`
-    /// keeps its deadline but decodes with zeroed trace context, and
-    /// the downgrade is counted.
-    #[test]
-    fn v2_frames_decode_with_zeroed_trace_context() {
-        let msg = Message::RequestSubmit {
-            request_id: 43,
-            deadline_ms: 1_500,
-            trace_id: 0xfeed_f00d, // dropped by the v2 encoding
-            parent_span: 21,
-            problem: "ddot".into(),
-            inputs: vec![vec![4.0f64].into()],
-        };
-        let v2 = frame_bytes_versioned(&msg, 2).unwrap();
-        let before = version_downgrades();
-        let (decoded, _) = parse_frame(&v2).unwrap();
-        assert!(version_downgrades() > before, "downgrade not counted");
-        match decoded {
-            Message::RequestSubmit { deadline_ms, trace_id, parent_span, .. } => {
-                assert_eq!(deadline_ms, 1_500, "v2 keeps the deadline");
-                assert_eq!(trace_id, 0, "v2 has no trace context");
-                assert_eq!(parent_span, 0);
-            }
-            other => panic!("decoded wrong variant: {other:?}"),
-        }
-    }
-
-    /// v3 frames still round-trip exactly (deadline and trace context
-    /// preserved), and versions outside `MIN_VERSION..=VERSION` are
-    /// rejected.
+    /// One version is spoken: a `VERSION` frame round-trips, and a frame
+    /// carrying any other version word is refused at its header from both
+    /// sources. Its payload (an unknown tag) cannot decode and its CRC is
+    /// wrong, yet the error is the version one: the header is judged
+    /// before any payload byte.
     #[test]
     fn version_window_enforced() {
         let msg = Message::RequestSubmit {
@@ -1007,19 +917,22 @@ mod tests {
             problem: "dgemm".into(),
             inputs: vec![],
         };
-        let v3 = frame_ok(&msg);
-        assert_eq!(parse_frame(&v3).unwrap().0, msg);
+        assert_eq!(parse_frame(&frame_ok(&msg)).unwrap().0, msg);
 
-        for bad in [0u32, VERSION + 1, 99] {
-            let mut bytes = frame_ok(&Message::Ping);
-            bytes[4..8].copy_from_slice(&bad.to_be_bytes());
-            assert!(
-                matches!(
-                    parse_frame(&bytes),
-                    Err(NetSolveError::Protocol(m)) if m.contains("version")
-                ),
-                "version {bad} must be rejected"
-            );
+        let mut wire = frame_around(&999u32.to_be_bytes());
+        let crc = wire.len() - 1;
+        wire[crc] ^= 0xFF;
+        for bad in [0, 1, 2, 3, 4, 5, VERSION + 1, u32::MAX] {
+            wire[4..8].copy_from_slice(&bad.to_be_bytes());
+            for (source, outcome) in ["slice", "reader"].iter().zip(read_both(&wire, 64)) {
+                assert!(
+                    matches!(
+                        &outcome,
+                        Err(NetSolveError::Protocol(m)) if m.contains(&format!("version {bad} "))
+                    ),
+                    "version {bad} from a {source}: {outcome:?}"
+                );
+            }
         }
     }
 }

@@ -16,9 +16,8 @@ pub mod message;
 mod wire;
 
 pub use frame::{
-    encode_frame_into, frame_bytes_versioned, mirror_version_downgrades, parse_frame,
-    version_downgrades, write_message_streamed, FrameReader, FrameWriter, DEFAULT_STREAM_CHUNK,
-    DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, MIN_VERSION, VERSION,
+    encode_frame_into, frame_bytes, parse_frame, write_message_streamed, FrameReader,
+    FrameWriter, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, VERSION,
 };
 pub use message::{
     Body, Candidate, GossipEntry, Message, QueryShape, RequestView, ServerDescriptor, ServerInfo,
@@ -183,22 +182,19 @@ mod properties {
         }
     }
 
-    /// The one writer's frames of `body` at `version`: through windows that
-    /// write out mid-item (97 never lands on an element boundary), hold a
-    /// small frame or hold a connection's worth, and in memory (unbounded).
-    fn frames_through_every_window<B: Body + ?Sized>(
-        body: &B,
-        version: u32,
-    ) -> Vec<(String, Vec<u8>)> {
+    /// The one writer's frames of `body`: through windows that write out
+    /// mid-item (97 never lands on an element boundary), hold a small
+    /// frame or hold a connection's worth, and in memory (unbounded).
+    fn frames_through_every_window<B: Body + ?Sized>(body: &B) -> Vec<(String, Vec<u8>)> {
         let mut frames = Vec::new();
         for window in [64, 97, 4096, DEFAULT_STREAM_THRESHOLD] {
             let mut wire = Vec::new();
-            frame::write_frame(body, version, &mut Vec::new(), window, Some(&mut wire)).unwrap();
-            frames.push((format!("v{version} window {window}"), wire));
+            frame::write_frame(body, &mut Vec::new(), window, Some(&mut wire)).unwrap();
+            frames.push((format!("window {window}"), wire));
         }
         let mut unbounded = Vec::new();
-        frame::write_frame(body, version, &mut unbounded, usize::MAX, None).unwrap();
-        frames.push((format!("v{version} unbounded"), unbounded));
+        frame::write_frame(body, &mut unbounded, usize::MAX, None).unwrap();
+        frames.push(("unbounded".to_string(), unbounded));
         frames
     }
 
@@ -214,7 +210,7 @@ mod properties {
     fn frame_roundtrip() {
         cases("frame_roundtrip", 64, |rng| {
             let msg = arb_message(rng);
-            let bytes = frame_bytes_versioned(&msg, VERSION).unwrap();
+            let bytes = frame_bytes(&msg).unwrap();
             let (back, used) = parse_frame(&bytes).unwrap();
             assert_eq!(back, msg);
             assert_eq!(used, bytes.len());
@@ -225,26 +221,24 @@ mod properties {
     fn single_pass_frame_matches_reference() {
         // The zero-copy writer must agree byte-for-byte with the
         // reference encoder on arbitrary messages, not just fixtures,
-        // at every version and through every window.
+        // through every window.
         cases("single_pass_frame_matches_reference", 64, |rng| {
             let msg = arb_message(rng);
-            for version in MIN_VERSION..=VERSION {
-                let reference = frame_bytes_versioned(&msg, version).unwrap();
-                for (route, frame) in frames_through_every_window(&msg, version) {
-                    assert_eq!(frame, reference, "{route}");
-                }
+            let reference = frame_bytes(&msg).unwrap();
+            for (route, frame) in frames_through_every_window(&msg) {
+                assert_eq!(frame, reference, "{route}");
             }
             let mut single = Vec::new();
             encode_frame_into(&msg, &mut single).unwrap();
-            assert_eq!(single, frame_bytes_versioned(&msg, VERSION).unwrap());
+            assert_eq!(single, reference);
         });
     }
 
     #[test]
     fn request_view_frames_match_the_owned_request() {
-        // The view and the owned message are one row: at every version,
-        // through every window, the view's frame is the reference
-        // encoder's frame of the owned message, byte for byte.
+        // The view and the owned message are one row: through every
+        // window, the view's frame is the reference encoder's frame of the
+        // owned message, byte for byte.
         cases("request_view_frames_match_the_owned_request", 64, |rng| {
             let msg = arb_request_submit(rng);
             let Message::RequestSubmit { request_id, deadline_ms, trace_id, parent_span, problem, inputs } = &msg
@@ -260,44 +254,36 @@ mod properties {
                 inputs,
             };
             assert_eq!(view.to_message(), msg);
-            for version in MIN_VERSION..=VERSION {
-                let reference = frame_bytes_versioned(&msg, version).unwrap();
-                for (route, frame) in frames_through_every_window(&view, version) {
-                    assert_eq!(frame, reference, "{route}");
-                }
+            let reference = frame_bytes(&msg).unwrap();
+            for (route, frame) in frames_through_every_window(&view) {
+                assert_eq!(frame, reference, "{route}");
             }
         });
     }
 
     #[test]
-    fn all_sources_agree_at_every_version() {
-        // What a vN peer sent decodes to the same message from a slice,
+    fn all_sources_agree() {
+        // A frame decodes to the message that was encoded from a slice,
         // from a slice at an odd address (every f64/u64 array inside
         // misaligned), and from a reader through windows that split
         // items (97 never lands on an element boundary) or hold the
-        // whole frame — and at the current version to the message
-        // that was encoded.
-        cases("all_sources_agree_at_every_version", 64, |rng| {
+        // whole frame.
+        cases("all_sources_agree", 64, |rng| {
             let msg = arb_message(rng);
-            for version in MIN_VERSION..=VERSION {
-                let bytes = frame_bytes_versioned(&msg, version).unwrap();
-                let (from_slice, used) = parse_frame(&bytes).unwrap();
-                assert_eq!(used, bytes.len());
-                if version == VERSION {
-                    assert_eq!(from_slice, msg);
-                }
+            let bytes = frame_bytes(&msg).unwrap();
+            let (from_slice, used) = parse_frame(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(from_slice, msg);
 
-                let mut shifted = Vec::with_capacity(bytes.len() + 1);
-                shifted.push(0u8);
-                shifted.extend_from_slice(&bytes);
-                assert_eq!(parse_frame(&shifted[1..]).unwrap().0, from_slice);
+            let mut shifted = Vec::with_capacity(bytes.len() + 1);
+            shifted.push(0u8);
+            shifted.extend_from_slice(&bytes);
+            assert_eq!(parse_frame(&shifted[1..]).unwrap().0, msg);
 
-                for window in [64, 97, 4096, DEFAULT_STREAM_CHUNK] {
-                    let mut rdr = FrameReader::with_window(window);
-                    let from_reader = rdr.read_from(&mut &bytes[..]).unwrap();
-                    assert_eq!(from_reader, from_slice, "v{version} window {window}");
-                    assert!(rdr.buffered_capacity() <= window);
-                }
+            for window in [64, 97, 4096, DEFAULT_STREAM_CHUNK] {
+                let mut rdr = FrameReader::with_window(window);
+                assert_eq!(rdr.read_from(&mut &bytes[..]).unwrap(), msg, "window {window}");
+                assert!(rdr.buffered_capacity() <= window);
             }
         });
     }
@@ -309,7 +295,7 @@ mod properties {
         // occur because the codec validates padding).
         cases("frame_bit_flips_never_decode_silently", 64, |rng| {
             let msg = arb_message(rng);
-            let mut bad = frame_bytes_versioned(&msg, VERSION).unwrap();
+            let mut bad = frame_bytes(&msg).unwrap();
             let idx = rng.below(bad.len());
             bad[idx] ^= 1 << rng.below(8);
             if let Ok((decoded, _)) = parse_frame(&bad) {

@@ -74,7 +74,8 @@ pub struct ServerInfo {
 /// the chosen server, never through the agent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryShape {
-    /// The client's host identifier, for per-pair network predictions.
+    /// The client's host identifier, for per-pair network predictions
+    /// (`NetSolveClient` sends 0).
     pub client_host: u64,
     /// Problem mnemonic.
     pub problem: String,
@@ -85,10 +86,9 @@ pub struct QueryShape {
     /// Estimated output payload bytes.
     pub bytes_out: u64,
     /// Trace identity of the call this query ranks for (0 = untraced).
-    /// Additive in protocol version 3; older peers never see it.
     pub trace_id: u128,
     /// Client-side parent span id the agent's `score` span nests under
-    /// (0 = none). Additive in protocol version 3.
+    /// (0 = none).
     pub parent_span: u64,
 }
 
@@ -186,8 +186,8 @@ pub enum Message {
         /// `server_address` when present.
         server_id: u64,
         /// The failing server's address — the cross-agent stable key.
-        /// Additive in protocol version 5; v4 frames decode with an empty
-        /// string and receivers fall back to `server_id`.
+        /// Empty when the client does not know it; receivers then fall
+        /// back to `server_id`.
         server_address: String,
         /// Problem being attempted.
         problem: String,
@@ -207,13 +207,11 @@ pub enum Message {
         deadline_ms: u64,
         /// 128-bit trace identity minted by the client, so spans this
         /// request produces on the server join the client's trace
-        /// (0 = untraced). Additive in protocol version 3: v1/v2 frames
-        /// carry no trace context and decode with zeroes.
+        /// (0 = untraced).
         trace_id: u128,
         /// Span id of the client-side attempt span this submission is a
         /// child of (0 = none). Each retry attempt carries a fresh
         /// parent, so attempts stay distinct spans under one trace.
-        /// Additive in protocol version 3.
         parent_span: u64,
         /// Problem mnemonic.
         problem: String,
@@ -233,8 +231,7 @@ pub enum Message {
         compute_secs: f64,
         /// The server satisfied this request from its solve cache (or by
         /// coalescing onto another request's in-flight solve) instead of
-        /// executing it. Additive in protocol version 5; v4 frames decode
-        /// as `false`.
+        /// executing it.
         cached: bool,
     },
     /// client → agent: a request completed successfully on a server
@@ -245,10 +242,11 @@ pub enum Message {
         /// that ranked it (per-agent ids — see [`Message::FailureReport`]).
         server_id: u64,
         /// The completing server's address — the cross-agent stable key.
-        /// Additive in protocol version 5; v4 frames decode with an empty
-        /// string and receivers fall back to `server_id`.
+        /// Empty when the client does not know it; receivers then fall
+        /// back to `server_id`.
         server_address: String,
-        /// The reporting client's host identifier.
+        /// The reporting client's host identifier (`NetSolveClient` sends
+        /// 0).
         client_host: u64,
         /// Problem solved.
         problem: String,
@@ -261,18 +259,12 @@ pub enum Message {
         /// `bytes / (total - compute)`.
         bytes: u64,
     },
-    /// any → daemon: dump your metrics registry. Additive in protocol
-    /// version 2: daemons from before this message existed answer with
-    /// their generic "cannot handle" `Error` reply, which scrapers treat
-    /// as *unsupported*, so mixed-version domains keep working.
+    /// any → daemon: dump your metrics registry.
     StatsQuery,
     /// daemon → any: the metrics snapshot ([`StatsSnapshot`]).
     StatsReply(StatsSnapshot),
     /// any → daemon: dump your retained trace spans. `trace_id` 0 asks
-    /// for everything; otherwise only spans of that trace. Additive in
-    /// protocol version 3: older daemons answer with their generic
-    /// "cannot handle" `Error` reply, which `netsl-trace` reports as
-    /// *unsupported*, so mixed-version domains keep working.
+    /// for everything; otherwise only spans of that trace.
     TraceQuery {
         /// Trace to select, or 0 for all retained spans.
         trace_id: u128,
@@ -287,10 +279,7 @@ pub enum Message {
     /// agent → peer agent: anti-entropy round. The sender pushes every
     /// registration it knows (its own and ones learned from gossip, with
     /// accumulated age) so registrations replicate transitively across any
-    /// connected peer topology. Additive in protocol version 4: a v3 agent
-    /// rejects the unknown tag with its generic `Error` reply, which the
-    /// sender counts as *unsupported* and tolerates, so mixed-version
-    /// federations keep serving queries.
+    /// connected peer topology.
     GossipSync {
         /// Address of the sending agent (its listen address, which is how
         /// peers and origin labels refer to it).
@@ -299,8 +288,7 @@ pub enum Message {
         entries: Vec<GossipEntry>,
         /// Windowed stats digests the sender knows — its own and ones
         /// learned from gossip, ages accumulated hop-relative exactly
-        /// like registry `entries`. Additive in protocol version 6: v5
-        /// frames carry no digest leg and decode with an empty vec.
+        /// like registry `entries`.
         digests: Vec<StatsDigest>,
     },
     /// agent → peer agent: gossip merge outcome, closing the round.
@@ -315,10 +303,8 @@ pub enum Message {
     },
     /// any → daemon: dump the windowed stats digests you hold — your own
     /// plus, on agents, every digest replicated over gossip — so one
-    /// scrape of one agent returns the whole fleet's recent history.
-    /// Additive in protocol version 6: older daemons answer with their
-    /// generic "cannot handle" `Error` reply, which scrapers treat as
-    /// *unsupported*, so mixed-version domains keep working.
+    /// scrape of one agent returns the whole fleet's recent history. A
+    /// daemon whose telemetry digests are off answers `Error`.
     FleetStatsQuery,
     /// daemon → any: the windowed digests, freshest view (ages
     /// recomputed to the moment of encoding).
@@ -340,21 +326,21 @@ pub enum Message {
 }
 
 // The wire table. One row per record and per message, fields in wire
-// order (not declaration order), `@N` = on the wire since protocol version
-// N. `wire.rs` turns the rows into the encoder, the decoder, `MIN_LEN`,
-// the tag and log name, and `Message::SCHEMA`; DESIGN §4m has the recipe
-// for adding a field. `docs/PROTOCOL.md` §4 is checked against these rows.
+// order (not declaration order). `wire.rs` turns the rows into the
+// encoder, the decoder, `MIN_LEN`, the tag and log name, and
+// `Message::SCHEMA`; DESIGN §4m has the recipe for adding a field.
+// `docs/PROTOCOL.md` §4 is checked against these rows.
 wire_records! {
     ServerDescriptor { server_id, host, address, mflops, problems, pdl_source }
     Candidate { server_id, address, predicted_secs }
     ServerInfo { server_id, host, address, mflops, workload, down, problems }
-    QueryShape { client_host, problem, n, bytes_in, bytes_out, trace_id @3, parent_span @3 }
+    QueryShape { client_host, problem, n, bytes_in, bytes_out, trace_id, parent_span }
     GossipEntry { origin_agent, host, address, mflops, problems, pdl_source, workload, age_secs }
     SpanRecord {
         trace_id, span_id, parent_span, request_id, component, phase,
         start_unix_nanos, end_unix_nanos, detail
     }
-    HistogramSnapshot { name, count, sum_secs, buckets, exemplars @6, max_exemplar @6 }
+    HistogramSnapshot { name, count, sum_secs, buckets, exemplars, max_exemplar }
     StatsSnapshot { component, counters, gauges, histograms }
     DigestQuantiles { name, count, p50_secs, p95_secs, p99_secs, p99_exemplar }
     StatsDigest { origin, component, age_secs, window_secs, counters, gauges, quantiles }
@@ -370,17 +356,17 @@ wire_messages! {
     7  ProblemCatalogue { names }
     8  DescribeProblem { problem }
     9  ProblemDescription { pdl }
-    10 FailureReport { server_id, problem, code, detail, server_address @5 }
+    10 FailureReport { server_id, problem, code, detail, server_address }
     11 RequestSubmit => RequestView<'a> {
-        request_id: u64, deadline_ms @2: u64, trace_id @3: u128, parent_span @3: u64,
+        request_id: u64, deadline_ms: u64, trace_id: u128, parent_span: u64,
         problem: &'a str, inputs: &'a [DataObject]
     }
-    12 RequestReply { request_id, compute_secs, outputs, cached @5 }
+    12 RequestReply { request_id, compute_secs, outputs, cached }
     13 Ping {}
     14 Pong {}
     15 Error { code, detail }
     16 CompletionReport {
-        server_id, client_host, problem, total_secs, compute_secs, bytes, server_address @5
+        server_id, client_host, problem, total_secs, compute_secs, bytes, server_address
     }
     17 ServerQueryForwarded(QueryShape)
     18 DescribeProblemForwarded { problem }
@@ -390,7 +376,7 @@ wire_messages! {
     22 StatsReply(StatsSnapshot)
     23 TraceQuery { trace_id }
     24 TraceReply { component, spans }
-    25 GossipSync { from_agent, entries, digests @6 }
+    25 GossipSync { from_agent, entries, digests }
     26 GossipAck { merged, refreshed, conflicts }
     27 FleetStatsQuery {}
     28 FleetStatsReply { digests }
@@ -401,18 +387,18 @@ wire_messages! {
 /// either, so a request can be framed straight from operands its sender
 /// does not own.
 pub trait Body {
-    /// Append the payload — the tag, then that row's fields — in the
-    /// layout of protocol `version`. The frame writer hands in a counting
-    /// encoder, then one over its window (header already in place).
-    fn encode_body(&self, e: &mut Encoder<'_>, version: u32);
+    /// Append the payload — the tag, then that row's fields. The frame
+    /// writer hands in a counting encoder, then one over its window
+    /// (header already in place).
+    fn encode_body(&self, e: &mut Encoder<'_>);
 
-    /// Exact payload length at `version`, computed without materializing
-    /// a byte: the body runs through a counting encoder, where bulk array
-    /// puts cost O(1). This is how the frame writer learns the length
-    /// field it must send before the payload.
-    fn encoded_len(&self, version: u32) -> u64 {
+    /// Exact payload length, computed without materializing a byte: the
+    /// body runs through a counting encoder, where bulk array puts cost
+    /// O(1). This is how the frame writer learns the length field it must
+    /// send before the payload.
+    fn encoded_len(&self) -> u64 {
         let mut c = Encoder::counting();
-        self.encode_body(&mut c, version);
+        self.encode_body(&mut c);
         c.count()
     }
 }
@@ -423,40 +409,25 @@ impl Message {
         Message::Error { code: e.code(), detail: e.detail().to_string() }
     }
 
-    /// Encode to payload bytes (no framing), at the current protocol
-    /// version.
+    /// Encode to payload bytes (no framing).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(crate::frame::VERSION)
-    }
-
-    /// Encode to payload bytes at a specific protocol version (used when
-    /// talking to — or impersonating, in compatibility tests — an older
-    /// peer). Version differences are additive: v1 `RequestSubmit` has no
-    /// `deadline_ms` field.
-    pub fn encode_versioned(&self, version: u32) -> Vec<u8> {
         let mut e = Encoder::with_capacity(64);
-        self.encode_body(&mut e, version);
+        self.encode_body(&mut e);
         e.into_bytes()
     }
 
-    /// [`Body::encoded_len`], callable without importing the trait.
+    /// [`Body::encoded_len`], callable without importing the trait, for a
+    /// frame of `version`, which must be [`VERSION`](crate::VERSION): the
+    /// only layout there is.
     pub fn encoded_len(&self, version: u32) -> u64 {
-        Body::encoded_len(self, version)
+        debug_assert_eq!(version, crate::VERSION, "one wire layout");
+        Body::encoded_len(self)
     }
 
-    /// Decode from payload bytes, requiring full consumption, at the
-    /// current protocol version.
+    /// Decode from payload bytes, requiring full consumption.
     pub fn decode(bytes: &[u8]) -> Result<Message> {
-        Self::decode_versioned(bytes, crate::frame::VERSION)
-    }
-
-    /// Decode a payload that arrived in a frame of the given (negotiated)
-    /// protocol version. Older versions are additive subsets: a v1
-    /// `RequestSubmit` carries no `deadline_ms` and decodes with a zero
-    /// (no-deadline) budget.
-    pub fn decode_versioned(bytes: &[u8], version: u32) -> Result<Message> {
         let mut d = Decoder::new(bytes);
-        let msg = Self::decode_body(&mut d, version)?;
+        let msg = Self::decode_body(&mut d)?;
         d.finish()?;
         Ok(msg)
     }
@@ -641,141 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_payloads_decode_with_zeroed_trace_context() {
-        let submit = Message::RequestSubmit {
-            request_id: 7,
-            deadline_ms: 900,
-            trace_id: 0x1234_5678_9abc_def0,
-            parent_span: 3,
-            problem: "ddot".into(),
-            inputs: vec![vec![1.0, 2.0].into()],
-        };
-        let back = Message::decode_versioned(&submit.encode_versioned(2), 2).unwrap();
-        match back {
-            Message::RequestSubmit { request_id, deadline_ms, trace_id, parent_span, .. } => {
-                assert_eq!(request_id, 7);
-                assert_eq!(deadline_ms, 900, "v2 still carries the deadline");
-                assert_eq!(trace_id, 0, "trace context defaults to untraced");
-                assert_eq!(parent_span, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let query = Message::ServerQuery(QueryShape {
-            client_host: 5,
-            problem: "ddot".into(),
-            n: 64,
-            bytes_in: 1024,
-            bytes_out: 8,
-            trace_id: 42,
-            parent_span: 9,
-        });
-        match Message::decode_versioned(&query.encode_versioned(2), 2).unwrap() {
-            Message::ServerQuery(q) => {
-                assert_eq!(q.n, 64);
-                assert_eq!(q.trace_id, 0);
-                assert_eq!(q.parent_span, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    /// v4 peers carry no `cached` marker and no report addresses: their
-    /// payloads must decode with the conservative defaults, and encoding
-    /// *to* a v4 peer must omit the new fields so it can decode us.
-    #[test]
-    fn v4_payloads_decode_with_v5_defaults() {
-        let reply = Message::RequestReply {
-            request_id: 7,
-            outputs: vec![vec![1.0, 2.0].into()],
-            compute_secs: 0.5,
-            cached: true,
-        };
-        match Message::decode_versioned(&reply.encode_versioned(4), 4).unwrap() {
-            Message::RequestReply { request_id, cached, compute_secs, .. } => {
-                assert_eq!(request_id, 7);
-                assert_eq!(compute_secs, 0.5);
-                assert!(!cached, "v4 replies default to uncached");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let completion = Message::CompletionReport {
-            server_id: 3,
-            server_address: "127.0.0.1:9021".into(),
-            client_host: 1,
-            problem: "dgesv".into(),
-            total_secs: 2.0,
-            compute_secs: 1.0,
-            bytes: 4096,
-        };
-        match Message::decode_versioned(&completion.encode_versioned(4), 4).unwrap() {
-            Message::CompletionReport { server_id, server_address, .. } => {
-                assert_eq!(server_id, 3);
-                assert!(server_address.is_empty(), "v4 reports carry no address");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let failure = Message::FailureReport {
-            server_id: 9,
-            server_address: "127.0.0.1:9022".into(),
-            problem: "fft".into(),
-            code: 3,
-            detail: "refused".into(),
-        };
-        match Message::decode_versioned(&failure.encode_versioned(4), 4).unwrap() {
-            Message::FailureReport { server_id, server_address, .. } => {
-                assert_eq!(server_id, 9);
-                assert!(server_address.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    /// v5 peers carry no exemplar or digest legs: encoding *to* a v5
-    /// peer must omit them so it can decode us, and its payloads decode
-    /// here with the conservative defaults (no exemplars, no digests).
-    #[test]
-    fn v5_payloads_decode_with_v6_defaults() {
-        let reply = Message::StatsReply(StatsSnapshot {
-            component: "server".into(),
-            counters: vec![("server.requests".into(), 9)],
-            gauges: vec![],
-            histograms: vec![HistogramSnapshot {
-                name: "server.compute_secs".into(),
-                count: 2,
-                sum_secs: 0.5,
-                buckets: vec![1, 1],
-                exemplars: vec![0xAA, 0xBB],
-                max_exemplar: 0xBB,
-            }],
-        });
-        match Message::decode_versioned(&reply.encode_versioned(5), 5).unwrap() {
-            Message::StatsReply(snap) => {
-                let h = &snap.histograms[0];
-                assert_eq!(h.buckets, vec![1, 1], "buckets survive at v5");
-                assert!(h.exemplars.is_empty(), "v5 carries no exemplars");
-                assert_eq!(h.max_exemplar, 0, "v5 carries no max exemplar");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
-        let sync = Message::GossipSync {
-            from_agent: "127.0.0.1:9000".into(),
-            entries: vec![],
-            digests: vec![sample_digest()],
-        };
-        match Message::decode_versioned(&sync.encode_versioned(5), 5).unwrap() {
-            Message::GossipSync { from_agent, digests, .. } => {
-                assert_eq!(from_agent, "127.0.0.1:9000");
-                assert!(digests.is_empty(), "v5 gossip carries no digest leg");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn fleet_digests_roundtrip_losslessly() {
         let msg = Message::FleetStatsReply { digests: vec![sample_digest()] };
         match Message::decode(&msg.encode()).unwrap() {
@@ -805,64 +641,54 @@ mod tests {
         assert!(Message::decode(&bytes).is_err());
     }
 
-    /// CRC-32 of the concatenated `samples()` payloads at wire v1..=v6,
-    /// generated at the last commit with a hand-written codec (PR 14).
-    /// A mismatch means the bytes on the wire changed: bump `VERSION`
-    /// or revert, never edit a pin to fit.
-    const WIRE_PINS: [u32; 6] =
-        [0x09a5_c737, 0x9ba5_f162, 0x6920_c169, 0x6920_c169, 0x524b_4ebe, 0x4683_0e19];
+    /// CRC-32 of the concatenated `samples()` payloads at wire v6,
+    /// generated by the hand-written codec the wire table replaced. A
+    /// mismatch means the bytes on the wire changed: bump `VERSION` or
+    /// revert, never edit the pin to fit.
+    const WIRE_PIN: u32 = 0x4683_0e19;
 
     #[test]
-    fn wire_bytes_are_pinned_at_every_version() {
-        for (version, pin) in (1..).zip(WIRE_PINS) {
-            let per_sample: Vec<Vec<u8>> =
-                samples().iter().map(|m| m.encode_versioned(version)).collect();
-            let got = netsolve_xdr::crc32(&per_sample.concat());
-            if got != pin {
-                for (m, bytes) in samples().iter().zip(&per_sample) {
-                    eprintln!("v{version} {:>2} {:<24} {:#010x}", m.tag(), m.name(), netsolve_xdr::crc32(bytes));
-                }
-                panic!("wire v{version} bytes drifted: crc {got:#010x}, pinned {pin:#010x}");
+    fn wire_bytes_are_pinned() {
+        let per_sample: Vec<Vec<u8>> = samples().iter().map(Message::encode).collect();
+        let got = netsolve_xdr::crc32(&per_sample.concat());
+        if got != WIRE_PIN {
+            for (m, bytes) in samples().iter().zip(&per_sample) {
+                eprintln!("{:>2} {:<24} {:#010x}", m.tag(), m.name(), netsolve_xdr::crc32(bytes));
             }
+            panic!("wire bytes drifted: crc {got:#010x}, pinned {WIRE_PIN:#010x}");
         }
     }
 
-    /// Every sample at every version: both sources decode it, the decode
-    /// re-encodes to the same bytes (and at the current version equals the
-    /// sample), and every proper prefix is an error — never a panic, never
-    /// a shorter message — from both sources.
+    /// Every sample: both sources decode it to the sample, the decode
+    /// re-encodes to the same bytes, and every proper prefix is an error —
+    /// never a panic, never a shorter message — from both sources.
     #[test]
-    fn every_version_reencodes_and_every_prefix_is_rejected() {
-        fn stream_decode(bytes: &[u8], version: u32) -> Result<Message> {
+    fn every_sample_reencodes_and_every_prefix_is_rejected() {
+        fn stream_decode(bytes: &[u8]) -> Result<Message> {
             let (mut r, mut window) = (bytes, Vec::new());
             let mut d = Decoder::reading(&mut r, &mut window, 64);
             d.limit(bytes.len(), 0);
-            let msg = Message::decode_body(&mut d, version)?;
+            let msg = Message::decode_body(&mut d)?;
             d.finish()?;
             Ok(msg)
         }
-        for version in 1..=crate::frame::VERSION {
-            for msg in samples() {
-                let bytes = msg.encode_versioned(version);
-                let back = Message::decode_versioned(&bytes, version)
-                    .unwrap_or_else(|e| panic!("{} v{version} failed: {e}", msg.name()));
-                assert_eq!(back.encode_versioned(version), bytes, "{} v{version}", msg.name());
-                if version == crate::frame::VERSION {
-                    assert_eq!(back, msg, "{} roundtrip", msg.name());
-                }
-                assert_eq!(stream_decode(&bytes, version).unwrap(), back, "{} v{version}", msg.name());
-                for cut in 0..bytes.len() {
-                    assert!(
-                        Message::decode_versioned(&bytes[..cut], version).is_err(),
-                        "{} v{version} accepted a {cut}-byte prefix",
-                        msg.name()
-                    );
-                    assert!(
-                        stream_decode(&bytes[..cut], version).is_err(),
-                        "{} v{version} streamed a {cut}-byte prefix",
-                        msg.name()
-                    );
-                }
+        for msg in samples() {
+            let bytes = msg.encode();
+            let back = Message::decode(&bytes).unwrap_or_else(|e| panic!("{} failed: {e}", msg.name()));
+            assert_eq!(back, msg, "{} roundtrip", msg.name());
+            assert_eq!(back.encode(), bytes, "{}", msg.name());
+            assert_eq!(stream_decode(&bytes).unwrap(), back, "{}", msg.name());
+            for cut in 0..bytes.len() {
+                assert!(
+                    Message::decode(&bytes[..cut]).is_err(),
+                    "{} accepted a {cut}-byte prefix",
+                    msg.name()
+                );
+                assert!(
+                    stream_decode(&bytes[..cut]).is_err(),
+                    "{} streamed a {cut}-byte prefix",
+                    msg.name()
+                );
             }
         }
     }
@@ -917,13 +743,33 @@ mod tests {
                 histograms: vec![HistogramSnapshot::default(); n],
             }),
         ];
-        for version in 1..=crate::frame::VERSION {
-            for msg in &msgs {
-                let bytes = msg.encode_versioned(version);
-                let back = Message::decode_versioned(&bytes, version)
-                    .unwrap_or_else(|e| panic!("{} v{version}: {e}", msg.name()));
-                assert_eq!(back.encode_versioned(version), bytes, "{} v{version}", msg.name());
+        for msg in &msgs {
+            let bytes = msg.encode();
+            let back = Message::decode(&bytes).unwrap_or_else(|e| panic!("{}: {e}", msg.name()));
+            assert_eq!(back.encode(), bytes, "{}", msg.name());
+        }
+
+        // A histogram's shortest encoding counts every field: name, count,
+        // sum, and the bucket and exemplar counts (4 + 8 + 8 + 4 + 4) plus
+        // the 16-byte max exemplar. A list count that the rest of the
+        // payload cannot hold at that length is refused by the count
+        // bound, before any item decodes — here 50 histograms claimed over
+        // 50 × 24 zero bytes, room only for shortest histograms without
+        // their exemplar fields.
+        assert_eq!(<HistogramSnapshot as crate::wire::Wire>::MIN_LEN, 44);
+        let mut e = Encoder::new();
+        e.put_u32(Message::StatsReply(StatsSnapshot::default()).tag());
+        e.put_string(""); // component
+        e.put_u32(0); // counters
+        e.put_u32(0); // gauges
+        e.put_u32(n as u32); // histograms
+        let mut payload = e.into_bytes();
+        payload.resize(payload.len() + n * 24, 0);
+        match Message::decode(&payload) {
+            Err(NetSolveError::Protocol(m)) => {
+                assert!(m.contains(&format!("count {n} too large")), "{m}")
             }
+            other => panic!("histogram count past the bound: {other:?}"),
         }
     }
 

@@ -266,18 +266,11 @@ impl ServerCore {
     /// Everything a server answers that is not a solve.
     fn answer_query(&self, msg: &Message) -> Message {
         match msg {
-            Message::TraceQuery { trace_id } => {
-                // A trace pull from an old peer still surfaces in the counter.
-                netsolve_proto::mirror_version_downgrades(&self.metrics);
-                Message::TraceReply {
-                    component: "server".to_string(),
-                    spans: self.tracer.snapshot_trace(*trace_id),
-                }
-            }
-            Message::StatsQuery => {
-                netsolve_proto::mirror_version_downgrades(&self.metrics);
-                Message::StatsReply(self.metrics.snapshot("server"))
-            }
+            Message::TraceQuery { trace_id } => Message::TraceReply {
+                component: "server".to_string(),
+                spans: self.tracer.snapshot_trace(*trace_id),
+            },
+            Message::StatsQuery => Message::StatsReply(self.metrics.snapshot("server")),
             Message::Ping => Message::Pong,
             Message::ListProblems => Message::ProblemCatalogue {
                 names: self.problems.names(),
@@ -557,30 +550,6 @@ pub(crate) mod tests {
         assert!(elapsed > 0.03, "too fast: {elapsed}");
         assert_eq!(exec.outputs.len(), 1);
         assert_eq!(exec.outputs[0].as_vector().unwrap().len(), 200);
-    }
-
-    /// After the process has decoded an old-version frame, a StatsQuery
-    /// must surface `proto.version_downgrade` in the snapshot.
-    #[test]
-    fn stats_surface_version_downgrades() {
-        // Force at least one downgraded decode through the real reader.
-        let v1 = netsolve_proto::frame_bytes_versioned(&Message::Ping, 1).unwrap();
-        let (msg, _) = netsolve_proto::parse_frame(&v1).unwrap();
-        assert_eq!(msg, Message::Ping);
-
-        let core = ServerCore::with_standard_catalogue();
-        match core.handle_message(&Message::StatsQuery) {
-            Message::StatsReply(snap) => {
-                let n = snap
-                    .counters
-                    .iter()
-                    .find(|(name, _)| name == "proto.version_downgrade")
-                    .map(|(_, v)| *v)
-                    .expect("proto.version_downgrade counter missing from stats");
-                assert!(n >= 1, "downgrade not counted: {n}");
-            }
-            other => panic!("expected StatsReply, got {other:?}"),
-        }
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub(crate) struct ServerTelemetry {
     pub address: String,
     /// The ring of cumulative registry snapshots.
     pub series: netsolve_obs::WindowedSeries,
-    /// Whether `FleetStatsQuery` is answered (off = unsupported Error,
-    /// matching a pre-v6 daemon, for compat tests and overhead ablation).
+    /// Whether `FleetStatsQuery` is answered (off = an `Error` reply, for
+    /// overhead ablation).
     pub enabled: bool,
 }
 

@@ -5,10 +5,7 @@
 //! ```
 //!
 //! Dials each address over TCP, sends a `StatsQuery`, and pretty-prints
-//! the `StatsReply`. Daemons from before the stats protocol answer with
-//! their generic "cannot handle" error; those are reported as
-//! *unsupported* rather than failures, so a mixed-version domain can
-//! still be scraped.
+//! the `StatsReply`. An `Error` reply is reported as a failed scrape.
 //!
 //! With `--watch SECS` it rescrapes every `SECS` seconds and prints
 //! counter *rates* (events/sec over the last interval) plus latency
@@ -62,8 +59,7 @@ fn main() {
     let mut failures = 0usize;
     for address in &addresses {
         match scrape(&transport, address) {
-            Ok(Some(snapshot)) => print_snapshot(address, &snapshot),
-            Ok(None) => println!("{address}: stats unsupported by this daemon"),
+            Ok(snapshot) => print_snapshot(address, &snapshot),
             Err(e) => {
                 eprintln!("netsl-stats: {address}: {e}");
                 failures += 1;
@@ -83,12 +79,11 @@ fn watch(transport: &Arc<dyn Transport>, addresses: &[String], interval: f64) ->
     loop {
         for address in addresses {
             match scrape(transport, address) {
-                Ok(Some(snapshot)) => {
+                Ok(snapshot) => {
                     let s = series.entry(address.clone()).or_default();
                     s.record(snapshot, unix_now_secs());
                     print_rates(address, s, interval);
                 }
-                Ok(None) => println!("{address}: stats unsupported by this daemon"),
                 Err(e) => eprintln!("netsl-stats: {address}: {e}"),
             }
         }
@@ -129,14 +124,14 @@ fn print_rates(address: &str, series: &WindowedSeries, interval: f64) {
     }
 }
 
-/// One scrape. `Ok(None)` means the peer predates `StatsQuery`.
+/// One scrape.
 fn scrape(
     transport: &Arc<dyn Transport>,
     address: &str,
-) -> netsolve::core::Result<Option<StatsSnapshot>> {
+) -> netsolve::core::Result<StatsSnapshot> {
     match call_once(transport.as_ref(), address, &Message::StatsQuery, Duration::from_secs(5))? {
-        Message::StatsReply(snapshot) => Ok(Some(snapshot)),
-        Message::Error { .. } => Ok(None),
+        Message::StatsReply(snapshot) => Ok(snapshot),
+        Message::Error { code, detail } => Err(netsolve::core::NetSolveError::from_code(code, detail)),
         other => Err(netsolve::core::NetSolveError::Protocol(format!(
             "unexpected reply {}",
             other.name()
@@ -155,7 +150,6 @@ const FEDERATION_COUNTERS: &[&str] = &[
     "agent.gossip_merges",
     "agent.gossip_merge_conflicts",
     "agent.gossip_expired",
-    "agent.gossip_peer_unsupported",
     "agent.peer_down_marks",
     "agent.peer_recoveries",
     "client.agent_failovers",

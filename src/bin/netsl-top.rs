@@ -72,8 +72,8 @@ fn main() {
     }
 }
 
-/// One `FleetStatsQuery` round-trip. A pre-v6 agent answers with its
-/// generic `Error` reply; surface that as a protocol error so the exit
+/// One `FleetStatsQuery` round-trip. An agent whose telemetry digests are
+/// off answers with `Error`; surface that as a protocol error so the exit
 /// code says "this agent cannot do fleet stats" rather than hanging.
 fn scrape(
     transport: &Arc<dyn Transport>,

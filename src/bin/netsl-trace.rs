@@ -13,9 +13,7 @@
 //!
 //! `--trace` limits the pull to one trace id (the hex value `ns-client`
 //! prints as `trace ...`); without it every retained trace is shown.
-//! Daemons from before the trace protocol answer with their generic
-//! "cannot handle" error; those are reported as *unsupported* rather than
-//! failures, so a mixed-version domain can still be scraped.
+//! An `Error` reply is reported as a failed pull.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -83,11 +81,10 @@ fn main() {
 
     for address in &addresses {
         match pull(&transport, address, trace_id) {
-            Ok(Some((component, spans))) => {
+            Ok((component, spans)) => {
                 eprintln!("{address} [{component}]: {} span(s)", spans.len());
                 records.extend(spans);
             }
-            Ok(None) => eprintln!("{address}: tracing unsupported by this daemon"),
             Err(e) => {
                 eprintln!("netsl-trace: {address}: {e}");
                 failures += 1;
@@ -110,16 +107,16 @@ fn main() {
     }
 }
 
-/// One pull. `Ok(None)` means the peer predates `TraceQuery`.
+/// One pull.
 fn pull(
     transport: &Arc<dyn Transport>,
     address: &str,
     trace_id: u128,
-) -> netsolve::core::Result<Option<(String, Vec<SpanRecord>)>> {
+) -> netsolve::core::Result<(String, Vec<SpanRecord>)> {
     let ask = Message::TraceQuery { trace_id };
     match call_once(transport.as_ref(), address, &ask, Duration::from_secs(5))? {
-        Message::TraceReply { component, spans } => Ok(Some((component, spans))),
-        Message::Error { .. } => Ok(None),
+        Message::TraceReply { component, spans } => Ok((component, spans)),
+        Message::Error { code, detail } => Err(netsolve::core::NetSolveError::from_code(code, detail)),
         other => Err(netsolve::core::NetSolveError::Protocol(format!(
             "unexpected reply {}",
             other.name()

@@ -27,7 +27,7 @@ use netsolve::core::{DataObject, Matrix, Rng64};
 use netsolve::net::{ChannelNetwork, NetworkView};
 use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
-    frame_bytes_versioned, write_message_streamed, FrameReader, FrameWriter, Message,
+    frame_bytes, write_message_streamed, FrameReader, FrameWriter, Message,
     RequestView, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, VERSION,
 };
 use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
@@ -88,10 +88,10 @@ fn payload_ending_in_huge_count(head: impl FnOnce(&mut Encoder<'_>)) -> Vec<u8> 
     e.into_bytes()
 }
 
-fn frame(version: u32, claimed_len: usize, payload: &[u8], with_crc: bool) -> Vec<u8> {
+fn frame(claimed_len: usize, payload: &[u8], with_crc: bool) -> Vec<u8> {
     let mut wire = Vec::new();
     wire.extend_from_slice(&MAGIC.to_be_bytes());
-    wire.extend_from_slice(&version.to_be_bytes());
+    wire.extend_from_slice(&VERSION.to_be_bytes());
     wire.extend_from_slice(&(claimed_len as u32).to_be_bytes());
     wire.extend_from_slice(payload);
     if with_crc {
@@ -103,23 +103,23 @@ fn frame(version: u32, claimed_len: usize, payload: &[u8], with_crc: bool) -> Ve
 #[test]
 fn a_wire_count_never_sizes_an_allocation() {
     let _serial = serial();
-    // v1 RequestSubmit: request_id, problem (empty), then the operand count.
+    // RequestSubmit: request_id, deadline_ms, trace_id, parent_span,
+    // problem (empty), then the operand count.
     let submit = payload_ending_in_huge_count(|e| {
         e.put_u32(11);
-        e.put_u64(7);
+        for word in [7, 0, 0, 0, 0] {
+            e.put_u64(word);
+        }
         e.put_string("");
     });
     // ProblemCatalogue: just the name count.
     let catalogue = payload_ending_in_huge_count(|e| e.put_u32(7));
-    assert_eq!((submit.len() + 12, catalogue.len() + 12), (32, 20));
+    assert_eq!((submit.len() + 12, catalogue.len() + 12), (64, 20));
 
     let mut cases = Vec::new();
-    for (name, version, payload) in [
-        ("RequestSubmit", 1, &submit),
-        ("ProblemCatalogue", 6, &catalogue),
-    ] {
+    for (name, payload) in [("RequestSubmit", &submit), ("ProblemCatalogue", &catalogue)] {
         // Lying header: the payload is cut off right after the count.
-        let lying = frame(version, MAX_FRAME_PAYLOAD, payload, false);
+        let lying = frame(MAX_FRAME_PAYLOAD, payload, false);
         cases.push((
             format!("{name}, lying 512 MiB header"),
             lying,
@@ -127,7 +127,7 @@ fn a_wire_count_never_sizes_an_allocation() {
             1024 * 1024,
         ));
         // Honest header and CRC: the count is all that lies.
-        let honest = frame(version, payload.len(), payload, true);
+        let honest = frame(payload.len(), payload, true);
         cases.push((format!("{name}, honest header"), honest, false, 1024 * 1024));
     }
     // An honest 100-byte frame on a fresh reader: what a freshly dialled
@@ -136,7 +136,7 @@ fn a_wire_count_never_sizes_an_allocation() {
         code: 3,
         detail: "e".repeat(72),
     };
-    let small = frame_bytes_versioned(&small, VERSION).unwrap();
+    let small = frame_bytes(&small).unwrap();
     assert_eq!(small.len(), 100);
     cases.push(("honest 100-byte frame".into(), small, true, 4096));
     // An honest operand 36 windows long, its element count no power of two
@@ -151,7 +151,7 @@ fn a_wire_count_never_sizes_an_allocation() {
         problem: "ddot".into(),
         inputs: vec![operand.into()],
     };
-    let large = frame_bytes_versioned(&large, VERSION).unwrap();
+    let large = frame_bytes(&large).unwrap();
     cases.push(("honest 2.3 MiB RequestSubmit".into(), large, true, bound));
 
     for (case, wire, decodes, bound) in cases {

@@ -10,9 +10,9 @@
 //!   server subtree;
 //! * a deadline-exhausted call ends its trace with a terminal
 //!   `deadline_exhausted` span;
-//! * peers from before the trace protocol answer `TraceQuery` with
-//!   their generic error, which readers report as *unsupported* — over
-//!   the channel transport and over real TCP.
+//! * a peer that answers `TraceQuery` with its generic error fails the
+//!   pull with that error — over the channel transport and over real
+//!   TCP.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,17 +36,16 @@ fn timeout() -> Duration {
 }
 
 /// Pull one peer's retained spans, exactly as `netsl-trace` does.
-/// `Ok(None)` means the peer predates `TraceQuery`.
 fn pull_spans(
     transport: &Arc<dyn Transport>,
     address: &str,
     trace_id: u128,
-) -> Result<Option<(String, Vec<SpanRecord>)>> {
+) -> Result<(String, Vec<SpanRecord>)> {
     let mut conn = transport.connect(address)?;
     let reply = call(conn.as_mut(), &Message::TraceQuery { trace_id }, timeout())?;
     match reply {
-        Message::TraceReply { component, spans } => Ok(Some((component, spans))),
-        Message::Error { .. } => Ok(None),
+        Message::TraceReply { component, spans } => Ok((component, spans)),
+        Message::Error { code, detail } => Err(NetSolveError::from_code(code, detail)),
         other => Err(NetSolveError::Protocol(format!("unexpected reply {}", other.name()))),
     }
 }
@@ -94,7 +93,7 @@ fn trace_query_stitches_live_trio_into_one_timeline() {
         .collect();
     for address in ["agent", "srv0"] {
         let (component, spans) =
-            pull_spans(&clean, address, report.trace_id).unwrap().expect("trio answers TraceQuery");
+            pull_spans(&clean, address, report.trace_id).expect("trio answers TraceQuery");
         assert_eq!(component, if address == "agent" { "agent" } else { "server" });
         assert!(!spans.is_empty(), "{address} retained no spans for the trace");
         records.extend(spans);
@@ -193,7 +192,7 @@ fn retried_attempts_are_distinct_spans_under_one_trace() {
 
     let mut records = tracer.snapshot_trace(report.trace_id);
     let (_, server_spans) =
-        pull_spans(&clean, "srv0", report.trace_id).unwrap().expect("server answers TraceQuery");
+        pull_spans(&clean, "srv0", report.trace_id).expect("server answers TraceQuery");
     records.extend(server_spans);
     let timelines = stitch(&records);
     assert_eq!(timelines.len(), 1);
@@ -320,9 +319,9 @@ fn deadline_exhaustion_leaves_terminal_span() {
     agent.stop();
 }
 
-/// Answer every frame with the generic "cannot handle" error — the
-/// behaviour of a pre-trace-protocol daemon.
-fn legacy_stub(listener: Box<dyn Listener>) {
+/// Answer every frame with the generic "cannot handle" error — a daemon
+/// that does not serve `TraceQuery`.
+fn refusing_stub(listener: Box<dyn Listener>) {
     std::thread::spawn(move || {
         while let Ok(mut conn) = listener.accept() {
             std::thread::spawn(move || {
@@ -340,27 +339,33 @@ fn legacy_stub(listener: Box<dyn Listener>) {
     });
 }
 
-/// Version tolerance over the channel transport: a peer from before the
-/// trace protocol answers `TraceQuery` with its generic error, and the
-/// netsl-trace pull reports it as unsupported rather than failing.
+/// The error a netsl-trace pull from a refusing peer must fail with: the
+/// peer's own, not an empty timeline.
+fn assert_refused(pulled: Result<(String, Vec<SpanRecord>)>) {
+    assert!(
+        matches!(&pulled, Err(NetSolveError::Protocol(m)) if m == "cannot handle TraceQuery"),
+        "a generic error must fail the pull: {pulled:?}"
+    );
+}
+
+/// Over the channel transport: a peer that answers `TraceQuery` with its
+/// generic error fails the netsl-trace pull with that error.
 #[test]
 fn trace_query_unsupported_peer_over_channel() {
     let net = ChannelNetwork::new();
     let clean: Arc<dyn Transport> = Arc::new(net.clone());
-    legacy_stub(clean.listen("old-daemon").unwrap());
+    refusing_stub(clean.listen("refusing-daemon").unwrap());
 
-    let pulled = pull_spans(&clean, "old-daemon", 0).unwrap();
-    assert!(pulled.is_none(), "generic error must read as 'tracing unsupported'");
+    assert_refused(pull_spans(&clean, "refusing-daemon", 0));
 }
 
-/// The same tolerance over real TCP sockets.
+/// The same over real TCP sockets.
 #[test]
 fn trace_query_unsupported_peer_over_tcp() {
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let listener = transport.listen("127.0.0.1:0").unwrap();
     let address = listener.address();
-    legacy_stub(listener);
+    refusing_stub(listener);
 
-    let pulled = pull_spans(&transport, &address, 0).unwrap();
-    assert!(pulled.is_none(), "generic error must read as 'tracing unsupported'");
+    assert_refused(pull_spans(&transport, &address, 0));
 }

@@ -1,12 +1,22 @@
 //! Golden wire-format tests: the exact byte layout of the protocol is a
-//! compatibility contract (a v1 client must interoperate with a v1 agent
-//! built from any commit), so key encodings are pinned here byte-for-byte.
-//! If one of these fails, either bump `netsolve::proto::frame::VERSION` or
-//! revert the encoding change.
+//! compatibility contract (a peer built from any commit at the same
+//! `VERSION` must read ours, and a frame of any other version is refused
+//! at its header), so key encodings are pinned here byte-for-byte. If one
+//! of these fails, either bump `netsolve::proto::frame::VERSION` or revert
+//! the encoding change.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Duration;
+
+use netsolve::agent::{standard_descriptor, AgentCore, AgentDaemon};
 use netsolve::core::DataObject;
-use netsolve::proto::{encode_frame_into, Message, QueryShape};
-use netsolve::xdr::{crc32, Encoder};
+use netsolve::net::{call, TcpTransport, Transport};
+use netsolve::proto::frame::MAGIC;
+use netsolve::proto::{encode_frame_into, Message, QueryShape, VERSION};
+use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
+use netsolve::xdr::{crc32, encode_objects, Encoder};
 
 #[test]
 fn ping_frame_is_pinned() {
@@ -127,24 +137,23 @@ fn message_tags_are_pinned() {
     assert_eq!(schema, TAGS);
     assert!(TAGS.iter().map(|&(tag, _)| tag).eq(1..=28), "tags are unique");
     for (tag, name) in TAGS {
-        // A sample of each tag without writing 28 constructors: at v1 the
+        // A sample of each tag without writing 28 constructors: the
         // shortest body of every message is all zero bytes (empty strings
         // and lists, `false`, 0).
         let sample = (0..32)
             .find_map(|words| {
                 let mut payload = tag.to_be_bytes().to_vec();
                 payload.resize(4 + 4 * words, 0);
-                Message::decode_versioned(&payload, 1).ok()
+                Message::decode(&payload).ok()
             })
-            .unwrap_or_else(|| panic!("tag {tag} ({name}) has no all-zero v1 body"));
+            .unwrap_or_else(|| panic!("tag {tag} ({name}) has no all-zero body"));
         assert_eq!((sample.tag(), sample.name()), (tag, name));
         assert_eq!(sample.encode()[0..4], tag.to_be_bytes());
     }
 }
 
 /// `docs/PROTOCOL.md` §4 against the wire table: the row for every tag
-/// names every field of that message, marked `(vN)` when the field joined
-/// the wire at version N > 1.
+/// names every field of that message.
 #[test]
 fn protocol_doc_names_every_field_of_every_message() {
     let doc = include_str!("../docs/PROTOCOL.md");
@@ -154,8 +163,8 @@ fn protocol_doc_names_every_field_of_every_message() {
             .lines()
             .find(|line| line.starts_with(&head))
             .unwrap_or_else(|| panic!("PROTOCOL.md has no row `{head}`"));
-        for &(field, since) in fields {
-            let cell = if since > 1 { format!(" {field} (v{since})") } else { format!(" {field}") };
+        for &field in fields {
+            let cell = format!(" {field}");
             let named = row.match_indices(&cell).any(|(at, _)| {
                 // `problem` must not be satisfied by `problems`.
                 !row[at + cell.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
@@ -183,33 +192,95 @@ fn error_codes_are_pinned() {
 }
 
 #[test]
-fn v5_gossip_payload_is_unchanged_by_v6_digest_leg() {
-    // Regression for the v6 additive legs: a GossipSync encoded at v5
-    // must be byte-identical whether or not the in-memory message
-    // carries stats digests — v5 peers never see the new leg, so mixed
-    // fleets keep interoperating.
-    let bare = Message::GossipSync { from_agent: "a1".into(), entries: vec![], digests: vec![] };
-    let with_digest = Message::GossipSync {
-        from_agent: "a1".into(),
-        entries: vec![],
-        digests: vec![netsolve::obs::StatsDigest {
-            origin: "srv".into(),
-            component: "server".into(),
-            age_secs: 0.5,
-            window_secs: 30.0,
-            counters: vec![("server.requests".into(), 4.0)],
-            gauges: vec![],
-            quantiles: vec![],
-        }],
-    };
-    assert_eq!(bare.encode_versioned(5), with_digest.encode_versioned(5));
-    // And decoding the v5 bytes yields the digest-free default.
-    let decoded = Message::decode_versioned(&with_digest.encode_versioned(5), 5).unwrap();
-    assert_eq!(decoded, bare);
-}
-
-#[test]
 fn crc32_check_value_is_standard() {
     // Interop anchor: the classic CRC-32 check value.
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
+/// A frame of `version` around `payload`, header and CRC honest.
+fn raw_frame(version: u32, payload: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for word in [MAGIC, version, payload.len() as u32] {
+        wire.extend_from_slice(&word.to_be_bytes());
+    }
+    wire.extend_from_slice(payload);
+    wire.extend_from_slice(&crc32(payload).to_be_bytes());
+    wire
+}
+
+/// A `ddot` request laid out as a `version` peer lays it out: the
+/// deadline joined at v2, the trace context at v3 (v7 is taken to be v6).
+fn ddot_request(version: u32) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.put_u32(11);
+    e.put_u64(version.into()); // request id
+    if version >= 2 {
+        e.put_u64(0); // deadline_ms
+    }
+    if version >= 3 {
+        for word in [0, 0, 0] {
+            e.put_u64(word); // trace_id (two words), parent_span
+        }
+    }
+    e.put_string("ddot");
+    encode_objects(&mut e, &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]);
+    e.into_bytes()
+}
+
+/// What a live daemon sends back for `frame`: nothing, if it closes the
+/// connection unanswered (a reset counts: it closed with the payload
+/// unread).
+fn reply_bytes(address: &str, frame: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(address).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream.write_all(frame).unwrap();
+    let mut reply = Vec::new();
+    match stream.read_to_end(&mut reply) {
+        Err(e) if e.kind() != ErrorKind::ConnectionReset && reply.is_empty() => {
+            panic!("the daemon at {address} neither replied nor closed: {e}")
+        }
+        _ => reply,
+    }
+}
+
+/// A frame of any version but `VERSION` gets no reply from a live TCP
+/// daemon: the connection closes, and the request behind it is neither
+/// solved nor registered. The layouts of v1–v5 are hand-built, since the
+/// codec no longer writes them.
+#[test]
+fn live_daemons_refuse_frames_of_other_versions_unanswered() {
+    let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+    let mut agent =
+        AgentDaemon::start(Arc::clone(&transport), "127.0.0.1:0", AgentCore::with_defaults())
+            .unwrap();
+    let mut server = ServerDaemon::start(
+        Arc::clone(&transport),
+        agent.address(),
+        ServerCore::with_standard_catalogue(),
+        ServerConfig::quick("live-host", "127.0.0.1:0", 100.0),
+    )
+    .unwrap();
+
+    for version in [1, 2, 3, 4, 5, VERSION + 1] {
+        let solve = raw_frame(version, &ddot_request(version));
+        let reply = reply_bytes(server.address(), &solve);
+        assert!(reply.is_empty(), "a v{version} request got a {}-byte reply", reply.len());
+
+        let address = format!("127.0.0.1:{}", 60_000 + version);
+        let register = Message::RegisterServer(standard_descriptor("old-host", &address, 50.0));
+        let reply = reply_bytes(agent.address(), &raw_frame(version, &register.encode()));
+        assert!(reply.is_empty(), "a v{version} registration got a {}-byte reply", reply.len());
+    }
+    assert_eq!(server.requests_served(), 0, "a refused request was solved");
+
+    let mut conn = transport.connect(agent.address()).unwrap();
+    match call(conn.as_mut(), &Message::ListServers, Duration::from_secs(5)).unwrap() {
+        Message::ServerInfoList { servers } => {
+            let listed: Vec<&str> = servers.iter().map(|s| s.address.as_str()).collect();
+            assert_eq!(listed, [server.address()], "only the live server is registered");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    server.stop();
+    agent.stop();
 }
