@@ -20,6 +20,10 @@ use netsolve_proto::{Candidate, GossipEntry, Message, QueryShape};
 use crate::balance::{rank, BalancerState, Policy, Ranked, ServerSnapshot};
 use crate::registry::{MergeOutcome, ServerRegistry};
 
+/// How many ranked servers a query returns: NetSolve returned a short
+/// ordered candidate list for client-side failover.
+pub(crate) const CANDIDATES_RETURNED: usize = 5;
+
 /// The instant something gossiped as `age_secs` old at `now` was fresh at
 /// its origin — the scheme that lets copies arriving over different paths
 /// compare without clock synchronisation.
@@ -477,7 +481,7 @@ impl AgentCore {
         self.metrics.counter("agent.rankings").inc();
         Ok(ranked
             .into_iter()
-            .take(self.config.candidates_returned.0)
+            .take(CANDIDATES_RETURNED)
             .map(|r| Candidate {
                 server_id: r.server.server_id.raw(),
                 address: r.server.address,
@@ -587,10 +591,8 @@ impl AgentCore {
                 let sync_timer = self.tracer.start();
                 let (merged, refreshed, conflicts) = self.merge_gossip(entries, now);
                 self.expire_gossip(now);
-                if self.config.telemetry.digests {
-                    self.merge_digests(digests, now);
-                    self.expire_digests(now);
-                }
+                self.merge_digests(digests, now);
+                self.expire_digests(now);
                 // Traceless: gossip rounds belong to no client request.
                 self.tracer.record(
                     SpanContext::NONE,
@@ -608,13 +610,7 @@ impl AgentCore {
             Message::Ping => Message::Pong,
             Message::StatsQuery => Message::StatsReply(self.metrics.snapshot("agent")),
             Message::FleetStatsQuery => {
-                if self.config.telemetry.digests {
-                    Message::FleetStatsReply { digests: self.digest_snapshot(now) }
-                } else {
-                    Message::from_error(&NetSolveError::Protocol(
-                        "fleet stats disabled on this agent".into(),
-                    ))
-                }
+                Message::FleetStatsReply { digests: self.digest_snapshot(now) }
             }
             Message::TraceQuery { trace_id } => Message::TraceReply {
                 component: "agent".to_string(),
@@ -681,9 +677,8 @@ mod tests {
     #[test]
     fn query_with_no_servers_errors() {
         let mut agent = AgentCore::with_defaults();
-        // Register then unregister via fault-down to empty the pool:
-        // simplest path — never register at all, but the problem must be
-        // known; use a fresh agent and expect ProblemNotFound instead.
+        // A fresh agent knows no server and so no problem: the query is
+        // refused.
         assert!(agent.query(&query(10), SimTime::ZERO).is_err());
     }
 

@@ -30,7 +30,7 @@ use netsolve_net::{call_once, Daemon, StopSignal, Transport, KEEP_ALIVE};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
 
-use crate::core::AgentCore;
+use crate::core::{AgentCore, CANDIDATES_RETURNED};
 
 /// Handle to a running agent daemon.
 pub struct AgentDaemon {
@@ -125,7 +125,7 @@ impl AgentDaemon {
         // Telemetry sampler: ticks this agent's own windowed series,
         // scrapes locally-registered servers for their digests, and
         // expires dead peers' series — the state gossip replicates.
-        if telemetry.digests {
+        {
             let shared = Arc::clone(&shared);
             let series = netsolve_obs::WindowedSeries::default();
             // Seed the series baseline now so events that land before the
@@ -264,16 +264,11 @@ impl Shared {
         let sync = {
             let mut core = self.core.lock();
             core.expire_gossip(now);
-            let digests = if self.config.telemetry.digests {
-                core.expire_digests(now);
-                core.digest_snapshot(now)
-            } else {
-                Vec::new()
-            };
+            core.expire_digests(now);
             Message::GossipSync {
                 from_agent: self.address.clone(),
                 entries: core.gossip_digest(now),
-                digests,
+                digests: core.digest_snapshot(now),
             }
         };
         metrics.counter("agent.gossip_rounds").inc();
@@ -358,11 +353,6 @@ impl Shared {
                         core.store_digest(digest, now);
                     }
                 }
-                // A server whose telemetry digests are off answers Error;
-                // count it apart from a scrape that failed and move on.
-                Ok(Message::Error { .. }) => {
-                    metrics.counter("agent.digest_scrape_unsupported").inc();
-                }
                 _ => metrics.counter("agent.digest_scrape_failures").inc(),
             }
         }
@@ -418,7 +408,7 @@ impl Shared {
         merged.sort_by(|a, b| a.predicted_secs.total_cmp(&b.predicted_secs));
         let mut seen = HashSet::new();
         merged.retain(|c| seen.insert(c.address.clone()));
-        merged.truncate(self.config.candidates_returned.0);
+        merged.truncate(CANDIDATES_RETURNED);
         Some(merged)
     }
 
@@ -439,10 +429,8 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::Policy;
     use crate::registry::standard_descriptor;
-    use netsolve_core::config::CandidateCount;
-    use netsolve_net::{call, ChannelNetwork, ChaosPolicy, ChaosTransport, NetworkView};
+    use netsolve_net::{call, ChannelNetwork, ChaosPolicy, ChaosTransport};
     use netsolve_proto::{Message, QueryShape};
     use std::time::Duration;
 
@@ -594,68 +582,56 @@ mod tests {
     /// two peers' lists must tell candidates apart by address. Keyed on the
     /// id, B's and C's "server 1" collapsed into one candidate (no failover
     /// target left), a server both peers know under different ids was
-    /// listed twice, and the cut-off ignored `candidates_returned`.
+    /// listed twice, and the cut-off ignored `CANDIDATES_RETURNED`.
     #[test]
-    fn federated_candidates_merge_by_address_up_to_the_configured_count() {
+    fn federated_candidates_merge_by_address_up_to_the_candidate_count() {
         let net = ChannelNetwork::new();
         let transport: Arc<dyn Transport> = Arc::new(net.clone());
-        let start = |address: &str, core: AgentCore| {
-            AgentDaemon::start(Arc::clone(&transport), address, core).unwrap()
+        let start = |address: &str| {
+            AgentDaemon::start(Arc::clone(&transport), address, AgentCore::with_defaults())
+                .unwrap()
         };
-        let mut agent_b = start("agent-b", AgentCore::with_defaults());
-        let mut agent_c = start("agent-c", AgentCore::with_defaults());
-        // Each peer's own fast server is its id 1; both also know `shared`.
+        let mut agent_b = start("agent-b");
+        let mut agent_c = start("agent-c");
+        // Each peer knows three servers of its own, numbered from 1, and
+        // both know `shared`, the fastest, so its two copies rank first.
+        // Seven distinct addresses in all, two more than a reply holds.
         for (agent, own) in [("agent-b", "srvb"), ("agent-c", "srvc")] {
             let mut conn = net.connect(agent).unwrap();
-            for (address, mflops) in [(own, 200.0), ("shared", 100.0)] {
+            let own: Vec<String> = (1..=3).map(|i| format!("{own}{i}")).collect();
+            let servers = own.iter().map(|a| (a.as_str(), 100.0)).chain([("shared", 300.0)]);
+            for (address, mflops) in servers {
                 let register =
                     Message::RegisterServer(standard_descriptor(address, address, mflops));
                 let reply = call(conn.as_mut(), &register, timeout()).unwrap();
                 assert!(matches!(reply, Message::RegisterAck { accepted: true, .. }));
             }
         }
-        let two = AgentConfig {
-            candidates_returned: CandidateCount(2),
-            ..AgentConfig::default()
-        };
-        let two = AgentCore::new(
-            two,
-            Policy::MinimumCompletionTime,
-            NetworkView::lan_defaults(),
-        );
-        let mut agents = [
-            start("agent-a", AgentCore::with_defaults()),
-            start("agent-a2", two),
-        ];
-        // Each query leaves a pending assignment behind at the peers, so
-        // the second ranking's order is not the first's: count distinct
-        // addresses (three exist in all), don't name them.
-        for (agent, want) in agents.iter_mut().zip([3, 2]) {
-            agent.set_peers(vec!["agent-b".into(), "agent-c".into()]);
-            let query = Message::ServerQuery(QueryShape {
-                client_host: 0,
-                problem: "dgesv".into(),
-                n: 50,
-                bytes_in: 20_400,
-                bytes_out: 408,
-                trace_id: 0,
-                parent_span: 0,
-            });
-            let mut conn = net.connect(agent.address()).unwrap();
-            match call(conn.as_mut(), &query, timeout()).unwrap() {
-                Message::ServerList { candidates } => {
-                    let got: HashSet<&str> =
-                        candidates.iter().map(|c| c.address.as_str()).collect();
-                    assert_eq!(
-                        (got.len(), candidates.len()),
-                        (want, want),
-                        "{candidates:?}"
-                    );
-                }
-                other => panic!("unexpected {other:?}"),
+        let mut agent = start("agent-a");
+        agent.set_peers(vec!["agent-b".into(), "agent-c".into()]);
+        let query = Message::ServerQuery(QueryShape {
+            client_host: 0,
+            problem: "dgesv".into(),
+            n: 50,
+            bytes_in: 20_400,
+            bytes_out: 408,
+            trace_id: 0,
+            parent_span: 0,
+        });
+        let mut conn = net.connect(agent.address()).unwrap();
+        match call(conn.as_mut(), &query, timeout()).unwrap() {
+            Message::ServerList { candidates } => {
+                let got: HashSet<&str> = candidates.iter().map(|c| c.address.as_str()).collect();
+                assert_eq!(
+                    (got.len(), candidates.len()),
+                    (CANDIDATES_RETURNED, CANDIDATES_RETURNED),
+                    "{candidates:?}"
+                );
+                assert!(got.contains("shared"), "{candidates:?}");
             }
+            other => panic!("unexpected {other:?}"),
         }
-        for agent in agents.iter_mut().chain([&mut agent_b, &mut agent_c]) {
+        for agent in [&mut agent, &mut agent_b, &mut agent_c] {
             agent.stop();
         }
     }
@@ -983,7 +959,7 @@ mod tests {
         let transport: Arc<dyn Transport> = chaos.clone();
         let config = |heartbeat: HeartbeatPolicy| AgentConfig {
             heartbeat,
-            telemetry: TelemetryPolicy { tick_secs: 0.02, ..TelemetryPolicy::default() },
+            telemetry: TelemetryPolicy { tick_secs: 0.02 },
             ..fast_gossip_config(0.3)
         };
         let start = |name: &str, heartbeat: HeartbeatPolicy| {
@@ -1012,13 +988,14 @@ mod tests {
             metrics.snapshot("agent").counter(name)
         };
 
-        // Probe-answering servers whose telemetry digests are off.
-        let digests_off: fn(Message) -> Message = |msg| match msg {
+        // Servers that answer probes and refuse everything else, a digest
+        // scrape included.
+        let probe_only: fn(Message) -> Message = |msg| match msg {
             Message::Ping => Message::Pong,
             _ => unsupported(),
         };
-        stub(&net, "srv-a", digests_off);
-        stub(&net, "srv-quiet", digests_off);
+        stub(&net, "srv-a", probe_only);
+        stub(&net, "srv-quiet", probe_only);
 
         let fast = HeartbeatPolicy {
             probe_interval_secs: 0.03,
@@ -1031,14 +1008,11 @@ mod tests {
         agent_a.set_peers(vec!["agent-b".into()]);
         agent_b.set_peers(vec!["agent-a".into()]);
 
-        // The lone agent: one server that cannot answer a digest scrape,
-        // one that is not there at all.
+        // The lone agent: one server that refuses a digest scrape, one
+        // that is not there at all. Both scrapes fail.
         register("agent-c", "srv-quiet");
         register("agent-c", "srv-gone");
-        wait_for("both kinds of failed scrape", &|| {
-            count(&c, "agent.digest_scrape_unsupported") >= 1
-                && count(&c, "agent.digest_scrape_failures") >= 1
-        });
+        wait_for("failed scrapes", &|| count(&c, "agent.digest_scrape_failures") >= 2);
 
         // The pair: a server each; gossip and digests flow both ways, the
         // live server answers its probes.

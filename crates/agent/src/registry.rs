@@ -34,6 +34,10 @@ use netsolve_proto::{GossipEntry, ServerDescriptor};
 /// vanished mid-request.
 const PENDING_TTL_SECS: f64 = 300.0;
 
+/// Workload assumed for a server whose report has gone stale: a fully
+/// loaded server, so the balancer deprioritizes silent servers.
+const STALE_WORKLOAD: f64 = 100.0;
+
 /// One server as the agent sees it: what it registered plus everything
 /// the agent has learned about it since.
 #[derive(Debug, Clone)]
@@ -91,7 +95,7 @@ impl ServerEntry {
         if now.since(self.workload_at) <= policy.ttl_secs && self.workload.is_finite() {
             self.workload.max(0.0)
         } else {
-            policy.stale_workload
+            STALE_WORKLOAD
         }
     }
 
@@ -649,7 +653,6 @@ mod tests {
             report_interval_secs: 10.0,
             report_threshold: 10.0,
             ttl_secs: 60.0,
-            stale_workload: 100.0,
         }
     }
 

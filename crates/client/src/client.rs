@@ -541,9 +541,6 @@ impl NetSolveClient {
                 // so the rank span (and the agent's score span it nests)
                 // join the trace.
                 let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-                if !self.tracer.register_request(request_id) {
-                    self.metrics.counter("client.request_id_collisions").inc();
-                }
                 let trace_id = self.tracer.mint_trace_id();
                 let ctx = SpanContext { trace_id, parent_span: 0, request_id };
                 let root = Scope { ctx, budget };
@@ -1798,10 +1795,6 @@ mod tests {
         row("kept connection lost late", &["agent"], &["laggard"], once, "ddot", &good, &warm);
         let hasty = RetryPolicy { attempt_timeout_secs: 0.05, ..plain };
         row("late reply", &["agent"], &["slow"], hasty, "ddot", &good, &nothing);
-        row("request id collision", &["agent"], &["ok"], plain, "ddot", &good, &|client| {
-            // Someone sharing the tracer already used the id this call mints.
-            client.tracer().register_request(client.next_request.load(Ordering::Relaxed));
-        });
         row("agent failover", &["agent-a", "agent-b"], &["ok"], paced, "ddot", &good, &|client| {
             // Warm call ranks and pins an agent; that agent then dies.
             client.netsl("ddot", &good).unwrap();
@@ -1972,10 +1965,6 @@ mod tests {
         assert_eq!(seen.stats.counter("client.attempt_failures"), 1);
         assert_eq!(seen.stats.counter("client.conn_reused"), 0);
         assert_eq!((seen.stats.counter("client.dials"), seen.accepts), (2, 2));
-
-        let seen = row("request id collision");
-        assert!(seen.result.is_ok());
-        assert_eq!(seen.stats.counter("client.request_id_collisions"), 1);
 
         let seen = row("agent failover");
         assert!(seen.result.is_ok());

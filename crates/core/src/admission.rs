@@ -298,11 +298,6 @@ impl AdmissionPolicy {
         AdmissionDecision::Admit
     }
 
-    /// Whether the hysteresis latch is currently shedding.
-    pub fn is_shedding(&self) -> bool {
-        self.shedding.load(Ordering::Acquire)
-    }
-
     /// Every decision this policy has made, by outcome.
     pub fn stats(&self) -> AdmissionStats {
         AdmissionStats {
@@ -353,12 +348,12 @@ mod tests {
             p.admit("dgesv", 1e6, 4, None),
             AdmissionDecision::Shed { reason: ShedReason::QueueFull, .. }
         ));
-        assert!(p.is_shedding());
+        assert!(p.shedding.load(Ordering::Acquire));
         // Latched: depth back under max but above resume still sheds.
         assert!(matches!(p.admit("dgesv", 1e6, 4, None), AdmissionDecision::Shed { .. }));
         // Wait: resume is 3; depth 4 > 3, keeps shedding. Drain to 3 releases.
         assert_eq!(p.admit("dgesv", 1e6, 3, None), AdmissionDecision::Admit);
-        assert!(!p.is_shedding());
+        assert!(!p.shedding.load(Ordering::Acquire));
         assert_eq!(
             p.stats(),
             AdmissionStats { decisions: 3, sheds_queue_full: 2, ..AdmissionStats::default() }

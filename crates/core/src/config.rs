@@ -18,9 +18,6 @@ pub struct WorkloadPolicy {
     pub report_threshold: f64,
     /// Seconds after which an unrefreshed report is considered stale.
     pub ttl_secs: f64,
-    /// Workload assumed for a server whose report has gone stale; pessimistic
-    /// so the balancer deprioritizes silent servers.
-    pub stale_workload: f64,
 }
 
 impl WorkloadPolicy {
@@ -41,7 +38,6 @@ impl Default for WorkloadPolicy {
             report_interval_secs: 30.0,
             report_threshold: 10.0,
             ttl_secs: 120.0,
-            stale_workload: 100.0,
         }
     }
 }
@@ -205,21 +201,19 @@ impl Default for GossipPolicy {
 /// registry each `tick_secs` into a windowed series (the last
 /// `netsolve_obs::WINDOW_SLOTS` samples), from which rates and rolling
 /// percentiles are answered. Agents additionally fold the fleet's
-/// windowed digests into their gossip rounds when `digests` is on, so
-/// one scrape of any agent returns every peer's recent history.
+/// windowed digests into their gossip rounds, so one scrape of any agent
+/// returns every peer's recent history. The longest tick, 60 s, is as
+/// near to no sampling as a run of a few seconds gets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryPolicy {
     /// Seconds between registry samples.
     pub tick_secs: f64,
-    /// Whether stats digests ride along on gossip and answer
-    /// `FleetStatsQuery`.
-    pub digests: bool,
 }
 
 impl Default for TelemetryPolicy {
     /// One sample a second: two minutes of per-second history.
     fn default() -> Self {
-        TelemetryPolicy { tick_secs: 1.0, digests: true }
+        TelemetryPolicy { tick_secs: 1.0 }
     }
 }
 
@@ -241,9 +235,6 @@ pub struct AgentConfig {
     pub heartbeat: HeartbeatPolicy,
     /// Federation gossip policy.
     pub gossip: GossipPolicy,
-    /// How many ranked servers to return per query (NetSolve returned a
-    /// short ordered candidate list for client-side failover).
-    pub candidates_returned: CandidateCount,
     /// Whether the agent counts its own unconfirmed assignments against a
     /// server's workload (the herd-effect defence). Disabling reproduces
     /// the naive report-only broker for the R4 ablation.
@@ -259,20 +250,9 @@ impl Default for AgentConfig {
             fault: FaultPolicy::default(),
             heartbeat: HeartbeatPolicy::default(),
             gossip: GossipPolicy::default(),
-            candidates_returned: CandidateCount::default(),
             pending_tracking: true,
             telemetry: TelemetryPolicy::default(),
         }
-    }
-}
-
-/// Number of ranked candidates returned to clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CandidateCount(pub usize);
-
-impl Default for CandidateCount {
-    fn default() -> Self {
-        CandidateCount(5)
     }
 }
 
@@ -285,7 +265,6 @@ mod tests {
         let w = WorkloadPolicy::default();
         assert!(w.report_interval_secs > 0.0);
         assert!(w.ttl_secs >= w.report_interval_secs);
-        assert!(w.stale_workload >= 0.0);
 
         let r = RetryPolicy::default();
         assert!(r.max_attempts >= 1);
@@ -312,7 +291,6 @@ mod tests {
         assert!(g.round_timeout_secs > 0.0);
 
         let a = AgentConfig::default();
-        assert!(a.candidates_returned.0 >= 1);
         assert!(a.pending_tracking, "pending tracking on by default");
     }
 

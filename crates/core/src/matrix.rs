@@ -162,17 +162,6 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
-    /// Swap rows `a` and `b` in place (used by partial pivoting).
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        assert!(a < self.rows && b < self.rows, "row index out of range");
-        if a == b {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(c * self.rows + a, c * self.rows + b);
-        }
-    }
-
     /// Matrix–vector product `A x`.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
@@ -307,16 +296,6 @@ mod tests {
         assert_eq!((t.rows(), t.cols()), (7, 4));
         assert_eq!(t[(2, 3)], m[(3, 2)]);
         assert!(t.transpose().approx_eq(&m, 0.0));
-    }
-
-    #[test]
-    fn swap_rows_swaps_every_column() {
-        let mut m = Matrix::from_rows(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        m.swap_rows(0, 2);
-        assert_eq!(m.row(0), vec![5.0, 6.0]);
-        assert_eq!(m.row(2), vec![1.0, 2.0]);
-        m.swap_rows(1, 1); // no-op
-        assert_eq!(m.row(1), vec![3.0, 4.0]);
     }
 
     #[test]

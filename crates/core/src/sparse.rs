@@ -121,11 +121,6 @@ impl CsrMatrix {
         self.cols
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// Value at `(r, c)` (0.0 where no entry is stored).
     pub fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "index out of range");
@@ -228,7 +223,7 @@ mod tests {
     #[test]
     fn from_triplets_sums_duplicates() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)]).unwrap();
-        assert_eq!(m.nnz(), 2);
+        assert_eq!(m.values.len(), 2);
         assert_eq!(m.get(0, 0), 3.0);
         assert_eq!(m.get(1, 1), 5.0);
         assert_eq!(m.get(0, 1), 0.0);
@@ -245,7 +240,7 @@ mod tests {
         let i = CsrMatrix::identity(5);
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(i.spmv(&x).unwrap(), x);
-        assert_eq!(i.nnz(), 5);
+        assert_eq!(i.values.len(), 5);
     }
 
     #[test]

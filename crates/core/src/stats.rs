@@ -124,11 +124,6 @@ impl Ewma {
     pub fn get(&self) -> Option<f64> {
         self.value
     }
-
-    /// Current estimate, or `default` before any observation.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,6 @@ mod tests {
             e.update(2.0);
         }
         assert!((e.get().unwrap() - 2.0).abs() < 1e-9);
-        assert_eq!(Ewma::new(0.3).get_or(7.0), 7.0);
     }
 
     #[test]

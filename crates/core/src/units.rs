@@ -1,21 +1,5 @@
 //! Human-readable formatting of the quantities the experiment harness
-//! prints: byte counts, durations, rates.
-
-/// Format a byte count with a binary-prefix unit (`1.5 MiB`).
-pub fn fmt_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit + 1 < UNITS.len() {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.2} {}", UNITS[unit])
-    }
-}
+//! prints, and the decimal megabytes its link bandwidths are given in.
 
 /// Format a duration given in seconds, choosing µs/ms/s/min for readability.
 pub fn fmt_secs(secs: f64) -> String {
@@ -31,27 +15,6 @@ pub fn fmt_secs(secs: f64) -> String {
     }
 }
 
-/// Format a throughput in bytes/second (`12.3 MiB/s`).
-pub fn fmt_rate(bytes_per_sec: f64) -> String {
-    const UNITS: [&str; 4] = ["B/s", "KiB/s", "MiB/s", "GiB/s"];
-    let mut value = bytes_per_sec;
-    let mut unit = 0;
-    while value >= 1024.0 && unit + 1 < UNITS.len() {
-        value /= 1024.0;
-        unit += 1;
-    }
-    format!("{value:.2} {}", UNITS[unit])
-}
-
-/// Format a flop rate (`250.0 Mflop/s`).
-pub fn fmt_mflops(mflops: f64) -> String {
-    if mflops >= 1000.0 {
-        format!("{:.2} Gflop/s", mflops / 1000.0)
-    } else {
-        format!("{mflops:.1} Mflop/s")
-    }
-}
-
 /// Megabytes (decimal) to bytes — network bandwidths in the experiments are
 /// specified in MB/s like the paper's 1996-era links.
 pub fn mb(megabytes: f64) -> f64 {
@@ -63,31 +26,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bytes_formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(2048), "2.00 KiB");
-        assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.00 MiB");
-        assert!(fmt_bytes(5 * 1024 * 1024 * 1024).contains("GiB"));
-    }
-
-    #[test]
     fn secs_formatting_picks_unit() {
         assert!(fmt_secs(0.0000005).contains("µs"));
         assert!(fmt_secs(0.005).contains("ms"));
         assert!(fmt_secs(2.5).contains("s"));
         assert!(fmt_secs(300.0).contains("min"));
-    }
-
-    #[test]
-    fn rate_formatting() {
-        assert_eq!(fmt_rate(100.0), "100.00 B/s");
-        assert!(fmt_rate(2.0 * 1024.0 * 1024.0).contains("MiB/s"));
-    }
-
-    #[test]
-    fn mflops_formatting() {
-        assert_eq!(fmt_mflops(100.0), "100.0 Mflop/s");
-        assert_eq!(fmt_mflops(2500.0), "2.50 Gflop/s");
     }
 
     #[test]

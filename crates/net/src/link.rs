@@ -41,16 +41,6 @@ impl LinkModel {
         }
     }
 
-    /// 1996-era campus ATM (the paper's era had 155 Mbit/s ATM testbeds):
-    /// ~0.5 ms latency, ~17 MB/s effective.
-    pub fn atm_1996() -> Self {
-        LinkModel {
-            latency_secs: 5e-4,
-            bandwidth_bps: 17e6,
-            jitter_secs: 0.0,
-        }
-    }
-
     /// Wide-area 1996 internet: 60 ms latency, ~100 KB/s.
     pub fn wan_1996() -> Self {
         LinkModel {
@@ -148,7 +138,6 @@ mod tests {
     #[test]
     fn era_presets_ordered_by_speed() {
         let big = 10_000_000u64;
-        assert!(LinkModel::atm_1996().transfer_secs(big) < LinkModel::lan_1996().transfer_secs(big));
         assert!(LinkModel::lan_1996().transfer_secs(big) < LinkModel::wan_1996().transfer_secs(big));
     }
 }

@@ -96,11 +96,6 @@ impl NetworkView {
     pub fn transfer_secs(&self, from: HostId, to: HostId, bytes: u64) -> f64 {
         self.latency_secs(from, to) + bytes as f64 / self.bandwidth_bps(from, to)
     }
-
-    /// Number of host pairs with learned estimates.
-    pub fn observed_pairs(&self) -> usize {
-        self.links.len()
-    }
 }
 
 impl Default for NetworkView {
@@ -130,7 +125,7 @@ mod tests {
         v.observe(a, b, 0.002, 10e6);
         assert!((v.latency_secs(a, b) - 0.002).abs() < 1e-12);
         assert!((v.bandwidth_bps(a, b) - 10e6).abs() < 1e-6);
-        assert_eq!(v.observed_pairs(), 1);
+        assert_eq!(v.links.len(), 1);
     }
 
     #[test]

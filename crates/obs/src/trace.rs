@@ -14,13 +14,13 @@
 //! or above the slow threshold), which are *pinned* and survive ring
 //! pressure up to a separate pinned cap.
 //!
-//! The tracer doubles as the request-id uniqueness monitor — a shared
-//! tracer registers every id a client mints and counts collisions,
-//! which is how the "two concurrent clients must never submit the same
-//! `request_id`" invariant is asserted at trace level rather than
-//! hoped for.
+//! Spans are stamped with the [`Instant`]s their caller passes or, for
+//! [`Tracer::start`], [`Tracer::record`] and [`Tracer::point`], with the
+//! system clock. A component that reads time through a virtual clock
+//! starts and ends its spans with [`Tracer::start_at`] and
+//! [`Tracer::record_at`] on that clock.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -290,18 +290,7 @@ struct TraceInner {
     pinned_order: VecDeque<u128>,
     total_spans: usize,
     capacity: usize,
-    /// The last [`SEEN_REQUEST_WINDOW`] registered request ids, oldest
-    /// first in `seen_order`.
-    seen_requests: HashSet<u64, IdHashBuilder>,
-    seen_order: VecDeque<u64>,
-    collisions: u64,
 }
-
-/// How many recent request ids a tracer checks a new one against. Ids that
-/// collide come from clients minting at the same time, so a window finds
-/// them, and a client that runs for days holds a fixed amount of memory
-/// instead of every id it ever minted.
-const SEEN_REQUEST_WINDOW: usize = 4096;
 
 impl TraceInner {
     fn evict_trace(&mut self, id: u128) {
@@ -425,19 +414,22 @@ impl Tracer {
                 pinned_order: VecDeque::new(),
                 total_spans: 0,
                 capacity: capacity.max(1),
-                seen_requests: HashSet::default(),
-                seen_order: VecDeque::new(),
-                collisions: 0,
             }),
         }
     }
 
     /// Nanoseconds since the unix epoch by this tracer's clock
     /// (monotonic offsets from one wall-clock anchor, so timestamps
-    /// never run backwards within a process).
+    /// never run backwards within a process). An instant before the
+    /// anchor — a virtual clock made before the tracer — counts back
+    /// from it instead of collapsing onto it.
     fn to_unix_nanos(&self, at: Instant) -> u64 {
-        self.epoch_unix_nanos
-            .saturating_add(at.saturating_duration_since(self.epoch_instant).as_nanos() as u64)
+        match at.checked_duration_since(self.epoch_instant) {
+            Some(after) => self.epoch_unix_nanos.saturating_add(after.as_nanos() as u64),
+            None => self
+                .epoch_unix_nanos
+                .saturating_sub(self.epoch_instant.duration_since(at).as_nanos() as u64),
+        }
     }
 
     /// Mint a fresh, non-zero 128-bit trace id.
@@ -579,27 +571,6 @@ impl Tracer {
         inner.enforce_budget(trace_id);
     }
 
-    /// Register a freshly minted request id. Returns `false` (and counts
-    /// a collision) if a client sharing this tracer used it recently.
-    pub fn register_request(&self, request_id: u64) -> bool {
-        let mut inner = self.inner.lock();
-        if !inner.seen_requests.insert(request_id) {
-            inner.collisions += 1;
-            return false;
-        }
-        inner.seen_order.push_back(request_id);
-        if inner.seen_order.len() > SEEN_REQUEST_WINDOW {
-            let oldest = inner.seen_order.pop_front().expect("just checked non-empty");
-            inner.seen_requests.remove(&oldest);
-        }
-        true
-    }
-
-    /// How many request-id collisions [`Tracer::register_request`] saw.
-    pub fn collisions(&self) -> u64 {
-        self.inner.lock().collisions
-    }
-
     /// Total spans recorded over the tracer's lifetime (including ones
     /// retention has since evicted).
     pub fn spans_recorded(&self) -> u64 {
@@ -730,23 +701,6 @@ mod tests {
         t.point(ctx(1, 1), "client", "call_ok", String::new());
         assert_eq!(t.spans_recorded(), 0);
         assert!(t.spans().is_empty());
-    }
-
-    #[test]
-    fn request_id_collisions_are_counted() {
-        let t = Tracer::new();
-        assert!(t.register_request(1));
-        assert!(t.register_request(2));
-        assert_eq!(t.collisions(), 0);
-        assert!(!t.register_request(1));
-        assert_eq!(t.collisions(), 1);
-        // Only a window of recent ids is held, however many are minted.
-        for id in 3..3 + 2 * SEEN_REQUEST_WINDOW as u64 {
-            assert!(t.register_request(id));
-        }
-        let inner = t.inner.lock();
-        assert_eq!(inner.seen_requests.len(), SEEN_REQUEST_WINDOW);
-        assert_eq!(inner.seen_order.len(), SEEN_REQUEST_WINDOW);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod lexer;
 pub mod parser;
 pub mod registry;
 
-pub use catalogue::{standard_catalogue, standard_names, STANDARD_PDL};
+pub use catalogue::{standard_catalogue, STANDARD_PDL};
 pub use parser::{parse, parse_one, render};
 pub use registry::ProblemRegistry;
 

@@ -102,11 +102,6 @@ impl ProblemRegistry {
         names.sort();
         names
     }
-
-    /// Remove a problem; returns the removed spec if it existed.
-    pub fn unregister(&mut self, name: &str) -> Option<ProblemSpec> {
-        self.by_name.remove(name)
-    }
 }
 
 #[cfg(test)]
@@ -198,14 +193,5 @@ mod tests {
         assert_eq!(names, vec!["aa", "mm", "zz"]);
         let listed: Vec<&str> = reg.list().iter().map(|p| p.name.as_str()).collect();
         assert_eq!(listed, vec!["aa", "mm", "zz"]);
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut reg = ProblemRegistry::new();
-        reg.register(toy("p")).unwrap();
-        assert!(reg.unregister("p").is_some());
-        assert!(reg.unregister("p").is_none());
-        assert!(reg.is_empty());
     }
 }

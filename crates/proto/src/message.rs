@@ -303,8 +303,7 @@ pub enum Message {
     },
     /// any → daemon: dump the windowed stats digests you hold — your own
     /// plus, on agents, every digest replicated over gossip — so one
-    /// scrape of one agent returns the whole fleet's recent history. A
-    /// daemon whose telemetry digests are off answers `Error`.
+    /// scrape of one agent returns the whole fleet's recent history.
     FleetStatsQuery,
     /// daemon → any: the windowed digests, freshest view (ages
     /// recomputed to the moment of encoding).

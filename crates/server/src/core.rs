@@ -46,7 +46,7 @@ pub struct ServerCore {
     tracer: Arc<Tracer>,
     /// Optional content-addressed solve cache (+ in-flight coalescing).
     cache: Option<SolveCache>,
-    /// Optional admission policy and the solve slots it guards.
+    /// Optional admission policy and the one solve slot it guards.
     gate: Option<AdmissionGate>,
     /// Where receipt, dispatch, deadlines and the synthetic solve's sleep
     /// are read and spent: the daemon's transport's clock.
@@ -159,8 +159,7 @@ impl ServerCore {
     }
 
     /// Install admission control — the only way to. Requests then pass
-    /// `policy` *before* reserving a solve slot (one slot, until a daemon
-    /// sizes the gate from its `ServerConfig::capacity`): queue-depth shed
+    /// `policy` *before* reserving the one solve slot: queue-depth shed
     /// with hysteresis, deadline-aware early reject, and a distinct shed
     /// for budgets that expire while queued. Every solve's seconds per
     /// predicted flop feed the policy's learned per-problem rate. The caller
@@ -168,15 +167,6 @@ impl ServerCore {
     /// object `netsolve-sim` runs on virtual time.
     pub fn with_admission(mut self, policy: Arc<AdmissionPolicy>) -> Self {
         self.gate = Some(AdmissionGate::new(policy));
-        self
-    }
-
-    /// Size the solve-slot gate (a no-op without admission): how many
-    /// requests solve concurrently is the daemon's deployment config.
-    pub(crate) fn with_solve_slots(mut self, slots: u32) -> Self {
-        if let Some(gate) = &mut self.gate {
-            gate.slots = slots.max(1);
-        }
         self
     }
 
@@ -384,9 +374,14 @@ impl ServerCore {
         let Some(cache) = &self.cache else {
             return self.execute(req, self.tracer.start_at(dispatched));
         };
+        // Every span here starts and ends on the core's clock. The lookup
+        // span's end is the one read the span after it starts at.
         let lookup_timer = self.tracer.start_at(dispatched);
         let looked_up = |outcome: &str| {
-            self.tracer.record(req.ctx, lookup_timer, "server", "cache_lookup", outcome.to_string())
+            let at = self.clock.now();
+            let outcome = outcome.to_string();
+            self.tracer.record_at(req.ctx, lookup_timer, at, "server", "cache_lookup", outcome);
+            at
         };
         match cache.probe(req.problem, req.inputs) {
             Probe::Declined => {
@@ -399,19 +394,18 @@ impl ServerCore {
                 Ok(solved)
             }
             Probe::Join(waiter) => {
-                looked_up("coalesced");
-                let wait_timer = self.tracer.start();
+                let wait_timer = self.tracer.start_at(looked_up("coalesced"));
                 let joined = waiter.wait();
                 let detail = match &joined {
                     Ok(_) => String::new(),
                     Err(e) => format!("err={e}"),
                 };
-                self.tracer.record(req.ctx, wait_timer, "server", "coalesce_wait", detail);
+                let end = self.clock.now();
+                self.tracer.record_at(req.ctx, wait_timer, end, "server", "coalesce_wait", detail);
                 joined
             }
             Probe::Leader(token) => {
-                looked_up("miss");
-                let run = self.execute(req, self.tracer.start());
+                let run = self.execute(req, self.tracer.start_at(looked_up("miss")));
                 token.complete(&run);
                 run
             }
@@ -431,7 +425,7 @@ impl ServerCore {
             Ok(_) => String::new(),
             Err(e) => format!("problem={} err={e}", req.problem),
         };
-        self.tracer.record(req.ctx, solve_timer, "server", "solve", detail);
+        self.tracer.record_at(req.ctx, solve_timer, self.clock.now(), "server", "solve", detail);
         if let Ok(solved) = &run {
             if let Some(gate) = &self.gate {
                 gate.policy.observe_service(
@@ -758,15 +752,31 @@ pub(crate) mod tests {
         paths.into_iter().map(|(id, steps)| format!("{id}: {}", steps.join(", "))).collect()
     }
 
+    /// Poll `cond` on wall time until it holds; fail after 10 s.
+    fn wait_until(what: &str, cond: &dyn Fn() -> bool) {
+        let give_up = Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < give_up, "never saw {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// The slow `dgesv` of the batches below: ~0.3 s at 20 Mflop/s.
+    fn slow_dgesv() -> Vec<DataObject> {
+        vec![netsolve_core::Matrix::identity(208).into(), vec![1.0; 208].into()]
+    }
+
     /// One request down every way out of the request path a gated, cached
     /// core has — miss, hit, non-deterministic bypass, solver error, budget
-    /// spent on arrival, coalesced join, budget spent waiting for a slot,
-    /// queue-full shed — checking each reply and each request's spans. The
-    /// core is synthetic (~0.3 s for the slow `dgesv`, ~0 for everything
-    /// else) with a cache, a depth-3 admission bound and two solve slots,
+    /// spent on arrival, hit after waiting for the slot, budget spent
+    /// waiting for the slot, queue-full shed — checking each reply and each
+    /// request's spans. The core is synthetic (~0.3 s for the slow `dgesv`,
+    /// ~0 for everything else) with a cache and a depth-3 admission bound,
     /// on a held virtual clock: the slow solve stays in flight until the
     /// test lets it finish, and budgets are spent only when the test moves
-    /// the clock, so no step races another request's budget.
+    /// the clock, so no step races another request's budget. A gated core
+    /// never coalesces (the twin of an in-flight solve waits for its slot,
+    /// then hits); [`run_coalesced_pair`] takes that way out.
     pub(crate) fn run_mixed_batch() -> ServerCore {
         use netsolve_core::admission::AdmissionConfig;
         let clock = HeldClock::default();
@@ -776,17 +786,9 @@ pub(crate) mod tests {
         )
         .with_cache(1 << 20)
         .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(3))))
-        .with_solve_slots(2)
         .with_clock(Arc::new(clock.clone()));
         let ask = |msg: &Message| core.handle_message(msg);
         let ddot = || vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
-        let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
-            let give_up = Instant::now() + std::time::Duration::from_secs(10);
-            while !cond() {
-                assert!(Instant::now() < give_up, "never saw {what}");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        };
         let count = |name: &str| core.metrics.counter(name).get();
         let gate = core.gate.as_ref().expect("batch core is gated");
 
@@ -820,18 +822,15 @@ pub(crate) mod tests {
             other => panic!("expired budget: {other:?}"),
         }
 
-        // Fill both slots with one held slow solve and its coalesced twin,
-        // park a short-budget request behind them, and overflow the bound.
-        let slow = || -> Vec<DataObject> {
-            vec![netsolve_core::Matrix::identity(208).into(), vec![1.0; 208].into()]
-        };
+        // Hold the slot with a slow solve, queue its twin and a
+        // short-budget request behind it, and overflow the bound.
         let misses = count("server.cache_misses");
         clock.hold(true);
         std::thread::scope(|scope| {
-            let leader = scope.spawn(|| ask(&submit(6, 0, "dgesv", slow())));
+            let leader = scope.spawn(|| ask(&submit(6, 0, "dgesv", slow_dgesv())));
             wait_until("the leader's miss", &|| count("server.cache_misses") > misses);
-            let joiner = scope.spawn(|| ask(&submit(7, 0, "dgesv", slow())));
-            wait_until("the join", &|| count("server.cache_coalesced") == 1);
+            let twin = scope.spawn(|| ask(&submit(7, 0, "dgesv", slow_dgesv())));
+            wait_until("the twin queued", &|| gate.depth() == 2);
             let parked = scope.spawn(|| ask(&submit(8, 30, "ddot", vec![vec![5.0].into(), vec![6.0].into()])));
             wait_until("a full queue", &|| gate.depth() == 3);
             match ask(&submit(9, 0, "ddot", ddot())) {
@@ -859,7 +858,7 @@ pub(crate) mod tests {
                 Message::RequestReply { request_id: 6, cached: false, .. }
             ));
             assert!(matches!(
-                joiner.join().unwrap(),
+                twin.join().unwrap(),
                 Message::RequestReply { request_id: 7, cached: true, .. }
             ));
         });
@@ -872,12 +871,66 @@ pub(crate) mod tests {
                 "4: queue, cache_lookup miss, solve err",
                 "5: admission_shed",
                 "6: queue, cache_lookup miss, solve",
-                "7: queue, cache_lookup coalesced, coalesce_wait",
+                "7: queue, cache_lookup hit, cache_hit",
                 "8: queue_deadline_shed",
                 "9: admission_shed",
             ]
         );
         core
+    }
+
+    /// The way out a gated core never takes: an identical solve in flight
+    /// on an ungated, cached core, which the second request joins. On a
+    /// held virtual clock the leader's `solve` span and the joiner's
+    /// `coalesce_wait` both last exactly the synthetic solve's virtual
+    /// seconds, the `server.compute_secs` sample: every span starts and
+    /// ends on the core's clock.
+    pub(crate) fn run_coalesced_pair() -> ServerCore {
+        let clock = HeldClock::default();
+        let core = ServerCore::new(
+            ProblemRegistry::with_standard_catalogue(),
+            ExecutionMode::Synthetic { mflops: 20.0 },
+        )
+        .with_cache(1 << 20)
+        .with_clock(Arc::new(clock.clone()));
+        let ask = |msg: &Message| core.handle_message(msg);
+        clock.hold(true);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| ask(&submit(1, 0, "dgesv", slow_dgesv())));
+            wait_until("the leader's miss", &|| core.metrics.counter("server.cache_misses").get() == 1);
+            let joiner = scope.spawn(|| ask(&submit(2, 0, "dgesv", slow_dgesv())));
+            wait_until("the join", &|| core.metrics.counter("server.cache_coalesced").get() == 1);
+            clock.hold(false);
+            assert!(matches!(
+                leader.join().unwrap(),
+                Message::RequestReply { request_id: 1, cached: false, .. }
+            ));
+            assert!(matches!(
+                joiner.join().unwrap(),
+                Message::RequestReply { request_id: 2, cached: true, .. }
+            ));
+        });
+        assert_eq!(
+            paths(&core),
+            ["1: queue, cache_lookup miss, solve", "2: queue, cache_lookup coalesced, coalesce_wait"]
+        );
+        core
+    }
+
+    #[test]
+    fn a_joiner_waits_out_the_leaders_solve_on_the_cores_clock() {
+        let core = run_coalesced_pair();
+        let snap = core.metrics.snapshot("server");
+        let compute = snap.histogram("server.compute_secs").expect("one solve");
+        assert_eq!(compute.count, 1);
+        let lasted = |phase: &str| {
+            let spans = core.tracer.spans();
+            spans.iter().find(|s| s.phase == phase).expect(phase).duration().as_secs_f64()
+        };
+        assert!(compute.sum_secs > 0.2, "a virtual-time solve: {}", compute.sum_secs);
+        for phase in ["solve", "coalesce_wait"] {
+            assert!((lasted(phase) - compute.sum_secs).abs() < 1e-6, "{phase}: {} vs {}", lasted(phase), compute.sum_secs);
+        }
     }
 
     /// Admission prices a request by its flops, not by its problem's name:

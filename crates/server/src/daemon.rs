@@ -23,12 +23,10 @@ pub struct ServerConfig {
     pub listen_hint: String,
     /// Benchmarked (or emulated) performance, Mflop/s.
     pub mflops: f64,
-    /// Workload reporting policy.
+    /// Workload reporting policy. One request in flight reads as 100 %
+    /// workload: with admission control installed, one request solves at a
+    /// time.
     pub workload: WorkloadPolicy,
-    /// Concurrent requests considered "100% workload" — and, with
-    /// admission control installed on the core, the number of solve slots
-    /// behind its gate.
-    pub capacity: u32,
     /// Hard cap on concurrent connection-service threads. Connections
     /// arriving past the cap are answered with a retryable Busy error and
     /// dropped, so a connection flood degrades into shed load instead of
@@ -49,9 +47,8 @@ impl ServerConfig {
             listen_hint: listen_hint.to_string(),
             mflops,
             workload: WorkloadPolicy::default(),
-            capacity: 1,
             max_connections: 64,
-            telemetry: TelemetryPolicy { tick_secs: 0.25, ..TelemetryPolicy::default() },
+            telemetry: TelemetryPolicy { tick_secs: 0.25 },
         }
     }
 }
@@ -64,9 +61,6 @@ pub(crate) struct ServerTelemetry {
     pub address: String,
     /// The ring of cumulative registry snapshots.
     pub series: netsolve_obs::WindowedSeries,
-    /// Whether `FleetStatsQuery` is answered (off = an `Error` reply, for
-    /// overhead ablation).
-    pub enabled: bool,
 }
 
 /// Handle to a running server daemon.
@@ -127,12 +121,11 @@ impl ServerDaemon {
             }
         };
 
-        let core = Arc::new(core.with_solve_slots(config.capacity).with_clock(transport.clock()));
+        let core = Arc::new(core.with_clock(transport.clock()));
         let metrics = core.metrics();
         let telemetry = Arc::new(ServerTelemetry {
             address: address.clone(),
             series: netsolve_obs::WindowedSeries::default(),
-            enabled: config.telemetry.digests,
         });
         let mut daemon = Daemon::new(Arc::clone(&transport));
 
@@ -148,7 +141,6 @@ impl ServerDaemon {
         {
             let active = metrics.gauge("server.active_requests");
             let policy = config.workload;
-            let capacity = config.capacity.max(1);
             let agent_address = agent_address.to_string();
             let tick =
                 Duration::from_secs_f64((policy.report_interval_secs / 10.0).clamp(0.005, 1.0));
@@ -156,7 +148,7 @@ impl ServerDaemon {
             let mut since_report = Duration::ZERO;
             daemon.every("server-workload", tick, move || {
                 since_report += tick;
-                let workload = active.get() as f64 * 100.0 / capacity as f64;
+                let workload = active.get() as f64 * 100.0;
                 let due = since_report.as_secs_f64() >= policy.report_interval_secs;
                 if !(due && policy.should_report(last_sent, workload)) {
                     return;
@@ -237,13 +229,9 @@ fn answer(
     // operands are freed after its reply is on the wire, not in front of
     // it.)
     let (reply, request_ctx) = match msg {
-        Message::FleetStatsQuery if telemetry.enabled => {
+        Message::FleetStatsQuery => {
             let digest = telemetry.series.digest(&telemetry.address, "server");
             (Message::FleetStatsReply { digests: vec![digest] }, None)
-        }
-        Message::FleetStatsQuery => {
-            let off = NetSolveError::Protocol("fleet stats disabled on this server".into());
-            (Message::from_error(&off), None)
         }
         msg => core.handle_message_at(msg, received_at),
     };
@@ -416,7 +404,7 @@ mod tests {
         drop(agent);
     }
 
-    /// Driving a capacity-1 admission server past its queue bound must
+    /// Driving a one-slot admission server past its queue bound must
     /// shed with a retryable Busy carrying a `retry_after_ms` hint,
     /// while everything admitted still solves.
     #[test]
@@ -599,11 +587,13 @@ mod tests {
     /// nothing listed there may have stopped being emitted.
     #[test]
     fn observability_doc_lists_exactly_the_names_the_server_emits() {
-        use crate::core::tests::{run_mixed_batch, submit};
+        use crate::core::tests::{run_coalesced_pair, run_mixed_batch, submit};
         use std::collections::BTreeSet;
 
-        // Every way out of a gated, cached core ...
+        // Every way out of a gated, cached core, the coalesced join an
+        // ungated one adds ...
         let gated = run_mixed_batch();
+        let joined = run_coalesced_pair();
         // ... the dispatch backstop, which only a gate-less core reaches
         // (a gate sheds a spent budget at admission) ...
         let plain = ServerCore::with_standard_catalogue();
@@ -620,6 +610,7 @@ mod tests {
         let served = ServerCore::with_standard_catalogue();
         let sources = [
             (gated.metrics(), gated.tracer()),
+            (joined.metrics(), joined.tracer()),
             (plain.metrics(), plain.tracer()),
             (served.metrics(), served.tracer()),
         ];

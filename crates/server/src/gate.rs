@@ -1,6 +1,6 @@
 //! The solve-slot gate: the bounded queue an [`AdmissionPolicy`] judges.
 //!
-//! `slots` requests solve concurrently; everyone else waits here — which
+//! One request solves at a time; everyone else waits here — which
 //! is what makes queue-depth admission (and "budget expired while
 //! queued") physically real behind a thread-per-connection accept loop.
 
@@ -24,31 +24,30 @@ pub(crate) fn budget_left_ms(deadline_ms: u64, waited: Duration) -> Option<u64> 
 
 #[derive(Default)]
 struct Queue {
-    in_service: u32,
+    solving: bool,
     waiting: u32,
 }
 
-/// An admission policy plus the solve slots it guards.
+/// An admission policy plus the one solve slot it guards.
 pub(crate) struct AdmissionGate {
     pub(crate) policy: Arc<AdmissionPolicy>,
-    pub(crate) slots: u32,
     queue: Mutex<Queue>,
     cond: Condvar,
 }
 
 impl AdmissionGate {
     pub(crate) fn new(policy: Arc<AdmissionPolicy>) -> Self {
-        AdmissionGate { policy, slots: 1, queue: Mutex::default(), cond: Condvar::new() }
+        AdmissionGate { policy, queue: Mutex::default(), cond: Condvar::new() }
     }
 
-    /// The solve queue a new arrival would join: requests waiting for a
-    /// slot plus requests currently solving.
+    /// The solve queue a new arrival would join: requests waiting for the
+    /// slot plus the one solving, if any.
     pub(crate) fn depth(&self) -> usize {
         let queue = self.queue.lock();
-        (queue.waiting + queue.in_service) as usize
+        queue.waiting as usize + usize::from(queue.solving)
     }
 
-    /// Wait for a solve slot. `true`: one is held and the caller must
+    /// Wait for the solve slot. `true`: it is held and the caller must
     /// [`release`](Self::release) it. `false`: the deadline budget ran out
     /// first and no slot was ever reserved. `deadline_ms == 0` waits
     /// indefinitely. The budget is read on `clock`; the wait for a slot
@@ -69,8 +68,8 @@ impl AdmissionGate {
             if left == Some(0) {
                 break false;
             }
-            if queue.in_service < self.slots {
-                queue.in_service += 1;
+            if !queue.solving {
+                queue.solving = true;
                 break true;
             }
             queue = match left {
@@ -88,10 +87,7 @@ impl AdmissionGate {
     }
 
     pub(crate) fn release(&self) {
-        {
-            let mut queue = self.queue.lock();
-            queue.in_service = queue.in_service.saturating_sub(1);
-        }
+        self.queue.lock().solving = false;
         self.cond.notify_one();
     }
 }

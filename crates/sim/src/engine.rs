@@ -174,33 +174,7 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                 t += rng.exponential(*rate);
                 t
             }
-            Arrivals::Batch => 0.0,
             Arrivals::Closed { .. } => 0.0,
-            Arrivals::Uniform { gap } => {
-                t += gap;
-                t
-            }
-            Arrivals::Diurnal { base_rate, peak_rate, period_secs } => {
-                if !(*base_rate >= 0.0 && *peak_rate >= *base_rate && *peak_rate > 0.0)
-                    || *period_secs <= 0.0
-                {
-                    return Err(NetSolveError::BadArguments(
-                        "diurnal arrivals need 0 <= base_rate <= peak_rate (peak > 0) and a positive period".into(),
-                    ));
-                }
-                // Nonhomogeneous Poisson by thinning against the peak
-                // rate: candidate gaps at the peak, accepted with
-                // probability rate(t)/peak.
-                loop {
-                    t += rng.exponential(*peak_rate);
-                    let phase = t / period_secs * std::f64::consts::TAU;
-                    let rate = base_rate + (peak_rate - base_rate) * 0.5 * (1.0 - phase.cos());
-                    if rng.chance(rate / peak_rate) {
-                        break;
-                    }
-                }
-                t
-            }
             Arrivals::Trace(times) => {
                 if times.is_empty() {
                     return Err(NetSolveError::BadArguments("empty arrival trace".into()));
@@ -807,7 +781,7 @@ mod tests {
     fn batch_arrivals_spread_over_pool() {
         let servers = vec![SimServer::new(100.0); 4];
         let mut sc = base(servers, 40);
-        sc.arrivals = Arrivals::Batch;
+        sc.arrivals = Arrivals::Trace(vec![0.0; 40]);
         let report = run(&sc).unwrap();
         let counts = report.per_server_counts();
         assert!(counts.iter().all(|&c| c > 0), "batch must spread: {counts:?}");
@@ -1011,64 +985,13 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_arrivals_cluster_at_the_peak() {
-        let mut sc = base(vec![SimServer::new(500.0)], 400);
-        sc.arrivals = Arrivals::Diurnal { base_rate: 0.5, peak_rate: 10.0, period_secs: 100.0 };
-        let report = run(&sc).unwrap();
-        assert_eq!(report.total(), 400);
-        // rate(t) troughs at phase 0 and peaks at phase 0.5: the middle
-        // half of each cycle should hold the bulk of arrivals.
-        let (mut peak, mut trough) = (0, 0);
-        for r in report.requests() {
-            let phase = (r.arrival_secs / 100.0).fract();
-            if (0.25..0.75).contains(&phase) {
-                peak += 1;
-            } else {
-                trough += 1;
-            }
-        }
-        assert!(peak > trough * 2, "peak {peak} vs trough {trough}");
-
-        // Validation.
-        let mut bad = base(vec![SimServer::new(100.0)], 5);
-        bad.arrivals = Arrivals::Diurnal { base_rate: 5.0, peak_rate: 1.0, period_secs: 10.0 };
-        assert!(run(&bad).is_err());
-        bad.arrivals = Arrivals::Diurnal { base_rate: 0.0, peak_rate: 1.0, period_secs: 0.0 };
-        assert!(run(&bad).is_err());
-    }
-
-    #[test]
-    fn heavy_tail_mix_is_mostly_small_with_a_real_tail() {
-        let mut sc = base(vec![SimServer::new(2000.0)], 300);
-        sc.mix = RequestMix::heavy_tail("dgesv", &[100, 200, 400, 800], 2.0);
-        let report = run(&sc).unwrap();
-        let count = |n: u64| report.requests().iter().filter(|r| r.n == n).count();
-        assert!(count(100) > count(800) * 5, "small {} vs huge {}", count(100), count(800));
-        assert!(count(800) > 0, "the tail must actually occur");
-        assert_eq!(count(100) + count(200) + count(400) + count(800), 300);
-    }
-
-    #[test]
-    fn correlated_crash_takes_out_the_fraction_and_failover_rescues() {
-        let mut sc = base(vec![SimServer::new(100.0); 4], 120).correlated_crash(2.0, 0.5);
-        assert_eq!(sc.servers[0].crash_at, Some(2.0));
-        assert_eq!(sc.servers[1].crash_at, Some(2.0));
-        assert_eq!(sc.servers[2].crash_at, None);
-        sc.arrivals = Arrivals::Poisson { rate: 3.0 };
-        let report = run(&sc).unwrap();
-        assert_eq!(report.succeeded(), 120, "survivors absorb the dead half's load");
-        let counts = report.per_server_counts();
-        assert!(counts[2] + counts[3] > counts[0] + counts[1], "{counts:?}");
-    }
-
-    #[test]
     fn budgets_expired_in_queue_shed_before_service() {
         use netsolve_core::admission::AdmissionConfig;
         // A batch slams one slow server; with a 1 s budget only the
         // requests served early can finish — everyone else's budget dies
         // in the queue and must fail there, not burn a service slot.
         let mut sc = base(vec![SimServer::new(50.0)], 20);
-        sc.arrivals = Arrivals::Batch;
+        sc.arrivals = Arrivals::Trace(vec![0.0; 20]);
         sc.mix = RequestMix::dgesv(&[300]);
         sc.max_attempts = 1;
         sc.deadline_secs = 1.0;

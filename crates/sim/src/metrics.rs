@@ -173,20 +173,6 @@ impl SimReport {
         }
         sample.median()
     }
-
-    /// Mean relative prediction error over eligible requests.
-    pub fn mean_relative_prediction_error(&self) -> f64 {
-        let errs: Vec<f64> = self
-            .requests
-            .iter()
-            .filter_map(|r| r.relative_prediction_error())
-            .collect();
-        if errs.is_empty() {
-            0.0
-        } else {
-            errs.iter().sum::<f64>() / errs.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +219,6 @@ mod tests {
         ];
         let r = SimReport::new(Policy::MinimumCompletionTime, reqs, 1);
         assert!((r.median_relative_prediction_error() - 0.5).abs() < 1e-12);
-        assert!((r.mean_relative_prediction_error() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -138,26 +138,6 @@ impl RequestMix {
                 .collect(),
         }
     }
-
-    /// A heavy-tailed size mix for one problem: `sizes` in ascending
-    /// order get Zipf-like weights `rank^-alpha`, so most requests are
-    /// small but the occasional huge solve dominates total work — the
-    /// mix that makes naive FIFO admission look good and actually isn't.
-    /// `alpha` around 1.0–2.0; larger = tail is rarer.
-    pub fn heavy_tail(problem: &str, sizes: &[u64], alpha: f64) -> Self {
-        assert!(!sizes.is_empty() && alpha > 0.0, "invalid heavy-tail mix");
-        RequestMix {
-            entries: sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| MixEntry {
-                    problem: problem.to_string(),
-                    sizes: vec![n],
-                    weight: ((i + 1) as f64).powf(-alpha),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Arrival process for client requests.
@@ -169,30 +149,12 @@ pub enum Arrivals {
         /// Mean arrival rate, requests/second.
         rate: f64,
     },
-    /// All requests arrive at t = 0 (a batch / makespan experiment).
-    Batch,
-    /// Fixed inter-arrival gap in seconds.
-    Uniform {
-        /// Seconds between consecutive arrivals.
-        gap: f64,
-    },
     /// Replay absolute arrival times from a recorded trace (seconds,
     /// ascending). If the trace is shorter than `Scenario::requests`, it
     /// wraps with an offset of the trace's span; if longer, it is
-    /// truncated.
+    /// truncated. A batch is `Trace(vec![0.0; requests])`, a fixed gap a
+    /// trace of its multiples.
     Trace(Vec<f64>),
-    /// Diurnal (nonhomogeneous Poisson) arrivals: the rate swings
-    /// sinusoidally between `base_rate` (trough) and `peak_rate` (peak)
-    /// with the given period, sampled by thinning against the peak. The
-    /// day/night shape real NetSolve installations saw.
-    Diurnal {
-        /// Trough arrival rate, requests/second.
-        base_rate: f64,
-        /// Peak arrival rate, requests/second.
-        peak_rate: f64,
-        /// Seconds per full day/night cycle.
-        period_secs: f64,
-    },
     /// Closed-loop load: `Scenario::clients` clients each keep exactly
     /// one request in flight, issuing the next one `think_secs` (mean,
     /// exponential) after the previous completes or fails. Arrivals are
@@ -305,7 +267,6 @@ impl Scenario {
                 report_interval_secs: 5.0,
                 report_threshold: 10.0,
                 ttl_secs: 60.0,
-                stale_workload: 100.0,
             },
             max_attempts: 3,
             failure_detect_secs: 1.0,
@@ -315,19 +276,6 @@ impl Scenario {
             fault: FaultPolicy::default(),
             seed: 42,
         }
-    }
-
-    /// Crash a correlated fraction of the pool at once: the first
-    /// `ceil(fraction × servers)` servers all die at `at_secs` — a rack
-    /// power event, not independent attrition. Overwrites any existing
-    /// `crash_at` on the affected servers.
-    pub fn correlated_crash(mut self, at_secs: f64, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-        let k = ((self.servers.len() as f64) * fraction).ceil() as usize;
-        for s in self.servers.iter_mut().take(k) {
-            s.crash_at = Some(at_secs);
-        }
-        self
     }
 
     /// Install a per-server network override.

@@ -71,11 +71,6 @@ pub fn dnrm2(x: &[f64]) -> f64 {
     scale * ssq.sqrt()
 }
 
-/// Sum of absolute values.
-pub fn dasum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Largest absolute value, 0 on empty: eight lanes, like [`ddot`]. A max
 /// is exact in any order and `f64::max` passes over a `NaN` in every
 /// lane, so the value is the one-chain fold's.
@@ -89,20 +84,6 @@ pub(crate) fn max_abs(x: &[f64]) -> f64 {
     }
     let tail = tail.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
     lanes.iter().fold(tail, |acc, &v| acc.max(v))
-}
-
-/// Index of the element with the largest absolute value; `None` on empty.
-/// Reference BLAS's strict `>` scan, as the LU's pivot search: the first
-/// of tied maxima wins, and a `NaN` never compares greater, so it is passed
-/// over unless it is the first element, where the scan starts.
-pub fn idamax(x: &[f64]) -> Option<usize> {
-    let (mut best_i, mut best) = (0, x.first()?.abs());
-    for (i, v) in x.iter().enumerate().skip(1) {
-        if v.abs() > best {
-            (best_i, best) = (i, v.abs());
-        }
-    }
-    Some(best_i)
 }
 
 fn check_len(x: &[f64], y: &[f64]) -> Result<()> {
@@ -532,20 +513,6 @@ mod tests {
         assert_eq!(x, vec![-3.0, 6.0]);
 
         assert!((dnrm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(dasum(&[1.0, -2.0, 3.0]), 6.0);
-        assert_eq!(idamax(&[1.0, -5.0, 3.0]), Some(1));
-        assert_eq!(idamax(&[]), None);
-    }
-
-    /// `idamax` is reference BLAS's scan: the first of tied maxima, and a
-    /// `NaN` passed over rather than a panic.
-    #[test]
-    fn idamax_takes_the_first_maximum_and_passes_over_nan() {
-        assert_eq!(idamax(&[5.0, -5.0]), Some(0));
-        assert_eq!(idamax(&[1.0, -7.0, 2.0, 7.0, -7.0]), Some(1));
-        assert_eq!(idamax(&[1.0, f64::NAN, 3.0]), Some(2));
-        assert_eq!(idamax(&[f64::NAN, 1.0]), Some(0));
-        assert_eq!(idamax(&[-0.0]), Some(0));
     }
 
     /// `ddot` against a compensated sum (products split exactly by

@@ -129,15 +129,6 @@ impl CholeskyFactor {
         }
         Ok(x)
     }
-
-    /// log-determinant of `A` (numerically stable for large well-
-    /// conditioned matrices: `2 Σ log L_ii`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.order())
-            .map(|i| self.l[(i, i)].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 /// One-shot SPD solve (`dposv`).
@@ -237,15 +228,5 @@ mod tests {
         assert!(cholesky_factor(&Matrix::zeros(2, 3)).is_err());
         let f = cholesky_factor(&Matrix::identity(3)).unwrap();
         assert!(f.solve(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let f = cholesky_factor(&Matrix::identity(6)).unwrap();
-        assert!(f.log_det().abs() < 1e-14);
-        // diag(4,4) -> det 16, log_det = ln 16
-        let d = Matrix::from_rows(2, 2, &[4.0, 0.0, 0.0, 4.0]).unwrap();
-        let f = cholesky_factor(&d).unwrap();
-        assert!((f.log_det() - 16f64.ln()).abs() < 1e-12);
     }
 }

@@ -24,16 +24,6 @@ use crate::qr::dgels;
 use crate::quadrature::quad_named;
 use crate::tridiag::dgtsv;
 
-/// Names of every problem this executor can run (matches the standard
-/// PDL catalogue).
-pub fn supported_problems() -> &'static [&'static str] {
-    &[
-        "dgesv", "dgels", "dposv", "dgtsv", "dgemm", "dgetri", "eig_power", "cg", "jacobi",
-        "sor", "spmv", "fft", "ifft", "conv", "polyfit", "quad", "quad_mc", "ode_rk4", "vsort",
-        "ddot", "dnrm2",
-    ]
-}
-
 /// A fresh, never-repeating 64-bit seed for non-reproducible Monte Carlo
 /// runs (`quad_mc` seed 0): wall-clock nanos XORed with a process-wide
 /// draw counter, whitened through [`splitmix64`]. The counter
@@ -368,7 +358,8 @@ mod tests {
     #[test]
     fn every_supported_problem_dispatches() {
         // Run a minimal valid call for each catalogue problem; every one
-        // must produce outputs, proving the dispatch table is complete.
+        // must produce outputs (tests/end_to_end.rs checks that such a list
+        // covers the whole catalogue).
         let mut rng = Rng64::new(95);
         let a = Matrix::random_diag_dominant(8, &mut rng);
         let spd = Matrix::random_spd(8, &mut rng);
@@ -459,7 +450,6 @@ mod tests {
             ("ddot", vec![v8.clone().into(), v8.clone().into()]),
             ("dnrm2", vec![v8.clone().into()]),
         ];
-        assert_eq!(calls.len(), supported_problems().len());
         for (name, args) in calls {
             let out = execute(name, &args)
                 .unwrap_or_else(|e| panic!("{name} failed: {e}"));

@@ -183,11 +183,6 @@ pub fn sor(a: &CsrMatrix, b: &[f64], omega: f64, tol: f64, maxit: u32) -> Result
     )))
 }
 
-/// Gauss–Seidel = SOR with `omega = 1`.
-pub fn gauss_seidel(a: &CsrMatrix, b: &[f64], tol: f64, maxit: u32) -> Result<IterResult> {
-    sor(a, b, 1.0, tol, maxit)
-}
-
 fn residual_norm(b: &[f64], ax: &[f64]) -> f64 {
     b.iter()
         .zip(ax)
@@ -264,7 +259,7 @@ mod tests {
         let x_true: Vec<f64> = (0..50).map(|i| (i as f64 * 0.5).sin()).collect();
         let b = a.spmv(&x_true).unwrap();
         let rj = jacobi(&a, &b, 1e-9, 5000).unwrap();
-        let rg = gauss_seidel(&a, &b, 1e-9, 5000).unwrap();
+        let rg = sor(&a, &b, 1.0, 1e-9, 5000).unwrap(); // Gauss-Seidel
         assert!(
             rg.iters <= rj.iters,
             "GS took {} iters, Jacobi {}",

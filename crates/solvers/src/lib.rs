@@ -38,7 +38,7 @@ pub mod quadrature;
 pub mod signal;
 pub mod tridiag;
 
-pub use executor::{execute, supported_problems};
+pub use executor::execute;
 
 #[cfg(test)]
 mod properties {
@@ -57,20 +57,6 @@ mod properties {
             let b = a.matvec(&x_true).unwrap();
             let x = crate::lu::dgesv(&a, &b).unwrap();
             assert!(vec_max_abs_diff(&x, &x_true) < 1e-8);
-        });
-    }
-
-    /// Determinant flips sign under a row swap.
-    #[test]
-    fn det_antisymmetric_under_row_swap() {
-        cases("det_antisymmetric_under_row_swap", 64, |rng| {
-            let n = rng.range(2..10);
-            let a = Matrix::random_diag_dominant(n, rng);
-            let mut swapped = a.clone();
-            swapped.swap_rows(0, n - 1);
-            let da = crate::lu::lu_factor(&a).unwrap().det();
-            let ds = crate::lu::lu_factor(&swapped).unwrap().det();
-            assert!((da + ds).abs() < 1e-8 * da.abs().max(1.0));
         });
     }
 

@@ -15,8 +15,6 @@ pub struct LuFactors {
     /// Row permutation: `pivots[k]` is the row swapped into position `k`
     /// at step `k`.
     pivots: Vec<usize>,
-    /// Sign of the permutation (for the determinant).
-    perm_sign: f64,
 }
 
 /// Threshold below which a pivot is considered numerically zero, scaled by
@@ -57,7 +55,6 @@ fn check_pivot(best: f64, tol: f64, step: usize) -> Result<()> {
 /// by every panel and every level of the panel recursion.
 struct Work {
     tol: f64,
-    perm_sign: f64,
     /// The last `U12` solved, copied out of the columns the next update
     /// writes to: `NB x n` at most.
     u12: Vec<f64>,
@@ -88,7 +85,6 @@ pub fn lu_factor(a: &Matrix) -> Result<LuFactors> {
     let mut pivots = vec![0usize; n];
     let mut w = Work {
         tol: SINGULARITY_RTOL * pivot_scale(a),
-        perm_sign: 1.0,
         u12: Vec::with_capacity(NB.min(n) * n),
         packed: Vec::new(),
     };
@@ -110,11 +106,7 @@ pub fn lu_factor(a: &Matrix) -> Result<LuFactors> {
         let k1 = (j / NB + 1) * NB;
         apply_swaps(col, n, k1, pivots.get(k1..).unwrap_or_default());
     }
-    Ok(LuFactors {
-        lu,
-        pivots,
-        perm_sign: w.perm_sign,
-    })
+    Ok(LuFactors { lu, pivots })
 }
 
 /// The row swaps of steps `k0..`, applied to each column in turn (`dlaswp`
@@ -182,7 +174,6 @@ fn factor_leaf(
         *pivot_row = p;
         if p != k {
             panel.chunks_exact_mut(n).for_each(|col| col.swap(k, p));
-            w.perm_sign = -w.perm_sign;
         }
         // Multipliers, then the rank-one update of the panel's later columns.
         let (head, later) = panel.split_at_mut((j + 1) * n);
@@ -324,17 +315,6 @@ impl LuFactors {
         Ok(x)
     }
 
-    /// Determinant of the original matrix (product of U's diagonal times
-    /// the permutation sign).
-    pub fn det(&self) -> f64 {
-        let n = self.order();
-        let mut d = self.perm_sign;
-        for k in 0..n {
-            d *= self.lu[(k, k)];
-        }
-        d
-    }
-
     /// Inverse of the original matrix (solves against the identity; for
     /// tests and small systems).
     pub fn inverse(&self) -> Result<Matrix> {
@@ -360,7 +340,6 @@ pub(crate) mod tests {
         let tol = SINGULARITY_RTOL * pivot_scale(a);
         let mut lu = a.clone();
         let mut pivots = vec![0usize; n];
-        let mut perm_sign = 1.0;
         for k in 0..n {
             let mut p = k;
             let mut best = lu[(k, k)].abs();
@@ -374,8 +353,9 @@ pub(crate) mod tests {
             check_pivot(best, tol, k)?;
             pivots[k] = p;
             if p != k {
-                lu.swap_rows(k, p);
-                perm_sign = -perm_sign;
+                for c in 0..n {
+                    (lu[(k, c)], lu[(p, c)]) = (lu[(p, c)], lu[(k, c)]);
+                }
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -389,11 +369,7 @@ pub(crate) mod tests {
                 }
             }
         }
-        Ok(LuFactors {
-            lu,
-            pivots,
-            perm_sign,
-        })
+        Ok(LuFactors { lu, pivots })
     }
 
     /// Orders that sit on, beside and well past the panel boundaries.
@@ -425,8 +401,7 @@ pub(crate) mod tests {
         });
     }
 
-    /// Same pivots, same determinant and the same inverse as the
-    /// unblocked reference.
+    /// Same pivots and the same inverse as the unblocked reference.
     #[test]
     fn agrees_with_unblocked_reference() {
         cases("agrees_with_unblocked_reference", 28, |rng| {
@@ -434,9 +409,6 @@ pub(crate) mod tests {
             let a = Matrix::random(n, n, rng);
             let (f, r) = (lu_factor(&a).unwrap(), lu_factor_unblocked(&a).unwrap());
             assert_eq!(f.pivots, r.pivots);
-            assert_eq!(f.perm_sign, r.perm_sign);
-            assert!(f.det() * r.det() > 0.0, "det sign: {} vs {}", f.det(), r.det());
-            assert!((f.det() - r.det()).abs() <= 1e-9 * r.det().abs());
             let (fi, ri) = (f.inverse().unwrap(), r.inverse().unwrap());
             assert!(fi.approx_eq(&ri, 1e-7 * inf_norm(ri.as_slice())), "n={n}: {:e}", fi.max_abs_diff(&ri));
         });
@@ -577,20 +549,6 @@ pub(crate) mod tests {
         let f = lu_factor(&a).unwrap();
         assert!(f.solve(&[1.0]).is_err());
         assert!(f.solve_matrix(&Matrix::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn determinant_matches_known_values() {
-        let a = Matrix::from_rows(2, 2, &[3.0, 8.0, 4.0, 6.0]).unwrap();
-        let f = lu_factor(&a).unwrap();
-        assert!((f.det() - (-14.0)).abs() < 1e-12);
-
-        let i = Matrix::identity(5);
-        assert!((lu_factor(&i).unwrap().det() - 1.0).abs() < 1e-14);
-
-        // Permutation matrix has det -1
-        let p = Matrix::from_rows(2, 2, &[0.0, 1.0, 1.0, 0.0]).unwrap();
-        assert!((lu_factor(&p).unwrap().det() + 1.0).abs() < 1e-14);
     }
 
     #[test]

@@ -55,11 +55,6 @@ pub fn system(name: &str) -> Result<(OdeRhs, usize)> {
     })
 }
 
-/// Names of all registered systems.
-pub fn system_names() -> &'static [&'static str] {
-    &["decay", "oscillator", "logistic", "vanderpol", "lotka"]
-}
-
 /// Integrate `y' = f(t, y)` from `t0` to `t1` with `steps` classical RK4
 /// steps, returning the final state.
 pub fn rk4(f: OdeRhs, y0: &[f64], t0: f64, t1: f64, steps: u32) -> Result<Vec<f64>> {
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn registry_complete() {
-        for name in system_names() {
+        for name in ["decay", "oscillator", "logistic", "vanderpol", "lotka"] {
             assert!(system(name).is_ok());
         }
     }

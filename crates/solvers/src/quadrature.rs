@@ -38,11 +38,6 @@ pub fn integrand(name: &str) -> Result<fn(f64) -> f64> {
     })
 }
 
-/// Names of all registered integrands.
-pub fn integrand_names() -> &'static [&'static str] {
-    &["sin", "runge", "gauss", "poly3", "osc"]
-}
-
 /// Adaptive Simpson quadrature of `f` over `[a, b]` to absolute tolerance
 /// `tol`. Handles `a > b` by sign flip. Errors on invalid tolerance or if
 /// the recursion budget is exhausted (non-integrable behaviour).
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn integrand_registry_complete() {
-        for name in integrand_names() {
+        for name in ["sin", "runge", "gauss", "poly3", "osc"] {
             assert!(integrand(name).is_ok(), "{name} missing");
         }
     }

@@ -47,15 +47,6 @@ pub fn convolve_reference(x: &[f64], h: &[f64]) -> Result<Vec<f64>> {
     Ok(y)
 }
 
-/// Power spectrum `|FFT(x)|²` of a real signal (length must be a power of
-/// two). Returns the `n/2 + 1` non-redundant bins.
-pub fn power_spectrum(x: &[f64]) -> Result<Vec<f64>> {
-    let zeros = vec![0.0; x.len()];
-    let (re, im) = fft(x, &zeros)?;
-    let half = x.len() / 2 + 1;
-    Ok((0..half).map(|k| re[k] * re[k] + im[k] * im[k]).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,34 +98,5 @@ mod tests {
         assert!(convolve(&[], &[1.0]).is_err());
         assert!(convolve(&[1.0], &[]).is_err());
         assert!(convolve_reference(&[], &[]).is_err());
-    }
-
-    #[test]
-    fn power_spectrum_of_pure_tone() {
-        let n = 64;
-        let freq = 7;
-        let x: Vec<f64> = (0..n)
-            .map(|t| (2.0 * std::f64::consts::PI * freq as f64 * t as f64 / n as f64).sin())
-            .collect();
-        let ps = power_spectrum(&x).unwrap();
-        assert_eq!(ps.len(), n / 2 + 1);
-        let peak = ps
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(peak, freq);
-        // everything but the tone bin is ~zero
-        for (k, &p) in ps.iter().enumerate() {
-            if k != freq {
-                assert!(p < 1e-18, "leak at bin {k}: {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn power_spectrum_requires_power_of_two() {
-        assert!(power_spectrum(&[1.0, 2.0, 3.0]).is_err());
     }
 }

@@ -11,7 +11,7 @@
 //!   or corrupt peer cannot force huge allocations.
 //!
 //! The encoder is built for the wire hot path: it can own its buffer
-//! ([`Encoder::new`] / [`Encoder::from_vec`]) or write through a window
+//! ([`Encoder::new`]) or write through a window
 //! onto a caller's buffer ([`Encoder::window`]) that is reused across
 //! messages and, given an `io::Write`, written out each time it fills —
 //! so a multi-megabyte operand never needs a contiguous frame buffer on
@@ -157,12 +157,6 @@ impl Encoder<'static> {
         Encoder { buf: Buf::Owned(Vec::with_capacity(cap)), crc: None }
     }
 
-    /// Encoder that appends to an existing owned vector, reusing its
-    /// capacity. Pair with [`Encoder::into_bytes`] to get the vector back.
-    pub fn from_vec(buf: Vec<u8>) -> Self {
-        Encoder { buf: Buf::Owned(buf), crc: None }
-    }
-
     /// Encoder that materializes nothing: every put only advances a byte
     /// counter ([`Encoder::count`]). Bulk array puts cost O(1), so running
     /// a whole message through a counting encoder is O(fields) — this is
@@ -297,11 +291,6 @@ impl<'a> Encoder<'a> {
 
     /// XDR unsigned int (4 bytes, big-endian).
     pub fn put_u32(&mut self, v: u32) {
-        self.append(&v.to_be_bytes());
-    }
-
-    /// XDR int.
-    pub fn put_i32(&mut self, v: i32) {
         self.append(&v.to_be_bytes());
     }
 
@@ -611,11 +600,6 @@ impl<'a> Decoder<'a> {
         Ok(u32::from_be_bytes(self.fixed()?))
     }
 
-    /// Read an i32.
-    pub fn get_i32(&mut self) -> Result<i32> {
-        Ok(self.get_u32()? as i32)
-    }
-
     /// Read a u64.
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_be_bytes(self.fixed()?))
@@ -770,7 +754,6 @@ mod tests {
     fn primitive_roundtrips() {
         let mut e = Encoder::new();
         e.put_u32(0xDEAD_BEEF);
-        e.put_i32(-42);
         e.put_u64(u64::MAX);
         e.put_i64(i64::MIN);
         e.put_f64(std::f64::consts::PI);
@@ -780,7 +763,6 @@ mod tests {
 
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(d.get_i32().unwrap(), -42);
         assert_eq!(d.get_u64().unwrap(), u64::MAX);
         assert_eq!(d.get_i64().unwrap(), i64::MIN);
         assert_eq!(d.get_f64().unwrap(), std::f64::consts::PI);
@@ -920,19 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_reuses_and_appends() {
-        let mut v = Vec::with_capacity(128);
-        v.push(0xAA);
-        let cap = v.capacity();
-        let mut e = Encoder::from_vec(v);
-        e.put_u32(1);
-        let out = e.into_bytes();
-        assert_eq!(out[0], 0xAA);
-        assert_eq!(&out[1..], &[0, 0, 0, 1]);
-        assert_eq!(out.capacity(), cap);
-    }
-
-    #[test]
     fn truncation_detected() {
         let mut e = Encoder::new();
         e.put_f64_array(&[1.0, 2.0, 3.0]);
@@ -995,7 +964,7 @@ mod tests {
         let xs: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.71).cos() * 1e9).collect();
         let us: Vec<u64> = (0..999u64).map(|i| i.wrapping_mul(0x2545_F491_4F6C_DD1D)).collect();
         e.put_u32(0xCAFE_F00D);
-        e.put_i32(-1);
+        e.put_u32(u32::MAX);
         e.put_u64(u64::MAX - 7);
         e.put_i64(i64::MIN + 3);
         e.put_f64(-std::f64::consts::E);
@@ -1116,7 +1085,7 @@ mod tests {
         let mut s = reading(&mut r, &mut window, payload.len(), 97);
         let mut d = Decoder::new(&payload);
         assert_eq!(s.get_u32().unwrap(), 0xCAFE_F00D);
-        assert_eq!(s.get_i32().unwrap(), -1);
+        assert_eq!(s.get_u32().unwrap(), u32::MAX);
         assert_eq!(s.get_u64().unwrap(), u64::MAX - 7);
         assert_eq!(s.get_i64().unwrap(), i64::MIN + 3);
         assert_eq!(s.get_f64().unwrap(), -std::f64::consts::E);

@@ -14,6 +14,9 @@ cargo build --bins
 echo "=== non-test lines per crate (what a refactor PR quotes; not a gate) ==="
 scripts/loc.sh
 
+echo "=== public surface: every pub fn has a caller or an allowlisted reason ==="
+scripts/surface.sh
+
 echo "=== time only through the clock (DESIGN §4q) ==="
 # The client, server, agent and chaos link read and spend time through the
 # `core::clock::Clock` their transport carries, so a virtual clock replays

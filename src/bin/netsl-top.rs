@@ -72,18 +72,15 @@ fn main() {
     }
 }
 
-/// One `FleetStatsQuery` round-trip. An agent whose telemetry digests are
-/// off answers with `Error`; surface that as a protocol error so the exit
-/// code says "this agent cannot do fleet stats" rather than hanging.
+/// One `FleetStatsQuery` round-trip. A daemon's `Error` reply is its own
+/// error, and a failure.
 fn scrape(
     transport: &Arc<dyn Transport>,
     address: &str,
 ) -> netsolve::core::Result<Vec<StatsDigest>> {
     match call_once(transport.as_ref(), address, &Message::FleetStatsQuery, Duration::from_secs(5))? {
         Message::FleetStatsReply { digests } => Ok(digests),
-        Message::Error { code, detail } => Err(netsolve::core::NetSolveError::Protocol(format!(
-            "fleet stats unsupported by this agent ({code:?}: {detail})"
-        ))),
+        Message::Error { code, detail } => Err(netsolve::core::NetSolveError::from_code(code, detail)),
         other => Err(netsolve::core::NetSolveError::Protocol(format!(
             "unexpected reply {}",
             other.name()

@@ -9,8 +9,9 @@
 //! on the send side, a request framed from borrowed operands costs the
 //! chunk buffer, not a copy of them, and a connection's warm writer sends
 //! without asking the allocator for anything — nor does the admission
-//! policy every gated request passes, nor the GEMM kernel, and a dense solve
-//! and a warm tiny call each ask for a pinned number of blocks. This binary
+//! policy every gated request passes, nor the GEMM kernel, and a dense solve,
+//! a warm tiny call and the server's side of each bulk workload ask for a
+//! pinned number of blocks (and, for the bulk calls, bytes). This binary
 //! has its own `#[global_allocator]`, which is why it is not part of another
 //! test file.
 
@@ -25,6 +26,7 @@ use netsolve::client::NetSolveClient;
 use netsolve::core::admission::{AdmissionConfig, AdmissionPolicy};
 use netsolve::core::{DataObject, Matrix, Rng64};
 use netsolve::net::{ChannelNetwork, NetworkView};
+use netsolve::obs::Tracer;
 use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
     frame_bytes, write_message_streamed, FrameReader, FrameWriter, Message,
@@ -40,18 +42,21 @@ static LARGEST: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Requests this thread has made of the allocator since the last reset.
     static REQUESTS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those requests asked for (a reallocation counts its new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 fn record(size: usize) {
     LARGEST.fetch_max(size, Ordering::Relaxed);
     let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size));
 }
 
 struct Recording;
 
 // SAFETY: every call is forwarded unchanged to `System`; the only additions
-// are a relaxed atomic max and a const-initialized thread-local count,
-// neither of which allocates.
+// are a relaxed atomic max and const-initialized thread-local counts, none
+// of which allocates.
 unsafe impl GlobalAlloc for Recording {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());
@@ -314,7 +319,7 @@ fn a_dense_solve_makes_a_pinned_number_of_allocations() {
 /// exactly 52 blocks on the calling thread: the frames, the trace and
 /// request identities, the agent's candidate list, the reply's outputs and
 /// the spans and reports around them. "Warm" is past the client tracer's
-/// request-id window, whose set and queue grow until then. The one other
+/// span window, whose trace map fills until then. The one other
 /// source is the std channel under each kept connection, which takes a
 /// block every 31 messages: the agent connection carries two per call and
 /// the server connection one, so any 31 calls add exactly three.
@@ -330,7 +335,7 @@ fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
     let mut server = ServerDaemon::start(net.clone(), "agent", core, config).unwrap();
     let client = NetSolveClient::new(net, "agent");
     let inputs = [DataObject::from(vec![0.5f64; 8]), DataObject::from(vec![2.0f64; 8])];
-    for _ in 0..4200 {
+    for _ in 0..600 {
         client.netsl("ddot", &inputs).unwrap();
     }
 
@@ -409,4 +414,72 @@ fn a_cached_solve_makes_a_pinned_number_of_allocations() {
     let snap = core.metrics().snapshot("server");
     let count = |name: &str| snap.counter(name);
     assert_eq!((count("server.cache_hits"), count("server.cache_misses")), (631, 80));
+}
+
+/// The server's warm path for one request shape, as a connection thread
+/// runs it: read the request frame off the wire with the connection's
+/// reader, answer it through `ServerCore::handle_message`, and frame the
+/// reply with the connection's writer into a reused buffer. Each request
+/// carries its own trace id, as live clients send them; the core's tracer
+/// keeps 16 spans, so its trace ring is full, and the path warm, after a
+/// few calls. Returns the allocator requests and bytes of each of 8 warm
+/// calls.
+fn warm_server_path(problem: &str, inputs: Vec<DataObject>) -> Vec<(usize, usize)> {
+    let core = ServerCore::with_standard_catalogue().with_tracer(Arc::new(Tracer::with_capacity(16)));
+    let mut request = Message::RequestSubmit {
+        request_id: 0,
+        deadline_ms: 0,
+        problem: problem.into(),
+        inputs,
+        trace_id: 0,
+        parent_span: 1,
+    };
+    let (mut client, mut reader, mut writer) =
+        (FrameWriter::default(), FrameReader::default(), FrameWriter::default());
+    let (mut wire, mut out) = (Vec::new(), Vec::new());
+    let mut costs: Vec<(usize, usize)> = (1..=40u64)
+        .map(|call| {
+            if let Message::RequestSubmit { request_id, trace_id, .. } = &mut request {
+                (*request_id, *trace_id) = (call, u128::from(call));
+            }
+            wire.clear();
+            client.write_to(&mut wire, &request).unwrap();
+            REQUESTS.with(|n| n.set(0));
+            BYTES.with(|n| n.set(0));
+            let msg = reader.read_from(&mut &wire[..]).unwrap();
+            let reply = core.handle_message(&msg);
+            out.clear();
+            writer.write_to(&mut out, &reply).unwrap();
+            let cost = (REQUESTS.with(Cell::get), BYTES.with(Cell::get));
+            assert!(matches!(reply, Message::RequestReply { .. }), "{}", reply.name());
+            cost
+        })
+        .collect();
+    costs.split_off(costs.len() - 8)
+}
+
+/// `bulk_request`'s call on the server: `ddot` of two 131,072-element
+/// vectors, a 2 MiB request and an 8-byte answer. Every warm call asks for
+/// exactly 23 blocks and 5,111,775 bytes, 2.44 times the operands' 2 MiB:
+/// each operand's vector grows as its bytes arrive, because a count off
+/// the wire never sizes an allocation up front.
+#[test]
+fn a_bulk_request_makes_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let x: Vec<f64> = (0..1 << 17).map(|i| f64::from(i % 7) - 3.0).collect();
+    let costs = warm_server_path("ddot", vec![x.clone().into(), x.into()]);
+    assert_eq!(costs, [(23, 5_111_775); 8], "ddot 2 x 131072: (requests, bytes) per call");
+}
+
+/// `bulk_reply`'s call on the server: `dgemm` of a 512x2 by a 2x512
+/// matrix, a 16 KiB request and a 2 MiB answer. Every warm call asks for
+/// exactly 14 blocks and 2,114,456 bytes: the 2 MiB product, the two
+/// 8 KiB operands and 920 bytes besides.
+#[test]
+fn a_bulk_reply_makes_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let mut rng = Rng64::new(35);
+    let (a, b) = (Matrix::random(512, 2, &mut rng), Matrix::random(2, 512, &mut rng));
+    let costs = warm_server_path("dgemm", vec![a.into(), b.into()]);
+    assert_eq!(costs, [(14, 2_114_456); 8], "dgemm 512x2 by 2x512: (requests, bytes) per call");
 }

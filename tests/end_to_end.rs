@@ -346,11 +346,10 @@ fn a_steady_client_keeps_its_server_connection() {
     use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
 
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
-    // No digest scrapes: the client is the only one dialling the server.
-    let quiet = AgentConfig {
-        telemetry: TelemetryPolicy { digests: false, ..TelemetryPolicy::default() },
-        ..AgentConfig::default()
-    };
+    // No digest scrapes: the longest sampler tick, 60 s, does not come
+    // round in this test, so the client is the only one dialling the server.
+    let quiet =
+        AgentConfig { telemetry: TelemetryPolicy { tick_secs: 60.0 }, ..AgentConfig::default() };
     let core = AgentCore::new(quiet, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
     let mut agent = AgentDaemon::start(Arc::clone(&transport), "127.0.0.1:0", core).unwrap();
     let core = ServerCore::with_standard_catalogue();

@@ -40,7 +40,7 @@ fn fast_core(ttl: f64) -> AgentCore {
             peer_miss_threshold: 1,
             round_timeout_secs: 0.5,
         },
-        telemetry: TelemetryPolicy { tick_secs: 0.05, ..TelemetryPolicy::default() },
+        telemetry: TelemetryPolicy { tick_secs: 0.05 },
         ..AgentConfig::default()
     };
     AgentCore::new(config, Policy::MinimumCompletionTime, NetworkView::lan_defaults())

@@ -187,8 +187,8 @@ fn single_candidate_gets_full_retry_budget() {
 
 /// Regression (request-id collisions): clients used to start their
 /// counters at 1, so any two clients in one process produced colliding
-/// request ids. Ids now carry a per-client lane in the high bits; a
-/// shared tracer cross-checks uniqueness.
+/// request ids. Ids now carry a per-client lane in the high bits; the
+/// `call` spans of a shared tracer cross-check uniqueness.
 #[test]
 fn request_ids_unique_across_clients() {
     let net = ChannelNetwork::new();
@@ -223,8 +223,14 @@ fn request_ids_unique_across_clients() {
     deduped.sort_unstable();
     deduped.dedup();
     assert_eq!(deduped.len(), ids.len(), "request ids collided: {ids:?}");
-    assert_eq!(tracer.collisions(), 0);
-    assert_eq!(metrics.snapshot("client").counter("client.request_id_collisions"), 0);
+    let mut traced: Vec<u64> = tracer
+        .spans()
+        .iter()
+        .filter(|s| s.component == "client" && s.phase == "call")
+        .map(|s| s.request_id)
+        .collect();
+    traced.sort_unstable();
+    assert_eq!(traced, deduped, "one call span per request id");
     // The two clients occupy different id lanes (distinct high bits).
     assert_ne!(ids[0] >> 32, ids[5] >> 32, "clients share an id lane");
 

@@ -12,7 +12,9 @@
 //!   `deadline_exhausted` span;
 //! * a peer that answers `TraceQuery` with its generic error fails the
 //!   pull with that error — over the channel transport and over real
-//!   TCP.
+//!   TCP;
+//! * on a virtual clock, a server's `solve` span lasts the virtual seconds
+//!   its `server.compute_secs` records.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,6 +22,7 @@ use std::time::Duration;
 
 use netsolve::agent::{AgentCore, AgentDaemon};
 use netsolve::client::NetSolveClient;
+use netsolve::core::clock::VirtualClock;
 use netsolve::core::config::{Backoff, RetryPolicy};
 use netsolve::core::error::Result;
 use netsolve::core::NetSolveError;
@@ -29,7 +32,8 @@ use netsolve::net::{
 };
 use netsolve::obs::{render, stitch, MetricsRegistry, SpanRecord, Timeline, Tracer};
 use netsolve::proto::Message;
-use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
+use netsolve::pdl::ProblemRegistry;
+use netsolve::server::{ExecutionMode, ServerConfig, ServerCore, ServerDaemon};
 
 fn timeout() -> Duration {
     Duration::from_secs(5)
@@ -368,4 +372,44 @@ fn trace_query_unsupported_peer_over_tcp() {
     refusing_stub(listener);
 
     assert_refused(pull_spans(&transport, &address, 0));
+}
+
+/// A server's spans are read on the clock its transport carries: on a
+/// virtual clock, a synthetic `dgesv` that takes 2 virtual seconds has a
+/// `solve` span of 2 seconds, the `server.compute_secs` sample, and not the
+/// few wall milliseconds the call took.
+#[test]
+fn a_virtual_clock_solve_span_lasts_its_compute_secs() {
+    let net = ChannelNetwork::new().with_clock(Arc::new(VirtualClock::new()));
+    let transport: Arc<dyn Transport> = Arc::new(net);
+    let mut agent =
+        AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults()).unwrap();
+    // dgesv costs 0.6667 n^3 flops: n = 100 at 0.33335 Mflop/s is 2 s.
+    let tracer = Arc::new(Tracer::new());
+    let core = ServerCore::new(
+        ProblemRegistry::with_standard_catalogue(),
+        ExecutionMode::Synthetic { mflops: 0.33335 },
+    )
+    .with_tracer(Arc::clone(&tracer));
+    let metrics = core.metrics();
+    let mut server = ServerDaemon::start(
+        Arc::clone(&transport),
+        "agent",
+        core,
+        ServerConfig::quick("virtual", "srv", 0.33335),
+    )
+    .unwrap();
+    let client = NetSolveClient::new(Arc::clone(&transport), "agent");
+    let a = netsolve::core::Matrix::identity(100);
+    client.netsl("dgesv", &[a.into(), vec![1.0; 100].into()]).unwrap();
+
+    let compute = metrics.histogram("server.compute_secs");
+    assert_eq!(compute.count(), 1);
+    assert!((compute.sum_secs() - 2.0).abs() < 1e-3, "compute {} s", compute.sum_secs());
+    let spans = tracer.spans();
+    let solve = spans.iter().find(|s| s.phase == "solve").expect("a solve span");
+    let lasted = solve.duration().as_secs_f64();
+    assert!((lasted - compute.sum_secs()).abs() < 1e-3, "solve span {lasted} s");
+    server.stop();
+    agent.stop();
 }
