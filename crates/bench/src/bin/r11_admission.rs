@@ -113,7 +113,6 @@ fn live_run(requests: usize, rate: f64, max_queue: usize, seed: u64) -> LiveRun 
                     attempt_timeout_secs: 120.0,
                     backoff: Backoff::Fixed { delay_secs: 0.0 },
                     deadline_secs: 0.0,
-                    report_failures: false,
                 });
                 let inputs: Vec<DataObject> =
                     vec![vec![0.5f64; N].into(), vec![0.25f64; N].into()];

@@ -11,7 +11,8 @@
 //!   ticks during the run). The sampler is off the request path by
 //!   design, so client-observed per-call time should move by noise only.
 //!   Batches alternate R9-style (best-of-rounds, both variants
-//!   interleaved) so clock drift hits both sides alike.
+//!   interleaved, the side that goes first swapping every round) so
+//!   clock drift and warm-up order hit both sides alike.
 //!
 //! * **Convergence ≤ 2 gossip intervals** — in a two-agent federation
 //!   the age a scrape of agent B reports for agent A's (and A's local
@@ -85,8 +86,10 @@ fn solve_once(trio: &Trio, x: &[f64], y: &[f64]) {
     std::hint::black_box(out);
 }
 
-/// Client-observed per-call seconds for both trios: alternate
-/// off/on batches and keep the best round of each, R9-style.
+/// Client-observed per-call seconds for both trios: alternate off/on
+/// batches, with the side that goes first alternating too (off first on
+/// even rounds, on first on odd ones), and keep the best round of each,
+/// R9-style.
 fn measure_overhead(repeats: usize, rounds: usize) -> (f64, f64) {
     let off = start_trio(false);
     let on = start_trio(true);
@@ -99,19 +102,23 @@ fn measure_overhead(repeats: usize, rounds: usize) -> (f64, f64) {
         solve_once(&on, &x, &y);
     }
 
+    let batch = |trio: &Trio| {
+        let start = Instant::now();
+        for _ in 0..repeats {
+            solve_once(trio, &x, &y);
+        }
+        start.elapsed().as_secs_f64() / repeats as f64
+    };
     let mut best_off = f64::INFINITY;
     let mut best_on = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        for _ in 0..repeats {
-            solve_once(&off, &x, &y);
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            best_off = best_off.min(batch(&off));
+            best_on = best_on.min(batch(&on));
+        } else {
+            best_on = best_on.min(batch(&on));
+            best_off = best_off.min(batch(&off));
         }
-        best_off = best_off.min(start.elapsed().as_secs_f64() / repeats as f64);
-        let start = Instant::now();
-        for _ in 0..repeats {
-            solve_once(&on, &x, &y);
-        }
-        best_on = best_on.min(start.elapsed().as_secs_f64() / repeats as f64);
     }
 
     // The telemetry-on trio must actually have been sampling, or the

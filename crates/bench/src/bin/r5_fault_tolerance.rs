@@ -169,7 +169,6 @@ fn backoff_sweep_live() {
                 attempt_timeout_secs: 5.0,
                 backoff,
                 deadline_secs: 0.0,
-                report_failures: true,
             })
             .with_jitter_seed(CHAOS_SEED)
             .with_observability(Arc::clone(&metrics), Arc::new(Tracer::new()));
@@ -313,7 +312,6 @@ fn agent_failure_live() {
             attempt_timeout_secs: 5.0,
             backoff: Backoff::ExponentialJitter { base_secs: 0.002, cap_secs: 0.02 },
             deadline_secs: 0.0,
-            report_failures: true,
         })
         .with_jitter_seed(CHAOS_SEED)
         .with_observability(Arc::clone(&metrics), Arc::new(Tracer::new()));
@@ -334,7 +332,6 @@ fn agent_failure_live() {
                     attempt_timeout_secs: 0.2,
                     backoff: Backoff::ExponentialJitter { base_secs: 0.002, cap_secs: 0.02 },
                     deadline_secs: 0.0,
-                    report_failures: true,
                 })
                 .with_jitter_seed(CHAOS_SEED)
                 .with_observability(Arc::clone(&metrics), Arc::new(Tracer::new()));

@@ -780,7 +780,6 @@ impl NetSolveClient {
                     bytes: call.shape.total_bytes(),
                 },
             ),
-            Err(_) if !self.retry.report_failures => return,
             Err(e) => (
                 "failure",
                 Message::FailureReport {
@@ -1045,7 +1044,6 @@ mod tests {
             attempt_timeout_secs: 5.0,
             backoff: Backoff::Fixed { delay_secs: 0.1 },
             deadline_secs: 0.15,
-            report_failures: true,
         });
         let start = Instant::now();
         let err = client
@@ -1080,7 +1078,6 @@ mod tests {
             attempt_timeout_secs: 5.0,
             backoff: Backoff::Fixed { delay_secs: 60.0 },
             deadline_secs: 10.0,
-            report_failures: true,
         });
         let started = clock.now();
         let err = client.netsl_timed("ddot", &[vec![2.0].into(), vec![3.0].into()]).unwrap_err();
@@ -1103,7 +1100,6 @@ mod tests {
             attempt_timeout_secs: 5.0,
             backoff: Backoff::Fixed { delay_secs: 0.08 },
             deadline_secs: 0.0,
-            report_failures: true,
         });
         let start = Instant::now();
         let (_, report) = client
@@ -1193,7 +1189,6 @@ mod tests {
             attempt_timeout_secs: 5.0,
             backoff: Backoff::Fixed { delay_secs: 0.0 }, // the hint is the only wait
             deadline_secs: 0.0,
-            report_failures: true,
         });
         let start = Instant::now();
         let (outputs, report) = client
@@ -1565,7 +1560,6 @@ mod tests {
             attempt_timeout_secs: 1.0,
             backoff,
             deadline_secs,
-            report_failures: true,
         }
     }
 

@@ -61,12 +61,6 @@ pub struct AdmissionConfig {
     max_queue_depth: usize,
 }
 
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self::with_max_queue(16)
-    }
-}
-
 impl AdmissionConfig {
     /// A config shedding at `depth` (at least 1).
     pub fn with_max_queue(depth: usize) -> Self {
@@ -377,7 +371,7 @@ mod tests {
 
     #[test]
     fn expired_budget_sheds_distinctly() {
-        let p = AdmissionPolicy::new(AdmissionConfig::default());
+        let p = AdmissionPolicy::new(AdmissionConfig::with_max_queue(16));
         match p.admit("dgesv", 1e6, 0, Some(0)) {
             AdmissionDecision::Shed { reason, retry_after_ms } => {
                 assert_eq!(reason, ShedReason::DeadlineExpired);
@@ -417,7 +411,7 @@ mod tests {
 
     #[test]
     fn observations_without_a_rate_are_skipped() {
-        let p = AdmissionPolicy::new(AdmissionConfig::default());
+        let p = AdmissionPolicy::new(AdmissionConfig::with_max_queue(16));
         p.observe_service("x", 1e6, 0.1);
         // 0 flops (an unknown problem, or n = 0), and times that are not
         // a finite non-negative number, leave the estimate as it was.

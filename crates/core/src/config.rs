@@ -99,9 +99,6 @@ pub struct RetryPolicy {
     /// budget travels with the request so servers can shed work whose
     /// deadline already passed.
     pub deadline_secs: f64,
-    /// Whether to report failures back to the agent (lets the agent mark
-    /// the server down for everyone).
-    pub report_failures: bool,
 }
 
 impl Default for RetryPolicy {
@@ -111,7 +108,6 @@ impl Default for RetryPolicy {
             attempt_timeout_secs: 30.0,
             backoff: Backoff::ExponentialJitter { base_secs: 0.05, cap_secs: 2.0 },
             deadline_secs: 0.0,
-            report_failures: true,
         }
     }
 }
@@ -269,7 +265,6 @@ mod tests {
         let r = RetryPolicy::default();
         assert!(r.max_attempts >= 1);
         assert!(r.attempt_timeout_secs > 0.0);
-        assert!(r.report_failures);
         assert_eq!(r.deadline_secs, 0.0, "no deadline unless asked");
         assert!(matches!(r.backoff, Backoff::ExponentialJitter { .. }));
 

@@ -11,17 +11,19 @@
 //! bytes alone. The stream runs through XXH3's long-input loop at memory
 //! speed (see [`solve_key`]).
 //!
-//! The cache is one layer over the solver: `ServerCore`'s `solve` stage
-//! hands it each request, and a probe ends in one of four outcomes:
+//! The cache is the outer layer of `ServerCore`'s `solve` stage (cache →
+//! admission gate → solver): it sees each request first, and a probe ends
+//! in one of four outcomes:
 //!
 //! * **declined** — the problem is non-deterministic (`quad_mc`): the
-//!   request solves uncached, and never coalesces.
+//!   request solves uncached, and no identical request joins it.
 //! * **hit** — a cached reply exists; its stored bytes are CRC-checked
 //!   *at serve time* and decoded. A mismatch (memory corruption, bug)
 //!   drops the entry and falls through to a miss: a corrupted reply can
 //!   never leave the server.
 //! * **leader** — no entry, no in-flight solve: the caller runs the
-//!   solve and hands the outcome to its `LeaderToken`.
+//!   solve (or is shed at the gate) and hands the outcome to its
+//!   `LeaderToken`.
 //! * **join** — an identical request is already solving: the caller
 //!   blocks on the in-flight slot and shares the one reply (or its
 //!   error) instead of queueing duplicate work.
@@ -273,7 +275,7 @@ impl LeaderToken {
     /// every joined waiter wakes to the shared reply; a failed one wakes
     /// them to its error and caches nothing, so the next identical request
     /// re-runs.
-    pub(crate) fn complete(mut self, outcome: &Result<Solved>) {
+    pub(crate) fn complete(mut self, outcome: std::result::Result<&Solved, &NetSolveError>) {
         self.published = true;
         match outcome {
             Ok(solved) => self.cache.publish_ok(self.key, &solved.outputs, solved.compute_secs),
@@ -687,7 +689,7 @@ mod tests {
             Probe::Leader(t) => t,
             _ => panic!("first probe must lead"),
         };
-        token.complete(&solved(vec![DataObject::Double(42.0)], 0.25));
+        token.complete(solved(vec![DataObject::Double(42.0)], 0.25).as_ref());
         match cache.probe("ddot", &inputs) {
             Probe::Hit(Solved { outputs, compute_secs, cached }) => {
                 assert_eq!(outputs[0].as_double().unwrap(), 42.0);
@@ -709,7 +711,7 @@ mod tests {
             Probe::Join(w) => w,
             _ => panic!("second identical probe must join"),
         };
-        token.complete(&Err(NetSolveError::Numerical("singular".into())));
+        token.complete(Err(NetSolveError::Numerical("singular".into())).as_ref());
         let err = waiter.wait().unwrap_err();
         assert!(matches!(err, NetSolveError::Numerical(_)), "{err}");
         // Not cached: the next probe leads again.
@@ -744,7 +746,7 @@ mod tests {
         let probe = |i: usize| cache.probe("p", &keys[i]);
         for i in 0..3 {
             match probe(i) {
-                Probe::Leader(t) => t.complete(&solved(vec![vec_obj(16, 0.0)], 0.1)),
+                Probe::Leader(t) => t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref()),
                 _ => panic!(),
             }
         }
@@ -754,12 +756,12 @@ mod tests {
         assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), 1);
         // Touching keys[1] then inserting another must evict keys[2].
         match probe(0) {
-            Probe::Leader(t) => t.complete(&Err(NetSolveError::Internal("skip".into()))),
+            Probe::Leader(t) => t.complete(Err(NetSolveError::Internal("skip".into())).as_ref()),
             _ => panic!(),
         }
         assert!(matches!(probe(1), Probe::Hit(_)));
         match probe(3) {
-            Probe::Leader(t) => t.complete(&solved(vec![vec_obj(16, 0.0)], 0.1)),
+            Probe::Leader(t) => t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref()),
             _ => panic!(),
         }
         assert!(matches!(probe(1), Probe::Hit(_)), "recently used survives");
@@ -777,7 +779,7 @@ mod tests {
         let (cache, _) = cache(4 << 20);
         let inputs = [vec_obj(4, 1.0)];
         match cache.probe("ddot", &inputs) {
-            Probe::Leader(t) => t.complete(&solved(vec![DataObject::Double(4.0)], 0.1)),
+            Probe::Leader(t) => t.complete(solved(vec![DataObject::Double(4.0)], 0.1).as_ref()),
             _ => panic!(),
         }
         for _ in 0..100_000 {
@@ -803,7 +805,7 @@ mod tests {
             match cache.probe("p", input) {
                 Probe::Hit(_) => model.retain(|&k| k != key),
                 Probe::Leader(t) => {
-                    t.complete(&solved(vec![vec_obj(16, 0.0)], 0.1));
+                    t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref());
                     if model.len() == 4 {
                         model.remove(0);
                         evictions += 1;
@@ -824,14 +826,14 @@ mod tests {
         let (cache, metrics) = cache(1 << 20);
         let inputs = [vec_obj(8, 1.0)];
         match cache.probe("ddot", &inputs) {
-            Probe::Leader(t) => t.complete(&solved(vec![vec_obj(8, 7.0)], 0.1)),
+            Probe::Leader(t) => t.complete(solved(vec![vec_obj(8, 7.0)], 0.1).as_ref()),
             _ => panic!(),
         }
         assert_eq!(cache.corrupt_entries_for_test(1), 1);
         // The probe must NOT hit: serve-CRC catches the flip, the entry
         // is dropped, and the caller becomes the leader re-solving.
         match cache.probe("ddot", &inputs) {
-            Probe::Leader(t) => t.complete(&solved(vec![vec_obj(8, 7.0)], 0.1)),
+            Probe::Leader(t) => t.complete(solved(vec![vec_obj(8, 7.0)], 0.1).as_ref()),
             Probe::Hit(_) => panic!("corrupted entry served"),
             Probe::Join(_) | Probe::Declined => panic!("nothing should be in flight"),
         }
@@ -857,7 +859,7 @@ mod tests {
             Probe::Join(w) => w,
             _ => panic!(),
         };
-        token.complete(&solved(vec![vec_obj(64, 1.0)], 0.5)); // 512B > 128B budget
+        token.complete(solved(vec![vec_obj(64, 1.0)], 0.5).as_ref()); // 512B > 128B budget
         let Solved { outputs, cached, .. } = waiter.wait().unwrap();
         assert_eq!((outputs[0].as_vector().unwrap().len(), cached), (64, true));
         assert_eq!(cache.entries(), 0);
@@ -886,7 +888,7 @@ mod tests {
                             // others to join.
                             std::thread::sleep(std::time::Duration::from_millis(30));
                             let solved = solved(vec![DataObject::Double(6.0)], 0.2);
-                            t.complete(&solved);
+                            t.complete(solved.as_ref());
                             solved
                         }
                         Probe::Join(w) => w.wait(),

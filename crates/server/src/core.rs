@@ -1,10 +1,10 @@
 //! The server brain: the whole life of a request, stated once.
 //!
-//! `ServerCore::serve` is the request path — admit → dequeue → solve —
-//! as one straight-line function whose stages are the methods below it,
-//! in call order; the solve stage is the solver with the cache, when one
-//! is installed, as its one layer. DESIGN.md §4n tabulates, per stage,
-//! how a request can end there and the counter and span it leaves.
+//! `ServerCore::serve` is the request path — receive → solve — as one
+//! straight-line function whose stages are the methods below it, in call
+//! order; the solve stage is cache → gate → solver, each layer present
+//! when installed. DESIGN.md §4n tabulates, per stage, how a request can
+//! end there and the counter and span it leaves.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,54 +74,28 @@ struct Request<'a> {
     received_at: Instant,
 }
 
-/// The three points at which a request's deadline budget can be found
-/// spent. Each keeps its own counter, span phase and message, so an
-/// operator can tell "arrived dead" from "died waiting for a slot" from
-/// "died between slot and dispatch".
+/// A request that ends without an answer, and the one counter it ends
+/// under: `server.requests_failed`, or the shed's own.
+struct Refused(&'static str, NetSolveError);
+
+impl Refused {
+    fn failed(error: NetSolveError) -> Self {
+        Refused("server.requests_failed", error)
+    }
+}
+
+/// A request's answer, or its refusal.
+type Answer = std::result::Result<Solved, Refused>;
+
+/// Where a request's deadline budget was found spent — "arrived dead" or
+/// "died waiting for the slot" — as the counter, span phase and message
+/// tail that keep the two apart.
 #[derive(Debug, Clone, Copy)]
-enum Expired {
-    AtAdmission,
-    WhileQueued,
-    BeforeExecution,
-}
+struct Expired(&'static str, &'static str, &'static str);
 
-impl Expired {
-    /// This point's counter, span phase and message tail.
-    fn names(self) -> (&'static str, &'static str, &'static str) {
-        match self {
-            Expired::AtAdmission => {
-                ("server.admission_shed", "admission_shed", "expired at admission")
-            }
-            Expired::WhileQueued => {
-                ("server.queue_deadline_shed", "queue_deadline_shed", "expired while queued")
-            }
-            Expired::BeforeExecution => {
-                ("server.deadline_shed", "deadline_shed", "expired before execution")
-            }
-        }
-    }
-}
-
-/// A request the server has taken on. Until dropped — on every way out of
-/// [`ServerCore::serve`], error paths included — it holds a solve slot
-/// (when a gate is installed) and counts in `server.active_requests`.
-struct Admitted<'a> {
-    core: &'a ServerCore,
-    received_at: Instant,
-}
-
-impl Drop for Admitted<'_> {
-    fn drop(&mut self) {
-        if let Some(gate) = &self.core.gate {
-            gate.release();
-        }
-        self.core.metrics.gauge("server.active_requests").dec();
-        self.core
-            .metrics
-            .histogram("server.request_handle_secs")
-            .record_secs(self.core.clock.since(self.received_at).as_secs_f64());
-    }
-}
+const ON_ARRIVAL: Expired = Expired("server.deadline_shed", "deadline_shed", "expired on arrival");
+const WHILE_QUEUED: Expired =
+    Expired("server.queue_deadline_shed", "queue_deadline_shed", "expired while queued");
 
 impl ServerCore {
     /// Server offering the given problem catalogue.
@@ -158,13 +132,14 @@ impl ServerCore {
         self.cache.as_ref()
     }
 
-    /// Install admission control — the only way to. Requests then pass
-    /// `policy` *before* reserving the one solve slot: queue-depth shed
-    /// with hysteresis, deadline-aware early reject, and a distinct shed
-    /// for budgets that expire while queued. Every solve's seconds per
-    /// predicted flop feed the policy's learned per-problem rate. The caller
-    /// keeps its `Arc` to read the decision counters — it is the exact
-    /// object `netsolve-sim` runs on virtual time.
+    /// Install admission control — the only way to. A request that needs
+    /// the solver (not a cache hit or join) then passes `policy` *before*
+    /// reserving the one solve slot: queue-depth shed with hysteresis,
+    /// deadline-aware early reject, and a distinct shed for budgets that
+    /// expire while queued. Every solve's seconds per predicted flop feed
+    /// the policy's learned per-problem rate. The caller keeps its `Arc`
+    /// to read the decision counters — it is the exact object
+    /// `netsolve-sim` runs on virtual time.
     pub fn with_admission(mut self, policy: Arc<AdmissionPolicy>) -> Self {
         self.gate = Some(AdmissionGate::new(policy));
         self
@@ -276,84 +251,64 @@ impl ServerCore {
         }
     }
 
-    /// The request path. A request refused by `admit` or `dequeue` leaves
-    /// through `?` with the refusing stage's own counter and span; one that
-    /// gets past them is counted ok or failed, exactly once, here.
+    /// The request path: receive → `solve`. Every request counts in
+    /// `server.requests` and `server.request_handle_secs` once, and ends
+    /// under exactly one of `server.requests_ok`, `server.requests_failed`
+    /// or the counter of the shed that refused it. Without a gate each
+    /// request is load (`server.active_requests`) from receipt to answer;
+    /// with one, the gate counts what waits for or holds its slot.
     fn serve(&self, req: &Request<'_>) -> Result<Solved> {
-        let _admitted = self.admit(req)?;
-        let dispatched = self.dequeue(req)?;
-        let outcome = self.solve(req, dispatched);
-        let counter = if outcome.is_ok() { "server.requests_ok" } else { "server.requests_failed" };
+        self.metrics.counter("server.requests").inc();
+        let path = || self.receive(req).and_then(|dispatched| self.solve(req, dispatched));
+        let ended = if self.gate.is_some() { path() } else { self.active(path) };
+        let (counter, outcome) = match ended {
+            Ok(solved) => ("server.requests_ok", Ok(solved)),
+            Err(Refused(counter, e)) => (counter, Err(e)),
+        };
         self.metrics.counter(counter).inc();
+        self.metrics
+            .histogram("server.request_handle_secs")
+            .record_secs(self.clock.since(req.received_at).as_secs_f64());
         outcome
     }
 
-    /// Stage 1 — take the request on, or shed it *before* it reserves a
-    /// solve slot or counts as active: the policy decides on queue depth
-    /// and remaining budget, then the request waits its turn for a slot.
-    fn admit(&self, req: &Request<'_>) -> Result<Admitted<'_>> {
-        if let Some(gate) = &self.gate {
-            let depth = gate.depth();
-            let left = budget_left_ms(req.deadline_ms, self.clock.since(req.received_at));
-            if let AdmissionDecision::Shed { reason, retry_after_ms } =
-                gate.policy.admit(req.problem, self.predicted_flops(req), depth, left)
-            {
-                let detail =
-                    format!("reason={} depth={depth} hint={retry_after_ms}ms", reason.name());
-                return Err(match reason {
-                    // Budget already gone: a retry hint is meaningless, the
-                    // client's deadline path owns what happens next.
-                    ShedReason::DeadlineExpired => {
-                        self.deadline_shed(req, Expired::AtAdmission, detail)
-                    }
-                    // Retryable Busy carrying the backoff hint.
-                    ShedReason::QueueFull | ShedReason::DeadlineUnmeetable => {
-                        self.metrics.counter("server.admission_shed").inc();
-                        self.tracer.point(req.ctx, "server", "admission_shed", detail);
-                        NetSolveError::Resource(format_busy_detail(reason, depth, retry_after_ms))
-                    }
-                });
-            }
-            if !gate.acquire(self.clock.as_ref(), req.received_at, req.deadline_ms) {
-                let detail = format!("budget={}ms", req.deadline_ms);
-                return Err(self.deadline_shed(req, Expired::WhileQueued, detail));
-            }
-        }
-        self.metrics.gauge("server.active_requests").inc();
-        Ok(Admitted { core: self, received_at: req.received_at })
-    }
-
-    /// Stage 2 — the request leaves the queue. One clock read serves as
-    /// queue-span end, solve-span start and the queue histogram sample,
-    /// keeping the traced path at two reads per request. Then the
-    /// backstop for budgets that expired between slot and dispatch:
-    /// nobody is waiting for that result any more.
-    fn dequeue(&self, req: &Request<'_>) -> Result<Instant> {
-        self.metrics.counter("server.requests").inc();
+    /// Stage 1 — receipt. One clock read serves as the `queue` span's end,
+    /// the next span's start and the `server.queue_secs` sample, keeping
+    /// the traced path at two reads per request. A budget already spent
+    /// ends the request here: nobody is waiting for that result any more.
+    fn receive(&self, req: &Request<'_>) -> std::result::Result<Instant, Refused> {
         let dispatched = self.clock.now();
-        let queued = dispatched.saturating_duration_since(req.received_at);
-        let queue_timer = self.tracer.start_at(req.received_at);
-        self.metrics
-            .histogram("server.queue_secs")
-            .record_secs_traced(queued.as_secs_f64(), req.ctx.trace_id);
-        self.tracer.record_at(req.ctx, queue_timer, dispatched, "server", "queue", String::new());
-        if budget_left_ms(req.deadline_ms, queued) == Some(0) {
+        self.queued(req, req.received_at, dispatched, String::new());
+        let waited = dispatched.saturating_duration_since(req.received_at);
+        if budget_left_ms(req.deadline_ms, waited) == Some(0) {
             let detail = format!("budget={}ms", req.deadline_ms);
-            return Err(self.deadline_shed(req, Expired::BeforeExecution, detail));
+            return Err(self.deadline_shed(req, ON_ARRIVAL, detail));
         }
         Ok(dispatched)
     }
 
+    /// A `queue` span from `from` to `to` and its `server.queue_secs`
+    /// sample: the wait from wire arrival to dispatch, and on a gated core
+    /// also the wait for the solve slot (detail `slot`).
+    fn queued(&self, req: &Request<'_>, from: Instant, to: Instant, detail: String) {
+        let timer = self.tracer.start_at(from);
+        let waited = to.saturating_duration_since(from).as_secs_f64();
+        self.metrics.histogram("server.queue_secs").record_secs_traced(waited, req.ctx.trace_id);
+        self.tracer.record_at(req.ctx, timer, to, "server", "queue", detail);
+    }
+
     /// The one way a spent deadline budget ends a request: `point`'s
     /// counter, `point`'s zero-length span, `point`'s Timeout message.
-    fn deadline_shed(&self, req: &Request<'_>, point: Expired, detail: String) -> NetSolveError {
-        let (counter, phase, tail) = point.names();
-        self.metrics.counter(counter).inc();
+    fn deadline_shed(&self, req: &Request<'_>, point: Expired, detail: String) -> Refused {
+        let Expired(counter, phase, tail) = point;
         self.tracer.point(req.ctx, "server", phase, detail);
-        NetSolveError::Timeout(format!(
-            "request {} deadline ({} ms) {tail}",
-            req.ctx.request_id, req.deadline_ms
-        ))
+        Refused(
+            counter,
+            NetSolveError::Timeout(format!(
+                "request {} deadline ({} ms) {tail}",
+                req.ctx.request_id, req.deadline_ms
+            )),
+        )
     }
 
     /// The complexity model's flops for `req`: 0 for a problem this server
@@ -362,17 +317,18 @@ impl ServerCore {
         self.problems.get(req.problem).map_or(0.0, |spec| spec.predicted_flops(req.inputs))
     }
 
-    /// Stage 3 — answer the request. Without a cache this is `execute`,
-    /// its span started at the dispatch clock read (the uncached path's
-    /// two-reads budget, which the ledger's `obs.harness_overhead_pct` row
-    /// prices). With one, the cache is the one layer over the solver: it
-    /// declines a non-deterministic problem, answers a verified hit or an
-    /// identical solve already in flight, or makes this request the
-    /// solve's leader. Exactly one `solve` span exists per unique
-    /// in-flight problem: hits and joiners never reach the solver.
-    fn solve(&self, req: &Request<'_>, dispatched: Instant) -> Result<Solved> {
+    /// Stage 2 — answer the request: cache → gate → `execute`. Without a
+    /// cache this is the gate and the solver, the `solve` span started at
+    /// the dispatch clock read (the uncached path's two-reads budget, which
+    /// the ledger's `obs.harness_overhead_pct` row prices). With one, the
+    /// cache is the outer layer: it declines a non-deterministic problem,
+    /// answers a verified hit or an identical solve already in flight, or
+    /// makes this request the solve's leader. Hits and joins never reach
+    /// the gate or the solver: exactly one `solve` span exists per unique
+    /// in-flight problem.
+    fn solve(&self, req: &Request<'_>, dispatched: Instant) -> Answer {
         let Some(cache) = &self.cache else {
-            return self.execute(req, self.tracer.start_at(dispatched));
+            return self.guarded(req, dispatched);
         };
         // Every span here starts and ends on the core's clock. The lookup
         // span's end is the one read the span after it starts at.
@@ -386,7 +342,7 @@ impl ServerCore {
         match cache.probe(req.problem, req.inputs) {
             Probe::Declined => {
                 self.tracer.point(req.ctx, "server", "cache_bypass_nondet", String::new());
-                self.execute(req, self.tracer.start_at(dispatched))
+                self.guarded(req, dispatched)
             }
             Probe::Hit(solved) => {
                 looked_up("hit");
@@ -402,14 +358,69 @@ impl ServerCore {
                 };
                 let end = self.clock.now();
                 self.tracer.record_at(req.ctx, wait_timer, end, "server", "coalesce_wait", detail);
-                joined
+                joined.map_err(Refused::failed)
             }
             Probe::Leader(token) => {
-                let run = self.execute(req, self.tracer.start_at(looked_up("miss")));
-                token.complete(&run);
+                // A shed leader's joiners get its shed error, as they get
+                // any failure of the solve they joined.
+                let run = self.guarded(req, looked_up("miss"));
+                token.complete(run.as_ref().map_err(|Refused(_, e)| e));
                 run
             }
         }
+    }
+
+    /// The innermost wrapper: the admission gate, when one is installed,
+    /// in front of `execute`, so only a request that needs the solver asks
+    /// the policy, waits for the slot or counts as load. The policy decides
+    /// on queue depth and remaining budget, then the request waits its turn
+    /// for the slot — a second `queue` span, from `from` — and solves while
+    /// holding it. `server.active_requests` counts it from the policy's
+    /// admit until its solve ends, so on a gated core the gauge is the
+    /// gate's depth.
+    fn guarded(&self, req: &Request<'_>, from: Instant) -> Answer {
+        let Some(gate) = &self.gate else {
+            return self.execute(req, self.tracer.start_at(from)).map_err(Refused::failed);
+        };
+        let depth = gate.depth();
+        let left = budget_left_ms(req.deadline_ms, self.clock.since(req.received_at));
+        if let AdmissionDecision::Shed { reason, retry_after_ms } =
+            gate.policy.admit(req.problem, self.predicted_flops(req), depth, left)
+        {
+            let detail = format!("reason={} depth={depth} hint={retry_after_ms}ms", reason.name());
+            return Err(match reason {
+                // Budget already gone: a retry hint is meaningless, the
+                // client's deadline path owns what happens next.
+                ShedReason::DeadlineExpired => self.deadline_shed(req, ON_ARRIVAL, detail),
+                // Retryable Busy carrying the backoff hint.
+                ShedReason::QueueFull | ShedReason::DeadlineUnmeetable => {
+                    self.tracer.point(req.ctx, "server", "admission_shed", detail);
+                    let busy = format_busy_detail(reason, depth, retry_after_ms);
+                    Refused("server.admission_shed", NetSolveError::Resource(busy))
+                }
+            });
+        }
+        self.active(|| match gate.acquire(self.clock.as_ref(), req.received_at, req.deadline_ms) {
+            Some(_slot) => {
+                let acquired = self.clock.now();
+                self.queued(req, from, acquired, "slot".to_string());
+                self.execute(req, self.tracer.start_at(acquired)).map_err(Refused::failed)
+            }
+            None => {
+                let detail = format!("budget={}ms", req.deadline_ms);
+                Err(self.deadline_shed(req, WHILE_QUEUED, detail))
+            }
+        })
+    }
+
+    /// Run `work` counted in `server.active_requests`. The gauge is looked
+    /// up at each end: a lookup allocates its name, and `tests/alloc_cap.rs`
+    /// pins the uncached path's allocations.
+    fn active<T>(&self, work: impl FnOnce() -> T) -> T {
+        self.metrics.gauge("server.active_requests").inc();
+        let out = work();
+        self.metrics.gauge("server.active_requests").dec();
+        out
     }
 
     /// Run the solver under the `solve` span. A solve that ran feeds the
@@ -616,18 +627,18 @@ pub(crate) mod tests {
         ));
     }
 
-    /// Receipt and admission read the core's clock: a virtual clock moved
-    /// past a request's budget between the two sheds it at admission, and
-    /// no wall time passes.
+    /// Receipt reads the core's clock: a virtual clock moved past a
+    /// request's budget between receipt and dispatch sheds it on arrival,
+    /// before it asks the gate, and no wall time passes.
     #[test]
-    fn a_budget_spent_on_the_core_clock_sheds_at_admission() {
-        use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
+    fn a_budget_spent_on_the_core_clock_sheds_on_arrival() {
+        use netsolve_core::admission::AdmissionConfig;
         use netsolve_core::clock::VirtualClock;
         let wall = Instant::now();
         let clock = VirtualClock::new();
-        let policy = AdmissionPolicy::new(AdmissionConfig::with_max_queue(4));
+        let policy = Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(4)));
         let core = ServerCore::with_standard_catalogue()
-            .with_admission(Arc::new(policy))
+            .with_admission(Arc::clone(&policy))
             .with_clock(Arc::new(clock.clone()));
         let ddot = || vec![vec![1.0].into(), vec![1.0].into()];
         let received_at = clock.now();
@@ -635,12 +646,13 @@ pub(crate) mod tests {
         match core.handle_message_at(&submit(1, 10, "ddot", ddot()), received_at).0 {
             Message::Error { code, detail } => {
                 assert_eq!(code, NetSolveError::Timeout(String::new()).code());
-                assert!(detail.contains("expired at admission"), "{detail}");
+                assert!(detail.contains("expired on arrival"), "{detail}");
             }
             other => panic!("budget spent on the clock: {other:?}"),
         }
         let count = |name: &str| core.metrics.counter(name).get();
-        assert_eq!((count("server.admission_shed"), count("server.requests")), (1, 0));
+        assert_eq!((count("server.deadline_shed"), count("server.requests")), (1, 1));
+        assert_eq!(policy.stats().decisions, 0, "a dead request never asks the policy");
         // The same budget, received now, is served.
         let fresh = core.handle_message_at(&submit(2, 10, "ddot", ddot()), clock.now()).0;
         assert!(matches!(fresh, Message::RequestReply { request_id: 2, .. }), "{fresh:?}");
@@ -658,30 +670,19 @@ pub(crate) mod tests {
         }
     }
 
-    fn server_phases(core: &ServerCore) -> Vec<&'static str> {
-        core.tracer.spans().iter().filter(|s| s.component == "server").map(|s| s.phase).collect()
-    }
-
-    /// The three places a spent deadline budget can end a request share
-    /// one test and one shaper; each keeps its own counter, span phase and
+    /// The two places a spent deadline budget can end a request share one
+    /// test and one shaper; each keeps its own counter, span phase and
     /// message.
     #[test]
     fn each_deadline_point_keeps_its_own_counter_span_and_message() {
-        use std::time::Duration;
         assert_eq!(budget_left_ms(0, Duration::from_secs(3600)), None, "no deadline never expires");
         assert_eq!(budget_left_ms(10, Duration::from_micros(9_900)), Some(1));
         assert_eq!(budget_left_ms(10, Duration::from_millis(10)), Some(0));
         assert_eq!(budget_left_ms(10, Duration::from_millis(50)), Some(0));
 
         let table = [
-            (Expired::AtAdmission, "server.admission_shed", "admission_shed", "at admission"),
-            (
-                Expired::WhileQueued,
-                "server.queue_deadline_shed",
-                "queue_deadline_shed",
-                "while queued",
-            ),
-            (Expired::BeforeExecution, "server.deadline_shed", "deadline_shed", "before execution"),
+            (ON_ARRIVAL, "server.deadline_shed", "deadline_shed", "on arrival"),
+            (WHILE_QUEUED, "server.queue_deadline_shed", "queue_deadline_shed", "while queued"),
         ];
         for (point, counter, phase, tail) in table {
             let core = ServerCore::with_standard_catalogue();
@@ -693,18 +694,15 @@ pub(crate) mod tests {
                 received_at: Instant::now(),
             };
             match core.deadline_shed(&req, point, "budget=10ms".into()) {
-                NetSolveError::Timeout(detail) => assert_eq!(
-                    detail,
-                    format!("request 7 deadline (10 ms) expired {tail}"),
-                    "{point:?}"
-                ),
-                other => panic!("{point:?}: expected Timeout, got {other:?}"),
+                Refused(ends_under, NetSolveError::Timeout(detail)) => {
+                    assert_eq!(ends_under, counter, "{point:?}");
+                    assert_eq!(detail, format!("request 7 deadline (10 ms) expired {tail}"));
+                }
+                Refused(_, other) => panic!("{point:?}: expected Timeout, got {other:?}"),
             }
-            let snap = core.metrics.snapshot("server");
-            for (_, name, ..) in table {
-                assert_eq!(snap.counter(name), u64::from(name == counter), "{point:?}: {name}");
-            }
-            assert_eq!(server_phases(&core), [phase], "{point:?}");
+            let spans = core.tracer.spans();
+            let phases: Vec<_> = spans.iter().map(|s| s.phase).collect();
+            assert_eq!(phases, [phase], "{point:?}");
         }
     }
 
@@ -736,14 +734,34 @@ pub(crate) mod tests {
         }
     }
 
+    /// A synthetic core (20 Mflop/s: ~0.3 s for [`slow_dgesv`], ~0 for
+    /// everything else) with a cache, on a held clock, behind an admission
+    /// bound of `max_queue` when one is given.
+    fn held_core(max_queue: Option<usize>) -> (ServerCore, HeldClock) {
+        use netsolve_core::admission::AdmissionConfig;
+        let clock = HeldClock::default();
+        let mut core = ServerCore::new(
+            ProblemRegistry::with_standard_catalogue(),
+            ExecutionMode::Synthetic { mflops: 20.0 },
+        )
+        .with_cache(1 << 20)
+        .with_clock(Arc::new(clock.clone()));
+        if let Some(depth) = max_queue {
+            let policy = AdmissionPolicy::new(AdmissionConfig::with_max_queue(depth));
+            core = core.with_admission(Arc::new(policy));
+        }
+        (core, clock)
+    }
+
     /// Each request's `server` spans, in order, as `id: phase, phase, …`;
-    /// a `cache_lookup` carries its outcome and a refused solve reads
-    /// `solve err`.
+    /// a `cache_lookup` carries its outcome, the slot wait reads
+    /// `queue slot` and a refused solve reads `solve err`.
     fn paths(core: &ServerCore) -> Vec<String> {
         let mut paths = std::collections::BTreeMap::<u64, Vec<String>>::new();
         for span in core.tracer.spans().iter().filter(|s| s.component == "server") {
             let step = match (span.phase, span.detail.as_str()) {
                 ("cache_lookup", outcome) => format!("cache_lookup {outcome}"),
+                ("queue", "slot") => "queue slot".to_string(),
                 ("solve", detail) if detail.contains(" err=") => "solve err".to_string(),
                 (phase, _) => phase.to_string(),
             };
@@ -752,48 +770,51 @@ pub(crate) mod tests {
         paths.into_iter().map(|(id, steps)| format!("{id}: {}", steps.join(", "))).collect()
     }
 
-    /// Poll `cond` on wall time until it holds; fail after 10 s.
-    fn wait_until(what: &str, cond: &dyn Fn() -> bool) {
-        let give_up = Instant::now() + std::time::Duration::from_secs(10);
+    /// Poll `cond` on wall time until it holds or `secs` pass; whether it
+    /// held.
+    fn within(secs: u64, cond: &dyn Fn() -> bool) -> bool {
+        let give_up = Instant::now() + Duration::from_secs(secs);
         while !cond() {
-            assert!(Instant::now() < give_up, "never saw {what}");
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            if Instant::now() >= give_up {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
+        true
     }
 
-    /// The slow `dgesv` of the batches below: ~0.3 s at 20 Mflop/s.
+    /// Poll `cond` on wall time until it holds; fail after 10 s.
+    fn wait_until(what: &str, cond: &dyn Fn() -> bool) {
+        assert!(within(10, cond), "never saw {what}");
+    }
+
+    /// The slow `dgesv` of the tests below: ~0.3 s at 20 Mflop/s.
     fn slow_dgesv() -> Vec<DataObject> {
         vec![netsolve_core::Matrix::identity(208).into(), vec![1.0; 208].into()]
     }
 
-    /// One request down every way out of the request path a gated, cached
-    /// core has — miss, hit, non-deterministic bypass, solver error, budget
-    /// spent on arrival, hit after waiting for the slot, budget spent
-    /// waiting for the slot, queue-full shed — checking each reply and each
-    /// request's spans. The core is synthetic (~0.3 s for the slow `dgesv`,
-    /// ~0 for everything else) with a cache and a depth-3 admission bound,
-    /// on a held virtual clock: the slow solve stays in flight until the
+    fn ddot(x: f64) -> Vec<DataObject> {
+        vec![vec![x, 2.0].into(), vec![3.0, 4.0].into()]
+    }
+
+    /// One request down every way out of the request path a cached core
+    /// has — miss, hit, non-deterministic bypass, solver error, budget
+    /// spent on arrival, a join onto an identical solve in flight and,
+    /// behind a gate (`max_queue` 2), budget spent waiting for the slot, a
+    /// join onto that shed leader, and a queue-full shed — checking each
+    /// reply and each request's spans.
+    /// On a held virtual clock the slow solve stays in flight until the
     /// test lets it finish, and budgets are spent only when the test moves
-    /// the clock, so no step races another request's budget. A gated core
-    /// never coalesces (the twin of an in-flight solve waits for its slot,
-    /// then hits); [`run_coalesced_pair`] takes that way out.
-    pub(crate) fn run_mixed_batch() -> ServerCore {
-        use netsolve_core::admission::AdmissionConfig;
-        let clock = HeldClock::default();
-        let core = ServerCore::new(
-            ProblemRegistry::with_standard_catalogue(),
-            ExecutionMode::Synthetic { mflops: 20.0 },
-        )
-        .with_cache(1 << 20)
-        .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(3))))
-        .with_clock(Arc::new(clock.clone()));
+    /// the clock, so no step races another request's budget. The gate adds
+    /// its slot wait to a solving request's spans and changes nothing else.
+    pub(crate) fn run_mixed_batch(gated: bool) -> ServerCore {
+        let (core, clock) = held_core(gated.then_some(2));
         let ask = |msg: &Message| core.handle_message(msg);
-        let ddot = || vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
         let count = |name: &str| core.metrics.counter(name).get();
-        let gate = core.gate.as_ref().expect("batch core is gated");
+        let depth = || core.gate.as_ref().map_or(0, |gate| gate.depth());
 
         for (id, cached) in [(1, false), (2, true)] {
-            match ask(&submit(id, 0, "ddot", ddot())) {
+            match ask(&submit(id, 0, "ddot", ddot(1.0))) {
                 Message::RequestReply { request_id, cached: c, .. } => {
                     assert_eq!((request_id, c), (id, cached));
                 }
@@ -811,46 +832,52 @@ pub(crate) mod tests {
             }
             other => panic!("solver error: {other:?}"),
         }
-        // Budget spent on arrival: with a gate installed the policy sheds
-        // it at admission, before it can count as a request.
-        let stale = clock.now() - std::time::Duration::from_millis(50);
-        match core.handle_message_at(&submit(5, 10, "ddot", ddot()), stale).0 {
+        let stale = clock.now() - Duration::from_millis(50);
+        match core.handle_message_at(&submit(5, 10, "ddot", ddot(1.0)), stale).0 {
             Message::Error { code, detail } => {
                 assert_eq!(code, NetSolveError::Timeout(String::new()).code());
-                assert!(detail.contains("expired at admission"), "{detail}");
+                assert!(detail.contains("expired on arrival"), "{detail}");
             }
             other => panic!("expired budget: {other:?}"),
         }
 
-        // Hold the slot with a slow solve, queue its twin and a
-        // short-budget request behind it, and overflow the bound.
+        // Hold a slow solve in flight and join its twin. Behind a gate,
+        // queue a short-budget request for the slot, overflow the bound,
+        // then spend the parked request's budget.
         let misses = count("server.cache_misses");
         clock.hold(true);
         std::thread::scope(|scope| {
             let leader = scope.spawn(|| ask(&submit(6, 0, "dgesv", slow_dgesv())));
             wait_until("the leader's miss", &|| count("server.cache_misses") > misses);
             let twin = scope.spawn(|| ask(&submit(7, 0, "dgesv", slow_dgesv())));
-            wait_until("the twin queued", &|| gate.depth() == 2);
-            let parked = scope.spawn(|| ask(&submit(8, 30, "ddot", vec![vec![5.0].into(), vec![6.0].into()])));
-            wait_until("a full queue", &|| gate.depth() == 3);
-            match ask(&submit(9, 0, "ddot", ddot())) {
-                Message::Error { code, detail } => {
-                    assert_eq!(code, NetSolveError::Resource(String::new()).code(), "{detail}");
-                    assert!(
-                        netsolve_core::admission::parse_retry_after_ms(&detail).is_some(),
-                        "busy reply must carry a retry hint: {detail}"
-                    );
+            wait_until("the join", &|| count("server.cache_coalesced") == 1);
+            if gated {
+                wait_until("the leader's slot", &|| depth() == 1);
+                let parked = scope.spawn(|| ask(&submit(8, 30, "ddot", ddot(8.0))));
+                wait_until("a full queue", &|| depth() == 2);
+                let parked_twin = scope.spawn(|| ask(&submit(10, 0, "ddot", ddot(8.0))));
+                wait_until("the parked request's join", &|| count("server.cache_coalesced") == 2);
+                match ask(&submit(9, 0, "ddot", ddot(9.0))) {
+                    Message::Error { code, detail } => {
+                        assert_eq!(code, NetSolveError::Resource(String::new()).code(), "{detail}");
+                        assert!(
+                            netsolve_core::admission::parse_retry_after_ms(&detail).is_some(),
+                            "busy reply must carry a retry hint: {detail}"
+                        );
+                    }
+                    other => panic!("queue-full shed: {other:?}"),
                 }
-                other => panic!("queue-full shed: {other:?}"),
-            }
-            // Spend the parked request's budget, then let the solve finish.
-            clock.time.advance(std::time::Duration::from_millis(30));
-            match parked.join().unwrap() {
-                Message::Error { code, detail } => {
-                    assert_eq!(code, NetSolveError::Timeout(String::new()).code());
-                    assert!(detail.contains("expired while queued"), "{detail}");
+                clock.time.advance(Duration::from_millis(30));
+                // The parked leader's shed reaches its joiner as its error.
+                for parked in [parked, parked_twin] {
+                    match parked.join().unwrap() {
+                        Message::Error { code, detail } => {
+                            assert_eq!(code, NetSolveError::Timeout(String::new()).code());
+                            assert!(detail.contains("request 8 deadline (30 ms) expired while queued"), "{detail}");
+                        }
+                        other => panic!("parked request or its twin: {other:?}"),
+                    }
                 }
-                other => panic!("parked request: {other:?}"),
             }
             clock.hold(false);
             assert!(matches!(
@@ -862,75 +889,102 @@ pub(crate) mod tests {
                 Message::RequestReply { request_id: 7, cached: true, .. }
             ));
         });
-        assert_eq!(
-            paths(&core),
-            [
-                "1: queue, cache_lookup miss, solve",
-                "2: queue, cache_lookup hit, cache_hit",
-                "3: queue, cache_bypass_nondet, solve",
-                "4: queue, cache_lookup miss, solve err",
-                "5: admission_shed",
-                "6: queue, cache_lookup miss, solve",
-                "7: queue, cache_lookup hit, cache_hit",
-                "8: queue_deadline_shed",
-                "9: admission_shed",
-            ]
-        );
+        let gated_paths = [
+            "1: queue, cache_lookup miss, queue slot, solve",
+            "2: queue, cache_lookup hit, cache_hit",
+            "3: queue, cache_bypass_nondet, queue slot, solve",
+            "4: queue, cache_lookup miss, queue slot, solve err",
+            "5: queue, deadline_shed",
+            "6: queue, cache_lookup miss, queue slot, solve",
+            "7: queue, cache_lookup coalesced, coalesce_wait",
+            "8: queue, cache_lookup miss, queue_deadline_shed",
+            "9: queue, cache_lookup miss, admission_shed",
+            "10: queue, cache_lookup coalesced, coalesce_wait",
+        ];
+        let expected: Vec<String> = if gated {
+            gated_paths.map(String::from).to_vec()
+        } else {
+            gated_paths[..7].iter().map(|path| path.replace(", queue slot", "")).collect()
+        };
+        assert_eq!(paths(&core), expected);
         core
     }
 
-    /// The way out a gated core never takes: an identical solve in flight
-    /// on an ungated, cached core, which the second request joins. On a
-    /// held virtual clock the leader's `solve` span and the joiner's
-    /// `coalesce_wait` both last exactly the synthetic solve's virtual
-    /// seconds, the `server.compute_secs` sample: every span starts and
-    /// ends on the core's clock.
-    pub(crate) fn run_coalesced_pair() -> ServerCore {
-        let clock = HeldClock::default();
-        let core = ServerCore::new(
-            ProblemRegistry::with_standard_catalogue(),
-            ExecutionMode::Synthetic { mflops: 20.0 },
-        )
-        .with_cache(1 << 20)
-        .with_clock(Arc::new(clock.clone()));
+    /// The order the gate moved for: on a gated, cached core, a cached
+    /// request is answered while another problem's solve holds the slot.
+    #[test]
+    fn a_hit_is_answered_while_another_solve_holds_the_slot() {
+        let (core, clock) = held_core(Some(4));
         let ask = |msg: &Message| core.handle_message(msg);
+        assert!(matches!(ask(&submit(1, 0, "ddot", ddot(1.0))), Message::RequestReply { .. }));
+        let gate = core.gate.as_ref().unwrap();
         clock.hold(true);
         std::thread::scope(|scope| {
-            let leader = scope.spawn(|| ask(&submit(1, 0, "dgesv", slow_dgesv())));
-            wait_until("the leader's miss", &|| core.metrics.counter("server.cache_misses").get() == 1);
-            let joiner = scope.spawn(|| ask(&submit(2, 0, "dgesv", slow_dgesv())));
-            wait_until("the join", &|| core.metrics.counter("server.cache_coalesced").get() == 1);
+            let slow = scope.spawn(|| ask(&submit(2, 0, "dgesv", slow_dgesv())));
+            wait_until("the slow solve's slot", &|| gate.depth() == 1);
+            let hit = scope.spawn(|| ask(&submit(3, 0, "ddot", ddot(1.0))));
+            let answered = within(2, &|| hit.is_finished());
             clock.hold(false);
-            assert!(matches!(
-                leader.join().unwrap(),
-                Message::RequestReply { request_id: 1, cached: false, .. }
-            ));
-            assert!(matches!(
-                joiner.join().unwrap(),
-                Message::RequestReply { request_id: 2, cached: true, .. }
-            ));
+            assert!(answered, "the hit waited for the slot");
+            assert!(matches!(hit.join().unwrap(), Message::RequestReply { cached: true, .. }));
+            assert!(matches!(slow.join().unwrap(), Message::RequestReply { cached: false, .. }));
         });
-        assert_eq!(
-            paths(&core),
-            ["1: queue, cache_lookup miss, solve", "2: queue, cache_lookup coalesced, coalesce_wait"]
-        );
-        core
     }
 
+    /// Identical requests that arrive while their twin solves join it
+    /// without asking the policy, even at a bound of one: one solve, k
+    /// joins, no shed.
     #[test]
-    fn a_joiner_waits_out_the_leaders_solve_on_the_cores_clock() {
-        let core = run_coalesced_pair();
-        let snap = core.metrics.snapshot("server");
-        let compute = snap.histogram("server.compute_secs").expect("one solve");
-        assert_eq!(compute.count, 1);
-        let lasted = |phase: &str| {
-            let spans = core.tracer.spans();
-            spans.iter().find(|s| s.phase == phase).expect(phase).duration().as_secs_f64()
-        };
-        assert!(compute.sum_secs > 0.2, "a virtual-time solve: {}", compute.sum_secs);
-        for phase in ["solve", "coalesce_wait"] {
-            assert!((lasted(phase) - compute.sum_secs).abs() < 1e-6, "{phase}: {} vs {}", lasted(phase), compute.sum_secs);
-        }
+    fn twins_of_a_solve_in_flight_join_it_past_a_full_queue() {
+        let k = 3;
+        let (core, clock) = held_core(Some(1));
+        let ask = |msg: &Message| core.handle_message(msg);
+        let count = |name: &str| core.metrics.counter(name).get();
+        clock.hold(true);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| ask(&submit(0, 0, "dgesv", slow_dgesv())));
+            wait_until("the leader's slot", &|| core.gate.as_ref().unwrap().depth() == 1);
+            let twins: Vec<_> = (1..=k)
+                .map(|id| scope.spawn(move || ask(&submit(id, 0, "dgesv", slow_dgesv()))))
+                .collect();
+            let joined = within(10, &|| count("server.cache_coalesced") == k || count("server.admission_shed") > 0);
+            clock.hold(false);
+            assert!(joined, "the twins never joined");
+            assert!(matches!(leader.join().unwrap(), Message::RequestReply { cached: false, .. }));
+            for twin in twins {
+                let reply = twin.join().unwrap();
+                assert!(matches!(reply, Message::RequestReply { cached: true, .. }), "{reply:?}");
+            }
+        });
+        let solves = core.metrics.histogram("server.compute_secs").count();
+        let counts = (solves, count("server.cache_coalesced"), count("server.admission_shed"));
+        assert_eq!(counts, (1, k, 0), "(solves, joins, admission sheds)");
+    }
+
+    /// On a gated core the workload gauge is the gate's depth: one request
+    /// solving and k waiting for the slot read `server.active_requests`
+    /// k + 1, the sim's `jobs_in_system`.
+    #[test]
+    fn a_gated_core_counts_the_waiting_and_the_solving_as_active() {
+        let k = 3;
+        let (core, clock) = held_core(Some(16));
+        let ask = |msg: &Message| core.handle_message(msg);
+        let gate = core.gate.as_ref().unwrap();
+        let active = || core.metrics.gauge("server.active_requests").get();
+        clock.hold(true);
+        let seen = std::thread::scope(|scope| {
+            scope.spawn(|| ask(&submit(0, 0, "dgesv", slow_dgesv())));
+            wait_until("the slow solve's slot", &|| gate.depth() == 1);
+            for id in 1..=k {
+                scope.spawn(move || ask(&submit(id, 0, "ddot", ddot(id as f64))));
+            }
+            wait_until("k waiting", &|| gate.depth() == k as usize + 1);
+            let seen = active();
+            clock.hold(false);
+            seen
+        });
+        assert_eq!(seen, k as i64 + 1, "active requests with one solving and {k} waiting");
+        assert_eq!((gate.depth(), active()), (0, 0));
     }
 
     /// Admission prices a request by its flops, not by its problem's name:
@@ -965,25 +1019,40 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every request ends under exactly one counter, is timed once, and
+    /// leaves no slot or active count behind, on both cores. A join waits
+    /// out exactly its leader's solve on the core's clock.
     #[test]
     fn mixed_batch_accounts_for_every_request_and_frees_every_slot() {
-        let core = run_mixed_batch();
-        let snap = core.metrics.snapshot("server");
-        let c = |name: &str| snap.counter(name);
-        // Six requests got past admission: four ok + the slow pair, less
-        // the one the solver refused.
-        assert_eq!(c("server.requests"), 6);
-        assert_eq!(
-            c("server.requests"),
-            c("server.requests_ok") + c("server.requests_failed") + c("server.deadline_shed")
-        );
-        assert_eq!((c("server.requests_ok"), c("server.requests_failed")), (5, 1));
-        // The three refused ones never counted as requests.
-        assert_eq!((c("server.admission_shed"), c("server.queue_deadline_shed")), (2, 1));
-        assert_eq!(snap.histogram("server.request_handle_secs").map(|h| h.count), Some(6));
-        assert_eq!(c("server.cache_bypass_nondet"), 1);
-        // Error path included: no slot and no active count leaked.
-        assert_eq!(core.gate.as_ref().unwrap().depth(), 0);
-        assert_eq!(snap.gauge("server.active_requests"), 0);
+        for (gated, requests) in [(true, 10), (false, 7)] {
+            let core = run_mixed_batch(gated);
+            let snap = core.metrics.snapshot("server");
+            let c = |name: &str| snap.counter(name);
+            assert_eq!(c("server.requests"), requests, "gated: {gated}");
+            let ended = [
+                "server.requests_ok",
+                "server.requests_failed",
+                "server.deadline_shed",
+                "server.queue_deadline_shed",
+                "server.admission_shed",
+            ]
+            .map(c);
+            let expected = if gated { [5, 2, 1, 1, 1] } else { [5, 1, 1, 0, 0] };
+            assert_eq!(ended, expected, "gated: {gated}");
+            assert_eq!(ended.iter().sum::<u64>(), c("server.requests"));
+            let handled = snap.histogram("server.request_handle_secs").map(|h| h.count);
+            assert_eq!(handled, Some(c("server.requests")));
+            assert_eq!(c("server.cache_bypass_nondet"), 1);
+            assert_eq!(core.gate.as_ref().map_or(0, |gate| gate.depth()), 0);
+            assert_eq!(snap.gauge("server.active_requests"), 0);
+
+            let spans = core.tracer.spans();
+            let lasted = |id: u64, phase: &str| {
+                let span = spans.iter().find(|s| s.request_id == id && s.phase == phase);
+                span.expect(phase).duration().as_secs_f64()
+            };
+            assert!(lasted(6, "solve") > 0.2, "a virtual-time solve: {}", lasted(6, "solve"));
+            assert!((lasted(7, "coalesce_wait") - lasted(6, "solve")).abs() < 1e-6);
+        }
     }
 }

@@ -23,9 +23,11 @@ pub struct ServerConfig {
     pub listen_hint: String,
     /// Benchmarked (or emulated) performance, Mflop/s.
     pub mflops: f64,
-    /// Workload reporting policy. One request in flight reads as 100 %
-    /// workload: with admission control installed, one request solves at a
-    /// time.
+    /// Workload reporting policy. The report is 100 × the core's
+    /// `server.active_requests`: with admission control installed, the
+    /// requests waiting for the one solve slot plus the one holding it
+    /// (the simulator's `100 · jobs_in_system`); without it, every request
+    /// being served.
     pub workload: WorkloadPolicy,
     /// Hard cap on concurrent connection-service threads. Connections
     /// arriving past the cap are answered with a retryable Busy error and
@@ -200,7 +202,7 @@ impl ServerDaemon {
         self.server_id
     }
 
-    /// Requests completed over the daemon's lifetime.
+    /// Requests answered over the daemon's lifetime, sheds included.
     pub fn requests_served(&self) -> u64 {
         self.metrics.histogram("server.request_handle_secs").count()
     }
@@ -235,17 +237,18 @@ fn answer(
         }
         msg => core.handle_message_at(msg, received_at),
     };
-    // The `encode` span and `server.reply_marshal_secs` cover the send.
-    let encode = request_ctx.map(|ctx| {
-        let (tracer, clock) = (core.tracer(), Arc::clone(core.clock()));
-        (ctx, tracer.start(), tracer, core.metrics(), clock.now(), clock)
-    });
+    // The `encode` span and `server.reply_marshal_secs` cover the send:
+    // one interval on the core's clock, read once at each end.
+    let clock = Arc::clone(core.clock());
+    let encode = request_ctx.map(|ctx| (ctx, core.tracer(), core.metrics(), clock.now()));
     let sent = move || {
-        if let Some((ctx, timer, tracer, metrics, send_start, clock)) = encode {
-            tracer.record(ctx, timer, "server", "encode", String::new());
+        if let Some((ctx, tracer, metrics, send_start)) = encode {
+            let sent_at = clock.now();
+            let timer = tracer.start_at(send_start);
+            tracer.record_at(ctx, timer, sent_at, "server", "encode", String::new());
             metrics
                 .histogram("server.reply_marshal_secs")
-                .record_secs(clock.since(send_start).as_secs_f64());
+                .record_secs(sent_at.saturating_duration_since(send_start).as_secs_f64());
         }
     };
     (reply, sent)
@@ -481,8 +484,8 @@ mod tests {
 
     /// A request whose deadline budget expires while it waits for a solve
     /// slot must be rejected *before* reserving the slot, counted under
-    /// `server.queue_deadline_shed` (distinct from the core's
-    /// execution-time `server.deadline_shed`).
+    /// `server.queue_deadline_shed` (distinct from the arrived-dead
+    /// `server.deadline_shed`).
     #[test]
     fn budget_expiring_in_queue_sheds_without_taking_a_slot() {
         use crate::core::ExecutionMode;
@@ -501,7 +504,7 @@ mod tests {
             ExecutionMode::Synthetic { mflops: 20.0 },
         )
         .with_admission(Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(64))));
-        let metrics = core.metrics();
+        let (metrics, tracer) = (core.metrics(), core.tracer());
         let mut server =
             ServerDaemon::start(Arc::clone(&transport), "agent", core, config).unwrap();
         let address = server.address().to_string();
@@ -529,15 +532,12 @@ mod tests {
                 .unwrap()
             })
         };
-        // Wait until the blocker actually holds the solve slot.
+        // Wait until the blocker actually holds the solve slot: its slot
+        // wait's `queue` span is recorded once it does.
         let wait_deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let snap = metrics.snapshot("server");
-            let busy = snap
-                .gauges
-                .iter()
-                .any(|(name, v)| name == "server.active_requests" && *v >= 1);
-            if busy {
+            let spans = tracer.spans();
+            if spans.iter().any(|s| s.phase == "queue" && s.detail == "slot") {
                 break;
             }
             assert!(Instant::now() < wait_deadline, "blocker never started solving");
@@ -587,21 +587,14 @@ mod tests {
     /// nothing listed there may have stopped being emitted.
     #[test]
     fn observability_doc_lists_exactly_the_names_the_server_emits() {
-        use crate::core::tests::{run_coalesced_pair, run_mixed_batch, submit};
+        use crate::core::tests::{run_mixed_batch, submit};
         use std::collections::BTreeSet;
 
-        // Every way out of a gated, cached core, the coalesced join an
-        // ungated one adds ...
-        let gated = run_mixed_batch();
-        let joined = run_coalesced_pair();
-        // ... the dispatch backstop, which only a gate-less core reaches
-        // (a gate sheds a spent budget at admission) ...
-        let plain = ServerCore::with_standard_catalogue();
-        let expired = submit(1, 10, "ddot", vec![vec![1.0].into(), vec![1.0].into()]);
-        let reply = plain.handle_message_at(&expired, Instant::now() - Duration::from_millis(50)).0;
-        assert!(matches!(reply, Message::Error { .. }));
+        // Every way out of a gated, cached core and of an ungated one ...
+        let gated = run_mixed_batch(true);
+        let ungated = run_mixed_batch(false);
         // ... and one connection through a daemon, for the accept loop's
-        // instruments and the `accept` / `encode` spans.
+        // instruments and the `encode` span.
         let net = ChannelNetwork::new();
         let transport: Arc<dyn Transport> = Arc::new(net.clone());
         let mut agent =
@@ -610,8 +603,7 @@ mod tests {
         let served = ServerCore::with_standard_catalogue();
         let sources = [
             (gated.metrics(), gated.tracer()),
-            (joined.metrics(), joined.tracer()),
-            (plain.metrics(), plain.tracer()),
+            (ungated.metrics(), ungated.tracer()),
             (served.metrics(), served.tracer()),
         ];
         let mut server = ServerDaemon::start(

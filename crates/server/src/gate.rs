@@ -1,8 +1,9 @@
 //! The solve-slot gate: the bounded queue an [`AdmissionPolicy`] judges.
 //!
-//! One request solves at a time; everyone else waits here — which
-//! is what makes queue-depth admission (and "budget expired while
-//! queued") physically real behind a thread-per-connection accept loop.
+//! One request solves at a time; every other request that needs the
+//! solver waits here — which is what makes queue-depth admission (and
+//! "budget expired while queued") physically real behind a
+//! thread-per-connection accept loop.
 
 use std::sync::Arc;
 // The parking_lot shim's MutexGuard *is* `std::sync::MutexGuard`, so std's
@@ -16,8 +17,8 @@ use parking_lot::Mutex;
 
 /// Milliseconds left of a `deadline_ms` budget once a request has existed
 /// for `waited`: `None` without a deadline, `Some(0)` once it is spent.
-/// The one deadline test — the policy's input, the slot wait and the
-/// dispatch backstop all read it.
+/// The one deadline test — the receipt check, the policy's input and the
+/// slot wait all read it.
 pub(crate) fn budget_left_ms(deadline_ms: u64, waited: Duration) -> Option<u64> {
     (deadline_ms > 0).then(|| deadline_ms.saturating_sub(waited.as_millis() as u64))
 }
@@ -35,6 +36,16 @@ pub(crate) struct AdmissionGate {
     cond: Condvar,
 }
 
+/// The solve slot, held: dropping it frees the slot for the next waiter.
+pub(crate) struct Slot<'a>(&'a AdmissionGate);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.queue.lock().solving = false;
+        self.0.cond.notify_one();
+    }
+}
+
 impl AdmissionGate {
     pub(crate) fn new(policy: Arc<AdmissionPolicy>) -> Self {
         AdmissionGate { policy, queue: Mutex::default(), cond: Condvar::new() }
@@ -47,18 +58,16 @@ impl AdmissionGate {
         queue.waiting as usize + usize::from(queue.solving)
     }
 
-    /// Wait for the solve slot. `true`: it is held and the caller must
-    /// [`release`](Self::release) it. `false`: the deadline budget ran out
-    /// first and no slot was ever reserved. `deadline_ms == 0` waits
-    /// indefinitely. The budget is read on `clock`; the wait for a slot
-    /// itself is the condvar's, on wall time (DESIGN.md §4q).
-    #[must_use]
+    /// Wait for the solve slot: `None` if the deadline budget ran out
+    /// first, in which case no slot was ever reserved. `deadline_ms == 0`
+    /// waits indefinitely. The budget is read on `clock`; the wait for a
+    /// slot itself is the condvar's, on wall time (DESIGN.md §4q).
     pub(crate) fn acquire(
         &self,
         clock: &dyn Clock,
         received_at: Instant,
         deadline_ms: u64,
-    ) -> bool {
+    ) -> Option<Slot<'_>> {
         let mut queue = self.queue.lock();
         queue.waiting += 1;
         let acquired = loop {
@@ -83,11 +92,7 @@ impl AdmissionGate {
             };
         };
         queue.waiting -= 1;
-        acquired
-    }
-
-    pub(crate) fn release(&self) {
-        self.queue.lock().solving = false;
-        self.cond.notify_one();
+        // Lazily: a `Slot` built and dropped here would free the slot.
+        acquired.then(|| Slot(self))
     }
 }

@@ -5,13 +5,13 @@
 //! substrate, and reports workload to its agent on the lazy
 //! threshold/interval policy.
 //!
-//! * [`ServerCore`] — the transport-free request path (admit → dequeue →
-//!   solve), including the solve-slot admission gate and the synthetic
+//! * [`ServerCore`] — the transport-free request path (receive → solve,
+//!   and solve is cache → admission gate → solver) and the synthetic
 //!   execution mode that emulates a machine of a chosen speed (the
 //!   substitute for the paper's heterogeneous testbed);
 //! * [`SolveCache`] — the content-addressed solve-result cache with
 //!   in-flight request coalescing (LRU under a byte budget, CRC at insert
-//!   and at serve), the one layer the solve stage puts over the solver;
+//!   and at serve), the outer layer of the solve stage;
 //! * [`daemon`] — the live daemon: registration, request service loop,
 //!   workload reporter.
 

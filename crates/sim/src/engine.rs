@@ -13,6 +13,9 @@
 //!   `p' = p·100/(100+w)` predictor: with `w = 100·q` the predicted
 //!   compute time `c/p · (1+q)` equals queue wait plus service for
 //!   equal-sized jobs — exactly the approximation NetSolve's formula makes.
+//!   A live server with admission control reports the same count: its
+//!   `server.active_requests` is its gate's depth, the requests waiting
+//!   for the one solve slot plus the one holding it.
 //! * Workload reports follow the configured interval/threshold policy and
 //!   age out at the agent per its TTL (the agent's actual server-table
 //!   code).

@@ -3,7 +3,7 @@
 //! ```text
 //! ns-server --agent HOST:PORT [--listen HOST:PORT] [--mflops N]
 //!           [--host NAME] [--synthetic] [--cache-bytes N]
-//!           [--admission] [--max-queue N] [--pdl FILE]...
+//!           [--max-queue N] [--pdl FILE]...
 //! ```
 //!
 //! Registers with the agent, then serves requests until killed. The
@@ -17,11 +17,10 @@
 //! enables the content-addressed solve cache (LRU under N bytes, with
 //! in-flight coalescing of identical concurrent requests); hit/miss/
 //! eviction counters appear in `netsl-stats` under `server.cache_*`.
-//! `--admission` turns on the admission-control gate with default
-//! watermarks; `--max-queue N` does the same but sheds at queue depth N
-//! (hysteresis resumes at 3N/4). Shed requests get a retryable Busy with
-//! a `retry_after_ms` hint; counters land under `server.admission_shed`
-//! and `server.queue_deadline_shed`. `--pdl FILE` adds extra problem
+//! `--max-queue N` turns on the admission-control gate, shedding at
+//! queue depth N (hysteresis resumes at 3N/4). Shed requests get a
+//! retryable Busy with a `retry_after_ms` hint; counters land under
+//! `server.admission_shed` and `server.queue_deadline_shed`. `--pdl FILE` adds extra problem
 //! descriptions (they must name problems the executor implements, or
 //! requests for them will fail at execution time).
 
@@ -38,7 +37,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ns-server --agent HOST:PORT [--listen HOST:PORT] [--mflops N]\n\
          \x20                 [--host NAME] [--synthetic] [--cache-bytes N]\n\
-         \x20                 [--admission] [--max-queue N] [--pdl FILE]..."
+         \x20                 [--max-queue N] [--pdl FILE]..."
     );
     std::process::exit(2);
 }
@@ -72,9 +71,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
-            }
-            "--admission" => {
-                admission.get_or_insert_with(AdmissionConfig::default);
             }
             "--max-queue" => {
                 let depth = args

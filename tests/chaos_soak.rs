@@ -99,7 +99,6 @@ fn run_soak(seed: u64) -> SoakOutcome {
         attempt_timeout_secs: 5.0,
         backoff: Backoff::ExponentialJitter { base_secs: 0.002, cap_secs: 0.02 },
         deadline_secs: 0.0,
-        report_failures: true,
     };
 
     let ok = Arc::new(AtomicU64::new(0));
@@ -350,7 +349,6 @@ fn run_agent_crash_soak(seed: u64) {
         attempt_timeout_secs: 5.0,
         backoff: Backoff::ExponentialJitter { base_secs: 0.002, cap_secs: 0.02 },
         deadline_secs: 0.0,
-        report_failures: true,
     };
 
     let solved = Arc::new(AtomicU64::new(0));
@@ -561,7 +559,6 @@ fn run_cached_soak(seed: u64) {
         attempt_timeout_secs: 5.0,
         backoff: Backoff::ExponentialJitter { base_secs: 0.002, cap_secs: 0.02 },
         deadline_secs: 0.0,
-        report_failures: true,
     };
 
     // A fixed roster of distinct problems shared by every client, cycled

@@ -165,7 +165,6 @@ fn single_candidate_gets_full_retry_budget() {
         attempt_timeout_secs: 5.0,
         backoff: Backoff::Fixed { delay_secs: 0.005 },
         deadline_secs: 0.0,
-        report_failures: true,
     });
 
     let (outputs, report) = client
@@ -448,7 +447,6 @@ fn live_trio_exposes_counters_after_chaos_run() {
             attempt_timeout_secs: 5.0,
             backoff: Backoff::ExponentialJitter { base_secs: 0.002, cap_secs: 0.02 },
             deadline_secs: 0.0,
-            report_failures: true,
         })
         .with_observability(Arc::clone(&metrics), Arc::clone(&tracer));
 

@@ -280,7 +280,6 @@ fn retry_attempt_budget_matches_live_client_cycling() {
         attempt_timeout_secs: 5.0,
         backoff: Backoff::Fixed { delay_secs: 0.0 },
         deadline_secs: 0.0,
-        report_failures: true,
     });
     let inputs: Vec<DataObject> = vec![vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
     let err = client.netsl("ddot", &inputs).expect_err("everything is busy");

@@ -14,21 +14,22 @@
 //!   pull with that error — over the channel transport and over real
 //!   TCP;
 //! * on a virtual clock, a server's `solve` span lasts the virtual seconds
-//!   its `server.compute_secs` records.
+//!   its `server.compute_secs` records, and the reply's `encode` span
+//!   starts after it ends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use netsolve::agent::{AgentCore, AgentDaemon};
+use netsolve::agent::{AgentCore, AgentDaemon, Policy};
 use netsolve::client::NetSolveClient;
 use netsolve::core::clock::VirtualClock;
-use netsolve::core::config::{Backoff, RetryPolicy};
+use netsolve::core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
 use netsolve::core::error::Result;
 use netsolve::core::NetSolveError;
 use netsolve::net::{
-    call, ChannelNetwork, ChaosPolicy, ChaosTransport, Connection, Listener, TcpTransport,
-    Transport,
+    call, ChannelNetwork, ChaosPolicy, ChaosTransport, Connection, Listener, NetworkView,
+    TcpTransport, Transport,
 };
 use netsolve::obs::{render, stitch, MetricsRegistry, SpanRecord, Timeline, Tracer};
 use netsolve::proto::Message;
@@ -174,7 +175,6 @@ fn retried_attempts_are_distinct_spans_under_one_trace() {
                 attempt_timeout_secs: 5.0,
                 backoff: Backoff::Fixed { delay_secs: 0.002 },
                 deadline_secs: 0.0,
-                report_failures: true,
             })
             .with_observability(Arc::clone(&metrics), Arc::clone(&tracer))
     };
@@ -272,8 +272,12 @@ impl Transport for RefuseAll {
 fn deadline_exhaustion_leaves_terminal_span() {
     let net = ChannelNetwork::new();
     let clean: Arc<dyn Transport> = Arc::new(net.clone());
-    let mut agent =
-        AgentDaemon::start(Arc::clone(&clean), "agent", AgentCore::with_defaults()).unwrap();
+    // An agent that never marks a server down: every refused dial is
+    // reported, and `srv0` must stay the candidate the deadline runs out on.
+    let never_down = FaultPolicy { failures_to_mark_down: u32::MAX, down_cooldown_secs: 0.0 };
+    let config = AgentConfig { fault: never_down, ..AgentConfig::default() };
+    let core = AgentCore::new(config, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
+    let mut agent = AgentDaemon::start(Arc::clone(&clean), "agent", core).unwrap();
     let mut server = ServerDaemon::start(
         Arc::clone(&clean),
         "agent",
@@ -294,7 +298,6 @@ fn deadline_exhaustion_leaves_terminal_span() {
             attempt_timeout_secs: 1.0,
             backoff: Backoff::Fixed { delay_secs: 0.02 },
             deadline_secs: 0.08,
-            report_failures: false,
         })
         .with_observability(Arc::new(MetricsRegistry::new()), Arc::clone(&tracer));
 
@@ -410,6 +413,22 @@ fn a_virtual_clock_solve_span_lasts_its_compute_secs() {
     let solve = spans.iter().find(|s| s.phase == "solve").expect("a solve span");
     let lasted = solve.duration().as_secs_f64();
     assert!((lasted - compute.sum_secs()).abs() < 1e-3, "solve span {lasted} s");
+    // The reply's `encode` span is stamped on the same clock, so it cannot
+    // begin before the solve it sends ended. It is recorded once the reply
+    // is on the wire, which may be just after the client has it.
+    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+    let encode = loop {
+        if let Some(encode) = tracer.spans().into_iter().find(|s| s.phase == "encode") {
+            break encode;
+        }
+        assert!(std::time::Instant::now() < give_up, "no encode span");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        encode.start_unix_nanos >= solve.end_unix_nanos,
+        "encode starts {} ns before the solve ends",
+        solve.end_unix_nanos.saturating_sub(encode.start_unix_nanos)
+    );
     server.stop();
     agent.stop();
 }
