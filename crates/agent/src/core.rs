@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use netsolve_core::clock::SimTime;
 use netsolve_core::config::AgentConfig;
-use netsolve_core::error::{NetSolveError, Result};
+use netsolve_core::error::{ErrorClass, NetSolveError, Result};
 use netsolve_core::ids::{HostId, ServerId};
 use netsolve_core::problem::RequestShape;
 use netsolve_net::NetworkView;
@@ -316,22 +316,27 @@ impl AgentCore {
         ServerId(server_id)
     }
 
-    /// Record a client failure report. Returns whether the server was
-    /// marked down by this report. Also clears one pending assignment —
-    /// the failed request is no longer heading for that server. A report
-    /// about a server the table does not hold changes nothing.
-    pub fn failure_report(&mut self, server: ServerId, now: SimTime) -> bool {
+    /// Record a client failure report of the given class. A `Link` or
+    /// `Fault` report counts toward mark-down and clears one pending
+    /// assignment — the failed request is no longer heading for that
+    /// server. A `Load` report (a shed) never counts: the assignment it
+    /// would have cleared lapses `retry_after_ms` from `now` instead, so
+    /// the busy server ranks lower until then. A `Request` report, and a
+    /// report about a server the table does not hold, change nothing.
+    pub fn failure_report(&mut self, server: ServerId, class: ErrorClass, now: SimTime) {
         self.metrics.counter("agent.failure_reports").inc();
-        let Some(entry) = self.registry.get_mut(server) else {
-            return false;
+        let (until, counts) = match class {
+            ErrorClass::Request => return,
+            ErrorClass::Load { retry_after_ms: ms } => (Some(now.plus(ms as f64 / 1e3)), false),
+            ErrorClass::Link | ErrorClass::Fault => (None, true),
         };
-        entry.clear_one_pending();
-        let marked_down = entry.record_failure(&self.config.fault, now);
-        if marked_down {
-            self.metrics.counter("agent.fault_down_marks").inc();
+        if let Some(entry) = self.registry.get_mut(server) {
+            entry.settle_one_pending(until);
+            if counts && entry.record_failure(&self.config.fault, now) {
+                self.metrics.counter("agent.fault_down_marks").inc();
+            }
+            self.refresh_pending_gauge();
         }
-        self.refresh_pending_gauge();
-        marked_down
     }
 
     /// Record a client success (clears fault state and one pending
@@ -339,7 +344,7 @@ impl AgentCore {
     pub fn success_report(&mut self, server: ServerId) {
         self.metrics.counter("agent.success_reports").inc();
         if let Some(entry) = self.registry.get_mut(server) {
-            entry.clear_one_pending();
+            entry.settle_one_pending(None);
             entry.record_success();
             self.refresh_pending_gauge();
         }
@@ -552,9 +557,10 @@ impl AgentCore {
                 Some(spec) => Message::ProblemDescription { pdl: netsolve_pdl::render(spec) },
                 None => Message::from_error(&NetSolveError::ProblemNotFound(problem.clone())),
             },
-            Message::FailureReport { server_id, server_address, .. } => {
+            Message::FailureReport { server_id, server_address, code, detail, .. } => {
                 let sid = self.resolve_report_server(*server_id, server_address);
-                self.failure_report(sid, now);
+                let class = NetSolveError::from_code(*code, detail.clone()).class();
+                self.failure_report(sid, class, now);
                 Message::Pong
             }
             Message::CompletionReport {
@@ -687,8 +693,8 @@ mod tests {
         let mut agent = agent_with_servers(&[("a", 100.0), ("b", 100.0)]);
         let now = SimTime::ZERO;
         // two failures mark server 1 down (default policy threshold = 2)
-        agent.failure_report(ServerId(1), now);
-        agent.failure_report(ServerId(1), now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
         assert!(agent.is_down(ServerId(1), now));
 
         let candidates = agent.query(&query(100), now).unwrap();
@@ -705,12 +711,58 @@ mod tests {
     fn all_servers_down_yields_no_server_available() {
         let mut agent = agent_with_servers(&[("a", 100.0)]);
         let now = SimTime::ZERO;
-        agent.failure_report(ServerId(1), now);
-        agent.failure_report(ServerId(1), now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
         assert!(matches!(
             agent.query(&query(10), now),
             Err(NetSolveError::NoServerAvailable(_))
         ));
+    }
+
+    /// A shed is load, not a fault: Busy reports never mark a server
+    /// down, and the assignment each would have cleared keeps the server
+    /// ranked below an equal twin until the retry hint passes. Link
+    /// reports still mark it down; a report naming a bad request changes
+    /// nothing.
+    #[test]
+    fn a_shed_ranks_the_server_lower_and_never_marks_it_down() {
+        use netsolve_core::admission::{format_busy_detail, ShedReason};
+        let report = |code, detail: &str| Message::FailureReport {
+            server_id: 1,
+            server_address: "srv0".into(),
+            problem: "dgesv".into(),
+            code,
+            detail: detail.into(),
+        };
+        let busy = report(13, &format_busy_detail(ShedReason::QueueFull, 1, 50));
+        let first = |agent: &mut AgentCore, at| agent.query(&query(100), at).unwrap()[0].server_id;
+
+        let mut agent = agent_with_servers(&[("a", 100.0), ("b", 100.0)]);
+        let t0 = SimTime::from_secs(1.0);
+        assert_eq!(first(&mut agent, t0), 1, "equal twins: the lower id first");
+        agent.handle_message(&busy, t0);
+        agent.handle_message(&busy, t0);
+        assert!(!agent.is_down(ServerId(1), t0), "two sheds marked the server down");
+        let snap = agent.metrics().snapshot("agent");
+        assert_eq!(snap.counter("agent.failure_reports"), 2);
+        assert_eq!(snap.counter("agent.fault_down_marks"), 0);
+        assert_eq!(first(&mut agent, t0.plus(0.049)), 2, "the shed server ranks second");
+        agent.success_report(ServerId(2));
+        assert_eq!(first(&mut agent, t0.plus(0.051)), 1, "the hint has passed");
+
+        let refused = report(3, "connection refused");
+        agent.handle_message(&refused, t0);
+        agent.handle_message(&refused, t0);
+        assert!(agent.is_down(ServerId(1), t0), "two link failures mark it down");
+
+        let mut agent = agent_with_servers(&[("a", 100.0), ("b", 100.0)]);
+        agent.query(&query(100), t0).unwrap();
+        let before = agent.handle_message(&Message::ListServers, t0);
+        for _ in 0..3 {
+            agent.handle_message(&report(5, "bad arguments"), t0);
+        }
+        assert_eq!(agent.handle_message(&Message::ListServers, t0), before);
+        assert_eq!(agent.pending_load(ServerId(1), t0), 1);
     }
 
     #[test]
@@ -813,7 +865,7 @@ mod tests {
         // A success clears one, a failure clears another.
         agent.success_report(ServerId(1));
         assert_eq!(agent.pending_load(ServerId(1), now), 1);
-        agent.failure_report(ServerId(1), now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
         assert_eq!(agent.pending_load(ServerId(1), now), 0);
         // Unconfirmed assignments expire after the TTL.
         agent.query(&query(100), now).unwrap();
@@ -936,7 +988,7 @@ mod tests {
         let id = agent.register_server(&desc, now).unwrap();
         // Dynamic state the restart must reset.
         agent.query(&query(100), now).unwrap();
-        agent.failure_report(id, now);
+        agent.failure_report(id, ErrorClass::Link, now);
         agent.query(&query(100), now).unwrap();
         assert_eq!(agent.metrics().gauge("agent.pending_assignments").get(), 1);
 
@@ -1093,8 +1145,8 @@ mod tests {
             assert!(e.problems.contains(&"dgesv".to_string()));
         }
         // A down-marked server is withheld from the digest.
-        agent.failure_report(ServerId(1), now);
-        agent.failure_report(ServerId(1), now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
+        agent.failure_report(ServerId(1), ErrorClass::Link, now);
         assert_eq!(agent.gossip_digest(now).len(), 1);
     }
 

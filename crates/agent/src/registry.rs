@@ -73,10 +73,11 @@ pub struct ServerEntry {
     down_since: Option<SimTime>,
     /// Heartbeat probes missed since the last answered one.
     probe_misses: u32,
-    /// Assignment times of requests the agent has routed here but not yet
-    /// seen complete or fail — NetSolve's defence against the herd effect:
-    /// between two workload reports, the agent itself is the only one who
-    /// knows it just sent a server three jobs.
+    /// When each assignment the agent routed here, and has not yet seen
+    /// complete or fail, stops counting — NetSolve's defence against the
+    /// herd effect: between two workload reports, the agent itself is the
+    /// only one who knows it just sent a server three jobs. A shed request
+    /// stays here until its retry hint passes.
     pending: Vec<SimTime>,
 }
 
@@ -101,7 +102,7 @@ impl ServerEntry {
 
     /// Unexpired pending assignments at `now`.
     pub fn pending_load(&self, now: SimTime) -> usize {
-        self.pending.iter().filter(|t| now.since(**t) < PENDING_TTL_SECS).count()
+        self.pending.iter().filter(|until| now < **until).count()
     }
 
     /// The workload the balancer ranks with: the reported workload, aged
@@ -168,15 +169,19 @@ impl ServerEntry {
 
     /// Count one more request routed here at `now`, dropping expired ones.
     pub(crate) fn note_assignment(&mut self, now: SimTime) {
-        self.pending.retain(|t| now.since(*t) < PENDING_TTL_SECS);
-        self.pending.push(now);
+        self.pending.retain(|until| now < *until);
+        self.pending.push(now.plus(PENDING_TTL_SECS));
     }
 
-    /// One routed request finished or failed. Oldest first: completions
-    /// generally arrive in dispatch order.
-    pub(crate) fn clear_one_pending(&mut self) {
+    /// One routed request finished or failed (`until` is `None`): its
+    /// assignment goes, oldest first, since completions generally arrive
+    /// in dispatch order. Or it was shed: the assignment it would have
+    /// cleared lapses at `until` instead, and goes behind the requests
+    /// still in flight, so their completions clear them first.
+    pub(crate) fn settle_one_pending(&mut self, until: Option<SimTime>) {
         if !self.pending.is_empty() {
             self.pending.remove(0);
+            self.pending.extend(until);
         }
     }
 }
@@ -444,6 +449,7 @@ mod tests {
     use super::*;
     use crate::core::AgentCore;
     use netsolve_core::rng::cases;
+    use netsolve_core::ErrorClass;
     use netsolve_proto::{Message, QueryShape};
 
     fn register(reg: &mut ServerRegistry, desc: &ServerDescriptor) -> Result<ServerId> {
@@ -719,12 +725,12 @@ mod tests {
         s.note_assignment(SimTime::from_secs(10.0));
         assert_eq!(s.effective_workload(&policy(), SimTime::from_secs(10.0)), 220.0);
         // Oldest first; an empty list stays empty.
-        s.clear_one_pending();
+        s.settle_one_pending(None);
         assert_eq!(s.pending_load(SimTime::from_secs(10.0)), 1);
         assert_eq!(s.pending_load(SimTime::from_secs(309.0)), 1);
         assert_eq!(s.pending_load(SimTime::from_secs(310.0)), 0, "TTL counts from t=10");
-        s.clear_one_pending();
-        s.clear_one_pending();
+        s.settle_one_pending(None);
+        s.settle_one_pending(None);
         assert_eq!(reg.pending_total(), 0);
     }
 
@@ -866,7 +872,11 @@ mod tests {
             }
             3 => drop(agent.expire_gossip(*now)),
             4 => agent.workload_report(ServerId(id), x - 50.0, *now),
-            5 => drop(agent.failure_report(ServerId(id), *now)),
+            5 => {
+                let load = ErrorClass::Load { retry_after_ms: x as u64 };
+                let class = [ErrorClass::Link, ErrorClass::Fault, load, ErrorClass::Request];
+                agent.failure_report(ServerId(id), class[slot % 4], *now);
+            }
             6 => agent.success_report(ServerId(id)),
             7 => drop(agent.handle_message(
                 &Message::FailureReport {

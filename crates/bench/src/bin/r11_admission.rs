@@ -13,11 +13,6 @@
 //! * **scale** — a 10^5-client closed-loop scenario completes in under
 //!   60 s of wall time.
 //!
-//! Both agents run with the fault tracker effectively disabled
-//! (`failures_to_mark_down = u32::MAX`): a shed burst would otherwise
-//! blacklist the pool mid-measurement and the experiment would measure
-//! the fault tracker, not admission.
-//!
 //! Run: `cargo run --release -p netsolve-bench --bin r11_admission`
 //! (writes `results/BENCH_r11_admission.json`, then asserts the three
 //! targets); pass `--quick` for a tiny smoke run that prints them, asserts
@@ -27,13 +22,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use netsolve_agent::{AgentCore, AgentDaemon, Policy};
+use netsolve_agent::{AgentCore, AgentDaemon};
 use netsolve_bench::{json_object, write_report, Table};
 use netsolve_client::NetSolveClient;
 use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionStats};
-use netsolve_core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
-use netsolve_core::{DataObject, NetSolveError, Rng64};
-use netsolve_net::{ChannelNetwork, NetworkView, Transport};
+use netsolve_core::config::{Backoff, RetryPolicy};
+use netsolve_core::{DataObject, ErrorClass, Rng64};
+use netsolve_net::{ChannelNetwork, Transport};
 use netsolve_obs::Tracer;
 use netsolve_pdl::ProblemRegistry;
 use netsolve_server::{ExecutionMode, ServerConfig, ServerCore, ServerDaemon};
@@ -45,10 +40,6 @@ const N: usize = 2_000;
 const MFLOPS: f64 = 0.2;
 /// Queue bound for the guarded runs (live gate and sim policy alike).
 const MAX_QUEUE: usize = 4;
-
-fn never_blacklist() -> FaultPolicy {
-    FaultPolicy { failures_to_mark_down: u32::MAX, down_cooldown_secs: 0.0 }
-}
 
 fn p99(samples: &mut [f64]) -> f64 {
     if samples.is_empty() {
@@ -73,12 +64,8 @@ struct LiveRun {
 fn live_run(requests: usize, rate: f64, max_queue: usize, seed: u64) -> LiveRun {
     let net = ChannelNetwork::new();
     let transport: Arc<dyn Transport> = Arc::new(net.clone());
-    let agent_core = AgentCore::new(
-        AgentConfig { fault: never_blacklist(), ..AgentConfig::default() },
-        Policy::MinimumCompletionTime,
-        NetworkView::lan_defaults(),
-    );
-    let mut agent = AgentDaemon::start(Arc::clone(&transport), "agent", agent_core).unwrap();
+    let mut agent =
+        AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults()).unwrap();
 
     let policy = Arc::new(AdmissionPolicy::new(AdmissionConfig::with_max_queue(max_queue)));
     let core = ServerCore::new(
@@ -124,8 +111,7 @@ fn live_run(requests: usize, rate: f64, max_queue: usize, seed: u64) -> LiveRun 
                 let start = Instant::now();
                 match client.netsl("ddot", &inputs) {
                     Ok(_) => (Some(start.elapsed().as_secs_f64()), false),
-                    Err(NetSolveError::Resource(_)) => (None, true),
-                    Err(_) => (None, false),
+                    Err(e) => (None, matches!(e.class(), ErrorClass::Load { .. })),
                 }
             })
         })
@@ -163,7 +149,6 @@ fn sim_scenario(requests: usize, rate: f64, max_queue: usize) -> Scenario {
     // ChannelNetwork transfers are effectively instantaneous.
     sc.network = SimNetwork::uniform(1e-5, 1e12);
     sc.admission = Some(AdmissionConfig::with_max_queue(max_queue));
-    sc.fault = never_blacklist();
     sc
 }
 
@@ -199,7 +184,6 @@ fn main() {
     scale.mix = RequestMix::single("ddot", &[N as u64]);
     scale.network = SimNetwork::uniform(1e-5, 1e12);
     scale.admission = Some(AdmissionConfig::with_max_queue(8));
-    scale.fault = never_blacklist();
     let scale_start = Instant::now();
     let scale_report = run(&scale).unwrap();
     let scale_wall = scale_start.elapsed().as_secs_f64();

@@ -12,11 +12,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use netsolve_core::admission::parse_retry_after_ms;
 use netsolve_core::clock::Clock;
 use netsolve_core::config::RetryPolicy;
 use netsolve_core::data::DataObject;
-use netsolve_core::error::{NetSolveError, Result};
+use netsolve_core::error::{ErrorClass, NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
 use netsolve_net::{call, call_once, Connection, Transport};
@@ -549,12 +548,11 @@ impl NetSolveClient {
                     let call = Call { problem, inputs, spec, shape, scope };
                     let candidates = self.rank(&call)?;
                     // A server whose failure is tied to its host rather
-                    // than the path (ExecutionFailed) leaves the rotation;
-                    // transient failures (unreachable, timeout, corruption)
-                    // keep the candidate in play. Keyed by address: a
-                    // server id is only unique within the agent that
-                    // issued it, and a federated list mixes several
-                    // agents' ids.
+                    // than the path (a `Fault`) leaves the rotation; a
+                    // `Link` or `Load` failure keeps the candidate in
+                    // play. Keyed by address: a server id is only unique
+                    // within the agent that issued it, and a federated
+                    // list mixes several agents' ids.
                     let mut spent: Vec<&str> = Vec::new();
                     let mut busy_hint_ms = 0;
                     let mut last_err = NetSolveError::NoServerAvailable(problem.to_string());
@@ -587,10 +585,19 @@ impl NetSolveClient {
                                 self.report(&call, candidate, Ok(&done));
                                 return Ok((outputs, done));
                             }
-                            Err(e) if e.is_retryable() => {
-                                if let Some(hint) = parse_retry_after_ms(e.detail()) {
-                                    self.metrics.counter("client.busy_hints").inc();
-                                    busy_hint_ms = hint;
+                            Err(e) => {
+                                match e.class() {
+                                    // The request itself is bad; retrying
+                                    // elsewhere is futile.
+                                    ErrorClass::Request => {
+                                        return Err(self.call_failed(&call, "non-retryable", e))
+                                    }
+                                    ErrorClass::Fault => spent.push(&candidate.address),
+                                    ErrorClass::Link | ErrorClass::Load { retry_after_ms: 0 } => {}
+                                    ErrorClass::Load { retry_after_ms } => {
+                                        self.metrics.counter("client.busy_hints").inc();
+                                        busy_hint_ms = retry_after_ms;
+                                    }
                                 }
                                 self.metrics.counter("client.attempt_failures").inc();
                                 let detail = format!(
@@ -599,14 +606,8 @@ impl NetSolveClient {
                                 );
                                 self.tracer.point(scope.ctx, "client", "attempt_failed", detail);
                                 self.report(&call, candidate, Err(&e));
-                                if matches!(e, NetSolveError::ExecutionFailed(_)) {
-                                    spent.push(&candidate.address);
-                                }
                                 last_err = e;
                             }
-                            // The request itself is bad; retrying
-                            // elsewhere is futile.
-                            Err(e) => return Err(self.call_failed(&call, "non-retryable", e)),
                         }
                     }
                     Err(self.call_failed(&call, "retry budget exhausted", last_err))
@@ -1019,7 +1020,7 @@ mod tests {
         let err = client
             .netsl("ddot", &[vec![1.0].into(), vec![1.0].into()])
             .unwrap_err();
-        assert!(err.is_retryable(), "got {err}");
+        assert_ne!(err.class(), ErrorClass::Request, "got {err}");
         domain.shutdown();
     }
 
@@ -1358,7 +1359,7 @@ mod tests {
         match rejected.recv_timeout(timeout).unwrap() {
             Message::Error { code, detail } => {
                 let e = NetSolveError::from_code(code, detail);
-                assert!(matches!(e, NetSolveError::Resource(_)) && e.is_retryable(), "got {e}");
+                assert!(matches!(e.class(), ErrorClass::Load { .. }), "got {e}");
             }
             other => panic!("expected Busy from the full agent, got {other:?}"),
         }

@@ -33,9 +33,13 @@
 //!    observed.
 //!
 //! Every shed carries a `retry_after_ms` hint sized from the same service
-//! estimate; the live server folds it into the retryable Busy error
-//! detail (see [`format_busy_detail`]) and the client uses it as a floor
-//! for its next backoff wait ([`parse_retry_after_ms`]).
+//! estimate; the live server folds it into the Busy error's detail (see
+//! [`format_busy_detail`]), and [`NetSolveError::class`] reads it back
+//! ([`parse_retry_after_ms`]) as the `Load` class's hint: the client's
+//! floor for its next backoff wait, and how long the agent ranks the
+//! shedding server lower.
+//!
+//! [`NetSolveError::class`]: crate::error::NetSolveError::class
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -305,7 +309,7 @@ impl AdmissionPolicy {
 
 /// The detail string a shedding server puts in its retryable Busy error.
 /// Keep in sync with [`parse_retry_after_ms`]: the `retry_after_ms=N`
-/// token is the wire contract the client backoff path keys on.
+/// token is the wire contract the `Load` class's hint is read from.
 pub fn format_busy_detail(reason: ShedReason, queue_depth: usize, retry_after_ms: u64) -> String {
     format!(
         "server overloaded ({}, queue depth {queue_depth}): retry_after_ms={retry_after_ms}",
@@ -313,12 +317,12 @@ pub fn format_busy_detail(reason: ShedReason, queue_depth: usize, retry_after_ms
     )
 }
 
-/// Extract the `retry_after_ms=N` hint from an error detail, if present.
-pub fn parse_retry_after_ms(detail: &str) -> Option<u64> {
-    let idx = detail.find("retry_after_ms=")?;
-    let rest = &detail[idx + "retry_after_ms=".len()..];
+/// The `retry_after_ms=N` hint in an error detail, or 0 when it carries
+/// none (a shedding server's hint is at least 1 ms).
+pub fn parse_retry_after_ms(detail: &str) -> u64 {
+    let rest = detail.split_once("retry_after_ms=").map_or("", |(_, rest)| rest);
     let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    digits.parse().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -446,10 +450,10 @@ mod tests {
     fn busy_detail_roundtrips_the_hint() {
         let detail = format_busy_detail(ShedReason::QueueFull, 9, 230);
         assert!(detail.contains("queue depth 9"), "{detail}");
-        assert_eq!(parse_retry_after_ms(&detail), Some(230));
-        assert_eq!(parse_retry_after_ms("no hint here"), None);
-        assert_eq!(parse_retry_after_ms("retry_after_ms="), None);
-        assert_eq!(parse_retry_after_ms("x retry_after_ms=12y"), Some(12));
+        assert_eq!(parse_retry_after_ms(&detail), 230);
+        assert_eq!(parse_retry_after_ms("no hint here"), 0);
+        assert_eq!(parse_retry_after_ms("retry_after_ms="), 0);
+        assert_eq!(parse_retry_after_ms("x retry_after_ms=12y"), 12);
     }
 
     #[test]

@@ -8,6 +8,34 @@
 
 use std::fmt;
 
+use crate::admission::parse_retry_after_ms;
+
+/// What an error means: the one reading the client's retry loop, the
+/// agent's fault record and the simulator share. In the paper a failure
+/// was a crash; since admission a server also refuses work on purpose,
+/// and that refusal is load, not a fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorClass {
+    /// The path to the server failed: refused, reset, corrupt or timed
+    /// out. The client retries and keeps the candidate; the agent counts
+    /// the report toward mark-down.
+    Link,
+    /// The server failed the request itself. The client retries
+    /// elsewhere and spends the candidate; the agent counts the report
+    /// toward mark-down.
+    Fault,
+    /// The server, or the pool, refused work on purpose. The client
+    /// retries no sooner than `retry_after_ms` (0 when the error carries
+    /// no hint) and keeps the candidate; the agent never marks the server
+    /// down for it, but ranks it lower until the hint passes.
+    Load {
+        /// The `retry_after_ms=N` hint in the error's detail, or 0.
+        retry_after_ms: u64,
+    },
+    /// The request itself is wrong: retrying anywhere is futile.
+    Request,
+}
+
 /// Every failure the NetSolve system can report.
 ///
 /// The numeric codes (see [`NetSolveError::code`]) are part of the wire
@@ -37,8 +65,6 @@ pub enum NetSolveError {
     Description(String),
     /// An operation did not finish within its deadline.
     Timeout(String),
-    /// A non-blocking request handle was queried after being consumed.
-    InvalidHandle(String),
     /// Resource limits exceeded (queue full, payload too large).
     Resource(String),
     /// Internal invariant violation; indicates a bug.
@@ -66,7 +92,6 @@ impl NetSolveError {
             NetSolveError::Numerical(_) => 9,
             NetSolveError::Description(_) => 10,
             NetSolveError::Timeout(_) => 11,
-            NetSolveError::InvalidHandle(_) => 12,
             NetSolveError::Resource(_) => 13,
             NetSolveError::Internal(_) => 14,
             NetSolveError::Corrupt(_) => 15,
@@ -76,7 +101,8 @@ impl NetSolveError {
     /// Reconstruct an error from its wire code and detail message.
     ///
     /// Unknown codes map to [`NetSolveError::Internal`] so that a newer peer
-    /// never crashes an older one.
+    /// never crashes an older one. Code 12 (a retired `InvalidHandle`) is
+    /// one of them; it is never reused.
     pub fn from_code(code: u32, detail: String) -> Self {
         match code {
             1 => NetSolveError::ProblemNotFound(detail),
@@ -90,7 +116,6 @@ impl NetSolveError {
             9 => NetSolveError::Numerical(detail),
             10 => NetSolveError::Description(detail),
             11 => NetSolveError::Timeout(detail),
-            12 => NetSolveError::InvalidHandle(detail),
             13 => NetSolveError::Resource(detail),
             15 => NetSolveError::Corrupt(detail),
             _ => NetSolveError::Internal(detail),
@@ -111,30 +136,26 @@ impl NetSolveError {
             | NetSolveError::Numerical(s)
             | NetSolveError::Description(s)
             | NetSolveError::Timeout(s)
-            | NetSolveError::InvalidHandle(s)
             | NetSolveError::Resource(s)
             | NetSolveError::Internal(s)
             | NetSolveError::Corrupt(s) => s,
         }
     }
 
-    /// Whether the client's fault-tolerance loop should retry the request on
-    /// a different server. Errors caused by the request itself (bad
-    /// arguments, unknown problem) are not retryable; infrastructure errors
-    /// are. `NoServerAvailable` counts as retryable: unlike an unknown
-    /// problem it is a transient pool condition — down-cooldowns expire,
-    /// heartbeats re-admit recovered servers, and new servers register.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            NetSolveError::NoServerAvailable(_)
-                | NetSolveError::ServerUnreachable(_)
-                | NetSolveError::ExecutionFailed(_)
-                | NetSolveError::Transport(_)
-                | NetSolveError::Timeout(_)
-                | NetSolveError::Resource(_)
-                | NetSolveError::Corrupt(_)
-        )
+    /// What this error means ([`ErrorClass`]). Every variant names its
+    /// class, so a new variant must pick one. `NoServerAvailable` is load:
+    /// unlike an unknown problem it is a transient pool condition —
+    /// down-cooldowns expire, heartbeats re-admit recovered servers, and
+    /// new servers register.
+    pub fn class(&self) -> ErrorClass {
+        use {ErrorClass::*, NetSolveError::*};
+        match self {
+            ServerUnreachable(_) | Transport(_) | Timeout(_) | Corrupt(_) => Link,
+            ExecutionFailed(_) => Fault,
+            Resource(s) | NoServerAvailable(s) => Load { retry_after_ms: parse_retry_after_ms(s) },
+            ProblemNotFound(_) | BadArguments(_) | Protocol(_) | Registration(_) | Numerical(_)
+            | Description(_) | Internal(_) => Request,
+        }
     }
 
     /// Short machine-friendly name of the variant.
@@ -151,7 +172,6 @@ impl NetSolveError {
             NetSolveError::Numerical(_) => "numerical",
             NetSolveError::Description(_) => "description",
             NetSolveError::Timeout(_) => "timeout",
-            NetSolveError::InvalidHandle(_) => "invalid-handle",
             NetSolveError::Resource(_) => "resource",
             NetSolveError::Internal(_) => "internal",
             NetSolveError::Corrupt(_) => "corrupt",
@@ -200,7 +220,6 @@ mod tests {
             NetSolveError::Numerical("n".into()),
             NetSolveError::Description("d".into()),
             NetSolveError::Timeout("t".into()),
-            NetSolveError::InvalidHandle("h".into()),
             NetSolveError::Resource("r".into()),
             NetSolveError::Internal("i".into()),
             NetSolveError::Corrupt("c".into()),
@@ -230,13 +249,32 @@ mod tests {
     }
 
     #[test]
-    fn retryability_split() {
-        assert!(NetSolveError::ServerUnreachable("h".into()).is_retryable());
-        assert!(NetSolveError::Timeout("t".into()).is_retryable());
-        assert!(NetSolveError::Corrupt("crc".into()).is_retryable());
-        assert!(!NetSolveError::BadArguments("a".into()).is_retryable());
-        assert!(!NetSolveError::ProblemNotFound("p".into()).is_retryable());
-        assert!(!NetSolveError::Protocol("version".into()).is_retryable());
+    fn every_variant_has_its_class() {
+        let load = |ms| ErrorClass::Load { retry_after_ms: ms };
+        let table = [
+            (1, ErrorClass::Request),
+            (2, load(0)),
+            (3, ErrorClass::Link),
+            (4, ErrorClass::Fault),
+            (5, ErrorClass::Request),
+            (6, ErrorClass::Request),
+            (7, ErrorClass::Link),
+            (8, ErrorClass::Request),
+            (9, ErrorClass::Request),
+            (10, ErrorClass::Request),
+            (11, ErrorClass::Link),
+            (13, load(0)),
+            (14, ErrorClass::Request),
+            (15, ErrorClass::Link),
+        ];
+        let all = all_variants();
+        assert_eq!(all.len(), table.len());
+        for (e, (code, class)) in all.iter().zip(table) {
+            assert_eq!((e.code(), e.class()), (code, class), "{}", e.kind());
+        }
+        // A load error's hint is parsed from its detail.
+        let busy = NetSolveError::Resource("queue full: retry_after_ms=50".into());
+        assert_eq!(busy.class(), load(50));
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod units;
 pub use admission::{AdmissionConfig, AdmissionDecision, AdmissionPolicy, ShedReason};
 pub use clock::{Clock, RealClock, SimTime, VirtualClock};
 pub use data::{DataObject, ObjectKind};
-pub use error::{NetSolveError, Result};
+pub use error::{ErrorClass, NetSolveError, Result};
 pub use ids::{ClientId, HostId, RequestId, ServerId};
 pub use matrix::Matrix;
 pub use problem::{Complexity, ObjectSpec, ProblemSpec, RequestShape};

@@ -535,6 +535,7 @@ mod tests {
     use crate::channel::ChannelNetwork;
     use crate::tcp::TcpTransport;
     use crate::transport::call;
+    use netsolve_core::ErrorClass;
     use std::thread;
 
     /// Echo daemon on `transport`: answers `Ping` with `Pong` and sends
@@ -703,7 +704,7 @@ mod tests {
                 Ok(_) => panic!("dial unexpectedly succeeded"),
             };
             assert!(matches!(err, NetSolveError::ServerUnreachable(_)));
-            assert!(err.is_retryable());
+            assert_eq!(err.class(), ErrorClass::Link);
         }
         assert_eq!(chaos.stats().refused, 10);
         assert_eq!(chaos.stats().connects, 0);
@@ -718,7 +719,7 @@ mod tests {
         for _ in 0..30 {
             let err = call(conn.as_mut(), &Message::Ping, Duration::from_secs(2)).unwrap_err();
             assert!(matches!(err, NetSolveError::Corrupt(_)), "got {err}");
-            assert!(err.is_retryable());
+            assert_eq!(err.class(), ErrorClass::Link);
         }
         let stats = chaos.stats();
         assert_eq!(stats.corruptions_injected, 30);
@@ -747,7 +748,7 @@ mod tests {
         for _ in 0..8 {
             let err = call(conn.as_mut(), &payload, Duration::from_secs(10)).unwrap_err();
             assert!(matches!(err, NetSolveError::Corrupt(_)), "got {err}");
-            assert!(err.is_retryable());
+            assert_eq!(err.class(), ErrorClass::Link);
         }
         let stats = chaos.stats();
         assert_eq!(stats.corruptions_injected, 8);
@@ -763,7 +764,7 @@ mod tests {
             let mut conn = chaos.connect(&address).unwrap();
             let err = conn.send(&Message::Ping).unwrap_err();
             assert!(matches!(err, NetSolveError::Transport(ref m) if m.contains("reset")), "{err}");
-            assert!(err.is_retryable());
+            assert_eq!(err.class(), ErrorClass::Link);
             assert_eq!(chaos.stats().resets, 1);
         }
     }
@@ -801,14 +802,14 @@ mod tests {
         // The established stream dies with a reset...
         let err = conn.send(&Message::Ping).unwrap_err();
         assert!(matches!(err, NetSolveError::Transport(ref m) if m.contains("killed")), "{err}");
-        assert!(err.is_retryable());
+        assert_eq!(err.class(), ErrorClass::Link);
         // ...and new dials are refused.
         let err = match chaos.connect("echo") {
             Err(e) => e,
             Ok(_) => panic!("dial to killed address succeeded"),
         };
         assert!(matches!(err, NetSolveError::ServerUnreachable(_)), "{err}");
-        assert!(err.is_retryable());
+        assert_eq!(err.class(), ErrorClass::Link);
         // Other addresses are untouched by the kill.
         spawn_echo(&net, "other");
         let mut conn2 = chaos.connect("other").unwrap();

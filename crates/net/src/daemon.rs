@@ -245,6 +245,7 @@ mod tests {
     use super::*;
     use crate::channel::ChannelNetwork;
     use crate::transport::{call, Connection};
+    use netsolve_core::ErrorClass;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -299,7 +300,7 @@ mod tests {
             Message::Error { code, detail } => {
                 let e = NetSolveError::from_code(code, detail);
                 assert!(matches!(e, NetSolveError::Resource(_)), "got {e}");
-                assert!(e.is_retryable(), "Busy must be retryable: {e}");
+                assert_eq!(e.class(), ErrorClass::Load { retry_after_ms: 0 }, "Busy is load: {e}");
             }
             other => panic!("expected Busy error, got {other:?}"),
         }

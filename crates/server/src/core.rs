@@ -861,7 +861,7 @@ pub(crate) mod tests {
                     Message::Error { code, detail } => {
                         assert_eq!(code, NetSolveError::Resource(String::new()).code(), "{detail}");
                         assert!(
-                            netsolve_core::admission::parse_retry_after_ms(&detail).is_some(),
+                            netsolve_core::admission::parse_retry_after_ms(&detail) > 0,
                             "busy reply must carry a retry hint: {detail}"
                         );
                     }

@@ -260,6 +260,7 @@ mod tests {
     use netsolve_agent::{AgentCore, AgentDaemon};
     use netsolve_core::admission::{AdmissionConfig, AdmissionPolicy};
     use netsolve_core::matrix::Matrix;
+    use netsolve_core::ErrorClass;
     use netsolve_net::{call, ChannelNetwork};
     use netsolve_proto::QueryShape;
     use std::time::Instant;
@@ -465,11 +466,10 @@ mod tests {
                 Message::Error { code, detail } => {
                     assert_eq!(code, NetSolveError::Resource(String::new()).code(), "{detail}");
                     let err = NetSolveError::from_code(code, detail.clone());
-                    assert!(err.is_retryable(), "shed must be retryable: {detail}");
-                    assert!(
-                        netsolve_core::admission::parse_retry_after_ms(&detail).is_some(),
-                        "busy reply must carry a retry hint: {detail}"
-                    );
+                    let ErrorClass::Load { retry_after_ms } = err.class() else {
+                        panic!("a shed is load: {detail}");
+                    };
+                    assert!(retry_after_ms > 0, "a shed carries a retry hint: {detail}");
                     shed += 1;
                 }
                 other => panic!("unexpected {other:?}"),

@@ -31,7 +31,7 @@ use netsolve_agent::{standard_descriptor, AgentCore, Policy};
 use netsolve_core::admission::{AdmissionDecision, AdmissionPolicy};
 use netsolve_core::clock::SimTime;
 use netsolve_core::config::AgentConfig;
-use netsolve_core::error::{NetSolveError, Result};
+use netsolve_core::error::{ErrorClass, NetSolveError, Result};
 use netsolve_core::ids::{HostId, ServerId};
 use netsolve_core::problem::{estimated_wire_bytes, RequestShape};
 use netsolve_core::rng::Rng64;
@@ -127,7 +127,6 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
     let agent_config = AgentConfig {
         workload: scenario.workload,
         pending_tracking: scenario.pending_tracking,
-        fault: scenario.fault,
         ..AgentConfig::default()
     };
     let net_view = NetworkView::new(scenario.network.latency_secs, scenario.network.bandwidth_bps);
@@ -311,26 +310,27 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
         let s_idx = servers.iter().position(|s| s.id == sid).expect("candidate exists");
         let sstate = &mut servers[s_idx];
         let detect = scenario.failure_detect_secs;
-        // A failed try: (seconds until the client notices, seconds it then
-        // waits before the next). The admission gate judges the queue
-        // this request would join, exactly as the live daemon's
-        // accept-time gate does; a shed is a Busy reply, noticed at once,
-        // whose retry hint the client waits out.
+        // A failed try: (its class, seconds until the client notices,
+        // seconds it then waits before the next). The admission gate
+        // judges the queue this request would join, exactly as the live
+        // daemon's accept-time gate does; a shed is a Busy reply — load,
+        // not a fault — noticed at once, whose retry hint the client waits
+        // out. A crash or a lost try is a link failure.
         let failed_try = if sstate.crashed {
-            Some((detect, 0.0))
+            Some((ErrorClass::Link, detect, 0.0))
         } else if let Some(AdmissionDecision::Shed { retry_after_ms, .. }) = policies.map(|p| {
             let depth = sstate.queue.len() + sstate.busy as usize;
             let flops = job.complexity.flops(job.shape.n);
             p[s_idx].admit(&job.shape.problem, flops, depth, remaining_budget_ms(scenario, &job, now))
         }) {
-            Some((0.0, retry_after_ms as f64 / 1e3))
+            Some((ErrorClass::Load { retry_after_ms }, 0.0, retry_after_ms as f64 / 1e3))
         } else if rng.chance(scenario.servers[s_idx].fail_prob) {
-            Some((detect, 0.0))
+            Some((ErrorClass::Link, detect, 0.0))
         } else {
             None
         };
-        if let Some((notice, wait)) = failed_try {
-            agent.failure_report(sid, now);
+        if let Some((class, notice, wait)) = failed_try {
+            agent.failure_report(sid, class, now);
             retry_or_fail(job, now.plus(notice), wait, scenario, failed, pending, queue);
             return;
         }
@@ -560,7 +560,7 @@ pub fn run(scenario: &Scenario) -> Result<SimReport> {
                 // clients notice after the detection time.
                 let stranded: Vec<QueuedJob> = servers[server].queue.drain(..).collect();
                 for job in stranded {
-                    agent.failure_report(servers[server].id, now);
+                    agent.failure_report(servers[server].id, ErrorClass::Link, now);
                     let noticed = now.plus(scenario.failure_detect_secs);
                     retry_or_fail(
                         job,

@@ -6,7 +6,7 @@
 //! workload-information policy, failure injection).
 
 use netsolve_core::admission::AdmissionConfig;
-use netsolve_core::config::{FaultPolicy, WorkloadPolicy};
+use netsolve_core::config::WorkloadPolicy;
 use netsolve_agent::Policy;
 use netsolve_net::LinkModel;
 
@@ -242,12 +242,6 @@ pub struct Scenario {
     /// are shed before service begins, mirroring the live solve-slot
     /// gate.
     pub deadline_secs: f64,
-    /// The agent's fault-tracker policy (consecutive failures to mark a
-    /// server down, cooldown). Overload experiments raise the threshold
-    /// so shed bursts don't blacklist the pool mid-measurement — the live
-    /// harness must configure its agent identically for sim/live
-    /// comparisons.
-    pub fault: FaultPolicy,
     /// RNG seed — equal seeds give bit-identical runs.
     pub seed: u64,
 }
@@ -273,7 +267,6 @@ impl Scenario {
             pending_tracking: true,
             admission: None,
             deadline_secs: 0.0,
-            fault: FaultPolicy::default(),
             seed: 42,
         }
     }

@@ -64,7 +64,7 @@ pub mod testbed {
 
     use netsolve_agent::{AgentCore, AgentDaemon, Policy};
     use netsolve_client::NetSolveClient;
-    use netsolve_core::error::Result;
+    use netsolve_core::error::{ErrorClass, Result};
     use netsolve_net::{ChannelNetwork, ChaosPolicy, ChaosTransport, NetworkView};
     use netsolve_server::{ExecutionMode, ServerConfig, ServerCore, ServerDaemon};
 
@@ -120,8 +120,9 @@ pub mod testbed {
                 // frees its address, and the server registers again.
                 let mut tries = 1;
                 let daemon = loop {
+                    let again = tries < REGISTRATION_TRIES;
                     match start() {
-                        Err(e) if e.is_retryable() && tries < REGISTRATION_TRIES => tries += 1,
+                        Err(e) if again && e.class() != ErrorClass::Request => tries += 1,
                         started => break started?,
                     }
                 };

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use netsolve::agent::{AgentCore, AgentDaemon, Policy};
 use netsolve::client::NetSolveClient;
 use netsolve::core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
+use netsolve::core::ErrorClass;
 use netsolve::net::{
     ChannelNetwork, ChaosPolicy, ChaosStats, ChaosTransport, LinkModel, NetworkView, Transport,
 };
@@ -135,8 +136,9 @@ fn run_soak(seed: u64) -> SoakOutcome {
                             ok.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(e) => {
-                            assert!(
-                                e.is_retryable(),
+                            assert_ne!(
+                                e.class(),
+                                ErrorClass::Request,
                                 "client {c} request {i}: non-retryable error leaked \
                                  through the hardened path: {e}"
                             );
@@ -599,7 +601,7 @@ fn run_cached_soak(seed: u64) {
                                     ok.fetch_add(1, Ordering::Relaxed);
                                 }
                                 Err(e) => {
-                                    assert!(e.is_retryable(), "non-retryable leak: {e}");
+                                    assert_ne!(e.class(), ErrorClass::Request, "leaked: {e}");
                                     failed_retryable.fetch_add(1, Ordering::Relaxed);
                                 }
                             }

@@ -19,7 +19,7 @@ use netsolve::agent::{AgentCore, AgentDaemon, Policy};
 use netsolve::client::NetSolveClient;
 use netsolve::core::config::{AgentConfig, Backoff, FaultPolicy, RetryPolicy};
 use netsolve::core::error::Result;
-use netsolve::core::NetSolveError;
+use netsolve::core::{ErrorClass, NetSolveError};
 use netsolve::net::{
     call, ChannelNetwork, ChaosPolicy, ChaosTransport, Connection, LinkModel, Listener,
     NetworkView, TcpTransport, Transport,
@@ -293,7 +293,7 @@ fn connection_cap_sheds_with_retryable_busy() {
         Message::Error { code, detail } => {
             let e = NetSolveError::from_code(code, detail);
             assert!(matches!(e, NetSolveError::Resource(_)), "got {e}");
-            assert!(e.is_retryable(), "Busy must be retryable: {e}");
+            assert_eq!(e.class(), ErrorClass::Load { retry_after_ms: 0 }, "Busy is load: {e}");
         }
         other => panic!("expected Busy error, got {other:?}"),
     }

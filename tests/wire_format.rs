@@ -176,19 +176,54 @@ fn protocol_doc_names_every_field_of_every_message() {
 
 #[test]
 fn error_codes_are_pinned() {
-    use netsolve::core::NetSolveError;
-    let cases = [
-        (NetSolveError::ProblemNotFound(String::new()), 1),
-        (NetSolveError::NoServerAvailable(String::new()), 2),
-        (NetSolveError::ServerUnreachable(String::new()), 3),
-        (NetSolveError::ExecutionFailed(String::new()), 4),
-        (NetSolveError::BadArguments(String::new()), 5),
-        (NetSolveError::Numerical(String::new()), 9),
-        (NetSolveError::Timeout(String::new()), 11),
+    use netsolve::core::{ErrorClass, NetSolveError as E};
+    let class_name = |e: &E| match e.class() {
+        ErrorClass::Link => "link",
+        ErrorClass::Fault => "fault",
+        ErrorClass::Load { .. } => "load",
+        ErrorClass::Request => "request",
+    };
+    let s = String::new;
+    let variants = [
+        (E::ProblemNotFound(s()), 1, "request"),
+        (E::NoServerAvailable(s()), 2, "load"),
+        (E::ServerUnreachable(s()), 3, "link"),
+        (E::ExecutionFailed(s()), 4, "fault"),
+        (E::BadArguments(s()), 5, "request"),
+        (E::Protocol(s()), 6, "request"),
+        (E::Transport(s()), 7, "link"),
+        (E::Registration(s()), 8, "request"),
+        (E::Numerical(s()), 9, "request"),
+        (E::Description(s()), 10, "request"),
+        (E::Timeout(s()), 11, "link"),
+        (E::Resource(s()), 13, "load"),
+        (E::Internal(s()), 14, "request"),
+        (E::Corrupt(s()), 15, "link"),
     ];
-    for (e, code) in cases {
-        assert_eq!(e.code(), code, "{} code drifted", e.kind());
+    // docs/PROTOCOL.md's error-code table: one row per code, each naming
+    // the class the code decodes to.
+    let doc = include_str!("../docs/PROTOCOL.md");
+    let table = &doc[doc.find("### Error codes").expect("PROTOCOL.md error-code section")..];
+    let rows: Vec<(u32, &str)> = table
+        .lines()
+        .take_while(|l| !l.starts_with("Unknown codes"))
+        .filter_map(|l| {
+            let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+            Some((cells.get(1)?.parse().ok()?, *cells.get(3)?))
+        })
+        .collect();
+    for (e, code, class) in &variants {
+        assert_eq!((e.code(), class_name(e)), (*code, *class), "{} drifted", e.kind());
+        assert_eq!(E::from_code(*code, s()), *e, "code {code} does not round-trip");
+        assert!(rows.iter().any(|(c, _)| c == code), "PROTOCOL.md has no row for code {code}");
     }
+    for (code, class) in &rows {
+        let e = E::from_code(*code, s());
+        assert_eq!(class_name(&e), *class, "PROTOCOL.md row for code {code}");
+    }
+    // Code 12 is retired: it decodes as internal and is never reused.
+    assert_eq!(rows.len(), variants.len() + 1);
+    assert_eq!(E::from_code(12, s()), E::Internal(s()));
 }
 
 #[test]
