@@ -319,24 +319,25 @@ impl AgentCore {
     /// Record a client failure report of the given class. A `Link` or
     /// `Fault` report counts toward mark-down and clears one pending
     /// assignment — the failed request is no longer heading for that
-    /// server. A `Load` report (a shed) never counts: the assignment it
-    /// would have cleared lapses `retry_after_ms` from `now` instead, so
-    /// the busy server ranks lower until then. A `Request` report, and a
-    /// report about a server the table does not hold, change nothing.
+    /// server. A `Load` report (a shed) never counts: it clears the
+    /// assignment too, but holds one assignment's weight on the server
+    /// until `retry_after_ms` from `now`, so the busy server ranks lower
+    /// until then. A `Request` report, and a report about a server the
+    /// table does not hold, change nothing.
     pub fn failure_report(&mut self, server: ServerId, class: ErrorClass, now: SimTime) {
         self.metrics.counter("agent.failure_reports").inc();
-        let (until, counts) = match class {
+        let Some(entry) = self.registry.get_mut(server) else { return };
+        match class {
             ErrorClass::Request => return,
-            ErrorClass::Load { retry_after_ms: ms } => (Some(now.plus(ms as f64 / 1e3)), false),
-            ErrorClass::Link | ErrorClass::Fault => (None, true),
-        };
-        if let Some(entry) = self.registry.get_mut(server) {
-            entry.settle_one_pending(until);
-            if counts && entry.record_failure(&self.config.fault, now) {
-                self.metrics.counter("agent.fault_down_marks").inc();
+            ErrorClass::Load { retry_after_ms } => entry.hold_after_shed(retry_after_ms, now),
+            ErrorClass::Link | ErrorClass::Fault => {
+                entry.settle_one_pending();
+                if entry.record_failure(&self.config.fault, now) {
+                    self.metrics.counter("agent.fault_down_marks").inc();
+                }
             }
-            self.refresh_pending_gauge();
         }
+        self.refresh_pending_gauge();
     }
 
     /// Record a client success (clears fault state and one pending
@@ -344,7 +345,7 @@ impl AgentCore {
     pub fn success_report(&mut self, server: ServerId) {
         self.metrics.counter("agent.success_reports").inc();
         if let Some(entry) = self.registry.get_mut(server) {
-            entry.settle_one_pending(None);
+            entry.settle_one_pending();
             entry.record_success();
             self.refresh_pending_gauge();
         }
@@ -353,11 +354,6 @@ impl AgentCore {
     fn refresh_pending_gauge(&self) {
         let depth = self.registry.pending_total();
         self.metrics.gauge("agent.pending_assignments").set(depth as i64);
-    }
-
-    /// Count unexpired pending assignments for a server.
-    pub fn pending_load(&self, server: ServerId, now: SimTime) -> usize {
-        self.registry.get(server).map_or(0, |s| s.pending_load(now))
     }
 
     fn note_assignment(&mut self, server: ServerId, now: SimTime) {
@@ -635,6 +631,13 @@ mod tests {
     use super::*;
     use crate::registry::standard_descriptor;
 
+    impl AgentCore {
+        /// Unexpired pending assignments and shed holds on a server.
+        pub(crate) fn pending_load(&self, server: ServerId, now: SimTime) -> usize {
+            self.registry.get(server).map_or(0, |s| s.pending_load(now))
+        }
+    }
+
     fn agent_with_servers(specs: &[(&str, f64)]) -> AgentCore {
         let mut agent = AgentCore::with_defaults();
         for (i, (host, mflops)) in specs.iter().enumerate() {
@@ -763,6 +766,41 @@ mod tests {
         }
         assert_eq!(agent.handle_message(&Message::ListServers, t0), before);
         assert_eq!(agent.pending_load(ServerId(1), t0), 1);
+    }
+
+    /// A shed's hold is no request in flight: a completion that arrives
+    /// after it clears the request that completed, not the hold. The
+    /// hold lapses with its hint, and a hint off the wire is held no
+    /// longer than an assignment's TTL.
+    #[test]
+    fn a_shed_hold_lapses_with_its_hint_and_no_completion_clears_it() {
+        use netsolve_core::admission::{format_busy_detail, ShedReason};
+        let shed = |ms| Message::FailureReport {
+            server_id: 1,
+            server_address: "srv0".into(),
+            problem: "dgesv".into(),
+            code: 13,
+            detail: format_busy_detail(ShedReason::QueueFull, 1, ms),
+        };
+        let gauge = |agent: &AgentCore| agent.metrics().gauge("agent.pending_assignments").get();
+        let t0 = SimTime::from_secs(1.0);
+
+        let mut agent = agent_with_servers(&[("a", 100.0)]);
+        agent.query(&query(100), t0).unwrap();
+        agent.handle_message(&shed(50), t0);
+        agent.query(&query(100), t0.plus(0.02)).unwrap();
+        assert_eq!(agent.pending_load(ServerId(1), t0.plus(0.02)), 2, "a hold and a request");
+        agent.success_report(ServerId(1));
+        assert_eq!(agent.pending_load(ServerId(1), t0.plus(0.02)), 1, "the hold is left");
+        assert_eq!(agent.pending_load(ServerId(1), t0.plus(1.0)), 0, "and lapses at 50 ms");
+        assert_eq!(gauge(&agent), 0, "nothing is in flight");
+
+        let mut agent = agent_with_servers(&[("a", 100.0)]);
+        agent.query(&query(100), t0).unwrap();
+        agent.handle_message(&shed(u64::MAX), t0);
+        assert_eq!(agent.pending_load(ServerId(1), t0.plus(299.0)), 1);
+        assert_eq!(agent.pending_load(ServerId(1), t0.plus(300.0)), 0, "held for the TTL at most");
+        assert_eq!(gauge(&agent), 0);
     }
 
     #[test]

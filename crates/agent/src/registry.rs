@@ -76,9 +76,15 @@ pub struct ServerEntry {
     /// When each assignment the agent routed here, and has not yet seen
     /// complete or fail, stops counting — NetSolve's defence against the
     /// herd effect: between two workload reports, the agent itself is the
-    /// only one who knows it just sent a server three jobs. A shed request
-    /// stays here until its retry hint passes.
+    /// only one who knows it just sent a server three jobs.
     pending: Vec<SimTime>,
+    /// When each shed request stops counting: its retry hint. A hold
+    /// weighs like an assignment but is no request in flight, so no
+    /// completion or failure report ever clears one; it only lapses.
+    /// Sorted, so counting the live ones is a binary search: a burst
+    /// past a full queue leaves thousands. Lapsed ones go when the next
+    /// shed lands.
+    holds: Vec<SimTime>,
 }
 
 impl ServerEntry {
@@ -100,9 +106,10 @@ impl ServerEntry {
         }
     }
 
-    /// Unexpired pending assignments at `now`.
+    /// Unexpired pending assignments and shed holds at `now`.
     pub fn pending_load(&self, now: SimTime) -> usize {
-        self.pending.iter().filter(|until| now < **until).count()
+        let live_holds = self.holds.len() - self.holds.partition_point(|until| *until <= now);
+        self.pending.iter().filter(|until| now < **until).count() + live_holds
     }
 
     /// The workload the balancer ranks with: the reported workload, aged
@@ -173,15 +180,24 @@ impl ServerEntry {
         self.pending.push(now.plus(PENDING_TTL_SECS));
     }
 
-    /// One routed request finished or failed (`until` is `None`): its
-    /// assignment goes, oldest first, since completions generally arrive
-    /// in dispatch order. Or it was shed: the assignment it would have
-    /// cleared lapses at `until` instead, and goes behind the requests
-    /// still in flight, so their completions clear them first.
-    pub(crate) fn settle_one_pending(&mut self, until: Option<SimTime>) {
+    /// One routed request finished or failed: its assignment goes, oldest
+    /// first, since completions generally arrive in dispatch order.
+    pub(crate) fn settle_one_pending(&mut self) {
         if !self.pending.is_empty() {
             self.pending.remove(0);
-            self.pending.extend(until);
+        }
+    }
+
+    /// One routed request was shed at `now`: its assignment goes, and
+    /// the server weighs one assignment more until the retry hint
+    /// passes. The hint comes off the wire, so it is held no longer than
+    /// an assignment's TTL.
+    pub(crate) fn hold_after_shed(&mut self, retry_after_ms: u64, now: SimTime) {
+        if !self.pending.is_empty() {
+            self.pending.remove(0);
+            self.holds.drain(..self.holds.partition_point(|held| *held <= now));
+            let until = now.plus((retry_after_ms as f64 / 1e3).min(PENDING_TTL_SECS));
+            self.holds.insert(self.holds.partition_point(|held| *held <= until), until);
         }
     }
 }
@@ -304,6 +320,7 @@ impl ServerRegistry {
                 down_since: None,
                 probe_misses: 0,
                 pending: Vec::new(),
+                holds: Vec::new(),
             },
         );
         Ok(server_id)
@@ -423,7 +440,8 @@ impl ServerRegistry {
     }
 
     /// Pending assignments over all servers, expired or not — what the
-    /// `agent.pending_assignments` gauge shows.
+    /// `agent.pending_assignments` gauge shows. Shed holds are not
+    /// requests in flight and are not counted.
     pub fn pending_total(&self) -> usize {
         self.servers.values().map(|s| s.pending.len()).sum()
     }
@@ -725,12 +743,34 @@ mod tests {
         s.note_assignment(SimTime::from_secs(10.0));
         assert_eq!(s.effective_workload(&policy(), SimTime::from_secs(10.0)), 220.0);
         // Oldest first; an empty list stays empty.
-        s.settle_one_pending(None);
+        s.settle_one_pending();
         assert_eq!(s.pending_load(SimTime::from_secs(10.0)), 1);
         assert_eq!(s.pending_load(SimTime::from_secs(309.0)), 1);
         assert_eq!(s.pending_load(SimTime::from_secs(310.0)), 0, "TTL counts from t=10");
-        s.settle_one_pending(None);
-        s.settle_one_pending(None);
+        s.settle_one_pending();
+        s.settle_one_pending();
+        assert_eq!(reg.pending_total(), 0);
+    }
+
+    #[test]
+    fn each_shed_hold_counts_until_its_own_hint_passes() {
+        let (mut reg, id) = one_server();
+        let s = reg.get_mut(id).unwrap();
+        let at = SimTime::from_secs;
+        for _ in 0..3 {
+            s.note_assignment(at(0.0));
+        }
+        // Hints out of order: 200 ms, 50 ms, 100 ms.
+        s.hold_after_shed(200, at(0.0));
+        s.hold_after_shed(50, at(0.0));
+        s.hold_after_shed(100, at(0.01));
+        assert_eq!(s.pending_load(at(0.01)), 3, "three holds, no assignment");
+        assert_eq!(s.pending_load(at(0.05)), 2);
+        assert_eq!(s.pending_load(at(0.11)), 1);
+        assert_eq!(s.pending_load(at(0.2)), 0);
+        // A shed with no assignment to clear holds nothing.
+        s.hold_after_shed(100, at(0.2));
+        assert_eq!(s.pending_load(at(0.2)), 0);
         assert_eq!(reg.pending_total(), 0);
     }
 

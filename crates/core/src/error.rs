@@ -248,33 +248,17 @@ mod tests {
         assert_eq!(e, NetSolveError::Internal("future".into()));
     }
 
+    /// The (code, class) table is pinned in `tests/wire_format.rs`
+    /// against PROTOCOL.md, one row per variant; here, that the table
+    /// still covers every variant, and that a load error's hint is
+    /// parsed from its detail and is 0 without one.
     #[test]
-    fn every_variant_has_its_class() {
+    fn every_variant_is_pinned_and_load_carries_its_hint() {
+        assert_eq!(all_variants().len(), 14, "pin the new variant in error_codes_are_pinned");
         let load = |ms| ErrorClass::Load { retry_after_ms: ms };
-        let table = [
-            (1, ErrorClass::Request),
-            (2, load(0)),
-            (3, ErrorClass::Link),
-            (4, ErrorClass::Fault),
-            (5, ErrorClass::Request),
-            (6, ErrorClass::Request),
-            (7, ErrorClass::Link),
-            (8, ErrorClass::Request),
-            (9, ErrorClass::Request),
-            (10, ErrorClass::Request),
-            (11, ErrorClass::Link),
-            (13, load(0)),
-            (14, ErrorClass::Request),
-            (15, ErrorClass::Link),
-        ];
-        let all = all_variants();
-        assert_eq!(all.len(), table.len());
-        for (e, (code, class)) in all.iter().zip(table) {
-            assert_eq!((e.code(), e.class()), (code, class), "{}", e.kind());
-        }
-        // A load error's hint is parsed from its detail.
         let busy = NetSolveError::Resource("queue full: retry_after_ms=50".into());
         assert_eq!(busy.class(), load(50));
+        assert_eq!(NetSolveError::NoServerAvailable("none".into()).class(), load(0));
     }
 
     #[test]
