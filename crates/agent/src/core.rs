@@ -31,6 +31,41 @@ fn fresh_at(now: SimTime, age_secs: f64) -> SimTime {
     SimTime::from_secs((now.as_secs() - age_secs.max(0.0)).max(0.0))
 }
 
+netsolve_obs::instruments! {
+    /// Every `agent.*` instrument: the core's, its daemon's workers' and
+    /// the accept loop's.
+    pub(crate) struct AgentInstruments {
+        registrations: counter = "agent.registrations",
+        queries: counter = "agent.queries",
+        rankings: counter = "agent.rankings",
+        workload_reports: counter = "agent.workload_reports",
+        success_reports: counter = "agent.success_reports",
+        failure_reports: counter = "agent.failure_reports",
+        report_id_remaps: counter = "agent.report_id_remaps",
+        fault_down_marks: counter = "agent.fault_down_marks",
+        pending_assignments: gauge = "agent.pending_assignments",
+        probe_successes: counter = "agent.probe_successes",
+        heartbeat_misses: counter = "agent.heartbeat_misses",
+        heartbeat_down_marks: counter = "agent.heartbeat_down_marks",
+        gossip_rounds: counter = "agent.gossip_rounds",
+        gossip_sends: counter = "agent.gossip_sends",
+        gossip_send_failures: counter = "agent.gossip_send_failures",
+        gossip_syncs_received: counter = "agent.gossip_syncs_received",
+        gossip_merges: counter = "agent.gossip_merges",
+        gossip_merge_conflicts: counter = "agent.gossip_merge_conflicts",
+        gossip_expired: counter = "agent.gossip_expired",
+        peers_up: gauge = "agent.peers_up",
+        peer_down_marks: counter = "agent.peer_down_marks",
+        peer_recoveries: counter = "agent.peer_recoveries",
+        digest_merges: counter = "agent.digest_merges",
+        digest_expired: counter = "agent.digest_expired",
+        digest_scrape_failures: counter = "agent.digest_scrape_failures",
+        accepts: counter = "agent.accepts",
+        busy_rejected: counter = "agent.busy_rejected",
+        spawn_failures: counter = "agent.spawn_failures",
+    }
+}
+
 /// The complete state of one NetSolve agent.
 pub struct AgentCore {
     config: AgentConfig,
@@ -47,7 +82,12 @@ pub struct AgentCore {
     /// origin-relative freshness instant it was computed at ([`fresh_at`],
     /// as registry gossip uses).
     digests: HashMap<String, (StatsDigest, SimTime)>,
+    /// The instant `agent.pending_assignments` was last counted at. A
+    /// success report carries no time, so it recounts at this one.
+    pub(crate) pending_counted_at: SimTime,
     metrics: Arc<MetricsRegistry>,
+    /// The instruments on `metrics`; the daemon records its own on them.
+    pub(crate) m: Arc<AgentInstruments>,
     tracer: Arc<Tracer>,
 }
 
@@ -55,6 +95,7 @@ impl AgentCore {
     /// Agent with the given configuration, scheduling policy and initial
     /// network assumptions.
     pub fn new(config: AgentConfig, policy: Policy, network: NetworkView) -> Self {
+        let metrics = Arc::new(MetricsRegistry::new());
         AgentCore {
             config,
             policy,
@@ -63,7 +104,9 @@ impl AgentCore {
             balancer: BalancerState::default(),
             self_address: None,
             digests: HashMap::new(),
-            metrics: Arc::new(MetricsRegistry::new()),
+            pending_counted_at: SimTime::ZERO,
+            m: Arc::new(AgentInstruments::new(&metrics)),
+            metrics,
             tracer: Arc::new(Tracer::new()),
         }
     }
@@ -81,8 +124,7 @@ impl AgentCore {
         Arc::clone(&self.tracer)
     }
 
-    /// The registry holding this agent's `agent.*` instruments. The live
-    /// daemon shares it for heartbeat metrics, and
+    /// The registry holding this agent's `agent.*` instruments.
     /// [`Message::StatsQuery`] snapshots it over the wire.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
@@ -106,9 +148,9 @@ impl AgentCore {
         now: SimTime,
     ) -> Result<ServerId> {
         let id = self.registry.register_at(desc, now)?;
-        self.metrics.counter("agent.registrations").inc();
+        self.m.registrations.inc();
         // A replaced row's pending assignments went with it.
-        self.refresh_pending_gauge();
+        self.refresh_pending_gauge(now);
         Ok(id)
     }
 
@@ -178,13 +220,13 @@ impl AgentCore {
             match self.registry.merge_remote(entry, fresh_at(now, entry.age_secs)) {
                 Ok(MergeOutcome::Merged(_)) => {
                     merged += 1;
-                    self.metrics.counter("agent.gossip_merges").inc();
+                    self.m.gossip_merges.inc();
                 }
                 Ok(MergeOutcome::Refreshed(_)) => refreshed += 1,
                 Ok(MergeOutcome::Stale) => {}
                 Err(_) => {
                     conflicts += 1;
-                    self.metrics.counter("agent.gossip_merge_conflicts").inc();
+                    self.m.gossip_merge_conflicts.inc();
                 }
             }
         }
@@ -200,8 +242,8 @@ impl AgentCore {
             .expire_remote(now, self.config.gossip.entry_ttl_secs)
             .len();
         if expired > 0 {
-            self.metrics.counter("agent.gossip_expired").add(expired as u64);
-            self.refresh_pending_gauge();
+            self.m.gossip_expired.add(expired as u64);
+            self.refresh_pending_gauge(now);
         }
         expired
     }
@@ -240,7 +282,7 @@ impl AgentCore {
             }
             if self.store_digest(digest.clone(), now) {
                 kept += 1;
-                self.metrics.counter("agent.digest_merges").inc();
+                self.m.digest_merges.inc();
             }
         }
         kept
@@ -272,9 +314,7 @@ impl AgentCore {
         let before = self.digests.len();
         self.digests.retain(|_, (_, fresh_at)| now.since(*fresh_at) <= ttl);
         let dropped = before - self.digests.len();
-        for _ in 0..dropped {
-            self.metrics.counter("agent.digest_expired").inc();
-        }
+        self.m.digest_expired.add(dropped as u64);
         dropped
     }
 
@@ -293,7 +333,7 @@ impl AgentCore {
     /// Store a workload report.
     pub fn workload_report(&mut self, server: ServerId, workload: f64, now: SimTime) {
         if let Some(entry) = self.registry.get_mut(server) {
-            self.metrics.counter("agent.workload_reports").inc();
+            self.m.workload_reports.inc();
             entry.record_workload(workload, now);
         }
     }
@@ -308,7 +348,7 @@ impl AgentCore {
         if !server_address.is_empty() {
             if let Some(sid) = self.registry.id_by_address(server_address) {
                 if sid.raw() != server_id {
-                    self.metrics.counter("agent.report_id_remaps").inc();
+                    self.m.report_id_remaps.inc();
                 }
                 return sid;
             }
@@ -325,7 +365,7 @@ impl AgentCore {
     /// until then. A `Request` report, and a report about a server the
     /// table does not hold, change nothing.
     pub fn failure_report(&mut self, server: ServerId, class: ErrorClass, now: SimTime) {
-        self.metrics.counter("agent.failure_reports").inc();
+        self.m.failure_reports.inc();
         let Some(entry) = self.registry.get_mut(server) else { return };
         match class {
             ErrorClass::Request => return,
@@ -333,27 +373,30 @@ impl AgentCore {
             ErrorClass::Link | ErrorClass::Fault => {
                 entry.settle_one_pending();
                 if entry.record_failure(&self.config.fault, now) {
-                    self.metrics.counter("agent.fault_down_marks").inc();
+                    self.m.fault_down_marks.inc();
                 }
             }
         }
-        self.refresh_pending_gauge();
+        self.refresh_pending_gauge(now);
     }
 
     /// Record a client success (clears fault state and one pending
     /// assignment) — on a server the table holds.
     pub fn success_report(&mut self, server: ServerId) {
-        self.metrics.counter("agent.success_reports").inc();
+        self.m.success_reports.inc();
         if let Some(entry) = self.registry.get_mut(server) {
             entry.settle_one_pending();
             entry.record_success();
-            self.refresh_pending_gauge();
+            self.refresh_pending_gauge(self.pending_counted_at);
         }
     }
 
-    fn refresh_pending_gauge(&self) {
-        let depth = self.registry.pending_total();
-        self.metrics.gauge("agent.pending_assignments").set(depth as i64);
+    /// Set `agent.pending_assignments` to the assignments unexpired at
+    /// `now`. The daemon's telemetry tick calls this too, so an assignment
+    /// whose client never reported stops counting once its TTL passes.
+    pub(crate) fn refresh_pending_gauge(&mut self, now: SimTime) {
+        self.pending_counted_at = now;
+        self.m.pending_assignments.set(self.registry.pending_total(now) as i64);
     }
 
     fn note_assignment(&mut self, server: ServerId, now: SimTime) {
@@ -362,7 +405,7 @@ impl AgentCore {
         }
         if let Some(entry) = self.registry.get_mut(server) {
             entry.note_assignment(now);
-            self.refresh_pending_gauge();
+            self.refresh_pending_gauge(now);
         }
     }
 
@@ -402,7 +445,7 @@ impl AgentCore {
     /// [`AgentCore::success_report`] this does not touch pending
     /// assignments — probes are not client requests.
     pub fn probe_succeeded(&mut self, server: ServerId) {
-        self.metrics.counter("agent.probe_successes").inc();
+        self.m.probe_successes.inc();
         if let Some(entry) = self.registry.get_mut(server) {
             entry.probe_hit();
         }
@@ -412,10 +455,10 @@ impl AgentCore {
     /// heartbeat policy's threshold of consecutive probes it is marked
     /// down, bypassing the client-report failure threshold.
     pub fn probe_missed(&mut self, server: ServerId, now: SimTime) {
-        self.metrics.counter("agent.heartbeat_misses").inc();
+        self.m.heartbeat_misses.inc();
         if let Some(entry) = self.registry.get_mut(server) {
             if entry.probe_miss(&self.config.heartbeat, now) {
-                self.metrics.counter("agent.heartbeat_down_marks").inc();
+                self.m.heartbeat_down_marks.inc();
             }
         }
     }
@@ -471,7 +514,7 @@ impl AgentCore {
 
     /// Answer a client's server query with the top-k candidate list.
     pub fn query(&mut self, q: &QueryShape, now: SimTime) -> Result<Vec<Candidate>> {
-        self.metrics.counter("agent.queries").inc();
+        self.m.queries.inc();
         let shape = RequestShape {
             problem: q.problem.clone(),
             n: q.n,
@@ -479,7 +522,7 @@ impl AgentCore {
             bytes_out: q.bytes_out,
         };
         let ranked = self.rank_request(&shape, HostId(q.client_host), now)?;
-        self.metrics.counter("agent.rankings").inc();
+        self.m.rankings.inc();
         Ok(ranked
             .into_iter()
             .take(CANDIDATES_RETURNED)
@@ -589,7 +632,7 @@ impl AgentCore {
                 Message::Pong
             }
             Message::GossipSync { from_agent, entries, digests } => {
-                self.metrics.counter("agent.gossip_syncs_received").inc();
+                self.m.gossip_syncs_received.inc();
                 let sync_timer = self.tracer.start();
                 let (merged, refreshed, conflicts) = self.merge_gossip(entries, now);
                 self.expire_gossip(now);
@@ -1007,7 +1050,7 @@ mod tests {
             assert!(!agent.is_down(ServerId(server_id), now));
         }
         assert_eq!(agent.registry().server_count(), 1);
-        assert_eq!(agent.registry().pending_total(), 0);
+        assert_eq!(agent.registry().pending_total(now), 0);
         assert_eq!(agent.metrics().gauge("agent.pending_assignments").get(), 0);
         assert_eq!(agent.metrics().counter("agent.failure_reports").get(), 20_000);
         assert_eq!(agent.metrics().counter("agent.heartbeat_down_marks").get(), 0);

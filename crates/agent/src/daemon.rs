@@ -26,11 +26,11 @@ use std::time::{Duration, Instant};
 use netsolve_core::clock::{Clock, SimTime};
 use netsolve_core::config::AgentConfig;
 use netsolve_core::error::Result;
-use netsolve_net::{call_once, Daemon, StopSignal, Transport, KEEP_ALIVE};
+use netsolve_net::{call_once, AcceptCounters, Daemon, StopSignal, Transport, KEEP_ALIVE};
 use netsolve_proto::{Candidate, Message, QueryShape};
 use parking_lot::Mutex;
 
-use crate::core::{AgentCore, CANDIDATES_RETURNED};
+use crate::core::{AgentCore, AgentInstruments, CANDIDATES_RETURNED};
 
 /// Handle to a running agent daemon.
 pub struct AgentDaemon {
@@ -42,6 +42,7 @@ pub struct AgentDaemon {
 struct Shared {
     core: Arc<Mutex<AgentCore>>,
     metrics: Arc<netsolve_obs::MetricsRegistry>,
+    m: Arc<AgentInstruments>,
     tracer: Arc<netsolve_obs::Tracer>,
     /// The core's configuration, copied at start so the workers read
     /// their policies without the core lock.
@@ -85,7 +86,7 @@ impl AgentDaemon {
         let listener = transport.listen(hint)?;
         let address = listener.address();
         core.set_self_address(&address);
-        let (metrics, tracer) = (core.metrics(), core.tracer());
+        let (metrics, m, tracer) = (core.metrics(), Arc::clone(&core.m), core.tracer());
         let config = core.config().clone();
         let AgentConfig { heartbeat, gossip, telemetry, .. } = config;
         let mut daemon = Daemon::new(Arc::clone(&transport));
@@ -93,6 +94,7 @@ impl AgentDaemon {
         let shared = Arc::new(Shared {
             core: Arc::new(Mutex::new(core)),
             metrics: Arc::clone(&metrics),
+            m: Arc::clone(&m),
             tracer,
             config,
             epoch: clock.now(),
@@ -138,11 +140,12 @@ impl AgentDaemon {
         }
         {
             let shared = Arc::clone(&shared);
+            let counters = AcceptCounters(&m.accepts, &m.busy_rejected, &m.spawn_failures);
             daemon.serve(
                 listener,
                 Self::MAX_CONNECTIONS,
                 KEEP_ALIVE,
-                &metrics,
+                counters,
                 "agent",
                 move |msg| (shared.answer(msg), || {}),
             )?;
@@ -260,7 +263,7 @@ impl Shared {
         let round_timeout =
             Duration::from_secs_f64(self.config.gossip.round_timeout_secs.max(0.001));
         let now = self.now();
-        let (metrics, tracer) = (&self.metrics, &self.tracer);
+        let (m, tracer) = (&self.m, &self.tracer);
         let sync = {
             let mut core = self.core.lock();
             core.expire_gossip(now);
@@ -271,7 +274,7 @@ impl Shared {
                 digests: core.digest_snapshot(now),
             }
         };
-        metrics.counter("agent.gossip_rounds").inc();
+        m.gossip_rounds.inc();
         for peer in &round_peers {
             if self.stop.is_stopped() {
                 return;
@@ -285,19 +288,15 @@ impl Shared {
                     refreshed,
                     conflicts,
                 }) => (
-                    "agent.gossip_sends",
+                    &m.gossip_sends,
                     format!(
                         "peer={peer} merged={merged} refreshed={refreshed} conflicts={conflicts}"
                     ),
                     true,
                 ),
-                _ => (
-                    "agent.gossip_send_failures",
-                    format!("peer={peer} failed"),
-                    false,
-                ),
+                _ => (&m.gossip_send_failures, format!("peer={peer} failed"), false),
             };
-            metrics.counter(counter).inc();
+            counter.inc();
             tracer.record(
                 netsolve_obs::SpanContext::NONE,
                 push_timer,
@@ -313,15 +312,16 @@ impl Shared {
             let was_down = self.peer_is_down(entry);
             entry.misses = if alive { 0 } else { entry.misses.saturating_add(1) };
             match (was_down, self.peer_is_down(entry)) {
-                (true, false) => metrics.counter("agent.peer_recoveries").inc(),
-                (false, true) => metrics.counter("agent.peer_down_marks").inc(),
+                (true, false) => m.peer_recoveries.inc(),
+                (false, true) => m.peer_down_marks.inc(),
                 _ => {}
             }
         }
-        metrics.gauge("agent.peers_up").set(self.live_peers().len() as i64);
+        m.peers_up.set(self.live_peers().len() as i64);
     }
 
-    /// Telemetry tick: (1) snapshot the agent's metrics registry into its
+    /// Telemetry tick: (1) recount the pending assignments, so lapsed ones
+    /// stop counting, snapshot the agent's metrics registry into its
     /// windowed series and fold the series into the digest store as this
     /// agent's own entry, (2) scrape every live locally-registered server
     /// with `FleetStatsQuery` and store its digest, (3) TTL-expire digests
@@ -329,8 +329,8 @@ impl Shared {
     /// store to peers, so one scrape of any agent returns the fleet's
     /// recent history.
     fn telemetry_round(&self, series: &netsolve_obs::WindowedSeries) {
-        let metrics = &self.metrics;
-        series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
+        self.core.lock().refresh_pending_gauge(self.now());
+        series.record(self.metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
         let own = series.digest(&self.address, "agent");
         let targets = {
             let now = self.now();
@@ -353,7 +353,7 @@ impl Shared {
                         core.store_digest(digest, now);
                     }
                 }
-                _ => metrics.counter("agent.digest_scrape_failures").inc(),
+                _ => self.m.digest_scrape_failures.inc(),
             }
         }
     }
@@ -789,6 +789,35 @@ mod tests {
         }
     }
 
+    /// An assignment whose client never reports stops counting once its
+    /// TTL passes: the telemetry tick recounts `agent.pending_assignments`
+    /// on the daemon's clock, with no query or report to prompt it.
+    #[test]
+    fn a_lapsed_assignment_leaves_the_pending_gauge_at_the_next_tick() {
+        use netsolve_core::clock::VirtualClock;
+        use netsolve_core::config::TelemetryPolicy;
+        let clock = VirtualClock::new();
+        let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
+        let telemetry = TelemetryPolicy { tick_secs: 0.01 };
+        let config = AgentConfig { telemetry, ..AgentConfig::default() };
+        let core = AgentCore::new(
+            config,
+            crate::balance::Policy::MinimumCompletionTime,
+            netsolve_net::NetworkView::lan_defaults(),
+        );
+        let metrics = core.metrics();
+        let pending = || metrics.snapshot("agent").gauge("agent.pending_assignments");
+        let mut agent = AgentDaemon::start(Arc::new(net.clone()), "agent", core).unwrap();
+        let send = |msg: Message| call(net.connect("agent").unwrap().as_mut(), &msg, timeout());
+        let register = Message::RegisterServer(standard_descriptor("h", "srv", 100.0));
+        assert!(matches!(send(register), Ok(Message::RegisterAck { accepted: true, .. })));
+        assert!(matches!(send(query_dgesv_msg()), Ok(Message::ServerList { .. })));
+        assert_eq!(pending(), 1, "the query's assignment");
+        clock.advance(Duration::from_secs(301));
+        wait_for("the lapsed assignment to stop counting", &|| pending() == 0);
+        agent.stop();
+    }
+
     fn query_dgesv_msg() -> Message {
         Message::ServerQuery(QueryShape {
             client_host: 0,
@@ -941,12 +970,13 @@ mod tests {
     }
 
     /// `docs/OBSERVABILITY.md` is the catalogue dashboards rely on: every
-    /// `agent.*` instrument and `agent` span phase the code emits must be
-    /// listed there, and nothing listed there may have stopped being
-    /// emitted. Drives a federated pair (plus a lone agent whose slow
-    /// default heartbeat never marks a dead server down, so its telemetry
-    /// scrapes keep failing) through registration, query, reports, a
-    /// missed heartbeat, gossip both ways, and a dead and recovered peer.
+    /// `agent.*` instrument the declaration names and every `agent` span
+    /// phase the code emits must be listed there, and nothing listed there
+    /// may have stopped being declared or emitted. The span half drives a
+    /// federated pair (plus a lone agent whose slow default heartbeat never
+    /// marks a dead server down, so its telemetry scrapes keep failing)
+    /// through registration, query, reports, a missed heartbeat, gossip
+    /// both ways, and a dead and recovered peer.
     #[test]
     fn observability_doc_lists_exactly_the_names_the_agent_emits() {
         use crate::balance::Policy;
@@ -1089,23 +1119,16 @@ mod tests {
             .iter()
             .all(|name| count(&a, name) >= 1)
         });
-        let (mut agent_b2, b2, b2_tracer) = start("agent-b", HeartbeatPolicy::default());
+        let (mut agent_b2, _, b2_tracer) = start("agent-b", HeartbeatPolicy::default());
         wait_for("peer recovery", &|| count(&a, "agent.peer_recoveries") >= 1);
         for agent in [&mut agent_a, &mut agent_b2, &mut agent_c] {
             agent.stop();
         }
 
-        let mut emitted_metrics = BTreeSet::new();
+        let declared: BTreeSet<String> =
+            AgentInstruments::NAMES.iter().map(|n| n.to_string()).collect();
         let mut emitted_phases = BTreeSet::new();
-        for (metrics, tracer) in [(a, a_tracer), (b, b_tracer), (b2, b2_tracer), (c, c_tracer)] {
-            let snap = metrics.snapshot("agent");
-            let names = snap
-                .counters
-                .iter()
-                .map(|(n, _)| n)
-                .chain(snap.gauges.iter().map(|(n, _)| n))
-                .chain(snap.histograms.iter().map(|h| &h.name));
-            emitted_metrics.extend(names.filter(|n| n.starts_with("agent.")).cloned());
+        for tracer in [a_tracer, b_tracer, b2_tracer, c_tracer] {
             emitted_phases.extend(
                 tracer.spans().iter().filter(|s| s.component == "agent").map(|s| s.phase),
             );
@@ -1129,7 +1152,7 @@ mod tests {
             .expect("span section lists the agent's phases in braces");
         let doc_phases: BTreeSet<&str> = ticked(agent_set).collect();
 
-        assert_eq!(emitted_metrics, doc_metrics, "agent.* instruments: emitted vs documented");
+        assert_eq!(declared, doc_metrics, "agent.* instruments: declared vs documented");
         assert_eq!(emitted_phases, doc_phases, "agent span phases: emitted vs documented");
         // What the benchmark's attribution reads must survive any rename.
         assert!(emitted_phases.contains("score"), "attribution reads agent/score");

@@ -106,10 +106,15 @@ impl ServerEntry {
         }
     }
 
+    /// Assignments routed here that are unexpired at `now`.
+    fn live_pending(&self, now: SimTime) -> usize {
+        self.pending.iter().filter(|until| now < **until).count()
+    }
+
     /// Unexpired pending assignments and shed holds at `now`.
     pub fn pending_load(&self, now: SimTime) -> usize {
         let live_holds = self.holds.len() - self.holds.partition_point(|until| *until <= now);
-        self.pending.iter().filter(|until| now < **until).count() + live_holds
+        self.live_pending(now) + live_holds
     }
 
     /// The workload the balancer ranks with: the reported workload, aged
@@ -439,11 +444,11 @@ impl ServerRegistry {
         self.servers.values().collect()
     }
 
-    /// Pending assignments over all servers, expired or not — what the
+    /// Pending assignments over all servers unexpired at `now` — what the
     /// `agent.pending_assignments` gauge shows. Shed holds are not
     /// requests in flight and are not counted.
-    pub fn pending_total(&self) -> usize {
-        self.servers.values().map(|s| s.pending.len()).sum()
+    pub fn pending_total(&self, now: SimTime) -> usize {
+        self.servers.values().map(|s| s.live_pending(now)).sum()
     }
 }
 
@@ -749,7 +754,7 @@ mod tests {
         assert_eq!(s.pending_load(SimTime::from_secs(310.0)), 0, "TTL counts from t=10");
         s.settle_one_pending();
         s.settle_one_pending();
-        assert_eq!(reg.pending_total(), 0);
+        assert_eq!(reg.pending_total(SimTime::ZERO), 0);
     }
 
     #[test]
@@ -771,7 +776,7 @@ mod tests {
         // A shed with no assignment to clear holds nothing.
         s.hold_after_shed(100, at(0.2));
         assert_eq!(s.pending_load(at(0.2)), 0);
-        assert_eq!(reg.pending_total(), 0);
+        assert_eq!(reg.pending_total(SimTime::ZERO), 0);
     }
 
     // ---- the fault rules (were fault.rs) ----
@@ -944,7 +949,8 @@ mod tests {
     /// indexes agree, an address has one row, ids only grow, nothing
     /// is observable about an id the table does not hold, a ranking
     /// never repeats an address or names a down server, and the
-    /// pending gauge is the sum of the rows' pending lists.
+    /// pending gauge is the sum of the rows' pending lists unexpired at
+    /// the instant it was last counted.
     #[test]
     fn the_table_stays_one_table() {
         cases("the_table_stays_one_table", 64, |rng| {
@@ -956,7 +962,8 @@ mod tests {
                 let (kind, slot, id) = (rng.below(12) as u8, rng.below(6), rng.below(10) as u64);
                 let step = (kind, slot, id, rng.uniform(0.0, 300.0));
                 apply(&mut agent, step, &mut now);
-                assert_eq!(pending_gauge(&agent), agent.registry().pending_total() as i64);
+                let counted = agent.registry().pending_total(agent.pending_counted_at);
+                assert_eq!(pending_gauge(&agent), counted as i64);
                 let ranking = agent.query(
                     &QueryShape {
                         client_host: 0,
@@ -999,8 +1006,8 @@ mod tests {
                     assert!(!agent.is_down(ServerId(c.server_id), now));
                     assert_eq!(reg.id_by_address(&c.address), Some(ServerId(c.server_id)));
                 }
-                let pending: usize = reg.servers.values().map(|s| s.pending.len()).sum();
-                assert_eq!(pending_gauge(&agent), pending as i64);
+                let counted = reg.pending_total(agent.pending_counted_at);
+                assert_eq!(pending_gauge(&agent), counted as i64);
             }
         });
     }

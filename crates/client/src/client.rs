@@ -69,7 +69,28 @@ pub struct NetSolveClient {
     next_request: AtomicU64,
     jitter: Mutex<Rng64>,
     metrics: Arc<MetricsRegistry>,
+    m: ClientInstruments,
     tracer: Arc<Tracer>,
+}
+
+netsolve_obs::instruments! {
+    /// Every `client.*` instrument.
+    pub(crate) struct ClientInstruments {
+        calls: counter = "client.calls",
+        calls_ok: counter = "client.calls_ok",
+        calls_failed: counter = "client.calls_failed",
+        call_secs: histogram = "client.call_secs",
+        attempts: counter = "client.attempts",
+        attempt_failures: counter = "client.attempt_failures",
+        busy_hints: counter = "client.busy_hints",
+        backoff_wait_secs: histogram = "client.backoff_wait_secs",
+        deadline_exhausted: counter = "client.deadline_exhausted",
+        agent_failovers: counter = "client.agent_failovers",
+        dials: counter = "client.dials",
+        conn_reused: counter = "client.conn_reused",
+        conn_redials: counter = "client.conn_redials",
+        cached_replies: counter = "client.cached_replies",
+    }
 }
 
 /// The client's view of its agents — the address list in preference order
@@ -197,6 +218,7 @@ impl NetSolveClient {
     /// an empty list — a client needs at least one agent.
     pub fn new_multi(transport: Arc<dyn Transport>, agents: &[String]) -> Self {
         assert!(!agents.is_empty(), "a client needs at least one agent address");
+        let metrics = Arc::new(MetricsRegistry::new());
         NetSolveClient {
             clock: transport.clock(),
             transport,
@@ -211,7 +233,8 @@ impl NetSolveClient {
             specs: Mutex::new(HashMap::new()),
             next_request: AtomicU64::new(request_id_seed()),
             jitter: Mutex::new(Rng64::new(0x6A17_7E12)),
-            metrics: Arc::new(MetricsRegistry::new()),
+            m: ClientInstruments::new(&metrics),
+            metrics,
             tracer: Arc::new(Tracer::new()),
         }
     }
@@ -231,7 +254,9 @@ impl NetSolveClient {
     /// Share a metrics registry and tracer with this client (tests and
     /// experiments aggregate several clients into one registry; a shared
     /// tracer also cross-checks request-id uniqueness *across* clients).
+    /// The client's instruments are resolved again on `metrics`.
     pub fn with_observability(mut self, metrics: Arc<MetricsRegistry>, tracer: Arc<Tracer>) -> Self {
+        self.m = ClientInstruments::new(&metrics);
         self.metrics = metrics;
         self.tracer = tracer;
         self
@@ -345,9 +370,7 @@ impl NetSolveClient {
             return;
         }
         let pause = scope.budget.clamp(Duration::from_secs_f64(wait));
-        self.metrics
-            .histogram("client.backoff_wait_secs")
-            .record_secs_traced(pause.as_secs_f64(), scope.ctx.trace_id);
+        self.m.backoff_wait_secs.record_secs_traced(pause.as_secs_f64(), scope.ctx.trace_id);
         let sleep = |_| {
             self.clock.sleep(pause);
             Ok(())
@@ -357,7 +380,7 @@ impl NetSolveClient {
 
     /// The one way a call stops on a spent budget, in either ring.
     fn exhausted(&self, scope: Scope<'_>, progress: String) -> NetSolveError {
-        self.metrics.counter("client.deadline_exhausted").inc();
+        self.m.deadline_exhausted.inc();
         self.tracer.point(scope.ctx, "client", "deadline_exhausted", progress.clone());
         NetSolveError::Timeout(format!(
             "deadline of {:.3}s exhausted {progress}",
@@ -417,7 +440,7 @@ impl NetSolveClient {
             if hop > 0 {
                 // Moving on means abandoning the kept connection.
                 roster.conn = None;
-                self.metrics.counter("client.agent_failovers").inc();
+                self.m.agent_failovers.inc();
                 let hop_detail = format!("to={} after err={last_err}", roster.addresses[idx]);
                 self.tracer.point(scope.ctx, "client", "agent_failover", hop_detail);
                 self.pace(scope, hop as u32, 0);
@@ -529,7 +552,7 @@ impl NetSolveClient {
         // Account every call here, including ones that die before any
         // server traffic (bad arguments, agent unreachable), so
         // calls == calls_ok + calls_failed always closes.
-        self.metrics.counter("client.calls").inc();
+        self.m.calls.inc();
         let started = self.clock.now();
         let budget = Budget::start(self.clock.as_ref(), started, self.retry.deadline_secs);
         let result = self
@@ -595,11 +618,11 @@ impl NetSolveClient {
                                     ErrorClass::Fault => spent.push(&candidate.address),
                                     ErrorClass::Link | ErrorClass::Load { retry_after_ms: 0 } => {}
                                     ErrorClass::Load { retry_after_ms } => {
-                                        self.metrics.counter("client.busy_hints").inc();
+                                        self.m.busy_hints.inc();
                                         busy_hint_ms = retry_after_ms;
                                     }
                                 }
-                                self.metrics.counter("client.attempt_failures").inc();
+                                self.m.attempt_failures.inc();
                                 let detail = format!(
                                     "server={} address={} err={e}",
                                     candidate.server_id, candidate.address
@@ -616,12 +639,11 @@ impl NetSolveClient {
             });
         match &result {
             Ok((_, report)) => {
-                self.metrics.counter("client.calls_ok").inc();
-                self.metrics
-                    .histogram("client.call_secs")
-                    .record_secs_traced(self.clock.since(started).as_secs_f64(), report.trace_id);
+                self.m.calls_ok.inc();
+                let secs = self.clock.since(started).as_secs_f64();
+                self.m.call_secs.record_secs_traced(secs, report.trace_id);
             }
-            Err(_) => self.metrics.counter("client.calls_failed").inc(),
+            Err(_) => self.m.calls_failed.inc(),
         }
         result
     }
@@ -658,10 +680,10 @@ impl NetSolveClient {
         let get = |_| {
             let kept = if fresh { None } else { self.take_idle(address) };
             if let Some(conn) = kept {
-                self.metrics.counter("client.conn_reused").inc();
+                self.m.conn_reused.inc();
                 return Ok((conn, true));
             }
-            self.metrics.counter("client.dials").inc();
+            self.m.dials.inc();
             Ok((self.transport.connect(address)?, false))
         };
         let which = |got: &(_, bool)| if got.1 { "reused" } else { "dialled" }.to_string();
@@ -678,7 +700,7 @@ impl NetSolveClient {
         candidate: &Candidate,
         attempts: u32,
     ) -> Result<(Vec<DataObject>, CallReport)> {
-        self.metrics.counter("client.attempts").inc();
+        self.m.attempts.inc();
         let start = self.clock.now();
         let exchange = |scope: Scope<'_>| {
             let ctx = scope.ctx;
@@ -713,7 +735,7 @@ impl NetSolveClient {
                     // and whatever else was kept to that address — closed
                     // by the same restart or the same silence — goes too.
                     Err(e) if reused && hung_up(&e) && !left().is_zero() => {
-                        self.metrics.counter("client.conn_redials").inc();
+                        self.m.conn_redials.inc();
                         self.forget_idle(&candidate.address);
                         fresh = true;
                     }
@@ -736,7 +758,7 @@ impl NetSolveClient {
             // late can never be read as a later request's.
             self.keep_idle(&candidate.address, conn);
             if cached {
-                self.metrics.counter("client.cached_replies").inc();
+                self.m.cached_replies.inc();
                 self.tracer.point(ctx, "client", "cached_reply", String::new());
             }
             call.spec.check_outputs(&outputs)?;
@@ -1969,22 +1991,16 @@ mod tests {
     }
 
     /// `docs/OBSERVABILITY.md` is the catalogue dashboards rely on: every
-    /// `client.*` instrument and `client` span phase the code emits must
-    /// be listed there, and nothing listed there may have stopped being
-    /// emitted.
+    /// `client.*` instrument the declaration names and every `client` span
+    /// phase the code emits must be listed there, and nothing listed there
+    /// may have stopped being declared or emitted.
     #[test]
     fn observability_doc_lists_exactly_the_names_the_client_emits() {
         use std::collections::BTreeSet;
-        let mut emitted_metrics = BTreeSet::new();
+        let declared: BTreeSet<String> =
+            ClientInstruments::NAMES.iter().map(|n| n.to_string()).collect();
         let mut emitted_phases = BTreeSet::new();
         for (_, seen) in drive_every_row() {
-            let names = seen
-                .stats
-                .counters
-                .iter()
-                .map(|(n, _)| n)
-                .chain(seen.stats.histograms.iter().map(|h| &h.name));
-            emitted_metrics.extend(names.filter(|n| n.starts_with("client.")).cloned());
             emitted_phases.extend(seen.phases);
         }
 
@@ -2006,7 +2022,7 @@ mod tests {
             .expect("span section lists the client's phases in braces");
         let doc_phases: BTreeSet<&str> = ticked(client_set).collect();
 
-        assert_eq!(emitted_metrics, doc_metrics, "client.* instruments: emitted vs documented");
+        assert_eq!(declared, doc_metrics, "client.* instruments: declared vs documented");
         assert_eq!(emitted_phases, doc_phases, "client span phases: emitted vs documented");
         // What the benchmark's attribution reads must survive any rename.
         for phase in ["call", "rank", "connect", "marshal", "wait"] {

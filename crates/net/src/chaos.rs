@@ -45,14 +45,13 @@
 //!
 //! Every injected fault is counted; [`ChaosTransport::stats`] exposes a
 //! snapshot so tests can assert, e.g., that every injected corruption was
-//! detected by CRC validation. [`ChaosTransport::with_metrics`] mirrors
-//! the same counts into a [`MetricsRegistry`] under `chaos.*` names, so
+//! detected by CRC validation. [`ChaosTransport::with_metrics`] keeps
+//! the same counts in a [`MetricsRegistry`] under `chaos.*` names, so
 //! the injected-equals-detected invariant is assertable from a metrics
 //! snapshot (including one scraped over the wire) rather than only from
 //! a test-local handle.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -142,44 +141,24 @@ impl ChaosPolicy {
     }
 }
 
-/// One fault counter: the raw atomic plus an optional mirror into a
-/// metrics registry, attached once via [`ChaosTransport::with_metrics`].
-/// The mirror read is a lock-free `OnceLock` load, so the unattached
-/// fast path stays a single `fetch_add`.
-#[derive(Debug, Default)]
-struct Tally {
-    raw: AtomicU64,
-    mirror: OnceLock<Arc<netsolve_obs::Counter>>,
-}
-
-impl Tally {
-    fn bump(&self) {
-        self.raw.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = self.mirror.get() {
-            c.inc();
-        }
-    }
-
-    fn get(&self) -> u64 {
-        self.raw.load(Ordering::Relaxed)
-    }
-
-    fn attach(&self, registry: &MetricsRegistry, name: &str) {
-        let _ = self.mirror.set(registry.counter(name));
+netsolve_obs::instruments! {
+    /// Every fault count, under `chaos.*` names: on a registry of its own
+    /// until [`ChaosTransport::with_metrics`] resolves them on another.
+    pub(crate) struct ChaosInstruments {
+        connects: counter = "chaos.connects",
+        refused: counter = "chaos.refused",
+        resets: counter = "chaos.resets",
+        corruptions_injected: counter = "chaos.corruptions_injected",
+        corruptions_detected: counter = "chaos.corruptions_detected",
+        black_holes: counter = "chaos.black_holes",
+        delays: counter = "chaos.delays",
+        delivered_clean: counter = "chaos.delivered_clean",
+        kill_faults: counter = "chaos.kill_faults",
     }
 }
 
-#[derive(Default)]
 struct Counters {
-    connects: Tally,
-    refused: Tally,
-    resets: Tally,
-    corruptions_injected: Tally,
-    corruptions_detected: Tally,
-    black_holes: Tally,
-    delays: Tally,
-    delivered_clean: Tally,
-    kill_faults: Tally,
+    m: ChaosInstruments,
     /// Optional tracer attached via [`ChaosTransport::with_tracer`]: each
     /// injected fault becomes a traceless point span, so a stitched run's
     /// tracer output shows *when* the chaos struck relative to the
@@ -245,7 +224,10 @@ impl ChaosTransport {
             inner,
             policy,
             rng: Mutex::new(Rng64::new(seed)),
-            counters: Arc::new(Counters::default()),
+            counters: Arc::new(Counters {
+                m: ChaosInstruments::new(&MetricsRegistry::new()),
+                tracer: OnceLock::new(),
+            }),
             dead: Arc::new(Mutex::new(HashSet::new())),
         }
     }
@@ -266,22 +248,14 @@ impl ChaosTransport {
         self.counters.fault_point("revive", format!("address={address}"));
     }
 
-    /// Mirror every fault count into `registry` under `chaos.*` names
+    /// Count every fault in `registry` under `chaos.*` names
     /// (`chaos.refused`, `chaos.corruptions_injected`, …), so injected
     /// faults are assertable from the same metrics surface the daemons
-    /// expose. Attach before traffic starts: counts from earlier events
-    /// stay only in [`ChaosTransport::stats`].
-    pub fn with_metrics(self, registry: &MetricsRegistry) -> Self {
-        let c = &self.counters;
-        c.connects.attach(registry, "chaos.connects");
-        c.refused.attach(registry, "chaos.refused");
-        c.resets.attach(registry, "chaos.resets");
-        c.corruptions_injected.attach(registry, "chaos.corruptions_injected");
-        c.corruptions_detected.attach(registry, "chaos.corruptions_detected");
-        c.black_holes.attach(registry, "chaos.black_holes");
-        c.delays.attach(registry, "chaos.delays");
-        c.delivered_clean.attach(registry, "chaos.delivered_clean");
-        c.kill_faults.attach(registry, "chaos.kill_faults");
+    /// expose; [`ChaosTransport::stats`] reads the same counts. Call it
+    /// before traffic starts: the counts start afresh on `registry`.
+    pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
+        let tracer = self.counters.tracer.clone();
+        self.counters = Arc::new(Counters { m: ChaosInstruments::new(registry), tracer });
         self
     }
 
@@ -295,7 +269,7 @@ impl ChaosTransport {
 
     /// Snapshot of the injected-fault counters.
     pub fn stats(&self) -> ChaosStats {
-        let c = &self.counters;
+        let c = &self.counters.m;
         ChaosStats {
             connects: c.connects.get(),
             refused: c.refused.get(),
@@ -330,21 +304,21 @@ impl Transport for ChaosTransport {
             parent.fork(stream)
         };
         if self.dead.lock().contains(address) {
-            self.counters.kill_faults.bump();
+            self.counters.m.kill_faults.inc();
             self.counters.fault_point("kill_refused", format!("address={address}"));
             return Err(NetSolveError::ServerUnreachable(format!(
                 "chaos: {address} is killed"
             )));
         }
         if rng.chance(self.policy.refuse_prob) {
-            self.counters.refused.bump();
+            self.counters.m.refused.inc();
             self.counters.fault_point("refused", format!("address={address}"));
             return Err(NetSolveError::ServerUnreachable(format!(
                 "chaos: connection to {address} refused"
             )));
         }
         let inner = self.inner.connect(address)?;
-        self.counters.connects.bump();
+        self.counters.m.connects.inc();
         Ok(Box::new(ChaosConnection {
             inner,
             clock: Arc::clone(&self.clock),
@@ -388,7 +362,7 @@ impl ChaosConnection {
     /// send or receive, like a TCP stream whose process was SIGKILLed.
     fn check_killed(&mut self, during: &str) -> Result<()> {
         if self.dead.lock().contains(&self.address) {
-            self.counters.kill_faults.bump();
+            self.counters.m.kill_faults.inc();
             self.counters
                 .fault_point("kill_reset", format!("address={} during={during}", self.address));
             return Err(NetSolveError::Transport(format!(
@@ -430,7 +404,7 @@ impl ChaosConnection {
         if delay.is_zero() {
             return Ok(());
         }
-        self.counters.delays.bump();
+        self.counters.m.delays.inc();
         let due = self.clock.now() + delay;
         if let Some(deadline) = deadline.filter(|deadline| due > *deadline) {
             self.clock.sleep_until(deadline);
@@ -448,7 +422,7 @@ impl ChaosConnection {
     fn receive(&mut self, timeout: Option<Duration>) -> Result<Message> {
         self.check_killed("recv")?;
         if self.rng.chance(self.policy.black_hole_prob) {
-            self.counters.black_holes.bump();
+            self.counters.m.black_holes.inc();
             self.counters.fault_point("black_hole", String::new());
             let cap = self.policy.black_hole_cap;
             self.clock.sleep(timeout.map_or(cap, |t| t.min(cap)));
@@ -466,7 +440,7 @@ impl ChaosConnection {
 
     fn maybe_reset(&mut self, during: &str) -> Result<()> {
         if self.rng.chance(self.policy.reset_prob) {
-            self.counters.resets.bump();
+            self.counters.m.resets.inc();
             self.counters.fault_point("reset", format!("during={during}"));
             return Err(NetSolveError::Transport(format!(
                 "chaos: connection reset during {during}"
@@ -482,7 +456,7 @@ impl ChaosConnection {
     /// single-byte flip there is always caught by CRC32.
     fn deliver(&mut self, msg: Message) -> Result<Message> {
         if !self.rng.chance(self.policy.corrupt_prob) {
-            self.counters.delivered_clean.bump();
+            self.counters.m.delivered_clean.inc();
             return Ok(msg);
         }
         encode_frame_into(&msg, &mut self.scratch)
@@ -493,14 +467,14 @@ impl ChaosConnection {
         let idx = HEADER_LEN + self.rng.below(self.scratch.len() - HEADER_LEN);
         let bit = 1u8 << self.rng.below(8);
         self.scratch[idx] ^= bit;
-        self.counters.corruptions_injected.bump();
+        self.counters.m.corruptions_injected.inc();
         self.counters.fault_point("corrupt", format!("byte={idx}"));
         match parse_frame(&self.scratch) {
             Ok(_) => Err(NetSolveError::Internal(
                 "chaos: injected corruption escaped frame validation".into(),
             )),
             Err(e) => {
-                self.counters.corruptions_detected.bump();
+                self.counters.m.corruptions_detected.inc();
                 Err(e)
             }
         }

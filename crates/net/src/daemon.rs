@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_obs::MetricsRegistry;
+use netsolve_obs::Counter;
 use netsolve_proto::Message;
 
 use crate::transport::{Listener, Transport};
@@ -26,6 +26,11 @@ use crate::transport::{Listener, Transport};
 /// an idle client holds one of a daemon's connection slots; a client that
 /// comes back later finds the connection closed and dials again.
 pub const KEEP_ALIVE: Duration = Duration::from_secs(30);
+
+/// What an accept loop counts, on handles the serving component declares
+/// under its own names: connections accepted, connections shed at the
+/// cap, and connections shed because their thread could not be spawned.
+pub struct AcceptCounters<'a>(pub &'a Arc<Counter>, pub &'a Arc<Counter>, pub &'a Arc<Counter>);
 
 /// The daemon-wide stop flag, waitable so sleeping workers wake at once.
 #[derive(Debug, Default)]
@@ -118,15 +123,15 @@ impl Daemon {
     /// At most `max_connections` are served at once: one arriving past the
     /// cap — or one whose thread cannot be spawned — is answered with a
     /// retryable Busy error and dropped, so a flood degrades into shed load
-    /// instead of unbounded thread growth or a dead accept loop. Counted in
-    /// `metrics` as `{component}.accepts`, `.busy_rejected` and
-    /// `.spawn_failures`.
+    /// instead of unbounded thread growth or a dead accept loop. Each is
+    /// counted on `counters`; `component` names the threads and the Busy
+    /// message.
     pub fn serve<A: FnOnce()>(
         &mut self,
         listener: Box<dyn Listener>,
         max_connections: u32,
         idle: Duration,
-        metrics: &MetricsRegistry,
+        counters: AcceptCounters<'_>,
         component: &str,
         handler: impl Fn(&Message) -> (Message, A) + Send + Sync + 'static,
     ) -> Result<()> {
@@ -134,9 +139,9 @@ impl Daemon {
         let handler = Arc::new(handler);
         let max_conns = max_connections.max(1);
         let live_conns = Arc::new(AtomicU32::new(0));
-        let accepts = metrics.counter(&format!("{component}.accepts"));
-        let busy_rejected = metrics.counter(&format!("{component}.busy_rejected"));
-        let spawn_failures = metrics.counter(&format!("{component}.spawn_failures"));
+        let AcceptCounters(accepts, busy_rejected, spawn_failures) = counters;
+        let (accepts, busy_rejected) = (Arc::clone(accepts), Arc::clone(busy_rejected));
+        let spawn_failures = Arc::clone(spawn_failures);
         let component = component.to_string();
         self.listening.push(listener.address());
         self.spawn(format!("{component}-accept"), move || loop {
@@ -246,6 +251,7 @@ mod tests {
     use crate::channel::ChannelNetwork;
     use crate::transport::{call, Connection};
     use netsolve_core::ErrorClass;
+    use netsolve_obs::MetricsRegistry;
 
     const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -259,6 +265,11 @@ mod tests {
         }
     }
 
+    /// Accept-loop counters under `test.*` names on `metrics`.
+    fn counters(metrics: &MetricsRegistry) -> [Arc<Counter>; 3] {
+        ["test.accepts", "test.busy_rejected", "test.spawn_failures"].map(|n| metrics.counter(n))
+    }
+
     /// A daemon answering every message with `Pong` at `address`.
     fn ping_daemon(
         net: &ChannelNetwork,
@@ -269,9 +280,9 @@ mod tests {
     ) -> Daemon {
         let mut daemon = Daemon::new(Arc::new(net.clone()));
         let listener = net.listen(address).unwrap();
-        daemon
-            .serve(listener, cap, idle, metrics, "test", |_| (Message::Pong, || {}))
-            .unwrap();
+        let [a, b, c] = counters(metrics);
+        let counted = AcceptCounters(&a, &b, &c);
+        daemon.serve(listener, cap, idle, counted, "test", |_| (Message::Pong, || {})).unwrap();
         daemon
     }
 
@@ -352,8 +363,10 @@ mod tests {
         let alive = Arc::new(());
         let mut daemon = Daemon::new(Arc::new(net.clone()));
         let (in_handler, in_worker) = (Arc::clone(&alive), Arc::clone(&alive));
+        let [a, b, c] = counters(&metrics);
+        let counted = AcceptCounters(&a, &b, &c);
         daemon
-            .serve(net.listen("d").unwrap(), 4, KEEP_ALIVE, &metrics, "test", move |_| {
+            .serve(net.listen("d").unwrap(), 4, KEEP_ALIVE, counted, "test", move |_| {
                 let _held = &in_handler;
                 (Message::Pong, || {})
             })

@@ -9,9 +9,12 @@
 //!   the last bucket absorbing everything longer. Recording is two
 //!   `fetch_add`s plus one on the nanosecond sum — no locks, no heap.
 //!
-//! Instruments are created (and found again) by name through the
-//! [`MetricsRegistry`]; callers cache the returned `Arc` outside hot
-//! loops. [`MetricsRegistry::snapshot`] freezes everything into a
+//! A component declares its instruments once, with [`crate::instruments!`]:
+//! one line per instrument names it, and the declaration resolves every
+//! handle on the component's [`MetricsRegistry`] at construction, so a
+//! request path touches only atomics and a scrape lists every instrument
+//! from start-up, at 0 until recorded. Lookup by name is for the read
+//! side: [`MetricsRegistry::snapshot`] freezes everything into a
 //! [`StatsSnapshot`], the plain-data form that travels in `StatsReply`
 //! wire messages.
 
@@ -287,8 +290,8 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Look up a counter by name (0 when absent — an instrument that was
-    /// never touched may not exist yet).
+    /// Look up a counter by name (0 when absent: a name the daemon does not
+    /// declare, or one an older build created only on first use).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
@@ -312,9 +315,10 @@ impl StatsSnapshot {
     }
 }
 
-/// Owns every named instrument of one daemon. Lookup takes a short lock;
-/// the instruments themselves are lock-free, so hot paths fetch their
-/// `Arc`s once and then only touch atomics.
+/// Owns every named instrument of one daemon. Lookup by name takes the
+/// lock [`MetricsRegistry::snapshot`] takes and allocates the name, so it
+/// is for construction ([`crate::instruments!`]) and the read side only; the
+/// instruments themselves are lock-free.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -371,6 +375,55 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+}
+
+/// Declare a component's instruments, one line each — field, kind
+/// (`counter`, `gauge` or `histogram`) and metric name — the only place
+/// the component writes a name. It makes a struct of `Arc` handles with
+/// `pub(crate)` fields, `new`, which resolves them all on a registry at
+/// construction, and `NAMES`, the component's name list.
+///
+/// ```
+/// netsolve_obs::instruments! {
+///     /// What a job runner counts.
+///     pub(crate) struct Jobs {
+///         started: counter = "jobs.started",
+///         running: gauge = "jobs.running",
+///     }
+/// }
+/// let metrics = netsolve_obs::MetricsRegistry::new();
+/// let jobs = Jobs::new(&metrics);
+/// assert_eq!(metrics.snapshot("jobs").counters, [("jobs.started".to_string(), 0)]);
+/// jobs.started.inc();
+/// jobs.running.set(2);
+/// assert_eq!(metrics.snapshot("jobs").gauge("jobs.running"), 2);
+/// assert_eq!(Jobs::NAMES, ["jobs.started", "jobs.running"]);
+/// ```
+#[macro_export]
+macro_rules! instruments {
+    (@kind counter) => { $crate::Counter };
+    (@kind gauge) => { $crate::Gauge };
+    (@kind histogram) => { $crate::Histogram };
+    ($(#[$attr:meta])* $vis:vis struct $name:ident {
+        $($field:ident: $kind:ident = $metric:literal,)*
+    }) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $(pub(crate) $field: ::std::sync::Arc<$crate::instruments!(@kind $kind)>,)*
+        }
+
+        impl $name {
+            /// Every metric name this declaration writes, in its order.
+            #[allow(dead_code)]
+            pub(crate) const NAMES: &'static [&'static str] = &[$($metric),*];
+
+            /// Resolve every instrument on `metrics`: each is listed from
+            /// now on, at 0 until recorded.
+            pub(crate) fn new(metrics: &$crate::MetricsRegistry) -> Self {
+                $name { $($field: metrics.$kind($metric),)* }
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::rng::splitmix64;
-use netsolve_obs::{Counter, Gauge, MetricsRegistry};
+use netsolve_obs::MetricsRegistry;
 use netsolve_xdr::{crc32, from_bytes, to_bytes};
 use parking_lot::Mutex;
 
@@ -324,26 +324,30 @@ impl Waiter {
     }
 }
 
-struct Instruments {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    coalesced: Arc<Counter>,
-    inserts: Arc<Counter>,
-    evictions: Arc<Counter>,
-    insert_crcs: Arc<Counter>,
-    serve_crcs: Arc<Counter>,
-    corrupt_dropped: Arc<Counter>,
-    uncacheable: Arc<Counter>,
-    bypass_nondet: Arc<Counter>,
-    bytes_gauge: Arc<Gauge>,
-    entries_gauge: Arc<Gauge>,
+netsolve_obs::instruments! {
+    /// The cache's `server.cache_*` instruments, on its core's registry
+    /// once a cache is installed.
+    pub(crate) struct CacheInstruments {
+        hits: counter = "server.cache_hits",
+        misses: counter = "server.cache_misses",
+        coalesced: counter = "server.cache_coalesced",
+        inserts: counter = "server.cache_inserts",
+        evictions: counter = "server.cache_evictions",
+        insert_crcs: counter = "server.cache_insert_crcs",
+        serve_crcs: counter = "server.cache_serve_crcs",
+        corrupt_dropped: counter = "server.cache_corrupt_dropped",
+        uncacheable: counter = "server.cache_uncacheable",
+        bypass_nondet: counter = "server.cache_bypass_nondet",
+        bytes_gauge: gauge = "server.cache_bytes",
+        entries_gauge: gauge = "server.cache_entries",
+    }
 }
 
 struct Shared {
     byte_budget: usize,
     store: Mutex<Store>,
     inflight: Mutex<HashMap<u128, Arc<Slot>>>,
-    m: Instruments,
+    m: CacheInstruments,
 }
 
 /// The server's solve cache. See the module docs for the design.
@@ -366,20 +370,7 @@ impl SolveCache {
                     next_seq: 0,
                 }),
                 inflight: Mutex::new(HashMap::new()),
-                m: Instruments {
-                    hits: metrics.counter("server.cache_hits"),
-                    misses: metrics.counter("server.cache_misses"),
-                    coalesced: metrics.counter("server.cache_coalesced"),
-                    inserts: metrics.counter("server.cache_inserts"),
-                    evictions: metrics.counter("server.cache_evictions"),
-                    insert_crcs: metrics.counter("server.cache_insert_crcs"),
-                    serve_crcs: metrics.counter("server.cache_serve_crcs"),
-                    corrupt_dropped: metrics.counter("server.cache_corrupt_dropped"),
-                    uncacheable: metrics.counter("server.cache_uncacheable"),
-                    bypass_nondet: metrics.counter("server.cache_bypass_nondet"),
-                    bytes_gauge: metrics.gauge("server.cache_bytes"),
-                    entries_gauge: metrics.gauge("server.cache_entries"),
-                },
+                m: CacheInstruments::new(metrics),
             }),
         }
     }

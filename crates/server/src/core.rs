@@ -15,7 +15,7 @@ use netsolve_core::admission::{
 use netsolve_core::clock::{Clock, RealClock};
 use netsolve_core::data::DataObject;
 use netsolve_core::error::{NetSolveError, Result};
-use netsolve_obs::{MetricsRegistry, SpanContext, SpanTimer, Tracer};
+use netsolve_obs::{Counter, MetricsRegistry, SpanContext, SpanTimer, Tracer};
 use netsolve_pdl::ProblemRegistry;
 use netsolve_proto::Message;
 use netsolve_solvers::execute;
@@ -38,11 +38,34 @@ pub enum ExecutionMode {
     },
 }
 
+netsolve_obs::instruments! {
+    /// Every `server.*` instrument but the cache's: the core's, its
+    /// daemon's and the accept loop's.
+    pub(crate) struct ServerInstruments {
+        requests: counter = "server.requests",
+        requests_ok: counter = "server.requests_ok",
+        requests_failed: counter = "server.requests_failed",
+        deadline_shed: counter = "server.deadline_shed",
+        queue_deadline_shed: counter = "server.queue_deadline_shed",
+        admission_shed: counter = "server.admission_shed",
+        active_requests: gauge = "server.active_requests",
+        queue_secs: histogram = "server.queue_secs",
+        compute_secs: histogram = "server.compute_secs",
+        request_handle_secs: histogram = "server.request_handle_secs",
+        reply_marshal_secs: histogram = "server.reply_marshal_secs",
+        accepts: counter = "server.accepts",
+        busy_rejected: counter = "server.busy_rejected",
+        spawn_failures: counter = "server.spawn_failures",
+    }
+}
+
 /// Transport-free server logic.
 pub struct ServerCore {
     problems: ProblemRegistry,
     mode: ExecutionMode,
     metrics: Arc<MetricsRegistry>,
+    /// The instruments on `metrics`; the daemon records its own on them.
+    pub(crate) m: Arc<ServerInstruments>,
     tracer: Arc<Tracer>,
     /// Optional content-addressed solve cache (+ in-flight coalescing).
     cache: Option<SolveCache>,
@@ -74,13 +97,16 @@ struct Request<'a> {
     received_at: Instant,
 }
 
+/// One of the end counters, picked out of a core's instruments.
+type EndCounter = fn(&ServerInstruments) -> &Arc<Counter>;
+
 /// A request that ends without an answer, and the one counter it ends
 /// under: `server.requests_failed`, or the shed's own.
-struct Refused(&'static str, NetSolveError);
+struct Refused(EndCounter, NetSolveError);
 
 impl Refused {
     fn failed(error: NetSolveError) -> Self {
-        Refused("server.requests_failed", error)
+        Refused(|m| &m.requests_failed, error)
     }
 }
 
@@ -91,19 +117,21 @@ type Answer = std::result::Result<Solved, Refused>;
 /// "died waiting for the slot" — as the counter, span phase and message
 /// tail that keep the two apart.
 #[derive(Debug, Clone, Copy)]
-struct Expired(&'static str, &'static str, &'static str);
+struct Expired(EndCounter, &'static str, &'static str);
 
-const ON_ARRIVAL: Expired = Expired("server.deadline_shed", "deadline_shed", "expired on arrival");
+const ON_ARRIVAL: Expired = Expired(|m| &m.deadline_shed, "deadline_shed", "expired on arrival");
 const WHILE_QUEUED: Expired =
-    Expired("server.queue_deadline_shed", "queue_deadline_shed", "expired while queued");
+    Expired(|m| &m.queue_deadline_shed, "queue_deadline_shed", "expired while queued");
 
 impl ServerCore {
     /// Server offering the given problem catalogue.
     pub fn new(problems: ProblemRegistry, mode: ExecutionMode) -> Self {
+        let metrics = Arc::new(MetricsRegistry::new());
         ServerCore {
             problems,
             mode,
-            metrics: Arc::new(MetricsRegistry::new()),
+            m: Arc::new(ServerInstruments::new(&metrics)),
+            metrics,
             tracer: Arc::new(Tracer::new()),
             cache: None,
             gate: None,
@@ -167,9 +195,8 @@ impl ServerCore {
         &self.problems
     }
 
-    /// The registry holding this server's `server.*` instruments. The
-    /// daemon shares it for accept-loop metrics, and [`Message::StatsQuery`]
-    /// snapshots it over the wire.
+    /// The registry holding this server's `server.*` instruments.
+    /// [`Message::StatsQuery`] snapshots it over the wire.
     pub fn metrics(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.metrics)
     }
@@ -254,21 +281,16 @@ impl ServerCore {
     /// The request path: receive → `solve`. Every request counts in
     /// `server.requests` and `server.request_handle_secs` once, and ends
     /// under exactly one of `server.requests_ok`, `server.requests_failed`
-    /// or the counter of the shed that refused it. Without a gate each
-    /// request is load (`server.active_requests`) from receipt to answer;
-    /// with one, the gate counts what waits for or holds its slot.
+    /// or the counter of the shed that refused it.
     fn serve(&self, req: &Request<'_>) -> Result<Solved> {
-        self.metrics.counter("server.requests").inc();
-        let path = || self.receive(req).and_then(|dispatched| self.solve(req, dispatched));
-        let ended = if self.gate.is_some() { path() } else { self.active(path) };
-        let (counter, outcome) = match ended {
-            Ok(solved) => ("server.requests_ok", Ok(solved)),
+        self.m.requests.inc();
+        let ended = self.receive(req).and_then(|dispatched| self.solve(req, dispatched));
+        let (counter, outcome): (EndCounter, _) = match ended {
+            Ok(solved) => (|m| &m.requests_ok, Ok(solved)),
             Err(Refused(counter, e)) => (counter, Err(e)),
         };
-        self.metrics.counter(counter).inc();
-        self.metrics
-            .histogram("server.request_handle_secs")
-            .record_secs(self.clock.since(req.received_at).as_secs_f64());
+        counter(&self.m).inc();
+        self.m.request_handle_secs.record_secs(self.clock.since(req.received_at).as_secs_f64());
         outcome
     }
 
@@ -293,7 +315,7 @@ impl ServerCore {
     fn queued(&self, req: &Request<'_>, from: Instant, to: Instant, detail: String) {
         let timer = self.tracer.start_at(from);
         let waited = to.saturating_duration_since(from).as_secs_f64();
-        self.metrics.histogram("server.queue_secs").record_secs_traced(waited, req.ctx.trace_id);
+        self.m.queue_secs.record_secs_traced(waited, req.ctx.trace_id);
         self.tracer.record_at(req.ctx, timer, to, "server", "queue", detail);
     }
 
@@ -375,12 +397,16 @@ impl ServerCore {
     /// the policy, waits for the slot or counts as load. The policy decides
     /// on queue depth and remaining budget, then the request waits its turn
     /// for the slot — a second `queue` span, from `from` — and solves while
-    /// holding it. `server.active_requests` counts it from the policy's
-    /// admit until its solve ends, so on a gated core the gauge is the
-    /// gate's depth.
+    /// holding it. `server.active_requests` counts the requests at the
+    /// solver: from the policy's admit (on an ungated core, from `execute`)
+    /// until the solve ends, so on a gated core the gauge is the gate's
+    /// depth. A hit or a join never counts.
     fn guarded(&self, req: &Request<'_>, from: Instant) -> Answer {
         let Some(gate) = &self.gate else {
-            return self.execute(req, self.tracer.start_at(from)).map_err(Refused::failed);
+            self.m.active_requests.inc();
+            let solved = self.execute(req, self.tracer.start_at(from));
+            self.m.active_requests.dec();
+            return solved.map_err(Refused::failed);
         };
         let depth = gate.depth();
         let left = budget_left_ms(req.deadline_ms, self.clock.since(req.received_at));
@@ -396,11 +422,12 @@ impl ServerCore {
                 ShedReason::QueueFull | ShedReason::DeadlineUnmeetable => {
                     self.tracer.point(req.ctx, "server", "admission_shed", detail);
                     let busy = format_busy_detail(reason, depth, retry_after_ms);
-                    Refused("server.admission_shed", NetSolveError::Resource(busy))
+                    Refused(|m| &m.admission_shed, NetSolveError::Resource(busy))
                 }
             });
         }
-        self.active(|| match gate.acquire(self.clock.as_ref(), req.received_at, req.deadline_ms) {
+        self.m.active_requests.inc();
+        let answer = match gate.acquire(self.clock.as_ref(), req.received_at, req.deadline_ms) {
             Some(_slot) => {
                 let acquired = self.clock.now();
                 self.queued(req, from, acquired, "slot".to_string());
@@ -410,17 +437,9 @@ impl ServerCore {
                 let detail = format!("budget={}ms", req.deadline_ms);
                 Err(self.deadline_shed(req, WHILE_QUEUED, detail))
             }
-        })
-    }
-
-    /// Run `work` counted in `server.active_requests`. The gauge is looked
-    /// up at each end: a lookup allocates its name, and `tests/alloc_cap.rs`
-    /// pins the uncached path's allocations.
-    fn active<T>(&self, work: impl FnOnce() -> T) -> T {
-        self.metrics.gauge("server.active_requests").inc();
-        let out = work();
-        self.metrics.gauge("server.active_requests").dec();
-        out
+        };
+        self.m.active_requests.dec();
+        answer
     }
 
     /// Run the solver under the `solve` span. A solve that ran feeds the
@@ -445,9 +464,7 @@ impl ServerCore {
                     solved.compute_secs,
                 );
             }
-            self.metrics
-                .histogram("server.compute_secs")
-                .record_secs_traced(solved.compute_secs, req.ctx.trace_id);
+            self.m.compute_secs.record_secs_traced(solved.compute_secs, req.ctx.trace_id);
         }
         run
     }
@@ -695,7 +712,8 @@ pub(crate) mod tests {
             };
             match core.deadline_shed(&req, point, "budget=10ms".into()) {
                 Refused(ends_under, NetSolveError::Timeout(detail)) => {
-                    assert_eq!(ends_under, counter, "{point:?}");
+                    let named = core.metrics.counter(counter);
+                    assert!(Arc::ptr_eq(ends_under(&core.m), &named), "{point:?}");
                     assert_eq!(detail, format!("request 7 deadline (10 ms) expired {tail}"));
                 }
                 Refused(_, other) => panic!("{point:?}: expected Timeout, got {other:?}"),
@@ -812,9 +830,16 @@ pub(crate) mod tests {
         let ask = |msg: &Message| core.handle_message(msg);
         let count = |name: &str| core.metrics.counter(name).get();
         let depth = || core.gate.as_ref().map_or(0, |gate| gate.depth());
+        // Asked one at a time, a request leaves nothing active however it
+        // ends.
+        let alone = |msg: &Message| {
+            let reply = ask(msg);
+            assert_eq!(core.m.active_requests.get(), 0, "after {reply:?}");
+            reply
+        };
 
         for (id, cached) in [(1, false), (2, true)] {
-            match ask(&submit(id, 0, "ddot", ddot(1.0))) {
+            match alone(&submit(id, 0, "ddot", ddot(1.0))) {
                 Message::RequestReply { request_id, cached: c, .. } => {
                     assert_eq!((request_id, c), (id, cached));
                 }
@@ -823,10 +848,10 @@ pub(crate) mod tests {
         }
         let mc = vec!["sin".into(), 0.0.into(), 1.0.into(), DataObject::Int(100), DataObject::Int(0)];
         assert!(matches!(
-            ask(&submit(3, 0, "quad_mc", mc)),
+            alone(&submit(3, 0, "quad_mc", mc)),
             Message::RequestReply { cached: false, .. }
         ));
-        match ask(&submit(4, 0, "no_such_problem", vec![])) {
+        match alone(&submit(4, 0, "no_such_problem", vec![])) {
             Message::Error { code, .. } => {
                 assert_eq!(code, NetSolveError::ProblemNotFound(String::new()).code())
             }
@@ -840,6 +865,7 @@ pub(crate) mod tests {
             }
             other => panic!("expired budget: {other:?}"),
         }
+        assert_eq!(core.m.active_requests.get(), 0, "after an expired budget");
 
         // Hold a slow solve in flight and join its twin. Behind a gate,
         // queue a short-budget request for the slot, overflow the bound,
@@ -910,25 +936,33 @@ pub(crate) mod tests {
         core
     }
 
-    /// The order the gate moved for: on a gated, cached core, a cached
-    /// request is answered while another problem's solve holds the slot.
+    /// The order the gate moved for, and the one definition of load: on a
+    /// gated and on an ungated cached core, a cached request is answered
+    /// while another problem solves, and `server.active_requests` counts
+    /// the solve, not the hit.
     #[test]
-    fn a_hit_is_answered_while_another_solve_holds_the_slot() {
-        let (core, clock) = held_core(Some(4));
-        let ask = |msg: &Message| core.handle_message(msg);
-        assert!(matches!(ask(&submit(1, 0, "ddot", ddot(1.0))), Message::RequestReply { .. }));
-        let gate = core.gate.as_ref().unwrap();
-        clock.hold(true);
-        std::thread::scope(|scope| {
-            let slow = scope.spawn(|| ask(&submit(2, 0, "dgesv", slow_dgesv())));
-            wait_until("the slow solve's slot", &|| gate.depth() == 1);
-            let hit = scope.spawn(|| ask(&submit(3, 0, "ddot", ddot(1.0))));
-            let answered = within(2, &|| hit.is_finished());
-            clock.hold(false);
-            assert!(answered, "the hit waited for the slot");
-            assert!(matches!(hit.join().unwrap(), Message::RequestReply { cached: true, .. }));
-            assert!(matches!(slow.join().unwrap(), Message::RequestReply { cached: false, .. }));
-        });
+    fn a_hit_is_answered_and_not_counted_while_another_request_solves() {
+        for gated in [true, false] {
+            let (core, clock) = held_core(gated.then_some(4));
+            let ask = |msg: &Message| core.handle_message(msg);
+            let active = || core.m.active_requests.get();
+            assert!(matches!(ask(&submit(1, 0, "ddot", ddot(1.0))), Message::RequestReply { .. }));
+            clock.hold(true);
+            std::thread::scope(|scope| {
+                let slow = scope.spawn(|| ask(&submit(2, 0, "dgesv", slow_dgesv())));
+                wait_until("the slow solve", &|| active() == 1);
+                let hit = scope.spawn(|| ask(&submit(3, 0, "ddot", ddot(1.0))));
+                let answered = within(2, &|| hit.is_finished());
+                let during = active();
+                clock.hold(false);
+                assert!(answered, "gated: {gated}: the hit waited for the solver");
+                assert_eq!(during, 1, "gated: {gated}: the hit counted as active");
+                let (hit, slow) = (hit.join().unwrap(), slow.join().unwrap());
+                assert!(matches!(hit, Message::RequestReply { cached: true, .. }), "{hit:?}");
+                assert!(matches!(slow, Message::RequestReply { cached: false, .. }), "{slow:?}");
+            });
+            assert_eq!(active(), 0, "gated: {gated}");
+        }
     }
 
     /// Identical requests that arrive while their twin solves join it

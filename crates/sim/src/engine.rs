@@ -14,8 +14,10 @@
 //!   compute time `c/p · (1+q)` equals queue wait plus service for
 //!   equal-sized jobs — exactly the approximation NetSolve's formula makes.
 //!   A live server with admission control reports the same count: its
-//!   `server.active_requests` is its gate's depth, the requests waiting
-//!   for the one solve slot plus the one holding it.
+//!   `server.active_requests` counts requests at the solver, from the
+//!   gate's admit to the end of the solve, which is the gate's depth —
+//!   the requests waiting for the one solve slot plus the one holding it.
+//!   Cache hits never count, as they never reach a modelled queue.
 //! * Workload reports follow the configured interval/threshold policy and
 //!   age out at the agent per its TTL (the agent's actual server-table
 //!   code).

@@ -30,6 +30,33 @@ wall=$(find crates/client/src crates/server/src crates/agent/src crates/net/src/
     /Instant::now|\.elapsed\(\)|thread::sleep/ { print FILENAME ":" FNR ": " $0 }')
 [ -z "${wall}" ] || { echo "${wall}"; echo "wall time read or spent past the clock"; exit 1; }
 
+echo "=== instruments resolved at construction, each name written once ==="
+# The client, server, agent and net crates name each instrument in one
+# `instruments!` declaration, which resolves it when the component is
+# built; a `.counter("…")`, `.gauge("…")` or `.histogram("…")` call with a
+# literal in their non-test code (scripts/loc.sh's rule) is a lookup by
+# name, which takes the registry lock and allocates the name. A declared
+# field that nothing past its declaration touches is an instrument no path
+# records (`dead_code` cannot see through a macro from another crate).
+nontest_rs() { # PATH... — "FILE:LINE: TEXT" for each non-test, non-comment line
+    find "$@" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /^#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests || /^[[:space:]]*\/\// { next }
+        { print FILENAME ":" FNR ": " $0 }'
+}
+for crate in client server agent net; do
+    code=$(nontest_rs "crates/${crate}/src")
+    named=$(echo "${code}" | grep -E '\.(counter|gauge|histogram)\("' || true)
+    [ -z "${named}" ] || { echo "${named}"; echo "instrument looked up by name"; exit 1; }
+    declared='^[^ ]+ +([a-z_]+): (counter|gauge|histogram) = "'
+    uses=$(echo "${code}" | grep -Ev "${declared}" || true)
+    for field in $(echo "${code}" | sed -nE "s/${declared}.*/\1/p"); do
+        echo "${uses}" | grep -Eq "\.${field}\b" || {
+            echo "crates/${crate}: instrument '${field}' is declared but never recorded"; exit 1; }
+    done
+done
+
 echo "=== tests ==="
 # The root package is a workspace member, so this runs every root
 # integration test (observability, chaos_soak, tracing, …) exactly once.

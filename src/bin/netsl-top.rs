@@ -8,7 +8,10 @@
 //! their stats digests alongside registry entries, that one reply carries
 //! a windowed digest for every live daemon in the federation — the local
 //! agent, its peers, and every server any of them tracks. The table
-//! shows, per server: queue depth, solve/shed rates, cache hit rate and
+//! shows, per server: queue depth (`QDEPTH`, the server's
+//! `server.active_requests`: requests at the solver, which on a server
+//! with admission control are those waiting for or holding its one solve
+//! slot; cache hits never count), solve/shed rates, cache hit rate and
 //! the p99 solve latency with its exemplar trace id (feed that hex id to
 //! `netsl-trace --trace` to see exactly what made the tail fire). Per
 //! agent: peers up and digest freshness (gossip lag).

@@ -10,8 +10,9 @@
 //! chunk buffer, not a copy of them, and a connection's warm writer sends
 //! without asking the allocator for anything — nor does the admission
 //! policy every gated request passes, nor the GEMM kernel, and a dense solve,
-//! a warm tiny call and the server's side of each bulk workload ask for a
-//! pinned number of blocks (and, for the bulk calls, bytes). This binary
+//! a warm tiny call, the agent's side of one, the server's side of each
+//! bulk workload and one telemetry sample ask for a pinned number of
+//! blocks (and, for the bulk calls and the sample, bytes). This binary
 //! has its own `#[global_allocator]`, which is why it is not part of another
 //! test file.
 
@@ -21,15 +22,15 @@ use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use netsolve::agent::{AgentCore, AgentDaemon, Policy};
+use netsolve::agent::{standard_descriptor, AgentCore, AgentDaemon, Policy};
 use netsolve::client::NetSolveClient;
 use netsolve::core::admission::{AdmissionConfig, AdmissionPolicy};
-use netsolve::core::{DataObject, Matrix, Rng64};
+use netsolve::core::{DataObject, Matrix, Rng64, SimTime};
 use netsolve::net::{ChannelNetwork, NetworkView};
-use netsolve::obs::Tracer;
+use netsolve::obs::{Tracer, WindowedSeries, WINDOW_SLOTS};
 use netsolve::proto::frame::{HEADER_LEN, MAGIC};
 use netsolve::proto::{
-    frame_bytes, write_message_streamed, FrameReader, FrameWriter, Message,
+    frame_bytes, write_message_streamed, FrameReader, FrameWriter, Message, QueryShape,
     RequestView, DEFAULT_STREAM_CHUNK, DEFAULT_STREAM_THRESHOLD, MAX_FRAME_PAYLOAD, VERSION,
 };
 use netsolve::server::{ServerConfig, ServerCore, ServerDaemon};
@@ -316,9 +317,10 @@ fn a_dense_solve_makes_a_pinned_number_of_allocations() {
 
 /// A warm tiny call — `netsl("ddot")` on two 8-element vectors over the
 /// in-process transport, the `tiny_call` shape — asks the allocator for
-/// exactly 52 blocks on the calling thread: the frames, the trace and
+/// exactly 47 blocks on the calling thread: the frames, the trace and
 /// request identities, the agent's candidate list, the reply's outputs and
-/// the spans and reports around them. "Warm" is past the client tracer's
+/// the spans and reports around them. The client's instruments are
+/// resolved when it is built, so no name is looked up per call. "Warm" is past the client tracer's
 /// span window, whose trace map fills until then. The one other
 /// source is the std channel under each kept connection, which takes a
 /// block every 31 messages: the agent connection carries two per call and
@@ -349,8 +351,8 @@ fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
         })
         .collect();
     let (least, total) = (counts.iter().min().copied(), counts.iter().sum::<usize>());
-    assert_eq!(least, Some(52), "a warm tiny call's allocator requests: {counts:?}");
-    assert_eq!(total, 31 * 52 + 3, "31 warm tiny calls: {counts:?}");
+    assert_eq!(least, Some(47), "a warm tiny call's allocator requests: {counts:?}");
+    assert_eq!(total, 31 * 47 + 3, "31 warm tiny calls: {counts:?}");
     drop(client);
     server.stop();
     agent.stop();
@@ -359,12 +361,13 @@ fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
 /// The server side of a `cached_mix` call: `dgesv` at n = 192 through a
 /// cached core's `handle_message`, each request under its own trace id, as
 /// live clients send them. Warm — past the tracer's span window, whose
-/// trace map fills until then — a hit asks the allocator for exactly ten
+/// trace map fills until then — a hit asks the allocator for exactly four
 /// blocks on the calling thread: the decoded reply, the lookup span's
-/// detail, the trace's span buffer and the instruments around them. A miss
+/// detail and the trace's span buffer; its instruments were resolved
+/// when the core was built, and a hit never counts as active. A miss
 /// also solves and stores the encoded reply: sixteen systems cycled through
 /// a cache that holds eight miss on every call, and each asks for at least
-/// 21 blocks; the cycle's total is pinned too, so a block that only some
+/// 14 blocks; the cycle's total is pinned too, so a block that only some
 /// misses take still moves it.
 #[test]
 fn a_cached_solve_makes_a_pinned_number_of_allocations() {
@@ -402,15 +405,15 @@ fn a_cached_solve_makes_a_pinned_number_of_allocations() {
         call(&systems[0]);
     }
     let hits: Vec<usize> = (0..31).map(|_| call(&systems[0])).collect();
-    assert!(hits.iter().all(|&h| h == 10), "a warm hit's allocator requests: {hits:?}");
+    assert!(hits.iter().all(|&h| h == 4), "a warm hit's allocator requests: {hits:?}");
 
     for inputs in systems.iter().cycle().take(64) {
         call(inputs);
     }
     let misses: Vec<usize> = systems.iter().map(&mut call).collect();
     let (least, total) = (misses.iter().min().copied(), misses.iter().sum::<usize>());
-    assert_eq!(least, Some(21), "a warm miss's allocator requests: {misses:?}");
-    assert_eq!(total, 16 * 21, "16 warm misses: {misses:?}");
+    assert_eq!(least, Some(14), "a warm miss's allocator requests: {misses:?}");
+    assert_eq!(total, 16 * 14, "16 warm misses: {misses:?}");
     let snap = core.metrics().snapshot("server");
     let count = |name: &str| snap.counter(name);
     assert_eq!((count("server.cache_hits"), count("server.cache_misses")), (631, 80));
@@ -460,7 +463,7 @@ fn warm_server_path(problem: &str, inputs: Vec<DataObject>) -> Vec<(usize, usize
 
 /// `bulk_request`'s call on the server: `ddot` of two 131,072-element
 /// vectors, a 2 MiB request and an 8-byte answer. Every warm call asks for
-/// exactly 23 blocks and 5,111,775 bytes, 2.44 times the operands' 2 MiB:
+/// exactly 16 blocks and 5,111,636 bytes, 2.44 times the operands' 2 MiB:
 /// each operand's vector grows as its bytes arrive, because a count off
 /// the wire never sizes an allocation up front.
 #[test]
@@ -468,18 +471,114 @@ fn a_bulk_request_makes_a_pinned_number_of_allocations() {
     let _serial = serial();
     let x: Vec<f64> = (0..1 << 17).map(|i| f64::from(i % 7) - 3.0).collect();
     let costs = warm_server_path("ddot", vec![x.clone().into(), x.into()]);
-    assert_eq!(costs, [(23, 5_111_775); 8], "ddot 2 x 131072: (requests, bytes) per call");
+    assert_eq!(costs, [(16, 5_111_636); 8], "ddot 2 x 131072: (requests, bytes) per call");
 }
 
 /// `bulk_reply`'s call on the server: `dgemm` of a 512x2 by a 2x512
 /// matrix, a 16 KiB request and a 2 MiB answer. Every warm call asks for
-/// exactly 14 blocks and 2,114,456 bytes: the 2 MiB product, the two
-/// 8 KiB operands and 920 bytes besides.
+/// exactly 7 blocks and 2,114,317 bytes: the 2 MiB product, the two
+/// 8 KiB operands and 781 bytes besides.
 #[test]
 fn a_bulk_reply_makes_a_pinned_number_of_allocations() {
     let _serial = serial();
     let mut rng = Rng64::new(35);
     let (a, b) = (Matrix::random(512, 2, &mut rng), Matrix::random(2, 512, &mut rng));
     let costs = warm_server_path("dgemm", vec![a.into(), b.into()]);
-    assert_eq!(costs, [(14, 2_114_456); 8], "dgemm 512x2 by 2x512: (requests, bytes) per call");
+    assert_eq!(costs, [(7, 2_114_317); 8], "dgemm 512x2 by 2x512: (requests, bytes) per call");
+}
+
+/// The agent's side of a warm tiny call: one `ServerQuery` and its
+/// `CompletionReport` through `AgentCore::handle_message`, each query under
+/// its own trace id, as live clients send them. Warm — past the tracer's
+/// 16-span window — the pair asks the allocator for exactly nine blocks,
+/// all of them the query's: the ranking's copies of the request and of
+/// each eligible server row, the ranked and candidate lists, the `score`
+/// span's detail and the trace's span buffer. The report asks for none.
+#[test]
+fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let mut agent = AgentCore::with_defaults().with_tracer(Arc::new(Tracer::with_capacity(16)));
+    for (address, mflops) in [("srv-a", 100.0), ("srv-b", 80.0)] {
+        let desc = standard_descriptor("tiny-host", address, mflops);
+        agent.register_server(&desc, SimTime::ZERO).unwrap();
+    }
+    let mut now = SimTime::ZERO;
+    let mut pair = |trace_id: u128| {
+        now = now.plus(0.001);
+        let query = Message::ServerQuery(QueryShape {
+            client_host: 0,
+            problem: "ddot".into(),
+            n: 8,
+            bytes_in: 128,
+            bytes_out: 8,
+            trace_id,
+            parent_span: 1,
+        });
+        REQUESTS.with(|n| n.set(0));
+        let Message::ServerList { candidates } = agent.handle_message(&query, now) else {
+            panic!("the query was not answered with a server list");
+        };
+        let queried = REQUESTS.with(Cell::get);
+        let report = Message::CompletionReport {
+            server_id: candidates[0].server_id,
+            server_address: candidates[0].address.clone(),
+            client_host: 0,
+            problem: "ddot".into(),
+            total_secs: 0.0002,
+            compute_secs: 0.00001,
+            bytes: 136,
+        };
+        REQUESTS.with(|n| n.set(0));
+        assert_eq!(agent.handle_message(&report, now), Message::Pong);
+        queried + REQUESTS.with(Cell::get)
+    };
+    for trace_id in 1..=100 {
+        pair(trace_id);
+    }
+    let counts: Vec<usize> = (101..=131).map(&mut pair).collect();
+    assert!(counts.iter().all(|&c| c == 9), "a warm query and report: {counts:?}");
+}
+
+/// One telemetry sample of a server: `WindowedSeries::record` of the
+/// registry's snapshot, as the daemon's sampler takes it every tick, on a
+/// cached, gated core that has served a mix. Every instrument is listed
+/// from start-up, so the sample's cost is fixed by the declarations —
+/// 19 counters, 3 gauges, 4 histograms — whatever has been recorded:
+/// exactly 38 blocks and 4,203 bytes with the window full. They are the
+/// snapshot's 26 names, its three lists, each histogram's buckets and
+/// exemplars, and the component label.
+#[test]
+fn a_telemetry_sample_makes_a_pinned_number_of_allocations() {
+    let _serial = serial();
+    let policy = AdmissionPolicy::new(AdmissionConfig::with_max_queue(4));
+    let core = ServerCore::with_standard_catalogue()
+        .with_cache(1 << 20)
+        .with_admission(Arc::new(policy));
+    let ddot = |x: f64| vec![DataObject::from(vec![x, 2.0]), DataObject::from(vec![3.0, 4.0])];
+    for (id, problem, inputs) in [
+        (1, "ddot", ddot(1.0)),
+        (2, "ddot", ddot(1.0)),
+        (3, "ddot", ddot(2.0)),
+        (4, "no_such_problem", vec![]),
+    ] {
+        let request = Message::RequestSubmit {
+            request_id: id,
+            deadline_ms: 0,
+            problem: problem.into(),
+            inputs,
+            trace_id: u128::from(id),
+            parent_span: 1,
+        };
+        core.handle_message(&request);
+    }
+    let (metrics, series) = (core.metrics(), WindowedSeries::default());
+    for tick in 0..=WINDOW_SLOTS {
+        series.record(metrics.snapshot("server"), tick as f64);
+    }
+
+    REQUESTS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
+    series.record(metrics.snapshot("server"), 1e3);
+    let cost = (REQUESTS.with(Cell::get), BYTES.with(Cell::get));
+    assert_eq!(cost, (38, 4_203), "one telemetry sample: (requests, bytes)");
 }
