@@ -133,7 +133,7 @@ impl AgentDaemon {
             // Seed the series baseline now so events that land before the
             // first tick show up in the first tick's change instead of
             // vanishing into it.
-            series.record(metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
+            series.record(metrics.snapshot("agent"), shared.now().as_secs());
             daemon.every("agent-telemetry", telemetry.tick(), move || {
                 shared.telemetry_round(&series)
             })?;
@@ -330,7 +330,7 @@ impl Shared {
     /// recent history.
     fn telemetry_round(&self, series: &netsolve_obs::WindowedSeries) {
         self.core.lock().refresh_pending_gauge(self.now());
-        series.record(self.metrics.snapshot("agent"), netsolve_obs::unix_now_secs());
+        series.record(self.metrics.snapshot("agent"), self.now().as_secs());
         let own = series.digest(&self.address, "agent");
         let targets = {
             let now = self.now();
@@ -430,6 +430,7 @@ impl Shared {
 mod tests {
     use super::*;
     use crate::registry::standard_descriptor;
+    use netsolve_core::clock::VirtualClock;
     use netsolve_net::{call, ChannelNetwork, ChaosPolicy, ChaosTransport};
     use netsolve_proto::{Message, QueryShape};
     use std::time::Duration;
@@ -794,17 +795,9 @@ mod tests {
     /// on the daemon's clock, with no query or report to prompt it.
     #[test]
     fn a_lapsed_assignment_leaves_the_pending_gauge_at_the_next_tick() {
-        use netsolve_core::clock::VirtualClock;
-        use netsolve_core::config::TelemetryPolicy;
         let clock = VirtualClock::new();
         let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
-        let telemetry = TelemetryPolicy { tick_secs: 0.01 };
-        let config = AgentConfig { telemetry, ..AgentConfig::default() };
-        let core = AgentCore::new(
-            config,
-            crate::balance::Policy::MinimumCompletionTime,
-            netsolve_net::NetworkView::lan_defaults(),
-        );
+        let core = parked_core();
         let metrics = core.metrics();
         let pending = || metrics.snapshot("agent").gauge("agent.pending_assignments");
         let mut agent = AgentDaemon::start(Arc::new(net.clone()), "agent", core).unwrap();
@@ -814,7 +807,8 @@ mod tests {
         assert!(matches!(send(query_dgesv_msg()), Ok(Message::ServerList { .. })));
         assert_eq!(pending(), 1, "the query's assignment");
         clock.advance(Duration::from_secs(301));
-        wait_for("the lapsed assignment to stop counting", &|| pending() == 0);
+        agent.shared.telemetry_round(&netsolve_obs::WindowedSeries::default());
+        assert_eq!(pending(), 0, "the lapsed assignment still counts");
         agent.stop();
     }
 
@@ -967,6 +961,116 @@ mod tests {
 
     fn unsupported() -> Message {
         Message::Error { code: 1, detail: "unknown message".into() }
+    }
+
+    /// A core whose own loops never run during a test: heartbeat, gossip
+    /// and telemetry each wait 60 s of wall time, so the test thread
+    /// drives the rounds itself.
+    fn parked_core() -> AgentCore {
+        use netsolve_core::config::{GossipPolicy, HeartbeatPolicy, TelemetryPolicy};
+        let config = AgentConfig {
+            heartbeat: HeartbeatPolicy { probe_interval_secs: 60.0, ..HeartbeatPolicy::default() },
+            gossip: GossipPolicy { interval_secs: 60.0, ..GossipPolicy::default() },
+            telemetry: TelemetryPolicy { tick_secs: 60.0 },
+            ..AgentConfig::default()
+        };
+        let policy = crate::balance::Policy::MinimumCompletionTime;
+        AgentCore::new(config, policy, netsolve_net::NetworkView::lan_defaults())
+    }
+
+    /// One `FleetStatsQuery` scrape of `agent`.
+    fn scrape(net: &ChannelNetwork, agent: &str) -> Vec<netsolve_obs::StatsDigest> {
+        let mut conn = net.connect(agent).unwrap();
+        match call(conn.as_mut(), &Message::FleetStatsQuery, timeout()).unwrap() {
+            Message::FleetStatsReply { digests } => digests,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The sampler stamps its samples on the daemon's clock, so a digest's
+    /// rates are per second of that clock: on a virtual clock, five
+    /// connections accepted between two ticks 10 s apart read 0.5 a second.
+    #[test]
+    fn a_digest_rates_events_per_second_of_the_daemons_clock() {
+        let clock = VirtualClock::new();
+        let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
+        let mut agent = AgentDaemon::start(Arc::new(net.clone()), "agent", parked_core()).unwrap();
+        let series = netsolve_obs::WindowedSeries::default();
+        agent.shared.telemetry_round(&series);
+        for _ in 0..5 {
+            let mut conn = net.connect("agent").unwrap();
+            assert_eq!(call(conn.as_mut(), &Message::Ping, timeout()).unwrap(), Message::Pong);
+        }
+        clock.advance(Duration::from_secs(10));
+        agent.shared.telemetry_round(&series);
+        let own = scrape(&net, "agent").into_iter().find(|d| d.origin == "agent").unwrap();
+        assert_eq!((own.window_secs, own.rate("agent.accepts")), (10.0, 0.5));
+        agent.stop();
+    }
+
+    /// How stale the fleet view runs, on a virtual schedule. Agent A runs
+    /// its telemetry round (which scrapes its one server) every `tick` and
+    /// its gossip round every `gossip`, each from its own phase, and B does
+    /// the same; B is scraped every quarter second, before the rounds due
+    /// at that instant. B's copy of A's digest, and of A's server's, was
+    /// minted at A's last round before A's last gossip, so its age peaks
+    /// just before a gossip round at `gossip + max over rounds j of
+    /// ((gossip phase + j·gossip − tick phase) mod tick)`: at most
+    /// `gossip + tick`, which is ≤ 2 gossip intervals while `tick ≤ gossip`.
+    /// Every time is a multiple of a quarter second, so each age is exact.
+    #[test]
+    fn a_gossiped_digest_is_at_most_two_gossip_intervals_old() {
+        use netsolve_obs::{StatsDigest, WindowedSeries};
+        // (tick, gossip, tick phase, gossip phase) in quarter seconds, and
+        // the worst age in seconds.
+        let cases = [
+            ((4, 8, 0, 0), 2.0),
+            ((4, 8, 0, 1), 2.25),
+            ((4, 8, 2, 1), 2.75),
+            ((4, 10, 0, 1), 3.25),
+            ((8, 8, 0, 7), 3.75),
+            ((8, 8, 1, 0), 3.75),
+        ];
+        for ((tick, gossip, tick_phase, gossip_phase), worst) in cases {
+            let clock = VirtualClock::new();
+            let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
+            stub(&net, "srv-a", |_| {
+                let digest = StatsDigest { origin: "srv-a".into(), ..StatsDigest::default() };
+                Message::FleetStatsReply { digests: vec![digest] }
+            });
+            let start = |name: &str, peer: &str| {
+                let agent = AgentDaemon::start(Arc::new(net.clone()), name, parked_core()).unwrap();
+                agent.set_peers(vec![peer.into()]);
+                (agent, WindowedSeries::default())
+            };
+            let agents = [start("agent-a", "agent-b"), start("agent-b", "agent-a")];
+            let register = Message::RegisterServer(standard_descriptor("srv-a", "srv-a", 100.0));
+            let reply = call(net.connect("agent-a").unwrap().as_mut(), &register, timeout());
+            assert!(matches!(reply, Ok(Message::RegisterAck { accepted: true, .. })));
+
+            let due =
+                |period: u32, phase: u32, q: u32| q >= phase && (q - phase).is_multiple_of(period);
+            let mut seen = [0.0f64; 2];
+            for q in 0..6 * gossip {
+                for d in scrape(&net, "agent-b") {
+                    if let Some(i) = ["agent-a", "srv-a"].iter().position(|o| *o == d.origin) {
+                        seen[i] = seen[i].max(d.age_secs);
+                    }
+                }
+                for (agent, series) in &agents {
+                    if due(tick, tick_phase, q) {
+                        agent.shared.telemetry_round(series);
+                    }
+                    if due(gossip, gossip_phase, q) {
+                        agent.shared.gossip_round();
+                    }
+                }
+                clock.advance(Duration::from_millis(250));
+            }
+            let case = (tick, gossip, tick_phase, gossip_phase);
+            assert_eq!(seen, [worst; 2], "worst ages of agent-a and srv-a at agent-b, {case:?}");
+            assert!(worst <= 2.0 * f64::from(gossip) / 4.0, "{case:?}");
+        }
     }
 
     /// `docs/OBSERVABILITY.md` is the catalogue dashboards rely on: every

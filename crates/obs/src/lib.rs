@@ -30,6 +30,6 @@ pub mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, StatsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use series::{unix_now_secs, DigestQuantiles, StatsDigest, WindowedSeries, WINDOW_SLOTS};
+pub use series::{DigestQuantiles, StatsDigest, WindowedSeries, WINDOW_SLOTS};
 pub use stitch::{render, stitch, PhaseShare, Timeline, TimelineEntry};
 pub use trace::{Span, SpanContext, SpanRecord, SpanTimer, Tracer};

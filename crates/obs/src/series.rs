@@ -31,19 +31,22 @@ pub const WINDOW_SLOTS: usize = 120;
 /// module docs).
 #[derive(Debug, Default)]
 pub struct WindowedSeries {
-    /// `(unix seconds, snapshot)`, oldest first.
+    /// `(seconds, snapshot)`, oldest first.
     ring: Mutex<VecDeque<(f64, StatsSnapshot)>>,
 }
 
 impl WindowedSeries {
-    /// Feed one cumulative snapshot taken at `at_unix_secs`, evicting the
-    /// oldest once the window is full.
-    pub fn record(&self, snapshot: StatsSnapshot, at_unix_secs: f64) {
+    /// Feed one cumulative snapshot taken at `at_secs`, evicting the
+    /// oldest once the window is full. The seconds may count from any
+    /// epoch, as long as one series keeps to one: a daemon counts them on
+    /// its transport's clock since it started, so rates on a virtual clock
+    /// are per virtual second.
+    pub fn record(&self, snapshot: StatsSnapshot, at_secs: f64) {
         let mut ring = self.ring.lock();
         if ring.len() > WINDOW_SLOTS {
             ring.pop_front();
         }
-        ring.push_back((at_unix_secs, snapshot));
+        ring.push_back((at_secs, snapshot));
     }
 
     /// What happened over the last `ticks` ticks (at least one, at most
@@ -89,15 +92,6 @@ impl WindowedSeries {
             ..empty
         }
     }
-}
-
-/// Wall-clock seconds since the unix epoch — the time axis sampler
-/// threads feed [`WindowedSeries::record`] with.
-pub fn unix_now_secs() -> f64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap_or_default()
-        .as_secs_f64()
 }
 
 /// `to` minus `from`. Counters and histogram buckets subtract

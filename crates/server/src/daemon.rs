@@ -39,9 +39,12 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Reasonable defaults for in-process experiments: a faster
-    /// telemetry tick than the live default so short-lived test trios
-    /// accumulate windowed history promptly.
+    /// The server's configuration, and its only constructor: `ns-server`,
+    /// the library's in-process domain and the benchmark all start from
+    /// it, so these are the shipped values. The telemetry tick is 0.25 s,
+    /// a quarter of the agent's default, so a digest's window is the last
+    /// 30 s; up to 64 connections are served at once, and workload
+    /// reports follow `WorkloadPolicy`'s default.
     pub fn quick(host: &str, listen_hint: &str, mflops: f64) -> Self {
         ServerConfig {
             host: host.to_string(),
@@ -122,7 +125,8 @@ impl ServerDaemon {
             }
         };
 
-        let core = Arc::new(core.with_clock(transport.clock()));
+        let clock = transport.clock();
+        let core = Arc::new(core.with_clock(Arc::clone(&clock)));
         let (metrics, m) = (core.metrics(), Arc::clone(&core.m));
         let telemetry = Arc::new(ServerTelemetry {
             address: address.clone(),
@@ -168,17 +172,17 @@ impl ServerDaemon {
         }
 
         // Telemetry sampler: one registry snapshot per tick into the
-        // windowed series. Off the request path entirely — connection
-        // threads only read the series when asked via `FleetStatsQuery`.
-        // The baseline is seeded now so events that land before the first
-        // tick show up in the first tick's change instead of vanishing into
-        // it.
+        // windowed series, stamped in seconds since now on the transport's
+        // clock. Off the request path entirely — connection threads only
+        // read the series when asked via `FleetStatsQuery`. The baseline is
+        // seeded now so events that land before the first tick show up in
+        // the first tick's change instead of vanishing into it.
         {
             let (telemetry, metrics) = (Arc::clone(&telemetry), Arc::clone(&metrics));
+            let epoch = clock.now();
             let sample = move || {
-                telemetry
-                    .series
-                    .record(metrics.snapshot("server"), netsolve_obs::unix_now_secs())
+                let at = clock.since(epoch).as_secs_f64();
+                telemetry.series.record(metrics.snapshot("server"), at)
             };
             sample();
             daemon.every("server-sampler", config.telemetry.tick(), sample)?;

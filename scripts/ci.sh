@@ -362,10 +362,6 @@ echo "=== admission bench smoke (sim vs live shed agreement, closed-loop scale) 
 cargo build --release -p netsolve-bench --bin r11_admission
 ./target/release/r11_admission --quick
 
-echo "=== fleet-telemetry bench smoke (sampler overhead + digest freshness) ==="
-cargo build --release -p netsolve-bench --bin r12_fleet_obs
-./target/release/r12_fleet_obs --quick
-
 echo "=== clippy (deny warnings) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -15,11 +15,11 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use netsolve::net::{call_once, TcpTransport, Transport};
 use netsolve::obs::metrics::bucket_bound_secs;
-use netsolve::obs::{unix_now_secs, StatsSnapshot, WindowedSeries, WINDOW_SLOTS};
+use netsolve::obs::{StatsSnapshot, WindowedSeries, WINDOW_SLOTS};
 use netsolve::proto::Message;
 
 fn usage() -> ! {
@@ -76,12 +76,13 @@ fn main() {
 /// the freshest change implies. Never returns; ^C is the exit.
 fn watch(transport: &Arc<dyn Transport>, addresses: &[String], interval: f64) -> ! {
     let mut series: HashMap<String, WindowedSeries> = HashMap::new();
+    let start = Instant::now();
     loop {
         for address in addresses {
             match scrape(transport, address) {
                 Ok(snapshot) => {
                     let s = series.entry(address.clone()).or_default();
-                    s.record(snapshot, unix_now_secs());
+                    s.record(snapshot, start.elapsed().as_secs_f64());
                     print_rates(address, s, interval);
                 }
                 Err(e) => eprintln!("netsl-stats: {address}: {e}"),
