@@ -46,7 +46,6 @@ netsolve_obs::instruments! {
         pending_assignments: gauge = "agent.pending_assignments",
         probe_successes: counter = "agent.probe_successes",
         heartbeat_misses: counter = "agent.heartbeat_misses",
-        heartbeat_down_marks: counter = "agent.heartbeat_down_marks",
         gossip_rounds: counter = "agent.gossip_rounds",
         gossip_sends: counter = "agent.gossip_sends",
         gossip_send_failures: counter = "agent.gossip_send_failures",
@@ -59,7 +58,6 @@ netsolve_obs::instruments! {
         peer_recoveries: counter = "agent.peer_recoveries",
         digest_merges: counter = "agent.digest_merges",
         digest_expired: counter = "agent.digest_expired",
-        digest_scrape_failures: counter = "agent.digest_scrape_failures",
         accepts: counter = "agent.accepts",
         busy_rejected: counter = "agent.busy_rejected",
         spawn_failures: counter = "agent.spawn_failures",
@@ -162,7 +160,7 @@ impl AgentCore {
 
     /// The full registration view this agent pushes to a peer in one
     /// gossip round: every live server it knows, local ones vouched for
-    /// with age 0 (their liveness is this agent's heartbeat prober's
+    /// with age 0 (their liveness is this agent's telemetry probe's
     /// responsibility), gossip-learned ones with their accumulated age so
     /// staleness survives transitive hops. Local servers currently marked
     /// down are withheld — an agent never vouches for a server it
@@ -248,8 +246,8 @@ impl AgentCore {
         expired
     }
 
-    /// The configuration in force (the daemon's heartbeat, gossip and
-    /// telemetry loops read their policies from it).
+    /// The configuration in force (the daemon's gossip and telemetry
+    /// loops read their policies from it).
     pub fn config(&self) -> &AgentConfig {
         &self.config
     }
@@ -316,18 +314,6 @@ impl AgentCore {
         let dropped = before - self.digests.len();
         self.m.digest_expired.add(dropped as u64);
         dropped
-    }
-
-    /// Addresses of live locally-registered servers — the ones this
-    /// agent's telemetry thread scrapes for digests (remote servers'
-    /// digests arrive via their own agent's gossip instead).
-    pub fn local_server_addresses(&self, now: SimTime) -> Vec<String> {
-        self.registry
-            .all_servers()
-            .into_iter()
-            .filter(|s| s.origin.is_none() && !s.is_down(&self.config.fault, now))
-            .map(|s| s.address.clone())
-            .collect()
     }
 
     /// Store a workload report.
@@ -425,40 +411,53 @@ impl AgentCore {
         self.registry.get(server).is_some_and(|s| s.is_down(&self.config.fault, now))
     }
 
-    /// Registered servers the heartbeat prober should dial at `now`:
-    /// every server except those still inside their down-cooldown (those
-    /// get exactly the half-open probe once the cooldown elapses).
-    /// Returns `(server, address)` pairs so the prober can work without
-    /// holding the core lock across network I/O.
-    pub fn probe_targets(&self, now: SimTime) -> Vec<(ServerId, String)> {
-        let fault = &self.config.fault;
+    /// The servers the telemetry round probes: every local server, down
+    /// or not, with its address so the round dials without the core lock.
+    /// A gossip-learned server's liveness is its origin agent's to judge;
+    /// its digest arrives by gossip too.
+    pub fn probe_targets(&self) -> Vec<(ServerId, String)> {
         self.registry
             .all_servers()
             .into_iter()
-            .filter(|s| !s.is_down(fault, now) || s.should_probe(fault, now))
+            .filter(|s| s.origin.is_none())
             .map(|s| (s.server_id, s.address.clone()))
             .collect()
     }
 
-    /// Record a successful liveness probe: clears fault state and
-    /// re-admits the server into rankings. Unlike
-    /// [`AgentCore::success_report`] this does not touch pending
-    /// assignments — probes are not client requests.
-    pub fn probe_succeeded(&mut self, server: ServerId) {
-        self.m.probe_successes.inc();
-        if let Some(entry) = self.registry.get_mut(server) {
-            entry.probe_hit();
-        }
-    }
-
-    /// Record a missed liveness probe. Once the server has missed the
-    /// heartbeat policy's threshold of consecutive probes it is marked
-    /// down, bypassing the client-report failure threshold.
-    pub fn probe_missed(&mut self, server: ServerId, now: SimTime) {
-        self.m.heartbeat_misses.inc();
-        if let Some(entry) = self.registry.get_mut(server) {
-            if entry.probe_miss(&self.config.heartbeat, now) {
-                self.m.heartbeat_down_marks.inc();
+    /// Record at `now` the reply, if any, to one probe of `server`: the
+    /// telemetry round's `FleetStatsQuery`. A Busy reply from a server at
+    /// its connection cap (class `Load`) changes nothing, as a shed is
+    /// load, not a fault. Any other reply is an answer: a
+    /// `FleetStatsReply`'s digests are stored, and the failures earlier
+    /// probes made are taken back, which re-admits a server they marked
+    /// down. No reply — a failed dial, a timeout, a reset, a bad CRC — is
+    /// one failure, like a `Link` report that settles no pending
+    /// assignment.
+    pub fn probe_result(&mut self, server: ServerId, reply: Result<Message>, now: SimTime) {
+        match reply {
+            Ok(Message::Error { code, detail })
+                if matches!(
+                    NetSolveError::from_code(code, detail.clone()).class(),
+                    ErrorClass::Load { .. }
+                ) => {}
+            Ok(reply) => {
+                if let Message::FleetStatsReply { digests } = reply {
+                    for digest in digests {
+                        self.store_digest(digest, now);
+                    }
+                }
+                self.m.probe_successes.inc();
+                if let Some(entry) = self.registry.get_mut(server) {
+                    entry.probe_answered(&self.config.fault);
+                }
+            }
+            Err(_) => {
+                self.m.heartbeat_misses.inc();
+                if let Some(entry) = self.registry.get_mut(server) {
+                    if entry.probe_unanswered(&self.config.fault, now) {
+                        self.m.fault_down_marks.inc();
+                    }
+                }
             }
         }
     }
@@ -1044,16 +1043,18 @@ mod tests {
                 },
                 now,
             );
-            agent.probe_succeeded(ServerId(server_id));
-            agent.probe_missed(ServerId(server_id), now);
-            agent.probe_missed(ServerId(server_id), now);
+            agent.probe_result(ServerId(server_id), Ok(Message::Pong), now);
+            for _ in 0..2 {
+                let gone = NetSolveError::Transport("refused".into());
+                agent.probe_result(ServerId(server_id), Err(gone), now);
+            }
             assert!(!agent.is_down(ServerId(server_id), now));
         }
         assert_eq!(agent.registry().server_count(), 1);
         assert_eq!(agent.registry().pending_total(now), 0);
         assert_eq!(agent.metrics().gauge("agent.pending_assignments").get(), 0);
         assert_eq!(agent.metrics().counter("agent.failure_reports").get(), 20_000);
-        assert_eq!(agent.metrics().counter("agent.heartbeat_down_marks").get(), 0);
+        assert_eq!(agent.metrics().counter("agent.fault_down_marks").get(), 0);
         assert_eq!(agent.query(&query(200), now).unwrap(), before);
     }
 
@@ -1087,7 +1088,7 @@ mod tests {
             "the ack carries the existing row's id"
         );
         assert_eq!(agent.registry().server_count(), 1);
-        assert_eq!(agent.probe_targets(now), vec![(id, "10.0.0.1:9001".to_string())]);
+        assert_eq!(agent.probe_targets(), vec![(id, "10.0.0.1:9001".to_string())]);
         let fast = agent.query(&query(400), now).unwrap();
         assert_eq!((slow.len(), fast.len()), (1, 1));
         assert!(
@@ -1247,6 +1248,8 @@ mod tests {
         let candidates = agent.query(&query(100), now).unwrap();
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].address, "srv0");
+        // Its liveness is its origin agent's to probe, not this agent's.
+        assert!(agent.probe_targets().is_empty());
 
         // Re-merging the same round is a no-op (anti-entropy idempotence).
         assert_eq!(agent.merge_gossip(&digest, now), (0, 0, 0));

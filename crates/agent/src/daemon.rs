@@ -6,10 +6,12 @@
 //! is answered), and the rounds below are its periodic workers. Works
 //! identically over TCP and the in-process channel transport.
 //!
-//! The daemon also runs a heartbeat prober: every probe interval it dials
-//! each registered server with a `Ping` and feeds the outcome into the
-//! core's server table, so dead servers drop out of rankings even when no
-//! client ever reports them, and recovered servers are re-admitted.
+//! The daemon's telemetry round is also its liveness probe: every tick it
+//! scrapes each local server, down or not, with one `FleetStatsQuery` and
+//! feeds the outcome into that server's fault record, so dead servers
+//! drop out of rankings even when no client ever reports them, and a
+//! server that probes alone marked down is re-admitted by the first probe
+//! it answers.
 //!
 //! Federated daemons additionally run a gossip loop: every gossip interval
 //! the agent pushes its full registration view (`GossipSync`) to each
@@ -67,6 +69,10 @@ struct Peer {
 /// How long a federated agent waits for each peer's answer.
 const PEER_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// How long the telemetry round waits for a local server's scrape reply
+/// before counting the probe as missed.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+
 impl AgentDaemon {
     /// Hard cap on concurrently served connections; one arriving past it
     /// is answered with a retryable Busy error (`agent.busy_rejected`).
@@ -88,7 +94,7 @@ impl AgentDaemon {
         core.set_self_address(&address);
         let (metrics, m, tracer) = (core.metrics(), Arc::clone(&core.m), core.tracer());
         let config = core.config().clone();
-        let AgentConfig { heartbeat, gossip, telemetry, .. } = config;
+        let AgentConfig { gossip, telemetry, .. } = config;
         let mut daemon = Daemon::new(Arc::clone(&transport));
         let clock = transport.clock();
         let shared = Arc::new(Shared {
@@ -105,14 +111,6 @@ impl AgentDaemon {
             stop: daemon.stop_signal(),
         });
 
-        {
-            let shared = Arc::clone(&shared);
-            daemon.every(
-                "agent-heartbeat",
-                Duration::from_secs_f64(heartbeat.probe_interval_secs.max(0.001)),
-                move || shared.heartbeat_round(),
-            )?;
-        }
         // The gossip loop runs even while the peer list is empty: peers
         // arrive later via `set_peers` (live demos bind ephemeral ports
         // first, then wire the mesh).
@@ -125,8 +123,9 @@ impl AgentDaemon {
             )?;
         }
         // Telemetry sampler: ticks this agent's own windowed series,
-        // scrapes locally-registered servers for their digests, and
-        // expires dead peers' series — the state gossip replicates.
+        // scrapes locally-registered servers for their digests and their
+        // liveness, and expires dead peers' series — the state gossip
+        // replicates.
         {
             let shared = Arc::clone(&shared);
             let series = netsolve_obs::WindowedSeries::default();
@@ -198,43 +197,6 @@ impl Shared {
 
     fn call_once(&self, address: &str, msg: &Message, timeout: Duration) -> Result<Message> {
         call_once(self.transport.as_ref(), address, msg, timeout)
-    }
-
-    /// Heartbeat round: dial each registered server with a `Ping`. A
-    /// `Pong` within the probe timeout clears the server's fault record;
-    /// the table counts the misses and force-marks it down at the
-    /// policy's `miss_threshold`.
-    fn heartbeat_round(&self) {
-        let probe_timeout =
-            Duration::from_secs_f64(self.config.heartbeat.probe_timeout_secs.max(0.001));
-        let tracer = &self.tracer;
-        let targets = self.core.lock().probe_targets(self.now());
-        for (server, address) in targets {
-            if self.stop.is_stopped() {
-                return;
-            }
-            // Probe outside the core lock: a black-holed dial may block
-            // for the full probe timeout. Heartbeats are traceless — no
-            // request context exists (stitching skips trace 0).
-            let probe_timer = tracer.start();
-            let alive = matches!(
-                self.call_once(&address, &Message::Ping, probe_timeout),
-                Ok(Message::Pong)
-            );
-            tracer.record(
-                netsolve_obs::SpanContext::NONE,
-                probe_timer,
-                "agent",
-                "heartbeat",
-                format!("server={} alive={alive}", server.raw()),
-            );
-            let mut core = self.core.lock();
-            if alive {
-                core.probe_succeeded(server);
-            } else {
-                core.probe_missed(server, self.now());
-            }
-        }
     }
 
     /// Whether a peer with this many missed rounds is down.
@@ -320,14 +282,16 @@ impl Shared {
         m.peers_up.set(self.live_peers().len() as i64);
     }
 
-    /// Telemetry tick: (1) recount the pending assignments, so lapsed ones
-    /// stop counting, snapshot the agent's metrics registry into its
-    /// windowed series and fold the series into the digest store as this
-    /// agent's own entry, (2) scrape every live locally-registered server
-    /// with `FleetStatsQuery` and store its digest, (3) TTL-expire digests
-    /// of daemons nobody has refreshed. Gossip then carries the whole
-    /// store to peers, so one scrape of any agent returns the fleet's
-    /// recent history.
+    /// Telemetry tick, which is also the liveness probe: (1) recount the
+    /// pending assignments, so lapsed ones stop counting, snapshot the
+    /// agent's metrics registry into its windowed series and fold the
+    /// series into the digest store as this agent's own entry, (2) scrape
+    /// every local server, down or not, with `FleetStatsQuery` and
+    /// record the reply, or its absence, in its fault record and its
+    /// digest in the store ([`AgentCore::probe_result`]), (3) TTL-expire
+    /// digests of daemons nobody has refreshed. Gossip then carries the
+    /// whole store to peers, so one scrape of any agent returns the
+    /// fleet's recent history.
     fn telemetry_round(&self, series: &netsolve_obs::WindowedSeries) {
         self.core.lock().refresh_pending_gauge(self.now());
         series.record(self.metrics.snapshot("agent"), self.now().as_secs());
@@ -337,24 +301,26 @@ impl Shared {
             let mut core = self.core.lock();
             core.store_digest(own, now);
             core.expire_digests(now);
-            core.local_server_addresses(now)
+            core.probe_targets()
         };
         // Scrape outside the core lock — a wedged server may cost the
-        // full call timeout, and queries must keep flowing meanwhile.
-        for address in targets {
+        // full probe timeout, and queries must keep flowing meanwhile.
+        // Probes are traceless: no request context exists (stitching
+        // skips trace 0).
+        for (server, address) in targets {
             if self.stop.is_stopped() {
                 return;
             }
-            match self.call_once(&address, &Message::FleetStatsQuery, Duration::from_secs(2)) {
-                Ok(Message::FleetStatsReply { digests }) => {
-                    let now = self.now();
-                    let mut core = self.core.lock();
-                    for digest in digests {
-                        core.store_digest(digest, now);
-                    }
-                }
-                _ => self.m.digest_scrape_failures.inc(),
-            }
+            let probe_timer = self.tracer.start();
+            let reply = self.call_once(&address, &Message::FleetStatsQuery, PROBE_TIMEOUT);
+            self.tracer.record(
+                netsolve_obs::SpanContext::NONE,
+                probe_timer,
+                "agent",
+                "heartbeat",
+                format!("server={} answered={}", server.raw(), reply.is_ok()),
+            );
+            self.core.lock().probe_result(server, reply, self.now());
         }
     }
 
@@ -431,6 +397,8 @@ mod tests {
     use super::*;
     use crate::registry::standard_descriptor;
     use netsolve_core::clock::VirtualClock;
+    use netsolve_core::ids::ServerId;
+    use netsolve_core::ErrorClass;
     use netsolve_net::{call, ChannelNetwork, ChaosPolicy, ChaosTransport};
     use netsolve_proto::{Message, QueryShape};
     use std::time::Duration;
@@ -668,96 +636,151 @@ mod tests {
         agent_b.stop();
     }
 
+    /// Register `address` with `agent` over the wire; its row's id.
+    fn register(net: &ChannelNetwork, agent: &AgentDaemon, address: &str) -> ServerId {
+        let msg = Message::RegisterServer(standard_descriptor(address, address, 100.0));
+        let reply = call(net.connect(agent.address()).unwrap().as_mut(), &msg, timeout());
+        assert!(matches!(reply, Ok(Message::RegisterAck { accepted: true, .. })), "{reply:?}");
+        agent.core().lock().registry().id_by_address(address).unwrap()
+    }
+
+    /// With no client traffic at all, the telemetry round alone marks a
+    /// killed local server down after `failures_to_mark_down` rounds,
+    /// keeps probing it while it is down, marks it down again on the first
+    /// miss after its cooldown, and re-admits it on the first probe it
+    /// answers, cooling down or not. Virtual clock; the test thread runs
+    /// every round.
     #[test]
-    fn heartbeat_marks_unresponsive_server_down_and_readmits_it() {
-        use crate::balance::Policy;
-        use netsolve_core::config::{AgentConfig, FaultPolicy, HeartbeatPolicy};
-        use netsolve_net::NetworkView;
-        use std::time::Instant;
-
-        let net = ChannelNetwork::new();
+    fn probes_alone_mark_a_dead_local_server_down_and_readmit_it() {
+        let clock = VirtualClock::new();
+        let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
         let chaos = Arc::new(ChaosTransport::new(Arc::new(net.clone()), ChaosPolicy::calm(), 0));
-        let transport: Arc<dyn Transport> = chaos.clone();
+        stub(&net, "srv", |_| Message::FleetStatsReply { digests: vec![] });
+        let mut agent = AgentDaemon::start(chaos.clone(), "agent", parked_core()).unwrap();
+        let id = register(&net, &agent, "srv");
+        let fault = agent.shared.config.fault;
+        let core = agent.core();
+        let count = |name: &str| core.lock().metrics().counter(name).get();
+        let round = || agent.shared.telemetry_round(&netsolve_obs::WindowedSeries::default());
+        let down = || core.lock().is_down(id, agent.shared.now());
 
-        // A bare Ping/Pong responder standing in for a server daemon.
-        let listener = net.listen("srv1").unwrap();
-        std::thread::spawn(move || {
-            while let Ok(mut conn) = listener.accept() {
-                std::thread::spawn(move || {
-                    while let Ok(msg) = conn.recv() {
-                        let reply = match msg {
-                            Message::Ping => Message::Pong,
-                            other => panic!("probe sent {other:?}"),
-                        };
-                        if conn.send(&reply).is_err() {
-                            return;
-                        }
-                    }
-                });
+        round();
+        assert!(!down());
+        assert_eq!(count("agent.probe_successes"), 1);
+
+        chaos.kill("srv");
+        for missed in 1..=fault.failures_to_mark_down {
+            round();
+            assert_eq!(down(), missed == fault.failures_to_mark_down, "after {missed} misses");
+        }
+        assert_eq!(count("agent.fault_down_marks"), 1);
+        // Down, and still probed: one more miss, no second mark.
+        round();
+        assert_eq!(count("agent.heartbeat_misses"), u64::from(fault.failures_to_mark_down) + 1);
+        assert_eq!(count("agent.fault_down_marks"), 1);
+
+        // Half-open and still dead: one miss sends it straight back down.
+        clock.advance(Duration::from_secs_f64(fault.down_cooldown_secs));
+        assert!(!down());
+        round();
+        assert!(down());
+        assert_eq!(count("agent.fault_down_marks"), 2);
+
+        // Revived: the next round re-admits it, inside its cooldown.
+        chaos.revive("srv");
+        round();
+        assert!(!down());
+        assert_eq!(count("agent.probe_successes"), 2);
+        agent.stop();
+    }
+
+    /// Probes that a server answers say nothing of the calls it fails: two
+    /// `Fault` reports several ticks apart mark a server down whose every
+    /// probe is answered, answered probes keep it down for its cooldown,
+    /// and once it is half-open one more report marks it down again.
+    #[test]
+    fn answered_probes_do_not_undo_client_reports() {
+        let clock = VirtualClock::new();
+        let net = ChannelNetwork::new().with_clock(Arc::new(clock.clone()));
+        stub(&net, "srv", |_| Message::FleetStatsReply { digests: vec![] });
+        let mut agent = AgentDaemon::start(Arc::new(net.clone()), "agent", parked_core()).unwrap();
+        let id = register(&net, &agent, "srv");
+        let fault = agent.shared.config.fault;
+        let core = agent.core();
+        let ticks = |n: u32| {
+            for _ in 0..n {
+                agent.shared.telemetry_round(&netsolve_obs::WindowedSeries::default());
+                clock.advance(Duration::from_secs(1));
             }
-        });
-
-        // Short cooldown so the half-open re-admission probe happens
-        // within the test; fast probing so the whole cycle is quick.
-        let config = AgentConfig {
-            fault: FaultPolicy { failures_to_mark_down: 2, down_cooldown_secs: 0.2 },
-            heartbeat: HeartbeatPolicy {
-                probe_interval_secs: 0.03,
-                miss_threshold: 2,
-                probe_timeout_secs: 0.5,
-            },
-            ..AgentConfig::default()
         };
-        let core = AgentCore::new(config, Policy::MinimumCompletionTime, NetworkView::lan_defaults());
-        let mut daemon = AgentDaemon::start(Arc::clone(&transport), "agent", core).unwrap();
-        // The daemon's own reading: fault state is kept in its seconds.
-        let clock = Arc::clone(&daemon.shared);
+        let report = || core.lock().failure_report(id, ErrorClass::Fault, agent.shared.now());
+        let down = || core.lock().is_down(id, agent.shared.now());
 
-        let mut conn = net.connect("agent").unwrap();
-        let reply = call(
-            conn.as_mut(),
-            &Message::RegisterServer(standard_descriptor("h1", "srv1", 200.0)),
-            timeout(),
-        )
-        .unwrap();
-        assert!(matches!(reply, Message::RegisterAck { accepted: true, .. }));
-        let sid = daemon.core().lock().registry().all_servers()[0].server_id;
+        for _ in 0..fault.failures_to_mark_down {
+            ticks(5);
+            assert!(!down());
+            report();
+        }
+        assert!(down());
+        ticks(5);
+        assert!(down(), "answered probes re-admitted a server clients saw fail");
 
-        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !cond() {
-                assert!(Instant::now() < deadline, "timed out waiting for {what}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        };
+        clock.advance(Duration::from_secs_f64(fault.down_cooldown_secs));
+        ticks(5);
+        assert!(!down(), "half-open after the cooldown");
+        report();
+        assert!(down());
+        let snap = core.lock().metrics().snapshot("agent");
+        assert_eq!(snap.counter("agent.fault_down_marks"), 2);
+        assert_eq!(snap.counter("agent.probe_successes"), 20);
+        agent.stop();
+    }
 
-        // Healthy server: probes succeed, fault state stays clean.
-        let core_handle = daemon.core();
-        wait_for("first successful probe", &|| {
-            core_handle.lock().probe_targets(clock.now()).len() == 1
-                && !core_handle.lock().is_down(sid, clock.now())
-        });
+    /// A server at its connection cap answers the probe with Busy before
+    /// it reads it. A shed is load, not a fault: the round leaves the
+    /// fault record as it was, counts no miss and no success, and stores
+    /// no digest. The cap is `Daemon::serve`'s, the accept loop every
+    /// `ServerDaemon` runs, held at one connection.
+    #[test]
+    fn a_probe_shed_at_the_connection_cap_changes_nothing() {
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let metrics = netsolve_obs::MetricsRegistry::new();
+        let [accepts, busy, spawn] = ["s.accepts", "s.busy", "s.spawn"].map(|n| metrics.counter(n));
+        let mut server = Daemon::new(Arc::clone(&transport));
+        let digest = netsolve_obs::StatsDigest { origin: "srv".into(), ..Default::default() };
+        let reply = Message::FleetStatsReply { digests: vec![digest] };
+        let counters = AcceptCounters(&accepts, &busy, &spawn);
+        let listener = net.listen("srv").unwrap();
+        let answer = move |_: &Message| (reply.clone(), || {});
+        server.serve(listener, 1, KEEP_ALIVE, counters, "server", answer).unwrap();
+        let mut agent = AgentDaemon::start(Arc::clone(&transport), "agent", parked_core()).unwrap();
+        let id = register(&net, &agent, "srv");
 
-        // Kill the server: within probe_interval x miss_threshold (plus
-        // slack) the heartbeat must mark it down without any client report.
-        chaos.kill("srv1");
-        wait_for("heartbeat down-mark", &|| core_handle.lock().is_down(sid, clock.now()));
+        // Hold the server's one connection; the reply proves it is served.
+        let mut held = net.connect("srv").unwrap();
+        let served = call(held.as_mut(), &Message::FleetStatsQuery, timeout());
+        assert!(matches!(served, Ok(Message::FleetStatsReply { .. })), "{served:?}");
 
-        // While down and cooling, the prober leaves it alone.
-        assert!(core_handle.lock().probe_targets(clock.now()).is_empty());
-
-        // Revive it: the half-open probe after the cooldown re-admits it.
-        chaos.revive("srv1");
-        wait_for("re-admission after recovery", &|| {
-            let now = clock.now();
-            let core = core_handle.lock();
-            !core.is_down(sid, now) && !core.registry().all_servers().is_empty()
-        });
-        // And it stays up: fault record was fully cleared by the probe.
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(!core_handle.lock().is_down(sid, clock.now()));
-
-        daemon.stop();
+        let core = agent.core();
+        let now = agent.shared.now();
+        core.lock().failure_report(id, ErrorClass::Link, now);
+        for _ in 0..3 {
+            agent.shared.telemetry_round(&netsolve_obs::WindowedSeries::default());
+        }
+        assert_eq!(busy.get(), 3, "every probe was shed");
+        let snap = core.lock().metrics().snapshot("agent");
+        for name in ["agent.heartbeat_misses", "agent.probe_successes", "agent.fault_down_marks"] {
+            assert_eq!(snap.counter(name), 0, "{name}");
+        }
+        assert!(core.lock().digest_snapshot(now).iter().all(|d| d.origin != "srv"));
+        // The record holds the one failure still: one more reaches the
+        // threshold of two.
+        assert!(!core.lock().is_down(id, now));
+        core.lock().failure_report(id, ErrorClass::Link, now);
+        assert!(core.lock().is_down(id, now));
+        agent.stop();
+        server.stop();
     }
 
     /// An AgentConfig with gossip fast enough for tests: rounds every
@@ -963,13 +986,12 @@ mod tests {
         Message::Error { code: 1, detail: "unknown message".into() }
     }
 
-    /// A core whose own loops never run during a test: heartbeat, gossip
-    /// and telemetry each wait 60 s of wall time, so the test thread
-    /// drives the rounds itself.
+    /// A core whose own loops never run during a test: gossip and
+    /// telemetry each wait 60 s of wall time, so the test thread drives
+    /// the rounds itself.
     fn parked_core() -> AgentCore {
-        use netsolve_core::config::{GossipPolicy, HeartbeatPolicy, TelemetryPolicy};
+        use netsolve_core::config::{GossipPolicy, TelemetryPolicy};
         let config = AgentConfig {
-            heartbeat: HeartbeatPolicy { probe_interval_secs: 60.0, ..HeartbeatPolicy::default() },
             gossip: GossipPolicy { interval_secs: 60.0, ..GossipPolicy::default() },
             telemetry: TelemetryPolicy { tick_secs: 60.0 },
             ..AgentConfig::default()
@@ -1077,31 +1099,26 @@ mod tests {
     /// `agent.*` instrument the declaration names and every `agent` span
     /// phase the code emits must be listed there, and nothing listed there
     /// may have stopped being declared or emitted. The span half drives a
-    /// federated pair (plus a lone agent whose slow default heartbeat never
-    /// marks a dead server down, so its telemetry scrapes keep failing)
-    /// through registration, query, reports, a missed heartbeat, gossip
-    /// both ways, and a dead and recovered peer.
+    /// federated pair (plus a lone agent whose probes of a server that is
+    /// not there miss until they mark it down) through registration,
+    /// query, reports, probes, gossip both ways, and a dead and recovered
+    /// peer.
     #[test]
     fn observability_doc_lists_exactly_the_names_the_agent_emits() {
         use crate::balance::Policy;
-        use netsolve_core::config::{HeartbeatPolicy, TelemetryPolicy};
+        use netsolve_core::config::TelemetryPolicy;
         use netsolve_net::NetworkView;
         use std::collections::BTreeSet;
 
         let net = ChannelNetwork::new();
-        let chaos = Arc::new(ChaosTransport::new(Arc::new(net.clone()), ChaosPolicy::calm(), 0));
-        let transport: Arc<dyn Transport> = chaos.clone();
-        let config = |heartbeat: HeartbeatPolicy| AgentConfig {
-            heartbeat,
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let config = AgentConfig {
             telemetry: TelemetryPolicy { tick_secs: 0.02 },
             ..fast_gossip_config(0.3)
         };
-        let start = |name: &str, heartbeat: HeartbeatPolicy| {
-            let core = AgentCore::new(
-                config(heartbeat),
-                Policy::MinimumCompletionTime,
-                NetworkView::lan_defaults(),
-            );
+        let start = |name: &str| {
+            let policy = Policy::MinimumCompletionTime;
+            let core = AgentCore::new(config.clone(), policy, NetworkView::lan_defaults());
             let daemon = AgentDaemon::start(Arc::clone(&transport), name, core).unwrap();
             let (metrics, tracer) = {
                 let core = daemon.core();
@@ -1122,34 +1139,29 @@ mod tests {
             metrics.snapshot("agent").counter(name)
         };
 
-        // Servers that answer probes and refuse everything else, a digest
-        // scrape included.
-        let probe_only: fn(Message) -> Message = |msg| match msg {
-            Message::Ping => Message::Pong,
-            _ => unsupported(),
-        };
-        stub(&net, "srv-a", probe_only);
-        stub(&net, "srv-quiet", probe_only);
+        // Servers that refuse every message, a digest scrape included:
+        // a reply all the same, so their probes succeed.
+        for name in ["srv-a", "srv-b", "srv-quiet"] {
+            stub(&net, name, |_| unsupported());
+        }
 
-        let fast = HeartbeatPolicy {
-            probe_interval_secs: 0.03,
-            miss_threshold: 2,
-            probe_timeout_secs: 0.5,
-        };
-        let (mut agent_a, a, a_tracer) = start("agent-a", fast);
-        let (mut agent_b, b, b_tracer) = start("agent-b", HeartbeatPolicy::default());
-        let (mut agent_c, c, c_tracer) = start("agent-c", HeartbeatPolicy::default());
+        let (mut agent_a, a, a_tracer) = start("agent-a");
+        let (mut agent_b, b, b_tracer) = start("agent-b");
+        let (mut agent_c, c, c_tracer) = start("agent-c");
         agent_a.set_peers(vec!["agent-b".into()]);
         agent_b.set_peers(vec!["agent-a".into()]);
 
-        // The lone agent: one server that refuses a digest scrape, one
-        // that is not there at all. Both scrapes fail.
+        // The lone agent: one server that answers its probes, one that is
+        // not there at all and goes down by probes alone.
         register("agent-c", "srv-quiet");
         register("agent-c", "srv-gone");
-        wait_for("failed scrapes", &|| count(&c, "agent.digest_scrape_failures") >= 2);
+        wait_for("probes at agent-c", &|| {
+            ["agent.probe_successes", "agent.heartbeat_misses", "agent.fault_down_marks"]
+                .iter()
+                .all(|name| count(&c, name) >= 1)
+        });
 
-        // The pair: a server each; gossip and digests flow both ways, the
-        // live server answers its probes.
+        // The pair: a server each; gossip and digests flow both ways.
         register("agent-a", "srv-a");
         register("agent-b", "srv-b");
         wait_for("gossip, digests and probes at agent-a", &|| {
@@ -1178,8 +1190,7 @@ mod tests {
         };
         assert!(matches!(send("agent-a", sync), Message::GossipAck { conflicts: 1, .. }));
 
-        // Client traffic at agent-b, whose slow heartbeat cannot clear a
-        // failure count between the two reports that mark srv-b down.
+        // Client traffic at agent-b.
         assert!(matches!(send("agent-b", query_dgesv_msg()), Message::ServerList { .. }));
         send("agent-b", Message::WorkloadReport { server_id: 1, workload: 10.0 });
         send(
@@ -1206,12 +1217,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(count(&b, "agent.fault_down_marks"), 1);
+        assert_eq!(count(&b, "agent.failure_reports"), 2);
+        assert_eq!(count(&b, "agent.fault_down_marks"), 1, "reports mark a probed server down");
 
-        // A missed heartbeat, then a dead peer whose entries and digest
-        // expire, then its recovery.
-        chaos.kill("srv-a");
-        wait_for("heartbeat down-mark", &|| count(&a, "agent.heartbeat_down_marks") >= 1);
+        // A dead peer whose entries and digest expire, then its recovery.
         agent_b.stop();
         wait_for("dead peer at agent-a", &|| {
             [
@@ -1223,7 +1232,7 @@ mod tests {
             .iter()
             .all(|name| count(&a, name) >= 1)
         });
-        let (mut agent_b2, _, b2_tracer) = start("agent-b", HeartbeatPolicy::default());
+        let (mut agent_b2, _, b2_tracer) = start("agent-b");
         wait_for("peer recovery", &|| count(&a, "agent.peer_recoveries") >= 1);
         for agent in [&mut agent_a, &mut agent_b2, &mut agent_c] {
             agent.stop();

@@ -10,8 +10,8 @@
 //!   nearest-network) it is compared against;
 //! * [`registry`] — the server table: one entry per server holding its
 //!   registration, last workload report (time-to-live aging), fault
-//!   record (down/cooldown), probe misses and pending assignments, behind
-//!   an id and an address index, plus the problem index built from PDL
+//!   record (down/cooldown) and pending assignments, behind an id and an
+//!   address index, plus the problem index built from PDL
 //!   registrations;
 //! * [`core`] — both of the above behind one message-level interface;
 //! * [`daemon`] — the live agent served over any transport.

@@ -5,12 +5,11 @@
 //! it. A [`ServerEntry`] carries what the server registered (address,
 //! Mflop/s, problems), where the entry came from (direct registration or
 //! federation gossip) and the dynamic state the scheduler ranks from: the
-//! last workload report, the fault record, the heartbeat prober's miss
-//! count and the assignments the agent has routed there but not yet seen
-//! finish. The rules over that state are the entry's methods; they take
-//! their thresholds from the policies in the one `AgentConfig`. Removing a
-//! server is one removal, and nothing about a server the table does not
-//! hold exists anywhere.
+//! last workload report, the fault record and the assignments the agent
+//! has routed there but not yet seen finish. The rules over that state
+//! are the entry's methods; they take their thresholds from the policies
+//! in the one `AgentConfig`. Removing a server is one removal, and
+//! nothing about a server the table does not hold exists anywhere.
 //!
 //! Registration carries the server's catalogue as rendered PDL source; the
 //! agent parses it, merges new problems into its domain-wide problem index
@@ -21,7 +20,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use netsolve_core::clock::SimTime;
-use netsolve_core::config::{FaultPolicy, HeartbeatPolicy, WorkloadPolicy};
+use netsolve_core::config::{FaultPolicy, WorkloadPolicy};
 use netsolve_core::error::{NetSolveError, Result};
 use netsolve_core::ids::{HostId, ServerId};
 use netsolve_core::problem::ProblemSpec;
@@ -60,19 +59,20 @@ pub struct ServerEntry {
     /// gossip and ages out unless peers keep re-confirming it.
     pub origin: Option<String>,
     /// Last time this entry was confirmed fresh. Direct registrations
-    /// carry their registration time (their liveness is the heartbeat
-    /// prober's job, not this field's); gossip entries carry the origin
+    /// carry their registration time (their liveness is the telemetry
+    /// probe's job, not this field's); gossip entries carry the origin
     /// agent's last-heard time, reconstructed from the entry's wire age.
     pub refreshed: SimTime,
     /// The last workload report as received, and when.
     workload: f64,
     workload_at: SimTime,
-    /// Failures reported since the last success.
+    /// Failures, reported or probed, since the last success.
     consecutive_failures: u32,
-    /// When the server was marked down, if it is.
+    /// How many of those failures were unanswered probes: the part an
+    /// answered probe takes back.
+    probed_failures: u32,
+    /// When the server was last marked down, if no success has come since.
     down_since: Option<SimTime>,
-    /// Heartbeat probes missed since the last answered one.
-    probe_misses: u32,
     /// When each assignment the agent routed here, and has not yet seen
     /// complete or fail, stops counting — NetSolve's defence against the
     /// herd effect: between two workload reports, the agent itself is the
@@ -124,27 +124,21 @@ impl ServerEntry {
     }
 
     /// Whether the server is excluded from rankings at `now`. After the
-    /// cooldown expires it becomes eligible again (one probe or request
-    /// will either succeed — clearing the record — or push it straight
-    /// back down).
+    /// cooldown expires it is half-open: eligible again, and the next
+    /// request either succeeds, clearing the record, or fails and pushes
+    /// it straight back down.
     pub fn is_down(&self, policy: &FaultPolicy, now: SimTime) -> bool {
         self.down_since.is_some_and(|since| now.since(since) < policy.down_cooldown_secs)
     }
 
-    /// Whether a down server's cooldown has elapsed, making it half-open:
-    /// it should receive a probe whose outcome either recovers it or
-    /// pushes it straight back down. A server that was never marked down
-    /// returns `false` — it needs no probe, it is taking live traffic.
-    pub fn should_probe(&self, policy: &FaultPolicy, now: SimTime) -> bool {
-        self.down_since.is_some_and(|since| now.since(since) >= policy.down_cooldown_secs)
-    }
-
-    /// Record a reported failure at `now`. Returns `true` if this report
-    /// transitioned the server to down.
+    /// Record a failure, reported or probed, at `now`. A server not down
+    /// is marked down at the policy's threshold of consecutive failures;
+    /// a half-open one has reached it already, so one failure marks it
+    /// down again. Returns whether this failure marked it down.
     pub(crate) fn record_failure(&mut self, policy: &FaultPolicy, now: SimTime) -> bool {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let marks_down =
-            self.down_since.is_none() && self.consecutive_failures >= policy.failures_to_mark_down;
+            !self.is_down(policy, now) && self.consecutive_failures >= policy.failures_to_mark_down;
         if marks_down {
             self.down_since = Some(now);
         }
@@ -154,29 +148,28 @@ impl ServerEntry {
     /// Record a success: clears consecutive failures and any down mark.
     pub(crate) fn record_success(&mut self) {
         self.consecutive_failures = 0;
+        self.probed_failures = 0;
         self.down_since = None;
     }
 
-    /// Record an answered heartbeat probe: a success that also resets the
-    /// prober's miss count.
-    pub(crate) fn probe_hit(&mut self) {
-        self.probe_misses = 0;
-        self.record_success();
+    /// Record at `now` a probe that got no reply: a failure like a
+    /// reported one. Returns whether it marked the server down.
+    pub(crate) fn probe_unanswered(&mut self, policy: &FaultPolicy, now: SimTime) -> bool {
+        self.probed_failures = self.probed_failures.saturating_add(1);
+        self.record_failure(policy, now)
     }
 
-    /// Record a missed heartbeat probe at `now`. At the prober's own miss
-    /// threshold the server is marked down immediately, bypassing the
-    /// client-report failure threshold; returns whether it was. The miss
-    /// count deliberately survives the down-mark, so the half-open probe
-    /// after the cooldown sends the server straight back down on a single
-    /// further miss.
-    pub(crate) fn probe_miss(&mut self, policy: &HeartbeatPolicy, now: SimTime) -> bool {
-        self.probe_misses = self.probe_misses.saturating_add(1);
-        let exhausted = self.probe_misses >= policy.miss_threshold;
-        if exhausted {
-            self.down_since = Some(now);
+    /// Record an answered probe. It shows that the agent reaches the
+    /// server, not that the server serves its clients, so it takes back
+    /// only the failures probes made. A server whose remaining failures
+    /// are under the threshold is re-admitted at once, down or not; one
+    /// that client reports marked down stays down for its cooldown.
+    pub(crate) fn probe_answered(&mut self, policy: &FaultPolicy) {
+        self.consecutive_failures = self.consecutive_failures.saturating_sub(self.probed_failures);
+        self.probed_failures = 0;
+        if self.consecutive_failures < policy.failures_to_mark_down {
+            self.down_since = None;
         }
-        exhausted
     }
 
     /// Count one more request routed here at `now`, dropping expired ones.
@@ -322,8 +315,8 @@ impl ServerRegistry {
                 workload,
                 workload_at: now,
                 consecutive_failures: 0,
+                probed_failures: 0,
                 down_since: None,
-                probe_misses: 0,
                 pending: Vec::new(),
                 holds: Vec::new(),
             },
@@ -382,7 +375,7 @@ impl ServerRegistry {
     /// Drop every gossip-learned entry whose freshness is older than
     /// `ttl_secs` — the mechanism by which a dead peer's servers age out
     /// of surviving agents instead of lingering as ghosts. Direct
-    /// registrations are never expired here (the heartbeat prober owns
+    /// registrations are never expired here (the telemetry probe owns
     /// their liveness). Returns the removed ids.
     pub fn expire_remote(&mut self, now: SimTime, ttl_secs: f64) -> Vec<ServerId> {
         // The whole of forgetting a server: its row, and the index entry
@@ -782,8 +775,6 @@ mod tests {
     // ---- the fault rules (were fault.rs) ----
 
     const FAULT: FaultPolicy = FaultPolicy { failures_to_mark_down: 2, down_cooldown_secs: 60.0 };
-    const HEARTBEAT: HeartbeatPolicy =
-        HeartbeatPolicy { probe_interval_secs: 15.0, miss_threshold: 1, probe_timeout_secs: 2.0 };
 
     #[test]
     fn fresh_server_is_up() {
@@ -841,7 +832,6 @@ mod tests {
         let s = reg.get_mut(id).unwrap();
         s.record_failure(&FAULT, SimTime::ZERO);
         s.record_failure(&FAULT, SimTime::ZERO);
-        s.probe_miss(&HEARTBEAT, SimTime::ZERO);
         s.record_workload(70.0, SimTime::ZERO);
         s.note_assignment(SimTime::ZERO);
         let now = SimTime::from_secs(1.0);
@@ -849,57 +839,85 @@ mod tests {
         let s = reg.get_mut(id).unwrap();
         assert!(!s.is_down(&FAULT, now));
         assert_eq!(s.effective_workload(&policy(), now), 0.0, "idle, nothing pending");
-        // Neither the failure count nor the probe misses carried over.
+        // The failure count did not carry over.
         assert!(!s.record_failure(&FAULT, now));
-        let two_misses = HeartbeatPolicy { miss_threshold: 2, ..HEARTBEAT };
-        assert!(!s.probe_miss(&two_misses, now));
+        assert!(!s.is_down(&FAULT, now));
     }
 
     #[test]
-    fn half_open_lifecycle_down_cooldown_probe_recovered() {
+    fn half_open_lifecycle_down_cooldown_failure_success() {
         let (mut reg, id) = one_server();
         let s = reg.get_mut(id).unwrap();
-        // Healthy: no probing needed.
-        assert!(!s.should_probe(&FAULT, SimTime::ZERO));
+        s.record_failure(&FAULT, SimTime::ZERO);
+        assert!(s.record_failure(&FAULT, SimTime::ZERO));
+        assert!(s.is_down(&FAULT, SimTime::from_secs(59.0)), "still cooling down");
+        // A failure inside the cooldown does not extend it.
+        assert!(!s.record_failure(&FAULT, SimTime::from_secs(30.0)));
 
-        // Down (via the probe path: the prober's own threshold, not the
-        // client-report one).
-        assert!(s.probe_miss(&HEARTBEAT, SimTime::ZERO));
-        assert!(s.is_down(&FAULT, SimTime::ZERO));
-        assert!(!s.should_probe(&FAULT, SimTime::ZERO), "still cooling down");
-        assert!(!s.should_probe(&FAULT, SimTime::from_secs(59.0)));
+        // Cooldown elapsed: half-open, eligible again.
+        let half_open = SimTime::from_secs(60.0);
+        assert!(!s.is_down(&FAULT, half_open));
 
-        // Cooldown elapsed: half-open — excluded no longer, probe due.
-        let probe_time = SimTime::from_secs(60.0);
-        assert!(!s.is_down(&FAULT, probe_time));
-        assert!(s.should_probe(&FAULT, probe_time));
-
-        // Failed probe pushes it straight back down; a fresh cooldown runs.
-        assert!(s.probe_miss(&HEARTBEAT, probe_time));
+        // One failure pushes it straight back down; a fresh cooldown runs.
+        assert!(s.record_failure(&FAULT, half_open));
         assert!(s.is_down(&FAULT, SimTime::from_secs(119.0)));
-        assert!(s.should_probe(&FAULT, SimTime::from_secs(120.0)));
-
-        // Successful probe recovers it fully.
-        s.probe_hit();
         assert!(!s.is_down(&FAULT, SimTime::from_secs(120.0)));
-        assert!(!s.should_probe(&FAULT, SimTime::from_secs(1000.0)));
+
+        // A success recovers it fully: the count starts again.
+        s.record_success();
+        assert!(!s.record_failure(&FAULT, SimTime::from_secs(120.0)));
+        assert!(!s.is_down(&FAULT, SimTime::from_secs(120.0)));
     }
 
+    /// An answered probe shows that the agent reaches the server, not
+    /// that its clients are served: it takes back the failures probes
+    /// made and no others.
     #[test]
-    fn probe_misses_survive_the_down_mark_and_a_client_success() {
+    fn an_answered_probe_takes_back_only_the_failures_probes_made() {
         let (mut reg, id) = one_server();
         let s = reg.get_mut(id).unwrap();
-        let two_misses = HeartbeatPolicy { miss_threshold: 2, ..HEARTBEAT };
-        assert!(!s.probe_miss(&two_misses, SimTime::ZERO), "one miss is not enough");
-        assert!(s.probe_miss(&two_misses, SimTime::ZERO));
-        // A client success re-admits the server but is not a probe answer:
-        // the half-open probe after it needs a single further miss.
+        let now = SimTime::ZERO;
+        // Two client reports mark the server down across answered probes,
+        // and it stays down for its cooldown.
+        assert!(!s.record_failure(&FAULT, now));
+        s.probe_answered(&FAULT);
+        assert!(s.record_failure(&FAULT, now), "the report before the answer still counts");
+        s.probe_answered(&FAULT);
+        assert!(s.is_down(&FAULT, now));
         s.record_success();
-        assert!(!s.is_down(&FAULT, SimTime::ZERO));
-        assert!(s.probe_miss(&two_misses, SimTime::from_secs(60.0)));
-        // Only an answered probe resets the count.
-        s.probe_hit();
-        assert!(!s.probe_miss(&two_misses, SimTime::from_secs(61.0)));
+
+        // Probe misses alone mark it down, and one answer re-admits it.
+        assert!(!s.probe_unanswered(&FAULT, now));
+        assert!(s.probe_unanswered(&FAULT, now));
+        s.probe_answered(&FAULT);
+        assert!(!s.is_down(&FAULT, now));
+
+        // A report and a miss mark it down; the answer re-admits it but
+        // keeps the report, so one more report marks it down again.
+        assert!(!s.record_failure(&FAULT, now));
+        assert!(s.probe_unanswered(&FAULT, now));
+        s.probe_answered(&FAULT);
+        assert!(!s.is_down(&FAULT, now));
+        assert!(s.record_failure(&FAULT, now));
+    }
+
+    /// Regression: a failure only marked a server down when it had never
+    /// been marked, so once a crashed server's cooldown passed it stayed
+    /// up however many client reports said it was gone, and every query
+    /// ranked it again.
+    #[test]
+    fn after_the_cooldown_one_link_failure_marks_the_server_down_again() {
+        let mut agent = AgentCore::with_defaults();
+        let id = agent.register_server(&standard_descriptor("h", "a:1", 100.0), SimTime::ZERO);
+        let (id, cooldown) = (id.unwrap(), agent.config().fault.down_cooldown_secs);
+        for _ in 0..agent.config().fault.failures_to_mark_down {
+            agent.failure_report(id, ErrorClass::Link, SimTime::ZERO);
+        }
+        let half_open = SimTime::from_secs(cooldown);
+        assert!(agent.is_down(id, SimTime::ZERO) && !agent.is_down(id, half_open));
+        agent.failure_report(id, ErrorClass::Link, half_open);
+        assert!(agent.is_down(id, half_open), "a half-open server failed again");
+        assert_eq!(agent.metrics().counter("agent.fault_down_marks").get(), 2);
     }
 
     /// One step of the model test below: `(kind, slot, id, x)`. `slot`
@@ -933,11 +951,33 @@ mod tests {
                 },
                 *now,
             )),
-            8 => agent.probe_succeeded(ServerId(id)),
-            9 => agent.probe_missed(ServerId(id), *now),
-            10 => *now = now.plus(x),
+            8 => {
+                // A probe of the telemetry round: answered, missed, or
+                // shed at the connection cap, which must change nothing.
+                let id = ServerId(id);
+                let reply = match slot % 3 {
+                    0 => Ok(Message::Pong),
+                    1 => Err(NetSolveError::Transport("refused".into())),
+                    _ => {
+                        let before = fault_view(agent, id, *now);
+                        let busy = NetSolveError::Resource("server busy".into());
+                        agent.probe_result(id, Ok(Message::from_error(&busy)), *now);
+                        assert_eq!(fault_view(agent, id, *now), before, "a shed probe counted");
+                        return;
+                    }
+                };
+                agent.probe_result(id, reply, *now);
+            }
+            9 => *now = now.plus(x),
             _ => {} // a query: every step ends with one
         }
+    }
+
+    /// What a probe may change: whether `id` is down, and the down-mark,
+    /// miss and probe-success counts.
+    fn fault_view(agent: &AgentCore, id: ServerId, now: SimTime) -> (bool, [u64; 3]) {
+        let names = ["agent.fault_down_marks", "agent.heartbeat_misses", "agent.probe_successes"];
+        (agent.is_down(id, now), names.map(|name| agent.metrics().counter(name).get()))
     }
 
     fn pending_gauge(agent: &AgentCore) -> i64 {
@@ -946,7 +986,8 @@ mod tests {
 
     /// Whatever registrations, gossip, reports, probes and queries
     /// arrive in whatever order, the table stays one table: the two
-    /// indexes agree, an address has one row, ids only grow, nothing
+    /// indexes agree, an address has one row, a row's probed failures
+    /// are part of its failure count, ids only grow, nothing
     /// is observable about an id the table does not hold, a ranking
     /// never repeats an address or names a down server, and the
     /// pending gauge is the sum of the rows' pending lists unexpired at
@@ -959,7 +1000,7 @@ mod tests {
             let mut highest_id = 0u64;
             let mut last_id_at: HashMap<String, u64> = HashMap::new();
             for _ in 0..rng.range(1..80) {
-                let (kind, slot, id) = (rng.below(12) as u8, rng.below(6), rng.below(10) as u64);
+                let (kind, slot, id) = (rng.below(11) as u8, rng.below(6), rng.below(10) as u64);
                 let step = (kind, slot, id, rng.uniform(0.0, 300.0));
                 apply(&mut agent, step, &mut now);
                 let counted = agent.registry().pending_total(agent.pending_counted_at);
@@ -984,6 +1025,8 @@ mod tests {
                 for (id, s) in &reg.servers {
                     assert_eq!(s.server_id, *id);
                     assert_eq!(reg.id_by_address(&s.address), Some(*id));
+                    // Probed failures are a part of the one failure count.
+                    assert!(s.probed_failures <= s.consecutive_failures);
                     // A row is either the one this address had last step,
                     // or one minted after every id ever seen.
                     if last_id_at.get(&s.address) != Some(&id.raw()) {

@@ -18,7 +18,7 @@ use netsolve_core::data::DataObject;
 use netsolve_core::error::{ErrorClass, NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
-use netsolve_net::{call, call_once, Connection, Transport};
+use netsolve_net::{answered_before_reading, call, call_once, Connection, Transport};
 use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape, RequestView};
 use parking_lot::Mutex;
@@ -723,11 +723,11 @@ impl NetSolveClient {
                     inputs: call.inputs,
                 };
                 let (mut conn, reused) = self.connection(scope, &candidate.address, fresh)?;
-                let reply = self
-                    .span(scope, "marshal", |_| conn.send_request(&request), no_detail)
-                    .and_then(|()| {
-                        self.span(scope, "wait", |_| conn.recv_timeout(timeout), no_detail)
-                    });
+                let reply =
+                    match self.span(scope, "marshal", |_| conn.send_request(&request), no_detail) {
+                        Ok(()) => self.span(scope, "wait", |_| conn.recv_timeout(timeout), no_detail),
+                        Err(e) => answered_before_reading(conn.as_mut(), e),
+                    };
                 match reply {
                     Ok(reply) => break (conn, reply),
                     // A kept connection the server had closed says nothing
@@ -1400,6 +1400,45 @@ mod tests {
         server.stop();
         full.stop();
         roomy.stop();
+    }
+
+    /// A server at its connection cap sends Busy and hangs up before it
+    /// reads, so the client's send can fail after the answer arrived.
+    /// Every attempt must still read that answer: a Load-class error, a
+    /// shed, never a Link failure that would count toward marking the
+    /// server down.
+    #[test]
+    fn a_dial_to_a_server_at_its_connection_cap_is_shed_not_a_link_failure() {
+        let net = ChannelNetwork::new();
+        let transport: Arc<dyn Transport> = Arc::new(net.clone());
+        let mut agent =
+            AgentDaemon::start(Arc::clone(&transport), "agent", AgentCore::with_defaults()).unwrap();
+        let config = ServerConfig { max_connections: 1, ..ServerConfig::quick("hostA", "srv0", 200.0) };
+        let mut server = ServerDaemon::start(
+            Arc::clone(&transport),
+            "agent",
+            ServerCore::with_standard_catalogue(),
+            config,
+        )
+        .unwrap();
+        // Hold the server's one connection; the Pong proves it is served.
+        let mut held = net.connect("srv0").unwrap();
+        let pong = netsolve_net::call(held.as_mut(), &Message::Ping, Duration::from_secs(5));
+        assert_eq!(pong.unwrap(), Message::Pong);
+
+        let client = NetSolveClient::new(Arc::clone(&transport), "agent")
+            .with_retry(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() });
+        for call in 0..20 {
+            let e = client.netsl("ddot", &[vec![1.0].into(), vec![2.0].into()]).unwrap_err();
+            assert!(matches!(e.class(), ErrorClass::Load { .. }), "call {call}: {e}");
+        }
+        let snap = agent.core().lock().metrics().snapshot("agent");
+        assert_eq!(snap.counter("agent.failure_reports"), 20, "each shed was reported");
+        assert_eq!(snap.counter("agent.fault_down_marks"), 0, "a shed counted as a fault");
+
+        drop(held);
+        server.stop();
+        agent.stop();
     }
 
     #[test]

@@ -113,11 +113,20 @@ impl Default for RetryPolicy {
 }
 
 /// Agent-side fault-tracking knobs.
+///
+/// A server has one fault record. Client failure reports of class `Link`
+/// or `Fault` and the agent's own liveness probes (its telemetry scrape
+/// of each local server, one a tick, that got no reply) count as
+/// failures. A client success clears the record; any probe reply but
+/// Busy takes back only the failures probes made.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
-    /// Consecutive failures before a server is marked down.
+    /// Consecutive failures before a server is marked down. Once its
+    /// cooldown has passed with no success since, one more failure marks
+    /// it down again.
     pub failures_to_mark_down: u32,
-    /// Seconds a down server stays excluded before being probed again.
+    /// Seconds a down server stays excluded unless a probe answer takes
+    /// its failures back under the threshold first.
     pub down_cooldown_secs: f64,
 }
 
@@ -126,33 +135,6 @@ impl Default for FaultPolicy {
         FaultPolicy {
             failures_to_mark_down: 2,
             down_cooldown_secs: 60.0,
-        }
-    }
-}
-
-/// Agent-side liveness probing (heartbeat) knobs.
-///
-/// The agent daemon periodically dials each registered server with a
-/// `Ping` and expects a `Pong` within `probe_timeout_secs`. A server
-/// that misses `miss_threshold` consecutive probes is force-marked down
-/// in the fault tracker; a successful probe (including the half-open
-/// probe after cooldown) re-admits it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeartbeatPolicy {
-    /// Seconds between probe rounds.
-    pub probe_interval_secs: f64,
-    /// Consecutive missed probes before the server is marked down.
-    pub miss_threshold: u32,
-    /// Seconds to wait for a `Pong` before counting the probe as missed.
-    pub probe_timeout_secs: f64,
-}
-
-impl Default for HeartbeatPolicy {
-    fn default() -> Self {
-        HeartbeatPolicy {
-            probe_interval_secs: 15.0,
-            miss_threshold: 2,
-            probe_timeout_secs: 2.0,
         }
     }
 }
@@ -198,8 +180,10 @@ impl Default for GossipPolicy {
 /// `netsolve_obs::WINDOW_SLOTS` samples), from which rates and rolling
 /// percentiles are answered. Agents additionally fold the fleet's
 /// windowed digests into their gossip rounds, so one scrape of any agent
-/// returns every peer's recent history. The longest tick, 60 s, is as
-/// near to no sampling as a run of a few seconds gets.
+/// returns every peer's recent history. An agent's tick is also its
+/// liveness probe's period: each tick scrapes every local server once.
+/// The longest tick, 60 s, is as near to no sampling as a run of a few
+/// seconds gets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryPolicy {
     /// Seconds between registry samples.
@@ -227,8 +211,6 @@ pub struct AgentConfig {
     pub workload: WorkloadPolicy,
     /// Fault tracking policy.
     pub fault: FaultPolicy,
-    /// Liveness probing policy.
-    pub heartbeat: HeartbeatPolicy,
     /// Federation gossip policy.
     pub gossip: GossipPolicy,
     /// Whether the agent counts its own unconfirmed assignments against a
@@ -244,7 +226,6 @@ impl Default for AgentConfig {
         AgentConfig {
             workload: WorkloadPolicy::default(),
             fault: FaultPolicy::default(),
-            heartbeat: HeartbeatPolicy::default(),
             gossip: GossipPolicy::default(),
             pending_tracking: true,
             telemetry: TelemetryPolicy::default(),
@@ -270,11 +251,6 @@ mod tests {
 
         let f = FaultPolicy::default();
         assert!(f.failures_to_mark_down >= 1);
-
-        let h = HeartbeatPolicy::default();
-        assert!(h.probe_interval_secs > 0.0);
-        assert!(h.miss_threshold >= 1);
-        assert!(h.probe_timeout_secs > 0.0);
 
         let g = GossipPolicy::default();
         assert!(g.interval_secs > 0.0);

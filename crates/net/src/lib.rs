@@ -36,7 +36,7 @@ pub use daemon::{AcceptCounters, Daemon, StopSignal, KEEP_ALIVE};
 pub use link::LinkModel;
 pub use metrics::NetworkView;
 pub use tcp::TcpTransport;
-pub use transport::{call, call_once, Connection, Listener, Transport};
+pub use transport::{answered_before_reading, call, call_once, Connection, Listener, Transport};
 
 #[cfg(test)]
 mod properties {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use netsolve_core::clock::{Clock, RealClock};
-use netsolve_core::error::Result;
+use netsolve_core::error::{NetSolveError, Result};
 use netsolve_proto::{Message, RequestView};
 
 /// A bidirectional, message-oriented connection between two components.
@@ -82,9 +82,23 @@ pub trait Transport: Send + Sync {
 }
 
 /// Blocking request/response helper used by every client-side call path.
+/// A failed send still reads what the peer already sent
+/// ([`answered_before_reading`]); on a kept connection that owes nothing
+/// there is nothing to read, and the send's error comes back as it was.
 pub fn call(conn: &mut dyn Connection, msg: &Message, timeout: Duration) -> Result<Message> {
-    conn.send(msg)?;
-    conn.recv_timeout(timeout)
+    match conn.send(msg) {
+        Ok(()) => conn.recv_timeout(timeout),
+        Err(e) => answered_before_reading(conn, e),
+    }
+}
+
+/// The reply to a send that failed with `send_error`. A peer may answer
+/// before it reads — a daemon at its connection cap sends Busy and hangs
+/// up — and when that hang-up breaks the send, what the peer said first is
+/// still its reply. Returns that reply if one is waiting, `send_error`
+/// otherwise.
+pub fn answered_before_reading(conn: &mut dyn Connection, send_error: NetSolveError) -> Result<Message> {
+    conn.recv_timeout(Duration::ZERO).map_err(|_| send_error)
 }
 
 /// One-shot exchange: dial `address`, send `msg`, wait up to `timeout` for

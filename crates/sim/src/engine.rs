@@ -771,6 +771,31 @@ mod tests {
         assert_eq!(report.succeeded(), report.total());
     }
 
+    /// Regression: a failure used to mark down only a server never marked
+    /// before, so once a crashed server's first cooldown passed it stayed
+    /// up, and every request from then on tried the dead first choice
+    /// before failing over. Now the one try after each cooldown marks it
+    /// down again.
+    #[test]
+    fn a_crashed_server_gets_at_most_one_attempt_per_cooldown() {
+        let servers = vec![SimServer::new(1000.0).with_crash_at(0.5), SimServer::new(200.0)];
+        let mut sc = base(servers, 400);
+        sc.arrivals = Arrivals::Poisson { rate: 1.0 };
+        let report = run(&sc).unwrap();
+        assert_eq!(report.succeeded(), report.total());
+        // Every extra attempt is one try of the dead server: the tries
+        // that marked it down, one per cooldown since, and the requests
+        // queued on it when it crashed.
+        let extra: u32 = report.requests().iter().map(|r| r.attempts - 1).sum();
+        let fault = AgentConfig::default().fault;
+        let cooldowns = (report.makespan_secs() / fault.down_cooldown_secs).ceil() as u32;
+        let stranded = 2;
+        assert!(
+            extra <= fault.failures_to_mark_down + cooldowns + stranded,
+            "{extra} extra attempts over {cooldowns} cooldowns"
+        );
+    }
+
     #[test]
     fn prediction_error_small_with_fresh_workload_and_no_noise() {
         let servers = vec![SimServer::new(100.0), SimServer::new(100.0)];

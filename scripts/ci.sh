@@ -51,8 +51,10 @@ for crate in client server agent net; do
     [ -z "${named}" ] || { echo "${named}"; echo "instrument looked up by name"; exit 1; }
     declared='^[^ ]+ +([a-z_]+): (counter|gauge|histogram) = "'
     uses=$(echo "${code}" | grep -Ev "${declared}" || true)
+    # A here-string, not a pipe: `grep -q` quits at its first match, and
+    # under pipefail the writer's SIGPIPE would fail the check spuriously.
     for field in $(echo "${code}" | sed -nE "s/${declared}.*/\1/p"); do
-        echo "${uses}" | grep -Eq "\.${field}\b" || {
+        grep -Eq "\.${field}\b" <<< "${uses}" || {
             echo "crates/${crate}: instrument '${field}' is declared but never recorded"; exit 1; }
     done
 done
@@ -172,11 +174,15 @@ echo "${TIMELINE}" | grep -q "critical path:" || {
     echo "netsl-trace smoke: no critical-path breakdown"; exit 1; }
 
 echo "=== restart smoke (same trio: SIGKILL the server, restart it on its port) ==="
-# The agent must replace the dead server's row, not add a second one. The
-# old row still lists the address until the re-registration lands, so
+# With no client traffic, the agent's telemetry scrape (its liveness
+# probe, one a second) must mark the dead server DOWN within the poll.
+# Then the agent must replace the dead server's row, not add a second one.
+# The old row still lists the address until the re-registration lands, so
 # ready means the roster shows the replacement's rating.
 kill -9 ${SERVER_PID}
 wait ${SERVER_PID} 2>/dev/null || true
+listed ${AGENT_PORT} "127\.0\.0\.1:${SERVER_PORT} .* DOWN " || {
+    echo "restart smoke: the agent never marked the killed server DOWN"; exit 1; }
 boot_server ${AGENT_PORT} ${SERVER_PORT} --mflops 321
 listed ${AGENT_PORT} "127\.0\.0\.1:${SERVER_PORT} +321\.0 Mflop/s" || {
     echo "restart smoke: the agent never listed the restarted server's rating"; exit 1; }

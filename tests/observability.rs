@@ -239,7 +239,7 @@ fn request_ids_unique_across_clients() {
 
 /// A bare agent stand-in answering registrations and reports, so the
 /// connection-cap test controls every connection its server ever sees
-/// (no heartbeat prober dialing in mid-test).
+/// (no agent telemetry probe dialing in mid-test).
 fn stub_agent(net: &ChannelNetwork, name: &str) {
     let listener = net.listen(name).unwrap();
     std::thread::spawn(move || {
