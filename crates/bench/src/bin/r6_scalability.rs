@@ -2,7 +2,8 @@
 //! analysis: the broker must not become the bottleneck).
 //!
 //! Part A measures the pure ranking cost as the pool grows to 512
-//! servers. Part B drives the simulator with growing client populations
+//! servers: the median and the spread of `REPEATS` timed batches, since
+//! one batch reads whatever phase the host is in. Part B drives the simulator with growing client populations
 //! and reports sustained throughput and turnaround. Expected shape:
 //! ranking stays far below a millisecond per request at hundreds of
 //! servers; turnaround grows with offered load, throughput saturates at
@@ -19,11 +20,14 @@ use netsolve_core::problem::{Complexity, RequestShape};
 use netsolve_net::NetworkView;
 use netsolve_sim::{run, Arrivals, RequestMix, Scenario, SimServer};
 
+/// Timed batches of rankings per pool size in part A.
+const REPEATS: usize = 7;
+
 fn main() {
     // --- Part A: ranking cost vs pool size. ---
     let mut table = Table::new(
-        "R6a: agent ranking cost vs number of registered servers (MCT)",
-        &["servers", "time/ranking", "rankings/sec"],
+        &format!("R6a: agent ranking cost vs number of registered servers (MCT), {REPEATS} batches"),
+        &["servers", "time/ranking (median)", "min..max", "rankings/sec (median)"],
     );
     let shape = RequestShape {
         problem: "dgesv".into(),
@@ -45,24 +49,30 @@ fn main() {
             .collect();
         let mut st = BalancerState::default();
         let iterations = 2_000;
-        let start = Instant::now();
-        for _ in 0..iterations {
-            let ranked = rank(
-                Policy::MinimumCompletionTime,
-                &pool,
-                &shape,
-                complexity,
-                &net,
-                HostId(9_999),
-                &mut st,
-            );
-            std::hint::black_box(&ranked);
-        }
-        let per = start.elapsed().as_secs_f64() / iterations as f64;
+        let mut batch = || {
+            let start = Instant::now();
+            for _ in 0..iterations {
+                let ranked = rank(
+                    Policy::MinimumCompletionTime,
+                    &pool,
+                    &shape,
+                    complexity,
+                    &net,
+                    HostId(9_999),
+                    &mut st,
+                );
+                std::hint::black_box(&ranked);
+            }
+            start.elapsed().as_secs_f64() / iterations as f64
+        };
+        let mut per: Vec<f64> = (0..REPEATS).map(|_| batch()).collect();
+        per.sort_by(f64::total_cmp);
+        let median = per[REPEATS / 2];
         table.row(vec![
             count.to_string(),
-            secs(per),
-            format!("{:.0}", 1.0 / per),
+            secs(median),
+            format!("{}..{}", secs(per[0]), secs(per[REPEATS - 1])),
+            format!("{:.0}", 1.0 / median),
         ]);
     }
     table.print();

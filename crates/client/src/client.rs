@@ -5,11 +5,14 @@
 //! → rank → per try (pace → attempt) → report, each stage a method reading
 //! the one per-call `Call` value (DESIGN.md §4p). The client keeps its
 //! connections between calls — one to the preferred agent, a few idle
-//! ones to the servers it has used — so a steady caller dials nothing.
+//! ones to the servers it has used — so a steady caller dials nothing,
+//! and a call's completion report rides ahead of the next agent request
+//! in the same write, so a steady caller makes one agent exchange a call.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use netsolve_core::clock::Clock;
@@ -19,7 +22,7 @@ use netsolve_core::error::{ErrorClass, NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
 use netsolve_net::{answered_before_reading, call, call_once, Connection, Transport};
-use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
+use netsolve_obs::{Counter, MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape, RequestView};
 use parking_lot::Mutex;
 
@@ -61,7 +64,7 @@ pub struct NetSolveClient {
     transport: Arc<dyn Transport>,
     /// The transport's clock: every budget, pause and timer of a call.
     clock: Arc<dyn Clock>,
-    agents: Mutex<AgentRoster>,
+    agents: Arc<AgentLink>,
     /// Idle server connections by address, least recently used first.
     idle: Mutex<Vec<(String, Box<dyn Connection>)>>,
     retry: RetryPolicy,
@@ -90,18 +93,120 @@ netsolve_obs::instruments! {
         conn_reused: counter = "client.conn_reused",
         conn_redials: counter = "client.conn_redials",
         cached_replies: counter = "client.cached_replies",
+        reports_dropped: counter = "client.reports_dropped",
     }
 }
 
+/// How long a completion report waits for an agent request to ride on
+/// before the client's flusher sends it on its own: the most the agent's
+/// view of an idle client's pending assignments lags.
+const REPORT_FLUSH: Duration = Duration::from_millis(50);
+
+/// Most completion reports a client owes at once. One more is sent at
+/// once, with those owed, by the call that makes it.
+const MAX_OWED: usize = 16;
+
 /// The client's view of its agents — the address list in preference order
 /// (after the lazy rank pass) and which entry is currently preferred —
-/// and the connection kept open to that entry. One lock holds both: an
+/// the connection kept open to that entry, and the completion reports
+/// owed to whichever agent is asked next. One lock holds them all: an
 /// agent request owns the roster for as long as it owns the connection.
 struct AgentRoster {
     addresses: Vec<String>,
     ranked: bool,
     current: usize,
     conn: Option<Box<dyn Connection>>,
+    /// Oldest first, at most [`MAX_OWED`]; each leaves once, delivered or
+    /// dropped.
+    owed: Vec<Owed>,
+    /// The report flusher, started with the first report owed.
+    flusher: Option<JoinHandle<()>>,
+    /// The flusher waits for a report to be owed, not for time to pass.
+    parked: bool,
+    /// The client is being dropped: the flusher ends.
+    closing: bool,
+}
+
+/// The roster, and the condition its report flusher sleeps on, shared
+/// with that thread.
+struct AgentLink {
+    roster: Mutex<AgentRoster>,
+    wake: Condvar,
+}
+
+/// A completion report not yet sent, and when it became owed.
+struct Owed {
+    report: Message,
+    since: Instant,
+}
+
+/// Send the owed reports, and `request` behind them, in one batch on
+/// `conn`, and read the `Pong` each report is answered with; the
+/// request's reply is the next read. Returns how many were delivered;
+/// `written` says whether the batch left, whatever came of it.
+fn deliver(
+    conn: &mut dyn Connection,
+    owed: &[Owed],
+    request: Option<&Message>,
+    timeout: Duration,
+    written: &mut bool,
+) -> Result<usize> {
+    let Some(first) = owed.first().map(|o| &o.report).or(request) else {
+        return Ok(0);
+    };
+    let mut batch = [first; MAX_OWED + 1];
+    let mut len = 0;
+    for msg in owed.iter().map(|o| &o.report).chain(request) {
+        batch[len] = msg;
+        len += 1;
+    }
+    conn.send_batch(&batch[..len])?;
+    *written = true;
+    for _ in owed {
+        match conn.recv_timeout(timeout)? {
+            Message::Pong => {}
+            other => {
+                let name = other.name();
+                return Err(NetSolveError::Protocol(format!("report answered with {name}")));
+            }
+        }
+    }
+    Ok(owed.len())
+}
+
+/// Send what `roster` owes on its own — on the kept agent connection, or a
+/// dial to the preferred agent — inside a traceless `report` span. What
+/// cannot be delivered is dropped and counted: a report is best effort.
+fn flush_owed(
+    roster: &mut AgentRoster,
+    transport: &dyn Transport,
+    timeout: Duration,
+    tracer: &Tracer,
+    dropped: &Counter,
+) {
+    if roster.owed.is_empty() {
+        return;
+    }
+    let timer = tracer.start();
+    let conn = match roster.conn.take() {
+        Some(conn) => Ok(conn),
+        None => transport.connect(&roster.addresses[roster.current]),
+    };
+    let sent = conn.and_then(|mut conn| {
+        Ok((deliver(conn.as_mut(), &roster.owed, None, timeout, &mut false)?, conn))
+    });
+    let detail = match sent {
+        Ok((delivered, conn)) => {
+            roster.conn = Some(conn);
+            format!("completions={delivered}")
+        }
+        Err(e) => {
+            dropped.add(roster.owed.len() as u64);
+            format!("err={e}")
+        }
+    };
+    tracer.record(SpanContext::NONE, timer, "client", "report", detail);
+    roster.owed.clear();
 }
 
 /// Whether `e`, met on a kept connection before any reply arrived, means
@@ -222,11 +327,18 @@ impl NetSolveClient {
         NetSolveClient {
             clock: transport.clock(),
             transport,
-            agents: Mutex::new(AgentRoster {
-                addresses: agents.to_vec(),
-                ranked: false,
-                current: 0,
-                conn: None,
+            agents: Arc::new(AgentLink {
+                roster: Mutex::new(AgentRoster {
+                    addresses: agents.to_vec(),
+                    ranked: false,
+                    current: 0,
+                    conn: None,
+                    owed: Vec::new(),
+                    flusher: None,
+                    parked: false,
+                    closing: false,
+                }),
+                wake: Condvar::new(),
             }),
             idle: Mutex::new(Vec::new()),
             retry: RetryPolicy::default(),
@@ -284,7 +396,7 @@ impl NetSolveClient {
     /// The agent currently preferred by this client (the last one that
     /// answered; the rank winner before any request has gone out).
     pub fn current_agent(&self) -> String {
-        let roster = self.agents.lock();
+        let roster = self.agents.roster.lock();
         roster.addresses[roster.current].clone()
     }
 
@@ -430,8 +542,12 @@ impl NetSolveClient {
     /// A spent budget ends the call, counted through [`Self::exhausted`],
     /// only when the request is one of the call's own stages (`stage`);
     /// the best-effort report leg just gives up with the last error.
+    ///
+    /// What the roster owes rides ahead of `msg` on the first exchange
+    /// made ([`Self::carry`]), so a dial that fails leaves it for the
+    /// agent that answers.
     fn agent_call(&self, msg: &Message, scope: Scope<'_>, stage: bool) -> Result<Message> {
-        let mut roster = self.agents.lock();
+        let mut roster = self.agents.roster.lock();
         self.ensure_ranked(&mut roster, scope.budget);
         let (agents, first) = (roster.addresses.len(), roster.current);
         let mut last_err = NetSolveError::ServerUnreachable("no agent tried yet".into());
@@ -462,8 +578,15 @@ impl NetSolveClient {
                         }
                     }
                 }
-                let conn = roster.conn.as_mut().expect("dialled just above");
-                match call(conn.as_mut(), msg, scope.budget.clamp(self.attempt_timeout())) {
+                let AgentRoster { conn, owed, .. } = &mut *roster;
+                let conn = conn.as_mut().expect("dialled just above").as_mut();
+                let timeout = scope.budget.clamp(self.attempt_timeout());
+                let reply = if owed.is_empty() {
+                    call(conn, msg, timeout)
+                } else {
+                    self.carry(conn, owed, msg, timeout, scope)
+                };
+                match reply {
                     Ok(reply) => {
                         roster.current = idx;
                         return Ok(reply);
@@ -476,6 +599,93 @@ impl NetSolveClient {
             }
         }
         Err(last_err)
+    }
+
+    /// The combined exchange: the `owed` reports ahead of `msg` in one
+    /// write, their `Pong`s read inside a `report` span under `scope`, then
+    /// `msg`'s reply. A batch whose write failed reached no agent, and its
+    /// reports stay owed for the ring's next try — after an agent failover,
+    /// the agent that answers. Once written they are spent: an exchange
+    /// that fails after the write drops them, counted, since the agent may
+    /// have applied them, and the ring's next try sends `msg` alone, so a
+    /// report can never fail the request it rode with.
+    fn carry(
+        &self,
+        conn: &mut dyn Connection,
+        owed: &mut Vec<Owed>,
+        msg: &Message,
+        timeout: Duration,
+        scope: Scope<'_>,
+    ) -> Result<Message> {
+        let mut written = false;
+        let send = |_| deliver(&mut *conn, owed, Some(msg), timeout, &mut written);
+        match self.span(scope, "report", send, |n| format!("completions={n}")) {
+            Err(e) if !written => Err(e),
+            delivered => {
+                if delivered.is_err() {
+                    self.m.reports_dropped.add(owed.len() as u64);
+                }
+                owed.clear();
+                delivered.and_then(|_| conn.recv_timeout(timeout))
+            }
+        }
+    }
+
+    /// Owe the agent a completion report: it rides ahead of this client's
+    /// next agent request, and leaves on its own once it has waited
+    /// [`REPORT_FLUSH`] for one (the flusher thread, started here the first
+    /// time) or when the client is dropped. The [`MAX_OWED`]-th sends every
+    /// owed report at once.
+    fn owe(&self, report: Message) {
+        let mut roster = self.agents.roster.lock();
+        roster.owed.push(Owed { report, since: self.clock.now() });
+        if roster.owed.len() == MAX_OWED {
+            self.flush(&mut roster);
+        } else if roster.parked {
+            roster.parked = false;
+            self.agents.wake.notify_one();
+        } else if roster.flusher.is_none() {
+            roster.flusher = self.start_flusher();
+        }
+    }
+
+    /// [`flush_owed`] with this client's transport, timeout and instruments.
+    fn flush(&self, roster: &mut AgentRoster) {
+        let dropped = &self.m.reports_dropped;
+        flush_owed(roster, self.transport.as_ref(), self.attempt_timeout(), &self.tracer, dropped);
+    }
+
+    /// The thread that sends a report nothing has carried for
+    /// [`REPORT_FLUSH`]. It looks once a report is due, never once a call,
+    /// and waits untimed while nothing is owed; it ends with the client.
+    /// It waits on wall time but judges a report's age on the client's
+    /// clock, so a held virtual clock never sees a report flushed.
+    fn start_flusher(&self) -> Option<JoinHandle<()>> {
+        let link = Arc::clone(&self.agents);
+        let (transport, clock) = (Arc::clone(&self.transport), Arc::clone(&self.clock));
+        let (tracer, dropped) = (Arc::clone(&self.tracer), Arc::clone(&self.m.reports_dropped));
+        let timeout = self.attempt_timeout();
+        let flusher = move || {
+            let mut roster = link.roster.lock();
+            while !roster.closing {
+                let Some(oldest) = roster.owed.first().map(|o| o.since) else {
+                    roster.parked = true;
+                    roster = link.wake.wait(roster).unwrap_or_else(PoisonError::into_inner);
+                    continue;
+                };
+                let waited = clock.since(oldest);
+                if waited >= REPORT_FLUSH {
+                    flush_owed(&mut roster, transport.as_ref(), timeout, &tracer, &dropped);
+                } else {
+                    roster = link
+                        .wake
+                        .wait_timeout(roster, REPORT_FLUSH - waited)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+            }
+        };
+        std::thread::Builder::new().name("netsl-reports".into()).spawn(flusher).ok()
     }
 
     /// Names of every problem the domain offers.
@@ -779,21 +989,22 @@ impl NetSolveClient {
         self.span(call.scope, "attempt", exchange, served_by)
     }
 
-    /// Stage: tell the agent how the try went, best effort and inside the
-    /// `report` span. A completion clears the agent's pending-assignment
-    /// and fault state for the server; a failure feeds its fault record. A
-    /// report that cannot be sent within the budget is skipped — it must
-    /// never turn a received answer into an error.
+    /// Stage: tell the agent how the try went, best effort. A completion
+    /// clears the agent's pending-assignment and fault state for the
+    /// server, and is owed ([`Self::owe`]): the call returns without
+    /// waiting for it. A failure feeds the agent's fault record, and is
+    /// sent at once inside the `report` span, with any owed completions
+    /// ahead of it. A failure report that cannot be sent within the budget
+    /// is skipped.
     fn report(
         &self,
         call: &Call<'_>,
         candidate: &Candidate,
         outcome: std::result::Result<&CallReport, &NetSolveError>,
     ) {
-        let (which, msg) = match outcome {
-            Ok(done) => (
-                "completion",
-                Message::CompletionReport {
+        let e = match outcome {
+            Ok(done) => {
+                return self.owe(Message::CompletionReport {
                     server_id: candidate.server_id,
                     server_address: candidate.address.clone(),
                     client_host: 0,
@@ -801,29 +1012,44 @@ impl NetSolveClient {
                     total_secs: done.total_secs,
                     compute_secs: done.compute_secs,
                     bytes: call.shape.total_bytes(),
-                },
-            ),
-            Err(e) => (
-                "failure",
-                Message::FailureReport {
-                    server_id: candidate.server_id,
-                    // The address is what the agent actually resolves: ids
-                    // are per-agent, so after a failover the id alone would
-                    // credit the wrong server's fault state on the new agent.
-                    server_address: candidate.address.clone(),
-                    problem: call.problem.to_string(),
-                    code: e.code(),
-                    detail: e.detail().to_string(),
-                },
-            ),
+                })
+            }
+            Err(e) => e,
         };
         if call.scope.budget.spent() {
             return;
         }
+        let msg = Message::FailureReport {
+            server_id: candidate.server_id,
+            // The address is what the agent actually resolves: ids are
+            // per-agent, so after a failover the id alone would credit the
+            // wrong server's fault state on the new agent.
+            server_address: candidate.address.clone(),
+            problem: call.problem.to_string(),
+            code: e.code(),
+            detail: e.detail().to_string(),
+        };
         // Under the call's scope, so an agent failover provoked by the
         // report leg itself still lands in this request's trace.
         let send = |scope| self.agent_call(&msg, scope, false);
-        let _ = self.span(call.scope, "report", send, |_| which.to_string());
+        let _ = self.span(call.scope, "report", send, |_| "failure".to_string());
+    }
+}
+
+impl Drop for NetSolveClient {
+    /// Deliver what is owed, within the attempt timeout, and end the
+    /// flusher.
+    fn drop(&mut self) {
+        let flusher = {
+            let mut roster = self.agents.roster.lock();
+            roster.closing = true;
+            self.flush(&mut roster);
+            roster.flusher.take()
+        };
+        self.agents.wake.notify_all();
+        if let Some(flusher) = flusher {
+            let _ = flusher.join();
+        }
     }
 }
 
@@ -1688,6 +1914,154 @@ mod tests {
         assert_eq!(snap.counter("client.deadline_exhausted"), 0);
     }
 
+    /// A transport that counts each connection's writes — a `send`, a
+    /// `send_request` or a `send_batch` is one — by the address it
+    /// dialled, and hands its clients `clock`.
+    struct Counting {
+        inner: Arc<dyn Transport>,
+        clock: Arc<dyn Clock>,
+        writes: Arc<Mutex<HashMap<String, u64>>>,
+    }
+
+    struct CountingConnection {
+        inner: Box<dyn Connection>,
+        address: String,
+        writes: Arc<Mutex<HashMap<String, u64>>>,
+    }
+
+    impl CountingConnection {
+        fn count(&self) {
+            *self.writes.lock().entry(self.address.clone()).or_default() += 1;
+        }
+    }
+
+    impl Transport for Counting {
+        fn listen(&self, hint: &str) -> Result<Box<dyn netsolve_net::Listener>> {
+            self.inner.listen(hint)
+        }
+        fn connect(&self, address: &str) -> Result<Box<dyn Connection>> {
+            let (inner, writes) = (self.inner.connect(address)?, Arc::clone(&self.writes));
+            Ok(Box::new(CountingConnection { inner, address: address.to_string(), writes }))
+        }
+        fn clock(&self) -> Arc<dyn Clock> {
+            Arc::clone(&self.clock)
+        }
+    }
+
+    impl Connection for CountingConnection {
+        fn send(&mut self, msg: &Message) -> Result<()> {
+            self.count();
+            self.inner.send(msg)
+        }
+        fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
+            self.count();
+            self.inner.send_request(req)
+        }
+        fn send_batch(&mut self, msgs: &[&Message]) -> Result<()> {
+            self.count();
+            self.inner.send_batch(msgs)
+        }
+        fn recv(&mut self) -> Result<Message> {
+            self.inner.recv()
+        }
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Message> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn peer(&self) -> String {
+            self.inner.peer()
+        }
+    }
+
+    /// Over loopback TCP, a warm tiny call writes once to the agent — its
+    /// query, with the last call's completion report ahead of it — and
+    /// once to the server. The client's clock is held still, so no report
+    /// ever waits long enough for the flusher to send it alone.
+    #[test]
+    fn a_warm_tiny_call_makes_one_agent_write_and_one_server_write() {
+        use netsolve_core::clock::VirtualClock;
+        use netsolve_net::TcpTransport;
+        let tcp: Arc<dyn Transport> = Arc::new(TcpTransport::new());
+        let mut agent =
+            AgentDaemon::start(Arc::clone(&tcp), "127.0.0.1:0", AgentCore::with_defaults()).unwrap();
+        let mut server = ServerDaemon::start(
+            Arc::clone(&tcp),
+            agent.address(),
+            ServerCore::with_standard_catalogue(),
+            ServerConfig::quick("tcp-host", "127.0.0.1:0", 100.0),
+        )
+        .unwrap();
+        let writes = Arc::new(Mutex::new(HashMap::new()));
+        let clock = Arc::new(VirtualClock::new());
+        let counting = Counting { inner: tcp, clock, writes: Arc::clone(&writes) };
+        let client = NetSolveClient::new(Arc::new(counting), agent.address());
+        let inputs = [vec![0.5f64; 8].into(), vec![2.0f64; 8].into()];
+        for _ in 0..3 {
+            client.netsl("ddot", &inputs).unwrap();
+        }
+        writes.lock().clear();
+        let calls = 50;
+        for _ in 0..calls {
+            assert_eq!(client.netsl("ddot", &inputs).unwrap()[0].as_double().unwrap(), 8.0);
+        }
+        let counted = |address: &str| writes.lock().get(address).copied().unwrap_or(0);
+        assert_eq!(counted(agent.address()), calls, "agent writes");
+        assert_eq!(counted(server.address()), calls, "server writes");
+        let success_reports = || {
+            agent.core().lock().metrics().snapshot("agent").counter("agent.success_reports")
+        };
+        assert_eq!(success_reports(), 3 + calls - 1, "every report but the last has ridden");
+        drop(client);
+        assert_eq!(success_reports(), 3 + calls, "the drop delivered the last");
+        server.stop();
+        agent.stop();
+    }
+
+    /// A client that makes one call and then goes quiet leaves no phantom
+    /// assignment at the agent: the flusher sends the owed report once it
+    /// has waited `REPORT_FLUSH`, well inside twice that.
+    #[test]
+    fn an_idle_clients_report_reaches_the_agent_within_two_flush_periods() {
+        let domain = bring_up(&[("hostA", 100.0)]);
+        let client = domain.client();
+        let agent = domain.agent.core();
+        let pending = || agent.lock().metrics().snapshot("agent").gauge("agent.pending_assignments");
+        client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
+        let returned = Instant::now();
+        while pending() != 0 {
+            assert!(returned.elapsed() < 2 * REPORT_FLUSH, "still pending after {:?}", returned.elapsed());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(returned.elapsed() >= REPORT_FLUSH / 2, "sent before it was due");
+        let snap = agent.lock().metrics().snapshot("agent");
+        assert_eq!(snap.counter("agent.success_reports"), 1);
+        assert_eq!(client.metrics().snapshot("client").counter("client.reports_dropped"), 0);
+        domain.shutdown();
+    }
+
+    /// A client dropped right after a call has delivered its report when
+    /// `drop` returns. On a held virtual clock the flusher never sends it,
+    /// so the drop is what does.
+    #[test]
+    fn a_dropped_client_delivers_what_it_owes_before_drop_returns() {
+        use netsolve_core::clock::VirtualClock;
+        let net = ChannelNetwork::new().with_clock(Arc::new(VirtualClock::new()));
+        let domain =
+            bring_up_on(Arc::new(ChaosTransport::new(Arc::new(net), ChaosPolicy::calm(), 0)), &[
+                ("hostA", 100.0),
+            ]);
+        let agent = domain.agent.core();
+        let reports = || agent.lock().metrics().snapshot("agent").counter("agent.success_reports");
+        let client = domain.client();
+        client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
+        std::thread::sleep(2 * REPORT_FLUSH);
+        assert_eq!(reports(), 0, "owed, and never due on a held clock");
+        drop(client);
+        assert_eq!(reports(), 1, "delivered by the drop");
+        let snap = agent.lock().metrics().snapshot("agent");
+        assert_eq!(snap.gauge("agent.pending_assignments"), 0);
+        domain.shutdown();
+    }
+
     /// What one call left behind.
     struct Seen {
         result: Result<(Vec<DataObject>, CallReport)>,
@@ -1833,8 +2207,10 @@ mod tests {
         row("attempts exhausted", &["agent"], &["nowhere"], plain, "ddot", &good, &nothing);
         let tight = policy(100, Backoff::Fixed { delay_secs: 0.05 }, 0.12);
         row("deadline exhausted", &["agent"], &["nowhere"], tight, "ddot", &good, &nothing);
-        let brief = policy(3, Backoff::None, 0.2);
-        row("report outlives the deadline", &["stalling"], &["ok"], brief, "ddot", &good, &nothing);
+        // The stub never answers a completion report, and a client dropped
+        // owing one waits its attempt timeout for the `Pong`.
+        let brief = RetryPolicy { attempt_timeout_secs: 0.2, ..plain };
+        row("owed report dropped", &["stalling"], &["ok"], brief, "ddot", &good, &warm);
         row("cached reply", &["agent"], &["cache"], plain, "ddot", &good, &nothing);
         // The connection store (DESIGN.md §4p "connection lifecycle"):
         // each row's call is the second on a client whose first kept one.
@@ -1901,13 +2277,11 @@ mod tests {
         assert!(matches!(seen.result, Err(NoServerAvailable(_))));
         assert_eq!(seen.phases, ["rank", "call"]);
 
-        // Answered: the parent's spans plus one `report`.
+        // Answered: the parent's spans, and the completion report owed to
+        // the next agent request (or the flusher, or the drop).
         let seen = row("first try");
         assert_eq!(attempts_of(seen), Some(1));
-        assert_eq!(
-            seen.phases,
-            ["rank", "connect", "marshal", "wait", "attempt", "call_ok", "report", "call"]
-        );
+        assert_eq!(seen.phases, ["rank", "connect", "marshal", "wait", "attempt", "call_ok", "call"]);
         assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
         assert_eq!(seen.stats.histogram("client.call_secs").map(|h| h.count), Some(1));
         assert_eq!((seen.stats.counter("client.dials"), seen.idle), (1, 1), "dialled and kept");
@@ -1916,7 +2290,7 @@ mod tests {
         assert_eq!(attempts_of(seen), Some(2));
         assert_eq!(seen.stats.counter("client.attempt_failures"), 1);
         assert_eq!(seen.count("attempt_failed"), 1);
-        assert_eq!(seen.count("report"), 2, "one failure report, one completion report");
+        assert_eq!(seen.count("report"), 1, "one failure report; the completion is owed");
         assert_eq!((seen.count("backoff"), waits(seen)), (1, 1));
 
         let seen = row("busy hint");
@@ -1961,15 +2335,16 @@ mod tests {
         assert_eq!((seen.count("deadline_exhausted"), seen.count("call_failed")), (1, 0));
         assert!(seen.elapsed < Duration::from_secs(1), "{:?}", seen.elapsed);
 
-        // The answer is in when the agent stalls on the report until the
-        // budget ends: the call is still answered, only the report span
-        // fails, and the deadline was not the call's to exhaust.
-        let seen = row("report outlives the deadline");
+        // The warm call's report rides this call's query, and the agent
+        // answers the query without a `Pong` for it: the exchange fails,
+        // the report is dropped and counted, and the query alone, on a
+        // fresh dial, still ranks the call. (Had the flusher sent the
+        // report first, its wait for the `Pong` failed the same way.)
+        let seen = row("owed report dropped");
         assert_eq!(attempts_of(seen), Some(1));
-        assert_eq!(seen.stats.counter("client.deadline_exhausted"), 0);
-        assert_eq!(seen.count("deadline_exhausted"), 0);
-        assert_eq!(seen.failed, ["report"]);
-        assert!(seen.elapsed >= Duration::from_millis(200), "{:?}", seen.elapsed);
+        assert_eq!(seen.stats.counter("client.reports_dropped"), 1);
+        assert_eq!((seen.count("report"), seen.failed.as_slice()), (1, ["report"].as_slice()));
+        assert_eq!(seen.stats.counter("client.agent_failovers"), 0);
 
         let seen = row("cached reply");
         assert_eq!(attempts_of(seen), Some(1));
@@ -1977,9 +2352,12 @@ mod tests {
         assert_eq!(seen.count("cached_reply"), 1);
 
         // The second call rides the first one's connection: nothing new
-        // reaches the stub's listener.
+        // reaches the stub's listener. The first call's report rode its
+        // query.
         let seen = row("kept connection");
         assert_eq!(attempts_of(seen), Some(1));
+        assert_eq!((seen.count("report"), seen.failed.len()), (1, 0));
+        assert_eq!(seen.stats.counter("client.reports_dropped"), 0);
         assert_eq!(seen.stats.counter("client.dials"), 1);
         assert_eq!(seen.stats.counter("client.conn_reused"), 1);
         assert_eq!((seen.accepts, seen.idle), (1, 1));
@@ -2001,7 +2379,7 @@ mod tests {
         assert_eq!(seen.stats.counter("client.attempts"), 2, "the warm call's and this one's");
         assert_eq!(seen.stats.counter("client.conn_redials"), 1);
         assert_eq!(seen.stats.counter("client.attempt_failures"), 0);
-        assert_eq!((seen.count("attempt_failed"), seen.count("report")), (0, 2));
+        assert_eq!((seen.count("attempt_failed"), seen.count("report")), (0, 1));
         assert_eq!((seen.stats.counter("client.dials"), seen.accepts, seen.idle), (1, 3, 1));
 
         // The kept connection hung up 300 ms into a 400 ms try: the redial
@@ -2022,8 +2400,12 @@ mod tests {
         assert_eq!(seen.stats.counter("client.conn_reused"), 0);
         assert_eq!((seen.stats.counter("client.dials"), seen.accepts), (2, 2));
 
+        // The warm call's report was owed to the agent that died; its batch
+        // never left, so it went to the agent that answered.
         let seen = row("agent failover");
         assert!(seen.result.is_ok());
+        assert_eq!(seen.stats.counter("client.reports_dropped"), 0);
+        assert_eq!((seen.count("report"), seen.failed.as_slice()), (2, ["report"].as_slice()));
         assert_eq!(seen.stats.counter("client.agent_failovers"), 1);
         assert_eq!((seen.count("agent_rank"), seen.count("agent_failover")), (1, 1));
         assert_eq!((seen.count("backoff"), waits(seen)), (1, 1));

@@ -119,6 +119,9 @@ struct TcpConnection {
     /// a request it has just sent, so it polls for it before it sleeps.
     /// The accepting end waits for requests, which come when they come.
     dialled: bool,
+    /// The receive timeout last set on the socket (`None`: block), so a
+    /// read that waits as the last one did costs no `setsockopt`.
+    read_timeout: Option<Duration>,
 }
 
 impl TcpConnection {
@@ -143,7 +146,20 @@ impl TcpConnection {
             reader: FrameReader::default(),
             writer: FrameWriter::default(),
             dialled,
+            read_timeout: None,
         }))
+    }
+
+    /// Make the socket's reads wait up to `timeout` (`None`: forever),
+    /// touching it only when that differs from what it waits now.
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
+        if self.read_timeout != timeout {
+            self.stream
+                .set_read_timeout(timeout)
+                .map_err(|e| NetSolveError::Transport(e.to_string()))?;
+            self.read_timeout = timeout;
+        }
+        Ok(())
     }
 
     /// Look for the first byte of the reply for up to [`REPLY_POLL`]
@@ -184,10 +200,12 @@ impl Connection for TcpConnection {
         self.writer.write_to(&mut self.stream, req).map(drop)
     }
 
+    fn send_batch(&mut self, msgs: &[&Message]) -> Result<()> {
+        self.writer.write_batch_to(&mut self.stream, msgs).map(drop)
+    }
+
     fn recv(&mut self) -> Result<Message> {
-        self.stream
-            .set_read_timeout(None)
-            .map_err(|e| NetSolveError::Transport(e.to_string()))?;
+        self.set_read_timeout(None)?;
         self.reader.read_from(&mut self.stream)
     }
 
@@ -197,9 +215,7 @@ impl Connection for TcpConnection {
         }
         // A zero read timeout means "block forever" to the socket, and std
         // refuses it; the shortest one it takes (1 µs) is a zero wait.
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_micros(1))))
-            .map_err(|e| NetSolveError::Transport(e.to_string()))?;
+        self.set_read_timeout(Some(timeout.max(Duration::from_micros(1))))?;
         self.reader.read_from(&mut self.stream).map_err(|e| match e {
             NetSolveError::Timeout(_) => {
                 NetSolveError::Timeout(format!("no reply from {} within {timeout:?}", self.peer))
@@ -372,6 +388,57 @@ mod tests {
         assert!(begun.elapsed() >= timeout, "gave up after {:?}", begun.elapsed());
         drop(conn);
         peer.join().unwrap();
+    }
+
+    /// The socket's receive timeout is set only when it changes, and every
+    /// read still waits as asked: a timed read after a blocking one times
+    /// out, a blocking read after a timed one outlasts that timeout, and a
+    /// repeated or longer timeout holds — on the dialling end and on the
+    /// accepting end, which a daemon reads with one timeout throughout.
+    #[test]
+    fn each_read_waits_as_asked_when_blocking_and_timed_reads_alternate() {
+        const SHORT: Duration = Duration::from_millis(50);
+        let transport = TcpTransport::new();
+        for dialled_end in [true, false] {
+            let listener = transport.listen("127.0.0.1:0").unwrap();
+            let address = listener.address();
+            let accepting = std::thread::spawn(move || listener.accept().unwrap());
+            let dialled = transport.connect(&address).unwrap();
+            let accepted = accepting.join().unwrap();
+            let (mut conn, mut peer) =
+                if dialled_end { (dialled, accepted) } else { (accepted, dialled) };
+            // The peer sends one Pong per delay it is handed.
+            let (pongs, delays) = std::sync::mpsc::channel::<Duration>();
+            let sender = std::thread::spawn(move || {
+                for delay in delays {
+                    std::thread::sleep(delay);
+                    peer.send(&Message::Pong).unwrap();
+                }
+            });
+            let timed_out = |conn: &mut Box<dyn Connection>, timeout| {
+                let begun = Instant::now();
+                match conn.recv_timeout(timeout) {
+                    Err(NetSolveError::Timeout(_)) => {}
+                    other => panic!("dialled end {dialled_end}: expected a timeout, got {other:?}"),
+                }
+                assert!(begun.elapsed() >= timeout, "gave up after {:?}", begun.elapsed());
+            };
+            timed_out(&mut conn, SHORT);
+            pongs.send(3 * SHORT).unwrap();
+            let begun = Instant::now();
+            assert_eq!(conn.recv().unwrap(), Message::Pong, "a blocking read outlasts {SHORT:?}");
+            assert!(begun.elapsed() >= 3 * SHORT);
+            // Had the socket stayed blocking, this read would take the Pong.
+            pongs.send(6 * SHORT).unwrap();
+            timed_out(&mut conn, SHORT);
+            timed_out(&mut conn, SHORT);
+            assert_eq!(conn.recv().unwrap(), Message::Pong);
+            pongs.send(2 * SHORT).unwrap();
+            assert_eq!(conn.recv_timeout(5 * SHORT).unwrap(), Message::Pong);
+            timed_out(&mut conn, 5 * SHORT);
+            drop(pongs);
+            sender.join().unwrap();
+        }
     }
 
     #[test]

@@ -33,6 +33,14 @@ pub trait Connection: Send {
         self.send(&req.to_message())
     }
 
+    /// Send `msgs` in order: the peer receives exactly what one
+    /// [`Connection::send`] each would deliver, which is what this default
+    /// does. The TCP transport overrides it to frame them all into one
+    /// write.
+    fn send_batch(&mut self, msgs: &[&Message]) -> Result<()> {
+        msgs.iter().try_for_each(|msg| self.send(msg))
+    }
+
     /// Receive the next message, blocking indefinitely.
     fn recv(&mut self) -> Result<Message>;
 

@@ -106,14 +106,15 @@ pub fn frame_bytes(msg: &Message) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// The write path, stated once: `window` is cleared and the frame built
-/// in it — a counting pass gives the length field, the header goes in
-/// first, the payload is marshaled behind it with the CRC folded in as
-/// bytes are produced, then the CRC trailer. Given `out`, a frame of up to
-/// `cap` bytes is written to it in one piece at the end, a larger one each
-/// time the window holds [`DEFAULT_STREAM_CHUNK`] bytes (at most `cap`)
-/// and once more at the end; without, the window keeps the whole frame.
-/// Returns the frame's length on the wire.
+/// The write path, stated once: the frame is built in `window`, behind
+/// whatever frames it already holds — a counting pass gives the length
+/// field, the header goes in first, the payload is marshaled behind it
+/// with the CRC folded in as bytes are produced, then the CRC trailer.
+/// Given `out`, a window of up to `cap` bytes is written to it in one
+/// piece at the end, a larger one each time it holds
+/// [`DEFAULT_STREAM_CHUNK`] bytes (at most `cap`) and once more at the
+/// end; without, the window keeps the whole frame. Returns the frame's
+/// length on the wire.
 ///
 /// A payload over [`MAX_FRAME_PAYLOAD`] fails before a byte is written.
 pub(crate) fn write_frame<'a, B: Body + ?Sized>(
@@ -122,7 +123,7 @@ pub(crate) fn write_frame<'a, B: Body + ?Sized>(
     cap: usize,
     out: Option<&'a mut dyn Write>,
 ) -> Result<u64> {
-    window.clear();
+    let held = window.len();
     let payload_len = body.encoded_len();
     if payload_len > MAX_FRAME_PAYLOAD as u64 {
         return Err(oversize(payload_len as usize));
@@ -134,10 +135,10 @@ pub(crate) fn write_frame<'a, B: Body + ?Sized>(
     // decodes each while the next is encoded: 1 MiB pieces left it idle
     // for as long as one took to encode (EXPERIMENTS "One frame writer").
     let frame_len = HEADER_LEN + payload_len as usize + 4;
-    let cap = if frame_len <= cap { cap } else { cap.min(DEFAULT_STREAM_CHUNK) };
+    let cap = if held + frame_len <= cap { cap } else { cap.min(DEFAULT_STREAM_CHUNK) };
     let mut e = Encoder::window(window, cap, out).with_crc();
     body.encode_body(&mut e);
-    let written = (e.len() - HEADER_LEN) as u64;
+    let written = (e.len() - held - HEADER_LEN) as u64;
     if written != payload_len {
         // The header already announced the counted length; the counting
         // and window sinks share encode_body, so this can only mean memory
@@ -148,7 +149,7 @@ pub(crate) fn write_frame<'a, B: Body + ?Sized>(
     }
     let crc = e.crc().expect("crc tracking enabled");
     e.put_u32(crc);
-    e.finish()
+    e.finish().map(|produced| produced - held as u64)
 }
 
 /// Build one frame in `buf` (cleared first): the write path with an
@@ -156,6 +157,7 @@ pub(crate) fn write_frame<'a, B: Body + ?Sized>(
 /// frames. `body` is a [`Message`] or a borrowed view of one. An oversize
 /// payload fails and leaves `buf` empty.
 pub fn encode_frame_into<B: Body + ?Sized>(body: &B, buf: &mut Vec<u8>) -> Result<()> {
+    buf.clear();
     write_frame(body, buf, usize::MAX, None).map(drop)
 }
 
@@ -296,9 +298,28 @@ impl FrameWriter {
     /// Write one framed message (or view of one) to `w`. Returns the bytes
     /// written (header + payload + CRC).
     pub fn write_to<B: Body + ?Sized>(&mut self, w: &mut impl Write, body: &B) -> Result<u64> {
+        self.window.clear();
         let n = write_frame(body, &mut self.window, self.cap, Some(&mut *w))?;
         w.flush()?;
         Ok(n)
+    }
+
+    /// Write `msgs` to `w` in order, framed as one [`FrameWriter::write_to`]
+    /// each would frame them, but built one behind another in the window:
+    /// frames that fit it together leave in one write. A frame that would
+    /// overfill the window sends what it holds along with itself. Returns
+    /// the bytes written.
+    pub fn write_batch_to(&mut self, w: &mut impl Write, msgs: &[&Message]) -> Result<u64> {
+        self.window.clear();
+        let mut written = 0;
+        for (i, msg) in msgs.iter().enumerate() {
+            let frame_len = || HEADER_LEN + Body::encoded_len(*msg) as usize + 4;
+            let send = i + 1 == msgs.len() || self.window.len() + frame_len() > self.cap;
+            let out: Option<&mut dyn Write> = if send { Some(&mut *w) } else { None };
+            written += write_frame(*msg, &mut self.window, self.cap, out)?;
+        }
+        w.flush()?;
+        Ok(written)
     }
 
     /// This writer's own buffering: the window's allocation.
@@ -740,6 +761,49 @@ mod tests {
                 pieces
             };
             assert_eq!(writes.0, pieces, "a {frame_len}-byte frame");
+        }
+    }
+
+    /// A batch is the frames one send each would write, in order: small
+    /// ones that fit the window together leave in one write, and one that
+    /// would overfill it takes what the window holds along with it.
+    #[test]
+    fn a_batch_is_its_frames_in_order_and_small_ones_leave_in_one_write() {
+        struct Writes(Vec<u8>, Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                self.0.extend_from_slice(bytes);
+                self.1.push(bytes.len());
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let report = Message::CompletionReport {
+            server_id: 3,
+            server_address: "127.0.0.1:9401".into(),
+            client_host: 0,
+            problem: "ddot".into(),
+            total_secs: 0.0002,
+            compute_secs: 0.00001,
+            bytes: 136,
+        };
+        let big = Message::Error { code: 1, detail: "e".repeat(DEFAULT_STREAM_THRESHOLD) };
+        let mut writer = FrameWriter::default();
+        for batch in [
+            vec![&report, &Message::ListProblems],
+            vec![&report, &report, &Message::Ping],
+            vec![&report, &big, &Message::Pong],
+            vec![&Message::Ping],
+        ] {
+            let expected: Vec<u8> = batch.iter().flat_map(|m| frame_ok(m)).collect();
+            let mut wire = Writes(Vec::new(), Vec::new());
+            let n = writer.write_batch_to(&mut wire, &batch).unwrap();
+            assert_eq!((n as usize, &wire.0), (expected.len(), &expected));
+            if !batch.contains(&&big) {
+                assert_eq!(wire.1, [expected.len()], "one write for {} frames", batch.len());
+            }
         }
     }
 

@@ -317,14 +317,17 @@ fn a_dense_solve_makes_a_pinned_number_of_allocations() {
 
 /// A warm tiny call — `netsl("ddot")` on two 8-element vectors over the
 /// in-process transport, the `tiny_call` shape — asks the allocator for
-/// exactly 47 blocks on the calling thread: the frames, the trace and
-/// request identities, the agent's candidate list, the reply's outputs and
-/// the spans and reports around them. The client's instruments are
-/// resolved when it is built, so no name is looked up per call. "Warm" is past the client tracer's
-/// span window, whose trace map fills until then. The one other
-/// source is the std channel under each kept connection, which takes a
-/// block every 31 messages: the agent connection carries two per call and
-/// the server connection one, so any 31 calls add exactly three.
+/// exactly 46 blocks on the calling thread: the frames, the trace and
+/// request identities, the agent's candidate list, the reply's outputs,
+/// the completion report it owes and the spans around them (the last
+/// call's report rides its query, and is read back inside a `report`
+/// span; 47 when the report was an exchange of its own). The client's
+/// instruments are resolved when it is built, so no name is looked up per
+/// call. "Warm" is past the client tracer's span window, whose trace map
+/// fills until then. The one other source is the std channel under each
+/// kept connection, which takes a block every 31 messages: the agent
+/// connection carries two per call (the report and the query) and the
+/// server connection one, so any 31 calls add exactly three.
 #[test]
 fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
     let _serial = serial();
@@ -351,8 +354,8 @@ fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
         })
         .collect();
     let (least, total) = (counts.iter().min().copied(), counts.iter().sum::<usize>());
-    assert_eq!(least, Some(47), "a warm tiny call's allocator requests: {counts:?}");
-    assert_eq!(total, 31 * 47 + 3, "31 warm tiny calls: {counts:?}");
+    assert_eq!(least, Some(46), "a warm tiny call's allocator requests: {counts:?}");
+    assert_eq!(total, 31 * 46 + 3, "31 warm tiny calls: {counts:?}");
     drop(client);
     server.stop();
     agent.stop();
@@ -487,13 +490,14 @@ fn a_bulk_reply_makes_a_pinned_number_of_allocations() {
     assert_eq!(costs, [(7, 2_114_317); 8], "dgemm 512x2 by 2x512: (requests, bytes) per call");
 }
 
-/// The agent's side of a warm tiny call: one `ServerQuery` and its
-/// `CompletionReport` through `AgentCore::handle_message`, each query under
-/// its own trace id, as live clients send them. Warm — past the tracer's
-/// 16-span window — the pair asks the allocator for exactly nine blocks,
-/// all of them the query's: the ranking's copies of the request and of
-/// each eligible server row, the ranked and candidate lists, the `score`
-/// span's detail and the trace's span buffer. The report asks for none.
+/// The agent's side of a warm tiny call, in the order a steady client
+/// sends it: the last call's `CompletionReport`, which rides ahead of the
+/// query, then the `ServerQuery`, through `AgentCore::handle_message`,
+/// each query under its own trace id. Warm — past the tracer's 16-span
+/// window — the pair asks the allocator for exactly nine blocks, all of
+/// them the query's: the ranking's copies of the request and of each
+/// eligible server row, the ranked and candidate lists, the `score` span's
+/// detail and the trace's span buffer. The report asks for none.
 #[test]
 fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
     let _serial = serial();
@@ -503,6 +507,8 @@ fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
         agent.register_server(&desc, SimTime::ZERO).unwrap();
     }
     let mut now = SimTime::ZERO;
+    // The report for the previous query's first candidate.
+    let mut owed: Option<Message> = None;
     let mut pair = |trace_id: u128| {
         now = now.plus(0.001);
         let query = Message::ServerQuery(QueryShape {
@@ -515,11 +521,14 @@ fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
             parent_span: 1,
         });
         REQUESTS.with(|n| n.set(0));
+        if let Some(report) = &owed {
+            assert_eq!(agent.handle_message(report, now), Message::Pong);
+        }
         let Message::ServerList { candidates } = agent.handle_message(&query, now) else {
             panic!("the query was not answered with a server list");
         };
-        let queried = REQUESTS.with(Cell::get);
-        let report = Message::CompletionReport {
+        let requests = REQUESTS.with(Cell::get);
+        owed = Some(Message::CompletionReport {
             server_id: candidates[0].server_id,
             server_address: candidates[0].address.clone(),
             client_host: 0,
@@ -527,10 +536,8 @@ fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
             total_secs: 0.0002,
             compute_secs: 0.00001,
             bytes: 136,
-        };
-        REQUESTS.with(|n| n.set(0));
-        assert_eq!(agent.handle_message(&report, now), Message::Pong);
-        queried + REQUESTS.with(Cell::get)
+        });
+        requests
     };
     for trace_id in 1..=100 {
         pair(trace_id);

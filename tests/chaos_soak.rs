@@ -354,9 +354,11 @@ fn run_agent_crash_soak(seed: u64) {
     };
 
     let solved = Arc::new(AtomicU64::new(0));
-    // Each client reports which agent it pinned after its first solve, so
-    // the killer can pick a victim that is actually in use.
-    let pins: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    // After each solve a client posts the agent it is pinned to and how
+    // many calls it has made, so the killer can pick a victim that a
+    // client still has calls to make against.
+    let pins: Arc<Mutex<Vec<(String, usize)>>> =
+        Arc::new(Mutex::new(vec![(String::new(), 0); CLIENTS]));
     let total = (CLIENTS * REQUESTS_PER_CLIENT) as u64;
 
     let killer = {
@@ -375,13 +377,30 @@ fn run_agent_crash_soak(seed: u64) {
                 }
                 true
             };
-            // Mid-run (at least one pin known, ~40% of solves done), kill
-            // a pinned agent: sever client connections AND stop the
-            // daemon, so peers see it dead too.
-            if !wait_until(&|| !pins.lock().unwrap().is_empty() && solved.load(Ordering::Relaxed) >= 2 * total / 5) {
-                return String::new();
-            }
-            let victim = pins.lock().unwrap()[0].clone();
+            // The agent of the pinned client with the most calls left, if
+            // it has at least three: one may finish while this is read and
+            // one may be in flight at the kill, so a later one must meet
+            // the dead agent and fail over.
+            let in_use = || {
+                let pins = pins.lock().unwrap();
+                let (agent, done) = pins.iter().filter(|(agent, _)| !agent.is_empty()).min_by_key(|p| p.1)?;
+                (done + 3 <= REQUESTS_PER_CLIENT).then(|| agent.clone())
+            };
+            // Mid-run (~40% of solves done), kill an agent in use: sever
+            // client connections AND stop the daemon, so peers see it dead
+            // too.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let victim = loop {
+                if solved.load(Ordering::Relaxed) >= 2 * total / 5 {
+                    if let Some(victim) = in_use() {
+                        break victim;
+                    }
+                }
+                if Instant::now() >= deadline {
+                    return String::new();
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            };
             let slot = AGENTS.iter().position(|a| *a == victim).expect("pin is a known agent");
             chaos.kill(&victim);
             if let Some(mut daemon) = agents.lock().unwrap()[slot].take() {
@@ -431,9 +450,7 @@ fn run_agent_crash_soak(seed: u64) {
                             panic!("seed {seed} client {c} request {i}: solve failed mid-crash: {e}")
                         });
                     assert_eq!(out[0].as_double().unwrap().to_bits(), expect.to_bits());
-                    if i == 0 {
-                        pins.lock().unwrap().push(client.current_agent());
-                    }
+                    pins.lock().unwrap()[c] = (client.current_agent(), i + 1);
                     solved.fetch_add(1, Ordering::Relaxed);
                 }
             })
@@ -683,6 +700,16 @@ fn chaos_soak_cached_seed_2() {
 #[test]
 fn chaos_soak_agent_crash_seed_1() {
     run_agent_crash_soak(1);
+}
+
+#[test]
+fn chaos_soak_agent_crash_seed_2() {
+    run_agent_crash_soak(2);
+}
+
+#[test]
+fn chaos_soak_agent_crash_seed_3() {
+    run_agent_crash_soak(3);
 }
 
 #[test]
