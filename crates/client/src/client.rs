@@ -916,9 +916,13 @@ impl NetSolveClient {
             let ctx = scope.ctx;
             // What is left of this try and of the call: a kept connection
             // may fail late (its server died mid-solve), and the redial
-            // gets the rest, not a second full timeout.
+            // gets the rest, not a second full timeout. In whole
+            // milliseconds, rounded down: without a deadline the wait then
+            // reads the same from call to call, and the socket's receive
+            // timeout is left as it was.
             let left = || {
-                scope.budget.clamp(self.attempt_timeout().saturating_sub(self.clock.since(start)))
+                let left = self.attempt_timeout().saturating_sub(self.clock.since(start));
+                Duration::from_millis(scope.budget.clamp(left).as_millis() as u64)
             };
             let mut fresh = false;
             let (conn, reply) = loop {
@@ -2059,6 +2063,41 @@ mod tests {
         assert_eq!(reports(), 1, "delivered by the drop");
         let snap = agent.lock().metrics().snapshot("agent");
         assert_eq!(snap.gauge("agent.pending_assignments"), 0);
+        domain.shutdown();
+    }
+
+    /// A client shared by threads may owe several reports, up to
+    /// `MAX_OWED`: the report that fills the list sends them all at once.
+    #[test]
+    fn the_report_that_fills_the_owed_list_sends_it() {
+        use netsolve_core::clock::VirtualClock;
+        let net = ChannelNetwork::new().with_clock(Arc::new(VirtualClock::new()));
+        let domain =
+            bring_up_on(Arc::new(ChaosTransport::new(Arc::new(net), ChaosPolicy::calm(), 0)), &[
+                ("hostA", 100.0),
+            ]);
+        let agent = domain.agent.core();
+        let reports = || agent.lock().metrics().snapshot("agent").counter("agent.success_reports");
+        let client = domain.client();
+        client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
+        let report = || Message::CompletionReport {
+            server_id: 1,
+            server_address: "srv0".into(),
+            client_host: 0,
+            problem: "ddot".into(),
+            total_secs: 0.001,
+            compute_secs: 0.0001,
+            bytes: 32,
+        };
+        for _ in 1..MAX_OWED - 1 {
+            client.owe(report());
+        }
+        assert_eq!(client.agents.roster.lock().owed.len(), MAX_OWED - 1);
+        assert_eq!(reports(), 0, "owed, on a held clock");
+        client.owe(report());
+        assert_eq!(reports(), MAX_OWED as u64, "the call's own report and every other");
+        assert!(client.agents.roster.lock().owed.is_empty());
+        drop(client);
         domain.shutdown();
     }
 

@@ -91,6 +91,8 @@ fn main() {
             eprintln!("ns-client: writing trace dump {path}: {e}");
         }
     }
+    // Dropped before any exit: the drop delivers the reports it owes.
+    drop(client);
     if let Err(e) = outcome {
         eprintln!("ns-client: {e}");
         std::process::exit(1);

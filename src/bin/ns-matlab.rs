@@ -71,6 +71,8 @@ fn main() {
                 println!("{line}");
             }
             eprintln!("ns-matlab: {e}");
+            // The client's drop delivers the reports it owes; exit skips it.
+            drop(interp);
             std::process::exit(1);
         }
     }
