@@ -10,9 +10,8 @@
 //! in the same write, so a steady caller makes one agent exchange a call.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use netsolve_core::clock::Clock;
@@ -98,8 +97,8 @@ netsolve_obs::instruments! {
 }
 
 /// How long a completion report waits for an agent request to ride on
-/// before the client's flusher sends it on its own: the most the agent's
-/// view of an idle client's pending assignments lags.
+/// before the flusher sends it on its own: the most the agent's view of
+/// an idle client's pending assignments lags.
 const REPORT_FLUSH: Duration = Duration::from_millis(50);
 
 /// Most completion reports a client owes at once. One more is sent at
@@ -119,19 +118,102 @@ struct AgentRoster {
     /// Oldest first, at most [`MAX_OWED`]; each leaves once, delivered or
     /// dropped.
     owed: Vec<Owed>,
-    /// The report flusher, started with the first report owed.
-    flusher: Option<JoinHandle<()>>,
-    /// The flusher waits for a report to be owed, not for time to pass.
-    parked: bool,
-    /// The client is being dropped: the flusher ends.
-    closing: bool,
 }
 
-/// The roster, and the condition its report flusher sleeps on, shared
-/// with that thread.
+/// The roster, and what sending its reports needs, shared with the
+/// flusher.
 struct AgentLink {
     roster: Mutex<AgentRoster>,
+    /// Set with the first report owed, when the flusher learns of the
+    /// client.
+    reporter: OnceLock<Reporter>,
+}
+
+/// What sending owed reports on their own needs.
+struct Reporter {
+    transport: Arc<dyn Transport>,
+    clock: Arc<dyn Clock>,
+    timeout: Duration,
+    tracer: Arc<Tracer>,
+    dropped: Arc<Counter>,
+}
+
+/// The process's one report flusher: a thread that sends what a client
+/// has owed for [`REPORT_FLUSH`] with no agent request to carry it. It
+/// looks once a report is due, never once a call, and waits untimed while
+/// no client owes anything. One thread serves every client: a thread per
+/// client held a malloc arena of its own, which raised `bulk_reply`'s
+/// peak RSS by a quarter (EXPERIMENTS "One agent exchange per call").
+struct Flusher {
+    /// Every client that has owed a report; a dropped one goes at the
+    /// next pass.
+    clients: std::sync::Mutex<Vec<Weak<AgentLink>>>,
+    /// The thread waits for a report to be owed, not for one to fall due.
+    /// Set under `clients`' lock.
+    parked: AtomicBool,
     wake: Condvar,
+}
+
+impl Flusher {
+    /// The flusher, its thread started on first use. Without a thread
+    /// (the spawn failed) reports still ride requests and the drop.
+    fn get() -> &'static Flusher {
+        static FLUSHER: OnceLock<Flusher> = OnceLock::new();
+        FLUSHER.get_or_init(|| {
+            let _ = std::thread::Builder::new()
+                .name("netsl-reports".into())
+                .spawn(|| Flusher::get().run());
+            Flusher { clients: Default::default(), parked: AtomicBool::new(false), wake: Condvar::new() }
+        })
+    }
+
+    /// A report has been owed to a client with none before: wake a parked
+    /// flusher. Cheap unless it is parked.
+    fn owed(&self, client: Option<Weak<AgentLink>>) {
+        if client.is_none() && !self.parked.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
+        clients.extend(client);
+        if self.parked.swap(false, Ordering::SeqCst) {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Flush what is due, then wait until the next report falls due, or,
+    /// with none owed, until one is. `parked` is set before each pass, so
+    /// a client that owes a report behind the pass finds it set and wakes
+    /// the thread.
+    fn run(&self) {
+        let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            self.parked.store(true, Ordering::SeqCst);
+            clients.retain(|client| client.strong_count() > 0);
+            let links: Vec<Arc<AgentLink>> = clients.iter().filter_map(Weak::upgrade).collect();
+            drop(clients);
+            let mut due = None::<Duration>;
+            for link in links {
+                let Some(reporter) = link.reporter.get() else { continue };
+                let mut roster = link.roster.lock();
+                let Some(oldest) = roster.owed.first().map(|o| o.since) else { continue };
+                match REPORT_FLUSH.checked_sub(reporter.clock.since(oldest)) {
+                    Some(left) if !left.is_zero() => due = Some(due.map_or(left, |d| d.min(left))),
+                    _ => flush_owed(&mut roster, reporter),
+                }
+            }
+            clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
+            clients = match due {
+                Some(left) => {
+                    self.parked.store(false, Ordering::SeqCst);
+                    self.wake.wait_timeout(clients, left).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None if self.parked.load(Ordering::SeqCst) => {
+                    self.wake.wait(clients).unwrap_or_else(PoisonError::into_inner)
+                }
+                None => clients,
+            };
+        }
+    }
 }
 
 /// A completion report not yet sent, and when it became owed.
@@ -177,23 +259,18 @@ fn deliver(
 /// Send what `roster` owes on its own — on the kept agent connection, or a
 /// dial to the preferred agent — inside a traceless `report` span. What
 /// cannot be delivered is dropped and counted: a report is best effort.
-fn flush_owed(
-    roster: &mut AgentRoster,
-    transport: &dyn Transport,
-    timeout: Duration,
-    tracer: &Tracer,
-    dropped: &Counter,
-) {
+fn flush_owed(roster: &mut AgentRoster, reporter: &Reporter) {
     if roster.owed.is_empty() {
         return;
     }
+    let Reporter { transport, timeout, tracer, dropped, .. } = reporter;
     let timer = tracer.start();
     let conn = match roster.conn.take() {
         Some(conn) => Ok(conn),
         None => transport.connect(&roster.addresses[roster.current]),
     };
     let sent = conn.and_then(|mut conn| {
-        Ok((deliver(conn.as_mut(), &roster.owed, None, timeout, &mut false)?, conn))
+        Ok((deliver(conn.as_mut(), &roster.owed, None, *timeout, &mut false)?, conn))
     });
     let detail = match sent {
         Ok((delivered, conn)) => {
@@ -334,11 +411,8 @@ impl NetSolveClient {
                     current: 0,
                     conn: None,
                     owed: Vec::new(),
-                    flusher: None,
-                    parked: false,
-                    closing: false,
                 }),
-                wake: Condvar::new(),
+                reporter: OnceLock::new(),
             }),
             idle: Mutex::new(Vec::new()),
             retry: RetryPolicy::default(),
@@ -633,59 +707,33 @@ impl NetSolveClient {
 
     /// Owe the agent a completion report: it rides ahead of this client's
     /// next agent request, and leaves on its own once it has waited
-    /// [`REPORT_FLUSH`] for one (the flusher thread, started here the first
-    /// time) or when the client is dropped. The [`MAX_OWED`]-th sends every
+    /// [`REPORT_FLUSH`] for one ([`Flusher`]) or when the client is
+    /// dropped. The report that fills the list to [`MAX_OWED`] sends every
     /// owed report at once.
     fn owe(&self, report: Message) {
         let mut roster = self.agents.roster.lock();
         roster.owed.push(Owed { report, since: self.clock.now() });
         if roster.owed.len() == MAX_OWED {
             self.flush(&mut roster);
-        } else if roster.parked {
-            roster.parked = false;
-            self.agents.wake.notify_one();
-        } else if roster.flusher.is_none() {
-            roster.flusher = self.start_flusher();
+        } else if roster.owed.len() == 1 {
+            drop(roster);
+            let new = self.agents.reporter.set(Reporter {
+                transport: Arc::clone(&self.transport),
+                clock: Arc::clone(&self.clock),
+                timeout: self.attempt_timeout(),
+                tracer: Arc::clone(&self.tracer),
+                dropped: Arc::clone(&self.m.reports_dropped),
+            });
+            Flusher::get().owed(new.is_ok().then(|| Arc::downgrade(&self.agents)));
         }
     }
 
-    /// [`flush_owed`] with this client's transport, timeout and instruments.
+    /// [`flush_owed`] on this client's own roster; nothing is owed before
+    /// the reporter is set.
     fn flush(&self, roster: &mut AgentRoster) {
-        let dropped = &self.m.reports_dropped;
-        flush_owed(roster, self.transport.as_ref(), self.attempt_timeout(), &self.tracer, dropped);
-    }
-
-    /// The thread that sends a report nothing has carried for
-    /// [`REPORT_FLUSH`]. It looks once a report is due, never once a call,
-    /// and waits untimed while nothing is owed; it ends with the client.
-    /// It waits on wall time but judges a report's age on the client's
-    /// clock, so a held virtual clock never sees a report flushed.
-    fn start_flusher(&self) -> Option<JoinHandle<()>> {
-        let link = Arc::clone(&self.agents);
-        let (transport, clock) = (Arc::clone(&self.transport), Arc::clone(&self.clock));
-        let (tracer, dropped) = (Arc::clone(&self.tracer), Arc::clone(&self.m.reports_dropped));
-        let timeout = self.attempt_timeout();
-        let flusher = move || {
-            let mut roster = link.roster.lock();
-            while !roster.closing {
-                let Some(oldest) = roster.owed.first().map(|o| o.since) else {
-                    roster.parked = true;
-                    roster = link.wake.wait(roster).unwrap_or_else(PoisonError::into_inner);
-                    continue;
-                };
-                let waited = clock.since(oldest);
-                if waited >= REPORT_FLUSH {
-                    flush_owed(&mut roster, transport.as_ref(), timeout, &tracer, &dropped);
-                } else {
-                    roster = link
-                        .wake
-                        .wait_timeout(roster, REPORT_FLUSH - waited)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-            }
-        };
-        std::thread::Builder::new().name("netsl-reports".into()).spawn(flusher).ok()
+        if let Some(reporter) = self.agents.reporter.get() {
+            flush_owed(roster, reporter);
+        }
     }
 
     /// Names of every problem the domain offers.
@@ -1041,19 +1089,9 @@ impl NetSolveClient {
 }
 
 impl Drop for NetSolveClient {
-    /// Deliver what is owed, within the attempt timeout, and end the
-    /// flusher.
+    /// Deliver what is owed, within the attempt timeout.
     fn drop(&mut self) {
-        let flusher = {
-            let mut roster = self.agents.roster.lock();
-            roster.closing = true;
-            self.flush(&mut roster);
-            roster.flusher.take()
-        };
-        self.agents.wake.notify_all();
-        if let Some(flusher) = flusher {
-            let _ = flusher.join();
-        }
+        self.flush(&mut self.agents.roster.lock());
     }
 }
 
