@@ -2,8 +2,9 @@
 //! analysis: the broker must not become the bottleneck).
 //!
 //! Part A measures the pure ranking cost as the pool grows to 512
-//! servers: the median and the spread of `REPEATS` timed batches, since
-//! one batch reads whatever phase the host is in. Part B drives the simulator with growing client populations
+//! servers: the median and the spread of `REPEATS` timed batches of each
+//! size, taken round by round over the sizes, since one batch reads
+//! whatever phase the host is in. Part B drives the simulator with growing client populations
 //! and reports sustained throughput and turnaround. Expected shape:
 //! ranking stays far below a millisecond per request at hundreds of
 //! servers; turnaround grows with offered load, throughput saturates at
@@ -37,7 +38,9 @@ fn main() {
     };
     let net = NetworkView::lan_defaults();
     let complexity = Complexity::new(0.6667, 3.0).expect("valid");
-    for &count in &[1usize, 4, 16, 64, 128, 256, 512] {
+    const SIZES: [usize; 7] = [1, 4, 16, 64, 128, 256, 512];
+    let iterations = 2_000;
+    let batch = |count: usize| {
         let pool: Vec<ServerSnapshot> = (0..count as u64)
             .map(|i| ServerSnapshot {
                 server_id: ServerId(i + 1),
@@ -48,24 +51,30 @@ fn main() {
             })
             .collect();
         let mut st = BalancerState::default();
-        let iterations = 2_000;
-        let mut batch = || {
-            let start = Instant::now();
-            for _ in 0..iterations {
-                let ranked = rank(
-                    Policy::MinimumCompletionTime,
-                    &pool,
-                    &shape,
-                    complexity,
-                    &net,
-                    HostId(9_999),
-                    &mut st,
-                );
-                std::hint::black_box(&ranked);
-            }
-            start.elapsed().as_secs_f64() / iterations as f64
-        };
-        let mut per: Vec<f64> = (0..REPEATS).map(|_| batch()).collect();
+        let start = Instant::now();
+        for _ in 0..iterations {
+            let ranked = rank(
+                Policy::MinimumCompletionTime,
+                &pool,
+                &shape,
+                complexity,
+                &net,
+                HostId(9_999),
+                &mut st,
+            );
+            std::hint::black_box(&ranked);
+        }
+        start.elapsed().as_secs_f64() / iterations as f64
+    };
+    // Round by round over every size, so a slow spell of the host lands
+    // on all sizes alike instead of on one size's batches.
+    let mut per = vec![Vec::with_capacity(REPEATS); SIZES.len()];
+    for _ in 0..REPEATS {
+        for (times, &count) in per.iter_mut().zip(&SIZES) {
+            times.push(batch(count));
+        }
+    }
+    for (count, per) in SIZES.iter().zip(&mut per) {
         per.sort_by(f64::total_cmp);
         let median = per[REPEATS / 2];
         table.row(vec![

@@ -143,7 +143,7 @@ struct Reporter {
 /// looks once a report is due, never once a call, and waits untimed while
 /// no client owes anything. One thread serves every client: a thread per
 /// client held a malloc arena of its own, which raised `bulk_reply`'s
-/// peak RSS by a quarter (EXPERIMENTS "One agent exchange per call").
+/// peak RSS by a third (EXPERIMENTS "One agent exchange per call").
 struct Flusher {
     /// Every client that has owed a report; a dropped one goes at the
     /// next pass.
@@ -183,7 +183,10 @@ impl Flusher {
     /// Flush what is due, then wait until the next report falls due, or,
     /// with none owed, until one is. `parked` is set before each pass, so
     /// a client that owes a report behind the pass finds it set and wakes
-    /// the thread.
+    /// the thread. A client whose roster is busy — a request, which
+    /// carries what it owes, or a drop, which sends it — is looked at
+    /// again a period later, so one client's slow agent holds up no
+    /// other's flush.
     fn run(&self) {
         let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -194,12 +197,20 @@ impl Flusher {
             let mut due = None::<Duration>;
             for link in links {
                 let Some(reporter) = link.reporter.get() else { continue };
-                let mut roster = link.roster.lock();
-                let Some(oldest) = roster.owed.first().map(|o| o.since) else { continue };
-                match REPORT_FLUSH.checked_sub(reporter.clock.since(oldest)) {
-                    Some(left) if !left.is_zero() => due = Some(due.map_or(left, |d| d.min(left))),
-                    _ => flush_owed(&mut roster, reporter),
-                }
+                let left = match link.roster.try_lock() {
+                    None => REPORT_FLUSH,
+                    Some(mut roster) => {
+                        let Some(oldest) = roster.owed.first().map(|o| o.since) else { continue };
+                        match REPORT_FLUSH.checked_sub(reporter.clock.since(oldest)) {
+                            Some(left) if !left.is_zero() => left,
+                            _ => {
+                                flush_owed(&mut roster, reporter);
+                                continue;
+                            }
+                        }
+                    }
+                };
+                due = Some(due.map_or(left, |d| d.min(left)));
             }
             clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
             clients = match due {
