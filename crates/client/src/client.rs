@@ -728,14 +728,16 @@ impl NetSolveClient {
             self.flush(&mut roster);
         } else if roster.owed.len() == 1 {
             drop(roster);
-            let new = self.agents.reporter.set(Reporter {
+            let reporter = || Reporter {
                 transport: Arc::clone(&self.transport),
                 clock: Arc::clone(&self.clock),
                 timeout: self.attempt_timeout(),
                 tracer: Arc::clone(&self.tracer),
                 dropped: Arc::clone(&self.m.reports_dropped),
-            });
-            Flusher::get().owed(new.is_ok().then(|| Arc::downgrade(&self.agents)));
+            };
+            let new = self.agents.reporter.get().is_none()
+                && self.agents.reporter.set(reporter()).is_ok();
+            Flusher::get().owed(new.then(|| Arc::downgrade(&self.agents)));
         }
     }
 
