@@ -21,9 +21,9 @@ use netsolve_core::error::{ErrorClass, NetSolveError, Result};
 use netsolve_core::problem::{ProblemSpec, RequestShape};
 use netsolve_core::rng::{splitmix64, Rng64};
 use netsolve_net::{answered_before_reading, call, call_once, Connection, Transport};
-use netsolve_obs::{Counter, MetricsRegistry, SpanContext, Tracer};
+use netsolve_obs::{MetricsRegistry, SpanContext, Tracer};
 use netsolve_proto::{Candidate, Message, QueryShape, RequestView};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Everything measured about one completed call, for experiments and
 /// diagnostics (the paper's predictor-accuracy analysis needs
@@ -60,19 +60,15 @@ pub struct CallReport {
 /// that answers becomes the preferred one for subsequent requests, so a
 /// mid-session agent crash costs at most one retried request.
 pub struct NetSolveClient {
-    transport: Arc<dyn Transport>,
-    /// The transport's clock: every budget, pause and timer of a call.
-    clock: Arc<dyn Clock>,
-    agents: Arc<AgentLink>,
+    /// The agent roster and what reaching an agent needs, shared with the
+    /// report flusher.
+    link: Arc<AgentLink>,
     /// Idle server connections by address, least recently used first.
     idle: Mutex<Vec<(String, Box<dyn Connection>)>>,
-    retry: RetryPolicy,
     specs: Mutex<HashMap<String, ProblemSpec>>,
     next_request: AtomicU64,
     jitter: Mutex<Rng64>,
     metrics: Arc<MetricsRegistry>,
-    m: ClientInstruments,
-    tracer: Arc<Tracer>,
 }
 
 netsolve_obs::instruments! {
@@ -101,8 +97,8 @@ netsolve_obs::instruments! {
 /// an idle client's pending assignments lags.
 const REPORT_FLUSH: Duration = Duration::from_millis(50);
 
-/// Most completion reports a client owes at once. One more is sent at
-/// once, with those owed, by the call that makes it.
+/// Most completion reports a client owes at once: the report that fills
+/// the list sends it, so a batch holds at most this many and a request.
 const MAX_OWED: usize = 16;
 
 /// The client's view of its agents — the address list in preference order
@@ -110,32 +106,75 @@ const MAX_OWED: usize = 16;
 /// the connection kept open to that entry, and the completion reports
 /// owed to whichever agent is asked next. One lock holds them all: an
 /// agent request owns the roster for as long as it owns the connection.
+#[derive(Default)]
 struct AgentRoster {
     addresses: Vec<String>,
     ranked: bool,
     current: usize,
     conn: Option<Box<dyn Connection>>,
-    /// Oldest first, at most [`MAX_OWED`]; each leaves once, delivered or
-    /// dropped.
+    /// Oldest first, fewer than [`MAX_OWED`] whenever the lock is free;
+    /// each leaves once, delivered or dropped.
     owed: Vec<Owed>,
 }
 
-/// The roster, and what sending its reports needs, shared with the
-/// flusher.
+/// What the client and the flusher share: the roster, and the one copy of
+/// everything a request to an agent needs.
 struct AgentLink {
     roster: Mutex<AgentRoster>,
-    /// Set with the first report owed, when the flusher learns of the
-    /// client.
-    reporter: OnceLock<Reporter>,
+    transport: Arc<dyn Transport>,
+    /// The transport's clock: every budget, pause and timer of a call.
+    clock: Arc<dyn Clock>,
+    retry: RetryPolicy,
+    m: ClientInstruments,
+    tracer: Arc<Tracer>,
+    /// Whether the flusher has been told of this link.
+    registered: AtomicBool,
 }
 
-/// What sending owed reports on their own needs.
-struct Reporter {
-    transport: Arc<dyn Transport>,
-    clock: Arc<dyn Clock>,
-    timeout: Duration,
-    tracer: Arc<Tracer>,
-    dropped: Arc<Counter>,
+impl AgentLink {
+    fn attempt_timeout(&self) -> Duration {
+        Duration::from_secs_f64(self.retry.attempt_timeout_secs)
+    }
+
+    /// Send what `roster` owes on its own, in a traceless `report` span,
+    /// waiting up to `timeout` for the `Pong`s. The roster is held only to
+    /// take the reports and the kept connection and to give the
+    /// connection back, so a request made meanwhile dials its own and
+    /// keeps its deadline. One try at the preferred agent — no redial and
+    /// no failover, which only the agent ring makes: what that try cannot
+    /// deliver is dropped and counted, since a report is best effort.
+    fn flush(&self, mut roster: MutexGuard<'_, AgentRoster>, timeout: Duration) {
+        if roster.owed.is_empty() {
+            return;
+        }
+        let owed = std::mem::replace(&mut roster.owed, Vec::with_capacity(MAX_OWED));
+        let address = roster.addresses[roster.current].clone();
+        let kept = roster.conn.take();
+        drop(roster);
+        let timer = self.tracer.start();
+        let sent = kept.map_or_else(|| self.transport.connect(&address), Ok).and_then(|mut conn| {
+            Ok((deliver(conn.as_mut(), &owed, None, timeout, &mut false)?, conn))
+        });
+        let detail = match sent {
+            Ok((delivered, conn)) => {
+                let mut roster = self.roster.lock();
+                let unused = if roster.conn.is_none() && roster.addresses[roster.current] == address {
+                    roster.conn = Some(conn);
+                    None
+                } else {
+                    Some(conn)
+                };
+                drop(roster);
+                drop(unused);
+                format!("completions={delivered}")
+            }
+            Err(e) => {
+                self.m.reports_dropped.add(owed.len() as u64);
+                format!("err={e}")
+            }
+        };
+        self.tracer.record(SpanContext::NONE, timer, "client", "report", detail);
+    }
 }
 
 /// The process's one report flusher: a thread that sends what a client
@@ -167,8 +206,9 @@ impl Flusher {
         })
     }
 
-    /// A report has been owed to a client with none before: wake a parked
-    /// flusher. Cheap unless it is parked.
+    /// A report has been owed to a client with none before, or to one the
+    /// flusher does not know yet (`client`): wake a parked flusher. Cheap
+    /// unless it is parked.
     fn owed(&self, client: Option<Weak<AgentLink>>) {
         if client.is_none() && !self.parked.load(Ordering::SeqCst) {
             return;
@@ -184,9 +224,9 @@ impl Flusher {
     /// with none owed, until one is. `parked` is set before each pass, so
     /// a client that owes a report behind the pass finds it set and wakes
     /// the thread. A client whose roster is busy — a request, which
-    /// carries what it owes, or a drop, which sends it — is looked at
-    /// again a period later, so one client's slow agent holds up no
-    /// other's flush.
+    /// carries what it owes — is looked at again a period later. The
+    /// thread's own send to an agent that never answers holds it for that
+    /// client's attempt timeout, but holds no client's roster.
     fn run(&self) {
         let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -196,15 +236,14 @@ impl Flusher {
             drop(clients);
             let mut due = None::<Duration>;
             for link in links {
-                let Some(reporter) = link.reporter.get() else { continue };
                 let left = match link.roster.try_lock() {
                     None => REPORT_FLUSH,
-                    Some(mut roster) => {
+                    Some(roster) => {
                         let Some(oldest) = roster.owed.first().map(|o| o.since) else { continue };
-                        match REPORT_FLUSH.checked_sub(reporter.clock.since(oldest)) {
+                        match REPORT_FLUSH.checked_sub(link.clock.since(oldest)) {
                             Some(left) if !left.is_zero() => left,
                             _ => {
-                                flush_owed(&mut roster, reporter);
+                                link.flush(roster, link.attempt_timeout());
                                 continue;
                             }
                         }
@@ -235,8 +274,9 @@ struct Owed {
 
 /// Send the owed reports, and `request` behind them, in one batch on
 /// `conn`, and read the `Pong` each report is answered with; the
-/// request's reply is the next read. Returns how many were delivered;
-/// `written` says whether the batch left, whatever came of it.
+/// request's reply is the next read. `owed` holds at most [`MAX_OWED`].
+/// Returns how many were delivered; `written` says whether the batch
+/// left, whatever came of it.
 fn deliver(
     conn: &mut dyn Connection,
     owed: &[Owed],
@@ -249,8 +289,8 @@ fn deliver(
     };
     let mut batch = [first; MAX_OWED + 1];
     let mut len = 0;
-    for msg in owed.iter().map(|o| &o.report).chain(request) {
-        batch[len] = msg;
+    for (slot, msg) in batch.iter_mut().zip(owed.iter().map(|o| &o.report).chain(request)) {
+        *slot = msg;
         len += 1;
     }
     conn.send_batch(&batch[..len])?;
@@ -265,36 +305,6 @@ fn deliver(
         }
     }
     Ok(owed.len())
-}
-
-/// Send what `roster` owes on its own — on the kept agent connection, or a
-/// dial to the preferred agent — inside a traceless `report` span. What
-/// cannot be delivered is dropped and counted: a report is best effort.
-fn flush_owed(roster: &mut AgentRoster, reporter: &Reporter) {
-    if roster.owed.is_empty() {
-        return;
-    }
-    let Reporter { transport, timeout, tracer, dropped, .. } = reporter;
-    let timer = tracer.start();
-    let conn = match roster.conn.take() {
-        Some(conn) => Ok(conn),
-        None => transport.connect(&roster.addresses[roster.current]),
-    };
-    let sent = conn.and_then(|mut conn| {
-        Ok((deliver(conn.as_mut(), &roster.owed, None, *timeout, &mut false)?, conn))
-    });
-    let detail = match sent {
-        Ok((delivered, conn)) => {
-            roster.conn = Some(conn);
-            format!("completions={delivered}")
-        }
-        Err(e) => {
-            dropped.add(roster.owed.len() as u64);
-            format!("err={e}")
-        }
-    };
-    tracer.record(SpanContext::NONE, timer, "client", "report", detail);
-    roster.owed.clear();
 }
 
 /// Whether `e`, met on a kept connection before any reply arrived, means
@@ -413,26 +423,24 @@ impl NetSolveClient {
         assert!(!agents.is_empty(), "a client needs at least one agent address");
         let metrics = Arc::new(MetricsRegistry::new());
         NetSolveClient {
-            clock: transport.clock(),
-            transport,
-            agents: Arc::new(AgentLink {
+            link: Arc::new(AgentLink {
                 roster: Mutex::new(AgentRoster {
                     addresses: agents.to_vec(),
-                    ranked: false,
-                    current: 0,
-                    conn: None,
-                    owed: Vec::new(),
+                    owed: Vec::with_capacity(MAX_OWED),
+                    ..AgentRoster::default()
                 }),
-                reporter: OnceLock::new(),
+                clock: transport.clock(),
+                transport,
+                retry: RetryPolicy::default(),
+                m: ClientInstruments::new(&metrics),
+                tracer: Arc::new(Tracer::new()),
+                registered: AtomicBool::new(false),
             }),
             idle: Mutex::new(Vec::new()),
-            retry: RetryPolicy::default(),
             specs: Mutex::new(HashMap::new()),
             next_request: AtomicU64::new(request_id_seed()),
             jitter: Mutex::new(Rng64::new(0x6A17_7E12)),
-            m: ClientInstruments::new(&metrics),
             metrics,
-            tracer: Arc::new(Tracer::new()),
         }
     }
 
@@ -444,7 +452,7 @@ impl NetSolveClient {
 
     /// Override the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.link_mut().retry = retry;
         self
     }
 
@@ -453,10 +461,31 @@ impl NetSolveClient {
     /// tracer also cross-checks request-id uniqueness *across* clients).
     /// The client's instruments are resolved again on `metrics`.
     pub fn with_observability(mut self, metrics: Arc<MetricsRegistry>, tracer: Arc<Tracer>) -> Self {
-        self.m = ClientInstruments::new(&metrics);
+        let link = self.link_mut();
+        link.m = ClientInstruments::new(&metrics);
+        link.tracer = tracer;
         self.metrics = metrics;
-        self.tracer = tracer;
         self
+    }
+
+    /// The link, to configure. A client that has owed a report shares it
+    /// with the flusher, and moves to a copy: its roster, kept connection
+    /// and owed reports go along.
+    fn link_mut(&mut self) -> &mut AgentLink {
+        if Arc::get_mut(&mut self.link).is_none() {
+            let link = &self.link;
+            let roster = std::mem::take(&mut *link.roster.lock());
+            self.link = Arc::new(AgentLink {
+                roster: Mutex::new(roster),
+                transport: Arc::clone(&link.transport),
+                clock: Arc::clone(&link.clock),
+                retry: link.retry,
+                m: ClientInstruments::new(&self.metrics),
+                tracer: Arc::clone(&link.tracer),
+                registered: AtomicBool::new(false),
+            });
+        }
+        Arc::get_mut(&mut self.link).expect("a link of the client's own")
     }
 
     /// This client's metrics registry (`client.*` instruments).
@@ -466,22 +495,22 @@ impl NetSolveClient {
 
     /// This client's tracer.
     pub fn tracer(&self) -> Arc<Tracer> {
-        Arc::clone(&self.tracer)
+        Arc::clone(&self.link.tracer)
     }
 
     /// Traceless and unlimited: requests made outside a `netsl` call.
     fn unscoped(&self) -> Scope<'_> {
-        Scope { ctx: SpanContext::NONE, budget: Budget { clock: self.clock.as_ref(), end: None } }
+        Scope { ctx: SpanContext::NONE, budget: Budget { clock: self.link.clock.as_ref(), end: None } }
     }
 
     fn attempt_timeout(&self) -> Duration {
-        Duration::from_secs_f64(self.retry.attempt_timeout_secs)
+        self.link.attempt_timeout()
     }
 
     /// The agent currently preferred by this client (the last one that
     /// answered; the rank winner before any request has gone out).
     pub fn current_agent(&self) -> String {
-        let roster = self.agents.roster.lock();
+        let roster = self.link.roster.lock();
         roster.addresses[roster.current].clone()
     }
 
@@ -545,13 +574,13 @@ impl NetSolveClient {
         work: impl FnOnce(Scope<'c>) -> Result<T>,
         detail: impl FnOnce(&T) -> String,
     ) -> Result<T> {
-        let timer = self.tracer.start();
+        let timer = self.link.tracer.start();
         let result = work(Scope { ctx: scope.ctx.child_of(timer.span_id()), ..scope });
         let detail = match &result {
             Ok(value) => detail(value),
             Err(e) => format!("err={e}"),
         };
-        self.tracer.record(scope.ctx, timer, "client", phase, detail);
+        self.link.tracer.record(scope.ctx, timer, "client", phase, detail);
         result
     }
 
@@ -562,14 +591,14 @@ impl NetSolveClient {
     /// clamped to what the budget has left.
     fn pace(&self, scope: Scope<'_>, retry: u32, floor_ms: u64) {
         let jitter = self.jitter.lock().next_f64();
-        let wait = self.retry.backoff.delay_secs(retry - 1, jitter).max(floor_ms as f64 / 1e3);
+        let wait = self.link.retry.backoff.delay_secs(retry - 1, jitter).max(floor_ms as f64 / 1e3);
         if wait <= 0.0 {
             return;
         }
         let pause = scope.budget.clamp(Duration::from_secs_f64(wait));
-        self.m.backoff_wait_secs.record_secs_traced(pause.as_secs_f64(), scope.ctx.trace_id);
+        self.link.m.backoff_wait_secs.record_secs_traced(pause.as_secs_f64(), scope.ctx.trace_id);
         let sleep = |_| {
-            self.clock.sleep(pause);
+            self.link.clock.sleep(pause);
             Ok(())
         };
         let _ = self.span(scope, "backoff", sleep, no_detail);
@@ -577,11 +606,11 @@ impl NetSolveClient {
 
     /// The one way a call stops on a spent budget, in either ring.
     fn exhausted(&self, scope: Scope<'_>, progress: String) -> NetSolveError {
-        self.m.deadline_exhausted.inc();
-        self.tracer.point(scope.ctx, "client", "deadline_exhausted", progress.clone());
+        self.link.m.deadline_exhausted.inc();
+        self.link.tracer.point(scope.ctx, "client", "deadline_exhausted", progress.clone());
         NetSolveError::Timeout(format!(
             "deadline of {:.3}s exhausted {progress}",
-            self.retry.deadline_secs
+            self.link.retry.deadline_secs
         ))
     }
 
@@ -600,10 +629,10 @@ impl NetSolveClient {
             .into_iter()
             .map(|address| {
                 let timeout = budget.clamp(self.attempt_timeout().min(Duration::from_secs(2)));
-                let start = self.clock.now();
-                let probe = call_once(self.transport.as_ref(), &address, &Message::Ping, timeout);
+                let start = self.link.clock.now();
+                let probe = call_once(self.link.transport.as_ref(), &address, &Message::Ping, timeout);
                 let rtt = match probe {
-                    Ok(Message::Pong) => self.clock.since(start).as_secs_f64(),
+                    Ok(Message::Pong) => self.link.clock.since(start).as_secs_f64(),
                     _ => f64::INFINITY,
                 };
                 (rtt, address)
@@ -613,7 +642,7 @@ impl NetSolveClient {
         roster.addresses = scored.into_iter().map(|(_, address)| address).collect();
         roster.current = 0;
         let order = format!("order={}", roster.addresses.join(","));
-        self.tracer.point(SpanContext::NONE, "client", "agent_rank", order);
+        self.link.tracer.point(SpanContext::NONE, "client", "agent_rank", order);
     }
 
     /// The agent ring: send `msg` to the preferred agent and return its
@@ -632,7 +661,7 @@ impl NetSolveClient {
     /// made ([`Self::carry`]), so a dial that fails leaves it for the
     /// agent that answers.
     fn agent_call(&self, msg: &Message, scope: Scope<'_>, stage: bool) -> Result<Message> {
-        let mut roster = self.agents.roster.lock();
+        let mut roster = self.link.roster.lock();
         self.ensure_ranked(&mut roster, scope.budget);
         let (agents, first) = (roster.addresses.len(), roster.current);
         let mut last_err = NetSolveError::ServerUnreachable("no agent tried yet".into());
@@ -641,9 +670,9 @@ impl NetSolveClient {
             if hop > 0 {
                 // Moving on means abandoning the kept connection.
                 roster.conn = None;
-                self.m.agent_failovers.inc();
+                self.link.m.agent_failovers.inc();
                 let hop_detail = format!("to={} after err={last_err}", roster.addresses[idx]);
-                self.tracer.point(scope.ctx, "client", "agent_failover", hop_detail);
+                self.link.tracer.point(scope.ctx, "client", "agent_failover", hop_detail);
                 self.pace(scope, hop as u32, 0);
             }
             for _try in 0..2 {
@@ -655,7 +684,7 @@ impl NetSolveClient {
                     return Err(self.exhausted(scope, progress));
                 }
                 if roster.conn.is_none() {
-                    match self.transport.connect(&roster.addresses[idx]) {
+                    match self.link.transport.connect(&roster.addresses[idx]) {
                         Ok(conn) => roster.conn = Some(conn),
                         Err(e) => {
                             last_err = e;
@@ -708,7 +737,7 @@ impl NetSolveClient {
             Err(e) if !written => Err(e),
             delivered => {
                 if delivered.is_err() {
-                    self.m.reports_dropped.add(owed.len() as u64);
+                    self.link.m.reports_dropped.add(owed.len() as u64);
                 }
                 owed.clear();
                 delivered.and_then(|_| conn.recv_timeout(timeout))
@@ -719,33 +748,21 @@ impl NetSolveClient {
     /// Owe the agent a completion report: it rides ahead of this client's
     /// next agent request, and leaves on its own once it has waited
     /// [`REPORT_FLUSH`] for one ([`Flusher`]) or when the client is
-    /// dropped. The report that fills the list to [`MAX_OWED`] sends every
-    /// owed report at once.
-    fn owe(&self, report: Message) {
-        let mut roster = self.agents.roster.lock();
-        roster.owed.push(Owed { report, since: self.clock.now() });
-        if roster.owed.len() == MAX_OWED {
-            self.flush(&mut roster);
-        } else if roster.owed.len() == 1 {
-            drop(roster);
-            let reporter = || Reporter {
-                transport: Arc::clone(&self.transport),
-                clock: Arc::clone(&self.clock),
-                timeout: self.attempt_timeout(),
-                tracer: Arc::clone(&self.tracer),
-                dropped: Arc::clone(&self.m.reports_dropped),
-            };
-            let new = self.agents.reporter.get().is_none()
-                && self.agents.reporter.set(reporter()).is_ok();
-            Flusher::get().owed(new.then(|| Arc::downgrade(&self.agents)));
+    /// dropped. The report that fills the list to [`MAX_OWED`] takes every
+    /// owed report off it under the same lock and sends them at once,
+    /// waiting for the agent no longer than `budget`, the call's, allows.
+    fn owe(&self, report: Message, budget: Budget<'_>) {
+        let mut roster = self.link.roster.lock();
+        roster.owed.push(Owed { report, since: self.link.clock.now() });
+        if roster.owed.len() >= MAX_OWED {
+            return self.link.flush(roster, budget.clamp(self.attempt_timeout()));
         }
-    }
-
-    /// [`flush_owed`] on this client's own roster; nothing is owed before
-    /// the reporter is set.
-    fn flush(&self, roster: &mut AgentRoster) {
-        if let Some(reporter) = self.agents.reporter.get() {
-            flush_owed(roster, reporter);
+        let first = roster.owed.len() == 1;
+        drop(roster);
+        let new = !self.link.registered.load(Ordering::Relaxed)
+            && !self.link.registered.swap(true, Ordering::Relaxed);
+        if first || new {
+            Flusher::get().owed(new.then(|| Arc::downgrade(&self.link)));
         }
     }
 
@@ -823,9 +840,9 @@ impl NetSolveClient {
         // Account every call here, including ones that die before any
         // server traffic (bad arguments, agent unreachable), so
         // calls == calls_ok + calls_failed always closes.
-        self.m.calls.inc();
-        let started = self.clock.now();
-        let budget = Budget::start(self.clock.as_ref(), started, self.retry.deadline_secs);
+        self.link.m.calls.inc();
+        let started = self.link.clock.now();
+        let budget = Budget::start(self.link.clock.as_ref(), started, self.link.retry.deadline_secs);
         let result = self
             .describe_under(problem, Scope { ctx: SpanContext::NONE, budget })
             .and_then(|spec| spec.check_inputs(inputs).map(|()| spec))
@@ -834,7 +851,7 @@ impl NetSolveClient {
                 // so the rank span (and the agent's score span it nests)
                 // join the trace.
                 let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-                let trace_id = self.tracer.mint_trace_id();
+                let trace_id = self.link.tracer.mint_trace_id();
                 let ctx = SpanContext { trace_id, parent_span: 0, request_id };
                 let root = Scope { ctx, budget };
                 let tries = |scope| {
@@ -850,7 +867,7 @@ impl NetSolveClient {
                     let mut spent: Vec<&str> = Vec::new();
                     let mut busy_hint_ms = 0;
                     let mut last_err = NetSolveError::NoServerAvailable(problem.to_string());
-                    for retry in 0..self.retry.max_attempts.max(1) {
+                    for retry in 0..self.link.retry.max_attempts.max(1) {
                         let live: Vec<&Candidate> = candidates
                             .iter()
                             .filter(|c| !spent.contains(&c.address.as_str()))
@@ -875,7 +892,7 @@ impl NetSolveClient {
                             Ok((outputs, done)) => {
                                 let detail =
                                     format!("server={} attempts={}", done.server_id, done.attempts);
-                                self.tracer.point(scope.ctx, "client", "call_ok", detail);
+                                self.link.tracer.point(scope.ctx, "client", "call_ok", detail);
                                 self.report(&call, candidate, Ok(&done));
                                 return Ok((outputs, done));
                             }
@@ -889,16 +906,16 @@ impl NetSolveClient {
                                     ErrorClass::Fault => spent.push(&candidate.address),
                                     ErrorClass::Link | ErrorClass::Load { retry_after_ms: 0 } => {}
                                     ErrorClass::Load { retry_after_ms } => {
-                                        self.m.busy_hints.inc();
+                                        self.link.m.busy_hints.inc();
                                         busy_hint_ms = retry_after_ms;
                                     }
                                 }
-                                self.m.attempt_failures.inc();
+                                self.link.m.attempt_failures.inc();
                                 let detail = format!(
                                     "server={} address={} err={e}",
                                     candidate.server_id, candidate.address
                                 );
-                                self.tracer.point(scope.ctx, "client", "attempt_failed", detail);
+                                self.link.tracer.point(scope.ctx, "client", "attempt_failed", detail);
                                 self.report(&call, candidate, Err(&e));
                                 last_err = e;
                             }
@@ -910,18 +927,18 @@ impl NetSolveClient {
             });
         match &result {
             Ok((_, report)) => {
-                self.m.calls_ok.inc();
-                let secs = self.clock.since(started).as_secs_f64();
-                self.m.call_secs.record_secs_traced(secs, report.trace_id);
+                self.link.m.calls_ok.inc();
+                let secs = self.link.clock.since(started).as_secs_f64();
+                self.link.m.call_secs.record_secs_traced(secs, report.trace_id);
             }
-            Err(_) => self.m.calls_failed.inc(),
+            Err(_) => self.link.m.calls_failed.inc(),
         }
         result
     }
 
     /// How a call that reached the server ring ends in failure.
     fn call_failed(&self, call: &Call<'_>, why: &str, e: NetSolveError) -> NetSolveError {
-        self.tracer.point(call.scope.ctx, "client", "call_failed", format!("{why}: {e}"));
+        self.link.tracer.point(call.scope.ctx, "client", "call_failed", format!("{why}: {e}"));
         e
     }
 
@@ -951,11 +968,11 @@ impl NetSolveClient {
         let get = |_| {
             let kept = if fresh { None } else { self.take_idle(address) };
             if let Some(conn) = kept {
-                self.m.conn_reused.inc();
+                self.link.m.conn_reused.inc();
                 return Ok((conn, true));
             }
-            self.m.dials.inc();
-            Ok((self.transport.connect(address)?, false))
+            self.link.m.dials.inc();
+            Ok((self.link.transport.connect(address)?, false))
         };
         let which = |got: &(_, bool)| if got.1 { "reused" } else { "dialled" }.to_string();
         self.span(scope, "connect", get, which)
@@ -971,8 +988,8 @@ impl NetSolveClient {
         candidate: &Candidate,
         attempts: u32,
     ) -> Result<(Vec<DataObject>, CallReport)> {
-        self.m.attempts.inc();
-        let start = self.clock.now();
+        self.link.m.attempts.inc();
+        let start = self.link.clock.now();
         let exchange = |scope: Scope<'_>| {
             let ctx = scope.ctx;
             // What is left of this try and of the call: a kept connection
@@ -982,7 +999,7 @@ impl NetSolveClient {
             // reads the same from call to call, and the socket's receive
             // timeout is left as it was.
             let left = || {
-                let left = self.attempt_timeout().saturating_sub(self.clock.since(start));
+                let left = self.attempt_timeout().saturating_sub(self.link.clock.since(start));
                 Duration::from_millis(scope.budget.clamp(left).as_millis() as u64)
             };
             let mut fresh = false;
@@ -1010,7 +1027,7 @@ impl NetSolveClient {
                     // and whatever else was kept to that address — closed
                     // by the same restart or the same silence — goes too.
                     Err(e) if reused && hung_up(&e) && !left().is_zero() => {
-                        self.m.conn_redials.inc();
+                        self.link.m.conn_redials.inc();
                         self.forget_idle(&candidate.address);
                         fresh = true;
                     }
@@ -1033,8 +1050,8 @@ impl NetSolveClient {
             // late can never be read as a later request's.
             self.keep_idle(&candidate.address, conn);
             if cached {
-                self.m.cached_replies.inc();
-                self.tracer.point(ctx, "client", "cached_reply", String::new());
+                self.link.m.cached_replies.inc();
+                self.link.tracer.point(ctx, "client", "cached_reply", String::new());
             }
             call.spec.check_outputs(&outputs)?;
             let report = CallReport {
@@ -1043,7 +1060,7 @@ impl NetSolveClient {
                 server_id: candidate.server_id,
                 server_address: candidate.address.clone(),
                 predicted_secs: candidate.predicted_secs,
-                total_secs: self.clock.since(start).as_secs_f64(),
+                total_secs: self.link.clock.since(start).as_secs_f64(),
                 compute_secs,
                 attempts,
             };
@@ -1069,7 +1086,7 @@ impl NetSolveClient {
     ) {
         let e = match outcome {
             Ok(done) => {
-                return self.owe(Message::CompletionReport {
+                let report = Message::CompletionReport {
                     server_id: candidate.server_id,
                     server_address: candidate.address.clone(),
                     client_host: 0,
@@ -1077,7 +1094,8 @@ impl NetSolveClient {
                     total_secs: done.total_secs,
                     compute_secs: done.compute_secs,
                     bytes: call.shape.total_bytes(),
-                })
+                };
+                return self.owe(report, call.scope.budget);
             }
             Err(e) => e,
         };
@@ -1102,9 +1120,11 @@ impl NetSolveClient {
 }
 
 impl Drop for NetSolveClient {
-    /// Deliver what is owed, within the attempt timeout.
+    /// Deliver what is owed, within the attempt timeout. Reports the
+    /// flusher has already taken are its to send: the drop does not wait
+    /// for them.
     fn drop(&mut self) {
-        self.flush(&mut self.agents.roster.lock());
+        self.link.flush(self.link.roster.lock(), self.attempt_timeout());
     }
 }
 
@@ -2117,21 +2137,9 @@ mod tests {
         domain.shutdown();
     }
 
-    /// A client shared by threads may owe several reports, up to
-    /// `MAX_OWED`: the report that fills the list sends them all at once.
-    #[test]
-    fn the_report_that_fills_the_owed_list_sends_it() {
-        use netsolve_core::clock::VirtualClock;
-        let net = ChannelNetwork::new().with_clock(Arc::new(VirtualClock::new()));
-        let domain =
-            bring_up_on(Arc::new(ChaosTransport::new(Arc::new(net), ChaosPolicy::calm(), 0)), &[
-                ("hostA", 100.0),
-            ]);
-        let agent = domain.agent.core();
-        let reports = || agent.lock().metrics().snapshot("agent").counter("agent.success_reports");
-        let client = domain.client();
-        client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
-        let report = || Message::CompletionReport {
+    /// A completion report for `srv0`, the first server of a domain.
+    fn srv0_report() -> Message {
+        Message::CompletionReport {
             server_id: 1,
             server_address: "srv0".into(),
             client_host: 0,
@@ -2139,15 +2147,86 @@ mod tests {
             total_secs: 0.001,
             compute_secs: 0.0001,
             bytes: 32,
-        };
-        for _ in 1..MAX_OWED - 1 {
-            client.owe(report());
         }
-        assert_eq!(client.agents.roster.lock().owed.len(), MAX_OWED - 1);
+    }
+
+    /// A domain over a calm chaos layer on a held virtual clock, on which
+    /// no owed report ever falls due for the flusher.
+    fn held_clock_domain() -> Domain {
+        use netsolve_core::clock::VirtualClock;
+        let net = ChannelNetwork::new().with_clock(Arc::new(VirtualClock::new()));
+        bring_up_on(Arc::new(ChaosTransport::new(Arc::new(net), ChaosPolicy::calm(), 0)), &[(
+            "hostA", 100.0,
+        )])
+    }
+
+    /// A client shared by threads may owe several reports, up to
+    /// `MAX_OWED`: the report that fills the list sends them all at once.
+    #[test]
+    fn the_report_that_fills_the_owed_list_sends_it() {
+        let domain = held_clock_domain();
+        let agent = domain.agent.core();
+        let reports = || agent.lock().metrics().snapshot("agent").counter("agent.success_reports");
+        let client = domain.client();
+        client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
+        for _ in 1..MAX_OWED - 1 {
+            client.owe(srv0_report(), client.unscoped().budget);
+        }
+        assert_eq!(client.link.roster.lock().owed.len(), MAX_OWED - 1);
         assert_eq!(reports(), 0, "owed, on a held clock");
-        client.owe(report());
+        client.owe(srv0_report(), client.unscoped().budget);
         assert_eq!(reports(), MAX_OWED as u64, "the call's own report and every other");
-        assert!(client.agents.roster.lock().owed.is_empty());
+        assert!(client.link.roster.lock().owed.is_empty());
+        drop(client);
+        domain.shutdown();
+    }
+
+    /// A client configured again after it has owed a report moves to a
+    /// copy of its link, and what it owes goes along: the next call
+    /// carries it.
+    #[test]
+    fn a_client_configured_after_a_call_keeps_what_it_owes() {
+        let domain = held_clock_domain();
+        let agent = domain.agent.core();
+        let reports = || agent.lock().metrics().snapshot("agent").counter("agent.success_reports");
+        let inputs = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
+        let client = domain.client();
+        client.netsl("ddot", &inputs).unwrap();
+        let retry = RetryPolicy { attempt_timeout_secs: 5.0, ..RetryPolicy::default() };
+        let client = client.with_retry(retry);
+        assert_eq!(client.link.retry.attempt_timeout_secs, 5.0);
+        assert_eq!(client.link.roster.lock().owed.len(), 1);
+        client.netsl("ddot", &inputs).unwrap();
+        assert_eq!(reports(), 1, "the first call's report rode the second call's query");
+        drop(client);
+        assert_eq!(reports(), 2);
+        domain.shutdown();
+    }
+
+    /// Threads owing at once on a client that has made no call yet never
+    /// take the list past its bound, and the request made after them
+    /// carries what is left: every report reaches the agent once.
+    #[test]
+    fn threads_owing_at_once_keep_the_owed_list_within_its_bound() {
+        let domain = held_clock_domain();
+        let agent = domain.agent.core();
+        let reports = || agent.lock().metrics().snapshot("agent").counter("agent.success_reports");
+        let client = domain.client();
+        let (threads, each) = (4, MAX_OWED + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for _ in 0..each {
+                        client.owe(srv0_report(), client.unscoped().budget);
+                        assert!(client.link.roster.lock().owed.len() < MAX_OWED);
+                    }
+                });
+            }
+        });
+        assert!(client.list_problems().unwrap().contains(&"ddot".to_string()));
+        assert!(client.link.roster.lock().owed.is_empty());
+        assert_eq!(reports(), (threads * each) as u64);
+        assert_eq!(client.metrics().snapshot("client").counter("client.reports_dropped"), 0);
         drop(client);
         domain.shutdown();
     }
@@ -2309,7 +2388,7 @@ mod tests {
         row("request lost", &["agent"], &["swallower"], plain, "ddot", &good, &|client| {
             // Two more kept connections beside the one the warm call uses.
             for _ in 0..2 {
-                client.keep_idle("swallower", client.transport.connect("swallower").unwrap());
+                client.keep_idle("swallower", client.link.transport.connect("swallower").unwrap());
             }
             warm(client);
         });

@@ -380,18 +380,22 @@ impl ChaosConnection {
         Duration::from_secs_f64(self.policy.link.sample_transfer_secs(frame, &mut self.rng))
     }
 
-    /// Send `body` through `send` on the inner connection, past the
-    /// send-side faults, and owe its leg of the link to the next receive.
-    fn outbound(
+    /// Send `bodies` through `send` on the inner connection, past the
+    /// send-side faults, and owe their legs of the link to the next
+    /// receive. The faults are drawn once a write, not once a body, so a
+    /// batch fails whole, as one TCP write does.
+    fn outbound<'b>(
         &mut self,
-        body: &dyn Body,
+        bodies: impl IntoIterator<Item = &'b dyn Body>,
         send: impl FnOnce(&mut dyn Connection) -> Result<()>,
     ) -> Result<()> {
         self.check_killed("send")?;
         self.maybe_reset("send")?;
         send(self.inner.as_mut())?;
-        let leg = self.transfer(body);
-        self.owed += leg;
+        for body in bodies {
+            let leg = self.transfer(body);
+            self.owed += leg;
+        }
         Ok(())
     }
 
@@ -483,11 +487,15 @@ impl ChaosConnection {
 
 impl Connection for ChaosConnection {
     fn send(&mut self, msg: &Message) -> Result<()> {
-        self.outbound(msg, |inner| inner.send(msg))
+        self.outbound([msg as &dyn Body], |inner| inner.send(msg))
     }
 
     fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
-        self.outbound(req, |inner| inner.send_request(req))
+        self.outbound([req as &dyn Body], |inner| inner.send_request(req))
+    }
+
+    fn send_batch(&mut self, msgs: &[&Message]) -> Result<()> {
+        self.outbound(msgs.iter().map(|msg| *msg as &dyn Body), |inner| inner.send_batch(msgs))
     }
 
     fn recv(&mut self) -> Result<Message> {

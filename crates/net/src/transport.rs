@@ -35,8 +35,11 @@ pub trait Connection: Send {
 
     /// Send `msgs` in order: the peer receives exactly what one
     /// [`Connection::send`] each would deliver, which is what this default
-    /// does. The TCP transport overrides it to frame them all into one
-    /// write.
+    /// does. A batch that fails should have reached no peer: the default
+    /// keeps that only where a send fails once the peer has gone, as the
+    /// channel transport's does. The TCP transport overrides it to frame
+    /// them all into one write, and the chaos layer to draw its faults
+    /// once a batch.
     fn send_batch(&mut self, msgs: &[&Message]) -> Result<()> {
         msgs.iter().try_for_each(|msg| self.send(msg))
     }
