@@ -534,11 +534,13 @@ impl AgentCore {
     }
 
     /// Protocol-level dispatch: consume one incoming message, produce the
-    /// reply. Unknown or inappropriate messages produce `Error` replies;
-    /// this function never fails (the transport loop must always have
-    /// something to send back).
-    pub fn handle_message(&mut self, msg: &Message, now: SimTime) -> Message {
-        match msg {
+    /// reply. Every message is answered except a `CompletionReport`, which
+    /// gets `None`: it rides ahead of the client's next request on the same
+    /// connection, and that request's reply confirms it. Unknown or
+    /// inappropriate messages produce `Error` replies; this function never
+    /// fails.
+    pub fn handle_message(&mut self, msg: &Message, now: SimTime) -> Option<Message> {
+        let reply = match msg {
             Message::RegisterServer(desc) => match self.register_server(desc, now) {
                 Ok(id) => Message::RegisterAck {
                     accepted: true,
@@ -628,7 +630,7 @@ impl AgentCore {
                         self.network.observe(server_host, client, -1.0, bandwidth);
                     }
                 }
-                Message::Pong
+                return None;
             }
             Message::GossipSync { from_agent, entries, digests } => {
                 self.m.gossip_syncs_received.inc();
@@ -664,7 +666,8 @@ impl AgentCore {
                 "agent cannot handle {}",
                 other.name()
             ))),
-        }
+        };
+        Some(reply)
     }
 }
 
@@ -886,7 +889,7 @@ mod tests {
             now,
         );
         match reply {
-            Message::RegisterAck { accepted, detail } => {
+            Some(Message::RegisterAck { accepted, detail }) => {
                 assert!(accepted);
                 assert_eq!(detail, "1");
             }
@@ -895,13 +898,15 @@ mod tests {
 
         let reply = agent.handle_message(&Message::ServerQuery(query(100)), now);
         match reply {
-            Message::ServerList { candidates } => assert_eq!(candidates.len(), 1),
+            Some(Message::ServerList { candidates }) => assert_eq!(candidates.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
 
         let reply = agent.handle_message(&Message::ListProblems, now);
         match reply {
-            Message::ProblemCatalogue { names } => assert!(names.contains(&"dgesv".to_string())),
+            Some(Message::ProblemCatalogue { names }) => {
+                assert!(names.contains(&"dgesv".to_string()))
+            }
             other => panic!("unexpected {other:?}"),
         }
 
@@ -910,11 +915,43 @@ mod tests {
             now,
         );
         match reply {
-            Message::ProblemDescription { pdl } => assert!(pdl.contains("@PROBLEM dgesv")),
+            Some(Message::ProblemDescription { pdl }) => assert!(pdl.contains("@PROBLEM dgesv")),
             other => panic!("unexpected {other:?}"),
         }
 
-        assert_eq!(agent.handle_message(&Message::Ping, now), Message::Pong);
+        assert_eq!(agent.handle_message(&Message::Ping, now), Some(Message::Pong));
+    }
+
+    /// A completion report is the one message the agent leaves
+    /// unanswered: the reply to the request it rides ahead of confirms it.
+    /// It is still applied. The other reports and a `Ping` keep their
+    /// `Pong`.
+    #[test]
+    fn a_completion_report_is_the_one_message_left_unanswered() {
+        let mut agent = agent_with_servers(&[("a", 100.0)]);
+        let now = SimTime::ZERO;
+        let completion = Message::CompletionReport {
+            server_id: 1,
+            server_address: "a".into(),
+            client_host: 0,
+            problem: "dgesv".into(),
+            total_secs: 0.02,
+            compute_secs: 0.01,
+            bytes: 1_000,
+        };
+        assert_eq!(agent.handle_message(&completion, now), None);
+        assert_eq!(agent.metrics().counter("agent.success_reports").get(), 1);
+        let failure = Message::FailureReport {
+            server_id: 1,
+            server_address: "a".into(),
+            problem: "dgesv".into(),
+            code: 3,
+            detail: "connection refused".into(),
+        };
+        let workload = Message::WorkloadReport { server_id: 1, workload: 10.0 };
+        for msg in [failure, workload, Message::Ping] {
+            assert_eq!(agent.handle_message(&msg, now), Some(Message::Pong), "{}", msg.name());
+        }
     }
 
     #[test]
@@ -931,7 +968,7 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        assert!(matches!(reply, Message::Error { .. }));
+        assert!(matches!(reply, Some(Message::Error { .. })));
     }
 
     #[test]
@@ -973,7 +1010,7 @@ mod tests {
                 },
                 now,
             );
-            assert_eq!(reply, Message::Pong);
+            assert_eq!(reply, None, "a completion report is confirmed by the next reply");
         }
         let after = agent.query(&query(200), now).unwrap()[0].predicted_secs;
         assert!(
@@ -1084,7 +1121,7 @@ mod tests {
         let reply = agent.handle_message(&Message::RegisterServer(faster), now);
         assert_eq!(
             reply,
-            Message::RegisterAck { accepted: true, detail: id.raw().to_string() },
+            Some(Message::RegisterAck { accepted: true, detail: id.raw().to_string() }),
             "the ack carries the existing row's id"
         );
         assert_eq!(agent.registry().server_count(), 1);
@@ -1138,7 +1175,7 @@ mod tests {
                 },
                 now,
             );
-            assert_eq!(reply, Message::Pong);
+            assert_eq!(reply, Some(Message::Pong));
         }
         assert!(agent.is_down(ServerId(2), now), "address must win over id");
         assert!(!agent.is_down(ServerId(1), now));
@@ -1290,7 +1327,7 @@ mod tests {
         );
         assert_eq!(
             reply,
-            Message::GossipAck { merged: 1, refreshed: 0, conflicts: 0 }
+            Some(Message::GossipAck { merged: 1, refreshed: 0, conflicts: 0 })
         );
         assert_eq!(agent.metrics().counter("agent.gossip_syncs_received").get(), 1);
         assert_eq!(agent.metrics().counter("agent.gossip_merges").get(), 1);
@@ -1303,7 +1340,7 @@ mod tests {
         bad.mflops = -1.0;
         let reply = agent.handle_message(&Message::RegisterServer(bad), SimTime::ZERO);
         match reply {
-            Message::RegisterAck { accepted, detail } => {
+            Some(Message::RegisterAck { accepted, detail }) => {
                 assert!(!accepted);
                 assert!(detail.contains("performance"));
             }

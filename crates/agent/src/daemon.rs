@@ -324,10 +324,10 @@ impl Shared {
         }
     }
 
-    /// The reply to one message: the core's, widened through the peers
-    /// when the core had nothing.
-    fn answer(&self, msg: &Message) -> Message {
-        let mut reply = self.core.lock().handle_message(msg, self.now());
+    /// The reply to one message, if it has one: the core's, widened
+    /// through the peers when the core had nothing.
+    fn answer(&self, msg: &Message) -> Option<Message> {
+        let mut reply = self.core.lock().handle_message(msg, self.now())?;
         // Federation: client requests that found nothing locally are
         // widened to the peer agents (outside the core lock — peers
         // may be slow). Forwarded variants are answered locally only,
@@ -351,7 +351,7 @@ impl Shared {
                 _ => {}
             }
         }
-        reply
+        Some(reply)
     }
 
     /// Ask every peer agent for candidates; merge and rank by predicted
@@ -752,7 +752,7 @@ mod tests {
         let reply = Message::FleetStatsReply { digests: vec![digest] };
         let counters = AcceptCounters(&accepts, &busy, &spawn);
         let listener = net.listen("srv").unwrap();
-        let answer = move |_: &Message| (reply.clone(), || {});
+        let answer = move |_: &Message| (Some(reply.clone()), || {});
         server.serve(listener, 1, KEEP_ALIVE, counters, "server", answer).unwrap();
         let mut agent = AgentDaemon::start(Arc::clone(&transport), "agent", parked_core()).unwrap();
         let id = register(&net, &agent, "srv");
@@ -845,6 +845,47 @@ mod tests {
             trace_id: 0,
             parent_span: 0,
         })
+    }
+
+    /// A completion report is answered by nothing. Over either transport,
+    /// a report sent ahead of a query in one batch leaves the query's
+    /// `ServerList` the first frame the client reads, nothing after it,
+    /// and the report applied by the time that reply is read.
+    #[test]
+    fn a_report_ahead_of_a_query_leaves_the_server_list_first_to_read() {
+        let transports: [(Arc<dyn Transport>, &str); 2] = [
+            (Arc::new(ChannelNetwork::new()), "agent"),
+            (Arc::new(netsolve_net::TcpTransport::new()), "127.0.0.1:0"),
+        ];
+        for (transport, hint) in transports {
+            let mut agent =
+                AgentDaemon::start(Arc::clone(&transport), hint, parked_core()).unwrap();
+            let id = {
+                let core = agent.core();
+                let mut core = core.lock();
+                let desc = standard_descriptor("h", "srv0", 100.0);
+                core.register_server(&desc, SimTime::ZERO).unwrap()
+            };
+            let report = Message::CompletionReport {
+                server_id: id.raw(),
+                server_address: "srv0".into(),
+                client_host: 0,
+                problem: "dgesv".into(),
+                total_secs: 0.02,
+                compute_secs: 0.01,
+                bytes: 1_000,
+            };
+            let mut conn = transport.connect(agent.address()).unwrap();
+            conn.send_batch(&[&report, &query_dgesv_msg()]).unwrap();
+            let first = conn.recv_timeout(timeout()).unwrap();
+            assert!(matches!(first, Message::ServerList { .. }), "{hint}: read {first:?} first");
+            let snap = agent.core().lock().metrics().snapshot("agent");
+            assert_eq!(snap.counter("agent.success_reports"), 1, "{hint}");
+            let next = conn.recv_timeout(Duration::from_millis(50));
+            let timed_out = matches!(next, Err(netsolve_core::error::NetSolveError::Timeout(_)));
+            assert!(timed_out, "{hint}: then read {next:?}");
+            agent.stop();
+        }
     }
 
     fn query_dgesv(net: &ChannelNetwork, agent: &str) -> Message {
@@ -1193,18 +1234,19 @@ mod tests {
         // Client traffic at agent-b.
         assert!(matches!(send("agent-b", query_dgesv_msg()), Message::ServerList { .. }));
         send("agent-b", Message::WorkloadReport { server_id: 1, workload: 10.0 });
-        send(
-            "agent-b",
-            Message::CompletionReport {
-                server_id: 99,
-                server_address: "srv-b".into(),
-                client_host: 0,
-                problem: "dgesv".into(),
-                total_secs: 0.02,
-                compute_secs: 0.01,
-                bytes: 1_000,
-            },
-        );
+        // A completion report has no reply: the `Pong` behind it confirms it.
+        let mut conn = net.connect("agent-b").unwrap();
+        let report = Message::CompletionReport {
+            server_id: 99,
+            server_address: "srv-b".into(),
+            client_host: 0,
+            problem: "dgesv".into(),
+            total_secs: 0.02,
+            compute_secs: 0.01,
+            bytes: 1_000,
+        };
+        conn.send(&report).unwrap();
+        assert_eq!(call(conn.as_mut(), &Message::Ping, timeout()).unwrap(), Message::Pong);
         for _ in 0..2 {
             send(
                 "agent-b",

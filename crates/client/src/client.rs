@@ -132,18 +132,15 @@ struct AgentLink {
 }
 
 impl AgentLink {
-    fn attempt_timeout(&self) -> Duration {
-        Duration::from_secs_f64(self.retry.attempt_timeout_secs)
-    }
-
-    /// Send what `roster` owes on its own, in a traceless `report` span,
-    /// waiting up to `timeout` for the `Pong`s. The roster is held only to
-    /// take the reports and the kept connection and to give the
-    /// connection back, so a request made meanwhile dials its own and
-    /// keeps its deadline. One try at the preferred agent — no redial and
-    /// no failover, which only the agent ring makes: what that try cannot
-    /// deliver is dropped and counted, since a report is best effort.
-    fn flush(&self, mut roster: MutexGuard<'_, AgentRoster>, timeout: Duration) {
+    /// Write what `roster` owes on its own, in a traceless `report` span,
+    /// and read nothing: the reply to the next request on the connection
+    /// confirms it. The roster is held only to take the reports and the
+    /// kept connection and to give the connection back, so a request made
+    /// meanwhile (while a dial waits, say) dials its own and keeps its
+    /// deadline. One try at the preferred agent — no redial and no
+    /// failover, which only the agent ring makes: a batch that cannot be
+    /// written is dropped and counted, since a report is best effort.
+    fn flush(&self, mut roster: MutexGuard<'_, AgentRoster>) {
         if roster.owed.is_empty() {
             return;
         }
@@ -153,7 +150,7 @@ impl AgentLink {
         drop(roster);
         let timer = self.tracer.start();
         let sent = kept.map_or_else(|| self.transport.connect(&address), Ok).and_then(|mut conn| {
-            Ok((deliver(conn.as_mut(), &owed, None, timeout, &mut false)?, conn))
+            Ok((deliver(conn.as_mut(), &owed, None)?, conn))
         });
         let detail = match sent {
             Ok((delivered, conn)) => {
@@ -224,9 +221,10 @@ impl Flusher {
     /// with none owed, until one is. `parked` is set before each pass, so
     /// a client that owes a report behind the pass finds it set and wakes
     /// the thread. A client whose roster is busy — a request, which
-    /// carries what it owes — is looked at again a period later. The
-    /// thread's own send to an agent that never answers holds it for that
-    /// client's attempt timeout, but holds no client's roster.
+    /// carries what it owes — is looked at again a period later. A flush
+    /// writes and reads nothing, so an agent that never answers holds the
+    /// thread no longer than a write, and no other client's flush waits
+    /// on it.
     fn run(&self) {
         let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -243,7 +241,7 @@ impl Flusher {
                         match REPORT_FLUSH.checked_sub(link.clock.since(oldest)) {
                             Some(left) if !left.is_zero() => left,
                             _ => {
-                                link.flush(roster, link.attempt_timeout());
+                                link.flush(roster);
                                 continue;
                             }
                         }
@@ -272,18 +270,12 @@ struct Owed {
     since: Instant,
 }
 
-/// Send the owed reports, and `request` behind them, in one batch on
-/// `conn`, and read the `Pong` each report is answered with; the
-/// request's reply is the next read. `owed` holds at most [`MAX_OWED`].
-/// Returns how many were delivered; `written` says whether the batch
-/// left, whatever came of it.
-fn deliver(
-    conn: &mut dyn Connection,
-    owed: &[Owed],
-    request: Option<&Message>,
-    timeout: Duration,
-    written: &mut bool,
-) -> Result<usize> {
+/// Write the owed reports, and `request` behind them, in one batch on
+/// `conn`, and read nothing: no report is answered, and the reply to the
+/// next request on `conn` confirms every report written ahead of it, since
+/// the agent handles a connection's frames in order. `owed` holds at most
+/// [`MAX_OWED`]. Returns how many reports were written.
+fn deliver(conn: &mut dyn Connection, owed: &[Owed], request: Option<&Message>) -> Result<usize> {
     let Some(first) = owed.first().map(|o| &o.report).or(request) else {
         return Ok(0);
     };
@@ -294,16 +286,6 @@ fn deliver(
         len += 1;
     }
     conn.send_batch(&batch[..len])?;
-    *written = true;
-    for _ in owed {
-        match conn.recv_timeout(timeout)? {
-            Message::Pong => {}
-            other => {
-                let name = other.name();
-                return Err(NetSolveError::Protocol(format!("report answered with {name}")));
-            }
-        }
-    }
     Ok(owed.len())
 }
 
@@ -504,7 +486,7 @@ impl NetSolveClient {
     }
 
     fn attempt_timeout(&self) -> Duration {
-        self.link.attempt_timeout()
+        Duration::from_secs_f64(self.link.retry.attempt_timeout_secs)
     }
 
     /// The agent currently preferred by this client (the last one that
@@ -716,13 +698,13 @@ impl NetSolveClient {
     }
 
     /// The combined exchange: the `owed` reports ahead of `msg` in one
-    /// write, their `Pong`s read inside a `report` span under `scope`, then
-    /// `msg`'s reply. A batch whose write failed reached no agent, and its
-    /// reports stay owed for the ring's next try — after an agent failover,
-    /// the agent that answers. Once written they are spent: an exchange
-    /// that fails after the write drops them, counted, since the agent may
-    /// have applied them, and the ring's next try sends `msg` alone, so a
-    /// report can never fail the request it rode with.
+    /// write, inside a `report` span under `scope`, then `msg`'s reply,
+    /// which confirms them. A batch whose write failed reached no agent,
+    /// and its reports stay owed for the ring's next try — after an agent
+    /// failover, the agent that answers. Once written they are spent: an
+    /// exchange that fails after the write drops them, counted, since the
+    /// agent may have applied them, and the ring's next try sends `msg`
+    /// alone, so a report can never fail the request it rode with.
     fn carry(
         &self,
         conn: &mut dyn Connection,
@@ -731,31 +713,22 @@ impl NetSolveClient {
         timeout: Duration,
         scope: Scope<'_>,
     ) -> Result<Message> {
-        let mut written = false;
-        let send = |_| deliver(&mut *conn, owed, Some(msg), timeout, &mut written);
-        match self.span(scope, "report", send, |n| format!("completions={n}")) {
-            Err(e) if !written => Err(e),
-            delivered => {
-                if delivered.is_err() {
-                    self.link.m.reports_dropped.add(owed.len() as u64);
-                }
-                owed.clear();
-                delivered.and_then(|_| conn.recv_timeout(timeout))
-            }
-        }
+        let send = |_| deliver(&mut *conn, owed, Some(msg));
+        let written = self.span(scope, "report", send, |n| format!("completions={n}"))?;
+        owed.clear();
+        conn.recv_timeout(timeout).inspect_err(|_| self.link.m.reports_dropped.add(written as u64))
     }
 
     /// Owe the agent a completion report: it rides ahead of this client's
     /// next agent request, and leaves on its own once it has waited
     /// [`REPORT_FLUSH`] for one ([`Flusher`]) or when the client is
     /// dropped. The report that fills the list to [`MAX_OWED`] takes every
-    /// owed report off it under the same lock and sends them at once,
-    /// waiting for the agent no longer than `budget`, the call's, allows.
-    fn owe(&self, report: Message, budget: Budget<'_>) {
+    /// owed report off it under the same lock and writes them at once.
+    fn owe(&self, report: Message) {
         let mut roster = self.link.roster.lock();
         roster.owed.push(Owed { report, since: self.link.clock.now() });
         if roster.owed.len() >= MAX_OWED {
-            return self.link.flush(roster, budget.clamp(self.attempt_timeout()));
+            return self.link.flush(roster);
         }
         let first = roster.owed.len() == 1;
         drop(roster);
@@ -1095,7 +1068,7 @@ impl NetSolveClient {
                     compute_secs: done.compute_secs,
                     bytes: call.shape.total_bytes(),
                 };
-                return self.owe(report, call.scope.budget);
+                return self.owe(report);
             }
             Err(e) => e,
         };
@@ -1120,11 +1093,10 @@ impl NetSolveClient {
 }
 
 impl Drop for NetSolveClient {
-    /// Deliver what is owed, within the attempt timeout. Reports the
-    /// flusher has already taken are its to send: the drop does not wait
-    /// for them.
+    /// Write what is owed, and wait for nothing. Reports the flusher has
+    /// already taken are its to send.
     fn drop(&mut self) {
-        self.link.flush(self.link.roster.lock(), self.attempt_timeout());
+        self.link.flush(self.link.roster.lock());
     }
 }
 
@@ -1861,10 +1833,13 @@ mod tests {
     }
 
     /// A stub agent that knows `ddot` and ranks `servers` in the order
-    /// given; returns its accept count. One whose address starts with
-    /// `stalling` never answers a completion report.
+    /// given; returns its accept count. Like the real agent it answers
+    /// every message but a completion report. One whose address starts
+    /// with `stalling` also leaves unanswered the request that follows a
+    /// report, once.
     fn stub_agent(net: &ChannelNetwork, address: &str, servers: &[&str]) -> Arc<AtomicU64> {
         let stalls = address.starts_with("stalling");
+        let stalled = AtomicBool::new(false);
         let registry = netsolve_pdl::ProblemRegistry::with_standard_catalogue();
         let pdl = netsolve_pdl::render(registry.get("ddot").unwrap());
         let candidates: Vec<Candidate> = servers
@@ -1877,6 +1852,13 @@ mod tests {
             })
             .collect();
         stub(net, address, move |msg| {
+            if matches!(msg, Message::CompletionReport { .. }) {
+                stalled.store(stalls, Ordering::Relaxed);
+                return None;
+            }
+            if stalled.swap(false, Ordering::Relaxed) {
+                return None;
+            }
             Some(match msg {
                 Message::DescribeProblem { problem } if problem == "ddot" => {
                     Message::ProblemDescription { pdl: pdl.clone() }
@@ -1885,7 +1867,6 @@ mod tests {
                     Message::from_error(&NetSolveError::ProblemNotFound(problem))
                 }
                 Message::ServerQuery(_) => Message::ServerList { candidates: candidates.clone() },
-                Message::CompletionReport { .. } if stalls => return None,
                 _ => Message::Pong,
             })
         })
@@ -1989,24 +1970,30 @@ mod tests {
         assert_eq!(snap.counter("client.deadline_exhausted"), 0);
     }
 
+    /// Writes and receives per dialled address.
+    type Tally = Arc<Mutex<HashMap<String, (u64, u64)>>>;
+
     /// A transport that counts each connection's writes — a `send`, a
-    /// `send_request` or a `send_batch` is one — by the address it
-    /// dialled, and hands its clients `clock`.
+    /// `send_request` or a `send_batch` is one — and its receives by the
+    /// address it dialled, and hands its clients `clock`.
     struct Counting {
         inner: Arc<dyn Transport>,
         clock: Arc<dyn Clock>,
-        writes: Arc<Mutex<HashMap<String, u64>>>,
+        tally: Tally,
     }
 
     struct CountingConnection {
         inner: Box<dyn Connection>,
         address: String,
-        writes: Arc<Mutex<HashMap<String, u64>>>,
+        tally: Tally,
     }
 
     impl CountingConnection {
-        fn count(&self) {
-            *self.writes.lock().entry(self.address.clone()).or_default() += 1;
+        fn write(&self) {
+            self.tally.lock().entry(self.address.clone()).or_default().0 += 1;
+        }
+        fn receive(&self) {
+            self.tally.lock().entry(self.address.clone()).or_default().1 += 1;
         }
     }
 
@@ -2015,8 +2002,8 @@ mod tests {
             self.inner.listen(hint)
         }
         fn connect(&self, address: &str) -> Result<Box<dyn Connection>> {
-            let (inner, writes) = (self.inner.connect(address)?, Arc::clone(&self.writes));
-            Ok(Box::new(CountingConnection { inner, address: address.to_string(), writes }))
+            let (inner, tally) = (self.inner.connect(address)?, Arc::clone(&self.tally));
+            Ok(Box::new(CountingConnection { inner, address: address.to_string(), tally }))
         }
         fn clock(&self) -> Arc<dyn Clock> {
             Arc::clone(&self.clock)
@@ -2025,21 +2012,23 @@ mod tests {
 
     impl Connection for CountingConnection {
         fn send(&mut self, msg: &Message) -> Result<()> {
-            self.count();
+            self.write();
             self.inner.send(msg)
         }
         fn send_request(&mut self, req: &RequestView<'_>) -> Result<()> {
-            self.count();
+            self.write();
             self.inner.send_request(req)
         }
         fn send_batch(&mut self, msgs: &[&Message]) -> Result<()> {
-            self.count();
+            self.write();
             self.inner.send_batch(msgs)
         }
         fn recv(&mut self) -> Result<Message> {
+            self.receive();
             self.inner.recv()
         }
         fn recv_timeout(&mut self, timeout: Duration) -> Result<Message> {
+            self.receive();
             self.inner.recv_timeout(timeout)
         }
         fn peer(&self) -> String {
@@ -2047,10 +2036,23 @@ mod tests {
         }
     }
 
+    /// Poll `cond` every millisecond until it holds, failing once `bound`
+    /// has passed; returns how long it took.
+    fn within(bound: Duration, what: &str, cond: impl Fn() -> bool) -> Duration {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < bound, "{what}: not within {bound:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        start.elapsed()
+    }
+
     /// Over loopback TCP, a warm tiny call writes once to the agent — its
     /// query, with the last call's completion report ahead of it — and
-    /// once to the server. The client's clock is held still, so no report
-    /// ever waits long enough for the flusher to send it alone.
+    /// receives once from it: nothing answers the report, and the query's
+    /// reply confirms it. It writes and receives once on the server
+    /// connection too. The client's clock is held still, so no report ever
+    /// waits long enough for the flusher to send it alone.
     #[test]
     fn a_warm_tiny_call_makes_one_agent_write_and_one_server_write() {
         use netsolve_core::clock::VirtualClock;
@@ -2065,28 +2067,30 @@ mod tests {
             ServerConfig::quick("tcp-host", "127.0.0.1:0", 100.0),
         )
         .unwrap();
-        let writes = Arc::new(Mutex::new(HashMap::new()));
+        let tally = Tally::default();
         let clock = Arc::new(VirtualClock::new());
-        let counting = Counting { inner: tcp, clock, writes: Arc::clone(&writes) };
+        let counting = Counting { inner: tcp, clock, tally: Arc::clone(&tally) };
         let client = NetSolveClient::new(Arc::new(counting), agent.address());
         let inputs = [vec![0.5f64; 8].into(), vec![2.0f64; 8].into()];
         for _ in 0..3 {
             client.netsl("ddot", &inputs).unwrap();
         }
-        writes.lock().clear();
+        tally.lock().clear();
         let calls = 50;
         for _ in 0..calls {
             assert_eq!(client.netsl("ddot", &inputs).unwrap()[0].as_double().unwrap(), 8.0);
         }
-        let counted = |address: &str| writes.lock().get(address).copied().unwrap_or(0);
-        assert_eq!(counted(agent.address()), calls, "agent writes");
-        assert_eq!(counted(server.address()), calls, "server writes");
+        let counted = |address: &str| tally.lock().get(address).copied().unwrap_or_default();
+        assert_eq!(counted(agent.address()), (calls, calls), "agent writes and receives");
+        assert_eq!(counted(server.address()), (calls, calls), "server writes and receives");
         let success_reports = || {
             agent.core().lock().metrics().snapshot("agent").counter("agent.success_reports")
         };
         assert_eq!(success_reports(), 3 + calls - 1, "every report but the last has ridden");
         drop(client);
-        assert_eq!(success_reports(), 3 + calls, "the drop delivered the last");
+        // The drop writes the last report and waits for nothing.
+        let last = || success_reports() == 3 + calls;
+        within(Duration::from_secs(1), "the report the drop wrote", last);
         server.stop();
         agent.stop();
     }
@@ -2101,23 +2105,105 @@ mod tests {
         let agent = domain.agent.core();
         let pending = || agent.lock().metrics().snapshot("agent").gauge("agent.pending_assignments");
         client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
-        let returned = Instant::now();
-        while pending() != 0 {
-            assert!(returned.elapsed() < 2 * REPORT_FLUSH, "still pending after {:?}", returned.elapsed());
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(returned.elapsed() >= REPORT_FLUSH / 2, "sent before it was due");
+        let took = within(2 * REPORT_FLUSH, "the idle client's report", || pending() == 0);
+        assert!(took >= REPORT_FLUSH / 2, "sent before it was due: {took:?}");
         let snap = agent.lock().metrics().snapshot("agent");
         assert_eq!(snap.counter("agent.success_reports"), 1);
         assert_eq!(client.metrics().snapshot("client").counter("client.reports_dropped"), 0);
         domain.shutdown();
     }
 
-    /// A client dropped right after a call has delivered its report when
-    /// `drop` returns. On a held virtual clock the flusher never sends it,
-    /// so the drop is what does.
+    /// A stub agent at `address` that answers a `ddot` call's requests
+    /// (describe and query, ranking `srv` alone) and nothing else, and
+    /// counts the completion reports it reads.
+    fn mute_agent(net: &ChannelNetwork, address: &str) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
+        let registry = netsolve_pdl::ProblemRegistry::with_standard_catalogue();
+        let pdl = netsolve_pdl::render(registry.get("ddot").unwrap());
+        let srv = Candidate { server_id: 1, address: "srv".into(), predicted_secs: 0.01 };
+        let reports = Arc::new(AtomicU64::new(0));
+        let read = Arc::clone(&reports);
+        let accepts = stub(net, address, move |msg| match msg {
+            Message::DescribeProblem { .. } => {
+                Some(Message::ProblemDescription { pdl: pdl.clone() })
+            }
+            Message::ServerQuery(_) => Some(Message::ServerList { candidates: vec![srv.clone()] }),
+            Message::CompletionReport { .. } => {
+                read.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            _ => None,
+        });
+        (accepts, reports)
+    }
+
+    /// The flusher never waits on an agent. Two clients in one process each
+    /// make one call and go idle, the first against an agent that answers
+    /// a call's requests and nothing else: the second client's report
+    /// still reaches its own agent within two flush periods, though the
+    /// first client's fell due before it. (A flush that waited for a reply
+    /// would hold the one flusher for the first client's 30 s attempt
+    /// timeout.)
     #[test]
-    fn a_dropped_client_delivers_what_it_owes_before_drop_returns() {
+    fn a_mute_agent_holds_back_no_other_clients_idle_flush() {
+        let net = ChannelNetwork::new();
+        let (_, reports) = mute_agent(&net, "mute");
+        stub_server(&net, "srv", |id| answer(id, false));
+        let inputs = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
+        let muted = NetSolveClient::new(Arc::new(net), "mute");
+        muted.netsl("ddot", &inputs).unwrap();
+
+        let domain = bring_up(&[("hostA", 100.0)]);
+        let agent = domain.agent.core();
+        let pending = || agent.lock().metrics().snapshot("agent").gauge("agent.pending_assignments");
+        let client = domain.client();
+        client.netsl("ddot", &inputs).unwrap();
+        within(2 * REPORT_FLUSH, "the second client's report", || pending() == 0);
+        assert_eq!(reports.load(Ordering::Relaxed), 1, "the first client's report was written");
+        for client in [&muted, &client] {
+            assert_eq!(client.metrics().snapshot("client").counter("client.reports_dropped"), 0);
+        }
+        drop(client);
+        domain.shutdown();
+    }
+
+    /// A flush to an agent that answers no report leaves nothing to wait
+    /// for and holds no lock a call needs: a call made after the flusher
+    /// has written ends well inside its 0.5 s deadline on the connection
+    /// the flush gave back, and no report is dropped.
+    #[test]
+    fn a_call_made_after_a_flush_to_a_mute_agent_keeps_its_deadline() {
+        let net = ChannelNetwork::new();
+        let (accepts, reports) = mute_agent(&net, "mute");
+        stub_server(&net, "srv", |id| answer(id, false));
+        let retry = RetryPolicy {
+            max_attempts: 1,
+            attempt_timeout_secs: 1.5,
+            backoff: netsolve_core::config::Backoff::None,
+            deadline_secs: 0.5,
+        };
+        let client = NetSolveClient::new(Arc::new(net), "mute").with_retry(retry);
+        let inputs = [vec![1.0, 2.0].into(), vec![3.0, 4.0].into()];
+        client.netsl("ddot", &inputs).unwrap();
+        within(Duration::from_secs(1), "the flushed report", || {
+            reports.load(Ordering::Relaxed) == 1
+        });
+        let start = Instant::now();
+        assert_eq!(client.netsl("ddot", &inputs).unwrap()[0].as_double().unwrap(), 11.0);
+        assert!(start.elapsed() < Duration::from_millis(250), "took {:?}", start.elapsed());
+        assert_eq!(accepts.load(Ordering::Relaxed), 1, "the flush gave the connection back");
+        assert_eq!(client.metrics().snapshot("client").counter("client.reports_dropped"), 0);
+        drop(client);
+        within(Duration::from_secs(1), "the dropped client's report", || {
+            reports.load(Ordering::Relaxed) == 2
+        });
+    }
+
+    /// A client dropped right after a call has written its report when
+    /// `drop` returns, and has waited for nothing: the agent applies it
+    /// just after. On a held virtual clock the flusher never sends it, so
+    /// the drop is what does.
+    #[test]
+    fn a_dropped_client_writes_what_it_owes_without_waiting() {
         use netsolve_core::clock::VirtualClock;
         let net = ChannelNetwork::new().with_clock(Arc::new(VirtualClock::new()));
         let domain =
@@ -2131,7 +2217,7 @@ mod tests {
         std::thread::sleep(2 * REPORT_FLUSH);
         assert_eq!(reports(), 0, "owed, and never due on a held clock");
         drop(client);
-        assert_eq!(reports(), 1, "delivered by the drop");
+        within(Duration::from_secs(1), "the report the drop wrote", || reports() == 1);
         let snap = agent.lock().metrics().snapshot("agent");
         assert_eq!(snap.gauge("agent.pending_assignments"), 0);
         domain.shutdown();
@@ -2161,7 +2247,7 @@ mod tests {
     }
 
     /// A client shared by threads may owe several reports, up to
-    /// `MAX_OWED`: the report that fills the list sends them all at once.
+    /// `MAX_OWED`: the report that fills the list writes them all at once.
     #[test]
     fn the_report_that_fills_the_owed_list_sends_it() {
         let domain = held_clock_domain();
@@ -2170,13 +2256,14 @@ mod tests {
         let client = domain.client();
         client.netsl("ddot", &[vec![1.0, 2.0].into(), vec![3.0, 4.0].into()]).unwrap();
         for _ in 1..MAX_OWED - 1 {
-            client.owe(srv0_report(), client.unscoped().budget);
+            client.owe(srv0_report());
         }
         assert_eq!(client.link.roster.lock().owed.len(), MAX_OWED - 1);
         assert_eq!(reports(), 0, "owed, on a held clock");
-        client.owe(srv0_report(), client.unscoped().budget);
-        assert_eq!(reports(), MAX_OWED as u64, "the call's own report and every other");
+        client.owe(srv0_report());
         assert!(client.link.roster.lock().owed.is_empty());
+        let all = || reports() == MAX_OWED as u64;
+        within(Duration::from_secs(1), "the call's own report and every other", all);
         drop(client);
         domain.shutdown();
     }
@@ -2199,13 +2286,15 @@ mod tests {
         client.netsl("ddot", &inputs).unwrap();
         assert_eq!(reports(), 1, "the first call's report rode the second call's query");
         drop(client);
-        assert_eq!(reports(), 2);
+        within(Duration::from_secs(1), "the report the drop wrote", || reports() == 2);
         domain.shutdown();
     }
 
     /// Threads owing at once on a client that has made no call yet never
     /// take the list past its bound, and the request made after them
-    /// carries what is left: every report reaches the agent once.
+    /// carries what is left: every report reaches the agent once. (Full-
+    /// list flushes racing for the one kept connection may dial their
+    /// own, which nothing later confirms, so the count is polled.)
     #[test]
     fn threads_owing_at_once_keep_the_owed_list_within_its_bound() {
         let domain = held_clock_domain();
@@ -2217,7 +2306,7 @@ mod tests {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for _ in 0..each {
-                        client.owe(srv0_report(), client.unscoped().budget);
+                        client.owe(srv0_report());
                         assert!(client.link.roster.lock().owed.len() < MAX_OWED);
                     }
                 });
@@ -2225,7 +2314,9 @@ mod tests {
         });
         assert!(client.list_problems().unwrap().contains(&"ddot".to_string()));
         assert!(client.link.roster.lock().owed.is_empty());
-        assert_eq!(reports(), (threads * each) as u64);
+        let all = (threads * each) as u64;
+        within(Duration::from_secs(1), "every report", || reports() >= all);
+        assert_eq!(reports(), all, "each report once");
         assert_eq!(client.metrics().snapshot("client").counter("client.reports_dropped"), 0);
         drop(client);
         domain.shutdown();
@@ -2376,8 +2467,8 @@ mod tests {
         row("attempts exhausted", &["agent"], &["nowhere"], plain, "ddot", &good, &nothing);
         let tight = policy(100, Backoff::Fixed { delay_secs: 0.05 }, 0.12);
         row("deadline exhausted", &["agent"], &["nowhere"], tight, "ddot", &good, &nothing);
-        // The stub never answers a completion report, and a client dropped
-        // owing one waits its attempt timeout for the `Pong`.
+        // The stub reads the warm call's report and never answers the
+        // query behind it on that connection.
         let brief = RetryPolicy { attempt_timeout_secs: 0.2, ..plain };
         row("owed report dropped", &["stalling"], &["ok"], brief, "ddot", &good, &warm);
         row("cached reply", &["agent"], &["cache"], plain, "ddot", &good, &nothing);
@@ -2504,16 +2595,17 @@ mod tests {
         assert_eq!((seen.count("deadline_exhausted"), seen.count("call_failed")), (1, 0));
         assert!(seen.elapsed < Duration::from_secs(1), "{:?}", seen.elapsed);
 
-        // The warm call's report rides this call's query, and the agent
-        // answers the query without a `Pong` for it: the exchange fails,
-        // the report is dropped and counted, and the query alone, on a
-        // fresh dial, still ranks the call. (Had the flusher sent the
-        // report first, its wait for the `Pong` failed the same way.)
+        // The warm call's report rides this call's query and is written,
+        // and the agent never answers the query: the report is
+        // unconfirmed, so it is dropped and counted, and the query alone,
+        // on a fresh dial, still ranks the call.
         let seen = row("owed report dropped");
         assert_eq!(attempts_of(seen), Some(1));
         assert_eq!(seen.stats.counter("client.reports_dropped"), 1);
-        assert_eq!((seen.count("report"), seen.failed.as_slice()), (1, ["report"].as_slice()));
+        assert_eq!(seen.count("report"), 1);
+        assert!(seen.failed.is_empty(), "the report's write went out: {:?}", seen.failed);
         assert_eq!(seen.stats.counter("client.agent_failovers"), 0);
+        assert!(seen.elapsed >= Duration::from_millis(200), "{:?}", seen.elapsed);
 
         let seen = row("cached reply");
         assert_eq!(attempts_of(seen), Some(1));

@@ -113,7 +113,11 @@ impl Daemon {
     /// Accept connections on `listener` until stopped and serve each on a
     /// thread of its own: every message received is answered with what
     /// `handler` makes of it, and the closure `handler` returns beside the
-    /// reply runs once the reply is on the wire. A connection ends when
+    /// reply runs once the reply is on the wire. A message the handler
+    /// gives no reply gets none: nothing is written, and the connection
+    /// reads on. Frames on one connection are handled in the order they
+    /// arrived, so a reply also tells its peer that every frame it sent
+    /// ahead of that request has been handled. A connection ends when
     /// its peer hangs up or sends nothing for `idle`, so an idle peer
     /// cannot hold a slot forever. A stopped daemon answers nothing: it
     /// drops a connection at its next message without a reply, which is
@@ -133,7 +137,7 @@ impl Daemon {
         idle: Duration,
         counters: AcceptCounters<'_>,
         component: &str,
-        handler: impl Fn(&Message) -> (Message, A) + Send + Sync + 'static,
+        handler: impl Fn(&Message) -> (Option<Message>, A) + Send + Sync + 'static,
     ) -> Result<()> {
         let stop = Arc::clone(&self.stop);
         let handler = Arc::new(handler);
@@ -188,6 +192,7 @@ impl Daemon {
                                 break;
                             }
                             let (reply, sent) = handler(&msg);
+                            let Some(reply) = reply else { continue };
                             if conn.send(&reply).is_err() {
                                 break;
                             }
@@ -282,7 +287,8 @@ mod tests {
         let listener = net.listen(address).unwrap();
         let [a, b, c] = counters(metrics);
         let counted = AcceptCounters(&a, &b, &c);
-        daemon.serve(listener, cap, idle, counted, "test", |_| (Message::Pong, || {})).unwrap();
+        let pong = |_: &Message| (Some(Message::Pong), || {});
+        daemon.serve(listener, cap, idle, counted, "test", pong).unwrap();
         daemon
     }
 
@@ -368,7 +374,7 @@ mod tests {
         daemon
             .serve(net.listen("d").unwrap(), 4, KEEP_ALIVE, counted, "test", move |_| {
                 let _held = &in_handler;
-                (Message::Pong, || {})
+                (Some(Message::Pong), || {})
             })
             .unwrap();
         daemon

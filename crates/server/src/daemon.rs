@@ -212,12 +212,13 @@ impl ServerDaemon {
     }
 }
 
-/// The reply to one message, and what to record once it is on the wire.
+/// The reply to one message — a server answers every one — and what to
+/// record once it is on the wire.
 fn answer(
     msg: &Message,
     core: &ServerCore,
     telemetry: &ServerTelemetry,
-) -> (Message, impl FnOnce()) {
+) -> (Option<Message>, impl FnOnce()) {
     // Decode happened inside the connection's `recv` (the transport owns
     // the frame parse), so the queue span the core records starts here, at
     // wire arrival.
@@ -250,7 +251,7 @@ fn answer(
             m.reply_marshal_secs.record_secs(secs);
         }
     };
-    (reply, sent)
+    (Some(reply), sent)
 }
 
 #[cfg(test)]

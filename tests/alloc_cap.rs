@@ -320,14 +320,16 @@ fn a_dense_solve_makes_a_pinned_number_of_allocations() {
 /// exactly 46 blocks on the calling thread: the frames, the trace and
 /// request identities, the agent's candidate list, the reply's outputs,
 /// the completion report it owes and the spans around them (the last
-/// call's report rides its query, and is read back inside a `report`
-/// span; 47 when the report was an exchange of its own). The client's
-/// instruments are resolved when it is built, so no name is looked up per
-/// call. "Warm" is past the client tracer's span window, whose trace map
-/// fills until then. The one other source is the std channel under each
-/// kept connection, which takes a block every 31 messages: the agent
-/// connection carries two per call (the report and the query) and the
-/// server connection one, so any 31 calls add exactly three.
+/// call's report rides its query inside a `report` span; 47 when the
+/// report was an exchange of its own); nothing answers the report. The
+/// client's instruments are resolved when it is built, so no name is
+/// looked up per call. "Warm" is past the client tracer's span window,
+/// whose trace map fills until then. The one other source is the std
+/// channel under each kept connection, whose sender takes a block every
+/// 31 messages: the client sends two per call on the agent connection
+/// (the report and the query) and one on the server connection, so any
+/// 31 calls add exactly three. The agent's and the server's replies take
+/// their blocks on their own threads, not the caller's.
 #[test]
 fn a_warm_tiny_call_makes_a_pinned_number_of_allocations() {
     let _serial = serial();
@@ -497,7 +499,8 @@ fn a_bulk_reply_makes_a_pinned_number_of_allocations() {
 /// window — the pair asks the allocator for exactly nine blocks, all of
 /// them the query's: the ranking's copies of the request and of each
 /// eligible server row, the ranked and candidate lists, the `score` span's
-/// detail and the trace's span buffer. The report asks for none.
+/// detail and the trace's span buffer. The report asks for none, and
+/// gets no reply: the query's reply confirms it.
 #[test]
 fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
     let _serial = serial();
@@ -522,9 +525,9 @@ fn a_warm_agent_query_and_report_make_a_pinned_number_of_allocations() {
         });
         REQUESTS.with(|n| n.set(0));
         if let Some(report) = &owed {
-            assert_eq!(agent.handle_message(report, now), Message::Pong);
+            assert_eq!(agent.handle_message(report, now), None, "a report has no reply");
         }
-        let Message::ServerList { candidates } = agent.handle_message(&query, now) else {
+        let Some(Message::ServerList { candidates }) = agent.handle_message(&query, now) else {
             panic!("the query was not answered with a server list");
         };
         let requests = REQUESTS.with(Cell::get);

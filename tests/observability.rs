@@ -237,9 +237,10 @@ fn request_ids_unique_across_clients() {
     agent.stop();
 }
 
-/// A bare agent stand-in answering registrations and reports, so the
-/// connection-cap test controls every connection its server ever sees
-/// (no agent telemetry probe dialing in mid-test).
+/// A bare agent stand-in answering registrations and reports as the agent
+/// does (a completion report with nothing), so the connection-cap test
+/// controls every connection its server ever sees (no agent telemetry
+/// probe dialing in mid-test).
 fn stub_agent(net: &ChannelNetwork, name: &str) {
     let listener = net.listen(name).unwrap();
     std::thread::spawn(move || {
@@ -250,6 +251,7 @@ fn stub_agent(net: &ChannelNetwork, name: &str) {
                         Message::RegisterServer(_) => {
                             Message::RegisterAck { accepted: true, detail: "7".into() }
                         }
+                        Message::CompletionReport { .. } => continue,
                         _ => Message::Pong,
                     };
                     if conn.send(&reply).is_err() {
