@@ -96,9 +96,17 @@ fn bench_frame_path(c: &mut Criterion) {
 
 fn bench_crc(c: &mut Criterion) {
     let mut group = c.benchmark_group("crc32");
-    // A 2 MiB frame's scale and a small control frame's: the folding
-    // kernel's bulk rate, and what its set-up leaves of it at 128 bytes.
-    for (name, len) in [("crc32_1MiB", 1 << 20), ("crc32_128B", 128)] {
+    // A 2 MiB frame's scale, the reader's 64 KiB receive window, the
+    // writer's 4 KiB send block, and a small control frame's: the folding
+    // kernel's bulk rate, its rate over the runs the wire hands it, and
+    // what its set-up leaves of it at 128 bytes.
+    let sizes = [
+        ("crc32_1MiB", 1 << 20),
+        ("crc32_64KiB", 64 << 10),
+        ("crc32_4KiB", 4 << 10),
+        ("crc32_128B", 128),
+    ];
+    for (name, len) in sizes {
         let data = vec![0xA5u8; len];
         group.throughput(Throughput::Bytes(len as u64));
         group.bench_function(name, |b| b.iter(|| netsolve_xdr::crc32(std::hint::black_box(&data))));

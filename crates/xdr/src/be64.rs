@@ -1,14 +1,18 @@
 //! The bulk byte-order loops: runs of 8-byte words between host order and
 //! the wire's big-endian order, one loop per direction. Each is one safe
-//! loop compiled twice — as is, for the x86-64 baseline (SSE2 has no byte
-//! shuffle, so the swap is scalar), and under
+//! loop compiled three times — as is, for the x86-64 baseline (SSE2 has no
+//! byte shuffle, so the swap is scalar); under
 //! `#[target_feature(enable = "ssse3")]`, where LLVM turns the same loop
-//! into `pshufb` over 16 bytes at a time. The CPU is asked on every call
-//! (std caches the answer), as [`crate::checksum::update`] does, and the
-//! call after that check is this module's only `unsafe`.
+//! into `pshufb` over 16 bytes at a time; and under
+//! `#[target_feature(enable = "avx512bw")]`, where it becomes `vpshufb`
+//! over 64. The decode loop appends to its vector with `Vec::extend`, so
+//! the elements are written once, with no zero-fill before them. The CPU
+//! is asked on every call (std caches the answer), as
+//! [`crate::checksum::update`] does, and the call after that check is this
+//! module's only `unsafe`.
 
 /// An 8-byte value the wire carries as one big-endian word.
-pub(crate) trait Word: Copy + Default {
+pub(crate) trait Word: Copy {
     /// The word's bits.
     fn to_word(self) -> u64;
     /// The value whose bits are `word`.
@@ -39,25 +43,39 @@ impl Word for f64 {
 pub(crate) fn encode<T: Word>(dst: &mut [u8], src: &[T]) {
     debug_assert_eq!(dst.len(), 8 * src.len());
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("ssse3") {
-        // SAFETY: `encode_ssse3` needs only SSSE3, which this CPU was just
-        // found to have.
-        return unsafe { encode_ssse3(dst, src) };
+    {
+        if is_x86_feature_detected!("avx512bw") {
+            // SAFETY: `encode_avx512bw` needs only AVX-512BW, which this
+            // CPU was just found to have.
+            return unsafe { encode_avx512bw(dst, src) };
+        }
+        if is_x86_feature_detected!("ssse3") {
+            // SAFETY: `encode_ssse3` needs only SSSE3, which this CPU was
+            // just found to have.
+            return unsafe { encode_ssse3(dst, src) };
+        }
     }
     encode_portable(dst, src)
 }
 
-/// `dst` = the big-endian words of `src`; `src` is `8 * dst.len()` bytes
-/// long.
-pub(crate) fn decode<T: Word>(dst: &mut [T], src: &[u8]) {
-    debug_assert_eq!(src.len(), 8 * dst.len());
+/// Appends the big-endian words of `src` to `out`; `src.len()` is a
+/// multiple of 8.
+pub(crate) fn decode<T: Word>(out: &mut Vec<T>, src: &[u8]) {
+    debug_assert_eq!(src.len() % 8, 0);
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("ssse3") {
-        // SAFETY: `decode_ssse3` needs only SSSE3, which this CPU was just
-        // found to have.
-        return unsafe { decode_ssse3(dst, src) };
+    {
+        if is_x86_feature_detected!("avx512bw") {
+            // SAFETY: `decode_avx512bw` needs only AVX-512BW, which this
+            // CPU was just found to have.
+            return unsafe { decode_avx512bw(out, src) };
+        }
+        if is_x86_feature_detected!("ssse3") {
+            // SAFETY: `decode_ssse3` needs only SSSE3, which this CPU was
+            // just found to have.
+            return unsafe { decode_ssse3(out, src) };
+        }
     }
-    decode_portable(dst, src)
+    decode_portable(out, src)
 }
 
 #[inline(always)]
@@ -68,10 +86,8 @@ fn encode_portable<T: Word>(dst: &mut [u8], src: &[T]) {
 }
 
 #[inline(always)]
-fn decode_portable<T: Word>(dst: &mut [T], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src.as_chunks::<8>().0) {
-        *d = T::from_word(u64::from_be_bytes(*s));
-    }
+fn decode_portable<T: Word>(out: &mut Vec<T>, src: &[u8]) {
+    out.extend(src.as_chunks::<8>().0.iter().map(|s| T::from_word(u64::from_be_bytes(*s))));
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -82,8 +98,20 @@ fn encode_ssse3<T: Word>(dst: &mut [u8], src: &[T]) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "ssse3")]
-fn decode_ssse3<T: Word>(dst: &mut [T], src: &[u8]) {
-    decode_portable(dst, src)
+fn decode_ssse3<T: Word>(out: &mut Vec<T>, src: &[u8]) {
+    decode_portable(out, src)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512bw")]
+fn encode_avx512bw<T: Word>(dst: &mut [u8], src: &[T]) {
+    encode_portable(dst, src)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512bw")]
+fn decode_avx512bw<T: Word>(out: &mut Vec<T>, src: &[u8]) {
+    decode_portable(out, src)
 }
 
 #[cfg(test)]
@@ -113,39 +141,63 @@ mod tests {
             .collect()
     }
 
-    /// Whichever loop the dispatch picks on this host agrees with the
-    /// portable loop, both ways and for both word types, on every length up
-    /// to 1024 words, with the byte side at 8 offsets and the word side at
-    /// two (so every 16-byte alignment of each side is met).
-    #[test]
-    fn dispatched_loops_match_the_portable_loops() {
-        let all = words(1024 + 2);
-        let floats: Vec<f64> = all.iter().map(|&w| f64::from_bits(w)).collect();
-        let mut bytes = vec![0u8; 8 * 1024 + 8];
-        let mut reference = vec![0u8; 8 * 1024];
-        for len in 0..=1024 {
-            for offset in 0..8 {
-                let (words, floats) = (&all[offset % 2..][..len], &floats[offset % 2..][..len]);
-                let out = &mut bytes[offset..offset + 8 * len];
-                let reference = &mut reference[..8 * len];
+    /// One instance of each loop, called directly.
+    type Instances<T> = (&'static str, unsafe fn(&mut [u8], &[T]), unsafe fn(&mut Vec<T>, &[u8]));
 
-                encode_portable(reference, words);
-                encode(out, words);
-                assert_eq!(out, reference, "u64 encode {len}+{offset}");
-                let mut back = vec![0u64; len];
-                decode(&mut back, out);
-                assert_eq!(back, words, "u64 decode {len}+{offset}");
-
-                encode_portable(reference, floats);
-                encode(out, floats);
-                assert_eq!(out, reference, "f64 encode {len}+{offset}");
-                let (mut back, mut want) = (vec![0.0f64; len], vec![0.0f64; len]);
-                decode(&mut back, out);
-                decode_portable(&mut want, out);
-                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&back), bits(&want), "f64 decode {len}+{offset}");
-                assert_eq!(bits(&back), bits(floats), "f64 round trip {len}+{offset}");
+    /// The portable loops, each instance this CPU can run whichever one
+    /// dispatch picks, and the dispatch itself.
+    fn instances<T: Word>() -> Vec<Instances<T>> {
+        let mut out: Vec<Instances<T>> =
+            vec![("portable", encode_portable, decode_portable), ("dispatch", encode, decode)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("ssse3") {
+                out.push(("ssse3", encode_ssse3, decode_ssse3));
+            }
+            if is_x86_feature_detected!("avx512bw") {
+                out.push(("avx512bw", encode_avx512bw, decode_avx512bw));
             }
         }
+        out
+    }
+
+    /// Every instance this CPU can run agrees with the portable loop, both
+    /// ways, for `words` as `T`: every length up to 256 words (2 KiB), the
+    /// byte side at 16 offsets and the word side at two, so each vector
+    /// loop's head and tail run at every length and both alignments of a
+    /// word. Decode appends behind a word already in the vector, and
+    /// round-trips to `words`.
+    fn check_instances<T: Word>(words: &[T], bits: fn(&[T]) -> Vec<u64>) {
+        let mut bytes = vec![0u8; 8 * 256 + 16];
+        let mut reference = vec![0u8; 8 * 256];
+        for (name, encode, decode) in instances::<T>() {
+            for len in 0..=256 {
+                for offset in 0..16 {
+                    let words = &words[offset % 2..][..len];
+                    let out = &mut bytes[offset..offset + 8 * len];
+                    let reference = &mut reference[..8 * len];
+                    encode_portable(reference, words);
+                    // SAFETY: `instances` lists only the loops whose
+                    // feature this CPU has.
+                    unsafe { encode(out, words) };
+                    assert_eq!(out, reference, "{name} encode {len}+{offset}");
+                    let ahead = T::from_word(0x0123_4567_89AB_CDEF);
+                    let (mut back, mut want) = (vec![ahead], vec![ahead]);
+                    // SAFETY: as above.
+                    unsafe { decode(&mut back, out) };
+                    decode_portable(&mut want, out);
+                    assert_eq!(bits(&back), bits(&want), "{name} decode {len}+{offset}");
+                    assert_eq!(bits(&back[1..]), bits(words), "{name} round trip {len}+{offset}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_instance_matches_the_portable_loops() {
+        let all = words(256 + 2);
+        check_instances(&all, <[u64]>::to_vec);
+        let floats: Vec<f64> = all.iter().map(|&w| f64::from_bits(w)).collect();
+        check_instances(&floats, |xs| xs.iter().map(|x| x.to_bits()).collect());
     }
 }

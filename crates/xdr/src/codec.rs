@@ -674,9 +674,9 @@ impl<'a> Decoder<'a> {
     }
 
     /// A length-prefixed array of 8-byte big-endian words: per run of the
-    /// window, the vector is resized over the run's whole elements and one
-    /// pass of the byte-order loop fills them — the single wire→solver
-    /// copy. Over a slice that is one run into an exactly sized vector;
+    /// window, one pass of the byte-order loop appends the run's whole
+    /// elements — the single wire→solver copy, with no zero-fill ahead of
+    /// it. Over a slice that is one run into an exactly sized vector;
     /// over a reader a run need not end on an element boundary, so a
     /// straddling element is stitched through `carry`.
     fn get_words<T: Word>(&mut self, what: &str) -> Result<Vec<T>> {
@@ -697,9 +697,7 @@ impl<'a> Decoder<'a> {
                 out.push(T::from_word(u64::from_be_bytes(carry)));
             }
             let (whole, rest) = run.split_at(run.len() - run.len() % 8);
-            let at = out.len();
-            out.resize(at + whole.len() / 8, T::default());
-            be64::decode(&mut out[at..], whole);
+            be64::decode(&mut out, whole);
             carried = rest.len();
             carry[..carried].copy_from_slice(rest);
         })?;

@@ -59,6 +59,14 @@ for crate in client server agent net; do
     done
 done
 
+echo "=== unsafe only in the three kernel files (DESIGN's inventory) ==="
+# Product `unsafe` is a call into a `#[target_feature]` instance right after
+# the feature check that makes it sound, and only the CRC, byte-order and
+# GEMM kernels have one. Non-test code is scripts/loc.sh's rule.
+stray=$(nontest_rs crates/*/src shims/*/src src | grep -Ew 'unsafe' |
+    grep -Ev '^crates/xdr/src/(checksum|be64)\.rs:|^crates/solvers/src/blas\.rs:' || true)
+[ -z "${stray}" ] || { echo "${stray}"; echo "unsafe outside the kernel files"; exit 1; }
+
 echo "=== tests ==="
 # The root package is a workspace member, so this runs every root
 # integration test (observability, chaos_soak, tracing, …) exactly once.
