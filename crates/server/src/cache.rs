@@ -29,11 +29,18 @@
 //!   error) instead of queueing duplicate work.
 //!
 //! Entries store the XDR-encoded outputs plus a CRC-32 computed at
-//! insert, and are evicted LRU under a byte budget. Errors are never
-//! cached — a failed solve propagates to every joined waiter and the
-//! next arrival re-runs the problem.
+//! insert, and are evicted S3-FIFO under a byte budget (Yang et al.,
+//! "FIFO queues are all you need for cache eviction", SOSP '23): a new
+//! entry waits in a small FIFO holding a tenth of the budget and leaves
+//! it for the ghost FIFO of evicted keys unless it was hit there; a hit
+//! one moves to the main FIFO, whose hand gives each entry one more pass
+//! per hit (a saturating 2-bit count, as CLOCK does), and a key found
+//! among the ghosts comes back straight into main. A hit only bumps its
+//! entry's count: no queue moves. Errors are never cached — a failed
+//! solve propagates to every joined waiter and the next arrival re-runs
+//! the problem.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use netsolve_core::data::DataObject;
@@ -49,7 +56,7 @@ use crate::core::Solved;
 use std::sync::Condvar;
 
 /// Fixed bookkeeping cost charged per entry on top of its payload bytes
-/// (key, CRC, sequence number, map/queue slots).
+/// (key, CRC, hit count, map/queue slots).
 const ENTRY_OVERHEAD: usize = 64;
 
 /// `N` words derived from `seed` with splitmix64.
@@ -197,9 +204,10 @@ struct Entry {
     bytes: Arc<Vec<u8>>,
     compute_secs: f64,
     crc: u32,
-    /// Last-use sequence number; stale queue slots are skipped when it
-    /// disagrees (amortized-O(1) LRU without a linked list).
-    seq: u64,
+    /// Hits not yet spent on a pass of main's hand, saturating at 3.
+    freq: u8,
+    /// Whether the key sits in `Store::main` rather than `Store::small`.
+    in_main: bool,
 }
 
 impl Entry {
@@ -208,25 +216,41 @@ impl Entry {
     }
 }
 
+/// The S3-FIFO queues. Every entry's key sits in exactly one of `small`
+/// and `main`; `ghost` holds only keys that have no entry.
 struct Store {
     entries: HashMap<u128, Entry>,
-    /// Usage order, oldest first: `(key, seq)` pairs; a pair whose seq no
-    /// longer matches its entry is a stale re-use marker and is skipped.
-    order: VecDeque<(u128, u64)>,
+    /// Keys as inserted, oldest first; evicted first while their entries
+    /// hold a tenth of the budget or more.
+    small: VecDeque<u128>,
+    /// Keys hit while in `small`, or inserted again while ghosts.
+    main: VecDeque<u128>,
+    /// Keys `small` evicted without a hit, oldest first, never more than
+    /// `main` holds; `ghost_set` answers membership.
+    ghost: VecDeque<u128>,
+    ghost_set: HashSet<u128>,
     total_bytes: usize,
-    next_seq: u64,
+    /// The part of `total_bytes` whose keys sit in `small`.
+    small_bytes: usize,
 }
 
 impl Store {
-    /// Queue `key` as used at `next_seq`, which its entry already holds.
-    /// Stale slots are dropped once they outnumber the live ones, so a
-    /// store whose working set fits its budget — and so never evicts —
-    /// still keeps the queue O(entries), at amortised O(1) per use.
-    fn push_order(&mut self, key: u128) {
-        self.order.push_back((key, self.next_seq));
-        self.next_seq += 1;
-        if self.order.len() > 2 * self.entries.len() + 16 {
-            self.order.retain(|(k, seq)| self.entries.get(k).is_some_and(|e| e.seq == *seq));
+    fn queue(&mut self, main: bool) -> &mut VecDeque<u128> {
+        if main { &mut self.main } else { &mut self.small }
+    }
+
+    /// Take `key`'s entry out of the map and the byte counts; its queue
+    /// slot is the caller's to clear.
+    fn take(&mut self, key: u128) -> Entry {
+        let entry = self.entries.remove(&key).expect("a stored key");
+        self.total_bytes -= entry.cost();
+        self.small_bytes -= if entry.in_main { 0 } else { entry.cost() };
+        entry
+    }
+
+    fn trim_ghost(&mut self) {
+        while self.ghost.len() > self.main.len() {
+            self.ghost_set.remove(&self.ghost.pop_front().expect("longer than main"));
         }
     }
 }
@@ -365,9 +389,12 @@ impl SolveCache {
                 byte_budget,
                 store: Mutex::new(Store {
                     entries: HashMap::new(),
-                    order: VecDeque::new(),
+                    small: VecDeque::new(),
+                    main: VecDeque::new(),
+                    ghost: VecDeque::new(),
+                    ghost_set: HashSet::new(),
                     total_bytes: 0,
-                    next_seq: 0,
+                    small_bytes: 0,
                 }),
                 inflight: Mutex::new(HashMap::new()),
                 m: CacheInstruments::new(metrics),
@@ -438,16 +465,13 @@ impl SolveCache {
 }
 
 impl Shared {
-    /// Fetch a hit's shared bytes (bumping its LRU position) without
+    /// Fetch a hit's shared bytes (bumping its hit count) without
     /// decoding under the lock.
     fn lookup(&self, key: u128) -> Option<(Arc<Vec<u8>>, f64, u32)> {
         let mut store = self.store.lock();
-        let seq = store.next_seq;
         let entry = store.entries.get_mut(&key)?;
-        entry.seq = seq;
-        let out = (Arc::clone(&entry.bytes), entry.compute_secs, entry.crc);
-        store.push_order(key);
-        Some(out)
+        entry.freq = (entry.freq + 1).min(3);
+        Some((Arc::clone(&entry.bytes), entry.compute_secs, entry.crc))
     }
 
     /// Serve-side CRC + decode of a stored reply. Every successful serve
@@ -469,9 +493,10 @@ impl Shared {
     fn drop_corrupt(&self, key: u128, bytes: &Arc<Vec<u8>>) {
         let mut store = self.store.lock();
         if store.entries.get(&key).is_some_and(|e| Arc::ptr_eq(&e.bytes, bytes)) {
-            let entry = store.entries.remove(&key).expect("checked above");
+            let in_main = store.take(key).in_main;
+            store.queue(in_main).retain(|&k| k != key);
+            store.trim_ghost();
             self.m.corrupt_dropped.inc();
-            store.total_bytes -= entry.cost();
             self.m.bytes_gauge.set(store.total_bytes as i64);
             self.m.entries_gauge.set(store.entries.len() as i64);
         }
@@ -484,12 +509,19 @@ impl Shared {
         let cost = bytes.len() + ENTRY_OVERHEAD;
         if cost <= self.byte_budget {
             let mut store = self.store.lock();
-            let entry = Entry { bytes: Arc::clone(&bytes), compute_secs, crc, seq: store.next_seq };
-            if let Some(prev) = store.entries.insert(key, entry) {
-                store.total_bytes -= prev.cost();
+            // A leader that missed just before another published finds the
+            // same reply stored and keeps it, with its queue slot and hits.
+            if !store.entries.contains_key(&key) {
+                let in_main = store.ghost_set.remove(&key);
+                if in_main {
+                    store.ghost.retain(|&k| k != key);
+                }
+                store.queue(in_main).push_back(key);
+                store.small_bytes += if in_main { 0 } else { cost };
+                let entry = Entry { bytes: Arc::clone(&bytes), compute_secs, crc, freq: 0, in_main };
+                store.entries.insert(key, entry);
+                store.total_bytes += cost;
             }
-            store.total_bytes += cost;
-            store.push_order(key);
             self.m.inserts.inc();
             self.evict_over_budget(&mut store);
             self.m.bytes_gauge.set(store.total_bytes as i64);
@@ -516,24 +548,39 @@ impl Shared {
         }
     }
 
+    /// Evict from `small` while it holds a tenth of the budget or main is
+    /// empty, else from `main`: a `small` key that was hit moves to main,
+    /// one that was not becomes a ghost; a `main` key with hits left goes
+    /// round again with one fewer.
     fn evict_over_budget(&self, store: &mut Store) {
         while store.total_bytes > self.byte_budget {
-            let Some((key, seq)) = store.order.pop_front() else { break };
-            let stale = store.entries.get(&key).map(|e| e.seq != seq).unwrap_or(true);
-            if stale {
+            let from_small = store.main.is_empty() || store.small_bytes >= self.byte_budget / 10;
+            let Some(key) = store.queue(!from_small).pop_front() else { break };
+            let entry = store.entries.get_mut(&key).expect("a queued key is stored");
+            if entry.freq > 0 {
+                if from_small {
+                    entry.in_main = true;
+                    store.small_bytes -= entry.cost();
+                } else {
+                    entry.freq -= 1;
+                }
+                store.main.push_back(key);
                 continue;
             }
-            let entry = store.entries.remove(&key).expect("checked above");
-            store.total_bytes -= entry.cost();
+            store.take(key);
+            if from_small {
+                store.ghost.push_back(key);
+                store.ghost_set.insert(key);
+            }
             self.m.evictions.inc();
         }
+        store.trim_ghost();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     fn cache(budget: usize) -> (SolveCache, Arc<MetricsRegistry>) {
         let metrics = Arc::new(MetricsRegistry::new());
@@ -728,114 +775,230 @@ mod tests {
         assert!(matches!(cache.probe("ddot", &inputs), Probe::Leader(_)));
     }
 
-    #[test]
-    fn lru_evicts_oldest_under_byte_budget() {
-        // Budget fits two ~160-byte entries (vector of 16 f64 + overhead),
-        // not three.
-        let (cache, metrics) = cache(450);
-        let keys: Vec<[DataObject; 1]> = (0..4).map(|i| [vec_obj(1, i as f64)]).collect();
-        let probe = |i: usize| cache.probe("p", &keys[i]);
-        for i in 0..3 {
-            match probe(i) {
-                Probe::Leader(t) => t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref()),
-                _ => panic!(),
+    /// Probe `input`; on a miss, publish a 16-element vector, `COST`
+    /// bytes stored. True on a hit.
+    fn probe_or_insert(cache: &SolveCache, input: &[DataObject]) -> bool {
+        match cache.probe("p", input) {
+            Probe::Hit(_) => true,
+            Probe::Leader(t) => {
+                t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref());
+                false
             }
+            Probe::Join(_) | Probe::Declined => panic!("nothing is in flight"),
         }
-        assert_eq!(cache.entries(), 2, "third insert must evict");
-        // Oldest (keys[0]) is gone; the newer two survive.
-        assert!(matches!(probe(0), Probe::Leader(_)));
-        assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), 1);
-        // Touching keys[1] then inserting another must evict keys[2].
-        match probe(0) {
-            Probe::Leader(t) => t.complete(Err(NetSolveError::Internal("skip".into())).as_ref()),
-            _ => panic!(),
-        }
-        assert!(matches!(probe(1), Probe::Hit(_)));
-        match probe(3) {
-            Probe::Leader(t) => t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref()),
-            _ => panic!(),
-        }
-        assert!(matches!(probe(1), Probe::Hit(_)), "recently used survives");
-        assert!(matches!(probe(2), Probe::Leader(_)), "LRU victim evicted");
     }
 
-    fn order_len(cache: &SolveCache) -> usize {
-        cache.shared.store.lock().order.len()
+    fn insert(cache: &SolveCache, input: &[DataObject]) {
+        assert!(!probe_or_insert(cache, input), "an absent key leads");
     }
 
-    /// A working set that fits its budget never evicts, and eviction was
-    /// once the only thing that popped the recency queue: every hit grew it.
-    #[test]
-    fn recency_queue_stays_bounded_when_nothing_is_evicted() {
-        let (cache, _) = cache(4 << 20);
-        let inputs = [vec_obj(4, 1.0)];
-        match cache.probe("ddot", &inputs) {
-            Probe::Leader(t) => t.complete(solved(vec![DataObject::Double(4.0)], 0.1).as_ref()),
-            _ => panic!(),
-        }
-        for _ in 0..100_000 {
-            assert!(matches!(cache.probe("ddot", &inputs), Probe::Hit(_)));
-        }
-        assert!(order_len(&cache) <= 2 * cache.entries() + 17, "{} slots", order_len(&cache));
+    /// One stored 16-element vector: 140 encoded bytes plus the overhead.
+    const COST: usize = 204;
+
+    /// Lengths of `small`, `main` and `ghost`, and the ghost set's size.
+    fn queue_lens(cache: &SolveCache) -> [usize; 4] {
+        let store = cache.shared.store.lock();
+        [store.small.len(), store.main.len(), store.ghost.len(), store.ghost_set.len()]
     }
 
-    /// Dropping stale slots must not reorder the live ones: under a long
-    /// mix of hits and inserts over a budget of four entries, the cache's
-    /// residents and eviction count track a plain list-based LRU model.
-    #[test]
-    fn lru_victims_match_a_model_under_mixed_hits_and_inserts() {
-        let (cache, metrics) = cache(4 * 204);
-        let inputs: Vec<[DataObject; 1]> = (0..10).map(|i| [vec_obj(1, i as f64)]).collect();
-        let mut model: Vec<u128> = Vec::new(); // least recent first
-        let mut evictions = 0;
-        let mut rng = netsolve_core::Rng64::new(11);
-        for step in 0..5_000 {
-            // Zipf-ish: the low keys mostly hit, the high ones churn.
-            let input = &inputs[(rng.next_f64().powi(3) * inputs.len() as f64) as usize];
-            let key = solve_key("p", input);
-            match cache.probe("p", input) {
-                Probe::Hit(_) => model.retain(|&k| k != key),
-                Probe::Leader(t) => {
-                    t.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref());
-                    if model.len() == 4 {
-                        model.remove(0);
-                        evictions += 1;
+    /// S3-FIFO over plain `Vec`s of `(key, hits)`, in whole entries of
+    /// `COST` bytes: the policy as the paper states it, to check the
+    /// cache's queues against.
+    #[derive(Default)]
+    struct Model {
+        small: Vec<(u128, u8)>,
+        main: Vec<(u128, u8)>,
+        ghost: Vec<u128>,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn hit(&mut self, key: u128) -> bool {
+            let mut resident = self.small.iter_mut().chain(&mut self.main);
+            resident.find(|(k, _)| *k == key).map(|(_, f)| *f = (*f + 1).min(3)).is_some()
+        }
+
+        fn insert(&mut self, key: u128, budget: usize) {
+            match self.ghost.iter().position(|&k| k == key) {
+                Some(at) => {
+                    self.ghost.remove(at);
+                    self.main.push((key, 0));
+                }
+                None => self.small.push((key, 0)),
+            }
+            while (self.small.len() + self.main.len()) * COST > budget {
+                if self.main.is_empty() || self.small.len() * COST >= budget / 10 {
+                    match self.small.remove(0) {
+                        (k, 0) => {
+                            self.ghost.push(k);
+                            self.evictions += 1;
+                        }
+                        hit => self.main.push(hit),
+                    }
+                } else {
+                    match self.main.remove(0) {
+                        (_, 0) => self.evictions += 1,
+                        (k, f) => self.main.push((k, f - 1)),
                     }
                 }
-                Probe::Join(_) | Probe::Declined => panic!("nothing is in flight"),
             }
-            model.push(key);
-            let resident: HashSet<u128> = cache.shared.store.lock().entries.keys().copied().collect();
-            assert_eq!(resident, model.iter().copied().collect(), "step {step}");
+            let excess = self.ghost.len().saturating_sub(self.main.len());
+            self.ghost.drain(..excess);
         }
-        assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), evictions);
-        assert!(order_len(&cache) <= 2 * cache.entries() + 17);
     }
 
+    /// Under a long Zipf-ish mix of hits and inserts over a budget of
+    /// twenty entries (`small` evicts once it holds two), the cache's
+    /// residents, each queue in order and the eviction count track the
+    /// model at every step.
+    #[test]
+    fn s3_fifo_victims_match_a_model_under_mixed_hits_and_inserts() {
+        let budget = 20 * COST;
+        let (cache, metrics) = cache(budget);
+        let inputs: Vec<[DataObject; 1]> = (0..60).map(|i| [vec_obj(1, i as f64)]).collect();
+        let mut model = Model::default();
+        netsolve_core::rng::cases("s3_fifo_victims_match_a_model", 1, |rng| {
+            for step in 0..5_000 {
+                // The low keys mostly hit, the high ones churn.
+                let input = &inputs[(rng.next_f64().powi(3) * inputs.len() as f64) as usize];
+                let key = solve_key("p", input);
+                if !probe_or_insert(&cache, input) {
+                    assert!(!model.hit(key), "step {step}: the model holds {key:x}");
+                    model.insert(key, budget);
+                } else {
+                    assert!(model.hit(key), "step {step}: the model lacks {key:x}");
+                }
+                let store = cache.shared.store.lock();
+                let resident: HashSet<u128> = store.entries.keys().copied().collect();
+                let modelled = model.small.iter().chain(&model.main).map(|&(k, _)| k).collect();
+                assert_eq!(resident, modelled, "step {step}");
+                let keys = |q: &[(u128, u8)]| q.iter().map(|&(k, _)| k).collect::<Vec<_>>();
+                assert!(store.small.iter().eq(&keys(&model.small)), "step {step}: small");
+                assert!(store.main.iter().eq(&keys(&model.main)), "step {step}: main");
+                assert!(store.ghost.iter().eq(&model.ghost), "step {step}: ghost");
+            }
+        });
+        assert!(model.evictions > 1_000, "the mix churns: {} evictions", model.evictions);
+        assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), model.evictions);
+    }
+
+    /// The scan resistance LRU lacks: an entry hit twice outlives a run of
+    /// one-time keys three times the budget long, where LRU drops it once
+    /// four newer keys have arrived.
+    #[test]
+    fn an_entry_hit_twice_survives_a_scan_of_one_time_keys() {
+        let (cache, metrics) = cache(4 * COST);
+        let hot = [vec_obj(1, -1.0)];
+        insert(&cache, &hot);
+        assert!(probe_or_insert(&cache, &hot) && probe_or_insert(&cache, &hot));
+        for i in 0..12 {
+            insert(&cache, &[vec_obj(1, i as f64)]);
+        }
+        assert!(matches!(cache.probe("p", &hot), Probe::Hit(_)), "the hot entry was evicted");
+        assert_eq!(metrics.snapshot("s").counter("server.cache_evictions"), 12 + 1 - 4);
+    }
+
+    /// Zipf(1.0) draws over 64 keys, `cached_mix`'s shape.
+    fn zipf(rng: &mut netsolve_core::Rng64, draws: usize) -> Vec<usize> {
+        let total: f64 = (1..=64).map(|r| 1.0 / r as f64).sum();
+        let cumulative: Vec<f64> = (1..=64)
+            .scan(0.0, |acc, r| {
+                *acc += 1.0 / r as f64 / total;
+                Some(*acc)
+            })
+            .collect();
+        (0..draws)
+            .map(|_| {
+                let u = rng.next_f64();
+                cumulative.partition_point(|c| *c < u).min(63)
+            })
+            .collect()
+    }
+
+    /// A seeded Zipf(1.0) sequence at a 15-entry budget, `cached_mix`'s
+    /// ratio: the hit count is pinned, and it beats a list-LRU on the same
+    /// draws.
+    #[test]
+    fn zipf_draws_hit_more_than_lru_would() {
+        let (cache, _) = cache(15 * COST);
+        let inputs: Vec<[DataObject; 1]> = (0..64).map(|i| [vec_obj(1, i as f64)]).collect();
+        netsolve_core::rng::cases("zipf_draws_hit_more_than_lru_would", 1, |rng| {
+            let draws = zipf(rng, 4_000);
+            let hits = draws.iter().filter(|&&i| probe_or_insert(&cache, &inputs[i])).count();
+            let mut lru: Vec<usize> = Vec::new(); // least recent first
+            let lru_hits = draws
+                .iter()
+                .filter(|&&i| {
+                    let hit = lru.iter().position(|&k| k == i).map(|at| lru.remove(at)).is_some();
+                    lru.push(i);
+                    if lru.len() > 15 {
+                        lru.remove(0);
+                    }
+                    hit
+                })
+                .count();
+            assert_eq!(hits, 2_564, "S3-FIFO hits, against {lru_hits} for LRU");
+            assert!(hits > lru_hits, "S3-FIFO {hits} against LRU {lru_hits}");
+        });
+    }
+
+    /// A hit moves no key: after 100,000 of them on a working set that
+    /// fills the budget, with eight entries in `main` and four ghosts,
+    /// every queue is as it was.
+    #[test]
+    fn hits_leave_every_queue_as_it_was() {
+        let (cache, _) = cache(8 * COST);
+        let inputs: Vec<[DataObject; 1]> = (0..12).map(|i| [vec_obj(1, i as f64)]).collect();
+        for input in &inputs[..8] {
+            insert(&cache, input);
+            assert!(probe_or_insert(&cache, input));
+        }
+        inputs[8..].iter().for_each(|input| insert(&cache, input));
+        let queues = || {
+            let store = cache.shared.store.lock();
+            (store.small.clone(), store.main.clone(), store.ghost.clone())
+        };
+        let before = queues();
+        for i in 0..100_000 {
+            assert!(probe_or_insert(&cache, &inputs[i % 8]));
+        }
+        assert_eq!(queues(), before);
+        assert_eq!((queue_lens(&cache), cache.entries()), ([0, 8, 4, 4], 8));
+    }
+
+    /// A corrupted entry in `main` is dropped at serve time with its queue
+    /// slot, and its re-solve is inserted and hit.
     #[test]
     fn corrupted_entry_is_never_served() {
-        let (cache, metrics) = cache(1 << 20);
-        let inputs = [vec_obj(8, 1.0)];
-        match cache.probe("ddot", &inputs) {
-            Probe::Leader(t) => t.complete(solved(vec![vec_obj(8, 7.0)], 0.1).as_ref()),
-            _ => panic!(),
+        let (cache, metrics) = cache(4 * COST);
+        let inputs = [vec_obj(1, -1.0)];
+        insert(&cache, &inputs);
+        assert!(probe_or_insert(&cache, &inputs));
+        for i in 0..4 {
+            insert(&cache, &[vec_obj(1, i as f64)]);
         }
-        assert_eq!(cache.corrupt_entries_for_test(1), 1);
+        assert_eq!(queue_lens(&cache)[..2], [3, 1], "the hit entry moved to main");
+        assert_eq!(cache.corrupt_entries_for_test(usize::MAX), 4);
         // The probe must NOT hit: serve-CRC catches the flip, the entry
         // is dropped, and the caller becomes the leader re-solving.
-        match cache.probe("ddot", &inputs) {
-            Probe::Leader(t) => t.complete(solved(vec![vec_obj(8, 7.0)], 0.1).as_ref()),
+        let token = match cache.probe("p", &inputs) {
+            Probe::Leader(t) => t,
             Probe::Hit(_) => panic!("corrupted entry served"),
             Probe::Join(_) | Probe::Declined => panic!("nothing should be in flight"),
-        }
+        };
+        assert_eq!(queue_lens(&cache)[..2], [3, 0], "the dropped entry left its slot");
+        token.complete(solved(vec![vec_obj(16, 0.0)], 0.1).as_ref());
         // Healthy again after the re-solve.
-        assert!(matches!(cache.probe("ddot", &inputs), Probe::Hit(_)));
+        assert!(matches!(cache.probe("p", &inputs), Probe::Hit(_)));
+        let [small, main, ghost, _] = queue_lens(&cache);
+        assert_eq!((small + main, cache.entries()), (4, 4));
+        assert!(ghost <= main, "{ghost} ghosts for {main} in main");
         let snap = metrics.snapshot("s");
         assert_eq!(snap.counter("server.cache_corrupt_dropped"), 1);
-        // Serve-CRC ran on the corrupted probe and the healthy one;
-        // insert-CRC ran on the original publish and the re-solve.
-        assert!(snap.counter("server.cache_serve_crcs") >= 2);
-        assert!(snap.counter("server.cache_insert_crcs") >= 2);
+        // Serve-CRC ran on the corrupted probe and the healthy ones;
+        // insert-CRC ran on every publish, the re-solve's included.
+        assert_eq!(snap.counter("server.cache_serve_crcs"), 3);
+        assert_eq!(snap.counter("server.cache_insert_crcs"), 6);
     }
 
     #[test]

@@ -147,7 +147,8 @@ impl ServerCore {
     }
 
     /// Enable the content-addressed solve cache, bounded to `byte_budget`
-    /// payload bytes (LRU). Identical concurrent requests additionally
+    /// payload bytes (S3-FIFO eviction, Yang et al., SOSP '23: see
+    /// [`SolveCache`]). Identical concurrent requests additionally
     /// coalesce onto one in-flight solve. Counters land under
     /// `server.cache_*` in this core's metrics registry.
     pub fn with_cache(mut self, byte_budget: usize) -> Self {

@@ -10,8 +10,9 @@
 //!   execution mode that emulates a machine of a chosen speed (the
 //!   substitute for the paper's heterogeneous testbed);
 //! * [`SolveCache`] — the content-addressed solve-result cache with
-//!   in-flight request coalescing (LRU under a byte budget, CRC at insert
-//!   and at serve), the outer layer of the solve stage;
+//!   in-flight request coalescing (S3-FIFO eviction under a byte budget,
+//!   Yang et al., SOSP '23; CRC at insert and at serve), the outer layer
+//!   of the solve stage;
 //! * [`daemon`] — the live daemon: registration, request service loop,
 //!   workload reporter.
 

@@ -247,10 +247,12 @@ mod clmul {
     }
 
     /// One 16-byte lane, first byte in the low bits (the reflected order).
+    /// Read as one `u128`, which LLVM makes one 16-byte load; two 8-byte
+    /// words read apart became that load plus a redundant `pinsrq`.
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     fn load(lane: &[u8; 16]) -> __m128i {
-        let (halves, _) = lane.as_chunks::<8>();
-        _mm_set_epi64x(i64::from_le_bytes(halves[1]), i64::from_le_bytes(halves[0]))
+        let v = u128::from_le_bytes(*lane);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
     }
 
     /// [`fold`] on each of the four 128-bit lanes side by side.

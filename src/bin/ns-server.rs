@@ -14,8 +14,9 @@
 //! `--synthetic` makes the server *emulate* a machine of the advertised
 //! speed (sleep `complexity(n)/mflops`) instead of computing — useful for
 //! standing up heterogeneous testbeds on one box. `--cache-bytes N`
-//! enables the content-addressed solve cache (LRU under N bytes, with
-//! in-flight coalescing of identical concurrent requests); hit/miss/
+//! enables the content-addressed solve cache (S3-FIFO eviction under N
+//! bytes, Yang et al., SOSP '23, with in-flight coalescing of identical
+//! concurrent requests); hit/miss/
 //! eviction counters appear in `netsl-stats` under `server.cache_*`.
 //! `--max-queue N` turns on the admission-control gate, shedding at
 //! queue depth N (hysteresis resumes at 3N/4). Shed requests get a
